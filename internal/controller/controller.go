@@ -523,6 +523,7 @@ func (r *run) observe(ps *engine.PeriodStats) error {
 	}
 
 	if c.fw != nil {
+		snap.Period = r.p
 		snap.MaxMigrations = c.opt.MaxMigrations
 		snap.MaxMigrCost = c.opt.MaxMigrCost
 		snap.Alpha = c.opt.Alpha

@@ -281,7 +281,11 @@ func TestElasticityThroughController(t *testing.T) {
 		periods   int
 	}{
 		{"lockstep", false, 16},
-		{"pipelined", true, 24},
+		// Pipelined, the planner overlaps the data path and snapshots taken
+		// while it is busy are dropped, so how many periods the scripted
+		// scenario takes is up to the scheduler: run until it has played out
+		// (0 = until cancelled, bounded below) instead of guessing a count.
+		{"pipelined", true, 0},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			const perPeriod = 400
@@ -301,7 +305,7 @@ func TestElasticityThroughController(t *testing.T) {
 			// The first added node has double capacity: scale-out is
 			// heterogeneous, and the engine must record the weight (the old
 			// AddNodes path silently hardcoded weight 1 for every new node).
-			script := make([]core.ScaleDecision, mode.periods)
+			script := make([]core.ScaleDecision, 6)
 			script[2] = core.ScaleDecision{AddNodes: 2, AddWeights: []float64{2, 1}}
 			script[5] = core.ScaleDecision{MarkForRemoval: []int{3, 4}}
 
@@ -309,15 +313,22 @@ func TestElasticityThroughController(t *testing.T) {
 			terminated := map[int]bool{}
 			var marked bool
 			prevOnKilled := map[int]bool{}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			periods := 0
 			ctrl := New(e, Options{
 				Balancer:      &core.MILPBalancer{TimeLimit: 5 * time.Millisecond, Seed: 2},
 				Scaler:        &core.ManualScaler{Script: script},
 				MaxMigrations: 6,
 				Pipelined:     mode.pipelined,
 				OnPeriod: func(r PeriodReport) {
+					periods++
 					added = append(added, r.Added...)
 					for _, id := range r.Terminated {
 						terminated[id] = true
+					}
+					if mode.periods == 0 && (terminated[3] && terminated[4] || periods == 5000) {
+						cancel()
 					}
 					if r.Outcome != nil && len(r.Outcome.Scale.MarkForRemoval) > 0 {
 						marked = true
@@ -340,7 +351,7 @@ func TestElasticityThroughController(t *testing.T) {
 					prevOnKilled = now
 				},
 			})
-			if _, err := ctrl.Run(context.Background(), mode.periods); err != nil {
+			if _, err := ctrl.Run(ctx, mode.periods); err != nil && (mode.periods > 0 || err != context.Canceled) {
 				t.Fatal(err)
 			}
 
@@ -350,7 +361,7 @@ func TestElasticityThroughController(t *testing.T) {
 			if !terminated[3] || !terminated[4] {
 				t.Fatalf("marked nodes not terminated by run end: %v", terminated)
 			}
-			if got, want := col.get(), int64(mode.periods*perPeriod); got != want {
+			if got, want := col.get(), int64(periods*perPeriod); got != want {
 				t.Fatalf("sink received %d tuples, want %d (tuple loss across scaling)", got, want)
 			}
 			// The weighted add must be visible to the planner: node 3 was

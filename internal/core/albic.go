@@ -31,7 +31,12 @@ type ALBIC struct {
 	StepPL float64
 	// SF is the score factor: pairs must exceed avg(gi)·SF (default 1.5).
 	SF float64
-	// TimeLimit is the per-solve budget for the underlying MILP solver.
+	// TimeLimit is the budget of one solve of the underlying MILP solver: a
+	// ceiling, not a duration. A solve that converges returns early, and the
+	// retry-without-pin of a solve whose pin busts the migration budget runs
+	// on what is left of that solve's budget, not on a fresh one. Each
+	// partition-relaxation step is a solve of its own. Zero means
+	// assign.DefaultTimeLimit.
 	TimeLimit time.Duration
 	// Exact uses the branch-and-bound MILP (small instances only).
 	Exact bool
@@ -256,17 +261,24 @@ func (a *ALBIC) solveOnce(ctx context.Context, s *Snapshot, colPairs, toBeCol []
 		MaxMigrCost:   s.MaxMigrCost,
 		MaxMigrations: s.MaxMigrations,
 	}
-	sol, err := assign.SolveCtx(ctx, problem, assign.Options{
-		TimeLimit: a.TimeLimit, Exact: a.Exact, Seed: a.Seed + a.round,
-	})
+	opt := assign.Options{TimeLimit: a.TimeLimit, Exact: a.Exact, Seed: a.Seed + a.round}
+	if opt.TimeLimit <= 0 {
+		opt.TimeLimit = assign.DefaultTimeLimit
+	}
+	// One deadline for the solve and its retry: SolveCtx's budget is the
+	// earlier of TimeLimit and the context's deadline.
+	if !a.Exact {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, opt.TimeLimit)
+		defer cancel()
+	}
+	sol, err := assign.SolveCtx(ctx, problem, opt)
 	if err != nil && pinned {
 		// The new pin may exceed the migration budget; retry without it.
 		for i := range items {
 			items[i].Pin = -1
 		}
-		sol, err = assign.SolveCtx(ctx, problem, assign.Options{
-			TimeLimit: a.TimeLimit, Exact: a.Exact, Seed: a.Seed + a.round,
-		})
+		sol, err = assign.SolveCtx(ctx, problem, opt)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("albic: %w", err)

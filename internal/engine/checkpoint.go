@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/codec"
@@ -44,37 +45,44 @@ type CheckpointStats struct {
 
 // TakeCheckpoint incrementally checkpoints every key group's state into the
 // engine's store: first-time groups store a full snapshot, already-tracked
-// groups append only the delta since their previous checkpoint. Must be
-// called between periods (the engine is quiescent then; the completion
-// events of RunPeriod establish the necessary happens-before edge, exactly
-// as for statistics merging).
+// groups append the delta since their previous checkpoint, or a fresh base
+// when the delta would be no smaller than the state (statestore.Advance).
+// The per-group work — diff, encode, advance the tip — spreads over the
+// barrier pool; the results are committed to the store serially in ascending
+// gid, so what the store holds and reports does not depend on the schedule.
+// Must be called between periods (the engine is quiescent then; the
+// completion events of RunPeriod establish the necessary happens-before
+// edge, exactly as for statistics merging).
 func (e *Engine) TakeCheckpoint() CheckpointStats {
 	if e.ckpt == nil {
 		e.ckpt = statestore.New()
 	}
 	cs := CheckpointStats{Period: e.period}
 	fresh := e.freshScratch[:0]
-	for i, n := range e.nodes {
-		if e.removed[i] || n == nil {
-			continue
-		}
-		for _, sh := range n.shards {
-			for gid, st := range sh.states {
-				cs.NewBytes += e.ckpt.Checkpoint(gid, e.period, st)
-				e.setTipNode(gid, i)
-				fresh = append(fresh, gid)
-			}
-		}
+	groups := e.localGroups()
+	workers := barrierWorkers(len(groups))
+	scratch := e.deltaScratch(workers)
+	e.pending = slices.Grow(e.pending[:0], len(groups))[:len(groups)]
+	fanOut(workers, len(groups), func(w, i int) {
+		e.pending[i] = e.ckpt.Prepare(&scratch[w], groups[i].gid, e.period, groups[i].st)
+	})
+	for i, g := range groups {
+		cs.NewBytes += e.ckpt.Commit(e.pending[i])
+		e.setTipNode(g.gid, g.node)
+		fresh = append(fresh, g.gid)
 	}
-	// Remote nodes: each worker encodes its groups (full for first-timers,
-	// delta against its tip mirror otherwise) and the controller replays them
-	// into the store — absorbCkptEntries keeps store tips and worker tip
-	// mirrors byte-identical. The round trips are issued to all peers
-	// concurrently (each worker encodes its states independently); the
-	// replies are absorbed in ascending peer order, so the store's contents
+	// Remote nodes: each worker encodes its groups (full for first-timers and
+	// fresh bases, delta against its tip mirror otherwise) and the controller
+	// replays them into the store — absorbCkptEntries keeps store tips and
+	// worker tip mirrors byte-identical. The round trips are issued to all
+	// peers concurrently (each worker encodes its states independently); the
+	// replies are absorbed together in ascending gid, so the store's contents
 	// do not depend on reply timing. A worker that died mid-request is
 	// skipped; its groups keep their previous checkpoint until
-	// FailNode/Recover handle it.
+	// FailNode/Recover handle it. A reply that arrives but does not decode
+	// is not a dead peer: like a corrupt entry inside a reply it fails the
+	// next period (Engine.ckptErrs), instead of silently leaving that
+	// worker's tips stale.
 	if e.rig != nil {
 		peers := e.workerPeers()
 		bodies := make([][]byte, len(peers))
@@ -88,18 +96,23 @@ func (e *Engine) TakeCheckpoint() CheckpointStats {
 			}(k, peer)
 		}
 		wg.Wait()
-		for k := range peers {
+		var entries []ckptEntryWire
+		for k, peer := range peers {
 			if rerrs[k] != nil {
 				continue
 			}
-			entries, derr := decodeCkptReply(bodies[k])
+			// Decoded entries own their payloads, so the reply buffer can go
+			// back to the pool here.
+			reply, derr := decodeCkptReply(bodies[k])
 			codec.PutBuf(bodies[k])
 			if derr != nil {
+				e.ckptErrs = append(e.ckptErrs, fmt.Errorf("engine: checkpoint reply from peer %d: %w", peer, derr))
 				continue
 			}
-			if aerr := e.absorbCkptEntries(entries, &cs, &fresh); aerr != nil {
-				e.emit(engEvent{kind: evError, err: aerr})
-			}
+			entries = append(entries, reply...)
+		}
+		if aerr := e.absorbCkptEntries(entries, &cs, &fresh); aerr != nil {
+			e.ckptErrs = append(e.ckptErrs, aerr)
 		}
 	}
 	cs.Groups = e.ckpt.Len()

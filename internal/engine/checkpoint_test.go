@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/statestore"
@@ -242,5 +243,116 @@ func TestRecoverErrors(t *testing.T) {
 	}
 	if _, err := e.Recover(nil); err == nil {
 		t.Fatal("no survivors must error")
+	}
+}
+
+// windowTopology keeps one table per key group that holds only the current
+// period's cells: between two checkpoints the whole state is replaced.
+func windowTopology(perPeriod, kgs int) *Topology {
+	tp := NewTopology()
+	tp.AddSource("src", func(period int, emit Emit) {
+		for i := 0; i < perPeriod; i++ {
+			emit(&Tuple{Key: fmt.Sprintf("k%d", i%20), TS: int64(period*1000 + i)})
+		}
+	})
+	tp.AddOperator(&Operator{
+		Name:      "window",
+		KeyGroups: kgs,
+		Proc: func(tu *TupleView, st *State, emit Emit) {
+			if p := float64(tu.TS() / 1000); st.Num("period") != p {
+				st.SetNum("period", p)
+				st.ClearTable("win")
+			}
+			st.Table("win").Set(fmt.Sprintf("p%d-t%d", tu.TS()/1000, tu.TS()), 1)
+		},
+	})
+	tp.Connect("src", "window")
+	return tp
+}
+
+// TestCheckpointOfChurningStateWritesFreshBases: when every group's state is
+// replaced between cadences the checkpoint writes each state once — NewBytes
+// equals the live state, not the larger delta — keeps no chain, and the
+// store's tips equal the live states.
+func TestCheckpointOfChurningStateWritesFreshBases(t *testing.T) {
+	e, err := New(windowTopology(400, 8), Config{Nodes: 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for cadence := 0; cadence < 3; cadence++ {
+		var ps *PeriodStats
+		for p := 0; p < 2; p++ {
+			if ps, err = e.RunPeriod(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		live := 0
+		for _, b := range ps.StateBytes {
+			live += b
+		}
+		cs := e.TakeCheckpoint()
+		if cs.NewBytes != live || cs.TotalBytes != live {
+			t.Fatalf("cadence %d: checkpoint wrote %d bytes, store holds %d, live state is %d", cadence, cs.NewBytes, cs.TotalBytes, live)
+		}
+		store := e.CheckpointStore()
+		for i, n := range e.nodes {
+			if e.removed[i] {
+				continue
+			}
+			for gid, st := range n.allStates() {
+				tip, ver, ok := store.Materialize(gid)
+				if !ok || ver != e.Period() || store.ChainLen(gid) != 0 {
+					t.Fatalf("cadence %d group %d: ok=%v version=%d chain=%d", cadence, gid, ok, ver, store.ChainLen(gid))
+				}
+				if !statestore.Diff(tip, st).Empty() || !statestore.Diff(st, tip).Empty() {
+					t.Fatalf("cadence %d group %d: store tip differs from the live state", cadence, gid)
+				}
+			}
+		}
+	}
+}
+
+// TestAbsorbRejectsCorruptCheckpointEntries: entries of a worker's reply
+// that cannot be what a worker sent — undecodable payloads, a delta for a
+// group the store does not track, a group named twice or unknown to the
+// topology — are reported and skipped, and the sound entries beside them
+// are still absorbed.
+func TestAbsorbRejectsCorruptCheckpointEntries(t *testing.T) {
+	e, err := New(tallyTopology(100, 6), Config{Nodes: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if _, err := e.RunPeriod(); err != nil {
+		t.Fatal(err)
+	}
+	e.TakeCheckpoint()
+	tracked := e.CheckpointStore().Groups()[0]
+	good := statestore.NewState()
+	good.Add("total", 99)
+	entries := []ckptEntryWire{
+		{node: 0, gid: tracked, full: true, payload: good.Encode(nil)},
+		{node: 0, gid: tracked, full: true, payload: good.Encode(nil)}, // named twice
+		{node: 0, gid: 5, full: true, payload: []byte{0xff, 0xff}},     // undecodable state
+		{node: 0, gid: 4, payload: []byte{0x01}},                       // undecodable delta
+		{node: 0, gid: 6, full: true, payload: good.Encode(nil)},       // not in the topology
+	}
+	var cs CheckpointStats
+	var fresh []int
+	err = e.absorbCkptEntries(entries, &cs, &fresh)
+	if err == nil {
+		t.Fatal("corrupt entries absorbed without an error")
+	}
+	for _, want := range []string{"duplicate checkpoint entry for group", "checkpoint state for group 5", "group 4", "unknown group 6"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	if len(fresh) != 1 || fresh[0] != tracked {
+		t.Fatalf("absorbed groups %v, want only %d", fresh, tracked)
+	}
+	if tip, _, _ := e.CheckpointStore().Materialize(tracked); tip.Num("total") != 99 {
+		t.Fatalf("sound entry not absorbed: total = %v", tip.Num("total"))
 	}
 }

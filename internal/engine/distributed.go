@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/statestore"
@@ -232,35 +234,64 @@ func (e *Engine) setTipNode(gid, node int) {
 	e.tipNode[gid] = node
 }
 
-// absorbCkptEntries merges one worker's checkpoint reply into the
-// controller's store: full payloads decode directly, deltas apply to the
-// store's materialized tip. The store's own Checkpoint call then measures
-// NewBytes exactly as the in-process path does (the delta it computes equals
-// the shipped one — worker tips mirror store tips byte-for-byte).
+// absorbCkptEntries merges the workers' checkpoint replies into the
+// controller's store: full payloads decode directly, deltas apply to a copy
+// of the store's materialized tip. The store's own checkpoint of that state
+// then measures NewBytes exactly as the in-process path does, and takes the
+// same delta-or-fresh-base step the worker took (statestore.Advance decides
+// on tip and state alone, and worker tips mirror store tips byte-for-byte).
+// Like the local half of TakeCheckpoint, the per-entry work spreads over the
+// barrier pool and the commits are serial in ascending gid. Entries that fail
+// are skipped and their errors returned, joined.
 func (e *Engine) absorbCkptEntries(entries []ckptEntryWire, cs *CheckpointStats, fresh *[]int) error {
-	for _, en := range entries {
+	slices.SortStableFunc(entries, func(a, b ckptEntryWire) int { return a.gid - b.gid })
+	workers := barrierWorkers(len(entries))
+	scratch := e.deltaScratch(workers)
+	e.pending = slices.Grow(e.pending[:0], len(entries))[:len(entries)]
+	pending := e.pending
+	errs := make([]error, len(entries))
+	// A corrupt reply may name a group twice (the two would race on its
+	// chain) or one the topology does not have.
+	for i, en := range entries {
+		if en.gid >= e.topo.NumGroups() {
+			errs[i] = fmt.Errorf("engine: checkpoint entry for unknown group %d", en.gid)
+		} else if i > 0 && en.gid == entries[i-1].gid {
+			errs[i] = fmt.Errorf("engine: duplicate checkpoint entry for group %d", en.gid)
+		}
+	}
+	fanOut(workers, len(entries), func(w, i int) {
+		if errs[i] != nil {
+			return
+		}
+		en, d := entries[i], &scratch[w]
 		var st *statestore.State
 		if en.full {
-			s, err := statestore.DecodeState(en.payload)
-			if err != nil {
-				return fmt.Errorf("engine: checkpoint state for group %d: %w", en.gid, err)
+			if st, errs[i] = statestore.DecodeState(en.payload); errs[i] != nil {
+				errs[i] = fmt.Errorf("engine: checkpoint state for group %d: %w", en.gid, errs[i])
+				return
 			}
-			st = s
 		} else {
 			base, _, ok := e.ckpt.Materialize(en.gid)
 			if !ok {
-				return fmt.Errorf("engine: delta checkpoint for untracked group %d", en.gid)
+				errs[i] = fmt.Errorf("engine: delta checkpoint for untracked group %d", en.gid)
+				return
 			}
-			d, rest, err := statestore.DecodeDelta(en.payload)
-			if err != nil || len(rest) != 0 {
-				return fmt.Errorf("engine: checkpoint delta for group %d: %v (%d trailing)", en.gid, err, len(rest))
+			if rest, err := statestore.DecodeDeltaInto(en.payload, d); err != nil || len(rest) != 0 {
+				errs[i] = fmt.Errorf("engine: checkpoint delta for group %d: %v (%d trailing)", en.gid, err, len(rest))
+				return
 			}
 			d.Apply(base)
 			st = base
 		}
-		cs.NewBytes += e.ckpt.Checkpoint(en.gid, e.period, st)
+		pending[i] = e.ckpt.Prepare(d, en.gid, e.period, st)
+	})
+	for i, en := range entries {
+		if errs[i] != nil {
+			continue
+		}
+		cs.NewBytes += e.ckpt.Commit(pending[i])
 		e.setTipNode(en.gid, en.node)
 		*fresh = append(*fresh, en.gid)
 	}
-	return nil
+	return errors.Join(errs...)
 }

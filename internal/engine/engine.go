@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/metrics"
+	"slices"
 	"sync"
 
 	"repro/internal/codec"
@@ -210,12 +211,22 @@ type Engine struct {
 	// see Engine.tipValid.
 	tipNode []int
 
-	// liveStates is finishPeriod's reusable gid -> live-state scratch for the
-	// checkpoint-delta measurement (indexed by gid, cleared between periods).
-	liveStates []*State
-	// freshScratch is TakeCheckpoint's reusable list of gids checkpointed for
-	// the first time this cadence.
+	// Checkpoint scratch, reused across barriers and cadences: liveGroups is
+	// the gid-ordered list of locally hosted states that the delta sizing and
+	// TakeCheckpoint fan out over, deltas holds one statestore.Delta per
+	// barrier worker, pending the prepared checkpoints between the parallel
+	// and the serial half of TakeCheckpoint (local groups first, then the
+	// workers' entries), and freshScratch the gids checkpointed this cadence.
+	liveGroups   []liveGroup
+	deltas       []statestore.Delta
+	pending      []statestore.Pending
 	freshScratch []int
+	// ckptErrs holds what went wrong in checkpoints taken since the last
+	// period (a worker's reply or an entry of it did not decode).
+	// TakeCheckpoint has no error to return and runs between periods, where
+	// beginPeriod discards queued events, so the failures wait here and fail
+	// the next period.
+	ckptErrs []error
 	// Allocation telemetry: finishPeriod samples the runtime's cumulative
 	// heap-allocation counters at each period barrier and reports the
 	// barrier-to-barrier delta in PeriodStats.Allocs/AllocBytes. Sampling is
@@ -232,11 +243,23 @@ type Engine struct {
 	// Period-barrier scratch, reused so the merge itself stays out of the
 	// Allocs telemetry it feeds: shardRefs flattens the live shards for the
 	// parallel stats merge, mergeAccs holds the per-merge-worker partial
-	// sums, and transferDest is finishPeriod's staged-delta destination map
-	// (built only on periods that actually migrate).
+	// sums, groupMilli / nodeMilli the merged milli-unit totals,
+	// ckptDeltaBuf backs PeriodStats.CkptDeltaBytes, and transferDest is
+	// finishPeriod's staged-delta destination map (built only on periods
+	// that actually migrate).
 	shardRefs    []shardRef
 	mergeAccs    []*mergeAcc
+	groupMilli   []int64
+	nodeMilli    []int64
+	ckptDeltaBuf []int
 	transferDest map[int]int
+}
+
+// zeroed returns buf resized to n zeros, reusing its storage.
+func zeroed(buf []int64, n int) []int64 {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
 }
 
 // mix64 is the splitmix64 finalizer — a cheap, well-distributed integer hash
@@ -388,7 +411,9 @@ func (e *Engine) beginPeriod() *periodRun {
 		alloc:      alloc,
 		stagedGids: map[int]bool{},
 		hotMoved:   map[int]bool{},
+		errs:       e.ckptErrs,
 	}
+	e.ckptErrs = nil
 	// Decide the transfer mode of every staged move: direct full-state
 	// migration, checkpoint-assisted delta, or deferred behind an
 	// in-flight pre-copy (this also ships the boundary's pre-copy chunks).
@@ -669,8 +694,9 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 	// equality. The communication merge is exact for the same reason: unit
 	// counts, summed by the builder regardless of arrival order.
 	ng := e.topo.NumGroups()
-	groupMilli := make([]int64, ng)
-	nodeMilli := make([]int64, len(e.nodes))
+	e.groupMilli = zeroed(e.groupMilli, ng)
+	e.nodeMilli = zeroed(e.nodeMilli, len(e.nodes))
+	groupMilli, nodeMilli := e.groupMilli, e.nodeMilli
 	e.commBuilder.Reset(ng)
 	e.mergeShardStats(ps, groupMilli, nodeMilli)
 	// Remote nodes: the stats round trips to all worker peers are issued
@@ -753,41 +779,30 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 	// full-state since its checkpoint reports -1 (and migrates full) until
 	// the next checkpoint re-establishes residency.
 	if e.ckpt != nil && e.ckpt.Len() > 0 {
-		if len(e.liveStates) < ng {
-			e.liveStates = make([]*State, ng)
+		e.ckptDeltaBuf = slices.Grow(e.ckptDeltaBuf[:0], ng)[:ng]
+		deltas := e.ckptDeltaBuf
+		for gid := range deltas {
+			deltas[gid] = -1
 		}
-		live := e.liveStates[:ng]
-		clear(live)
-		for i, n := range e.nodes {
-			if n == nil || e.removed[i] {
-				continue
+		// Sizing a group reads its live state and its tip and writes its own
+		// slot, so the groups spread over the barrier pool as they are.
+		// Groups on remote nodes were measured by their worker, merged below.
+		groups := e.localGroups()
+		fanOut(barrierWorkers(len(groups)), len(groups), func(_, i int) {
+			g := groups[i]
+			if e.tipNode == nil || e.tipNode[g.gid] != g.node || g.node != pr.alloc[g.gid] {
+				return
 			}
-			for _, sh := range n.shards {
-				for gid, st := range sh.states {
-					live[gid] = st
-				}
+			if sz, ok := e.ckpt.DeltaSize(g.gid, g.st); ok {
+				deltas[g.gid] = sz
 			}
-		}
-		ps.CkptDeltaBytes = make([]int, ng)
-		for gid := range ps.CkptDeltaBytes {
-			ps.CkptDeltaBytes[gid] = -1
-		}
-		for _, gid := range e.ckpt.Groups() {
-			if e.tipNode == nil || e.tipNode[gid] < 0 || e.tipNode[gid] != pr.alloc[gid] {
-				continue
-			}
-			if !e.hostsNode(pr.alloc[gid]) {
-				continue // measured by its worker, merged below
-			}
-			if sz, ok := e.ckpt.DeltaSize(gid, live[gid]); ok {
-				ps.CkptDeltaBytes[gid] = sz
-			}
-		}
+		})
 		for _, rd := range remoteDeltas {
 			if e.tipNode != nil && e.tipNode[rd.gid] == rd.node && rd.node == pr.alloc[rd.gid] {
-				ps.CkptDeltaBytes[rd.gid] = rd.size
+				deltas[rd.gid] = rd.size
 			}
 		}
+		ps.CkptDeltaBytes = deltas
 	}
 	// Allocation telemetry: the delta of the runtime's cumulative allocation
 	// counters since the previous period barrier. The first period reports 0

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/statestore"
 )
 
 // denseCommGroupLimit is the default for Config.DenseCommLimit: topologies
@@ -203,7 +205,9 @@ type PeriodStats struct {
 	// CkptDeltaBytes is, per global key-group id, the encoded delta between
 	// the group's live state at period end and its last checkpoint (-1 for
 	// groups without a checkpoint; nil when the engine has never
-	// checkpointed). It feeds the planner's delta-cost model.
+	// checkpointed). It feeds the planner's delta-cost model. The slice is
+	// the engine's barrier scratch: valid until the next period's barrier,
+	// copy it to keep it longer.
 	CkptDeltaBytes []int
 	// Allocs / AllocBytes are the heap allocations (objects / bytes) this
 	// process performed between the previous period barrier and this one,
@@ -297,12 +301,81 @@ func (a *mergeAcc) reduceInto(ps *PeriodStats, groupMilli, nodeMilli []int64) {
 	ps.BatchesCrossNode += a.batchesOut
 }
 
+// barrierWorkers is the width of the pool the period barrier spreads n
+// independent pieces of work over: one worker per core, never more than
+// there are pieces.
+func barrierWorkers(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n))
+}
+
+// fanOut runs fn(worker, i) for every i in [0, n) on `workers` goroutines and
+// returns when all are done. Each worker claims the next unclaimed index, so
+// uneven pieces balance; whatever fn keeps per worker (scratch, partial sums)
+// must not make the result depend on which worker ran which index. With one
+// worker it runs inline.
+func fanOut(workers, n int, fn func(worker, i int)) {
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(w, i)
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// deltaScratch returns one reusable statestore.Delta per barrier worker.
+func (e *Engine) deltaScratch(workers int) []statestore.Delta {
+	if len(e.deltas) < workers {
+		e.deltas = append(e.deltas, make([]statestore.Delta, workers-len(e.deltas))...)
+	}
+	return e.deltas
+}
+
+// liveGroup is one key group's state where it physically lives in this
+// process.
+type liveGroup struct {
+	gid, node int
+	sh        *shard
+	st        *State
+}
+
+// localGroups lists every key group hosted by a live node of this process,
+// in ascending gid (a group lives on exactly one shard at the barrier). The
+// result is valid until the next call.
+func (e *Engine) localGroups() []liveGroup {
+	groups := e.liveGroups[:0]
+	for i, n := range e.nodes {
+		if n == nil || e.removed[i] {
+			continue
+		}
+		for _, sh := range n.shards {
+			for gid, st := range sh.states {
+				groups = append(groups, liveGroup{gid: gid, node: i, sh: sh, st: st})
+			}
+		}
+	}
+	slices.SortFunc(groups, func(a, b liveGroup) int { return a.gid - b.gid })
+	e.liveGroups = groups
+	return groups
+}
+
 // mergeShardStats folds every live local shard's period statistics into ps
-// and the milli-unit accumulators, fanning the fold across a bounded worker
-// pool when there are enough shards and cores to matter. All sums are
-// integer milli-units and CommBuilder adds are unit counts, so the merged
-// statistics are bit-identical to the serial merge regardless of the worker
-// count or schedule.
+// and the milli-unit accumulators, fanning the fold across the barrier pool
+// when there are enough shards and cores to matter. All sums are integer
+// milli-units and CommBuilder adds are unit counts, so the merged statistics
+// are bit-identical to the serial merge regardless of the worker count or
+// schedule.
 func (e *Engine) mergeShardStats(ps *PeriodStats, groupMilli, nodeMilli []int64) {
 	refs := e.shardRefs[:0]
 	for i, n := range e.nodes {
@@ -314,13 +387,7 @@ func (e *Engine) mergeShardStats(ps *PeriodStats, groupMilli, nodeMilli []int64)
 		}
 	}
 	e.shardRefs = refs
-	w := runtime.GOMAXPROCS(0)
-	if w > len(refs) {
-		w = len(refs)
-	}
-	if w < 1 {
-		w = 1
-	}
+	w := barrierWorkers(len(refs))
 	if len(refs) < 4 {
 		w = 1
 	}
@@ -330,35 +397,21 @@ func (e *Engine) mergeShardStats(ps *PeriodStats, groupMilli, nodeMilli []int64)
 	for k := 0; k < w; k++ {
 		e.mergeAccs[k].reset(len(groupMilli), len(nodeMilli))
 	}
-	if w == 1 {
-		acc := e.mergeAccs[0]
-		for _, r := range refs {
-			acc.fold(r, ps, e.commBuilder.Add)
-		}
-		acc.reduceInto(ps, groupMilli, nodeMilli)
-		return
-	}
 	// The comm fold's dominant cost is scanning each shard's accumulator for
 	// non-zero edges; that scan stays parallel and only the per-edge Add
 	// serializes on the mutex.
-	var commMu sync.Mutex
-	add := func(from, to int, rate float64) {
-		commMu.Lock()
-		e.commBuilder.Add(from, to, rate)
-		commMu.Unlock()
+	add := e.commBuilder.Add
+	if w > 1 {
+		var commMu sync.Mutex
+		add = func(from, to int, rate float64) {
+			commMu.Lock()
+			e.commBuilder.Add(from, to, rate)
+			commMu.Unlock()
+		}
 	}
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			acc := e.mergeAccs[k]
-			for r := k; r < len(refs); r += w {
-				acc.fold(refs[r], ps, add)
-			}
-		}(k)
-	}
-	wg.Wait()
+	fanOut(w, len(refs), func(k, r int) {
+		e.mergeAccs[k].fold(refs[r], ps, add)
+	})
 	for k := 0; k < w; k++ {
 		e.mergeAccs[k].reduceInto(ps, groupMilli, nodeMilli)
 	}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/codec"
 	"repro/internal/statestore"
@@ -224,12 +223,24 @@ func (e *Engine) pingLocalShards() {
 }
 
 // statsReplyBody merges this process's local shard statistics into one
-// integer-exact stats reply. Map-keyed collections are sorted by gid so the
-// reply bytes are deterministic; comm triples come out of the accumulators
-// in a deterministic order already and merge exactly regardless.
+// integer-exact stats reply. Per-group collections are listed in ascending
+// gid so the reply bytes are deterministic; comm triples come out of the
+// accumulators in a deterministic order already and merge exactly regardless.
 func (e *Engine) statsReplyBody() []byte {
 	e.pingLocalShards()
 	ng := e.topo.NumGroups()
+	// Size every local group's delta against its retained tip — the worker's
+	// half of finishPeriod's residency signal, spread over the barrier pool
+	// the same way (a group's tip and slot are its own).
+	groups := e.localGroups()
+	deltas := make([]int64, len(groups))
+	fanOut(barrierWorkers(len(groups)), len(groups), func(_, i int) {
+		g := groups[i]
+		deltas[i] = -1
+		if tip := g.sh.tips[g.gid]; tip != nil && tip.decoded() != nil {
+			deltas[i] = int64(statestore.DiffSize(tip.st, g.st))
+		}
+	})
 	var nodes []nodeStatsWire
 	for i, n := range e.nodes {
 		if n == nil || e.removed[i] {
@@ -237,8 +248,6 @@ func (e *Engine) statsReplyBody() []byte {
 		}
 		nw := nodeStatsWire{node: i}
 		milli := make([]int64, ng)
-		stateBytes := map[int]int64{}
-		ckptDelta := map[int]int64{}
 		for _, sh := range n.shards {
 			nw.migMilli += sh.stats.migMilli
 			nw.bytesOut += sh.stats.bytesOut
@@ -258,92 +267,81 @@ func (e *Engine) statsReplyBody() []byte {
 				nw.commTo = append(nw.commTo, int32(to))
 				nw.commN = append(nw.commN, int64(rate))
 			})
-			for gid, st := range sh.states {
-				stateBytes[gid] = int64(st.Size())
-				if tip := sh.tips[gid]; tip != nil {
-					if tip.st == nil {
-						if dec, err := statestore.DecodeState(tip.data); err == nil {
-							tip.st = dec
-						}
-					}
-					if tip.st != nil {
-						ckptDelta[gid] = int64(statestore.DiffSize(tip.st, st))
-					}
-				}
-			}
 		}
 		for gid, m := range milli {
 			if m != 0 {
 				nw.groupMilli = append(nw.groupMilli, gidVal{gid: gid, val: m})
 			}
 		}
-		nw.stateBytes = sortedGidVals(stateBytes)
-		nw.ckptDelta = sortedGidVals(ckptDelta)
+		for k, g := range groups {
+			if g.node != i {
+				continue
+			}
+			nw.stateBytes = append(nw.stateBytes, gidVal{gid: g.gid, val: int64(g.st.Size())})
+			if deltas[k] >= 0 {
+				nw.ckptDelta = append(nw.ckptDelta, gidVal{gid: g.gid, val: deltas[k]})
+			}
+		}
 		nodes = append(nodes, nw)
 	}
 	return encodeStatsReply(nodes)
 }
 
-func sortedGidVals(m map[int]int64) []gidVal {
-	if len(m) == 0 {
-		return nil
+// decoded returns the tip's state form, decoding the retained encoding on
+// first use (nil if it does not decode).
+func (t *ckptTip) decoded() *State {
+	if t.st == nil {
+		if dec, err := statestore.DecodeState(t.data); err == nil {
+			t.st = dec
+		}
 	}
-	out := make([]gidVal, 0, len(m))
-	for gid, v := range m {
-		out = append(out, gidVal{gid: gid, val: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].gid < out[j].gid })
-	return out
+	return t.st
 }
 
+// emptyDeltaPayload is what a checkpoint reply ships for a group that did
+// not change since its tip: the encoding of the delta that changes nothing.
+var emptyDeltaPayload = (&statestore.Delta{}).Encode(nil)
+
 // ckptReplyBody encodes every local key group for the controller's
-// checkpoint at `version`: groups with a retained tip ship the delta against
-// it, first-timers the full state. Either way the shard's tip advances to
-// the state just encoded — byte-identical to the tip the controller's store
-// will hold after absorbing this reply.
+// checkpoint at `version`, in ascending gid: first-timers ship the full
+// state, groups with a retained tip whatever statestore.Advance writes for
+// them — the delta against the tip, or the full state when the delta would
+// be no smaller. Either way the shard's tip advances to the state just
+// encoded, and because the controller's store takes its step by the same
+// rule on an equal tip, the two stay byte-identical. The per-group work
+// spreads over the barrier pool; installing first-timers' tips, which writes
+// the shards' tip maps, is serial.
 func (e *Engine) ckptReplyBody(version int) []byte {
 	e.pingLocalShards()
-	var entries []ckptEntryWire
-	for i, n := range e.nodes {
-		if n == nil || e.removed[i] {
-			continue
+	groups := e.localGroups()
+	workers := barrierWorkers(len(groups))
+	scratch := e.deltaScratch(workers)
+	entries := make([]ckptEntryWire, len(groups))
+	fanOut(workers, len(groups), func(w, i int) {
+		g := groups[i]
+		en := ckptEntryWire{node: g.node, gid: g.gid}
+		if tip := g.sh.tips[g.gid]; tip != nil && tip.decoded() != nil {
+			// Advance the decoded mirror in place — the same tip advance the
+			// controller's store performs — instead of re-encoding the whole
+			// state per cadence.
+			payload, step := statestore.Advance(&scratch[w], tip.st, g.st)
+			tip.ver, tip.data = version, nil
+			en.full = step == statestore.StepBase
+			if en.payload = payload; step == statestore.StepNone {
+				en.payload = emptyDeltaPayload
+			}
+		} else {
+			en.full = true
+			en.payload = g.st.Encode(make([]byte, 0, g.st.Size()))
 		}
-		for _, sh := range n.shards {
-			gids := make([]int, 0, len(sh.states))
-			for gid := range sh.states {
-				gids = append(gids, gid)
+		entries[i] = en
+	})
+	for i, g := range groups {
+		if tip := g.sh.tips[g.gid]; tip == nil || tip.st == nil {
+			if g.sh.tips == nil {
+				g.sh.tips = map[int]*ckptTip{}
 			}
-			sort.Ints(gids)
-			for _, gid := range gids {
-				st := sh.states[gid]
-				tip := sh.tips[gid]
-				if tip != nil && tip.st == nil {
-					if dec, err := statestore.DecodeState(tip.data); err == nil {
-						tip.st = dec
-					}
-				}
-				if tip != nil && tip.st != nil {
-					// Delta checkpoint: diff against the decoded mirror, ship
-					// the delta, and advance the mirror by applying it — the
-					// same in-place tip advance the controller's store
-					// performs, so mirror and store tip stay in lockstep
-					// without a full encode per cadence.
-					d := &sh.diff
-					statestore.DiffInto(d, tip.st, st)
-					payload := d.Encode(make([]byte, 0, d.Size()))
-					d.Apply(tip.st)
-					tip.ver = version
-					tip.data = nil
-					entries = append(entries, ckptEntryWire{node: i, gid: gid, payload: payload})
-					continue
-				}
-				enc := st.Encode(make([]byte, 0, st.Size()))
-				if sh.tips == nil {
-					sh.tips = map[int]*ckptTip{}
-				}
-				sh.tips[gid] = &ckptTip{ver: version, data: enc}
-				entries = append(entries, ckptEntryWire{node: i, gid: gid, full: true, payload: enc})
-			}
+			g.sh.tips[g.gid] = &ckptTip{ver: version, data: entries[i].payload}
 		}
 	}
 	return encodeCkptReply(entries)

@@ -1,0 +1,262 @@
+package statestore
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+)
+
+// windowState is a windowed operator's state: one table of per-key cells.
+func windowState(window, cells int) *State {
+	st := NewState()
+	st.Add("seen", float64(window*cells))
+	t := st.Table("win")
+	for c := 0; c < cells; c++ {
+		t.Set(fmt.Sprintf("w%d-key-%04d", window, c), float64(c))
+	}
+	return st
+}
+
+// TestCheckpointFreshBaseWhenStateChurns: a state whose delta against the
+// tip would be at least as large as the state itself (every cell of the old
+// window removed, every cell of the new one added) is written as a fresh
+// base: it costs exactly |σ|, leaves no chain to replay or compact, and
+// reads back equal to the live state.
+func TestCheckpointFreshBaseWhenStateChurns(t *testing.T) {
+	s := New()
+	s.Checkpoint(7, 1, windowState(1, 300))
+	for v := 2; v <= 6; v++ {
+		live := windowState(v, 300)
+		if d := DiffSize(windowState(v-1, 300), live); d < live.Size() {
+			t.Fatalf("v%d: test premise broken: delta %d < state %d", v, d, live.Size())
+		}
+		before := s.Bytes()
+		appended := s.Checkpoint(7, v, live)
+		if appended != live.Size() {
+			t.Fatalf("v%d: appended %d bytes, want a fresh base of |σ| = %d", v, appended, live.Size())
+		}
+		if s.ChainLen(7) != 0 {
+			t.Fatalf("v%d: chain length %d after a fresh base, want 0", v, s.ChainLen(7))
+		}
+		if s.Bytes() != live.Size() || before != windowState(v-1, 300).Size() {
+			t.Fatalf("v%d: store holds %d bytes (was %d), want one base of %d", v, s.Bytes(), before, live.Size())
+		}
+		got, ver, ok := s.Materialize(7)
+		if !ok || ver != v || !statesEqual(got, live) {
+			t.Fatalf("v%d: materialized state (ver %d, ok %v) differs from the live state", v, ver, ok)
+		}
+		enc, _, _ := s.EncodedState(7)
+		if !bytes.Equal(enc, live.Encode(nil)) {
+			t.Fatalf("v%d: stored base is not the live state's encoding", v)
+		}
+	}
+}
+
+// TestCheckpointDeltaWhenFewCellsChange: the long tail — a large state of
+// which a few cells change per cadence — still appends a small delta, and
+// compaction still bounds the chain.
+func TestCheckpointDeltaWhenFewCellsChange(t *testing.T) {
+	s := New()
+	live := windowState(1, 2000)
+	s.Checkpoint(3, 1, live)
+	for v := 2; v <= 40; v++ {
+		tab := live.Table("win")
+		for c := 0; c < 5; c++ {
+			tab.Add(fmt.Sprintf("w1-key-%04d", (v*7+c)%2000), 1)
+		}
+		tab.Delete(fmt.Sprintf("w1-key-%04d", 1999-v))
+		live.Add("seen", 5)
+		want := Diff(mustMaterialize(t, s, 3), live).Size()
+		appended := s.Checkpoint(3, v, live)
+		if appended != want || appended*50 > live.Size() {
+			t.Fatalf("v%d: appended %d bytes, want the %d-byte delta (state is %d)", v, appended, want, live.Size())
+		}
+		if cl := s.ChainLen(3); cl > defaultMaxChain {
+			t.Fatalf("v%d: chain length %d exceeds %d", v, cl, defaultMaxChain)
+		}
+		if !statesEqual(mustMaterialize(t, s, 3), live) {
+			t.Fatalf("v%d: materialized state diverged", v)
+		}
+	}
+}
+
+func mustMaterialize(t *testing.T, s *Store, gid int) *State {
+	t.Helper()
+	st, _, ok := s.Materialize(gid)
+	if !ok {
+		t.Fatalf("group %d not in store", gid)
+	}
+	return st
+}
+
+// TestCheckpointNeverWritesMoreThanState is the write rule as a property over
+// random edit histories: every checkpoint after the first appends no more
+// than |σ|, the tip always equals the live state, and the step taken is the
+// one Advance takes on equal inputs (what a worker's tip mirror does).
+func TestCheckpointNeverWritesMoreThanState(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 40; trial++ {
+		s := New()
+		live := randState(rng, 25)
+		s.Checkpoint(1, 0, live)
+		mirror := live.Clone()
+		var scratch Delta
+		for v := 1; v <= 12; v++ {
+			if rng.Intn(4) == 0 {
+				live = randState(rng, 25) // replaced wholesale
+			} else {
+				mutate(rng, live)
+			}
+			enc, step := Advance(&scratch, mirror, live)
+			appended := s.Checkpoint(1, v, live)
+			if appended > live.Size() || appended != len(enc) {
+				t.Fatalf("trial %d v%d: appended %d bytes, mirror step %d wrote %d, |σ| = %d", trial, v, appended, step, len(enc), live.Size())
+			}
+			if step == StepBase && s.ChainLen(1) != 0 {
+				t.Fatalf("trial %d v%d: mirror wrote a fresh base but the store's chain is %d long", trial, v, s.ChainLen(1))
+			}
+			if tip := mustMaterialize(t, s, 1); !statesEqual(tip, live) || !bytes.Equal(tip.Encode(nil), mirror.Encode(nil)) {
+				t.Fatalf("trial %d v%d: store tip, tip mirror and live state disagree", trial, v)
+			}
+		}
+	}
+}
+
+// TestDiffSizeCountsRemovedCellsArithmetically pins DiffSize to the size of
+// the delta DiffInto builds, on the shapes where removed cells are counted
+// rather than searched for: partial overlap, no overlap, shrink to empty.
+func TestDiffSizeCountsRemovedCellsArithmetically(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	check := func(name string, old, new *State) {
+		t.Helper()
+		d := Diff(old, new)
+		if got := DiffSize(old, new); got != d.Size() || got != len(d.Encode(nil)) {
+			t.Fatalf("%s: DiffSize = %d, Delta.Size = %d, encoded = %d", name, got, d.Size(), len(d.Encode(nil)))
+		}
+		if (DiffSize(old, new) == emptyDeltaSize) != d.Empty() {
+			t.Fatalf("%s: DiffSize says empty = %v, delta says %v", name, DiffSize(old, new) == emptyDeltaSize, d.Empty())
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		a := randState(rng, 30)
+		b := a.Clone()
+		mutate(rng, b)
+		check("mutated", a, b)
+		check("reverse", b, a)
+		check("same", a, a.Clone())
+	}
+	check("disjoint windows", windowState(1, 50), windowState(2, 50))
+	check("to empty", windowState(1, 50), NewState())
+	emptied := windowState(1, 50)
+	emptied.Table("win").Clear()
+	check("cells gone, table stays", windowState(1, 50), emptied)
+}
+
+// TestPrepareCommitScheduleIndependent: the per-group half of a checkpoint
+// may run on any number of goroutines in any order; with the commits made in
+// ascending gid the store — its encoding, its byte total, every appended
+// count — is the one the serial Checkpoint loop produces. Run under -race
+// this is also the check that concurrent Prepare calls share nothing.
+func TestPrepareCommitScheduleIndependent(t *testing.T) {
+	const groups, cadences = 48, 6
+	history := func() [][]*State {
+		rng := rand.New(rand.NewSource(41))
+		h := make([][]*State, cadences)
+		live := make([]*State, groups)
+		for c := range h {
+			h[c] = make([]*State, groups)
+			for g := range live {
+				switch {
+				case c == 0 || g%3 == 0:
+					live[g] = windowState(c, 20+g) // churns fully
+				default:
+					live[g] = live[g].Clone()
+					mutate(rng, live[g])
+				}
+				h[c][g] = live[g]
+			}
+		}
+		return h
+	}()
+
+	run := func(width int) ([]byte, []int) {
+		s := New()
+		var appended []int
+		scratch := make([]Delta, width)
+		for c, states := range history {
+			pending := make([]Pending, groups)
+			var wg sync.WaitGroup
+			for w := 0; w < width; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					// Strided and descending: nothing like commit order.
+					for g := groups - 1 - w; g >= 0; g -= width {
+						pending[g] = s.Prepare(&scratch[w], g, c, states[g])
+					}
+				}(w)
+			}
+			wg.Wait()
+			for g := range pending {
+				appended = append(appended, s.Commit(pending[g]))
+			}
+		}
+		return s.Encode(nil), appended
+	}
+
+	serial := New()
+	var serialAppended []int
+	for c, states := range history {
+		for g, st := range states {
+			serialAppended = append(serialAppended, serial.Checkpoint(g, c, st))
+		}
+	}
+	want := serial.Encode(nil)
+	for _, width := range []int{1, 2, 4} {
+		enc, appended := run(width)
+		if !bytes.Equal(enc, want) {
+			t.Errorf("width %d: store encoding differs from the serial checkpoint loop's", width)
+		}
+		if !slices.Equal(appended, serialAppended) {
+			t.Errorf("width %d: appended byte counts differ from the serial loop's", width)
+		}
+	}
+}
+
+// TestGroupsStaysSorted: the gid list is maintained, not rebuilt — whatever
+// the order groups are checkpointed, deleted and decoded in.
+func TestGroupsStaysSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	s := New()
+	want := map[int]bool{}
+	st := windowState(1, 3)
+	for step := 0; step < 400; step++ {
+		gid := rng.Intn(60)
+		if rng.Intn(3) == 0 {
+			s.Delete(gid)
+			delete(want, gid)
+		} else {
+			s.Checkpoint(gid, step, st)
+			want[gid] = true
+		}
+		got := s.Groups()
+		if len(got) != len(want) || !slices.IsSorted(got) || s.Len() != len(want) {
+			t.Fatalf("step %d: Groups() = %v, want the %d tracked gids ascending", step, got, len(want))
+		}
+		for _, g := range got {
+			if !want[g] {
+				t.Fatalf("step %d: Groups() lists untracked gid %d", step, g)
+			}
+		}
+	}
+	dec, err := Decode(s.Encode(nil), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(dec.Groups(), s.Groups()) {
+		t.Fatalf("decoded Groups() = %v, want %v", dec.Groups(), s.Groups())
+	}
+}

@@ -165,8 +165,13 @@ func DiffInto(d *Delta, old, new *State) {
 			nt := new.tabs[sym]
 			ot := old.LookupTable(name)
 			var se *tabSetEntry
+			kept := 0 // cells of ot that nt still has
 			for i, ck := range nt.keys {
-				if ov, ok := ot.Lookup(ck); !ok || ov != nt.vals[i] {
+				ov, ok := ot.Lookup(ck)
+				if ok {
+					kept++
+				}
+				if !ok || ov != nt.vals[i] {
 					if se == nil {
 						se = d.growTabSet(name)
 					}
@@ -179,13 +184,10 @@ func DiffInto(d *Delta, old, new *State) {
 				// zero-cell entry does exactly that on Apply.
 				d.growTabSet(name)
 			}
-			if ot != nil {
-				var de *tabDelEntry
+			if kept < ot.Len() {
+				de := d.growTabCellDel(name)
 				for _, ck := range ot.keys {
 					if !nt.Has(ck) {
-						if de == nil {
-							de = d.growTabCellDel(name)
-						}
 						de.keys = append(de.keys, ck)
 					}
 				}
@@ -284,10 +286,17 @@ func (d *Delta) Size() int {
 	return n
 }
 
+// emptyDeltaSize is the encoded size of a delta that changes nothing (seven
+// zero counts); DiffSize returns it exactly when the states are equal.
+const emptyDeltaSize = 7
+
 // DiffSize returns Diff(old, new).Size() without building the delta — no
-// scratch, no sorting, one pass over both states. It is the per-period
-// residency signal's cost: the engine calls it for every checkpointed
-// group at every period boundary.
+// scratch, no sorting, one lookup per cell of new. Removed cells are not
+// searched for: a table's keys are distinct, so what old has and new lacks
+// is old's cells minus those a lookup from new found, in count and in key
+// bytes alike. It is the per-period residency signal's cost (the engine
+// calls it for every checkpointed group at every period boundary) and what
+// the checkpoint write rule decides on (Advance).
 func DiffSize(old, new *State) int {
 	if old == nil {
 		old = &emptyState
@@ -317,8 +326,14 @@ func DiffSize(old, new *State) int {
 			nt := new.tabs[sym]
 			ot := old.LookupTable(name)
 			setN, setB := 0, 0
+			keptN, keptB := 0, 0 // cells of ot that nt still has, and their key bytes
 			for i, ck := range nt.keys {
-				if ov, ok := ot.Lookup(ck); !ok || ov != nt.vals[i] {
+				ov, ok := ot.Lookup(ck)
+				if ok {
+					keptN++
+					keptB += codec.SizeString(ck)
+				}
+				if !ok || ov != nt.vals[i] {
 					setN++
 					setB += codec.SizeString(ck) + 8
 				}
@@ -329,18 +344,11 @@ func DiffSize(old, new *State) int {
 				tabSetN++
 				tabSetB += codec.SizeString(name) + codec.SizeUvarint(uint64(setN)) + setB
 			}
-			if ot != nil {
-				delN, delB := 0, 0
-				for _, ck := range ot.keys {
-					if !nt.Has(ck) {
-						delN++
-						delB += codec.SizeString(ck)
-					}
-				}
-				if delN > 0 {
-					cellDelN++
-					cellDelB += codec.SizeString(name) + codec.SizeUvarint(uint64(delN)) + delB
-				}
+			if delN := ot.Len() - keptN; delN > 0 {
+				// encBytes is the sum of SizeString(key)+8 over ot's cells.
+				delB := ot.encBytes - 8*ot.Len() - keptB
+				cellDelN++
+				cellDelB += codec.SizeString(name) + codec.SizeUvarint(uint64(delN)) + delB
 			}
 		}
 	}

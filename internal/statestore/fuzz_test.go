@@ -76,6 +76,19 @@ func FuzzStoreDecode(f *testing.F) {
 	regrown.Table("tab-00").Set("back", 1)
 	ws.Checkpoint(1, 3, regrown)
 	f.Add(ws.Encode(nil), 5)
+	// Written through the fresh-base rule: a window replaced wholesale
+	// between cadences becomes a new base whose version is above the group's
+	// first, with one small delta stacked on it afterwards.
+	fb := New()
+	fb.Checkpoint(2, 1, windowState(1, 12))
+	fb.Checkpoint(2, 2, windowState(2, 12))
+	touched := windowState(2, 12)
+	touched.Table("win").Add("w2-key-0003", 1)
+	fb.Checkpoint(2, 3, touched)
+	if fb.ChainLen(2) != 1 {
+		f.Fatalf("fresh-base seed has chain length %d, want 1", fb.ChainLen(2))
+	}
+	f.Add(fb.Encode(nil), 5)
 
 	f.Fuzz(func(t *testing.T, b []byte, maxGID int) {
 		if maxGID < 0 || maxGID > 1<<16 {

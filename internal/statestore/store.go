@@ -2,7 +2,7 @@ package statestore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/codec"
 )
@@ -34,7 +34,8 @@ type entry struct {
 // appends deltas (Checkpoint), recovery and migration read materialized
 // states (Materialize / EncodedState), and Encode/Decode round-trip the
 // whole store for durability. A Store is not goroutine-safe: the engine
-// mutates it only between periods, exactly like node statistics.
+// mutates it only between periods, exactly like node statistics. The one
+// concurrent entry point is Prepare, the per-group half of a checkpoint.
 type Store struct {
 	// MaxChain / CompactFactor tune compaction; zero values take the
 	// defaults above.
@@ -42,10 +43,10 @@ type Store struct {
 	CompactFactor float64
 
 	groups map[int]*entry
+	gids   []int // the keys of groups, ascending
 	bytes  int
 
-	// scratch is the store's reusable delta: every Checkpoint diffs into it,
-	// encodes it, and applies it to the entry's tip, so the steady-state
+	// scratch is the delta Checkpoint diffs into, so the steady-state
 	// checkpoint path allocates only the appended chain bytes.
 	scratch Delta
 }
@@ -87,63 +88,127 @@ func (s *Store) Version(gid int) int {
 	return e.version
 }
 
-// Groups returns the checkpointed gids in ascending order.
-func (s *Store) Groups() []int {
-	out := make([]int, 0, len(s.groups))
-	for gid := range s.groups {
-		out = append(out, gid)
-	}
-	sort.Ints(out)
-	return out
-}
+// Groups returns the checkpointed gids in ascending order. The slice is the
+// store's own, kept sorted as groups come and go: read it, do not modify it,
+// and do not hold it across a Checkpoint, Commit or Delete.
+func (s *Store) Groups() []int { return s.gids }
 
-// Checkpoint records st as gid's state at version. The first checkpoint of
-// a group stores a full snapshot; later ones append only the delta since
-// the previous checkpoint (and fold the chain into a fresh base when it
-// grows past the compaction bounds). It returns the bytes appended — the
-// incremental cost of this checkpoint. A nil st checkpoints the empty
-// state.
-func (s *Store) Checkpoint(gid, version int, st *State) int {
-	if st == nil {
-		st = &State{}
-	}
+// insert adds a new group's chain, keeping gids ascending.
+func (s *Store) insert(gid int, e *entry) {
 	if s.groups == nil {
 		s.groups = map[int]*entry{}
 	}
+	s.groups[gid] = e
+	i, _ := slices.BinarySearch(s.gids, gid)
+	s.gids = slices.Insert(s.gids, i, gid)
+}
+
+// Step says how Advance brought a checkpoint tip up to date.
+type Step uint8
+
+const (
+	// StepNone: the state equals the tip; nothing was written.
+	StepNone Step = iota
+	// StepDelta: the bytes are the encoded Diff(tip, cur), applied to the tip.
+	StepDelta
+	// StepBase: the bytes are cur encoded whole, copied into the tip.
+	StepBase
+)
+
+// Advance brings tip up to cur in place and returns the bytes that record
+// the step. This is the checkpoint write rule: a state that changed little
+// appends the delta, and a state whose delta would be at least as large as
+// the state itself (windowed state churns fully between cadences) is written
+// as a fresh base instead — encoded once and copied into the tip, where the
+// delta route would diff, encode, apply and then re-encode to compact. So a
+// checkpoint never writes more than |σ|. The choice depends only on tip and
+// cur, which is what keeps a worker's tip mirror and the controller's store
+// byte-identical: both call Advance on equal states. d is scratch.
+func Advance(d *Delta, tip, cur *State) ([]byte, Step) {
+	size := DiffSize(tip, cur)
+	if size == emptyDeltaSize {
+		return nil, StepNone
+	}
+	if size >= cur.Size() {
+		enc := cur.Encode(make([]byte, 0, cur.Size()))
+		tip.CopyFrom(cur)
+		return enc, StepBase
+	}
+	DiffInto(d, tip, cur)
+	enc := d.Encode(make([]byte, 0, size))
+	d.Apply(tip)
+	return enc, StepDelta
+}
+
+// Pending is one group's prepared checkpoint, waiting for Commit.
+type Pending struct {
+	gid      int
+	fresh    *entry // the chain of a group the store did not track yet
+	appended int    // bytes the checkpoint wrote: its incremental cost
+	grew     int    // change in the group's stored volume
+}
+
+// Prepare does the per-group work of checkpointing st as gid's state at
+// version — diff against the tip, encode, advance the tip, compact the chain
+// — and leaves what touches the store as a whole (tracking a new group, the
+// byte total) to Commit. Prepare calls for distinct gids may run
+// concurrently, each with its own scratch d, as long as nothing else uses the
+// store meanwhile; the results do not depend on the schedule. A nil st
+// checkpoints the empty state.
+func (s *Store) Prepare(d *Delta, gid, version int, st *State) Pending {
+	if st == nil {
+		st = &State{}
+	}
 	e := s.groups[gid]
 	if e == nil {
-		base := st.Encode(nil)
-		s.groups[gid] = &entry{baseVer: version, version: version, base: base, tip: st.Clone()}
-		s.bytes += len(base)
-		return len(base)
+		base := st.Encode(make([]byte, 0, st.Size()))
+		e = &entry{baseVer: version, version: version, base: base, tip: st.Clone()}
+		return Pending{gid: gid, fresh: e, appended: len(base), grew: len(base)}
 	}
-	d := &s.scratch
-	DiffInto(d, e.tip, st)
+	before := len(e.base) + e.deltaBytes
 	e.version = version
-	if d.Empty() {
-		return 0
+	enc, step := Advance(d, e.tip, st)
+	switch step {
+	case StepBase:
+		e.base, e.baseVer = enc, version
+		e.deltas, e.deltaBytes = nil, 0
+	case StepDelta:
+		e.deltas = append(e.deltas, enc)
+		e.deltaBytes += len(enc)
+		if len(e.deltas) > s.maxChain() || float64(e.deltaBytes) > s.compactFactor()*float64(len(e.base)) {
+			e.compact()
+		}
 	}
-	enc := d.Encode(make([]byte, 0, d.Size()))
-	e.deltas = append(e.deltas, enc)
-	e.deltaBytes += len(enc)
-	// Advance the tip by applying the delta in place — no per-checkpoint
-	// Clone of the whole state.
-	d.Apply(e.tip)
-	appended := len(enc)
-	s.bytes += appended
-	if len(e.deltas) > s.maxChain() || float64(e.deltaBytes) > s.compactFactor()*float64(len(e.base)) {
-		s.compact(e)
+	return Pending{gid: gid, appended: len(enc), grew: len(e.base) + e.deltaBytes - before}
+}
+
+// Commit finishes a prepared checkpoint and returns the bytes it appended.
+// Commit is serial; committing a batch in ascending gid keeps everything the
+// store reports independent of how the Prepare calls were scheduled.
+func (s *Store) Commit(p Pending) int {
+	if p.fresh != nil {
+		s.insert(p.gid, p.fresh)
 	}
-	return appended
+	s.bytes += p.grew
+	return p.appended
+}
+
+// Checkpoint records st as gid's state at version. The first checkpoint of
+// a group stores a full snapshot; later ones append the delta since the
+// previous checkpoint, or a fresh base when that delta would be no smaller
+// than the state (see Advance), and fold the chain into a fresh base when it
+// grows past the compaction bounds. It returns the bytes appended — the
+// incremental cost of this checkpoint, never more than the state's size. A
+// nil st checkpoints the empty state.
+func (s *Store) Checkpoint(gid, version int, st *State) int {
+	return s.Commit(s.Prepare(&s.scratch, gid, version, st))
 }
 
 // compact folds e's chain into a fresh base at the tip version.
-func (s *Store) compact(e *entry) {
-	s.bytes -= len(e.base) + e.deltaBytes
-	e.base = e.tip.Encode(nil)
+func (e *entry) compact() {
+	e.base = e.tip.Encode(make([]byte, 0, e.tip.Size()))
 	e.baseVer = e.version
 	e.deltas, e.deltaBytes = nil, 0
-	s.bytes += len(e.base)
 }
 
 // ChainLen returns the number of deltas stacked on gid's base (0 if the
@@ -175,7 +240,9 @@ func (s *Store) EncodedState(gid int) ([]byte, int, bool) {
 		return nil, -1, false
 	}
 	if len(e.deltas) > 0 {
-		s.compact(e)
+		s.bytes -= len(e.base) + e.deltaBytes
+		e.compact()
+		s.bytes += len(e.base)
 	}
 	return e.base, e.version, true
 }
@@ -200,13 +267,15 @@ func (s *Store) Delete(gid int) {
 	}
 	s.bytes -= len(e.base) + e.deltaBytes
 	delete(s.groups, gid)
+	i, _ := slices.BinarySearch(s.gids, gid)
+	s.gids = slices.Delete(s.gids, i, i+1)
 }
 
 // Encode serializes the whole store (appended to buf) for durable storage.
 func (s *Store) Encode(buf []byte) []byte {
 	buf = append(buf, storeMagic)
 	buf = codec.AppendUvarint(buf, uint64(len(s.groups)))
-	for _, gid := range s.Groups() {
+	for _, gid := range s.gids {
 		e := s.groups[gid]
 		buf = codec.AppendUvarint(buf, uint64(gid))
 		buf = codec.AppendUvarint(buf, uint64(e.baseVer))
@@ -305,6 +374,7 @@ func Decode(b []byte, maxGID int) (*Store, error) {
 		}
 		e.tip = tip
 		s.groups[int(gid)] = e
+		s.gids = append(s.gids, int(gid)) // ascending: checked above
 		s.bytes += len(base) + e.deltaBytes
 	}
 	if len(b) != 0 {
