@@ -17,12 +17,10 @@ import (
 	"time"
 
 	"repro/internal/assign"
-	"repro/internal/codec"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/graphpart"
 	"repro/internal/lp"
-	"repro/internal/statestore"
 	"repro/internal/workload"
 )
 
@@ -232,44 +230,15 @@ func BenchmarkGraphPartition(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineThroughput measures tuples/sec through a three-operator
-// topology on 8 worker nodes.
-func BenchmarkEngineThroughput(b *testing.B) {
-	const perPeriod = 20000
-	topo, err := workload.RealJob1(workload.JobConfig{KeyGroups: 32, Rate: perPeriod, Seed: 5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := engine.New(topo, engine.Config{Nodes: 8}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var tuples int64
-	for i := 0; i < b.N; i++ {
-		ps, err := e.RunPeriod()
-		if err != nil {
-			b.Fatal(err)
-		}
-		tuples += ps.TuplesIn
-	}
-	b.StopTimer()
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(tuples)/sec, "tuples/s")
-	}
-}
-
 // BenchmarkEngineThroughputSharded sweeps GOMAXPROCS and the generator
-// count over the sharded data path (4 worker shards per node, same job as
-// BenchmarkEngineThroughput): the engine's multicore scaling profile.
-// gen=1 is the serial source path — its curve flattens once source
-// generation saturates one core; gen=4 partitions each period's batch
-// across four generator goroutines. The proc count is encoded in the
-// sub-benchmark name (procs=N) and set explicitly inside, because the
-// testing package's own -N name suffix reflects only the host's setting
-// and is stripped by cmd/benchjson.
+// count over the sharded data path (Real Job 1, 8 nodes, 4 worker shards per
+// node): the engine's multicore scaling profile, and the only measurement of
+// ShardsPerNode × GenWorkers — bench/ runs both at zero. gen=1 generates on
+// the engine goroutine alone — its curve flattens once source generation
+// saturates one core; gen=4 partitions each period's batch across four
+// generators. The proc count is encoded in the sub-benchmark name (procs=N)
+// and set explicitly inside, because the testing package's own -N name
+// suffix reflects only the host's setting.
 func BenchmarkEngineThroughputSharded(b *testing.B) {
 	const perPeriod = 20000
 	for _, gen := range []int{1, 4} {
@@ -307,121 +276,6 @@ func benchShardedThroughput(b *testing.B, procs, gen, perPeriod int) {
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(tuples)/sec, "tuples/s")
 	}
-}
-
-// BenchmarkTupleBatchCodec measures the legacy v1 record codec in
-// isolation: 256 tuples encoded into one pooled frame (codec.EncodeBatch
-// framing, full field names per record) and materialized back with
-// DecodeTuple. The engine's live data path no longer does this — it ships
-// wire-format v2 and decodes into reusable TupleViews; see
-// BenchmarkReceivePathV2 / BenchmarkStageV2 in internal/engine for the
-// current unit of work (0 allocs/op steady state). This benchmark stays as
-// the baseline the v2 numbers are compared against.
-func BenchmarkTupleBatchCodec(b *testing.B) {
-	tuples := make([]*engine.Tuple, 256)
-	for i := range tuples {
-		tuples[i] = (&engine.Tuple{Key: "article-001234", TS: int64(i)}).
-			WithStr("editor", "editor-0042").
-			WithStr("geo", "dk-17").
-			WithNum("bytes", float64(100+i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame := codec.GetBuf()
-		var scratch []byte
-		for _, t := range tuples {
-			scratch = t.Encode(scratch[:0])
-			frame = codec.AppendBatchItem(frame, scratch)
-		}
-		n := 0
-		err := codec.DecodeBatch(frame, func(item []byte) error {
-			t, err := engine.DecodeTuple(item)
-			if err == nil && t.Key != "" {
-				n++
-			}
-			return err
-		})
-		if err != nil || n != len(tuples) {
-			b.Fatalf("decoded %d, err %v", n, err)
-		}
-		codec.PutBuf(frame)
-	}
-	b.ReportMetric(float64(len(tuples)), "tuples/frame")
-}
-
-// BenchmarkStateMigration measures direct state migration round trips.
-func BenchmarkStateMigration(b *testing.B) {
-	st := engine.NewState()
-	for i := 0; i < 500; i++ {
-		st.Table("t").Set(string(rune('a'+i%26))+string(rune('0'+i%10)), float64(i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc := st.Encode(nil)
-		got, err := engine.DecodeState(enc)
-		if err != nil || got.Empty() {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMigrationDelta measures the synchronous half of a checkpoint-
-// assisted migration: diff the live state against the checkpoint, encode
-// the delta, decode it and apply it to the pre-copied base — versus
-// BenchmarkMigrationFull, the classic full-state transfer of the same
-// 2000-cell state. The reported syncB metrics are the bytes each path moves
-// inside the barrier (the volume the engine's MigrationLatency model
-// charges).
-func BenchmarkMigrationDelta(b *testing.B) {
-	ckpt := statestore.NewState()
-	for i := 0; i < 2000; i++ {
-		ckpt.Table("w").Set(fmt.Sprintf("key-%06d", i), float64(i))
-	}
-	live := ckpt.Clone()
-	for i := 0; i < 20; i++ {
-		live.Table("w").Add(fmt.Sprintf("key-%06d", i*97), 1)
-	}
-	// The destination's pre-copied base exists before the barrier; cloning
-	// it is background work, not part of the synchronous path measured
-	// here. Apply is idempotent (absolute-value sets), so one base serves
-	// every iteration.
-	dst := ckpt.Clone()
-	b.ReportAllocs()
-	b.ResetTimer()
-	syncB := 0
-	for i := 0; i < b.N; i++ {
-		enc := statestore.Diff(ckpt, live).Encode(nil)
-		d, _, err := statestore.DecodeDelta(enc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		d.Apply(dst)
-		syncB = len(enc)
-	}
-	b.ReportMetric(float64(syncB), "syncB")
-}
-
-// BenchmarkMigrationFull is the baseline BenchmarkMigrationDelta beats: the
-// same state shipped whole through the synchronous path.
-func BenchmarkMigrationFull(b *testing.B) {
-	live := statestore.NewState()
-	for i := 0; i < 2000; i++ {
-		live.Table("w").Set(fmt.Sprintf("key-%06d", i), float64(i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	syncB := 0
-	for i := 0; i < b.N; i++ {
-		enc := live.Encode(nil)
-		got, err := statestore.DecodeState(enc)
-		if err != nil || got.Empty() {
-			b.Fatalf("decode: err=%v empty=%v", err, got == nil || got.Empty())
-		}
-		syncB = len(enc)
-	}
-	b.ReportMetric(float64(syncB), "syncB")
 }
 
 // ---------------------------------------------------------------------------

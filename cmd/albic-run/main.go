@@ -15,7 +15,11 @@
 // abort an in-flight solve when a fresher snapshot arrives (the stale plan
 // is never applied). -sub-ewma additionally folds the sub-period
 // observations into the periodic planner's EWMA, so both loops see the same
-// load signal.
+// load signal. -subperiods, -trigger-ratio, -trigger-dev, -cooldown and
+// -hot-budget tune that path and are rejected without -reactive, as are
+// -workers without -listen and -incremental with a balancer that does not
+// plan (anything but albic and milp): a flag that would be ignored is an
+// error, exit status 2.
 //
 // With -ckpt-every N the controller checkpoints all key-group state
 // incrementally every N periods, which arms checkpoint-assisted migration:
@@ -73,8 +77,7 @@ func main() {
 	migrCost := flag.Float64("migr-cost", 0, "max migration cost per adaptation, in state bytes at alpha=1 (0 = unlimited)")
 	precopyChunk := flag.Int("precopy-chunk", 0, "checkpoint bytes pre-copied per group per period boundary (0 = default 256 KiB, negative = unlimited)")
 	shards := flag.Int("shards", 1, "worker shards per node (parallel operator execution; needs GOMAXPROCS > 1 to pay off)")
-	genWorkers := flag.Int("gen-workers", 1, "parallel source-generator goroutines (partitionable sources split each period's batch; 1 = the byte-identical serial path)")
-	denseComm := flag.Int("dense-comm", 0, "group-count cutoff for the dense comm matrix (0 = built-in default, negative = always sparse); statistics are identical either way")
+	genWorkers := flag.Int("gen-workers", 1, "source generators (partitionable sources split each period's batch; 1 = the engine goroutine alone)")
 	incremental := flag.Bool("incremental", false, "dirty-region incremental planning: only groups with material load/placement changes (plus their comm neighborhoods) are re-solved each period (albic and milp only)")
 	listen := flag.String("listen", "", "run distributed: listen on this address and wait for -workers albic-node processes to join (empty = single-process)")
 	workers := flag.Int("workers", 2, "worker processes to wait for with -listen")
@@ -91,6 +94,26 @@ func main() {
 		fmt.Fprintf(os.Stderr, "albic-run: -sub-ewma requires -reactive and -smooth < 1\n")
 		os.Exit(2)
 	}
+	// A flag that only acts beside another one is an error when set without
+	// it, not a silent no-op.
+	unmet := map[string]string{}
+	if *listen == "" {
+		unmet["workers"] = "-listen"
+	}
+	if *incremental && *balancerName != "albic" && *balancerName != "milp" {
+		unmet["incremental"] = "-balancer albic or milp"
+	}
+	if !*reactive {
+		for _, name := range []string{"subperiods", "trigger-ratio", "trigger-dev", "cooldown", "hot-budget"} {
+			unmet[name] = "-reactive"
+		}
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if need, ok := unmet[f.Name]; ok {
+			fmt.Fprintf(os.Stderr, "albic-run: -%s requires %s\n", f.Name, need)
+			os.Exit(2)
+		}
+	})
 
 	cfg := workload.JobConfig{KeyGroups: 5 * *nodes, Rate: *rate, Seed: *seed}
 	if *groups > 0 {
@@ -137,7 +160,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	ecfg := repro.EngineConfig{Nodes: *nodes, PrecopyChunkBytes: *precopyChunk, ShardsPerNode: *shards, DenseCommLimit: *denseComm, GenWorkers: *genWorkers}
+	ecfg := repro.EngineConfig{Nodes: *nodes, PrecopyChunkBytes: *precopyChunk, ShardsPerNode: *shards, GenWorkers: *genWorkers}
 	if *reactive {
 		ecfg.SubPeriods = *subperiods
 	}

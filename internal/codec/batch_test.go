@@ -76,8 +76,8 @@ func TestBatchPooledBufferReuseNoAliasing(t *testing.T) {
 	// Encode a batch into a pooled buffer, copy the decoded items out,
 	// return the buffer, and encode a different batch that will likely
 	// reuse the same backing array: the copies must be unaffected. This is
-	// the contract the engine relies on (DecodeTuple copies everything out
-	// of the frame before the receiver calls PutBuf).
+	// the contract the engine relies on (the receiver copies what it keeps
+	// out of the frame before it calls PutBuf).
 	first := EncodeBatch(GetBuf(), []byte("alpha"), []byte("beta"))
 	copies := collectBatch(t, first)
 	var aliases [][]byte
@@ -147,15 +147,8 @@ func TestBatchRoundTripProperty(t *testing.T) {
 }
 
 func TestSizeHelpersMatchEncoders(t *testing.T) {
-	f := func(sm map[string]string, fm map[string]float64) bool {
-		if SizeStringMap(sm) != len(AppendStringMap(nil, sm)) {
-			return false
-		}
-		if SizeFloatMap(fm) != len(AppendFloatMap(nil, fm)) {
-			return false
-		}
-		nested := map[string]map[string]float64{"a": fm, "b": nil}
-		return SizeNestedFloatMap(nested) == len(AppendNestedFloatMap(nil, nested))
+	f := func(x uint64, str string) bool {
+		return SizeUvarint(x) == len(AppendUvarint(nil, x)) && SizeString(str) == len(AppendString(nil, str))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

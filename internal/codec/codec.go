@@ -1,8 +1,8 @@
 // Package codec provides a small deterministic binary encoding used for
 // tuples crossing node boundaries and for key-group state during direct
-// state migration. Determinism (sorted map keys) makes serialized sizes —
-// and therefore the paper's migration-cost model mc_k = α·|σ_k| —
-// reproducible across runs.
+// state migration. Determinism (callers write entries in sorted order) makes
+// serialized sizes — and therefore the paper's migration-cost model
+// mc_k = α·|σ_k| — reproducible across runs.
 //
 // The batch framing (EncodeBatch / AppendBatchItem / DecodeBatch) packs many
 // encoded items into one length-prefixed frame so cross-node deliveries
@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -157,20 +156,6 @@ func ReadString(b []byte) (string, []byte, error) {
 	return string(b[:n]), b[n:], nil
 }
 
-// smallMapN is the map size up to which the encoders sort keys in a
-// stack-allocated array (no per-encode allocation) instead of building and
-// sorting a heap slice. Tuple payloads are almost always this small.
-const smallMapN = 16
-
-// insertSorted appends k keeping keys sorted (insertion sort step).
-func insertSorted(keys []string, k string) []string {
-	keys = append(keys, k)
-	for i := len(keys) - 1; i > 0 && keys[i-1] > keys[i]; i-- {
-		keys[i-1], keys[i] = keys[i], keys[i-1]
-	}
-	return keys
-}
-
 // Interner dedups decoded strings: repeated keys and low-cardinality values
 // decode to the same string without allocating. It is a single-goroutine
 // cache (one per decoder). The table is size-bounded on two axes — entry
@@ -229,162 +214,9 @@ func (in *Interner) Len() int { return len(in.m) }
 // InternedBytes returns the total payload bytes currently interned.
 func (in *Interner) InternedBytes() int { return in.bytes }
 
-// ReadStringInterned reads a length-prefixed string through the interner.
-func ReadStringInterned(b []byte, in *Interner) (string, []byte, error) {
-	n, b, err := ReadUvarint(b)
-	if err != nil {
-		return "", nil, err
-	}
-	if uint64(len(b)) < n {
-		return "", nil, fmt.Errorf("codec: short string (%d of %d bytes)", len(b), n)
-	}
-	return in.Intern(b[:n]), b[n:], nil
-}
-
-// AppendStringMap appends a map with sorted keys.
-func AppendStringMap(b []byte, m map[string]string) []byte {
-	b = AppendUvarint(b, uint64(len(m)))
-	if len(m) == 0 {
-		return b
-	}
-	if len(m) <= smallMapN {
-		var arr [smallMapN]string
-		keys := arr[:0]
-		for k := range m {
-			keys = insertSorted(keys, k)
-		}
-		for _, k := range keys {
-			b = AppendString(b, k)
-			b = AppendString(b, m[k])
-		}
-		return b
-	}
-	for _, k := range sortedKeys(m) {
-		b = AppendString(b, k)
-		b = AppendString(b, m[k])
-	}
-	return b
-}
-
-// ReadStringMap reads a map written by AppendStringMap. Empty maps decode as
-// nil.
-func ReadStringMap(b []byte) (map[string]string, []byte, error) {
-	n, b, err := ReadUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n == 0 {
-		return nil, b, nil
-	}
-	m := make(map[string]string, n)
-	for i := uint64(0); i < n; i++ {
-		var k, v string
-		if k, b, err = ReadString(b); err != nil {
-			return nil, nil, err
-		}
-		if v, b, err = ReadString(b); err != nil {
-			return nil, nil, err
-		}
-		m[k] = v
-	}
-	return m, b, nil
-}
-
-// AppendFloatMap appends a map with sorted keys.
-func AppendFloatMap(b []byte, m map[string]float64) []byte {
-	b = AppendUvarint(b, uint64(len(m)))
-	if len(m) == 0 {
-		return b
-	}
-	if len(m) <= smallMapN {
-		var arr [smallMapN]string
-		keys := arr[:0]
-		for k := range m {
-			keys = insertSorted(keys, k)
-		}
-		for _, k := range keys {
-			b = AppendString(b, k)
-			b = AppendFloat64(b, m[k])
-		}
-		return b
-	}
-	for _, k := range sortedFloatKeys(m) {
-		b = AppendString(b, k)
-		b = AppendFloat64(b, m[k])
-	}
-	return b
-}
-
-// ReadFloatMap reads a map written by AppendFloatMap.
-func ReadFloatMap(b []byte) (map[string]float64, []byte, error) {
-	n, b, err := ReadUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n == 0 {
-		return nil, b, nil
-	}
-	m := make(map[string]float64, n)
-	for i := uint64(0); i < n; i++ {
-		var k string
-		var v float64
-		if k, b, err = ReadString(b); err != nil {
-			return nil, nil, err
-		}
-		if v, b, err = ReadFloat64(b); err != nil {
-			return nil, nil, err
-		}
-		m[k] = v
-	}
-	return m, b, nil
-}
-
-// AppendNestedFloatMap appends map[string]map[string]float64 deterministically.
-func AppendNestedFloatMap(b []byte, m map[string]map[string]float64) []byte {
-	b = AppendUvarint(b, uint64(len(m)))
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b = AppendString(b, k)
-		b = AppendFloatMap(b, m[k])
-	}
-	return b
-}
-
-// ReadNestedFloatMap reads a map written by AppendNestedFloatMap.
-func ReadNestedFloatMap(b []byte) (map[string]map[string]float64, []byte, error) {
-	n, b, err := ReadUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n == 0 {
-		return nil, b, nil
-	}
-	m := make(map[string]map[string]float64, n)
-	for i := uint64(0); i < n; i++ {
-		var k string
-		var inner map[string]float64
-		if k, b, err = ReadString(b); err != nil {
-			return nil, nil, err
-		}
-		if inner, b, err = ReadFloatMap(b); err != nil {
-			return nil, nil, err
-		}
-		if inner == nil {
-			inner = map[string]float64{}
-		}
-		m[k] = inner
-	}
-	return m, b, nil
-}
-
 // ---------------------------------------------------------------------------
 // Size helpers: the exact encoded length of a value, computed without
-// building bytes (and, for maps, without sorting — length is order
-// independent). SizeX(m) == len(AppendX(nil, m)) by construction; the stats
+// building bytes. SizeX(v) == len(AppendX(nil, v)) by construction; the stats
 // path measures |σ_k| every period with these instead of re-encoding.
 
 // SizeUvarint returns the encoded length of x.
@@ -400,51 +232,6 @@ func SizeUvarint(x uint64) int {
 // SizeString returns the encoded length of a length-prefixed string.
 func SizeString(s string) int {
 	return SizeUvarint(uint64(len(s))) + len(s)
-}
-
-// SizeStringMap returns the encoded length of AppendStringMap(nil, m).
-func SizeStringMap(m map[string]string) int {
-	n := SizeUvarint(uint64(len(m)))
-	for k, v := range m {
-		n += SizeString(k) + SizeString(v)
-	}
-	return n
-}
-
-// SizeFloatMap returns the encoded length of AppendFloatMap(nil, m).
-func SizeFloatMap(m map[string]float64) int {
-	n := SizeUvarint(uint64(len(m)))
-	for k := range m {
-		n += SizeString(k) + 8
-	}
-	return n
-}
-
-// SizeNestedFloatMap returns the encoded length of AppendNestedFloatMap(nil, m).
-func SizeNestedFloatMap(m map[string]map[string]float64) int {
-	n := SizeUvarint(uint64(len(m)))
-	for k, inner := range m {
-		n += SizeString(k) + SizeFloatMap(inner)
-	}
-	return n
-}
-
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedFloatKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // FNV-1a hashing for key partitioning (two independent seeds for the

@@ -1,10 +1,6 @@
 package codec
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestScalarRoundTrip(t *testing.T) {
 	b := AppendUvarint(nil, 300)
@@ -33,71 +29,6 @@ func TestScalarRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMapsRoundTripProperty(t *testing.T) {
-	f := func(sm map[string]string, fm map[string]float64) bool {
-		for k, v := range fm {
-			if math.IsNaN(v) {
-				fm[k] = 0
-			}
-		}
-		b := AppendStringMap(nil, sm)
-		b = AppendFloatMap(b, fm)
-		gs, b, err := ReadStringMap(b)
-		if err != nil {
-			return false
-		}
-		gf, b, err := ReadFloatMap(b)
-		if err != nil || len(b) != 0 {
-			return false
-		}
-		if len(gs) != len(sm) || len(gf) != len(fm) {
-			return false
-		}
-		for k, v := range sm {
-			if gs[k] != v {
-				return false
-			}
-		}
-		for k, v := range fm {
-			if gf[k] != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNestedMapRoundTrip(t *testing.T) {
-	m := map[string]map[string]float64{
-		"window1": {"a": 1, "b": 2},
-		"window2": {},
-		"window3": {"z": -9.5},
-	}
-	b := AppendNestedFloatMap(nil, m)
-	got, rest, err := ReadNestedFloatMap(b)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("err=%v rest=%d", err, len(rest))
-	}
-	if len(got) != 3 || got["window1"]["b"] != 2 || got["window3"]["z"] != -9.5 {
-		t.Fatalf("got %v", got)
-	}
-	if got["window2"] == nil {
-		t.Fatal("empty inner map must decode non-nil")
-	}
-}
-
-func TestEncodingDeterministic(t *testing.T) {
-	m := map[string]float64{"x": 1, "y": 2, "z": 3, "a": 4, "q": 5}
-	b1 := AppendFloatMap(nil, m)
-	b2 := AppendFloatMap(nil, m)
-	if string(b1) != string(b2) {
-		t.Fatal("encoding must be deterministic")
-	}
-}
-
 func TestTruncatedInputs(t *testing.T) {
 	b := AppendString(nil, "hello")
 	if _, _, err := ReadString(b[:2]); err == nil {
@@ -108,10 +39,6 @@ func TestTruncatedInputs(t *testing.T) {
 	}
 	if _, _, err := ReadUvarint(nil); err == nil {
 		t.Fatal("want error for empty uvarint")
-	}
-	bad := AppendUvarint(nil, 5) // declares 5 pairs, provides none
-	if _, _, err := ReadFloatMap(bad); err == nil {
-		t.Fatal("want error for truncated map")
 	}
 }
 

@@ -5,14 +5,13 @@ import "fmt"
 // Wire format v2: versioned batch frames with a per-frame field-name
 // dictionary.
 //
-// A frame is one contiguous byte buffer shipped between nodes. Frames are
-// versioned by a leading magic byte:
+// A frame is one contiguous byte buffer shipped between nodes, versioned by a
+// leading magic byte:
 //
-//	v1 frame := 0xF1, then items           (items are v1 tuple records)
-//	v2 frame := 0xF2, then items           (items are v2 tuple records)
-//	item     := uvarint(len), len bytes    (AppendBatchItem / DecodeBatch)
+//	frame := 0xF2, then items              (items are v2 tuple records)
+//	item  := uvarint(len), len bytes       (AppendBatchItem / DecodeBatch)
 //
-// v2 records reference field names through a per-frame dictionary instead of
+// Records reference field names through a per-frame dictionary instead of
 // repeating the name bytes in every record. The dictionary is built
 // incrementally and carried inline: the first record that uses a name embeds
 // its bytes (a definition), every later record references it by a small
@@ -28,15 +27,9 @@ import "fmt"
 // (item length) — which keeps the engine's wire-byte cost accounting exact.
 // The dictionary resets at every frame boundary, so frames stay
 // self-contained (any frame decodes alone, in order).
-const (
-	// FrameV1 marks a frame whose items are v1 records (self-describing
-	// field names in every record). Kept so persisted v1 data and
-	// cross-version tests decode forever.
-	FrameV1 byte = 0xF1
-	// FrameV2 marks a frame whose items are v2 records (dictionary-encoded
-	// field names).
-	FrameV2 byte = 0xF2
-)
+//
+// FrameV2 is the version byte; FrameVersion rejects every other leading byte.
+const FrameV2 byte = 0xF2
 
 // maxDictEntries bounds a frame's dictionary on both sides: past the cap,
 // definitions are still written and read inline but no longer registered,
@@ -57,9 +50,8 @@ func FrameVersion(frame []byte) (version byte, payload []byte, err error) {
 	if len(frame) == 0 {
 		return 0, nil, fmt.Errorf("codec: empty frame")
 	}
-	switch frame[0] {
-	case FrameV1, FrameV2:
-		return frame[0], frame[1:], nil
+	if frame[0] == FrameV2 {
+		return FrameV2, frame[1:], nil
 	}
 	return 0, nil, fmt.Errorf("codec: unknown frame version byte 0x%02x", frame[0])
 }

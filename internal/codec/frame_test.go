@@ -7,20 +7,21 @@ import (
 )
 
 func TestFrameVersion(t *testing.T) {
-	for _, v := range []byte{FrameV1, FrameV2} {
-		frame := AppendFrameHeader(nil, v)
-		frame = AppendBatchItem(frame, []byte("abc"))
-		ver, payload, err := FrameVersion(frame)
-		if err != nil || ver != v {
-			t.Fatalf("version 0x%02x: got 0x%02x, err %v", v, ver, err)
-		}
-		var items int
-		if err := DecodeBatch(payload, func(item []byte) error { items++; return nil }); err != nil || items != 1 {
-			t.Fatalf("payload decode: %d items, err %v", items, err)
-		}
+	frame := AppendFrameHeader(nil, FrameV2)
+	frame = AppendBatchItem(frame, []byte("abc"))
+	ver, payload, err := FrameVersion(frame)
+	if err != nil || ver != FrameV2 {
+		t.Fatalf("got version 0x%02x, err %v", ver, err)
+	}
+	var items int
+	if err := DecodeBatch(payload, func(item []byte) error { items++; return nil }); err != nil || items != 1 {
+		t.Fatalf("payload decode: %d items, err %v", items, err)
 	}
 	if _, _, err := FrameVersion(nil); err == nil {
 		t.Fatal("empty frame did not error")
+	}
+	if _, _, err := FrameVersion(AppendBatchItem([]byte{0xF1}, []byte("abc"))); err == nil {
+		t.Fatal("frame headed by the retired version byte 0xF1 did not error")
 	}
 	if _, _, err := FrameVersion([]byte{0x05, 'h', 'e', 'l', 'l', 'o'}); err == nil {
 		t.Fatal("headerless (legacy-shaped) frame did not error")

@@ -50,7 +50,7 @@ func FuzzBatchCodec(f *testing.F) {
 	v2 = AppendBatchItem(v2, dictItem)
 	v2 = AppendBatchItem(v2, dictItem2)
 	f.Add(v2)                                    // well-formed v2 dictionary frame
-	f.Add(AppendFrameHeader(nil, FrameV1))       // empty v1 frame
+	f.Add([]byte{0xF1})                          // retired version byte: not a header
 	f.Add(AppendFrameHeader(nil, FrameV2))       // empty v2 frame
 	f.Add(v2[:len(v2)-3])                        // truncated mid-record
 	truncDict := AppendFrameHeader(nil, FrameV2) // definition claims 100 name bytes, has 2
@@ -67,9 +67,9 @@ func FuzzBatchCodec(f *testing.F) {
 	f.Add(dup)
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		// Strip a valid version header when present (the framing layer under
-		// it is identical for v1 and v2; record bodies are opaque items here
-		// — the engine's FuzzReceivePath fuzzes their interpretation).
+		// Strip a valid version header when present (record bodies are opaque
+		// items here — the engine's FuzzReceivePath fuzzes their
+		// interpretation).
 		if _, payload, err := FrameVersion(frame); err == nil {
 			frame = payload
 		}

@@ -3,6 +3,7 @@ package controller
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -50,6 +51,27 @@ func skewTopology(perPeriod, kgs, nodes, hotPeriod int) *engine.Topology {
 	return t
 }
 
+// hotMoveLog wraps the engine to record what the controller's sub-period
+// observer asked for at which boundary, so a failing run says what moved.
+type hotMoveLog struct {
+	*engine.Engine
+	asked []string
+}
+
+func (l *hotMoveLog) SetSubObserver(fn engine.SubObserver) {
+	if fn == nil {
+		l.Engine.SetSubObserver(nil)
+		return
+	}
+	l.Engine.SetSubObserver(func(s *core.Snapshot, period, sub int) []core.Move {
+		moves := fn(s, period, sub)
+		for _, mv := range moves {
+			l.asked = append(l.asked, fmt.Sprintf("period %d sub-boundary %d: group %d node %d→%d", period, sub, mv.Group, mv.From, mv.To))
+		}
+		return moves
+	})
+}
+
 // TestReactiveMovesHotGroupWithinSubPeriod is the load-skew regression test
 // of the reactive tentpole: when transient skew appears inside period P,
 // the reactive path must migrate load off the hot node within that same
@@ -70,6 +92,7 @@ func TestReactiveMovesHotGroupWithinSubPeriod(t *testing.T) {
 		migrations map[int]int // period -> total migrations executed
 		dist       map[int]float64
 		m          *Metrics
+		asked      []string // hot moves the controller asked for, in order
 	}
 	run := func(reactive bool) result {
 		topo := skewTopology(perPeriod, kgs, nodes, hotPeriod)
@@ -77,14 +100,18 @@ func TestReactiveMovesHotGroupWithinSubPeriod(t *testing.T) {
 		if reactive {
 			cfg.SubPeriods = 4
 		}
-		e, err := engine.New(topo, cfg, nil)
+		eng, err := engine.New(topo, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer e.Close()
+		defer eng.Close()
+		e := &hotMoveLog{Engine: eng}
 		res := result{hotMoves: map[int]int{}, migrations: map[int]int{}, dist: map[int]float64{}}
 		ctrl := New(e, Options{
-			Balancer:      &core.MILPBalancer{TimeLimit: 5 * time.Millisecond, Seed: 7},
+			// TimeLimit is a ceiling the solve never reaches: it returns on
+			// convergence, and a converged plan is a function of snapshot and
+			// seed — not of how loaded the machine running the tests is.
+			Balancer:      &core.MILPBalancer{TimeLimit: 5 * time.Second, Seed: 7},
 			MaxMigrations: 4,
 			Reactive:      reactive,
 			HotMoveBudget: 2,
@@ -99,7 +126,7 @@ func TestReactiveMovesHotGroupWithinSubPeriod(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.m = m
+		res.m, res.asked = m, e.asked
 		return res
 	}
 
@@ -132,8 +159,8 @@ func TestReactiveMovesHotGroupWithinSubPeriod(t *testing.T) {
 	// lockstep could: the skew period's measured imbalance comes out
 	// clearly below the lockstep run's (same workload, same seeds).
 	if reactive.dist[hotPeriod] >= 0.9*lockstep.dist[hotPeriod] {
-		t.Fatalf("reactive skew-period load distance %.2f not clearly below lockstep %.2f",
-			reactive.dist[hotPeriod], lockstep.dist[hotPeriod])
+		t.Fatalf("reactive skew-period load distance %.2f not clearly below lockstep %.2f; hot moves asked for:\n%s\nper-period distance: reactive %v, lockstep %v",
+			reactive.dist[hotPeriod], lockstep.dist[hotPeriod], strings.Join(reactive.asked, "\n"), reactive.dist, lockstep.dist)
 	}
 	t.Logf("skew period %d: lockstep dist %.2f -> %.2f one period later (%d migrations); reactive dist %.2f within the period (%d hot moves)",
 		hotPeriod, lockstep.dist[hotPeriod], lockstep.dist[hotPeriod+1],

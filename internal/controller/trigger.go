@@ -33,7 +33,6 @@ type Trigger struct {
 	ewma   []float64
 	seeded bool
 	cool   int
-	fired  int
 }
 
 func (t *Trigger) defaults() (ratio, dev, alpha float64, cooldown int) {
@@ -104,7 +103,6 @@ func (t *Trigger) Observe(loads []float64, kill []bool) bool {
 	if !first && maxDev/mean < dev {
 		return false
 	}
-	t.fired++
 	t.cool = cooldown
 	return true
 }
@@ -113,6 +111,3 @@ func (t *Trigger) Observe(loads []float64, kill []bool) bool {
 // controller calls it when a firing produced no applicable moves (the skew
 // is still there, the planner just could not act on this snapshot).
 func (t *Trigger) Rearm() { t.cool = 0 }
-
-// Fired returns the number of times the trigger has fired.
-func (t *Trigger) Fired() int { return t.fired }

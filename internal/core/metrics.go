@@ -76,18 +76,6 @@ func CollocationOf(s *Snapshot, groupNode []int) float64 {
 	return 100 * intra / total
 }
 
-// MaxCollocationFactor returns an upper bound on the obtainable collocation
-// factor: the volume share of the pairs that could be collocated if
-// allocation were unconstrained. Since any single pair can always share a
-// node, this bound is 100 whenever there is any traffic; it is kept for
-// reporting symmetry and future pattern-aware bounds.
-func MaxCollocationFactor(s *Snapshot) float64 {
-	if s.OutCSR().Edges() == 0 {
-		return 0
-	}
-	return 100
-}
-
 func currentAssignment(s *Snapshot) []int {
 	a := make([]int, len(s.Groups))
 	for k, g := range s.Groups {

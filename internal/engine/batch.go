@@ -126,40 +126,23 @@ type rxDecoder struct {
 
 // decodeBatch iterates the records of a dataBatchMsg frame: for each record
 // it yields the key group, a TupleView onto the record and the record's wire
-// length. The view (and, for raw views, the frame bytes behind it) is only
-// valid until fn returns — fn must Materialize anything it keeps. v2 frames
-// decode allocation-free into rx's reusable view; v1 frames (the
-// compatibility path, not used by live senders) materialize one Tuple per
-// record and wrap it.
+// length. The view (and the frame bytes behind it) is only valid until fn
+// returns — fn must Materialize anything it keeps. Records decode
+// allocation-free into rx's reusable view.
 func decodeBatch(encoded []byte, rx *rxDecoder, fn func(kg int, v *TupleView, wire int)) error {
-	version, payload, err := codec.FrameVersion(encoded)
+	_, payload, err := codec.FrameVersion(encoded)
 	if err != nil {
 		return fmt.Errorf("engine: data frame: %w", err)
 	}
-	if version == codec.FrameV2 {
-		rx.dict.Reset()
-		return codec.DecodeBatch(payload, func(item []byte) error {
-			kg, rest, err := codec.ReadUvarint(item)
-			if err != nil {
-				return fmt.Errorf("engine: batch record kg: %w", err)
-			}
-			if err := rx.view.decodeV2(rest, &rx.dict, &rx.in); err != nil {
-				return err
-			}
-			fn(int(kg), &rx.view, len(item))
-			return nil
-		})
-	}
+	rx.dict.Reset()
 	return codec.DecodeBatch(payload, func(item []byte) error {
 		kg, rest, err := codec.ReadUvarint(item)
 		if err != nil {
 			return fmt.Errorf("engine: batch record kg: %w", err)
 		}
-		t, err := decodeTuple(rest, &rx.in)
-		if err != nil {
+		if err := rx.view.decodeV2(rest, &rx.dict, &rx.in); err != nil {
 			return err
 		}
-		rx.view.wrap(t)
 		fn(int(kg), &rx.view, len(item))
 		return nil
 	})

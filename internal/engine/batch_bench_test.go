@@ -25,48 +25,11 @@ func benchFrame(n int) []byte {
 // BenchmarkReceivePathV2 measures the zero-allocation receive path end to
 // end: one pooled v2 frame of 256 records decoded through the reusable
 // TupleView, every field read. allocs/op is the headline number — steady
-// state must be ~0 (vs ~4 allocs/record for the v1 materializing path
-// below, a ≥80% reduction per record).
+// state must be 0.
 func BenchmarkReceivePathV2(b *testing.B) {
 	frame := benchFrame(256)
 	var rx rxDecoder
 	// Warm the interner so the measurement is steady state.
-	_ = decodeBatch(frame, &rx, func(int, *TupleView, int) {})
-	b.ReportAllocs()
-	b.ResetTimer()
-	sum := 0.0
-	for i := 0; i < b.N; i++ {
-		n := 0
-		err := decodeBatch(frame, &rx, func(kg int, v *TupleView, wire int) {
-			if v.Key() != "" && v.Str("geo") != "" {
-				n++
-			}
-			sum += v.Num("bytes")
-		})
-		if err != nil || n != 256 {
-			b.Fatalf("decoded %d, err %v", n, err)
-		}
-	}
-	b.ReportMetric(256, "tuples/frame")
-	_ = sum
-}
-
-// BenchmarkReceivePathV1 is the same work through a v1 frame — the
-// materializing compatibility path (one Tuple + field slices per record).
-// The allocs/op gap against BenchmarkReceivePathV2 is the PR's receive-path
-// reduction.
-func BenchmarkReceivePathV1(b *testing.B) {
-	var tuples []*Tuple
-	var kgs []int
-	for i := 0; i < 256; i++ {
-		tuples = append(tuples, (&Tuple{Key: fmt.Sprintf("article-%06d", i%997), TS: int64(i)}).
-			WithStr("editor", fmt.Sprintf("editor-%04d", i%53)).
-			WithStr("geo", fmt.Sprintf("dk-%02d", i%17)).
-			WithNum("bytes", float64(100+i)))
-		kgs = append(kgs, i%32)
-	}
-	frame := buildV1Frame(kgs, tuples)
-	var rx rxDecoder
 	_ = decodeBatch(frame, &rx, func(int, *TupleView, int) {})
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -8,14 +8,9 @@ import (
 // benchCommAccumulate hammers the per-tuple communication-matrix
 // accumulation path in isolation: one add per emitted tuple, over a
 // realistic edge distribution (each upstream group talks to a handful of
-// downstream groups). denseLimit -1 forces the sparse open-addressed table,
-// numGroups selects the dense matrix.
+// downstream groups).
 func benchCommAccumulate(b *testing.B, numGroups int, dense bool) {
-	limit := -1
-	if dense {
-		limit = numGroups
-	}
-	s := newNodeStats(numGroups, false, limit)
+	s := commStats(numGroups, dense)
 	half := numGroups / 2
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -154,29 +154,21 @@ func (e *Engine) peerFor(i int) int {
 }
 
 // workerPeers returns the distinct non-controller peers hosting at least one
-// alive node, ascending.
+// alive node, ascending. Like everything that reads e.removed it belongs to
+// the goroutine driving the period; the result is valid until the next call.
 func (e *Engine) workerPeers() []int {
 	if e.rig == nil {
 		return nil
 	}
-	seen := map[int]bool{}
-	var peers []int
+	peers := e.rig.peers[:0]
 	for i := range e.nodes {
-		if e.removed[i] {
-			continue
-		}
-		p := e.peerFor(i)
-		if p != e.self && !seen[p] {
-			seen[p] = true
+		if p := e.peerFor(i); !e.removed[i] && p != e.self {
 			peers = append(peers, p)
 		}
 	}
-	for i := 1; i < len(peers); i++ {
-		for j := i; j > 0 && peers[j] < peers[j-1]; j-- {
-			peers[j], peers[j-1] = peers[j-1], peers[j]
-		}
-	}
-	return peers
+	slices.Sort(peers)
+	e.rig.peers = slices.Compact(peers)
+	return e.rig.peers
 }
 
 // deliver routes one mailbox message to shard gsid, wherever it runs: a
@@ -211,17 +203,6 @@ func (e *Engine) emit(ev engEvent) {
 		return
 	}
 	e.events <- ev
-}
-
-// tipValid reports whether the controller-side checkpoint tip for gid is
-// resident in the process currently hosting the group — the precondition for
-// delta-based checkpointing and checkpoint-assisted migration from that
-// host. tipNode is maintained by TakeCheckpoint (tip lands where the group
-// lives), migrations (a full-state move leaves the tip behind; a delta move
-// carries it — the destination adopted the pre-copied base), Recover (the
-// restored state is the tip) and FailNode.
-func (e *Engine) tipValid(gid int) bool {
-	return e.tipNode != nil && e.tipNode[gid] >= 0 && e.tipNode[gid] == e.baseAlloc[gid]
 }
 
 func (e *Engine) setTipNode(gid, node int) {

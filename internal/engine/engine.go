@@ -73,22 +73,15 @@ type Config struct {
 	// traffic). 0 or 1 keeps the single-goroutine node of earlier versions;
 	// values above 256 are capped.
 	ShardsPerNode int
-	// DenseCommLimit selects the per-shard communication accumulator: group
-	// counts at or below the limit use a dense gid×gid matrix, larger
-	// topologies the open-addressed sparse table (see commtable.go). 0 takes
-	// the default (362, ≈1 MB of matrix per shard); a negative value forces
-	// the sparse path regardless of size. Both representations produce
-	// byte-identical statistics — this is purely a space/speed knob.
-	DenseCommLimit int
 	// GenWorkers partitions each source's per-period emission across this
-	// many generator goroutines (see gen.go). Each generator is a distinct
-	// sender with its own per-(dest, op) outbox set, scratch buffer and
-	// byte/batch counters, so the per-sender FIFO invariant holds per
-	// generator; sub-period boundaries become safe-point rendezvous across
-	// the generators. Sources opt in via Topology.AddSourceParts — a source
-	// without a split hook runs whole on generator 0. 0 or 1 keeps the
-	// single-generator path of earlier versions byte-identical (same frames,
-	// same dictionary resets, same statistics); values above 64 are capped.
+	// many generators (see gen.go): generator 0 is the engine goroutine, the
+	// others are goroutines spawned for the period. Each generator is a
+	// distinct sender with its own per-(dest, op) outbox set, scratch buffer
+	// and byte/batch counters, so the per-sender FIFO invariant holds per
+	// generator; sub-period boundaries are safe-point rendezvous across the
+	// generators. Sources opt in via Topology.AddSourceParts — a source
+	// without a split hook runs whole on generator 0. 0 means 1; values above
+	// 64 are capped.
 	GenWorkers int
 }
 
@@ -207,8 +200,11 @@ type Engine struct {
 	// tipNode tracks, per key group, the node whose hosting process retains
 	// the group's checkpoint tip (-1 = none; nil until the first checkpoint).
 	// A group's tip is usable for delta checkpoints and checkpoint-assisted
-	// migration only while the group still physically lives on that node —
-	// see Engine.tipValid.
+	// migration only while the group still physically lives on that node. It
+	// is maintained by TakeCheckpoint (tip lands where the group lives),
+	// migrations (a full-state move leaves the tip behind; a delta move
+	// carries it — the destination adopted the pre-copied base), Recover
+	// (the restored state is the tip) and FailNode.
 	tipNode []int
 
 	// Checkpoint scratch, reused across barriers and cadences: liveGroups is
@@ -239,7 +235,9 @@ type Engine struct {
 	// genStates holds each generator worker's reusable emission scratch
 	// (outbox set, encode buffer, counters) so steady-state generation is
 	// allocation-flat; see gen.go. Grown on first use, reused every period.
+	// genJoin is where generate waits for the period's generators.
 	genStates []*genState
+	genJoin   sync.WaitGroup
 	// Period-barrier scratch, reused so the merge itself stays out of the
 	// Allocs telemetry it feeds: shardRefs flattens the live shards for the
 	// parallel stats merge, mergeAccs holds the per-merge-worker partial
@@ -359,15 +357,13 @@ type periodRun struct {
 	armFailed bool
 
 	// Reactive sub-period state (see subperiod.go). All fields are owned by
-	// the generation side during the period — serially by the single
-	// generator, or (GenWorkers > 1) mutated only inside genCoord's
+	// the generation side during the period — mutated only inside genCoord's
 	// single-threaded boundary region and after the generator join;
 	// finishPeriod reads them only after synchronizing on the generation
 	// result.
 	subObserver SubObserver
 	subIdx      int   // sub-intervals completed (1-based once running)
 	subPerSub   int64 // source tuples per sub-interval (0: no boundaries)
-	subNext     int64 // emission count at which the next boundary fires
 	srcEmitted  int64
 	stagedGids  map[int]bool // gids in a staged period-boundary migration
 	hotDest     map[int]int  // engine-side routing overrides (gid -> node)
@@ -450,7 +446,6 @@ func (e *Engine) beginPeriod() *periodRun {
 		}
 		if per > 0 {
 			pr.subPerSub = per
-			pr.subNext = per
 		}
 	}
 

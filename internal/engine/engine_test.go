@@ -524,21 +524,6 @@ func TestRunsAreDeterministicInAggregate(t *testing.T) {
 	}
 }
 
-func TestTupleRoundTrip(t *testing.T) {
-	tu := (&Tuple{Key: "k", TS: 42}).WithStr("s", "v").WithNum("n", 3.5)
-	b := tu.Encode(nil)
-	got, err := DecodeTuple(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Key != "k" || got.TS != 42 || got.Str("s") != "v" || got.Num("n") != 3.5 {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-	if _, err := DecodeTuple(b[:3]); err == nil {
-		t.Fatal("truncated tuple must error")
-	}
-}
-
 func TestStateRoundTripAndMerge(t *testing.T) {
 	s := NewState()
 	s.Add("count", 7)

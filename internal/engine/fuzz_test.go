@@ -16,10 +16,10 @@ import (
 //  3. any frame that decodes cleanly survives a re-encode through the v2
 //     sender (outbox staging) and decodes to the same tuples.
 //
-// The seed corpus covers both frame versions plus the corrupt shapes the
-// dictionary layer must reject: truncated dictionary definitions,
-// out-of-range name ids, duplicate names, truncated floats and oversized
-// field counts.
+// The seed corpus covers well-formed frames, a frame of the retired version
+// 0xF1 (rejected whole) and the corrupt shapes the dictionary layer must
+// reject: truncated dictionary definitions, out-of-range name ids, duplicate
+// names, truncated floats and oversized field counts.
 func FuzzReceivePath(f *testing.F) {
 	// Well-formed v2 frames, straight from the sender.
 	var ob outbox
@@ -33,11 +33,8 @@ func FuzzReceivePath(f *testing.F) {
 	if m, ok := ob.take(1); ok {
 		f.Add(append([]byte(nil), m.encoded...))
 	}
-	// Well-formed v1 frame (compat path).
-	f.Add(buildV1Frame([]int{1, 2}, []*Tuple{
-		(&Tuple{Key: "a", TS: 1}).WithStr("s", "v"),
-		(&Tuple{Key: "b", TS: 2}).WithNum("n", 4),
-	}))
+	// A frame a v1 sender would have shipped: rejected on its version byte.
+	f.Add(retiredV1Frame())
 	// Corrupt v2 shapes.
 	add := func(items ...[]byte) {
 		frame := codec.AppendFrameHeader(nil, codec.FrameV2)
@@ -54,7 +51,7 @@ func FuzzReceivePath(f *testing.F) {
 	dup := []byte{0x00, 0x00, 0x00, 0x02, 0x07, 'g', 'e', 'o', 0x00, 0x07, 'g', 'e', 'o', 0x00, 0x00}
 	add(dup)                  // duplicate name definitions in one record
 	f.Add([]byte{0xF2})       // header-only v2 frame
-	f.Add([]byte{0xF1})       // header-only v1 frame
+	f.Add([]byte{0xF1})       // retired version byte alone
 	f.Add([]byte{0x42, 0x42}) // unknown version byte
 	f.Add([]byte{})           // empty input
 
@@ -66,6 +63,9 @@ func FuzzReceivePath(f *testing.F) {
 		}
 		var recs []rec
 		err := decodeBatch(frame, &rx, func(kg int, v *TupleView, wire int) {
+			if frame[0] != codec.FrameV2 {
+				t.Fatalf("decoded a record out of a frame headed 0x%02x", frame[0])
+			}
 			if wire <= 0 {
 				t.Fatalf("non-positive wire length %d", wire)
 			}

@@ -2,21 +2,22 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// Source generation. The engine produces each period's input batch either on
-// a single goroutine (generateSerial — the exact behavior of earlier
-// versions) or partitioned across Config.GenWorkers generator goroutines
-// (generateParallel). Each generator is a distinct sender with its own
-// per-(dest, op) outbox set, scratch buffer and byte/batch counters, so the
-// per-sender FIFO invariant the shards rely on holds per generator; the
-// emitted tuple multiset is identical for any worker count because
-// partitionable sources split deterministically (see PartSourceFunc).
-// End-of-period source barriers are emitted only after every generator has
-// joined and every generator outbox has flushed, so barrier counting is
-// unchanged: one barrier per source edge per receiving shard.
+// Source generation. The engine produces each period's input batch on
+// Config.GenWorkers generators: generator 0 is the engine goroutine itself,
+// every further one a goroutine spawned for the period, so one worker — the
+// default — spawns nothing and shares nothing. Each generator is a distinct
+// sender with its own per-(dest, op) outbox set, scratch buffer and
+// byte/batch/tuple counters, so the per-sender FIFO invariant the shards rely
+// on holds per generator; the emitted tuple multiset is identical for any
+// worker count because partitionable sources split deterministically (see
+// PartSourceFunc). End-of-period source barriers are emitted only after every
+// generator has joined and every generator outbox has flushed, so barrier
+// counting is unchanged: one barrier per source edge per receiving shard.
 
 // genState is one generator worker's reusable emission scratch, hoisted onto
 // the Engine so steady-state generation allocates nothing (visible in
@@ -28,6 +29,8 @@ type genState struct {
 	scratch []byte    // per-record encode buffer
 	bytes   int64     // wire bytes staged this period (per-record sum)
 	batches int64     // frames shipped this period
+	emitted int64     // source tuples emitted this period
+	err     error     // what stopped this generator this period, if anything
 }
 
 // genStateFor returns worker w's generation scratch, grown to the current
@@ -46,7 +49,7 @@ func (e *Engine) genStateFor(w int) *genState {
 	} else {
 		gs.outs = gs.outs[:want]
 	}
-	gs.bytes, gs.batches = 0, 0
+	gs.bytes, gs.batches, gs.emitted, gs.err = 0, 0, 0, nil
 	return gs
 }
 
@@ -106,72 +109,17 @@ func runSrc(name string, f func()) (err error) {
 	return nil
 }
 
-// generate runs the topology's sources for the period — in parallel when the
-// engine is configured with GenWorkers > 1 and at least one source declared
-// a split hook, serially otherwise.
-func (e *Engine) generate(pr *periodRun) error {
-	if e.cfg.GenWorkers > 1 {
-		for _, src := range e.topo.sources {
-			if src.GenPart != nil {
-				return e.generateParallel(pr)
-			}
-		}
-	}
-	return e.generateSerial(pr)
-}
-
-// generateSerial is the single-generator path: one goroutine emits, so the
-// per-sender FIFO invariant holds for the engine as a sender, and sub-period
-// boundaries fire inline between tuples. Byte-for-byte it is the behavior of
-// earlier versions — same frames, same dictionary lifetimes, same statistics.
-func (e *Engine) generateSerial(pr *periodRun) error {
-	gs := e.genStateFor(0)
-	flushAll := func() {
-		for destG := range gs.outs {
-			e.flushGen(pr, gs, destG)
-		}
-	}
-	for si, src := range e.topo.sources {
-		emit := func(t *Tuple) {
-			e.stageSrc(pr, gs, si, t)
-			pr.srcEmitted++
-			// Sub-period boundary: fires between tuples on this goroutine
-			// (a safe point — no frame is half-staged, no barrier sent yet).
-			if pr.subPerSub > 0 && pr.srcEmitted >= pr.subNext && pr.subIdx < e.cfg.SubPeriods-1 {
-				pr.subIdx++
-				pr.subNext += pr.subPerSub
-				e.subBoundary(pr, flushAll)
-			}
-		}
-		if err := runSrc(src.Name, func() { src.Gen(pr.period, emit) }); err != nil {
-			return err
-		}
-	}
-	flushAll()
-	// Sub-period boundaries that emission did not reach (generation always
-	// outpaces processing; with low volume it finishes before the first
-	// emission threshold): fire them now, before any barrier is sent —
-	// each waits for the data path to catch up to its share of the period,
-	// so hot moves still happen at meaningful mid-period safe points.
-	for pr.subPerSub > 0 && pr.subIdx < e.cfg.SubPeriods-1 {
-		pr.subIdx++
-		e.subBoundary(pr, flushAll)
-	}
-	pr.srcBytes = gs.bytes
-	pr.srcBatches = gs.batches
-	e.emitSourceBarriers(pr)
-	return nil
-}
-
-// genCoord coordinates the parallel generators' sub-period safe points. The
-// emitted-tuple count is a shared atomic; when it crosses the next boundary
-// threshold, one generator wins the stop flag and becomes the boundary
-// initiator, every other live generator parks at its next between-tuples
-// safe point, and the initiator — provably alone — runs the ordinary
-// sub-period boundary machinery (flush all generator outboxes, quiesce,
-// snapshot, observer, hot moves) before releasing the others. All
+// genCoord coordinates the generators' sub-period safe points in a period
+// that armed boundaries. The emitted-tuple count is a shared atomic; when it
+// crosses the next boundary threshold, one generator wins the stop flag and
+// becomes the boundary initiator, every other live generator parks at its
+// next between-tuples safe point, and the initiator — provably alone — runs
+// the ordinary sub-period boundary machinery (flush all generator outboxes,
+// quiesce, snapshot, observer, hot moves) before releasing the others. All
 // cross-generator state (outboxes, pr.hotDest, pr.subIdx) is only touched in
-// that single-threaded region; the park/release mutex edges publish it.
+// that single-threaded region; the park/release mutex edges publish it. A
+// lone generator wins every flag and waits for nobody: its boundaries fire
+// inline between two of its tuples.
 type genCoord struct {
 	e        *Engine
 	pr       *periodRun
@@ -188,14 +136,28 @@ type genCoord struct {
 	nextVal int64        // subNext's value, owned by the boundary initiator
 }
 
+// newGenCoord returns the period's safe-point coordinator, nil when the
+// period armed no sub-period boundary: generators then count what they emit
+// locally and share nothing per tuple.
 func newGenCoord(e *Engine, pr *periodRun, flushAll func(), workers int) *genCoord {
-	gc := &genCoord{e: e, pr: pr, flushAll: flushAll, active: workers}
-	gc.cond = sync.NewCond(&gc.mu)
-	gc.nextVal = pr.subNext
-	if pr.subPerSub > 0 {
-		gc.subNext.Store(pr.subNext)
+	if pr.subPerSub == 0 {
+		return nil
 	}
+	gc := &genCoord{e: e, pr: pr, flushAll: flushAll, active: workers, nextVal: pr.subPerSub}
+	gc.cond = sync.NewCond(&gc.mu)
+	gc.subNext.Store(pr.subPerSub)
 	return gc
+}
+
+// safePoint is where a generator stands between two tuples: nothing is
+// half-staged and no barrier has been sent.
+func (gc *genCoord) safePoint() {
+	n := gc.emitted.Add(1)
+	if gc.stop.Load() {
+		gc.park()
+	} else if next := gc.subNext.Load(); next > 0 && n >= next {
+		gc.boundary()
+	}
 }
 
 // park blocks the calling generator at its safe point until the boundary
@@ -238,7 +200,7 @@ func (gc *genCoord) boundary() {
 	// parked++ under mu happens-before our read of the count), so flushing
 	// their outboxes and mutating the period's routing overrides is safe.
 	pr, e := gc.pr, gc.e
-	for pr.subPerSub > 0 && pr.subIdx < e.cfg.SubPeriods-1 && gc.emitted.Load() >= gc.nextVal {
+	for pr.subIdx < e.cfg.SubPeriods-1 && gc.emitted.Load() >= gc.nextVal {
 		pr.subIdx++
 		gc.nextVal += pr.subPerSub
 		e.subBoundary(pr, gc.flushAll)
@@ -254,13 +216,17 @@ func (gc *genCoord) boundary() {
 	gc.mu.Unlock()
 }
 
-// generateParallel partitions the period's emission across GenWorkers
-// generator goroutines. Partitionable sources run one part per worker;
-// sources without a split hook run whole on worker 0, interleaved with the
-// parts — the emitted multiset is the same either way. The source barriers
-// ship only after every generator has joined and flushed.
-func (e *Engine) generateParallel(pr *periodRun) error {
-	parts := e.cfg.GenWorkers
+// generate runs the topology's sources for the period. Partitionable sources
+// run one part per generator; sources without a split hook run whole on
+// generator 0, interleaved with the parts — the emitted multiset is the same
+// either way, and with no partitionable source there is nothing to split, so
+// generator 0 works alone. The source barriers ship only after every
+// generator has joined and flushed.
+func (e *Engine) generate(pr *periodRun) error {
+	parts := 1
+	if e.cfg.GenWorkers > 1 && slices.ContainsFunc(e.topo.sources, func(s *Source) bool { return s.GenPart != nil }) {
+		parts = e.cfg.GenWorkers
+	}
 	for w := 0; w < parts; w++ {
 		e.genStateFor(w)
 	}
@@ -273,58 +239,67 @@ func (e *Engine) generateParallel(pr *periodRun) error {
 		}
 	}
 	gc := newGenCoord(e, pr, flushAll, parts)
-	errs := make([]error, parts)
-	var wg sync.WaitGroup
-	for w := 0; w < parts; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer gc.leave()
-			gs := gens[w]
-			for si, src := range e.topo.sources {
-				emit := func(t *Tuple) {
-					e.stageSrc(pr, gs, si, t)
-					// Safe point: nothing half-staged, no barrier sent yet.
-					n := gc.emitted.Add(1)
-					if gc.stop.Load() {
-						gc.park()
-					} else if next := gc.subNext.Load(); next > 0 && n >= next {
-						gc.boundary()
-					}
-				}
-				switch {
-				case src.GenPart != nil:
-					errs[w] = runSrc(src.Name, func() { src.GenPart(pr.period, w, parts, emit) })
-				case w == 0:
-					errs[w] = runSrc(src.Name, func() { src.Gen(pr.period, emit) })
-				}
-				if errs[w] != nil {
-					return
-				}
-			}
-		}(w)
+	e.genJoin.Add(parts)
+	for w := 1; w < parts; w++ {
+		go e.runGenerator(pr, gc, w, parts)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	e.runGenerator(pr, gc, 0, parts)
+	e.genJoin.Wait()
+	for _, gs := range gens {
+		if gs.err != nil {
+			return gs.err
 		}
+		pr.srcEmitted += gs.emitted
 	}
-	pr.srcEmitted = gc.emitted.Load()
 	flushAll()
-	// Boundaries emission did not reach: fire them before any barrier, as in
-	// the serial path. All generators have joined — this goroutine is the
-	// only one touching the period now.
+	// Sub-period boundaries that emission did not reach (generation always
+	// outpaces processing; with low volume it finishes before the first
+	// emission threshold): fire them now, before any barrier is sent —
+	// each waits for the data path to catch up to its share of the period,
+	// so hot moves still happen at meaningful mid-period safe points. All
+	// generators have joined — this goroutine is the only one touching the
+	// period now.
 	for pr.subPerSub > 0 && pr.subIdx < e.cfg.SubPeriods-1 {
 		pr.subIdx++
 		e.subBoundary(pr, flushAll)
 	}
+	// Frames are counted as they ship, so only now is the count complete.
 	for _, gs := range gens {
 		pr.srcBytes += gs.bytes
 		pr.srcBatches += gs.batches
 	}
 	e.emitSourceBarriers(pr)
 	return nil
+}
+
+// runGenerator is generator w of parts: it emits its share of every source
+// through its own outbox set, counting tuples locally — only a period with
+// armed boundaries (gc non-nil) pays for the shared count and the safe-point
+// check. What stopped it early is left in its genState.
+func (e *Engine) runGenerator(pr *periodRun, gc *genCoord, w, parts int) {
+	defer e.genJoin.Done()
+	if gc != nil {
+		defer gc.leave()
+	}
+	gs := e.genStates[w]
+	for si, src := range e.topo.sources {
+		emit := func(t *Tuple) {
+			e.stageSrc(pr, gs, si, t)
+			gs.emitted++
+			if gc != nil {
+				gc.safePoint()
+			}
+		}
+		switch {
+		case parts > 1 && src.GenPart != nil:
+			gs.err = runSrc(src.Name, func() { src.GenPart(pr.period, w, parts, emit) })
+		case w == 0:
+			gs.err = runSrc(src.Name, func() { src.Gen(pr.period, emit) })
+		}
+		if gs.err != nil {
+			return
+		}
+	}
 }
 
 // emitSourceBarriers ships the end-of-period source barriers, then the

@@ -192,7 +192,7 @@ func newShard(nid, sid int, eng *Engine) *shard {
 		tips:     map[int]*ckptTip{},
 		potcSent: make([]float64, numGroups),
 		emitters: make([]Emit, numGroups),
-		stats:    newNodeStats(numGroups, eng.cfg.SubPeriods >= 2, eng.cfg.DenseCommLimit),
+		stats:    newNodeStats(numGroups, eng.cfg.SubPeriods >= 2),
 	}
 	s.rx.view.pool = &s.tp
 	return s

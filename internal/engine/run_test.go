@@ -253,68 +253,3 @@ func TestApplyPlanDuringInFlightPeriod(t *testing.T) {
 		}
 	}
 }
-
-// TestDenseAndSparseCommAgree: every statistic of a period — per-key tuple
-// counts, the communication matrix, and the sender/receiver wire-accounting
-// identity — must be exactly invariant to the comm representation (dense
-// flat matrix vs sparse open-addressed table, both merged into the CSR),
-// on single-shard and sharded (4 nodes × 4 shards) engines alike.
-func TestDenseAndSparseCommAgree(t *testing.T) {
-	run := func(cfg Config) *PeriodStats {
-		col := newCollector()
-		tp := wordCountTopology([]string{"a", "b", "c", "d", "e"}, 400, 8, col)
-		e, err := New(tp, cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		ps, err := e.RunPeriod()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ps
-	}
-	for _, tc := range []struct {
-		name          string
-		nodes, shards int
-	}{
-		{"3nodes-1shard", 3, 1},
-		{"4nodes-4shards", 4, 4},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dense := run(Config{Nodes: tc.nodes, ShardsPerNode: tc.shards})
-			sparse := run(Config{Nodes: tc.nodes, ShardsPerNode: tc.shards, DenseCommLimit: -1})
-			dm, sm := dense.Comm.ToMap(), sparse.Comm.ToMap()
-			if len(dm) == 0 || len(dm) != len(sm) {
-				t.Fatalf("dense comm has %d edges, sparse %d", len(dm), len(sm))
-			}
-			for p, v := range dm {
-				if sm[p] != v {
-					t.Fatalf("comm[%v] = %v dense vs %v sparse", p, v, sm[p])
-				}
-			}
-			if dense.TuplesIn != sparse.TuplesIn || dense.TuplesOut != sparse.TuplesOut {
-				t.Fatalf("tuple counts differ: dense %d/%d, sparse %d/%d",
-					dense.TuplesIn, dense.TuplesOut, sparse.TuplesIn, sparse.TuplesOut)
-			}
-			for gid := range dense.GroupUnits {
-				if dense.GroupUnits[gid] != sparse.GroupUnits[gid] {
-					t.Fatalf("groupUnits[%d] = %v dense vs %v sparse",
-						gid, dense.GroupUnits[gid], sparse.GroupUnits[gid])
-				}
-			}
-			for _, ps := range []*PeriodStats{dense, sparse} {
-				if ps.BytesCrossNodeIn != ps.BytesCrossNode+ps.SrcBytesCrossNode {
-					t.Fatalf("wire identity broken: in=%d, out=%d+%d",
-						ps.BytesCrossNodeIn, ps.BytesCrossNode, ps.SrcBytesCrossNode)
-				}
-			}
-			if dense.BytesCrossNode != sparse.BytesCrossNode ||
-				dense.SrcBytesCrossNode != sparse.SrcBytesCrossNode {
-				t.Fatalf("cross-node bytes differ: dense %d/%d, sparse %d/%d",
-					dense.BytesCrossNode, dense.SrcBytesCrossNode,
-					sparse.BytesCrossNode, sparse.SrcBytesCrossNode)
-			}
-		})
-	}
-}

@@ -10,12 +10,13 @@ import (
 	"repro/internal/statestore"
 )
 
-// denseCommGroupLimit is the default for Config.DenseCommLimit: topologies
-// with at most this many key groups accumulate out(gi, gj) in a flat gid×gid
-// []float64 (one add + one index per tuple on the hot path). 362 groups
-// ≈ 1 MB of matrix per shard; larger topologies fall back to the sparse
-// open-addressed commTable. Tests and benchmarks override per engine via
-// Config.DenseCommLimit instead of mutating this.
+// denseCommGroupLimit is the cut-over between the two communication
+// accumulators: topologies with at most this many key groups accumulate
+// out(gi, gj) in a flat gid×gid []float64 (one add + one index per tuple on
+// the hot path; 362 groups ≈ 1 MB of matrix per shard), larger ones in the
+// sparse open-addressed commTable, whose size follows the edges actually
+// seen. Each wins on its side: the matrix is faster per tuple while it fits
+// in cache, and grows quadratically where the table does not.
 const denseCommGroupLimit = 362
 
 // nodeStats is one shard's statistics: written only by its owning shard
@@ -65,12 +66,9 @@ type nodeStats struct {
 	subMilli []atomic.Int64
 }
 
-// newNodeStats builds one shard's statistics. denseLimit is the resolved
-// Config.DenseCommLimit: group counts at or below it use the dense flat
-// matrix, anything above the sparse commTable (a negative limit forces the
-// sparse path even for tiny topologies — the representation-agreement tests
-// rely on that).
-func newNodeStats(numGroups int, subPeriods bool, denseLimit int) *nodeStats {
+// newNodeStats builds one shard's statistics, choosing the communication
+// accumulator by the group count (see denseCommGroupLimit).
+func newNodeStats(numGroups int, subPeriods bool) *nodeStats {
 	s := &nodeStats{
 		groupMilli:     make([]int64, numGroups),
 		groupTuplesIn:  make([]int64, numGroups),
@@ -80,10 +78,7 @@ func newNodeStats(numGroups int, subPeriods bool, denseLimit int) *nodeStats {
 	if subPeriods {
 		s.subMilli = make([]atomic.Int64, numGroups)
 	}
-	if denseLimit == 0 {
-		denseLimit = denseCommGroupLimit
-	}
-	if numGroups <= denseLimit {
+	if numGroups <= denseCommGroupLimit {
 		s.commDense = make([]float64, numGroups*numGroups)
 	} else {
 		s.commSparse = &commTable{}

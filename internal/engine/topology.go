@@ -53,8 +53,8 @@ type Source struct {
 	Name string
 	Gen  SourceFunc
 	// GenPart, when non-nil, declares the source partitionable across
-	// parallel generator workers (see AddSourceParts). Gen remains the
-	// single-generator path and must emit the identical batch.
+	// generator workers (see AddSourceParts). Gen is what a lone generator
+	// runs and must emit the identical batch.
 	GenPart PartSourceFunc
 }
 
@@ -108,10 +108,9 @@ func (t *Topology) AddSource(name string, gen SourceFunc) *Topology {
 }
 
 // AddSourceParts registers an input source that can split its per-period
-// batch across parallel generator workers (Config.GenWorkers). The
-// single-generator path runs gen(period, 0, 1, emit) — part 0 of 1 IS the
-// whole batch — so a partitionable source behaves identically to an
-// AddSource one whenever generation is serial.
+// batch across generator workers (Config.GenWorkers). A lone generator runs
+// gen(period, 0, 1, emit) — part 0 of 1 IS the whole batch — so a
+// partitionable source then behaves identically to an AddSource one.
 func (t *Topology) AddSourceParts(name string, gen PartSourceFunc) *Topology {
 	if gen == nil {
 		t.errs = append(t.errs, fmt.Errorf("engine: source %q has nil generator", name))

@@ -21,7 +21,6 @@
 package engine
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/codec"
@@ -247,33 +246,13 @@ func (t *Tuple) WithNum(name string, v float64) *Tuple {
 // NumFields returns the number of payload fields (both kinds).
 func (t *Tuple) NumFields() int { return len(t.strs) + len(t.nums) }
 
-// Encode serializes the tuple as a v1 record (appended to buf). The wire
-// format is identical to the historical map-based encoding: counts followed
-// by name-sorted pairs, every field name spelled out in full. The engine's
-// data path ships v2 records (EncodeV2); v1 stays for persisted data and
-// cross-version compatibility.
-func (t *Tuple) Encode(buf []byte) []byte {
-	buf = codec.AppendString(buf, t.Key)
-	buf = codec.AppendInt64(buf, t.TS)
-	buf = codec.AppendUvarint(buf, uint64(len(t.strs)))
-	for _, f := range t.strs {
-		buf = codec.AppendString(buf, f.K)
-		buf = codec.AppendString(buf, f.V)
-	}
-	buf = codec.AppendUvarint(buf, uint64(len(t.nums)))
-	for _, f := range t.nums {
-		buf = codec.AppendString(buf, f.K)
-		buf = codec.AppendFloat64(buf, f.V)
-	}
-	return buf
-}
-
-// EncodeV2 serializes the tuple as a v2 record (appended to buf): the same
-// shape as v1 but with every field name replaced by a dictionary reference
-// into d, the frame's incremental name dictionary (see codec.Dict). The
-// first record of a frame that carries a name embeds it; subsequent records
-// reference it by a 1-byte id — op-local field names are highly repetitive,
-// so a frame pays for each name once instead of once per record.
+// EncodeV2 serializes the tuple as a wire record (appended to buf): key,
+// timestamp, then counts followed by name-sorted pairs, every field name
+// written as a reference into d, the frame's incremental name dictionary (see
+// codec.Dict). The first record of a frame that carries a name embeds it;
+// subsequent records reference it by a 1-byte id — op-local field names are
+// highly repetitive, so a frame pays for each name once instead of once per
+// record.
 func (t *Tuple) EncodeV2(buf []byte, d *codec.Dict) []byte {
 	buf = codec.AppendString(buf, t.Key)
 	buf = codec.AppendInt64(buf, t.TS)
@@ -288,69 +267,4 @@ func (t *Tuple) EncodeV2(buf []byte, d *codec.Dict) []byte {
 		buf = codec.AppendFloat64(buf, f.V)
 	}
 	return buf
-}
-
-// DecodeTuple reads one v1 tuple record from b.
-func DecodeTuple(b []byte) (*Tuple, error) {
-	return decodeTuple(b, nil)
-}
-
-// decodeTuple reads one v1 record; with a non-nil interner the key, field
-// names and string values are deduplicated through it (the decoded tuple
-// never aliases b).
-func decodeTuple(b []byte, in *codec.Interner) (*Tuple, error) {
-	readString := codec.ReadString
-	if in != nil {
-		readString = func(b []byte) (string, []byte, error) {
-			return codec.ReadStringInterned(b, in)
-		}
-	}
-	t := &Tuple{}
-	var err error
-	if t.Key, b, err = readString(b); err != nil {
-		return nil, fmt.Errorf("engine: decode tuple key: %w", err)
-	}
-	if t.TS, b, err = codec.ReadInt64(b); err != nil {
-		return nil, fmt.Errorf("engine: decode tuple ts: %w", err)
-	}
-	var n uint64
-	if n, b, err = codec.ReadUvarint(b); err != nil {
-		return nil, fmt.Errorf("engine: decode tuple strs: %w", err)
-	}
-	// Each string field costs at least 2 bytes; a count exceeding the
-	// remaining buffer is malformed (guards the allocation below).
-	if n > uint64(len(b))/2 {
-		return nil, fmt.Errorf("engine: decode tuple: %d string fields in %d bytes", n, len(b))
-	}
-	if n > 0 {
-		t.strs = make([]strField, n)
-		for i := range t.strs {
-			if t.strs[i].K, b, err = readString(b); err != nil {
-				return nil, fmt.Errorf("engine: decode tuple strs: %w", err)
-			}
-			if t.strs[i].V, b, err = readString(b); err != nil {
-				return nil, fmt.Errorf("engine: decode tuple strs: %w", err)
-			}
-		}
-	}
-	if n, b, err = codec.ReadUvarint(b); err != nil {
-		return nil, fmt.Errorf("engine: decode tuple nums: %w", err)
-	}
-	// A numeric field costs at least 9 bytes (1-byte name ref + 8-byte
-	// float); same malformed-count guard as for strings.
-	if n > uint64(len(b))/9 {
-		return nil, fmt.Errorf("engine: decode tuple: %d numeric fields in %d bytes", n, len(b))
-	}
-	if n > 0 {
-		t.nums = make([]numField, n)
-		for i := range t.nums {
-			if t.nums[i].K, b, err = readString(b); err != nil {
-				return nil, fmt.Errorf("engine: decode tuple nums: %w", err)
-			}
-			if t.nums[i].V, b, err = codec.ReadFloat64(b); err != nil {
-				return nil, fmt.Errorf("engine: decode tuple nums: %w", err)
-			}
-		}
-	}
-	return t, nil
 }

@@ -68,8 +68,7 @@ type viewNum struct {
 	val  float64
 }
 
-// wrap points the view at a materialized tuple (node-local deliveries and
-// v1-compat frames).
+// wrap points the view at a materialized tuple (node-local deliveries).
 func (v *TupleView) wrap(t *Tuple) {
 	v.src = t
 	v.in = nil

@@ -3,6 +3,8 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/codec"
@@ -10,29 +12,6 @@ import (
 
 func goldenTuple() *Tuple {
 	return (&Tuple{Key: "k1", TS: 7}).WithStr("geo", "dk").WithNum("b", 2)
-}
-
-// TestGoldenV1Record pins the v1 record encoding byte for byte. This layout
-// is frozen: persisted v1 data must decode forever.
-func TestGoldenV1Record(t *testing.T) {
-	want := []byte{
-		0x02, 'k', '1', // key, length-prefixed
-		0x0e,                // ts = 7, zig-zag varint
-		0x01,                // 1 string field
-		0x03, 'g', 'e', 'o', // name "geo"
-		0x02, 'd', 'k', // value "dk"
-		0x01,      // 1 numeric field
-		0x01, 'b', // name "b"
-		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, // 2.0 LE float64
-	}
-	got := goldenTuple().Encode(nil)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("v1 record drifted:\n got %#v\nwant %#v", got, want)
-	}
-	back, err := DecodeTuple(got)
-	if err != nil || back.Key != "k1" || back.TS != 7 || back.Str("geo") != "dk" || back.Num("b") != 2 {
-		t.Fatalf("v1 golden round trip: %+v err %v", back, err)
-	}
 }
 
 // TestGoldenV2Frame pins the v2 frame encoding byte for byte: version byte,
@@ -99,74 +78,56 @@ func TestGoldenV2Frame(t *testing.T) {
 	}
 }
 
-// buildV1Frame assembles a v1-versioned frame the way a v1 sender would:
-// every record spells its field names out in full.
-func buildV1Frame(kgs []int, tuples []*Tuple) []byte {
-	frame := codec.AppendFrameHeader(codec.GetBuf(), codec.FrameV1)
-	var scratch []byte
-	for i, tu := range tuples {
-		scratch = codec.AppendUvarint(scratch[:0], uint64(kgs[i]))
-		scratch = tu.Encode(scratch)
-		frame = codec.AppendBatchItem(frame, scratch)
+// retiredV1Frame is a well-formed frame of the retired wire format v1
+// (version byte 0xF1, field names spelled out in every record): what a v1
+// sender would have shipped for goldenTuple in key group 3.
+func retiredV1Frame() []byte {
+	rec := []byte{
+		0x03,           // kg = 3
+		0x02, 'k', '1', // key
+		0x0e,                // ts = 7
+		0x01,                // 1 string field
+		0x03, 'g', 'e', 'o', // name "geo" in full
+		0x02, 'd', 'k',
+		0x01,      // 1 numeric field
+		0x01, 'b', // name "b" in full
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40,
 	}
-	return frame
+	return codec.AppendBatchItem([]byte{0xF1}, rec)
 }
 
-// TestCrossVersionDecode feeds the same logical batch through a v1 and a v2
-// frame and asserts the receive path yields identical tuples from both.
-func TestCrossVersionDecode(t *testing.T) {
-	var tuples []*Tuple
-	var kgs []int
-	for i := 0; i < 40; i++ {
-		tuples = append(tuples, (&Tuple{Key: fmt.Sprintf("key-%d", i%7), TS: int64(i)}).
-			WithStr("geo", fmt.Sprintf("cell-%d", i%3)).
-			WithStr("editor", "ed-1").
-			WithNum("bytes", float64(i)*1.5))
-		kgs = append(kgs, i%5)
+// TestRetiredV1FrameFailsThePeriod delivers a 0xF1-headed frame to a shard
+// mid-period: the shard must report it (evError → the period fails) and must
+// not decode a single record out of it.
+func TestRetiredV1FrameFailsThePeriod(t *testing.T) {
+	if err := decodeBatch(retiredV1Frame(), &rxDecoder{}, func(int, *TupleView, int) {
+		t.Fatal("decoded a record out of a 0xF1 frame")
+	}); err == nil || !strings.Contains(err.Error(), "unknown frame version byte 0xf1") {
+		t.Fatalf("decodeBatch(0xF1 frame) = %v, want the unknown-version error", err)
 	}
-	var ob outbox
-	var scratch []byte
-	for i, tu := range tuples {
-		ob.stage(kgs[i], tu, &scratch)
-	}
-	v2frame := ob.buf
-	v1frame := buildV1Frame(kgs, tuples)
 
-	decodeAll := func(frame []byte) []*Tuple {
-		var rx rxDecoder
-		var out []*Tuple
-		var gotKGs []int
-		if err := decodeBatch(frame, &rx, func(kg int, v *TupleView, wire int) {
-			out = append(out, v.Materialize(nil))
-			gotKGs = append(gotKGs, kg)
-		}); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		for i, kg := range gotKGs {
-			if kg != kgs[i] {
-				t.Fatalf("record %d kg=%d want %d", i, kg, kgs[i])
-			}
-		}
-		return out
+	var e *Engine
+	var processed atomic.Int64
+	tp := NewTopology()
+	tp.AddSource("src", func(period int, emit Emit) {
+		frame := append(codec.GetBuf(), retiredV1Frame()...)
+		e.deliver(0, dataBatchMsg{op: 0, period: period, count: 1, encoded: frame})
+	})
+	tp.AddOperator(&Operator{
+		Name: "sink", KeyGroups: 4,
+		Proc: func(tu *TupleView, st *State, emit Emit) { processed.Add(1) },
+	})
+	tp.Connect("src", "sink")
+	var err error
+	if e, err = New(tp, Config{Nodes: 1}, nil); err != nil {
+		t.Fatal(err)
 	}
-	fromV1 := decodeAll(v1frame)
-	fromV2 := decodeAll(v2frame)
-	if len(fromV1) != len(tuples) || len(fromV2) != len(tuples) {
-		t.Fatalf("decoded %d/%d of %d", len(fromV1), len(fromV2), len(tuples))
+	defer e.Close()
+	if _, err := e.RunPeriod(); err == nil || !strings.Contains(err.Error(), "unknown frame version byte 0xf1") {
+		t.Fatalf("RunPeriod = %v, want the unknown-version error", err)
 	}
-	for i := range tuples {
-		for _, got := range []*Tuple{fromV1[i], fromV2[i]} {
-			want := tuples[i]
-			if got.Key != want.Key || got.TS != want.TS ||
-				got.Str("geo") != want.Str("geo") || got.Str("editor") != want.Str("editor") ||
-				got.Num("bytes") != want.Num("bytes") || got.NumFields() != want.NumFields() {
-				t.Fatalf("record %d differs across versions: %+v vs %+v", i, got, want)
-			}
-		}
-	}
-	// v2 must be strictly smaller: names ride once per frame, not per record.
-	if len(v2frame) >= len(v1frame) {
-		t.Fatalf("v2 frame (%d B) not smaller than v1 (%d B)", len(v2frame), len(v1frame))
+	if n := processed.Load(); n != 0 {
+		t.Fatalf("%d tuples processed out of a 0xF1 frame", n)
 	}
 }
 

@@ -255,8 +255,8 @@ func (t *Table) sortedIdx() []int32 {
 	return t.scratch
 }
 
-// encode appends the table in codec.AppendFloatMap format (uvarint count,
-// sorted key/value pairs) — byte-identical to the map encoding it replaced.
+// encode appends the table as a uvarint count followed by its key/value
+// pairs in sorted key order.
 func (t *Table) encode(buf []byte) []byte {
 	buf = codec.AppendUvarint(buf, uint64(len(t.keys)))
 	for _, ei := range t.sortedIdx() {

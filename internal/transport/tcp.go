@@ -21,7 +21,7 @@ import (
 //     plus an opaque bootstrap payload (the job spec);
 //  2. mesh completion — each worker dials every lower-id worker (PeerHello
 //     identifies the dialer) and accepts links from every higher-id worker,
-//     then reports ready to the controller. AcceptCluster/Start returns only
+//     then reports ready to the controller. ClusterHost.Start returns only
 //     when all workers are ready, so the first engine frame never races the
 //     handshake.
 //
@@ -203,26 +203,11 @@ func readFrame(conn net.Conn) ([]byte, error) {
 }
 
 // ClusterHost is the controller's side of cluster formation between the
-// discovery phase (AcceptCluster) and mesh completion (Start).
+// discovery phase (ListenCluster + Accept) and mesh completion (Start).
 type ClusterHost struct {
 	ln     net.Listener
 	conns  []net.Conn
 	hellos []codec.Hello
-}
-
-// AcceptCluster listens on addr and accepts exactly `workers` joins, reading
-// and validating each worker's Hello (wire-version negotiation happens
-// here). The joining order determines peer ids: the i-th join becomes peer
-// i+1.
-func AcceptCluster(addr string, workers int) (*ClusterHost, error) {
-	h, err := ListenCluster(addr)
-	if err != nil {
-		return nil, err
-	}
-	if err := h.Accept(workers); err != nil {
-		return nil, err
-	}
-	return h, nil
 }
 
 // ListenCluster binds the controller's listen socket without accepting any
@@ -237,7 +222,9 @@ func ListenCluster(addr string) (*ClusterHost, error) {
 }
 
 // Accept runs the discovery phase on an already-listening host: it blocks
-// until exactly `workers` joins have handshaken successfully.
+// until exactly `workers` joins have handshaken successfully, reading and
+// validating each worker's Hello (wire-version negotiation happens here).
+// The joining order determines peer ids: the i-th join becomes peer i+1.
 func (h *ClusterHost) Accept(workers int) error {
 	if workers <= 0 {
 		h.abort()

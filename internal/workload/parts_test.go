@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/engine"
 )
 
 // collectParts runs one period of a partitionable generator split `parts`
 // ways and indexes every emitted tuple by its timestamp (unique within a
-// period: ts = period*1e6 + i), fingerprinted by its v1 encoding — key,
-// timestamp and every field.
+// period: ts = period*1e6 + i), fingerprinted by its wire encoding against an
+// empty name dictionary — key, timestamp and every field, names in full.
 func collectParts(t *testing.T, gen engine.PartSourceFunc, period, parts int) map[int64][]byte {
 	t.Helper()
 	got := map[int64][]byte{}
@@ -19,7 +20,7 @@ func collectParts(t *testing.T, gen engine.PartSourceFunc, period, parts int) ma
 			if _, dup := got[tu.TS]; dup {
 				t.Fatalf("parts=%d: timestamp %d emitted twice (overlapping partitions)", parts, tu.TS)
 			}
-			got[tu.TS] = tu.Encode(nil)
+			got[tu.TS] = tu.EncodeV2(nil, &codec.Dict{})
 		})
 	}
 	return got

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/engine"
 )
 
@@ -16,7 +17,7 @@ const testSeed = 42
 func encodePeriod(gen engine.SourceFunc, period int) []byte {
 	var out []byte
 	gen(period, func(tu *engine.Tuple) {
-		out = tu.Encode(out)
+		out = tu.EncodeV2(out, &codec.Dict{})
 	})
 	return out
 }
