@@ -14,12 +14,7 @@ import (
 // two can be compared and benchmarked on one stream.
 func commStats(numGroups int, dense bool) *nodeStats {
 	s := &nodeStats{numGroups: numGroups}
-	if dense {
-		s.commDense = make([]float64, numGroups*numGroups)
-	} else {
-		s.commSparse = &commTable{}
-		s.commSparse.init(commTableMinBuckets)
-	}
+	s.initComm(dense)
 	return s
 }
 

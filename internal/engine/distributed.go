@@ -154,21 +154,19 @@ func (e *Engine) peerFor(i int) int {
 }
 
 // workerPeers returns the distinct non-controller peers hosting at least one
-// alive node, ascending. Like everything that reads e.removed it belongs to
-// the goroutine driving the period; the result is valid until the next call.
+// alive node, ascending.
 func (e *Engine) workerPeers() []int {
 	if e.rig == nil {
 		return nil
 	}
-	peers := e.rig.peers[:0]
+	peers := make([]int, 0, len(e.nodes))
 	for i := range e.nodes {
 		if p := e.peerFor(i); !e.removed[i] && p != e.self {
 			peers = append(peers, p)
 		}
 	}
 	slices.Sort(peers)
-	e.rig.peers = slices.Compact(peers)
-	return e.rig.peers
+	return slices.Compact(peers)
 }
 
 // deliver routes one mailbox message to shard gsid, wherever it runs: a

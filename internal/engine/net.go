@@ -23,8 +23,6 @@ type netRig struct {
 	// hotAcks carries destination-dispatch acknowledgements of hot-move
 	// frames back to applyHotMoves (two-phase broadcast ordering).
 	hotAcks chan hotAckEv
-	// peers is workerPeers' reused result buffer.
-	peers []int
 
 	mu      sync.Mutex
 	dead    map[int]bool

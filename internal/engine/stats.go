@@ -78,13 +78,19 @@ func newNodeStats(numGroups int, subPeriods bool) *nodeStats {
 	if subPeriods {
 		s.subMilli = make([]atomic.Int64, numGroups)
 	}
-	if numGroups <= denseCommGroupLimit {
-		s.commDense = make([]float64, numGroups*numGroups)
-	} else {
-		s.commSparse = &commTable{}
-		s.commSparse.init(commTableMinBuckets)
-	}
+	s.initComm(numGroups <= denseCommGroupLimit)
 	return s
+}
+
+// initComm allocates the communication accumulator: the dense matrix or the
+// sparse table.
+func (s *nodeStats) initComm(dense bool) {
+	if dense {
+		s.commDense = make([]float64, s.numGroups*s.numGroups)
+		return
+	}
+	s.commSparse = &commTable{}
+	s.commSparse.init(commTableMinBuckets)
 }
 
 // addComm records one tuple flowing from key group `from` to `to`.
