@@ -15,11 +15,12 @@
 // abort an in-flight solve when a fresher snapshot arrives (the stale plan
 // is never applied). -sub-ewma additionally folds the sub-period
 // observations into the periodic planner's EWMA, so both loops see the same
-// load signal. -subperiods, -trigger-ratio, -trigger-dev, -cooldown and
-// -hot-budget tune that path and are rejected without -reactive, as are
-// -workers without -listen and -incremental with a balancer that does not
-// plan (anything but albic and milp): a flag that would be ignored is an
-// error, exit status 2.
+// load signal. -subperiods and -hot-budget tune that path and are rejected
+// without -reactive, as are -workers without -listen, -incremental with a
+// balancer that does not plan (anything but albic and milp), -precopy-chunk
+// without -ckpt-every (no checkpoint, nothing to pre-copy) and -cancel-stale
+// with -pipelined=false (lockstep never has a solve in flight): a flag that
+// would be ignored is an error, exit status 2.
 //
 // With -ckpt-every N the controller checkpoints all key-group state
 // incrementally every N periods, which arms checkpoint-assisted migration:
@@ -67,9 +68,6 @@ func main() {
 	smooth := flag.Float64("smooth", 1, "EWMA factor for planner inputs, in (0,1]; 1 = plan on raw loads")
 	reactive := flag.Bool("reactive", false, "enable sub-period reactive reconfiguration (hot moves)")
 	subperiods := flag.Int("subperiods", 4, "sub-intervals per period for the reactive path")
-	triggerRatio := flag.Float64("trigger-ratio", 0, "reactive imbalance-ratio threshold (0 = default 1.25)")
-	triggerDev := flag.Float64("trigger-dev", 0, "reactive EWMA-deviation threshold (0 = default 0.15)")
-	cooldown := flag.Int("cooldown", 0, "sub-boundaries skipped after a reactive firing (0 = default 2)")
 	hotBudget := flag.Int("hot-budget", 2, "max key groups per reactive firing")
 	cancelStale := flag.Bool("cancel-stale", false, "cancel an in-flight pipelined solve when a fresher snapshot arrives")
 	subEWMA := flag.Bool("sub-ewma", false, "fold sub-period observations into the periodic planner's EWMA (needs -reactive and -smooth < 1)")
@@ -104,9 +102,13 @@ func main() {
 		unmet["incremental"] = "-balancer albic or milp"
 	}
 	if !*reactive {
-		for _, name := range []string{"subperiods", "trigger-ratio", "trigger-dev", "cooldown", "hot-budget"} {
-			unmet[name] = "-reactive"
-		}
+		unmet["subperiods"], unmet["hot-budget"] = "-reactive", "-reactive"
+	}
+	if *ckptEvery <= 0 {
+		unmet["precopy-chunk"] = "-ckpt-every"
+	}
+	if !*pipelined {
+		unmet["cancel-stale"] = "-pipelined"
 	}
 	flag.Visit(func(f *flag.Flag) {
 		if need, ok := unmet[f.Name]; ok {
@@ -199,9 +201,6 @@ func main() {
 		Pipelined:        *pipelined,
 		CancelStalePlans: *cancelStale,
 		Reactive:         *reactive,
-		TriggerRatio:     *triggerRatio,
-		TriggerDeviation: *triggerDev,
-		TriggerCooldown:  *cooldown,
 		HotMoveBudget:    *hotBudget,
 		SubEWMA:          *subEWMA,
 		CheckpointEvery:  *ckptEvery,

@@ -4,18 +4,19 @@
 // capacity calibration, the migration budget, balancer invocation through
 // core.Framework, and horizontal scaling (AddNodes / drain / terminate).
 //
-// The controller runs in one of two modes. In lockstep mode the loop is the
-// paper's: run a period, snapshot, plan, apply — the engine is quiescent
-// while the planner (5-60 ms MILP budgets, longer at paper scale) runs. In
-// pipelined mode planning is overlapped with data flow: while period N+1's
-// sources and operators run, a dedicated planner goroutine works on period
-// N's snapshot, and the resulting moves are staged at the following period
-// boundary (the engine's staged-migration diff defers their execution to
-// period N+2). A slow planner therefore adds no latency to the data path;
-// if planning takes longer than a period, intermediate snapshots are
-// dropped — with smoothing enabled (SmoothAlpha < 1) their loads are still
-// folded into the EWMA the next planner input carries, while at
-// SmoothAlpha 1 the planner simply plans on the latest raw snapshot.
+// Planning has one path: at a period boundary the snapshot goes to a planner
+// goroutine, and a completed outcome is applied at a boundary. The two modes
+// differ only in which boundary. Lockstep awaits the outcome at the boundary
+// that handed the snapshot over — the paper's loop: run a period, snapshot,
+// plan, apply, with the engine quiescent while the planner (5-60 ms MILP
+// budgets, longer at paper scale) runs. Pipelined lets period N+1's sources
+// and operators run meanwhile and applies the outcome at the following
+// boundary (the engine's staged-migration diff defers the moves' execution
+// to period N+2). A slow planner then adds no latency to the data path; if
+// planning takes longer than a period, intermediate snapshots are dropped —
+// with smoothing enabled (SmoothAlpha < 1) their loads are still folded into
+// the EWMA the next planner input carries, while at SmoothAlpha 1 the
+// planner simply plans on the latest raw snapshot.
 //
 // Two optional layers extend the loop beyond the paper. With
 // CancelStalePlans, a pipelined solve whose input snapshot goes stale (a
@@ -135,17 +136,9 @@ type Options struct {
 	// engine must implement SubPeriodEngine and have been built with
 	// engine.Config.SubPeriods >= 2.
 	Reactive bool
-	// TriggerRatio / TriggerDeviation / TriggerCooldown configure the
-	// reactive trigger policy (zero values take the Trigger defaults).
-	TriggerRatio     float64
-	TriggerDeviation float64
-	TriggerCooldown  int
-	// HotMoveBudget caps the key groups a single reactive firing may move
-	// (default 2).
+	// HotMoveBudget caps the key groups a single reactive firing
+	// (core.GreedyHotMover on a Trigger at its defaults) may move (default 2).
 	HotMoveBudget int
-	// HotMover overrides the reactive planner (default
-	// core.GreedyHotMover).
-	HotMover core.Balancer
 	// SubEWMA feeds the sub-period observations into the periodic planner's
 	// EWMA: at every sub-interval boundary the interval's load increment
 	// (scaled to a full-period rate) is folded into the smoothed loads the
@@ -202,7 +195,7 @@ type PeriodReport struct {
 	// Outcome is the adaptation outcome applied at this boundary (nil if
 	// none: planner still busy, or planning disabled).
 	Outcome *core.Outcome
-	// PlanLatency is the balancer time spent producing Outcome.
+	// PlanLatency is the solver time spent producing Outcome, in both modes.
 	PlanLatency time.Duration
 	// Added / Terminated list nodes provisioned / shut down at this
 	// boundary.
@@ -298,9 +291,9 @@ type run struct {
 	// terminated) once.
 	terminated map[int]bool
 
-	// Pipelined-planning state: req carries at most one in-flight snapshot
-	// to the planner goroutine, res its outcome; cancelPlan aborts the
-	// in-flight solve.
+	// Planning state: req carries at most one in-flight snapshot to the
+	// planner goroutine, res its outcome; cancelPlan aborts the in-flight
+	// solve. Lockstep is never planning across a boundary.
 	req        chan planReq
 	res        chan plannerResult
 	planning   bool
@@ -346,19 +339,12 @@ func (c *Controller) Run(ctx context.Context, periods int) (*Metrics, error) {
 		if !ok {
 			return r.m, fmt.Errorf("controller: Reactive requires an engine with sub-period support")
 		}
-		r.trigger = &Trigger{
-			Ratio:     c.opt.TriggerRatio,
-			Deviation: c.opt.TriggerDeviation,
-			Cooldown:  c.opt.TriggerCooldown,
-		}
-		r.hotMover = c.opt.HotMover
-		if r.hotMover == nil {
-			r.hotMover = &core.GreedyHotMover{TopK: c.opt.HotMoveBudget}
-		}
+		r.trigger = &Trigger{}
+		r.hotMover = &core.GreedyHotMover{TopK: c.opt.HotMoveBudget}
 		se.SetSubObserver(r.onSubPeriod)
 		defer se.SetSubObserver(nil)
 	}
-	if c.opt.Pipelined && c.fw != nil {
+	if c.fw != nil {
 		r.req = make(chan planReq, 1)
 		r.res = make(chan plannerResult, 1)
 		go func() {
@@ -428,10 +414,10 @@ func (r *run) onSubPeriod(snap *core.Snapshot, period, sub int) []core.Move {
 	return plan.Moves
 }
 
-// observe is the period-boundary hook: it applies any completed
-// asynchronous outcome, calibrates once after the first period, snapshots,
-// records metrics, smooths planner inputs and either plans synchronously
-// (lockstep) or hands the snapshot to the planner goroutine (pipelined).
+// observe is the period-boundary hook: it calibrates once after the first
+// period, snapshots, records metrics, applies an outcome the planner
+// goroutine completed meanwhile, smooths planner inputs and hands the
+// snapshot to the planner — awaiting its outcome right here in lockstep.
 func (r *run) observe(ps *engine.PeriodStats) error {
 	c := r.c
 	p := r.p
@@ -495,15 +481,9 @@ func (r *run) observe(ps *engine.PeriodStats) error {
 	if r.planning {
 		select {
 		case pr := <-r.res:
-			r.planning = false
-			r.cancelPlan()
-			if pr.err != nil {
-				return fmt.Errorf("controller: period %d plan: %w", ps.Period, pr.err)
-			}
-			if err := r.applyOutcome(pr.out, &rep); err != nil {
+			if err := r.applyOutcome(pr, &rep); err != nil {
 				return err
 			}
-			rep.PlanLatency = pr.latency
 			patchSnapshot(snap, pr.out)
 		default:
 			// Planner still busy on an older snapshot. Either drop this
@@ -528,25 +508,20 @@ func (r *run) observe(ps *engine.PeriodStats) error {
 		snap.MaxMigrCost = c.opt.MaxMigrCost
 		snap.Alpha = c.opt.Alpha
 		r.smoothLoads(snap)
-		if c.opt.Pipelined {
-			if !r.planning {
-				// Hand the freshest snapshot to the planner; it plans while
-				// the next period's data flows.
-				pctx, cancel := context.WithCancel(r.ctx)
-				r.cancelPlan = cancel
-				r.req <- planReq{ctx: pctx, snap: snap}
-				r.planning = true
-			}
-		} else {
-			t0 := time.Now()
-			out, err := c.fw.Step(r.ctx, snap)
-			if err != nil {
-				return fmt.Errorf("controller: period %d plan: %w", ps.Period, err)
-			}
-			if err := r.applyOutcome(out, &rep); err != nil {
+		if !r.planning {
+			// Hand the freshest snapshot to the planner; pipelined, it plans
+			// while the next period's data flows.
+			pctx, cancel := context.WithCancel(r.ctx)
+			r.cancelPlan = cancel
+			r.req <- planReq{ctx: pctx, snap: snap}
+			r.planning = true
+		}
+		if !c.opt.Pipelined {
+			// Lockstep is the same hand-off awaited at the boundary that made
+			// it. Nothing plans on this snapshot again, so it needs no patch.
+			if err := r.applyOutcome(<-r.res, &rep); err != nil {
 				return err
 			}
-			rep.PlanLatency = time.Since(t0)
 		}
 	}
 	if c.opt.OnPeriod != nil {
@@ -669,11 +644,18 @@ func patchSnapshot(snap *core.Snapshot, out *core.Outcome) {
 	}
 }
 
-// applyOutcome installs one adaptation outcome: terminate drained
+// applyOutcome installs one completed planning result: terminate drained
 // kill-marked nodes (Algorithm 1 lines 1-3), provision requested nodes so
 // the plan's node indices resolve, mark nodes for draining, and stage the
 // allocation plan for the next period boundary.
-func (r *run) applyOutcome(out *core.Outcome, rep *PeriodReport) error {
+func (r *run) applyOutcome(pr plannerResult, rep *PeriodReport) error {
+	r.planning = false
+	r.cancelPlan()
+	if pr.err != nil {
+		return fmt.Errorf("controller: period %d plan: %w", rep.Period, pr.err)
+	}
+	out := pr.out
+	rep.PlanLatency = pr.latency
 	for _, id := range out.Terminate {
 		if r.terminated[id] {
 			continue

@@ -13,11 +13,11 @@ import (
 
 // The equivalence harness: one scripted adaptive run — periods, a staged
 // checkpoint-assisted migration whose pre-copy spans boundaries, sub-period
-// hot moves, weighted scale-out, checkpoints — executed over (a) the classic
-// single-process engine, (b) an in-memory transport cluster and (c) a real
-// TCP-loopback cluster. All three must produce bit-identical per-period
-// statistics: the distributed runtime is an implementation detail, not a
-// semantic change.
+// hot moves, weighted scale-out, checkpoints — executed over (a) the
+// zero-worker layout (engine.New), (b) an in-memory transport cluster, (c) the
+// same cluster with one node hosted by the controller itself and (d) a real
+// TCP-loopback cluster. All four must produce bit-identical per-period
+// statistics: the layout is an implementation detail, not a semantic change.
 
 // periodSummary is the comparable digest of one period's statistics. Every
 // field is copied out of the PeriodStats so summaries from different engines
@@ -221,10 +221,11 @@ func comparePeriods(t *testing.T, name string, got, want []periodSummary) {
 	}
 }
 
-// TestDistributedEquivalence is the PR's acceptance test: the same seeded
-// adaptive run over the classic engine, the in-memory cluster and a real
-// TCP-loopback cluster yields identical per-period statistics — including
-// the exact wire-byte accounting invariant — and identical checkpoints.
+// TestDistributedEquivalence is the acceptance test of every layout: the same
+// seeded adaptive run over the zero-worker engine, the in-memory cluster, a
+// mixed layout and a real TCP-loopback cluster yields identical per-period
+// statistics — including the exact wire-byte accounting invariant — and
+// identical checkpoints.
 func TestDistributedEquivalence(t *testing.T) {
 	spec := equivSpec()
 	classic, classicCkpts := runClassic(t, spec)
@@ -248,6 +249,18 @@ func TestDistributedEquivalence(t *testing.T) {
 	comparePeriods(t, "mem", mem, classic)
 	if !reflect.DeepEqual(memCkpts, classicCkpts) {
 		t.Errorf("mem checkpoints diverge: got %+v want %+v", memCkpts, classicCkpts)
+	}
+
+	// A mixed layout: the controller hosts node 0 beside two workers, so the
+	// script's staged delta move, hot moves, checkpoints and scale-out each
+	// cross a hosted↔remote boundary inside one engine — mailbox puts and
+	// frames, store-side tips and worker tip mirrors side by side.
+	mixedSpec := spec
+	mixedSpec.NodePeers = []int{0, 1, 2}
+	mixed, mixedCkpts := runMem(t, mixedSpec, nil)
+	comparePeriods(t, "mixed", mixed, classic)
+	if !reflect.DeepEqual(mixedCkpts, classicCkpts) {
+		t.Errorf("mixed checkpoints diverge: got %+v want %+v", mixedCkpts, classicCkpts)
 	}
 
 	tcp, tcpCkpts := runTCP(t, spec)

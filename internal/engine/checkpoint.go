@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/codec"
 	"repro/internal/statestore"
@@ -83,37 +82,25 @@ func (e *Engine) TakeCheckpoint() CheckpointStats {
 	// is not a dead peer: like a corrupt entry inside a reply it fails the
 	// next period (Engine.ckptErrs), instead of silently leaving that
 	// worker's tips stale.
-	if e.rig != nil {
-		peers := e.workerPeers()
-		bodies := make([][]byte, len(peers))
-		rerrs := make([]error, len(peers))
-		var wg sync.WaitGroup
-		for k, peer := range peers {
-			wg.Add(1)
-			go func(k, peer int) {
-				defer wg.Done()
-				bodies[k], rerrs[k] = e.rig.request(peer, reqFrame{kind: rqCkpt, version: e.period})
-			}(k, peer)
+	peers := e.workerPeers()
+	bodies, rerrs := e.rig.requestAll(peers, reqFrame{kind: rqCkpt, version: e.period})
+	var entries []ckptEntryWire
+	for k, peer := range peers {
+		if rerrs[k] != nil {
+			continue
 		}
-		wg.Wait()
-		var entries []ckptEntryWire
-		for k, peer := range peers {
-			if rerrs[k] != nil {
-				continue
-			}
-			// Decoded entries own their payloads, so the reply buffer can go
-			// back to the pool here.
-			reply, derr := decodeCkptReply(bodies[k])
-			codec.PutBuf(bodies[k])
-			if derr != nil {
-				e.ckptErrs = append(e.ckptErrs, fmt.Errorf("engine: checkpoint reply from peer %d: %w", peer, derr))
-				continue
-			}
-			entries = append(entries, reply...)
+		// Decoded entries own their payloads, so the reply buffer can go
+		// back to the pool here.
+		reply, derr := decodeCkptReply(bodies[k])
+		codec.PutBuf(bodies[k])
+		if derr != nil {
+			e.ckptErrs = append(e.ckptErrs, fmt.Errorf("engine: checkpoint reply from peer %d: %w", peer, derr))
+			continue
 		}
-		if aerr := e.absorbCkptEntries(entries, &cs, &fresh); aerr != nil {
-			e.ckptErrs = append(e.ckptErrs, aerr)
-		}
+		entries = append(entries, reply...)
+	}
+	if aerr := e.absorbCkptEntries(entries, &cs, &fresh); aerr != nil {
+		e.ckptErrs = append(e.ckptErrs, aerr)
 	}
 	cs.Groups = e.ckpt.Len()
 	cs.TotalBytes = e.ckpt.Bytes()
@@ -151,32 +138,12 @@ func (e *Engine) RestoreCheckpointStore(s *statestore.Store) { e.ckpt = s }
 // and every state it held is lost. The node's key groups must be recovered
 // (Recover) or reassigned before the next period.
 func (e *Engine) FailNode(id int) error {
-	if id < 0 || id >= len(e.nodes) {
-		return fmt.Errorf("engine: fail invalid node %d", id)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.failLocal(id); err != nil {
+		return err
 	}
-	if e.removed[id] {
-		return fmt.Errorf("engine: node %d already gone", id)
-	}
-	e.removed[id] = true
-	e.killed[id] = true
-	if e.nodes[id] != nil {
-		e.nodes[id].closeMailboxes()
-		for _, sh := range e.nodes[id].shards {
-			sh.states = map[int]*State{}
-			sh.tips = map[int]*ckptTip{}
-		}
-	} else if e.rig != nil {
-		// Remote slot: the owning worker wipes the node's states and tip
-		// mirrors. Best-effort — when the whole peer process crashed (the
-		// usual reason FailNode is called), the request is skipped and the
-		// states are gone with the process anyway.
-		peer := e.peerFor(id)
-		if !e.rig.isDead(peer) {
-			if body, err := e.rig.request(peer, reqFrame{kind: rqFail, node: id}); err == nil {
-				codec.PutBuf(body)
-			}
-		}
-	}
+	e.askHost(id, rqFail)
 	// Any checkpoint tip resident on the failed node is lost with it.
 	if e.tipNode != nil {
 		for gid, n := range e.tipNode {

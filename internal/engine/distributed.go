@@ -10,36 +10,48 @@ import (
 	"repro/internal/transport"
 )
 
-// Distributed construction. The classic New builds a single-process engine:
-// every node is a local goroutine pool and no transport exists. The
-// distributed variants split the same engine across OS processes behind a
-// transport.Endpoint: NewDistributed builds the controller side (peer 0 —
-// runs the control loop, the sources, planning, checkpointing; hosts only
-// the node slots mapped to peer 0, normally none), NewWorker builds a worker
-// side (hosts the node slots mapped to its peer id and serves the
-// controller via ServeWorker). peerOf maps every node slot to the peer that
-// hosts it; it must be identical on every process (the bootstrap ships it in
-// the join handshake's metadata).
+// Construction. An engine is always one process of a cluster behind a
+// transport.Endpoint: the controller (peer 0 — runs the control loop, the
+// sources, planning and checkpointing, and hosts the node slots mapped to
+// peer 0) or a worker (hosts the node slots mapped to its peer id and serves
+// the controller via ServeWorker). peerOf maps every node slot to the peer
+// that hosts it; it must be identical on every process (the bootstrap ships
+// it in the join handshake's metadata). New builds the layout with no
+// workers: a controller on a one-endpoint in-memory network that hosts every
+// node, so each loop over worker peers below runs zero times.
+//
+// Two things stay local-first in every layout, because they decide what a
+// period costs: deliver puts a message for a hosted shard straight into its
+// mailbox (no frame is encoded), and the controller checkpoints the states it
+// hosts straight into its store (workers keep tip mirrors instead; see
+// worker.go).
 
-// New builds an engine for a topology. The topology must have been Built.
-// Key groups start allocated round-robin across nodes unless initial is
-// given (len NumGroups).
+// New builds a single-process engine for a topology: the controller of a
+// cluster with no workers. The topology must have been Built. Key groups
+// start allocated round-robin across nodes unless initial is given (len
+// NumGroups).
 func New(topo *Topology, cfg Config, initial []int) (*Engine, error) {
-	return newEngine(topo, cfg, initial, nil, 0, nil)
+	cfg.defaults()
+	ep := transport.NewMemCluster(0)[0]
+	e, err := NewDistributed(topo, cfg, initial, ep, make([]int, cfg.Nodes))
+	if err != nil {
+		ep.Close()
+	}
+	return e, err
 }
 
-// NewDistributed builds the controller engine of a multi-process cluster.
-// ep must be the controller endpoint (Self() == 0); peerOf[i] names the
-// peer hosting node slot i.
+// NewDistributed builds the controller engine of a cluster. ep must be the
+// controller endpoint (Self() == 0); peerOf[i] names the peer hosting node
+// slot i.
 func NewDistributed(topo *Topology, cfg Config, initial []int, ep transport.Endpoint, peerOf []int) (*Engine, error) {
 	if ep.Self() != 0 {
 		return nil, fmt.Errorf("engine: controller endpoint has peer id %d, want 0", ep.Self())
 	}
-	e, err := newEngine(topo, cfg, initial, ep, 0, peerOf)
+	e, err := newEngine(topo, cfg, initial, ep, peerOf)
 	if err != nil {
 		return nil, err
 	}
-	e.rig.runController()
+	go e.rig.serve(e.rig.dispatchControl) //nolint:errcheck // ends when Close closes the endpoint
 	return e, nil
 }
 
@@ -49,10 +61,10 @@ func NewWorker(topo *Topology, cfg Config, initial []int, ep transport.Endpoint,
 	if ep.Self() == 0 {
 		return nil, fmt.Errorf("engine: worker endpoint has peer id 0")
 	}
-	return newEngine(topo, cfg, initial, ep, ep.Self(), peerOf)
+	return newEngine(topo, cfg, initial, ep, peerOf)
 }
 
-func newEngine(topo *Topology, cfg Config, initial []int, ep transport.Endpoint, self int, peerOf []int) (*Engine, error) {
+func newEngine(topo *Topology, cfg Config, initial []int, ep transport.Endpoint, peerOf []int) (*Engine, error) {
 	if !topo.built {
 		if err := topo.Build(); err != nil {
 			return nil, err
@@ -66,14 +78,13 @@ func newEngine(topo *Topology, cfg Config, initial []int, ep transport.Endpoint,
 		killed:     make([]bool, cfg.Nodes),
 		weights:    make([]float64, cfg.Nodes),
 		invWeights: make([]float64, cfg.Nodes),
+		capacity:   1000,
 		events:     make(chan engEvent, 16384),
-		self:       self,
+		self:       ep.Self(),
+		peerOf:     append([]int(nil), peerOf...),
 	}
-	if ep != nil {
-		if len(peerOf) != cfg.Nodes {
-			return nil, fmt.Errorf("engine: %d node-peer entries for %d nodes", len(peerOf), cfg.Nodes)
-		}
-		e.peerOf = append([]int(nil), peerOf...)
+	if len(peerOf) != cfg.Nodes {
+		return nil, fmt.Errorf("engine: %d node-peer entries for %d nodes", len(peerOf), cfg.Nodes)
 	}
 	for i := range e.weights {
 		e.weights[i] = 1
@@ -130,24 +141,18 @@ func newEngine(topo *Topology, cfg Config, initial []int, ep transport.Endpoint,
 		e.nodes = append(e.nodes, n)
 		n.start()
 	}
-	if ep != nil {
-		e.rig = newNetRig(e, ep)
-	}
+	e.rig = newNetRig(e, ep)
 	return e, nil
 }
 
-// hostsNode reports whether node slot i runs in this process. In the classic
-// single-process engine every node is local.
+// hostsNode reports whether node slot i runs in this process.
 func (e *Engine) hostsNode(i int) bool {
-	if e.peerOf == nil {
-		return true
-	}
 	return i < len(e.peerOf) && e.peerOf[i] == e.self
 }
 
 // peerFor returns the peer hosting node slot i (e.self for local slots).
 func (e *Engine) peerFor(i int) int {
-	if e.peerOf == nil || i >= len(e.peerOf) {
+	if i >= len(e.peerOf) {
 		return e.self
 	}
 	return e.peerOf[i]
@@ -156,10 +161,7 @@ func (e *Engine) peerFor(i int) int {
 // workerPeers returns the distinct non-controller peers hosting at least one
 // alive node, ascending.
 func (e *Engine) workerPeers() []int {
-	if e.rig == nil {
-		return nil
-	}
-	peers := make([]int, 0, len(e.nodes))
+	var peers []int // stays nil, and allocates nothing, when every slot is hosted here
 	for i := range e.nodes {
 		if p := e.peerFor(i); !e.removed[i] && p != e.self {
 			peers = append(peers, p)
@@ -184,7 +186,7 @@ func (e *Engine) deliver(gsid int, msg message) bool {
 	if e.rig.isDead(peer) {
 		err = fmt.Errorf("engine: peer %d is down", peer)
 	} else {
-		err = e.rig.sendMsg(peer, gsid, msg)
+		err = e.rig.ep.Send(peer, encodeMsgFrame(gsid, msg))
 	}
 	if m, ok := msg.(dataBatchMsg); ok {
 		// The frame copied the payload; the staged batch buffer is spent.
@@ -194,9 +196,9 @@ func (e *Engine) deliver(gsid int, msg message) bool {
 }
 
 // emit reports one engine event: workers encode it toward the controller,
-// the controller (and the classic engine) consumes it in process.
+// the controller consumes it in process.
 func (e *Engine) emit(ev engEvent) {
-	if e.rig != nil && e.self != 0 {
+	if e.self != 0 {
 		_ = e.rig.ep.Send(0, encodeEventFrame(ev))
 		return
 	}

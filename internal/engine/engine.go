@@ -14,33 +14,33 @@ import (
 	"repro/internal/statestore"
 )
 
-// Config tunes the engine's simulated cost model. All costs are in abstract
-// "cost units"; a node is 100% loaded when it spends NodeCapacity units in
+// The simulated cost model's rates. All costs are in abstract "cost units";
+// a node of weight 1 is 100% loaded when it spends Engine.capacity units in
 // one period.
+const (
+	// serCostPerByte / deserCostPerByte model the CPU cost of moving a tuple
+	// across nodes — the overhead collocation eliminates. They are calibrated
+	// to the paper's regime at the granularity that matters, the tuple: the
+	// wire format packs the paper-job tuples ~1.24× denser than the format
+	// the original 0.02 belonged to, so the per-byte rate is scaled up to
+	// keep the modeled per-tuple serialization share unchanged.
+	serCostPerByte   = 0.025
+	deserCostPerByte = 0.025
+	// migrSecondsPerByte converts migrated state volume to modeled pause
+	// latency (Figure 9's metric): ≈ 2.5 s for a ~1.2 kB state, matching the
+	// paper's observation.
+	migrSecondsPerByte = 0.002
+)
+
+// Config sizes the engine and its state-transfer and parallelism options.
 type Config struct {
 	// Nodes is the initial worker count.
 	Nodes int
-	// NodeCapacity is the cost units one node can spend per period at 100%
-	// load (default 1000).
-	NodeCapacity float64
 	// CapacityWeights makes the cluster heterogeneous (Section 4.3.1,
 	// "Extending to Heterogeneous Nodes"): node i is 100% loaded at
-	// NodeCapacity·CapacityWeights[i] cost units. nil means homogeneous;
-	// nodes added later via AddNodes get weight 1.
+	// CapacityWeights[i] times the cost units of a weight-1 node. nil means
+	// homogeneous; nodes added later via AddNodes get weight 1.
 	CapacityWeights []float64
-	// SerCostPerByte / DeserCostPerByte model the CPU cost of moving a
-	// tuple across nodes (defaults 0.025 / 0.025) — the overhead
-	// collocation eliminates. The defaults are calibrated to the paper's
-	// regime at the granularity that matters, the tuple: wire format v2
-	// packs the paper-job tuples ~1.24× denser than v1 (whose era the old
-	// 0.02 default belonged to), so the per-byte rate is scaled up to keep
-	// the modeled per-tuple serialization share unchanged.
-	SerCostPerByte   float64
-	DeserCostPerByte float64
-	// MigrSecondsPerByte converts migrated state volume to modeled pause
-	// latency (Figure 9's metric; default 0.002 s/byte ≈ 2.5 s for a
-	// ~1.2 kB state, matching the paper's observation).
-	MigrSecondsPerByte float64
 	// SubPeriods splits each statistics period into this many sub-intervals
 	// for reactive reconfiguration (see subperiod.go): the engine maintains
 	// mid-period load counters (SubSnapshot) and invokes the sub-period
@@ -89,18 +89,6 @@ func (c *Config) defaults() {
 	if c.Nodes <= 0 {
 		c.Nodes = 4
 	}
-	if c.NodeCapacity <= 0 {
-		c.NodeCapacity = 1000
-	}
-	if c.SerCostPerByte <= 0 {
-		c.SerCostPerByte = 0.025
-	}
-	if c.DeserCostPerByte <= 0 {
-		c.DeserCostPerByte = 0.025
-	}
-	if c.MigrSecondsPerByte <= 0 {
-		c.MigrSecondsPerByte = 0.002
-	}
 	if c.CheckpointAssistBytes == 0 {
 		c.CheckpointAssistBytes = 1
 	}
@@ -133,6 +121,9 @@ type Engine struct {
 	removed []bool    // node terminated (scale-in completed)
 	killed  []bool    // node marked for removal (draining)
 	weights []float64 // per-node capacity weights (heterogeneity)
+	// capacity is the cost units a weight-1 node spends per period at 100%
+	// load: 1000 until CalibrateCapacity rescales it (guarded by mu).
+	capacity float64
 	// invWeights caches 1/weights for the per-tuple PoTC routing hot path.
 	invWeights []float64
 	// hetero is true when any capacity weight differs from 1; the
@@ -189,10 +180,10 @@ type Engine struct {
 
 	last *PeriodStats
 
-	// Distribution state (zero/nil in the classic single-process engine; see
-	// distributed.go): self is this process's peer id (0 = controller),
-	// peerOf maps node slot -> hosting peer, rig is the transport attachment.
-	// e.nodes holds nil for slots hosted by other processes.
+	// Layout (see distributed.go): self is this process's peer id (0 =
+	// controller), peerOf maps node slot -> hosting peer, rig is the transport
+	// attachment. e.nodes holds nil for slots hosted by other processes; New
+	// maps every slot to peer 0.
 	self   int
 	peerOf []int
 	rig    *netRig
@@ -449,17 +440,6 @@ func (e *Engine) beginPeriod() *periodRun {
 		}
 	}
 
-	// Reset per-period stats, including the shards' mid-period sub-interval
-	// counters (shards are quiescent between periods). Remote nodes reset in
-	// their own process when the arm frame arrives.
-	for i, n := range e.nodes {
-		if n != nil && !e.removed[i] {
-			for _, sh := range n.shards {
-				sh.stats.reset()
-			}
-		}
-	}
-
 	// Expected barrier count per (shard, op): one per source feeding the op
 	// plus one per shard of each host of each upstream operator — every
 	// shard of a hosting node participates in the barrier protocol, so both
@@ -491,64 +471,45 @@ func (e *Engine) beginPeriod() *periodRun {
 		awaitIn[g] = append(awaitIn[g], mv.Group)
 	}
 
-	// Arm every shard of every alive node, collect acks. A shard whose
-	// mailbox is already closed — a crash the control plane has not absorbed
-	// yet — can never ack, and neither can one that reports an error instead
+	// Arm every shard of every alive node, collect acks: the hosted ones
+	// through armLocal (which also resets their period statistics), every
+	// worker peer's through one arm frame (the worker rebuilds the identical
+	// periodStartMsg and runs the same armLocal; its shards ack through the
+	// event path). A shard that cannot be armed — closed mailbox, unreachable
+	// peer — can never ack, and neither can one that reports an error instead
 	// of arming; both count toward the loop's exit so the control goroutine
-	// cannot wedge. Either case aborts the period (armFailed) and surfaces
-	// from RunPeriod/Run. Remote nodes arm through one frame per worker peer
-	// (the worker re-enqueues the identical periodStartMsg per shard and the
-	// shards ack through the event path); a peer death during the wait also
-	// aborts the period instead of wedging the ack count.
-	active := 0
-	for i, n := range e.nodes {
-		if n == nil || e.removed[i] {
+	// cannot wedge, and so does a peer death during the wait. Either case
+	// aborts the period (armFailed) and surfaces from RunPeriod/Run.
+	active, errs := e.armLocal(periodStartMsg{period: pr.period, router: pr.rt, barrierNeed: senders}, awaitIn)
+	pr.errs = append(pr.errs, errs...)
+	pr.armFailed = len(errs) > 0
+	for _, peer := range e.workerPeers() {
+		var peerGids []int
+		remoteNodes := 0
+		for i := range e.nodes {
+			if e.removed[i] || e.peerFor(i) != peer {
+				continue
+			}
+			remoteNodes++
+		}
+		for _, mv := range pr.staged {
+			if e.peerFor(mv.To) == peer {
+				peerGids = append(peerGids, mv.Group)
+			}
+		}
+		err := e.rig.ep.Send(peer, encodeArmFrame(armFrame{
+			period:      pr.period,
+			numNodes:    len(e.nodes),
+			alloc:       pr.alloc,
+			barrierNeed: senders,
+			awaitIn:     peerGids,
+		}))
+		if err != nil {
+			pr.errs = append(pr.errs, fmt.Errorf("engine: peer %d failed during arm phase: %w", peer, err))
+			pr.armFailed = true
 			continue
 		}
-		for _, sh := range n.shards {
-			ok := sh.mb.put(periodStartMsg{
-				period:      pr.period,
-				router:      pr.rt,
-				barrierNeed: senders,
-				awaitIn:     awaitIn[sh.gsid],
-			})
-			if !ok {
-				pr.errs = append(pr.errs, fmt.Errorf("engine: node %d shard %d failed during arm phase (mailbox closed)", i, sh.sid))
-				pr.armFailed = true
-				continue
-			}
-			active++
-		}
-	}
-	if e.rig != nil {
-		for _, peer := range e.workerPeers() {
-			var peerGids []int
-			remoteNodes := 0
-			for i := range e.nodes {
-				if e.removed[i] || e.peerFor(i) != peer {
-					continue
-				}
-				remoteNodes++
-			}
-			for _, mv := range pr.staged {
-				if e.peerFor(mv.To) == peer {
-					peerGids = append(peerGids, mv.Group)
-				}
-			}
-			err := e.rig.ep.Send(peer, encodeArmFrame(armFrame{
-				period:      pr.period,
-				numNodes:    len(e.nodes),
-				alloc:       pr.alloc,
-				barrierNeed: senders,
-				awaitIn:     peerGids,
-			}))
-			if err != nil {
-				pr.errs = append(pr.errs, fmt.Errorf("engine: peer %d failed during arm phase: %w", peer, err))
-				pr.armFailed = true
-				continue
-			}
-			active += remoteNodes * e.spn
-		}
+		active += remoteNodes * e.spn
 	}
 	for op := range e.topo.ops {
 		pr.expectedCompletions += len(pr.rt.hosts[op]) * e.spn
@@ -556,18 +517,14 @@ func (e *Engine) beginPeriod() *periodRun {
 	acks, errored := 0, 0
 	for acks+errored < active {
 		var ev engEvent
-		if e.rig != nil {
-			select {
-			case ev = <-e.events:
-			case <-e.rig.deadSignal():
-				pr.errs = append(pr.errs, fmt.Errorf("engine: worker died during arm phase of period %d", pr.period))
-				pr.armFailed = true
-				// Outstanding acks can never complete; stale ones drain at
-				// the next beginPeriod.
-				return pr
-			}
-		} else {
-			ev = <-e.events
+		select {
+		case ev = <-e.events:
+		case <-e.rig.deadSignal():
+			pr.errs = append(pr.errs, fmt.Errorf("engine: worker died during arm phase of period %d", pr.period))
+			pr.armFailed = true
+			// Outstanding acks can never complete; stale ones drain at
+			// the next beginPeriod.
+			return pr
 		}
 		switch ev.kind {
 		case evAck:
@@ -625,12 +582,7 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 	for completions < pr.expectedCompletions || migs < len(pr.staged) || gen != nil {
 		// A worker death mid-period means expected completions can never
 		// arrive; abort the period instead of wedging the barrier wait. The
-		// caller recovers via FailNode + Recover (dead channel is nil — never
-		// ready — for the single-process engine).
-		var dead <-chan struct{}
-		if e.rig != nil {
-			dead = e.rig.deadSignal()
-		}
+		// caller recovers via FailNode + Recover.
 		select {
 		case ev := <-e.events:
 			switch ev.kind {
@@ -655,7 +607,7 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 				return nil, err
 			}
 			gen = nil
-		case <-dead:
+		case <-e.rig.deadSignal():
 			return nil, fmt.Errorf("engine: worker died during period %d", pr.period)
 		}
 	}
@@ -674,7 +626,7 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 		// For checkpoint-assisted transfers, migratedBytes already counts
 		// only the delta — the pre-copied base moved in the background and
 		// never pauses processing.
-		MigrationLatency:   float64(migratedBytes) * e.cfg.MigrSecondsPerByte,
+		MigrationLatency:   float64(migratedBytes) * migrSecondsPerByte,
 		MigratedDeltaBytes: int64(deltaBytes),
 		PrecopyBytes:       pr.precopyBytes,
 		DeferredMoves:      pr.deferred,
@@ -694,62 +646,49 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 	groupMilli, nodeMilli := e.groupMilli, e.nodeMilli
 	e.commBuilder.Reset(ng)
 	e.mergeShardStats(ps, groupMilli, nodeMilli)
-	// Remote nodes: the stats round trips to all worker peers are issued
-	// concurrently (workers are quiescent — their shards' completions all
-	// arrived above — and the request pings their shards for the
-	// happens-before edge), then the replies merge in ascending peer order.
-	// The merge itself is order-independent (integer sums), so only the
-	// round-trip latency is parallelized, never the arithmetic.
+	// Remote nodes: every worker peer reports its own (workers are quiescent
+	// — their shards' completions all arrived above — and the request pings
+	// their shards for the happens-before edge); the replies merge in
+	// ascending peer order, though the merge itself is order-independent
+	// (integer sums).
 	var remoteDeltas []ckptDeltaEntry
-	if e.rig != nil {
-		peers := e.workerPeers()
-		bodies := make([][]byte, len(peers))
-		rerrs := make([]error, len(peers))
-		var wg sync.WaitGroup
-		for k, peer := range peers {
-			wg.Add(1)
-			go func(k, peer int) {
-				defer wg.Done()
-				bodies[k], rerrs[k] = e.rig.request(peer, reqFrame{kind: rqStats, version: pr.period})
-			}(k, peer)
+	peers := e.workerPeers()
+	bodies, rerrs := e.rig.requestAll(peers, reqFrame{kind: rqStats, version: pr.period})
+	for k, peer := range peers {
+		if rerrs[k] != nil {
+			return nil, fmt.Errorf("engine: stats from peer %d: %w", peer, rerrs[k])
 		}
-		wg.Wait()
-		for k, peer := range peers {
-			if rerrs[k] != nil {
-				return nil, fmt.Errorf("engine: stats from peer %d: %w", peer, rerrs[k])
+		nodes, derr := decodeStatsReply(bodies[k])
+		if derr != nil {
+			return nil, derr
+		}
+		for _, nw := range nodes {
+			if nw.node < 0 || nw.node >= len(e.nodes) {
+				continue
 			}
-			nodes, derr := decodeStatsReply(bodies[k])
-			if derr != nil {
-				return nil, derr
+			nodeMilli[nw.node] += nw.migMilli
+			for _, gv := range nw.groupMilli {
+				if gv.gid < ng {
+					groupMilli[gv.gid] += gv.val
+					nodeMilli[nw.node] += gv.val
+				}
 			}
-			for _, nw := range nodes {
-				if nw.node < 0 || nw.node >= len(e.nodes) {
-					continue
+			ps.TuplesIn += nw.tuplesIn
+			ps.TuplesOut += nw.tuplesOut
+			ps.BytesCrossNode += nw.bytesOut
+			ps.BytesCrossNodeIn += nw.bytesIn
+			ps.BatchesCrossNode += nw.batchesOut
+			for j := range nw.commN {
+				e.commBuilder.Add(int(nw.commFrom[j]), int(nw.commTo[j]), float64(nw.commN[j]))
+			}
+			for _, gv := range nw.stateBytes {
+				if gv.gid < ng {
+					ps.StateBytes[gv.gid] = int(gv.val)
 				}
-				nodeMilli[nw.node] += nw.migMilli
-				for _, gv := range nw.groupMilli {
-					if gv.gid < ng {
-						groupMilli[gv.gid] += gv.val
-						nodeMilli[nw.node] += gv.val
-					}
-				}
-				ps.TuplesIn += nw.tuplesIn
-				ps.TuplesOut += nw.tuplesOut
-				ps.BytesCrossNode += nw.bytesOut
-				ps.BytesCrossNodeIn += nw.bytesIn
-				ps.BatchesCrossNode += nw.batchesOut
-				for j := range nw.commN {
-					e.commBuilder.Add(int(nw.commFrom[j]), int(nw.commTo[j]), float64(nw.commN[j]))
-				}
-				for _, gv := range nw.stateBytes {
-					if gv.gid < ng {
-						ps.StateBytes[gv.gid] = int(gv.val)
-					}
-				}
-				for _, gv := range nw.ckptDelta {
-					if gv.gid < ng {
-						remoteDeltas = append(remoteDeltas, ckptDeltaEntry{node: nw.node, gid: gv.gid, size: int(gv.val)})
-					}
+			}
+			for _, gv := range nw.ckptDelta {
+				if gv.gid < ng {
+					remoteDeltas = append(remoteDeltas, ckptDeltaEntry{node: nw.node, gid: gv.gid, size: int(gv.val)})
 				}
 			}
 		}
@@ -916,7 +855,7 @@ func (e *Engine) AddNodes(count int) []int {
 
 // AddNodesWeighted provisions one new worker node per entry of weights, with
 // that entry as its relative capacity weight (1 = the baseline node; see
-// Config.NodeWeights), and returns their ids. Weights must be positive —
+// Config.CapacityWeights), and returns their ids. Weights must be positive —
 // this mirrors New's validation, which scale-out previously bypassed by
 // hardcoding weight 1 for every added node. Same call-site constraints as
 // AddNodes.
@@ -926,73 +865,49 @@ func (e *Engine) AddNodesWeighted(weights []float64) ([]int, error) {
 			return nil, fmt.Errorf("engine: added node weight %d is %v, want > 0", i, w)
 		}
 	}
-	// Distributed: each new slot lands on the worker peer currently hosting
-	// the fewest nodes (ties to the lowest peer id), and the provision
-	// broadcast goes to EVERY worker — all processes must extend their node
-	// tables before any arm frame can reference the new slots. The awaited
-	// replies provide that causality.
-	var owners []int
-	if e.rig != nil {
-		peers := e.rig.alivePeers()
-		if len(peers) == 0 {
-			return nil, fmt.Errorf("engine: no worker peers to provision onto")
+	// Each new slot lands on the alive worker peer currently hosting the
+	// fewest nodes (ties to the lowest peer id) — on this process when there
+	// is none, the one decision here that looks at the layout. The provision
+	// goes to this process's own table and to EVERY worker — all processes
+	// must extend their node tables before any arm frame can reference the
+	// new slots. The awaited replies provide that causality.
+	peers := e.rig.alivePeers()
+	hosted := map[int]int{}
+	for i := range e.nodes {
+		if !e.removed[i] {
+			hosted[e.peerFor(i)]++
 		}
-		hosted := map[int]int{}
-		for i := range e.nodes {
-			if !e.removed[i] {
-				hosted[e.peerFor(i)]++
+	}
+	q := reqFrame{kind: rqProvision, provW: weights}
+	for k := range weights {
+		best := e.self
+		for j, p := range peers {
+			if j == 0 || hosted[p] < hosted[best] {
+				best = p
 			}
 		}
-		for range weights {
-			best := peers[0]
-			for _, p := range peers[1:] {
-				if hosted[p] < hosted[best] {
-					best = p
-				}
-			}
-			hosted[best]++
-			owners = append(owners, best)
-		}
+		hosted[best]++
+		q.provIDs = append(q.provIDs, len(e.nodes)+k)
+		q.provOwner = append(q.provOwner, best)
 	}
 	e.mu.Lock()
-	var ids []int
-	for k, w := range weights {
-		id := len(e.nodes)
-		if e.rig != nil {
-			e.nodes = append(e.nodes, nil)
-			e.peerOf = append(e.peerOf, owners[k])
-		} else {
-			n := newNode(id, e)
-			e.nodes = append(e.nodes, n)
-			n.start()
-		}
-		e.removed = append(e.removed, false)
-		e.killed = append(e.killed, false)
-		e.weights = append(e.weights, w)
-		e.invWeights = append(e.invWeights, 1/w)
-		if w != 1 {
-			e.hetero = true
-		}
-		ids = append(ids, id)
-	}
+	err := e.provisionLocal(q.provIDs, q.provOwner, weights)
 	e.mu.Unlock()
-	if e.rig != nil {
-		q := reqFrame{kind: rqProvision, provW: weights}
-		q.provIDs = ids
-		q.provOwner = owners
-		for _, peer := range e.rig.alivePeers() {
-			body, err := e.rig.request(peer, q)
-			if err != nil {
-				return ids, fmt.Errorf("engine: provision on peer %d: %w", peer, err)
-			}
-			rerr := decodeOKReply(body)
-			codec.PutBuf(body)
-			if rerr != nil {
-				return ids, fmt.Errorf("engine: provision on peer %d: %w", peer, rerr)
-			}
+	if err != nil {
+		return nil, err
+	}
+	for _, peer := range peers {
+		body, err := e.rig.request(peer, q)
+		if err != nil {
+			return q.provIDs, fmt.Errorf("engine: provision on peer %d: %w", peer, err)
+		}
+		rerr := decodeOKReply(body)
+		codec.PutBuf(body)
+		if rerr != nil {
+			return q.provIDs, fmt.Errorf("engine: provision on peer %d: %w", peer, rerr)
 		}
 	}
-	return ids, nil
+	return q.provIDs, nil
 }
 
 // MarkForRemoval flags nodes for scale-in; the balancer drains them.
@@ -1026,37 +941,39 @@ func (e *Engine) TerminateNode(id int) error {
 			return fmt.Errorf("engine: node %d still physically holds group %d (migration pending)", id, gid)
 		}
 	}
-	e.removed[id] = true
-	if e.nodes[id] != nil {
-		e.nodes[id].closeMailboxes()
-	} else if e.rig != nil {
-		// Remote slot: tell the owning worker to close its mailboxes. The
-		// validation above already ran against the controller's authoritative
-		// allocation tables. Best-effort — a dead peer's nodes are gone anyway.
-		peer := e.peerFor(id)
-		if !e.rig.isDead(peer) {
-			if body, err := e.rig.request(peer, reqFrame{kind: rqTerminate, node: id}); err == nil {
-				codec.PutBuf(body)
-			}
-		}
+	if err := e.terminateLocal(id); err != nil {
+		return err
 	}
+	e.askHost(id, rqTerminate)
 	return nil
 }
 
-// Close stops all node goroutines. On the controller of a distributed
-// cluster it also tells every worker to shut down and closes the endpoint.
+// askHost forwards a terminate or fail of node slot id to the worker peer
+// hosting it, after the controller's own tables took it; slots hosted here
+// have no one to ask. Best-effort — a dead peer's nodes are gone anyway (the
+// usual reason FailNode is called is that the whole process crashed).
+func (e *Engine) askHost(id int, kind byte) {
+	if peer := e.peerFor(id); peer != e.self && !e.rig.isDead(peer) {
+		if body, err := e.rig.request(peer, reqFrame{kind: kind, node: id}); err == nil {
+			codec.PutBuf(body)
+		}
+	}
+}
+
+// Close stops the hosted node goroutines and closes the endpoint (which ends
+// the reader). The controller first tells every worker to do the same.
 func (e *Engine) Close() {
 	for i, n := range e.nodes {
-		if !e.removed[i] && n != nil {
+		if n != nil && !e.removed[i] {
 			n.closeMailboxes()
 		}
 	}
-	if e.rig != nil && e.self == 0 {
+	if e.self == 0 {
 		for _, peer := range e.rig.alivePeers() {
 			_ = e.rig.ep.Send(peer, encodeByeFrame())
 		}
-		e.rig.ep.Close()
 	}
+	_ = e.rig.ep.Close()
 }
 
 // Snapshot converts the last period's statistics into the controller's
@@ -1103,7 +1020,7 @@ func (e *Engine) Snapshot() (*core.Snapshot, error) {
 	return s, nil
 }
 
-// CalibrateCapacity rescales NodeCapacity so that the average load of
+// CalibrateCapacity rescales the capacity unit so that the average load of
 // non-removed nodes in the last period equals targetAvgPercent. Experiments
 // call this once after a warm-up period so the reported percentages sit in
 // a realistic band; it only changes the unit conversion, never behaviour.
@@ -1123,7 +1040,7 @@ func (e *Engine) CalibrateCapacity(targetAvgPercent float64) {
 	if n == 0 || total == 0 {
 		return
 	}
-	e.cfg.NodeCapacity = (total / float64(n)) * 100 / targetAvgPercent
+	e.capacity = (total / float64(n)) * 100 / targetAvgPercent
 }
 
 // NodeLoadPercents returns per-node load (% of capacity) from the last

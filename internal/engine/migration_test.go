@@ -137,7 +137,7 @@ func TestCheckpointAssistedMigration(t *testing.T) {
 		t.Fatalf("delta transfer %d bytes is not << full state %d bytes", moved.MigratedDeltaBytes, fullSize)
 	}
 	// Latency is modeled from the synchronously-transferred delta only.
-	wantLat := float64(moved.MigratedDeltaBytes) * e.cfg.MigrSecondsPerByte
+	wantLat := float64(moved.MigratedDeltaBytes) * migrSecondsPerByte
 	if moved.MigrationLatency != wantLat {
 		t.Fatalf("MigrationLatency = %v, want %v (delta bytes only)", moved.MigrationLatency, wantLat)
 	}

@@ -9,13 +9,14 @@ import (
 	"repro/internal/transport"
 )
 
-// netRig is an engine's attachment to a transport.Endpoint in distributed
-// mode. It owns the cross-process concerns the in-memory engine never had:
-// frame encoding/decoding (wire.go), the controller's request/reply channel,
-// hot-move acknowledgements, and peer-death tracking. The engine's data path
-// stays oblivious — Engine.deliver routes a mailbox message either to a
-// local shard or through the rig, and the receiving dispatch loop puts the
-// identical message into the owning shard's mailbox.
+// netRig is an engine's attachment to its transport.Endpoint. It owns what
+// crosses processes: frame encoding/decoding (wire.go), the controller's
+// request/reply channel, hot-move acknowledgements, and peer-death tracking.
+// The engine's data path stays oblivious — Engine.deliver routes a mailbox
+// message either to a hosted shard or through the rig, and the receiving
+// dispatch loop puts the identical message into the owning shard's mailbox.
+// With no worker peers (New) nothing is ever sent and the reader below idles
+// until Close.
 type netRig struct {
 	e  *Engine
 	ep transport.Endpoint
@@ -102,16 +103,6 @@ func (r *netRig) deadSignal() <-chan struct{} {
 	return r.deadCh
 }
 
-// sendMsg ships one mailbox message to the dispatch loop of peer, addressed
-// to shard gsid.
-func (r *netRig) sendMsg(peer, gsid int, msg message) error {
-	return r.ep.Send(peer, encodeMsgFrame(gsid, msg))
-}
-
-func (r *netRig) sendHotMove(peer, gsid int, m hotMoveMsg, ack bool) error {
-	return r.ep.Send(peer, encodeHotMoveFrame(gsid, m, ack))
-}
-
 // request performs one control-plane round trip to peer. It fails fast when
 // the peer is (or dies while) pending — a dead worker must stall no control
 // loop.
@@ -156,6 +147,23 @@ func (r *netRig) request(peer int, q reqFrame) ([]byte, error) {
 	}
 }
 
+// requestAll issues q to every one of peers at once and waits for all of
+// them: bodies[k] and errs[k] are peers[k]'s reply. Only the round-trip
+// latency runs in parallel; callers fold the replies in peer order.
+func (r *netRig) requestAll(peers []int, q reqFrame) ([][]byte, []error) {
+	bodies, errs := make([][]byte, len(peers)), make([]error, len(peers))
+	var wg sync.WaitGroup
+	for k, peer := range peers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bodies[k], errs[k] = r.request(peer, q)
+		}()
+	}
+	wg.Wait()
+	return bodies, errs
+}
+
 func (r *netRig) unpend(id int) {
 	r.mu.Lock()
 	delete(r.pending, id)
@@ -179,28 +187,47 @@ func (r *netRig) handleReply(peer int, body []byte) {
 	}
 }
 
-// runController starts the controller's reader goroutines: one draining
-// inbound frames (worker events, replies, hot-move acks), one watching for
-// peer deaths.
-func (r *netRig) runController() {
-	go func() {
-		for p := range r.ep.Down() {
+// serve reads the endpoint until it closes, dispatch reports a bye, or the
+// link to the controller drops (a worker cannot go on without one; the
+// controller itself is never reported down). It is the one reader of every
+// engine: the controller runs it on a goroutine from construction to Close,
+// a worker's ServeWorker runs it on the caller's.
+func (r *netRig) serve(dispatch func(transport.Frame) (bye bool)) error {
+	for {
+		select {
+		case fr, ok := <-r.ep.Recv():
+			if !ok || dispatch(fr) {
+				return nil
+			}
+		case p := <-r.ep.Down():
 			r.markDead(p)
+			if p != 0 {
+				continue
+			}
+			// The controller closes its links right after saying bye, so a bye
+			// may be waiting beside this notice: what has already arrived is
+			// dispatched before the loss counts as one.
+			for {
+				select {
+				case fr, ok := <-r.ep.Recv():
+					if !ok || dispatch(fr) {
+						return nil
+					}
+				default:
+					return fmt.Errorf("engine: controller link lost")
+				}
+			}
 		}
-	}()
-	go func() {
-		for fr := range r.ep.Recv() {
-			r.dispatchControl(fr)
-		}
-	}()
+	}
 }
 
-// dispatchControl handles one inbound frame on the controller.
-func (r *netRig) dispatchControl(fr transport.Frame) {
+// dispatchControl handles one inbound frame on the controller (which is
+// never told to shut down: bye is always false).
+func (r *netRig) dispatchControl(fr transport.Frame) (bye bool) {
 	data := fr.Data
 	if len(data) == 0 {
 		codec.PutBuf(data)
-		return
+		return false
 	}
 	kind, body := data[0], data[1:]
 	switch kind {
@@ -221,38 +248,42 @@ func (r *netRig) dispatchControl(fr transport.Frame) {
 				// dropping beats blocking the reader.
 			}
 		}
+	case frBye, frArm, frReq:
+		// Worker-bound frames; the controller never receives them.
 	default:
-		// Data-plane frames toward controller-hosted shards (none in the
-		// standard layout — the controller hosts no nodes — but the dispatch
-		// is uniform so mixed layouts work).
-		if d, err := decodeMsgFrame(kind, body); err == nil {
-			r.e.deliverLocal(d.gsid, d.msg, d.dataBuf)
-			if d.hotAck {
-				if hm, ok := d.msg.(hotMoveMsg); ok {
-					_ = r.ep.Send(fr.Peer, encodeHotAckFrame(hm.period))
-				}
-			}
-		}
+		r.dispatchData(fr.Peer, kind, body)
 	}
 	codec.PutBuf(data)
+	return false
 }
 
-// deliverLocal puts a decoded message into the owning local shard's mailbox.
-// Messages for shards this process does not host (or whose mailbox closed)
-// are dropped — the same semantics a put to a closed mailbox has.
-func (e *Engine) deliverLocal(gsid int, msg message, dataBuf bool) bool {
-	node := gsid / e.spn
-	if node < 0 || node >= len(e.nodes) || e.nodes[node] == nil || gsid%e.spn >= len(e.nodes[node].shards) {
-		if dataBuf {
-			if m, ok := msg.(dataBatchMsg); ok {
-				codec.PutBuf(m.encoded)
-			}
-		}
-		return false
+// dispatchData is the receiving half of Engine.deliver, the same on the
+// controller and on a worker: it decodes one data-plane frame and puts its
+// message into the addressed hosted shard's mailbox, acknowledging a hot move
+// that asked for it (see applyHotMoves). A frame that does not decode fails
+// the period through the event path.
+func (r *netRig) dispatchData(peer int, kind byte, body []byte) {
+	d, err := decodeMsgFrame(kind, body)
+	if err != nil {
+		r.e.emit(engEvent{kind: evError, err: err})
+		return
 	}
-	ok := e.nodes[node].shards[gsid%e.spn].mb.put(msg)
+	r.e.deliverLocal(d.gsid, d.msg, d.dataBuf)
+	if hm, ok := d.msg.(hotMoveMsg); ok && d.hotAck {
+		_ = r.ep.Send(peer, encodeHotAckFrame(hm.period))
+	}
+}
+
+// deliverLocal puts a message into the owning hosted shard's mailbox.
+// Messages for shards this process does not host (or whose mailbox closed)
+// are dropped — the same semantics a put to a closed mailbox has — and a
+// dropped data batch that owns a pooled buffer (dataBuf) returns it.
+func (e *Engine) deliverLocal(gsid int, msg message, dataBuf bool) bool {
+	node, sid := gsid/e.spn, gsid%e.spn
+	ok := node < len(e.nodes) && e.nodes[node] != nil && sid < len(e.nodes[node].shards) &&
+		e.nodes[node].shards[sid].mb.put(msg)
 	if !ok && dataBuf {
-		if m, ok := msg.(dataBatchMsg); ok {
+		if m, isData := msg.(dataBatchMsg); isData {
 			codec.PutBuf(m.encoded)
 		}
 	}

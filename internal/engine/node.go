@@ -336,7 +336,7 @@ func (s *shard) onMigrateOut(m migrateOutMsg) {
 				delete(s.states, gid)
 				delete(s.tips, gid) // the tip travels with the group
 				s.pool.Put(st)
-				s.stats.addMigUnits(float64(len(encoded)) * s.eng.cfg.SerCostPerByte)
+				s.stats.addMigUnits(float64(len(encoded)) * serCostPerByte)
 				s.flushOut(destG)
 				s.eng.deliver(destG, stateMsg{op: m.op, kg: m.kg, encoded: encoded, delta: true, baseVer: m.deltaBase})
 				s.eng.emit(engEvent{kind: evMigrated, node: s.nid, bytes: len(encoded), delta: true, gid: gid})
@@ -353,7 +353,7 @@ func (s *shard) onMigrateOut(m migrateOutMsg) {
 		s.pool.Put(st)
 	}
 	delete(s.tips, gid) // a full move strands the tip; the controller forgets it
-	s.stats.addMigUnits(float64(len(encoded)) * s.eng.cfg.SerCostPerByte)
+	s.stats.addMigUnits(float64(len(encoded)) * serCostPerByte)
 	// Flush buffered data for the destination first so every message this
 	// sender ever enqueues there stays in send order (uniform FIFO, not
 	// strictly needed by the awaitIn protocol but what the documented
@@ -429,7 +429,7 @@ func (s *shard) onHotMove(m hotMoveMsg) {
 				s.pool.Put(st)
 			}
 			delete(s.tips, mv.gid) // hot moves always ship full state
-			s.stats.addMigUnits(float64(len(encoded)) * s.eng.cfg.SerCostPerByte)
+			s.stats.addMigUnits(float64(len(encoded)) * serCostPerByte)
 			// Data staged toward the destination precedes the state message
 			// (uniform per-sender FIFO, as in onMigrateOut).
 			s.flushOut(destG)
@@ -471,7 +471,7 @@ func (s *shard) onDataBatch(m dataBatchMsg) {
 		gid := s.eng.topo.GID(m.op, kg)
 		if !m.local {
 			s.stats.bytesIn += int64(wire)
-			s.stats.addUnits(gid, float64(wire)*s.eng.cfg.DeserCostPerByte)
+			s.stats.addUnits(gid, float64(wire)*deserCostPerByte)
 		}
 		if to, ok := s.hotAway[gid]; ok {
 			// The group hot-moved away mid-period; this tuple was in flight
@@ -507,7 +507,7 @@ func (s *shard) forwardHot(op, kg, gid, to int, v *TupleView) {
 	ob.op = op
 	wire := ob.stageView(kg, v, &s.scratch)
 	s.stats.bytesOut += int64(wire)
-	s.stats.addUnits(gid, float64(wire)*s.eng.cfg.SerCostPerByte)
+	s.stats.addUnits(gid, float64(wire)*serCostPerByte)
 	if ob.full() {
 		s.flushOut(destG)
 	}
@@ -627,7 +627,7 @@ func (s *shard) onState(m stateMsg) {
 		s.tips[gid] = &ckptTip{ver: m.baseVer, data: pb.buf}
 		// Only the delta is synchronous work; the base was deserialization
 		// paid in the background.
-		s.stats.addMigUnits(float64(len(m.encoded)) * s.eng.cfg.DeserCostPerByte)
+		s.stats.addMigUnits(float64(len(m.encoded)) * deserCostPerByte)
 	} else {
 		st = s.pool.Get()
 		if len(m.encoded) > 0 {
@@ -636,7 +636,7 @@ func (s *shard) onState(m stateMsg) {
 				s.eng.emit(engEvent{kind: evError, node: s.nid, err: err})
 				return
 			}
-			s.stats.addMigUnits(float64(len(m.encoded)) * s.eng.cfg.DeserCostPerByte)
+			s.stats.addMigUnits(float64(len(m.encoded)) * deserCostPerByte)
 		}
 		delete(s.tips, gid) // a full move arrives tipless
 	}
@@ -884,7 +884,7 @@ func (s *shard) routeTo(e edge, fromGID int, t *Tuple) {
 	wire := ob.stage(kg, t, &s.scratch)
 	if !ob.local {
 		s.stats.bytesOut += int64(wire)
-		s.stats.addUnits(fromGID, float64(wire)*s.eng.cfg.SerCostPerByte)
+		s.stats.addUnits(fromGID, float64(wire)*serCostPerByte)
 	}
 	if ob.full() {
 		s.flushOut(destG)

@@ -111,9 +111,9 @@ func (e *Engine) planTransfers(pr *periodRun, staged []core.Move) []stagedTransf
 		if s == nil && e.ckpt != nil && e.cfg.CheckpointAssistBytes > 0 && e.ckpt.Has(mv.Group) &&
 			e.tipNode != nil && e.tipNode[mv.Group] == mv.From {
 			// The tip-residency gate: the source can only compute a delta
-			// against a base it physically holds (its tip mirror, or — in the
-			// single-process engine — the session buffer; either way the tip
-			// must still live where the group does). A group that full-moved
+			// against a base it physically holds (its tip mirror, or — on a
+			// node the controller hosts — the session buffer; either way the
+			// tip must still live where the group does). A group that full-moved
 			// since its last checkpoint migrates full until the next
 			// checkpoint re-seats its tip.
 			if enc, ver, ok := e.ckpt.EncodedState(mv.Group); ok && len(enc) >= e.cfg.CheckpointAssistBytes {

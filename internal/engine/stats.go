@@ -222,7 +222,7 @@ type PeriodStats struct {
 
 // LoadPercent converts cost units to percentage points of node capacity.
 func (e *Engine) loadPercent(units float64) float64 {
-	return 100 * units / e.cfg.NodeCapacity
+	return 100 * units / e.capacity
 }
 
 // shardRef names one live shard for the period-barrier merge.

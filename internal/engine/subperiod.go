@@ -65,16 +65,16 @@ func (e *Engine) SubSnapshot() (*core.Snapshot, error) {
 	if e.cfg.SubPeriods < 2 {
 		return nil, fmt.Errorf("engine: sub-period statistics disabled (Config.SubPeriods < 2)")
 	}
+	// The period-so-far total per group: the hosted shards' counters, read
+	// under the lock that orders this against node-table changes, plus the
+	// worker peers' sparse mid-period readings.
+	milli := make([]int64, e.topo.NumGroups())
 	e.mu.Lock()
 	groupNode := append([]int(nil), e.groupNode...)
-	alive := make([]*node, 0, len(e.nodes))
 	kill := make([]bool, len(e.nodes))
 	hetero := false
 	for i := range e.nodes {
 		kill[i] = e.killed[i] || e.removed[i]
-		if !e.removed[i] && e.nodes[i] != nil {
-			alive = append(alive, e.nodes[i])
-		}
 		if e.weights[i] != 1 {
 			hetero = true
 		}
@@ -87,8 +87,10 @@ func (e *Engine) SubSnapshot() (*core.Snapshot, error) {
 	if e.last != nil {
 		stateBytes = e.last.StateBytes
 	}
-	capacity := e.cfg.NodeCapacity
+	capacity := e.capacity
 	numNodes := len(e.nodes)
+	e.localSubMilli(milli)
+	peers := e.workerPeers()
 	e.mu.Unlock()
 
 	s := &core.Snapshot{
@@ -98,34 +100,19 @@ func (e *Engine) SubSnapshot() (*core.Snapshot, error) {
 		Groups:   make([]core.GroupStat, e.topo.NumGroups()),
 		Ops:      e.opStats(),
 	}
-	// A group's burned milli-units live in the per-shard counters of
-	// whichever shard(s) processed it this period (after a hot move, both the
-	// old and new host contributed); summing over alive shards — and, in a
-	// distributed cluster, over the workers' sparse mid-period readings —
-	// yields the period-so-far total without any hot-path lock.
-	milli := make([]int64, e.topo.NumGroups())
-	for _, n := range alive {
-		for _, sh := range n.shards {
-			for gid := range milli {
-				milli[gid] += sh.stats.subMilli[gid].Load()
-			}
+	for _, peer := range peers {
+		body, err := e.rig.request(peer, reqFrame{kind: rqSub})
+		if err != nil {
+			continue // a dead worker contributes nothing mid-period
 		}
-	}
-	if e.rig != nil {
-		for _, peer := range e.workerPeers() {
-			body, err := e.rig.request(peer, reqFrame{kind: rqSub})
-			if err != nil {
-				continue // a dead worker contributes nothing mid-period
-			}
-			vals, derr := decodeSubReply(body)
-			codec.PutBuf(body)
-			if derr != nil {
-				continue
-			}
-			for _, v := range vals {
-				if v.gid < len(milli) {
-					milli[v.gid] += v.val
-				}
+		vals, derr := decodeSubReply(body)
+		codec.PutBuf(body)
+		if derr != nil {
+			continue
+		}
+		for _, v := range vals {
+			if v.gid < len(milli) {
+				milli[v.gid] += v.val
 			}
 		}
 	}
@@ -202,25 +189,16 @@ func (e *Engine) subBoundary(pr *periodRun, flushSrc func()) {
 func (e *Engine) quiesceToward(target int64) {
 	prev, stalls := int64(-1), 0
 	for {
-		cur := int64(0)
-		for i, n := range e.nodes {
-			if !e.removed[i] && n != nil {
-				for _, sh := range n.shards {
-					cur += sh.stats.nodeUnits.Load()
-				}
+		cur := e.localProgressMilli()
+		for _, peer := range e.workerPeers() {
+			body, err := e.rig.request(peer, reqFrame{kind: rqProgress})
+			if err != nil {
+				continue // dead worker: counts as no progress; stalls exit
 			}
-		}
-		if e.rig != nil {
-			for _, peer := range e.workerPeers() {
-				body, err := e.rig.request(peer, reqFrame{kind: rqProgress})
-				if err != nil {
-					continue // dead worker: counts as no progress; stalls exit
-				}
-				m, derr := decodeProgressReply(body)
-				codec.PutBuf(body)
-				if derr == nil {
-					cur += m
-				}
+			m, derr := decodeProgressReply(body)
+			codec.PutBuf(body)
+			if derr == nil {
+				cur += m
 			}
 		}
 		if cur >= target {
@@ -323,7 +301,7 @@ func (e *Engine) applyHotMoves(pr *periodRun, moves []core.Move, flushSrc func()
 			e.shardAt(g).mb.put(msg)
 			continue
 		}
-		if err := e.rig.sendHotMove(e.peerFor(hm.to), g, msg, true); err == nil {
+		if err := e.rig.ep.Send(e.peerFor(hm.to), encodeHotMoveFrame(g, msg, true)); err == nil {
 			awaiting++
 		}
 	}
@@ -339,25 +317,9 @@ func (e *Engine) applyHotMoves(pr *periodRun, moves []core.Move, flushSrc func()
 			awaiting = 0
 		}
 	}
-	for i, n := range e.nodes {
-		if e.removed[i] {
-			continue
-		}
-		if n == nil {
-			peer := e.peerFor(i)
-			for sidx := 0; sidx < e.spn; sidx++ {
-				g := i*e.spn + sidx
-				if !sent[g] {
-					sent[g] = true
-					_ = e.rig.sendHotMove(peer, g, msg, false)
-				}
-			}
-			continue
-		}
-		for _, sh := range n.shards {
-			if !sent[sh.gsid] {
-				sh.mb.put(msg)
-			}
+	for g := range sent {
+		if !sent[g] && !e.removed[g/e.spn] {
+			e.deliver(g, msg)
 		}
 	}
 	for _, hm := range batch {

@@ -681,7 +681,15 @@ func decodeProgressReply(body []byte) (int64, error) {
 	return v, r.done("progress reply")
 }
 
-func encodeSubReply(vals []gidVal) []byte {
+// encodeSubReply ships the non-zero entries of a dense per-group reading
+// (nil when sub-periods are disabled).
+func encodeSubReply(milli []int64) []byte {
+	var vals []gidVal
+	for gid, m := range milli {
+		if m != 0 {
+			vals = append(vals, gidVal{gid: gid, val: m})
+		}
+	}
 	return appendGidVals(codec.GetBuf(), vals)
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/transport"
 )
 
 func goldenTuple() *Tuple {
@@ -327,6 +328,38 @@ func TestReceiveInternerStaysBounded(t *testing.T) {
 			if got := sh.rx.in.InternedBytes(); got > 1<<22 {
 				t.Fatalf("node %d interner holds %d payload bytes", i, got)
 			}
+		}
+	}
+}
+
+// byeAndDown is a worker's endpoint on which the controller's bye and the loss
+// of the controller's link are both already waiting — what a TCP link delivers
+// when the controller says bye and closes, and the worker is slow to look.
+type byeAndDown struct {
+	recv chan transport.Frame
+	down chan int
+}
+
+func (byeAndDown) Self() int                      { return 1 }
+func (byeAndDown) Peers() []int                   { return []int{0} }
+func (byeAndDown) Send(int, []byte) error         { return nil }
+func (e byeAndDown) Recv() <-chan transport.Frame { return e.recv }
+func (e byeAndDown) Down() <-chan int             { return e.down }
+func (byeAndDown) Close() error                   { return nil }
+
+// TestByeOutranksTheLinkGoingDown: a worker that was told to shut down ends
+// cleanly, whichever of the two notices its select happens to see first.
+func TestByeOutranksTheLinkGoingDown(t *testing.T) {
+	for i := 0; i < 64; i++ {
+		ep := byeAndDown{recv: make(chan transport.Frame, 1), down: make(chan int, 1)}
+		ep.recv <- transport.Frame{Peer: 0, Data: encodeByeFrame()}
+		ep.down <- 0
+		w, err := NewWorker(wordCountTopology([]string{"a"}, 1, 2, newCollector()), Config{Nodes: 1}, nil, ep, []int{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.ServeWorker(); err != nil {
+			t.Fatalf("try %d: %v", i, err)
 		}
 	}
 }

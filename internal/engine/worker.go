@@ -8,15 +8,26 @@ import (
 	"repro/internal/transport"
 )
 
-// Worker-side distributed execution: a worker process runs an Engine whose
-// node table holds live nodes only for the slots this process owns (the rest
-// are nil) and no control loop of its own. ServeWorker drains the transport
-// endpoint: data-plane frames become mailbox messages for local shards,
-// frArm arms the local shards for a period, and frReq serves the
-// controller's stats/checkpoint/progress/provision/terminate/fail requests.
-// Shards report their events (acks, completions, migrations, errors) back to
-// the controller through Engine.emit, which encodes them as frEvent frames —
-// shard code is identical to the single-process engine.
+// Worker-side execution, and the host-local half of every control operation.
+// A worker process runs an Engine whose node table holds live nodes only for
+// the slots this process owns (the rest are nil) and no control loop of its
+// own. ServeWorker drains the transport endpoint: data-plane frames become
+// mailbox messages for hosted shards, frArm arms them for a period, and frReq
+// serves the controller's stats/checkpoint/progress/provision/terminate/fail
+// requests. Shards report their events (acks, completions, migrations,
+// errors) back to the controller through Engine.emit, which encodes them as
+// frEvent frames — shard code cannot tell which process it runs in.
+//
+// armLocal, localProgressMilli, localSubMilli, provisionLocal, terminateLocal
+// and failLocal act on the nodes this process hosts and nothing else: the
+// controller's methods call them for its own nodes and then ask each worker
+// peer to do the same, and the handlers below are those requests arriving.
+// The three that write the node table expect the caller to hold e.mu wherever
+// another goroutine may read it — the controller's methods do, a worker's
+// serve loop is the table's only user. The statistics fold and the checkpoint
+// do differ by side (mergeShardStats and Store.Prepare there, statsReplyBody
+// and ckptReplyBody here): the controller's store holds the tips of the
+// groups it hosts, a worker mirrors them, and absorbCkptEntries joins the two.
 
 // ckptTip is a worker shard's retained checkpoint tip for one key group: the
 // exact encoded state that the controller's store holds as the group's tip
@@ -56,38 +67,12 @@ type recoverMsg struct {
 func (recoverMsg) isMessage() {}
 
 // ServeWorker runs the worker dispatch loop until the controller says bye,
-// the controller link drops, or the endpoint closes. It must only be called
-// on an engine built by NewWorker.
+// the controller link drops, or the endpoint closes, then shuts the worker
+// down. It must only be called on an engine built by NewWorker.
 func (e *Engine) ServeWorker() error {
-	r := e.rig
-	for {
-		select {
-		case fr, ok := <-r.ep.Recv():
-			if !ok {
-				e.shutdownWorker()
-				return nil
-			}
-			if bye := e.dispatchWorker(fr); bye {
-				e.shutdownWorker()
-				return nil
-			}
-		case p := <-r.ep.Down():
-			r.markDead(p)
-			if p == 0 {
-				e.shutdownWorker()
-				return fmt.Errorf("engine: controller link lost")
-			}
-		}
-	}
-}
-
-func (e *Engine) shutdownWorker() {
-	for i, n := range e.nodes {
-		if n != nil && !e.removed[i] {
-			n.closeMailboxes()
-		}
-	}
-	_ = e.rig.ep.Close()
+	err := e.rig.serve(e.dispatchWorker)
+	e.Close()
+	return err
 }
 
 // dispatchWorker handles one inbound frame; true means the controller asked
@@ -116,64 +101,63 @@ func (e *Engine) dispatchWorker(fr transport.Frame) bool {
 	case frEvent, frReply, frHotAck:
 		// Controller-bound frames; a worker never receives them.
 	default:
-		if d, err := decodeMsgFrame(kind, body); err == nil {
-			e.deliverLocal(d.gsid, d.msg, d.dataBuf)
-			if d.hotAck {
-				if hm, ok := d.msg.(hotMoveMsg); ok {
-					_ = e.rig.ep.Send(fr.Peer, encodeHotAckFrame(hm.period))
-				}
-			}
-		} else {
-			e.emit(engEvent{kind: evError, err: err})
-		}
+		e.rig.dispatchData(fr.Peer, kind, body)
 	}
 	codec.PutBuf(data)
 	return false
 }
 
-// handleArm arms this process's local shards for one period. The worker
+// handleArm arms this process's hosted shards for one period. The worker
 // rebuilds the identical router table from the shipped allocation; shards
-// then ack through the event path exactly as in-process shards do, so the
-// controller's arm phase counts one evAck per shard regardless of where the
-// shard runs.
-//
-// Resetting shard statistics here is sound: a completed period's statistics
-// request pinged every local shard (shard → channel → dispatch edge) before
-// this arm can arrive, and an aborted period wrote no statistics after its
-// shards went idle.
+// then ack through the event path exactly as the controller's own do, so the
+// controller's arm phase counts one evAck (or one error) per shard
+// regardless of where the shard runs.
 func (e *Engine) handleArm(a armFrame) {
 	e.period = a.period
-	rt := newRouterTable(e.topo, a.alloc, a.numNodes)
+	awaitIn := map[int][]int{}
+	for _, gid := range a.awaitIn {
+		g := e.gsidFor(a.alloc[gid], gid)
+		awaitIn[g] = append(awaitIn[g], gid)
+	}
+	_, errs := e.armLocal(periodStartMsg{
+		period:      a.period,
+		router:      newRouterTable(e.topo, a.alloc, a.numNodes),
+		barrierNeed: a.barrierNeed,
+	}, awaitIn)
+	for _, err := range errs {
+		e.emit(engEvent{kind: evError, err: err})
+	}
+}
+
+// armLocal resets the period statistics of every alive hosted shard —
+// including the mid-period sub-interval counters — and arms it with m plus
+// its own entry of awaitIn (global shard id -> gids arriving by stateMsg). It
+// returns how many shards were armed, each of which acks through the event
+// path, and one error per shard whose mailbox is already closed: a crash the
+// control plane has not absorbed yet, which can never ack.
+//
+// Resetting here is sound: shards are quiescent between periods. On the
+// controller the previous period's completion events order their last writes
+// before this call; on a worker the completed period's statistics request
+// pinged every hosted shard (shard → channel → dispatch edge) before this arm
+// can arrive, and an aborted period wrote no statistics after its shards went
+// idle.
+func (e *Engine) armLocal(m periodStartMsg, awaitIn map[int][]int) (armed int, errs []error) {
 	for i, n := range e.nodes {
 		if n == nil || e.removed[i] {
 			continue
 		}
 		for _, sh := range n.shards {
 			sh.stats.reset()
-		}
-	}
-	awaitIn := map[int][]int{}
-	for _, gid := range a.awaitIn {
-		g := e.gsidFor(a.alloc[gid], gid)
-		awaitIn[g] = append(awaitIn[g], gid)
-	}
-	for i, n := range e.nodes {
-		if n == nil || e.removed[i] {
-			continue
-		}
-		for _, sh := range n.shards {
-			ok := sh.mb.put(periodStartMsg{
-				period:      a.period,
-				router:      rt,
-				barrierNeed: a.barrierNeed,
-				awaitIn:     awaitIn[sh.gsid],
-			})
-			if !ok {
-				e.emit(engEvent{kind: evError, node: i,
-					err: fmt.Errorf("engine: node %d shard %d failed during arm phase (mailbox closed)", i, sh.sid)})
+			m.awaitIn = awaitIn[sh.gsid]
+			if sh.mb.put(m) {
+				armed++
+			} else {
+				errs = append(errs, fmt.Errorf("engine: node %d shard %d failed during arm phase (mailbox closed)", i, sh.sid))
 			}
 		}
 	}
+	return armed, errs
 }
 
 func (e *Engine) handleRequest(peer int, q reqFrame) {
@@ -186,7 +170,12 @@ func (e *Engine) handleRequest(peer int, q reqFrame) {
 	case rqProgress:
 		body = encodeProgressReply(e.localProgressMilli())
 	case rqSub:
-		body = encodeSubReply(e.localSubMilli())
+		var milli []int64
+		if e.cfg.SubPeriods >= 2 { // the counters exist
+			milli = make([]int64, e.topo.NumGroups())
+			e.localSubMilli(milli)
+		}
+		body = encodeSubReply(milli)
 	case rqProvision:
 		body = encodeOKReply(e.provisionLocal(q.provIDs, q.provOwner, q.provW))
 	case rqTerminate:
@@ -347,7 +336,7 @@ func (e *Engine) ckptReplyBody(version int) []byte {
 	return encodeCkptReply(entries)
 }
 
-// localProgressMilli sums the local shards' burned milli-units this period
+// localProgressMilli sums the hosted shards' burned milli-units this period
 // (atomic reads; no ping — quiesceToward polls mid-period).
 func (e *Engine) localProgressMilli() int64 {
 	total := int64(0)
@@ -362,13 +351,13 @@ func (e *Engine) localProgressMilli() int64 {
 	return total
 }
 
-// localSubMilli sums the local shards' per-group mid-period counters
-// (atomic reads, mid-period safe). Empty when sub-periods are disabled.
-func (e *Engine) localSubMilli() []gidVal {
-	if e.cfg.SubPeriods < 2 {
-		return nil
-	}
-	milli := make([]int64, e.topo.NumGroups())
+// localSubMilli adds the hosted shards' per-group mid-period counters into
+// milli (atomic reads, mid-period safe; Config.SubPeriods >= 2). A group's
+// burned milli-units live in the counters of whichever shard(s) processed it
+// this period — after a hot move both the old and the new host contributed —
+// so the sum over alive shards is the period-so-far total without any
+// hot-path lock.
+func (e *Engine) localSubMilli(milli []int64) {
 	for i, n := range e.nodes {
 		if n == nil || e.removed[i] {
 			continue
@@ -379,13 +368,6 @@ func (e *Engine) localSubMilli() []gidVal {
 			}
 		}
 	}
-	var out []gidVal
-	for gid, m := range milli {
-		if m != 0 {
-			out = append(out, gidVal{gid: gid, val: m})
-		}
-	}
-	return out
 }
 
 // provisionLocal extends the node table with newly provisioned slots,
@@ -394,8 +376,6 @@ func (e *Engine) localSubMilli() []gidVal {
 // controller broadcasts provisions in order and awaits each reply, so a gap
 // means the cluster desynchronized.
 func (e *Engine) provisionLocal(ids, owners []int, weights []float64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if len(ids) != len(owners) || len(ids) != len(weights) {
 		return fmt.Errorf("engine: provision arity mismatch")
 	}
@@ -422,37 +402,40 @@ func (e *Engine) provisionLocal(ids, owners []int, weights []float64) error {
 	return nil
 }
 
+// terminateLocal marks node slot id removed and, if it runs here, closes its
+// mailboxes. Whether the node may go is the controller's decision, made
+// against its authoritative allocation tables before this is called.
 func (e *Engine) terminateLocal(id int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if id < 0 || id >= len(e.nodes) || e.nodes[id] == nil {
-		return fmt.Errorf("engine: terminate node %d not hosted here", id)
+	if id < 0 || id >= len(e.nodes) {
+		return fmt.Errorf("engine: terminate invalid node %d", id)
 	}
-	if e.removed[id] {
-		return nil
+	if !e.removed[id] {
+		e.removed[id] = true
+		if n := e.nodes[id]; n != nil {
+			n.closeMailboxes()
+		}
 	}
-	e.removed[id] = true
-	e.nodes[id].closeMailboxes()
 	return nil
 }
 
-// failLocal mirrors the controller-side FailNode wipe for a locally hosted
-// node (the crash-simulation path; a real crash just kills the process).
+// failLocal is a crash of node slot id between periods: the slot is gone and,
+// if it ran here, its goroutines stop and every state and checkpoint tip it
+// held is lost (a real crash just kills the process).
 func (e *Engine) failLocal(id int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if id < 0 || id >= len(e.nodes) || e.nodes[id] == nil {
-		return fmt.Errorf("engine: fail node %d not hosted here", id)
+	if id < 0 || id >= len(e.nodes) {
+		return fmt.Errorf("engine: fail invalid node %d", id)
 	}
 	if e.removed[id] {
 		return fmt.Errorf("engine: node %d already gone", id)
 	}
 	e.removed[id] = true
 	e.killed[id] = true
-	e.nodes[id].closeMailboxes()
-	for _, sh := range e.nodes[id].shards {
-		sh.states = map[int]*State{}
-		sh.tips = nil
+	if n := e.nodes[id]; n != nil {
+		n.closeMailboxes()
+		for _, sh := range n.shards {
+			sh.states = map[int]*State{}
+			sh.tips = map[int]*ckptTip{}
+		}
 	}
 	return nil
 }

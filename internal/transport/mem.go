@@ -6,10 +6,11 @@ import (
 )
 
 // MemNetwork is the in-memory transport: a full mesh of unbounded per-link
-// queues between in-process endpoints. It is the default path — an engine
-// built without a network uses no transport at all — but lets the full
+// queues between in-process endpoints. engine.New attaches its single-process
+// engine to a network of one endpoint — a controller with no peers, over
+// which nothing is ever sent — and with more endpoints the full
 // multi-process protocol (controller + workers as separate engine instances)
-// run deterministically inside one test process, and it is what the chaos
+// runs deterministically inside one test process; it is what the chaos
 // wrapper usually wraps.
 //
 // Unboundedness mirrors the engine's mailboxes: no cross-peer backpressure
