@@ -254,7 +254,7 @@ func TestDistributedEquivalence(t *testing.T) {
 	// A mixed layout: the controller hosts node 0 beside two workers, so the
 	// script's staged delta move, hot moves, checkpoints and scale-out each
 	// cross a hosted↔remote boundary inside one engine — mailbox puts and
-	// frames, store-side tips and worker tip mirrors side by side.
+	// frames, tips on the controller's shards and on the workers' side by side.
 	mixedSpec := spec
 	mixedSpec.NodePeers = []int{0, 1, 2}
 	mixed, mixedCkpts := runMem(t, mixedSpec, nil)

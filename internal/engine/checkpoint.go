@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/statestore"
@@ -11,15 +10,15 @@ import (
 // This file implements checkpoint-based fault tolerance, the extension the
 // paper delegates to its companion work ([26] Madsen et al., "Integrating
 // fault-tolerance and elasticity in a distributed data stream processing
-// system", SSDBM 2014): between periods the controller checkpoints every
-// key group's state into the engine's incremental statestore.Store; when a
-// worker fails, the lost groups are re-created on surviving nodes from the
-// last checkpoint.
+// system", SSDBM 2014): between periods every process checkpoints the key
+// groups it hosts against the tips its shards hold, and the controller's
+// incremental statestore.Store records what they wrote; when a worker fails,
+// the lost groups are re-created on surviving nodes from the last checkpoint.
 //
-// The same store backs checkpoint-assisted migration (see precopy.go):
-// because a checkpoint is the shared base, moving a checkpointed key group
-// pre-copies the checkpoint in the background and synchronously transfers
-// only the delta accumulated since — fault tolerance and reconfiguration
+// The same checkpoint backs checkpoint-assisted migration (see precopy.go):
+// because it is the shared base, moving a checkpointed key group pre-copies
+// the checkpoint in the background and synchronously transfers only the delta
+// the source cuts against its tip — fault tolerance and reconfiguration
 // integrate through one mechanism instead of two disjoint subsystems.
 //
 // Recovery is at-most-once with respect to the tuples processed after the
@@ -34,8 +33,10 @@ type CheckpointStats struct {
 	// Groups is the number of key groups covered by the checkpoint.
 	Groups int
 	// NewBytes is the volume this checkpoint appended to the store: full
-	// snapshots for first-time groups, deltas for the rest. This — not the
-	// total state size — is the incremental cost of the checkpoint.
+	// snapshots for first-time groups and for groups whose tip-holder wrote a
+	// fresh base (churned state, or a chain at its bound), deltas for the rest.
+	// This — not the total state size — is the incremental cost of the
+	// checkpoint.
 	NewBytes int
 	// TotalBytes is the store's durable footprint after the checkpoint
 	// (bases plus delta chains, bounded by compaction).
@@ -43,45 +44,33 @@ type CheckpointStats struct {
 }
 
 // TakeCheckpoint incrementally checkpoints every key group's state into the
-// engine's store: first-time groups store a full snapshot, already-tracked
-// groups append the delta since their previous checkpoint, or a fresh base
-// when the delta would be no smaller than the state (statestore.Advance).
-// The per-group work — diff, encode, advance the tip — spreads over the
-// barrier pool; the results are committed to the store serially in ascending
-// gid, so what the store holds and reports does not depend on the schedule.
-// Must be called between periods (the engine is quiescent then; the
-// completion events of RunPeriod establish the necessary happens-before
-// edge, exactly as for statistics merging).
+// engine's store: each process advances the tips of the groups it hosts
+// (ckptEntries — a full snapshot for a group without a tip, then nothing, the
+// delta since the previous checkpoint, or a fresh base; statestore's
+// Tip.Advance) and the store records the bytes they wrote, the controller's
+// own and then the workers', each in ascending gid — so what the store holds
+// and reports depends neither on the layout nor on the schedule. Must be
+// called between periods (the engine is quiescent then; the completion events
+// of RunPeriod establish the necessary happens-before edge, exactly as for
+// statistics merging).
 func (e *Engine) TakeCheckpoint() CheckpointStats {
 	if e.ckpt == nil {
 		e.ckpt = statestore.New()
 	}
 	cs := CheckpointStats{Period: e.period}
 	fresh := e.freshScratch[:0]
-	groups := e.localGroups()
-	workers := barrierWorkers(len(groups))
-	scratch := e.deltaScratch(workers)
-	e.pending = slices.Grow(e.pending[:0], len(groups))[:len(groups)]
-	fanOut(workers, len(groups), func(w, i int) {
-		e.pending[i] = e.ckpt.Prepare(&scratch[w], groups[i].gid, e.period, groups[i].st)
-	})
-	for i, g := range groups {
-		cs.NewBytes += e.ckpt.Commit(e.pending[i])
-		e.setTipNode(g.gid, g.node)
-		fresh = append(fresh, g.gid)
+	for _, en := range e.ckptEntries(e.period) {
+		if err := e.recordCkptEntry(en, &cs, &fresh); err != nil {
+			e.ckptErrs = append(e.ckptErrs, err)
+		}
 	}
-	// Remote nodes: each worker encodes its groups (full for first-timers and
-	// fresh bases, delta against its tip mirror otherwise) and the controller
-	// replays them into the store — absorbCkptEntries keeps store tips and
-	// worker tip mirrors byte-identical. The round trips are issued to all
-	// peers concurrently (each worker encodes its states independently); the
-	// replies are absorbed together in ascending gid, so the store's contents
-	// do not depend on reply timing. A worker that died mid-request is
-	// skipped; its groups keep their previous checkpoint until
-	// FailNode/Recover handle it. A reply that arrives but does not decode
-	// is not a dead peer: like a corrupt entry inside a reply it fails the
-	// next period (Engine.ckptErrs), instead of silently leaving that
-	// worker's tips stale.
+	// Remote nodes: the round trips go to all peers concurrently (each worker
+	// runs ckptEntries independently) and the replies are absorbed together.
+	// A worker that died mid-request is skipped; its groups keep their
+	// previous checkpoint until FailNode/Recover handle it. A reply that
+	// arrives but does not decode is not a dead peer: like a corrupt entry
+	// inside a reply it fails the next period (Engine.ckptErrs), instead of
+	// silently leaving the store behind that worker's tips.
 	peers := e.workerPeers()
 	bodies, rerrs := e.rig.requestAll(peers, reqFrame{kind: rqCkpt, version: e.period})
 	var entries []ckptEntryWire
@@ -131,8 +120,20 @@ func (e *Engine) CheckpointStore() *statestore.Store { return e.ckpt }
 
 // RestoreCheckpointStore installs a store decoded from durable storage
 // (statestore.Decode) as the engine's checkpoint base, replacing any
-// existing one. Must be called between periods.
-func (e *Engine) RestoreCheckpointStore(s *statestore.Store) { e.ckpt = s }
+// existing one. The tips this process's shards hold continue the chains of
+// the store being replaced, so they are dropped: the next TakeCheckpoint
+// writes fresh bases. (Workers are not told; restore before a distributed
+// run's first checkpoint.) Must be called between periods.
+func (e *Engine) RestoreCheckpointStore(s *statestore.Store) {
+	e.ckpt = s
+	for _, g := range e.localGroups() {
+		delete(g.sh.tips, g.gid)
+	}
+	e.tipNode = nil
+	e.mu.Lock()
+	e.ckptDeltas = nil
+	e.mu.Unlock()
+}
 
 // FailNode simulates a worker crash between periods: the goroutine stops
 // and every state it held is lost. The node's key groups must be recovered
@@ -212,17 +213,13 @@ func (e *Engine) Recover(onto []int) (int, error) {
 		}
 		if e.hostsNode(dest) {
 			st := NewState()
-			if tipVer >= 0 {
-				cst, _, _ := e.ckpt.Materialize(gid)
-				st = cst
-			}
 			sh := e.shardFor(dest, gid)
-			sh.states[gid] = st
+			delete(sh.tips, gid)
 			if tipVer >= 0 {
-				sh.tips[gid] = &ckptTip{ver: tipVer, data: enc}
-			} else {
-				delete(sh.tips, gid)
+				st, _, _ = e.ckpt.Materialize(gid)
+				sh.tips[gid] = statestore.NewTip(tipVer, st.Clone())
 			}
+			sh.states[gid] = st
 		} else {
 			op, kg := e.topo.OpOf(gid)
 			e.deliver(e.gsidFor(dest, gid), recoverMsg{op: op, kg: kg, encoded: enc, tipVer: tipVer})

@@ -69,13 +69,16 @@ func TestIncrementalCheckpointAndRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	for p := 0; p < 2; p++ {
+	// Three periods first: the fourth then grows every state by a third, under
+	// the half of its base at which a tip-holder writes a fresh base instead of
+	// the delta (statestore's compaction bound) — which NewBytes counts in full.
+	for p := 0; p < 3; p++ {
 		if _, err := e.RunPeriod(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cs := e.TakeCheckpoint()
-	if cs.Period != 2 || cs.Groups == 0 || cs.NewBytes == 0 {
+	if cs.Period != 3 || cs.Groups == 0 || cs.NewBytes == 0 {
 		t.Fatalf("first checkpoint: %+v", cs)
 	}
 	firstTotal := cs.TotalBytes
@@ -86,7 +89,7 @@ func TestIncrementalCheckpointAndRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs2 := e.TakeCheckpoint()
-	if cs2.Period != 3 {
+	if cs2.Period != 4 {
 		t.Fatalf("second checkpoint period = %d", cs2.Period)
 	}
 	if cs2.NewBytes >= firstTotal {
@@ -332,11 +335,11 @@ func TestAbsorbRejectsCorruptCheckpointEntries(t *testing.T) {
 	good := statestore.NewState()
 	good.Add("total", 99)
 	entries := []ckptEntryWire{
-		{node: 0, gid: tracked, full: true, payload: good.Encode(nil)},
-		{node: 0, gid: tracked, full: true, payload: good.Encode(nil)}, // named twice
-		{node: 0, gid: 5, full: true, payload: []byte{0xff, 0xff}},     // undecodable state
-		{node: 0, gid: 4, payload: []byte{0x01}},                       // undecodable delta
-		{node: 0, gid: 6, full: true, payload: good.Encode(nil)},       // not in the topology
+		{node: 0, gid: tracked, step: statestore.StepBase, payload: good.Encode(nil)},
+		{node: 0, gid: tracked, step: statestore.StepBase, payload: good.Encode(nil)}, // named twice
+		{node: 0, gid: 5, step: statestore.StepBase, payload: []byte{0xff, 0xff}},     // undecodable state
+		{node: 0, gid: 4, step: statestore.StepDelta, payload: []byte{0x01}},          // undecodable delta
+		{node: 0, gid: 6, step: statestore.StepBase, payload: good.Encode(nil)},       // not in the topology
 	}
 	var cs CheckpointStats
 	var fresh []int

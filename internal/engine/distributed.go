@@ -20,11 +20,11 @@ import (
 // workers: a controller on a one-endpoint in-memory network that hosts every
 // node, so each loop over worker peers below runs zero times.
 //
-// Two things stay local-first in every layout, because they decide what a
+// One thing stays local-first in every layout, because it decides what a
 // period costs: deliver puts a message for a hosted shard straight into its
-// mailbox (no frame is encoded), and the controller checkpoints the states it
-// hosts straight into its store (workers keep tip mirrors instead; see
-// worker.go).
+// mailbox (no frame is encoded). The barrier fold and the checkpoint are the
+// same code in every process (foldLocal, ckptEntries); only how their results
+// reach the controller differs — a return value or a reply frame.
 
 // New builds a single-process engine for a topology: the controller of a
 // cluster with no workers. The topology must have been Built. Key groups
@@ -215,64 +215,50 @@ func (e *Engine) setTipNode(gid, node int) {
 	e.tipNode[gid] = node
 }
 
-// absorbCkptEntries merges the workers' checkpoint replies into the
-// controller's store: full payloads decode directly, deltas apply to a copy
-// of the store's materialized tip. The store's own checkpoint of that state
-// then measures NewBytes exactly as the in-process path does, and takes the
-// same delta-or-fresh-base step the worker took (statestore.Advance decides
-// on tip and state alone, and worker tips mirror store tips byte-for-byte).
-// Like the local half of TakeCheckpoint, the per-entry work spreads over the
-// barrier pool and the commits are serial in ascending gid. Entries that fail
-// are skipped and their errors returned, joined.
+// recordCkptEntry appends one checkpoint entry to the store, as it is, and
+// notes that the group's tip now lives where the entry was taken.
+func (e *Engine) recordCkptEntry(en ckptEntryWire, cs *CheckpointStats, fresh *[]int) error {
+	if err := e.ckpt.Record(en.gid, e.period, en.step, en.payload); err != nil {
+		return fmt.Errorf("engine: %w", err)
+	}
+	cs.NewBytes += len(en.payload)
+	e.setTipNode(en.gid, en.node)
+	*fresh = append(*fresh, en.gid)
+	return nil
+}
+
+// absorbCkptEntries records the workers' checkpoint entries in the
+// controller's store, in ascending gid. Their payloads crossed a wire, so each
+// is first checked to be what a worker sends — a known group named once, a
+// state or a delta that decodes, spread over the barrier pool — and is then
+// appended byte for byte: nothing is applied, re-diffed or re-encoded here.
+// Entries that fail are skipped and their errors returned, joined.
 func (e *Engine) absorbCkptEntries(entries []ckptEntryWire, cs *CheckpointStats, fresh *[]int) error {
 	slices.SortStableFunc(entries, func(a, b ckptEntryWire) int { return a.gid - b.gid })
 	workers := barrierWorkers(len(entries))
-	scratch := e.deltaScratch(workers)
-	e.pending = slices.Grow(e.pending[:0], len(entries))[:len(entries)]
-	pending := e.pending
+	scratch, states := e.deltaScratch(workers), make([]statestore.State, workers)
 	errs := make([]error, len(entries))
-	// A corrupt reply may name a group twice (the two would race on its
-	// chain) or one the topology does not have.
-	for i, en := range entries {
-		if en.gid >= e.topo.NumGroups() {
-			errs[i] = fmt.Errorf("engine: checkpoint entry for unknown group %d", en.gid)
-		} else if i > 0 && en.gid == entries[i-1].gid {
-			errs[i] = fmt.Errorf("engine: duplicate checkpoint entry for group %d", en.gid)
-		}
-	}
 	fanOut(workers, len(entries), func(w, i int) {
-		if errs[i] != nil {
-			return
-		}
-		en, d := entries[i], &scratch[w]
-		var st *statestore.State
-		if en.full {
-			if st, errs[i] = statestore.DecodeState(en.payload); errs[i] != nil {
-				errs[i] = fmt.Errorf("engine: checkpoint state for group %d: %w", en.gid, errs[i])
-				return
+		en := entries[i]
+		switch {
+		case en.gid >= e.topo.NumGroups():
+			errs[i] = fmt.Errorf("engine: checkpoint entry for unknown group %d", en.gid)
+		case i > 0 && en.gid == entries[i-1].gid:
+			errs[i] = fmt.Errorf("engine: duplicate checkpoint entry for group %d", en.gid)
+		case en.step == statestore.StepBase:
+			if err := statestore.DecodeStateInto(en.payload, &states[w]); err != nil {
+				errs[i] = fmt.Errorf("engine: checkpoint state for group %d: %w", en.gid, err)
 			}
-		} else {
-			base, _, ok := e.ckpt.Materialize(en.gid)
-			if !ok {
-				errs[i] = fmt.Errorf("engine: delta checkpoint for untracked group %d", en.gid)
-				return
-			}
-			if rest, err := statestore.DecodeDeltaInto(en.payload, d); err != nil || len(rest) != 0 {
+		case en.step == statestore.StepDelta:
+			if rest, err := statestore.DecodeDeltaInto(en.payload, &scratch[w]); err != nil || len(rest) != 0 {
 				errs[i] = fmt.Errorf("engine: checkpoint delta for group %d: %v (%d trailing)", en.gid, err, len(rest))
-				return
 			}
-			d.Apply(base)
-			st = base
 		}
-		pending[i] = e.ckpt.Prepare(d, en.gid, e.period, st)
 	})
 	for i, en := range entries {
-		if errs[i] != nil {
-			continue
+		if errs[i] == nil {
+			errs[i] = e.recordCkptEntry(en, cs, fresh)
 		}
-		cs.NewBytes += e.ckpt.Commit(pending[i])
-		e.setTipNode(en.gid, en.node)
-		*fresh = append(*fresh, en.gid)
 	}
 	return errors.Join(errs...)
 }

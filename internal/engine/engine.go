@@ -161,10 +161,9 @@ type Engine struct {
 	lastTotalMilli int64
 
 	// ckpt is the incremental checkpoint store (nil until the first
-	// TakeCheckpoint); precopy tracks in-flight checkpoint pre-copies.
-	// Both are owned by the engine goroutine between periods; nodes read a
-	// session's captured bytes only through the arm-phase mailbox handoff
-	// (see precopy.go).
+	// TakeCheckpoint): the log of what the tip-holding shards of every process
+	// wrote. precopy tracks in-flight checkpoint pre-copies. Both are owned by
+	// the engine goroutine between periods.
 	ckpt    *statestore.Store
 	precopy map[int]*precopySession
 	// ckptDeltas is the planner's residency signal: per gid, the encoded
@@ -188,25 +187,21 @@ type Engine struct {
 	peerOf []int
 	rig    *netRig
 
-	// tipNode tracks, per key group, the node whose hosting process retains
-	// the group's checkpoint tip (-1 = none; nil until the first checkpoint).
-	// A group's tip is usable for delta checkpoints and checkpoint-assisted
-	// migration only while the group still physically lives on that node. It
-	// is maintained by TakeCheckpoint (tip lands where the group lives),
-	// migrations (a full-state move leaves the tip behind; a delta move
-	// carries it — the destination adopted the pre-copied base), Recover
-	// (the restored state is the tip) and FailNode.
+	// tipNode is the controller's record of which node's shard holds each key
+	// group's checkpoint tip (-1 = none; nil until the first checkpoint) — in
+	// this process or another. A tip is only ever held where the group
+	// physically lives. It is maintained by TakeCheckpoint (the tip is where
+	// the group is), migrations (a full-state move drops the tip; a delta move
+	// carries it — the destination keeps the pre-copied base), Recover (the
+	// restored state is the tip) and FailNode.
 	tipNode []int
 
 	// Checkpoint scratch, reused across barriers and cadences: liveGroups is
 	// the gid-ordered list of locally hosted states that the delta sizing and
-	// TakeCheckpoint fan out over, deltas holds one statestore.Delta per
-	// barrier worker, pending the prepared checkpoints between the parallel
-	// and the serial half of TakeCheckpoint (local groups first, then the
-	// workers' entries), and freshScratch the gids checkpointed this cadence.
+	// ckptEntries fan out over, deltas holds one statestore.Delta per barrier
+	// worker, and freshScratch the gids checkpointed this cadence.
 	liveGroups   []liveGroup
 	deltas       []statestore.Delta
-	pending      []statestore.Pending
 	freshScratch []int
 	// ckptErrs holds what went wrong in checkpoints taken since the last
 	// period (a worker's reply or an entry of it did not decode).
@@ -231,24 +226,15 @@ type Engine struct {
 	genJoin   sync.WaitGroup
 	// Period-barrier scratch, reused so the merge itself stays out of the
 	// Allocs telemetry it feeds: shardRefs flattens the live shards for the
-	// parallel stats merge, mergeAccs holds the per-merge-worker partial
-	// sums, groupMilli / nodeMilli the merged milli-unit totals,
-	// ckptDeltaBuf backs PeriodStats.CkptDeltaBytes, and transferDest is
-	// finishPeriod's staged-delta destination map (built only on periods
-	// that actually migrate).
+	// parallel stats fold, mergeAccs holds the per-fold-worker partial sums
+	// (the first is the process's accumulator; see foldLocal), ckptDeltaBuf
+	// backs PeriodStats.CkptDeltaBytes, and transferDest is finishPeriod's
+	// staged-delta destination map (built only on periods that actually
+	// migrate).
 	shardRefs    []shardRef
 	mergeAccs    []*mergeAcc
-	groupMilli   []int64
-	nodeMilli    []int64
 	ckptDeltaBuf []int
 	transferDest map[int]int
-}
-
-// zeroed returns buf resized to n zeros, reusing its storage.
-func zeroed(buf []int64, n int) []int64 {
-	buf = slices.Grow(buf[:0], n)[:n]
-	clear(buf)
-	return buf
 }
 
 // mix64 is the splitmix64 finalizer — a cheap, well-distributed integer hash
@@ -309,12 +295,6 @@ func (e *Engine) nodeLoadEstimate(id int) float64 {
 		total += sh.stats.nodeUnits.Load()
 	}
 	return float64(total) / 1000 * e.invWeights[id]
-}
-
-// ckptDeltaEntry is one remote (node, gid, delta-size) measurement from a
-// worker's stats reply, pending the controller's tip-residency gate.
-type ckptDeltaEntry struct {
-	node, gid, size int
 }
 
 // periodRun carries one period's coordination state across the
@@ -634,106 +614,60 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 		SrcBytesCrossNode:  pr.srcBytes,
 	}
 	e.lastSrcTuples = pr.srcEmitted
-	// Merge statistics. Loads accumulate as integer milli-units and convert
-	// to float units exactly once per group/node — float addition order would
-	// otherwise make the merged statistics depend on which process measured
-	// which shard, and the in-memory vs TCP equivalence guarantee is exact
-	// equality. The communication merge is exact for the same reason: unit
-	// counts, summed by the builder regardless of arrival order.
+	// Merge statistics: this process's barrier fold plus every worker's (the
+	// workers are quiescent — their shards' completions all arrived above — and
+	// the request pings their shards for the happens-before edge). Loads
+	// accumulate as integer milli-units and convert to float units exactly once
+	// per group/node — float addition order would otherwise make the merged
+	// statistics depend on which process measured which shard, and the
+	// in-memory vs TCP equivalence guarantee is exact equality. The
+	// communication merge is exact for the same reason: unit counts, summed by
+	// the builder regardless of arrival order.
 	ng := e.topo.NumGroups()
-	e.groupMilli = zeroed(e.groupMilli, ng)
-	e.nodeMilli = zeroed(e.nodeMilli, len(e.nodes))
-	groupMilli, nodeMilli := e.groupMilli, e.nodeMilli
-	e.commBuilder.Reset(ng)
-	e.mergeShardStats(ps, groupMilli, nodeMilli)
-	// Remote nodes: every worker peer reports its own (workers are quiescent
-	// — their shards' completions all arrived above — and the request pings
-	// their shards for the happens-before edge); the replies merge in
-	// ascending peer order, though the merge itself is order-independent
-	// (integer sums).
-	var remoteDeltas []ckptDeltaEntry
+	e.ckptDeltaBuf = slices.Grow(e.ckptDeltaBuf[:0], ng)[:ng]
+	deltas := e.ckptDeltaBuf
+	for gid := range deltas {
+		deltas[gid] = -1
+	}
+	acc, groups := e.foldLocal()
+	for _, g := range groups {
+		ps.StateBytes[g.gid], deltas[g.gid] = g.size, g.delta
+	}
 	peers := e.workerPeers()
 	bodies, rerrs := e.rig.requestAll(peers, reqFrame{kind: rqStats, version: pr.period})
 	for k, peer := range peers {
 		if rerrs[k] != nil {
 			return nil, fmt.Errorf("engine: stats from peer %d: %w", peer, rerrs[k])
 		}
-		nodes, derr := decodeStatsReply(bodies[k])
-		if derr != nil {
-			return nil, derr
-		}
-		for _, nw := range nodes {
-			if nw.node < 0 || nw.node >= len(e.nodes) {
-				continue
-			}
-			nodeMilli[nw.node] += nw.migMilli
-			for _, gv := range nw.groupMilli {
-				if gv.gid < ng {
-					groupMilli[gv.gid] += gv.val
-					nodeMilli[nw.node] += gv.val
-				}
-			}
-			ps.TuplesIn += nw.tuplesIn
-			ps.TuplesOut += nw.tuplesOut
-			ps.BytesCrossNode += nw.bytesOut
-			ps.BytesCrossNodeIn += nw.bytesIn
-			ps.BatchesCrossNode += nw.batchesOut
-			for j := range nw.commN {
-				e.commBuilder.Add(int(nw.commFrom[j]), int(nw.commTo[j]), float64(nw.commN[j]))
-			}
-			for _, gv := range nw.stateBytes {
-				if gv.gid < ng {
-					ps.StateBytes[gv.gid] = int(gv.val)
-				}
-			}
-			for _, gv := range nw.ckptDelta {
-				if gv.gid < ng {
-					remoteDeltas = append(remoteDeltas, ckptDeltaEntry{node: nw.node, gid: gv.gid, size: int(gv.val)})
-				}
-			}
+		if err := acc.addReply(bodies[k], &e.commBuilder, ps.StateBytes, deltas); err != nil {
+			return nil, fmt.Errorf("engine: stats reply from peer %d: %w", peer, err)
 		}
 	}
+	ps.TuplesIn, ps.TuplesOut = acc.tuplesIn, acc.tuplesOut
+	ps.BytesCrossNode, ps.BytesCrossNodeIn = acc.bytesOut, acc.bytesIn
+	ps.BatchesCrossNode += acc.batchesOut
 	totalMilli := int64(0)
-	for i, m := range nodeMilli {
+	for i, m := range acc.nodeMilli {
 		ps.NodeUnits[i] = float64(m) / 1000
 		totalMilli += m
 	}
-	for gid, m := range groupMilli {
+	for gid, m := range acc.groupMilli {
 		ps.GroupUnits[gid] = float64(m) / 1000
 	}
 	e.lastTotalMilli = totalMilli
 	ps.Comm = e.commBuilder.Build()
-	// Measure, per checkpointed group, the encoded delta between its live
-	// state and its last checkpoint — the synchronous cost a checkpoint-
-	// assisted move of the group would pay right now. This is the residency
-	// signal the planner's cost model consumes (see core.GroupStat). Nodes
-	// are quiescent here, exactly like for the statistics merge above. A
-	// delta is only meaningful while the group's checkpoint tip is resident
-	// where the group physically lives (Engine.tipNode): a group that moved
-	// full-state since its checkpoint reports -1 (and migrates full) until
-	// the next checkpoint re-establishes residency.
+	// deltas now holds, per group, the encoded delta between its live state and
+	// the tip its shard holds — the synchronous cost a checkpoint-assisted move
+	// of the group would pay right now, the residency signal the planner's cost
+	// model consumes (see core.GroupStat). A reading counts only where the
+	// controller's record agrees that the tip is where the group lives
+	// (Engine.tipNode), whichever process took it: a group that moved
+	// full-state since its checkpoint reports -1 (and migrates full) until the
+	// next checkpoint gives it a tip again.
 	if e.ckpt != nil && e.ckpt.Len() > 0 {
-		e.ckptDeltaBuf = slices.Grow(e.ckptDeltaBuf[:0], ng)[:ng]
-		deltas := e.ckptDeltaBuf
 		for gid := range deltas {
-			deltas[gid] = -1
-		}
-		// Sizing a group reads its live state and its tip and writes its own
-		// slot, so the groups spread over the barrier pool as they are.
-		// Groups on remote nodes were measured by their worker, merged below.
-		groups := e.localGroups()
-		fanOut(barrierWorkers(len(groups)), len(groups), func(_, i int) {
-			g := groups[i]
-			if e.tipNode == nil || e.tipNode[g.gid] != g.node || g.node != pr.alloc[g.gid] {
-				return
-			}
-			if sz, ok := e.ckpt.DeltaSize(g.gid, g.st); ok {
-				deltas[g.gid] = sz
-			}
-		})
-		for _, rd := range remoteDeltas {
-			if e.tipNode != nil && e.tipNode[rd.gid] == rd.node && rd.node == pr.alloc[rd.gid] {
-				deltas[rd.gid] = rd.size
+			if e.tipNode == nil || e.tipNode[gid] != pr.alloc[gid] {
+				deltas[gid] = -1
 			}
 		}
 		ps.CkptDeltaBytes = deltas

@@ -98,12 +98,13 @@ type shard struct {
 	states  map[int]*State         // gid -> state
 	pending map[int][]pendingTuple // gid -> tuples buffered awaiting migration
 	awaitIn map[int]bool           // gid awaiting a stateMsg
-	// tips mirrors, per locally-hosted gid, the controller store's checkpoint
-	// tip (version + encoded state) so a worker can source delta migrations
-	// and delta checkpoints without a round trip. Written by the worker's
-	// control loop (rqCkpt, quiescent — see worker.go) and by the shard
-	// itself (delta state adoption, recovery, departure).
-	tips map[int]*ckptTip
+	// tips holds, per hosted gid, the group's checkpoint tip: its state at its
+	// last checkpoint, which delta checkpoints, the barrier's delta sizing and
+	// delta migrations are cut against — in every process, the one decoded copy
+	// there is. Written by the process's control goroutine between periods
+	// (ckptEntries, Recover; shards quiescent) and by the shard itself (delta
+	// state adoption, recovery, departure).
+	tips map[int]*statestore.Tip
 	// precopied accumulates checkpoint bytes background-copied toward this
 	// shard ahead of a planned migration (checkpoint-assisted transfer); the
 	// delta stateMsg at the barrier reconstructs the state from it.
@@ -189,7 +190,7 @@ func newShard(nid, sid int, eng *Engine) *shard {
 		states:   map[int]*State{},
 		pending:  map[int][]pendingTuple{},
 		awaitIn:  map[int]bool{},
-		tips:     map[int]*ckptTip{},
+		tips:     map[int]*statestore.Tip{},
 		potcSent: make([]float64, numGroups),
 		emitters: make([]Emit, numGroups),
 		stats:    newNodeStats(numGroups, eng.cfg.SubPeriods >= 2),
@@ -296,55 +297,30 @@ func (s *shard) startPeriod(m periodStartMsg) {
 // the latency model. With deltaBase >= 0 (checkpoint-assisted transfer) only
 // the delta of the live state against the pre-copied checkpoint is shipped —
 // unless the state diverged so much that the delta would exceed the full
-// encoding, in which case the transfer degrades to a full-state migration.
+// encoding (or the tip is gone), in which case the transfer degrades to a
+// full-state migration.
 func (s *shard) onMigrateOut(m migrateOutMsg) {
 	gid := s.eng.topo.GID(m.op, m.kg)
 	destG := s.eng.gsidFor(m.dest, gid)
 	st := s.states[gid]
-	if m.deltaBase >= 0 {
-		// The delta base is the checkpoint tip at version deltaBase: the
-		// shard's own tip mirror serves it locally (workers — the controller's
-		// session buffer is a process away), with the controller's pre-copy
-		// session as the in-process fallback. The mirror's decoded form is
-		// cached on the tip so repeated delta operations decode once.
-		var base *State
-		if tip := s.tips[gid]; tip != nil && tip.ver == m.deltaBase {
-			if tip.st == nil {
-				dec, err := statestore.DecodeState(tip.data)
-				if err != nil {
-					s.eng.emit(engEvent{kind: evError, node: s.nid,
-						err: fmt.Errorf("engine: node %d delta base for group %d: %w", s.nid, gid, err)})
-					return
-				}
-				tip.st = dec
-			}
-			base = tip.st
-		} else if ps := s.eng.precopySource(gid); ps != nil && ps.version == m.deltaBase {
-			dec, err := statestore.DecodeState(ps.data)
-			if err != nil {
-				s.eng.emit(engEvent{kind: evError, node: s.nid,
-					err: fmt.Errorf("engine: node %d delta base for group %d: %w", s.nid, gid, err)})
-				return
-			}
-			base = dec
+	if tip := s.tips[gid]; m.deltaBase >= 0 && tip != nil && tip.Version() == m.deltaBase {
+		// The delta base is the checkpoint at version deltaBase, which is the
+		// tip this shard holds for the group.
+		d := &s.diff
+		statestore.DiffInto(d, tip.State(), st)
+		if sz := d.Size(); st == nil || sz < st.Size() {
+			encoded := d.Encode(make([]byte, 0, sz))
+			delete(s.states, gid)
+			delete(s.tips, gid) // the tip travels with the group
+			s.pool.Put(st)
+			s.stats.addMigUnits(float64(len(encoded)) * serCostPerByte)
+			s.flushOut(destG)
+			s.eng.deliver(destG, stateMsg{op: m.op, kg: m.kg, encoded: encoded, delta: true, baseVer: m.deltaBase})
+			s.eng.emit(engEvent{kind: evMigrated, node: s.nid, bytes: len(encoded), delta: true, gid: gid})
+			return
 		}
-		if base != nil {
-			d := &s.diff
-			statestore.DiffInto(d, base, st)
-			if sz := d.Size(); st == nil || sz < st.Size() {
-				encoded := d.Encode(make([]byte, 0, sz))
-				delete(s.states, gid)
-				delete(s.tips, gid) // the tip travels with the group
-				s.pool.Put(st)
-				s.stats.addMigUnits(float64(len(encoded)) * serCostPerByte)
-				s.flushOut(destG)
-				s.eng.deliver(destG, stateMsg{op: m.op, kg: m.kg, encoded: encoded, delta: true, baseVer: m.deltaBase})
-				s.eng.emit(engEvent{kind: evMigrated, node: s.nid, bytes: len(encoded), delta: true, gid: gid})
-				return
-			}
-		}
-		// Base unavailable or the delta is no cheaper: fall through to a
-		// full-state transfer (the destination drops its pre-copied base).
+		// The delta is no cheaper: fall through to a full-state transfer (the
+		// destination drops its pre-copied base).
 	}
 	var encoded []byte
 	if st != nil {
@@ -605,26 +581,25 @@ func (s *shard) onState(m stateMsg) {
 				err: fmt.Errorf("engine: node %d delta state for group %d without complete pre-copied base", s.nid, gid)})
 			return
 		}
-		base := s.pool.Get()
-		if err := statestore.DecodeStateInto(pb.buf, base); err != nil {
-			s.pool.Put(base)
+		base, err := statestore.DecodeState(pb.buf)
+		if err != nil {
 			s.eng.emit(engEvent{kind: evError, node: s.nid,
 				err: fmt.Errorf("engine: node %d pre-copied base for group %d: %w", s.nid, gid, err)})
 			return
 		}
 		rest, err := statestore.DecodeDeltaInto(m.encoded, &s.diff)
 		if err != nil || len(rest) != 0 {
-			s.pool.Put(base)
 			s.eng.emit(engEvent{kind: evError, node: s.nid,
 				err: fmt.Errorf("engine: node %d state delta for group %d: %v (%d trailing)", s.nid, gid, err, len(rest))})
 			return
 		}
-		s.diff.Apply(base)
-		st = base
-		// The pre-copied base WAS the checkpoint tip at baseVer: this shard
-		// now holds it, so adopt it as the local tip mirror (the controller
+		st = s.pool.Get()
+		st.CopyFrom(base)
+		s.diff.Apply(st)
+		// The pre-copied base IS the checkpoint at baseVer and this shard now
+		// holds the group: it keeps the base as the group's tip (the controller
 		// records tipNode = this node for the same reason).
-		s.tips[gid] = &ckptTip{ver: m.baseVer, data: pb.buf}
+		s.tips[gid] = statestore.NewTip(m.baseVer, base)
 		// Only the delta is synchronous work; the base was deserialization
 		// paid in the background.
 		s.stats.addMigUnits(float64(len(m.encoded)) * deserCostPerByte)
@@ -764,8 +739,8 @@ func (s *shard) onRecover(m recoverMsg) {
 	}
 	s.states[gid] = st
 	if m.tipVer >= 0 {
-		// The restored state IS the checkpoint tip.
-		s.tips[gid] = &ckptTip{ver: m.tipVer, data: m.encoded}
+		// The restored state IS the checkpoint: a copy of it is the tip.
+		s.tips[gid] = statestore.NewTip(m.tipVer, st.Clone())
 	} else {
 		delete(s.tips, gid)
 	}

@@ -15,8 +15,9 @@ import (
 // keeps running on its old host, the staged diff re-surfaces every
 // boundary) until the final chunk has shipped. At that boundary the move
 // executes with a delta transfer: the source diffs its live state against
-// the captured checkpoint and ships only the delta; the destination applies
-// it to the pre-copied base. Only the delta is synchronous — it is what
+// the checkpoint tip it holds — the captured snapshot, decoded — and ships
+// only the delta; the destination applies it to the pre-copied base, which it
+// keeps as the group's tip. Only the delta is synchronous — it is what
 // MigratedDeltaBytes counts and what the MigrationLatency model charges.
 //
 // Ordering: chunks are enqueued by the engine goroutine during beginPeriod,
@@ -26,10 +27,9 @@ import (
 // destination's mailbox the final chunk ahead of the delta even when both
 // happen at the same boundary.
 //
-// Concurrency: e.precopy and every session's fields are mutated only by the
-// engine goroutine between periods (beginPeriod, Recover); node goroutines
-// read a session's captured bytes while processing a migrateOutMsg, which
-// the arm-phase mailbox handoff orders after the engine's writes.
+// Concurrency: e.precopy and every session's fields belong to the engine
+// goroutine alone (beginPeriod, Recover, between periods); shards see a
+// session only as the chunks and the deltaBase their messages carry.
 
 // precopySession is one in-flight checkpoint pre-copy.
 type precopySession struct {
@@ -42,8 +42,7 @@ type precopySession struct {
 	// off is the volume already shipped.
 	off int
 	// consumedAt, when non-zero, is the period whose barrier executed the
-	// delta move; the session is dropped at the next boundary (the source
-	// reads data during the consuming period).
+	// delta move; the session is dropped at the next boundary.
 	consumedAt int
 }
 
@@ -54,11 +53,6 @@ type stagedTransfer struct {
 	mv        core.Move
 	deltaBase int
 }
-
-// precopySource returns the session backing an in-flight delta migration of
-// gid. Called by the source node while processing a migrateOutMsg; see the
-// concurrency note above.
-func (e *Engine) precopySource(gid int) *precopySession { return e.precopy[gid] }
 
 // dropPrecopy abandons a session: the engine-side record is deleted and the
 // destination is told to drop its partially pre-copied buffer (consumed
@@ -102,20 +96,18 @@ func (e *Engine) planTransfers(pr *periodRun, staged []core.Move) []stagedTransf
 			// The plan re-targeted the group, a consumed session lingered
 			// from this very boundary (impossible by the cleanup above, but
 			// cheap to guard), or a checkpoint advanced the store tip past the
-			// captured snapshot mid-pre-copy. Start over — executing against a
-			// stale base would leave the destination's adopted tip out of sync
-			// with the store's, corrupting every later delta checkpoint.
+			// captured snapshot mid-pre-copy. Start over — the source's tip moved
+			// on with the store, so its delta would no longer fit the base the
+			// destination holds.
 			e.dropPrecopy(s)
 			s = nil
 		}
 		if s == nil && e.ckpt != nil && e.cfg.CheckpointAssistBytes > 0 && e.ckpt.Has(mv.Group) &&
 			e.tipNode != nil && e.tipNode[mv.Group] == mv.From {
-			// The tip-residency gate: the source can only compute a delta
-			// against a base it physically holds (its tip mirror, or — on a
-			// node the controller hosts — the session buffer; either way the
-			// tip must still live where the group does). A group that full-moved
-			// since its last checkpoint migrates full until the next
-			// checkpoint re-seats its tip.
+			// The tip-residency gate: the source cuts the delta against the tip
+			// its shard holds, so the tip must be where the group is. A group
+			// that full-moved since its last checkpoint migrates full until the
+			// next checkpoint gives it a tip again.
 			if enc, ver, ok := e.ckpt.EncodedState(mv.Group); ok && len(enc) >= e.cfg.CheckpointAssistBytes {
 				if e.precopy == nil {
 					e.precopy = map[int]*precopySession{}

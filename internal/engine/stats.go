@@ -231,12 +231,13 @@ type shardRef struct {
 	sh   *shard
 }
 
-// mergeAcc is one merge worker's partial sums over its subset of the live
-// shards. groupMilli is NOT shard-disjoint (a hot-moved group burns cost on
-// two shards in one period), so each worker folds into its own partials and
-// the partials reduce in worker order afterwards — integer milli-units keep
-// the result independent of both split and schedule, preserving the exact
-// in-memory-vs-TCP equality of the serial merge.
+// mergeAcc holds one process's period statistics at the barrier: the fold of
+// its hosted shards, to which the controller adds each worker's (addReply).
+// While the fold runs on several workers each folds into an accumulator of its
+// own, because groupMilli is NOT shard-disjoint (a hot-moved group burns cost
+// on two shards in one period); the partials then add up in worker order.
+// Integer milli-units keep the result independent of split, schedule and of
+// which process measured which shard — the exact in-memory-vs-TCP equality.
 type mergeAcc struct {
 	groupMilli []int64
 	nodeMilli  []int64
@@ -262,11 +263,8 @@ func (a *mergeAcc) reset(numGroups, numNodes int) {
 	a.bytesOut, a.bytesIn, a.batchesOut = 0, 0, 0
 }
 
-// fold accumulates one quiescent shard into the worker's partials. StateBytes
-// is written straight into ps: a key group's state lives on exactly one shard
-// at the barrier (migrating out deletes the source entry), so the writes are
-// gid-disjoint across workers.
-func (a *mergeAcc) fold(r shardRef, ps *PeriodStats, commAdd func(from, to int, rate float64)) {
+// fold accumulates one quiescent shard.
+func (a *mergeAcc) fold(r shardRef, commAdd func(from, to int, rate float64)) {
 	sh := r.sh
 	a.nodeMilli[r.node] += sh.stats.migMilli
 	for gid, m := range sh.stats.groupMilli {
@@ -283,23 +281,20 @@ func (a *mergeAcc) fold(r shardRef, ps *PeriodStats, commAdd func(from, to int, 
 	a.bytesOut += sh.stats.bytesOut
 	a.bytesIn += sh.stats.bytesIn
 	a.batchesOut += sh.stats.batchesOut
-	for gid, st := range sh.states {
-		ps.StateBytes[gid] = st.Size()
-	}
 }
 
-func (a *mergeAcc) reduceInto(ps *PeriodStats, groupMilli, nodeMilli []int64) {
-	for gid, m := range a.groupMilli {
-		groupMilli[gid] += m
+func (a *mergeAcc) add(b *mergeAcc) {
+	for gid, m := range b.groupMilli {
+		a.groupMilli[gid] += m
 	}
-	for i, m := range a.nodeMilli {
-		nodeMilli[i] += m
+	for i, m := range b.nodeMilli {
+		a.nodeMilli[i] += m
 	}
-	ps.TuplesIn += a.tuplesIn
-	ps.TuplesOut += a.tuplesOut
-	ps.BytesCrossNode += a.bytesOut
-	ps.BytesCrossNodeIn += a.bytesIn
-	ps.BatchesCrossNode += a.batchesOut
+	a.tuplesIn += b.tuplesIn
+	a.tuplesOut += b.tuplesOut
+	a.bytesOut += b.bytesOut
+	a.bytesIn += b.bytesIn
+	a.batchesOut += b.batchesOut
 }
 
 // barrierWorkers is the width of the pool the period barrier spreads n
@@ -343,12 +338,15 @@ func (e *Engine) deltaScratch(workers int) []statestore.Delta {
 	return e.deltas
 }
 
-// liveGroup is one key group's state where it physically lives in this
-// process.
+// liveGroup is one key group where it physically lives in this process: its
+// state, its checkpoint tip (nil without one) and, once foldLocal has sized
+// them, |σ| and the encoded delta between the two (-1 without a tip).
 type liveGroup struct {
-	gid, node int
-	sh        *shard
-	st        *State
+	gid, node   int
+	sh          *shard
+	st          *State
+	tip         *statestore.Tip
+	size, delta int
 }
 
 // localGroups lists every key group hosted by a live node of this process,
@@ -362,7 +360,7 @@ func (e *Engine) localGroups() []liveGroup {
 		}
 		for _, sh := range n.shards {
 			for gid, st := range sh.states {
-				groups = append(groups, liveGroup{gid: gid, node: i, sh: sh, st: st})
+				groups = append(groups, liveGroup{gid: gid, node: i, sh: sh, st: st, tip: sh.tips[gid], delta: -1})
 			}
 		}
 	}
@@ -371,13 +369,18 @@ func (e *Engine) localGroups() []liveGroup {
 	return groups
 }
 
-// mergeShardStats folds every live local shard's period statistics into ps
-// and the milli-unit accumulators, fanning the fold across the barrier pool
-// when there are enough shards and cores to matter. All sums are integer
-// milli-units and CommBuilder adds are unit counts, so the merged statistics
-// are bit-identical to the serial merge regardless of the worker count or
-// schedule.
-func (e *Engine) mergeShardStats(ps *PeriodStats, groupMilli, nodeMilli []int64) {
+// foldLocal is the barrier fold, the same in every process: it folds every
+// live hosted shard's period statistics into one accumulator and
+// e.commBuilder, and sizes every hosted group that has a checkpoint tip
+// against it — the synchronous cost a checkpoint-assisted move of the group
+// would pay right now. finishPeriod runs it for the controller's own nodes and
+// adds what each worker's rqStats handler made of the same call. Shards are
+// quiescent here. The shard fold fans across the barrier pool when there are
+// enough shards and cores to matter, the sizing always (a group's state, tip
+// and slot are its own); all sums are integer milli-units and CommBuilder adds
+// are unit counts, so the result is bit-identical to the serial fold whatever
+// the worker count or schedule.
+func (e *Engine) foldLocal() (*mergeAcc, []liveGroup) {
 	refs := e.shardRefs[:0]
 	for i, n := range e.nodes {
 		if n == nil || e.removed[i] {
@@ -395,9 +398,11 @@ func (e *Engine) mergeShardStats(ps *PeriodStats, groupMilli, nodeMilli []int64)
 	for len(e.mergeAccs) < w {
 		e.mergeAccs = append(e.mergeAccs, &mergeAcc{})
 	}
+	ng := e.topo.NumGroups()
 	for k := 0; k < w; k++ {
-		e.mergeAccs[k].reset(len(groupMilli), len(nodeMilli))
+		e.mergeAccs[k].reset(ng, len(e.nodes))
 	}
+	e.commBuilder.Reset(ng)
 	// The comm fold's dominant cost is scanning each shard's accumulator for
 	// non-zero edges; that scan stays parallel and only the per-edge Add
 	// serializes on the mutex.
@@ -411,9 +416,19 @@ func (e *Engine) mergeShardStats(ps *PeriodStats, groupMilli, nodeMilli []int64)
 		}
 	}
 	fanOut(w, len(refs), func(k, r int) {
-		e.mergeAccs[k].fold(refs[r], ps, add)
+		e.mergeAccs[k].fold(refs[r], add)
 	})
-	for k := 0; k < w; k++ {
-		e.mergeAccs[k].reduceInto(ps, groupMilli, nodeMilli)
+	acc := e.mergeAccs[0]
+	for k := 1; k < w; k++ {
+		acc.add(e.mergeAccs[k])
 	}
+	groups := e.localGroups()
+	fanOut(barrierWorkers(len(groups)), len(groups), func(_, i int) {
+		g := &groups[i]
+		g.size = g.st.Size()
+		if g.tip != nil {
+			g.delta = statestore.DiffSize(g.tip.State(), g.st)
+		}
+	})
+	return acc, groups
 }

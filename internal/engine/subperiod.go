@@ -105,15 +105,13 @@ func (e *Engine) SubSnapshot() (*core.Snapshot, error) {
 		if err != nil {
 			continue // a dead worker contributes nothing mid-period
 		}
-		vals, derr := decodeSubReply(body)
+		vals, derr := decodeSubReply(body, len(milli))
 		codec.PutBuf(body)
 		if derr != nil {
 			continue
 		}
-		for _, v := range vals {
-			if v.gid < len(milli) {
-				milli[v.gid] += v.val
-			}
+		for gid, m := range vals {
+			milli[gid] += m
 		}
 	}
 	for gid := range s.Groups {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 
 	"repro/internal/codec"
+	"repro/internal/core"
+	"repro/internal/statestore"
 )
 
 // Control-frame schema: the wire form of every message the engine exchanges
@@ -540,107 +542,112 @@ func encodeByeFrame() []byte { return append(codec.GetBuf(), frBye) }
 
 // --- reply bodies --------------------------------------------------------
 
-// gidVal is a sparse (gid, value) pair used across reply bodies.
-type gidVal struct {
-	gid int
-	val int64
-}
-
-// nodeStatsWire is one node's merged period statistics as shipped in a
-// stats reply. All load values are integer milli-units, making the merge
-// exact and order-independent — the property the in-memory vs TCP
-// equivalence tests pin down to the last byte.
-type nodeStatsWire struct {
-	node                          int
-	migMilli                      int64
-	bytesOut, bytesIn, batchesOut int64
-	tuplesIn, tuplesOut           int64
-	groupMilli                    []gidVal
-	stateBytes                    []gidVal
-	ckptDelta                     []gidVal // gid -> live-vs-tip delta size
-	commFrom, commTo              []int32
-	commN                         []int64
-}
-
-func appendGidVals(b []byte, vals []gidVal) []byte {
-	b = appendInt(b, len(vals))
-	for _, v := range vals {
-		b = appendInt(b, v.gid)
-		b = codec.AppendUvarint(b, uint64(v.val))
+// appendMilli ships the non-zero entries of a dense milli-unit slice, as a
+// count and (index, value) pairs.
+func appendMilli(b []byte, milli []int64) []byte {
+	n := 0
+	for _, m := range milli {
+		if m != 0 {
+			n++
+		}
+	}
+	b = appendInt(b, n)
+	for i, m := range milli {
+		if m != 0 {
+			b = appendInt(b, i)
+			b = codec.AppendUvarint(b, uint64(m))
+		}
 	}
 	return b
 }
 
-func (r *wireReader) gidVals(what string) []gidVal {
+// addMilli adds what appendMilli shipped into dst; an index dst does not have
+// fails the decode.
+func (r *wireReader) addMilli(what string, dst []int64) {
 	n := r.int(what+" count", maxWireGroups)
-	var out []gidVal
 	for i := 0; i < n && r.err == nil; i++ {
-		g := r.int(what+" gid", maxWireGroups)
+		idx := r.int(what+" index", maxWireGroups)
 		v := r.i64(what + " value")
-		out = append(out, gidVal{gid: g, val: v})
-	}
-	return out
-}
-
-func encodeStatsReply(nodes []nodeStatsWire) []byte {
-	b := codec.GetBuf()
-	b = appendInt(b, len(nodes))
-	for _, nw := range nodes {
-		b = appendInt(b, nw.node)
-		b = codec.AppendUvarint(b, uint64(nw.migMilli))
-		b = codec.AppendUvarint(b, uint64(nw.bytesOut))
-		b = codec.AppendUvarint(b, uint64(nw.bytesIn))
-		b = codec.AppendUvarint(b, uint64(nw.batchesOut))
-		b = codec.AppendUvarint(b, uint64(nw.tuplesIn))
-		b = codec.AppendUvarint(b, uint64(nw.tuplesOut))
-		b = appendGidVals(b, nw.groupMilli)
-		b = appendGidVals(b, nw.stateBytes)
-		b = appendGidVals(b, nw.ckptDelta)
-		b = appendInt(b, len(nw.commN))
-		for i := range nw.commN {
-			b = appendInt(b, int(nw.commFrom[i]))
-			b = appendInt(b, int(nw.commTo[i]))
-			b = codec.AppendUvarint(b, uint64(nw.commN[i]))
+		if r.err == nil && idx >= len(dst) {
+			r.err = fmt.Errorf("engine: wire %s index %d out of range", what, idx)
+		}
+		if r.err == nil {
+			dst[idx] += v
 		}
 	}
+}
+
+// encodeStatsReply ships a worker's barrier fold (Engine.foldLocal): the
+// accumulator, each hosted group's state size and tip delta in ascending gid,
+// and the communication triples. All load values are integer milli-units,
+// making the controller's sum exact and order-independent — the property the
+// in-memory vs TCP equivalence tests pin down to the last bit.
+func encodeStatsReply(a *mergeAcc, groups []liveGroup, comm *core.CommBuilder) []byte {
+	b := codec.GetBuf()
+	b = appendMilli(b, a.groupMilli)
+	b = appendMilli(b, a.nodeMilli)
+	b = codec.AppendUvarint(b, uint64(a.tuplesIn))
+	b = codec.AppendUvarint(b, uint64(a.tuplesOut))
+	b = codec.AppendUvarint(b, uint64(a.bytesOut))
+	b = codec.AppendUvarint(b, uint64(a.bytesIn))
+	b = codec.AppendUvarint(b, uint64(a.batchesOut))
+	b = appendInt(b, len(groups))
+	for _, g := range groups {
+		b = appendInt(b, g.gid)
+		b = appendInt(b, g.size)
+		b = appendSigned(b, g.delta)
+	}
+	b = appendInt(b, comm.Len())
+	comm.ForEach(func(from, to int, n float64) {
+		b = appendInt(b, from)
+		b = appendInt(b, to)
+		b = codec.AppendUvarint(b, uint64(n))
+	})
 	return b
 }
 
-func decodeStatsReply(body []byte) ([]nodeStatsWire, error) {
+// addReply adds a worker's stats reply to the controller's own fold: sums into
+// a, triples into comm, and the worker's per-group readings into stateBytes and
+// ckptDelta (both indexed by gid).
+func (a *mergeAcc) addReply(body []byte, comm *core.CommBuilder, stateBytes, ckptDelta []int) error {
 	r := &wireReader{b: body}
-	n := r.int("stats node count", maxWireNodes)
-	var out []nodeStatsWire
+	r.addMilli("stats groupMilli", a.groupMilli)
+	r.addMilli("stats nodeMilli", a.nodeMilli)
+	a.tuplesIn += r.i64("stats tuplesIn")
+	a.tuplesOut += r.i64("stats tuplesOut")
+	a.bytesOut += r.i64("stats bytesOut")
+	a.bytesIn += r.i64("stats bytesIn")
+	a.batchesOut += r.i64("stats batchesOut")
+	n := r.int("stats group count", maxWireGroups)
 	for i := 0; i < n && r.err == nil; i++ {
-		var nw nodeStatsWire
-		nw.node = r.int("stats node", maxWireNodes)
-		nw.migMilli = r.i64("stats migMilli")
-		nw.bytesOut = r.i64("stats bytesOut")
-		nw.bytesIn = r.i64("stats bytesIn")
-		nw.batchesOut = r.i64("stats batchesOut")
-		nw.tuplesIn = r.i64("stats tuplesIn")
-		nw.tuplesOut = r.i64("stats tuplesOut")
-		nw.groupMilli = r.gidVals("stats groupMilli")
-		nw.stateBytes = r.gidVals("stats stateBytes")
-		nw.ckptDelta = r.gidVals("stats ckptDelta")
-		cn := r.int("stats comm count", maxWireGroups)
-		for j := 0; j < cn && r.err == nil; j++ {
-			nw.commFrom = append(nw.commFrom, int32(r.int("stats comm from", maxWireGroups)))
-			nw.commTo = append(nw.commTo, int32(r.int("stats comm to", maxWireGroups)))
-			nw.commN = append(nw.commN, r.i64("stats comm n"))
+		gid := r.int("stats gid", maxWireGroups)
+		size := r.int("stats state bytes", maxWireBlob)
+		delta := r.signed("stats ckpt delta", maxWireBlob)
+		if r.err == nil && gid >= len(stateBytes) {
+			r.err = fmt.Errorf("engine: wire stats for unknown group %d", gid)
 		}
-		out = append(out, nw)
+		if r.err == nil {
+			stateBytes[gid], ckptDelta[gid] = size, delta
+		}
 	}
-	return out, r.done("stats reply")
+	n = r.int("stats comm count", maxWireGroups)
+	for i := 0; i < n && r.err == nil; i++ {
+		from := r.int("stats comm from", maxWireGroups)
+		to := r.int("stats comm to", maxWireGroups)
+		if c := r.i64("stats comm n"); r.err == nil {
+			comm.Add(from, to, float64(c))
+		}
+	}
+	return r.done("stats reply")
 }
 
-// ckptEntryWire is one key group's contribution to a checkpoint reply: the
-// worker ships either the full encoded state (no retained tip) or the delta
-// against its checkpoint tip — the same full-vs-incremental split the
-// in-process store performs, now measured across the wire.
+// ckptEntryWire is one key group's step of one checkpoint, as the process
+// holding the group's tip took it (Engine.ckptEntries): what statestore's
+// Tip.Advance returned, to be recorded in the controller's store as it is.
 type ckptEntryWire struct {
 	node    int
 	gid     int
-	full    bool
+	step    statestore.Step
 	payload []byte
 }
 
@@ -650,7 +657,7 @@ func encodeCkptReply(entries []ckptEntryWire) []byte {
 	for _, e := range entries {
 		b = appendInt(b, e.node)
 		b = appendInt(b, e.gid)
-		b = appendBool(b, e.full)
+		b = appendInt(b, int(e.step))
 		b = appendBlob(b, e.payload)
 	}
 	return b
@@ -664,7 +671,7 @@ func decodeCkptReply(body []byte) ([]ckptEntryWire, error) {
 		var e ckptEntryWire
 		e.node = r.int("ckpt node", maxWireNodes)
 		e.gid = r.int("ckpt gid", maxWireGroups)
-		e.full = r.bool("ckpt full")
+		e.step = statestore.Step(r.int("ckpt step", uint64(statestore.StepBase)))
 		e.payload = r.blob("ckpt payload")
 		out = append(out, e)
 	}
@@ -683,20 +690,13 @@ func decodeProgressReply(body []byte) (int64, error) {
 
 // encodeSubReply ships the non-zero entries of a dense per-group reading
 // (nil when sub-periods are disabled).
-func encodeSubReply(milli []int64) []byte {
-	var vals []gidVal
-	for gid, m := range milli {
-		if m != 0 {
-			vals = append(vals, gidVal{gid: gid, val: m})
-		}
-	}
-	return appendGidVals(codec.GetBuf(), vals)
-}
+func encodeSubReply(milli []int64) []byte { return appendMilli(codec.GetBuf(), milli) }
 
-func decodeSubReply(body []byte) ([]gidVal, error) {
+func decodeSubReply(body []byte, numGroups int) ([]int64, error) {
 	r := &wireReader{b: body}
-	vals := r.gidVals("sub milli")
-	return vals, r.done("sub reply")
+	milli := make([]int64, numGroups)
+	r.addMilli("sub milli", milli)
+	return milli, r.done("sub reply")
 }
 
 // encodeOKReply encodes the generic ack reply ("" = success).

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/codec"
 	"repro/internal/transport"
@@ -362,4 +363,50 @@ func TestByeOutranksTheLinkGoingDown(t *testing.T) {
 			t.Fatalf("try %d: %v", i, err)
 		}
 	}
+}
+
+// truncatedStatsRequests is a controller endpoint that cuts the version off
+// every rqStats request it sends: the frame still reaches the worker and its
+// id still decodes, the request does not.
+type truncatedStatsRequests struct{ transport.Endpoint }
+
+func (t truncatedStatsRequests) Send(peer int, data []byte) error {
+	if q, err := decodeReqFrame(data[1:]); data[0] == frReq && err == nil && q.kind == rqStats {
+		data = data[:len(data)-1]
+	}
+	return t.Endpoint.Send(peer, data)
+}
+
+// TestUndecodableRequestIsAnswered: a worker that cannot decode a request
+// still ends the controller's round trip — with an error body, so the period
+// fails naming the peer — instead of dropping the frame and leaving the
+// barrier waiting on a reply from a peer that is not dead.
+func TestUndecodableRequestIsAnswered(t *testing.T) {
+	eps := transport.NewMemCluster(1)
+	topo := func() *Topology { return wordCountTopology([]string{"a", "b"}, 10, 2, newCollector()) }
+	w, err := NewWorker(topo(), Config{Nodes: 1}, nil, eps[1], []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- w.ServeWorker() }()
+	e, err := NewDistributed(topo(), Config{Nodes: 1}, nil, truncatedStatsRequests{eps[0]}, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.RunPeriod()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "stats reply from peer 1") {
+			t.Errorf("RunPeriod = %v, want the stats reply of peer 1 failing to decode", err)
+		}
+	case <-time.After(30 * time.Second): // only reached when the barrier is wedged
+		t.Error("the barrier is still waiting for a reply to a request the worker dropped")
+	}
+	e.Close()
+	<-served
 }

@@ -24,27 +24,11 @@ import (
 // peer to do the same, and the handlers below are those requests arriving.
 // The three that write the node table expect the caller to hold e.mu wherever
 // another goroutine may read it — the controller's methods do, a worker's
-// serve loop is the table's only user. The statistics fold and the checkpoint
-// do differ by side (mergeShardStats and Store.Prepare there, statsReplyBody
-// and ckptReplyBody here): the controller's store holds the tips of the
-// groups it hosts, a worker mirrors them, and absorbCkptEntries joins the two.
-
-// ckptTip is a worker shard's retained checkpoint tip for one key group: the
-// exact encoded state that the controller's store holds as the group's tip
-// (set when a checkpoint request encodes it, when a delta migration adopts a
-// pre-copied base, or when a recovery installs a checkpointed state). The
-// next checkpoint request for the group ships only the delta against it —
-// the same full-vs-incremental split statestore.Store performs in process.
-type ckptTip struct {
-	ver  int
-	data []byte
-	// st caches the decoded form of the tip, built lazily by the first delta
-	// operation that needs it and then advanced in place by later checkpoint
-	// deltas — repeated delta checkpoints and migrations decode the tip at
-	// most once instead of once per use. When st is current, data may be nil
-	// (the encoding is only re-derivable, never shipped).
-	st *State
-}
+// serve loop is the table's only user. The barrier fold and the checkpoint are
+// the same two functions on either side — foldLocal (stats.go) behind
+// finishPeriod and rqStats, ckptEntries (below) behind TakeCheckpoint and
+// rqCkpt: every shard holds the checkpoint tips of the groups it hosts, and
+// the controller's store records what the tip-holders wrote.
 
 // pingMsg flushes a shard's mailbox: the shard replies on ch once every
 // message enqueued before the ping has been processed. The worker dispatch
@@ -56,8 +40,7 @@ func (pingMsg) isMessage() {}
 
 // recoverMsg installs a recovered state on a worker shard (controller-side
 // Engine.Recover targeting a remote node). tipVer >= 0 marks encoded as the
-// checkpoint tip at that version (the state came from the store's tip, so
-// the shard may retain it for incremental checkpoints).
+// group's checkpoint at that version: the shard keeps a copy as its tip.
 type recoverMsg struct {
 	op, kg  int
 	encoded []byte
@@ -95,8 +78,16 @@ func (e *Engine) dispatchWorker(fr transport.Frame) bool {
 			e.emit(engEvent{kind: evError, err: err})
 		}
 	case frReq:
-		if q, err := decodeReqFrame(body); err == nil {
+		// A request that does not decode is still answered when its id did —
+		// the controller's round trip must end, and its reply decoder fails on
+		// the error body with this peer named — and reported otherwise.
+		switch q, err := decodeReqFrame(body); {
+		case err == nil:
 			e.handleRequest(fr.Peer, q)
+		case q.id != 0:
+			e.reply(fr.Peer, q.id, encodeOKReply(err))
+		default:
+			e.emit(engEvent{kind: evError, err: err})
 		}
 	case frEvent, frReply, frHotAck:
 		// Controller-bound frames; a worker never receives them.
@@ -164,9 +155,12 @@ func (e *Engine) handleRequest(peer int, q reqFrame) {
 	var body []byte
 	switch q.kind {
 	case rqStats:
-		body = e.statsReplyBody()
+		e.pingLocalShards()
+		acc, groups := e.foldLocal()
+		body = encodeStatsReply(acc, groups, &e.commBuilder)
 	case rqCkpt:
-		body = e.ckptReplyBody(q.version)
+		e.pingLocalShards()
+		body = encodeCkptReply(e.ckptEntries(q.version))
 	case rqProgress:
 		body = encodeProgressReply(e.localProgressMilli())
 	case rqSub:
@@ -185,7 +179,12 @@ func (e *Engine) handleRequest(peer int, q reqFrame) {
 	default:
 		body = encodeOKReply(fmt.Errorf("engine: unknown request kind %d", q.kind))
 	}
-	_ = e.rig.ep.Send(peer, encodeReplyFrame(q.id, body))
+	e.reply(peer, q.id, body)
+}
+
+// reply answers request id with body, a pooled buffer it consumes.
+func (e *Engine) reply(peer, id int, body []byte) {
+	_ = e.rig.ep.Send(peer, encodeReplyFrame(id, body))
 	codec.PutBuf(body)
 }
 
@@ -211,129 +210,30 @@ func (e *Engine) pingLocalShards() {
 	}
 }
 
-// statsReplyBody merges this process's local shard statistics into one
-// integer-exact stats reply. Per-group collections are listed in ascending
-// gid so the reply bytes are deterministic; comm triples come out of the
-// accumulators in a deterministic order already and merge exactly regardless.
-func (e *Engine) statsReplyBody() []byte {
-	e.pingLocalShards()
-	ng := e.topo.NumGroups()
-	// Size every local group's delta against its retained tip — the worker's
-	// half of finishPeriod's residency signal, spread over the barrier pool
-	// the same way (a group's tip and slot are its own).
+// ckptEntries takes the hosted half of a checkpoint at version, the same in
+// every process: each hosted group's tip advances to its live state
+// (statestore.Tip.Advance: nothing, the delta, or a fresh base — always a base
+// for a group without a tip, which gets one) and what it wrote comes back as
+// one entry per group in ascending gid, for the controller's store to record.
+// The advances spread over the barrier pool; handing first-timers their tips,
+// which writes the shards' tip maps, is serial. Shards must be quiescent.
+func (e *Engine) ckptEntries(version int) []ckptEntryWire {
 	groups := e.localGroups()
-	deltas := make([]int64, len(groups))
-	fanOut(barrierWorkers(len(groups)), len(groups), func(_, i int) {
-		g := groups[i]
-		deltas[i] = -1
-		if tip := g.sh.tips[g.gid]; tip != nil && tip.decoded() != nil {
-			deltas[i] = int64(statestore.DiffSize(tip.st, g.st))
-		}
-	})
-	var nodes []nodeStatsWire
-	for i, n := range e.nodes {
-		if n == nil || e.removed[i] {
-			continue
-		}
-		nw := nodeStatsWire{node: i}
-		milli := make([]int64, ng)
-		for _, sh := range n.shards {
-			nw.migMilli += sh.stats.migMilli
-			nw.bytesOut += sh.stats.bytesOut
-			nw.bytesIn += sh.stats.bytesIn
-			nw.batchesOut += sh.stats.batchesOut
-			for gid, m := range sh.stats.groupMilli {
-				milli[gid] += m
-			}
-			for _, c := range sh.stats.groupTuplesIn {
-				nw.tuplesIn += c
-			}
-			for _, c := range sh.stats.groupTuplesOut {
-				nw.tuplesOut += c
-			}
-			sh.stats.forEachComm(func(from, to int, rate float64) {
-				nw.commFrom = append(nw.commFrom, int32(from))
-				nw.commTo = append(nw.commTo, int32(to))
-				nw.commN = append(nw.commN, int64(rate))
-			})
-		}
-		for gid, m := range milli {
-			if m != 0 {
-				nw.groupMilli = append(nw.groupMilli, gidVal{gid: gid, val: m})
-			}
-		}
-		for k, g := range groups {
-			if g.node != i {
-				continue
-			}
-			nw.stateBytes = append(nw.stateBytes, gidVal{gid: g.gid, val: int64(g.st.Size())})
-			if deltas[k] >= 0 {
-				nw.ckptDelta = append(nw.ckptDelta, gidVal{gid: g.gid, val: deltas[k]})
-			}
-		}
-		nodes = append(nodes, nw)
-	}
-	return encodeStatsReply(nodes)
-}
-
-// decoded returns the tip's state form, decoding the retained encoding on
-// first use (nil if it does not decode).
-func (t *ckptTip) decoded() *State {
-	if t.st == nil {
-		if dec, err := statestore.DecodeState(t.data); err == nil {
-			t.st = dec
+	for i := range groups {
+		if g := &groups[i]; g.tip == nil {
+			g.tip = &statestore.Tip{}
+			g.sh.tips[g.gid] = g.tip
 		}
 	}
-	return t.st
-}
-
-// emptyDeltaPayload is what a checkpoint reply ships for a group that did
-// not change since its tip: the encoding of the delta that changes nothing.
-var emptyDeltaPayload = (&statestore.Delta{}).Encode(nil)
-
-// ckptReplyBody encodes every local key group for the controller's
-// checkpoint at `version`, in ascending gid: first-timers ship the full
-// state, groups with a retained tip whatever statestore.Advance writes for
-// them — the delta against the tip, or the full state when the delta would
-// be no smaller. Either way the shard's tip advances to the state just
-// encoded, and because the controller's store takes its step by the same
-// rule on an equal tip, the two stay byte-identical. The per-group work
-// spreads over the barrier pool; installing first-timers' tips, which writes
-// the shards' tip maps, is serial.
-func (e *Engine) ckptReplyBody(version int) []byte {
-	e.pingLocalShards()
-	groups := e.localGroups()
 	workers := barrierWorkers(len(groups))
 	scratch := e.deltaScratch(workers)
 	entries := make([]ckptEntryWire, len(groups))
 	fanOut(workers, len(groups), func(w, i int) {
 		g := groups[i]
-		en := ckptEntryWire{node: g.node, gid: g.gid}
-		if tip := g.sh.tips[g.gid]; tip != nil && tip.decoded() != nil {
-			// Advance the decoded mirror in place — the same tip advance the
-			// controller's store performs — instead of re-encoding the whole
-			// state per cadence.
-			payload, step := statestore.Advance(&scratch[w], tip.st, g.st)
-			tip.ver, tip.data = version, nil
-			en.full = step == statestore.StepBase
-			if en.payload = payload; step == statestore.StepNone {
-				en.payload = emptyDeltaPayload
-			}
-		} else {
-			en.full = true
-			en.payload = g.st.Encode(make([]byte, 0, g.st.Size()))
-		}
-		entries[i] = en
+		step, payload := g.tip.Advance(&scratch[w], version, g.st)
+		entries[i] = ckptEntryWire{node: g.node, gid: g.gid, step: step, payload: payload}
 	})
-	for i, g := range groups {
-		if tip := g.sh.tips[g.gid]; tip == nil || tip.st == nil {
-			if g.sh.tips == nil {
-				g.sh.tips = map[int]*ckptTip{}
-			}
-			g.sh.tips[g.gid] = &ckptTip{ver: version, data: entries[i].payload}
-		}
-	}
-	return encodeCkptReply(entries)
+	return entries
 }
 
 // localProgressMilli sums the hosted shards' burned milli-units this period
@@ -434,7 +334,7 @@ func (e *Engine) failLocal(id int) error {
 		n.closeMailboxes()
 		for _, sh := range n.shards {
 			sh.states = map[int]*State{}
-			sh.tips = map[int]*ckptTip{}
+			sh.tips = map[int]*statestore.Tip{}
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package statestore
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -70,8 +71,12 @@ func TestCheckpointDeltaWhenFewCellsChange(t *testing.T) {
 		tab.Delete(fmt.Sprintf("w1-key-%04d", 1999-v))
 		live.Add("seen", 5)
 		want := Diff(mustMaterialize(t, s, 3), live).Size()
+		full := s.ChainLen(3) == defaultMaxChain // the tip-holder folds: a fresh base, not a ninth link
 		appended := s.Checkpoint(3, v, live)
-		if appended != want || appended*50 > live.Size() {
+		if full && (appended != live.Size() || s.ChainLen(3) != 0) {
+			t.Fatalf("v%d: appended %d bytes on a full chain (now %d long), want a fresh base of %d", v, appended, s.ChainLen(3), live.Size())
+		}
+		if !full && (appended != want || appended*50 > live.Size()) {
 			t.Fatalf("v%d: appended %d bytes, want the %d-byte delta (state is %d)", v, appended, want, live.Size())
 		}
 		if cl := s.ChainLen(3); cl > defaultMaxChain {
@@ -102,7 +107,7 @@ func TestCheckpointNeverWritesMoreThanState(t *testing.T) {
 		s := New()
 		live := randState(rng, 25)
 		s.Checkpoint(1, 0, live)
-		mirror := live.Clone()
+		mirror := NewTip(0, live.Clone())
 		var scratch Delta
 		for v := 1; v <= 12; v++ {
 			if rng.Intn(4) == 0 {
@@ -110,7 +115,7 @@ func TestCheckpointNeverWritesMoreThanState(t *testing.T) {
 			} else {
 				mutate(rng, live)
 			}
-			enc, step := Advance(&scratch, mirror, live)
+			step, enc := mirror.Advance(&scratch, v, live)
 			appended := s.Checkpoint(1, v, live)
 			if appended > live.Size() || appended != len(enc) {
 				t.Fatalf("trial %d v%d: appended %d bytes, mirror step %d wrote %d, |σ| = %d", trial, v, appended, step, len(enc), live.Size())
@@ -118,10 +123,41 @@ func TestCheckpointNeverWritesMoreThanState(t *testing.T) {
 			if step == StepBase && s.ChainLen(1) != 0 {
 				t.Fatalf("trial %d v%d: mirror wrote a fresh base but the store's chain is %d long", trial, v, s.ChainLen(1))
 			}
-			if tip := mustMaterialize(t, s, 1); !statesEqual(tip, live) || !bytes.Equal(tip.Encode(nil), mirror.Encode(nil)) {
+			if tip := mustMaterialize(t, s, 1); !statesEqual(tip, live) || !bytes.Equal(tip.Encode(nil), mirror.State().Encode(nil)) {
 				t.Fatalf("trial %d v%d: store tip, tip mirror and live state disagree", trial, v)
 			}
 		}
+	}
+}
+
+// TestCheckpointOfNaNAndNegativeZeroIsStable: cells are compared by their
+// bits, so a state holding a NaN (which == says differs from itself) and a −0
+// (which == says equals +0) checkpoints as unchanged the second time, a sign
+// flip of zero is a change, and the tip encodes exactly as the state does.
+func TestCheckpointOfNaNAndNegativeZeroIsStable(t *testing.T) {
+	live := NewState()
+	live.SetNum("nan", math.NaN())
+	live.SetNum("zero", math.Copysign(0, -1))
+	live.Table("t").Set("nan", math.NaN())
+	live.Table("t").Set("zero", math.Copysign(0, -1))
+	if d := Diff(live, live.Clone()); !d.Empty() || DiffSize(live, live.Clone()) != emptyDeltaSize {
+		t.Fatalf("a state with a NaN differs from its own clone: delta of %d bytes", d.Size())
+	}
+	var tip Tip
+	var scratch Delta
+	if step, _ := tip.Advance(&scratch, 1, live); step != StepBase {
+		t.Fatalf("first checkpoint took step %d, want a base", step)
+	}
+	if step, enc := tip.Advance(&scratch, 2, live); step != StepNone || enc != nil {
+		t.Fatalf("second checkpoint of the same state took step %d (%d bytes), want StepNone", step, len(enc))
+	}
+	live.SetNum("zero", 0)
+	live.Table("t").Set("zero", 0)
+	if step, _ := tip.Advance(&scratch, 3, live); step == StepNone {
+		t.Fatal("−0 → +0 went unnoticed: the tip no longer encodes as the state does")
+	}
+	if !bytes.Equal(tip.State().Encode(nil), live.Encode(nil)) {
+		t.Fatal("tip and state encode differently")
 	}
 }
 
@@ -155,12 +191,13 @@ func TestDiffSizeCountsRemovedCellsArithmetically(t *testing.T) {
 	check("cells gone, table stays", windowState(1, 50), emptied)
 }
 
-// TestPrepareCommitScheduleIndependent: the per-group half of a checkpoint
-// may run on any number of goroutines in any order; with the commits made in
-// ascending gid the store — its encoding, its byte total, every appended
-// count — is the one the serial Checkpoint loop produces. Run under -race
-// this is also the check that concurrent Prepare calls share nothing.
-func TestPrepareCommitScheduleIndependent(t *testing.T) {
+// TestAdvanceRecordScheduleIndependent: the per-group half of a checkpoint —
+// advancing the group's tip — may run on any number of goroutines in any
+// order; with the steps recorded in ascending gid the store — its encoding,
+// its byte total, every appended count — is the one the serial Checkpoint loop
+// produces. Run under -race this is also the check that concurrent Advance
+// calls on distinct tips share nothing.
+func TestAdvanceRecordScheduleIndependent(t *testing.T) {
 	const groups, cadences = 48, 6
 	history := func() [][]*State {
 		rng := rand.New(rand.NewSource(41))
@@ -186,22 +223,27 @@ func TestPrepareCommitScheduleIndependent(t *testing.T) {
 		s := New()
 		var appended []int
 		scratch := make([]Delta, width)
+		tips := make([]Tip, groups)
 		for c, states := range history {
-			pending := make([]Pending, groups)
+			steps := make([]Step, groups)
+			payloads := make([][]byte, groups)
 			var wg sync.WaitGroup
 			for w := 0; w < width; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					// Strided and descending: nothing like commit order.
+					// Strided and descending: nothing like record order.
 					for g := groups - 1 - w; g >= 0; g -= width {
-						pending[g] = s.Prepare(&scratch[w], g, c, states[g])
+						steps[g], payloads[g] = tips[g].Advance(&scratch[w], c, states[g])
 					}
 				}(w)
 			}
 			wg.Wait()
-			for g := range pending {
-				appended = append(appended, s.Commit(pending[g]))
+			for g := range steps {
+				if err := s.Record(g, c, steps[g], payloads[g]); err != nil {
+					t.Fatal(err)
+				}
+				appended = append(appended, len(payloads[g]))
 			}
 		}
 		return s.Encode(nil), appended

@@ -2,6 +2,7 @@ package statestore
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -138,6 +139,11 @@ func Diff(old, new *State) *Delta {
 
 var emptyState State
 
+// sameNum compares cells as their encodings, not as numbers: a NaN equals
+// itself (== says it differs, and the group would write a delta at every cadence
+// forever) and −0 differs from +0 (else tip and state encode differently).
+func sameNum(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 // DiffInto computes new − old into d (d is Reset first). With a reused d
 // this is the zero-alloc form Diff and the store's checkpoint path build
 // on. Neither state is mutated; nil states are treated as empty.
@@ -152,7 +158,7 @@ func DiffInto(d *Delta, old, new *State) {
 	for sym, k := range new.kind {
 		name := new.names[sym]
 		if k&kNum != 0 {
-			if ov, ok := old.LookupNum(name); !ok || ov != new.numVal[sym] {
+			if ov, ok := old.LookupNum(name); !ok || !sameNum(ov, new.numVal[sym]) {
 				d.numSet = append(d.numSet, numEntry{name, new.numVal[sym]})
 			}
 		}
@@ -171,7 +177,7 @@ func DiffInto(d *Delta, old, new *State) {
 				if ok {
 					kept++
 				}
-				if !ok || ov != nt.vals[i] {
+				if !ok || !sameNum(ov, nt.vals[i]) {
 					if se == nil {
 						se = d.growTabSet(name)
 					}
@@ -311,7 +317,7 @@ func DiffSize(old, new *State) int {
 	for sym, k := range new.kind {
 		name := new.names[sym]
 		if k&kNum != 0 {
-			if ov, ok := old.LookupNum(name); !ok || ov != new.numVal[sym] {
+			if ov, ok := old.LookupNum(name); !ok || !sameNum(ov, new.numVal[sym]) {
 				numSetN++
 				numSetB += codec.SizeString(name) + 8
 			}
@@ -333,7 +339,7 @@ func DiffSize(old, new *State) int {
 					keptN++
 					keptB += codec.SizeString(ck)
 				}
-				if !ok || ov != nt.vals[i] {
+				if !ok || !sameNum(ov, nt.vals[i]) {
 					setN++
 					setB += codec.SizeString(ck) + 8
 				}

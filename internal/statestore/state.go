@@ -446,7 +446,7 @@ func DecodeState(b []byte) (*State, error) {
 }
 
 // DecodeStateInto decodes into an existing state (Reset first), reusing its
-// storage — the zero-churn path for tip mirrors and recycled migration
+// storage — the zero-churn path for validation scratch and recycled migration
 // targets.
 func DecodeStateInto(b []byte, s *State) error {
 	s.Reset()

@@ -173,12 +173,13 @@ func TestStoreIncrementalChain(t *testing.T) {
 		t.Fatal("EncodedState must compact the chain")
 	}
 
-	// DeltaSize reflects the synchronous transfer cost of a live state.
+	// DiffSize against the tip reflects the synchronous transfer cost of a
+	// live state.
 	live := cur.Clone()
 	live.Add("extra", 1)
-	dsz, ok := s.DeltaSize(5, live)
-	if !ok || dsz != Diff(cur, live).Size() {
-		t.Fatalf("DeltaSize = %d ok=%v", dsz, ok)
+	tip, _, ok := s.Materialize(5)
+	if dsz := DiffSize(tip, live); !ok || dsz != Diff(cur, live).Size() {
+		t.Fatalf("DiffSize against the tip = %d ok=%v", dsz, ok)
 	}
 
 	s.Delete(5)

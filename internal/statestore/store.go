@@ -10,70 +10,52 @@ import (
 // storeMagic versions the durable store encoding.
 const storeMagic = 0xC5
 
-// Compaction defaults: a group's delta chain is folded into a fresh base
-// once it grows past MaxChain links or past CompactFactor times the base
-// size, bounding both replay length and storage overhead.
+// Compaction bounds: a tip-holder writes a fresh base instead of the delta
+// that would take the chain past defaultMaxChain links or past
+// defaultCompactFactor times the base size (replay length, storage overhead).
 const (
 	defaultMaxChain      = 8
 	defaultCompactFactor = 0.5
 )
 
 // entry is one key group's incremental chain: a full encoded snapshot at
-// baseVer plus encoded deltas leading to version. tip caches the
-// materialized state at version so Diff-based appends and reads never
-// replay the chain.
+// baseVer plus encoded deltas leading to version. tip is set only while the
+// store itself holds the group's tip (Checkpoint); written through Record, a
+// store is a log and keeps no decoded state.
 type entry struct {
 	baseVer, version int
 	base             []byte
 	deltas           [][]byte
 	deltaBytes       int
-	tip              *State
+	tip              *Tip
 }
 
-// Store is a versioned, per-group incremental state store. Checkpointing
-// appends deltas (Checkpoint), recovery and migration read materialized
-// states (Materialize / EncodedState), and Encode/Decode round-trip the
-// whole store for durability. A Store is not goroutine-safe: the engine
-// mutates it only between periods, exactly like node statistics. The one
-// concurrent entry point is Prepare, the per-group half of a checkpoint.
+// Store is a versioned, per-group log of incremental checkpoints. The decoded
+// state at a group's last checkpoint — its Tip, which the next delta is cut
+// against — lives with whoever holds the group's live state: that party calls
+// Tip.Advance and hands what it wrote to Record. Recovery and migration read
+// states back by replaying base and deltas (Materialize / EncodedState);
+// Encode/Decode round-trip the whole store for durability; Checkpoint is both
+// halves in one call, the store holding the tips itself. A Store is not
+// goroutine-safe: the engine uses it only between periods.
 type Store struct {
-	// MaxChain / CompactFactor tune compaction; zero values take the
-	// defaults above.
-	MaxChain      int
-	CompactFactor float64
-
 	groups map[int]*entry
 	gids   []int // the keys of groups, ascending
 	bytes  int
 
-	// scratch is the delta Checkpoint diffs into, so the steady-state
-	// checkpoint path allocates only the appended chain bytes.
+	// scratch is the delta Checkpoint diffs into and replay decodes into, so
+	// the steady-state checkpoint path allocates only the appended chain bytes.
 	scratch Delta
 }
 
 // New returns an empty store.
 func New() *Store { return &Store{groups: map[int]*entry{}} }
 
-func (s *Store) maxChain() int {
-	if s.MaxChain > 0 {
-		return s.MaxChain
-	}
-	return defaultMaxChain
-}
-
-func (s *Store) compactFactor() float64 {
-	if s.CompactFactor > 0 {
-		return s.CompactFactor
-	}
-	return defaultCompactFactor
-}
-
 // Len returns the number of key groups with a checkpointed state.
 func (s *Store) Len() int { return len(s.groups) }
 
 // Bytes returns the total stored volume (bases plus delta chains) — the
-// durable footprint the incremental design keeps close to one full
-// snapshot.
+// durable footprint the incremental design keeps close to one full snapshot.
 func (s *Store) Bytes() int { return s.bytes }
 
 // Has reports whether gid has a checkpointed state.
@@ -90,20 +72,10 @@ func (s *Store) Version(gid int) int {
 
 // Groups returns the checkpointed gids in ascending order. The slice is the
 // store's own, kept sorted as groups come and go: read it, do not modify it,
-// and do not hold it across a Checkpoint, Commit or Delete.
+// and do not hold it across a Checkpoint, Record or Delete.
 func (s *Store) Groups() []int { return s.gids }
 
-// insert adds a new group's chain, keeping gids ascending.
-func (s *Store) insert(gid int, e *entry) {
-	if s.groups == nil {
-		s.groups = map[int]*entry{}
-	}
-	s.groups[gid] = e
-	i, _ := slices.BinarySearch(s.gids, gid)
-	s.gids = slices.Insert(s.gids, i, gid)
-}
-
-// Step says how Advance brought a checkpoint tip up to date.
+// Step says how Tip.Advance brought a checkpoint tip up to date.
 type Step uint8
 
 const (
@@ -115,100 +87,133 @@ const (
 	StepBase
 )
 
-// Advance brings tip up to cur in place and returns the bytes that record
-// the step. This is the checkpoint write rule: a state that changed little
-// appends the delta, and a state whose delta would be at least as large as
-// the state itself (windowed state churns fully between cadences) is written
-// as a fresh base instead — encoded once and copied into the tip, where the
-// delta route would diff, encode, apply and then re-encode to compact. So a
-// checkpoint never writes more than |σ|. The choice depends only on tip and
-// cur, which is what keeps a worker's tip mirror and the controller's store
-// byte-identical: both call Advance on equal states. d is scratch.
-func Advance(d *Delta, tip, cur *State) ([]byte, Step) {
-	size := DiffSize(tip, cur)
-	if size == emptyDeltaSize {
-		return nil, StepNone
+// Tip is one key group's decoded state at its last checkpoint. It lives beside
+// the group's live state (an engine shard, or a Store used through
+// Checkpoint). The zero Tip is a group that has not been checkpointed yet.
+type Tip struct {
+	ver int
+	st  *State
+	// The chain written so far: the size of its base, and the number and
+	// volume of the deltas stacked on it.
+	baseBytes, links, deltaBytes int
+}
+
+// NewTip adopts st, which it keeps, as the tip at version: a state that
+// arrived whole from the store (a pre-copied base, a recovered state), so the
+// chain behind it is one base of st's size.
+func NewTip(version int, st *State) *Tip {
+	return &Tip{ver: version, st: st, baseBytes: st.Size()}
+}
+
+// Version returns the version of the checkpoint the tip holds.
+func (t *Tip) Version() int { return t.ver }
+
+// State returns the tip's state (nil for the zero Tip), to read and diff
+// against, not to modify.
+func (t *Tip) State() *State { return t.st }
+
+// Advance brings the tip up to cur at version, in place, and returns what to
+// Record for it. This is the checkpoint write rule, the only one: a state that
+// equals the tip writes nothing; one that changed little writes the delta; and
+// a fresh base — cur encoded once and copied into the tip — is written for a
+// group's first checkpoint, for a state whose delta would be at least as large
+// as the state itself (windowed state churns fully between cadences), and for
+// a delta that would take the chain past the compaction bounds. So a
+// checkpoint never writes more than |σ|, nobody has to decode a chain to fold
+// it, and the choice never depends on where the tip lives. d is scratch.
+func (t *Tip) Advance(d *Delta, version int, cur *State) (Step, []byte) {
+	t.ver = version
+	fresh := t.st == nil
+	size := 0
+	if fresh {
+		t.st = NewState()
+	} else {
+		if size = DiffSize(t.st, cur); size == emptyDeltaSize {
+			return StepNone, nil
+		}
+		fresh = size >= cur.Size() || t.links >= defaultMaxChain ||
+			float64(t.deltaBytes+size) > defaultCompactFactor*float64(t.baseBytes)
 	}
-	if size >= cur.Size() {
+	if fresh {
 		enc := cur.Encode(make([]byte, 0, cur.Size()))
-		tip.CopyFrom(cur)
-		return enc, StepBase
+		t.st.CopyFrom(cur)
+		t.baseBytes, t.links, t.deltaBytes = len(enc), 0, 0
+		return StepBase, enc
 	}
-	DiffInto(d, tip, cur)
+	DiffInto(d, t.st, cur)
 	enc := d.Encode(make([]byte, 0, size))
-	d.Apply(tip)
-	return enc, StepDelta
+	d.Apply(t.st)
+	t.links++
+	t.deltaBytes += size
+	return StepDelta, enc
 }
 
-// Pending is one group's prepared checkpoint, waiting for Commit.
-type Pending struct {
-	gid      int
-	fresh    *entry // the chain of a group the store did not track yet
-	appended int    // bytes the checkpoint wrote: its incremental cost
-	grew     int    // change in the group's stored volume
-}
-
-// Prepare does the per-group work of checkpointing st as gid's state at
-// version — diff against the tip, encode, advance the tip, compact the chain
-// — and leaves what touches the store as a whole (tracking a new group, the
-// byte total) to Commit. Prepare calls for distinct gids may run
-// concurrently, each with its own scratch d, as long as nothing else uses the
-// store meanwhile; the results do not depend on the schedule. A nil st
-// checkpoints the empty state.
-func (s *Store) Prepare(d *Delta, gid, version int, st *State) Pending {
-	if st == nil {
-		st = &State{}
-	}
+// Record appends what gid's tip-holder wrote at version: nothing (the version
+// alone advances), a delta on the chain, or a fresh base that replaces it. The
+// store keeps payload and never looks inside — the caller vouches that it is
+// what Tip.Advance returned, or that it decodes. Without a base, only a base.
+func (s *Store) Record(gid, version int, step Step, payload []byte) error {
 	e := s.groups[gid]
 	if e == nil {
-		base := st.Encode(make([]byte, 0, st.Size()))
-		e = &entry{baseVer: version, version: version, base: base, tip: st.Clone()}
-		return Pending{gid: gid, fresh: e, appended: len(base), grew: len(base)}
+		if step != StepBase {
+			return fmt.Errorf("statestore: delta checkpoint for untracked group %d", gid)
+		}
+		e = &entry{}
+		s.groups[gid] = e
+		i, _ := slices.BinarySearch(s.gids, gid)
+		s.gids = slices.Insert(s.gids, i, gid)
 	}
-	before := len(e.base) + e.deltaBytes
-	e.version = version
-	enc, step := Advance(d, e.tip, st)
 	switch step {
 	case StepBase:
-		e.base, e.baseVer = enc, version
+		s.bytes += len(payload) - len(e.base) - e.deltaBytes
+		e.base, e.baseVer = payload, version
 		e.deltas, e.deltaBytes = nil, 0
 	case StepDelta:
-		e.deltas = append(e.deltas, enc)
-		e.deltaBytes += len(enc)
-		if len(e.deltas) > s.maxChain() || float64(e.deltaBytes) > s.compactFactor()*float64(len(e.base)) {
-			e.compact()
+		e.deltas = append(e.deltas, payload)
+		e.deltaBytes += len(payload)
+		s.bytes += len(payload)
+	}
+	e.version = version
+	e.tip = nil // whoever recorded holds the tip, not the store
+	return nil
+}
+
+// Checkpoint records st as gid's state at version with the store holding the
+// group's tip itself: Tip.Advance decides what to write — a full snapshot the
+// first time, then nothing, the delta since the previous checkpoint, or a
+// fresh base — and Record appends it. It returns the bytes appended, never
+// more than the state's size. A group last written through Record, or decoded,
+// has its tip replayed first. A nil st checkpoints the empty state.
+func (s *Store) Checkpoint(gid, version int, st *State) int {
+	if st == nil {
+		st = &emptyState
+	}
+	tip := &Tip{}
+	if e := s.groups[gid]; e != nil && e.tip != nil {
+		tip = e.tip
+	} else if e != nil {
+		tip = e.replay(&s.scratch)
+	}
+	step, enc := tip.Advance(&s.scratch, version, st)
+	s.Record(gid, version, step, enc) //nolint:errcheck // a zero tip writes a base
+	s.groups[gid].tip = tip
+	return len(enc)
+}
+
+// replay decodes e's base and applies its deltas: the tip a holder that had
+// written exactly this chain would have — the zero Tip when a recorded payload
+// does not decode (Decode and the engine check before they record).
+func (e *entry) replay(d *Delta) *Tip {
+	st, err := DecodeState(e.base)
+	for i := 0; err == nil && i < len(e.deltas); i++ {
+		if _, err = DecodeDeltaInto(e.deltas[i], d); err == nil {
+			d.Apply(st)
 		}
 	}
-	return Pending{gid: gid, appended: len(enc), grew: len(e.base) + e.deltaBytes - before}
-}
-
-// Commit finishes a prepared checkpoint and returns the bytes it appended.
-// Commit is serial; committing a batch in ascending gid keeps everything the
-// store reports independent of how the Prepare calls were scheduled.
-func (s *Store) Commit(p Pending) int {
-	if p.fresh != nil {
-		s.insert(p.gid, p.fresh)
+	if err != nil {
+		return &Tip{}
 	}
-	s.bytes += p.grew
-	return p.appended
-}
-
-// Checkpoint records st as gid's state at version. The first checkpoint of
-// a group stores a full snapshot; later ones append the delta since the
-// previous checkpoint, or a fresh base when that delta would be no smaller
-// than the state (see Advance), and fold the chain into a fresh base when it
-// grows past the compaction bounds. It returns the bytes appended — the
-// incremental cost of this checkpoint, never more than the state's size. A
-// nil st checkpoints the empty state.
-func (s *Store) Checkpoint(gid, version int, st *State) int {
-	return s.Commit(s.Prepare(&s.scratch, gid, version, st))
-}
-
-// compact folds e's chain into a fresh base at the tip version.
-func (e *entry) compact() {
-	e.base = e.tip.Encode(make([]byte, 0, e.tip.Size()))
-	e.baseVer = e.version
-	e.deltas, e.deltaBytes = nil, 0
+	return &Tip{ver: e.version, st: st, baseBytes: len(e.base), links: len(e.deltas), deltaBytes: e.deltaBytes}
 }
 
 // ChainLen returns the number of deltas stacked on gid's base (0 if the
@@ -221,42 +226,33 @@ func (s *Store) ChainLen(gid int) int {
 	return len(e.deltas)
 }
 
-// Materialize returns a copy of gid's checkpointed state and its version.
+// Materialize returns a copy of gid's checkpointed state and its version,
+// replaying the chain unless the store holds the group's tip.
 func (s *Store) Materialize(gid int) (*State, int, bool) {
 	e := s.groups[gid]
 	if e == nil {
 		return nil, -1, false
 	}
-	return e.tip.Clone(), e.version, true
+	if e.tip != nil {
+		return e.tip.st.Clone(), e.version, true
+	}
+	st := e.replay(&s.scratch).st
+	return st, e.version, st != nil
 }
 
 // EncodedState returns gid's checkpointed state fully encoded (the bytes a
-// pre-copy ships) plus its version. The returned slice is immutable: the
-// store never mutates an encoding it handed out. Long chains are compacted
-// as a side effect so repeated reads stay cheap.
+// pre-copy ships) plus its version; the slice is immutable. A chain is folded
+// as a side effect — the encoding is recorded as a fresh base — so repeated
+// reads stay cheap and a state that travels whole leaves one base behind.
 func (s *Store) EncodedState(gid int) ([]byte, int, bool) {
-	e := s.groups[gid]
-	if e == nil {
+	st, ver, ok := s.Materialize(gid)
+	if !ok {
 		return nil, -1, false
 	}
-	if len(e.deltas) > 0 {
-		s.bytes -= len(e.base) + e.deltaBytes
-		e.compact()
-		s.bytes += len(e.base)
+	if s.ChainLen(gid) > 0 {
+		s.Record(gid, ver, StepBase, st.Encode(make([]byte, 0, st.Size()))) //nolint:errcheck // tracked
 	}
-	return e.base, e.version, true
-}
-
-// DeltaSize returns the encoded size of Diff(checkpoint, cur) — the bytes a
-// checkpoint-assisted migration of gid would synchronously transfer if the
-// live state is cur — computed without building the delta (DiffSize). ok is
-// false when gid has no checkpoint.
-func (s *Store) DeltaSize(gid int, cur *State) (int, bool) {
-	e := s.groups[gid]
-	if e == nil {
-		return 0, false
-	}
-	return DiffSize(e.tip, cur), true
+	return s.groups[gid].base, ver, true
 }
 
 // Delete drops gid's chain.
@@ -309,6 +305,7 @@ func Decode(b []byte, maxGID int) (*Store, error) {
 		return nil, fmt.Errorf("statestore: store claims %d groups in %d bytes", n, len(b))
 	}
 	s := New()
+	var st State // validation scratch: every base and delta must decode
 	prevGID := -1
 	for i := uint64(0); i < n; i++ {
 		var gid, baseVer, version, baseLen uint64
@@ -339,8 +336,7 @@ func Decode(b []byte, maxGID int) (*Store, error) {
 		}
 		base := append([]byte(nil), b[:baseLen]...)
 		b = b[baseLen:]
-		tip, err := DecodeState(base)
-		if err != nil {
+		if err := DecodeStateInto(base, &st); err != nil {
 			return nil, fmt.Errorf("statestore: gid %d base: %w", gid, err)
 		}
 		var nd uint64
@@ -361,18 +357,16 @@ func Decode(b []byte, maxGID int) (*Store, error) {
 			}
 			enc := append([]byte(nil), b[:dl]...)
 			b = b[dl:]
-			d, rest, err := DecodeDelta(enc)
+			rest, err := DecodeDeltaInto(enc, &s.scratch)
 			if err != nil {
 				return nil, fmt.Errorf("statestore: gid %d delta %d: %w", gid, j, err)
 			}
 			if len(rest) != 0 {
 				return nil, fmt.Errorf("statestore: gid %d delta %d has %d trailing bytes", gid, j, len(rest))
 			}
-			d.Apply(tip)
 			e.deltas = append(e.deltas, enc)
 			e.deltaBytes += len(enc)
 		}
-		e.tip = tip
 		s.groups[int(gid)] = e
 		s.gids = append(s.gids, int(gid)) // ascending: checked above
 		s.bytes += len(base) + e.deltaBytes
