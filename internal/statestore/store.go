@@ -63,16 +63,14 @@ func (s *Store) Has(gid int) bool { return s.groups[gid] != nil }
 
 // Version returns the version of gid's latest checkpoint (-1 if none).
 func (s *Store) Version(gid int) int {
-	e := s.groups[gid]
-	if e == nil {
-		return -1
+	if e := s.groups[gid]; e != nil {
+		return e.version
 	}
-	return e.version
+	return -1
 }
 
 // Groups returns the checkpointed gids in ascending order. The slice is the
-// store's own, kept sorted as groups come and go: read it, do not modify it,
-// and do not hold it across a Checkpoint, Record or Delete.
+// store's own: read it, and do not hold it across a Checkpoint, Record or Delete.
 func (s *Store) Groups() []int { return s.gids }
 
 // Step says how Tip.Advance brought a checkpoint tip up to date.
@@ -123,8 +121,7 @@ func (t *Tip) State() *State { return t.st }
 // it, and the choice never depends on where the tip lives. d is scratch.
 func (t *Tip) Advance(d *Delta, version int, cur *State) (Step, []byte) {
 	t.ver = version
-	fresh := t.st == nil
-	size := 0
+	size, fresh := 0, t.st == nil
 	if fresh {
 		t.st = NewState()
 	} else {
@@ -219,11 +216,10 @@ func (e *entry) replay(d *Delta) *Tip {
 // ChainLen returns the number of deltas stacked on gid's base (0 if the
 // group is absent or freshly compacted).
 func (s *Store) ChainLen(gid int) int {
-	e := s.groups[gid]
-	if e == nil {
-		return 0
+	if e := s.groups[gid]; e != nil {
+		return len(e.deltas)
 	}
-	return len(e.deltas)
+	return 0
 }
 
 // Materialize returns a copy of gid's checkpointed state and its version,
@@ -245,14 +241,18 @@ func (s *Store) Materialize(gid int) (*State, int, bool) {
 // as a side effect — the encoding is recorded as a fresh base — so repeated
 // reads stay cheap and a state that travels whole leaves one base behind.
 func (s *Store) EncodedState(gid int) ([]byte, int, bool) {
-	st, ver, ok := s.Materialize(gid)
-	if !ok {
+	e := s.groups[gid]
+	if e == nil {
 		return nil, -1, false
 	}
-	if s.ChainLen(gid) > 0 {
-		s.Record(gid, ver, StepBase, st.Encode(make([]byte, 0, st.Size()))) //nolint:errcheck // tracked
+	if len(e.deltas) > 0 {
+		st, _, ok := s.Materialize(gid)
+		if !ok {
+			return nil, -1, false
+		}
+		s.Record(gid, e.version, StepBase, st.Encode(make([]byte, 0, st.Size()))) //nolint:errcheck // tracked
 	}
-	return s.groups[gid].base, ver, true
+	return e.base, e.version, true
 }
 
 // Delete drops gid's chain.
