@@ -160,14 +160,6 @@ func (b *CommBuilder) Add(from, to int, rate float64) {
 // Len returns the number of staged (possibly duplicate) edges.
 func (b *CommBuilder) Len() int { return len(b.from) }
 
-// ForEach calls fn for every staged triple, duplicates included, in the
-// order they were added.
-func (b *CommBuilder) ForEach(fn func(from, to int, rate float64)) {
-	for i, f := range b.from {
-		fn(int(f), int(b.to[i]), b.rates[i])
-	}
-}
-
 // Build sorts the staged edges into rows, merges duplicate (from,to) pairs by
 // summation, and returns the immutable CSR. The builder may be Reset and
 // reused afterwards.

@@ -33,10 +33,9 @@ type CheckpointStats struct {
 	// Groups is the number of key groups covered by the checkpoint.
 	Groups int
 	// NewBytes is the volume this checkpoint appended to the store: full
-	// snapshots for first-time groups and for groups whose tip-holder wrote a
-	// fresh base (churned state, or a chain at its bound), deltas for the rest.
-	// This — not the total state size — is the incremental cost of the
-	// checkpoint.
+	// snapshots for first-time groups and for groups whose state churned past
+	// its own size, deltas for the rest. This — not the total state size — is
+	// the incremental cost of the checkpoint.
 	NewBytes int
 	// TotalBytes is the store's durable footprint after the checkpoint
 	// (bases plus delta chains, bounded by compaction).
@@ -119,21 +118,11 @@ func (e *Engine) TakeCheckpoint() CheckpointStats {
 func (e *Engine) CheckpointStore() *statestore.Store { return e.ckpt }
 
 // RestoreCheckpointStore installs a store decoded from durable storage
-// (statestore.Decode) as the engine's checkpoint base, replacing any
-// existing one. The tips this process's shards hold continue the chains of
-// the store being replaced, so they are dropped: the next TakeCheckpoint
-// writes fresh bases. (Workers are not told; restore before a distributed
-// run's first checkpoint.) Must be called between periods.
-func (e *Engine) RestoreCheckpointStore(s *statestore.Store) {
-	e.ckpt = s
-	for _, g := range e.localGroups() {
-		delete(g.sh.tips, g.gid)
-	}
-	e.tipNode = nil
-	e.mu.Lock()
-	e.ckptDeltas = nil
-	e.mu.Unlock()
-}
+// (statestore.Decode) as the engine's checkpoint base, replacing any existing
+// one. The shards' tips go on writing to it, so s must be the log they have
+// been writing — this engine's store, round-tripped — or be installed before
+// the engine's first TakeCheckpoint. Must be called between periods.
+func (e *Engine) RestoreCheckpointStore(s *statestore.Store) { e.ckpt = s }
 
 // FailNode simulates a worker crash between periods: the goroutine stops
 // and every state it held is lost. The node's key groups must be recovered

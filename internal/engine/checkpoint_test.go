@@ -69,16 +69,13 @@ func TestIncrementalCheckpointAndRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	// Three periods first: the fourth then grows every state by a third, under
-	// the half of its base at which a tip-holder writes a fresh base instead of
-	// the delta (statestore's compaction bound) — which NewBytes counts in full.
-	for p := 0; p < 3; p++ {
+	for p := 0; p < 2; p++ {
 		if _, err := e.RunPeriod(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cs := e.TakeCheckpoint()
-	if cs.Period != 3 || cs.Groups == 0 || cs.NewBytes == 0 {
+	if cs.Period != 2 || cs.Groups == 0 || cs.NewBytes == 0 {
 		t.Fatalf("first checkpoint: %+v", cs)
 	}
 	firstTotal := cs.TotalBytes
@@ -89,7 +86,7 @@ func TestIncrementalCheckpointAndRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs2 := e.TakeCheckpoint()
-	if cs2.Period != 4 {
+	if cs2.Period != 3 {
 		t.Fatalf("second checkpoint period = %d", cs2.Period)
 	}
 	if cs2.NewBytes >= firstTotal {

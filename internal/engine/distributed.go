@@ -218,7 +218,7 @@ func (e *Engine) setTipNode(gid, node int) {
 // recordCkptEntry appends one checkpoint entry to the store, as it is, and
 // notes that the group's tip now lives where the entry was taken.
 func (e *Engine) recordCkptEntry(en ckptEntryWire, cs *CheckpointStats, fresh *[]int) error {
-	if err := e.ckpt.Record(en.gid, e.period, en.step, en.payload); err != nil {
+	if err := e.ckpt.Record(en.gid, e.period, en.step, en.payload, en.tip); err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
 	cs.NewBytes += len(en.payload)
@@ -231,8 +231,9 @@ func (e *Engine) recordCkptEntry(en ckptEntryWire, cs *CheckpointStats, fresh *[
 // controller's store, in ascending gid. Their payloads crossed a wire, so each
 // is first checked to be what a worker sends — a known group named once, a
 // state or a delta that decodes, spread over the barrier pool — and is then
-// appended byte for byte: nothing is applied, re-diffed or re-encoded here.
-// Entries that fail are skipped and their errors returned, joined.
+// appended byte for byte: nothing is applied, re-diffed or re-encoded per
+// entry (the store replays a chain only to fold it, at its bound). Entries
+// that fail are skipped and their errors returned, joined.
 func (e *Engine) absorbCkptEntries(entries []ckptEntryWire, cs *CheckpointStats, fresh *[]int) error {
 	slices.SortStableFunc(entries, func(a, b ckptEntryWire) int { return a.gid - b.gid })
 	workers := barrierWorkers(len(entries))

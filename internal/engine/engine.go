@@ -629,7 +629,8 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 	for gid := range deltas {
 		deltas[gid] = -1
 	}
-	acc, groups := e.foldLocal()
+	e.commBuilder.Reset(ng)
+	acc, groups := e.foldLocal(e.commBuilder.Add)
 	for _, g := range groups {
 		ps.StateBytes[g.gid], deltas[g.gid] = g.size, g.delta
 	}

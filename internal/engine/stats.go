@@ -370,17 +370,18 @@ func (e *Engine) localGroups() []liveGroup {
 }
 
 // foldLocal is the barrier fold, the same in every process: it folds every
-// live hosted shard's period statistics into one accumulator and
-// e.commBuilder, and sizes every hosted group that has a checkpoint tip
+// live hosted shard's period statistics into one accumulator, hands their
+// communication edges to commAdd (the controller's CommBuilder, a worker's
+// reply encoder), and sizes every hosted group that has a checkpoint tip
 // against it — the synchronous cost a checkpoint-assisted move of the group
 // would pay right now. finishPeriod runs it for the controller's own nodes and
 // adds what each worker's rqStats handler made of the same call. Shards are
 // quiescent here. The shard fold fans across the barrier pool when there are
 // enough shards and cores to matter, the sizing always (a group's state, tip
-// and slot are its own); all sums are integer milli-units and CommBuilder adds
-// are unit counts, so the result is bit-identical to the serial fold whatever
-// the worker count or schedule.
-func (e *Engine) foldLocal() (*mergeAcc, []liveGroup) {
+// and slot are its own); all sums are integer milli-units and the edges are
+// unit counts summed by the builder, so the result is bit-identical to the
+// serial fold whatever the worker count or schedule.
+func (e *Engine) foldLocal(commAdd func(from, to int, rate float64)) (*mergeAcc, []liveGroup) {
 	refs := e.shardRefs[:0]
 	for i, n := range e.nodes {
 		if n == nil || e.removed[i] {
@@ -402,16 +403,15 @@ func (e *Engine) foldLocal() (*mergeAcc, []liveGroup) {
 	for k := 0; k < w; k++ {
 		e.mergeAccs[k].reset(ng, len(e.nodes))
 	}
-	e.commBuilder.Reset(ng)
 	// The comm fold's dominant cost is scanning each shard's accumulator for
-	// non-zero edges; that scan stays parallel and only the per-edge Add
+	// non-zero edges; that scan stays parallel and only the per-edge add
 	// serializes on the mutex.
-	add := e.commBuilder.Add
+	add := commAdd
 	if w > 1 {
 		var commMu sync.Mutex
 		add = func(from, to int, rate float64) {
 			commMu.Lock()
-			e.commBuilder.Add(from, to, rate)
+			commAdd(from, to, rate)
 			commMu.Unlock()
 		}
 	}

@@ -578,11 +578,12 @@ func (r *wireReader) addMilli(what string, dst []int64) {
 }
 
 // encodeStatsReply ships a worker's barrier fold (Engine.foldLocal): the
-// accumulator, each hosted group's state size and tip delta in ascending gid,
-// and the communication triples. All load values are integer milli-units,
-// making the controller's sum exact and order-independent — the property the
-// in-memory vs TCP equivalence tests pin down to the last bit.
-func encodeStatsReply(a *mergeAcc, groups []liveGroup, comm *core.CommBuilder) []byte {
+// accumulator and each hosted group's state size and tip delta in ascending
+// gid; the communication triples (from, to, count) the fold handed out follow
+// to the end of the body. All load values are integer milli-units, making the
+// controller's sum exact and order-independent — the property the in-memory
+// vs TCP equivalence tests pin down to the last bit.
+func encodeStatsReply(a *mergeAcc, groups []liveGroup) []byte {
 	b := codec.GetBuf()
 	b = appendMilli(b, a.groupMilli)
 	b = appendMilli(b, a.nodeMilli)
@@ -597,12 +598,6 @@ func encodeStatsReply(a *mergeAcc, groups []liveGroup, comm *core.CommBuilder) [
 		b = appendInt(b, g.size)
 		b = appendSigned(b, g.delta)
 	}
-	b = appendInt(b, comm.Len())
-	comm.ForEach(func(from, to int, n float64) {
-		b = appendInt(b, from)
-		b = appendInt(b, to)
-		b = codec.AppendUvarint(b, uint64(n))
-	})
 	return b
 }
 
@@ -630,8 +625,7 @@ func (a *mergeAcc) addReply(body []byte, comm *core.CommBuilder, stateBytes, ckp
 			stateBytes[gid], ckptDelta[gid] = size, delta
 		}
 	}
-	n = r.int("stats comm count", maxWireGroups)
-	for i := 0; i < n && r.err == nil; i++ {
+	for len(r.b) > 0 && r.err == nil {
 		from := r.int("stats comm from", maxWireGroups)
 		to := r.int("stats comm to", maxWireGroups)
 		if c := r.i64("stats comm n"); r.err == nil {
@@ -644,11 +638,14 @@ func (a *mergeAcc) addReply(body []byte, comm *core.CommBuilder, stateBytes, ckp
 // ckptEntryWire is one key group's step of one checkpoint, as the process
 // holding the group's tip took it (Engine.ckptEntries): what statestore's
 // Tip.Advance returned, to be recorded in the controller's store as it is.
+// tip is the advanced tip, beside the entry until it crosses a wire: the
+// store folds an over-long chain from it where it would otherwise replay.
 type ckptEntryWire struct {
 	node    int
 	gid     int
 	step    statestore.Step
 	payload []byte
+	tip     *statestore.Tip
 }
 
 func encodeCkptReply(entries []ckptEntryWire) []byte {

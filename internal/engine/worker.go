@@ -156,8 +156,14 @@ func (e *Engine) handleRequest(peer int, q reqFrame) {
 	switch q.kind {
 	case rqStats:
 		e.pingLocalShards()
-		acc, groups := e.foldLocal()
-		body = encodeStatsReply(acc, groups, &e.commBuilder)
+		comm := codec.GetBuf()
+		acc, groups := e.foldLocal(func(from, to int, n float64) {
+			comm = appendInt(comm, from)
+			comm = appendInt(comm, to)
+			comm = codec.AppendUvarint(comm, uint64(n))
+		})
+		body = append(encodeStatsReply(acc, groups), comm...)
+		codec.PutBuf(comm)
 	case rqCkpt:
 		e.pingLocalShards()
 		body = encodeCkptReply(e.ckptEntries(q.version))
@@ -231,7 +237,7 @@ func (e *Engine) ckptEntries(version int) []ckptEntryWire {
 	fanOut(workers, len(groups), func(w, i int) {
 		g := groups[i]
 		step, payload := g.tip.Advance(&scratch[w], version, g.st)
-		entries[i] = ckptEntryWire{node: g.node, gid: g.gid, step: step, payload: payload}
+		entries[i] = ckptEntryWire{node: g.node, gid: g.gid, step: step, payload: payload, tip: g.tip}
 	})
 	return entries
 }

@@ -71,12 +71,8 @@ func TestCheckpointDeltaWhenFewCellsChange(t *testing.T) {
 		tab.Delete(fmt.Sprintf("w1-key-%04d", 1999-v))
 		live.Add("seen", 5)
 		want := Diff(mustMaterialize(t, s, 3), live).Size()
-		full := s.ChainLen(3) == defaultMaxChain // the tip-holder folds: a fresh base, not a ninth link
 		appended := s.Checkpoint(3, v, live)
-		if full && (appended != live.Size() || s.ChainLen(3) != 0) {
-			t.Fatalf("v%d: appended %d bytes on a full chain (now %d long), want a fresh base of %d", v, appended, s.ChainLen(3), live.Size())
-		}
-		if !full && (appended != want || appended*50 > live.Size()) {
+		if appended != want || appended*50 > live.Size() {
 			t.Fatalf("v%d: appended %d bytes, want the %d-byte delta (state is %d)", v, appended, want, live.Size())
 		}
 		if cl := s.ChainLen(3); cl > defaultMaxChain {
@@ -85,6 +81,64 @@ func TestCheckpointDeltaWhenFewCellsChange(t *testing.T) {
 		if !statesEqual(mustMaterialize(t, s, 3), live) {
 			t.Fatalf("v%d: materialized state diverged", v)
 		}
+	}
+}
+
+// TestRecordFoldsWhereverTheTipIs: a checkpoint costs its writer the delta
+// whoever folds the chain. One history is written three ways — Checkpoint (the
+// store holds the tip), Record with the holder's tip at hand, Record without —
+// and at every cadence the three stores hold the same bytes, the writer was
+// handed the delta and never a base, and the chain stayed within its bound. An
+// EncodedState in between folds the log under the holder, whose next delta
+// must still land on it, and leaves a store its own tip.
+func TestRecordFoldsWhereverTheTipIs(t *testing.T) {
+	own, withTip, replayed := New(), New(), New()
+	live := windowState(1, 400)
+	var tip Tip
+	var scratch Delta
+	folds := 0
+	for v := 1; v <= 40; v++ {
+		live.Table("win").Add(fmt.Sprintf("w1-key-%04d", (v*7)%400), 1)
+		live.Add("seen", 1)
+		before := replayed.ChainLen(1)
+		step, enc := tip.Advance(&scratch, v, live)
+		if v > 1 && (step != StepDelta || len(enc)*20 > live.Size()) {
+			t.Fatalf("v%d: the holder wrote step %d, %d bytes of a %d-byte state; want the delta", v, step, len(enc), live.Size())
+		}
+		if appended := own.Checkpoint(1, v, live); appended != len(enc) {
+			t.Fatalf("v%d: Checkpoint appended %d bytes, the holder wrote %d", v, appended, len(enc))
+		}
+		if err := withTip.Record(1, v, step, enc, &tip); err != nil {
+			t.Fatal(err)
+		}
+		if err := replayed.Record(1, v, step, enc, nil); err != nil {
+			t.Fatal(err)
+		}
+		if cl := replayed.ChainLen(1); cl > defaultMaxChain {
+			t.Fatalf("v%d: chain length %d exceeds %d", v, cl, defaultMaxChain)
+		} else if cl <= before && v > 1 {
+			folds++
+		}
+		if v%11 == 0 {
+			for _, s := range []*Store{own, withTip, replayed} {
+				if b, ver, ok := s.EncodedState(1); !ok || ver != v || !bytes.Equal(b, live.Encode(nil)) {
+					t.Fatalf("v%d: EncodedState is not the live state's encoding (ver %d, ok %v)", v, ver, ok)
+				}
+			}
+			if own.groups[1].tip == nil {
+				t.Fatalf("v%d: folding its own chain cost the store its tip", v)
+			}
+		}
+		want := own.Encode(nil)
+		if !bytes.Equal(withTip.Encode(nil), want) || !bytes.Equal(replayed.Encode(nil), want) {
+			t.Fatalf("v%d: the stores differ by who folded", v)
+		}
+		if !statesEqual(mustMaterialize(t, replayed, 1), live) {
+			t.Fatalf("v%d: replayed state diverged", v)
+		}
+	}
+	if folds < 3 {
+		t.Fatalf("the history folded %d times; the test wants several", folds)
 	}
 }
 
@@ -240,7 +294,7 @@ func TestAdvanceRecordScheduleIndependent(t *testing.T) {
 			}
 			wg.Wait()
 			for g := range steps {
-				if err := s.Record(g, c, steps[g], payloads[g]); err != nil {
+				if err := s.Record(g, c, steps[g], payloads[g], nil); err != nil {
 					t.Fatal(err)
 				}
 				appended = append(appended, len(payloads[g]))

@@ -139,9 +139,8 @@ func Diff(old, new *State) *Delta {
 
 var emptyState State
 
-// sameNum compares cells as their encodings, not as numbers: a NaN equals
-// itself (== says it differs, and the group would write a delta at every cadence
-// forever) and −0 differs from +0 (else tip and state encode differently).
+// sameNum compares cells as their encodings: a NaN equals itself (by == the
+// group would write a delta forever) and −0 differs from +0 (as their bytes do).
 func sameNum(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // DiffInto computes new − old into d (d is Reset first). With a reused d

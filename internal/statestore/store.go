@@ -10,9 +10,8 @@ import (
 // storeMagic versions the durable store encoding.
 const storeMagic = 0xC5
 
-// Compaction bounds: a tip-holder writes a fresh base instead of the delta
-// that would take the chain past defaultMaxChain links or past
-// defaultCompactFactor times the base size (replay length, storage overhead).
+// Compaction bounds: Record folds a chain into a fresh base once it grows past
+// defaultMaxChain links or defaultCompactFactor times the base size.
 const (
 	defaultMaxChain      = 8
 	defaultCompactFactor = 0.5
@@ -33,11 +32,11 @@ type entry struct {
 // Store is a versioned, per-group log of incremental checkpoints. The decoded
 // state at a group's last checkpoint — its Tip, which the next delta is cut
 // against — lives with whoever holds the group's live state: that party calls
-// Tip.Advance and hands what it wrote to Record. Recovery and migration read
-// states back by replaying base and deltas (Materialize / EncodedState);
-// Encode/Decode round-trip the whole store for durability; Checkpoint is both
-// halves in one call, the store holding the tips itself. A Store is not
-// goroutine-safe: the engine uses it only between periods.
+// Tip.Advance and hands what it wrote to Record. Compaction, recovery and
+// migration read states back by replaying base and deltas (Record's fold,
+// Materialize, EncodedState); Encode/Decode round-trip the whole store for
+// durability; Checkpoint is both halves in one call, the store holding the
+// tips itself. Not goroutine-safe: the engine uses it only between periods.
 type Store struct {
 	groups map[int]*entry
 	gids   []int // the keys of groups, ascending
@@ -91,65 +90,54 @@ const (
 type Tip struct {
 	ver int
 	st  *State
-	// The chain written so far: the size of its base, and the number and
-	// volume of the deltas stacked on it.
-	baseBytes, links, deltaBytes int
 }
 
-// NewTip adopts st, which it keeps, as the tip at version: a state that
-// arrived whole from the store (a pre-copied base, a recovered state), so the
-// chain behind it is one base of st's size.
-func NewTip(version int, st *State) *Tip {
-	return &Tip{ver: version, st: st, baseBytes: st.Size()}
-}
+// NewTip adopts st as the tip at version: a state that arrived whole from the
+// store (a pre-copied base, a recovered state).
+func NewTip(version int, st *State) *Tip { return &Tip{ver: version, st: st} }
 
 // Version returns the version of the checkpoint the tip holds.
 func (t *Tip) Version() int { return t.ver }
 
-// State returns the tip's state (nil for the zero Tip), to read and diff
-// against, not to modify.
+// State returns the tip's state (nil for the zero Tip), read-only.
 func (t *Tip) State() *State { return t.st }
 
 // Advance brings the tip up to cur at version, in place, and returns what to
 // Record for it. This is the checkpoint write rule, the only one: a state that
 // equals the tip writes nothing; one that changed little writes the delta; and
 // a fresh base — cur encoded once and copied into the tip — is written for a
-// group's first checkpoint, for a state whose delta would be at least as large
-// as the state itself (windowed state churns fully between cadences), and for
-// a delta that would take the chain past the compaction bounds. So a
-// checkpoint never writes more than |σ|, nobody has to decode a chain to fold
-// it, and the choice never depends on where the tip lives. d is scratch.
+// group's first checkpoint and for a state whose delta would be at least as
+// large as the state itself (windowed state churns fully between cadences).
+// So a checkpoint never writes more than |σ|, and the choice depends only on
+// tip and cur, never on where the tip lives. d is scratch.
 func (t *Tip) Advance(d *Delta, version int, cur *State) (Step, []byte) {
 	t.ver = version
-	size, fresh := 0, t.st == nil
-	if fresh {
+	size := cur.Size() // a zero tip writes a base
+	if t.st == nil {
 		t.st = NewState()
-	} else {
-		if size = DiffSize(t.st, cur); size == emptyDeltaSize {
-			return StepNone, nil
-		}
-		fresh = size >= cur.Size() || t.links >= defaultMaxChain ||
-			float64(t.deltaBytes+size) > defaultCompactFactor*float64(t.baseBytes)
+	} else if size = DiffSize(t.st, cur); size == emptyDeltaSize {
+		return StepNone, nil
 	}
-	if fresh {
+	if size >= cur.Size() {
 		enc := cur.Encode(make([]byte, 0, cur.Size()))
 		t.st.CopyFrom(cur)
-		t.baseBytes, t.links, t.deltaBytes = len(enc), 0, 0
 		return StepBase, enc
 	}
 	DiffInto(d, t.st, cur)
 	enc := d.Encode(make([]byte, 0, size))
 	d.Apply(t.st)
-	t.links++
-	t.deltaBytes += size
 	return StepDelta, enc
 }
 
 // Record appends what gid's tip-holder wrote at version: nothing (the version
 // alone advances), a delta on the chain, or a fresh base that replaces it. The
-// store keeps payload and never looks inside — the caller vouches that it is
-// what Tip.Advance returned, or that it decodes. Without a base, only a base.
-func (s *Store) Record(gid, version int, step Step, payload []byte) error {
+// store keeps payload and does not look inside — the caller vouches that it is
+// what Tip.Advance returned, or that it decodes — until a delta takes the
+// chain past the compaction bounds and it is folded: what a checkpoint costs
+// its writer, and a wire, stays the delta. tip, when the caller has the
+// advanced tip at hand, is what a fold encodes; without it (nil) the chain is
+// replayed. The store does not keep tip. Without a base, only a base.
+func (s *Store) Record(gid, version int, step Step, payload []byte, tip *Tip) error {
 	e := s.groups[gid]
 	if e == nil {
 		if step != StepBase {
@@ -160,47 +148,67 @@ func (s *Store) Record(gid, version int, step Step, payload []byte) error {
 		i, _ := slices.BinarySearch(s.gids, gid)
 		s.gids = slices.Insert(s.gids, i, gid)
 	}
+	e.version, e.tip = version, nil
 	switch step {
 	case StepBase:
-		s.bytes += len(payload) - len(e.base) - e.deltaBytes
-		e.base, e.baseVer = payload, version
-		e.deltas, e.deltaBytes = nil, 0
+		s.setBase(e, payload)
 	case StepDelta:
 		e.deltas = append(e.deltas, payload)
 		e.deltaBytes += len(payload)
 		s.bytes += len(payload)
+		if len(e.deltas) > defaultMaxChain || float64(e.deltaBytes) > defaultCompactFactor*float64(len(e.base)) {
+			s.fold(e, tip)
+		}
 	}
-	e.version = version
-	e.tip = nil // whoever recorded holds the tip, not the store
 	return nil
+}
+
+// setBase makes base, a state encoded at e.version, the whole of e's chain.
+func (s *Store) setBase(e *entry, base []byte) {
+	s.bytes += len(base) - len(e.base) - e.deltaBytes
+	e.base, e.baseVer = base, e.version
+	e.deltas, e.deltaBytes = nil, 0
+}
+
+// fold replaces e's chain by the one base it amounts to — tip, encoded; nil
+// replays it — and leaves a chain that does not replay as it is.
+func (s *Store) fold(e *entry, tip *Tip) bool {
+	if tip == nil {
+		tip = e.replay(&s.scratch)
+	}
+	if tip.st != nil {
+		s.setBase(e, tip.st.Encode(make([]byte, 0, tip.st.Size())))
+	}
+	return tip.st != nil
 }
 
 // Checkpoint records st as gid's state at version with the store holding the
 // group's tip itself: Tip.Advance decides what to write — a full snapshot the
 // first time, then nothing, the delta since the previous checkpoint, or a
-// fresh base — and Record appends it. It returns the bytes appended, never
-// more than the state's size. A group last written through Record, or decoded,
-// has its tip replayed first. A nil st checkpoints the empty state.
+// fresh base — and the store records it as Record does. It returns the bytes
+// appended, never more than the state's size. A group last written through
+// Record, or decoded, has its tip replayed first. A nil st is the empty state.
 func (s *Store) Checkpoint(gid, version int, st *State) int {
 	if st == nil {
 		st = &emptyState
 	}
 	tip := &Tip{}
-	if e := s.groups[gid]; e != nil && e.tip != nil {
-		tip = e.tip
-	} else if e != nil {
+	if e := s.groups[gid]; e != nil {
 		tip = e.replay(&s.scratch)
 	}
 	step, enc := tip.Advance(&s.scratch, version, st)
-	s.Record(gid, version, step, enc) //nolint:errcheck // a zero tip writes a base
+	s.Record(gid, version, step, enc, tip) //nolint:errcheck // a zero tip writes a base
 	s.groups[gid].tip = tip
 	return len(enc)
 }
 
-// replay decodes e's base and applies its deltas: the tip a holder that had
-// written exactly this chain would have — the zero Tip when a recorded payload
+// replay returns the tip of e's chain: the one the store holds, or else the
+// base decoded and the deltas applied — the zero Tip when a recorded payload
 // does not decode (Decode and the engine check before they record).
 func (e *entry) replay(d *Delta) *Tip {
+	if e.tip != nil {
+		return e.tip
+	}
 	st, err := DecodeState(e.base)
 	for i := 0; err == nil && i < len(e.deltas); i++ {
 		if _, err = DecodeDeltaInto(e.deltas[i], d); err == nil {
@@ -210,7 +218,7 @@ func (e *entry) replay(d *Delta) *Tip {
 	if err != nil {
 		return &Tip{}
 	}
-	return &Tip{ver: e.version, st: st, baseBytes: len(e.base), links: len(e.deltas), deltaBytes: e.deltaBytes}
+	return &Tip{ver: e.version, st: st}
 }
 
 // ChainLen returns the number of deltas stacked on gid's base (0 if the
@@ -229,28 +237,21 @@ func (s *Store) Materialize(gid int) (*State, int, bool) {
 	if e == nil {
 		return nil, -1, false
 	}
-	if e.tip != nil {
-		return e.tip.st.Clone(), e.version, true
-	}
 	st := e.replay(&s.scratch).st
+	if e.tip != nil {
+		st = st.Clone()
+	}
 	return st, e.version, st != nil
 }
 
 // EncodedState returns gid's checkpointed state fully encoded (the bytes a
 // pre-copy ships) plus its version; the slice is immutable. A chain is folded
-// as a side effect — the encoding is recorded as a fresh base — so repeated
-// reads stay cheap and a state that travels whole leaves one base behind.
+// as a side effect, so repeated reads stay cheap and a state that travels
+// whole leaves one base behind.
 func (s *Store) EncodedState(gid int) ([]byte, int, bool) {
 	e := s.groups[gid]
-	if e == nil {
+	if e == nil || len(e.deltas) > 0 && !s.fold(e, nil) {
 		return nil, -1, false
-	}
-	if len(e.deltas) > 0 {
-		st, _, ok := s.Materialize(gid)
-		if !ok {
-			return nil, -1, false
-		}
-		s.Record(gid, e.version, StepBase, st.Encode(make([]byte, 0, st.Size()))) //nolint:errcheck // tracked
 	}
 	return e.base, e.version, true
 }
