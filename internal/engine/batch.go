@@ -69,36 +69,6 @@ func (o *outbox) stage(kg int, t *Tuple, scratch *[]byte) int {
 	return len(s)
 }
 
-// stageView stages one record straight from a receive-path view (the
-// hot-move forwarding path), without materializing a Tuple. Raw string
-// values are copied from the source frame into the outgoing frame as bytes;
-// nothing is interned.
-func (o *outbox) stageView(kg int, v *TupleView, scratch *[]byte) int {
-	if v.src != nil {
-		return o.stage(kg, v.src, scratch)
-	}
-	o.begin()
-	s := codec.AppendUvarint((*scratch)[:0], uint64(kg))
-	s = codec.AppendUvarint(s, uint64(len(v.keyRaw)))
-	s = append(s, v.keyRaw...)
-	s = codec.AppendInt64(s, v.ts)
-	s = codec.AppendUvarint(s, uint64(len(v.strs)))
-	for i := range v.strs {
-		s = o.dict.AppendRef(s, v.strs[i].name)
-		s = codec.AppendUvarint(s, uint64(len(v.strs[i].raw)))
-		s = append(s, v.strs[i].raw...)
-	}
-	s = codec.AppendUvarint(s, uint64(len(v.nums)))
-	for i := range v.nums {
-		s = o.dict.AppendRef(s, v.nums[i].name)
-		s = codec.AppendFloat64(s, v.nums[i].val)
-	}
-	*scratch = s
-	o.buf = codec.AppendBatchItem(o.buf, s)
-	o.count++
-	return len(s)
-}
-
 // full reports whether the outbox reached a flush threshold.
 func (o *outbox) full() bool {
 	return o.count >= flushBatchTuples || len(o.buf) >= flushBatchBytes

@@ -74,14 +74,14 @@ type Config struct {
 	// values above 256 are capped.
 	ShardsPerNode int
 	// GenWorkers partitions each source's per-period emission across this
-	// many generators (see gen.go): generator 0 is the engine goroutine, the
-	// others are goroutines spawned for the period. Each generator is a
-	// distinct sender with its own per-(dest, op) outbox set, scratch buffer
-	// and byte/batch counters, so the per-sender FIFO invariant holds per
-	// generator; sub-period boundaries are safe-point rendezvous across the
-	// generators. Sources opt in via Topology.AddSourceParts — a source
-	// without a split hook runs whole on generator 0. 0 means 1; values above
-	// 64 are capped.
+	// many generators (see gen.go): generator 0 is the period's generation
+	// goroutine, the others are goroutines it spawns for the period. Each
+	// generator is a distinct sender with its own per-(dest, op) outbox set,
+	// scratch buffer and byte/batch counters, so the per-sender FIFO invariant
+	// holds per generator; sub-period boundaries are safe-point rendezvous
+	// across the generators. Sources opt in via Topology.AddSourceParts — a
+	// source without a split hook runs whole on generator 0. 0 means 1; values
+	// above 64 are capped.
 	GenWorkers int
 }
 
@@ -327,19 +327,40 @@ type periodRun struct {
 	// recover via the checkpoint path) rather than run further periods.
 	armFailed bool
 
-	// Reactive sub-period state (see subperiod.go). All fields are owned by
-	// the generation side during the period — mutated only inside genCoord's
-	// single-threaded boundary region and after the generator join;
-	// finishPeriod reads them only after synchronizing on the generation
-	// result.
+	// Reactive sub-period state (see subperiod.go). Generators read these
+	// fields; whoever writes them does so while every generator is parked or
+	// has joined — genCoord's single-threaded boundary region, the control
+	// goroutine between a boundary's hand-over on segment and its answer on
+	// resume — and finishPeriod reads them only after synchronizing on the
+	// generation result.
 	subObserver SubObserver
 	subIdx      int   // sub-intervals completed (1-based once running)
 	subPerSub   int64 // source tuples per sub-interval (0: no boundaries)
 	srcEmitted  int64
 	stagedGids  map[int]bool // gids in a staged period-boundary migration
-	hotDest     map[int]int  // engine-side routing overrides (gid -> node)
 	hotMoved    map[int]bool // gids already hot-moved this period
 	hotMoves    int
+	// segment is where the generator running a sub-period boundary hands the
+	// boundary's validated moves to the control goroutine, once its non-final
+	// barrier wave is out; it then waits on resume, which delivers one value
+	// when the next segment is armed. done is closed when finishPeriod returns:
+	// a generator waits on neither channel once the period is over, opens no
+	// further boundary and drops what its sources still emit (over, flushGen),
+	// so it ends soon after a period that failed.
+	segment chan []core.Move
+	resume  chan struct{}
+	done    chan struct{}
+}
+
+// over reports whether the period's control goroutine has returned; before
+// the final barrier wave is out that can only mean the period failed.
+func (pr *periodRun) over() bool {
+	select {
+	case <-pr.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // beginPeriod arms all nodes for one statistics period: it snapshots the
@@ -379,6 +400,9 @@ func (e *Engine) beginPeriod() *periodRun {
 		stagedGids: map[int]bool{},
 		hotMoved:   map[int]bool{},
 		errs:       e.ckptErrs,
+		segment:    make(chan []core.Move, 1),
+		resume:     make(chan struct{}, 1),
+		done:       make(chan struct{}),
 	}
 	e.ckptErrs = nil
 	// Decide the transfer mode of every staged move: direct full-state
@@ -402,7 +426,6 @@ func (e *Engine) beginPeriod() *periodRun {
 			pr.alloc[mv.Group] = mv.From
 		}
 	}
-	pr.rt = newRouterTable(e.topo, pr.alloc, len(e.nodes))
 	if k := int64(e.cfg.SubPeriods); k >= 2 {
 		pr.subObserver = subObserver
 		// Sub-interval boundaries are calibrated from the previous period's
@@ -419,6 +442,21 @@ func (e *Engine) beginPeriod() *periodRun {
 			pr.subPerSub = per
 		}
 	}
+	e.arm(pr, pr.transfers, false)
+	return pr
+}
+
+// arm installs pr.alloc on every shard and starts the moves that lead to it:
+// the one migration protocol, run at the period boundary by beginPeriod and at
+// a segment boundary inside the period by openSegment (resume: the period's
+// statistics keep accumulating). In both places the pipeline is drained —
+// every shard completed the barrier wave before — so the new router table,
+// the barrier counts that follow from its host sets and the in-bound moves
+// each destination shard must await take effect between two tuples of every
+// key. Only when every shard has acknowledged them are the old hosts asked to
+// ship (migrateOutMsg), and only when arm returns does generation go on.
+func (e *Engine) arm(pr *periodRun, transfers []stagedTransfer, resume bool) {
+	pr.rt = newRouterTable(e.topo, pr.alloc, len(e.nodes))
 
 	// Expected barrier count per (shard, op): one per source feeding the op
 	// plus one per shard of each host of each upstream operator — every
@@ -446,24 +484,26 @@ func (e *Engine) beginPeriod() *periodRun {
 	}
 
 	awaitIn := map[int][]int{} // global shard id -> gids arriving by stateMsg
-	for _, mv := range pr.staged {
-		g := e.gsidFor(mv.To, mv.Group)
-		awaitIn[g] = append(awaitIn[g], mv.Group)
+	for _, tr := range transfers {
+		g := e.gsidFor(tr.mv.To, tr.mv.Group)
+		awaitIn[g] = append(awaitIn[g], tr.mv.Group)
 	}
 
 	// Arm every shard of every alive node, collect acks: the hosted ones
-	// through armLocal (which also resets their period statistics), every
-	// worker peer's through one arm frame (the worker rebuilds the identical
-	// periodStartMsg and runs the same armLocal; its shards ack through the
-	// event path). A shard that cannot be armed — closed mailbox, unreachable
-	// peer — can never ack, and neither can one that reports an error instead
-	// of arming; both count toward the loop's exit so the control goroutine
-	// cannot wedge, and so does a peer death during the wait. Either case
-	// aborts the period (armFailed) and surfaces from RunPeriod/Run.
-	active, errs := e.armLocal(periodStartMsg{period: pr.period, router: pr.rt, barrierNeed: senders}, awaitIn)
+	// through armLocal (which also resets their period statistics unless the
+	// period resumes), every worker peer's through one arm frame (the worker
+	// rebuilds the identical periodStartMsg and runs the same armLocal; its
+	// shards ack through the event path). A shard that cannot be armed — closed
+	// mailbox, unreachable peer — can never ack, and neither can one that
+	// reports an error instead of arming; both count toward the loop's exit so
+	// the control goroutine cannot wedge, and so does a peer death during the
+	// wait. Either case aborts the period (armFailed) and surfaces from
+	// RunPeriod/Run.
+	active, errs := e.armLocal(periodStartMsg{period: pr.period, router: pr.rt, barrierNeed: senders}, awaitIn, resume)
 	pr.errs = append(pr.errs, errs...)
 	pr.armFailed = len(errs) > 0
-	for _, peer := range e.workerPeers() {
+	peers := e.workerPeers()
+	for _, peer := range peers {
 		var peerGids []int
 		remoteNodes := 0
 		for i := range e.nodes {
@@ -472,13 +512,14 @@ func (e *Engine) beginPeriod() *periodRun {
 			}
 			remoteNodes++
 		}
-		for _, mv := range pr.staged {
-			if e.peerFor(mv.To) == peer {
-				peerGids = append(peerGids, mv.Group)
+		for _, tr := range transfers {
+			if e.peerFor(tr.mv.To) == peer {
+				peerGids = append(peerGids, tr.mv.Group)
 			}
 		}
 		err := e.rig.ep.Send(peer, encodeArmFrame(armFrame{
 			period:      pr.period,
+			resume:      resume,
 			numNodes:    len(e.nodes),
 			alloc:       pr.alloc,
 			barrierNeed: senders,
@@ -491,20 +532,25 @@ func (e *Engine) beginPeriod() *periodRun {
 		}
 		active += remoteNodes * e.spn
 	}
+	pr.expectedCompletions = 0
 	for op := range e.topo.ops {
 		pr.expectedCompletions += len(pr.rt.hosts[op]) * e.spn
 	}
 	acks, errored := 0, 0
 	for acks+errored < active {
-		var ev engEvent
-		select {
-		case ev = <-e.events:
-		case <-e.rig.deadSignal():
+		lost, death := e.rig.lost(peers)
+		if lost {
 			pr.errs = append(pr.errs, fmt.Errorf("engine: worker died during arm phase of period %d", pr.period))
 			pr.armFailed = true
 			// Outstanding acks can never complete; stale ones drain at
 			// the next beginPeriod.
-			return pr
+			return
+		}
+		var ev engEvent
+		select {
+		case ev = <-e.events:
+		case <-death:
+			continue // lost decides whether it was one of this period's peers
 		}
 		switch ev.kind {
 		case evAck:
@@ -518,29 +564,58 @@ func (e *Engine) beginPeriod() *periodRun {
 		}
 	}
 	if pr.armFailed {
-		return pr
+		return
 	}
 
-	// Issue staged migrations (full-state, or delta against the pre-copied
+	// Issue the migrations (full-state, or delta against the pre-copied
 	// checkpoint version for checkpoint-assisted transfers) to the shard
 	// owning each group on its old host. deliver routes to remote sources;
 	// the destination (remote or not) was armed above, so its shard awaits
 	// the state before flushing.
-	for _, tr := range pr.transfers {
+	for _, tr := range transfers {
 		op, kg := e.topo.OpOf(tr.mv.Group)
 		e.deliver(e.gsidFor(tr.mv.From, tr.mv.Group), migrateOutMsg{op: op, kg: kg, dest: tr.mv.To, deltaBase: tr.deltaBase})
 	}
-	return pr
+}
+
+// openSegment is the control goroutine's half of a sub-period boundary that
+// returned moves (applyHotMoves is the generator's): the segment's barrier
+// wave is through and every state shipped so far has landed, so the moves are
+// a staged migration like any other — they enter the allocation and the next
+// segment is armed with them. Hot moves ship full state.
+func (e *Engine) openSegment(pr *periodRun, moves []core.Move) {
+	transfers := make([]stagedTransfer, len(moves))
+	e.mu.Lock()
+	for i, mv := range moves {
+		e.groupNode[mv.Group] = mv.To // target tracks the new physical home
+		pr.alloc[mv.Group] = mv.To    // so baseAlloc reflects it at period end
+		pr.hotMoved[mv.Group] = true
+		transfers[i] = stagedTransfer{mv: mv, deltaBase: -1}
+	}
+	e.mu.Unlock()
+	pr.hotMoves += len(moves)
+	e.arm(pr, transfers, true)
 }
 
 // finishPeriod waits for all operator instances to flush and all migrations
-// to be reported, then merges statistics (nodes quiescent again). gen, when
-// non-nil, delivers the concurrent source-generation result; a generation
-// failure aborts the wait exactly like the lockstep path does.
+// to be reported, then merges statistics (nodes quiescent again). gen delivers
+// the result of the period's source generation, which runs beside this loop: a
+// generation failure aborts the wait. The loop is the one reader of e.events,
+// so it also runs the control half of every segment boundary the generators
+// open (openSegment), between the completions of one barrier wave and the
+// data of the next.
 func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, error) {
+	// No generator outlives its period: once done is closed, one parked at a
+	// segment boundary gives up and every one stops emitting at its next frame.
+	defer func() {
+		close(pr.done)
+		if gen != nil {
+			<-gen
+		}
+	}()
 	completions, migs := 0, 0
 	migratedBytes, deltaBytes := 0, 0
-	errs := pr.errs
+	var boundary []core.Move // the open segment boundary's moves
 	// Delta transfers carry the checkpoint tip to their destination (the
 	// pre-copied base the destination adopted IS the tip); anything else
 	// that migrates invalidates its group's tip residency. Most periods move
@@ -559,10 +634,15 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 			}
 		}
 	}
-	for completions < pr.expectedCompletions || migs < len(pr.staged) || gen != nil {
+	peers := e.workerPeers()
+	for completions < pr.expectedCompletions || migs < len(pr.staged)+pr.hotMoves || gen != nil {
 		// A worker death mid-period means expected completions can never
 		// arrive; abort the period instead of wedging the barrier wait. The
 		// caller recovers via FailNode + Recover.
+		lost, death := e.rig.lost(peers)
+		if lost {
+			return nil, fmt.Errorf("engine: worker died during period %d", pr.period)
+		}
 		select {
 		case ev := <-e.events:
 			switch ev.kind {
@@ -580,19 +660,32 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 					e.tipNode[ev.gid] = -1
 				}
 			case evError:
-				errs = append(errs, ev.err)
+				pr.errs = append(pr.errs, ev.err)
 			}
+		case boundary = <-pr.segment:
 		case err := <-gen:
+			gen = nil
 			if err != nil {
 				return nil, err
 			}
-			gen = nil
-		case <-e.rig.deadSignal():
-			return nil, fmt.Errorf("engine: worker died during period %d", pr.period)
+		case <-death:
+			continue // lost decides whether it was one of this period's peers
+		}
+		if boundary != nil && completions == pr.expectedCompletions && migs == len(pr.staged)+pr.hotMoves {
+			// The segment is closed: its non-final wave passed every shard, so
+			// nothing sent before it is still in flight, and every state
+			// shipped so far was reported. Arm the next one and let the
+			// generators go on.
+			e.openSegment(pr, boundary)
+			if pr.armFailed {
+				return nil, fmt.Errorf("engine: period %d arm failed at a segment boundary: %w", pr.period, errors.Join(pr.errs...))
+			}
+			completions, boundary = 0, nil
+			pr.resume <- struct{}{}
 		}
 	}
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
+	if len(pr.errs) > 0 {
+		return nil, errors.Join(pr.errs...)
 	}
 
 	ps := &PeriodStats{
@@ -634,7 +727,6 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 	for _, g := range groups {
 		ps.StateBytes[g.gid], deltas[g.gid] = g.size, g.delta
 	}
-	peers := e.workerPeers()
 	bodies, rerrs := e.rig.requestAll(peers, reqFrame{kind: rqStats, version: pr.period})
 	for k, peer := range peers {
 		if rerrs[k] != nil {
@@ -701,43 +793,36 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 	return ps, nil
 }
 
-// RunPeriod executes one statistics period in lockstep: staged migrations
-// are applied via direct state migration concurrently with the new period's
-// data flow, sources generate their batch on the calling goroutine, every
-// operator processes and flushes, and the merged statistics are returned.
+// RunPeriod executes one statistics period: staged migrations are applied via
+// direct state migration concurrently with the new period's data flow, sources
+// generate their batch on a goroutine of their own — the calling goroutine is
+// the period's control goroutine, free to coordinate segment boundaries —
+// every operator processes and flushes, and the merged statistics are
+// returned.
 func (e *Engine) RunPeriod() (*PeriodStats, error) {
 	pr := e.beginPeriod()
 	if pr.armFailed {
 		return nil, fmt.Errorf("engine: period %d arm failed: %w", pr.period, errors.Join(pr.errs...))
 	}
-	if err := e.generate(pr); err != nil {
-		return nil, err
-	}
-	return e.finishPeriod(pr, nil)
+	gen := make(chan error, 1)
+	go func() { gen <- e.generate(pr) }()
+	return e.finishPeriod(pr, gen)
 }
 
 // Run drives the engine continuously until ctx is cancelled or periods
-// complete (periods <= 0 means until cancelled). Unlike the lockstep
-// RunPeriod, source generation runs on a dedicated goroutine, keeping the
-// control goroutine free for coordination, and the observe hook — invoked
-// between periods with each period's merged statistics — is where an
-// adaptation loop (see internal/controller) snapshots, plans and stages
-// reconfigurations. observe may be nil; a non-nil error return stops the
-// run and is returned.
+// complete (periods <= 0 means until cancelled): one RunPeriod after another,
+// with the observe hook — invoked between periods with each period's merged
+// statistics — where an adaptation loop (see internal/controller) snapshots,
+// plans and stages reconfigurations. observe may be nil; a non-nil error
+// return stops the run and is returned.
 func (e *Engine) Run(ctx context.Context, periods int, observe func(*PeriodStats) error) error {
 	for p := 0; periods <= 0 || p < periods; p++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		pr := e.beginPeriod()
-		if pr.armFailed {
-			return fmt.Errorf("engine: period %d arm failed: %w", pr.period, errors.Join(pr.errs...))
-		}
-		gen := make(chan error, 1)
-		go func() { gen <- e.generate(pr) }()
-		ps, err := e.finishPeriod(pr, gen)
+		ps, err := e.RunPeriod()
 		if err != nil {
-			return fmt.Errorf("period %d: %w", pr.period, err)
+			return fmt.Errorf("period %d: %w", e.period, err)
 		}
 		if observe != nil {
 			if err := observe(ps); err != nil {

@@ -8,9 +8,10 @@ import (
 )
 
 // Source generation. The engine produces each period's input batch on
-// Config.GenWorkers generators: generator 0 is the engine goroutine itself,
-// every further one a goroutine spawned for the period, so one worker — the
-// default — spawns nothing and shares nothing. Each generator is a distinct
+// Config.GenWorkers generators: generator 0 is the period's generation
+// goroutine itself (RunPeriod starts it beside the control goroutine), every
+// further one a goroutine spawned from it, so one worker — the default —
+// shares nothing. Each generator is a distinct
 // sender with its own per-(dest, op) outbox set, scratch buffer and
 // byte/batch/tuple counters, so the per-sender FIFO invariant the shards rely
 // on holds per generator; the emitted tuple multiset is identical for any
@@ -31,6 +32,7 @@ type genState struct {
 	batches int64     // frames shipped this period
 	emitted int64     // source tuples emitted this period
 	err     error     // what stopped this generator this period, if anything
+	stopped bool      // the period failed: drop what the sources still emit
 }
 
 // genStateFor returns worker w's generation scratch, grown to the current
@@ -49,11 +51,13 @@ func (e *Engine) genStateFor(w int) *genState {
 	} else {
 		gs.outs = gs.outs[:want]
 	}
-	gs.bytes, gs.batches, gs.emitted, gs.err = 0, 0, 0, nil
+	gs.bytes, gs.batches, gs.emitted, gs.err, gs.stopped = 0, 0, 0, nil, false
 	return gs
 }
 
-// flushGen ships one generator outbox's staged frame, if any.
+// flushGen ships one generator outbox's staged frame, if any. A frame is also
+// how often a generator looks at whether its period is still running: a
+// source cannot be interrupted, so after a failure its tuples are dropped.
 func (e *Engine) flushGen(pr *periodRun, gs *genState, destG int) {
 	ob := gs.outs[destG]
 	if ob == nil {
@@ -62,6 +66,7 @@ func (e *Engine) flushGen(pr *periodRun, gs *genState, destG int) {
 	if m, ok := ob.take(pr.period); ok {
 		gs.batches++
 		e.deliver(destG, m)
+		gs.stopped = pr.over()
 	}
 }
 
@@ -71,13 +76,7 @@ func (e *Engine) stageSrc(pr *periodRun, gs *genState, si int, t *Tuple) {
 	for _, op := range e.topo.srcEdges[si] {
 		kg := pr.rt.keyGroup(op, t.Key)
 		gid := e.topo.GID(op, kg)
-		dest := pr.rt.nodeOf(op, kg)
-		if pr.hotDest != nil {
-			if d, ok := pr.hotDest[gid]; ok {
-				dest = d
-			}
-		}
-		destG := e.gsidFor(dest, gid)
+		destG := e.gsidFor(pr.rt.nodeOf(op, kg), gid)
 		ob := gs.outs[destG]
 		if ob == nil {
 			ob = &outbox{}
@@ -116,7 +115,7 @@ func runSrc(name string, f func()) (err error) {
 // next between-tuples safe point, and the initiator — provably alone — runs
 // the ordinary sub-period boundary machinery (flush all generator outboxes,
 // quiesce, snapshot, observer, hot moves) before releasing the others. All
-// cross-generator state (outboxes, pr.hotDest, pr.subIdx) is only touched in
+// cross-generator state (outboxes, pr.rt, pr.subIdx) is only touched in
 // that single-threaded region; the park/release mutex edges publish it. A
 // lone generator wins every flag and waits for nobody: its boundaries fire
 // inline between two of its tuples.
@@ -198,7 +197,7 @@ func (gc *genCoord) boundary() {
 	gc.mu.Unlock()
 	// Single-threaded region: every other live generator is parked (their
 	// parked++ under mu happens-before our read of the count), so flushing
-	// their outboxes and mutating the period's routing overrides is safe.
+	// their outboxes and swapping the period's router table is safe.
 	pr, e := gc.pr, gc.e
 	for pr.subIdx < e.cfg.SubPeriods-1 && gc.emitted.Load() >= gc.nextVal {
 		pr.subIdx++
@@ -268,7 +267,9 @@ func (e *Engine) generate(pr *periodRun) error {
 		pr.srcBytes += gs.bytes
 		pr.srcBatches += gs.batches
 	}
-	e.emitSourceBarriers(pr)
+	if !pr.over() { // a failed period ends without a wave; finishPeriod has its error
+		e.emitSourceBarriers(pr, true)
+	}
 	return nil
 }
 
@@ -284,6 +285,9 @@ func (e *Engine) runGenerator(pr *periodRun, gc *genCoord, w, parts int) {
 	gs := e.genStates[w]
 	for si, src := range e.topo.sources {
 		emit := func(t *Tuple) {
+			if gs.stopped {
+				return
+			}
 			e.stageSrc(pr, gs, si, t)
 			gs.emitted++
 			if gc != nil {
@@ -302,27 +306,28 @@ func (e *Engine) runGenerator(pr *periodRun, gc *genCoord, w, parts int) {
 	}
 }
 
-// emitSourceBarriers ships the end-of-period source barriers, then the
-// synthetic barriers for input-less ops — one per shard of every hosting
+// emitSourceBarriers ships the sources' barrier wave — the end-of-period one
+// (final) or the one that closes a segment at a sub-period boundary — then
+// the synthetic barriers for input-less ops: one per shard of every hosting
 // node (each shard collects the full complement). Every generator outbox
 // flushed before this: barrier counting is independent of GenWorkers.
-func (e *Engine) emitSourceBarriers(pr *periodRun) {
+func (e *Engine) emitSourceBarriers(pr *periodRun, final bool) {
 	for si := range e.topo.sources {
 		for _, op := range e.topo.srcEdges[si] {
-			e.barrierWave(pr, op)
+			e.barrierWave(pr, op, final)
 		}
 	}
 	for op, syn := range pr.synthetic {
 		if syn {
-			e.barrierWave(pr, op)
+			e.barrierWave(pr, op, final)
 		}
 	}
 }
 
-func (e *Engine) barrierWave(pr *periodRun, op int) {
+func (e *Engine) barrierWave(pr *periodRun, op int, final bool) {
 	for _, host := range pr.rt.hosts[op] {
 		for i := 0; i < e.spn; i++ {
-			e.deliver(host*e.spn+i, barrierMsg{op: op, period: pr.period})
+			e.deliver(host*e.spn+i, barrierMsg{op: op, period: pr.period, more: !final})
 		}
 	}
 }

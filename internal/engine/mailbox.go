@@ -27,14 +27,14 @@ type dataBatchMsg struct {
 }
 
 // barrierMsg signals that sender instance (an upstream operator on one node,
-// or a source) has emitted everything for `period` toward operator op. hot
-// marks the extra barrier a hot-move source sends its destination once it
-// can no longer forward tuples for the moved group (counted separately from
-// the static upstream barriers — see node.extraNeed).
+// or a source) has emitted everything it will toward operator op before the
+// next arm: everything for `period`, or — more set — everything for the
+// segment of it that a sub-period boundary is closing. A shard treats both
+// alike, except that a wave with more to come flushes no operator.
 type barrierMsg struct {
 	op     int
 	period int
-	hot    bool
+	more   bool
 }
 
 // stateMsg installs migrated state for (op, kg); part of direct state
@@ -74,26 +74,6 @@ type precopyMsg struct {
 	discard bool
 }
 
-// hotMove is one sub-period ("reactive") migration: key group gid — key
-// group kg of operator op — moves from node `from` to node `to` in the
-// middle of a running period, without waiting for the period barrier.
-type hotMove struct {
-	gid, op, kg, from, to int
-}
-
-// hotMoveMsg broadcasts a batch of hot moves to every node. The engine
-// enqueues it to all destination nodes before any other node, which —
-// combined with per-sender FIFO — guarantees a destination learns about an
-// in-bound move before the first re-routed tuple or the migrated state can
-// reach it. Each receiver updates its routing overrides; the from-node
-// additionally ships the group's state and forwards late arrivals; the
-// to-node starts buffering tuples for the group until the state lands (the
-// same awaitIn machinery as period-boundary direct state migration).
-type hotMoveMsg struct {
-	period int
-	moves  []hotMove
-}
-
 // stopMsg terminates the node goroutine.
 type stopMsg struct{}
 
@@ -102,7 +82,6 @@ func (barrierMsg) isMessage()    {}
 func (stateMsg) isMessage()      {}
 func (migrateOutMsg) isMessage() {}
 func (precopyMsg) isMessage()    {}
-func (hotMoveMsg) isMessage()    {}
 func (stopMsg) isMessage()       {}
 
 // mailbox is an unbounded batch-oriented MPSC queue. Unboundedness removes

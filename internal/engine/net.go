@@ -11,7 +11,7 @@ import (
 
 // netRig is an engine's attachment to its transport.Endpoint. It owns what
 // crosses processes: frame encoding/decoding (wire.go), the controller's
-// request/reply channel, hot-move acknowledgements, and peer-death tracking.
+// request/reply channel and peer-death tracking.
 // The engine's data path stays oblivious — Engine.deliver routes a mailbox
 // message either to a hosted shard or through the rig, and the receiving
 // dispatch loop puts the identical message into the owning shard's mailbox.
@@ -21,18 +21,12 @@ type netRig struct {
 	e  *Engine
 	ep transport.Endpoint
 
-	// hotAcks carries destination-dispatch acknowledgements of hot-move
-	// frames back to applyHotMoves (two-phase broadcast ordering).
-	hotAcks chan hotAckEv
-
 	mu      sync.Mutex
 	dead    map[int]bool
 	deadCh  chan struct{}
 	nextReq int
 	pending map[int]netPending
 }
-
-type hotAckEv struct{ peer, period int }
 
 type netPending struct {
 	peer int
@@ -43,14 +37,13 @@ func newNetRig(e *Engine, ep transport.Endpoint) *netRig {
 	return &netRig{
 		e:       e,
 		ep:      ep,
-		hotAcks: make(chan hotAckEv, 4096),
 		dead:    map[int]bool{},
 		deadCh:  make(chan struct{}),
 		pending: map[int]netPending{},
 	}
 }
 
-// markDead records a peer's death: the dead-signal channel is closed (and
+// markDead records a peer's death: the channel lost hands out is closed (and
 // replaced, so later waiters get a fresh one) and every request pending
 // toward that peer fails.
 func (r *netRig) markDead(peer int) {
@@ -95,17 +88,23 @@ func (r *netRig) alivePeers() []int {
 	return out
 }
 
-// deadSignal returns the channel closed at the NEXT peer death. Re-fetch it
-// on every wait iteration — each death replaces it.
-func (r *netRig) deadSignal() <-chan struct{} {
+// lost reports whether one of peers is down, together with the channel the
+// next peer death closes: a waiter that finds none lost selects on it, and —
+// both readings being one critical section — misses no death in between.
+func (r *netRig) lost(peers []int) (bool, <-chan struct{}) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.deadCh
+	for _, p := range peers {
+		if r.dead[p] {
+			return true, r.deadCh
+		}
+	}
+	return false, r.deadCh
 }
 
 // request performs one control-plane round trip to peer. It fails fast when
 // the peer is (or dies while) pending — a dead worker must stall no control
-// loop.
+// loop: markDead closes the channel of every request pending toward it.
 func (r *netRig) request(peer int, q reqFrame) ([]byte, error) {
 	r.mu.Lock()
 	if r.dead[peer] {
@@ -122,29 +121,11 @@ func (r *netRig) request(peer int, q reqFrame) ([]byte, error) {
 		r.unpend(q.id)
 		return nil, err
 	}
-	for {
-		select {
-		case b, ok := <-ch:
-			if !ok {
-				return nil, fmt.Errorf("engine: peer %d died during request", peer)
-			}
-			return b, nil
-		case <-r.deadSignal():
-			if !r.isDead(peer) {
-				continue // some other peer died; keep waiting
-			}
-			r.unpend(q.id)
-			// The reply may have raced the death notification in.
-			select {
-			case b, ok := <-ch:
-				if ok {
-					return b, nil
-				}
-			default:
-			}
-			return nil, fmt.Errorf("engine: peer %d died during request", peer)
-		}
+	b, ok := <-ch
+	if !ok {
+		return nil, fmt.Errorf("engine: peer %d died during request", peer)
 	}
+	return b, nil
 }
 
 // requestAll issues q to every one of peers at once and waits for all of
@@ -237,21 +218,10 @@ func (r *netRig) dispatchControl(fr transport.Frame) (bye bool) {
 		}
 	case frReply:
 		r.handleReply(fr.Peer, body)
-	case frHotAck:
-		rd := &wireReader{b: body}
-		period := rd.int("hot ack period", 1<<40)
-		if rd.err == nil {
-			select {
-			case r.hotAcks <- hotAckEv{peer: fr.Peer, period: period}:
-			default:
-				// Over-full only if acks arrive for moves nobody awaits;
-				// dropping beats blocking the reader.
-			}
-		}
 	case frBye, frArm, frReq:
 		// Worker-bound frames; the controller never receives them.
 	default:
-		r.dispatchData(fr.Peer, kind, body)
+		r.dispatchData(kind, body)
 	}
 	codec.PutBuf(data)
 	return false
@@ -259,19 +229,15 @@ func (r *netRig) dispatchControl(fr transport.Frame) (bye bool) {
 
 // dispatchData is the receiving half of Engine.deliver, the same on the
 // controller and on a worker: it decodes one data-plane frame and puts its
-// message into the addressed hosted shard's mailbox, acknowledging a hot move
-// that asked for it (see applyHotMoves). A frame that does not decode fails
-// the period through the event path.
-func (r *netRig) dispatchData(peer int, kind byte, body []byte) {
+// message into the addressed hosted shard's mailbox. A frame that does not
+// decode fails the period through the event path.
+func (r *netRig) dispatchData(kind byte, body []byte) {
 	d, err := decodeMsgFrame(kind, body)
 	if err != nil {
 		r.e.emit(engEvent{kind: evError, err: err})
 		return
 	}
 	r.e.deliverLocal(d.gsid, d.msg, d.dataBuf)
-	if hm, ok := d.msg.(hotMoveMsg); ok && d.hotAck {
-		_ = r.ep.Send(peer, encodeHotAckFrame(hm.period))
-	}
 }
 
 // deliverLocal puts a message into the owning hosted shard's mailbox.

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/codec"
 	"repro/internal/statestore"
@@ -141,31 +140,9 @@ type shard struct {
 	flushed     []bool
 	awaitByOp   []int // per op: outstanding in-bound migrations
 
-	// Reactive sub-period state, all reset at period start and nil/empty on
-	// the common (no hot move) path:
-	// hotDest overrides routing for hot-moved groups (gid -> new host node);
-	// every shard receives the broadcast and applies it to its own sends.
-	hotDest map[int]int
-	// hotAway marks groups this shard shipped away mid-period (gid -> new
-	// host node); tuples that were already in flight toward this shard when
-	// the move happened are forwarded there on arrival.
-	hotAway map[int]int
-	// hotGained lists key groups gained mid-period (op -> kgs); they are
-	// flushed here, not at their period-start host.
-	hotGained map[int][]int
-	// hotBarrier lists, per op, the destination shards (global shard ids)
-	// owed one extra barrier once every static upstream barrier for the op
-	// has reached this shard (no more data can arrive, hence nothing more
-	// can be forwarded): a hot-move destination must not flush before every
-	// tuple this shard may still forward has arrived.
-	hotBarrier map[int][]int
-	// extraNeed counts, per op, the extra (hot) barriers this shard must
-	// collect before flushing; hotGot counts those received. They are
-	// tracked apart from barrierGot/barrierNeed because only static
-	// barriers signal "upstream data has ceased" — the trigger for sending
-	// this shard's own owed hot barriers.
-	extraNeed map[int]int
-	hotGot    map[int]int
+	// more is what the current barrier wave's messages say: the wave closes a
+	// segment of the period, not the period, so no operator flushes.
+	more bool
 
 	stats *nodeStats
 	// outs[gsid] batches this shard's deliveries to other shards (see
@@ -226,8 +203,6 @@ func (s *shard) run() {
 				s.onMigrateOut(m)
 			case precopyMsg:
 				s.onPrecopy(m)
-			case hotMoveMsg:
-				s.onHotMove(m)
 			case recoverMsg:
 				s.onRecover(m)
 			case pingMsg:
@@ -279,8 +254,6 @@ func (s *shard) startPeriod(m periodStartMsg) {
 	s.barrierGot = make([]int, nops)
 	s.flushed = make([]bool, nops)
 	s.awaitByOp = make([]int, nops)
-	s.hotDest, s.hotAway, s.hotGained, s.hotBarrier = nil, nil, nil, nil
-	s.extraNeed, s.hotGot = nil, nil
 	for _, gid := range m.awaitIn {
 		s.awaitIn[gid] = true
 		op, _ := s.eng.topo.OpOf(gid)
@@ -374,66 +347,6 @@ func (s *shard) onPrecopy(m precopyMsg) {
 	pb.buf = append(pb.buf, m.chunk...)
 }
 
-// onHotMove executes one sub-period migration broadcast. Every shard records
-// the routing override; the owning shard of the old host additionally ships
-// the group's state to the owning shard of the new host (and will forward
-// tuples that were already in flight toward it); that destination shard
-// starts buffering the group's tuples until the state arrives and raises its
-// barrier requirement by one — the old host's shard owes it an extra barrier
-// once it can no longer forward anything.
-func (s *shard) onHotMove(m hotMoveMsg) {
-	if m.period != s.period {
-		s.eng.emit(engEvent{kind: evError, node: s.nid,
-			err: fmt.Errorf("engine: node %d got hot move for period %d during %d", s.nid, m.period, s.period)})
-		return
-	}
-	for _, mv := range m.moves {
-		if s.hotDest == nil {
-			s.hotDest = map[int]int{}
-		}
-		s.hotDest[mv.gid] = mv.to
-		if int(s.eng.shardIdx[mv.gid]) != s.sid {
-			continue // another shard of the from/to node owns the group
-		}
-		switch s.nid {
-		case mv.from:
-			destG := s.eng.gsidFor(mv.to, mv.gid)
-			var encoded []byte
-			if st := s.states[mv.gid]; st != nil {
-				encoded = st.Encode(make([]byte, 0, st.Size()))
-				delete(s.states, mv.gid)
-				s.pool.Put(st)
-			}
-			delete(s.tips, mv.gid) // hot moves always ship full state
-			s.stats.addMigUnits(float64(len(encoded)) * serCostPerByte)
-			// Data staged toward the destination precedes the state message
-			// (uniform per-sender FIFO, as in onMigrateOut).
-			s.flushOut(destG)
-			s.eng.deliver(destG, stateMsg{op: mv.op, kg: mv.kg, encoded: encoded})
-			s.eng.emit(engEvent{kind: evMigrated, node: s.nid, bytes: len(encoded), gid: mv.gid})
-			if s.hotAway == nil {
-				s.hotAway = map[int]int{}
-			}
-			s.hotAway[mv.gid] = mv.to
-			if s.hotBarrier == nil {
-				s.hotBarrier = map[int][]int{}
-			}
-			s.hotBarrier[mv.op] = append(s.hotBarrier[mv.op], destG)
-		case mv.to:
-			s.awaitIn[mv.gid] = true
-			s.awaitByOp[mv.op]++
-			if s.hotGained == nil {
-				s.hotGained = map[int][]int{}
-			}
-			s.hotGained[mv.op] = append(s.hotGained[mv.op], mv.kg)
-			if s.extraNeed == nil {
-				s.extraNeed = map[int]int{}
-			}
-			s.extraNeed[mv.op]++
-		}
-	}
-}
-
 // onDataBatch decodes one frame and processes its tuples in order. Frames
 // from other nodes pay deserialization per record; frames from a sibling
 // shard of the same node (m.local) decode identically but cost nothing in
@@ -449,12 +362,6 @@ func (s *shard) onDataBatch(m dataBatchMsg) {
 			s.stats.bytesIn += int64(wire)
 			s.stats.addUnits(gid, float64(wire)*deserCostPerByte)
 		}
-		if to, ok := s.hotAway[gid]; ok {
-			// The group hot-moved away mid-period; this tuple was in flight
-			// from a sender that had not yet seen the move. Forward it.
-			s.forwardHot(m.op, kg, gid, to, v)
-			return
-		}
 		if s.awaitIn[gid] {
 			// Direct state migration: the group's state has not arrived
 			// yet; materialize (the view dies with this callback) and
@@ -468,25 +375,6 @@ func (s *shard) onDataBatch(m dataBatchMsg) {
 		s.eng.emit(engEvent{kind: evError, node: s.nid, err: err})
 	}
 	codec.PutBuf(m.encoded)
-}
-
-// forwardHot re-stages a tuple for a hot-moved group toward the owning shard
-// of its new host, paying serialization like any cross-node send (hot moves
-// are always cross-node). It stages straight from the view (raw value bytes
-// are copied frame-to-frame, nothing interned or materialized).
-func (s *shard) forwardHot(op, kg, gid, to int, v *TupleView) {
-	destG := s.eng.gsidFor(to, gid)
-	ob := s.outFor(destG)
-	if ob.count > 0 && ob.op != op {
-		s.flushOut(destG)
-	}
-	ob.op = op
-	wire := ob.stageView(kg, v, &s.scratch)
-	s.stats.bytesOut += int64(wire)
-	s.stats.addUnits(gid, float64(wire)*serCostPerByte)
-	if ob.full() {
-		s.flushOut(destG)
-	}
 }
 
 // wrapView pushes a wrap-view onto the shard's view stack for a shard-local
@@ -532,41 +420,9 @@ func (s *shard) onBarrier(m barrierMsg) {
 			err: fmt.Errorf("engine: node %d got barrier for period %d during %d", s.nid, m.period, s.period)})
 		return
 	}
-	if m.hot {
-		if s.hotGot == nil {
-			s.hotGot = map[int]int{}
-		}
-		s.hotGot[m.op]++
-	} else {
-		s.barrierGot[m.op]++
-		if s.barrierGot[m.op] == s.barrierNeed[m.op] {
-			// All upstream data for op has arrived (and was processed or
-			// forwarded in order): settle the extra barriers owed to
-			// hot-move destinations. This must not wait for this shard's own
-			// flush, which may itself depend on a peer's extra barrier.
-			s.sendHotBarriers(m.op)
-		}
-	}
+	s.more = m.more
+	s.barrierGot[m.op]++
 	s.maybeFlush(m.op)
-}
-
-// sendHotBarriers ships the forwarded backlog and the owed extra barrier to
-// every destination shard of this shard's hot moves for op.
-func (s *shard) sendHotBarriers(op int) {
-	dests := s.hotBarrier[op]
-	if len(dests) == 0 {
-		return
-	}
-	delete(s.hotBarrier, op)
-	for _, destG := range dests {
-		s.flushOut(destG)
-		msg := barrierMsg{op: op, period: s.period, hot: true}
-		if destG == s.gsid {
-			s.mb.put(msg)
-			continue
-		}
-		s.eng.deliver(destG, msg)
-	}
 }
 
 func (s *shard) onState(m stateMsg) {
@@ -640,46 +496,31 @@ func (s *shard) onState(m stateMsg) {
 	s.maybeFlush(m.op)
 }
 
-// maybeFlush flushes this shard's key groups of operator op once all
-// upstream barriers arrived, all in-bound migrations for its local groups
-// completed, and every hot-move source settled its extra barrier (no
-// forwarded tuple can still be in flight toward this shard). Every shard of
-// a hosting node participates in the barrier/flush protocol — barrier counts
-// scale with ShardsPerNode on both ends — even when the hash assigned it no
-// key groups of op.
+// maybeFlush closes operator op's barrier wave on this shard once all
+// upstream barriers arrived and all in-bound migrations for its local groups
+// completed: the shard's key groups of op are flushed — unless the wave only
+// closes a segment of the period — and the wave goes on downstream. Every
+// shard of a hosting node participates in the barrier/flush protocol — barrier
+// counts scale with ShardsPerNode on both ends — even when the hash assigned
+// it no key groups of op.
 func (s *shard) maybeFlush(op int) {
 	if s.barrierNeed == nil || s.flushed[op] {
 		return
 	}
 	kgs := s.router.localKGs[s.nid][op]
 	if len(kgs) == 0 {
-		return // node not a host of op this period (host sets never change mid-period)
+		return // node not a host of op (host sets change only when a segment is armed)
 	}
 	if s.barrierGot[op] < s.barrierNeed[op] || s.awaitByOp[op] > 0 {
 		return
 	}
-	if s.hotGot[op] < s.extraNeed[op] {
-		return
-	}
 	o := s.eng.topo.ops[op]
-	if o.Flush != nil {
-		// Effective ownership this period: the period-start groups hashed to
-		// this shard, minus those hot-moved away, plus those hot-moved here.
-		eff := make([]int, 0, len(kgs)+len(s.hotGained[op]))
+	if o.Flush != nil && !s.more {
 		for _, kg := range kgs {
 			gid := s.eng.topo.GID(op, kg)
 			if int(s.eng.shardIdx[gid]) != s.sid {
 				continue
 			}
-			if _, gone := s.hotAway[gid]; gone {
-				continue
-			}
-			eff = append(eff, kg)
-		}
-		eff = append(eff, s.hotGained[op]...)
-		sort.Ints(eff)
-		for _, kg := range eff {
-			gid := s.eng.topo.GID(op, kg)
 			st := s.states[gid]
 			if st == nil {
 				st = s.pool.Get()
@@ -692,7 +533,7 @@ func (s *shard) maybeFlush(op int) {
 		}
 	}
 	s.flushed[op] = true
-	// Propagate barriers downstream: this instance is done for the period.
+	// Propagate barriers downstream: this instance is done for the segment.
 	// Ship every buffered data batch first — a barrier must never overtake
 	// data this sender staged before it (per-sender FIFO invariant). Every
 	// shard of every downstream host expects one barrier from this shard.
@@ -709,7 +550,7 @@ func (s *shard) maybeFlush(op int) {
 }
 
 func (s *shard) sendBarrier(destG, op int) {
-	msg := barrierMsg{op: op, period: s.period}
+	msg := barrierMsg{op: op, period: s.period, more: s.more}
 	if destG == s.gsid {
 		// Self-delivery through the mailbox keeps FIFO with prior sends.
 		s.mb.put(msg)
@@ -819,11 +660,6 @@ func (s *shard) routeTo(e edge, fromGID int, t *Tuple) {
 	}
 	dest := rt.nodeOf(e.op, kg)
 	toGID := s.eng.topo.GID(e.op, kg)
-	if s.hotDest != nil {
-		if d, ok := s.hotDest[toGID]; ok {
-			dest = d // group hot-moved mid-period; route to its new host
-		}
-	}
 	s.stats.addComm(fromGID, toGID)
 	if dest == s.nid && int(s.eng.shardIdx[toGID]) == s.sid {
 		// Shard-local edge: no serialization. Deliver synchronously through

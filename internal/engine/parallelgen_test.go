@@ -59,10 +59,10 @@ func partCountTopology(keys, perPeriod, kgsA, kgsB int) (*Topology, *fifoWatcher
 	return tp, w
 }
 
-// fifoWatcher records per-key sequence inversions at B. Inversions are
-// recorded, not failed immediately — a hot or staged move legitimately
-// reorders the moved groups, so only keys whose groups never moved must
-// stay monotone.
+// fifoWatcher records per-key sequence inversions at B. Every key has one
+// sender (see partCountTopology), so every key must stay monotone, whether
+// its groups moved or not; inversions are recorded on the shard goroutines
+// and reported at the end of the run.
 type fifoWatcher struct {
 	mu       sync.Mutex
 	lastSeq  map[string]float64
@@ -84,7 +84,7 @@ func (w *fifoWatcher) observe(k string, s float64) {
 // migrations, mid-period hot moves and a drained-and-terminated node must
 // deliver exact per-key totals, generator-count-invariant TuplesIn /
 // TuplesOut, the cross-node byte-accounting identity, and per-key FIFO for
-// keys whose groups never moved. Run under -race this also exercises the
+// every key, moved or not. Run under -race this also exercises the
 // generator rendezvous and the sub-period safe-point protocol.
 func TestParallelGenExactnessUnderMoves(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
@@ -114,8 +114,6 @@ func testParallelGenExactness(t *testing.T, gen, spn int) {
 	}
 	defer e.Close()
 
-	var moveMu sync.Mutex
-	movedGids := map[int]bool{}
 	e.SetSubObserver(func(snap *core.Snapshot, period, sub int) []core.Move {
 		if period < 4 || sub != 2 {
 			return nil
@@ -130,9 +128,6 @@ func testParallelGenExactness(t *testing.T, gen, spn int) {
 		if to == from {
 			to = (to + 1) % 3
 		}
-		moveMu.Lock()
-		movedGids[gid] = true
-		moveMu.Unlock()
 		return []core.Move{{Group: gid, From: from, To: to}}
 	})
 
@@ -146,13 +141,11 @@ func testParallelGenExactness(t *testing.T, gen, spn int) {
 			alloc := e.Allocation()
 			for gid, n := range alloc {
 				if n == 3 {
-					movedGids[gid] = true
 					alloc[gid] = gid % 3
 				}
 			}
 			for kg := 0; kg < kgsA; kg += 3 {
 				gid := e.topo.GID(0, kg)
-				movedGids[gid] = true
 				alloc[gid] = (alloc[gid] + 1) % 3
 			}
 			if err := e.ApplyPlan(alloc); err != nil {
@@ -213,14 +206,10 @@ func testParallelGenExactness(t *testing.T, gen, spn int) {
 		}
 	}
 
-	// FIFO: an inversion is only legal for a key at least one of whose
-	// groups was migrated at some point.
+	// FIFO: no key may ever have been delivered out of order.
 	for k := range watcher.inverted {
-		gidA := e.topo.GID(0, int(codec.Hash(k)%kgsA))
-		gidB := e.topo.GID(1, int(codec.Hash(k)%kgsB))
-		if !movedGids[gidA] && !movedGids[gidB] {
-			t.Errorf("key %s delivered out of order though groups %d/%d never moved (per-sender FIFO broken)", k, gidA, gidB)
-		}
+		t.Errorf("key %s delivered out of order (A group %d, B group %d)", k,
+			e.topo.GID(0, int(codec.Hash(k)%kgsA)), e.topo.GID(1, int(codec.Hash(k)%kgsB)))
 	}
 }
 

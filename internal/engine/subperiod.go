@@ -10,24 +10,35 @@
 //     callable from any goroutine at any time, and
 //   - a sub-period observer (SetSubObserver) invoked at every sub-interval
 //     boundary on the generation goroutine; the moves it returns are
-//     applied immediately as "hot moves" — restricted migrations that
-//     execute in the middle of the running period without waiting for the
-//     period barrier.
+//     applied immediately as "hot moves" — migrations that execute in the
+//     middle of the running period without waiting for the period barrier.
 //
-// Hot moves are restricted so the period/barrier protocol stays intact:
-// the destination must already host the group's operator this period (host
-// sets, and therefore barrier routing, never change mid-period), the group
-// must not be part of a staged period-boundary migration, and a group moves
-// at most once per period. Within those limits the full direct-state-
-// migration machinery is reused: the old host ships the state and forwards
-// late tuples, the new host buffers tuples for the group until the state
-// lands, and an extra barrier from the old to the new host delays the new
-// host's flush until every forwarded tuple has arrived.
+// A hot move is a staged move at a segment boundary: there is one migration
+// protocol (Engine.arm), and a period is one or more segments of it. The
+// boundary's generator — every other one is parked — flushes the source
+// outboxes and sends a barrier wave that is not final: shards propagate it and
+// report completion exactly as at period end, but flush no operator. When the
+// control goroutine has counted the wave's completions the pipeline is
+// drained, so it applies the moves to the allocation and arms the next segment
+// the way beginPeriod arms a period (new router table, barrier counts, the
+// destinations' awaitIn, acknowledged by every shard; statistics keep
+// accumulating), asks the old hosts to ship and releases the generators. No
+// tuple is ever in flight across a move, so no tuple is forwarded and a key's
+// tuples reach its operator in the order they were sent, moved or not. The
+// price is one pipeline drain per boundary that moves something, at a point
+// where generation is parked and quiesceToward has already waited for
+// processing to catch up.
+//
+// Hot moves are restricted: the destination must already host the group's
+// operator this period, the group must not be part of a staged
+// period-boundary migration, and a group moves at most once per period. They
+// always ship full state.
 package engine
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/codec"
@@ -100,9 +111,9 @@ func (e *Engine) SubSnapshot() (*core.Snapshot, error) {
 		Groups:   make([]core.GroupStat, e.topo.NumGroups()),
 		Ops:      e.opStats(),
 	}
-	for _, peer := range peers {
-		body, err := e.rig.request(peer, reqFrame{kind: rqSub})
-		if err != nil {
+	bodies, errs := e.rig.requestAll(peers, reqFrame{kind: rqSub})
+	for k, body := range bodies {
+		if errs[k] != nil {
 			continue // a dead worker contributes nothing mid-period
 		}
 		vals, derr := decodeSubReply(body, len(milli))
@@ -150,11 +161,11 @@ func (e *Engine) opStats() []core.OpStat {
 // moves. With parallel generation the caller is the boundary initiator and
 // every other generator is parked (see genCoord), so single-generator
 // reasoning applies throughout. flushSrc ships every staged source outbox —
-// of every generator — first, so tuples the engine routed under the old
-// allocation are ordered before the move broadcast.
+// of every generator — first, so everything the sources routed so far can be
+// processed before the counters are read.
 func (e *Engine) subBoundary(pr *periodRun, flushSrc func()) {
-	if pr.subObserver == nil {
-		return
+	if pr.subObserver == nil || pr.over() {
+		return // a period that has failed opens no further boundary
 	}
 	flushSrc()
 	// Generation is not rate-limited in this engine: sources can emit a
@@ -176,7 +187,7 @@ func (e *Engine) subBoundary(pr *periodRun, flushSrc func()) {
 	if len(moves) == 0 {
 		return
 	}
-	e.applyHotMoves(pr, moves, flushSrc)
+	e.applyHotMoves(pr, moves)
 }
 
 // quiesceToward blocks until the cluster's burned cost units this period
@@ -188,9 +199,9 @@ func (e *Engine) quiesceToward(target int64) {
 	prev, stalls := int64(-1), 0
 	for {
 		cur := e.localProgressMilli()
-		for _, peer := range e.workerPeers() {
-			body, err := e.rig.request(peer, reqFrame{kind: rqProgress})
-			if err != nil {
+		bodies, errs := e.rig.requestAll(e.workerPeers(), reqFrame{kind: rqProgress})
+		for k, body := range bodies {
+			if errs[k] != nil {
 				continue // dead worker: counts as no progress; stalls exit
 			}
 			m, derr := decodeProgressReply(body)
@@ -216,16 +227,19 @@ func (e *Engine) quiesceToward(target int64) {
 	}
 }
 
-// applyHotMoves validates and executes a batch of hot moves mid-period.
-// Invalid or unsafe moves are silently skipped (the decision was made on a
-// snapshot that may have gone stale): a move must target an alive,
+// applyHotMoves validates a batch of hot moves and executes it at a segment
+// boundary. Invalid or unsafe moves are silently skipped (the decision was
+// made on a snapshot that may have gone stale): a move must target an alive,
 // non-draining node that already hosts the group's operator this period,
 // must name the group's current physical host as From, and the group must
 // be untouched by this period's staged migrations and earlier hot moves.
-// Returns the number of moves executed.
-func (e *Engine) applyHotMoves(pr *periodRun, moves []core.Move, flushSrc func()) int {
+// What is left closes the segment: behind the source outboxes subBoundary
+// flushed, a non-final barrier wave goes out, the control goroutine takes the
+// moves (finishPeriod, openSegment) and this generator waits until the next
+// segment is armed.
+func (e *Engine) applyHotMoves(pr *periodRun, moves []core.Move) {
 	e.mu.Lock()
-	var batch []hotMove
+	var batch []core.Move
 	for _, mv := range moves {
 		gid := mv.Group
 		if gid < 0 || gid >= len(pr.alloc) {
@@ -241,95 +255,30 @@ func (e *Engine) applyHotMoves(pr *periodRun, moves []core.Move, flushSrc func()
 		if pr.stagedGids[gid] || pr.hotMoved[gid] {
 			continue
 		}
-		op, kg := e.topo.OpOf(gid)
-		hostsOp := false
-		for _, h := range pr.rt.hosts[op] {
-			if h == to {
-				hostsOp = true
-				break
-			}
-		}
-		if !hostsOp {
+		op, _ := e.topo.OpOf(gid)
+		if !slices.Contains(pr.rt.hosts[op], to) {
 			continue
 		}
-		dup := false
-		for _, hm := range batch {
-			if hm.gid == gid {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		if slices.ContainsFunc(batch, func(b core.Move) bool { return b.Group == gid }) {
 			continue
 		}
-		batch = append(batch, hotMove{gid: gid, op: op, kg: kg, from: from, to: to})
-	}
-	if len(batch) == 0 {
-		e.mu.Unlock()
-		return 0
-	}
-
-	// Ship everything the sources staged under the old routing first, so
-	// the engine's own sends stay FIFO with respect to the broadcast.
-	flushSrc()
-
-	// Broadcast: destination shards strictly first. A destination's mailbox
-	// then holds the hotMoveMsg before the state message from the old host
-	// and before any tuple a sender re-routes after processing its own copy —
-	// both are enqueued by goroutines that act only after this loop ran.
-	// Every shard of every alive node gets the message (each keeps its own
-	// router overrides and may route toward the moved group), but only the
-	// owning shards of the from/to nodes participate in the state handoff.
-	//
-	// Distributed, "strictly first" needs an explicit edge: a remote
-	// destination's frame is sent with an ack request, and the second-phase
-	// broadcast waits for every ack — the worker's dispatch loop acks after
-	// enqueuing, and the destination's per-link FIFO then orders the
-	// hotMoveMsg ahead of anything the from-side ships once phase two runs.
-	msg := hotMoveMsg{period: pr.period, moves: batch}
-	sent := make([]bool, len(e.nodes)*e.spn)
-	awaiting := 0
-	for _, hm := range batch {
-		g := e.gsidFor(hm.to, hm.gid)
-		if sent[g] {
-			continue
-		}
-		sent[g] = true
-		if e.hostsNode(hm.to) {
-			e.shardAt(g).mb.put(msg)
-			continue
-		}
-		if err := e.rig.ep.Send(e.peerFor(hm.to), encodeHotMoveFrame(g, msg, true)); err == nil {
-			awaiting++
-		}
-	}
-	for awaiting > 0 {
-		select {
-		case ack := <-e.rig.hotAcks:
-			if ack.period == pr.period {
-				awaiting--
-			}
-		case <-e.rig.deadSignal():
-			// A worker died mid-broadcast; the period is doomed (finishPeriod
-			// aborts on the same signal). Do not wedge the generator here.
-			awaiting = 0
-		}
-	}
-	for g := range sent {
-		if !sent[g] && !e.removed[g/e.spn] {
-			e.deliver(g, msg)
-		}
-	}
-	for _, hm := range batch {
-		e.groupNode[hm.gid] = hm.to // target tracks the new physical home
-		pr.alloc[hm.gid] = hm.to    // so baseAlloc reflects it at period end
-		if pr.hotDest == nil {
-			pr.hotDest = map[int]int{}
-		}
-		pr.hotDest[hm.gid] = hm.to
-		pr.hotMoved[hm.gid] = true
+		batch = append(batch, core.Move{Group: gid, From: from, To: to})
 	}
 	e.mu.Unlock()
-	pr.hotMoves += len(batch)
-	return len(batch)
+	if len(batch) == 0 {
+		return
+	}
+	e.emitSourceBarriers(pr, false)
+	// done means the period failed while the boundary was open: the error is
+	// finishPeriod's to return, and nobody reads segment or answers on resume
+	// any more.
+	select {
+	case pr.segment <- batch:
+	case <-pr.done:
+		return
+	}
+	select {
+	case <-pr.resume:
+	case <-pr.done:
+	}
 }

@@ -11,7 +11,7 @@ import (
 
 // Control-frame schema: the wire form of every message the engine exchanges
 // between processes. Data-plane messages (data batches, barriers, state
-// transfers, pre-copy chunks, hot moves) map 1:1 onto the mailbox message
+// transfers, pre-copy chunks) map 1:1 onto the mailbox message
 // types of mailbox.go — a remote deliver encodes the message here, the
 // receiving process's dispatch loop decodes it and puts the identical
 // message into the owning shard's mailbox, so shard code cannot tell local
@@ -29,13 +29,11 @@ const (
 	frState
 	frMigrateOut
 	frPrecopy
-	frHotMove
 	frRecover
 	frArm
 	frEvent
 	frReq
 	frReply
-	frHotAck
 	frBye
 )
 
@@ -178,7 +176,7 @@ func encodeMsgFrame(gsid int, msg message) []byte {
 		b = appendInt(b, gsid)
 		b = appendInt(b, m.op)
 		b = appendInt(b, m.period)
-		b = appendBool(b, m.hot)
+		b = appendBool(b, m.more)
 	case stateMsg:
 		b = append(b, frState)
 		b = appendInt(b, gsid)
@@ -204,9 +202,6 @@ func encodeMsgFrame(gsid int, msg message) []byte {
 		b = appendInt(b, m.off)
 		b = appendBool(b, m.discard)
 		b = appendBlob(b, m.chunk)
-	case hotMoveMsg:
-		// ack=false: the acked variant goes through encodeHotMoveFrame.
-		b = encodeHotMoveInto(b, gsid, m, false)
 	case recoverMsg:
 		b = append(b, frRecover)
 		b = appendInt(b, gsid)
@@ -220,35 +215,11 @@ func encodeMsgFrame(gsid int, msg message) []byte {
 	return b
 }
 
-// encodeHotMoveFrame encodes a hot-move broadcast, optionally demanding an
-// ack from the receiving dispatch loop (destination shards are acked so the
-// two-phase broadcast can order cross-process deliveries; see applyHotMoves).
-func encodeHotMoveFrame(gsid int, m hotMoveMsg, ack bool) []byte {
-	return encodeHotMoveInto(codec.GetBuf(), gsid, m, ack)
-}
-
-func encodeHotMoveInto(b []byte, gsid int, m hotMoveMsg, ack bool) []byte {
-	b = append(b, frHotMove)
-	b = appendInt(b, gsid)
-	b = appendInt(b, m.period)
-	b = appendBool(b, ack)
-	b = appendInt(b, len(m.moves))
-	for _, mv := range m.moves {
-		b = appendInt(b, mv.gid)
-		b = appendInt(b, mv.op)
-		b = appendInt(b, mv.kg)
-		b = appendInt(b, mv.from)
-		b = appendInt(b, mv.to)
-	}
-	return b
-}
-
-// decodedMsg is one decoded data-plane frame: the target shard, the mailbox
-// message, and whether the dispatch loop owes the sender a hot-move ack.
+// decodedMsg is one decoded data-plane frame: the target shard and the
+// mailbox message.
 type decodedMsg struct {
 	gsid    int
 	msg     message
-	hotAck  bool
 	dataBuf bool // msg is a dataBatchMsg whose encoded buffer is pooled
 }
 
@@ -287,7 +258,7 @@ func decodeMsgFrame(kind byte, body []byte) (decodedMsg, error) {
 		m := barrierMsg{}
 		m.op = r.int("op", maxWireNodes)
 		m.period = r.int("period", 1<<40)
-		m.hot = r.bool("hot")
+		m.more = r.bool("more")
 		d.msg = m
 	case frState:
 		m := stateMsg{}
@@ -314,21 +285,6 @@ func decodeMsgFrame(kind byte, body []byte) (decodedMsg, error) {
 		m.discard = r.bool("discard")
 		m.chunk = r.blob("chunk")
 		d.msg = m
-	case frHotMove:
-		m := hotMoveMsg{}
-		m.period = r.int("period", 1<<40)
-		d.hotAck = r.bool("ack")
-		n := r.int("move count", maxWireGroups)
-		for i := 0; i < n && r.err == nil; i++ {
-			var mv hotMove
-			mv.gid = r.int("gid", maxWireGroups)
-			mv.op = r.int("op", maxWireNodes)
-			mv.kg = r.int("kg", maxWireGroups)
-			mv.from = r.int("from", maxWireNodes)
-			mv.to = r.int("to", maxWireNodes)
-			m.moves = append(m.moves, mv)
-		}
-		d.msg = m
 	case frRecover:
 		m := recoverMsg{}
 		m.op = r.int("op", maxWireNodes)
@@ -347,11 +303,13 @@ func decodeMsgFrame(kind byte, body []byte) (decodedMsg, error) {
 
 // --- arm -----------------------------------------------------------------
 
-// armFrame arms one worker for a period: the installed allocation (the
-// worker rebuilds the identical router table), barrier requirements and the
-// key groups arriving by state transfer onto this worker's nodes.
+// armFrame arms one worker for a period, or — resume — for the next segment
+// of the running one: the installed allocation (the worker rebuilds the
+// identical router table), barrier requirements and the key groups arriving
+// by state transfer onto this worker's nodes.
 type armFrame struct {
 	period      int
+	resume      bool
 	numNodes    int
 	alloc       []int
 	barrierNeed []int
@@ -362,6 +320,7 @@ func encodeArmFrame(a armFrame) []byte {
 	b := codec.GetBuf()
 	b = append(b, frArm)
 	b = appendInt(b, a.period)
+	b = appendBool(b, a.resume)
 	b = appendInt(b, a.numNodes)
 	b = appendInt(b, len(a.alloc))
 	for _, n := range a.alloc {
@@ -382,6 +341,7 @@ func decodeArmFrame(body []byte) (armFrame, error) {
 	r := &wireReader{b: body}
 	var a armFrame
 	a.period = r.int("arm period", 1<<40)
+	a.resume = r.bool("arm resume")
 	a.numNodes = r.int("arm numNodes", maxWireNodes)
 	n := r.int("arm alloc count", maxWireGroups)
 	for i := 0; i < n && r.err == nil; i++ {
@@ -530,12 +490,6 @@ func encodeReplyFrame(id int, body []byte) []byte {
 	b = append(b, frReply)
 	b = appendInt(b, id)
 	return append(b, body...)
-}
-
-func encodeHotAckFrame(period int) []byte {
-	b := codec.GetBuf()
-	b = append(b, frHotAck)
-	return appendInt(b, period)
 }
 
 func encodeByeFrame() []byte { return append(codec.GetBuf(), frBye) }
@@ -734,7 +688,7 @@ func decodeControlFrame(data []byte) (byte, error) {
 	}
 	kind, body := data[0], data[1:]
 	switch kind {
-	case frData, frBarrier, frState, frMigrateOut, frPrecopy, frHotMove, frRecover:
+	case frData, frBarrier, frState, frMigrateOut, frPrecopy, frRecover:
 		d, err := decodeMsgFrame(kind, body)
 		if err != nil {
 			return kind, err
@@ -756,10 +710,6 @@ func decodeControlFrame(data []byte) (byte, error) {
 		r := &wireReader{b: body}
 		r.int("reply id", 1<<40)
 		return kind, r.err
-	case frHotAck:
-		r := &wireReader{b: body}
-		r.int("hot ack period", 1<<40)
-		return kind, r.done("hot ack")
 	case frBye:
 		if len(body) != 0 {
 			return kind, fmt.Errorf("engine: bye frame with %d body bytes", len(body))

@@ -201,40 +201,6 @@ func TestMaterializeOutlivesFrame(t *testing.T) {
 	codec.PutBuf(junk)
 }
 
-// TestStageViewMatchesStage pins the hot-move forwarding encoder to the
-// canonical one: staging a record straight from a decoded view must produce
-// byte-identical frames to materializing the view and staging the Tuple.
-// (stageView hand-writes the v2 record layout; this is the drift alarm.)
-func TestStageViewMatchesStage(t *testing.T) {
-	var src outbox
-	var scratch []byte
-	for i := 0; i < 20; i++ {
-		src.stage(i%4, (&Tuple{Key: fmt.Sprintf("key-%d", i), TS: int64(i)}).
-			WithStr("geo", fmt.Sprintf("cell-%d", i%3)).
-			WithStr("editor", "ed-1").
-			WithNum("bytes", float64(i)), &scratch)
-	}
-	msg, _ := src.take(1)
-	var rx rxDecoder
-	var viaView, viaTuple outbox
-	var s1, s2 []byte
-	if err := decodeBatch(msg.encoded, &rx, func(kg int, v *TupleView, wire int) {
-		w1 := viaView.stageView(kg, v, &s1)
-		w2 := viaTuple.stage(kg, v.Materialize(nil), &s2)
-		if w1 != w2 {
-			t.Fatalf("wire lengths differ: stageView %d, stage %d", w1, w2)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(viaView.buf, viaTuple.buf) {
-		t.Fatalf("stageView drifted from stage:\n view  %#v\n tuple %#v", viaView.buf, viaTuple.buf)
-	}
-	if !bytes.Equal(viaView.buf, msg.encoded) {
-		t.Fatalf("re-staged frame differs from original")
-	}
-}
-
 // TestWireAccountingIdentity is the sender/receiver agreement test the v2
 // cost model depends on: across periods with real cross-node traffic, the
 // receiver-measured wire volume must equal the sum of what worker nodes and

@@ -89,20 +89,20 @@ func (e *Engine) dispatchWorker(fr transport.Frame) bool {
 		default:
 			e.emit(engEvent{kind: evError, err: err})
 		}
-	case frEvent, frReply, frHotAck:
+	case frEvent, frReply:
 		// Controller-bound frames; a worker never receives them.
 	default:
-		e.rig.dispatchData(fr.Peer, kind, body)
+		e.rig.dispatchData(kind, body)
 	}
 	codec.PutBuf(data)
 	return false
 }
 
-// handleArm arms this process's hosted shards for one period. The worker
-// rebuilds the identical router table from the shipped allocation; shards
-// then ack through the event path exactly as the controller's own do, so the
-// controller's arm phase counts one evAck (or one error) per shard
-// regardless of where the shard runs.
+// handleArm arms this process's hosted shards for one period, or for the next
+// segment of the one that is running. The worker rebuilds the identical router
+// table from the shipped allocation; shards then ack through the event path
+// exactly as the controller's own do, so the controller's arm phase counts one
+// evAck (or one error) per shard regardless of where the shard runs.
 func (e *Engine) handleArm(a armFrame) {
 	e.period = a.period
 	awaitIn := map[int][]int{}
@@ -114,18 +114,19 @@ func (e *Engine) handleArm(a armFrame) {
 		period:      a.period,
 		router:      newRouterTable(e.topo, a.alloc, a.numNodes),
 		barrierNeed: a.barrierNeed,
-	}, awaitIn)
+	}, awaitIn, a.resume)
 	for _, err := range errs {
 		e.emit(engEvent{kind: evError, err: err})
 	}
 }
 
-// armLocal resets the period statistics of every alive hosted shard —
-// including the mid-period sub-interval counters — and arms it with m plus
-// its own entry of awaitIn (global shard id -> gids arriving by stateMsg). It
-// returns how many shards were armed, each of which acks through the event
-// path, and one error per shard whose mailbox is already closed: a crash the
-// control plane has not absorbed yet, which can never ack.
+// armLocal arms every alive hosted shard with m plus its own entry of awaitIn
+// (global shard id -> gids arriving by stateMsg), after resetting its period
+// statistics — including the mid-period sub-interval counters — unless the
+// period resumes with its next segment. It returns how many shards were armed,
+// each of which acks through the event path, and one error per shard whose
+// mailbox is already closed: a crash the control plane has not absorbed yet,
+// which can never ack.
 //
 // Resetting here is sound: shards are quiescent between periods. On the
 // controller the previous period's completion events order their last writes
@@ -133,13 +134,15 @@ func (e *Engine) handleArm(a armFrame) {
 // pinged every hosted shard (shard → channel → dispatch edge) before this arm
 // can arrive, and an aborted period wrote no statistics after its shards went
 // idle.
-func (e *Engine) armLocal(m periodStartMsg, awaitIn map[int][]int) (armed int, errs []error) {
+func (e *Engine) armLocal(m periodStartMsg, awaitIn map[int][]int, resume bool) (armed int, errs []error) {
 	for i, n := range e.nodes {
 		if n == nil || e.removed[i] {
 			continue
 		}
 		for _, sh := range n.shards {
-			sh.stats.reset()
+			if !resume {
+				sh.stats.reset()
+			}
 			m.awaitIn = awaitIn[sh.gsid]
 			if sh.mb.put(m) {
 				armed++

@@ -20,7 +20,7 @@ import (
 // delayed through a single per-link queue goroutine, so they enter the inner
 // transport in Send order — per-link FIFO survives arbitrary delay
 // schedules. Delay reorders traffic *across* links (exactly the hazard a
-// real network has), never within one. The engine's barrier, hot-move and
+// real network has), never within one. The engine's barrier, migration and
 // pre-copy protocols claim to tolerate precisely that; the chaos tests hold
 // them to it.
 type Chaos struct {

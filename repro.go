@@ -24,6 +24,13 @@
 // overtake the data it covers, which is what the period/migration barrier
 // protocol relies on (see internal/engine/mailbox.go and batch.go).
 //
+// One migration protocol. A reconfiguration executes where the pipeline is
+// drained: at the period barrier or, for a reactive mid-period move, at a
+// segment boundary inside the period — a barrier wave that flushes no
+// operator. Either way every shard is armed with the new routing before an
+// old host ships state, so no tuple is in flight across a move and a key's
+// tuples are never lost, duplicated or reordered (internal/engine/subperiod.go).
+//
 // Integrative state handling. Key-group state lives in internal/statestore:
 // a versioned, per-group incremental store (full snapshot + delta chains)
 // shared by checkpoint-based fault tolerance and state migration. The
@@ -131,7 +138,8 @@ type (
 // mode adds sub-period reconfiguration: the engine (built with
 // EngineConfig.SubPeriods >= 2) reports mid-period statistics at
 // sub-interval boundaries, a Trigger detects transient skew, and restricted
-// hot moves apply without waiting for the period barrier.
+// hot moves apply without waiting for the period barrier — as staged moves
+// at a segment boundary inside the period, by the one migration protocol.
 type (
 	// Controller drives one engine through the adaptation loop.
 	Controller = controller.Controller

@@ -1,0 +1,41 @@
+#!/usr/bin/env bash
+# The size ledger the simplicity PRs quote: non-test Go lines per package
+# (all lines, and code — lines that are neither blank nor a // comment), the
+# field counts of engine.Config and controller.Options, and albic-run's flag
+# count. bench/ is its own module and is left out. Run from anywhere:
+#   bash scripts/ledger.sh [repo-root]
+set -euo pipefail
+cd "${1:-$(dirname "$0")/..}"
+
+# lines_of dir... -> "<lines> <code>" over the non-test Go files directly in
+# the given directories.
+lines_of() {
+  find "$@" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 |
+    xargs -0 cat |
+    awk '{ n++ } !/^[[:space:]]*($|\/\/)/ { c++ } END { printf "%d %d\n", n, c }'
+}
+
+# fields_of file type -> exported fields of `type <type> struct`.
+fields_of() {
+  awk -v t="$2" '
+    $0 ~ "^type " t " struct {" { in_s = 1; next }
+    in_s && /^}/ { exit }
+    in_s && /^\t[A-Z][A-Za-z0-9_]*[ ,]/ { n++ }
+    END { print n + 0 }' "$1"
+}
+
+printf '%-28s %8s %8s\n' 'non-test Go' lines code
+total=0 total_code=0
+for d in . $(find cmd examples internal -type d | sort); do
+  read -r n c < <(lines_of "$d")
+  [ "$n" -gt 0 ] || continue
+  printf '%-28s %8d %8d\n' "$d" "$n" "$c"
+  total=$((total + n)) total_code=$((total_code + c))
+done
+printf '%-28s %8d %8d\n' 'total (outside bench/)' "$total" "$total_code"
+read -r n c < <(lines_of internal/engine internal/controller)
+printf '%-28s %8d %8d\n' 'engine + controller' "$n" "$c"
+echo
+echo "engine.Config fields:      $(fields_of internal/engine/engine.go Config)"
+echo "controller.Options fields: $(fields_of internal/controller/controller.go Options)"
+echo "albic-run flags:           $(grep -cE '\bflag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Var|Func)\(' cmd/albic-run/main.go)"
