@@ -96,20 +96,28 @@ func (e *Engine) TakeCheckpoint() CheckpointStats {
 	// have, right now, an empty delta against their checkpoint — a plan
 	// made at this boundary must price their moves accordingly rather than
 	// against the previous (or missing) checkpoint.
-	e.mu.Lock()
-	if e.ckptDeltas == nil {
-		e.ckptDeltas = make([]int, e.topo.NumGroups())
-		for gid := range e.ckptDeltas {
-			e.ckptDeltas[gid] = -1
-		}
-	}
-	emptyDelta := (&statestore.Delta{}).Size()
-	for _, gid := range fresh {
-		e.ckptDeltas[gid] = emptyDelta
-	}
-	e.mu.Unlock()
+	e.setCkptDelta(emptyDeltaBytes, fresh...)
 	e.freshScratch = fresh[:0]
 	return cs
+}
+
+// emptyDeltaBytes is the encoded size of a delta that changes nothing.
+var emptyDeltaBytes = (&statestore.Delta{}).Size()
+
+// setCkptDelta overwrites the residency signal of gids between two barriers
+// (size -1: no checkpoint to cut a delta against).
+func (e *Engine) setCkptDelta(size int, gids ...int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.ckptDeltas == nil {
+		e.ckptDeltas = make([]int, e.topo.NumGroups())
+		for g := range e.ckptDeltas {
+			e.ckptDeltas[g] = -1
+		}
+	}
+	for _, gid := range gids {
+		e.ckptDeltas[gid] = size
+	}
 }
 
 // CheckpointStore exposes the engine's checkpoint store (nil until the
@@ -214,11 +222,14 @@ func (e *Engine) Recover(onto []int) (int, error) {
 			e.deliver(e.gsidFor(dest, gid), recoverMsg{op: op, kg: kg, encoded: enc, tipVer: tipVer})
 		}
 		// The restored state is the checkpoint tip (when one existed) and it
-		// now lives on dest.
+		// now lives on dest: its delta against the tip is empty, whatever the
+		// last barrier read where the group lived then.
 		if tipVer >= 0 {
 			e.setTipNode(gid, dest)
+			e.setCkptDelta(emptyDeltaBytes, gid)
 		} else if e.tipNode != nil {
 			e.tipNode[gid] = -1
+			e.setCkptDelta(-1, gid)
 		}
 		e.groupNode[gid] = dest
 		e.baseAlloc[gid] = dest

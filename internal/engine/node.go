@@ -157,7 +157,7 @@ type shard struct {
 }
 
 func newShard(nid, sid int, eng *Engine) *shard {
-	numGroups := eng.topo.NumGroups()
+	numGroups, nops := eng.topo.NumGroups(), len(eng.topo.ops)
 	s := &shard{
 		nid:      nid,
 		sid:      sid,
@@ -171,6 +171,10 @@ func newShard(nid, sid int, eng *Engine) *shard {
 		potcSent: make([]float64, numGroups),
 		emitters: make([]Emit, numGroups),
 		stats:    newNodeStats(numGroups, eng.cfg.SubPeriods >= 2),
+
+		barrierGot: make([]int, nops),
+		flushed:    make([]bool, nops),
+		awaitByOp:  make([]int, nops),
 	}
 	s.rx.view.pool = &s.tp
 	return s
@@ -250,10 +254,9 @@ func (s *shard) startPeriod(m periodStartMsg) {
 	s.period = m.period
 	s.router = m.router
 	s.barrierNeed = m.barrierNeed
-	nops := len(s.eng.topo.ops)
-	s.barrierGot = make([]int, nops)
-	s.flushed = make([]bool, nops)
-	s.awaitByOp = make([]int, nops)
+	clear(s.barrierGot)
+	clear(s.flushed)
+	clear(s.awaitByOp)
 	for _, gid := range m.awaitIn {
 		s.awaitIn[gid] = true
 		op, _ := s.eng.topo.OpOf(gid)
@@ -267,11 +270,12 @@ func (s *shard) startPeriod(m periodStartMsg) {
 
 // onMigrateOut serializes and ships (op, kg)'s state to the owning shard of
 // the destination node, then reports the migrated volume to the engine for
-// the latency model. With deltaBase >= 0 (checkpoint-assisted transfer) only
-// the delta of the live state against the pre-copied checkpoint is shipped —
-// unless the state diverged so much that the delta would exceed the full
-// encoding (or the tip is gone), in which case the transfer degrades to a
-// full-state migration.
+// the latency model. What it ships is decoded once and dropped, so it is
+// written in storage order (EncodeTransfer: the same length, nothing sorted).
+// With deltaBase >= 0 (checkpoint-assisted transfer) only the delta of the
+// live state against the pre-copied checkpoint is shipped — unless the state
+// diverged so much that the delta would exceed the full encoding (or the tip
+// is gone), in which case the transfer degrades to a full-state migration.
 func (s *shard) onMigrateOut(m migrateOutMsg) {
 	gid := s.eng.topo.GID(m.op, m.kg)
 	destG := s.eng.gsidFor(m.dest, gid)
@@ -282,7 +286,7 @@ func (s *shard) onMigrateOut(m migrateOutMsg) {
 		d := &s.diff
 		statestore.DiffInto(d, tip.State(), st)
 		if sz := d.Size(); st == nil || sz < st.Size() {
-			encoded := d.Encode(make([]byte, 0, sz))
+			encoded := d.EncodeTransfer(make([]byte, 0, sz))
 			delete(s.states, gid)
 			delete(s.tips, gid) // the tip travels with the group
 			s.pool.Put(st)
@@ -297,7 +301,7 @@ func (s *shard) onMigrateOut(m migrateOutMsg) {
 	}
 	var encoded []byte
 	if st != nil {
-		encoded = st.Encode(make([]byte, 0, st.Size()))
+		encoded = st.EncodeTransfer(make([]byte, 0, st.Size()))
 		delete(s.states, gid)
 		s.pool.Put(st)
 	}
@@ -437,16 +441,17 @@ func (s *shard) onState(m stateMsg) {
 				err: fmt.Errorf("engine: node %d delta state for group %d without complete pre-copied base", s.nid, gid)})
 			return
 		}
-		base, err := statestore.DecodeState(pb.buf)
-		if err != nil {
-			s.eng.emit(engEvent{kind: evError, node: s.nid,
-				err: fmt.Errorf("engine: node %d pre-copied base for group %d: %w", s.nid, gid, err)})
-			return
-		}
 		rest, err := statestore.DecodeDeltaInto(m.encoded, &s.diff)
 		if err != nil || len(rest) != 0 {
 			s.eng.emit(engEvent{kind: evError, node: s.nid,
 				err: fmt.Errorf("engine: node %d state delta for group %d: %v (%d trailing)", s.nid, gid, err, len(rest))})
+			return
+		}
+		base := s.pool.Get()
+		if err := statestore.DecodeStateInto(pb.buf, base); err != nil {
+			s.pool.Put(base)
+			s.eng.emit(engEvent{kind: evError, node: s.nid,
+				err: fmt.Errorf("engine: node %d pre-copied base for group %d: %w", s.nid, gid, err)})
 			return
 		}
 		st = s.pool.Get()
@@ -589,9 +594,7 @@ func (s *shard) onRecover(m recoverMsg) {
 	delete(s.pending, gid)
 	if s.awaitIn[gid] {
 		delete(s.awaitIn, gid)
-		if s.awaitByOp != nil {
-			s.awaitByOp[m.op]--
-		}
+		s.awaitByOp[m.op]--
 	}
 }
 

@@ -7,18 +7,27 @@ import (
 // Checkpoint-assisted migration (the integrative state-transfer path).
 //
 // A staged period-boundary move of a checkpointed key group does not ship
-// the full state synchronously. Instead the engine opens a pre-copy
-// session: the group's last checkpoint (captured as one immutable encoded
-// snapshot) is streamed to the destination in background chunks of at most
-// Config.PrecopyChunkBytes per period boundary — a large state's pre-copy
-// spans multiple period boundaries, and the move stays deferred (the group
-// keeps running on its old host, the staged diff re-surfaces every
+// the full state synchronously when a delta would do. A pre-copy session is
+// opened for a move exactly when the group has a checkpoint of at least
+// Config.CheckpointAssistBytes, its tip is on the shard it leaves (tipNode),
+// and the last barrier measured its delta against that tip smaller than its
+// state (deltaPays) — the source's own rule for shipping a delta, so a base
+// is pre-copied only where it will be read. Every other move ships the state
+// whole, at once.
+//
+// In a session the group's last checkpoint (captured as one immutable
+// encoded snapshot) is streamed to the destination in background chunks of at
+// most Config.PrecopyChunkBytes per period boundary — a large state's
+// pre-copy spans multiple period boundaries, and the move stays deferred (the
+// group keeps running on its old host, the staged diff re-surfaces every
 // boundary) until the final chunk has shipped. At that boundary the move
 // executes with a delta transfer: the source diffs its live state against
 // the checkpoint tip it holds — the captured snapshot, decoded — and ships
-// only the delta; the destination applies it to the pre-copied base, which it
-// keeps as the group's tip. Only the delta is synchronous — it is what
-// MigratedDeltaBytes counts and what the MigrationLatency model charges.
+// only the delta (unless the state outgrew it meanwhile: then the state,
+// and the destination drops the base); the destination applies it to the
+// pre-copied base, which it keeps as the group's tip. Only the delta is
+// synchronous — it is what MigratedDeltaBytes counts and what the
+// MigrationLatency model charges.
 //
 // Ordering: chunks are enqueued by the engine goroutine during beginPeriod,
 // strictly before the periodStartMsg that arms the period and therefore
@@ -67,6 +76,22 @@ func (e *Engine) dropPrecopy(s *precopySession) {
 	e.deliver(e.gsidFor(s.dest, s.gid), precopyMsg{op: op, kg: kg, discard: true})
 }
 
+// deltaPays reports whether gid's delta against its tip is smaller than its
+// state: the rule by which the source ships one or the other (onMigrateOut),
+// read one hop earlier off the numbers the last barrier took — the group's
+// DiffSize(tip, live) and |σ|. Nothing changes them before the source decides,
+// except what says so in ckptDeltas: a checkpoint or a recovery in between
+// leaves the delta empty. Where the answer is no, a pre-copied base would be
+// dropped unread at the destination and a delta cut to be discarded. A group
+// without a reading is left to the source. Runs on the engine goroutine, the
+// one writer of both fields.
+func (e *Engine) deltaPays(gid int) bool {
+	if e.last == nil || e.ckptDeltas == nil || e.ckptDeltas[gid] < 0 {
+		return true
+	}
+	return e.ckptDeltas[gid] < e.last.StateBytes[gid]
+}
+
 // planTransfers decides, for every staged move of the period beginning now,
 // whether it executes (and how) or defers behind a pre-copy. It ships this
 // boundary's pre-copy chunks, advances sessions, and returns the executed
@@ -103,7 +128,7 @@ func (e *Engine) planTransfers(pr *periodRun, staged []core.Move) []stagedTransf
 			s = nil
 		}
 		if s == nil && e.ckpt != nil && e.cfg.CheckpointAssistBytes > 0 && e.ckpt.Has(mv.Group) &&
-			e.tipNode != nil && e.tipNode[mv.Group] == mv.From {
+			e.tipNode != nil && e.tipNode[mv.Group] == mv.From && e.deltaPays(mv.Group) {
 			// The tip-residency gate: the source cuts the delta against the tip
 			// its shard holds, so the tip must be where the group is. A group
 			// that full-moved since its last checkpoint migrates full until the

@@ -2,6 +2,7 @@ package statestore
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -80,4 +81,91 @@ func BenchmarkStateStoreDiff(b *testing.B) {
 			b.Fatal("empty diff")
 		}
 	}
+}
+
+// randKey is the i-th of a fixed sequence of uniformly random cell keys
+// (article-title sized, no skew).
+func randKey(i int) string {
+	rng := rand.New(rand.NewSource(int64(i)))
+	b := make([]byte, 10+rng.Intn(12))
+	for j := range b {
+		b[j] = byte('a' + rng.Intn(26))
+	}
+	return string(b)
+}
+
+// liveWindowState is RealJob1's topk state as a shard holds it when it is
+// asked to move: six window buckets of ≈1.5 k cells each, filled by inserts in
+// arrival order and never decoded — so its storage order is not its sorted
+// order, which is what a state decoded from canonical bytes cannot show.
+func liveWindowState() *State {
+	st := NewState()
+	st.Add("period", 6)
+	for w := 0; w < 6; w++ {
+		t := st.Table(fmt.Sprintf("w%d", w))
+		for c := 0; c < 1500; c++ {
+			t.Add(randKey(w*1500+c), float64(c))
+		}
+	}
+	return st
+}
+
+// BenchmarkStateCodec measures what a state move pays per byte on a
+// live-order state: the canonical (sorted) encoding the checkpoint log stores,
+// the transfer encoding a move ships, decoding into a fresh and into a recycled
+// state, and the same two encodings of the delta to the state one window later.
+func BenchmarkStateCodec(b *testing.B) {
+	st := liveWindowState()
+	enc := st.Encode(nil)
+	buf := make([]byte, 0, len(enc))
+	run := func(name string, bytes int, fn func()) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(bytes))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fn()
+			}
+		})
+	}
+	run("encode-canonical", len(enc), func() { buf = st.Encode(buf[:0]) })
+	run("encode-transfer", len(enc), func() { buf = st.EncodeTransfer(buf[:0]) })
+	run("decode-fresh", len(enc), func() {
+		if _, err := DecodeState(enc); err != nil {
+			b.Fatal(err)
+		}
+	})
+	recycled := NewState()
+	run("decode-recycled", len(enc), func() {
+		if err := DecodeStateInto(enc, recycled); err != nil {
+			b.Fatal(err)
+		}
+	})
+	transfer := st.EncodeTransfer(nil)
+	run("decode-recycled-transfer", len(enc), func() {
+		if err := DecodeStateInto(transfer, recycled); err != nil {
+			b.Fatal(err)
+		}
+	})
+	// One window on: a bucket replaced, the rest untouched. Encoding reorders
+	// the delta, so each iteration encodes a copy in diff order.
+	next := st.Clone()
+	next.ClearTable("w0")
+	for c := 0; c < 1500; c++ {
+		next.Table("w0").Add(randKey(1<<20+c), 1)
+	}
+	diff := Diff(st, next)
+	var d Delta
+	resetDelta := func() {
+		d.Reset()
+		for i := range diff.tabSet {
+			e := d.growTabSet(diff.tabSet[i].name)
+			e.cells = append(e.cells, diff.tabSet[i].cells...)
+		}
+		for i := range diff.tabCellDel {
+			e := d.growTabCellDel(diff.tabCellDel[i].name)
+			e.keys = append(e.keys, diff.tabCellDel[i].keys...)
+		}
+	}
+	run("delta-encode-canonical", diff.Size(), func() { resetDelta(); buf = d.Encode(buf[:0]) })
+	run("delta-encode-transfer", diff.Size(), func() { resetDelta(); buf = d.EncodeTransfer(buf[:0]) })
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/codec"
@@ -389,10 +388,12 @@ func DiffSize(old, new *State) int {
 }
 
 // appendStringSlice appends a length-prefixed string list, sorting v in
-// place (sorting keeps the encoding deterministic).
-func appendStringSlice(b []byte, v []string) []byte {
+// place first when sorted is set.
+func appendStringSlice(b []byte, v []string, sorted bool) []byte {
 	b = codec.AppendUvarint(b, uint64(len(v)))
-	sort.Strings(v)
+	if sorted {
+		slices.Sort(v)
+	}
 	for _, s := range v {
 		b = codec.AppendString(b, s)
 	}
@@ -422,45 +423,63 @@ func readStringSlice(dst []string, b []byte) ([]string, []byte, error) {
 func cmpNumEntry(a, b numEntry) int { return strings.Compare(a.k, b.k) }
 func cmpStrEntry(a, b strEntry) int { return strings.Compare(a.k, b.k) }
 
-// Encode serializes the delta deterministically (appended to buf), sorting
-// each section in place by key. Encoding order: NumSet, NumDel, StrSet,
-// StrDel, TabSet, TabCellDel, TabDel — byte-identical to the map-backed
-// encoding it replaced.
-func (d *Delta) Encode(buf []byte) []byte {
-	slices.SortStableFunc(d.numSet, cmpNumEntry)
+// Encode serializes the delta (appended to buf) in its canonical form: it
+// reorders the receiver, sorting every section in place by key, so equal
+// deltas have equal bytes — the form of everything the checkpoint log stores.
+// Section order: NumSet, NumDel, StrSet, StrDel, TabSet, TabCellDel, TabDel.
+func (d *Delta) Encode(buf []byte) []byte { return d.encode(buf, true) }
+
+// EncodeTransfer serializes the delta as DiffInto left it: the same format
+// and length as Encode without sorting the entries, for bytes that are decoded
+// once and dropped (a delta travelling shard to shard). DecodeDeltaInto reads
+// both.
+func (d *Delta) EncodeTransfer(buf []byte) []byte { return d.encode(buf, false) }
+
+// encode sorts with an unstable sort: the keys of a section are distinct (a
+// diff visits each field and cell once; Apply makes a decoded duplicate
+// last-one-wins, which no encoder produces), so there are no ties to keep in
+// order.
+func (d *Delta) encode(buf []byte, sorted bool) []byte {
+	if sorted {
+		slices.SortFunc(d.numSet, cmpNumEntry)
+		slices.SortFunc(d.strSet, cmpStrEntry)
+		slices.SortFunc(d.tabSet, func(a, b tabSetEntry) int { return strings.Compare(a.name, b.name) })
+	}
+	// The decoder rejects a table named twice among the cell deletions by
+	// asking for ascending names, so these few names are sorted in either order.
+	slices.SortFunc(d.tabCellDel, func(a, b tabDelEntry) int { return strings.Compare(a.name, b.name) })
 	buf = codec.AppendUvarint(buf, uint64(len(d.numSet)))
 	for _, e := range d.numSet {
 		buf = codec.AppendString(buf, e.k)
 		buf = codec.AppendFloat64(buf, e.v)
 	}
-	buf = appendStringSlice(buf, d.numDel)
-	slices.SortStableFunc(d.strSet, cmpStrEntry)
+	buf = appendStringSlice(buf, d.numDel, sorted)
 	buf = codec.AppendUvarint(buf, uint64(len(d.strSet)))
 	for _, e := range d.strSet {
 		buf = codec.AppendString(buf, e.k)
 		buf = codec.AppendString(buf, e.v)
 	}
-	buf = appendStringSlice(buf, d.strDel)
-	slices.SortStableFunc(d.tabSet, func(a, b tabSetEntry) int { return strings.Compare(a.name, b.name) })
+	buf = appendStringSlice(buf, d.strDel, sorted)
 	buf = codec.AppendUvarint(buf, uint64(len(d.tabSet)))
 	for i := range d.tabSet {
 		e := &d.tabSet[i]
 		buf = codec.AppendString(buf, e.name)
-		slices.SortStableFunc(e.cells, cmpNumEntry)
+		if sorted {
+			slices.SortFunc(e.cells, cmpNumEntry)
+		}
 		buf = codec.AppendUvarint(buf, uint64(len(e.cells)))
 		for _, c := range e.cells {
 			buf = codec.AppendString(buf, c.k)
 			buf = codec.AppendFloat64(buf, c.v)
 		}
 	}
-	slices.SortStableFunc(d.tabCellDel, func(a, b tabDelEntry) int { return strings.Compare(a.name, b.name) })
 	buf = codec.AppendUvarint(buf, uint64(len(d.tabCellDel)))
 	for i := range d.tabCellDel {
 		e := &d.tabCellDel[i]
 		buf = codec.AppendString(buf, e.name)
-		buf = appendStringSlice(buf, e.keys)
+		buf = appendStringSlice(buf, e.keys, sorted)
 	}
-	buf = appendStringSlice(buf, d.tabDel)
+	buf = appendStringSlice(buf, d.tabDel, sorted)
 	return buf
 }
 

@@ -89,6 +89,24 @@ func FuzzStoreDecode(f *testing.F) {
 		f.Fatalf("fresh-base seed has chain length %d, want 1", fb.ChainLen(2))
 	}
 	f.Add(fb.Encode(nil), 5)
+	// Bases and deltas in the orders no encoder writes and the one decoder
+	// reads: storage order, keys descending, a key twice, a table twice.
+	odd := New()
+	next := wide.Clone()
+	for i := 0; i < 48; i += 3 {
+		next.Table(fmt.Sprintf("tab-%02d", i%7)).Set(fmt.Sprintf("cell-%02d", i), -1)
+	}
+	step := Diff(wide, next)
+	bases := append([][]byte{wide.EncodeTransfer(nil)}, stateShapes(wide)...)
+	deltas := append([][]byte{step.EncodeTransfer(nil)}, deltaShapes(step)...)
+	for gid := range bases {
+		odd.Record(gid, 1, StepBase, bases[gid], nil)   //nolint:errcheck // a base
+		odd.Record(gid, 2, StepDelta, deltas[gid], nil) //nolint:errcheck // on the base above
+		if odd.ChainLen(gid) != 1 {
+			f.Fatalf("odd-order seed: group %d has chain length %d, want 1", gid, odd.ChainLen(gid))
+		}
+	}
+	f.Add(odd.Encode(nil), 5)
 
 	f.Fuzz(func(t *testing.T, b []byte, maxGID int) {
 		if maxGID < 0 || maxGID > 1<<16 {
@@ -161,6 +179,12 @@ func FuzzDeltaDecode(f *testing.F) {
 	bare := NewState()
 	bare.Table("empty")
 	f.Add(Diff(nil, bare).Encode(nil))
+	// The orders no encoder writes: storage order, cells descending, a cell
+	// set twice, a table's cells set twice.
+	f.Add(Diff(a, wide).EncodeTransfer(nil))
+	for _, shape := range deltaShapes(Diff(a, wide)) {
+		f.Add(shape)
+	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		d, rest, err := DecodeDelta(raw)

@@ -56,7 +56,7 @@ type State struct {
 	// scratchTab backs Scratch(): transient per-flush workspace, never
 	// serialized, diffed, merged, or cloned.
 	scratchTab *Table
-	// symScratch is the reusable symbol buffer encode-time sorting uses.
+	// symScratch is the reusable symbol buffer encoding lists a section in.
 	symScratch []int32
 
 	// sizeCache memoizes Size(). 0 means dirty — an empty state encodes to
@@ -373,38 +373,47 @@ func (s *State) Clone() *State {
 	return c
 }
 
-// sortedSyms returns the live symbols of the given kind sorted by name, in
-// a buffer reused across calls.
-func (s *State) sortedSyms(bit uint8) []int32 {
+// liveSyms returns the live symbols of the given kind, in a buffer reused
+// across calls: sorted by name, or else in storage order.
+func (s *State) liveSyms(bit uint8, sorted bool) []int32 {
 	s.symScratch = s.symScratch[:0]
 	for sym, k := range s.kind {
 		if k&bit != 0 {
 			s.symScratch = append(s.symScratch, int32(sym))
 		}
 	}
-	sortSymsByName(s.symScratch, s.names)
+	if sorted {
+		sortSymsByName(s.symScratch, s.names)
+	}
 	return s.symScratch
 }
 
-// Encode serializes the state (appended to buf). The format — and the exact
-// bytes, keys sorted per section — is unchanged from the map-backed
-// implementation: a float map of counters, a string map of registers, a
-// nested float map of tables.
-func (s *State) Encode(buf []byte) []byte {
+// Encode serializes the state (appended to buf) in its canonical form, keys
+// sorted per section: a float map of counters, a string map of registers, a
+// nested float map of tables. Equal states have equal canonical bytes, so this
+// is the form of everything that is stored or compared (the checkpoint log).
+func (s *State) Encode(buf []byte) []byte { return s.encode(buf, true) }
+
+// EncodeTransfer serializes the state in storage order: the same format and
+// length as Encode without the sorts, for bytes that are decoded once and
+// dropped (a state travelling shard to shard). DecodeStateInto reads both.
+func (s *State) EncodeTransfer(buf []byte) []byte { return s.encode(buf, false) }
+
+func (s *State) encode(buf []byte, sorted bool) []byte {
 	buf = codec.AppendUvarint(buf, uint64(s.numN))
-	for _, sym := range s.sortedSyms(kNum) {
+	for _, sym := range s.liveSyms(kNum, sorted) {
 		buf = codec.AppendString(buf, s.names[sym])
 		buf = codec.AppendFloat64(buf, s.numVal[sym])
 	}
 	buf = codec.AppendUvarint(buf, uint64(s.strN))
-	for _, sym := range s.sortedSyms(kStr) {
+	for _, sym := range s.liveSyms(kStr, sorted) {
 		buf = codec.AppendString(buf, s.names[sym])
 		buf = codec.AppendString(buf, s.strVal[sym])
 	}
 	buf = codec.AppendUvarint(buf, uint64(s.tabN))
-	for _, sym := range s.sortedSyms(kTab) {
+	for _, sym := range s.liveSyms(kTab, sorted) {
 		buf = codec.AppendString(buf, s.names[sym])
-		buf = s.tabs[sym].encode(buf)
+		buf = s.tabs[sym].encode(buf, sorted)
 	}
 	return buf
 }
@@ -445,9 +454,26 @@ func DecodeState(b []byte) (*State, error) {
 	return s, nil
 }
 
+// cutString reads a length-prefixed string from b as a substring of str, a
+// copy of the payload that b is the tail of, instead of allocating it.
+func cutString(b []byte, str string) (string, []byte, error) {
+	n, b, err := codec.ReadUvarint(b)
+	if err != nil {
+		return "", nil, err
+	}
+	if uint64(len(b)) < n {
+		return "", nil, fmt.Errorf("statestore: short string (%d of %d bytes)", len(b), n)
+	}
+	off := len(str) - len(b)
+	return str[off : off+int(n)], b[n:], nil
+}
+
 // DecodeStateInto decodes into an existing state (Reset first), reusing its
 // storage — the zero-churn path for validation scratch and recycled migration
-// targets.
+// targets. It reads either order: the format does not depend on it. Cell keys
+// are substrings of one copy of the table section (they keep it alive while
+// any of them is in the state), and each table is sized from its cell count
+// before its first cell, so no insert grows or rehashes it.
 func DecodeStateInto(b []byte, s *State) error {
 	s.Reset()
 	n, b, err := codec.ReadUvarint(b)
@@ -490,8 +516,11 @@ func DecodeStateInto(b []byte, s *State) error {
 	if n > uint64(len(b)) {
 		return fmt.Errorf("statestore: state claims %d tables in %d bytes", n, len(b))
 	}
+	cells := string(b)
 	for i := uint64(0); i < n; i++ {
 		var name string
+		// Field names are copied one by one: a State never forgets a symbol, and
+		// one cut from cells would hold the whole copy for as long.
 		if name, b, err = codec.ReadString(b); err != nil {
 			return fmt.Errorf("statestore: decode state tables: %w", err)
 		}
@@ -499,17 +528,19 @@ func DecodeStateInto(b []byte, s *State) error {
 		// A duplicate table name replaces the earlier one, matching the
 		// map-decode semantics of previous versions.
 		t.Clear()
-		var cells uint64
-		if cells, b, err = codec.ReadUvarint(b); err != nil {
+		var count uint64
+		if count, b, err = codec.ReadUvarint(b); err != nil {
 			return fmt.Errorf("statestore: decode state table %q: %w", name, err)
 		}
-		if cells > uint64(len(b)) {
-			return fmt.Errorf("statestore: table %q claims %d cells in %d bytes", name, cells, len(b))
+		// A cell is at least a length byte and a float.
+		if count > uint64(len(b))/9 {
+			return fmt.Errorf("statestore: table %q claims %d cells in %d bytes", name, count, len(b))
 		}
-		for j := uint64(0); j < cells; j++ {
+		t.reserve(int(count))
+		for j := uint64(0); j < count; j++ {
 			var k string
 			var v float64
-			if k, b, err = codec.ReadString(b); err != nil {
+			if k, b, err = cutString(b, cells); err != nil {
 				return fmt.Errorf("statestore: decode state table %q: %w", name, err)
 			}
 			if v, b, err = codec.ReadFloat64(b); err != nil {

@@ -17,14 +17,14 @@ import (
 // delete-heavy lifetimes never degrade probes. Clear keeps every backing
 // array, which is what makes per-period window flushes allocation-free.
 //
-// Iteration order is unspecified (like a map); all serialization sorts.
+// Iteration order is unspecified (like a map); canonical serialization sorts.
 type Table struct {
 	keys  []string
 	vals  []float64
 	slots []int32 // entry index + 1; 0 = empty
 	mask  uint32
-	// scratch is the reusable entry-index buffer sortedIdx hands out
-	// (encode-time key sorting without a per-encode allocation).
+	// scratch is the reusable entry-index buffer order hands out (encoding
+	// without a per-encode allocation).
 	scratch []int32
 	// encBytes is the encoded size of the cells (sum of SizeString(key)+8),
 	// maintained incrementally so encodedSize is O(1). Cell values are
@@ -84,6 +84,21 @@ func (t *Table) grow() {
 		}
 		t.slots[i] = int32(ei + 1)
 	}
+}
+
+// reserve readies t, which must be empty, for n cells: the slot array and the
+// dense arrays are sized once, so none of the n inserts grows or rehashes.
+func (t *Table) reserve(n int) {
+	need := minTableSlots
+	for 4*n >= 3*need {
+		need *= 2
+	}
+	if need > len(t.slots) {
+		t.slots = make([]int32, need)
+		t.mask = uint32(need - 1)
+	}
+	t.keys = slices.Grow(t.keys, n)
+	t.vals = slices.Grow(t.vals, n)
 }
 
 func (t *Table) insertAt(slot uint32, k string, v float64) {
@@ -242,24 +257,26 @@ func (t *Table) All() func(yield func(string, float64) bool) {
 	}
 }
 
-// sortedIdx returns the entry indexes sorted by key, in a buffer reused
-// across calls (invalidated by any mutation or the next sortedIdx call).
-func (t *Table) sortedIdx() []int32 {
+// order returns the entry indexes sorted by key, or else in storage order, in
+// a buffer reused across calls (invalidated by any mutation or the next call).
+func (t *Table) order(sorted bool) []int32 {
 	t.scratch = t.scratch[:0]
 	for i := range t.keys {
 		t.scratch = append(t.scratch, int32(i))
 	}
-	slices.SortFunc(t.scratch, func(a, b int32) int {
-		return strings.Compare(t.keys[a], t.keys[b])
-	})
+	if sorted {
+		slices.SortFunc(t.scratch, func(a, b int32) int {
+			return strings.Compare(t.keys[a], t.keys[b])
+		})
+	}
 	return t.scratch
 }
 
 // encode appends the table as a uvarint count followed by its key/value
-// pairs in sorted key order.
-func (t *Table) encode(buf []byte) []byte {
+// pairs: in sorted key order (the canonical form), or else in storage order.
+func (t *Table) encode(buf []byte, sorted bool) []byte {
 	buf = codec.AppendUvarint(buf, uint64(len(t.keys)))
-	for _, ei := range t.sortedIdx() {
+	for _, ei := range t.order(sorted) {
 		buf = codec.AppendString(buf, t.keys[ei])
 		buf = codec.AppendFloat64(buf, t.vals[ei])
 	}
