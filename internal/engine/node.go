@@ -94,9 +94,13 @@ type shard struct {
 	eng  *Engine
 	mb   *mailbox
 
-	states  map[int]*State         // gid -> state
+	// states and awaitIn are dense per global key-group id, like the
+	// statistics: both are read for every tuple. states[gid] is nil for a group
+	// this shard does not hold (or has not created yet); awaitIn[gid] marks a
+	// group whose state will arrive by stateMsg.
+	states  []*State
+	awaitIn []bool
 	pending map[int][]pendingTuple // gid -> tuples buffered awaiting migration
-	awaitIn map[int]bool           // gid awaiting a stateMsg
 	// tips holds, per hosted gid, the group's checkpoint tip: its state at its
 	// last checkpoint, which delta checkpoints, the barrier's delta sizing and
 	// delta migrations are cut against — in every process, the one decoded copy
@@ -164,9 +168,9 @@ func newShard(nid, sid int, eng *Engine) *shard {
 		gsid:     nid*eng.spn + sid,
 		eng:      eng,
 		mb:       newMailbox(),
-		states:   map[int]*State{},
+		states:   make([]*State, numGroups),
+		awaitIn:  make([]bool, numGroups),
 		pending:  map[int][]pendingTuple{},
-		awaitIn:  map[int]bool{},
 		tips:     map[int]*statestore.Tip{},
 		potcSent: make([]float64, numGroups),
 		emitters: make([]Emit, numGroups),
@@ -287,7 +291,7 @@ func (s *shard) onMigrateOut(m migrateOutMsg) {
 		statestore.DiffInto(d, tip.State(), st)
 		if sz := d.Size(); st == nil || sz < st.Size() {
 			encoded := d.EncodeTransfer(make([]byte, 0, sz))
-			delete(s.states, gid)
+			s.states[gid] = nil
 			delete(s.tips, gid) // the tip travels with the group
 			s.pool.Put(st)
 			s.stats.addMigUnits(float64(len(encoded)) * serCostPerByte)
@@ -302,7 +306,7 @@ func (s *shard) onMigrateOut(m migrateOutMsg) {
 	var encoded []byte
 	if st != nil {
 		encoded = st.EncodeTransfer(make([]byte, 0, st.Size()))
-		delete(s.states, gid)
+		s.states[gid] = nil
 		s.pool.Put(st)
 	}
 	delete(s.tips, gid) // a full move strands the tip; the controller forgets it
@@ -375,6 +379,7 @@ func (s *shard) onDataBatch(m dataBatchMsg) {
 		}
 		s.process(m.op, kg, gid, v)
 	})
+	s.stats.publishUnits()
 	if err != nil {
 		s.eng.emit(engEvent{kind: evError, node: s.nid, err: err})
 	}
@@ -482,7 +487,7 @@ func (s *shard) onState(m stateMsg) {
 	}
 	s.states[gid] = st
 	if s.awaitIn[gid] {
-		delete(s.awaitIn, gid)
+		s.awaitIn[gid] = false
 		s.awaitByOp[m.op]--
 	}
 	// Replay buffered tuples in arrival order. Engine-materialized tuples
@@ -498,6 +503,7 @@ func (s *shard) onState(m stateMsg) {
 			putTuple(p.t)
 		}
 	}
+	s.stats.publishUnits()
 	s.maybeFlush(m.op)
 }
 
@@ -551,6 +557,9 @@ func (s *shard) maybeFlush(op int) {
 			}
 		}
 	}
+	// Last touch of the statistics for this wave: once the engine has every
+	// completion it may read and reset them.
+	s.stats.publishUnits()
 	s.eng.emit(engEvent{kind: evCompletion, node: s.nid, op: op})
 }
 
@@ -593,7 +602,7 @@ func (s *shard) onRecover(m recoverMsg) {
 	delete(s.precopied, gid)
 	delete(s.pending, gid)
 	if s.awaitIn[gid] {
-		delete(s.awaitIn, gid)
+		s.awaitIn[gid] = false
 		s.awaitByOp[m.op]--
 	}
 }

@@ -9,7 +9,9 @@ func (n *node) allStates() map[int]*State {
 	out := map[int]*State{}
 	for _, sh := range n.shards {
 		for gid, st := range sh.states {
-			out[gid] = st
+			if st != nil {
+				out[gid] = st
+			}
 		}
 	}
 	return out
@@ -19,7 +21,7 @@ func (n *node) allStates() map[int]*State {
 // whichever shard holds it.
 func (n *node) stateOf(gid int) *State {
 	for _, sh := range n.shards {
-		if st, ok := sh.states[gid]; ok {
+		if st := sh.states[gid]; st != nil {
 			return st
 		}
 	}

@@ -23,8 +23,10 @@ const denseCommGroupLimit = 362
 // goroutine during a period and read by the engine between periods (the
 // completion channel provides the happens-before edge); the engine merges
 // the shards of a node at the period barrier, so the hot path takes no
-// locks. nodeUnits is atomic because the PoTC router reads it concurrently
-// from other shards, and subMilli because SubSnapshot reads it mid-period.
+// locks. Two things are read while the shard runs and are atomic for it:
+// nodeUnits (heterogeneous PoTC's nodeLoadEstimate reads it from other
+// shards' routers, quiesceToward's progress poll from a generator, here and
+// through rqProgress) and subMilli, which SubSnapshot reads mid-period.
 type nodeStats struct {
 	// groupMilli[gid] = cost milli-units attributed to that key group this
 	// period (processing + serialization + deserialization). Dense per-gid
@@ -54,9 +56,15 @@ type nodeStats struct {
 	// measurements include migration overhead — COLA's weakness) but not
 	// toward any key group's gLoad, so planning inputs stay steady-state.
 	migMilli int64
-	// nodeUnits mirrors the sum of groupMilli in milli-units for concurrent
-	// readers (PoTC two-choice routing).
-	nodeUnits atomic.Int64
+	// unitsMilli is Σ groupMilli + migMilli, kept by the owning shard for
+	// every tuple; nodeUnits is its published copy for concurrent readers. The
+	// shard publishes after every data frame, with every state it serializes
+	// or adopts, after a replay and before it reports a barrier wave complete:
+	// a reader is at most one frame behind a running shard and exact on a
+	// parked one. Like the rest, unitsMilli is the engine's again once the
+	// shard has reported its last completion, so nothing publishes after that.
+	unitsMilli int64
+	nodeUnits  atomic.Int64
 	// subMilli, when non-nil, is this shard's per-gid milli-unit matrix
 	// behind Engine.SubSnapshot: every addUnits also lands here so partial
 	// per-group loads are readable mid-period from any goroutine
@@ -119,17 +127,24 @@ func (s *nodeStats) forEachComm(fn func(from, to int, rate float64)) {
 func (s *nodeStats) addUnits(gid int, units float64) {
 	m := int64(units * 1000)
 	s.groupMilli[gid] += m
-	s.nodeUnits.Add(m)
+	s.unitsMilli += m
 	if s.subMilli != nil {
 		s.subMilli[gid].Add(m)
 	}
 }
 
+// addMigUnits charges state (de)serialization to the node, not to a group.
+// It is paid once per moved state, so it publishes at once: a progress poll
+// counts a move as soon as it is paid.
 func (s *nodeStats) addMigUnits(units float64) {
 	m := int64(units * 1000)
 	s.migMilli += m
-	s.nodeUnits.Add(m)
+	s.unitsMilli += m
+	s.publishUnits()
 }
+
+// publishUnits makes the units burned so far visible to concurrent readers.
+func (s *nodeStats) publishUnits() { s.nodeUnits.Store(s.unitsMilli) }
 
 func (s *nodeStats) reset() {
 	clear(s.groupMilli)
@@ -143,6 +158,7 @@ func (s *nodeStats) reset() {
 	s.bytesOut, s.bytesIn = 0, 0
 	s.batchesOut = 0
 	s.migMilli = 0
+	s.unitsMilli = 0
 	s.nodeUnits.Store(0)
 	for i := range s.subMilli {
 		s.subMilli[i].Store(0)
@@ -360,7 +376,9 @@ func (e *Engine) localGroups() []liveGroup {
 		}
 		for _, sh := range n.shards {
 			for gid, st := range sh.states {
-				groups = append(groups, liveGroup{gid: gid, node: i, sh: sh, st: st, tip: sh.tips[gid], delta: -1})
+				if st != nil {
+					groups = append(groups, liveGroup{gid: gid, node: i, sh: sh, st: st, tip: sh.tips[gid], delta: -1})
+				}
 			}
 		}
 	}

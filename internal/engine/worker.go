@@ -342,7 +342,7 @@ func (e *Engine) failLocal(id int) error {
 	if n := e.nodes[id]; n != nil {
 		n.closeMailboxes()
 		for _, sh := range n.shards {
-			sh.states = map[int]*State{}
+			sh.states = make([]*State, len(sh.states))
 			sh.tips = map[int]*statestore.Tip{}
 		}
 	}

@@ -169,3 +169,87 @@ func BenchmarkStateCodec(b *testing.B) {
 	run("delta-encode-canonical", diff.Size(), func() { resetDelta(); buf = d.Encode(buf[:0]) })
 	run("delta-encode-transfer", diff.Size(), func() { resetDelta(); buf = d.EncodeTransfer(buf[:0]) })
 }
+
+// BenchmarkTable measures the table operations the data path and the barrier
+// are made of, per cell, at the two shapes the benchmark jobs give a table:
+// rj1's window bucket (≈600 cells under 14-byte article keys) and rj3's byYear
+// (≈300 cells under 11-byte plane|year keys). One iteration is one pass over
+// the table; none of them allocates once the tables have their size.
+func BenchmarkTable(b *testing.B) {
+	for _, shape := range []struct {
+		name  string
+		cells int
+		key   func(i int) string
+	}{
+		{"rj1", 600, func(i int) string { return fmt.Sprintf("article-%06d", i*31%20000) }},
+		{"rj3", 300, func(i int) string { return fmt.Sprintf("N%05d|%d", i/10*64%2000, 2004+i%10) }},
+	} {
+		// keys[:cells] fill the table; keys[cells:] are the same shape and absent.
+		keys := make([]string, 2*shape.cells)
+		for i := range keys {
+			keys[i] = shape.key(i)
+		}
+		in, out := keys[:shape.cells], keys[shape.cells:]
+		filled := func(keys []string) *Table {
+			t := &Table{}
+			for i, k := range keys {
+				t.Add(k, float64(i))
+			}
+			return t
+		}
+		run := func(name string, cells int, pass func()) {
+			b.Run(shape.name+"/"+name, func(b *testing.B) {
+				pass() // size every table involved
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pass()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cells), "ns/cell")
+			})
+		}
+		tab := filled(in)
+		run("add-hit", len(in), func() {
+			for _, k := range in {
+				tab.Add(k, 1)
+			}
+		})
+		recycled := filled(in)
+		run("add-insert-after-clear", len(in), func() {
+			recycled.Clear()
+			for _, k := range in {
+				recycled.Add(k, 1)
+			}
+		})
+		run("lookup-miss", len(out), func() {
+			for _, k := range out {
+				if tab.Has(k) {
+					b.Fatal("absent key found")
+				}
+			}
+		})
+		// A window fold in small: the first bucket is all inserts, the second
+		// half hits, half inserts.
+		first, second, totals := filled(in), filled(keys[shape.cells/2:shape.cells/2+shape.cells]), &Table{}
+		run("addtable", 2*shape.cells, func() {
+			totals.Clear()
+			totals.AddTable(first)
+			totals.AddTable(second)
+		})
+		// The barrier's delta sizing: a live table against its checkpoint tip,
+		// one cell in a hundred changed, a few added and removed.
+		tip, live := NewState(), NewState()
+		tip.Table("w").copyFrom(tab)
+		live.Table("w").copyFrom(tab)
+		for i := 0; i < shape.cells; i += 100 {
+			live.Table("w").Add(in[i], 1)
+			live.Table("w").Delete(in[i+1])
+			live.Table("w").Add(out[i], 1)
+		}
+		run("diffsize", live.Table("w").Len(), func() {
+			if DiffSize(tip, live) <= emptyDeltaSize {
+				b.Fatal("empty delta")
+			}
+		})
+	}
+}

@@ -171,7 +171,7 @@ func DiffInto(d *Delta, old, new *State) {
 			var se *tabSetEntry
 			kept := 0 // cells of ot that nt still has
 			for i, ck := range nt.keys {
-				ov, ok := ot.Lookup(ck)
+				ov, ok := ot.lookup(ck, nt.hashes[i])
 				if ok {
 					kept++
 				}
@@ -190,8 +190,8 @@ func DiffInto(d *Delta, old, new *State) {
 			}
 			if kept < ot.Len() {
 				de := d.growTabCellDel(name)
-				for _, ck := range ot.keys {
-					if !nt.Has(ck) {
+				for i, ck := range ot.keys {
+					if _, ok := nt.lookup(ck, ot.hashes[i]); !ok {
 						de.keys = append(de.keys, ck)
 					}
 				}
@@ -332,7 +332,7 @@ func DiffSize(old, new *State) int {
 			setN, setB := 0, 0
 			keptN, keptB := 0, 0 // cells of ot that nt still has, and their key bytes
 			for i, ck := range nt.keys {
-				ov, ok := ot.Lookup(ck)
+				ov, ok := ot.lookup(ck, nt.hashes[i])
 				if ok {
 					keptN++
 					keptB += codec.SizeString(ck)

@@ -80,7 +80,7 @@ func (s *State) intern(name string) int32 {
 		s.symSlots = make([]int32, minSymSlots)
 		s.symMask = minSymSlots - 1
 	}
-	i := uint32(hashKey(name)) & s.symMask
+	i := hashKey(name) & s.symMask
 	for {
 		e := s.symSlots[i]
 		if e == 0 {
@@ -108,7 +108,7 @@ func (s *State) growSyms() {
 	s.symSlots = make([]int32, 2*len(s.symSlots))
 	s.symMask = uint32(len(s.symSlots) - 1)
 	for sym, name := range s.names {
-		i := uint32(hashKey(name)) & s.symMask
+		i := hashKey(name) & s.symMask
 		for s.symSlots[i] != 0 {
 			i = (i + 1) & s.symMask
 		}
@@ -121,7 +121,7 @@ func (s *State) sym(name string) int32 {
 	if s.symSlots == nil {
 		return -1
 	}
-	i := uint32(hashKey(name)) & s.symMask
+	i := hashKey(name) & s.symMask
 	for {
 		e := s.symSlots[i]
 		if e == 0 {
@@ -341,11 +341,7 @@ func (s *State) Merge(src *State) {
 			s.SetStr(src.names[sym], src.strVal[sym])
 		}
 		if k&kTab != 0 {
-			dst := s.Table(src.names[sym])
-			t := src.tabs[sym]
-			for i, ck := range t.keys {
-				dst.Add(ck, t.vals[i])
-			}
+			s.Table(src.names[sym]).AddTable(src.tabs[sym])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package statestore
 
 import (
+	"hash/maphash"
 	"slices"
 	"strings"
 
@@ -10,18 +11,29 @@ import (
 // Table is one named table of a key group's state: an open-addressed hash
 // from cell key to float64, replacing the map[string]float64 of earlier
 // versions. The layout is the commTable idiom: entries live densely in
-// parallel keys/vals arrays (cheap iteration, cheap clear), and a
-// power-of-two slot array maps splitmix-finalized key hashes to entry
-// indexes by linear probing. Deletion is tombstone-free — the dense entry is
-// swap-removed and the probe chain repaired by backward shifting — so long
-// delete-heavy lifetimes never degrade probes. Clear keeps every backing
-// array, which is what makes per-period window flushes allocation-free.
+// parallel keys/vals/hashes arrays (cheap iteration, cheap clear), and a
+// power-of-two slot array maps key hashes to entry indexes by linear probing.
+// A key is hashed once, when it enters the table: the hash stays beside the
+// entry, so growing, deleting, copying and every walk from one table into
+// another (AddTable, DiffSize, DiffInto) reuse it. Deletion is tombstone-free —
+// the dense entry is swap-removed and the probe chain repaired by backward
+// shifting — so long delete-heavy lifetimes never degrade probes. Clear keeps
+// every backing array, which is what makes per-period window flushes
+// allocation-free.
 //
-// Iteration order is unspecified (like a map); canonical serialization sorts.
+// Iteration order is storage order — insertion order, with a deleted entry's
+// place taken by the last — and never depends on the hash; canonical
+// serialization sorts.
 type Table struct {
-	keys  []string
-	vals  []float64
-	slots []int32 // entry index + 1; 0 = empty
+	keys   []string
+	vals   []float64
+	hashes []uint32 // hashKey(keys[i])
+	// slots holds 0 for an empty slot, else the entry index + 1 in the bits
+	// of mask and, above them, the bits of the entry's hash that mask leaves
+	// out (the rest of the hash chose the home slot): a probe passes over a
+	// slot whose tag differs without reading the entry's key. The index fits
+	// because the table grows at 3/4 load.
+	slots []uint32
 	mask  uint32
 	// scratch is the reusable entry-index buffer order hands out (encoding
 	// without a per-encode allocation).
@@ -36,53 +48,57 @@ type Table struct {
 	owner *State
 }
 
-// hashKey is codec's FNV-1a passed through a splitmix64 finalizer, so the
-// low bits used by the power-of-two mask mix the whole hash.
-func hashKey(s string) uint64 {
-	h := codec.Hash(s)
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
+// tableSeed keys hashKey for the life of the process.
+var tableSeed = maphash.MakeSeed()
+
+// hashKey is the hash of every table in this package (cells and a State's
+// field names): the runtime's word-at-a-time string hash under one seed per
+// process. It places keys in slots and nothing else — no iteration order,
+// encoding, delta or checkpoint depends on it, and it never crosses a wire —
+// so it may differ from process to process, unlike codec.Hash, which
+// partitions keys into key groups and must be the same everywhere.
+func hashKey(s string) uint32 {
+	return uint32(maphash.String(tableSeed, s))
 }
 
 const minTableSlots = 8
 
-// probe returns the slot where k lives or would be inserted, and the entry
-// index holding k (-1 if absent). Must not be called with nil slots.
-func (t *Table) probe(k string) (uint32, int32) {
-	i := uint32(hashKey(k)) & t.mask
-	for {
-		e := t.slots[i]
-		if e == 0 {
+// probe returns the slot where k, whose hash is h, lives or would be
+// inserted, and the entry index holding k (-1 if absent). Must not be called
+// with nil slots.
+func (t *Table) probe(k string, h uint32) (uint32, int32) {
+	mask := t.mask
+	tag := h &^ mask
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
 			return i, -1
 		}
-		if t.keys[e-1] == k {
-			return i, e - 1
+		if s&^mask == tag {
+			if e := int32(s&mask) - 1; t.keys[e] == k {
+				return i, e
+			}
 		}
-		i = (i + 1) & t.mask
 	}
 }
 
 func (t *Table) ensure() {
 	if t.slots == nil {
-		t.slots = make([]int32, minTableSlots)
+		t.slots = make([]uint32, minTableSlots)
 		t.mask = minTableSlots - 1
 	}
 }
 
-// grow doubles the slot array and rehashes every dense entry.
+// grow doubles the slot array and places every dense entry by its stored hash.
 func (t *Table) grow() {
-	t.slots = make([]int32, 2*len(t.slots))
+	t.slots = make([]uint32, 2*len(t.slots))
 	t.mask = uint32(len(t.slots) - 1)
-	for ei, k := range t.keys {
-		i := uint32(hashKey(k)) & t.mask
+	for ei, h := range t.hashes {
+		i := h & t.mask
 		for t.slots[i] != 0 {
 			i = (i + 1) & t.mask
 		}
-		t.slots[i] = int32(ei + 1)
+		t.slots[i] = h&^t.mask | uint32(ei+1)
 	}
 }
 
@@ -94,17 +110,19 @@ func (t *Table) reserve(n int) {
 		need *= 2
 	}
 	if need > len(t.slots) {
-		t.slots = make([]int32, need)
+		t.slots = make([]uint32, need)
 		t.mask = uint32(need - 1)
 	}
 	t.keys = slices.Grow(t.keys, n)
 	t.vals = slices.Grow(t.vals, n)
+	t.hashes = slices.Grow(t.hashes, n)
 }
 
-func (t *Table) insertAt(slot uint32, k string, v float64) {
+func (t *Table) insertAt(slot uint32, k string, h uint32, v float64) {
 	t.keys = append(t.keys, k)
 	t.vals = append(t.vals, v)
-	t.slots[slot] = int32(len(t.keys))
+	t.hashes = append(t.hashes, h)
+	t.slots[slot] = h&^t.mask | uint32(len(t.keys))
 	t.encBytes += codec.SizeString(k) + 8
 	t.dirtyOwner()
 	// Grow at 3/4 load so probe chains stay short.
@@ -137,10 +155,16 @@ func (t *Table) Get(k string) float64 {
 // Lookup returns the cell's value and whether it exists. Safe on a nil
 // table.
 func (t *Table) Lookup(k string) (float64, bool) {
+	return t.lookup(k, hashKey(k))
+}
+
+// lookup is Lookup for a key whose hash the caller already holds (an entry of
+// another table).
+func (t *Table) lookup(k string, h uint32) (float64, bool) {
 	if t == nil || t.slots == nil {
 		return 0, false
 	}
-	if _, ei := t.probe(k); ei >= 0 {
+	if _, ei := t.probe(k, h); ei >= 0 {
 		return t.vals[ei], true
 	}
 	return 0, false
@@ -155,25 +179,47 @@ func (t *Table) Has(k string) bool {
 // Set stores v under k.
 func (t *Table) Set(k string, v float64) {
 	t.ensure()
-	slot, ei := t.probe(k)
+	h := hashKey(k)
+	slot, ei := t.probe(k, h)
 	if ei >= 0 {
 		t.vals[ei] = v
 		return
 	}
-	t.insertAt(slot, k, v)
+	t.insertAt(slot, k, h, v)
 }
 
 // Add increments the cell by dv (creating it at dv) and returns the new
 // value.
 func (t *Table) Add(k string, dv float64) float64 {
 	t.ensure()
-	slot, ei := t.probe(k)
+	return t.add(k, hashKey(k), dv)
+}
+
+// add is Add for a key whose hash the caller already holds. Slots must exist.
+func (t *Table) add(k string, h uint32, dv float64) float64 {
+	slot, ei := t.probe(k, h)
 	if ei >= 0 {
 		t.vals[ei] += dv
 		return t.vals[ei]
 	}
-	t.insertAt(slot, k, dv)
+	t.insertAt(slot, k, h, dv)
 	return dv
+}
+
+// AddTable sums src's cells into t, cell by cell in src's storage order: what
+// `for k, v := range src.All() { t.Add(k, v) }` does, without hashing a key
+// again (src holds the hashes). A nil or empty src changes nothing; src == t
+// is allowed and doubles every cell.
+func (t *Table) AddTable(src *Table) {
+	if src.Len() == 0 {
+		return
+	}
+	t.ensure()
+	// Every key of t is already in t, so src == t inserts nothing and the
+	// ranged slices stay as they are.
+	for i, k := range src.keys {
+		t.add(k, src.hashes[i], src.vals[i])
+	}
 }
 
 // Delete removes the cell, reporting whether it existed. The dense entry is
@@ -183,20 +229,28 @@ func (t *Table) Delete(k string) bool {
 	if t == nil || t.slots == nil {
 		return false
 	}
-	slot, ei := t.probe(k)
+	slot, ei := t.probe(k, hashKey(k))
 	if ei < 0 {
 		return false
 	}
 	last := int32(len(t.keys)) - 1
 	if ei != last {
-		lslot, _ := t.probe(t.keys[last])
+		// The last entry takes the place of the removed one: its slot is the
+		// one on its probe chain that holds its index.
+		lh := t.hashes[last]
+		lslot := lh & t.mask
+		for t.slots[lslot]&t.mask != uint32(last+1) {
+			lslot = (lslot + 1) & t.mask
+		}
 		t.keys[ei] = t.keys[last]
 		t.vals[ei] = t.vals[last]
-		t.slots[lslot] = ei + 1
+		t.hashes[ei] = lh
+		t.slots[lslot] = lh&^t.mask | uint32(ei+1)
 	}
 	t.keys[last] = "" // release the string
 	t.keys = t.keys[:last]
 	t.vals = t.vals[:last]
+	t.hashes = t.hashes[:last]
 	t.encBytes -= codec.SizeString(k) + 8
 	t.dirtyOwner()
 	// Backward-shift deletion: walk the probe chain after the emptied slot
@@ -204,7 +258,7 @@ func (t *Table) Delete(k string) bool {
 	i := slot
 	t.slots[i] = 0
 	for j := (i + 1) & t.mask; t.slots[j] != 0; j = (j + 1) & t.mask {
-		home := uint32(hashKey(t.keys[t.slots[j]-1])) & t.mask
+		home := t.hashes[t.slots[j]&t.mask-1] & t.mask
 		if (j-home)&t.mask >= (j-i)&t.mask {
 			t.slots[i] = t.slots[j]
 			t.slots[j] = 0
@@ -224,6 +278,7 @@ func (t *Table) Clear() {
 	}
 	t.keys = t.keys[:0]
 	t.vals = t.vals[:0]
+	t.hashes = t.hashes[:0]
 	clear(t.slots)
 	t.encBytes = 0
 	t.dirtyOwner()
@@ -304,8 +359,9 @@ func (t *Table) copyFrom(src *Table) {
 	}
 	t.keys = append(t.keys, src.keys...)
 	t.vals = append(t.vals, src.vals...)
+	t.hashes = append(t.hashes, src.hashes...)
 	if len(t.slots) != len(src.slots) {
-		t.slots = make([]int32, len(src.slots))
+		t.slots = make([]uint32, len(src.slots))
 		t.mask = src.mask
 	}
 	copy(t.slots, src.slots)

@@ -78,7 +78,7 @@ func rainBucketName(bucket int) string {
 
 // windowAdd records v for key into the current window bucket.
 func windowAdd(st *engine.State, period int, window int, key string, v float64) {
-	st.Table(bucketName(period % window)).Add(key, v)
+	st.Table(bucketName(period%window)).Add(key, v)
 }
 
 // windowTotals sums the last `window` buckets per key into the state's
@@ -87,46 +87,54 @@ func windowAdd(st *engine.State, period int, window int, key string, v float64) 
 func windowTotals(st *engine.State, period, window int) *engine.Table {
 	totals := st.Scratch()
 	for b := 0; b < window; b++ {
-		for k, v := range st.Table(bucketName(b)).All() {
-			totals.Add(k, v)
-		}
+		totals.AddTable(st.Table(bucketName(b)))
 	}
 	// Expire the oldest bucket (the one the NEXT period will write into).
 	st.ClearTable(bucketName((period + 1) % window))
 	return totals
 }
 
-// topKOf returns the k keys with the largest totals, deterministically
-// (value descending, key ascending on ties). It keeps a bounded insertion-
-// sorted selection of k entries instead of sorting the whole table: O(n·k)
-// worst case but ~O(n) on typical data, with a single small allocation.
-func topKOf(totals *engine.Table, k int) []string {
+// ranked is one cell of a totals table in a top-k selection.
+type ranked struct {
+	key   string
+	total float64
+}
+
+// topKOf returns the k cells with the largest totals, deterministically
+// (total descending, key ascending on ties). It keeps a bounded insertion-
+// sorted selection of k cells instead of sorting the whole table: one pass
+// over the cells and no table lookup. A cell that does not make the selection
+// (on typical data nearly all of them) costs one comparison of two floats, one
+// that does at most k comparisons and moves — O(n·k) worst case, ~O(n) as a
+// rule — with a single small allocation.
+func topKOf(totals *engine.Table, k int) []ranked {
 	if k <= 0 || totals.Len() == 0 {
 		return nil
 	}
 	if k > totals.Len() {
 		k = totals.Len()
 	}
-	keys := make([]string, 0, k)
-	worse := func(a, b string) bool { // a ranks after b
-		if av, bv := totals.Get(a), totals.Get(b); av != bv {
-			return av < bv
+	sel := make([]ranked, 0, k)
+	worse := func(a, b ranked) bool { // a ranks after b
+		if a.total != b.total {
+			return a.total < b.total
 		}
-		return a > b
+		return a.key > b.key
 	}
-	for key := range totals.All() {
-		if len(keys) == k {
-			if worse(key, keys[k-1]) {
+	for key, total := range totals.All() {
+		c := ranked{key, total}
+		if len(sel) == k {
+			if worse(c, sel[k-1]) {
 				continue
 			}
-			keys = keys[:k-1]
+			sel = sel[:k-1]
 		}
-		keys = append(keys, key)
-		for i := len(keys) - 1; i > 0 && worse(keys[i-1], keys[i]); i-- {
-			keys[i-1], keys[i] = keys[i], keys[i-1]
+		sel = append(sel, c)
+		for i := len(sel) - 1; i > 0 && worse(sel[i-1], sel[i]); i-- {
+			sel[i-1], sel[i] = sel[i], sel[i-1]
 		}
 	}
-	return keys
+	return sel
 }
 
 // RealJob1 is the Wikipedia job of Section 5.2: GeoHash → per-cell TopK
@@ -171,10 +179,9 @@ func RealJob1(cfg JobConfig) (*engine.Topology, error) {
 		},
 		Flush: func(kg int, st *engine.State, emit engine.Emit) {
 			p := int(st.Num("period"))
-			totals := windowTotals(st, p, window)
-			for _, article := range topKOf(totals, topk) {
-				emit(engine.NewTuple(article, int64(p)).
-					WithNum("count", totals.Get(article)))
+			for _, top := range topKOf(windowTotals(st, p, window), topk) {
+				emit(engine.NewTuple(top.key, int64(p)).
+					WithNum("count", top.total))
 			}
 			st.Add("period", 1)
 		},

@@ -1,6 +1,10 @@
 package workload
 
 import (
+	"cmp"
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -238,5 +242,36 @@ func TestRealJob4Runs(t *testing.T) {
 	}
 	if !seen {
 		t.Fatal("no traffic reached the courier operator")
+	}
+}
+
+// TestTopKOfMatchesFullSort: the bounded selection returns what sorting the
+// whole table (total descending, key ascending) and cutting it at k returns —
+// with totals drawn from a handful of values so that ties straddle the cut,
+// for k below, at and above the cell count, and for k = 0.
+func TestTopKOfMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 7, 200} {
+		totals := engine.NewState().Table("totals")
+		var all []ranked
+		for i := 0; i < n; i++ {
+			c := ranked{fmt.Sprintf("article-%06d", rng.Intn(1_000_000)), float64(rng.Intn(5))}
+			if !totals.Has(c.key) {
+				totals.Set(c.key, c.total)
+				all = append(all, c)
+			}
+		}
+		slices.SortFunc(all, func(a, b ranked) int {
+			if a.total != b.total {
+				return cmp.Compare(b.total, a.total)
+			}
+			return strings.Compare(a.key, b.key)
+		})
+		for _, k := range []int{0, 1, 3, 10, len(all), len(all) + 5} {
+			want := all[:min(k, len(all))]
+			if got := topKOf(totals, k); !slices.Equal(got, want) {
+				t.Errorf("%d cells, k=%d: got %v, want %v", len(all), k, got, want)
+			}
+		}
 	}
 }
