@@ -155,30 +155,41 @@ func TestSizeHelpersMatchEncoders(t *testing.T) {
 	}
 }
 
-func TestInternerDedupsAndResets(t *testing.T) {
-	var in Interner
-	a := in.Intern([]byte("field"))
-	b := in.Intern([]byte("field"))
-	if a != b {
-		t.Fatal("interner returned different values for equal input")
+// TestVarintOneByteAgrees: the one-byte fast paths of ReadUvarint and ReadInt64
+// read what encoding/binary reads, on every first byte and at both edges of
+// the one-byte range.
+func TestVarintOneByteAgrees(t *testing.T) {
+	for _, x := range []uint64{0, 1, 0x7f, 0x80, 0x3fff, 1 << 40, 1<<64 - 1} {
+		got, rest, err := ReadUvarint(append(AppendUvarint(nil, x), 0xEE))
+		if err != nil || got != x || len(rest) != 1 {
+			t.Fatalf("uvarint %d: got %d, %d left, err %v", x, got, len(rest), err)
+		}
 	}
-	// Same backing string instance (pointer equality via unsafe-free check:
-	// interning must not grow the table for a hit).
-	if len(in.m) != 1 {
-		t.Fatalf("table has %d entries after two hits of one string", len(in.m))
+	for _, x := range []int64{0, -1, 1, 63, -64, 64, -65, 1_000_000, -1 << 62} {
+		got, rest, err := ReadInt64(append(AppendInt64(nil, x), 0xEE))
+		if err != nil || got != x || len(rest) != 1 {
+			t.Fatalf("varint %d: got %d, %d left, err %v", x, got, len(rest), err)
+		}
 	}
-	// Fill past the cap: the table must reset, not grow without bound.
-	for i := 0; i < maxInterned+10; i++ {
-		in.Intern([]byte(fmt.Sprintf("key-%d", i)))
+	for _, b := range [][]byte{nil, {0x80}, {0xff, 0xff}} {
+		if _, _, err := ReadUvarint(b); err == nil {
+			t.Fatalf("ReadUvarint(%x) did not fail", b)
+		}
+		if _, _, err := ReadInt64(b); err == nil {
+			t.Fatalf("ReadInt64(%x) did not fail", b)
+		}
 	}
-	if len(in.m) > maxInterned {
-		t.Fatalf("interner table grew to %d > cap %d", len(in.m), maxInterned)
+}
+
+// TestAliasSharesBytes pins what Alias is: the same bytes, not a copy.
+func TestAliasSharesBytes(t *testing.T) {
+	b := []byte("frame")
+	s := Alias(b)
+	if s != "frame" || Alias(nil) != "" {
+		t.Fatalf("Alias = %q, %q", s, Alias(nil))
 	}
-	// The returned string must not alias the (mutable) input buffer.
-	buf := []byte("mutate-me")
-	s := in.Intern(buf)
-	buf[0] = 'X'
-	if s != "mutate-me" {
-		t.Fatalf("interned string aliases caller buffer: %q", s)
+	b[0] = 'F'
+	if s != "Frame" {
+		t.Fatalf("Alias copied: %q", s)
 	}
 }

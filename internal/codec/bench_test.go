@@ -26,17 +26,16 @@ func BenchmarkDictRef(b *testing.B) {
 // back-reference).
 func BenchmarkDictReadRef(b *testing.B) {
 	var d Dict
-	var in Interner
 	def := d.AppendRef(nil, "article")
 	ref := d.AppendRef(nil, "article")
 	var tbl DictTable
-	if _, _, err := tbl.ReadRef(def, &in); err != nil {
+	if _, _, err := tbl.ReadRef(def); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := tbl.ReadRef(ref, &in); err != nil {
+		if _, _, err := tbl.ReadRef(ref); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,22 +66,4 @@ func BenchmarkBatchFrame(b *testing.B) {
 		PutBuf(frame)
 	}
 	b.ReportMetric(256, "items/frame")
-}
-
-// BenchmarkInterner measures the steady-state hit path of the bounded
-// string interner (one map probe, no allocation).
-func BenchmarkInterner(b *testing.B) {
-	var in Interner
-	keys := make([][]byte, 64)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("article-%06d", i))
-		in.Intern(keys[i])
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s := in.Intern(keys[i&63]); len(s) == 0 {
-			b.Fatal("empty")
-		}
-	}
 }

@@ -36,6 +36,14 @@ var bufPool = sync.Pool{
 // warm, GetBuf/PutBuf cycles are allocation-free.
 var boxPool = sync.Pool{New: func() any { return new([]byte) }}
 
+// scribble makes PutBuf overwrite what it is given: a string that aliased a
+// frame and outlived it then reads as garbage at once, not whenever the pool
+// reuses the buffer. ScribbleOnPutBuf turns it on for the rest of the process;
+// it is for a test binary's TestMain, before anything runs.
+var scribble bool
+
+func ScribbleOnPutBuf() { scribble = true }
+
 // GetBuf returns an empty byte buffer from the pool. Pair with PutBuf once
 // every slice derived from the buffer has been consumed or copied.
 func GetBuf() []byte {
@@ -47,9 +55,14 @@ func GetBuf() []byte {
 }
 
 // PutBuf returns a buffer to the pool. The caller must not retain any slice
-// aliasing b afterwards: the next GetBuf may hand the same backing array to
-// another encoder.
+// or string (Alias) over b afterwards: the next GetBuf may hand the same
+// backing array to another encoder.
 func PutBuf(b []byte) {
+	if scribble {
+		for i := range b {
+			b[i] = 0xA5
+		}
+	}
 	if cap(b) == 0 || cap(b) > maxPooledBuf {
 		return
 	}
@@ -102,8 +115,16 @@ func AppendUvarint(b []byte, x uint64) []byte {
 	return binary.AppendUvarint(b, x)
 }
 
-// ReadUvarint reads a uvarint.
+// ReadUvarint reads a uvarint. Lengths, counts and dictionary references are
+// below 128 nearly always: that case is one byte, decided inline.
 func ReadUvarint(b []byte) (uint64, []byte, error) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), b[1:], nil
+	}
+	return readUvarintWide(b)
+}
+
+func readUvarintWide(b []byte) (uint64, []byte, error) {
 	x, n := binary.Uvarint(b)
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("codec: bad uvarint")
@@ -116,8 +137,15 @@ func AppendInt64(b []byte, x int64) []byte {
 	return binary.AppendVarint(b, x)
 }
 
-// ReadInt64 reads a zig-zag varint.
+// ReadInt64 reads a zig-zag varint, a one-byte one (-64..63) inline.
 func ReadInt64(b []byte) (int64, []byte, error) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return int64(b[0]>>1) ^ -int64(b[0]&1), b[1:], nil
+	}
+	return readInt64Wide(b)
+}
+
+func readInt64Wide(b []byte) (int64, []byte, error) {
 	x, n := binary.Varint(b)
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("codec: bad varint")
@@ -155,64 +183,6 @@ func ReadString(b []byte) (string, []byte, error) {
 	}
 	return string(b[:n]), b[n:], nil
 }
-
-// Interner dedups decoded strings: repeated keys and low-cardinality values
-// decode to the same string without allocating. It is a single-goroutine
-// cache (one per decoder). The table is size-bounded on two axes — entry
-// count and total interned payload bytes — and resets when either bound is
-// exceeded, so high-cardinality key streams (or adversarial inputs with few
-// huge strings) keep memory flat across periods instead of growing the map
-// without bound.
-type Interner struct {
-	m map[string]string
-	// bytes is the total payload length of the strings currently interned
-	// (map bucket overhead excluded; it is proportional to len(m), which the
-	// entry cap bounds).
-	bytes int
-}
-
-const (
-	// maxInterned caps the entry count. Sized so the paper workloads' key
-	// universes (tens of thousands of Zipf-distributed keys) fit without
-	// reset thrash, while still bounding adversarial streams.
-	maxInterned = 1 << 15
-	// maxInternedBytes caps the total interned payload (4 MiB per decoder).
-	maxInternedBytes = 1 << 22
-	// maxInternedString is the largest single string worth caching: anything
-	// bigger is returned as a plain copy without touching the table, so one
-	// oversized value can neither evict the hot entries nor break the byte
-	// bound.
-	maxInternedString = 1 << 16
-)
-
-// Intern returns a string equal to b, reusing a previously-decoded instance
-// when possible. The returned string never aliases b.
-func (in *Interner) Intern(b []byte) string {
-	if len(b) > maxInternedString {
-		return string(b) // oversized: copy without caching
-	}
-	if in.m == nil {
-		in.m = make(map[string]string, 64)
-	}
-	if s, ok := in.m[string(b)]; ok { // no-alloc lookup
-		return s
-	}
-	if len(in.m) >= maxInterned || in.bytes+len(b) > maxInternedBytes {
-		clear(in.m)
-		in.bytes = 0
-	}
-	s := string(b)
-	in.m[s] = s
-	in.bytes += len(s)
-	return s
-}
-
-// Len returns the number of interned entries (regression tests assert the
-// table stays bounded over many periods).
-func (in *Interner) Len() int { return len(in.m) }
-
-// InternedBytes returns the total payload bytes currently interned.
-func (in *Interner) InternedBytes() int { return in.bytes }
 
 // ---------------------------------------------------------------------------
 // Size helpers: the exact encoded length of a value, computed without

@@ -120,6 +120,11 @@ func (d *Dict) AppendRef(dst []byte, name string) []byte {
 // boundary. Not safe for concurrent use (each receiver owns one).
 type DictTable struct {
 	names []string
+	// known remembers the last few names defined, across frames — every frame
+	// of a link defines the same handful — as heap strings of their own, so a
+	// definition rarely allocates and never aliases the frame.
+	known [8]string
+	next  int
 }
 
 // Reset clears the table for a new frame, reusing the backing slice.
@@ -128,10 +133,23 @@ func (t *DictTable) Reset() { t.names = t.names[:0] }
 // Len returns the number of names defined so far in this frame.
 func (t *DictTable) Len() int { return len(t.names) }
 
-// ReadRef reads one name reference written by Dict.AppendRef. Definitions
-// intern their name bytes through in (names repeat across frames, so steady
-// state defines without allocating) and append it to the table.
-func (t *DictTable) ReadRef(b []byte, in *Interner) (string, []byte, error) {
+// name returns b as a string that does not alias it.
+func (t *DictTable) name(b []byte) string {
+	for _, k := range t.known {
+		if k == string(b) { // compares in place
+			return k
+		}
+	}
+	k := string(b)
+	t.known[t.next] = k
+	t.next = (t.next + 1) % len(t.known)
+	return k
+}
+
+// ReadRef reads one name reference written by Dict.AppendRef. A definition
+// resolves its name bytes to a string of its own (allocating only for a name
+// that is not among the last few seen) and appends it to the table.
+func (t *DictTable) ReadRef(b []byte) (string, []byte, error) {
 	x, b, err := ReadUvarint(b)
 	if err != nil {
 		return "", nil, fmt.Errorf("codec: name ref: %w", err)
@@ -147,7 +165,7 @@ func (t *DictTable) ReadRef(b []byte, in *Interner) (string, []byte, error) {
 	if uint64(len(b)) < n {
 		return "", nil, fmt.Errorf("codec: short name definition (%d of %d bytes)", len(b), n)
 	}
-	name := in.Intern(b[:n])
+	name := t.name(b[:n])
 	// Past the cap, definitions resolve but are not registered — the exact
 	// mirror of Dict.AppendRef, keeping both tables in lockstep and bounded.
 	if len(t.names) < maxDictEntries {

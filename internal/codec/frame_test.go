@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 )
@@ -30,7 +29,6 @@ func TestFrameVersion(t *testing.T) {
 
 func TestDictRoundTrip(t *testing.T) {
 	var d Dict
-	var in Interner
 	names := []string{"article", "bytes", "article", "geo", "bytes", "article", "", "geo"}
 	var buf []byte
 	for _, n := range names {
@@ -44,7 +42,7 @@ func TestDictRoundTrip(t *testing.T) {
 	for i, want := range names {
 		var got string
 		var err error
-		if got, b, err = tbl.ReadRef(b, &in); err != nil {
+		if got, b, err = tbl.ReadRef(b); err != nil {
 			t.Fatalf("ref %d: %v", i, err)
 		}
 		if got != want {
@@ -78,7 +76,6 @@ func TestDictRoundTrip(t *testing.T) {
 // checks ids stay consistent across the promotion to a map index.
 func TestDictMapPromotion(t *testing.T) {
 	var d Dict
-	var in Interner
 	var buf []byte
 	const n = 3 * dictScanMax
 	for i := 0; i < n; i++ {
@@ -91,7 +88,7 @@ func TestDictMapPromotion(t *testing.T) {
 	b := buf
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < n; i++ {
-			got, rest, err := tbl.ReadRef(b, &in)
+			got, rest, err := tbl.ReadRef(b)
 			if err != nil {
 				t.Fatalf("pass %d ref %d: %v", pass, i, err)
 			}
@@ -118,7 +115,6 @@ func TestDictMapPromotion(t *testing.T) {
 // keep back-referencing, and neither table exceeds the cap.
 func TestDictCapLockstep(t *testing.T) {
 	var d Dict
-	var in Interner
 	const extra = 5
 	var buf []byte
 	name := func(i int) string { return fmt.Sprintf("n%05x", i) }
@@ -135,7 +131,7 @@ func TestDictCapLockstep(t *testing.T) {
 	b := buf
 	check := func(want string) {
 		t.Helper()
-		got, rest, err := tbl.ReadRef(b, &in)
+		got, rest, err := tbl.ReadRef(b)
 		if err != nil {
 			t.Fatalf("ReadRef(%q): %v", want, err)
 		}
@@ -158,22 +154,21 @@ func TestDictCapLockstep(t *testing.T) {
 }
 
 func TestDictTableMalformed(t *testing.T) {
-	var in Interner
 	// Out-of-range id.
 	var tbl DictTable
-	if _, _, err := tbl.ReadRef(AppendUvarint(nil, 4<<1), &in); err == nil {
+	if _, _, err := tbl.ReadRef(AppendUvarint(nil, 4<<1)); err == nil {
 		t.Fatal("out-of-range id did not error")
 	}
 	// Truncated definition: claims 10 name bytes, provides 3.
 	tbl.Reset()
 	bad := AppendUvarint(nil, 10<<1|1)
 	bad = append(bad, "abc"...)
-	if _, _, err := tbl.ReadRef(bad, &in); err == nil {
+	if _, _, err := tbl.ReadRef(bad); err == nil {
 		t.Fatal("truncated definition did not error")
 	}
 	// Dangling uvarint.
 	tbl.Reset()
-	if _, _, err := tbl.ReadRef([]byte{0x80}, &in); err == nil {
+	if _, _, err := tbl.ReadRef([]byte{0x80}); err == nil {
 		t.Fatal("dangling uvarint did not error")
 	}
 	// Duplicate definitions are tolerated (each gets its own id).
@@ -182,11 +177,11 @@ func TestDictTableMalformed(t *testing.T) {
 	buf := d.AppendRef(nil, "dup")
 	buf = append(buf, AppendUvarint(nil, uint64(len("dup"))<<1|1)...)
 	buf = append(buf, "dup"...)
-	a, buf2, err := tbl.ReadRef(buf, &in)
+	a, buf2, err := tbl.ReadRef(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := tbl.ReadRef(buf2, &in)
+	b, _, err := tbl.ReadRef(buf2)
 	if err != nil || a != "dup" || b != "dup" {
 		t.Fatalf("duplicate definition: %q %q err %v", a, b, err)
 	}
@@ -195,48 +190,42 @@ func TestDictTableMalformed(t *testing.T) {
 	}
 }
 
-// TestInternerBoundedAcrossPeriods is the regression test for unbounded
-// receive-path interner growth: a high-cardinality key stream (every key
-// unique, as many keys as an adversarial workload can produce) must leave
-// the table size-bounded on both axes after any number of periods.
-func TestInternerBoundedAcrossPeriods(t *testing.T) {
-	var in Interner
-	key := 0
-	for period := 0; period < 20; period++ {
-		for i := 0; i < maxInterned/2+1000; i++ {
-			in.Intern([]byte(fmt.Sprintf("key-%09d", key)))
-			key++
+// TestDictNamesOutliveTheFrame: a name ReadRef returns is a string of its
+// own — the frame may be overwritten afterwards — and a name seen in an earlier
+// frame is defined again without allocating.
+func TestDictNamesOutliveTheFrame(t *testing.T) {
+	var d Dict
+	frame := d.AppendRef(d.AppendRef(nil, "article"), "bytes")
+	var tbl DictTable
+	read := func() (string, string) {
+		tbl.Reset()
+		a, rest, err := tbl.ReadRef(frame)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if in.Len() > maxInterned {
-			t.Fatalf("period %d: %d entries > cap %d", period, in.Len(), maxInterned)
+		b, _, err := tbl.ReadRef(rest)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if in.InternedBytes() > maxInternedBytes {
-			t.Fatalf("period %d: %d payload bytes > cap %d", period, in.InternedBytes(), maxInternedBytes)
+		return a, b
+	}
+	a, b := read()
+	if allocs := testing.AllocsPerRun(100, func() { read() }); allocs != 0 {
+		t.Fatalf("re-defining known names: %.0f allocations per frame", allocs)
+	}
+	for i := range frame {
+		frame[i] = 0xA5
+	}
+	if a != "article" || b != "bytes" {
+		t.Fatalf("names alias the frame: %q %q", a, b)
+	}
+	// More names than the cache holds still resolve, each to itself.
+	for i := 0; i < 40; i++ {
+		want := fmt.Sprintf("field-%d", i)
+		var one Dict
+		got, _, err := tbl.ReadRef(one.AppendRef(nil, want))
+		if err != nil || got != want {
+			t.Fatalf("name %d: %q, %v", i, got, err)
 		}
-	}
-	// Byte axis: large (but cacheable) strings must trip the byte bound
-	// long before the entry bound.
-	var big Interner
-	large := bytes.Repeat([]byte{'x'}, maxInternedString)
-	n := maxInternedBytes/maxInternedString + 36
-	for i := 0; i < n; i++ {
-		large[0], large[1] = byte('a'+i%26), byte('a'+i/26)
-		big.Intern(large)
-		if big.InternedBytes() > maxInternedBytes {
-			t.Fatalf("byte bound exceeded: %d", big.InternedBytes())
-		}
-	}
-	if big.Len() >= n {
-		t.Fatalf("byte bound never reset the table (%d entries)", big.Len())
-	}
-	// Oversized strings bypass the cache entirely: correct copy, no entry,
-	// no eviction of the hot working set.
-	hot := big.Len()
-	huge := bytes.Repeat([]byte{'y'}, maxInternedString+1)
-	if got := big.Intern(huge); got != string(huge) {
-		t.Fatal("oversized intern returned wrong string")
-	}
-	if big.Len() != hot || big.InternedBytes() > maxInternedBytes {
-		t.Fatalf("oversized string touched the table (%d entries, %d bytes)", big.Len(), big.InternedBytes())
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/engine"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -14,7 +15,10 @@ import (
 // TestMain doubles as the worker-process entry point: the failure test
 // re-execs this test binary with ALBIC_TEST_WORKER set to the controller
 // address, turning it into an albic-node without needing a separate build.
+// Either way it recycles no frame without scribbling over it first (see
+// internal/engine's TestMain).
 func TestMain(m *testing.M) {
+	codec.ScribbleOnPutBuf()
 	if addr := os.Getenv("ALBIC_TEST_WORKER"); addr != "" {
 		if err := RunWorker(addr, "127.0.0.1:0", 1); err != nil {
 			fmt.Fprintln(os.Stderr, "worker:", err)

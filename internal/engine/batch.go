@@ -58,15 +58,25 @@ func (o *outbox) begin() {
 // record's encoded length in bytes — the cost-model "wire bytes" of the
 // tuple, excluding the frame's version byte and per-item length prefix, so
 // sender-side accounting matches what the receiver measures per decoded
-// record. scratch is a caller-owned reusable encode buffer.
-func (o *outbox) stage(kg int, t *Tuple, scratch *[]byte) int {
+// record. The record is encoded where it will travel, behind one byte kept
+// for its length prefix; only a record of 128 bytes or more is moved, to make
+// room for a wider one.
+func (o *outbox) stage(kg int, t *Tuple) int {
 	o.begin()
-	s := codec.AppendUvarint((*scratch)[:0], uint64(kg))
-	s = t.EncodeV2(s, &o.dict)
-	*scratch = s
-	o.buf = codec.AppendBatchItem(o.buf, s)
+	at := len(o.buf)
+	b := codec.AppendUvarint(append(o.buf, 0), uint64(kg))
+	b = t.EncodeV2(b, &o.dict)
+	n := len(b) - at - 1
+	if n < 0x80 {
+		b[at] = byte(n)
+	} else {
+		b = append(b, make([]byte, codec.SizeUvarint(uint64(n))-1)...)
+		copy(b[len(b)-n:], b[at+1:])
+		codec.AppendUvarint(b[:at], uint64(n))
+	}
+	o.buf = b
 	o.count++
-	return len(s)
+	return n
 }
 
 // full reports whether the outbox reached a flush threshold.
@@ -85,19 +95,18 @@ func (o *outbox) take(period int) (dataBatchMsg, bool) {
 	return m, true
 }
 
-// rxDecoder is one receiver's reusable decode state: the string interner
-// shared across frames, the per-frame dictionary table and a view recycled
-// across records. One per node; never shared across goroutines.
+// rxDecoder is one receiver's reusable decode state: the per-frame dictionary
+// table and a view recycled across records. One per shard; never shared across
+// goroutines.
 type rxDecoder struct {
-	in   codec.Interner
 	dict codec.DictTable
 	view TupleView
 }
 
 // decodeBatch iterates the records of a dataBatchMsg frame: for each record
 // it yields the key group, a TupleView onto the record and the record's wire
-// length. The view (and the frame bytes behind it) is only valid until fn
-// returns — fn must Materialize anything it keeps. Records decode
+// length. The view, and every string read from it, aliases the frame and is
+// valid until fn returns — fn must Materialize what it keeps. Records decode
 // allocation-free into rx's reusable view.
 func decodeBatch(encoded []byte, rx *rxDecoder, fn func(kg int, v *TupleView, wire int)) error {
 	_, payload, err := codec.FrameVersion(encoded)
@@ -110,7 +119,7 @@ func decodeBatch(encoded []byte, rx *rxDecoder, fn func(kg int, v *TupleView, wi
 		if err != nil {
 			return fmt.Errorf("engine: batch record kg: %w", err)
 		}
-		if err := rx.view.decodeV2(rest, &rx.dict, &rx.in); err != nil {
+		if err := rx.view.decodeV2(rest, &rx.dict); err != nil {
 			return err
 		}
 		fn(int(kg), &rx.view, len(item))

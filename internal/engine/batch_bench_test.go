@@ -11,12 +11,11 @@ import (
 // edge shape) into one v2 outbox frame and returns it.
 func benchFrame(n int) []byte {
 	var ob outbox
-	var scratch []byte
 	for i := 0; i < n; i++ {
 		ob.stage(i%32, (&Tuple{Key: fmt.Sprintf("article-%06d", i%997), TS: int64(i)}).
 			WithStr("editor", fmt.Sprintf("editor-%04d", i%53)).
 			WithStr("geo", fmt.Sprintf("dk-%02d", i%17)).
-			WithNum("bytes", float64(100+i)), &scratch)
+			WithNum("bytes", float64(100+i)))
 	}
 	m, _ := ob.take(1)
 	return m.encoded
@@ -29,7 +28,7 @@ func benchFrame(n int) []byte {
 func BenchmarkReceivePathV2(b *testing.B) {
 	frame := benchFrame(256)
 	var rx rxDecoder
-	// Warm the interner so the measurement is steady state.
+	// Warm the field-name cache so the measurement is steady state.
 	_ = decodeBatch(frame, &rx, func(int, *TupleView, int) {})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -61,16 +60,56 @@ func BenchmarkStageV2(b *testing.B) {
 			WithNum("bytes", float64(100+i)))
 	}
 	var ob outbox
-	var scratch []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, tu := range tuples {
-			ob.stage(j%32, tu, &scratch)
+			ob.stage(j%32, tu)
 		}
 		if m, ok := ob.take(1); ok {
 			codec.PutBuf(m.encoded)
 		}
 	}
 	b.ReportMetric(256, "tuples/frame")
+}
+
+// BenchmarkHop measures one hop of the data path the way a shard runs it: a
+// pooled frame of 256 source records of the Wikipedia job (key = article;
+// editor, geo, bytes) is decoded into the reusable view, each record goes
+// through the job's first operator (count in the group's state, build the
+// geo-keyed output from the view's strings) and the output is staged into an
+// outbox frame. Nothing on it copies a key before the stage does, and nothing
+// allocates: ns/tuple is the number to watch, allocs/op must be 0.
+func BenchmarkHop(b *testing.B) {
+	const records = 256
+	frame := benchFrame(records)
+	var (
+		rx rxDecoder
+		tp tupleFreeList
+		ob outbox
+		st = NewState()
+	)
+	rx.view.pool = &tp
+	hop := func() {
+		err := decodeBatch(frame, &rx, func(kg int, v *TupleView, wire int) {
+			st.Add("edits", 1)
+			out := v.NewTuple(v.Str("geo"), v.TS()).
+				WithStr("article", v.Key()).
+				WithNum("bytes", v.Num("bytes"))
+			ob.stage(kg, out)
+			tp.put(out)
+		})
+		if m, ok := ob.take(1); err != nil || !ok || m.count != records {
+			b.Fatalf("staged %d of %d records, err %v", m.count, records, err)
+		} else {
+			codec.PutBuf(m.encoded)
+		}
+	}
+	hop() // warm the field-name cache, the free list and the buffer pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hop()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/tuple")
 }

@@ -15,8 +15,7 @@ import (
 func FuzzControlFrame(f *testing.F) {
 	// One well-formed seed per frame kind, straight from the real encoders.
 	var ob outbox
-	var scratch []byte
-	ob.stage(2, (&Tuple{Key: "k", TS: 1}).WithNum("v", 3), &scratch)
+	ob.stage(2, (&Tuple{Key: "k", TS: 1}).WithNum("v", 3))
 	if m, ok := ob.take(1); ok {
 		m.op, m.period, m.count = 1, 2, 1
 		f.Add(append([]byte(nil), encodeMsgFrame(5, m)...))

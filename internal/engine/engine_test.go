@@ -19,7 +19,7 @@ func newCollector() *collector { return &collector{nums: map[string]float64{}} }
 
 func (c *collector) add(key string, v float64) {
 	c.mu.Lock()
-	c.nums[key] += v
+	c.nums[strings.Clone(key)] += v // key is a view's: it dies with the callback
 	c.n++
 	c.mu.Unlock()
 }
@@ -339,7 +339,7 @@ func TestMigrationPreservesState(t *testing.T) {
 		KeyGroups: 2,
 		Proc: func(tu *TupleView, st *State, emit Emit) {
 			col.mu.Lock()
-			col.nums[tu.Key()] = tu.Num("total") // latest running total per kg
+			col.nums[strings.Clone(tu.Key())] = tu.Num("total") // latest running total per kg
 			col.mu.Unlock()
 		},
 	})

@@ -2,17 +2,21 @@ package engine
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/codec"
 )
 
 // FuzzReceivePath fuzzes the real cross-node receive path — versioned frame
-// → dictionary table → lazy TupleView — with the laws the engine relies on:
+// → dictionary table → TupleView over the frame's bytes — with the laws the
+// engine relies on:
 //
 //  1. decodeBatch never panics, whatever the bytes;
-//  2. view accessors agree with Materialize (the lazy and the materialized
-//     reads of one record are the same tuple);
+//  2. view accessors agree with Materialize (the aliasing and the materialized
+//     reads of one record are the same tuple), and what Materialize returned
+//     still reads the same after the frame has been overwritten: it owns its
+//     strings;
 //  3. any frame that decodes cleanly survives a re-encode through the v2
 //     sender (outbox staging) and decodes to the same tuples.
 //
@@ -23,13 +27,12 @@ import (
 func FuzzReceivePath(f *testing.F) {
 	// Well-formed v2 frames, straight from the sender.
 	var ob outbox
-	var scratch []byte
-	ob.stage(3, (&Tuple{Key: "k1", TS: 7}).WithStr("geo", "dk").WithNum("b", 2), &scratch)
-	ob.stage(3, (&Tuple{Key: "k2", TS: 8}).WithStr("geo", "se").WithNum("b", 3), &scratch)
+	ob.stage(3, (&Tuple{Key: "k1", TS: 7}).WithStr("geo", "dk").WithNum("b", 2))
+	ob.stage(3, (&Tuple{Key: "k2", TS: 8}).WithStr("geo", "se").WithNum("b", 3))
 	if m, ok := ob.take(1); ok {
 		f.Add(append([]byte(nil), m.encoded...))
 	}
-	ob.stage(0, &Tuple{}, &scratch) // empty tuple
+	ob.stage(0, &Tuple{}) // empty tuple
 	if m, ok := ob.take(1); ok {
 		f.Add(append([]byte(nil), m.encoded...))
 	}
@@ -55,11 +58,15 @@ func FuzzReceivePath(f *testing.F) {
 	f.Add([]byte{0x42, 0x42}) // unknown version byte
 	f.Add([]byte{})           // empty input
 
-	f.Fuzz(func(t *testing.T, frame []byte) {
+	f.Fuzz(func(t *testing.T, input []byte) {
+		frame := append([]byte(nil), input...) // scribbled below
 		var rx rxDecoder
 		type rec struct {
 			kg int
 			t  *Tuple
+			// read is what the view read while the frame was intact, string by
+			// string through strings.Clone.
+			read *Tuple
 		}
 		var recs []rec
 		err := decodeBatch(frame, &rx, func(kg int, v *TupleView, wire int) {
@@ -85,16 +92,31 @@ func FuzzReceivePath(f *testing.F) {
 					t.Fatalf("num field %q disagrees", fld.K)
 				}
 			}
-			recs = append(recs, rec{kg: kg, t: m})
+			read := &Tuple{Key: strings.Clone(v.Key()), TS: v.TS()}
+			for _, fld := range v.src.strs {
+				read.strs = append(read.strs, strField{K: strings.Clone(fld.K), V: strings.Clone(fld.V)})
+			}
+			for _, fld := range v.src.nums {
+				read.nums = append(read.nums, numField{K: strings.Clone(fld.K), V: fld.V})
+			}
+			recs = append(recs, rec{kg: kg, t: m, read: read})
 		})
+		for i := range frame {
+			frame[i] = 0xA5
+		}
+		for i, r := range recs {
+			if r.t.Key != r.read.Key || r.t.TS != r.read.TS ||
+				!strFieldsEqual(r.t.strs, r.read.strs) || !numFieldsEqual(r.t.nums, r.read.nums) {
+				t.Fatalf("record %d: the materialized tuple changed with the frame:\n got %+v\nread %+v", i, r.t, r.read)
+			}
+		}
 		if err != nil {
 			return // malformed input may fail, never panic
 		}
 		// Law 3: re-encode through the v2 sender and decode again.
 		var ob outbox
-		var scratch []byte
 		for _, r := range recs {
-			ob.stage(r.kg, r.t, &scratch)
+			ob.stage(r.kg, r.t)
 		}
 		m, ok := ob.take(1)
 		if !ok {

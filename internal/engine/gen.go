@@ -12,8 +12,8 @@ import (
 // goroutine itself (RunPeriod starts it beside the control goroutine), every
 // further one a goroutine spawned from it, so one worker — the default —
 // shares nothing. Each generator is a distinct
-// sender with its own per-(dest, op) outbox set, scratch buffer and
-// byte/batch/tuple counters, so the per-sender FIFO invariant the shards rely
+// sender with its own per-(dest, op) outbox set and byte/batch/tuple
+// counters, so the per-sender FIFO invariant the shards rely
 // on holds per generator; the emitted tuple multiset is identical for any
 // worker count because partitionable sources split deterministically (see
 // PartSourceFunc). End-of-period source barriers are emitted only after every
@@ -27,7 +27,6 @@ import (
 // dictionary reset, so a reused outbox produces byte-identical frames.
 type genState struct {
 	outs    []*outbox // indexed by global shard id
-	scratch []byte    // per-record encode buffer
 	bytes   int64     // wire bytes staged this period (per-record sum)
 	batches int64     // frames shipped this period
 	emitted int64     // source tuples emitted this period
@@ -86,7 +85,7 @@ func (e *Engine) stageSrc(pr *periodRun, gs *genState, si int, t *Tuple) {
 			e.flushGen(pr, gs, destG)
 		}
 		ob.op = op
-		gs.bytes += int64(ob.stage(kg, t, &gs.scratch))
+		gs.bytes += int64(ob.stage(kg, t))
 		if ob.full() {
 			e.flushGen(pr, gs, destG)
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -253,7 +254,7 @@ func TestBarrierOrderingUnderMigration(t *testing.T) {
 		KeyGroups: keyGroups,
 		Proc: func(tu *TupleView, st *State, emit Emit) {
 			mu.Lock()
-			counted[tu.Key()] += tu.Num("n")
+			counted[strings.Clone(tu.Key())] += tu.Num("n")
 			mu.Unlock()
 		},
 	})

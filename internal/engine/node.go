@@ -7,15 +7,6 @@ import (
 	"repro/internal/statestore"
 )
 
-// pendingTuple is one tuple buffered while its key group's state is still in
-// flight. owned marks tuples the shard materialized (or cloned) itself —
-// returned to the tuple pool after replay; unowned entries were emitted by
-// an operator with a caller-owned tuple and stay operator-owned.
-type pendingTuple struct {
-	t     *Tuple
-	owned bool
-}
-
 // periodStartMsg arms a shard for one period: routing snapshot, expected
 // barrier counts and the key groups awaiting in-bound migration.
 type periodStartMsg struct {
@@ -100,7 +91,7 @@ type shard struct {
 	// group whose state will arrive by stateMsg.
 	states  []*State
 	awaitIn []bool
-	pending map[int][]pendingTuple // gid -> tuples buffered awaiting migration
+	pending map[int][]*Tuple // gid -> engine-owned copies of tuples parked until the state arrives
 	// tips holds, per hosted gid, the group's checkpoint tip: its state at its
 	// last checkpoint, which delta checkpoints, the barrier's delta sizing and
 	// delta migrations are cut against — in every process, the one decoded copy
@@ -119,8 +110,8 @@ type shard struct {
 	// emitters caches the Emit closure per emitting gid (one closure per
 	// group instead of one per processed tuple).
 	emitters []Emit
-	// rx is the reusable receive-path decode state (interner, per-frame
-	// dictionary table, recycled TupleView).
+	// rx is the reusable receive-path decode state (per-frame dictionary
+	// table, recycled TupleView).
 	rx rxDecoder
 	// views is a small stack of wrap-views for shard-local deliveries: a
 	// local emit chain (process → emit → process ...) recurses, so each
@@ -156,8 +147,10 @@ type shard struct {
 	// destination mailbox) but count nothing toward the wire-byte or
 	// serialization cost model — intra-node traffic is free, exactly as the
 	// synchronous same-shard path is.
-	outs    []*outbox
-	scratch []byte
+	outs []*outbox
+	// cur is the operator whose Proc or Flush is running, for the error a
+	// panic in it becomes.
+	cur *Operator
 }
 
 func newShard(nid, sid int, eng *Engine) *shard {
@@ -170,7 +163,7 @@ func newShard(nid, sid int, eng *Engine) *shard {
 		mb:       newMailbox(),
 		states:   make([]*State, numGroups),
 		awaitIn:  make([]bool, numGroups),
-		pending:  map[int][]pendingTuple{},
+		pending:  map[int][]*Tuple{},
 		tips:     map[int]*statestore.Tip{},
 		potcSent: make([]float64, numGroups),
 		emitters: make([]Emit, numGroups),
@@ -359,30 +352,31 @@ func (s *shard) onPrecopy(m precopyMsg) {
 // from other nodes pay deserialization per record; frames from a sibling
 // shard of the same node (m.local) decode identically but cost nothing in
 // the model — intra-node traffic never crosses the wire. Records decode into
-// a reusable TupleView over the frame bytes — nothing is materialized unless
-// a key group's state is still in flight (then the view is deep-copied into
-// a pooled Tuple and buffered). The frame buffer goes back to the codec pool
-// only after the whole batch is processed: raw views alias it until then.
+// a reusable TupleView whose strings alias the frame bytes — nothing is copied
+// unless a key group's state is still in flight (then a deep copy is parked) —
+// so the frame goes back to the codec pool only after the whole batch.
 func (s *shard) onDataBatch(m dataBatchMsg) {
-	err := decodeBatch(m.encoded, &s.rx, func(kg int, v *TupleView, wire int) {
-		gid := s.eng.topo.GID(m.op, kg)
-		if !m.local {
-			s.stats.bytesIn += int64(wire)
-			s.stats.addUnits(gid, float64(wire)*deserCostPerByte)
+	s.contain("process", func() {
+		err := decodeBatch(m.encoded, &s.rx, func(kg int, v *TupleView, wire int) {
+			gid := s.eng.topo.GID(m.op, kg)
+			if !m.local {
+				s.stats.bytesIn += int64(wire)
+				s.stats.addUnits(gid, float64(wire)*deserCostPerByte)
+			}
+			if s.awaitIn[gid] {
+				// Direct state migration: the group's state has not arrived
+				// yet; park a copy (the view dies with this callback) and
+				// replay on arrival.
+				s.pending[gid] = append(s.pending[gid], v.Materialize(nil))
+				return
+			}
+			s.process(m.op, kg, gid, v)
+		})
+		if err != nil {
+			s.eng.emit(engEvent{kind: evError, node: s.nid, err: err})
 		}
-		if s.awaitIn[gid] {
-			// Direct state migration: the group's state has not arrived
-			// yet; materialize (the view dies with this callback) and
-			// replay on arrival.
-			s.pending[gid] = append(s.pending[gid], pendingTuple{t: v.Materialize(nil), owned: true})
-			return
-		}
-		s.process(m.op, kg, gid, v)
 	})
 	s.stats.publishUnits()
-	if err != nil {
-		s.eng.emit(engEvent{kind: evError, node: s.nid, err: err})
-	}
 	codec.PutBuf(m.encoded)
 }
 
@@ -394,7 +388,7 @@ func (s *shard) wrapView(t *Tuple) *TupleView {
 	}
 	v := s.views[s.viewDepth]
 	s.viewDepth++
-	v.wrap(t)
+	v.src = t
 	return v
 }
 
@@ -409,18 +403,29 @@ func (s *shard) process(op, kg, gid int, v *TupleView) {
 	}
 	s.stats.groupTuplesIn[gid]++
 	s.stats.addUnits(gid, o.Cost)
-	defer s.recoverOp(o.Name, "process")
+	outer := s.cur
+	s.cur = o
 	o.Proc(v, st, s.emitFrom(op, gid))
+	s.cur = outer
 }
 
-// recoverOp contains a panicking user operator: the tuple (or flush) is
-// dropped and the error surfaces through RunPeriod instead of killing the
-// worker goroutine mid-period (which would hang the barrier protocol).
-func (s *shard) recoverOp(opName, phase string) {
-	if r := recover(); r != nil {
-		s.eng.emit(engEvent{kind: evError, node: s.nid,
-			err: fmt.Errorf("engine: operator %q panicked in %s on node %d: %v", opName, phase, s.nid, r)})
-	}
+// contain runs f — one frame's tuples, one state's parked tuples, one group's
+// flush — and turns a panic of a user operator in it into an error: the rest
+// of f is dropped and the error surfaces through RunPeriod instead of killing
+// the worker goroutine mid-period (which would hang the barrier protocol). A
+// deferred recover costs too much to pay per tuple.
+func (s *shard) contain(phase string, f func()) {
+	defer func() {
+		if r := recover(); r != nil {
+			if s.cur == nil {
+				panic(r) // not an operator's: a bug of the engine
+			}
+			s.eng.emit(engEvent{kind: evError, node: s.nid,
+				err: fmt.Errorf("engine: operator %q panicked in %s on node %d: %v", s.cur.Name, phase, s.nid, r)})
+			s.cur, s.viewDepth = nil, 0
+		}
+	}()
+	f()
 }
 
 func (s *shard) onBarrier(m barrierMsg) {
@@ -490,19 +495,18 @@ func (s *shard) onState(m stateMsg) {
 		s.awaitIn[gid] = false
 		s.awaitByOp[m.op]--
 	}
-	// Replay buffered tuples in arrival order. Engine-materialized tuples
-	// go back to the pool once replayed; operator-emitted ones stay with
-	// their owner.
+	// Replay the parked tuples in arrival order; the copies go back to the
+	// pool once replayed.
 	buf := s.pending[gid]
 	delete(s.pending, gid)
-	for _, p := range buf {
-		v := s.wrapView(p.t)
-		s.process(m.op, m.kg, gid, v)
-		s.releaseView()
-		if p.owned {
-			putTuple(p.t)
+	s.contain("process", func() {
+		for _, t := range buf {
+			v := s.wrapView(t)
+			s.process(m.op, m.kg, gid, v)
+			s.releaseView()
+			putTuple(t)
 		}
-	}
+	})
 	s.stats.publishUnits()
 	s.maybeFlush(m.op)
 }
@@ -537,10 +541,11 @@ func (s *shard) maybeFlush(op int) {
 				st = s.pool.Get()
 				s.states[gid] = st
 			}
-			func() {
-				defer s.recoverOp(o.Name, "flush")
+			s.contain("flush", func() {
+				s.cur = o
 				o.Flush(kg, st, s.emitFrom(op, gid))
-			}()
+				s.cur = nil
+			})
 		}
 	}
 	s.flushed[op] = true
@@ -677,14 +682,9 @@ func (s *shard) routeTo(e edge, fromGID int, t *Tuple) {
 		// Shard-local edge: no serialization. Deliver synchronously through
 		// a wrap-view (operators always see TupleViews).
 		if s.awaitIn[toGID] {
-			if t.pooled {
-				// The emitter recycles t right after routing; buffering it
-				// for replay needs an engine-owned deep copy.
-				cp := cloneTupleInto(s.tp.get(), t)
-				s.pending[toGID] = append(s.pending[toGID], pendingTuple{t: cp, owned: true})
-				return
-			}
-			s.pending[toGID] = append(s.pending[toGID], pendingTuple{t: t})
+			// Emit has consumed t when it returns (a pooled t is recycled, any
+			// t's strings may be a frame's): park a copy the engine owns.
+			s.pending[toGID] = append(s.pending[toGID], cloneTupleInto(getTuple(), t))
 			return
 		}
 		v := s.wrapView(t)
@@ -704,7 +704,7 @@ func (s *shard) routeTo(e edge, fromGID int, t *Tuple) {
 		s.flushOut(destG)
 	}
 	ob.op = e.op
-	wire := ob.stage(kg, t, &s.scratch)
+	wire := ob.stage(kg, t)
 	if !ob.local {
 		s.stats.bytesOut += int64(wire)
 		s.stats.addUnits(fromGID, float64(wire)*serCostPerByte)

@@ -10,6 +10,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -70,6 +71,7 @@ type fifoWatcher struct {
 }
 
 func (w *fifoWatcher) observe(k string, s float64) {
+	k = strings.Clone(k) // a view's key dies with the callback
 	w.mu.Lock()
 	if s <= w.lastSeq[k] {
 		w.inverted[k] = true

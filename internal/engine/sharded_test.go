@@ -64,7 +64,7 @@ func TestShardedExactnessUnderMoves(t *testing.T) {
 		KeyGroups: kgsB,
 		Proc: func(tu *TupleView, st *State, emit Emit) {
 			st.Table("seen").Add(tu.Key(), 1)
-			k, s := tu.Key(), tu.Num("seq")
+			k, s := strings.Clone(tu.Key()), tu.Num("seq")
 			fifoMu.Lock()
 			if s <= lastSeq[k] {
 				inverted[k] = true

@@ -21,6 +21,7 @@
 package engine
 
 import (
+	"strings"
 	"sync"
 
 	"repro/internal/codec"
@@ -93,18 +94,21 @@ var tuplePool = sync.Pool{New: func() any { return new(Tuple) }}
 
 func getTuple() *Tuple { return tuplePool.Get().(*Tuple) }
 
-// resetTuple clears a tuple for reuse, dropping string references held in
-// grown (heap-backed) field slices so a pool does not pin them.
+// resetTuple clears a tuple for reuse, dropping the string references its
+// fields held so a pool does not pin what they point into (a frame, for a
+// tuple built from a view's strings). Only the fields in use are cleared: what
+// lies beyond them was cleared when it was last in use.
 func resetTuple(t *Tuple) {
-	t.Key = ""
-	t.TS = 0
-	t.pooled = false
-	t.strs0 = [2]strField{}
-	t.nums0 = [2]numField{}
-	clear(t.strs[:cap(t.strs)])
-	clear(t.nums[:cap(t.nums)])
-	t.strs = t.strs[:0]
-	t.nums = t.nums[:0]
+	t.Key, t.TS, t.pooled = "", 0, false
+	if cap(t.strs) > len(t.strs0) {
+		t.strs0 = [2]strField{} // the copies append left behind when it grew
+	}
+	if cap(t.nums) > len(t.nums0) {
+		t.nums0 = [2]numField{}
+	}
+	clear(t.strs)
+	clear(t.nums)
+	t.strs, t.nums = t.strs[:0], t.nums[:0]
 }
 
 func putTuple(t *Tuple) {
@@ -144,24 +148,45 @@ func (l *tupleFreeList) put(t *Tuple) {
 	}
 }
 
-// cloneTupleInto deep-copies src into dst (fields included) and returns dst.
-// The engine uses it when a pooled emit tuple must outlive its Emit call
-// (buffering for an in-flight migration): the sender recycles the original
-// right after routing, so the buffered copy must be engine-owned.
+// cloneTupleInto deep-copies src into dst, strings included, and returns dst:
+// what a tuple that must outlive the call that delivered it becomes (parked
+// while its key group's state is in flight, or kept by an operator through
+// Materialize). src is recycled right after, and its key, string values and
+// field names may alias a frame; dst's are cut from one copy of them all.
 func cloneTupleInto(dst, src *Tuple) *Tuple {
-	dst.Key, dst.TS = src.Key, src.TS
 	if dst.strs == nil {
 		dst.strs = dst.strs0[:0]
-	} else {
-		dst.strs = dst.strs[:0]
 	}
 	if dst.nums == nil {
 		dst.nums = dst.nums0[:0]
-	} else {
-		dst.nums = dst.nums[:0]
 	}
-	dst.strs = append(dst.strs, src.strs...)
-	dst.nums = append(dst.nums, src.nums...)
+	dst.Key, dst.TS = src.Key, src.TS
+	dst.strs = append(dst.strs[:0], src.strs...)
+	dst.nums = append(dst.nums[:0], src.nums...)
+
+	var sb strings.Builder
+	sb.Grow(64) // a tuple of the workloads' in one allocation
+	sb.WriteString(dst.Key)
+	for _, f := range dst.strs {
+		sb.WriteString(f.K)
+		sb.WriteString(f.V)
+	}
+	for _, f := range dst.nums {
+		sb.WriteString(f.K)
+	}
+	all := sb.String()
+	rehome := func(s *string) {
+		n := len(*s)
+		*s, all = all[:n], all[n:]
+	}
+	rehome(&dst.Key)
+	for i := range dst.strs {
+		rehome(&dst.strs[i].K)
+		rehome(&dst.strs[i].V)
+	}
+	for i := range dst.nums {
+		rehome(&dst.nums[i].K)
+	}
 	return dst
 }
 

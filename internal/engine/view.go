@@ -6,84 +6,50 @@ import (
 	"repro/internal/codec"
 )
 
-// TupleView is the zero-allocation window operators get onto one tuple of
-// the receive path. Instead of materializing a *Tuple per record, the batch
-// decoder parses each v2 record into one reusable view whose string values
-// still live in the pooled frame buffer; accessors resolve them lazily (and
-// memoize), so a field the operator never reads costs nothing beyond the
-// structural parse, and repeated values resolve through the node's interner
-// without allocating.
+// TupleView is the window operators get onto one tuple of the receive path.
+// The batch decoder parses each v2 record into one reusable tuple whose key
+// and string values are not copied: they alias the pooled frame the record
+// arrived in (codec.Alias), so a key's bytes are read where they lie, by the
+// operator and by the state table it probes, and nothing is allocated or
+// looked up per tuple.
 //
 // Ownership rules:
 //
-//   - A view is valid only for the duration of the Proc callback it is
-//     passed to. The engine reuses the view (and recycles the frame buffer
-//     backing its raw bytes) as soon as the callback returns.
-//   - Strings returned by Key/Str ARE safe to retain: they are interned
-//     copies, never aliases of the frame.
-//   - To retain the whole tuple past the callback (windows that buffer raw
-//     tuples, custom replay queues), call Materialize — it deep-copies the
-//     view into a heap Tuple drawn from an internal pool. The engine uses
-//     the same escape hatch for tuples it must buffer while a key group's
-//     state is still in flight, returning them to the pool once replayed
-//     (by the period barrier at the latest).
+//   - A view, and every string read from it (Key, Str), is valid until the
+//     Proc callback it was passed to returns; the engine recycles the frame
+//     behind them after that.
+//   - State and Table copy what they keep: a key, a field name or a SetStr
+//     value taken from a view may be stored in the callback's state as is.
+//   - Emit has consumed the tuple when it returns: a tuple built from a view's
+//     strings (tu.NewTuple(tu.Str("geo"), …)) may be emitted as is.
+//   - Materialize owns: it deep-copies the view, strings included, into a
+//     heap Tuple for operators that keep tuples past the callback.
+//   - Anything else that outlives the callback — a Go map keyed by tu.Key(), a
+//     slice of values — takes strings.Clone.
 //
-// A view is either raw (backed by frame bytes: key/values resolved lazily)
-// or wrapped (backed by an in-memory *Tuple, e.g. a node-local delivery that
-// never crossed the wire); operators cannot tell the difference through the
-// accessors.
+// The same rules hold for a view onto an in-memory *Tuple (a shard-local
+// delivery that never crossed the wire): its strings may be a frame's too.
 type TupleView struct {
-	// src, when non-nil, backs the view with a materialized tuple.
+	// src is the tuple the accessors read: &rec after decodeV2, else the
+	// tuple a shard-local delivery wrapped.
 	src *Tuple
-	// in resolves raw bytes to interned strings (raw mode).
-	in *codec.Interner
+	rec Tuple // the reusable record decodeV2 fills
 	// pool, when non-nil, serves NewTuple from the receiving shard's local
 	// free list (the engine sets it on its reusable views; caller-built
-	// views fall back to the global tuple pool). It survives wrap/decodeV2
-	// resets — the view's shard never changes.
+	// views fall back to the global tuple pool).
 	pool *tupleFreeList
-
-	keyRaw []byte
-	key    string
-	keyOK  bool
-	ts     int64
-	strs   []viewStr
-	nums   []viewNum
 }
 
-// viewStr is one string field of a raw view: the name comes from the frame
-// dictionary (already a string), the value stays raw frame bytes until the
-// first access resolves (and memoizes) it.
-type viewStr struct {
-	name string
-	raw  []byte
-	val  string
-	ok   bool
-}
-
-// viewNum is one numeric field. The value is fixed-width, so it is decoded
-// eagerly during the structural parse — no allocation either way.
-type viewNum struct {
-	name string
-	val  float64
-}
-
-// wrap points the view at a materialized tuple (node-local deliveries).
-func (v *TupleView) wrap(t *Tuple) {
+// decodeV2 parses one v2 record (already stripped of its kg prefix) into the
+// view's record, reusing its field vectors. Field names resolve through the
+// frame's dictionary table; the key and string values alias b.
+func (v *TupleView) decodeV2(b []byte, dict *codec.DictTable) error {
+	t := &v.rec
 	v.src = t
-	v.in = nil
-	v.keyRaw, v.key, v.keyOK = nil, "", false
-	v.strs, v.nums = v.strs[:0], v.nums[:0]
-}
-
-// decodeV2 parses one v2 record (already stripped of its kg prefix) into
-// the view, reusing its field tables. Field names resolve through the
-// frame's dictionary table; key and string values stay raw until accessed.
-func (v *TupleView) decodeV2(b []byte, dict *codec.DictTable, in *codec.Interner) error {
-	v.src = nil
-	v.in = in
-	v.key, v.keyOK = "", false
-	v.strs, v.nums = v.strs[:0], v.nums[:0]
+	if t.strs == nil {
+		t.strs, t.nums = t.strs0[:0], t.nums0[:0]
+	}
+	t.strs, t.nums = t.strs[:0], t.nums[:0]
 
 	n, b, err := codec.ReadUvarint(b)
 	if err != nil {
@@ -92,8 +58,8 @@ func (v *TupleView) decodeV2(b []byte, dict *codec.DictTable, in *codec.Interner
 	if uint64(len(b)) < n {
 		return fmt.Errorf("engine: decode v2 key: short string (%d of %d bytes)", len(b), n)
 	}
-	v.keyRaw, b = b[:n], b[n:]
-	if v.ts, b, err = codec.ReadInt64(b); err != nil {
+	t.Key, b = codec.Alias(b[:n]), b[n:]
+	if t.TS, b, err = codec.ReadInt64(b); err != nil {
 		return fmt.Errorf("engine: decode v2 ts: %w", err)
 	}
 
@@ -105,7 +71,7 @@ func (v *TupleView) decodeV2(b []byte, dict *codec.DictTable, in *codec.Interner
 	}
 	for i := uint64(0); i < n; i++ {
 		var name string
-		if name, b, err = dict.ReadRef(b, in); err != nil {
+		if name, b, err = dict.ReadRef(b); err != nil {
 			return fmt.Errorf("engine: decode v2 strs: %w", err)
 		}
 		var vl uint64
@@ -115,7 +81,7 @@ func (v *TupleView) decodeV2(b []byte, dict *codec.DictTable, in *codec.Interner
 		if uint64(len(b)) < vl {
 			return fmt.Errorf("engine: decode v2 strs: short value (%d of %d bytes)", len(b), vl)
 		}
-		v.strs = append(v.strs, viewStr{name: name, raw: b[:vl]})
+		t.strs = append(t.strs, strField{K: name, V: codec.Alias(b[:vl])})
 		b = b[vl:]
 	}
 
@@ -127,14 +93,14 @@ func (v *TupleView) decodeV2(b []byte, dict *codec.DictTable, in *codec.Interner
 	}
 	for i := uint64(0); i < n; i++ {
 		var name string
-		if name, b, err = dict.ReadRef(b, in); err != nil {
+		if name, b, err = dict.ReadRef(b); err != nil {
 			return fmt.Errorf("engine: decode v2 nums: %w", err)
 		}
 		var f float64
 		if f, b, err = codec.ReadFloat64(b); err != nil {
 			return fmt.Errorf("engine: decode v2 nums: %w", err)
 		}
-		v.nums = append(v.nums, viewNum{name: name, val: f})
+		t.nums = append(t.nums, numField{K: name, V: f})
 	}
 	if len(b) != 0 {
 		return fmt.Errorf("engine: decode v2: %d trailing bytes", len(b))
@@ -158,127 +124,34 @@ func (v *TupleView) NewTuple(key string, ts int64) *Tuple {
 	return NewTuple(key, ts)
 }
 
-// Key returns the tuple's partitioning key (interned and memoized in raw
-// mode; safe to retain).
-func (v *TupleView) Key() string {
-	if v.src != nil {
-		return v.src.Key
-	}
-	if !v.keyOK {
-		v.key = v.in.Intern(v.keyRaw)
-		v.keyOK = true
-	}
-	return v.key
-}
+// Key returns the tuple's partitioning key (valid until the callback returns).
+func (v *TupleView) Key() string { return v.src.Key }
 
 // TS returns the event timestamp.
-func (v *TupleView) TS() int64 {
-	if v.src != nil {
-		return v.src.TS
-	}
-	return v.ts
-}
+func (v *TupleView) TS() int64 { return v.src.TS }
 
-// Str returns a string field ("" if absent). The returned string is an
-// interned copy, never an alias of the frame buffer — safe to retain.
-func (v *TupleView) Str(name string) string {
-	if v.src != nil {
-		return v.src.Str(name)
-	}
-	for i := range v.strs {
-		if v.strs[i].name == name {
-			if !v.strs[i].ok {
-				v.strs[i].val = v.in.Intern(v.strs[i].raw)
-				v.strs[i].ok = true
-			}
-			return v.strs[i].val
-		}
-	}
-	return ""
-}
+// Str returns a string field ("" if absent; valid until the callback returns).
+func (v *TupleView) Str(name string) string { return v.src.Str(name) }
 
-// Num returns a numeric field (0 if absent). Fully allocation-free.
-func (v *TupleView) Num(name string) float64 {
-	if v.src != nil {
-		return v.src.Num(name)
-	}
-	for i := range v.nums {
-		if v.nums[i].name == name {
-			return v.nums[i].val
-		}
-	}
-	return 0
-}
+// Num returns a numeric field (0 if absent).
+func (v *TupleView) Num(name string) float64 { return v.src.Num(name) }
 
 // HasStr reports whether the string field is present.
-func (v *TupleView) HasStr(name string) bool {
-	if v.src != nil {
-		return v.src.HasStr(name)
-	}
-	for i := range v.strs {
-		if v.strs[i].name == name {
-			return true
-		}
-	}
-	return false
-}
+func (v *TupleView) HasStr(name string) bool { return v.src.HasStr(name) }
 
 // HasNum reports whether the numeric field is present.
-func (v *TupleView) HasNum(name string) bool {
-	if v.src != nil {
-		return v.src.HasNum(name)
-	}
-	for i := range v.nums {
-		if v.nums[i].name == name {
-			return true
-		}
-	}
-	return false
-}
+func (v *TupleView) HasNum(name string) bool { return v.src.HasNum(name) }
 
 // NumFields returns the number of payload fields (both kinds).
-func (v *TupleView) NumFields() int {
-	if v.src != nil {
-		return v.src.NumFields()
-	}
-	return len(v.strs) + len(v.nums)
-}
+func (v *TupleView) NumFields() int { return v.src.NumFields() }
 
 // Materialize deep-copies the view into dst (drawn from the tuple pool when
-// dst is nil) and returns it. The result does not alias the frame buffer or
-// the view and may be retained or emitted freely — this is the escape hatch
-// for operators that keep tuples past the Proc callback. It always copies,
-// even for views backed by an in-memory tuple, so the caller owns the result
-// outright.
+// dst is nil) and returns it. The result owns its strings and may be retained
+// or emitted freely: the escape hatch for operators that keep tuples past the
+// Proc callback, and what the engine parks while a group's state is in flight.
 func (v *TupleView) Materialize(dst *Tuple) *Tuple {
 	if dst == nil {
 		dst = getTuple()
 	}
-	dst.strs, dst.nums = dst.strs[:0], dst.nums[:0]
-	if dst.strs == nil {
-		dst.strs = dst.strs0[:0]
-	}
-	if dst.nums == nil {
-		dst.nums = dst.nums0[:0]
-	}
-	if v.src != nil {
-		dst.Key = v.src.Key
-		dst.TS = v.src.TS
-		dst.strs = append(dst.strs, v.src.strs...)
-		dst.nums = append(dst.nums, v.src.nums...)
-		return dst
-	}
-	dst.Key = v.Key()
-	dst.TS = v.ts
-	for i := range v.strs {
-		if !v.strs[i].ok {
-			v.strs[i].val = v.in.Intern(v.strs[i].raw)
-			v.strs[i].ok = true
-		}
-		dst.strs = append(dst.strs, strField{K: v.strs[i].name, V: v.strs[i].val})
-	}
-	for i := range v.nums {
-		dst.nums = append(dst.nums, numField{K: v.nums[i].name, V: v.nums[i].val})
-	}
-	return dst
+	return cloneTupleInto(dst, v.src)
 }

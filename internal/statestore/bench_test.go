@@ -174,7 +174,8 @@ func BenchmarkStateCodec(b *testing.B) {
 // are made of, per cell, at the two shapes the benchmark jobs give a table:
 // rj1's window bucket (≈600 cells under 14-byte article keys) and rj3's byYear
 // (≈300 cells under 11-byte plane|year keys). One iteration is one pass over
-// the table; none of them allocates once the tables have their size.
+// the table; once the tables have their size none of them allocates but the
+// inserts, which copy their keys: one 4 KB chunk per ≈290 article keys.
 func BenchmarkTable(b *testing.B) {
 	for _, shape := range []struct {
 		name  string

@@ -220,14 +220,16 @@ func DiffInto(d *Delta, old, new *State) {
 // a state equal to new. It writes into st's existing storage — applying a
 // steady-state delta to a warm state allocates nothing.
 func (d *Delta) Apply(st *State) {
+	// A delta's strings are immutable (a decoded payload's, or shared with the
+	// state Diff read them from): st shares them in turn.
 	for _, e := range d.numSet {
-		st.SetNum(e.k, e.v)
+		st.setNum(st.intern(e.k, false), e.v)
 	}
 	for _, k := range d.numDel {
 		st.DelNum(k)
 	}
 	for _, e := range d.strSet {
-		st.SetStr(e.k, e.v)
+		st.setStr(st.intern(e.k, false), e.v)
 	}
 	for _, k := range d.strDel {
 		st.DelStr(k)
@@ -237,9 +239,10 @@ func (d *Delta) Apply(st *State) {
 	}
 	for i := range d.tabSet {
 		e := &d.tabSet[i]
-		t := st.Table(e.name)
+		t := st.table(st.intern(e.name, false))
+		t.ensure()
 		for _, c := range e.cells {
-			t.Set(c.k, c.v)
+			t.set(c.k, c.v)
 		}
 	}
 	for i := range d.tabCellDel {

@@ -21,6 +21,7 @@ package statestore
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/codec"
 )
@@ -32,7 +33,10 @@ const (
 	kTab
 )
 
-const minSymSlots = 16
+const (
+	minSymSlots = 16
+	symHints    = 16
+)
 
 // State is the computation state σ_k of one key group: scalar counters,
 // string registers, and named tables (e.g. per-key aggregates or window
@@ -43,6 +47,7 @@ type State struct {
 	names    []string
 	symSlots []int32
 	symMask  uint32
+	hint     [symHints]uint8 // symbol + 1 last resolved per (length + last byte), see sym
 
 	// Per-symbol storage, all kept len(names) long. kind gates presence —
 	// deleting a field clears its bit and leaves the slot for reuse.
@@ -72,24 +77,21 @@ func NewState() *State {
 	return &State{}
 }
 
-// intern returns name's symbol, creating it if new. Symbols are never
-// removed: the universe of field names an operator touches is small and
-// fixed, and keeping them is what makes a recycled State allocation-free.
-func (s *State) intern(name string) int32 {
+// intern returns name's symbol, creating it if new: from a copy of name if own
+// is set (a State owns its field names, the caller's may alias a frame), else
+// from name itself, which must then be immutable (another State's, a decoded
+// payload's). Symbols are never removed: the field names an operator touches
+// are few and fixed, and keeping them makes a recycled State allocation-free.
+func (s *State) intern(name string, own bool) int32 {
+	if sym := s.sym(name); sym >= 0 {
+		return sym
+	}
+	if own {
+		name = strings.Clone(name)
+	}
 	if s.symSlots == nil {
 		s.symSlots = make([]int32, minSymSlots)
 		s.symMask = minSymSlots - 1
-	}
-	i := hashKey(name) & s.symMask
-	for {
-		e := s.symSlots[i]
-		if e == 0 {
-			break
-		}
-		if s.names[e-1] == name {
-			return e - 1
-		}
-		i = (i + 1) & s.symMask
 	}
 	sym := int32(len(s.names))
 	s.names = append(s.names, name)
@@ -97,27 +99,39 @@ func (s *State) intern(name string) int32 {
 	s.numVal = append(s.numVal, 0)
 	s.strVal = append(s.strVal, "")
 	s.tabs = append(s.tabs, nil)
-	s.symSlots[i] = sym + 1
 	if 4*len(s.names) >= 3*len(s.symSlots) {
-		s.growSyms()
+		s.symSlots = make([]int32, 2*len(s.symSlots))
+		s.symMask = uint32(len(s.symSlots) - 1)
+		for old := range s.names[:sym] {
+			s.placeSym(int32(old))
+		}
 	}
+	s.placeSym(sym)
 	return sym
 }
 
-func (s *State) growSyms() {
-	s.symSlots = make([]int32, 2*len(s.symSlots))
-	s.symMask = uint32(len(s.symSlots) - 1)
-	for sym, name := range s.names {
-		i := hashKey(name) & s.symMask
-		for s.symSlots[i] != 0 {
-			i = (i + 1) & s.symMask
-		}
-		s.symSlots[i] = int32(sym + 1)
+// placeSym enters a symbol that is not in the index into it.
+func (s *State) placeSym(sym int32) {
+	i := hashKey(s.names[sym]) & s.symMask
+	for s.symSlots[i] != 0 {
+		i = (i + 1) & s.symMask
 	}
+	s.symSlots[i] = sym + 1
 }
 
-// sym returns name's symbol without interning (-1 if never seen).
+// sym returns name's symbol without interning (-1 if never seen). A name that
+// was resolved before is found without hashing it, through hint: operators ask
+// for the same few names for every tuple, and length plus last byte tell those
+// apart ("period", "w0" … "w5"). Names that collide there evict each other and
+// cost what every name did before, a hash and a probe.
 func (s *State) sym(name string) int32 {
+	hi := uint32(0)
+	if len(name) > 0 {
+		hi = (uint32(len(name)) + uint32(name[len(name)-1])) % symHints
+	}
+	if e := int32(s.hint[hi]); e != 0 && s.names[e-1] == name {
+		return e - 1
+	}
 	if s.symSlots == nil {
 		return -1
 	}
@@ -128,6 +142,9 @@ func (s *State) sym(name string) int32 {
 			return -1
 		}
 		if s.names[e-1] == name {
+			if e <= 255 {
+				s.hint[hi] = uint8(e)
+			}
 			return e - 1
 		}
 		i = (i + 1) & s.symMask
@@ -135,13 +152,11 @@ func (s *State) sym(name string) int32 {
 }
 
 // Add increments counter name by v and returns the new value.
-func (s *State) Add(name string, v float64) float64 {
-	sym := s.intern(name)
+func (s *State) Add(name string, v float64) float64 { return s.addNum(s.intern(name, true), v) }
+
+func (s *State) addNum(sym int32, v float64) float64 {
 	if s.kind[sym]&kNum == 0 {
-		s.kind[sym] |= kNum
-		s.numN++
-		s.numVal[sym] = v
-		s.sizeCache = 0
+		s.setNum(sym, v)
 	} else {
 		s.numVal[sym] += v
 	}
@@ -149,8 +164,9 @@ func (s *State) Add(name string, v float64) float64 {
 }
 
 // SetNum sets counter name to v (absolute).
-func (s *State) SetNum(name string, v float64) {
-	sym := s.intern(name)
+func (s *State) SetNum(name string, v float64) { s.setNum(s.intern(name, true), v) }
+
+func (s *State) setNum(sym int32, v float64) {
 	if s.kind[sym]&kNum == 0 {
 		s.kind[sym] |= kNum
 		s.numN++
@@ -185,9 +201,17 @@ func (s *State) DelNum(name string) {
 	}
 }
 
-// SetStr sets a string register.
+// SetStr sets a string register to a copy of v (none if it holds v already).
 func (s *State) SetStr(name, v string) {
-	sym := s.intern(name)
+	sym := s.intern(name, true)
+	if s.kind[sym]&kStr != 0 && s.strVal[sym] == v {
+		return
+	}
+	s.setStr(sym, strings.Clone(v))
+}
+
+// setStr is SetStr for a value that is immutable and free to share.
+func (s *State) setStr(sym int32, v string) {
 	if s.kind[sym]&kStr == 0 {
 		s.kind[sym] |= kStr
 		s.strN++
@@ -225,8 +249,9 @@ func (s *State) DelStr(name string) {
 // Table returns the named table, creating it (empty) if needed. A created
 // table is part of the state even while empty — it serializes as a name
 // with zero cells — until ClearTable drops it.
-func (s *State) Table(name string) *Table {
-	sym := s.intern(name)
+func (s *State) Table(name string) *Table { return s.table(s.intern(name, true)) }
+
+func (s *State) table(sym int32) *Table {
 	if s.kind[sym]&kTab == 0 {
 		s.kind[sym] |= kTab
 		s.tabN++
@@ -334,14 +359,18 @@ func (s *State) Reset() {
 // combine function for partially-aggregated state (PoTC merge step).
 func (s *State) Merge(src *State) {
 	for sym, k := range src.kind {
+		if k == 0 {
+			continue
+		}
+		to := s.intern(src.names[sym], false)
 		if k&kNum != 0 {
-			s.Add(src.names[sym], src.numVal[sym])
+			s.addNum(to, src.numVal[sym])
 		}
 		if k&kStr != 0 {
-			s.SetStr(src.names[sym], src.strVal[sym])
+			s.setStr(to, src.strVal[sym])
 		}
 		if k&kTab != 0 {
-			s.Table(src.names[sym]).AddTable(src.tabs[sym])
+			s.table(to).AddTable(src.tabs[sym])
 		}
 	}
 }
@@ -350,14 +379,18 @@ func (s *State) Merge(src *State) {
 func (s *State) CopyFrom(src *State) {
 	s.Reset()
 	for sym, k := range src.kind {
+		if k == 0 {
+			continue
+		}
+		to := s.intern(src.names[sym], false)
 		if k&kNum != 0 {
-			s.SetNum(src.names[sym], src.numVal[sym])
+			s.setNum(to, src.numVal[sym])
 		}
 		if k&kStr != 0 {
-			s.SetStr(src.names[sym], src.strVal[sym])
+			s.setStr(to, src.strVal[sym])
 		}
 		if k&kTab != 0 {
-			s.Table(src.names[sym]).copyFrom(src.tabs[sym])
+			s.table(to).copyFrom(src.tabs[sym])
 		}
 	}
 }
@@ -488,7 +521,7 @@ func DecodeStateInto(b []byte, s *State) error {
 		if v, b, err = codec.ReadFloat64(b); err != nil {
 			return fmt.Errorf("statestore: decode state nums: %w", err)
 		}
-		s.SetNum(k, v)
+		s.setNum(s.intern(k, false), v)
 	}
 	if n, b, err = codec.ReadUvarint(b); err != nil {
 		return fmt.Errorf("statestore: decode state strs: %w", err)
@@ -504,7 +537,7 @@ func DecodeStateInto(b []byte, s *State) error {
 		if v, b, err = codec.ReadString(b); err != nil {
 			return fmt.Errorf("statestore: decode state strs: %w", err)
 		}
-		s.SetStr(k, v)
+		s.setStr(s.intern(k, false), v)
 	}
 	if n, b, err = codec.ReadUvarint(b); err != nil {
 		return fmt.Errorf("statestore: decode state tables: %w", err)
@@ -520,7 +553,7 @@ func DecodeStateInto(b []byte, s *State) error {
 		if name, b, err = codec.ReadString(b); err != nil {
 			return fmt.Errorf("statestore: decode state tables: %w", err)
 		}
-		t := s.Table(name)
+		t := s.table(s.intern(name, false))
 		// A duplicate table name replaces the earlier one, matching the
 		// map-decode semantics of previous versions.
 		t.Clear()
@@ -542,7 +575,7 @@ func DecodeStateInto(b []byte, s *State) error {
 			if v, b, err = codec.ReadFloat64(b); err != nil {
 				return fmt.Errorf("statestore: decode state table %q: %w", name, err)
 			}
-			t.Set(k, v)
+			t.set(k, v)
 		}
 	}
 	return nil

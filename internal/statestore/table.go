@@ -18,14 +18,23 @@ import (
 // another (AddTable, DiffSize, DiffInto) reuse it. Deletion is tombstone-free —
 // the dense entry is swap-removed and the probe chain repaired by backward
 // shifting — so long delete-heavy lifetimes never degrade probes. Clear keeps
-// every backing array, which is what makes per-period window flushes
-// allocation-free.
+// every backing array: a per-period window flush allocates nothing, a refill
+// only the chunks its keys are copied to.
 //
 // Iteration order is storage order — insertion order, with a deleted entry's
 // place taken by the last — and never depends on the hash; canonical
 // serialization sorts.
+//
+// A table owns its keys: Set, Add and AddBytes copy a key when they insert it
+// (a hit copies nothing), so the caller's may alias a buffer it reuses right
+// after — a frame of the receive path, a stack buffer. The copies go to chunks
+// that are never rewritten, which makes a stored key an ordinary immutable
+// string: All hands it out, AddTable, CopyFrom, Diff and the decoders share it.
+// A chunk lives while any key in it is referenced; Delete and Clear give nothing
+// back, so a delete-heavy table that is never cleared holds one per survivor.
 type Table struct {
 	keys   []string
+	chunk  []byte // tail of the key chunk inserts append to
 	vals   []float64
 	hashes []uint32 // hashKey(keys[i])
 	// slots holds 0 for an empty slot, else the entry index + 1 in the bits
@@ -89,10 +98,16 @@ func (t *Table) ensure() {
 	}
 }
 
-// grow doubles the slot array and places every dense entry by its stored hash.
+// grow doubles the slot array and places every dense entry in it.
 func (t *Table) grow() {
 	t.slots = make([]uint32, 2*len(t.slots))
 	t.mask = uint32(len(t.slots) - 1)
+	t.place()
+}
+
+// place fills the slot array, which must be clear, from the stored hashes:
+// the entries' keys are distinct, so none is read.
+func (t *Table) place() {
 	for ei, h := range t.hashes {
 		i := h & t.mask
 		for t.slots[i] != 0 {
@@ -118,6 +133,23 @@ func (t *Table) reserve(n int) {
 	t.hashes = slices.Grow(t.hashes, n)
 }
 
+// keyChunkBytes: one chunk allocation per ≈250 keys of the workloads' lengths.
+const keyChunkBytes = 4096
+
+// own returns a copy of k in t's current chunk (a new one if k does not fit).
+func (t *Table) own(k string) string {
+	if len(k) > cap(t.chunk)-len(t.chunk) {
+		t.chunk = make([]byte, 0, max(keyChunkBytes, len(k)))
+	}
+	at := len(t.chunk)
+	t.chunk = append(t.chunk, k...)
+	return codec.Alias(t.chunk[at:])
+}
+
+// insertAt stores k, which must be immutable and free to share (own's result,
+// another table's key, a substring of a decoded payload), at the free slot
+// probe returned for it. A caller's key never gets here, so that it does not
+// escape: its bytes may be on the caller's stack (AddBytes).
 func (t *Table) insertAt(slot uint32, k string, h uint32, v float64) {
 	t.keys = append(t.keys, k)
 	t.vals = append(t.vals, v)
@@ -176,49 +208,68 @@ func (t *Table) Has(k string) bool {
 	return ok
 }
 
-// Set stores v under k.
+// Set stores v under k (a copy of k, if the cell is new).
 func (t *Table) Set(k string, v float64) {
 	t.ensure()
 	h := hashKey(k)
-	slot, ei := t.probe(k, h)
-	if ei >= 0 {
+	if slot, ei := t.probe(k, h); ei >= 0 {
 		t.vals[ei] = v
-		return
+	} else {
+		t.insertAt(slot, t.own(k), h, v)
 	}
-	t.insertAt(slot, k, h, v)
 }
 
-// Add increments the cell by dv (creating it at dv) and returns the new
-// value.
+// set is Set on existing slots for a key that is free to share (see insertAt).
+func (t *Table) set(k string, v float64) {
+	h := hashKey(k)
+	if slot, ei := t.probe(k, h); ei >= 0 {
+		t.vals[ei] = v
+	} else {
+		t.insertAt(slot, k, h, v)
+	}
+}
+
+// Add increments the cell by dv (creating it at dv, under a copy of k) and
+// returns the new value.
 func (t *Table) Add(k string, dv float64) float64 {
 	t.ensure()
-	return t.add(k, hashKey(k), dv)
-}
-
-// add is Add for a key whose hash the caller already holds. Slots must exist.
-func (t *Table) add(k string, h uint32, dv float64) float64 {
+	h := hashKey(k)
 	slot, ei := t.probe(k, h)
 	if ei >= 0 {
 		t.vals[ei] += dv
 		return t.vals[ei]
 	}
-	t.insertAt(slot, k, h, dv)
+	t.insertAt(slot, t.own(k), h, dv)
 	return dv
+}
+
+// AddBytes is Add for a key the caller built in a byte buffer, which it may
+// reuse as soon as AddBytes returns.
+func (t *Table) AddBytes(k []byte, dv float64) float64 {
+	return t.Add(codec.Alias(k), dv)
 }
 
 // AddTable sums src's cells into t, cell by cell in src's storage order: what
 // `for k, v := range src.All() { t.Add(k, v) }` does, without hashing a key
-// again (src holds the hashes). A nil or empty src changes nothing; src == t
-// is allowed and doubles every cell.
+// again (src holds the hashes) or copying one (t shares src's). A nil or empty
+// src changes nothing; src == t is allowed and doubles every cell.
 func (t *Table) AddTable(src *Table) {
 	if src.Len() == 0 {
 		return
 	}
-	t.ensure()
+	if len(t.keys) == 0 {
+		t.copyFrom(src) // nothing to probe against
+		return
+	}
 	// Every key of t is already in t, so src == t inserts nothing and the
 	// ranged slices stay as they are.
 	for i, k := range src.keys {
-		t.add(k, src.hashes[i], src.vals[i])
+		h := src.hashes[i]
+		if slot, ei := t.probe(k, h); ei >= 0 {
+			t.vals[ei] += src.vals[i]
+		} else {
+			t.insertAt(slot, k, h, src.vals[i])
+		}
 	}
 }
 
@@ -351,7 +402,8 @@ func sortSymsByName(syms []int32, names []string) {
 	})
 }
 
-// copyFrom makes t an exact copy of src, reusing t's backing arrays.
+// copyFrom makes t a copy of src — the same cells in the same order, sharing
+// its keys — reusing t's backing arrays.
 func (t *Table) copyFrom(src *Table) {
 	t.Clear()
 	if src == nil || len(src.keys) == 0 {
@@ -360,11 +412,15 @@ func (t *Table) copyFrom(src *Table) {
 	t.keys = append(t.keys, src.keys...)
 	t.vals = append(t.vals, src.vals...)
 	t.hashes = append(t.hashes, src.hashes...)
-	if len(t.slots) != len(src.slots) {
+	if len(t.slots) < len(src.slots) {
 		t.slots = make([]uint32, len(src.slots))
 		t.mask = src.mask
 	}
-	copy(t.slots, src.slots)
+	if len(t.slots) == len(src.slots) {
+		copy(t.slots, src.slots)
+	} else {
+		t.place() // t keeps its wider slot array
+	}
 	t.encBytes = src.encBytes
 	t.dirtyOwner()
 }

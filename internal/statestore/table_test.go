@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/codec"
 )
 
 // checkTable asserts everything a Table's probes, deletes and table-to-table
@@ -66,7 +68,7 @@ func checkTable(t *testing.T, tab *Table, ctx string) {
 				break
 			}
 		}
-		enc += len(k) + 1 + 8 // keys here are shorter than 128 bytes
+		enc += codec.SizeString(k) + 8
 	}
 	if tab.encBytes != enc {
 		t.Fatalf("%s: encBytes %d, cells sum to %d", ctx, tab.encBytes, enc)
@@ -86,13 +88,15 @@ func checkStateTables(t *testing.T, st *State, ctx string) {
 // TestTableInvariantsUnderChurn drives a few tables of one State through every
 // way an entry's stored hash is written or moved — insert, Add, Set, Delete's
 // swap and backward shift, Clear, ClearTable and re-creation, copyFrom into a
-// smaller, larger and dirty table, AddTable, reserve + decode, pool recycling —
+// smaller, larger and dirty table, AddTable, reserve + decode, pool recycling,
+// insertion from a buffer that is overwritten right after —
 // checks the invariants after every step, and the contents against a map model.
 func TestTableInvariantsUnderChurn(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		pool := NewPool(0)
 		st, other := pool.Get(), NewState()
+		var keyBuf []byte
 		model := map[string]map[string]float64{}
 		tabOf := func(name string) map[string]float64 {
 			if model[name] == nil {
@@ -106,7 +110,13 @@ func TestTableInvariantsUnderChurn(t *testing.T) {
 			// and deletes hit keys in the middle of long probe chains.
 			cell := fmt.Sprintf("cell-%04d", rng.Intn(400))
 			v := float64(rng.Intn(1000))
-			switch rng.Intn(14) {
+			switch rng.Intn(15) {
+			case 14:
+				// The caller's key bytes are gone the moment the call returns.
+				keyBuf = append(keyBuf[:0], cell...)
+				st.Table(name).AddBytes(keyBuf, v)
+				tabOf(name)[cell] += v
+				scribble(keyBuf)
 			case 0, 1, 2:
 				st.Table(name).Add(cell, v)
 				tabOf(name)[cell] += v
@@ -191,6 +201,87 @@ func TestTableInvariantsUnderChurn(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+func scribble(b []byte) {
+	for i := range b {
+		b[i] = 0xA5
+	}
+}
+
+// TestTableOwnsItsKeys: Set, Add and AddBytes copy the key they insert, so the
+// caller may overwrite its bytes at once (a view's strings alias a frame the
+// engine recycles; an operator builds a composite key in a stack buffer) —
+// contents and both encodings are those of a table fed ordinary strings. The
+// copies are shared, not repeated, from there on: AddTable, CopyFrom and a
+// decode allocate no key.
+func TestTableOwnsItsKeys(t *testing.T) {
+	var fed, want State
+	buf := make([]byte, 0, 64)
+	key := func(i int) string {
+		if i%97 == 0 {
+			return fmt.Sprintf("a-key-longer-than-a-quarter-of-a-chunk-%0*d", keyChunkBytes/4, i)
+		}
+		return fmt.Sprintf("article-%06d", i)
+	}
+	for i := 0; i < 3000; i++ {
+		k := key(i % 1700) // the last 1300 are hits: nothing to copy
+		buf = append(buf[:0], k...)
+		switch i % 3 {
+		case 0:
+			fed.Table("w").Set(codec.Alias(buf), float64(i))
+			want.Table("w").Set(k, float64(i))
+		case 1:
+			fed.Table("w").Add(codec.Alias(buf), 2)
+			want.Table("w").Add(k, 2)
+		default:
+			fed.Table("w").AddBytes(buf, 3)
+			want.Table("w").Add(k, 3)
+		}
+		scribble(buf)
+		// Field names and register values are the caller's bytes too.
+		buf = append(buf[:0], "name-"...)
+		buf = append(buf, byte('a'+i%5))
+		fed.Add(codec.Alias(buf), 1)
+		fed.SetStr("last", codec.Alias(buf))
+		want.Add(string(buf), 1)
+		want.SetStr("last", string(buf))
+		scribble(buf)
+	}
+	checkStateTables(t, &fed, "fed from a scribbled buffer")
+	if got, exp := fed.Encode(nil), want.Encode(nil); !bytes.Equal(got, exp) {
+		t.Fatalf("canonical encodings differ (%d vs %d bytes)", len(got), len(exp))
+	}
+	if got, exp := fed.EncodeTransfer(nil), want.EncodeTransfer(nil); !bytes.Equal(got, exp) {
+		t.Fatalf("transfer encodings differ (%d vs %d bytes)", len(got), len(exp))
+	}
+	for k, v := range want.Table("w").All() {
+		if got, ok := fed.Table("w").Lookup(k); !ok || got != v {
+			t.Fatalf("cell %q = %v (%v), want %v", k, got, ok, v)
+		}
+	}
+
+	// A key built on the caller's stack stays there: a hit allocates nothing.
+	if allocs := testing.AllocsPerRun(100, func() {
+		var stack [32]byte
+		fed.Table("w").AddBytes(append(stack[:0], "article-000007"...), 1)
+	}); allocs != 0 {
+		t.Fatalf("AddBytes of a stack-built key that is in the table: %.0f allocations, want 0", allocs)
+	}
+
+	// Stored keys are shared from table to table.
+	src, sum, cp := fed.Table("w"), &Table{}, NewState()
+	sum.AddTable(src)
+	sum.AddTable(src)
+	cp.CopyFrom(&fed)
+	if allocs := testing.AllocsPerRun(10, func() {
+		sum.Clear()
+		sum.AddTable(src)
+		sum.AddTable(src)
+		cp.CopyFrom(&fed)
+	}); allocs != 0 {
+		t.Fatalf("AddTable + CopyFrom of stored keys: %.0f allocations, want 0", allocs)
 	}
 }
 

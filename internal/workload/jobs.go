@@ -381,8 +381,11 @@ func addSumDelay(t *engine.Topology, cfg JobConfig) {
 		KeyGroups: cfg.KeyGroups,
 		Cost:      0.3,
 		Proc: func(tu *engine.TupleView, st *engine.State, emit engine.Emit) {
-			key := tu.Key() + "|" + strconv.Itoa(int(tu.Num("year")))
-			st.Table("byYear").Add(key, tu.Num("delay"))
+			// "plane|year", built on the stack: the table copies a key only when
+			// it inserts it.
+			var buf [48]byte
+			key := strconv.AppendInt(append(append(buf[:0], tu.Key()...), '|'), int64(tu.Num("year")), 10)
+			st.Table("byYear").AddBytes(key, tu.Num("delay"))
 			st.Table("dirty").Add(tu.Key(), 1)
 		},
 		Flush: func(kg int, st *engine.State, emit engine.Emit) {

@@ -74,10 +74,13 @@ type (
 	// construct and emit.
 	Tuple = engine.Tuple
 	// TupleView is the read-only, reusable window operators receive: on the
-	// cross-node path it reads straight out of the pooled frame buffer
-	// without materializing a Tuple. Valid only inside the Proc callback;
-	// Materialize deep-copies for retention (see internal/engine/view.go
-	// for the ownership rules).
+	// cross-node path its key and string values are the pooled frame's own
+	// bytes, nothing is copied or looked up per tuple. A view and every
+	// string read from it are valid until the Proc callback returns; State
+	// and its tables copy what they keep; Emit has consumed the tuple when
+	// it returns; Materialize owns (a deep copy, strings included); anything
+	// else that outlives the callback takes strings.Clone (see
+	// internal/engine/view.go).
 	TupleView = engine.TupleView
 	// State is the migratable computation state of one key group.
 	State = engine.State
