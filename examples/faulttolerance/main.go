@@ -33,10 +33,10 @@ func main() {
 	topo.AddOperator(&repro.Operator{
 		Name:      "revenue",
 		KeyGroups: 20,
-		Proc: func(t *repro.TupleView, st *repro.State, emit repro.Emit) {
+		Proc: func(t *repro.Tuple, st *repro.State, emit repro.Emit) {
 			st.Add("revenue", t.Num("amount"))
 			st.Add("orders", 1)
-			st.Table("by-cust").Add(t.Key(), t.Num("amount"))
+			st.Table("by-cust").Add(t.Key, t.Num("amount"))
 		},
 	})
 	topo.Connect("orders", "revenue")

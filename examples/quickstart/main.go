@@ -30,8 +30,8 @@ func main() {
 	topo.AddOperator(&repro.Operator{
 		Name:      "count",
 		KeyGroups: 16,
-		Proc: func(t *repro.TupleView, st *repro.State, emit repro.Emit) {
-			st.Table("counts").Add(t.Key(), 1)
+		Proc: func(t *repro.Tuple, st *repro.State, emit repro.Emit) {
+			st.Table("counts").Add(t.Key, 1)
 		},
 		Flush: func(kg int, st *repro.State, emit repro.Emit) {
 			for w, c := range st.Table("counts").All() {
@@ -43,8 +43,8 @@ func main() {
 	topo.AddOperator(&repro.Operator{
 		Name:      "report",
 		KeyGroups: 8,
-		Proc: func(t *repro.TupleView, st *repro.State, emit repro.Emit) {
-			st.Add(t.Key(), t.Num("count"))
+		Proc: func(t *repro.Tuple, st *repro.State, emit repro.Emit) {
+			st.Add(t.Key, t.Num("count"))
 		},
 	})
 	topo.Connect("words", "count")

@@ -41,8 +41,8 @@ func buildTopology() *repro.Topology {
 	topo.AddOperator(&repro.Operator{
 		Name:      "count",
 		KeyGroups: keyGroups,
-		Proc: func(t *repro.TupleView, st *repro.State, emit repro.Emit) {
-			st.Add(t.Key(), 1)
+		Proc: func(t *repro.Tuple, st *repro.State, emit repro.Emit) {
+			st.Add(t.Key, 1)
 		},
 	})
 	topo.Connect("events", "count")

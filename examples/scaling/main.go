@@ -37,14 +37,14 @@ func main() {
 	topo.AddOperator(&repro.Operator{
 		Name:      "enrich",
 		KeyGroups: 24,
-		Proc: func(t *repro.TupleView, st *repro.State, emit repro.Emit) {
-			emit(t.Materialize(nil))
+		Proc: func(t *repro.Tuple, st *repro.State, emit repro.Emit) {
+			emit(t)
 		},
 	})
 	topo.AddOperator(&repro.Operator{
 		Name:      "aggregate",
 		KeyGroups: 24,
-		Proc: func(t *repro.TupleView, st *repro.State, emit repro.Emit) {
+		Proc: func(t *repro.Tuple, st *repro.State, emit repro.Emit) {
 			st.Add("sum", t.Num("amount"))
 		},
 	})

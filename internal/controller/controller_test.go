@@ -49,15 +49,15 @@ func testTopology(perPeriod, kgs int, col *counter) *engine.Topology {
 	t.AddOperator(&engine.Operator{
 		Name:      "count",
 		KeyGroups: kgs,
-		Proc: func(tu *engine.TupleView, st *engine.State, emit engine.Emit) {
-			st.Add(tu.Key(), 1)
-			emit(tu.Materialize(nil))
+		Proc: func(tu *engine.Tuple, st *engine.State, emit engine.Emit) {
+			st.Add(tu.Key, 1)
+			emit(tu)
 		},
 	})
 	t.AddOperator(&engine.Operator{
 		Name:      "sink",
 		KeyGroups: kgs / 2,
-		Proc: func(tu *engine.TupleView, st *engine.State, emit engine.Emit) {
+		Proc: func(tu *engine.Tuple, st *engine.State, emit engine.Emit) {
 			if col != nil {
 				col.add()
 			}

@@ -43,8 +43,8 @@ func skewTopology(perPeriod, kgs, nodes, hotPeriod int) *engine.Topology {
 	t.AddOperator(&engine.Operator{
 		Name:      "count",
 		KeyGroups: kgs,
-		Proc: func(tu *engine.TupleView, st *engine.State, emit engine.Emit) {
-			st.Add(tu.Key(), 1)
+		Proc: func(tu *engine.Tuple, st *engine.State, emit engine.Emit) {
+			st.Add(tu.Key, 1)
 		},
 	})
 	t.Connect("src", "count")

@@ -96,19 +96,19 @@ func (o *outbox) take(period int) (dataBatchMsg, bool) {
 }
 
 // rxDecoder is one receiver's reusable decode state: the per-frame dictionary
-// table and a view recycled across records. One per shard; never shared across
-// goroutines.
+// table and the record every tuple of a frame decodes into. One per shard;
+// never shared across goroutines.
 type rxDecoder struct {
 	dict codec.DictTable
-	view TupleView
+	rec  Tuple
 }
 
 // decodeBatch iterates the records of a dataBatchMsg frame: for each record
-// it yields the key group, a TupleView onto the record and the record's wire
-// length. The view, and every string read from it, aliases the frame and is
-// valid until fn returns — fn must Materialize what it keeps. Records decode
-// allocation-free into rx's reusable view.
-func decodeBatch(encoded []byte, rx *rxDecoder, fn func(kg int, v *TupleView, wire int)) error {
+// it yields the key group, the decoded tuple and the record's wire length. The
+// tuple is rx's reusable record, and its key and string values alias the
+// frame: valid until fn returns — fn must Clone what it keeps. Records decode
+// allocation-free.
+func decodeBatch(encoded []byte, rx *rxDecoder, fn func(kg int, t *Tuple, wire int)) error {
 	_, payload, err := codec.FrameVersion(encoded)
 	if err != nil {
 		return fmt.Errorf("engine: data frame: %w", err)
@@ -119,10 +119,76 @@ func decodeBatch(encoded []byte, rx *rxDecoder, fn func(kg int, v *TupleView, wi
 		if err != nil {
 			return fmt.Errorf("engine: batch record kg: %w", err)
 		}
-		if err := rx.view.decodeV2(rest, &rx.dict); err != nil {
+		if err := rx.rec.decodeV2(rest, &rx.dict); err != nil {
 			return err
 		}
-		fn(int(kg), &rx.view, len(item))
+		fn(int(kg), &rx.rec, len(item))
 		return nil
 	})
+}
+
+// decodeV2 parses one v2 record (already stripped of its kg prefix) into t,
+// reusing its field vectors. Field names resolve through the frame's
+// dictionary table; the key and string values alias b.
+func (t *Tuple) decodeV2(b []byte, dict *codec.DictTable) error {
+	if t.strs == nil {
+		t.strs, t.nums = t.strs0[:0], t.nums0[:0]
+	}
+	t.strs, t.nums = t.strs[:0], t.nums[:0]
+
+	n, b, err := codec.ReadUvarint(b)
+	if err != nil {
+		return fmt.Errorf("engine: decode v2 key: %w", err)
+	}
+	if uint64(len(b)) < n {
+		return fmt.Errorf("engine: decode v2 key: short string (%d of %d bytes)", len(b), n)
+	}
+	t.Key, b = codec.Alias(b[:n]), b[n:]
+	if t.TS, b, err = codec.ReadInt64(b); err != nil {
+		return fmt.Errorf("engine: decode v2 ts: %w", err)
+	}
+
+	if n, b, err = codec.ReadUvarint(b); err != nil {
+		return fmt.Errorf("engine: decode v2 strs: %w", err)
+	}
+	if n > uint64(len(b))/2 { // each field ≥ 1-byte ref + 1-byte value prefix
+		return fmt.Errorf("engine: decode v2: %d string fields in %d bytes", n, len(b))
+	}
+	for i := uint64(0); i < n; i++ {
+		var name string
+		if name, b, err = dict.ReadRef(b); err != nil {
+			return fmt.Errorf("engine: decode v2 strs: %w", err)
+		}
+		var vl uint64
+		if vl, b, err = codec.ReadUvarint(b); err != nil {
+			return fmt.Errorf("engine: decode v2 strs: %w", err)
+		}
+		if uint64(len(b)) < vl {
+			return fmt.Errorf("engine: decode v2 strs: short value (%d of %d bytes)", len(b), vl)
+		}
+		t.strs = append(t.strs, strField{K: name, V: codec.Alias(b[:vl])})
+		b = b[vl:]
+	}
+
+	if n, b, err = codec.ReadUvarint(b); err != nil {
+		return fmt.Errorf("engine: decode v2 nums: %w", err)
+	}
+	if n > uint64(len(b))/9 { // each field ≥ 1-byte ref + 8-byte float
+		return fmt.Errorf("engine: decode v2: %d numeric fields in %d bytes", n, len(b))
+	}
+	for i := uint64(0); i < n; i++ {
+		var name string
+		if name, b, err = dict.ReadRef(b); err != nil {
+			return fmt.Errorf("engine: decode v2 nums: %w", err)
+		}
+		var f float64
+		if f, b, err = codec.ReadFloat64(b); err != nil {
+			return fmt.Errorf("engine: decode v2 nums: %w", err)
+		}
+		t.nums = append(t.nums, numField{K: name, V: f})
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("engine: decode v2: %d trailing bytes", len(b))
+	}
+	return nil
 }

@@ -22,21 +22,20 @@ func benchFrame(n int) []byte {
 }
 
 // BenchmarkReceivePathV2 measures the zero-allocation receive path end to
-// end: one pooled v2 frame of 256 records decoded through the reusable
-// TupleView, every field read. allocs/op is the headline number — steady
-// state must be 0.
+// end: one pooled v2 frame of 256 records decoded into the reusable record,
+// every field read. allocs/op is the headline number — steady state must be 0.
 func BenchmarkReceivePathV2(b *testing.B) {
 	frame := benchFrame(256)
 	var rx rxDecoder
 	// Warm the field-name cache so the measurement is steady state.
-	_ = decodeBatch(frame, &rx, func(int, *TupleView, int) {})
+	_ = decodeBatch(frame, &rx, func(int, *Tuple, int) {})
 	b.ReportAllocs()
 	b.ResetTimer()
 	sum := 0.0
 	for i := 0; i < b.N; i++ {
 		n := 0
-		err := decodeBatch(frame, &rx, func(kg int, v *TupleView, wire int) {
-			if v.Key() != "" && v.Str("geo") != "" {
+		err := decodeBatch(frame, &rx, func(kg int, v *Tuple, wire int) {
+			if v.Key != "" && v.Str("geo") != "" {
 				n++
 			}
 			sum += v.Num("bytes")
@@ -75,9 +74,9 @@ func BenchmarkStageV2(b *testing.B) {
 
 // BenchmarkHop measures one hop of the data path the way a shard runs it: a
 // pooled frame of 256 source records of the Wikipedia job (key = article;
-// editor, geo, bytes) is decoded into the reusable view, each record goes
+// editor, geo, bytes) is decoded into the reusable record, each record goes
 // through the job's first operator (count in the group's state, build the
-// geo-keyed output from the view's strings) and the output is staged into an
+// geo-keyed output from the record's strings) and the output is staged into an
 // outbox frame. Nothing on it copies a key before the stage does, and nothing
 // allocates: ns/tuple is the number to watch, allocs/op must be 0.
 func BenchmarkHop(b *testing.B) {
@@ -89,15 +88,15 @@ func BenchmarkHop(b *testing.B) {
 		ob outbox
 		st = NewState()
 	)
-	rx.view.pool = &tp
+	rx.rec.home = &tp
 	hop := func() {
-		err := decodeBatch(frame, &rx, func(kg int, v *TupleView, wire int) {
+		err := decodeBatch(frame, &rx, func(kg int, v *Tuple, wire int) {
 			st.Add("edits", 1)
-			out := v.NewTuple(v.Str("geo"), v.TS()).
-				WithStr("article", v.Key()).
+			out := v.NewTuple(v.Str("geo"), v.TS).
+				WithStr("article", v.Key).
 				WithNum("bytes", v.Num("bytes"))
 			ob.stage(kg, out)
-			tp.put(out)
+			recycle(out)
 		})
 		if m, ok := ob.take(1); err != nil || !ok || m.count != records {
 			b.Fatalf("staged %d of %d records, err %v", m.count, records, err)

@@ -27,12 +27,12 @@ func TestOutOfOrderProcessing(t *testing.T) {
 	tp.AddOperator(&Operator{
 		Name:      "scatter",
 		KeyGroups: 8,
-		Proc:      func(tu *TupleView, st *State, emit Emit) { emit(tu.Materialize(nil)) },
+		Proc:      func(tu *Tuple, st *State, emit Emit) { emit(tu) },
 	})
 	tp.AddOperator(&Operator{
 		Name:      "window",
 		KeyGroups: 8,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
+		Proc: func(tu *Tuple, st *State, emit Emit) {
 			st.Add("sum", tu.Num("v"))
 		},
 		Flush: func(kg int, st *State, emit Emit) {
@@ -43,7 +43,7 @@ func TestOutOfOrderProcessing(t *testing.T) {
 	tp.AddOperator(&Operator{
 		Name:      "collect",
 		KeyGroups: 2,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
+		Proc: func(tu *Tuple, st *State, emit Emit) {
 			mu.Lock()
 			perPeriod[int(st.Add("seen", 0))] += tu.Num("sum") // period index unknown; sum all
 			mu.Unlock()
@@ -87,12 +87,12 @@ func TestConnectByKeying(t *testing.T) {
 	tp.AddOperator(&Operator{
 		Name:      "fwd",
 		KeyGroups: 4,
-		Proc:      func(tu *TupleView, st *State, emit Emit) { emit(tu.Materialize(nil)) },
+		Proc:      func(tu *Tuple, st *State, emit Emit) { emit(tu) },
 	})
 	tp.AddOperator(&Operator{
 		Name:      "byroute",
 		KeyGroups: 12,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
+		Proc: func(tu *Tuple, st *State, emit Emit) {
 			// Record which key group each route value landed on; kg is not
 			// directly visible here so stash it via state key below.
 			st.Table("routes").Add(tu.Str("route"), 1)
@@ -144,12 +144,12 @@ func TestTwoChoiceAggregationCorrect(t *testing.T) {
 		tp.AddOperator(&Operator{
 			Name:      "pre",
 			KeyGroups: 4,
-			Proc:      func(tu *TupleView, st *State, emit Emit) { emit(tu.Materialize(nil)) },
+			Proc:      func(tu *Tuple, st *State, emit Emit) { emit(tu) },
 		})
 		tp.AddOperator(&Operator{
 			Name:      "agg",
 			KeyGroups: 16,
-			Proc: func(tu *TupleView, st *State, emit Emit) {
+			Proc: func(tu *Tuple, st *State, emit Emit) {
 				st.Add("total", tu.Num("v"))
 			},
 		})

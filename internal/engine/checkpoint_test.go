@@ -20,7 +20,7 @@ func tallyTopology(perPeriod, kgs int) *Topology {
 	tp.AddOperator(&Operator{
 		Name:      "tally",
 		KeyGroups: kgs,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
+		Proc: func(tu *Tuple, st *State, emit Emit) {
 			st.Add("total", 1)
 		},
 	})
@@ -54,9 +54,9 @@ func growingTopology(perPeriod, kgs int) *Topology {
 	tp.AddOperator(&Operator{
 		Name:      "grow",
 		KeyGroups: kgs,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
+		Proc: func(tu *Tuple, st *State, emit Emit) {
 			st.Add("total", 1)
-			st.Table("seen").Set(fmt.Sprintf("p%d-t%d", tu.TS()/1000, tu.TS()), 1)
+			st.Table("seen").Set(fmt.Sprintf("p%d-t%d", tu.TS/1000, tu.TS), 1)
 		},
 	})
 	tp.Connect("src", "grow")
@@ -258,12 +258,12 @@ func windowTopology(perPeriod, kgs int) *Topology {
 	tp.AddOperator(&Operator{
 		Name:      "window",
 		KeyGroups: kgs,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
-			if p := float64(tu.TS() / 1000); st.Num("period") != p {
+		Proc: func(tu *Tuple, st *State, emit Emit) {
+			if p := float64(tu.TS / 1000); st.Num("period") != p {
 				st.SetNum("period", p)
 				st.ClearTable("win")
 			}
-			st.Table("win").Set(fmt.Sprintf("p%d-t%d", tu.TS()/1000, tu.TS()), 1)
+			st.Table("win").Set(fmt.Sprintf("p%d-t%d", tu.TS/1000, tu.TS), 1)
 		},
 	})
 	tp.Connect("src", "window")

@@ -48,15 +48,6 @@ type Config struct {
 	// may apply without waiting for the period barrier. Values < 2 disable
 	// the reactive layer (and its per-tuple atomic counter cost) entirely.
 	SubPeriods int
-	// CheckpointAssistBytes enables checkpoint-assisted migration (see
-	// precopy.go): a staged move of a key group whose last checkpoint is at
-	// least this many encoded bytes pre-copies the checkpoint to the
-	// destination in the background and synchronously transfers only the
-	// delta accumulated since. 0 takes the default 1 (assist whenever a
-	// checkpoint exists); negative disables the path entirely (every move
-	// ships its full state). Groups without a checkpoint always use direct
-	// full-state migration.
-	CheckpointAssistBytes int
 	// PrecopyChunkBytes bounds the checkpoint bytes pre-copied per group at
 	// each period boundary (default 256 KiB), so background state transfer
 	// consumes bounded bandwidth per period: a checkpoint larger than the
@@ -88,9 +79,6 @@ type Config struct {
 func (c *Config) defaults() {
 	if c.Nodes <= 0 {
 		c.Nodes = 4
-	}
-	if c.CheckpointAssistBytes == 0 {
-		c.CheckpointAssistBytes = 1
 	}
 	if c.PrecopyChunkBytes == 0 {
 		c.PrecopyChunkBytes = 256 << 10

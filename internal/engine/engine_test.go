@@ -19,7 +19,7 @@ func newCollector() *collector { return &collector{nums: map[string]float64{}} }
 
 func (c *collector) add(key string, v float64) {
 	c.mu.Lock()
-	c.nums[strings.Clone(key)] += v // key is a view's: it dies with the callback
+	c.nums[strings.Clone(key)] += v // key is the input's: it dies with the callback
 	c.n++
 	c.mu.Unlock()
 }
@@ -49,8 +49,8 @@ func wordCountTopology(words []string, perPeriod int, kgs int, col *collector) *
 	t.AddOperator(&Operator{
 		Name:      "count",
 		KeyGroups: kgs,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
-			st.Table("counts").Add(tu.Key(), 1)
+		Proc: func(tu *Tuple, st *State, emit Emit) {
+			st.Table("counts").Add(tu.Key, 1)
 		},
 		Flush: func(kg int, st *State, emit Emit) {
 			for w, c := range st.Table("counts").All() {
@@ -69,8 +69,8 @@ func wordCountTopology(words []string, perPeriod int, kgs int, col *collector) *
 	t.AddOperator(&Operator{
 		Name:      "sink",
 		KeyGroups: sinkKGs,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
-			col.add(tu.Key(), tu.Num("count"))
+		Proc: func(tu *Tuple, st *State, emit Emit) {
+			col.add(tu.Key, tu.Num("count"))
 		},
 	})
 	t.Connect("src", "count")
@@ -85,7 +85,7 @@ func TestTopologyValidation(t *testing.T) {
 	}{
 		{"no sources", func() *Topology {
 			tp := NewTopology()
-			tp.AddOperator(&Operator{Name: "a", KeyGroups: 1, Proc: func(*TupleView, *State, Emit) {}})
+			tp.AddOperator(&Operator{Name: "a", KeyGroups: 1, Proc: func(*Tuple, *State, Emit) {}})
 			return tp
 		}},
 		{"no operators", func() *Topology {
@@ -93,33 +93,33 @@ func TestTopologyValidation(t *testing.T) {
 		}},
 		{"duplicate op", func() *Topology {
 			tp := NewTopology().AddSource("s", func(int, Emit) {})
-			tp.AddOperator(&Operator{Name: "a", KeyGroups: 1, Proc: func(*TupleView, *State, Emit) {}})
-			tp.AddOperator(&Operator{Name: "a", KeyGroups: 1, Proc: func(*TupleView, *State, Emit) {}})
+			tp.AddOperator(&Operator{Name: "a", KeyGroups: 1, Proc: func(*Tuple, *State, Emit) {}})
+			tp.AddOperator(&Operator{Name: "a", KeyGroups: 1, Proc: func(*Tuple, *State, Emit) {}})
 			return tp
 		}},
 		{"unknown connect", func() *Topology {
 			tp := NewTopology().AddSource("s", func(int, Emit) {})
-			tp.AddOperator(&Operator{Name: "a", KeyGroups: 1, Proc: func(*TupleView, *State, Emit) {}})
+			tp.AddOperator(&Operator{Name: "a", KeyGroups: 1, Proc: func(*Tuple, *State, Emit) {}})
 			tp.Connect("s", "nope")
 			return tp
 		}},
 		{"cycle", func() *Topology {
 			tp := NewTopology().AddSource("s", func(int, Emit) {})
-			tp.AddOperator(&Operator{Name: "a", KeyGroups: 1, Proc: func(*TupleView, *State, Emit) {}})
-			tp.AddOperator(&Operator{Name: "b", KeyGroups: 1, Proc: func(*TupleView, *State, Emit) {}})
+			tp.AddOperator(&Operator{Name: "a", KeyGroups: 1, Proc: func(*Tuple, *State, Emit) {}})
+			tp.AddOperator(&Operator{Name: "b", KeyGroups: 1, Proc: func(*Tuple, *State, Emit) {}})
 			tp.Connect("a", "b")
 			tp.Connect("b", "a")
 			return tp
 		}},
 		{"two-choice from source", func() *Topology {
 			tp := NewTopology().AddSource("s", func(int, Emit) {})
-			tp.AddOperator(&Operator{Name: "a", KeyGroups: 1, Proc: func(*TupleView, *State, Emit) {}})
+			tp.AddOperator(&Operator{Name: "a", KeyGroups: 1, Proc: func(*Tuple, *State, Emit) {}})
 			tp.ConnectTwoChoice("s", "a")
 			return tp
 		}},
 		{"zero key groups", func() *Topology {
 			tp := NewTopology().AddSource("s", func(int, Emit) {})
-			tp.AddOperator(&Operator{Name: "a", KeyGroups: 0, Proc: func(*TupleView, *State, Emit) {}})
+			tp.AddOperator(&Operator{Name: "a", KeyGroups: 0, Proc: func(*Tuple, *State, Emit) {}})
 			return tp
 		}},
 	}
@@ -260,8 +260,8 @@ func TestCollocationEliminatesSerialization(t *testing.T) {
 		tp.AddOperator(&Operator{
 			Name:      "count",
 			KeyGroups: 8,
-			Proc: func(tu *TupleView, st *State, emit Emit) {
-				st.Table("c").Add(tu.Key(), 1)
+			Proc: func(tu *Tuple, st *State, emit Emit) {
+				st.Table("c").Add(tu.Key, 1)
 			},
 			Flush: func(kg int, st *State, emit Emit) {
 				for w, c := range st.Table("c").All() {
@@ -273,7 +273,7 @@ func TestCollocationEliminatesSerialization(t *testing.T) {
 		tp.AddOperator(&Operator{
 			Name:      "sink",
 			KeyGroups: 8,
-			Proc:      func(tu *TupleView, st *State, emit Emit) {},
+			Proc:      func(tu *Tuple, st *State, emit Emit) {},
 		})
 		tp.Connect("src", "count")
 		tp.Connect("count", "sink")
@@ -327,7 +327,7 @@ func TestMigrationPreservesState(t *testing.T) {
 	tp.AddOperator(&Operator{
 		Name:      "tally",
 		KeyGroups: 4,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
+		Proc: func(tu *Tuple, st *State, emit Emit) {
 			st.Add("total", 1)
 		},
 		Flush: func(kg int, st *State, emit Emit) {
@@ -337,9 +337,9 @@ func TestMigrationPreservesState(t *testing.T) {
 	tp.AddOperator(&Operator{
 		Name:      "sink",
 		KeyGroups: 2,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
+		Proc: func(tu *Tuple, st *State, emit Emit) {
 			col.mu.Lock()
-			col.nums[strings.Clone(tu.Key())] = tu.Num("total") // latest running total per kg
+			col.nums[strings.Clone(tu.Key)] = tu.Num("total") // latest running total per kg
 			col.mu.Unlock()
 		},
 	})
@@ -461,14 +461,14 @@ func TestTwoChoiceRoutingSpreadsHotKey(t *testing.T) {
 	tp.AddOperator(&Operator{
 		Name:      "pre",
 		KeyGroups: 4,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
-			emit(tu.Materialize(nil))
+		Proc: func(tu *Tuple, st *State, emit Emit) {
+			emit(tu)
 		},
 	})
 	tp.AddOperator(&Operator{
 		Name:      "agg",
 		KeyGroups: 16,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
+		Proc: func(tu *Tuple, st *State, emit Emit) {
 			st.Add("n", 1)
 		},
 	})
@@ -560,8 +560,8 @@ func TestOperatorPanicContained(t *testing.T) {
 	tp.AddOperator(&Operator{
 		Name:      "boom",
 		KeyGroups: 4,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
-			if tu.Key() == "k7" {
+		Proc: func(tu *Tuple, st *State, emit Emit) {
+			if tu.Key == "k7" {
 				panic("kaboom")
 			}
 			st.Add("n", 1)
@@ -593,7 +593,7 @@ func TestSourcePanicContained(t *testing.T) {
 	})
 	tp.AddOperator(&Operator{
 		Name: "op", KeyGroups: 2,
-		Proc: func(tu *TupleView, st *State, emit Emit) {},
+		Proc: func(tu *Tuple, st *State, emit Emit) {},
 	})
 	tp.Connect("src", "op")
 	e, err := New(tp, Config{Nodes: 2}, nil)

@@ -9,14 +9,12 @@ import (
 )
 
 // FuzzReceivePath fuzzes the real cross-node receive path — versioned frame
-// → dictionary table → TupleView over the frame's bytes — with the laws the
+// → dictionary table → a tuple over the frame's bytes — with the laws the
 // engine relies on:
 //
 //  1. decodeBatch never panics, whatever the bytes;
-//  2. view accessors agree with Materialize (the aliasing and the materialized
-//     reads of one record are the same tuple), and what Materialize returned
-//     still reads the same after the frame has been overwritten: it owns its
-//     strings;
+//  2. the decoded tuple and its Clone agree after the frame is scribbled: the
+//     clone owns its strings;
 //  3. any frame that decodes cleanly survives a re-encode through the v2
 //     sender (outbox staging) and decodes to the same tuples.
 //
@@ -64,50 +62,35 @@ func FuzzReceivePath(f *testing.F) {
 		type rec struct {
 			kg int
 			t  *Tuple
-			// read is what the view read while the frame was intact, string by
-			// string through strings.Clone.
+			// read is what the decoded tuple held while the frame was intact,
+			// string by string through strings.Clone.
 			read *Tuple
 		}
 		var recs []rec
-		err := decodeBatch(frame, &rx, func(kg int, v *TupleView, wire int) {
+		err := decodeBatch(frame, &rx, func(kg int, v *Tuple, wire int) {
 			if frame[0] != codec.FrameV2 {
 				t.Fatalf("decoded a record out of a frame headed 0x%02x", frame[0])
 			}
 			if wire <= 0 {
 				t.Fatalf("non-positive wire length %d", wire)
 			}
-			m := v.Materialize(nil)
-			// Law 2: lazy accessors and the materialized copy agree.
-			if m.Key != v.Key() || m.TS != v.TS() || m.NumFields() != v.NumFields() {
-				t.Fatalf("view/materialize disagree: %+v", m)
-			}
-			for _, fld := range m.strs {
-				if !v.HasStr(fld.K) || v.Str(fld.K) != m.Str(fld.K) {
-					t.Fatalf("str field %q disagrees", fld.K)
-				}
-			}
-			for _, fld := range m.nums {
-				// Bitwise comparison: NaN payloads must survive the wire too.
-				if !v.HasNum(fld.K) || math.Float64bits(v.Num(fld.K)) != math.Float64bits(m.Num(fld.K)) {
-					t.Fatalf("num field %q disagrees", fld.K)
-				}
-			}
-			read := &Tuple{Key: strings.Clone(v.Key()), TS: v.TS()}
-			for _, fld := range v.src.strs {
+			read := &Tuple{Key: strings.Clone(v.Key), TS: v.TS}
+			for _, fld := range v.strs {
 				read.strs = append(read.strs, strField{K: strings.Clone(fld.K), V: strings.Clone(fld.V)})
 			}
-			for _, fld := range v.src.nums {
+			for _, fld := range v.nums {
 				read.nums = append(read.nums, numField{K: strings.Clone(fld.K), V: fld.V})
 			}
-			recs = append(recs, rec{kg: kg, t: m, read: read})
+			recs = append(recs, rec{kg: kg, t: v.Clone(), read: read})
 		})
 		for i := range frame {
 			frame[i] = 0xA5
 		}
+		// Law 2: the clone still says what the decoded tuple said.
 		for i, r := range recs {
 			if r.t.Key != r.read.Key || r.t.TS != r.read.TS ||
 				!strFieldsEqual(r.t.strs, r.read.strs) || !numFieldsEqual(r.t.nums, r.read.nums) {
-				t.Fatalf("record %d: the materialized tuple changed with the frame:\n got %+v\nread %+v", i, r.t, r.read)
+				t.Fatalf("record %d: the cloned tuple changed with the frame:\n got %+v\nread %+v", i, r.t, r.read)
 			}
 		}
 		if err != nil {
@@ -127,12 +110,12 @@ func FuzzReceivePath(f *testing.F) {
 		}
 		var rx2 rxDecoder
 		i := 0
-		if err := decodeBatch(m.encoded, &rx2, func(kg int, v *TupleView, wire int) {
+		if err := decodeBatch(m.encoded, &rx2, func(kg int, v *Tuple, wire int) {
 			if i >= len(recs) {
 				t.Fatalf("re-encode grew the batch (%d records staged)", len(recs))
 			}
 			want := recs[i]
-			got := v.Materialize(nil)
+			got := v.Clone()
 			if kg != want.kg || got.Key != want.t.Key || got.TS != want.t.TS ||
 				!strFieldsEqual(got.strs, want.t.strs) || !numFieldsEqual(got.nums, want.t.nums) {
 				t.Fatalf("record %d changed across re-encode:\n got %+v\nwant %+v", i, got, want.t)

@@ -92,7 +92,7 @@ func (e *Engine) stageSrc(pr *periodRun, gs *genState, si int, t *Tuple) {
 	}
 	if t.pooled {
 		// NewTuple-built source tuple: fully encoded above, recycle.
-		putTuple(t)
+		recycle(t)
 	}
 }
 

@@ -37,7 +37,7 @@ func TestGeneratorsCountLocally(t *testing.T) {
 				})
 				tp.AddOperator(&Operator{
 					Name: "count", KeyGroups: 12,
-					Proc: func(tu *TupleView, st *State, emit Emit) { st.Add("n", 1) },
+					Proc: func(tu *Tuple, st *State, emit Emit) { st.Add("n", 1) },
 				})
 				tp.Connect("split", "count")
 				tp.Connect("plain", "count")

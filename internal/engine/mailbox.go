@@ -11,7 +11,7 @@ type message interface{ isMessage() }
 // by the encoded tuple. Cross-node deliveries pay serialization once per
 // record but amortize the frame, the allocation (encoded comes from
 // codec.GetBuf and is returned to the pool by the receiver once the whole
-// batch — including the TupleViews aliasing it — has been processed) and
+// batch — including the decoded tuples aliasing it — has been processed) and
 // the mailbox lock over the whole batch.
 type dataBatchMsg struct {
 	op      int

@@ -239,8 +239,8 @@ func TestBarrierOrderingUnderMigration(t *testing.T) {
 	tp.AddOperator(&Operator{
 		Name:      "count",
 		KeyGroups: keyGroups,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
-			st.Table("c").Add(tu.Key(), 1)
+		Proc: func(tu *Tuple, st *State, emit Emit) {
+			st.Table("c").Add(tu.Key, 1)
 		},
 		Flush: func(kg int, st *State, emit Emit) {
 			for k, v := range st.Table("c").All() {
@@ -252,9 +252,9 @@ func TestBarrierOrderingUnderMigration(t *testing.T) {
 	tp.AddOperator(&Operator{
 		Name:      "sink",
 		KeyGroups: keyGroups,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
+		Proc: func(tu *Tuple, st *State, emit Emit) {
 			mu.Lock()
-			counted[strings.Clone(tu.Key())] += tu.Num("n")
+			counted[strings.Clone(tu.Key)] += tu.Num("n")
 			mu.Unlock()
 		},
 	})

@@ -23,9 +23,9 @@ func buildGrowTopology(build, trickle, buildPeriods, kgs int) *Topology {
 	tp.AddOperator(&Operator{
 		Name:      "grow",
 		KeyGroups: kgs,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
+		Proc: func(tu *Tuple, st *State, emit Emit) {
 			st.Add("total", 1)
-			st.Table("seen").Set(tu.Key(), 1)
+			st.Table("seen").Set(tu.Key, 1)
 		},
 	})
 	tp.Connect("src", "grow")
@@ -256,33 +256,6 @@ func TestColdMoveStillDirect(t *testing.T) {
 	}
 	if ps.MigrationLatency == 0 {
 		t.Fatal("full-state migration must charge latency")
-	}
-}
-
-// TestCheckpointAssistDisabled: CheckpointAssistBytes < 0 forces every move
-// back onto the full-state path even with a warm checkpoint.
-func TestCheckpointAssistDisabled(t *testing.T) {
-	topo := buildGrowTopology(300, 50, 1, 2)
-	e, err := New(topo, Config{Nodes: 2, CheckpointAssistBytes: -1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if _, err := e.RunPeriod(); err != nil {
-		t.Fatal(err)
-	}
-	e.TakeCheckpoint()
-	plan := e.Allocation()
-	plan[0] = 1
-	if err := e.ApplyPlan(plan); err != nil {
-		t.Fatal(err)
-	}
-	ps, err := e.RunPeriod()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.Migrations != 1 || ps.PrecopyBytes != 0 || ps.MigratedDeltaBytes != 0 {
-		t.Fatalf("assist-disabled move stats: %+v", ps)
 	}
 }
 

@@ -111,15 +111,10 @@ type shard struct {
 	// group instead of one per processed tuple).
 	emitters []Emit
 	// rx is the reusable receive-path decode state (per-frame dictionary
-	// table, recycled TupleView).
+	// table, recycled record).
 	rx rxDecoder
-	// views is a small stack of wrap-views for shard-local deliveries: a
-	// local emit chain (process → emit → process ...) recurses, so each
-	// depth level needs its own view. Grown once per depth ever reached.
-	views     []*TupleView
-	viewDepth int
-	// tp recycles pooled emit tuples (NewTuple) shard-locally: plain slice
-	// ops on the owning goroutine, no sync.Pool traffic on the emit path.
+	// tp recycles pooled emit tuples ((*Tuple).NewTuple) shard-locally: plain
+	// slice ops on the owning goroutine, no sync.Pool traffic on the emit path.
 	tp tupleFreeList
 	// pool recycles State arenas shard-locally: a migrated-out group's state
 	// (symbol table, tables, backing arrays) is reused by the next group
@@ -173,7 +168,7 @@ func newShard(nid, sid int, eng *Engine) *shard {
 		flushed:    make([]bool, nops),
 		awaitByOp:  make([]int, nops),
 	}
-	s.rx.view.pool = &s.tp
+	s.rx.rec.home = &s.tp
 	return s
 }
 
@@ -352,12 +347,12 @@ func (s *shard) onPrecopy(m precopyMsg) {
 // from other nodes pay deserialization per record; frames from a sibling
 // shard of the same node (m.local) decode identically but cost nothing in
 // the model — intra-node traffic never crosses the wire. Records decode into
-// a reusable TupleView whose strings alias the frame bytes — nothing is copied
+// a reusable tuple whose strings alias the frame bytes — nothing is copied
 // unless a key group's state is still in flight (then a deep copy is parked) —
 // so the frame goes back to the codec pool only after the whole batch.
 func (s *shard) onDataBatch(m dataBatchMsg) {
 	s.contain("process", func() {
-		err := decodeBatch(m.encoded, &s.rx, func(kg int, v *TupleView, wire int) {
+		err := decodeBatch(m.encoded, &s.rx, func(kg int, t *Tuple, wire int) {
 			gid := s.eng.topo.GID(m.op, kg)
 			if !m.local {
 				s.stats.bytesIn += int64(wire)
@@ -365,12 +360,12 @@ func (s *shard) onDataBatch(m dataBatchMsg) {
 			}
 			if s.awaitIn[gid] {
 				// Direct state migration: the group's state has not arrived
-				// yet; park a copy (the view dies with this callback) and
-				// replay on arrival.
-				s.pending[gid] = append(s.pending[gid], v.Materialize(nil))
+				// yet; park a copy (t dies with this callback) and replay on
+				// arrival.
+				s.pending[gid] = append(s.pending[gid], t.Clone())
 				return
 			}
-			s.process(m.op, kg, gid, v)
+			s.process(m.op, kg, gid, t)
 		})
 		if err != nil {
 			s.eng.emit(engEvent{kind: evError, node: s.nid, err: err})
@@ -380,21 +375,7 @@ func (s *shard) onDataBatch(m dataBatchMsg) {
 	codec.PutBuf(m.encoded)
 }
 
-// wrapView pushes a wrap-view onto the shard's view stack for a shard-local
-// delivery. Pair with releaseView once the synchronous process call returns.
-func (s *shard) wrapView(t *Tuple) *TupleView {
-	if s.viewDepth == len(s.views) {
-		s.views = append(s.views, &TupleView{pool: &s.tp})
-	}
-	v := s.views[s.viewDepth]
-	s.viewDepth++
-	v.src = t
-	return v
-}
-
-func (s *shard) releaseView() { s.viewDepth-- }
-
-func (s *shard) process(op, kg, gid int, v *TupleView) {
+func (s *shard) process(op, kg, gid int, t *Tuple) {
 	o := s.eng.topo.ops[op]
 	st := s.states[gid]
 	if st == nil {
@@ -405,7 +386,7 @@ func (s *shard) process(op, kg, gid int, v *TupleView) {
 	s.stats.addUnits(gid, o.Cost)
 	outer := s.cur
 	s.cur = o
-	o.Proc(v, st, s.emitFrom(op, gid))
+	o.Proc(t, st, s.emitFrom(op, gid))
 	s.cur = outer
 }
 
@@ -422,7 +403,7 @@ func (s *shard) contain(phase string, f func()) {
 			}
 			s.eng.emit(engEvent{kind: evError, node: s.nid,
 				err: fmt.Errorf("engine: operator %q panicked in %s on node %d: %v", s.cur.Name, phase, s.nid, r)})
-			s.cur, s.viewDepth = nil, 0
+			s.cur = nil
 		}
 	}()
 	f()
@@ -501,9 +482,7 @@ func (s *shard) onState(m stateMsg) {
 	delete(s.pending, gid)
 	s.contain("process", func() {
 		for _, t := range buf {
-			v := s.wrapView(t)
-			s.process(m.op, m.kg, gid, v)
-			s.releaseView()
+			s.process(m.op, m.kg, gid, t)
 			putTuple(t)
 		}
 	})
@@ -613,9 +592,9 @@ func (s *shard) onRecover(m recoverMsg) {
 }
 
 // emitFrom returns the Emit closure for (op, gid): it routes the tuple to
-// every downstream operator of op, then recycles pooled tuples (NewTuple)
-// into the shard's free list. Closures are cached per gid — the Emit for a
-// group is identical across tuples, so the hot path allocates none.
+// every downstream operator of op, then recycles a pooled tuple into the pool
+// it came from. Closures are cached per gid — the Emit for a group is
+// identical across tuples, so the hot path allocates none.
 func (s *shard) emitFrom(op, fromGID int) Emit {
 	if e := s.emitters[fromGID]; e != nil {
 		return e
@@ -628,7 +607,7 @@ func (s *shard) emitFrom(op, fromGID int) Emit {
 		if t.pooled {
 			// Engine-owned emit tuple: routing fully encoded (or cloned) it;
 			// nothing retains it past this point.
-			s.tp.put(t)
+			recycle(t)
 		}
 	}
 	s.emitters[fromGID] = e
@@ -679,17 +658,19 @@ func (s *shard) routeTo(e edge, fromGID int, t *Tuple) {
 	toGID := s.eng.topo.GID(e.op, kg)
 	s.stats.addComm(fromGID, toGID)
 	if dest == s.nid && int(s.eng.shardIdx[toGID]) == s.sid {
-		// Shard-local edge: no serialization. Deliver synchronously through
-		// a wrap-view (operators always see TupleViews).
+		// Shard-local edge: no serialization, t is processed synchronously.
 		if s.awaitIn[toGID] {
 			// Emit has consumed t when it returns (a pooled t is recycled, any
 			// t's strings may be a frame's): park a copy the engine owns.
-			s.pending[toGID] = append(s.pending[toGID], cloneTupleInto(getTuple(), t))
+			s.pending[toGID] = append(s.pending[toGID], t.Clone())
 			return
 		}
-		v := s.wrapView(t)
-		s.process(e.op, kg, toGID, v)
-		s.releaseView()
+		// The Proc may emit t itself; it stays this Emit's to recycle, once
+		// every edge has routed it.
+		pooled := t.pooled
+		t.pooled = false
+		s.process(e.op, kg, toGID, t)
+		t.pooled = pooled
 		return
 	}
 	// Cross-shard edge: pay serialization and stage into the per-destination

@@ -42,17 +42,17 @@ func partCountTopology(keys, perPeriod, kgsA, kgsB int) (*Topology, *fifoWatcher
 	tp.AddOperator(&Operator{
 		Name:      "A",
 		KeyGroups: kgsA,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
-			st.Table("seen").Add(tu.Key(), 1)
-			emit(tu.NewTuple(tu.Key(), tu.TS()).WithNum("seq", tu.Num("seq")))
+		Proc: func(tu *Tuple, st *State, emit Emit) {
+			st.Table("seen").Add(tu.Key, 1)
+			emit(tu.NewTuple(tu.Key, tu.TS).WithNum("seq", tu.Num("seq")))
 		},
 	})
 	tp.AddOperator(&Operator{
 		Name:      "B",
 		KeyGroups: kgsB,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
-			st.Table("seen").Add(tu.Key(), 1)
-			w.observe(tu.Key(), tu.Num("seq"))
+		Proc: func(tu *Tuple, st *State, emit Emit) {
+			st.Table("seen").Add(tu.Key, 1)
+			w.observe(tu.Key, tu.Num("seq"))
 		},
 	})
 	tp.Connect("src", "A")
@@ -71,7 +71,7 @@ type fifoWatcher struct {
 }
 
 func (w *fifoWatcher) observe(k string, s float64) {
-	k = strings.Clone(k) // a view's key dies with the callback
+	k = strings.Clone(k) // an input's key dies with the callback
 	w.mu.Lock()
 	if s <= w.lastSeq[k] {
 		w.inverted[k] = true
@@ -301,8 +301,8 @@ func TestParallelGenDictionaryShiftBounded(t *testing.T) {
 		tp.AddOperator(&Operator{
 			Name:      "agg",
 			KeyGroups: 12,
-			Proc: func(tu *TupleView, st *State, emit Emit) {
-				st.Table("sum").Add(tu.Key(), tu.Num("delay"))
+			Proc: func(tu *Tuple, st *State, emit Emit) {
+				st.Table("sum").Add(tu.Key, tu.Num("delay"))
 			},
 		})
 		tp.Connect("src", "agg")

@@ -8,12 +8,11 @@ import (
 //
 // A staged period-boundary move of a checkpointed key group does not ship
 // the full state synchronously when a delta would do. A pre-copy session is
-// opened for a move exactly when the group has a checkpoint of at least
-// Config.CheckpointAssistBytes, its tip is on the shard it leaves (tipNode),
-// and the last barrier measured its delta against that tip smaller than its
-// state (deltaPays) — the source's own rule for shipping a delta, so a base
-// is pre-copied only where it will be read. Every other move ships the state
-// whole, at once.
+// opened for a move exactly when the group has a checkpoint, its tip is on the
+// shard it leaves (tipNode), and the last barrier measured its delta against
+// that tip smaller than its state (deltaPays) — the source's own rule for
+// shipping a delta, so a base is pre-copied only where it will be read. Every
+// other move ships the state whole, at once.
 //
 // In a session the group's last checkpoint (captured as one immutable
 // encoded snapshot) is streamed to the destination in background chunks of at
@@ -127,13 +126,13 @@ func (e *Engine) planTransfers(pr *periodRun, staged []core.Move) []stagedTransf
 			e.dropPrecopy(s)
 			s = nil
 		}
-		if s == nil && e.ckpt != nil && e.cfg.CheckpointAssistBytes > 0 && e.ckpt.Has(mv.Group) &&
+		if s == nil && e.ckpt != nil && e.ckpt.Has(mv.Group) &&
 			e.tipNode != nil && e.tipNode[mv.Group] == mv.From && e.deltaPays(mv.Group) {
 			// The tip-residency gate: the source cuts the delta against the tip
 			// its shard holds, so the tip must be where the group is. A group
 			// that full-moved since its last checkpoint migrates full until the
 			// next checkpoint gives it a tip again.
-			if enc, ver, ok := e.ckpt.EncodedState(mv.Group); ok && len(enc) >= e.cfg.CheckpointAssistBytes {
+			if enc, ver, ok := e.ckpt.EncodedState(mv.Group); ok {
 				if e.precopy == nil {
 					e.precopy = map[int]*precopySession{}
 				}
@@ -142,7 +141,7 @@ func (e *Engine) planTransfers(pr *periodRun, staged []core.Move) []stagedTransf
 			}
 		}
 		if s == nil {
-			// Cold group (or assist disabled): classic direct state migration.
+			// Cold group: classic direct state migration.
 			transfers = append(transfers, stagedTransfer{mv: mv, deltaBase: -1})
 			continue
 		}

@@ -23,12 +23,12 @@ func turnoverTopology(kgs int) *Topology {
 	tp.AddOperator(&Operator{
 		Name:      "window",
 		KeyGroups: kgs,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
-			if p := float64(tu.TS() / 1000); st.Num("period") != p {
+		Proc: func(tu *Tuple, st *State, emit Emit) {
+			if p := float64(tu.TS / 1000); st.Num("period") != p {
 				st.SetNum("period", p)
 				st.ClearTable("win")
 			}
-			st.Table("win").Set(fmt.Sprintf("p%d-t%d", tu.TS()/1000, tu.TS()), 1)
+			st.Table("win").Set(fmt.Sprintf("p%d-t%d", tu.TS/1000, tu.TS), 1)
 		},
 	})
 	tp.AddSource("gsrc", func(period int, emit Emit) {
@@ -43,9 +43,9 @@ func turnoverTopology(kgs int) *Topology {
 	tp.AddOperator(&Operator{
 		Name:      "grow",
 		KeyGroups: kgs,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
+		Proc: func(tu *Tuple, st *State, emit Emit) {
 			st.Add("total", 1)
-			st.Table("seen").Set(tu.Key(), 1)
+			st.Table("seen").Set(tu.Key, 1)
 		},
 	})
 	tp.Connect("wsrc", "window")

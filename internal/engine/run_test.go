@@ -20,12 +20,12 @@ func twoChoiceTopology(perPeriod int) *Topology {
 	tp.AddOperator(&Operator{
 		Name:      "pre",
 		KeyGroups: 4,
-		Proc:      func(tu *TupleView, st *State, emit Emit) { emit(tu.Materialize(nil)) },
+		Proc:      func(tu *Tuple, st *State, emit Emit) { emit(tu) },
 	})
 	tp.AddOperator(&Operator{
 		Name:      "agg",
 		KeyGroups: 16,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
+		Proc: func(tu *Tuple, st *State, emit Emit) {
 			st.Add("n", 1)
 		},
 	})
@@ -188,7 +188,7 @@ func TestRunSourcePanicSurfaces(t *testing.T) {
 	})
 	tp.AddOperator(&Operator{
 		Name: "op", KeyGroups: 2,
-		Proc: func(tu *TupleView, st *State, emit Emit) {},
+		Proc: func(tu *Tuple, st *State, emit Emit) {},
 	})
 	tp.Connect("src", "op")
 	e, err := New(tp, Config{Nodes: 2}, nil)

@@ -83,7 +83,7 @@ var benchEmitSink *Tuple
 
 // BenchmarkEmitPool isolates the cost of building one operator-output tuple
 // per emit: the heap variant allocates a fresh Tuple each time (what
-// operator code paid before TupleView.NewTuple existed); the pooled variant
+// operator code paid before (*Tuple).NewTuple existed); the pooled variant
 // draws from a shard-local free list and recycles after routing, the way the
 // emitter does — zero allocations in steady state.
 func BenchmarkEmitPool(b *testing.B) {

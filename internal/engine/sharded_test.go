@@ -54,17 +54,17 @@ func TestShardedExactnessUnderMoves(t *testing.T) {
 	tp.AddOperator(&Operator{
 		Name:      "A",
 		KeyGroups: kgsA,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
-			st.Table("seen").Add(tu.Key(), 1)
-			emit(tu.NewTuple(tu.Key(), tu.TS()).WithNum("seq", tu.Num("seq")))
+		Proc: func(tu *Tuple, st *State, emit Emit) {
+			st.Table("seen").Add(tu.Key, 1)
+			emit(tu.NewTuple(tu.Key, tu.TS).WithNum("seq", tu.Num("seq")))
 		},
 	})
 	tp.AddOperator(&Operator{
 		Name:      "B",
 		KeyGroups: kgsB,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
-			st.Table("seen").Add(tu.Key(), 1)
-			k, s := strings.Clone(tu.Key()), tu.Num("seq")
+		Proc: func(tu *Tuple, st *State, emit Emit) {
+			st.Table("seen").Add(tu.Key, 1)
+			k, s := strings.Clone(tu.Key), tu.Num("seq")
 			fifoMu.Lock()
 			if s <= lastSeq[k] {
 				inverted[k] = true
@@ -210,11 +210,11 @@ func TestShardingInvariantToCostModel(t *testing.T) {
 				emit(NewTuple(fmt.Sprintf("key%02d", i%48), int64(period*4000+i)))
 			}
 		})
-		tp.AddOperator(&Operator{Name: "A", KeyGroups: 12, Proc: func(tu *TupleView, st *State, emit Emit) {
-			emit(tu.NewTuple(tu.Key(), tu.TS()))
+		tp.AddOperator(&Operator{Name: "A", KeyGroups: 12, Proc: func(tu *Tuple, st *State, emit Emit) {
+			emit(tu.NewTuple(tu.Key, tu.TS))
 		}})
-		tp.AddOperator(&Operator{Name: "B", KeyGroups: 12, Proc: func(tu *TupleView, st *State, emit Emit) {
-			st.Table("seen").Add(tu.Key(), 1)
+		tp.AddOperator(&Operator{Name: "B", KeyGroups: 12, Proc: func(tu *Tuple, st *State, emit Emit) {
+			st.Table("seen").Add(tu.Key, 1)
 		}})
 		tp.Connect("src", "A")
 		tp.Connect("A", "B")
@@ -314,8 +314,8 @@ func TestShardingDictionaryShiftBounded(t *testing.T) {
 		tp.AddOperator(&Operator{
 			Name:      "agg",
 			KeyGroups: 12,
-			Proc: func(tu *TupleView, st *State, emit Emit) {
-				st.Table("sum").Add(tu.Key(), tu.Num("delay"))
+			Proc: func(tu *Tuple, st *State, emit Emit) {
+				st.Table("sum").Add(tu.Key, tu.Num("delay"))
 			},
 		})
 		tp.Connect("src", "agg")
@@ -414,7 +414,7 @@ func TestSubPeriodBoundariesFireOnLowVolume(t *testing.T) {
 	tp.AddOperator(&Operator{
 		Name:      "op",
 		KeyGroups: 2,
-		Proc:      func(tu *TupleView, st *State, emit Emit) { st.Add("n", 1) },
+		Proc:      func(tu *Tuple, st *State, emit Emit) { st.Add("n", 1) },
 	})
 	tp.Connect("src", "op")
 

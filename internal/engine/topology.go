@@ -8,13 +8,24 @@ import (
 type Emit func(t *Tuple)
 
 // ProcFunc processes one input tuple against its key group's state. The
-// tuple arrives as a TupleView — on the cross-node receive path a reusable,
-// allocation-free window onto the pooled frame bytes. The view is only
-// valid until ProcFunc returns; strings obtained from it are safe to
-// retain, and TupleView.Materialize deep-copies the whole tuple for
-// operators that buffer tuples past the callback (see view.go for the
-// ownership rules).
-type ProcFunc func(t *TupleView, st *State, emit Emit)
+// tuple is lent for the call: on the receive path it is the shard's one
+// reusable record, whose key and string values are the pooled frame's own
+// bytes (codec.Alias), so nothing is copied or allocated per tuple.
+//
+// Ownership rules:
+//
+//   - t, and every string read from it (Key, Str), is valid until ProcFunc
+//     returns; the engine recycles t and the frame behind it after that.
+//   - Read t or emit it as is; do not retain or mutate it. Clone what you
+//     keep: the copy owns its strings.
+//   - State and Table copy what they keep: a key, a field name or a SetStr
+//     value read from t may be stored in st as is.
+//   - Emit has consumed a tuple when it returns: one built from t's strings
+//     (t.NewTuple(t.Str("geo"), …), drawn from the shard's free list) may be
+//     emitted as is.
+//   - Anything else that outlives the call — a Go map keyed by t.Key, a slice
+//     of values — takes strings.Clone.
+type ProcFunc func(t *Tuple, st *State, emit Emit)
 
 // FlushFunc runs once per key group at the end of each period (the engine's
 // watermark tick) — windowed operators emit their results here.

@@ -12,9 +12,9 @@
 // the mailbox lock amortize over many tuples (see batch.go and mailbox.go;
 // the per-sender FIFO invariant the barrier protocol needs is documented
 // there). The receive path materializes nothing in steady state: records
-// decode into reusable TupleViews that read straight from the pooled frame
-// bytes (see view.go for the ownership rules). The engine supports direct
-// state migration [27],
+// decode into one reusable Tuple per shard whose key and string values are
+// the pooled frame's bytes (see ProcFunc for the ownership rules). The engine
+// supports direct state migration [27],
 // the statistics the controller needs (per-key-group loads, state sizes and
 // the out(gi,gj) communication matrix), horizontal scaling, and two-choice
 // (PoTC) routing for the baseline comparison.
@@ -58,10 +58,14 @@ type Tuple struct {
 	// period (Section 3, Processing Order).
 	TS int64
 	// pooled marks engine-owned emit tuples obtained from NewTuple or
-	// TupleView.NewTuple: the engine recycles them as soon as Emit has
+	// (*Tuple).NewTuple: the engine recycles them as soon as Emit has
 	// routed them, so the producer must not retain, re-emit or mutate one
 	// after emitting it. Tuples built with &Tuple{} stay caller-owned.
 	pooled bool
+	// home is the shard free list a tuple belongs to for life: set on the
+	// list's own tuples and on a shard's decode record, nil for every other.
+	// (*Tuple).NewTuple draws from it and recycle returns to it.
+	home *tupleFreeList
 	// Inline backing for the first two fields of each kind. Tuples are
 	// always handled by pointer, so the slices never outlive the struct.
 	strs0 [2]strField
@@ -73,8 +77,8 @@ type Tuple struct {
 // tuple is recycled the moment routing completes, which makes operator
 // emissions allocation-free. The caller must not retain, re-emit or mutate
 // the tuple after emitting it; a tuple that is never emitted is simply
-// garbage collected. Inside a Proc callback prefer TupleView.NewTuple, which
-// draws from the processing shard's local free list.
+// garbage collected. Inside a Proc callback prefer the input tuple's
+// NewTuple, which draws from the processing shard's local free list.
 func NewTuple(key string, ts int64) *Tuple {
 	t := getTuple()
 	t.pooled = true
@@ -83,21 +87,34 @@ func NewTuple(key string, ts int64) *Tuple {
 	return t
 }
 
-// tuplePool recycles Tuple structs on the receive path: TupleView.Materialize
-// draws from it when the caller passes no destination, and the engine returns
-// its own materializations (tuples buffered for in-flight state migrations)
-// once they have been replayed — by the period barrier at the latest. Tuples
-// handed to operators via Materialize(nil) and retained past the period are
-// simply garbage collected; the pool is an optimization, not an ownership
-// registry.
+// NewTuple returns a pooled tuple with its key and timestamp set, for a Proc
+// callback to fill and Emit — the allocation-free way to produce output from
+// one. It draws from the free list of the shard processing t (a tuple of no
+// shard's — built by a source or a Flush, or a clone — falls back to
+// engine.NewTuple); the same ownership rules as engine.NewTuple apply.
+func (t *Tuple) NewTuple(key string, ts int64) *Tuple {
+	if t.home == nil {
+		return NewTuple(key, ts)
+	}
+	n := t.home.get()
+	n.Key, n.TS = key, ts
+	return n
+}
+
+// tuplePool recycles the tuples engine.NewTuple and Clone hand out. Emit
+// returns the pooled ones once it has routed them, and the engine its parked
+// copies once they have been replayed — by the period barrier at the latest.
+// Clones an operator retains are simply garbage collected; the pool is an
+// optimization, not an ownership registry.
 var tuplePool = sync.Pool{New: func() any { return new(Tuple) }}
 
 func getTuple() *Tuple { return tuplePool.Get().(*Tuple) }
 
 // resetTuple clears a tuple for reuse, dropping the string references its
 // fields held so a pool does not pin what they point into (a frame, for a
-// tuple built from a view's strings). Only the fields in use are cleared: what
-// lies beyond them was cleared when it was last in use.
+// tuple built from a decoded tuple's strings). Only the fields in use are
+// cleared: what lies beyond them was cleared when it was last in use. home
+// stays: the tuple goes back to the same pool every time.
 func resetTuple(t *Tuple) {
 	t.Key, t.TS, t.pooled = "", 0, false
 	if cap(t.strs) > len(t.strs0) {
@@ -136,9 +153,7 @@ func (l *tupleFreeList) get() *Tuple {
 		t.pooled = true
 		return t
 	}
-	t := new(Tuple)
-	t.pooled = true
-	return t
+	return &Tuple{pooled: true, home: l}
 }
 
 func (l *tupleFreeList) put(t *Tuple) {
@@ -148,21 +163,35 @@ func (l *tupleFreeList) put(t *Tuple) {
 	}
 }
 
-// cloneTupleInto deep-copies src into dst, strings included, and returns dst:
-// what a tuple that must outlive the call that delivered it becomes (parked
-// while its key group's state is in flight, or kept by an operator through
-// Materialize). src is recycled right after, and its key, string values and
-// field names may alias a frame; dst's are cut from one copy of them all.
-func cloneTupleInto(dst, src *Tuple) *Tuple {
+// recycle returns an engine-owned tuple Emit has routed to the pool it came
+// from: its shard's free list, or the global pool. A global tuple on a free
+// list would push the list's own past tupleFreeListMax into the garbage while
+// the global pool allocated afresh.
+func recycle(t *Tuple) {
+	if t.home != nil {
+		t.home.put(t)
+		return
+	}
+	putTuple(t)
+}
+
+// Clone deep-copies the tuple, strings included, into one drawn from the
+// tuple pool. The copy owns its strings and may be retained or emitted
+// freely: what a tuple that must outlive the call that lent it becomes (kept
+// by an operator, or parked by the engine while its key group's state is in
+// flight). t's key, string values and field names may alias a frame; the
+// copy's are cut from one copy of them all.
+func (t *Tuple) Clone() *Tuple {
+	dst := getTuple()
 	if dst.strs == nil {
 		dst.strs = dst.strs0[:0]
 	}
 	if dst.nums == nil {
 		dst.nums = dst.nums0[:0]
 	}
-	dst.Key, dst.TS = src.Key, src.TS
-	dst.strs = append(dst.strs[:0], src.strs...)
-	dst.nums = append(dst.nums[:0], src.nums...)
+	dst.Key, dst.TS = t.Key, t.TS
+	dst.strs = append(dst.strs[:0], t.strs...)
+	dst.nums = append(dst.nums[:0], t.nums...)
 
 	var sb strings.Builder
 	sb.Grow(64) // a tuple of the workloads' in one allocation

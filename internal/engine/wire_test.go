@@ -62,13 +62,13 @@ func TestGoldenV2Frame(t *testing.T) {
 		t.Fatalf("dictionary back-references should shrink repeat records (%d vs %d)", w2, w1)
 	}
 
-	// Decode the pinned bytes and check the views.
+	// Decode the pinned bytes and check the tuples.
 	var rx rxDecoder
 	n := 0
-	err := decodeBatch(want, &rx, func(kg int, v *TupleView, wire int) {
+	err := decodeBatch(want, &rx, func(kg int, v *Tuple, wire int) {
 		n++
-		if kg != 3 || v.Key() != "k1" || v.TS() != 7 || v.Str("geo") != "dk" || v.Num("b") != 2 {
-			t.Fatalf("record %d decoded wrong: kg=%d key=%q", n, kg, v.Key())
+		if kg != 3 || v.Key != "k1" || v.TS != 7 || v.Str("geo") != "dk" || v.Num("b") != 2 {
+			t.Fatalf("record %d decoded wrong: kg=%d key=%q", n, kg, v.Key)
 		}
 		if wire != map[int]int{1: len(rec1), 2: len(rec2)}[n] {
 			t.Fatalf("record %d wire=%d", n, wire)
@@ -101,7 +101,7 @@ func retiredV1Frame() []byte {
 // mid-period: the shard must report it (evError → the period fails) and must
 // not decode a single record out of it.
 func TestRetiredV1FrameFailsThePeriod(t *testing.T) {
-	if err := decodeBatch(retiredV1Frame(), &rxDecoder{}, func(int, *TupleView, int) {
+	if err := decodeBatch(retiredV1Frame(), &rxDecoder{}, func(int, *Tuple, int) {
 		t.Fatal("decoded a record out of a 0xF1 frame")
 	}); err == nil || !strings.Contains(err.Error(), "unknown frame version byte 0xf1") {
 		t.Fatalf("decodeBatch(0xF1 frame) = %v, want the unknown-version error", err)
@@ -116,7 +116,7 @@ func TestRetiredV1FrameFailsThePeriod(t *testing.T) {
 	})
 	tp.AddOperator(&Operator{
 		Name: "sink", KeyGroups: 4,
-		Proc: func(tu *TupleView, st *State, emit Emit) { processed.Add(1) },
+		Proc: func(tu *Tuple, st *State, emit Emit) { processed.Add(1) },
 	})
 	tp.Connect("src", "sink")
 	var err error
@@ -132,10 +132,9 @@ func TestRetiredV1FrameFailsThePeriod(t *testing.T) {
 	}
 }
 
-// TestViewZeroAllocSteadyState asserts the heart of the PR: decoding a v2
-// frame and reading every field through the views allocates nothing once
-// the field-name cache is warm.
-func TestViewZeroAllocSteadyState(t *testing.T) {
+// TestDecodeZeroAllocSteadyState: decoding a v2 frame and reading every
+// field of its tuples allocates nothing once the field-name cache is warm.
+func TestDecodeZeroAllocSteadyState(t *testing.T) {
 	var ob outbox
 	for i := 0; i < 64; i++ {
 		ob.stage(i%4, (&Tuple{Key: fmt.Sprintf("key-%d", i%8), TS: int64(i)}).
@@ -146,11 +145,11 @@ func TestViewZeroAllocSteadyState(t *testing.T) {
 	var rx rxDecoder
 	run := func() {
 		sum := 0.0
-		if err := decodeBatch(frame, &rx, func(kg int, v *TupleView, wire int) {
-			if v.Key() == "" || v.Str("geo") == "" {
-				t.Fatal("bad view")
+		if err := decodeBatch(frame, &rx, func(kg int, v *Tuple, wire int) {
+			if v.Key == "" || v.Str("geo") == "" {
+				t.Fatal("bad tuple")
 			}
-			sum += v.Num("bytes") + float64(v.TS()) + float64(v.NumFields())
+			sum += v.Num("bytes") + float64(v.TS) + float64(v.NumFields())
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -164,10 +163,10 @@ func TestViewZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestMaterializeOutlivesFrame checks the documented escape hatch: a
-// materialized tuple stays intact after the frame buffer is recycled and
-// overwritten, while a string read from the view was the frame's own bytes.
-func TestMaterializeOutlivesFrame(t *testing.T) {
+// TestCloneOutlivesFrame checks the documented escape hatch: a cloned tuple
+// stays intact after the frame buffer is recycled and overwritten, while a
+// string read from the decoded tuple was the frame's own bytes.
+func TestCloneOutlivesFrame(t *testing.T) {
 	var ob outbox
 	ob.stage(1, (&Tuple{Key: "persist-me", TS: 9}).WithStr("s", "value-1").WithNum("n", 3))
 	msg, ok := ob.take(1)
@@ -177,8 +176,8 @@ func TestMaterializeOutlivesFrame(t *testing.T) {
 	var rx rxDecoder
 	var kept *Tuple
 	var keptStr string
-	if err := decodeBatch(msg.encoded, &rx, func(kg int, v *TupleView, wire int) {
-		kept = v.Materialize(nil)
+	if err := decodeBatch(msg.encoded, &rx, func(kg int, v *Tuple, wire int) {
+		kept = v.Clone()
 		keptStr = v.Str("s")
 	}); err != nil {
 		t.Fatal(err)
@@ -189,10 +188,10 @@ func TestMaterializeOutlivesFrame(t *testing.T) {
 	}
 	codec.PutBuf(msg.encoded)
 	if kept.Key != "persist-me" || kept.TS != 9 || kept.Str("s") != "value-1" || kept.Num("n") != 3 {
-		t.Fatalf("materialized tuple corrupted by frame reuse: %+v", kept)
+		t.Fatalf("cloned tuple corrupted by frame reuse: %+v", kept)
 	}
 	if keptStr == "value-1" {
-		t.Fatalf("a view's string survived the frame: Str copies again")
+		t.Fatalf("a decoded string survived the frame: Str copies again")
 	}
 }
 
@@ -211,13 +210,13 @@ func TestWireAccountingIdentity(t *testing.T) {
 	})
 	tp.AddOperator(&Operator{
 		Name: "a", KeyGroups: 8,
-		Proc: func(tu *TupleView, st *State, emit Emit) {
-			emit((&Tuple{Key: tu.Str("payload"), TS: tu.TS()}).WithNum("v", tu.Num("v")))
+		Proc: func(tu *Tuple, st *State, emit Emit) {
+			emit((&Tuple{Key: tu.Str("payload"), TS: tu.TS}).WithNum("v", tu.Num("v")))
 		},
 	})
 	tp.AddOperator(&Operator{
 		Name: "b", KeyGroups: 8,
-		Proc: func(tu *TupleView, st *State, emit Emit) { st.Add("n", tu.Num("v")) },
+		Proc: func(tu *Tuple, st *State, emit Emit) { st.Add("n", tu.Num("v")) },
 	})
 	tp.Connect("src", "a")
 	tp.Connect("a", "b")

@@ -211,8 +211,9 @@ func scribble(b []byte) {
 }
 
 // TestTableOwnsItsKeys: Set, Add and AddBytes copy the key they insert, so the
-// caller may overwrite its bytes at once (a view's strings alias a frame the
-// engine recycles; an operator builds a composite key in a stack buffer) —
+// caller may overwrite its bytes at once (a decoded tuple's strings alias a
+// frame the engine recycles; an operator builds a composite key in a stack
+// buffer) —
 // contents and both encodings are those of a table fed ordinary strings. The
 // copies are shared, not repeated, from there on: AddTable, CopyFrom and a
 // decode allocate no key.

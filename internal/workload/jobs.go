@@ -158,10 +158,10 @@ func RealJob1(cfg JobConfig) (*engine.Topology, error) {
 		Name:      "geohash",
 		KeyGroups: cfg.KeyGroups,
 		Cost:      1,
-		Proc: func(tu *engine.TupleView, st *engine.State, emit engine.Emit) {
+		Proc: func(tu *engine.Tuple, st *engine.State, emit engine.Emit) {
 			st.Add("edits", 1)
-			out := tu.NewTuple(tu.Str("geo"), tu.TS()).
-				WithStr("article", tu.Key()).
+			out := tu.NewTuple(tu.Str("geo"), tu.TS).
+				WithStr("article", tu.Key).
 				WithNum("bytes", tu.Num("bytes"))
 			emit(out)
 		},
@@ -173,7 +173,7 @@ func RealJob1(cfg JobConfig) (*engine.Topology, error) {
 		Name:      "topk",
 		KeyGroups: cfg.KeyGroups,
 		Cost:      1,
-		Proc: func(tu *engine.TupleView, st *engine.State, emit engine.Emit) {
+		Proc: func(tu *engine.Tuple, st *engine.State, emit engine.Emit) {
 			p := int(st.Add("period", 0)) // current period set by Flush below
 			windowAdd(st, p, window, tu.Str("article"), 1)
 		},
@@ -198,9 +198,9 @@ func RealJob1(cfg JobConfig) (*engine.Topology, error) {
 		Name:      "globaltopk",
 		KeyGroups: cfg.KeyGroups,
 		Cost:      4,
-		Proc: func(tu *engine.TupleView, st *engine.State, emit engine.Emit) {
+		Proc: func(tu *engine.Tuple, st *engine.State, emit engine.Emit) {
 			p := int(st.Num("period"))
-			windowAdd(st, p, window, tu.Key(), tu.Num("count"))
+			windowAdd(st, p, window, tu.Key, tu.Num("count"))
 		},
 		Flush: func(kg int, st *engine.State, emit engine.Emit) {
 			p := int(st.Num("period"))
@@ -265,7 +265,7 @@ func RealJob4(cfg JobConfig) (*engine.Topology, error) {
 		Name:      "rainscore",
 		KeyGroups: cfg.KeyGroups,
 		Cost:      1,
-		Proc: func(tu *engine.TupleView, st *engine.State, emit engine.Emit) {
+		Proc: func(tu *engine.Tuple, st *engine.State, emit engine.Emit) {
 			score := 0.0
 			if tu.Num("histMax") > 0 {
 				score = 100 * tu.Num("precip") / tu.Num("histMax")
@@ -273,7 +273,7 @@ func RealJob4(cfg JobConfig) (*engine.Topology, error) {
 					score = 100
 				}
 			}
-			emit(tu.NewTuple(tu.Str("airport"), tu.TS()).
+			emit(tu.NewTuple(tu.Str("airport"), tu.TS).
 				WithNum("rainscore", score))
 		},
 	})
@@ -287,9 +287,9 @@ func RealJob4(cfg JobConfig) (*engine.Topology, error) {
 		Name:      "join",
 		KeyGroups: cfg.KeyGroups,
 		Cost:      1,
-		Proc: func(tu *engine.TupleView, st *engine.State, emit engine.Emit) {
+		Proc: func(tu *engine.Tuple, st *engine.State, emit engine.Emit) {
 			if tu.HasNum("rainscore") {
-				st.Table("score").Set(tu.Key(), tu.Num("rainscore"))
+				st.Table("score").Set(tu.Key, tu.Num("rainscore"))
 				return
 			}
 			score := st.Table("score").Get(tu.Str("origin"))
@@ -309,8 +309,8 @@ func RealJob4(cfg JobConfig) (*engine.Topology, error) {
 		Name:      "courier",
 		KeyGroups: cfg.KeyGroups / 2,
 		Cost:      1,
-		Proc: func(tu *engine.TupleView, st *engine.State, emit engine.Emit) {
-			st.Table("eff").Add(tu.Key(), tu.Num("delay"))
+		Proc: func(tu *engine.Tuple, st *engine.State, emit engine.Emit) {
+			st.Table("eff").Add(tu.Key, tu.Num("delay"))
 		},
 		Flush: func(kg int, st *engine.State, emit engine.Emit) {
 			for bucket, sum := range st.Table("eff").All() {
@@ -325,7 +325,7 @@ func RealJob4(cfg JobConfig) (*engine.Topology, error) {
 			Name:      name,
 			KeyGroups: cfg.KeyGroups / 2,
 			Cost:      0.5,
-			Proc: func(tu *engine.TupleView, st *engine.State, emit engine.Emit) {
+			Proc: func(tu *engine.Tuple, st *engine.State, emit engine.Emit) {
 				st.Add("rows", 1)
 			},
 		}
@@ -359,8 +359,8 @@ func addAirlineSourceAndExtract(t *engine.Topology, cfg JobConfig) {
 		Name:      "extract",
 		KeyGroups: cfg.KeyGroups,
 		Cost:      0.3,
-		Proc: func(tu *engine.TupleView, st *engine.State, emit engine.Emit) {
-			out := tu.NewTuple(tu.Key(), tu.TS()).
+		Proc: func(tu *engine.Tuple, st *engine.State, emit engine.Emit) {
+			out := tu.NewTuple(tu.Key, tu.TS).
 				WithStr("route", tu.Str("route")).
 				WithStr("origin", tu.Str("origin")).
 				WithNum("delay", tu.Num("delay")).
@@ -380,13 +380,13 @@ func addSumDelay(t *engine.Topology, cfg JobConfig) {
 		Name:      "sumdelay",
 		KeyGroups: cfg.KeyGroups,
 		Cost:      0.3,
-		Proc: func(tu *engine.TupleView, st *engine.State, emit engine.Emit) {
+		Proc: func(tu *engine.Tuple, st *engine.State, emit engine.Emit) {
 			// "plane|year", built on the stack: the table copies a key only when
 			// it inserts it.
 			var buf [48]byte
-			key := strconv.AppendInt(append(append(buf[:0], tu.Key()...), '|'), int64(tu.Num("year")), 10)
+			key := strconv.AppendInt(append(append(buf[:0], tu.Key...), '|'), int64(tu.Num("year")), 10)
 			st.Table("byYear").AddBytes(key, tu.Num("delay"))
-			st.Table("dirty").Add(tu.Key(), 1)
+			st.Table("dirty").Add(tu.Key, 1)
 		},
 		Flush: func(kg int, st *engine.State, emit engine.Emit) {
 			dirty := st.Table("dirty")
@@ -404,8 +404,8 @@ func addRouteDelay(t *engine.Topology, cfg JobConfig) {
 		Name:      "routedelay",
 		KeyGroups: cfg.KeyGroups,
 		Cost:      0.3,
-		Proc: func(tu *engine.TupleView, st *engine.State, emit engine.Emit) {
-			st.Table("byRoute").Add(tu.Key(), tu.Num("delay"))
+		Proc: func(tu *engine.Tuple, st *engine.State, emit engine.Emit) {
+			st.Table("byRoute").Add(tu.Key, tu.Num("delay"))
 		},
 	})
 }

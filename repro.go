@@ -70,18 +70,10 @@ type (
 	// when the engine is configured with EngineConfig.GenWorkers > 1
 	// (register via Topology.AddSourceParts).
 	PartSourceFunc = engine.PartSourceFunc
-	// Tuple is the data unit ⟨key, value, ts⟩ — what sources and operators
-	// construct and emit.
+	// Tuple is the data unit ⟨key, value, ts⟩ — what sources build, operators
+	// receive, and both emit. A Proc's input is lent for the call (see
+	// engine.ProcFunc): read it or emit it, Clone what you keep.
 	Tuple = engine.Tuple
-	// TupleView is the read-only, reusable window operators receive: on the
-	// cross-node path its key and string values are the pooled frame's own
-	// bytes, nothing is copied or looked up per tuple. A view and every
-	// string read from it are valid until the Proc callback returns; State
-	// and its tables copy what they keep; Emit has consumed the tuple when
-	// it returns; Materialize owns (a deep copy, strings included); anything
-	// else that outlives the callback takes strings.Clone (see
-	// internal/engine/view.go).
-	TupleView = engine.TupleView
 	// State is the migratable computation state of one key group.
 	State = engine.State
 	// Emit sends a tuple downstream.
@@ -216,11 +208,11 @@ func NewEngine(t *Topology, cfg EngineConfig, initial []int) (*Engine, error) {
 // NewState returns an empty key-group state.
 func NewState() *State { return engine.NewState() }
 
-// NewTuple returns a pooled tuple with its key and timestamp set — the
-// allocation-free way for sources (and Flush callbacks) to build output.
-// Ownership transfers to the engine at emit; do not retain, mutate or
-// re-emit afterwards. Inside a Proc callback prefer TupleView.NewTuple,
-// which draws from the processing shard's local free list.
+// NewTuple returns a tuple from the global pool with its key and timestamp
+// set — the allocation-free way for sources and Flush callbacks to build
+// output; Emit returns it there. Do not retain, mutate or re-emit it
+// afterwards. Inside a Proc callback prefer the input's NewTuple, which draws
+// from the processing shard's free list.
 func NewTuple(key string, ts int64) *Tuple { return engine.NewTuple(key, ts) }
 
 // Solve runs the anytime (or exact) solver on an allocation problem.

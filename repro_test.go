@@ -23,7 +23,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	topo.AddOperator(&repro.Operator{
 		Name:      "agg",
 		KeyGroups: 12,
-		Proc: func(tu *repro.TupleView, st *repro.State, emit repro.Emit) {
+		Proc: func(tu *repro.Tuple, st *repro.State, emit repro.Emit) {
 			st.Add("sum", tu.Num("v"))
 		},
 	})

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The size ledger the simplicity PRs quote: non-test Go lines per package
 # (all lines, and code — lines that are neither blank nor a // comment), the
-# field counts of engine.Config and controller.Options, and albic-run's flag
-# count. bench/ is its own module and is left out. Run from anywhere:
+# field counts of engine.Config and controller.Options, albic-run's flag
+# count, and the number of exported types, functions and methods of
+# internal/engine. bench/ is its own module and is left out. Run from anywhere:
 #   bash scripts/ledger.sh [repo-root]
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
@@ -24,6 +25,21 @@ fields_of() {
     END { print n + 0 }' "$1"
 }
 
+# exported_of dir -> "<types> <funcs> <methods>": the exported names the
+# non-test Go files directly in dir declare (grouped type blocks included).
+exported_of() {
+  find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 |
+    xargs -0 cat |
+    awk '
+      /^type \($/ { in_t = 1; next }
+      in_t && /^\)/ { in_t = 0; next }
+      in_t && /^\t[A-Z]/ { t++ }
+      /^type [A-Z]/ { t++ }
+      /^func [A-Z]/ { f++ }
+      /^func \([^)]*\) [A-Z]/ { m++ }
+      END { printf "%d %d %d\n", t, f, m }'
+}
+
 printf '%-28s %8s %8s\n' 'non-test Go' lines code
 total=0 total_code=0
 for d in . $(find cmd examples internal -type d | sort); do
@@ -39,3 +55,5 @@ echo
 echo "engine.Config fields:      $(fields_of internal/engine/engine.go Config)"
 echo "controller.Options fields: $(fields_of internal/controller/controller.go Options)"
 echo "albic-run flags:           $(grep -cE '\bflag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Var|Func)\(' cmd/albic-run/main.go)"
+read -r t f m < <(exported_of internal/engine)
+echo "internal/engine exported:  $((t + f + m)) ($t types, $f funcs, $m methods)"
