@@ -7,20 +7,15 @@
 // moves are staged for period N+2, so a slow planner never stops the data
 // path. -pipelined=false restores the paper's lockstep loop.
 //
-// With -reactive the engine additionally splits every period into
-// -subperiods sub-intervals and reacts to transient skew mid-period: a
-// trigger (imbalance ratio + EWMA deviation, with cooldown) fires a greedy
-// hot mover whose restricted moves apply at sub-period boundaries without
-// waiting for the period barrier. -cancel-stale makes the pipelined planner
-// abort an in-flight solve when a fresher snapshot arrives (the stale plan
-// is never applied). -sub-ewma additionally folds the sub-period
-// observations into the periodic planner's EWMA, so both loops see the same
-// load signal. -subperiods and -hot-budget tune that path and are rejected
-// without -reactive, as are -workers without -listen, -incremental with a
-// balancer that does not plan (anything but albic and milp), -precopy-chunk
-// without -ckpt-every (no checkpoint, nothing to pre-copy) and -cancel-stale
-// with -pipelined=false (lockstep never has a solve in flight): a flag that
-// would be ignored is an error, exit status 2.
+// With -subperiods K (K >= 2) the engine additionally splits every period
+// into K sub-intervals, which switches reactive mode on: at every
+// sub-interval boundary a trigger (imbalance ratio + EWMA deviation, with
+// cooldown) may fire a greedy hot mover whose restricted moves (at most two
+// key groups) apply without waiting for the period barrier. A flag that
+// would be ignored is an error, exit status 2: -subperiods 1 or below,
+// -workers without -listen, -incremental with a balancer that does not plan
+// (anything but albic and milp) and -precopy-chunk without -ckpt-every (no
+// checkpoint, nothing to pre-copy).
 //
 // With -ckpt-every N the controller checkpoints all key-group state
 // incrementally every N periods, which arms checkpoint-assisted migration:
@@ -36,7 +31,7 @@
 //	albic-run -job rj1 -balancer milp -pipelined=false
 //	albic-run -job rj1 -balancer potc       # two-choice routing, no migration
 //	albic-run -job rj3 -balancer cola
-//	albic-run -job rj2 -reactive -subperiods 4 -hot-budget 2
+//	albic-run -job rj2 -subperiods 4        # reactive hot moves
 //	albic-run -job rj2 -nodes 50 -groups 2000 -incremental   # 16k-group scale
 package main
 
@@ -66,11 +61,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	pipelined := flag.Bool("pipelined", true, "overlap planning with the next period's data flow")
 	smooth := flag.Float64("smooth", 1, "EWMA factor for planner inputs, in (0,1]; 1 = plan on raw loads")
-	reactive := flag.Bool("reactive", false, "enable sub-period reactive reconfiguration (hot moves)")
-	subperiods := flag.Int("subperiods", 4, "sub-intervals per period for the reactive path")
-	hotBudget := flag.Int("hot-budget", 2, "max key groups per reactive firing")
-	cancelStale := flag.Bool("cancel-stale", false, "cancel an in-flight pipelined solve when a fresher snapshot arrives")
-	subEWMA := flag.Bool("sub-ewma", false, "fold sub-period observations into the periodic planner's EWMA (needs -reactive and -smooth < 1)")
+	subperiods := flag.Int("subperiods", 0, "sub-intervals per period; 2 or more turns on reactive hot moves (0 = off)")
 	ckptEvery := flag.Int("ckpt-every", 0, "incremental checkpoint every N periods (0 = off); arms checkpoint-assisted delta migration")
 	migrCost := flag.Float64("migr-cost", 0, "max migration cost per adaptation, in state bytes at alpha=1 (0 = unlimited)")
 	precopyChunk := flag.Int("precopy-chunk", 0, "checkpoint bytes pre-copied per group per period boundary (0 = default 256 KiB, negative = unlimited)")
@@ -84,14 +75,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "albic-run: -smooth %g out of range (0,1]\n", *smooth)
 		os.Exit(2)
 	}
-	if *reactive && *subperiods < 2 {
-		fmt.Fprintf(os.Stderr, "albic-run: -reactive requires -subperiods >= 2\n")
+	if *subperiods == 1 || *subperiods < 0 {
+		fmt.Fprintf(os.Stderr, "albic-run: -subperiods %d would split no period; use 0 (off) or >= 2\n", *subperiods)
 		os.Exit(2)
 	}
-	if *subEWMA && (!*reactive || *smooth >= 1) {
-		fmt.Fprintf(os.Stderr, "albic-run: -sub-ewma requires -reactive and -smooth < 1\n")
-		os.Exit(2)
-	}
+	reactive := *subperiods >= 2
 	// A flag that only acts beside another one is an error when set without
 	// it, not a silent no-op.
 	unmet := map[string]string{}
@@ -101,14 +89,8 @@ func main() {
 	if *incremental && *balancerName != "albic" && *balancerName != "milp" {
 		unmet["incremental"] = "-balancer albic or milp"
 	}
-	if !*reactive {
-		unmet["subperiods"], unmet["hot-budget"] = "-reactive", "-reactive"
-	}
 	if *ckptEvery <= 0 {
 		unmet["precopy-chunk"] = "-ckpt-every"
-	}
-	if !*pipelined {
-		unmet["cancel-stale"] = "-pipelined"
 	}
 	flag.Visit(func(f *flag.Flag) {
 		if need, ok := unmet[f.Name]; ok {
@@ -162,10 +144,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	ecfg := repro.EngineConfig{Nodes: *nodes, PrecopyChunkBytes: *precopyChunk, ShardsPerNode: *shards, GenWorkers: *genWorkers}
-	if *reactive {
-		ecfg.SubPeriods = *subperiods
-	}
+	ecfg := repro.EngineConfig{Nodes: *nodes, SubPeriods: *subperiods, PrecopyChunkBytes: *precopyChunk, ShardsPerNode: *shards, GenWorkers: *genWorkers}
 	var e *repro.Engine
 	if *listen != "" {
 		fmt.Printf("listening on %s for %d workers...\n", *listen, *workers)
@@ -185,7 +164,7 @@ func main() {
 	defer e.Close()
 
 	fmt.Printf("job=%s balancer=%s nodes=%d budget=%d rate=%d pipelined=%v reactive=%v\n",
-		*job, *balancerName, *nodes, *budget, cfg.Rate, *pipelined, *reactive)
+		*job, *balancerName, *nodes, *budget, cfg.Rate, *pipelined, reactive)
 	fmt.Printf("%7s %10s %12s %10s %11s %9s %12s %10s\n",
 		"period", "loadDist%", "collocation%", "avgLoad%", "migrations", "hotMoves", "migLatency_s", "plan_ms")
 	alpha := 0.0
@@ -193,17 +172,13 @@ func main() {
 		alpha = 1 // price moves in state bytes; checkpointed groups cost only their delta
 	}
 	ctrl := repro.NewController(e, repro.ControllerOptions{
-		Balancer:         bal,
-		MaxMigrations:    *budget,
-		MaxMigrCost:      *migrCost,
-		Alpha:            alpha,
-		SmoothAlpha:      *smooth,
-		Pipelined:        *pipelined,
-		CancelStalePlans: *cancelStale,
-		Reactive:         *reactive,
-		HotMoveBudget:    *hotBudget,
-		SubEWMA:          *subEWMA,
-		CheckpointEvery:  *ckptEvery,
+		Balancer:        bal,
+		MaxMigrations:   *budget,
+		MaxMigrCost:     *migrCost,
+		Alpha:           alpha,
+		SmoothAlpha:     *smooth,
+		Pipelined:       *pipelined,
+		CheckpointEvery: *ckptEvery,
 		OnPeriod: func(r repro.PeriodReport) {
 			planMS := "-"
 			if r.Outcome != nil {
@@ -219,9 +194,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "albic-run: %v\n", err)
 		os.Exit(1)
 	}
-	if *reactive || *cancelStale {
-		fmt.Printf("plans applied=%d cancelled=%d, hot moves=%d\n",
-			m.PlansApplied, m.PlansCancelled, m.HotMoves)
+	if reactive {
+		fmt.Printf("plans applied=%d, hot moves=%d\n", m.PlansApplied, m.HotMoves)
 	}
 	if *ckptEvery > 0 {
 		fmt.Printf("checkpoints=%d (appended %d B), precopy=%d B, sync deltas=%d B, deferred boundaries=%d\n",

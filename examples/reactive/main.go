@@ -1,11 +1,11 @@
 // Reactive: demonstrate sub-period reconfiguration on a workload with a
 // sudden transient hotspot. A keyed counter runs balanced for a few
 // periods; then one key abruptly becomes very hot. The lockstep controller
-// can only react at the next period barrier. With -reactive semantics
-// (engine SubPeriods + controller Reactive), the trigger detects the skew
-// at the first sub-interval boundary inside the hot period and a greedy hot
-// move relieves the hot node before the period even ends — watch the
-// hotMoves column.
+// can only react at the next period barrier. Built with
+// EngineConfig.SubPeriods = 4, the engine switches the controller's reactive
+// mode on: the trigger detects the skew at the first sub-interval boundary
+// inside the hot period and a greedy hot move relieves the hot node before
+// the period even ends — watch the hotMoves column.
 package main
 
 import (
@@ -73,8 +73,6 @@ func run(reactive bool) {
 	ctrl := repro.NewController(e, repro.ControllerOptions{
 		Balancer:      &repro.MILPBalancer{TimeLimit: 10 * time.Millisecond, Seed: 1},
 		MaxMigrations: 3,
-		Reactive:      reactive,
-		HotMoveBudget: 2,
 		OnPeriod: func(r repro.PeriodReport) {
 			marker := ""
 			if r.Period == hotPeriod {

@@ -18,15 +18,15 @@
 // the EWMA the next planner input carries, while at SmoothAlpha 1 the
 // planner simply plans on the latest raw snapshot.
 //
-// Two optional layers extend the loop beyond the paper. With
-// CancelStalePlans, a pipelined solve whose input snapshot goes stale (a
-// fresher one arrived at the next boundary) is cancelled through its
-// context and its outcome discarded — a stale plan is never applied. With
-// Reactive, the controller additionally reacts inside a period: the engine
-// reports mid-period statistics at sub-interval boundaries, a Trigger
+// One layer extends the loop beyond the paper, and the engine decides
+// whether it runs: an engine built with engine.Config.SubPeriods >= 2
+// reports mid-period statistics at sub-interval boundaries, a trigger
 // (imbalance ratio + EWMA deviation, with cooldown) detects transient skew,
-// and a restricted hot-move plan (core.GreedyHotMover) applies immediately
-// without waiting for the period barrier.
+// and a restricted hot-move plan (core.GreedyHotMover, at most two key
+// groups) applies immediately without waiting for the period barrier. An
+// engine with fewer sub-periods fires no boundary and the loop is the
+// paper's. The planner runs under the Run context alone: a solve still in
+// flight when the run ends is cancelled and its outcome discarded.
 //
 // cmd/albic-run, the examples and internal/experiments all drive their
 // engines through this package; it is the only implementation of the
@@ -36,7 +36,6 @@ package controller
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/core"
@@ -75,9 +74,10 @@ type WeightedScaleEngine interface {
 }
 
 // SubPeriodEngine is the additional data-plane surface reactive
-// (sub-period) mode requires. *engine.Engine implements it; the engine must
-// also have been built with engine.Config.SubPeriods >= 2 or no boundary
-// ever fires.
+// (sub-period) mode rides on. *engine.Engine implements it, and Run installs
+// the reactive observer on every engine that does; only one built with
+// engine.Config.SubPeriods >= 2 ever calls it, so the engine's
+// configuration alone switches reactive mode on.
 type SubPeriodEngine interface {
 	// SetSubObserver installs the sub-period boundary hook (see
 	// engine.SubObserver).
@@ -119,35 +119,6 @@ type Options struct {
 	// Pipelined overlaps planning with the next period's data flow instead
 	// of stopping the data path while the balancer runs.
 	Pipelined bool
-	// CancelStalePlans makes pipelined mode cancel an in-flight solve when
-	// a fresher snapshot arrives at a period boundary, instead of dropping
-	// the new snapshot: the stale solve's context is cancelled, its outcome
-	// is discarded unconditionally (a stale plan is never applied), and the
-	// fresh snapshot is handed to the planner. Requires a context-honoring
-	// Balancer to be useful; with a balancer slower than a period, no full
-	// plan ever completes — pair it with Reactive so hot moves cover the
-	// gap, or leave it off for paper-style planners.
-	CancelStalePlans bool
-
-	// Reactive enables sub-period reconfiguration: a Trigger watches
-	// mid-period sub-snapshots at every sub-interval boundary and, when
-	// transient skew appears, fires a cheap hot-move planner whose moves
-	// apply immediately — without waiting for the period barrier. The
-	// engine must implement SubPeriodEngine and have been built with
-	// engine.Config.SubPeriods >= 2.
-	Reactive bool
-	// HotMoveBudget caps the key groups a single reactive firing
-	// (core.GreedyHotMover on a Trigger at its defaults) may move (default 2).
-	HotMoveBudget int
-	// SubEWMA feeds the sub-period observations into the periodic planner's
-	// EWMA: at every sub-interval boundary the interval's load increment
-	// (scaled to a full-period rate) is folded into the smoothed loads the
-	// planner consumes, so the reactive trigger and the periodic planner
-	// see the same mid-period signal instead of the planner learning about
-	// transient skew one full period late. Requires Reactive (the
-	// observations arrive through the same sub-period observer) and
-	// SmoothAlpha < 1.
-	SubEWMA bool
 
 	// CheckpointEvery, when > 0, makes the controller own the checkpoint
 	// cadence: every that-many periods it takes an incremental checkpoint
@@ -172,9 +143,6 @@ func (o *Options) defaults() {
 	}
 	if o.SmoothAlpha == 0 {
 		o.SmoothAlpha = 0.5
-	}
-	if o.HotMoveBudget <= 0 {
-		o.HotMoveBudget = 2
 	}
 }
 
@@ -219,10 +187,6 @@ type Metrics struct {
 	// (in pipelined mode this is less than the period count whenever the
 	// planner spans periods).
 	PlansApplied int
-	// PlansCancelled counts in-flight pipelined solves aborted because a
-	// fresher snapshot arrived (CancelStalePlans); their outcomes were
-	// discarded, never applied.
-	PlansCancelled int
 	// HotMoves counts the reactive sub-period migrations executed over the
 	// run (also folded into each period's Migrations series).
 	HotMoves int
@@ -268,17 +232,10 @@ type plannerResult struct {
 	latency time.Duration
 }
 
-// planReq is one snapshot handed to the planner goroutine, paired with the
-// context that cancels its solve when the snapshot goes stale.
-type planReq struct {
-	ctx  context.Context
-	snap *core.Snapshot
-}
-
 // run is the per-Run mutable state of the adaptation loop.
 type run struct {
 	c   *Controller
-	ctx context.Context // the Run context (bounds every solve)
+	ctx context.Context // the Run context
 
 	p       int // 0-based period index within this run
 	baseAvg float64
@@ -292,12 +249,11 @@ type run struct {
 	terminated map[int]bool
 
 	// Planning state: req carries at most one in-flight snapshot to the
-	// planner goroutine, res its outcome; cancelPlan aborts the in-flight
-	// solve. Lockstep is never planning across a boundary.
-	req        chan planReq
-	res        chan plannerResult
-	planning   bool
-	cancelPlan context.CancelFunc
+	// planner goroutine, res its outcome. Lockstep is never planning across
+	// a boundary.
+	req      chan *core.Snapshot
+	res      chan plannerResult
+	planning bool
 
 	// Reactive state, touched only on the engine's generation goroutine
 	// (the sub-period observer); the engine guarantees the observer never
@@ -305,20 +261,8 @@ type run struct {
 	// previous firing's moves so a firing the engine rejected wholesale
 	// (stale From, staged group, non-host destination) re-arms the trigger
 	// instead of wasting its cooldown.
-	trigger  *Trigger
-	hotMover core.Balancer
-	lastHot  []core.Move
-
-	// Sub-period EWMA feed (Options.SubEWMA), written by the sub-period
-	// observer and read by observe — never concurrently, by the same
-	// engine guarantee as the reactive state above. subPrev holds each
-	// group's cumulative partial load at the last boundary, subCount the
-	// boundaries seen this period, lastSubCount the previous period's
-	// count (the K estimate the per-boundary fold factor derives from).
-	subPrev      []float64
-	subCount     int
-	lastSubCount int
-	subFolded    bool
+	trigger trigger
+	lastHot []core.Move
 }
 
 // Run executes the adaptation loop for the given number of periods
@@ -326,38 +270,30 @@ type run struct {
 // series.
 func (c *Controller) Run(ctx context.Context, periods int) (*Metrics, error) {
 	r := &run{c: c, ctx: ctx, m: &Metrics{}, terminated: map[int]bool{}}
-	if c.opt.SubEWMA && !c.opt.Reactive {
-		return r.m, fmt.Errorf("controller: SubEWMA requires Reactive (observations arrive through the sub-period observer)")
-	}
 	if c.opt.CheckpointEvery > 0 {
 		if _, ok := c.eng.(CheckpointEngine); !ok {
 			return r.m, fmt.Errorf("controller: CheckpointEvery requires an engine with checkpoint support")
 		}
 	}
-	if c.opt.Reactive {
-		se, ok := c.eng.(SubPeriodEngine)
-		if !ok {
-			return r.m, fmt.Errorf("controller: Reactive requires an engine with sub-period support")
-		}
-		r.trigger = &Trigger{}
-		r.hotMover = &core.GreedyHotMover{TopK: c.opt.HotMoveBudget}
+	if se, ok := c.eng.(SubPeriodEngine); ok {
 		se.SetSubObserver(r.onSubPeriod)
 		defer se.SetSubObserver(nil)
 	}
 	if c.fw != nil {
-		r.req = make(chan planReq, 1)
+		pctx, cancel := context.WithCancel(ctx)
+		r.req = make(chan *core.Snapshot, 1)
 		r.res = make(chan plannerResult, 1)
 		go func() {
-			for pq := range r.req {
+			for snap := range r.req {
 				t0 := time.Now()
-				out, err := c.fw.Step(pq.ctx, pq.snap)
+				out, err := c.fw.Step(pctx, snap)
 				r.res <- plannerResult{out: out, err: err, latency: time.Since(t0)}
 			}
 		}()
 		defer func() {
+			cancel() // the run is over; abort a solve in flight and drain it
 			close(r.req)
 			if r.planning {
-				r.cancelPlan() // the run is over; abort and drain
 				<-r.res
 			}
 		}()
@@ -374,9 +310,6 @@ func (c *Controller) Run(ctx context.Context, periods int) (*Metrics, error) {
 // hot-move batch on the mid-period snapshot. The returned moves are applied
 // by the engine immediately, without waiting for the period barrier.
 func (r *run) onSubPeriod(snap *core.Snapshot, period, sub int) []core.Move {
-	if r.c.opt.SubEWMA && r.c.opt.SmoothAlpha < 1 {
-		r.foldSub(snap)
-	}
 	// If the previous firing's moves were all rejected by the engine (the
 	// snapshot they were planned on went stale between boundaries), none of
 	// them shows up in the current allocation: re-arm the trigger so the
@@ -404,8 +337,9 @@ func (r *run) onSubPeriod(snap *core.Snapshot, period, sub int) []core.Move {
 	if !r.trigger.Observe(loads, snap.Kill) {
 		return nil
 	}
-	snap.MaxMigrations = r.c.opt.HotMoveBudget
-	plan, err := r.hotMover.Plan(r.ctx, snap)
+	snap.MaxMigrations = hotMoveBudget
+	hot := core.GreedyHotMover{TopK: hotMoveBudget}
+	plan, err := hot.Plan(r.ctx, snap)
 	if err != nil || plan == nil || len(plan.Moves) == 0 {
 		r.trigger.Rearm()
 		return nil
@@ -448,7 +382,6 @@ func (r *run) observe(ps *engine.PeriodStats) error {
 	if !recording && c.fw == nil && c.opt.OnPeriod == nil {
 		// Nobody consumes the snapshot during an unbalanced, unobserved
 		// warm-up period; skip building it.
-		r.rollSubEWMA()
 		return nil
 	}
 	snap, err := c.eng.Snapshot()
@@ -484,21 +417,12 @@ func (r *run) observe(ps *engine.PeriodStats) error {
 			if err := r.applyOutcome(pr, &rep); err != nil {
 				return err
 			}
-			patchSnapshot(snap, pr.out)
-		default:
-			// Planner still busy on an older snapshot. Either drop this
-			// period's snapshot (its loads survive in the EWMA), or — with
-			// CancelStalePlans — abort the stale solve and hand over the
-			// fresh snapshot below. The aborted solve's outcome is
-			// discarded unconditionally: even if it completed between the
-			// check above and the cancellation, its input is stale and its
-			// plan must never be applied.
-			if c.opt.CancelStalePlans {
-				r.cancelPlan()
-				<-r.res
-				r.planning = false
-				r.m.PlansCancelled++
+			if err := patchSnapshot(snap, pr.out); err != nil {
+				return err
 			}
+		default:
+			// Planner still busy on an older snapshot: this period's
+			// snapshot is dropped (its loads survive in the EWMA).
 		}
 	}
 
@@ -511,9 +435,7 @@ func (r *run) observe(ps *engine.PeriodStats) error {
 		if !r.planning {
 			// Hand the freshest snapshot to the planner; pipelined, it plans
 			// while the next period's data flows.
-			pctx, cancel := context.WithCancel(r.ctx)
-			r.cancelPlan = cancel
-			r.req <- planReq{ctx: pctx, snap: snap}
+			r.req <- snap
 			r.planning = true
 		}
 		if !c.opt.Pipelined {
@@ -527,16 +449,11 @@ func (r *run) observe(ps *engine.PeriodStats) error {
 	if c.opt.OnPeriod != nil {
 		c.opt.OnPeriod(rep)
 	}
-	r.rollSubEWMA()
 	return nil
 }
 
 // smoothLoads folds the snapshot's per-group loads into the EWMA the
 // planner sees. The recorded metrics stay raw per-period measurements.
-// When the sub-period feed already folded this period's boundary
-// increments (Options.SubEWMA), only the tail interval past the last
-// boundary is folded here, so the period's signal enters the EWMA exactly
-// once — just in finer-grained, fresher steps.
 func (r *run) smoothLoads(snap *core.Snapshot) {
 	alpha := r.c.opt.SmoothAlpha
 	if alpha >= 1 {
@@ -549,99 +466,31 @@ func (r *run) smoothLoads(snap *core.Snapshot) {
 		}
 		return
 	}
-	if r.subFolded {
-		k1, alphaSub := r.subFoldFactor()
-		for k := range snap.Groups {
-			tail := snap.Groups[k].Load - r.subPrev[k]
-			r.smooth[k] = alphaSub*(tail*k1) + (1-alphaSub)*r.smooth[k]
-			snap.Groups[k].Load = r.smooth[k]
-		}
-		return
-	}
 	for k := range snap.Groups {
 		r.smooth[k] = alpha*snap.Groups[k].Load + (1-alpha)*r.smooth[k]
 		snap.Groups[k].Load = r.smooth[k]
 	}
 }
 
-// subFoldFactor returns the sub-interval count estimate K (from the
-// previous period, like the engine's own boundary calibration) and the
-// per-boundary EWMA factor 1-(1-α)^(1/K), chosen so K boundary folds decay
-// history exactly as one period-level fold at α would.
-func (r *run) subFoldFactor() (float64, float64) {
-	k := float64(r.lastSubCount + 1)
-	return k, 1 - math.Pow(1-r.c.opt.SmoothAlpha, 1/k)
-}
-
-// foldSub folds one sub-interval boundary's load increment into the
-// planner's EWMA (Options.SubEWMA). SubSnapshot loads are cumulative from
-// the period start; the increment since the previous boundary, scaled by
-// K, is a full-period-rate sample of the same signal the reactive trigger
-// watches. Runs on the engine's generation goroutine — the engine
-// guarantees it never overlaps the period-boundary observe hook.
-func (r *run) foldSub(snap *core.Snapshot) {
-	r.subCount++
-	if r.subPrev == nil {
-		r.subPrev = make([]float64, len(snap.Groups))
-	}
-	if r.lastSubCount == 0 || r.smooth == nil {
-		// No K estimate yet (first period) or the EWMA is not seeded:
-		// record the cumulative loads and let period-end smoothing handle
-		// this period whole.
-		for k := range snap.Groups {
-			r.subPrev[k] = snap.Groups[k].Load
-		}
-		return
-	}
-	k1, alphaSub := r.subFoldFactor()
-	for k := range snap.Groups {
-		cum := snap.Groups[k].Load
-		r.smooth[k] = alphaSub*((cum-r.subPrev[k])*k1) + (1-alphaSub)*r.smooth[k]
-		r.subPrev[k] = cum
-	}
-	r.subFolded = true
-}
-
-// rollSubEWMA closes the period for the sub-period feed: the boundary
-// count becomes the next period's K estimate and the cumulative trackers
-// reset.
-func (r *run) rollSubEWMA() {
-	if !r.c.opt.SubEWMA {
-		return
-	}
-	r.lastSubCount = r.subCount
-	r.subCount = 0
-	r.subFolded = false
-	for k := range r.subPrev {
-		r.subPrev[k] = 0
-	}
-}
-
 // patchSnapshot folds an outcome just applied at this boundary into the
-// snapshot about to be handed to the planner: the enlarged cluster, the
-// fresh kill marks and the staged allocation target. Group loads stay the
-// raw measurements.
-func patchSnapshot(snap *core.Snapshot, out *core.Outcome) {
-	for snap.NumNodes < out.NumNodes {
-		if snap.Capacity != nil {
-			snap.Capacity = append(snap.Capacity, 1)
+// snapshot about to be handed to the planner: the scaled cluster exactly as
+// Framework.Step re-planned over it (added nodes with their capacity
+// weights, fresh kill marks) and the staged allocation target. Group loads
+// stay the raw measurements. The scaling decision is applied only to a
+// snapshot of the cluster it was taken on, one that does not count the
+// added nodes yet.
+func patchSnapshot(snap *core.Snapshot, out *core.Outcome) error {
+	if snap.NumNodes+out.Scale.AddNodes == out.NumNodes {
+		if err := out.Scale.Apply(snap); err != nil {
+			return err
 		}
-		if snap.Kill != nil {
-			snap.Kill = append(snap.Kill, false)
-		}
-		snap.NumNodes++
-	}
-	if len(out.Scale.MarkForRemoval) > 0 && snap.Kill == nil {
-		snap.Kill = make([]bool, snap.NumNodes)
-	}
-	for _, n := range out.Scale.MarkForRemoval {
-		snap.Kill[n] = true
 	}
 	if out.Plan != nil {
 		for k, n := range out.Plan.GroupNode {
 			snap.Groups[k].Node = n
 		}
 	}
+	return nil
 }
 
 // applyOutcome installs one completed planning result: terminate drained
@@ -650,7 +499,6 @@ func patchSnapshot(snap *core.Snapshot, out *core.Outcome) {
 // allocation plan for the next period boundary.
 func (r *run) applyOutcome(pr plannerResult, rep *PeriodReport) error {
 	r.planning = false
-	r.cancelPlan()
 	if pr.err != nil {
 		return fmt.Errorf("controller: period %d plan: %w", rep.Period, pr.err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -413,6 +414,58 @@ func TestElasticityThroughController(t *testing.T) {
 				t.Fatalf("snapshot capacity = %v, want weight 2 at node 3 (weighted scale-out lost)", snap.Capacity)
 			}
 		})
+	}
+}
+
+// lastSnapBalancer keeps every group where it is and remembers the last
+// snapshot it planned on.
+type lastSnapBalancer struct{ last *core.Snapshot }
+
+func (b *lastSnapBalancer) Name() string { return "last-snap" }
+
+func (b *lastSnapBalancer) Plan(_ context.Context, s *core.Snapshot) (*core.Plan, error) {
+	b.last = s
+	groupNode := make([]int, len(s.Groups))
+	for k, g := range s.Groups {
+		groupNode[k] = g.Node
+	}
+	return core.PlanFromAssignment(s, groupNode, nil), nil
+}
+
+// TestPatchSnapshotScalesOutLikeStep: after a weighted scale-out is applied,
+// the snapshot the pipelined controller hands to its planner describes the
+// cluster Framework.Step re-planned over — the added nodes carry their
+// weights, also when the cluster was homogeneous before.
+func TestPatchSnapshotScalesOutLikeStep(t *testing.T) {
+	for _, tc := range []struct {
+		capacity, want []float64
+	}{
+		{nil, []float64{1, 1, 2, 1}},
+		{[]float64{1, 3}, []float64{1, 3, 2, 1}},
+	} {
+		snap := &core.Snapshot{
+			NumNodes: 2,
+			Capacity: tc.capacity,
+			Groups:   []core.GroupStat{{Node: 0, Load: 30}, {Node: 1, Load: 20}},
+			Ops:      []core.OpStat{{Name: "op", Groups: []int{0, 1}}},
+		}
+		bal := &lastSnapBalancer{}
+		fw := &core.Framework{Balancer: bal, Scaler: &core.ManualScaler{
+			Script: []core.ScaleDecision{{AddNodes: 2, AddWeights: []float64{2, 1}}},
+		}}
+		out, err := fw.Step(context.Background(), snap.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := patchSnapshot(snap, out); err != nil {
+			t.Fatal(err)
+		}
+		replan := bal.last
+		if snap.NumNodes != replan.NumNodes || !slices.Equal(snap.Capacity, tc.want) ||
+			!slices.Equal(replan.Capacity, tc.want) || !slices.Equal(snap.Kill, replan.Kill) {
+			t.Errorf("capacity %v: patched to %d nodes, capacity %v, kill %v; Step re-planned over %d nodes, capacity %v, kill %v; want capacity %v",
+				tc.capacity, snap.NumNodes, snap.Capacity, snap.Kill, replan.NumNodes, replan.Capacity, replan.Kill, tc.want)
+		}
 	}
 }
 

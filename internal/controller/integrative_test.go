@@ -2,7 +2,6 @@ package controller
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -86,127 +85,5 @@ func TestCheckpointCadenceInPipelinedMode(t *testing.T) {
 	if m.PrecopyBytes == 0 || m.MigratedDeltaBytes == 0 {
 		t.Fatalf("no checkpoint-assisted transfers in pipelined mode: precopy=%d delta=%d",
 			m.PrecopyBytes, m.MigratedDeltaBytes)
-	}
-}
-
-func subSnap(loads ...float64) *core.Snapshot {
-	s := &core.Snapshot{NumNodes: 1, Groups: make([]core.GroupStat, len(loads))}
-	for k, l := range loads {
-		s.Groups[k] = core.GroupStat{Node: 0, Load: l}
-	}
-	return s
-}
-
-// TestSubEWMAFolding checks the fold math directly: a steady signal leaves
-// the EWMA at its fixed point whether folded once per period or in K
-// boundary steps, and a mid-period spike moves the EWMA before the period
-// ends — the freshness the satellite lever is about.
-func TestSubEWMAFolding(t *testing.T) {
-	c := &Controller{opt: Options{SubEWMA: true, Reactive: true, SmoothAlpha: 0.5}}
-	r := &run{c: c, m: &Metrics{}}
-	r.smooth = []float64{10}
-	r.lastSubCount = 3 // K estimate = 4 sub-intervals
-
-	// Steady rate: cumulative loads 2.5, 5, 7.5 at the three boundaries,
-	// 10 at the period end. The EWMA must stay at 10 exactly.
-	for _, cum := range []float64{2.5, 5, 7.5} {
-		r.foldSub(subSnap(cum))
-	}
-	if !r.subFolded {
-		t.Fatal("boundary folds did not mark the period")
-	}
-	end := subSnap(10)
-	r.smoothLoads(end)
-	if math.Abs(r.smooth[0]-10) > 1e-9 {
-		t.Fatalf("steady signal moved the EWMA: %v", r.smooth[0])
-	}
-	if math.Abs(end.Groups[0].Load-10) > 1e-9 {
-		t.Fatalf("planner input = %v, want 10", end.Groups[0].Load)
-	}
-	r.rollSubEWMA()
-	if r.lastSubCount != 3 || r.subCount != 0 || r.subFolded {
-		t.Fatalf("roll-over state: lastSubCount=%d subCount=%d folded=%v", r.lastSubCount, r.subCount, r.subFolded)
-	}
-
-	// A spike in the first sub-interval (cumulative 10 already at boundary
-	// 1 => rate 40/period) must raise the EWMA immediately, mid-period.
-	before := r.smooth[0]
-	r.foldSub(subSnap(10))
-	if r.smooth[0] <= before {
-		t.Fatalf("mid-period spike did not move the EWMA: %v -> %v", before, r.smooth[0])
-	}
-	// And the planner's period-end input folds only the tail, not the
-	// whole period again: with period total 10 (tail 0), the EWMA must
-	// decay toward the tail rate, not re-add the spike.
-	afterSpike := r.smooth[0]
-	end = subSnap(10)
-	r.smoothLoads(end)
-	if r.smooth[0] >= afterSpike {
-		t.Fatalf("tail fold re-added the spike: %v -> %v", afterSpike, r.smooth[0])
-	}
-}
-
-// TestSubEWMAFirstPeriodCalibrates: without a K estimate (first period) the
-// boundary observations only calibrate; period-end smoothing behaves as
-// before.
-func TestSubEWMAFirstPeriodCalibrates(t *testing.T) {
-	c := &Controller{opt: Options{SubEWMA: true, Reactive: true, SmoothAlpha: 0.5}}
-	r := &run{c: c, m: &Metrics{}}
-	r.foldSub(subSnap(5))
-	if r.subFolded {
-		t.Fatal("first-period fold must only calibrate")
-	}
-	end := subSnap(10)
-	r.smoothLoads(end) // seeds the EWMA
-	if r.smooth[0] != 10 {
-		t.Fatalf("seed = %v, want 10", r.smooth[0])
-	}
-	r.rollSubEWMA()
-	if r.lastSubCount != 1 {
-		t.Fatalf("lastSubCount = %d, want 1", r.lastSubCount)
-	}
-}
-
-// TestSubEWMARequiresReactive: the feed rides the reactive observer.
-func TestSubEWMARequiresReactive(t *testing.T) {
-	topo := testTopology(100, 8, nil)
-	eng, err := engine.New(topo, engine.Config{Nodes: 2, SubPeriods: 4}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	c := New(eng, Options{SubEWMA: true})
-	if _, err := c.Run(context.Background(), 1); err == nil {
-		t.Fatal("SubEWMA without Reactive must error")
-	}
-}
-
-// TestSubEWMAEndToEnd: a reactive controller with the feed enabled runs
-// clean and still plans every period.
-func TestSubEWMAEndToEnd(t *testing.T) {
-	topo := testTopology(600, 8, nil)
-	eng, err := engine.New(topo, engine.Config{Nodes: 2, SubPeriods: 4}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	c := New(eng, Options{
-		Balancer:      &core.MILPBalancer{TimeLimit: 5e6}, // 5ms
-		Reactive:      true,
-		SubEWMA:       true,
-		SmoothAlpha:   0.5,
-		TargetAvgLoad: -1,
-	})
-	m, err := c.Run(context.Background(), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.PlansApplied != 6 {
-		t.Fatalf("PlansApplied = %d, want 6", m.PlansApplied)
-	}
-	for i, d := range m.LoadDistance {
-		if math.IsNaN(d) || d < 0 {
-			t.Fatalf("LoadDistance[%d] = %v", i, d)
-		}
 	}
 }

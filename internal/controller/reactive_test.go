@@ -113,8 +113,6 @@ func TestReactiveMovesHotGroupWithinSubPeriod(t *testing.T) {
 			// seed — not of how loaded the machine running the tests is.
 			Balancer:      &core.MILPBalancer{TimeLimit: 5 * time.Second, Seed: 7},
 			MaxMigrations: 4,
-			Reactive:      reactive,
-			HotMoveBudget: 2,
 			SmoothAlpha:   1, // plan on raw loads: reactions are immediate
 			OnPeriod: func(r PeriodReport) {
 				res.hotMoves[r.Period] = r.Stats.HotMoves
@@ -204,15 +202,14 @@ func (b *stubbornBalancer) counts() (cancelled, completed int) {
 	return b.cancelled, b.completed
 }
 
-// TestCancelStaleSolveNeverApplied is the cancellation regression test: in
-// pipelined mode with CancelStalePlans, a deliberately slow context-aware
-// balancer must be aborted promptly when a fresher snapshot arrives at the
-// next period boundary, and its stale plan must never be applied. The whole
-// run is wall-clock bounded far below the balancer's nominal solve time
-// (modeled on the PR 2 pipelined regression test).
-func TestCancelStaleSolveNeverApplied(t *testing.T) {
+// TestRunEndAbortsInFlightSolve: a pipelined solve still running when the
+// last period ends is aborted through the run's context — Run returns far
+// below the balancer's nominal solve time, the one solve handed over is
+// cancelled, and its plan is never applied (the later snapshots were dropped
+// while it ran).
+func TestRunEndAbortsInFlightSolve(t *testing.T) {
 	const (
-		periods = 8
+		periods = 4
 		delay   = 30 * time.Second // nominal solve time; the test must not wait for it
 	)
 	topo := testTopology(800, 8, nil)
@@ -222,17 +219,7 @@ func TestCancelStaleSolveNeverApplied(t *testing.T) {
 	}
 	defer e.Close()
 	bal := &stubbornBalancer{delay: delay}
-	sawPoison := false
-	ctrl := New(e, Options{
-		Balancer:         bal,
-		Pipelined:        true,
-		CancelStalePlans: true,
-		OnPeriod: func(r PeriodReport) {
-			if r.Outcome != nil {
-				sawPoison = true
-			}
-		},
-	})
+	ctrl := New(e, Options{Balancer: bal, Pipelined: true})
 	t0 := time.Now()
 	m, err := ctrl.Run(context.Background(), periods)
 	elapsed := time.Since(t0)
@@ -240,37 +227,21 @@ func TestCancelStaleSolveNeverApplied(t *testing.T) {
 		t.Fatal(err)
 	}
 	if elapsed >= delay/2 {
-		t.Fatalf("run took %v; stale solves were not aborted promptly (balancer nominally needs %v each)", elapsed, delay)
+		t.Fatalf("run took %v; the solve in flight was not aborted at run end (balancer nominally needs %v)", elapsed, delay)
 	}
-	cancelled, completed := bal.counts()
-	if cancelled < periods/2 {
-		t.Fatalf("only %d of ~%d solves were cancelled", cancelled, periods-1)
+	if cancelled, completed := bal.counts(); cancelled != 1 || completed != 0 {
+		t.Fatalf("%d solves cancelled and %d completed, want 1 and 0", cancelled, completed)
 	}
-	if completed != 0 {
-		t.Fatalf("%d solves ran to completion despite cancellation", completed)
+	if m.PlansApplied != 0 {
+		t.Fatalf("%d plans applied, want 0", m.PlansApplied)
 	}
-	if m.PlansCancelled < periods/2 {
-		t.Fatalf("metrics recorded %d cancelled plans, want >= %d", m.PlansCancelled, periods/2)
-	}
-	if m.PlansApplied != 0 || sawPoison {
-		t.Fatalf("a stale plan was applied (applied=%d, sawPoison=%v)", m.PlansApplied, sawPoison)
-	}
-	// The poison allocation (everything on node 0) must never have been
-	// installed: the engine still spreads groups over both nodes... unless
-	// it started skewed — assert directly on the final target allocation
-	// not matching a *freshly applied* poison plan is covered by
-	// PlansApplied == 0 above; also sanity-check the engine survived.
-	if _, err := e.Snapshot(); err != nil {
-		t.Fatalf("engine unusable after run: %v", err)
-	}
-	t.Logf("%d periods in %v: %d solves cancelled, 0 applied", periods, elapsed, cancelled)
 }
 
 // TestTriggerFiresOnTransientSkewOnly: unit test of the trigger policy —
 // balanced loads never fire; a sudden spike fires once and then respects
 // the cooldown; a persistent plateau stops firing once the EWMA absorbs it.
 func TestTriggerFiresOnTransientSkewOnly(t *testing.T) {
-	tr := &Trigger{Ratio: 1.25, Deviation: 0.15, Alpha: 0.5, Cooldown: 2}
+	tr := &trigger{}
 	balanced := []float64{10, 10.5, 9.5, 10}
 	for i := 0; i < 5; i++ {
 		if tr.Observe(balanced, nil) {
@@ -298,7 +269,7 @@ func TestTriggerFiresOnTransientSkewOnly(t *testing.T) {
 		t.Fatalf("trigger fired %d more times on a persistent plateau; the EWMA should absorb it", fired)
 	}
 	// Kill-marked nodes are ignored entirely.
-	tr2 := &Trigger{}
+	tr2 := &trigger{}
 	hotKilled := []float64{100, 10, 10, 10}
 	kill := []bool{true, false, false, false}
 	if tr2.Observe(hotKilled, kill) {
@@ -309,7 +280,7 @@ func TestTriggerFiresOnTransientSkewOnly(t *testing.T) {
 // BenchmarkTrigger measures the per-boundary cost of the trigger policy
 // (it runs on the data path's generation goroutine).
 func BenchmarkTrigger(b *testing.B) {
-	tr := &Trigger{}
+	tr := &trigger{}
 	loads := make([]float64, 64)
 	for i := range loads {
 		loads[i] = 10 + float64(i%7)

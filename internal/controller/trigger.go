@@ -1,55 +1,40 @@
 package controller
 
-// Trigger is the reactive (sub-period) firing policy: it watches per-node
+// The reactive layer's fixed policy: how far the hottest alive node must sit
+// above the alive mean, how far some node's rate must stray from its own
+// history (relative to the mean) to call the skew transient, the EWMA factor
+// of that history, the boundaries skipped after a firing, and the key groups
+// one firing may move.
+const (
+	triggerRatio     = 1.25
+	triggerDeviation = 0.15
+	triggerAlpha     = 0.4
+	triggerCooldown  = 2
+	hotMoveBudget    = 2
+)
+
+// trigger is the reactive (sub-period) firing policy: it watches per-node
 // load rates at every sub-interval boundary and decides when transient skew
 // justifies an immediate hot move instead of waiting for the period
 // barrier. It fires when both
 //
-//   - the imbalance ratio (hottest alive node over the alive mean) exceeds
-//     Ratio, and
-//   - some alive node's rate deviates from its own EWMA history by more
-//     than Deviation relative to the mean — i.e. the skew is a recent
+//   - the imbalance ratio (hottest alive node over the alive mean) reaches
+//     triggerRatio, and
+//   - some alive node's rate deviates from its own EWMA history by at least
+//     triggerDeviation relative to the mean — i.e. the skew is a recent
 //     change, not a steady state the periodic planner already owns,
 //
-// and then stays quiet for Cooldown boundaries so one burst cannot thrash
-// the allocation. On the very first observation there is no history, so the
-// deviation condition is waived: skew present from the first boundary still
-// fires.
+// and then stays quiet for triggerCooldown boundaries so one burst cannot
+// thrash the allocation. On the very first observation there is no history,
+// so the deviation condition is waived: skew present from the first boundary
+// still fires.
 //
-// Trigger is not safe for concurrent use; the controller drives it from the
+// A trigger is not safe for concurrent use; the controller drives it from the
 // engine's generation goroutine only.
-type Trigger struct {
-	// Ratio is the imbalance threshold max/mean (default 1.25).
-	Ratio float64
-	// Deviation is the minimum |rate − EWMA| / mean to call the skew
-	// transient (default 0.15).
-	Deviation float64
-	// Alpha is the EWMA factor for the per-node rate history (default 0.4).
-	Alpha float64
-	// Cooldown is the number of boundaries skipped after a firing
-	// (default 2).
-	Cooldown int
-
+type trigger struct {
 	ewma   []float64
 	seeded bool
 	cool   int
-}
-
-func (t *Trigger) defaults() (ratio, dev, alpha float64, cooldown int) {
-	ratio, dev, alpha, cooldown = t.Ratio, t.Deviation, t.Alpha, t.Cooldown
-	if ratio <= 0 {
-		ratio = 1.25
-	}
-	if dev <= 0 {
-		dev = 0.15
-	}
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.4
-	}
-	if cooldown <= 0 {
-		cooldown = 2
-	}
-	return
 }
 
 // Observe folds one boundary's per-node load rates (already normalized to a
@@ -58,9 +43,7 @@ func (t *Trigger) defaults() (ratio, dev, alpha float64, cooldown int) {
 // from the mean and the hot side of the ratio (draining or removed nodes
 // are not the reactive path's problem). len(loads) may grow between calls
 // as nodes are added.
-func (t *Trigger) Observe(loads []float64, kill []bool) bool {
-	ratio, dev, alpha, cooldown := t.defaults()
-
+func (t *trigger) Observe(loads []float64, kill []bool) bool {
 	first := !t.seeded
 	t.seeded = true
 	// Grow history for newly added nodes (seeded with the current rate).
@@ -86,7 +69,7 @@ func (t *Trigger) Observe(loads []float64, kill []bool) bool {
 		}
 	}
 	for i, l := range loads {
-		t.ewma[i] = alpha*l + (1-alpha)*t.ewma[i]
+		t.ewma[i] = triggerAlpha*l + (1-triggerAlpha)*t.ewma[i]
 	}
 	if alive == 0 || mean == 0 {
 		return false
@@ -97,17 +80,17 @@ func (t *Trigger) Observe(loads []float64, kill []bool) bool {
 		t.cool--
 		return false
 	}
-	if maxLoad/mean < ratio {
+	if maxLoad/mean < triggerRatio {
 		return false
 	}
-	if !first && maxDev/mean < dev {
+	if !first && maxDev/mean < triggerDeviation {
 		return false
 	}
-	t.cool = cooldown
+	t.cool = triggerCooldown
 	return true
 }
 
 // Rearm clears the cooldown so the next boundary may fire again; the
 // controller calls it when a firing produced no applicable moves (the skew
 // is still there, the planner just could not act on this snapshot).
-func (t *Trigger) Rearm() { t.cool = 0 }
+func (t *trigger) Rearm() { t.cool = 0 }

@@ -23,6 +23,57 @@ type ScaleDecision struct {
 // IsZero reports whether the decision changes nothing.
 func (d ScaleDecision) IsZero() bool { return d.AddNodes == 0 && len(d.MarkForRemoval) == 0 }
 
+// Apply turns s into the cluster the decision leaves behind, the one the
+// integrative re-plan runs on: the added nodes are appended alive, each with
+// its AddWeights entry as capacity (1 without one), and the marked nodes are
+// kill-marked. A weighted add turns a homogeneous snapshot heterogeneous, so
+// a nil Capacity is then materialized. A malformed decision is an error and
+// leaves s unchanged.
+func (d ScaleDecision) Apply(s *Snapshot) error {
+	if len(d.AddWeights) > 0 && len(d.AddWeights) != d.AddNodes {
+		return fmt.Errorf("core: scaler added %d nodes with %d weights", d.AddNodes, len(d.AddWeights))
+	}
+	hetero := false
+	for _, w := range d.AddWeights {
+		if w <= 0 {
+			return fmt.Errorf("core: scaler added node with weight %v, want > 0", w)
+		}
+		hetero = hetero || w != 1
+	}
+	for _, n := range d.MarkForRemoval {
+		if n < 0 || n >= s.NumNodes {
+			return fmt.Errorf("core: scaler marked invalid node %d", n)
+		}
+	}
+	if d.IsZero() {
+		return nil
+	}
+	if s.Capacity == nil && hetero {
+		s.Capacity = make([]float64, s.NumNodes)
+		for i := range s.Capacity {
+			s.Capacity[i] = 1
+		}
+	}
+	if s.Capacity != nil {
+		for i := 0; i < d.AddNodes; i++ {
+			w := 1.0
+			if len(d.AddWeights) > 0 {
+				w = d.AddWeights[i]
+			}
+			s.Capacity = append(s.Capacity, w)
+		}
+	}
+	if s.Kill == nil {
+		s.Kill = make([]bool, s.NumNodes)
+	}
+	s.Kill = append(s.Kill, make([]bool, d.AddNodes)...)
+	for _, n := range d.MarkForRemoval {
+		s.Kill[n] = true
+	}
+	s.NumNodes += d.AddNodes
+	return nil
+}
+
 // Scaler makes horizontal-scaling decisions. Implementations receive the
 // tentative allocation plan (Algorithm 1, line 5) so that problems solvable
 // by rebalancing or collocation alone do not trigger scaling.
@@ -94,54 +145,8 @@ func (f *Framework) Step(ctx context.Context, s *Snapshot) (*Outcome, error) {
 		return out, nil
 	}
 	s2 := s.Clone()
-	if dec.AddNodes > 0 {
-		if len(dec.AddWeights) > 0 && len(dec.AddWeights) != dec.AddNodes {
-			return nil, fmt.Errorf("core: scaler added %d nodes with %d weights", dec.AddNodes, len(dec.AddWeights))
-		}
-		hetero := false
-		for _, w := range dec.AddWeights {
-			if w <= 0 {
-				return nil, fmt.Errorf("core: scaler added node with weight %v, want > 0", w)
-			}
-			if w != 1 {
-				hetero = true
-			}
-		}
-		// A weighted add turns a homogeneous cluster heterogeneous: the
-		// re-plan must see the capacity vector, so materialize it.
-		if s2.Capacity == nil && hetero {
-			s2.Capacity = make([]float64, s2.NumNodes)
-			for i := range s2.Capacity {
-				s2.Capacity[i] = 1
-			}
-		}
-		if s2.Capacity != nil {
-			for i := 0; i < dec.AddNodes; i++ {
-				w := 1.0
-				if i < len(dec.AddWeights) {
-					w = dec.AddWeights[i]
-				}
-				s2.Capacity = append(s2.Capacity, w)
-			}
-		}
-		if s2.Kill == nil {
-			s2.Kill = make([]bool, s2.NumNodes)
-		}
-		for i := 0; i < dec.AddNodes; i++ {
-			s2.Kill = append(s2.Kill, false)
-		}
-		s2.NumNodes += dec.AddNodes
-	}
-	if len(dec.MarkForRemoval) > 0 {
-		if s2.Kill == nil {
-			s2.Kill = make([]bool, s2.NumNodes)
-		}
-		for _, n := range dec.MarkForRemoval {
-			if n < 0 || n >= s.NumNodes {
-				return nil, fmt.Errorf("core: scaler marked invalid node %d", n)
-			}
-			s2.Kill[n] = true
-		}
+	if err := dec.Apply(s2); err != nil {
+		return nil, err
 	}
 	plan2, err := f.Balancer.Plan(ctx, s2)
 	if err != nil {

@@ -301,7 +301,7 @@ func PlanFromAssignment(s *Snapshot, groupNode []int, eval *assign.Eval) *Plan {
 // honor ctx: when the context is cancelled or its deadline passes, the
 // balancer either returns promptly with its best feasible plan so far or
 // with ctx.Err(). The asynchronous controller relies on this to abort a
-// pipelined solve whose input snapshot has gone stale.
+// solve still in flight when its run ends.
 type Balancer interface {
 	Name() string
 	Plan(ctx context.Context, s *Snapshot) (*Plan, error)

@@ -102,7 +102,7 @@ type (
 	// Plan is a target key-group allocation.
 	Plan = core.Plan
 	// Balancer computes plans from snapshots; Plan takes a context so the
-	// controller can abort a solve whose input snapshot went stale.
+	// controller can abort a solve still in flight when its run ends.
 	Balancer = core.Balancer
 	// SimpleBalancer is the pre-context balancer shape (Flux, COLA, and
 	// third-party balancers); lift it with AdaptBalancer.
@@ -129,17 +129,18 @@ type (
 // point for running a job under the integrative adaptation loop. The
 // controller owns snapshotting, EWMA smoothing, calibration, the migration
 // budget, planning and elasticity; in pipelined mode the planner overlaps
-// the next period's data flow instead of stopping the data path. Reactive
-// mode adds sub-period reconfiguration: the engine (built with
-// EngineConfig.SubPeriods >= 2) reports mid-period statistics at
-// sub-interval boundaries, a Trigger detects transient skew, and restricted
-// hot moves apply without waiting for the period barrier — as staged moves
-// at a segment boundary inside the period, by the one migration protocol.
+// the next period's data flow instead of stopping the data path. An engine
+// built with EngineConfig.SubPeriods >= 2 switches reactive mode on: it
+// reports mid-period statistics at sub-interval boundaries, the controller's
+// fixed trigger policy detects transient skew, and restricted hot moves (at
+// most two key groups per firing) apply without waiting for the period
+// barrier — as staged moves at a segment boundary inside the period, by the
+// one migration protocol.
 type (
 	// Controller drives one engine through the adaptation loop.
 	Controller = controller.Controller
 	// ControllerOptions configures the loop (balancer, scaler, budgets,
-	// smoothing, pipelining, reactive triggers, observation hook).
+	// smoothing, pipelining, checkpoint cadence, observation hook).
 	ControllerOptions = controller.Options
 	// ControllerMetrics is the recorded per-period metric series of a run.
 	ControllerMetrics = controller.Metrics
@@ -148,9 +149,6 @@ type (
 	// ControllerEngine is the data-plane surface the controller drives
 	// (implemented by *Engine).
 	ControllerEngine = controller.Engine
-	// Trigger is the reactive firing policy (imbalance ratio + EWMA
-	// deviation thresholds, cooldown).
-	Trigger = controller.Trigger
 	// SubObserver is the engine's sub-period boundary hook.
 	SubObserver = engine.SubObserver
 )

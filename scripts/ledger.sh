@@ -3,7 +3,8 @@
 # (all lines, and code — lines that are neither blank nor a // comment), the
 # field counts of engine.Config and controller.Options, albic-run's flag
 # count, and the number of exported types, functions and methods of
-# internal/engine. bench/ is its own module and is left out. Run from anywhere:
+# internal/engine and internal/controller. bench/ is its own module and is
+# left out. Run from anywhere:
 #   bash scripts/ledger.sh [repo-root]
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
@@ -26,7 +27,8 @@ fields_of() {
 }
 
 # exported_of dir -> "<types> <funcs> <methods>": the exported names the
-# non-test Go files directly in dir declare (grouped type blocks included).
+# non-test Go files directly in dir declare (grouped type blocks included;
+# methods count only on exported receiver types).
 exported_of() {
   find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 |
     xargs -0 cat |
@@ -36,7 +38,7 @@ exported_of() {
       in_t && /^\t[A-Z]/ { t++ }
       /^type [A-Z]/ { t++ }
       /^func [A-Z]/ { f++ }
-      /^func \([^)]*\) [A-Z]/ { m++ }
+      /^func \(([A-Za-z_][A-Za-z0-9_]* )?\*?[A-Z][^)]*\) [A-Z]/ { m++ }
       END { printf "%d %d %d\n", t, f, m }'
 }
 
@@ -55,5 +57,7 @@ echo
 echo "engine.Config fields:      $(fields_of internal/engine/engine.go Config)"
 echo "controller.Options fields: $(fields_of internal/controller/controller.go Options)"
 echo "albic-run flags:           $(grep -cE '\bflag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Var|Func)\(' cmd/albic-run/main.go)"
-read -r t f m < <(exported_of internal/engine)
-echo "internal/engine exported:  $((t + f + m)) ($t types, $f funcs, $m methods)"
+for d in internal/engine internal/controller; do
+  read -r t f m < <(exported_of "$d")
+  echo "$d exported: $((t + f + m)) ($t types, $f funcs, $m methods)"
+done
