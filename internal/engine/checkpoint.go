@@ -15,6 +15,16 @@ import (
 // incremental statestore.Store records what they wrote; when a worker fails,
 // the lost groups are re-created on surviving nodes from the last checkpoint.
 //
+// A checkpoint is two steps. The cut runs at the barrier, shards quiescent: it
+// decides each group's step and brings the tip up to the live state, which is
+// all that needs the state to hold still. The write encodes what the cut
+// decided from the tips and deltas alone, so it runs beside the next period;
+// the store records it when the write is joined (joinCheckpoint), which is
+// before anything reads the store — the next barrier, a move that reads a
+// checkpoint, the next checkpoint, Recover, CheckpointStore,
+// RestoreCheckpointStore and Close. A worker runs the same cut and write and
+// joins before it replies, since the reply carries the bytes.
+//
 // The same checkpoint backs checkpoint-assisted migration (see precopy.go):
 // because it is the shared base, moving a checkpointed key group pre-copies
 // the checkpoint in the background and synchronously transfers only the delta
@@ -43,28 +53,59 @@ type CheckpointStats struct {
 }
 
 // TakeCheckpoint incrementally checkpoints every key group's state into the
-// engine's store: each process advances the tips of the groups it hosts
-// (ckptEntries — a full snapshot for a group without a tip, then nothing, the
-// delta since the previous checkpoint, or a fresh base; statestore's
-// Tip.Advance) and the store records the bytes they wrote, the controller's
-// own and then the workers', each in ascending gid — so what the store holds
-// and reports depends neither on the layout nor on the schedule. Must be
-// called between periods (the engine is quiescent then; the completion events
-// of RunPeriod establish the necessary happens-before edge, exactly as for
+// engine's store: each process cuts the tips of the groups it hosts
+// (cutCheckpoint — a full snapshot for a group without a tip, then nothing,
+// the delta since the previous checkpoint, or a fresh base; statestore's
+// Tip.Cut) and the store records the bytes their writes encode, the
+// workers' as they arrive and the controller's own once its write is joined,
+// each in ascending gid — so what the store holds and reports depends neither
+// on the layout nor on the schedule. It returns after the cut, with the
+// controller's write running beside whatever comes next; the stats are exact
+// all the same, since the cut knows every payload's length and every fold,
+// and the bytes reach the store before anything reads it. Must be called
+// between periods (the engine is quiescent then; the completion events of
+// RunPeriod establish the necessary happens-before edge, exactly as for
 // statistics merging).
 func (e *Engine) TakeCheckpoint() CheckpointStats {
+	e.joinCheckpoint()
 	if e.ckpt == nil {
 		e.ckpt = statestore.New()
 	}
 	cs := CheckpointStats{Period: e.period}
 	fresh := e.freshScratch[:0]
-	for _, en := range e.ckptEntries(e.period) {
-		if err := e.recordCkptEntry(en, &cs, &fresh); err != nil {
-			e.ckptErrs = append(e.ckptErrs, err)
+	e.cutCheckpoint(e.period)
+	// What the write will record, known at the cut: the store's bytes grow by
+	// grow and its groups by added once it is joined.
+	grow, added := 0, 0
+	kept := e.write.entries[:0]
+	for _, en := range e.write.entries {
+		tracked := e.ckpt.Has(en.gid)
+		if !tracked && en.step != statestore.StepBase {
+			e.ckptErrs = append(e.ckptErrs, fmt.Errorf("engine: checkpoint step %d for group %d, which the store does not track", en.step, en.gid))
+			continue
 		}
+		cs.NewBytes += en.size
+		e.setTipNode(en.gid, en.node)
+		fresh = append(fresh, en.gid)
+		if en.step == statestore.StepDelta && e.ckpt.Folds(en.gid, en.size) {
+			// Recorded, the delta would fold the chain into the base it amounts
+			// to, the tip encoded: the write encodes that base instead.
+			en.step, en.size = statestore.StepBase, en.tip.State().Size()
+		}
+		switch en.step {
+		case statestore.StepBase:
+			grow += en.size - e.ckpt.Footprint(en.gid)
+			if !tracked {
+				added++
+			}
+		case statestore.StepDelta:
+			grow += en.size
+		}
+		kept = append(kept, en)
 	}
+	e.write.entries = kept
 	// Remote nodes: the round trips go to all peers concurrently (each worker
-	// runs ckptEntries independently) and the replies are absorbed together.
+	// cuts and writes independently) and the replies are absorbed together.
 	// A worker that died mid-request is skipped; its groups keep their
 	// previous checkpoint until FailNode/Recover handle it. A reply that
 	// arrives but does not decode is not a dead peer: like a corrupt entry
@@ -90,14 +131,22 @@ func (e *Engine) TakeCheckpoint() CheckpointStats {
 	if aerr := e.absorbCkptEntries(entries, &cs, &fresh); aerr != nil {
 		e.ckptErrs = append(e.ckptErrs, aerr)
 	}
-	cs.Groups = e.ckpt.Len()
-	cs.TotalBytes = e.ckpt.Bytes()
+	cs.Groups = e.ckpt.Len() + added
+	cs.TotalBytes = e.ckpt.Bytes() + grow
 	// Refresh the planner's residency signal: the groups just checkpointed
 	// have, right now, an empty delta against their checkpoint — a plan
 	// made at this boundary must price their moves accordingly rather than
 	// against the previous (or missing) checkpoint.
 	e.setCkptDelta(emptyDeltaBytes, fresh...)
 	e.freshScratch = fresh[:0]
+	// The write starts last: begun before the round trip, it would compete
+	// for CPUs with the workers' checkpoints the round trip waits on wherever
+	// they share a host.
+	e.write.done = make(chan struct{})
+	go func(w *ckptWrite) {
+		w.run()
+		close(w.done)
+	}(&e.write)
 	return cs
 }
 
@@ -120,17 +169,42 @@ func (e *Engine) setCkptDelta(size int, gids ...int) {
 	}
 }
 
+// joinCheckpoint waits for the last checkpoint's write, if one is pending,
+// and records its entries in the store, in ascending gid. TakeCheckpoint
+// dropped every entry the store would refuse.
+func (e *Engine) joinCheckpoint() {
+	w := &e.write
+	if w.done == nil {
+		return
+	}
+	<-w.done
+	w.done = nil
+	for _, en := range w.entries {
+		e.ckpt.Record(en.gid, w.version, en.step, en.payload, nil) //nolint:errcheck // see above
+	}
+	clear(w.entries)
+}
+
 // CheckpointStore exposes the engine's checkpoint store (nil until the
-// first TakeCheckpoint), e.g. to Encode it for durable storage. Like
-// TakeCheckpoint, it must only be used between periods.
-func (e *Engine) CheckpointStore() *statestore.Store { return e.ckpt }
+// first TakeCheckpoint), e.g. to Encode it for durable storage, with the last
+// checkpoint in it: a write still running is joined first, so a store held
+// across a later TakeCheckpoint shows that checkpoint only once this is
+// called again. Like TakeCheckpoint, it must only be used between periods.
+func (e *Engine) CheckpointStore() *statestore.Store {
+	e.joinCheckpoint()
+	return e.ckpt
+}
 
 // RestoreCheckpointStore installs a store decoded from durable storage
 // (statestore.Decode) as the engine's checkpoint base, replacing any existing
-// one. The shards' tips go on writing to it, so s must be the log they have
-// been writing — this engine's store, round-tripped — or be installed before
-// the engine's first TakeCheckpoint. Must be called between periods.
-func (e *Engine) RestoreCheckpointStore(s *statestore.Store) { e.ckpt = s }
+// one. A checkpoint write still running goes to the store it was cut for,
+// never to s. The shards' tips go on writing to s, so it must be the log they
+// have been writing — this engine's store, round-tripped — or be installed
+// before the engine's first TakeCheckpoint. Must be called between periods.
+func (e *Engine) RestoreCheckpointStore(s *statestore.Store) {
+	e.joinCheckpoint()
+	e.ckpt = s
+}
 
 // FailNode simulates a worker crash between periods: the goroutine stops
 // and every state it held is lost. The node's key groups must be recovered
@@ -167,6 +241,7 @@ func (e *Engine) FailNode(id int) error {
 //
 // Returns the number of groups restored from checkpoint (or empty).
 func (e *Engine) Recover(onto []int) (int, error) {
+	e.joinCheckpoint()
 	if onto == nil {
 		for i := range e.nodes {
 			if !e.removed[i] {

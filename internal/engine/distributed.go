@@ -23,7 +23,7 @@ import (
 // One thing stays local-first in every layout, because it decides what a
 // period costs: deliver puts a message for a hosted shard straight into its
 // mailbox (no frame is encoded). The barrier fold and the checkpoint are the
-// same code in every process (foldLocal, ckptEntries); only how their results
+// same code in every process (foldLocal, cutCheckpoint); only how their results
 // reach the controller differs — a return value or a reply frame.
 
 // New builds a single-process engine for a topology: the controller of a
@@ -215,10 +215,10 @@ func (e *Engine) setTipNode(gid, node int) {
 	e.tipNode[gid] = node
 }
 
-// recordCkptEntry appends one checkpoint entry to the store, as it is, and
-// notes that the group's tip now lives where the entry was taken.
+// recordCkptEntry appends one worker's checkpoint entry to the store, as it
+// is, and notes that the group's tip now lives where the entry was taken.
 func (e *Engine) recordCkptEntry(en ckptEntryWire, cs *CheckpointStats, fresh *[]int) error {
-	if err := e.ckpt.Record(en.gid, e.period, en.step, en.payload, en.tip); err != nil {
+	if err := e.ckpt.Record(en.gid, e.period, en.step, en.payload, nil); err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
 	cs.NewBytes += len(en.payload)

@@ -186,11 +186,16 @@ type Engine struct {
 
 	// Checkpoint scratch, reused across barriers and cadences: liveGroups is
 	// the gid-ordered list of locally hosted states that the delta sizing and
-	// ckptEntries fan out over, deltas holds one statestore.Delta per barrier
-	// worker, and freshScratch the gids checkpointed this cadence.
+	// cutCheckpoint fan out over, deltas holds one statestore.Delta per barrier
+	// worker for checking workers' entries, and freshScratch the gids
+	// checkpointed this cadence.
 	liveGroups   []liveGroup
 	deltas       []statestore.Delta
 	freshScratch []int
+	// write is the last checkpoint's write: on the controller it runs beside
+	// the next period, and the store records it when joinCheckpoint joins it,
+	// before anything reads the store. Owned by the engine goroutine.
+	write ckptWrite
 	// ckptErrs holds what went wrong in checkpoints taken since the last
 	// period (a worker's reply or an entry of it did not decode).
 	// TakeCheckpoint has no error to return and runs between periods, where
@@ -695,6 +700,9 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 		SrcBytesCrossNode:  pr.srcBytes,
 	}
 	e.lastSrcTuples = pr.srcEmitted
+	// The last checkpoint's write ran beside this period; the store has its
+	// entries before the barrier reads it.
+	e.joinCheckpoint()
 	// Merge statistics: this process's barrier fold plus every worker's (the
 	// workers are quiescent — their shards' completions all arrived above — and
 	// the request pings their shards for the happens-before edge). Loads
@@ -969,8 +977,10 @@ func (e *Engine) askHost(id int, kind byte) {
 }
 
 // Close stops the hosted node goroutines and closes the endpoint (which ends
-// the reader). The controller first tells every worker to do the same.
+// the reader), after a checkpoint write in flight has reached the store. The
+// controller first tells every worker to do the same.
 func (e *Engine) Close() {
+	e.joinCheckpoint()
 	for i, n := range e.nodes {
 		if n != nil && !e.removed[i] {
 			n.closeMailboxes()

@@ -68,7 +68,7 @@ func TestCheckpointAssistedMigration(t *testing.T) {
 	if cs.NewBytes == 0 {
 		t.Fatal("checkpoint stored nothing")
 	}
-	ckptBytes, _, ok := e.ckpt.EncodedState(0)
+	ckptBytes, _, ok := e.CheckpointStore().EncodedState(0)
 	if !ok {
 		t.Fatal("group 0 missing from checkpoint store")
 	}
@@ -276,7 +276,7 @@ func TestFailureDuringPrecopy(t *testing.T) {
 		}
 	}
 	e.TakeCheckpoint()
-	ckptState, _, ok := e.ckpt.Materialize(0)
+	ckptState, _, ok := e.CheckpointStore().Materialize(0)
 	if !ok {
 		t.Fatal("group 0 not checkpointed")
 	}

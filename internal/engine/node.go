@@ -96,7 +96,7 @@ type shard struct {
 	// last checkpoint, which delta checkpoints, the barrier's delta sizing and
 	// delta migrations are cut against — in every process, the one decoded copy
 	// there is. Written by the process's control goroutine between periods
-	// (ckptEntries, Recover; shards quiescent) and by the shard itself (delta
+	// (cutCheckpoint, Recover; shards quiescent) and by the shard itself (delta
 	// state adoption, recovery, departure).
 	tips map[int]*statestore.Tip
 	// precopied accumulates checkpoint bytes background-copied toward this

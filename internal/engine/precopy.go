@@ -98,6 +98,10 @@ func (e *Engine) deltaPays(gid int) bool {
 // the period's physical allocation for them). Runs on the engine goroutine
 // before the arm phase.
 func (e *Engine) planTransfers(pr *periodRun, staged []core.Move) []stagedTransfer {
+	if len(staged) > 0 {
+		// A move reads the store: the last checkpoint's write must be in it.
+		e.joinCheckpoint()
+	}
 	// Sessions consumed at an earlier boundary have served their purpose;
 	// sessions whose group is no longer part of the staged diff belong to an
 	// abandoned plan. Drop both.

@@ -144,7 +144,7 @@ func TestUselessPrecopyIsNotShipped(t *testing.T) {
 				for gid, node := range ps.GroupNode {
 					if w.migrations > 0 && e.tipNode[gid] == node {
 						byDelta++
-						enc, _, _ := e.ckpt.EncodedState(gid)
+						enc, _, _ := e.CheckpointStore().EncodedState(gid)
 						precopy += int64(len(enc))
 					}
 				}

@@ -55,8 +55,8 @@ func (l tipLayout) checkTips(t *testing.T, step string) {
 					case tip == nil && holder:
 						t.Errorf("%s: group %d has no tip on node %d where tipNode puts it", step, gid, phys)
 					case holder:
-						want, ver, ok := e.ckpt.Materialize(gid)
-						if !ok || tip.Version() != ver || ver != e.ckpt.Version(gid) {
+						want, ver, ok := e.CheckpointStore().Materialize(gid)
+						if !ok || tip.Version() != ver || ver != e.CheckpointStore().Version(gid) {
 							t.Errorf("%s: group %d tip at version %d, store at %d (ok=%v)", step, gid, tip.Version(), ver, ok)
 						} else if !statestore.Diff(want, tip.State()).Empty() || !statestore.Diff(tip.State(), want).Empty() {
 							t.Errorf("%s: group %d tip differs from the store's state", step, gid)

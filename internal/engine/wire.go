@@ -590,16 +590,20 @@ func (a *mergeAcc) addReply(body []byte, comm *core.CommBuilder, stateBytes, ckp
 }
 
 // ckptEntryWire is one key group's step of one checkpoint, as the process
-// holding the group's tip took it (Engine.ckptEntries): what statestore's
-// Tip.Advance returned, to be recorded in the controller's store as it is.
-// tip is the advanced tip, beside the entry until it crosses a wire: the
-// store folds an over-long chain from it where it would otherwise replay.
+// holding the group's tip took it (Engine.cutCheckpoint): the step statestore's
+// Tip.Cut took and the payload Tip.Write wrote for it, to be recorded in the
+// controller's store as it is. tip, d and size are the cut's, beside the entry
+// until its write has run, and never cross a wire: the tip it brought up to
+// date, the group's delta (StepDelta) and the exact length of the payload the
+// write encodes from them.
 type ckptEntryWire struct {
 	node    int
 	gid     int
 	step    statestore.Step
 	payload []byte
 	tip     *statestore.Tip
+	d       *statestore.Delta
+	size    int
 }
 
 func encodeCkptReply(entries []ckptEntryWire) []byte {

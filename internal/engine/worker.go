@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/statestore"
@@ -25,9 +26,9 @@ import (
 // The three that write the node table expect the caller to hold e.mu wherever
 // another goroutine may read it — the controller's methods do, a worker's
 // serve loop is the table's only user. The barrier fold and the checkpoint are
-// the same two functions on either side — foldLocal (stats.go) behind
-// finishPeriod and rqStats, ckptEntries (below) behind TakeCheckpoint and
-// rqCkpt: every shard holds the checkpoint tips of the groups it hosts, and
+// the same functions on either side — foldLocal (stats.go) behind finishPeriod
+// and rqStats, cutCheckpoint and ckptWrite.run (below) behind TakeCheckpoint
+// and rqCkpt: every shard holds the checkpoint tips of the groups it hosts, and
 // the controller's store records what the tip-holders wrote.
 
 // pingMsg flushes a shard's mailbox: the shard replies on ch once every
@@ -168,8 +169,12 @@ func (e *Engine) handleRequest(peer int, q reqFrame) {
 		body = append(encodeStatsReply(acc, groups), comm...)
 		codec.PutBuf(comm)
 	case rqCkpt:
+		// The reply carries the bytes, so the write is joined right here.
 		e.pingLocalShards()
-		body = encodeCkptReply(e.ckptEntries(q.version))
+		e.cutCheckpoint(q.version)
+		e.write.run()
+		body = encodeCkptReply(e.write.entries)
+		clear(e.write.entries)
 	case rqProgress:
 		body = encodeProgressReply(e.localProgressMilli())
 	case rqSub:
@@ -219,14 +224,37 @@ func (e *Engine) pingLocalShards() {
 	}
 }
 
-// ckptEntries takes the hosted half of a checkpoint at version, the same in
-// every process: each hosted group's tip advances to its live state
-// (statestore.Tip.Advance: nothing, the delta, or a fresh base — always a base
-// for a group without a tip, which gets one) and what it wrote comes back as
-// one entry per group in ascending gid, for the controller's store to record.
-// The advances spread over the barrier pool; handing first-timers their tips,
-// which writes the shards' tip maps, is serial. Shards must be quiescent.
-func (e *Engine) ckptEntries(version int) []ckptEntryWire {
+// ckptWrite is the second half of a checkpoint: the encodes its cut left to
+// do, one entry per hosted group in ascending gid, which the controller runs
+// beside the next period until it joins them (Engine.joinCheckpoint) and a
+// worker runs before it replies. Reused from checkpoint to checkpoint.
+type ckptWrite struct {
+	version int
+	entries []ckptEntryWire
+	deltas  []statestore.Delta // entries[i].d is &deltas[i]
+	// done is closed once every payload is written; nil when no write is
+	// pending.
+	done chan struct{}
+}
+
+// run writes every entry's payload (statestore.Tip.Write) over the barrier
+// pool: it reads the tips and deltas of the cut and never a live state.
+func (w *ckptWrite) run() {
+	fanOut(barrierWorkers(len(w.entries)), len(w.entries), func(_, i int) {
+		if en := &w.entries[i]; en.step != statestore.StepNone {
+			en.payload = en.tip.Write(en.step, en.d, make([]byte, 0, en.size))
+		}
+	})
+}
+
+// cutCheckpoint takes the first half of a checkpoint at version into e.write,
+// the same in every process: each hosted group's tip is brought up to its
+// live state (statestore.Tip.Cut: nothing, the delta, or a fresh base — always
+// a base for a group without a tip, which gets one), and one entry per group,
+// in ascending gid, says what its write will encode. The cuts spread over the
+// barrier pool; handing first-timers their tips, which writes the shards' tip
+// maps, is serial. Shards must be quiescent and the last write joined.
+func (e *Engine) cutCheckpoint(version int) {
 	groups := e.localGroups()
 	for i := range groups {
 		if g := &groups[i]; g.tip == nil {
@@ -234,15 +262,17 @@ func (e *Engine) ckptEntries(version int) []ckptEntryWire {
 			g.sh.tips[g.gid] = g.tip
 		}
 	}
-	workers := barrierWorkers(len(groups))
-	scratch := e.deltaScratch(workers)
-	entries := make([]ckptEntryWire, len(groups))
-	fanOut(workers, len(groups), func(w, i int) {
-		g := groups[i]
-		step, payload := g.tip.Advance(&scratch[w], version, g.st)
-		entries[i] = ckptEntryWire{node: g.node, gid: g.gid, step: step, payload: payload, tip: g.tip}
+	w := &e.write
+	w.version = version
+	if n := len(groups) - len(w.deltas); n > 0 {
+		w.deltas = append(w.deltas, make([]statestore.Delta, n)...)
+	}
+	w.entries = slices.Grow(w.entries[:0], len(groups))[:len(groups)]
+	fanOut(barrierWorkers(len(groups)), len(groups), func(_, i int) {
+		g, d := groups[i], &w.deltas[i]
+		step, size := g.tip.Cut(d, version, g.st)
+		w.entries[i] = ckptEntryWire{node: g.node, gid: g.gid, step: step, tip: g.tip, d: d, size: size}
 	})
-	return entries
 }
 
 // localProgressMilli sums the hosted shards' burned milli-units this period

@@ -3,6 +3,7 @@ package statestore
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -170,12 +171,13 @@ func BenchmarkStateCodec(b *testing.B) {
 	run("delta-encode-transfer", diff.Size(), func() { resetDelta(); buf = d.EncodeTransfer(buf[:0]) })
 }
 
-// BenchmarkTable measures the table operations the data path and the barrier
-// are made of, per cell, at the two shapes the benchmark jobs give a table:
-// rj1's window bucket (≈600 cells under 14-byte article keys) and rj3's byYear
-// (≈300 cells under 11-byte plane|year keys). One iteration is one pass over
-// the table; once the tables have their size none of them allocates but the
-// inserts, which copy their keys: one 4 KB chunk per ≈290 article keys.
+// BenchmarkTable measures the table operations the data path, the barrier and
+// the checkpoint write are made of, per cell, at the two shapes the benchmark
+// jobs give a table: rj1's window bucket (≈600 cells under 14-byte article
+// keys) and rj3's byYear (≈300 cells under 11-byte plane|year keys). One
+// iteration is one pass over the table; once the tables have their size none
+// of them allocates but the inserts, which copy their keys: one 4 KB chunk per
+// ≈290 article keys.
 func BenchmarkTable(b *testing.B) {
 	for _, shape := range []struct {
 		name  string
@@ -252,5 +254,11 @@ func BenchmarkTable(b *testing.B) {
 				b.Fatal("empty delta")
 			}
 		})
+		// The canonical order a checkpoint writes the table in, of a table
+		// filled in arrival order, as a live one is: the keys shuffled.
+		arrivals := slices.Clone(in)
+		rand.New(rand.NewSource(1)).Shuffle(len(arrivals), func(i, j int) { arrivals[i], arrivals[j] = arrivals[j], arrivals[i] })
+		shuffled, o := filled(arrivals), new(keyOrder)
+		run("order-canonical", len(in), func() { shuffled.order(o) })
 	}
 }

@@ -356,3 +356,82 @@ func TestGroupsStaysSorted(t *testing.T) {
 		t.Fatalf("decoded Groups() = %v, want %v", dec.Groups(), s.Groups())
 	}
 }
+
+// advanceInOnePiece is Advance as it was before it was split into Cut and
+// Write: the reference the split must reproduce byte for byte.
+func advanceInOnePiece(t *Tip, d *Delta, version int, cur *State) (Step, []byte) {
+	t.ver = version
+	size := cur.Size()
+	if t.st == nil {
+		t.st = NewState()
+	} else if size = DiffSize(t.st, cur); size == emptyDeltaSize {
+		return StepNone, nil
+	}
+	if size >= cur.Size() {
+		enc := cur.Encode(make([]byte, 0, cur.Size()))
+		t.st.CopyFrom(cur)
+		return StepBase, enc
+	}
+	DiffInto(d, t.st, cur)
+	enc := d.Encode(make([]byte, 0, size))
+	d.Apply(t.st)
+	return StepDelta, enc
+}
+
+// TestCutThenWriteIsAdvance: the write rule in two halves — Cut while the
+// state holds still, Write after it has changed again — writes byte for byte
+// what Advance in one piece wrote, says how long that is, and leaves the same
+// tip, over random histories of scalars, registers and tables with deleted
+// cells, from a zero tip, from a NewTip base and from a tip that has taken
+// deltas, through all three steps. Advance itself is the two halves in a row.
+func TestCutThenWriteIsAdvance(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	steps := map[Step]int{}
+	for trial := 0; trial < 90; trial++ {
+		live := randState(rng, 20)
+		split, whole, ref := &Tip{}, &Tip{}, &Tip{}
+		var d, wd, rd Delta
+		switch trial % 3 {
+		case 1: // a base that arrived whole
+			split, whole, ref = NewTip(0, live.Clone()), NewTip(0, live.Clone()), NewTip(0, live.Clone())
+		case 2: // a tip that has taken deltas
+			for v := -3; v < 0; v++ {
+				mutate(rng, live)
+				advanceInOnePiece(ref, &rd, v, live)
+				split.Advance(&d, v, live)
+				whole.Advance(&wd, v, live)
+			}
+		}
+		for v := 1; v <= 12; v++ {
+			switch rng.Intn(4) {
+			case 0: // unchanged since the last cut, unless it changed after
+			case 1:
+				live = randState(rng, 20) // replaced wholesale
+			default:
+				mutate(rng, live)
+			}
+			wantStep, want := advanceInOnePiece(ref, &rd, v, live)
+			step, n := split.Cut(&d, v, live)
+			cut := live.Clone()
+			if rng.Intn(2) == 0 {
+				mutate(rng, live) // the next period, before the write
+			}
+			got := split.Write(step, &d, make([]byte, 0, n))
+			if step != wantStep || !bytes.Equal(got, want) || len(got) != n {
+				t.Fatalf("trial %d v%d: cut %d and wrote %d bytes (said %d), want step %d and %d bytes", trial, v, step, len(got), n, wantStep, len(want))
+			}
+			if split.Version() != v || !statesEqual(split.State(), ref.State()) || !statesEqual(split.State(), cut) {
+				t.Fatalf("trial %d v%d: the tip is not the state as cut", trial, v)
+			}
+			if step, enc := whole.Advance(&wd, v, cut); step != wantStep || !bytes.Equal(enc, want) || (step == StepNone) != (enc == nil) {
+				t.Fatalf("trial %d v%d: Advance took step %d and wrote %d bytes, want step %d and %d bytes", trial, v, step, len(enc), wantStep, len(want))
+			}
+			steps[step]++
+		}
+	}
+	for _, s := range []Step{StepNone, StepDelta, StepBase} {
+		if steps[s] < 20 {
+			t.Fatalf("step %d taken %d times; the histories want all three often (%v)", s, steps[s], steps)
+		}
+	}
+}

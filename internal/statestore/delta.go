@@ -3,8 +3,6 @@ package statestore
 import (
 	"fmt"
 	"math"
-	"slices"
-	"strings"
 
 	"repro/internal/codec"
 )
@@ -391,11 +389,11 @@ func DiffSize(old, new *State) int {
 }
 
 // appendStringSlice appends a length-prefixed string list, sorting v in
-// place first when sorted is set.
-func appendStringSlice(b []byte, v []string, sorted bool) []byte {
+// place first when o is given.
+func appendStringSlice(b []byte, v []string, o *keyOrder) []byte {
 	b = codec.AppendUvarint(b, uint64(len(v)))
-	if sorted {
-		slices.Sort(v)
+	if o != nil {
+		sortByKey(o, v, func(s string) string { return s })
 	}
 	for _, s := range v {
 		b = codec.AppendString(b, s)
@@ -423,9 +421,6 @@ func readStringSlice(dst []string, b []byte) ([]string, []byte, error) {
 	return dst, b, nil
 }
 
-func cmpNumEntry(a, b numEntry) int { return strings.Compare(a.k, b.k) }
-func cmpStrEntry(a, b strEntry) int { return strings.Compare(a.k, b.k) }
-
 // Encode serializes the delta (appended to buf) in its canonical form: it
 // reorders the receiver, sorting every section in place by key, so equal
 // deltas have equal bytes — the form of everything the checkpoint log stores.
@@ -438,37 +433,40 @@ func (d *Delta) Encode(buf []byte) []byte { return d.encode(buf, true) }
 // both.
 func (d *Delta) EncodeTransfer(buf []byte) []byte { return d.encode(buf, false) }
 
-// encode sorts with an unstable sort: the keys of a section are distinct (a
-// diff visits each field and cell once; Apply makes a decoded duplicate
-// last-one-wins, which no encoder produces), so there are no ties to keep in
-// order.
+// encode sorts every section by key with keyOrder, which needs no stable sort:
+// the keys of a section are distinct (a diff visits each field and cell once;
+// Apply makes a decoded duplicate last-one-wins, which no encoder produces).
 func (d *Delta) encode(buf []byte, sorted bool) []byte {
+	o := keyOrders.Get().(*keyOrder)
+	defer keyOrders.Put(o)
+	var canon *keyOrder // the sections in key order, or else as they stand
 	if sorted {
-		slices.SortFunc(d.numSet, cmpNumEntry)
-		slices.SortFunc(d.strSet, cmpStrEntry)
-		slices.SortFunc(d.tabSet, func(a, b tabSetEntry) int { return strings.Compare(a.name, b.name) })
+		canon = o
+		sortByKey(o, d.numSet, func(e numEntry) string { return e.k })
+		sortByKey(o, d.strSet, func(e strEntry) string { return e.k })
+		sortByKey(o, d.tabSet, func(e tabSetEntry) string { return e.name })
 	}
 	// The decoder rejects a table named twice among the cell deletions by
 	// asking for ascending names, so these few names are sorted in either order.
-	slices.SortFunc(d.tabCellDel, func(a, b tabDelEntry) int { return strings.Compare(a.name, b.name) })
+	sortByKey(o, d.tabCellDel, func(e tabDelEntry) string { return e.name })
 	buf = codec.AppendUvarint(buf, uint64(len(d.numSet)))
 	for _, e := range d.numSet {
 		buf = codec.AppendString(buf, e.k)
 		buf = codec.AppendFloat64(buf, e.v)
 	}
-	buf = appendStringSlice(buf, d.numDel, sorted)
+	buf = appendStringSlice(buf, d.numDel, canon)
 	buf = codec.AppendUvarint(buf, uint64(len(d.strSet)))
 	for _, e := range d.strSet {
 		buf = codec.AppendString(buf, e.k)
 		buf = codec.AppendString(buf, e.v)
 	}
-	buf = appendStringSlice(buf, d.strDel, sorted)
+	buf = appendStringSlice(buf, d.strDel, canon)
 	buf = codec.AppendUvarint(buf, uint64(len(d.tabSet)))
 	for i := range d.tabSet {
 		e := &d.tabSet[i]
 		buf = codec.AppendString(buf, e.name)
 		if sorted {
-			slices.SortFunc(e.cells, cmpNumEntry)
+			sortByKey(o, e.cells, func(c numEntry) string { return c.k })
 		}
 		buf = codec.AppendUvarint(buf, uint64(len(e.cells)))
 		for _, c := range e.cells {
@@ -480,9 +478,9 @@ func (d *Delta) encode(buf []byte, sorted bool) []byte {
 	for i := range d.tabCellDel {
 		e := &d.tabCellDel[i]
 		buf = codec.AppendString(buf, e.name)
-		buf = appendStringSlice(buf, e.keys, sorted)
+		buf = appendStringSlice(buf, e.keys, canon)
 	}
-	buf = appendStringSlice(buf, d.tabDel, sorted)
+	buf = appendStringSlice(buf, d.tabDel, canon)
 	return buf
 }
 

@@ -19,10 +19,11 @@ type rawTable struct {
 // canonTables lists st's tables as the canonical encoding orders them.
 func canonTables(st *State) []rawTable {
 	var ts []rawTable
-	for _, sym := range st.liveSyms(kTab, true) {
+	o := new(keyOrder)
+	for _, sym := range st.liveSyms(kTab, true, o) {
 		t := st.tabs[sym]
 		rt := rawTable{name: st.names[sym]}
-		for _, ei := range t.order(true) {
+		for _, ei := range t.order(o) {
 			rt.cells = append(rt.cells, numEntry{t.keys[ei], t.vals[ei]})
 		}
 		ts = append(ts, rt)

@@ -61,8 +61,6 @@ type State struct {
 	// scratchTab backs Scratch(): transient per-flush workspace, never
 	// serialized, diffed, merged, or cloned.
 	scratchTab *Table
-	// symScratch is the reusable symbol buffer encoding lists a section in.
-	symScratch []int32
 
 	// sizeCache memoizes Size(). 0 means dirty — an empty state encodes to
 	// three count bytes, so no valid size is ever 0. Every size-changing
@@ -402,19 +400,20 @@ func (s *State) Clone() *State {
 	return c
 }
 
-// liveSyms returns the live symbols of the given kind, in a buffer reused
-// across calls: sorted by name, or else in storage order.
-func (s *State) liveSyms(bit uint8, sorted bool) []int32 {
-	s.symScratch = s.symScratch[:0]
+// liveSyms returns the live symbols of the given kind in o's symbol buffer
+// (valid until the next call): sorted by name, or else in storage order.
+func (s *State) liveSyms(bit uint8, sorted bool, o *keyOrder) []int32 {
+	syms := o.syms[:0]
 	for sym, k := range s.kind {
 		if k&bit != 0 {
-			s.symScratch = append(s.symScratch, int32(sym))
+			syms = append(syms, int32(sym))
 		}
 	}
+	o.syms = syms
 	if sorted {
-		sortSymsByName(s.symScratch, s.names)
+		sortByKey(o, syms, func(sym int32) string { return s.names[sym] })
 	}
-	return s.symScratch
+	return syms
 }
 
 // Encode serializes the state (appended to buf) in its canonical form, keys
@@ -428,21 +427,29 @@ func (s *State) Encode(buf []byte) []byte { return s.encode(buf, true) }
 // dropped (a state travelling shard to shard). DecodeStateInto reads both.
 func (s *State) EncodeTransfer(buf []byte) []byte { return s.encode(buf, false) }
 
+// encode only reads s, so a state nobody writes may be encoded beside its
+// readers: the buffers it lists and sorts in are a keyOrder's.
 func (s *State) encode(buf []byte, sorted bool) []byte {
+	o := keyOrders.Get().(*keyOrder)
+	defer keyOrders.Put(o)
+	var cells *keyOrder // a table's cells in key order, or else in storage order
+	if sorted {
+		cells = o
+	}
 	buf = codec.AppendUvarint(buf, uint64(s.numN))
-	for _, sym := range s.liveSyms(kNum, sorted) {
+	for _, sym := range s.liveSyms(kNum, sorted, o) {
 		buf = codec.AppendString(buf, s.names[sym])
 		buf = codec.AppendFloat64(buf, s.numVal[sym])
 	}
 	buf = codec.AppendUvarint(buf, uint64(s.strN))
-	for _, sym := range s.liveSyms(kStr, sorted) {
+	for _, sym := range s.liveSyms(kStr, sorted, o) {
 		buf = codec.AppendString(buf, s.names[sym])
 		buf = codec.AppendString(buf, s.strVal[sym])
 	}
 	buf = codec.AppendUvarint(buf, uint64(s.tabN))
-	for _, sym := range s.liveSyms(kTab, sorted) {
+	for _, sym := range s.liveSyms(kTab, sorted, o) {
 		buf = codec.AppendString(buf, s.names[sym])
-		buf = s.tabs[sym].encode(buf, sorted)
+		buf = s.tabs[sym].encode(buf, cells)
 	}
 	return buf
 }

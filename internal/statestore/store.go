@@ -32,7 +32,8 @@ type entry struct {
 // Store is a versioned, per-group log of incremental checkpoints. The decoded
 // state at a group's last checkpoint — its Tip, which the next delta is cut
 // against — lives with whoever holds the group's live state: that party calls
-// Tip.Advance and hands what it wrote to Record. Compaction, recovery and
+// Tip.Advance (or its halves, Cut and Write) and hands what it wrote to
+// Record. Compaction, recovery and
 // migration read states back by replaying base and deltas (Record's fold,
 // Materialize, EncodedState); Encode/Decode round-trip the whole store for
 // durability; Checkpoint is both halves in one call, the store holding the
@@ -105,28 +106,57 @@ func (t *Tip) State() *State { return t.st }
 // Advance brings the tip up to cur at version, in place, and returns what to
 // Record for it. This is the checkpoint write rule, the only one: a state that
 // equals the tip writes nothing; one that changed little writes the delta; and
-// a fresh base — cur encoded once and copied into the tip — is written for a
+// a fresh base — cur, copied into the tip and encoded once — is written for a
 // group's first checkpoint and for a state whose delta would be at least as
 // large as the state itself (windowed state churns fully between cadences).
 // So a checkpoint never writes more than |σ|, and the choice depends only on
 // tip and cur, never on where the tip lives. d is scratch.
+//
+// Advance is Cut followed by Write, which a caller may also run apart: Cut
+// while cur holds still, Write later, beside whatever changes cur next.
 func (t *Tip) Advance(d *Delta, version int, cur *State) (Step, []byte) {
+	step, n := t.Cut(d, version, cur)
+	var buf []byte
+	if step != StepNone {
+		buf = make([]byte, 0, n)
+	}
+	return step, t.Write(step, d, buf)
+}
+
+// Cut is the half of Advance that reads cur: it takes the step and brings the
+// tip up to cur at version — a copy of cur for a base; for a delta, the delta
+// into d and applied to the tip — and returns the step and the exact length of
+// what Write will encode for it.
+func (t *Tip) Cut(d *Delta, version int, cur *State) (Step, int) {
 	t.ver = version
 	size := cur.Size() // a zero tip writes a base
 	if t.st == nil {
 		t.st = NewState()
 	} else if size = DiffSize(t.st, cur); size == emptyDeltaSize {
-		return StepNone, nil
+		return StepNone, 0
 	}
 	if size >= cur.Size() {
-		enc := cur.Encode(make([]byte, 0, cur.Size()))
 		t.st.CopyFrom(cur)
-		return StepBase, enc
+		return StepBase, cur.Size()
 	}
 	DiffInto(d, t.st, cur)
-	enc := d.Encode(make([]byte, 0, size))
 	d.Apply(t.st)
-	return StepDelta, enc
+	return StepDelta, size
+}
+
+// Write is the other half: it appends to buf what Cut decided — nothing for
+// StepNone, the tip encoded for StepBase (its canonical bytes are cur's), d
+// for StepDelta. It reads the tip and reorders d, and never looks at cur, so it
+// may run while cur changes; nothing may change the tip or d meanwhile.
+// Write(StepBase) of any tip is the base its chain amounts to.
+func (t *Tip) Write(step Step, d *Delta, buf []byte) []byte {
+	switch step {
+	case StepBase:
+		return t.st.Encode(buf)
+	case StepDelta:
+		return d.Encode(buf)
+	}
+	return buf
 }
 
 // Record appends what gid's tip-holder wrote at version: nothing (the version
@@ -153,14 +183,37 @@ func (s *Store) Record(gid, version int, step Step, payload []byte, tip *Tip) er
 	case StepBase:
 		s.setBase(e, payload)
 	case StepDelta:
+		fold := e.folds(len(payload))
 		e.deltas = append(e.deltas, payload)
 		e.deltaBytes += len(payload)
 		s.bytes += len(payload)
-		if len(e.deltas) > defaultMaxChain || float64(e.deltaBytes) > defaultCompactFactor*float64(len(e.base)) {
+		if fold {
 			s.fold(e, tip)
 		}
 	}
 	return nil
+}
+
+// folds reports whether a delta of n more bytes takes e's chain past the
+// compaction bounds.
+func (e *entry) folds(n int) bool {
+	return len(e.deltas) >= defaultMaxChain || float64(e.deltaBytes+n) > defaultCompactFactor*float64(len(e.base))
+}
+
+// Folds reports whether Record folds gid's chain when it records a delta of n
+// bytes on it: a writer that holds the group's tip can then hand Record the
+// base the chain amounts to — the tip, written as a base — instead.
+func (s *Store) Folds(gid, n int) bool {
+	e := s.groups[gid]
+	return e != nil && e.folds(n)
+}
+
+// Footprint returns the bytes gid's chain holds (0 for an untracked group).
+func (s *Store) Footprint(gid int) int {
+	if e := s.groups[gid]; e != nil {
+		return len(e.base) + e.deltaBytes
+	}
+	return 0
 }
 
 // setBase makes base, a state encoded at e.version, the whole of e's chain.

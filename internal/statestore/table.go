@@ -3,7 +3,6 @@ package statestore
 import (
 	"hash/maphash"
 	"slices"
-	"strings"
 
 	"repro/internal/codec"
 )
@@ -44,9 +43,6 @@ type Table struct {
 	// because the table grows at 3/4 load.
 	slots []uint32
 	mask  uint32
-	// scratch is the reusable entry-index buffer order hands out (encoding
-	// without a per-encode allocation).
-	scratch []int32
 	// encBytes is the encoded size of the cells (sum of SizeString(key)+8),
 	// maintained incrementally so encodedSize is O(1). Cell values are
 	// fixed-width floats, so only insertion and removal change it.
@@ -363,26 +359,23 @@ func (t *Table) All() func(yield func(string, float64) bool) {
 	}
 }
 
-// order returns the entry indexes sorted by key, or else in storage order, in
-// a buffer reused across calls (invalidated by any mutation or the next call).
-func (t *Table) order(sorted bool) []int32 {
-	t.scratch = t.scratch[:0]
-	for i := range t.keys {
-		t.scratch = append(t.scratch, int32(i))
-	}
-	if sorted {
-		slices.SortFunc(t.scratch, func(a, b int32) int {
-			return strings.Compare(t.keys[a], t.keys[b])
-		})
-	}
-	return t.scratch
-}
+// order returns the entry indexes sorted by key, in o's buffer (valid until o
+// sorts again). It only reads t.
+func (t *Table) order(o *keyOrder) []int32 { return o.sort(t.keys) }
 
 // encode appends the table as a uvarint count followed by its key/value
-// pairs: in sorted key order (the canonical form), or else in storage order.
-func (t *Table) encode(buf []byte, sorted bool) []byte {
+// pairs: in sorted key order (the canonical form) when o is given, or else in
+// storage order.
+func (t *Table) encode(buf []byte, o *keyOrder) []byte {
 	buf = codec.AppendUvarint(buf, uint64(len(t.keys)))
-	for _, ei := range t.order(sorted) {
+	if o == nil {
+		for i, k := range t.keys {
+			buf = codec.AppendString(buf, k)
+			buf = codec.AppendFloat64(buf, t.vals[i])
+		}
+		return buf
+	}
+	for _, ei := range t.order(o) {
 		buf = codec.AppendString(buf, t.keys[ei])
 		buf = codec.AppendFloat64(buf, t.vals[ei])
 	}
@@ -393,13 +386,6 @@ func (t *Table) encode(buf []byte, sorted bool) []byte {
 // walking the cells — encBytes is maintained by every mutation.
 func (t *Table) encodedSize() int {
 	return codec.SizeUvarint(uint64(len(t.keys))) + t.encBytes
-}
-
-// sortSymsByName sorts a symbol slice by the names it indexes.
-func sortSymsByName(syms []int32, names []string) {
-	slices.SortFunc(syms, func(a, b int32) int {
-		return strings.Compare(names[a], names[b])
-	})
 }
 
 // copyFrom makes t a copy of src — the same cells in the same order, sharing
