@@ -29,11 +29,11 @@ func FuzzHandshake(f *testing.F) {
 	f.Add([]byte("ALBX\x02"))               // wrong magic
 	f.Add([]byte{'A', 'L', 'B', 'N', 0x01}) // wrong wire version
 	bad := AppendHello(nil, Hello{Wire: WireVersion, Weight: 1, Addr: "x"})
-	f.Add(bad[:len(bad)-1]) // truncated addr
-	f.Add(AppendString(append([]byte("ALBN\x02"), AppendFloat64(nil, math.NaN())...), "x"))      // NaN weight
-	f.Add(AppendString(append([]byte("ALBN\x02"), AppendFloat64(nil, -1)...), "x"))              // negative weight
-	f.Add(append(append([]byte("ALBN\x02"), 0x01), AppendUvarint(nil, 1<<20)...))                // dir count over bound
-	f.Add(append([]byte("ALBN\x02"), AppendUvarint(nil, uint64(maxHandshakePeers)+1)...))        // self id over bound
+	f.Add(bad[:len(bad)-1])                                                                             // truncated addr
+	f.Add(AppendString(append([]byte("ALBN\x02"), AppendFloat64(nil, math.NaN())...), "x"))             // NaN weight
+	f.Add(AppendString(append([]byte("ALBN\x02"), AppendFloat64(nil, -1)...), "x"))                     // negative weight
+	f.Add(append(append([]byte("ALBN\x02"), 0x01), AppendUvarint(nil, 1<<20)...))                       // dir count over bound
+	f.Add(append([]byte("ALBN\x02"), AppendUvarint(nil, uint64(maxHandshakePeers)+1)...))               // self id over bound
 	f.Add(AppendString(append([]byte("ALBN\x02"), AppendFloat64(nil, 1)...), string(make([]byte, 64)))) // long addr
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/statestore"
@@ -15,15 +16,19 @@ import (
 // incremental statestore.Store records what they wrote; when a worker fails,
 // the lost groups are re-created on surviving nodes from the last checkpoint.
 //
-// A checkpoint is two steps. The cut runs at the barrier, shards quiescent: it
-// decides each group's step and brings the tip up to the live state, which is
-// all that needs the state to hold still. The write encodes what the cut
-// decided from the tips and deltas alone, so it runs beside the next period;
-// the store records it when the write is joined (joinCheckpoint), which is
-// before anything reads the store — the next barrier, a move that reads a
-// checkpoint, the next checkpoint, Recover, CheckpointStore,
-// RestoreCheckpointStore and Close. A worker runs the same cut and write and
-// joins before it replies, since the reply carries the bytes.
+// A checkpoint is two steps, the same in every process. The cut runs at the
+// barrier, shards quiescent: it decides each group's step and brings the tip
+// up to the live state, which is all that needs the state to hold still, and
+// it is all a checkpoint costs the period. The write encodes what the cut
+// decided from the tips and deltas alone, so it runs beside the next period:
+// the controller's on a goroutine of its own, a worker's too, which sends the
+// payloads as the reply to the controller's rqCkptWrite once they are written.
+// The controller checks what arrives off the barrier and records everything in
+// the store when it joins the write (joinCheckpoint), which is where the
+// store is read and nowhere else: TakeCheckpoint, Recover, CheckpointStore,
+// RestoreCheckpointStore and Close. Nothing on the data path reads the store —
+// a move's pre-copy reads the source's tip (see precopy.go) — so nothing there
+// waits for a write.
 //
 // The same checkpoint backs checkpoint-assisted migration (see precopy.go):
 // because it is the shared base, moving a checkpointed key group pre-copies
@@ -56,13 +61,13 @@ type CheckpointStats struct {
 // engine's store: each process cuts the tips of the groups it hosts
 // (cutCheckpoint — a full snapshot for a group without a tip, then nothing,
 // the delta since the previous checkpoint, or a fresh base; statestore's
-// Tip.Cut) and the store records the bytes their writes encode, the
-// workers' as they arrive and the controller's own once its write is joined,
-// each in ascending gid — so what the store holds and reports depends neither
-// on the layout nor on the schedule. It returns after the cut, with the
-// controller's write running beside whatever comes next; the stats are exact
-// all the same, since the cut knows every payload's length and every fold,
-// and the bytes reach the store before anything reads it. Must be called
+// Tip.Cut) and the store records the bytes their writes encode, each on its
+// group's own chain — so what the store holds and reports depends neither on
+// the layout nor on the schedule. It returns after the cut, every write
+// running beside whatever comes next; the stats are exact all the same, since
+// the cut knows every payload's length and every fold. The store has the
+// bytes at the next join: this call's next, Recover, CheckpointStore,
+// RestoreCheckpointStore or Close, whichever comes first. Must be called
 // between periods (the engine is quiescent then; the completion events of
 // RunPeriod establish the necessary happens-before edge, exactly as for
 // statistics merging).
@@ -71,83 +76,153 @@ func (e *Engine) TakeCheckpoint() CheckpointStats {
 	if e.ckpt == nil {
 		e.ckpt = statestore.New()
 	}
-	cs := CheckpointStats{Period: e.period}
-	fresh := e.freshScratch[:0]
-	e.cutCheckpoint(e.period)
-	// What the write will record, known at the cut: the store's bytes grow by
-	// grow and its groups by added once it is joined.
-	grow, added := 0, 0
+	t := ckptTally{cs: CheckpointStats{Period: e.period}, fresh: e.freshScratch[:0]}
+	peers := e.workerPeers()
+	local, remote := e.ckptDirectives(peers)
+	e.cutCheckpoint(e.period, local)
 	kept := e.write.entries[:0]
 	for _, en := range e.write.entries {
-		tracked := e.ckpt.Has(en.gid)
-		if !tracked && en.step != statestore.StepBase {
-			e.ckptErrs = append(e.ckptErrs, fmt.Errorf("engine: checkpoint step %d for group %d, which the store does not track", en.step, en.gid))
+		if err := e.admitCkptEntry(en, &t); err != nil {
+			e.ckptErrs = append(e.ckptErrs, err)
 			continue
-		}
-		cs.NewBytes += en.size
-		e.setTipNode(en.gid, en.node)
-		fresh = append(fresh, en.gid)
-		if en.step == statestore.StepDelta && e.ckpt.Folds(en.gid, en.size) {
-			// Recorded, the delta would fold the chain into the base it amounts
-			// to, the tip encoded: the write encodes that base instead.
-			en.step, en.size = statestore.StepBase, en.tip.State().Size()
-		}
-		switch en.step {
-		case statestore.StepBase:
-			grow += en.size - e.ckpt.Footprint(en.gid)
-			if !tracked {
-				added++
-			}
-		case statestore.StepDelta:
-			grow += en.size
 		}
 		kept = append(kept, en)
 	}
 	e.write.entries = kept
-	// Remote nodes: the round trips go to all peers concurrently (each worker
-	// cuts and writes independently) and the replies are absorbed together.
-	// A worker that died mid-request is skipped; its groups keep their
-	// previous checkpoint until FailNode/Recover handle it. A reply that
-	// arrives but does not decode is not a dead peer: like a corrupt entry
-	// inside a reply it fails the next period (Engine.ckptErrs), instead of
-	// silently leaving the store behind that worker's tips.
-	peers := e.workerPeers()
-	bodies, rerrs := e.rig.requestAll(peers, reqFrame{kind: rqCkpt, version: e.period})
-	var entries []ckptEntryWire
+	// Remote nodes: the cuts go to all peers concurrently, and each answers
+	// with a summary of its cut. A worker that died mid-request is skipped;
+	// its groups keep their previous checkpoint until FailNode/Recover handle
+	// it. A reply that arrives but does not decode is not a dead peer: like a
+	// corrupt entry it fails the next period (Engine.ckptErrs), instead of
+	// silently leaving the store behind that worker's tips. Every worker that
+	// cut is asked for its write's payloads, which arrive whenever they are
+	// written.
+	bodies, rerrs := e.rig.requestAll(peers, func(k int) reqFrame {
+		return reqFrame{kind: rqCkpt, version: e.period, dirs: remote[k]}
+	})
 	for k, peer := range peers {
 		if rerrs[k] != nil {
 			continue
 		}
-		// Decoded entries own their payloads, so the reply buffer can go
-		// back to the pool here.
-		reply, derr := decodeCkptReply(bodies[k])
+		summary, derr := decodeCkptSummary(bodies[k])
 		codec.PutBuf(bodies[k])
 		if derr != nil {
 			e.ckptErrs = append(e.ckptErrs, fmt.Errorf("engine: checkpoint reply from peer %d: %w", peer, derr))
-			continue
+			summary = nil
 		}
-		entries = append(entries, reply...)
+		rw := &remoteWrite{peer: peer, entries: summary, admitted: make([]bool, len(summary)), done: make(chan struct{})}
+		for i, en := range summary {
+			err := e.admitCkptEntry(en, &t)
+			if err != nil {
+				e.ckptErrs = append(e.ckptErrs, err)
+			}
+			rw.admitted[i] = err == nil
+		}
+		e.write.remote = append(e.write.remote, rw)
+		go e.fetchCkptWrite(rw)
 	}
-	if aerr := e.absorbCkptEntries(entries, &cs, &fresh); aerr != nil {
-		e.ckptErrs = append(e.ckptErrs, aerr)
-	}
-	cs.Groups = e.ckpt.Len() + added
-	cs.TotalBytes = e.ckpt.Bytes() + grow
+	t.cs.Groups = e.ckpt.Len() + t.added
+	t.cs.TotalBytes = e.ckpt.Bytes() + t.grow
 	// Refresh the planner's residency signal: the groups just checkpointed
 	// have, right now, an empty delta against their checkpoint — a plan
 	// made at this boundary must price their moves accordingly rather than
 	// against the previous (or missing) checkpoint.
-	e.setCkptDelta(emptyDeltaBytes, fresh...)
-	e.freshScratch = fresh[:0]
-	// The write starts last: begun before the round trip, it would compete
-	// for CPUs with the workers' checkpoints the round trip waits on wherever
-	// they share a host.
-	e.write.done = make(chan struct{})
-	go func(w *ckptWrite) {
+	e.setCkptDelta(emptyDeltaBytes, t.fresh...)
+	e.freshScratch = t.fresh[:0]
+	// The controller's own write starts last: begun before the round trip, it
+	// would compete for CPUs with the workers' cuts the round trip waits on
+	// wherever they share a host.
+	w, done := &e.write, make(chan struct{})
+	w.done = done
+	go func() {
 		w.run()
-		close(w.done)
-	}(&e.write)
-	return cs
+		close(done)
+	}()
+	return t.cs
+}
+
+// ckptDirectives says, per tracked group, what the store makes of its next
+// checkpoint (ckptDirective), split by where the group lives: local for this
+// process's nodes, remote[k] for peers[k]'s. A group a pre-copy read whole
+// since the last cut (readWhole) is folded into that encoding first where the
+// store holds a chain for the tip's version: its bound is then the folded
+// chain's. Both lists ascend by gid.
+func (e *Engine) ckptDirectives(peers []int) (local []ckptDirective, remote [][]ckptDirective) {
+	var fold map[int]bool
+	if len(e.readWhole) > 0 {
+		fold = map[int]bool{}
+	}
+	for _, gid := range e.readWhole {
+		fold[gid] = e.tipNode[gid] >= 0 && e.ckpt.Version(gid) == e.tipVer[gid] && e.ckpt.ChainLen(gid) > 0
+	}
+	e.readWhole = e.readWhole[:0]
+	remote = make([][]ckptDirective, len(peers))
+	for _, gid := range e.ckpt.Groups() {
+		d := ckptDirective{gid: gid, bound: e.ckpt.FoldBound(gid), fold: fold[gid]}
+		if d.fold {
+			d.bound = statestore.FoldBound(e.tipSize[gid], 0, 0)
+		}
+		p := e.peerFor(e.baseAlloc[gid])
+		if p == e.self {
+			local = append(local, d)
+			continue
+		}
+		if k, ok := slices.BinarySearch(peers, p); ok {
+			remote[k] = append(remote[k], d)
+		}
+	}
+	return local, remote
+}
+
+// ckptTally is what a checkpoint's entries add up to as TakeCheckpoint admits
+// them: the stats, the store's growth once the write is joined (grow bytes,
+// added groups), the groups checkpointed (fresh) and, dense per gid, which of
+// them an entry named already (seen).
+type ckptTally struct {
+	cs          CheckpointStats
+	grow, added int
+	fresh       []int
+	seen        []bool
+}
+
+// admitCkptEntry checks one entry of a cut — a worker's crossed a wire: a
+// known group, named once, that the store can take the step for — and tallies
+// it: NewBytes counts the cut's size, the store's growth what recording the
+// payload (after the fold it carries, if any) will add. The controller's
+// record of the group's tip is set here, at the cut: where it lives, its
+// version and its size.
+func (e *Engine) admitCkptEntry(en ckptEntryWire, t *ckptTally) error {
+	if t.seen == nil {
+		t.seen = make([]bool, e.topo.NumGroups())
+	}
+	tracked := en.gid < len(t.seen) && e.ckpt.Has(en.gid)
+	switch {
+	case en.gid >= len(t.seen) || en.node >= len(e.nodes):
+		return fmt.Errorf("engine: checkpoint entry for unknown group %d on node %d", en.gid, en.node)
+	case t.seen[en.gid]:
+		return fmt.Errorf("engine: duplicate checkpoint entry for group %d", en.gid)
+	case !tracked && en.step != statestore.StepBase:
+		return fmt.Errorf("engine: checkpoint step %d for group %d, which the store does not track", en.step, en.gid)
+	}
+	t.seen[en.gid] = true
+	t.cs.NewBytes += en.cut
+	footprint := e.ckpt.Footprint(en.gid)
+	if en.foldLen > 0 {
+		t.grow += en.foldLen - footprint
+		footprint = en.foldLen
+	}
+	switch en.step {
+	case statestore.StepBase:
+		t.grow += en.size - footprint
+		if !tracked {
+			t.added++
+		}
+	case statestore.StepDelta:
+		t.grow += en.size
+	}
+	e.setTip(en.gid, en.node, e.period, en.tipSize)
+	t.fresh = append(t.fresh, en.gid)
+	return nil
 }
 
 // emptyDeltaBytes is the encoded size of a delta that changes nothing.
@@ -169,20 +244,48 @@ func (e *Engine) setCkptDelta(size int, gids ...int) {
 	}
 }
 
-// joinCheckpoint waits for the last checkpoint's write, if one is pending,
-// and records its entries in the store, in ascending gid. TakeCheckpoint
-// dropped every entry the store would refuse.
+// joinCheckpoint waits for the last checkpoint's write, if one is pending. On
+// the controller it then records the entries — its own and every worker's
+// whose payloads arrived and checked out — in the store, each after the fold
+// it carries; TakeCheckpoint dropped every entry the store would refuse, and
+// what went wrong since fails the next period. A worker's write that was
+// never asked for is abandoned.
 func (e *Engine) joinCheckpoint() {
 	w := &e.write
 	if w.done == nil {
 		return
 	}
+	if e.self != 0 {
+		close(w.quit)
+		<-w.done
+		w.done, w.ask = nil, nil
+		return
+	}
 	<-w.done
 	w.done = nil
-	for _, en := range w.entries {
-		e.ckpt.Record(en.gid, w.version, en.step, en.payload, nil) //nolint:errcheck // see above
-	}
+	e.recordCkptEntries(w.version, w.entries)
 	clear(w.entries)
+	for _, rw := range w.remote {
+		<-rw.done
+		if rw.err != nil {
+			e.ckptErrs = append(e.ckptErrs, rw.err)
+		}
+		e.recordCkptEntries(w.version, rw.entries)
+	}
+	clear(w.remote)
+	w.remote = w.remote[:0]
+}
+
+// recordCkptEntries appends checked entries of the checkpoint at version to
+// the store, as they are: a fold first — the tip's encoding at the store's
+// version, which replaces the chain — then the step.
+func (e *Engine) recordCkptEntries(version int, entries []ckptEntryWire) {
+	for _, en := range entries {
+		if en.fold != nil {
+			e.ckpt.Record(en.gid, e.ckpt.Version(en.gid), statestore.StepBase, en.fold, nil) //nolint:errcheck // a base is always taken
+		}
+		e.ckpt.Record(en.gid, version, en.step, en.payload, nil) //nolint:errcheck // admitted at the cut
+	}
 }
 
 // CheckpointStore exposes the engine's checkpoint store (nil until the
@@ -289,7 +392,7 @@ func (e *Engine) Recover(onto []int) (int, error) {
 			delete(sh.tips, gid)
 			if tipVer >= 0 {
 				st, _, _ = e.ckpt.Materialize(gid)
-				sh.tips[gid] = statestore.NewTip(tipVer, st.Clone())
+				sh.tips[gid] = statestore.NewTip(tipVer, st.Clone(), enc)
 			}
 			sh.states[gid] = st
 		} else {
@@ -298,9 +401,10 @@ func (e *Engine) Recover(onto []int) (int, error) {
 		}
 		// The restored state is the checkpoint tip (when one existed) and it
 		// now lives on dest: its delta against the tip is empty, whatever the
-		// last barrier read where the group lived then.
+		// last barrier read where the group lived then. The tip is a new one,
+		// so no cut takes that reading either (statestore.Tip.Measure).
 		if tipVer >= 0 {
-			e.setTipNode(gid, dest)
+			e.setTip(gid, dest, tipVer, len(enc))
 			e.setCkptDelta(emptyDeltaBytes, gid)
 		} else if e.tipNode != nil {
 			e.tipNode[gid] = -1

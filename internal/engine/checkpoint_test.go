@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -316,8 +317,9 @@ func TestCheckpointOfChurningStateWritesFreshBases(t *testing.T) {
 // TestAbsorbRejectsCorruptCheckpointEntries: entries of a worker's reply
 // that cannot be what a worker sent — undecodable payloads, a delta for a
 // group the store does not track, a group named twice or unknown to the
-// topology — are reported and skipped, and the sound entries beside them
-// are still absorbed.
+// topology — are reported and skipped, whether the summary (admitCkptEntry)
+// or the payload (checkCkptPayload) gives them away, and the sound entries
+// beside them are still recorded.
 func TestAbsorbRejectsCorruptCheckpointEntries(t *testing.T) {
 	e, err := New(tallyTopology(100, 6), Config{Nodes: 2}, nil)
 	if err != nil {
@@ -338,9 +340,23 @@ func TestAbsorbRejectsCorruptCheckpointEntries(t *testing.T) {
 		{node: 0, gid: 4, step: statestore.StepDelta, payload: []byte{0x01}},          // undecodable delta
 		{node: 0, gid: 6, step: statestore.StepBase, payload: good.Encode(nil)},       // not in the topology
 	}
-	var cs CheckpointStats
-	var fresh []int
-	err = e.absorbCkptEntries(entries, &cs, &fresh)
+	var tally ckptTally
+	var d statestore.Delta
+	var errs []error
+	var sound []ckptEntryWire
+	for _, en := range entries {
+		err := e.admitCkptEntry(en, &tally)
+		if err == nil {
+			err = checkCkptPayload(en, &d)
+		}
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		sound = append(sound, en)
+	}
+	e.recordCkptEntries(e.Period(), sound)
+	err = errors.Join(errs...)
 	if err == nil {
 		t.Fatal("corrupt entries absorbed without an error")
 	}
@@ -349,8 +365,8 @@ func TestAbsorbRejectsCorruptCheckpointEntries(t *testing.T) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}
 	}
-	if len(fresh) != 1 || fresh[0] != tracked {
-		t.Fatalf("absorbed groups %v, want only %d", fresh, tracked)
+	if len(sound) != 1 || sound[0].gid != tracked {
+		t.Fatalf("absorbed %v, want only group %d", sound, tracked)
 	}
 	if tip, _, _ := e.CheckpointStore().Materialize(tracked); tip.Num("total") != 99 {
 		t.Fatalf("sound entry not absorbed: total = %v", tip.Num("total"))

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/statestore"
 )
 
 // FuzzControlFrame fuzzes the worker/controller control-plane decoders
@@ -41,6 +42,27 @@ func FuzzControlFrame(f *testing.F) {
 	f.Add([]byte{frData, 0x80})
 	f.Add(append([]byte{frState}, codec.AppendUvarint(nil, 1<<40)...))
 	f.Add(append([]byte{frArm}, codec.AppendUvarint(codec.AppendUvarint(nil, 1), 1<<30)...))
+	// A checkpoint and its pre-copies: a forward request to a source (and its
+	// discard), the cut with its directives, the write's request, the two
+	// replies whole, lying about their counts, and cut short.
+	f.Add(append([]byte(nil), encodeMsgFrame(3, precopyMsg{op: 1, kg: 2, version: 3, total: 10, off: 4, forward: true, dest: 2, n: 6})...))
+	f.Add(append([]byte(nil), encodeMsgFrame(3, precopyMsg{op: 1, kg: 2, discard: true, forward: true, dest: 1})...))
+	f.Add(append([]byte(nil), encodeReqFrame(reqFrame{id: 9, kind: rqCkpt, version: 4, dirs: []ckptDirective{{gid: 1, bound: -1}, {gid: 5, bound: 300, fold: true}}})...))
+	f.Add(append([]byte(nil), encodeReqFrame(reqFrame{id: 9, kind: rqCkpt, version: 4, dirs: []ckptDirective{{gid: 5, bound: 3}, {gid: 1, bound: 3}}})...)) // out of order
+	f.Add(append([]byte(nil), encodeReqFrame(reqFrame{id: 10, kind: rqCkptWrite})...))
+	entries := []ckptEntryWire{
+		{node: 1, gid: 2, step: statestore.StepBase, cut: 5, size: 5, tipSize: 5, payload: []byte("state")},
+		{node: 1, gid: 4, step: statestore.StepDelta, cut: 3, size: 3, tipSize: 9, foldLen: 4, payload: []byte("dlt"), fold: []byte("base")},
+		{node: 2, gid: 7, step: statestore.StepNone, tipSize: 9},
+	}
+	summary, payloads := encodeCkptSummary(entries), appendCkptPayloads(nil, entries)
+	for _, body := range [][]byte{summary, payloads} {
+		f.Add(append([]byte(nil), encodeReplyFrame(9, body)...))
+		lying := append([]byte(nil), body...)
+		lying[0] = 7 // the count: more entries than follow
+		f.Add(append([]byte(nil), encodeReplyFrame(9, lying)...))
+		f.Add(append([]byte(nil), encodeReplyFrame(9, body[:len(body)-2])...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodeControlFrame(data) //nolint:errcheck // law: never panics

@@ -205,61 +205,85 @@ func (e *Engine) emit(ev engEvent) {
 	e.events <- ev
 }
 
-func (e *Engine) setTipNode(gid, node int) {
+// setTip records that node's shard holds gid's checkpoint tip, at version
+// and of size bytes encoded.
+func (e *Engine) setTip(gid, node, version, size int) {
 	if e.tipNode == nil {
-		e.tipNode = make([]int, e.topo.NumGroups())
+		ng := e.topo.NumGroups()
+		e.tipNode, e.tipVer, e.tipSize = make([]int, ng), make([]int, ng), make([]int, ng)
 		for g := range e.tipNode {
 			e.tipNode[g] = -1
 		}
 	}
-	e.tipNode[gid] = node
+	e.tipNode[gid], e.tipVer[gid], e.tipSize[gid] = node, version, size
 }
 
-// recordCkptEntry appends one worker's checkpoint entry to the store, as it
-// is, and notes that the group's tip now lives where the entry was taken.
-func (e *Engine) recordCkptEntry(en ckptEntryWire, cs *CheckpointStats, fresh *[]int) error {
-	if err := e.ckpt.Record(en.gid, e.period, en.step, en.payload, nil); err != nil {
-		return fmt.Errorf("engine: %w", err)
+// remoteWrite is one worker's share of a checkpoint write on the controller:
+// the entries of its cut's summary and which of them TakeCheckpoint admitted,
+// which fetchCkptWrite fills with the payloads once they arrive, keeping the
+// admitted ones that check out.
+type remoteWrite struct {
+	peer     int
+	entries  []ckptEntryWire
+	admitted []bool
+	// err is what did not check out; done is closed once the reply is in, or
+	// the worker is dead.
+	err  error
+	done chan struct{}
+}
+
+// fetchCkptWrite asks a worker for the payloads of its write and checks them
+// off the barrier: they crossed a wire, so each must match its summary entry
+// and decode as the step it claims (checkCkptPayload); the store appends them
+// byte for byte at the join. A worker that dies first leaves nothing to
+// record: its groups keep their previous checkpoint.
+func (e *Engine) fetchCkptWrite(rw *remoteWrite) {
+	defer close(rw.done)
+	body, err := e.rig.request(rw.peer, reqFrame{kind: rqCkptWrite})
+	if err != nil || len(rw.entries) == 0 {
+		rw.entries = nil
+		return
 	}
-	cs.NewBytes += len(en.payload)
-	e.setTipNode(en.gid, en.node)
-	*fresh = append(*fresh, en.gid)
+	err = decodeCkptPayloads(body, rw.entries)
+	codec.PutBuf(body)
+	if err != nil {
+		rw.entries, rw.err = nil, fmt.Errorf("engine: checkpoint payloads from peer %d: %w", rw.peer, err)
+		return
+	}
+	var d statestore.Delta
+	var errs []error
+	kept := rw.entries[:0]
+	for i, en := range rw.entries {
+		if !rw.admitted[i] {
+			continue
+		}
+		if err := checkCkptPayload(en, &d); err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		kept = append(kept, en)
+	}
+	rw.entries, rw.err = kept, errors.Join(errs...)
+}
+
+// checkCkptPayload checks that a worker's payload — and the fold base it
+// carries, if any — decodes as the step its entry claims (a state is checked
+// without being built, statestore.CheckState); d is scratch.
+func checkCkptPayload(en ckptEntryWire, d *statestore.Delta) error {
+	if en.fold != nil {
+		if err := statestore.CheckState(en.fold); err != nil {
+			return fmt.Errorf("engine: checkpoint fold of group %d: %w", en.gid, err)
+		}
+	}
+	switch en.step {
+	case statestore.StepBase:
+		if err := statestore.CheckState(en.payload); err != nil {
+			return fmt.Errorf("engine: checkpoint state for group %d: %w", en.gid, err)
+		}
+	case statestore.StepDelta:
+		if rest, err := statestore.DecodeDeltaInto(en.payload, d); err != nil || len(rest) != 0 {
+			return fmt.Errorf("engine: checkpoint delta for group %d: %v (%d trailing)", en.gid, err, len(rest))
+		}
+	}
 	return nil
-}
-
-// absorbCkptEntries records the workers' checkpoint entries in the
-// controller's store, in ascending gid. Their payloads crossed a wire, so each
-// is first checked to be what a worker sends — a known group named once, a
-// state or a delta that decodes, spread over the barrier pool — and is then
-// appended byte for byte: nothing is applied, re-diffed or re-encoded per
-// entry (the store replays a chain only to fold it, at its bound). Entries
-// that fail are skipped and their errors returned, joined.
-func (e *Engine) absorbCkptEntries(entries []ckptEntryWire, cs *CheckpointStats, fresh *[]int) error {
-	slices.SortStableFunc(entries, func(a, b ckptEntryWire) int { return a.gid - b.gid })
-	workers := barrierWorkers(len(entries))
-	scratch, states := e.deltaScratch(workers), make([]statestore.State, workers)
-	errs := make([]error, len(entries))
-	fanOut(workers, len(entries), func(w, i int) {
-		en := entries[i]
-		switch {
-		case en.gid >= e.topo.NumGroups():
-			errs[i] = fmt.Errorf("engine: checkpoint entry for unknown group %d", en.gid)
-		case i > 0 && en.gid == entries[i-1].gid:
-			errs[i] = fmt.Errorf("engine: duplicate checkpoint entry for group %d", en.gid)
-		case en.step == statestore.StepBase:
-			if err := statestore.DecodeStateInto(en.payload, &states[w]); err != nil {
-				errs[i] = fmt.Errorf("engine: checkpoint state for group %d: %w", en.gid, err)
-			}
-		case en.step == statestore.StepDelta:
-			if rest, err := statestore.DecodeDeltaInto(en.payload, &scratch[w]); err != nil || len(rest) != 0 {
-				errs[i] = fmt.Errorf("engine: checkpoint delta for group %d: %v (%d trailing)", en.gid, err, len(rest))
-			}
-		}
-	})
-	for i, en := range entries {
-		if errs[i] == nil {
-			errs[i] = e.recordCkptEntry(en, cs, fresh)
-		}
-	}
-	return errors.Join(errs...)
 }

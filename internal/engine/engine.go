@@ -176,28 +176,33 @@ type Engine struct {
 	rig    *netRig
 
 	// tipNode is the controller's record of which node's shard holds each key
-	// group's checkpoint tip (-1 = none; nil until the first checkpoint) — in
-	// this process or another. A tip is only ever held where the group
-	// physically lives. It is maintained by TakeCheckpoint (the tip is where
-	// the group is), migrations (a full-state move drops the tip; a delta move
-	// carries it — the destination keeps the pre-copied base), Recover (the
-	// restored state is the tip) and FailNode.
-	tipNode []int
+	// group's checkpoint tip (-1 = none; nil until the first checkpoint is
+	// cut) — in this process or another — and tipVer and tipSize are the tip's
+	// version and encoded size, which a pre-copy copies. A tip is only ever
+	// held where the group physically lives. They are maintained by
+	// TakeCheckpoint (the cut puts the tip where the group is), migrations (a
+	// full-state move drops the tip; a delta move carries it — the destination
+	// keeps the pre-copied base), Recover (the restored state is the tip) and
+	// FailNode — never when a write is recorded, which may be after a move.
+	tipNode, tipVer, tipSize []int
+	// readWhole lists the groups a pre-copy session read the tip of whole
+	// since the last cut: the next checkpoint folds their chains (see
+	// precopy.go). Owned by the engine goroutine.
+	readWhole []int
 
 	// Checkpoint scratch, reused across barriers and cadences: liveGroups is
 	// the gid-ordered list of locally hosted states that the delta sizing and
-	// cutCheckpoint fan out over, deltas holds one statestore.Delta per barrier
-	// worker for checking workers' entries, and freshScratch the gids
-	// checkpointed this cadence.
+	// cutCheckpoint fan out over, and freshScratch the gids checkpointed this
+	// cadence.
 	liveGroups   []liveGroup
-	deltas       []statestore.Delta
 	freshScratch []int
-	// write is the last checkpoint's write: on the controller it runs beside
-	// the next period, and the store records it when joinCheckpoint joins it,
-	// before anything reads the store. Owned by the engine goroutine.
+	// write is the last checkpoint's write, which runs beside the next period
+	// in every process; on the controller the store records it, and what the
+	// workers' writes sent, when joinCheckpoint joins it, before anything reads
+	// the store. Owned by the engine goroutine (a worker's dispatch loop).
 	write ckptWrite
 	// ckptErrs holds what went wrong in checkpoints taken since the last
-	// period (a worker's reply or an entry of it did not decode).
+	// period (a worker's reply or an entry of it did not decode or check out).
 	// TakeCheckpoint has no error to return and runs between periods, where
 	// beginPeriod discards queued events, so the failures wait here and fail
 	// the next period.
@@ -647,7 +652,7 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 				if ev.delta {
 					deltaBytes += ev.bytes
 					if dest, ok := transferDest[ev.gid]; ok {
-						e.setTipNode(ev.gid, dest)
+						e.tipNode[ev.gid] = dest
 					}
 				} else if ev.gid >= 0 && e.tipNode != nil {
 					e.tipNode[ev.gid] = -1
@@ -700,9 +705,6 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 		SrcBytesCrossNode:  pr.srcBytes,
 	}
 	e.lastSrcTuples = pr.srcEmitted
-	// The last checkpoint's write ran beside this period; the store has its
-	// entries before the barrier reads it.
-	e.joinCheckpoint()
 	// Merge statistics: this process's barrier fold plus every worker's (the
 	// workers are quiescent — their shards' completions all arrived above — and
 	// the request pings their shards for the happens-before edge). Loads
@@ -719,11 +721,11 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 		deltas[gid] = -1
 	}
 	e.commBuilder.Reset(ng)
-	acc, groups := e.foldLocal(e.commBuilder.Add)
+	acc, groups := e.foldLocal(pr.period, e.commBuilder.Add)
 	for _, g := range groups {
 		ps.StateBytes[g.gid], deltas[g.gid] = g.size, g.delta
 	}
-	bodies, rerrs := e.rig.requestAll(peers, reqFrame{kind: rqStats, version: pr.period})
+	bodies, rerrs := e.rig.requestAll(peers, func(int) reqFrame { return reqFrame{kind: rqStats, version: pr.period} })
 	for k, peer := range peers {
 		if rerrs[k] != nil {
 			return nil, fmt.Errorf("engine: stats from peer %d: %w", peer, rerrs[k])
@@ -752,10 +754,11 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 	// controller's record agrees that the tip is where the group lives
 	// (Engine.tipNode), whichever process took it: a group that moved
 	// full-state since its checkpoint reports -1 (and migrates full) until the
-	// next checkpoint gives it a tip again.
-	if e.ckpt != nil && e.ckpt.Len() > 0 {
+	// next checkpoint gives it a tip again. Before the first checkpoint is cut
+	// there is no reading at all.
+	if e.tipNode != nil {
 		for gid := range deltas {
-			if e.tipNode == nil || e.tipNode[gid] != pr.alloc[gid] {
+			if e.tipNode[gid] != pr.alloc[gid] {
 				deltas[gid] = -1
 			}
 		}

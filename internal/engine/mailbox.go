@@ -64,7 +64,10 @@ type migrateOutMsg struct {
 // precopy.go). It is pure background traffic: it takes no part in the
 // barrier protocol and the receiver only accumulates bytes. With discard
 // set, the session was abandoned (plan changed) and the receiver drops any
-// buffered bytes for the group instead.
+// buffered bytes for the group instead. With forward set it goes to the
+// group's source instead, which holds the tip: the source sends on to the
+// group's shard on node dest the chunk [off, off+n) of its tip's encoding at
+// version (or the discard), behind whatever it sent there before.
 type precopyMsg struct {
 	op, kg  int
 	version int
@@ -72,6 +75,8 @@ type precopyMsg struct {
 	off     int
 	chunk   []byte
 	discard bool
+	forward bool
+	dest, n int
 }
 
 // stopMsg terminates the node goroutine.

@@ -128,17 +128,18 @@ func (r *netRig) request(peer int, q reqFrame) ([]byte, error) {
 	return b, nil
 }
 
-// requestAll issues q to every one of peers at once and waits for all of
-// them: bodies[k] and errs[k] are peers[k]'s reply. Only the round-trip
-// latency runs in parallel; callers fold the replies in peer order.
-func (r *netRig) requestAll(peers []int, q reqFrame) ([][]byte, []error) {
+// requestAll issues a request to every one of peers at once — q(k) to
+// peers[k] — and waits for all of them: bodies[k] and errs[k] are peers[k]'s
+// reply. Only the round-trip latency runs in parallel; callers fold the
+// replies in peer order.
+func (r *netRig) requestAll(peers []int, q func(k int) reqFrame) ([][]byte, []error) {
 	bodies, errs := make([][]byte, len(peers)), make([]error, len(peers))
 	var wg sync.WaitGroup
 	for k, peer := range peers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			bodies[k], errs[k] = r.request(peer, q)
+			bodies[k], errs[k] = r.request(peer, q(k))
 		}()
 	}
 	wg.Wait()

@@ -97,7 +97,9 @@ type shard struct {
 	// delta migrations are cut against — in every process, the one decoded copy
 	// there is. Written by the process's control goroutine between periods
 	// (cutCheckpoint, Recover; shards quiescent) and by the shard itself (delta
-	// state adoption, recovery, departure).
+	// state adoption, recovery, departure). A checkpoint write reads the tips it
+	// cut beside the next period, while the shard may read them too: to cut a
+	// migration's delta, or to encode one for a pre-copy (forwardPrecopy).
 	tips map[int]*statestore.Tip
 	// precopied accumulates checkpoint bytes background-copied toward this
 	// shard ahead of a planned migration (checkpoint-assisted transfer); the
@@ -315,12 +317,17 @@ type precopyBuf struct {
 	buf     []byte
 }
 
-// onPrecopy appends one background pre-copy chunk. It deliberately touches
+// onPrecopy appends one background pre-copy chunk, or — forward — sends one on
+// from the tip this shard holds as the group's source. It deliberately touches
 // no statistics: chunks may arrive while the shard is not yet armed for the
 // period (they are enqueued before periodStartMsg), when the engine still
 // owns the stats for resetting.
 func (s *shard) onPrecopy(m precopyMsg) {
 	gid := s.eng.topo.GID(m.op, m.kg)
+	if m.forward {
+		s.forwardPrecopy(gid, m)
+		return
+	}
 	if m.discard {
 		delete(s.precopied, gid)
 		return
@@ -341,6 +348,29 @@ func (s *shard) onPrecopy(m precopyMsg) {
 		return
 	}
 	pb.buf = append(pb.buf, m.chunk...)
+}
+
+// forwardPrecopy sends the destination the chunk [off, off+n) of the encoding
+// of the tip this shard holds — its bytes from the last base checkpoint, or
+// encoded once for the whole session — or the session's discard. It goes out
+// on this shard's FIFO toward the destination, ahead of the delta stateMsg the
+// move's migrateOutMsg makes this shard send later.
+func (s *shard) forwardPrecopy(gid int, m precopyMsg) {
+	out := precopyMsg{op: m.op, kg: m.kg, version: m.version, total: m.total, off: m.off, discard: m.discard}
+	if !m.discard {
+		tip := s.tips[gid]
+		var enc []byte
+		if tip != nil && tip.Version() == m.version {
+			enc = tip.Encoding()
+		}
+		if len(enc) != m.total || m.off+m.n > len(enc) {
+			s.eng.emit(engEvent{kind: evError, node: s.nid,
+				err: fmt.Errorf("engine: node %d has no %d-byte tip at version %d of group %d to pre-copy", s.nid, m.total, m.version, gid)})
+			return
+		}
+		out.chunk = enc[m.off : m.off+m.n]
+	}
+	s.eng.deliver(s.eng.gsidFor(m.dest, gid), out)
 }
 
 // onDataBatch decodes one frame and processes its tuples in order. Frames
@@ -449,9 +479,9 @@ func (s *shard) onState(m stateMsg) {
 		st.CopyFrom(base)
 		s.diff.Apply(st)
 		// The pre-copied base IS the checkpoint at baseVer and this shard now
-		// holds the group: it keeps the base as the group's tip (the controller
-		// records tipNode = this node for the same reason).
-		s.tips[gid] = statestore.NewTip(m.baseVer, base)
+		// holds the group: it keeps the base, and its bytes, as the group's tip
+		// (the controller records tipNode = this node for the same reason).
+		s.tips[gid] = statestore.NewTip(m.baseVer, base, pb.buf)
 		// Only the delta is synchronous work; the base was deserialization
 		// paid in the background.
 		s.stats.addMigUnits(float64(len(m.encoded)) * deserCostPerByte)
@@ -579,7 +609,7 @@ func (s *shard) onRecover(m recoverMsg) {
 	s.states[gid] = st
 	if m.tipVer >= 0 {
 		// The restored state IS the checkpoint: a copy of it is the tip.
-		s.tips[gid] = statestore.NewTip(m.tipVer, st.Clone())
+		s.tips[gid] = statestore.NewTip(m.tipVer, st.Clone(), m.encoded)
 	} else {
 		delete(s.tips, gid)
 	}

@@ -346,14 +346,6 @@ func fanOut(workers, n int, fn func(worker, i int)) {
 	wg.Wait()
 }
 
-// deltaScratch returns one reusable statestore.Delta per barrier worker.
-func (e *Engine) deltaScratch(workers int) []statestore.Delta {
-	if len(e.deltas) < workers {
-		e.deltas = append(e.deltas, make([]statestore.Delta, workers-len(e.deltas))...)
-	}
-	return e.deltas
-}
-
 // liveGroup is one key group where it physically lives in this process: its
 // state, its checkpoint tip (nil without one) and, once foldLocal has sized
 // them, |σ| and the encoded delta between the two (-1 without a tip).
@@ -392,14 +384,16 @@ func (e *Engine) localGroups() []liveGroup {
 // communication edges to commAdd (the controller's CommBuilder, a worker's
 // reply encoder), and sizes every hosted group that has a checkpoint tip
 // against it — the synchronous cost a checkpoint-assisted move of the group
-// would pay right now. finishPeriod runs it for the controller's own nodes and
-// adds what each worker's rqStats handler made of the same call. Shards are
-// quiescent here. The shard fold fans across the barrier pool when there are
-// enough shards and cores to matter, the sizing always (a group's state, tip
-// and slot are its own); all sums are integer milli-units and the edges are
-// unit counts summed by the builder, so the result is bit-identical to the
-// serial fold whatever the worker count or schedule.
-func (e *Engine) foldLocal(commAdd func(from, to int, rate float64)) (*mergeAcc, []liveGroup) {
+// would pay right now, which a checkpoint cut at the same barrier (version)
+// takes as it is (statestore.Tip.Measure). finishPeriod runs it for the
+// controller's own nodes and adds what each worker's rqStats handler made of
+// the same call. Shards are quiescent here. The shard fold fans across the
+// barrier pool when there are enough shards and cores to matter, the sizing
+// always (a group's state, tip and slot are its own); all sums are integer
+// milli-units and the edges are unit counts summed by the builder, so the
+// result is bit-identical to the serial fold whatever the worker count or
+// schedule.
+func (e *Engine) foldLocal(version int, commAdd func(from, to int, rate float64)) (*mergeAcc, []liveGroup) {
 	refs := e.shardRefs[:0]
 	for i, n := range e.nodes {
 		if n == nil || e.removed[i] {
@@ -445,7 +439,7 @@ func (e *Engine) foldLocal(commAdd func(from, to int, rate float64)) (*mergeAcc,
 		g := &groups[i]
 		g.size = g.st.Size()
 		if g.tip != nil {
-			g.delta = statestore.DiffSize(g.tip.State(), g.st)
+			g.delta = g.tip.Measure(version, g.st)
 		}
 	})
 	return acc, groups

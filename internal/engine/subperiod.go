@@ -111,7 +111,7 @@ func (e *Engine) SubSnapshot() (*core.Snapshot, error) {
 		Groups:   make([]core.GroupStat, e.topo.NumGroups()),
 		Ops:      e.opStats(),
 	}
-	bodies, errs := e.rig.requestAll(peers, reqFrame{kind: rqSub})
+	bodies, errs := e.rig.requestAll(peers, func(int) reqFrame { return reqFrame{kind: rqSub} })
 	for k, body := range bodies {
 		if errs[k] != nil {
 			continue // a dead worker contributes nothing mid-period
@@ -199,7 +199,7 @@ func (e *Engine) quiesceToward(target int64) {
 	prev, stalls := int64(-1), 0
 	for {
 		cur := e.localProgressMilli()
-		bodies, errs := e.rig.requestAll(e.workerPeers(), reqFrame{kind: rqProgress})
+		bodies, errs := e.rig.requestAll(e.workerPeers(), func(int) reqFrame { return reqFrame{kind: rqProgress} })
 		for k, body := range bodies {
 			if errs[k] != nil {
 				continue // dead worker: counts as no progress; stalls exit

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -68,16 +69,11 @@ func (l tipLayout) checkTips(t *testing.T, step string) {
 	}
 }
 
-// TestTipLivesWithTheGroup drives checkpoints, a checkpoint-assisted move, a
-// hot move, a full move and a failure with recovery, and checks after every
-// step that each group's tip is where the group is — on an engine that hosts
-// everything and on a mixed cluster where the controller's shards and two
-// workers' sit side by side.
-func TestTipLivesWithTheGroup(t *testing.T) {
-	const kgs = 6
-	cfg := Config{Nodes: 3, SubPeriods: 2, PrecopyChunkBytes: -1}
-	topo := func() *Topology { return buildGrowTopology(600, 60, 2, kgs) }
-	layouts := map[string]func() tipLayout{
+// tipLayouts builds the two deployments the tip tests run in: an engine that
+// hosts everything, and a mixed cluster where the controller's shards (node 0)
+// and two workers' (nodes 1 and 2) sit side by side.
+func tipLayouts(t *testing.T, topo func() *Topology, cfg Config) map[string]func() tipLayout {
+	return map[string]func() tipLayout{
 		"in-process": func() tipLayout {
 			e, err := New(topo(), cfg, nil)
 			if err != nil {
@@ -111,6 +107,18 @@ func TestTipLivesWithTheGroup(t *testing.T) {
 			return l
 		},
 	}
+}
+
+// TestTipLivesWithTheGroup drives checkpoints, a checkpoint-assisted move, a
+// hot move, a full move and a failure with recovery, and checks after every
+// step that each group's tip is where the group is — on an engine that hosts
+// everything and on a mixed cluster where the controller's shards and two
+// workers' sit side by side.
+func TestTipLivesWithTheGroup(t *testing.T) {
+	const kgs = 6
+	cfg := Config{Nodes: 3, SubPeriods: 2, PrecopyChunkBytes: -1}
+	topo := func() *Topology { return buildGrowTopology(600, 60, 2, kgs) }
+	layouts := tipLayouts(t, topo, cfg)
 	for name, build := range layouts {
 		t.Run(name, func(t *testing.T) {
 			l := build()
@@ -193,6 +201,102 @@ func TestTipLivesWithTheGroup(t *testing.T) {
 				if n != e.baseAlloc[gid] {
 					t.Fatalf("after a checkpoint group %d lives on node %d but its tip on %d", gid, e.baseAlloc[gid], n)
 				}
+			}
+		})
+	}
+}
+
+// forgetSizings replaces every tip of every process by a copy that has not
+// been measured (statestore.Tip.Measure), so the next cut sizes each delta
+// afresh. The last write is joined first: nothing uses the old tips then.
+func (l tipLayout) forgetSizings(t *testing.T) {
+	t.Helper()
+	l.ctrl.CheckpointStore()
+	l.quiesce(t)
+	for _, p := range l.procs {
+		for i, n := range p.nodes {
+			if n == nil || p.removed[i] {
+				continue
+			}
+			for _, sh := range n.shards {
+				for gid, tip := range sh.tips {
+					sh.tips[gid] = statestore.NewTip(tip.Version(), tip.State(), nil)
+				}
+			}
+		}
+	}
+}
+
+// TestCutTakesTheBarriersSizing: a cut takes the delta size the barrier
+// measured against each tip instead of sizing it again, and is the cut a
+// fresh DiffSize makes — in every CheckpointStats field and in the store's
+// bytes — at each place where the reading could have gone stale: a second
+// checkpoint at one barrier, after delta moves, after FailNode, after Recover
+// (which installs states and tips between the barrier and the cut), in one
+// process and across workers.
+func TestCutTakesTheBarriersSizing(t *testing.T) {
+	cfg := Config{Nodes: 3, PrecopyChunkBytes: -1}
+	topo := func() *Topology { return buildGrowTopology(600, 60, 2, 9) }
+	for name, build := range tipLayouts(t, topo, cfg) {
+		t.Run(name, func(t *testing.T) {
+			script := func(fresh bool) ([]CheckpointStats, []byte) {
+				l := build()
+				defer l.stop()
+				e := l.ctrl
+				var stats []CheckpointStats
+				ckpt := func() {
+					if fresh {
+						l.forgetSizings(t)
+					}
+					stats = append(stats, e.TakeCheckpoint())
+				}
+				run := func() *PeriodStats {
+					t.Helper()
+					ps, err := e.RunPeriod()
+					if err != nil {
+						t.Fatal(err)
+					}
+					return ps
+				}
+				run()
+				run()
+				ckpt()
+				run()
+				ckpt()
+				ckpt() // a second cut at one barrier
+				plan := e.Allocation()
+				for gid := range plan {
+					plan[gid] = (plan[gid] + 1) % 3
+				}
+				if err := e.ApplyPlan(plan); err != nil {
+					t.Fatal(err)
+				}
+				if ps := run(); ps.MigratedDeltaBytes == 0 {
+					t.Fatal("the rotation moved nothing by delta")
+				}
+				ckpt() // after delta moves
+				run()
+				if err := e.FailNode(1); err != nil {
+					t.Fatal(err)
+				}
+				ckpt() // after FailNode
+				if n, err := e.Recover(nil); err != nil || n == 0 {
+					t.Fatalf("recover: %d groups, %v", n, err)
+				}
+				ckpt() // after Recover, at the same barrier
+				run()
+				ckpt()
+				return stats, e.CheckpointStore().Encode(nil)
+			}
+			want, wantStore := script(true)
+			got, gotStore := script(false)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("checkpoint %d: %+v, a fresh sizing gives %+v", i+1, got[i], want[i])
+				}
+			}
+			if !bytes.Equal(gotStore, wantStore) {
+				t.Error("the stores differ")
 			}
 		})
 	}

@@ -46,6 +46,9 @@ const (
 	rqProvision
 	rqTerminate
 	rqFail
+	// rqCkptWrite asks for the payloads of the last rqCkpt's write; the worker
+	// answers it once the write is done.
+	rqCkptWrite
 )
 
 // wire hardening bounds (far above anything legitimate at paper scale).
@@ -201,6 +204,9 @@ func encodeMsgFrame(gsid int, msg message) []byte {
 		b = appendInt(b, m.total)
 		b = appendInt(b, m.off)
 		b = appendBool(b, m.discard)
+		b = appendBool(b, m.forward)
+		b = appendInt(b, m.dest)
+		b = appendInt(b, m.n)
 		b = appendBlob(b, m.chunk)
 	case recoverMsg:
 		b = append(b, frRecover)
@@ -283,6 +289,9 @@ func decodeMsgFrame(kind byte, body []byte) (decodedMsg, error) {
 		m.total = r.int("total", maxWireBlob)
 		m.off = r.int("off", maxWireBlob)
 		m.discard = r.bool("discard")
+		m.forward = r.bool("forward")
+		m.dest = r.int("dest", maxWireNodes)
+		m.n = r.int("n", maxWireBlob)
 		m.chunk = r.blob("chunk")
 		d.msg = m
 	case frRecover:
@@ -415,6 +424,10 @@ type reqFrame struct {
 	version int // rqStats / rqCkpt: the period being measured/checkpointed
 	node    int // rqTerminate / rqFail
 
+	// rqCkpt: what the store says about the peer's tracked groups, ascending
+	// gid.
+	dirs []ckptDirective
+
 	// rqProvision: new node slots (parallel slices) and their owning peer.
 	provIDs   []int
 	provOwner []int
@@ -427,8 +440,16 @@ func encodeReqFrame(q reqFrame) []byte {
 	b = appendInt(b, q.id)
 	b = append(b, q.kind)
 	switch q.kind {
-	case rqStats, rqCkpt:
+	case rqStats:
 		b = appendInt(b, q.version)
+	case rqCkpt:
+		b = appendInt(b, q.version)
+		b = appendInt(b, len(q.dirs))
+		for _, d := range q.dirs {
+			b = appendInt(b, d.gid)
+			b = appendSigned(b, d.bound)
+			b = appendBool(b, d.fold)
+		}
 	case rqTerminate, rqFail:
 		b = appendInt(b, q.node)
 	case rqProvision:
@@ -454,11 +475,23 @@ func decodeReqFrame(body []byte) (reqFrame, error) {
 		r.b = r.b[1:]
 	}
 	switch q.kind {
-	case rqStats, rqCkpt:
+	case rqStats:
 		q.version = r.int("req version", 1<<40)
+	case rqCkpt:
+		q.version = r.int("req version", 1<<40)
+		n := r.int("ckpt directive count", maxWireGroups)
+		for i := 0; i < n && r.err == nil; i++ {
+			d := ckptDirective{gid: r.int("ckpt directive gid", maxWireGroups)}
+			d.bound = r.signed("ckpt fold bound", maxWireBlob)
+			d.fold = r.bool("ckpt fold")
+			if r.err == nil && i > 0 && d.gid <= q.dirs[i-1].gid {
+				r.err = fmt.Errorf("engine: wire ckpt directive for group %d out of order", d.gid)
+			}
+			q.dirs = append(q.dirs, d)
+		}
 	case rqTerminate, rqFail:
 		q.node = r.int("req node", maxWireNodes)
-	case rqProgress, rqSub:
+	case rqProgress, rqSub, rqCkptWrite:
 	case rqProvision:
 		n := r.int("provision count", maxWireNodes)
 		for i := 0; i < n && r.err == nil; i++ {
@@ -589,36 +622,52 @@ func (a *mergeAcc) addReply(body []byte, comm *core.CommBuilder, stateBytes, ckp
 	return r.done("stats reply")
 }
 
-// ckptEntryWire is one key group's step of one checkpoint, as the process
-// holding the group's tip took it (Engine.cutCheckpoint): the step statestore's
-// Tip.Cut took and the payload Tip.Write wrote for it, to be recorded in the
-// controller's store as it is. tip, d and size are the cut's, beside the entry
-// until its write has run, and never cross a wire: the tip it brought up to
-// date, the group's delta (StepDelta) and the exact length of the payload the
-// write encodes from them.
-type ckptEntryWire struct {
-	node    int
-	gid     int
-	step    statestore.Step
-	payload []byte
-	tip     *statestore.Tip
-	d       *statestore.Delta
-	size    int
+// ckptDirective is what the controller's store says about one group's next
+// checkpoint (rqCkpt): bound is the largest delta its chain takes without
+// folding (statestore.Store.FoldBound; a larger one is written as a base), and
+// fold asks the tip-holder to send its tip's encoding along, which the chain is
+// folded into first — a pre-copy since the last checkpoint read that tip
+// whole. A group without a directive has bound -1.
+type ckptDirective struct {
+	gid, bound int
+	fold       bool
 }
 
-func encodeCkptReply(entries []ckptEntryWire) []byte {
+// ckptEntryWire is one key group's step of one checkpoint, as the process
+// holding the group's tip took it (Engine.cutCheckpoint). The summary a worker
+// answers rqCkpt with carries node, gid, step and the sizes: cut is what
+// Tip.Cut returned (what CheckpointStats.NewBytes counts), size the exact
+// length of the payload the write encodes (cut, or the tip's size where the
+// chain's bound turned a delta into a base), tipSize the tip's after the cut
+// and foldLen the length of fold. The reply to rqCkptWrite carries gid, payload
+// and fold, the tip's encoding from before the cut where the directive asked
+// for it. tip and d are the cut's and never cross a wire: the tip it brought up
+// to date and the group's delta (StepDelta), which the write encodes from.
+type ckptEntryWire struct {
+	node, gid                   int
+	step                        statestore.Step
+	cut, size, tipSize, foldLen int
+	payload, fold               []byte
+	tip                         *statestore.Tip
+	d                           *statestore.Delta
+}
+
+func encodeCkptSummary(entries []ckptEntryWire) []byte {
 	b := codec.GetBuf()
 	b = appendInt(b, len(entries))
 	for _, e := range entries {
 		b = appendInt(b, e.node)
 		b = appendInt(b, e.gid)
 		b = appendInt(b, int(e.step))
-		b = appendBlob(b, e.payload)
+		b = appendInt(b, e.cut)
+		b = appendInt(b, e.size)
+		b = appendInt(b, e.tipSize)
+		b = appendInt(b, e.foldLen)
 	}
 	return b
 }
 
-func decodeCkptReply(body []byte) ([]ckptEntryWire, error) {
+func decodeCkptSummary(body []byte) ([]ckptEntryWire, error) {
 	r := &wireReader{b: body}
 	n := r.int("ckpt entry count", maxWireGroups)
 	var out []ckptEntryWire
@@ -627,10 +676,48 @@ func decodeCkptReply(body []byte) ([]ckptEntryWire, error) {
 		e.node = r.int("ckpt node", maxWireNodes)
 		e.gid = r.int("ckpt gid", maxWireGroups)
 		e.step = statestore.Step(r.int("ckpt step", uint64(statestore.StepBase)))
-		e.payload = r.blob("ckpt payload")
+		e.cut = r.int("ckpt cut", maxWireBlob)
+		e.size = r.int("ckpt size", maxWireBlob)
+		e.tipSize = r.int("ckpt tip size", maxWireBlob)
+		e.foldLen = r.int("ckpt fold length", maxWireBlob)
 		out = append(out, e)
 	}
 	return out, r.done("ckpt reply")
+}
+
+// appendCkptPayloads appends the reply to rqCkptWrite: every entry's payload
+// and fold, in the summary's order.
+func appendCkptPayloads(b []byte, entries []ckptEntryWire) []byte {
+	b = appendInt(b, len(entries))
+	for _, e := range entries {
+		b = appendInt(b, e.gid)
+		b = appendBlob(b, e.payload)
+		b = appendBlob(b, e.fold)
+	}
+	return b
+}
+
+// decodeCkptPayloads reads the reply to rqCkptWrite into the entries of the
+// summary it follows, which it must match entry for entry: the same gids, a
+// payload of each entry's size and a fold of its foldLen. Each is copied out:
+// the store keeps it as long as its chain lasts, and a slice of body would
+// keep all of body alive with it.
+func decodeCkptPayloads(body []byte, into []ckptEntryWire) error {
+	r := &wireReader{b: body}
+	if n := r.int("ckpt payload count", maxWireGroups); r.err == nil && n != len(into) {
+		return fmt.Errorf("engine: wire ckpt payloads for %d groups, the summary has %d", n, len(into))
+	}
+	for i := 0; i < len(into) && r.err == nil; i++ {
+		e := &into[i]
+		gid := r.int("ckpt payload gid", maxWireGroups)
+		e.payload = r.blob("ckpt payload")
+		e.fold = r.blob("ckpt fold")
+		if r.err == nil && (gid != e.gid || len(e.payload) != e.size || len(e.fold) != e.foldLen) {
+			r.err = fmt.Errorf("engine: wire ckpt payload for group %d (%d + %d B) where the summary has group %d (%d + %d B)",
+				gid, len(e.payload), len(e.fold), e.gid, e.size, e.foldLen)
+		}
+	}
+	return r.done("ckpt payloads")
 }
 
 func encodeProgressReply(totalMilli int64) []byte {
@@ -711,9 +798,15 @@ func decodeControlFrame(data []byte) (byte, error) {
 		_, err := decodeReqFrame(body)
 		return kind, err
 	case frReply:
+		// The body's form depends on the request; a checkpoint's two replies
+		// carry what the controller validates most.
 		r := &wireReader{b: body}
 		r.int("reply id", 1<<40)
-		return kind, r.err
+		if r.err != nil {
+			return kind, r.err
+		}
+		summary, err := decodeCkptSummary(r.b)
+		return kind, errors.Join(err, decodeCkptPayloads(r.b, summary))
 	case frBye:
 		if len(body) != 0 {
 			return kind, fmt.Errorf("engine: bye frame with %d body bytes", len(body))

@@ -29,7 +29,11 @@ import (
 // the same functions on either side — foldLocal (stats.go) behind finishPeriod
 // and rqStats, cutCheckpoint and ckptWrite.run (below) behind TakeCheckpoint
 // and rqCkpt: every shard holds the checkpoint tips of the groups it hosts, and
-// the controller's store records what the tip-holders wrote.
+// the controller's store records what the tip-holders wrote. A worker answers
+// rqCkpt as soon as its cut is taken, with a summary of it, and runs the write
+// beside the next period on a goroutine of its own, which answers the
+// controller's rqCkptWrite with the payloads once they are written — the
+// dispatch loop only hands it the request, and never waits for an encode.
 
 // pingMsg flushes a shard's mailbox: the shard replies on ch once every
 // message enqueued before the ping has been processed. The worker dispatch
@@ -161,7 +165,7 @@ func (e *Engine) handleRequest(peer int, q reqFrame) {
 	case rqStats:
 		e.pingLocalShards()
 		comm := codec.GetBuf()
-		acc, groups := e.foldLocal(func(from, to int, n float64) {
+		acc, groups := e.foldLocal(q.version, func(from, to int, n float64) {
 			comm = appendInt(comm, from)
 			comm = appendInt(comm, to)
 			comm = codec.AppendUvarint(comm, uint64(n))
@@ -169,12 +173,21 @@ func (e *Engine) handleRequest(peer int, q reqFrame) {
 		body = append(encodeStatsReply(acc, groups), comm...)
 		codec.PutBuf(comm)
 	case rqCkpt:
-		// The reply carries the bytes, so the write is joined right here.
+		// The reply is the cut's summary; the write runs beside the next
+		// period and answers the rqCkptWrite that follows.
+		e.joinCheckpoint()
 		e.pingLocalShards()
-		e.cutCheckpoint(q.version)
-		e.write.run()
-		body = encodeCkptReply(e.write.entries)
-		clear(e.write.entries)
+		e.cutCheckpoint(q.version, q.dirs)
+		e.reply(peer, q.id, encodeCkptSummary(e.write.entries))
+		e.startWorkerWrite()
+		return
+	case rqCkptWrite:
+		if w := &e.write; w.ask != nil {
+			w.ask <- q.id // buffered: the write's goroutine replies
+			w.ask = nil
+			return
+		}
+		body = encodeOKReply(fmt.Errorf("engine: no checkpoint write to answer"))
 	case rqProgress:
 		body = encodeProgressReply(e.localProgressMilli())
 	case rqSub:
@@ -225,16 +238,25 @@ func (e *Engine) pingLocalShards() {
 }
 
 // ckptWrite is the second half of a checkpoint: the encodes its cut left to
-// do, one entry per hosted group in ascending gid, which the controller runs
-// beside the next period until it joins them (Engine.joinCheckpoint) and a
-// worker runs before it replies. Reused from checkpoint to checkpoint.
+// do, one entry per hosted group in ascending gid, which every process runs
+// beside the next period. The controller records them, and what each worker's
+// write sent it, when it joins them (Engine.joinCheckpoint); a worker's write
+// answers the controller's rqCkptWrite from its own goroutine. Reused from
+// checkpoint to checkpoint.
 type ckptWrite struct {
 	version int
 	entries []ckptEntryWire
 	deltas  []statestore.Delta // entries[i].d is &deltas[i]
-	// done is closed once every payload is written; nil when no write is
-	// pending.
+	dirs    []ckptDirective    // the cut's, per entry
+	// done is closed once every payload is written (and, on a worker, sent);
+	// nil when no write is pending.
 	done chan struct{}
+	// remote holds, on the controller, the workers' shares of the write.
+	remote []*remoteWrite
+	// ask hands a worker's write the id of the rqCkptWrite to answer (nil once
+	// handed over); quit abandons an unasked write.
+	ask  chan int
+	quit chan struct{}
 }
 
 // run writes every entry's payload (statestore.Tip.Write) over the barrier
@@ -247,31 +269,81 @@ func (w *ckptWrite) run() {
 	})
 }
 
+// startWorkerWrite runs a worker's write beside the next period: once it is
+// done and the controller has asked for it (rqCkptWrite), the payloads go to
+// the controller as the reply, from the write's own goroutine, so the
+// dispatch loop never waits for an encode.
+func (e *Engine) startWorkerWrite() {
+	w := &e.write
+	w.done, w.ask, w.quit = make(chan struct{}), make(chan int, 1), make(chan struct{})
+	go func(ask <-chan int, quit <-chan struct{}, done chan<- struct{}) {
+		defer close(done)
+		defer clear(w.entries)
+		w.run()
+		var id int
+		select {
+		case id = <-ask:
+		case <-quit:
+			select {
+			case id = <-ask: // asked, then abandoned: the answer still goes out
+			default:
+				return
+			}
+		}
+		_ = e.rig.ep.Send(0, appendCkptPayloads(encodeReplyFrame(id, nil), w.entries))
+	}(w.ask, w.quit, w.done)
+}
+
 // cutCheckpoint takes the first half of a checkpoint at version into e.write,
 // the same in every process: each hosted group's tip is brought up to its
 // live state (statestore.Tip.Cut: nothing, the delta, or a fresh base — always
 // a base for a group without a tip, which gets one), and one entry per group,
-// in ascending gid, says what its write will encode. The cuts spread over the
-// barrier pool; handing first-timers their tips, which writes the shards' tip
-// maps, is serial. Shards must be quiescent and the last write joined.
-func (e *Engine) cutCheckpoint(version int) {
+// in ascending gid, says what its write will encode. dirs, ascending too, is
+// what the controller's store says about the groups' chains: a delta past a
+// group's bound is written as a base (a group without a directive has bound
+// -1), and where a directive asks for a fold the tip's encoding from before
+// the cut goes along, unless the step is a base anyway. The cuts spread over
+// the barrier pool; handing first-timers their tips, which writes the shards'
+// tip maps, is serial. Shards must be quiescent and the last write joined.
+func (e *Engine) cutCheckpoint(version int, dirs []ckptDirective) {
 	groups := e.localGroups()
+	w := &e.write
+	w.dirs = slices.Grow(w.dirs[:0], len(groups))[:len(groups)]
 	for i := range groups {
-		if g := &groups[i]; g.tip == nil {
+		g := &groups[i]
+		if g.tip == nil {
 			g.tip = &statestore.Tip{}
 			g.sh.tips[g.gid] = g.tip
 		}
+		for len(dirs) > 0 && dirs[0].gid < g.gid {
+			dirs = dirs[1:]
+		}
+		w.dirs[i] = ckptDirective{gid: g.gid, bound: -1}
+		if len(dirs) > 0 && dirs[0].gid == g.gid {
+			w.dirs[i] = dirs[0]
+		}
 	}
-	w := &e.write
 	w.version = version
 	if n := len(groups) - len(w.deltas); n > 0 {
 		w.deltas = append(w.deltas, make([]statestore.Delta, n)...)
 	}
 	w.entries = slices.Grow(w.entries[:0], len(groups))[:len(groups)]
 	fanOut(barrierWorkers(len(groups)), len(groups), func(_, i int) {
-		g, d := groups[i], &w.deltas[i]
-		step, size := g.tip.Cut(d, version, g.st)
-		w.entries[i] = ckptEntryWire{node: g.node, gid: g.gid, step: step, tip: g.tip, d: d, size: size}
+		g, d, dir := groups[i], &w.deltas[i], w.dirs[i]
+		var fold []byte
+		if dir.fold && g.tip.State() != nil {
+			fold = g.tip.Encoding()
+		}
+		step, cut := g.tip.Cut(d, version, g.st)
+		size, tipSize := cut, g.tip.State().Size()
+		if step == statestore.StepDelta && cut > dir.bound {
+			step, size = statestore.StepBase, tipSize
+		}
+		if step == statestore.StepBase {
+			fold = nil
+		}
+		w.entries[i] = ckptEntryWire{node: g.node, gid: g.gid, step: step, cut: cut, size: size,
+			tipSize: tipSize, foldLen: len(fold), fold: fold, tip: g.tip, d: d}
 	})
 }
 

@@ -161,7 +161,7 @@ func TestCheckpointNeverWritesMoreThanState(t *testing.T) {
 		s := New()
 		live := randState(rng, 25)
 		s.Checkpoint(1, 0, live)
-		mirror := NewTip(0, live.Clone())
+		mirror := NewTip(0, live.Clone(), nil)
 		var scratch Delta
 		for v := 1; v <= 12; v++ {
 			if rng.Intn(4) == 0 {
@@ -393,7 +393,7 @@ func TestCutThenWriteIsAdvance(t *testing.T) {
 		var d, wd, rd Delta
 		switch trial % 3 {
 		case 1: // a base that arrived whole
-			split, whole, ref = NewTip(0, live.Clone()), NewTip(0, live.Clone()), NewTip(0, live.Clone())
+			split, whole, ref = NewTip(0, live.Clone(), nil), NewTip(0, live.Clone(), nil), NewTip(0, live.Clone(), nil)
 		case 2: // a tip that has taken deltas
 			for v := -3; v < 0; v++ {
 				mutate(rng, live)
@@ -433,5 +433,43 @@ func TestCutThenWriteIsAdvance(t *testing.T) {
 		if steps[s] < 20 {
 			t.Fatalf("step %d taken %d times; the histories want all three often (%v)", s, steps[s], steps)
 		}
+	}
+}
+
+// TestFoldBoundIsWhereRecordFolds: FoldBound, the integer form of the
+// compaction bounds a tip-holder writes a base by, agrees with the rule Record
+// folds by (entry.folds) at the boundary — the bound itself does not fold, one
+// byte more does — for every chain shape around the bounds: bases of even and
+// odd length, chains just under, at and past half the base, and the chain
+// length cap. Through Store.FoldBound too, and -1 (everything folds) exactly
+// where even an empty payload would.
+func TestFoldBoundIsWhereRecordFolds(t *testing.T) {
+	for base := 0; base <= 64; base++ {
+		for deltas := 0; deltas <= defaultMaxChain+1; deltas++ {
+			for deltaBytes := 0; deltaBytes <= base/2+3; deltaBytes++ {
+				e := &entry{base: make([]byte, base), deltas: make([][]byte, deltas), deltaBytes: deltaBytes}
+				b := FoldBound(base, deltas, deltaBytes)
+				if b < -1 {
+					t.Fatalf("base %d, %d deltas of %d B: bound %d below -1", base, deltas, deltaBytes, b)
+				}
+				if b >= 0 && e.folds(b) {
+					t.Fatalf("base %d, %d deltas of %d B: a delta of the bound %d folds", base, deltas, deltaBytes, b)
+				}
+				if !e.folds(b + 1) {
+					t.Fatalf("base %d, %d deltas of %d B: a delta of %d, one past the bound, does not fold", base, deltas, deltaBytes, b+1)
+				}
+				if (b == -1) != e.folds(0) {
+					t.Fatalf("base %d, %d deltas of %d B: bound %d, but an empty payload folds: %v", base, deltas, deltaBytes, b, e.folds(0))
+				}
+			}
+		}
+	}
+	s := New()
+	s.Checkpoint(3, 1, windowState(1, 40))
+	if got, want := s.FoldBound(3), FoldBound(s.Footprint(3), 0, 0); got != want || got < 0 {
+		t.Fatalf("Store.FoldBound of a fresh base: %d, want %d", got, want)
+	}
+	if s.FoldBound(4) != -1 {
+		t.Fatalf("Store.FoldBound of an untracked group: %d, want -1", s.FoldBound(4))
 	}
 }

@@ -209,3 +209,27 @@ func FuzzDeltaDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCheckState holds CheckState to the decoder it stands in for: whatever
+// the bytes, it fails exactly where DecodeStateInto does, and never panics.
+func FuzzCheckState(f *testing.F) {
+	wide := NewState()
+	for i := 0; i < 20; i++ {
+		wide.Add(fmt.Sprintf("metric-%02d", i), float64(i))
+		wide.SetStr(fmt.Sprintf("reg-%02d", i%3), "v")
+		wide.Table(fmt.Sprintf("tab-%02d", i%4)).Set(fmt.Sprintf("cell-%02d", i), float64(i))
+	}
+	for _, b := range append(stateShapes(wide), wide.Encode(nil), NewState().Encode(nil)) {
+		f.Add(b)
+		f.Add(b[:len(b)/2])
+		f.Add(b[:len(b)-1])
+	}
+	f.Add([]byte{0x05, 0x00})
+	f.Add([]byte{0x00, 0x00, 0x01, 0x01, 't', 0x7f})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var st State
+		if derr, cerr := DecodeStateInto(b, &st), CheckState(b); (derr == nil) != (cerr == nil) {
+			t.Fatalf("DecodeStateInto: %v, CheckState: %v", derr, cerr)
+		}
+	})
+}

@@ -491,7 +491,8 @@ func DecodeState(b []byte) (*State, error) {
 }
 
 // cutString reads a length-prefixed string from b as a substring of str, a
-// copy of the payload that b is the tail of, instead of allocating it.
+// copy of the payload that b is the tail of, instead of allocating it; with
+// str empty it only skips the string.
 func cutString(b []byte, str string) (string, []byte, error) {
 	n, b, err := codec.ReadUvarint(b)
 	if err != nil {
@@ -499,6 +500,9 @@ func cutString(b []byte, str string) (string, []byte, error) {
 	}
 	if uint64(len(b)) < n {
 		return "", nil, fmt.Errorf("statestore: short string (%d of %d bytes)", len(b), n)
+	}
+	if str == "" {
+		return "", b[n:], nil
 	}
 	off := len(str) - len(b)
 	return str[off : off+int(n)], b[n:], nil
@@ -510,8 +514,23 @@ func cutString(b []byte, str string) (string, []byte, error) {
 // are substrings of one copy of the table section (they keep it alive while
 // any of them is in the state), and each table is sized from its cell count
 // before its first cell, so no insert grows or rehashes it.
-func DecodeStateInto(b []byte, s *State) error {
-	s.Reset()
+func DecodeStateInto(b []byte, s *State) error { return decodeState(b, s) }
+
+// CheckState reports what DecodeStateInto would make of b without building
+// anything: an error exactly where it fails. It is how a payload that only
+// has to be known to decode is checked — several times faster than decoding
+// it.
+func CheckState(b []byte) error { return decodeState(b, nil) }
+
+// decodeState is DecodeStateInto, and with a nil s CheckState: the same reads
+// and bounds, nothing kept.
+func decodeState(b []byte, s *State) error {
+	readName := codec.ReadString
+	if s == nil {
+		readName = func(b []byte) (string, []byte, error) { return cutString(b, "") }
+	} else {
+		s.Reset()
+	}
 	n, b, err := codec.ReadUvarint(b)
 	if err != nil {
 		return fmt.Errorf("statestore: decode state nums: %w", err)
@@ -522,13 +541,15 @@ func DecodeStateInto(b []byte, s *State) error {
 	for i := uint64(0); i < n; i++ {
 		var k string
 		var v float64
-		if k, b, err = codec.ReadString(b); err != nil {
+		if k, b, err = readName(b); err != nil {
 			return fmt.Errorf("statestore: decode state nums: %w", err)
 		}
 		if v, b, err = codec.ReadFloat64(b); err != nil {
 			return fmt.Errorf("statestore: decode state nums: %w", err)
 		}
-		s.setNum(s.intern(k, false), v)
+		if s != nil {
+			s.setNum(s.intern(k, false), v)
+		}
 	}
 	if n, b, err = codec.ReadUvarint(b); err != nil {
 		return fmt.Errorf("statestore: decode state strs: %w", err)
@@ -538,13 +559,15 @@ func DecodeStateInto(b []byte, s *State) error {
 	}
 	for i := uint64(0); i < n; i++ {
 		var k, v string
-		if k, b, err = codec.ReadString(b); err != nil {
+		if k, b, err = readName(b); err != nil {
 			return fmt.Errorf("statestore: decode state strs: %w", err)
 		}
-		if v, b, err = codec.ReadString(b); err != nil {
+		if v, b, err = readName(b); err != nil {
 			return fmt.Errorf("statestore: decode state strs: %w", err)
 		}
-		s.setStr(s.intern(k, false), v)
+		if s != nil {
+			s.setStr(s.intern(k, false), v)
+		}
 	}
 	if n, b, err = codec.ReadUvarint(b); err != nil {
 		return fmt.Errorf("statestore: decode state tables: %w", err)
@@ -552,18 +575,24 @@ func DecodeStateInto(b []byte, s *State) error {
 	if n > uint64(len(b)) {
 		return fmt.Errorf("statestore: state claims %d tables in %d bytes", n, len(b))
 	}
-	cells := string(b)
+	var cells string // "" when checking: cutString then skips the keys
+	if s != nil {
+		cells = string(b)
+	}
 	for i := uint64(0); i < n; i++ {
 		var name string
 		// Field names are copied one by one: a State never forgets a symbol, and
 		// one cut from cells would hold the whole copy for as long.
-		if name, b, err = codec.ReadString(b); err != nil {
+		if name, b, err = readName(b); err != nil {
 			return fmt.Errorf("statestore: decode state tables: %w", err)
 		}
-		t := s.table(s.intern(name, false))
-		// A duplicate table name replaces the earlier one, matching the
-		// map-decode semantics of previous versions.
-		t.Clear()
+		var t *Table
+		if s != nil {
+			t = s.table(s.intern(name, false))
+			// A duplicate table name replaces the earlier one, matching the
+			// map-decode semantics of previous versions.
+			t.Clear()
+		}
 		var count uint64
 		if count, b, err = codec.ReadUvarint(b); err != nil {
 			return fmt.Errorf("statestore: decode state table %q: %w", name, err)
@@ -572,7 +601,9 @@ func DecodeStateInto(b []byte, s *State) error {
 		if count > uint64(len(b))/9 {
 			return fmt.Errorf("statestore: table %q claims %d cells in %d bytes", name, count, len(b))
 		}
-		t.reserve(int(count))
+		if t != nil {
+			t.reserve(int(count))
+		}
 		for j := uint64(0); j < count; j++ {
 			var k string
 			var v float64
@@ -582,7 +613,9 @@ func DecodeStateInto(b []byte, s *State) error {
 			if v, b, err = codec.ReadFloat64(b); err != nil {
 				return fmt.Errorf("statestore: decode state table %q: %w", name, err)
 			}
-			t.set(k, v)
+			if t != nil {
+				t.set(k, v)
+			}
 		}
 	}
 	return nil

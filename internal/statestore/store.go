@@ -3,6 +3,7 @@ package statestore
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/codec"
 )
@@ -33,11 +34,12 @@ type entry struct {
 // state at a group's last checkpoint — its Tip, which the next delta is cut
 // against — lives with whoever holds the group's live state: that party calls
 // Tip.Advance (or its halves, Cut and Write) and hands what it wrote to
-// Record. Compaction, recovery and
-// migration read states back by replaying base and deltas (Record's fold,
-// Materialize, EncodedState); Encode/Decode round-trip the whole store for
-// durability; Checkpoint is both halves in one call, the store holding the
-// tips itself. Not goroutine-safe: the engine uses it only between periods.
+// Record; a holder that writes a base where Record would fold (FoldBound)
+// spares the store a replay. Recovery reads states back by replaying base and
+// deltas (Materialize, EncodedState), and so does a fold Record makes without
+// a tip; Encode/Decode round-trip the whole store for durability; Checkpoint
+// is both halves in one call, the store holding the tips itself. Not
+// goroutine-safe: the engine uses it only between periods.
 type Store struct {
 	groups map[int]*entry
 	gids   []int // the keys of groups, ascending
@@ -91,17 +93,57 @@ const (
 type Tip struct {
 	ver int
 	st  *State
+	// enc is st's canonical encoding once someone produced it (Write of a
+	// base, Encoding, or the bytes st was decoded from), nil until then; a
+	// Cut that changes st drops it. Atomic because Encoding may run beside
+	// the Write that caches it.
+	enc atomic.Pointer[[]byte]
+	// measuredAt is 1 + the version whose Cut may take measured as
+	// DiffSize(st, cur) (0: none); see Measure.
+	measuredAt, measured int
 }
 
 // NewTip adopts st as the tip at version: a state that arrived whole from the
-// store (a pre-copied base, a recovered state).
-func NewTip(version int, st *State) *Tip { return &Tip{ver: version, st: st} }
+// store (a pre-copied base, a recovered state). enc, when not nil, is the
+// canonical encoding st was decoded from; the tip keeps it as its Encoding.
+func NewTip(version int, st *State, enc []byte) *Tip {
+	t := &Tip{ver: version, st: st}
+	if enc != nil {
+		t.enc.Store(&enc)
+	}
+	return t
+}
 
 // Version returns the version of the checkpoint the tip holds.
 func (t *Tip) Version() int { return t.ver }
 
 // State returns the tip's state (nil for the zero Tip), read-only.
 func (t *Tip) State() *State { return t.st }
+
+// Encoding returns the tip's state canonically encoded — the bytes a Write of
+// a base returns — encoding it only if no one has yet since the tip last
+// changed: after a base checkpoint, or for a tip adopted from its bytes, it
+// costs nothing. The bytes are the tip's; do not write to them. It reads only
+// the tip, so it may run beside a Write.
+func (t *Tip) Encoding() []byte {
+	if p := t.enc.Load(); p != nil {
+		return *p
+	}
+	enc := t.st.Encode(make([]byte, 0, t.st.Size()))
+	if !t.enc.CompareAndSwap(nil, &enc) {
+		return *t.enc.Load()
+	}
+	return enc
+}
+
+// Measure returns DiffSize(t.State(), cur) and keeps it for a Cut at version,
+// which then takes it instead of sizing the delta again: the caller vouches
+// that cur does not change in between. Any change of the tip (a Cut, a new
+// Tip) forgets the reading.
+func (t *Tip) Measure(version int, cur *State) int {
+	t.measured, t.measuredAt = DiffSize(t.st, cur), version+1
+	return t.measured
+}
 
 // Advance brings the tip up to cur at version, in place, and returns what to
 // Record for it. This is the checkpoint write rule, the only one: a state that
@@ -126,15 +168,23 @@ func (t *Tip) Advance(d *Delta, version int, cur *State) (Step, []byte) {
 // Cut is the half of Advance that reads cur: it takes the step and brings the
 // tip up to cur at version — a copy of cur for a base; for a delta, the delta
 // into d and applied to the tip — and returns the step and the exact length of
-// what Write will encode for it.
+// what Write will encode for it. It sizes the delta unless Measure did at
+// version.
 func (t *Tip) Cut(d *Delta, version int, cur *State) (Step, int) {
-	t.ver = version
+	measured := t.measuredAt == version+1
+	t.ver, t.measuredAt = version, 0
 	size := cur.Size() // a zero tip writes a base
 	if t.st == nil {
 		t.st = NewState()
-	} else if size = DiffSize(t.st, cur); size == emptyDeltaSize {
-		return StepNone, 0
+	} else {
+		if size = t.measured; !measured {
+			size = DiffSize(t.st, cur)
+		}
+		if size == emptyDeltaSize {
+			return StepNone, 0
+		}
 	}
+	t.enc.Store(nil)
 	if size >= cur.Size() {
 		t.st.CopyFrom(cur)
 		return StepBase, cur.Size()
@@ -147,12 +197,16 @@ func (t *Tip) Cut(d *Delta, version int, cur *State) (Step, int) {
 // Write is the other half: it appends to buf what Cut decided — nothing for
 // StepNone, the tip encoded for StepBase (its canonical bytes are cur's), d
 // for StepDelta. It reads the tip and reorders d, and never looks at cur, so it
-// may run while cur changes; nothing may change the tip or d meanwhile.
-// Write(StepBase) of any tip is the base its chain amounts to.
+// may run while cur changes; nothing but Encoding may use the tip or d
+// meanwhile. Write(StepBase) of any tip is the base its chain amounts to, and
+// the tip keeps the bytes it appended as its Encoding: do not write to them.
 func (t *Tip) Write(step Step, d *Delta, buf []byte) []byte {
 	switch step {
 	case StepBase:
-		return t.st.Encode(buf)
+		out := t.st.Encode(buf)
+		enc := out[len(buf):len(out):len(out)]
+		t.enc.Store(&enc)
+		return out
 	case StepDelta:
 		return d.Encode(buf)
 	}
@@ -200,12 +254,26 @@ func (e *entry) folds(n int) bool {
 	return len(e.deltas) >= defaultMaxChain || float64(e.deltaBytes+n) > defaultCompactFactor*float64(len(e.base))
 }
 
-// Folds reports whether Record folds gid's chain when it records a delta of n
-// bytes on it: a writer that holds the group's tip can then hand Record the
-// base the chain amounts to — the tip, written as a base — instead.
-func (s *Store) Folds(gid, n int) bool {
-	e := s.groups[gid]
-	return e != nil && e.folds(n)
+// FoldBound returns the largest delta that Record appends to gid's chain
+// without folding it, -1 when any delta folds it and for an untracked group. A
+// writer that holds the group's tip writes the base the chain would fold into
+// — the tip, written as a base — for a larger delta, so the store replays
+// nothing.
+func (s *Store) FoldBound(gid int) int {
+	if e := s.groups[gid]; e != nil {
+		return FoldBound(len(e.base), len(e.deltas), e.deltaBytes)
+	}
+	return -1
+}
+
+// FoldBound is Store.FoldBound of a chain of a baseLen-byte base and deltas
+// deltas of deltaBytes bytes in all — FoldBound(n, 0, 0) that of a chain just
+// folded into an n-byte base: the compaction bounds in integers.
+func FoldBound(baseLen, deltas, deltaBytes int) int {
+	if deltas >= defaultMaxChain || baseLen < 2*deltaBytes {
+		return -1
+	}
+	return (baseLen - 2*deltaBytes) / 2 // defaultCompactFactor = ½
 }
 
 // Footprint returns the bytes gid's chain holds (0 for an untracked group).
