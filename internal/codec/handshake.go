@@ -1,6 +1,9 @@
 package codec
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // Cluster handshake messages (see internal/transport): a worker process
 // joining a cluster sends a Hello to the controller; the controller answers
@@ -11,23 +14,49 @@ import "fmt"
 // letting two incompatible processes exchange garbage frames.
 //
 // Encodings are self-contained byte strings (the transport length-prefixes
-// them), built from the same primitives as the data plane. Decoders validate
-// everything — magic, version, lengths, counts — because these are the first
-// bytes a process ever accepts from the network.
+// them). Each message is described once, by a wire method over a Wire that
+// both encodes and decodes it; the exported Append/Decode pairs run it one
+// way or the other. Decoding validates everything — magic, version,
+// lengths, counts — because these are the first bytes a process ever accepts
+// from the network.
 
 const (
 	// HandshakeMagic leads every handshake message.
 	HandshakeMagic = "ALBN"
 	// WireVersion is the wire-format generation this build speaks: v2 data
 	// frames (FrameV2) plus the control-frame schema. A Hello carrying any
-	// other value is rejected during the handshake.
-	WireVersion = 2
+	// other value is rejected during the handshake. v3: the checkpoint
+	// messages lost the fold (its directive flag, summary length and blob).
+	WireVersion = 3
 
 	// handshake hardening bounds: no legitimate message approaches these.
 	maxHandshakeAddr  = 1 << 10
 	maxHandshakePeers = 1 << 16
 	maxHandshakeMeta  = 64 << 20
 )
+
+// header carries what leads every handshake message: the magic, then the
+// wire version, which a reader accepts only as this build's.
+func header(w *Wire, version *byte, what string) {
+	if !w.Reading {
+		w.B = append(w.B, HandshakeMagic...)
+	} else if bytes.HasPrefix(w.B, []byte(HandshakeMagic)) {
+		w.B = w.B[len(HandshakeMagic):]
+	} else {
+		w.Fail(fmt.Errorf("codec: handshake magic missing"))
+	}
+	w.Byte(version)
+	if w.Reading && w.Err == nil && *version != WireVersion {
+		w.Fail(fmt.Errorf("codec: %s wire version %d, want %d", what, *version, WireVersion))
+	}
+}
+
+// read decodes b whole into a message described by wire.
+func read(b []byte, wire func(*Wire)) error {
+	w := Wire{B: b, Reading: true}
+	wire(&w)
+	return w.Done()
+}
 
 // Hello is the first message of a joining worker: the wire version it
 // speaks, its relative capacity weight (Section 4.3.1 heterogeneity; the
@@ -39,42 +68,27 @@ type Hello struct {
 	Addr   string
 }
 
+func (h *Hello) wire(w *Wire) {
+	header(w, &h.Wire, "hello")
+	w.Float64(&h.Weight)
+	if w.Reading && w.Err == nil && !(h.Weight > 0) {
+		w.Fail(fmt.Errorf("codec: hello capacity weight %v, want > 0", h.Weight))
+	}
+	w.String(&h.Addr, maxHandshakeAddr)
+}
+
 // AppendHello encodes h.
 func AppendHello(dst []byte, h Hello) []byte {
-	dst = append(dst, HandshakeMagic...)
-	dst = append(dst, h.Wire)
-	dst = AppendFloat64(dst, h.Weight)
-	dst = AppendString(dst, h.Addr)
-	return dst
+	w := Wire{B: dst}
+	h.wire(&w)
+	return w.B
 }
 
 // DecodeHello decodes and validates one Hello.
 func DecodeHello(b []byte) (Hello, error) {
 	var h Hello
-	b, err := eatMagic(b)
-	if err != nil {
-		return h, err
-	}
-	if len(b) < 1 {
-		return h, fmt.Errorf("codec: hello truncated before version")
-	}
-	h.Wire, b = b[0], b[1:]
-	if h.Wire != WireVersion {
-		return h, fmt.Errorf("codec: hello wire version %d, want %d", h.Wire, WireVersion)
-	}
-	if h.Weight, b, err = ReadFloat64(b); err != nil {
-		return h, fmt.Errorf("codec: hello weight: %w", err)
-	}
-	if !(h.Weight > 0) {
-		return h, fmt.Errorf("codec: hello capacity weight %v, want > 0", h.Weight)
-	}
-	if h.Addr, b, err = readBoundedString(b, maxHandshakeAddr); err != nil {
-		return h, fmt.Errorf("codec: hello addr: %w", err)
-	}
-	if len(b) != 0 {
-		return h, fmt.Errorf("codec: hello has %d trailing bytes", len(b))
-	}
-	return h, nil
+	err := read(b, h.wire)
+	return h, err
 }
 
 // PeerAddr is one directory entry of a Welcome.
@@ -94,83 +108,35 @@ type Welcome struct {
 	Meta []byte
 }
 
+func (m *Welcome) wire(w *Wire) {
+	header(w, &m.Wire, "welcome")
+	w.Int(&m.Self, maxHandshakePeers)
+	seen := map[int]bool{}
+	n := w.Count(len(m.Dir), maxHandshakePeers)
+	for i := 0; i < n && w.Err == nil; i++ {
+		p := Elem(w, &m.Dir, i)
+		w.Int(&p.ID, maxHandshakePeers)
+		w.String(&p.Addr, maxHandshakeAddr)
+		if w.Reading && w.Err == nil && seen[p.ID] {
+			w.Fail(fmt.Errorf("codec: welcome dir lists peer %d twice", p.ID))
+		}
+		seen[p.ID] = true
+	}
+	w.Blob(&m.Meta, maxHandshakeMeta)
+}
+
 // AppendWelcome encodes w.
 func AppendWelcome(dst []byte, w Welcome) []byte {
-	dst = append(dst, HandshakeMagic...)
-	dst = append(dst, w.Wire)
-	dst = AppendUvarint(dst, uint64(w.Self))
-	dst = AppendUvarint(dst, uint64(len(w.Dir)))
-	for _, p := range w.Dir {
-		dst = AppendUvarint(dst, uint64(p.ID))
-		dst = AppendString(dst, p.Addr)
-	}
-	dst = AppendUvarint(dst, uint64(len(w.Meta)))
-	dst = append(dst, w.Meta...)
-	return dst
+	wr := Wire{B: dst}
+	w.wire(&wr)
+	return wr.B
 }
 
 // DecodeWelcome decodes and validates one Welcome.
 func DecodeWelcome(b []byte) (Welcome, error) {
 	var w Welcome
-	b, err := eatMagic(b)
-	if err != nil {
-		return w, err
-	}
-	if len(b) < 1 {
-		return w, fmt.Errorf("codec: welcome truncated before version")
-	}
-	w.Wire, b = b[0], b[1:]
-	if w.Wire != WireVersion {
-		return w, fmt.Errorf("codec: welcome wire version %d, want %d", w.Wire, WireVersion)
-	}
-	self, b, err := ReadUvarint(b)
-	if err != nil {
-		return w, fmt.Errorf("codec: welcome self: %w", err)
-	}
-	if self > maxHandshakePeers {
-		return w, fmt.Errorf("codec: welcome self id %d out of range", self)
-	}
-	w.Self = int(self)
-	n, b, err := ReadUvarint(b)
-	if err != nil {
-		return w, fmt.Errorf("codec: welcome dir count: %w", err)
-	}
-	if n > maxHandshakePeers {
-		return w, fmt.Errorf("codec: welcome dir of %d peers out of range", n)
-	}
-	seen := map[int]bool{}
-	for i := uint64(0); i < n; i++ {
-		var p PeerAddr
-		id, rest, err := ReadUvarint(b)
-		if err != nil {
-			return w, fmt.Errorf("codec: welcome dir id: %w", err)
-		}
-		if id > maxHandshakePeers {
-			return w, fmt.Errorf("codec: welcome dir id %d out of range", id)
-		}
-		p.ID = int(id)
-		if seen[p.ID] {
-			return w, fmt.Errorf("codec: welcome dir lists peer %d twice", p.ID)
-		}
-		seen[p.ID] = true
-		if p.Addr, rest, err = readBoundedString(rest, maxHandshakeAddr); err != nil {
-			return w, fmt.Errorf("codec: welcome dir addr: %w", err)
-		}
-		w.Dir = append(w.Dir, p)
-		b = rest
-	}
-	m, b, err := ReadUvarint(b)
-	if err != nil {
-		return w, fmt.Errorf("codec: welcome meta length: %w", err)
-	}
-	if m > maxHandshakeMeta {
-		return w, fmt.Errorf("codec: welcome meta of %d bytes out of range", m)
-	}
-	if uint64(len(b)) != m {
-		return w, fmt.Errorf("codec: welcome meta has %d bytes, want %d", len(b), m)
-	}
-	w.Meta = append([]byte(nil), b...)
-	return w, nil
+	err := read(b, w.wire)
+	return w, err
 }
 
 // PeerHello opens a direct worker-to-worker link: the dialing worker
@@ -180,59 +146,21 @@ type PeerHello struct {
 	Self int
 }
 
+func (p *PeerHello) wire(w *Wire) {
+	header(w, &p.Wire, "peer hello")
+	w.Int(&p.Self, maxHandshakePeers)
+}
+
 // AppendPeerHello encodes p.
 func AppendPeerHello(dst []byte, p PeerHello) []byte {
-	dst = append(dst, HandshakeMagic...)
-	dst = append(dst, p.Wire)
-	dst = AppendUvarint(dst, uint64(p.Self))
-	return dst
+	w := Wire{B: dst}
+	p.wire(&w)
+	return w.B
 }
 
 // DecodePeerHello decodes and validates one PeerHello.
 func DecodePeerHello(b []byte) (PeerHello, error) {
 	var p PeerHello
-	b, err := eatMagic(b)
-	if err != nil {
-		return p, err
-	}
-	if len(b) < 1 {
-		return p, fmt.Errorf("codec: peer hello truncated before version")
-	}
-	p.Wire, b = b[0], b[1:]
-	if p.Wire != WireVersion {
-		return p, fmt.Errorf("codec: peer hello wire version %d, want %d", p.Wire, WireVersion)
-	}
-	self, b, err := ReadUvarint(b)
-	if err != nil {
-		return p, fmt.Errorf("codec: peer hello self: %w", err)
-	}
-	if self > maxHandshakePeers {
-		return p, fmt.Errorf("codec: peer hello self id %d out of range", self)
-	}
-	if len(b) != 0 {
-		return p, fmt.Errorf("codec: peer hello has %d trailing bytes", len(b))
-	}
-	p.Self = int(self)
-	return p, nil
-}
-
-func eatMagic(b []byte) ([]byte, error) {
-	if len(b) < len(HandshakeMagic) || string(b[:len(HandshakeMagic)]) != HandshakeMagic {
-		return nil, fmt.Errorf("codec: handshake magic missing")
-	}
-	return b[len(HandshakeMagic):], nil
-}
-
-func readBoundedString(b []byte, max int) (string, []byte, error) {
-	n, rest, err := ReadUvarint(b)
-	if err != nil {
-		return "", nil, err
-	}
-	if n > uint64(max) {
-		return "", nil, fmt.Errorf("codec: string of %d bytes exceeds bound %d", n, max)
-	}
-	if uint64(len(rest)) < n {
-		return "", nil, fmt.Errorf("codec: short string (%d of %d bytes)", len(rest), n)
-	}
-	return string(rest[:n]), rest[n:], nil
+	err := read(b, p.wire)
+	return p, err
 }

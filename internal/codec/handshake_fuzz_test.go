@@ -23,18 +23,20 @@ func FuzzHandshake(f *testing.F) {
 	f.Add(AppendWelcome(nil, Welcome{Wire: WireVersion, Self: 1, Dir: []PeerAddr{{ID: 1, Addr: "a:1"}, {ID: 2, Addr: "b:2"}}, Meta: []byte(`{"job":"rj2"}`)}))
 	f.Add(AppendWelcome(nil, Welcome{Wire: WireVersion, Self: 2}))
 	f.Add(AppendPeerHello(nil, PeerHello{Wire: WireVersion, Self: 3}))
-	// Malformed shapes the handshake must reject, not crash on.
+	// Malformed shapes the handshake must reject, not crash on. hdr is a
+	// well-formed lead: the magic and this build's version.
+	hdr := func() []byte { return append([]byte(HandshakeMagic), WireVersion) }
 	f.Add([]byte{})
 	f.Add([]byte("ALBN"))                   // magic only
 	f.Add([]byte("ALBX\x02"))               // wrong magic
 	f.Add([]byte{'A', 'L', 'B', 'N', 0x01}) // wrong wire version
 	bad := AppendHello(nil, Hello{Wire: WireVersion, Weight: 1, Addr: "x"})
-	f.Add(bad[:len(bad)-1])                                                                             // truncated addr
-	f.Add(AppendString(append([]byte("ALBN\x02"), AppendFloat64(nil, math.NaN())...), "x"))             // NaN weight
-	f.Add(AppendString(append([]byte("ALBN\x02"), AppendFloat64(nil, -1)...), "x"))                     // negative weight
-	f.Add(append(append([]byte("ALBN\x02"), 0x01), AppendUvarint(nil, 1<<20)...))                       // dir count over bound
-	f.Add(append([]byte("ALBN\x02"), AppendUvarint(nil, uint64(maxHandshakePeers)+1)...))               // self id over bound
-	f.Add(AppendString(append([]byte("ALBN\x02"), AppendFloat64(nil, 1)...), string(make([]byte, 64)))) // long addr
+	f.Add(bad[:len(bad)-1])                                                                // truncated addr
+	f.Add(AppendString(append(hdr(), AppendFloat64(nil, math.NaN())...), "x"))             // NaN weight
+	f.Add(AppendString(append(hdr(), AppendFloat64(nil, -1)...), "x"))                     // negative weight
+	f.Add(append(append(hdr(), 0x01), AppendUvarint(nil, 1<<20)...))                       // dir count over bound
+	f.Add(append(hdr(), AppendUvarint(nil, uint64(maxHandshakePeers)+1)...))               // self id over bound
+	f.Add(AppendString(append(hdr(), AppendFloat64(nil, 1)...), string(make([]byte, 64)))) // long addr
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if h, err := DecodeHello(data); err == nil {

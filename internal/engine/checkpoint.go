@@ -65,7 +65,7 @@ type CheckpointStats struct {
 // group's own chain — so what the store holds and reports depends neither on
 // the layout nor on the schedule. It returns after the cut, every write
 // running beside whatever comes next; the stats are exact all the same, since
-// the cut knows every payload's length and every fold. The store has the
+// the cut knows every payload's length. The store has the
 // bytes at the next join: this call's next, Recover, CheckpointStore,
 // RestoreCheckpointStore or Close, whichever comes first. Must be called
 // between periods (the engine is quiescent then; the completion events of
@@ -104,7 +104,8 @@ func (e *Engine) TakeCheckpoint() CheckpointStats {
 		if rerrs[k] != nil {
 			continue
 		}
-		summary, derr := decodeCkptSummary(bodies[k])
+		var summary ckptSummary
+		derr := decode(bodies[k], &summary)
 		codec.PutBuf(bodies[k])
 		if derr != nil {
 			e.ckptErrs = append(e.ckptErrs, fmt.Errorf("engine: checkpoint reply from peer %d: %w", peer, derr))
@@ -143,25 +144,11 @@ func (e *Engine) TakeCheckpoint() CheckpointStats {
 
 // ckptDirectives says, per tracked group, what the store makes of its next
 // checkpoint (ckptDirective), split by where the group lives: local for this
-// process's nodes, remote[k] for peers[k]'s. A group a pre-copy read whole
-// since the last cut (readWhole) is folded into that encoding first where the
-// store holds a chain for the tip's version: its bound is then the folded
-// chain's. Both lists ascend by gid.
+// process's nodes, remote[k] for peers[k]'s. Both lists ascend by gid.
 func (e *Engine) ckptDirectives(peers []int) (local []ckptDirective, remote [][]ckptDirective) {
-	var fold map[int]bool
-	if len(e.readWhole) > 0 {
-		fold = map[int]bool{}
-	}
-	for _, gid := range e.readWhole {
-		fold[gid] = e.tipNode[gid] >= 0 && e.ckpt.Version(gid) == e.tipVer[gid] && e.ckpt.ChainLen(gid) > 0
-	}
-	e.readWhole = e.readWhole[:0]
 	remote = make([][]ckptDirective, len(peers))
 	for _, gid := range e.ckpt.Groups() {
-		d := ckptDirective{gid: gid, bound: e.ckpt.FoldBound(gid), fold: fold[gid]}
-		if d.fold {
-			d.bound = statestore.FoldBound(e.tipSize[gid], 0, 0)
-		}
+		d := ckptDirective{gid: gid, bound: e.ckpt.FoldBound(gid)}
 		p := e.peerFor(e.baseAlloc[gid])
 		if p == e.self {
 			local = append(local, d)
@@ -188,7 +175,7 @@ type ckptTally struct {
 // admitCkptEntry checks one entry of a cut — a worker's crossed a wire: a
 // known group, named once, that the store can take the step for — and tallies
 // it: NewBytes counts the cut's size, the store's growth what recording the
-// payload (after the fold it carries, if any) will add. The controller's
+// payload will add. The controller's
 // record of the group's tip is set here, at the cut: where it lives, its
 // version and its size.
 func (e *Engine) admitCkptEntry(en ckptEntryWire, t *ckptTally) error {
@@ -206,14 +193,9 @@ func (e *Engine) admitCkptEntry(en ckptEntryWire, t *ckptTally) error {
 	}
 	t.seen[en.gid] = true
 	t.cs.NewBytes += en.cut
-	footprint := e.ckpt.Footprint(en.gid)
-	if en.foldLen > 0 {
-		t.grow += en.foldLen - footprint
-		footprint = en.foldLen
-	}
 	switch en.step {
 	case statestore.StepBase:
-		t.grow += en.size - footprint
+		t.grow += en.size - e.ckpt.Footprint(en.gid)
 		if !tracked {
 			t.added++
 		}
@@ -246,9 +228,9 @@ func (e *Engine) setCkptDelta(size int, gids ...int) {
 
 // joinCheckpoint waits for the last checkpoint's write, if one is pending. On
 // the controller it then records the entries — its own and every worker's
-// whose payloads arrived and checked out — in the store, each after the fold
-// it carries; TakeCheckpoint dropped every entry the store would refuse, and
-// what went wrong since fails the next period. A worker's write that was
+// whose payloads arrived and checked out — in the store; TakeCheckpoint
+// dropped every entry the store would refuse, and what went wrong since
+// fails the next period. A worker's write that was
 // never asked for is abandoned.
 func (e *Engine) joinCheckpoint() {
 	w := &e.write
@@ -277,13 +259,9 @@ func (e *Engine) joinCheckpoint() {
 }
 
 // recordCkptEntries appends checked entries of the checkpoint at version to
-// the store, as they are: a fold first — the tip's encoding at the store's
-// version, which replaces the chain — then the step.
+// the store, as they are.
 func (e *Engine) recordCkptEntries(version int, entries []ckptEntryWire) {
 	for _, en := range entries {
-		if en.fold != nil {
-			e.ckpt.Record(en.gid, e.ckpt.Version(en.gid), statestore.StepBase, en.fold, nil) //nolint:errcheck // a base is always taken
-		}
 		e.ckpt.Record(en.gid, version, en.step, en.payload, nil) //nolint:errcheck // admitted at the cut
 	}
 }

@@ -199,7 +199,7 @@ func (e *Engine) deliver(gsid int, msg message) bool {
 // the controller consumes it in process.
 func (e *Engine) emit(ev engEvent) {
 	if e.self != 0 {
-		_ = e.rig.ep.Send(0, encodeEventFrame(ev))
+		_ = e.rig.ep.Send(0, encode(frEvent, &ev))
 		return
 	}
 	e.events <- ev
@@ -244,7 +244,7 @@ func (e *Engine) fetchCkptWrite(rw *remoteWrite) {
 		rw.entries = nil
 		return
 	}
-	err = decodeCkptPayloads(body, rw.entries)
+	err = decode(body, ckptPayloads(rw.entries))
 	codec.PutBuf(body)
 	if err != nil {
 		rw.entries, rw.err = nil, fmt.Errorf("engine: checkpoint payloads from peer %d: %w", rw.peer, err)
@@ -266,15 +266,10 @@ func (e *Engine) fetchCkptWrite(rw *remoteWrite) {
 	rw.entries, rw.err = kept, errors.Join(errs...)
 }
 
-// checkCkptPayload checks that a worker's payload — and the fold base it
-// carries, if any — decodes as the step its entry claims (a state is checked
-// without being built, statestore.CheckState); d is scratch.
+// checkCkptPayload checks that a worker's payload decodes as the step its
+// entry claims (a state is checked without being built,
+// statestore.CheckState); d is scratch.
 func checkCkptPayload(en ckptEntryWire, d *statestore.Delta) error {
-	if en.fold != nil {
-		if err := statestore.CheckState(en.fold); err != nil {
-			return fmt.Errorf("engine: checkpoint fold of group %d: %w", en.gid, err)
-		}
-	}
 	switch en.step {
 	case statestore.StepBase:
 		if err := statestore.CheckState(en.payload); err != nil {

@@ -185,10 +185,6 @@ type Engine struct {
 	// keeps the pre-copied base), Recover (the restored state is the tip) and
 	// FailNode — never when a write is recorded, which may be after a move.
 	tipNode, tipVer, tipSize []int
-	// readWhole lists the groups a pre-copy session read the tip of whole
-	// since the last cut: the next checkpoint folds their chains (see
-	// precopy.go). Owned by the engine goroutine.
-	readWhole []int
 
 	// Checkpoint scratch, reused across barriers and cadences: liveGroups is
 	// the gid-ordered list of locally hosted states that the delta sizing and
@@ -515,7 +511,7 @@ func (e *Engine) arm(pr *periodRun, transfers []stagedTransfer, resume bool) {
 				peerGids = append(peerGids, tr.mv.Group)
 			}
 		}
-		err := e.rig.ep.Send(peer, encodeArmFrame(armFrame{
+		err := e.rig.ep.Send(peer, encode(frArm, &armFrame{
 			period:      pr.period,
 			resume:      resume,
 			numNodes:    len(e.nodes),
@@ -920,8 +916,12 @@ func (e *Engine) AddNodesWeighted(weights []float64) ([]int, error) {
 		if err != nil {
 			return q.provIDs, fmt.Errorf("engine: provision on peer %d: %w", peer, err)
 		}
-		rerr := decodeOKReply(body)
+		var ok okReply
+		rerr := decode(body, &ok)
 		codec.PutBuf(body)
+		if rerr == nil {
+			rerr = ok.err
+		}
 		if rerr != nil {
 			return q.provIDs, fmt.Errorf("engine: provision on peer %d: %w", peer, rerr)
 		}

@@ -117,7 +117,7 @@ func (r *netRig) request(peer int, q reqFrame) ([]byte, error) {
 	r.pending[q.id] = netPending{peer: peer, ch: ch}
 	r.mu.Unlock()
 
-	if err := r.ep.Send(peer, encodeReqFrame(q)); err != nil {
+	if err := r.ep.Send(peer, encode(frReq, &q)); err != nil {
 		r.unpend(q.id)
 		return nil, err
 	}
@@ -153,9 +153,9 @@ func (r *netRig) unpend(id int) {
 }
 
 func (r *netRig) handleReply(peer int, body []byte) {
-	rd := &wireReader{b: body}
-	id := rd.int("reply id", 1<<40)
-	if rd.err != nil {
+	rd := codec.Wire{B: body, Reading: true}
+	var id int
+	if rd.Int(&id, maxWireSeq); rd.Err != nil {
 		return
 	}
 	r.mu.Lock()
@@ -165,7 +165,7 @@ func (r *netRig) handleReply(peer int, body []byte) {
 	}
 	r.mu.Unlock()
 	if ok && p.peer == peer {
-		p.ch <- append([]byte(nil), rd.b...)
+		p.ch <- append([]byte(nil), rd.B...)
 	}
 }
 
@@ -204,7 +204,9 @@ func (r *netRig) serve(dispatch func(transport.Frame) (bye bool)) error {
 }
 
 // dispatchControl handles one inbound frame on the controller (which is
-// never told to shut down: bye is always false).
+// never told to shut down: bye is always false). An event that does not
+// decode, or names a group the topology does not have, arrives as an error
+// naming its peer: it fails the period instead of the controller.
 func (r *netRig) dispatchControl(fr transport.Frame) (bye bool) {
 	data := fr.Data
 	if len(data) == 0 {
@@ -214,9 +216,15 @@ func (r *netRig) dispatchControl(fr transport.Frame) (bye bool) {
 	kind, body := data[0], data[1:]
 	switch kind {
 	case frEvent:
-		if ev, err := decodeEventFrame(body); err == nil {
-			r.e.events <- ev
+		var ev engEvent
+		err := decode(body, &ev)
+		if ng := r.e.topo.NumGroups(); err == nil && ev.gid >= ng {
+			err = fmt.Errorf("engine: event for group %d of %d", ev.gid, ng)
 		}
+		if err != nil {
+			ev = engEvent{kind: evError, err: fmt.Errorf("engine: event from peer %d: %w", fr.Peer, err)}
+		}
+		r.e.events <- ev
 	case frReply:
 		r.handleReply(fr.Peer, body)
 	case frBye, frArm, frReq:
@@ -233,12 +241,12 @@ func (r *netRig) dispatchControl(fr transport.Frame) (bye bool) {
 // message into the addressed hosted shard's mailbox. A frame that does not
 // decode fails the period through the event path.
 func (r *netRig) dispatchData(kind byte, body []byte) {
-	d, err := decodeMsgFrame(kind, body)
+	gsid, msg, err := decodeMsgFrame(kind, body)
 	if err != nil {
 		r.e.emit(engEvent{kind: evError, err: err})
 		return
 	}
-	r.e.deliverLocal(d.gsid, d.msg, d.dataBuf)
+	r.e.deliverLocal(gsid, msg, true)
 }
 
 // deliverLocal puts a message into the owning hosted shard's mailbox.

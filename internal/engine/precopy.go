@@ -39,12 +39,6 @@ import (
 // destination in that order, one sender, so the destination's mailbox has the
 // final chunk ahead of the delta even when both go at the same boundary.
 //
-// A session reads the tip whole, which folded the group's checkpoint chain in
-// the days the pre-copy read the store (Store.EncodedState): the controller
-// notes the group (readWhole), and the next checkpoint asks the tip-holder for
-// that encoding to fold the chain into first, so the store holds the same
-// bytes it always did.
-//
 // Concurrency: e.precopy and every session's fields belong to the engine
 // goroutine alone (beginPeriod, Recover, between periods); shards see a
 // session only as the forwards, chunks and the deltaBase their messages carry.
@@ -144,7 +138,6 @@ func (e *Engine) planTransfers(pr *periodRun, staged []core.Move) []stagedTransf
 			}
 			s = &precopySession{gid: mv.Group, src: mv.From, dest: mv.To, version: e.tipVer[mv.Group], total: e.tipSize[mv.Group]}
 			e.precopy[mv.Group] = s
-			e.readWhole = append(e.readWhole, mv.Group)
 		}
 		if s == nil {
 			// Cold group: classic direct state migration.

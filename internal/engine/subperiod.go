@@ -116,7 +116,8 @@ func (e *Engine) SubSnapshot() (*core.Snapshot, error) {
 		if errs[k] != nil {
 			continue // a dead worker contributes nothing mid-period
 		}
-		vals, derr := decodeSubReply(body, len(milli))
+		vals := make(subReply, len(milli))
+		derr := decode(body, vals)
 		codec.PutBuf(body)
 		if derr != nil {
 			continue
@@ -204,10 +205,11 @@ func (e *Engine) quiesceToward(target int64) {
 			if errs[k] != nil {
 				continue // dead worker: counts as no progress; stalls exit
 			}
-			m, derr := decodeProgressReply(body)
+			var m progressReply
+			derr := decode(body, &m)
 			codec.PutBuf(body)
 			if derr == nil {
-				cur += m
+				cur += m.milli
 			}
 		}
 		if cur >= target {

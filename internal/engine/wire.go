@@ -11,17 +11,21 @@ import (
 
 // Control-frame schema: the wire form of every message the engine exchanges
 // between processes. Data-plane messages (data batches, barriers, state
-// transfers, pre-copy chunks) map 1:1 onto the mailbox message
+// transfers, pre-copy chunks, recoveries) map 1:1 onto the mailbox message
 // types of mailbox.go — a remote deliver encodes the message here, the
 // receiving process's dispatch loop decodes it and puts the identical
 // message into the owning shard's mailbox, so shard code cannot tell local
 // from remote senders. Control-plane frames (arm, events, request/reply)
 // implement the controller↔worker protocol of net.go.
 //
-// Every frame is [kind byte][fields]; integers are uvarints (a -1 sentinel
-// is shifted by +1), strings and byte blobs are length-prefixed. Decoders
-// validate lengths and counts against hard bounds — these frames arrive
-// from the network, so FuzzControlFrame hammers exactly this surface.
+// Every frame is [kind byte][fields]. Each message is described once, by a
+// wire method that lists its fields through a codec.Wire: the same method
+// encodes the message (each field is appended) and decodes it (each field is
+// read back and checked against a hard bound — these frames arrive from the
+// network, so FuzzControlFrame hammers exactly this surface), so a field
+// that only one side knows about cannot exist. Integers are uvarints (a -1
+// sentinel is shifted by +1), strings and byte blobs are length-prefixed;
+// wire_golden_test.go pins the bytes of every message.
 
 const (
 	frData byte = iota + 1
@@ -57,257 +61,151 @@ const (
 	maxWireNodes  = 1 << 20
 	maxWireBlob   = 256 << 20
 	maxWireErr    = 1 << 12
+	maxWireSeq    = 1 << 40 // periods, checkpoint versions, request ids
 )
 
-func appendInt(dst []byte, v int) []byte { return codec.AppendUvarint(dst, uint64(v)) }
+// wireMsg is a message that crosses processes, described by its wire method.
+type wireMsg interface{ wire(*codec.Wire) }
 
-// appendSigned encodes v >= -1 as uvarint(v+1).
-func appendSigned(dst []byte, v int) []byte { return codec.AppendUvarint(dst, uint64(v+1)) }
-
-func appendBool(dst []byte, v bool) []byte {
-	if v {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
+// encode returns m's frame, kind and then m's fields, in a pooled buffer.
+func encode(kind byte, m wireMsg) []byte {
+	w := codec.Wire{B: append(codec.GetBuf(), kind)}
+	m.wire(&w)
+	return w.B
 }
 
-func appendBlob(dst, blob []byte) []byte {
-	dst = codec.AppendUvarint(dst, uint64(len(blob)))
-	return append(dst, blob...)
-}
-
-type wireReader struct {
-	b   []byte
-	err error
-}
-
-func (r *wireReader) int(what string, max uint64) int {
-	if r.err != nil {
-		return 0
-	}
-	v, rest, err := codec.ReadUvarint(r.b)
-	if err != nil {
-		r.err = fmt.Errorf("engine: wire %s: %w", what, err)
-		return 0
-	}
-	if v > max {
-		r.err = fmt.Errorf("engine: wire %s %d out of range", what, v)
-		return 0
-	}
-	r.b = rest
-	return int(v)
-}
-
-func (r *wireReader) signed(what string, max uint64) int { return r.int(what, max+1) - 1 }
-
-func (r *wireReader) i64(what string) int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, rest, err := codec.ReadUvarint(r.b)
-	if err != nil {
-		r.err = fmt.Errorf("engine: wire %s: %w", what, err)
-		return 0
-	}
-	r.b = rest
-	return int64(v)
-}
-
-func (r *wireReader) bool(what string) bool {
-	if r.err != nil {
-		return false
-	}
-	if len(r.b) < 1 {
-		r.err = fmt.Errorf("engine: wire %s: truncated bool", what)
-		return false
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	if v > 1 {
-		r.err = fmt.Errorf("engine: wire %s: bool byte 0x%02x", what, v)
-		return false
-	}
-	return v == 1
-}
-
-// blob returns a copy of a length-prefixed byte blob (frames are pooled
-// buffers; decoded messages outlive them).
-func (r *wireReader) blob(what string) []byte {
-	if r.err != nil {
-		return nil
-	}
-	n := r.int(what+" length", maxWireBlob)
-	if r.err != nil {
-		return nil
-	}
-	if len(r.b) < n {
-		r.err = fmt.Errorf("engine: wire %s: %d of %d bytes", what, len(r.b), n)
-		return nil
-	}
-	out := append([]byte(nil), r.b[:n]...)
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *wireReader) done(what string) error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("engine: wire %s: %d trailing bytes", what, len(r.b))
-	}
-	return nil
+// decode reads body — a frame after its kind byte, or a reply's body — whole
+// into m.
+func decode(body []byte, m wireMsg) error {
+	w := codec.Wire{B: body, Reading: true}
+	m.wire(&w)
+	return w.Done()
 }
 
 // --- data-plane messages -------------------------------------------------
 
+func (m *dataBatchMsg) wire(w *codec.Wire) {
+	w.Int(&m.op, maxWireNodes)
+	w.Int(&m.period, maxWireSeq)
+	w.Int(&m.count, maxWireBlob)
+	w.Blob(&m.encoded, maxWireBlob)
+}
+
+func (m *barrierMsg) wire(w *codec.Wire) {
+	w.Int(&m.op, maxWireNodes)
+	w.Int(&m.period, maxWireSeq)
+	w.Bool(&m.more)
+}
+
+func (m *stateMsg) wire(w *codec.Wire) {
+	w.Int(&m.op, maxWireNodes)
+	w.Int(&m.kg, maxWireGroups)
+	w.Bool(&m.delta)
+	w.Signed(&m.baseVer, maxWireSeq)
+	w.Blob(&m.encoded, maxWireBlob)
+}
+
+func (m *migrateOutMsg) wire(w *codec.Wire) {
+	w.Int(&m.op, maxWireNodes)
+	w.Int(&m.kg, maxWireGroups)
+	w.Int(&m.dest, maxWireNodes)
+	w.Signed(&m.deltaBase, maxWireSeq)
+}
+
+func (m *precopyMsg) wire(w *codec.Wire) {
+	w.Int(&m.op, maxWireNodes)
+	w.Int(&m.kg, maxWireGroups)
+	w.Int(&m.version, maxWireSeq)
+	w.Int(&m.total, maxWireBlob)
+	w.Int(&m.off, maxWireBlob)
+	w.Bool(&m.discard)
+	w.Bool(&m.forward)
+	w.Int(&m.dest, maxWireNodes)
+	w.Int(&m.n, maxWireBlob)
+	w.Blob(&m.chunk, maxWireBlob)
+}
+
+func (m *recoverMsg) wire(w *codec.Wire) {
+	w.Int(&m.op, maxWireNodes)
+	w.Int(&m.kg, maxWireGroups)
+	w.Signed(&m.tipVer, maxWireSeq)
+	w.Blob(&m.encoded, maxWireBlob)
+}
+
 // encodeMsgFrame encodes one mailbox message for remote shard gsid into a
-// pooled buffer. Messages that never cross processes (periodStartMsg — the
-// arm frame replaces it — and stopMsg) are a programming error here.
+// pooled buffer: kind, gsid, the message. Messages that never cross processes
+// (periodStartMsg — the arm frame replaces it — and stopMsg) are a
+// programming error here. Both directions switch on the concrete type, so a
+// data-plane message never escapes through an interface call.
 func encodeMsgFrame(gsid int, msg message) []byte {
-	b := codec.GetBuf()
+	w := codec.Wire{B: append(codec.GetBuf(), 0)}
+	w.Int(&gsid, maxWireNodes)
 	switch m := msg.(type) {
 	case dataBatchMsg:
-		b = append(b, frData)
-		b = appendInt(b, gsid)
-		b = appendInt(b, m.op)
-		b = appendInt(b, m.period)
-		b = appendInt(b, m.count)
-		b = appendBlob(b, m.encoded)
+		w.B[0] = frData
+		m.wire(&w)
 	case barrierMsg:
-		b = append(b, frBarrier)
-		b = appendInt(b, gsid)
-		b = appendInt(b, m.op)
-		b = appendInt(b, m.period)
-		b = appendBool(b, m.more)
+		w.B[0] = frBarrier
+		m.wire(&w)
 	case stateMsg:
-		b = append(b, frState)
-		b = appendInt(b, gsid)
-		b = appendInt(b, m.op)
-		b = appendInt(b, m.kg)
-		b = appendBool(b, m.delta)
-		b = appendSigned(b, m.baseVer)
-		b = appendBlob(b, m.encoded)
+		w.B[0] = frState
+		m.wire(&w)
 	case migrateOutMsg:
-		b = append(b, frMigrateOut)
-		b = appendInt(b, gsid)
-		b = appendInt(b, m.op)
-		b = appendInt(b, m.kg)
-		b = appendInt(b, m.dest)
-		b = appendSigned(b, m.deltaBase)
+		w.B[0] = frMigrateOut
+		m.wire(&w)
 	case precopyMsg:
-		b = append(b, frPrecopy)
-		b = appendInt(b, gsid)
-		b = appendInt(b, m.op)
-		b = appendInt(b, m.kg)
-		b = appendInt(b, m.version)
-		b = appendInt(b, m.total)
-		b = appendInt(b, m.off)
-		b = appendBool(b, m.discard)
-		b = appendBool(b, m.forward)
-		b = appendInt(b, m.dest)
-		b = appendInt(b, m.n)
-		b = appendBlob(b, m.chunk)
+		w.B[0] = frPrecopy
+		m.wire(&w)
 	case recoverMsg:
-		b = append(b, frRecover)
-		b = appendInt(b, gsid)
-		b = appendInt(b, m.op)
-		b = appendInt(b, m.kg)
-		b = appendSigned(b, m.tipVer)
-		b = appendBlob(b, m.encoded)
+		w.B[0] = frRecover
+		m.wire(&w)
 	default:
 		panic(fmt.Sprintf("engine: message %T cannot cross processes", msg))
 	}
-	return b
+	return w.B
 }
 
-// decodedMsg is one decoded data-plane frame: the target shard and the
-// mailbox message.
-type decodedMsg struct {
-	gsid    int
-	msg     message
-	dataBuf bool // msg is a dataBatchMsg whose encoded buffer is pooled
-}
-
-func decodeMsgFrame(kind byte, body []byte) (decodedMsg, error) {
-	r := &wireReader{b: body}
-	var d decodedMsg
-	d.gsid = r.int("gsid", maxWireNodes)
+// decodeMsgFrame decodes a data-plane frame after its kind byte: the target
+// shard and the mailbox message. A data batch's payload lands in a pooled
+// buffer, which the receiving shard returns via codec.PutBuf exactly like a
+// locally staged frame.
+func decodeMsgFrame(kind byte, body []byte) (gsid int, msg message, err error) {
+	w := codec.Wire{B: body, Reading: true}
+	w.Int(&gsid, maxWireNodes)
 	switch kind {
 	case frData:
-		m := dataBatchMsg{}
-		m.op = r.int("op", maxWireNodes)
-		m.period = r.int("period", 1<<40)
-		m.count = r.int("count", maxWireBlob)
-		if r.err == nil {
-			n := r.int("payload length", maxWireBlob)
-			if r.err == nil {
-				if len(r.b) != n {
-					r.err = fmt.Errorf("engine: wire data payload: %d of %d bytes", len(r.b), n)
-				} else {
-					// The payload lands in a pooled buffer: the receiving
-					// shard returns it via codec.PutBuf exactly like a
-					// locally staged frame.
-					buf := codec.GetBuf()
-					m.encoded = append(buf, r.b...)
-					r.b = nil
-					d.dataBuf = true
-				}
-			}
+		m := dataBatchMsg{encoded: codec.GetBuf()}
+		if m.wire(&w); w.Done() != nil {
+			codec.PutBuf(m.encoded)
 		}
-		d.msg = m
-		if r.err != nil {
-			return d, r.err
-		}
-		return d, nil
+		msg = m
 	case frBarrier:
-		m := barrierMsg{}
-		m.op = r.int("op", maxWireNodes)
-		m.period = r.int("period", 1<<40)
-		m.more = r.bool("more")
-		d.msg = m
+		var m barrierMsg
+		m.wire(&w)
+		msg = m
 	case frState:
-		m := stateMsg{}
-		m.op = r.int("op", maxWireNodes)
-		m.kg = r.int("kg", maxWireGroups)
-		m.delta = r.bool("delta")
-		m.baseVer = r.signed("baseVer", 1<<40)
-		m.encoded = r.blob("state")
-		d.msg = m
+		var m stateMsg
+		m.wire(&w)
+		msg = m
 	case frMigrateOut:
-		m := migrateOutMsg{}
-		m.op = r.int("op", maxWireNodes)
-		m.kg = r.int("kg", maxWireGroups)
-		m.dest = r.int("dest", maxWireNodes)
-		m.deltaBase = r.signed("deltaBase", 1<<40)
-		d.msg = m
+		var m migrateOutMsg
+		m.wire(&w)
+		msg = m
 	case frPrecopy:
-		m := precopyMsg{}
-		m.op = r.int("op", maxWireNodes)
-		m.kg = r.int("kg", maxWireGroups)
-		m.version = r.int("version", 1<<40)
-		m.total = r.int("total", maxWireBlob)
-		m.off = r.int("off", maxWireBlob)
-		m.discard = r.bool("discard")
-		m.forward = r.bool("forward")
-		m.dest = r.int("dest", maxWireNodes)
-		m.n = r.int("n", maxWireBlob)
-		m.chunk = r.blob("chunk")
-		d.msg = m
+		var m precopyMsg
+		m.wire(&w)
+		msg = m
 	case frRecover:
-		m := recoverMsg{}
-		m.op = r.int("op", maxWireNodes)
-		m.kg = r.int("kg", maxWireGroups)
-		m.tipVer = r.signed("tipVer", 1<<40)
-		m.encoded = r.blob("state")
-		d.msg = m
+		var m recoverMsg
+		m.wire(&w)
+		msg = m
 	default:
-		return d, fmt.Errorf("engine: unknown message frame kind %d", kind)
+		return gsid, nil, fmt.Errorf("engine: unknown message frame kind %d", kind)
 	}
-	if err := r.done("message frame"); err != nil {
-		return d, err
+	if err := w.Done(); err != nil {
+		return gsid, nil, fmt.Errorf("engine: message frame kind %d: %w", kind, err)
 	}
-	return d, nil
+	return gsid, msg, nil
 }
 
 // --- arm -----------------------------------------------------------------
@@ -325,93 +223,38 @@ type armFrame struct {
 	awaitIn     []int
 }
 
-func encodeArmFrame(a armFrame) []byte {
-	b := codec.GetBuf()
-	b = append(b, frArm)
-	b = appendInt(b, a.period)
-	b = appendBool(b, a.resume)
-	b = appendInt(b, a.numNodes)
-	b = appendInt(b, len(a.alloc))
-	for _, n := range a.alloc {
-		b = appendInt(b, n)
-	}
-	b = appendInt(b, len(a.barrierNeed))
-	for _, n := range a.barrierNeed {
-		b = appendInt(b, n)
-	}
-	b = appendInt(b, len(a.awaitIn))
-	for _, g := range a.awaitIn {
-		b = appendInt(b, g)
-	}
-	return b
-}
-
-func decodeArmFrame(body []byte) (armFrame, error) {
-	r := &wireReader{b: body}
-	var a armFrame
-	a.period = r.int("arm period", 1<<40)
-	a.resume = r.bool("arm resume")
-	a.numNodes = r.int("arm numNodes", maxWireNodes)
-	n := r.int("arm alloc count", maxWireGroups)
-	for i := 0; i < n && r.err == nil; i++ {
-		a.alloc = append(a.alloc, r.int("arm alloc", maxWireNodes))
-	}
-	n = r.int("arm op count", maxWireNodes)
-	for i := 0; i < n && r.err == nil; i++ {
-		a.barrierNeed = append(a.barrierNeed, r.int("arm barrier need", maxWireGroups))
-	}
-	n = r.int("arm awaitIn count", maxWireGroups)
-	for i := 0; i < n && r.err == nil; i++ {
-		a.awaitIn = append(a.awaitIn, r.int("arm awaitIn gid", maxWireGroups))
-	}
-	return a, r.done("arm frame")
+func (a *armFrame) wire(w *codec.Wire) {
+	w.Int(&a.period, maxWireSeq)
+	w.Bool(&a.resume)
+	w.Int(&a.numNodes, maxWireNodes)
+	w.Ints(&a.alloc, maxWireGroups, maxWireNodes)
+	w.Ints(&a.barrierNeed, maxWireNodes, maxWireGroups)
+	w.Ints(&a.awaitIn, maxWireGroups, maxWireGroups)
 }
 
 // --- events --------------------------------------------------------------
 
-func encodeEventFrame(ev engEvent) []byte {
-	b := codec.GetBuf()
-	b = append(b, frEvent)
-	b = appendInt(b, ev.kind)
-	b = appendInt(b, ev.node)
-	b = appendInt(b, ev.op)
-	b = appendInt(b, ev.bytes)
-	b = appendBool(b, ev.delta)
-	b = appendSigned(b, ev.gid)
-	msg := ""
-	if ev.err != nil {
-		msg = ev.err.Error()
-		if len(msg) > maxWireErr {
-			msg = msg[:maxWireErr]
-		}
-	}
-	b = codec.AppendString(b, msg)
-	return b
+func (ev *engEvent) wire(w *codec.Wire) {
+	w.Int(&ev.kind, evError)
+	w.Int(&ev.node, maxWireNodes)
+	w.Int(&ev.op, maxWireNodes)
+	w.Int(&ev.bytes, maxWireBlob)
+	w.Bool(&ev.delta)
+	w.Signed(&ev.gid, maxWireGroups)
+	errText(w, &ev.err)
 }
 
-func decodeEventFrame(body []byte) (engEvent, error) {
-	r := &wireReader{b: body}
-	var ev engEvent
-	ev.kind = r.int("event kind", 16)
-	ev.node = r.int("event node", maxWireNodes)
-	ev.op = r.int("event op", maxWireNodes)
-	ev.bytes = r.int("event bytes", maxWireBlob)
-	ev.delta = r.bool("event delta")
-	ev.gid = r.signed("event gid", maxWireGroups)
-	if r.err == nil {
-		msg, rest, err := codec.ReadString(r.b)
-		if err != nil {
-			r.err = fmt.Errorf("engine: wire event error: %w", err)
-		} else {
-			r.b = rest
-			if len(msg) > maxWireErr {
-				r.err = fmt.Errorf("engine: wire event error of %d bytes out of range", len(msg))
-			} else if msg != "" {
-				ev.err = errors.New(msg)
-			}
-		}
+// errText carries an error as its text, cut to maxWireErr bytes ("" is nil).
+func errText(w *codec.Wire, err *error) {
+	var s string
+	if !w.Reading && *err != nil {
+		s = (*err).Error()
+		s = s[:min(len(s), maxWireErr)]
 	}
-	return ev, r.done("event frame")
+	w.String(&s, maxWireErr)
+	if w.Reading && s != "" {
+		*err = errors.New(s)
+	}
 }
 
 // --- requests ------------------------------------------------------------
@@ -434,384 +277,225 @@ type reqFrame struct {
 	provW     []float64
 }
 
-func encodeReqFrame(q reqFrame) []byte {
-	b := codec.GetBuf()
-	b = append(b, frReq)
-	b = appendInt(b, q.id)
-	b = append(b, q.kind)
+func (q *reqFrame) wire(w *codec.Wire) {
+	w.Int(&q.id, maxWireSeq)
+	w.Byte(&q.kind)
 	switch q.kind {
 	case rqStats:
-		b = appendInt(b, q.version)
+		w.Int(&q.version, maxWireSeq)
 	case rqCkpt:
-		b = appendInt(b, q.version)
-		b = appendInt(b, len(q.dirs))
-		for _, d := range q.dirs {
-			b = appendInt(b, d.gid)
-			b = appendSigned(b, d.bound)
-			b = appendBool(b, d.fold)
-		}
-	case rqTerminate, rqFail:
-		b = appendInt(b, q.node)
-	case rqProvision:
-		b = appendInt(b, len(q.provIDs))
-		for i := range q.provIDs {
-			b = appendInt(b, q.provIDs[i])
-			b = appendInt(b, q.provOwner[i])
-			b = codec.AppendFloat64(b, q.provW[i])
-		}
-	}
-	return b
-}
-
-func decodeReqFrame(body []byte) (reqFrame, error) {
-	r := &wireReader{b: body}
-	var q reqFrame
-	q.id = r.int("req id", 1<<40)
-	if r.err == nil {
-		if len(r.b) < 1 {
-			return q, fmt.Errorf("engine: wire req: truncated kind")
-		}
-		q.kind = r.b[0]
-		r.b = r.b[1:]
-	}
-	switch q.kind {
-	case rqStats:
-		q.version = r.int("req version", 1<<40)
-	case rqCkpt:
-		q.version = r.int("req version", 1<<40)
-		n := r.int("ckpt directive count", maxWireGroups)
-		for i := 0; i < n && r.err == nil; i++ {
-			d := ckptDirective{gid: r.int("ckpt directive gid", maxWireGroups)}
-			d.bound = r.signed("ckpt fold bound", maxWireBlob)
-			d.fold = r.bool("ckpt fold")
-			if r.err == nil && i > 0 && d.gid <= q.dirs[i-1].gid {
-				r.err = fmt.Errorf("engine: wire ckpt directive for group %d out of order", d.gid)
+		w.Int(&q.version, maxWireSeq)
+		n := w.Count(len(q.dirs), maxWireGroups)
+		for i := 0; i < n && w.Err == nil; i++ {
+			d := codec.Elem(w, &q.dirs, i)
+			w.Int(&d.gid, maxWireGroups)
+			w.Signed(&d.bound, maxWireBlob)
+			if w.Err == nil && i > 0 && d.gid <= q.dirs[i-1].gid {
+				w.Fail(fmt.Errorf("engine: wire ckpt directive for group %d out of order", d.gid))
 			}
-			q.dirs = append(q.dirs, d)
 		}
 	case rqTerminate, rqFail:
-		q.node = r.int("req node", maxWireNodes)
+		w.Int(&q.node, maxWireNodes)
 	case rqProgress, rqSub, rqCkptWrite:
 	case rqProvision:
-		n := r.int("provision count", maxWireNodes)
-		for i := 0; i < n && r.err == nil; i++ {
-			q.provIDs = append(q.provIDs, r.int("provision id", maxWireNodes))
-			q.provOwner = append(q.provOwner, r.int("provision owner", maxWireNodes))
-			if r.err == nil {
-				w, rest, err := codec.ReadFloat64(r.b)
-				if err != nil {
-					r.err = err
-				} else if !(w > 0) {
-					r.err = fmt.Errorf("engine: wire provision weight %v", w)
-				} else {
-					r.b = rest
-					q.provW = append(q.provW, w)
-				}
-			}
+		n := w.Count(len(q.provIDs), maxWireNodes)
+		for i := 0; i < n && w.Err == nil; i++ {
+			w.Int(codec.Elem(w, &q.provIDs, i), maxWireNodes)
+			w.Int(codec.Elem(w, &q.provOwner, i), maxWireNodes)
+			weight(w, codec.Elem(w, &q.provW, i))
 		}
 	default:
-		if r.err == nil {
-			return q, fmt.Errorf("engine: unknown request kind %d", q.kind)
-		}
+		w.Fail(fmt.Errorf("engine: unknown request kind %d", q.kind))
 	}
-	return q, r.done("request frame")
 }
 
-// encodeReplyFrame wraps a reply body for request id.
-func encodeReplyFrame(id int, body []byte) []byte {
-	b := codec.GetBuf()
-	b = append(b, frReply)
-	b = appendInt(b, id)
-	return append(b, body...)
+// weight carries a capacity weight, which a reader takes only when positive.
+func weight(w *codec.Wire, v *float64) {
+	w.Float64(v)
+	if w.Reading && w.Err == nil && !(*v > 0) {
+		w.Fail(fmt.Errorf("engine: wire provision weight %v", *v))
+	}
+}
+
+// replyFrame answers request id; the body's form is the request kind's. The
+// controller reads the id alone (netRig.handleReply) and the body where the
+// request was made.
+type replyFrame struct {
+	id   int
+	body wireMsg
+}
+
+func (r *replyFrame) wire(w *codec.Wire) {
+	w.Int(&r.id, maxWireSeq)
+	r.body.wire(w)
 }
 
 func encodeByeFrame() []byte { return append(codec.GetBuf(), frBye) }
 
 // --- reply bodies --------------------------------------------------------
 
-// appendMilli ships the non-zero entries of a dense milli-unit slice, as a
-// count and (index, value) pairs.
-func appendMilli(b []byte, milli []int64) []byte {
+// milli carries the non-zero entries of a dense milli-unit slice, as a count
+// and (index, value) pairs; a reader adds them into m, whose length bounds
+// the index.
+func milli(w *codec.Wire, m []int64) {
 	n := 0
-	for _, m := range milli {
-		if m != 0 {
-			n++
+	if !w.Reading {
+		for _, v := range m {
+			if v != 0 {
+				n++
+			}
 		}
 	}
-	b = appendInt(b, n)
-	for i, m := range milli {
-		if m != 0 {
-			b = appendInt(b, i)
-			b = codec.AppendUvarint(b, uint64(m))
+	n = w.Count(n, maxWireGroups)
+	for i, idx := 0, 0; i < n && w.Err == nil; i, idx = i+1, idx+1 {
+		for !w.Reading && m[idx] == 0 {
+			idx++
 		}
-	}
-	return b
-}
-
-// addMilli adds what appendMilli shipped into dst; an index dst does not have
-// fails the decode.
-func (r *wireReader) addMilli(what string, dst []int64) {
-	n := r.int(what+" count", maxWireGroups)
-	for i := 0; i < n && r.err == nil; i++ {
-		idx := r.int(what+" index", maxWireGroups)
-		v := r.i64(what + " value")
-		if r.err == nil && idx >= len(dst) {
-			r.err = fmt.Errorf("engine: wire %s index %d out of range", what, idx)
-		}
-		if r.err == nil {
-			dst[idx] += v
+		if w.Int(&idx, len(m)-1); w.Err == nil {
+			w.Add(&m[idx])
 		}
 	}
 }
 
-// encodeStatsReply ships a worker's barrier fold (Engine.foldLocal): the
-// accumulator and each hosted group's state size and tip delta in ascending
-// gid; the communication triples (from, to, count) the fold handed out follow
-// to the end of the body. All load values are integer milli-units, making the
-// controller's sum exact and order-independent — the property the in-memory
-// vs TCP equivalence tests pin down to the last bit.
-func encodeStatsReply(a *mergeAcc, groups []liveGroup) []byte {
-	b := codec.GetBuf()
-	b = appendMilli(b, a.groupMilli)
-	b = appendMilli(b, a.nodeMilli)
-	b = codec.AppendUvarint(b, uint64(a.tuplesIn))
-	b = codec.AppendUvarint(b, uint64(a.tuplesOut))
-	b = codec.AppendUvarint(b, uint64(a.bytesOut))
-	b = codec.AppendUvarint(b, uint64(a.bytesIn))
-	b = codec.AppendUvarint(b, uint64(a.batchesOut))
-	b = appendInt(b, len(groups))
-	for _, g := range groups {
-		b = appendInt(b, g.gid)
-		b = appendInt(b, g.size)
-		b = appendSigned(b, g.delta)
-	}
-	return b
+// statsReply answers rqStats with a worker's barrier fold (Engine.foldLocal):
+// the accumulator, each hosted group's state size and tip delta in ascending
+// gid, and to the end of the body the communication triples (from, to, count)
+// the fold handed out — which a writer has encoded into edges by then. All
+// load values are integer milli-units, making the controller's sum exact and
+// order-independent — the property the in-memory vs TCP equivalence tests pin
+// down to the last bit. A reader adds everything to the controller's own fold
+// (mergeAcc.addReply): sums into acc, the per-group readings into stateBytes
+// and ckptDelta (indexed by gid, which their length bounds), triples into
+// comm.
+type statsReply struct {
+	acc                   *mergeAcc
+	groups                []liveGroup
+	edges                 []byte
+	stateBytes, ckptDelta []int
+	comm                  *core.CommBuilder
 }
 
-// addReply adds a worker's stats reply to the controller's own fold: sums into
-// a, triples into comm, and the worker's per-group readings into stateBytes and
-// ckptDelta (both indexed by gid).
+func (s *statsReply) wire(w *codec.Wire) {
+	milli(w, s.acc.groupMilli)
+	milli(w, s.acc.nodeMilli)
+	w.Add(&s.acc.tuplesIn)
+	w.Add(&s.acc.tuplesOut)
+	w.Add(&s.acc.bytesOut)
+	w.Add(&s.acc.bytesIn)
+	w.Add(&s.acc.batchesOut)
+	n := w.Count(len(s.groups), maxWireGroups)
+	for i := 0; i < n && w.Err == nil; i++ {
+		var g liveGroup
+		if !w.Reading {
+			g = s.groups[i]
+		}
+		w.Int(&g.gid, len(s.stateBytes)-1)
+		w.Int(&g.size, maxWireBlob)
+		w.Signed(&g.delta, maxWireBlob)
+		if w.Reading && w.Err == nil {
+			s.stateBytes[g.gid], s.ckptDelta[g.gid] = g.size, g.delta
+		}
+	}
+	if !w.Reading {
+		w.B = append(w.B, s.edges...)
+	}
+	for w.Reading && len(w.B) > 0 && w.Err == nil {
+		var from, to int
+		var c int64
+		if commEdge(w, &from, &to, &c); w.Err == nil {
+			s.comm.Add(from, to, float64(c))
+		}
+	}
+}
+
+// commEdge carries one communication triple of a stats reply.
+func commEdge(w *codec.Wire, from, to *int, n *int64) {
+	w.Int(from, maxWireGroups)
+	w.Int(to, maxWireGroups)
+	w.Add(n)
+}
+
+// addReply adds a worker's stats reply to the controller's own fold.
 func (a *mergeAcc) addReply(body []byte, comm *core.CommBuilder, stateBytes, ckptDelta []int) error {
-	r := &wireReader{b: body}
-	r.addMilli("stats groupMilli", a.groupMilli)
-	r.addMilli("stats nodeMilli", a.nodeMilli)
-	a.tuplesIn += r.i64("stats tuplesIn")
-	a.tuplesOut += r.i64("stats tuplesOut")
-	a.bytesOut += r.i64("stats bytesOut")
-	a.bytesIn += r.i64("stats bytesIn")
-	a.batchesOut += r.i64("stats batchesOut")
-	n := r.int("stats group count", maxWireGroups)
-	for i := 0; i < n && r.err == nil; i++ {
-		gid := r.int("stats gid", maxWireGroups)
-		size := r.int("stats state bytes", maxWireBlob)
-		delta := r.signed("stats ckpt delta", maxWireBlob)
-		if r.err == nil && gid >= len(stateBytes) {
-			r.err = fmt.Errorf("engine: wire stats for unknown group %d", gid)
-		}
-		if r.err == nil {
-			stateBytes[gid], ckptDelta[gid] = size, delta
-		}
-	}
-	for len(r.b) > 0 && r.err == nil {
-		from := r.int("stats comm from", maxWireGroups)
-		to := r.int("stats comm to", maxWireGroups)
-		if c := r.i64("stats comm n"); r.err == nil {
-			comm.Add(from, to, float64(c))
-		}
-	}
-	return r.done("stats reply")
+	return decode(body, &statsReply{acc: a, stateBytes: stateBytes, ckptDelta: ckptDelta, comm: comm})
 }
 
 // ckptDirective is what the controller's store says about one group's next
 // checkpoint (rqCkpt): bound is the largest delta its chain takes without
-// folding (statestore.Store.FoldBound; a larger one is written as a base), and
-// fold asks the tip-holder to send its tip's encoding along, which the chain is
-// folded into first — a pre-copy since the last checkpoint read that tip
-// whole. A group without a directive has bound -1.
-type ckptDirective struct {
-	gid, bound int
-	fold       bool
-}
+// folding (statestore.Store.FoldBound); a larger one is written as a base. A
+// group without a directive has bound -1.
+type ckptDirective struct{ gid, bound int }
 
 // ckptEntryWire is one key group's step of one checkpoint, as the process
-// holding the group's tip took it (Engine.cutCheckpoint). The summary a worker
-// answers rqCkpt with carries node, gid, step and the sizes: cut is what
-// Tip.Cut returned (what CheckpointStats.NewBytes counts), size the exact
-// length of the payload the write encodes (cut, or the tip's size where the
-// chain's bound turned a delta into a base), tipSize the tip's after the cut
-// and foldLen the length of fold. The reply to rqCkptWrite carries gid, payload
-// and fold, the tip's encoding from before the cut where the directive asked
-// for it. tip and d are the cut's and never cross a wire: the tip it brought up
-// to date and the group's delta (StepDelta), which the write encodes from.
+// holding the group's tip took it (Engine.cutCheckpoint): cut is what Tip.Cut
+// returned (what CheckpointStats.NewBytes counts), size the exact length of
+// the payload the write encodes (cut, or the tip's size where the chain's
+// bound turned a delta into a base) and tipSize the tip's after the cut. tip
+// and d are the cut's and never cross a wire: the tip it brought up to date
+// and the group's delta (StepDelta), which the write encodes from.
 type ckptEntryWire struct {
-	node, gid                   int
-	step                        statestore.Step
-	cut, size, tipSize, foldLen int
-	payload, fold               []byte
-	tip                         *statestore.Tip
-	d                           *statestore.Delta
+	node, gid          int
+	step               statestore.Step
+	cut, size, tipSize int
+	payload            []byte
+	tip                *statestore.Tip
+	d                  *statestore.Delta
 }
 
-func encodeCkptSummary(entries []ckptEntryWire) []byte {
-	b := codec.GetBuf()
-	b = appendInt(b, len(entries))
-	for _, e := range entries {
-		b = appendInt(b, e.node)
-		b = appendInt(b, e.gid)
-		b = appendInt(b, int(e.step))
-		b = appendInt(b, e.cut)
-		b = appendInt(b, e.size)
-		b = appendInt(b, e.tipSize)
-		b = appendInt(b, e.foldLen)
+// ckptSummary answers rqCkpt with a worker's cut: node, gid, step and sizes of
+// every entry.
+type ckptSummary []ckptEntryWire
+
+func (s *ckptSummary) wire(w *codec.Wire) {
+	n := w.Count(len(*s), maxWireGroups)
+	for i := 0; i < n && w.Err == nil; i++ {
+		e := codec.Elem(w, s, i)
+		w.Int(&e.node, maxWireNodes)
+		w.Int(&e.gid, maxWireGroups)
+		step := int(e.step)
+		w.Int(&step, int(statestore.StepBase))
+		e.step = statestore.Step(step)
+		w.Int(&e.cut, maxWireBlob)
+		w.Int(&e.size, maxWireBlob)
+		w.Int(&e.tipSize, maxWireBlob)
 	}
-	return b
 }
 
-func decodeCkptSummary(body []byte) ([]ckptEntryWire, error) {
-	r := &wireReader{b: body}
-	n := r.int("ckpt entry count", maxWireGroups)
-	var out []ckptEntryWire
-	for i := 0; i < n && r.err == nil; i++ {
-		var e ckptEntryWire
-		e.node = r.int("ckpt node", maxWireNodes)
-		e.gid = r.int("ckpt gid", maxWireGroups)
-		e.step = statestore.Step(r.int("ckpt step", uint64(statestore.StepBase)))
-		e.cut = r.int("ckpt cut", maxWireBlob)
-		e.size = r.int("ckpt size", maxWireBlob)
-		e.tipSize = r.int("ckpt tip size", maxWireBlob)
-		e.foldLen = r.int("ckpt fold length", maxWireBlob)
-		out = append(out, e)
-	}
-	return out, r.done("ckpt reply")
-}
+// ckptPayloads answers rqCkptWrite with every entry's payload, in the
+// summary's order. A reader fills in the entries of the summary it follows,
+// which the reply must match entry for entry — the same gids and a payload of
+// each entry's size — and copies each payload out: the store keeps it as long
+// as its chain lasts, and a slice of the frame would keep all of it alive.
+type ckptPayloads []ckptEntryWire
 
-// appendCkptPayloads appends the reply to rqCkptWrite: every entry's payload
-// and fold, in the summary's order.
-func appendCkptPayloads(b []byte, entries []ckptEntryWire) []byte {
-	b = appendInt(b, len(entries))
-	for _, e := range entries {
-		b = appendInt(b, e.gid)
-		b = appendBlob(b, e.payload)
-		b = appendBlob(b, e.fold)
+func (p ckptPayloads) wire(w *codec.Wire) {
+	if n := w.Count(len(p), maxWireGroups); n != len(p) {
+		w.Fail(fmt.Errorf("engine: wire ckpt payloads for %d groups, the summary has %d", n, len(p)))
 	}
-	return b
-}
-
-// decodeCkptPayloads reads the reply to rqCkptWrite into the entries of the
-// summary it follows, which it must match entry for entry: the same gids, a
-// payload of each entry's size and a fold of its foldLen. Each is copied out:
-// the store keeps it as long as its chain lasts, and a slice of body would
-// keep all of body alive with it.
-func decodeCkptPayloads(body []byte, into []ckptEntryWire) error {
-	r := &wireReader{b: body}
-	if n := r.int("ckpt payload count", maxWireGroups); r.err == nil && n != len(into) {
-		return fmt.Errorf("engine: wire ckpt payloads for %d groups, the summary has %d", n, len(into))
-	}
-	for i := 0; i < len(into) && r.err == nil; i++ {
-		e := &into[i]
-		gid := r.int("ckpt payload gid", maxWireGroups)
-		e.payload = r.blob("ckpt payload")
-		e.fold = r.blob("ckpt fold")
-		if r.err == nil && (gid != e.gid || len(e.payload) != e.size || len(e.fold) != e.foldLen) {
-			r.err = fmt.Errorf("engine: wire ckpt payload for group %d (%d + %d B) where the summary has group %d (%d + %d B)",
-				gid, len(e.payload), len(e.fold), e.gid, e.size, e.foldLen)
+	for i := 0; i < len(p) && w.Err == nil; i++ {
+		e, gid := &p[i], p[i].gid
+		w.Int(&gid, maxWireGroups)
+		w.Blob(&e.payload, maxWireBlob)
+		if w.Err == nil && (gid != e.gid || len(e.payload) != e.size) {
+			w.Fail(fmt.Errorf("engine: wire ckpt payload for group %d (%d B) where the summary has group %d (%d B)",
+				gid, len(e.payload), e.gid, e.size))
 		}
 	}
-	return r.done("ckpt payloads")
 }
 
-func encodeProgressReply(totalMilli int64) []byte {
-	return codec.AppendUvarint(codec.GetBuf(), uint64(totalMilli))
-}
+// progressReply answers rqProgress: the hosted shards' burned milli-units
+// this period.
+type progressReply struct{ milli int64 }
 
-func decodeProgressReply(body []byte) (int64, error) {
-	r := &wireReader{b: body}
-	v := r.i64("progress milli")
-	return v, r.done("progress reply")
-}
+func (r *progressReply) wire(w *codec.Wire) { w.Add(&r.milli) }
 
-// encodeSubReply ships the non-zero entries of a dense per-group reading
-// (nil when sub-periods are disabled).
-func encodeSubReply(milli []int64) []byte { return appendMilli(codec.GetBuf(), milli) }
+// subReply answers rqSub with a dense per-group mid-period reading (nil when
+// sub-periods are disabled), which a reader adds into a slice of its own.
+type subReply []int64
 
-func decodeSubReply(body []byte, numGroups int) ([]int64, error) {
-	r := &wireReader{b: body}
-	milli := make([]int64, numGroups)
-	r.addMilli("sub milli", milli)
-	return milli, r.done("sub reply")
-}
+func (s subReply) wire(w *codec.Wire) { milli(w, s) }
 
-// encodeOKReply encodes the generic ack reply ("" = success).
-func encodeOKReply(err error) []byte {
-	msg := ""
-	if err != nil {
-		msg = err.Error()
-		if len(msg) > maxWireErr {
-			msg = msg[:maxWireErr]
-		}
-	}
-	return codec.AppendString(codec.GetBuf(), msg)
-}
+// okReply answers the requests that only succeed or fail.
+type okReply struct{ err error }
 
-func decodeOKReply(body []byte) error {
-	msg, rest, err := codec.ReadString(body)
-	if err != nil {
-		return fmt.Errorf("engine: wire ok reply: %w", err)
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("engine: wire ok reply: %d trailing bytes", len(rest))
-	}
-	if len(msg) > maxWireErr {
-		return fmt.Errorf("engine: wire ok reply of %d bytes out of range", len(msg))
-	}
-	if msg != "" {
-		return errors.New(msg)
-	}
-	return nil
-}
-
-// decodeControlFrame exercises every decoder for a raw frame — the single
-// entry point FuzzControlFrame drives. Returns the decoded form's kind (for
-// fuzz interest) or an error.
-func decodeControlFrame(data []byte) (byte, error) {
-	if len(data) == 0 {
-		return 0, fmt.Errorf("engine: empty control frame")
-	}
-	kind, body := data[0], data[1:]
-	switch kind {
-	case frData, frBarrier, frState, frMigrateOut, frPrecopy, frRecover:
-		d, err := decodeMsgFrame(kind, body)
-		if err != nil {
-			return kind, err
-		}
-		if m, ok := d.msg.(dataBatchMsg); ok && d.dataBuf {
-			codec.PutBuf(m.encoded)
-		}
-		return kind, nil
-	case frArm:
-		_, err := decodeArmFrame(body)
-		return kind, err
-	case frEvent:
-		_, err := decodeEventFrame(body)
-		return kind, err
-	case frReq:
-		_, err := decodeReqFrame(body)
-		return kind, err
-	case frReply:
-		// The body's form depends on the request; a checkpoint's two replies
-		// carry what the controller validates most.
-		r := &wireReader{b: body}
-		r.int("reply id", 1<<40)
-		if r.err != nil {
-			return kind, r.err
-		}
-		summary, err := decodeCkptSummary(r.b)
-		return kind, errors.Join(err, decodeCkptPayloads(r.b, summary))
-	case frBye:
-		if len(body) != 0 {
-			return kind, fmt.Errorf("engine: bye frame with %d body bytes", len(body))
-		}
-		return kind, nil
-	}
-	return kind, fmt.Errorf("engine: unknown control frame kind %d", kind)
-}
+func (r *okReply) wire(w *codec.Wire) { errText(w, &r.err) }

@@ -284,7 +284,7 @@ func TestByeOutranksTheLinkGoingDown(t *testing.T) {
 type truncatedStatsRequests struct{ transport.Endpoint }
 
 func (t truncatedStatsRequests) Send(peer int, data []byte) error {
-	if q, err := decodeReqFrame(data[1:]); data[0] == frReq && err == nil && q.kind == rqStats {
+	if q := (reqFrame{}); data[0] == frReq && decode(data[1:], &q) == nil && q.kind == rqStats {
 		data = data[:len(data)-1]
 	}
 	return t.Endpoint.Send(peer, data)
@@ -322,4 +322,55 @@ func TestUndecodableRequestIsAnswered(t *testing.T) {
 	}
 	e.Close()
 	<-served
+}
+
+// forgedMigration is a worker's endpoint that, once armed, sends the
+// controller an evMigrated event for a group the topology does not have,
+// ahead of the first completion event it carries — so the forgery arrives
+// inside the period's barrier wait.
+type forgedMigration struct {
+	transport.Endpoint
+	armed, sent atomic.Bool
+}
+
+func (f *forgedMigration) Send(peer int, data []byte) error {
+	var ev engEvent
+	if f.armed.Load() && data[0] == frEvent && decode(data[1:], &ev) == nil && ev.kind == evCompletion && f.sent.CompareAndSwap(false, true) {
+		if err := f.Endpoint.Send(peer, encode(frEvent, &engEvent{kind: evMigrated, gid: 1000})); err != nil {
+			return err
+		}
+	}
+	return f.Endpoint.Send(peer, data)
+}
+
+// TestForgedEventFailsThePeriod: an event naming a group out of the
+// topology's range — once a checkpoint gave the controller a tip record to
+// index with it — fails the period with an error naming the peer, instead of
+// panicking the controller.
+func TestForgedEventFailsThePeriod(t *testing.T) {
+	eps := transport.NewMemCluster(1)
+	topo := func() *Topology { return wordCountTopology([]string{"a", "b", "c"}, 30, 4, newCollector()) }
+	forged := &forgedMigration{Endpoint: eps[1]}
+	w, err := NewWorker(topo(), Config{Nodes: 2}, nil, forged, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- w.ServeWorker() }()
+	e, err := NewDistributed(topo(), Config{Nodes: 2}, nil, eps[0], []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		e.Close()
+		<-served
+	}()
+	if _, err := e.RunPeriod(); err != nil {
+		t.Fatal(err)
+	}
+	e.TakeCheckpoint()
+	forged.armed.Store(true)
+	if _, err := e.RunPeriod(); err == nil || !strings.Contains(err.Error(), "event from peer 1") || !strings.Contains(err.Error(), "group 1000") {
+		t.Fatalf("RunPeriod = %v, want the forged event of peer 1 failing the period", err)
+	}
 }

@@ -77,7 +77,8 @@ func (e *Engine) dispatchWorker(fr transport.Frame) bool {
 		codec.PutBuf(data)
 		return true
 	case frArm:
-		if a, err := decodeArmFrame(body); err == nil {
+		var a armFrame
+		if err := decode(body, &a); err == nil {
 			e.handleArm(a)
 		} else {
 			e.emit(engEvent{kind: evError, err: err})
@@ -86,11 +87,12 @@ func (e *Engine) dispatchWorker(fr transport.Frame) bool {
 		// A request that does not decode is still answered when its id did —
 		// the controller's round trip must end, and its reply decoder fails on
 		// the error body with this peer named — and reported otherwise.
-		switch q, err := decodeReqFrame(body); {
+		var q reqFrame
+		switch err := decode(body, &q); {
 		case err == nil:
 			e.handleRequest(fr.Peer, q)
 		case q.id != 0:
-			e.reply(fr.Peer, q.id, encodeOKReply(err))
+			e.reply(fr.Peer, q.id, &okReply{err})
 		default:
 			e.emit(engEvent{kind: evError, err: err})
 		}
@@ -160,25 +162,25 @@ func (e *Engine) armLocal(m periodStartMsg, awaitIn map[int][]int, resume bool) 
 }
 
 func (e *Engine) handleRequest(peer int, q reqFrame) {
-	var body []byte
+	var body wireMsg
 	switch q.kind {
 	case rqStats:
 		e.pingLocalShards()
-		comm := codec.GetBuf()
+		edges := codec.Wire{B: codec.GetBuf()}
 		acc, groups := e.foldLocal(q.version, func(from, to int, n float64) {
-			comm = appendInt(comm, from)
-			comm = appendInt(comm, to)
-			comm = codec.AppendUvarint(comm, uint64(n))
+			c := int64(n)
+			commEdge(&edges, &from, &to, &c)
 		})
-		body = append(encodeStatsReply(acc, groups), comm...)
-		codec.PutBuf(comm)
+		e.reply(peer, q.id, &statsReply{acc: acc, groups: groups, edges: edges.B})
+		codec.PutBuf(edges.B)
+		return
 	case rqCkpt:
 		// The reply is the cut's summary; the write runs beside the next
 		// period and answers the rqCkptWrite that follows.
 		e.joinCheckpoint()
 		e.pingLocalShards()
 		e.cutCheckpoint(q.version, q.dirs)
-		e.reply(peer, q.id, encodeCkptSummary(e.write.entries))
+		e.reply(peer, q.id, (*ckptSummary)(&e.write.entries))
 		e.startWorkerWrite()
 		return
 	case rqCkptWrite:
@@ -187,32 +189,31 @@ func (e *Engine) handleRequest(peer int, q reqFrame) {
 			w.ask = nil
 			return
 		}
-		body = encodeOKReply(fmt.Errorf("engine: no checkpoint write to answer"))
+		body = &okReply{fmt.Errorf("engine: no checkpoint write to answer")}
 	case rqProgress:
-		body = encodeProgressReply(e.localProgressMilli())
+		body = &progressReply{e.localProgressMilli()}
 	case rqSub:
 		var milli []int64
 		if e.cfg.SubPeriods >= 2 { // the counters exist
 			milli = make([]int64, e.topo.NumGroups())
 			e.localSubMilli(milli)
 		}
-		body = encodeSubReply(milli)
+		body = subReply(milli)
 	case rqProvision:
-		body = encodeOKReply(e.provisionLocal(q.provIDs, q.provOwner, q.provW))
+		body = &okReply{e.provisionLocal(q.provIDs, q.provOwner, q.provW)}
 	case rqTerminate:
-		body = encodeOKReply(e.terminateLocal(q.node))
+		body = &okReply{e.terminateLocal(q.node)}
 	case rqFail:
-		body = encodeOKReply(e.failLocal(q.node))
+		body = &okReply{e.failLocal(q.node)}
 	default:
-		body = encodeOKReply(fmt.Errorf("engine: unknown request kind %d", q.kind))
+		body = &okReply{fmt.Errorf("engine: unknown request kind %d", q.kind)}
 	}
 	e.reply(peer, q.id, body)
 }
 
-// reply answers request id with body, a pooled buffer it consumes.
-func (e *Engine) reply(peer, id int, body []byte) {
-	_ = e.rig.ep.Send(peer, encodeReplyFrame(id, body))
-	codec.PutBuf(body)
+// reply answers request id with body.
+func (e *Engine) reply(peer, id int, body wireMsg) {
+	_ = e.rig.ep.Send(peer, encode(frReply, &replyFrame{id: id, body: body}))
 }
 
 // pingLocalShards waits until every local alive shard has drained its
@@ -290,7 +291,7 @@ func (e *Engine) startWorkerWrite() {
 				return
 			}
 		}
-		_ = e.rig.ep.Send(0, appendCkptPayloads(encodeReplyFrame(id, nil), w.entries))
+		e.reply(0, id, ckptPayloads(w.entries))
 	}(w.ask, w.quit, w.done)
 }
 
@@ -301,8 +302,7 @@ func (e *Engine) startWorkerWrite() {
 // in ascending gid, says what its write will encode. dirs, ascending too, is
 // what the controller's store says about the groups' chains: a delta past a
 // group's bound is written as a base (a group without a directive has bound
-// -1), and where a directive asks for a fold the tip's encoding from before
-// the cut goes along, unless the step is a base anyway. The cuts spread over
+// -1). The cuts spread over
 // the barrier pool; handing first-timers their tips, which writes the shards'
 // tip maps, is serial. Shards must be quiescent and the last write joined.
 func (e *Engine) cutCheckpoint(version int, dirs []ckptDirective) {
@@ -329,21 +329,14 @@ func (e *Engine) cutCheckpoint(version int, dirs []ckptDirective) {
 	}
 	w.entries = slices.Grow(w.entries[:0], len(groups))[:len(groups)]
 	fanOut(barrierWorkers(len(groups)), len(groups), func(_, i int) {
-		g, d, dir := groups[i], &w.deltas[i], w.dirs[i]
-		var fold []byte
-		if dir.fold && g.tip.State() != nil {
-			fold = g.tip.Encoding()
-		}
+		g, d := groups[i], &w.deltas[i]
 		step, cut := g.tip.Cut(d, version, g.st)
 		size, tipSize := cut, g.tip.State().Size()
-		if step == statestore.StepDelta && cut > dir.bound {
+		if step == statestore.StepDelta && cut > w.dirs[i].bound {
 			step, size = statestore.StepBase, tipSize
 		}
-		if step == statestore.StepBase {
-			fold = nil
-		}
 		w.entries[i] = ckptEntryWire{node: g.node, gid: g.gid, step: step, cut: cut, size: size,
-			tipSize: tipSize, foldLen: len(fold), fold: fold, tip: g.tip, d: d}
+			tipSize: tipSize, tip: g.tip, d: d}
 	})
 }
 

@@ -2,9 +2,10 @@
 # The size ledger the simplicity PRs quote: non-test Go lines per package
 # (all lines, and code — lines that are neither blank nor a // comment), the
 # field counts of engine.Config and controller.Options, albic-run's flag
-# count, and the number of exported types, functions and methods of
-# internal/engine and internal/controller. bench/ is its own module and is
-# left out. Run from anywhere:
+# count, the number of exported types, functions and methods of
+# internal/engine and internal/controller, and the frame and request kinds of
+# the engine's wire schema. bench/ is its own module and is left out. Run from
+# anywhere:
 #   bash scripts/ledger.sh [repo-root]
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
@@ -61,3 +62,6 @@ for d in internal/engine internal/controller; do
   read -r t f m < <(exported_of "$d")
   echo "$d exported: $((t + f + m)) ($t types, $f funcs, $m methods)"
 done
+# The kinds are the lines of wire.go's two iota blocks that name one constant.
+echo "frame kinds:               $(grep -cE '^[[:blank:]]fr[A-Z][A-Za-z]*( byte = iota \+ 1)?$' internal/engine/wire.go)"
+echo "request kinds:             $(grep -cE '^[[:blank:]]rq[A-Z][A-Za-z]*( byte = iota \+ 1)?$' internal/engine/wire.go)"
