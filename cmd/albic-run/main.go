@@ -13,17 +13,17 @@
 // cooldown) may fire a greedy hot mover whose restricted moves (at most two
 // key groups) apply without waiting for the period barrier. A flag that
 // would be ignored is an error, exit status 2: -subperiods 1 or below,
-// -workers without -listen, -incremental with a balancer that does not plan
-// (anything but albic and milp) and -precopy-chunk without -ckpt-every (no
-// checkpoint, nothing to pre-copy).
+// -workers without -listen and -incremental with a balancer that does not
+// plan (anything but albic and milp).
 //
 // With -ckpt-every N the controller checkpoints all key-group state
-// incrementally every N periods, which arms checkpoint-assisted migration:
-// planned moves of checkpointed groups pre-copy the checkpoint in the
-// background (-precopy-chunk bytes per boundary, spanning several period
-// boundaries for large states) and synchronously transfer only the delta —
-// and with -migr-cost the planner prices such moves at delta cost, so a
-// tight budget is spent where migration is cheap.
+// incrementally every N periods, which arms checkpoint-assisted migration: a
+// planned move of a checkpointed group ships the checkpoint its source holds
+// as the base and, as the synchronous part, only the delta since — and with
+// -migr-cost the planner prices such moves at delta cost, so a tight budget
+// is spent where migration is cheap. The run ends with one line of totals:
+// the checkpoints and the bytes they appended, the checkpoint bytes moves
+// shipped as base (precopy=) and their deltas (sync deltas=).
 //
 // Usage:
 //
@@ -64,7 +64,6 @@ func main() {
 	subperiods := flag.Int("subperiods", 0, "sub-intervals per period; 2 or more turns on reactive hot moves (0 = off)")
 	ckptEvery := flag.Int("ckpt-every", 0, "incremental checkpoint every N periods (0 = off); arms checkpoint-assisted delta migration")
 	migrCost := flag.Float64("migr-cost", 0, "max migration cost per adaptation, in state bytes at alpha=1 (0 = unlimited)")
-	precopyChunk := flag.Int("precopy-chunk", 0, "checkpoint bytes pre-copied per group per period boundary (0 = default 256 KiB, negative = unlimited)")
 	shards := flag.Int("shards", 1, "worker shards per node (parallel operator execution; needs GOMAXPROCS > 1 to pay off)")
 	genWorkers := flag.Int("gen-workers", 1, "source generators (partitionable sources split each period's batch; 1 = the engine goroutine alone)")
 	incremental := flag.Bool("incremental", false, "dirty-region incremental planning: only groups with material load/placement changes (plus their comm neighborhoods) are re-solved each period (albic and milp only)")
@@ -88,9 +87,6 @@ func main() {
 	}
 	if *incremental && *balancerName != "albic" && *balancerName != "milp" {
 		unmet["incremental"] = "-balancer albic or milp"
-	}
-	if *ckptEvery <= 0 {
-		unmet["precopy-chunk"] = "-ckpt-every"
 	}
 	flag.Visit(func(f *flag.Flag) {
 		if need, ok := unmet[f.Name]; ok {
@@ -144,7 +140,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	ecfg := repro.EngineConfig{Nodes: *nodes, SubPeriods: *subperiods, PrecopyChunkBytes: *precopyChunk, ShardsPerNode: *shards, GenWorkers: *genWorkers}
+	ecfg := repro.EngineConfig{Nodes: *nodes, SubPeriods: *subperiods, ShardsPerNode: *shards, GenWorkers: *genWorkers}
 	var e *repro.Engine
 	if *listen != "" {
 		fmt.Printf("listening on %s for %d workers...\n", *listen, *workers)
@@ -198,7 +194,7 @@ func main() {
 		fmt.Printf("plans applied=%d, hot moves=%d\n", m.PlansApplied, m.HotMoves)
 	}
 	if *ckptEvery > 0 {
-		fmt.Printf("checkpoints=%d (appended %d B), precopy=%d B, sync deltas=%d B, deferred boundaries=%d\n",
-			m.Checkpoints, m.CkptBytes, m.PrecopyBytes, m.MigratedDeltaBytes, m.DeferredMoves)
+		fmt.Printf("checkpoints=%d (appended %d B), precopy=%d B, sync deltas=%d B\n",
+			m.Checkpoints, m.CkptBytes, m.PrecopyBytes, m.MigratedDeltaBytes)
 	}
 }

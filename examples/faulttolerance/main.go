@@ -1,9 +1,9 @@
 // Fault tolerance through the incremental state store: each period the
 // engine checkpoints every key group into a versioned store (full snapshot
 // once, deltas after — watch newB stay far below totB), and the same store
-// powers checkpoint-assisted migration: the MILP's planned moves pre-copy
-// the destination from the checkpoint and synchronously transfer only the
-// delta (deltaB column). When a worker node crashes, the lost groups are
+// powers checkpoint-assisted migration: the MILP's planned moves ship the
+// checkpoint as their base and synchronously transfer only the delta
+// (deltaB column). When a worker node crashes, the lost groups are
 // restored on the survivors from their last checkpoint and the MILP
 // rebalances the shrunken cluster — the integration of fault tolerance and
 // elasticity the paper builds on (reference [26], SSDBM 2014).

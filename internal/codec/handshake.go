@@ -27,7 +27,9 @@ const (
 	// frames (FrameV2) plus the control-frame schema. A Hello carrying any
 	// other value is rejected during the handshake. v3: the checkpoint
 	// messages lost the fold (its directive flag, summary length and blob).
-	WireVersion = 3
+	// v4: a state transfer carries its checkpoint base, and the pre-copy
+	// frame is gone.
+	WireVersion = 4
 
 	// handshake hardening bounds: no legitimate message approaches these.
 	maxHandshakeAddr  = 1 << 10

@@ -195,13 +195,11 @@ type Metrics struct {
 	// appended to the store (full snapshots first, deltas after).
 	Checkpoints int
 	CkptBytes   int64
-	// PrecopyBytes / MigratedDeltaBytes total the background pre-copied
-	// checkpoint volume and the synchronous delta volume of checkpoint-
-	// assisted migrations over the run; DeferredMoves counts period
-	// boundaries a staged move waited behind its pre-copy.
+	// PrecopyBytes / MigratedDeltaBytes total the checkpoint volume shipped
+	// as base and the synchronous delta volume of checkpoint-assisted
+	// migrations over the run.
 	PrecopyBytes       int64
 	MigratedDeltaBytes int64
-	DeferredMoves      int
 }
 
 // Controller owns the adaptation loop over one engine.
@@ -366,7 +364,6 @@ func (r *run) observe(ps *engine.PeriodStats) error {
 	r.m.HotMoves += ps.HotMoves
 	r.m.PrecopyBytes += ps.PrecopyBytes
 	r.m.MigratedDeltaBytes += ps.MigratedDeltaBytes
-	r.m.DeferredMoves += ps.DeferredMoves
 
 	// Checkpoint cadence (also active during warm-up: the cadence is
 	// operational, not a metric). A warm checkpoint is what arms

@@ -13,7 +13,7 @@ import (
 // Chaos property: arbitrary per-link delay, jitter and bounded stalls must
 // not change a single statistic. The engine's protocols only assume
 // per-link FIFO — which the chaos wrapper preserves — so the full adaptive
-// script (migrations, pre-copy, hot moves, scale-out, checkpoints) under a
+// script (delta and full moves, hot moves, scale-out, checkpoints) under a
 // hostile delay schedule must be indistinguishable from the clean run:
 // identical per-period tuple counts per group, identical wire-byte
 // accounting, identical checkpoints.

@@ -12,7 +12,7 @@ import (
 )
 
 // The equivalence harness: one scripted adaptive run — periods, a staged
-// checkpoint-assisted migration whose pre-copy spans boundaries, sub-period
+// checkpoint-assisted migration that ships its base with its delta, sub-period
 // hot moves, weighted scale-out, checkpoints — executed over (a) the
 // zero-worker layout (engine.New), (b) an in-memory transport cluster, (c) the
 // same cluster with one node hosted by the controller itself and (d) a real
@@ -72,14 +72,12 @@ func summarize(ps *engine.PeriodStats) periodSummary {
 }
 
 // equivSpec is the shared job: small enough to run three times in a unit
-// test, rich enough to exercise every reconfiguration path. The tiny
-// pre-copy chunk forces the staged migration to defer across period
-// boundaries before its delta executes.
+// test, rich enough to exercise every reconfiguration path.
 func equivSpec() JobSpec {
 	return JobSpec{
 		Job:       "rj2",
 		Workload:  workload.JobConfig{KeyGroups: 12, Rate: 400, Seed: 7},
-		Engine:    engine.Config{Nodes: 3, SubPeriods: 2, PrecopyChunkBytes: 512},
+		Engine:    engine.Config{Nodes: 3, SubPeriods: 2},
 		NodePeers: DefaultPeers(3, 2),
 	}
 }
@@ -126,18 +124,18 @@ func driveAdaptiveScript(t *testing.T, e *engine.Engine) ([]periodSummary, []eng
 	run() // 2
 	ckpts = append(ckpts, e.TakeCheckpoint())
 
-	// Staged checkpoint-assisted migration: two sumdelay groups move; their
-	// ~1 kB checkpoints pre-copy in 512 B chunks, spanning boundaries and
-	// deferring the move.
+	// Staged checkpoint-assisted migration: two sumdelay groups move at the
+	// next boundary, each shipping its ~1 kB checkpoint as the base of its
+	// delta.
 	alloc := append([]int(nil), e.Allocation()...)
 	alloc[12] = (alloc[12] + 1) % 3
 	alloc[13] = (alloc[13] + 2) % 3
 	if err := e.ApplyPlan(alloc); err != nil {
 		t.Fatalf("plan 1: %v", err)
 	}
-	run() // 3: first pre-copy chunks ship
-	run() // 4: hot moves fire mid-period; pre-copy continues
-	run() // 5: deferred moves execute with delta transfers
+	run() // 3: the staged moves execute with delta transfers
+	run() // 4: hot moves fire mid-period
+	run() // 5
 	ckpts = append(ckpts, e.TakeCheckpoint())
 
 	// Weighted scale-out, then drain two groups onto the new node.
@@ -231,18 +229,17 @@ func TestDistributedEquivalence(t *testing.T) {
 	classic, classicCkpts := runClassic(t, spec)
 
 	// Sanity: the script actually exercised every path it claims to.
-	var migr, hot, deferred int
+	var migr, hot int
 	var precopy, delta int64
 	for _, p := range classic {
 		migr += p.Migrations
 		hot += p.HotMoves
-		deferred += p.DeferredMoves
 		precopy += p.PrecopyBytes
 		delta += p.MigratedDeltaBytes
 	}
-	if migr == 0 || hot == 0 || deferred == 0 || precopy == 0 || delta == 0 {
-		t.Fatalf("script did not exercise all paths: migrations=%d hot=%d deferred=%d precopyB=%d deltaB=%d",
-			migr, hot, deferred, precopy, delta)
+	if migr == 0 || hot == 0 || precopy == 0 || delta == 0 {
+		t.Fatalf("script did not exercise all paths: migrations=%d hot=%d precopyB=%d deltaB=%d",
+			migr, hot, precopy, delta)
 	}
 
 	mem, memCkpts := runMem(t, spec, nil)

@@ -44,22 +44,21 @@ func spawnWorker(t *testing.T, ctrlAddr string) *exec.Cmd {
 	return cmd
 }
 
-// TestFailureDuringPrecopy is the process-level crash drill: a real worker
-// process is SIGKILLed while a checkpoint pre-copy toward a survivor is in
-// flight. The controller must (a) surface the death as a period error
-// instead of wedging on the barrier, (b) fail the dead process's node and
-// recover its groups from the checkpoint store onto survivors, and (c)
-// keep running full periods afterwards.
-func TestFailureDuringPrecopy(t *testing.T) {
+// TestFailureBeforeMove is the process-level crash drill: a real worker
+// process is SIGKILLed after a plan moving checkpointed groups off it toward a
+// survivor is staged, before the period that would move them. The controller
+// must (a) surface the death as a period error instead of wedging on the
+// barrier, (b) fail the dead process's node and recover its groups from the
+// checkpoint store onto survivors, and (c) keep running full periods
+// afterwards.
+func TestFailureBeforeMove(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real worker processes; skipping in -short")
 	}
 	spec := JobSpec{
-		Job:      "rj2",
-		Workload: workload.JobConfig{KeyGroups: 12, Rate: 400, Seed: 7},
-		// 256 B chunks against ~1 kB states: the pre-copy needs several
-		// period boundaries, guaranteeing the kill lands mid-session.
-		Engine:    engine.Config{Nodes: 3, PrecopyChunkBytes: 256},
+		Job:       "rj2",
+		Workload:  workload.JobConfig{KeyGroups: 12, Rate: 400, Seed: 7},
+		Engine:    engine.Config{Nodes: 3},
 		NodePeers: DefaultPeers(3, 2), // node 0,2 -> peer 1; node 1 -> peer 2
 	}
 	host, err := transport.ListenCluster("127.0.0.1:0")
@@ -99,8 +98,9 @@ func TestFailureDuringPrecopy(t *testing.T) {
 		t.Fatalf("checkpoint: %+v", cs)
 	}
 
-	// Stage moves of two stateful (sumdelay) groups off the victim's node 1;
-	// their pre-copy toward the survivor starts at the next boundary.
+	// Stage moves of two stateful (sumdelay) groups off the victim's node 1
+	// toward the survivor: both would ship their checkpoint and a delta at
+	// the next boundary.
 	alloc := append([]int(nil), e.Allocation()...)
 	if alloc[13] != 1 || alloc[16] != 1 {
 		t.Fatalf("unexpected initial allocation: %v", alloc)
@@ -109,16 +109,9 @@ func TestFailureDuringPrecopy(t *testing.T) {
 	if err := e.ApplyPlan(alloc); err != nil {
 		t.Fatal(err)
 	}
-	ps, err := e.RunPeriod()
-	if err != nil {
-		t.Fatalf("pre-copy period: %v", err)
-	}
-	if ps.DeferredMoves != 2 || ps.PrecopyBytes == 0 {
-		t.Fatalf("pre-copy not in flight: deferred=%d precopyB=%d", ps.DeferredMoves, ps.PrecopyBytes)
-	}
 
-	// SIGKILL the victim mid-pre-copy. The next period must fail fast —
-	// a wedged barrier would hang until the test timeout.
+	// SIGKILL the victim before the move's period. That period must fail
+	// fast — a wedged barrier would hang until the test timeout.
 	if err := victim.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}

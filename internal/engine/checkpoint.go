@@ -27,13 +27,13 @@ import (
 // the store when it joins the write (joinCheckpoint), which is where the
 // store is read and nowhere else: TakeCheckpoint, Recover, CheckpointStore,
 // RestoreCheckpointStore and Close. Nothing on the data path reads the store —
-// a move's pre-copy reads the source's tip (see precopy.go) — so nothing there
+// a delta move ships the source's tip (see transfer.go) — so nothing there
 // waits for a write.
 //
-// The same checkpoint backs checkpoint-assisted migration (see precopy.go):
-// because it is the shared base, moving a checkpointed key group pre-copies
-// the checkpoint in the background and synchronously transfers only the delta
-// the source cuts against its tip — fault tolerance and reconfiguration
+// The same checkpoint backs checkpoint-assisted migration (see transfer.go):
+// because it is the shared base, moving a checkpointed key group ships the
+// checkpoint the source's tip holds and, as the synchronous part, only the
+// delta the source cuts against it — fault tolerance and reconfiguration
 // integrate through one mechanism instead of two disjoint subsystems.
 //
 // Recovery is at-most-once with respect to the tuples processed after the
@@ -311,10 +311,9 @@ func (e *Engine) FailNode(id int) error {
 // Recover repairs the allocation after node failures using the engine's
 // checkpoint store. Two cases per key group:
 //
-//   - its migration target died but its physical host survives (e.g. the
-//     destination of an in-flight pre-copy crashed): the staged move is
-//     cancelled — the live, newer state stays where it is and the pre-copy
-//     session is dropped;
+//   - its migration target died but its physical host survives (a plan was
+//     staged and its destination crashed before the move's period): the
+//     staged move is cancelled — the live, newer state stays where it is;
 //   - its physical host died: the group is re-created on a surviving node
 //     (least-loaded round-robin over `onto`, or all alive nodes when onto
 //     is nil) from its last checkpoint, or empty if it was never
@@ -343,9 +342,6 @@ func (e *Engine) Recover(onto []int) (int, error) {
 		phys := e.baseAlloc[gid]
 		if target != phys && e.removed[target] && !e.removed[phys] {
 			e.groupNode[gid] = phys
-			if s := e.precopy[gid]; s != nil {
-				e.dropPrecopy(s)
-			}
 		}
 	}
 	// Restore groups whose physical host died.
@@ -390,9 +386,6 @@ func (e *Engine) Recover(onto []int) (int, error) {
 		}
 		e.groupNode[gid] = dest
 		e.baseAlloc[gid] = dest
-		if s := e.precopy[gid]; s != nil {
-			e.dropPrecopy(s)
-		}
 		recovered++
 	}
 	return recovered, nil

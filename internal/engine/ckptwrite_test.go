@@ -61,7 +61,7 @@ func TestMoveRightAfterCheckpointShipsItsDelta(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		for _, workers := range []int{0, 2} {
 			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				cfg := Config{ShardsPerNode: shards, PrecopyChunkBytes: -1}
+				cfg := Config{ShardsPerNode: shards}
 				type moved struct {
 					migrations, deferred int
 					delta, precopy       int64

@@ -74,7 +74,7 @@ func decodeControlFrame(data []byte) (again [][]byte) {
 		}
 	}
 	switch kind {
-	case frData, frBarrier, frState, frMigrateOut, frPrecopy, frRecover:
+	case frData, frBarrier, frState, frMigrateOut, frRecover:
 		if gsid, msg, err := decodeMsgFrame(kind, body); err == nil {
 			again = append(again, owned(encodeMsgFrame(gsid, msg)))
 			if m, ok := msg.(dataBatchMsg); ok {
@@ -131,8 +131,6 @@ func FuzzControlFrame(f *testing.F) {
 	f.Add(owned(encodeMsgFrame(3, barrierMsg{op: 1, period: 2, more: true}))) // closes a segment, not the period
 	f.Add(owned(encodeMsgFrame(3, stateMsg{op: 1, kg: 2, encoded: []byte("st"), delta: true, baseVer: 4})))
 	f.Add(owned(encodeMsgFrame(3, migrateOutMsg{op: 1, kg: 2, dest: 0, deltaBase: -1})))
-	f.Add(owned(encodeMsgFrame(3, precopyMsg{op: 1, kg: 2, version: 3, total: 10, off: 5, chunk: []byte("chunk")})))
-	f.Add(owned(encodeMsgFrame(3, precopyMsg{op: 1, kg: 2, discard: true})))
 	f.Add(owned(encodeMsgFrame(3, recoverMsg{op: 1, kg: 2, encoded: []byte("enc"), tipVer: 7})))
 	f.Add(owned(encode(frArm, &armFrame{period: 3, numNodes: 2, alloc: []int{0, 1, 0}, barrierNeed: []int{2, 2}, awaitIn: []int{1}})))
 	f.Add(owned(encode(frArm, &armFrame{period: 3, resume: true, numNodes: 2, alloc: []int{0, 0, 0}, barrierNeed: []int{2, 2}, awaitIn: []int{1}}))) // the next segment of a running period
@@ -148,11 +146,17 @@ func FuzzControlFrame(f *testing.F) {
 	f.Add([]byte{frData, 0x80})
 	f.Add(append([]byte{frState}, codec.AppendUvarint(nil, 1<<40)...))
 	f.Add(append([]byte{frArm}, codec.AppendUvarint(codec.AppendUvarint(nil, 1), 1<<30)...))
-	// A checkpoint and its pre-copies: a forward request to a source (and its
-	// discard), the cut with its directives, the write's request, and the two
-	// replies back to back — whole, lying about their count, and cut short.
-	f.Add(owned(encodeMsgFrame(3, precopyMsg{op: 1, kg: 2, version: 3, total: 10, off: 4, forward: true, dest: 2, n: 6})))
-	f.Add(owned(encodeMsgFrame(3, precopyMsg{op: 1, kg: 2, discard: true, forward: true, dest: 1})))
+	// A checkpoint and the move it assists: a delta transfer carrying its base
+	// (whole, cut short inside the base, and with a base longer than any
+	// frame), a whole state that carries one anyway, the cut with its
+	// directives, the write's request, and the two replies back to back —
+	// whole, lying about their count, and cut short.
+	moved := owned(encodeMsgFrame(3, stateMsg{op: 1, kg: 2, encoded: []byte("dl"), delta: true, baseVer: 4, base: []byte("tip")}))
+	f.Add(moved)
+	f.Add(moved[:len(moved)-2])
+	noBase := owned(encodeMsgFrame(3, stateMsg{op: 1, kg: 2, encoded: []byte("dl"), delta: true, baseVer: 4}))
+	f.Add(codec.AppendUvarint(noBase[:len(noBase)-1], 1<<40))
+	f.Add(owned(encodeMsgFrame(3, stateMsg{op: 1, kg: 2, encoded: []byte("st"), base: []byte("tip")})))
 	f.Add(owned(encode(frReq, &reqFrame{id: 9, kind: rqCkpt, version: 4, dirs: []ckptDirective{{gid: 1, bound: -1}, {gid: 5, bound: 300}}})))
 	f.Add(owned(encode(frReq, &reqFrame{id: 9, kind: rqCkpt, version: 4, dirs: []ckptDirective{{gid: 5, bound: 3}, {gid: 1, bound: 3}}}))) // out of order
 	f.Add(owned(encode(frReq, &reqFrame{id: 10, kind: rqCkptWrite})))

@@ -48,13 +48,6 @@ type Config struct {
 	// may apply without waiting for the period barrier. Values < 2 disable
 	// the reactive layer (and its per-tuple atomic counter cost) entirely.
 	SubPeriods int
-	// PrecopyChunkBytes bounds the checkpoint bytes pre-copied per group at
-	// each period boundary (default 256 KiB), so background state transfer
-	// consumes bounded bandwidth per period: a checkpoint larger than the
-	// chunk spans multiple period boundaries, with the move deferred until
-	// the pre-copy completes. Negative means unlimited (the whole
-	// checkpoint ships at one boundary).
-	PrecopyChunkBytes int
 	// ShardsPerNode splits every node's execution into this many
 	// hash-partitioned worker shards, each with its own mailbox-drain
 	// goroutine, outbox set and statistics (see node.go) — cores within a
@@ -79,9 +72,6 @@ type Config struct {
 func (c *Config) defaults() {
 	if c.Nodes <= 0 {
 		c.Nodes = 4
-	}
-	if c.PrecopyChunkBytes == 0 {
-		c.PrecopyChunkBytes = 256 << 10
 	}
 	if c.ShardsPerNode <= 0 {
 		c.ShardsPerNode = 1
@@ -150,10 +140,8 @@ type Engine struct {
 
 	// ckpt is the incremental checkpoint store (nil until the first
 	// TakeCheckpoint): the log of what the tip-holding shards of every process
-	// wrote. precopy tracks in-flight checkpoint pre-copies. Both are owned by
-	// the engine goroutine between periods.
-	ckpt    *statestore.Store
-	precopy map[int]*precopySession
+	// wrote. Owned by the engine goroutine between periods.
+	ckpt *statestore.Store
 	// ckptDeltas is the planner's residency signal: per gid, the encoded
 	// delta between live state and last checkpoint (-1 = no checkpoint;
 	// nil until the first checkpoint). Guarded by mu (Snapshot reads it
@@ -178,11 +166,11 @@ type Engine struct {
 	// tipNode is the controller's record of which node's shard holds each key
 	// group's checkpoint tip (-1 = none; nil until the first checkpoint is
 	// cut) — in this process or another — and tipVer and tipSize are the tip's
-	// version and encoded size, which a pre-copy copies. A tip is only ever
-	// held where the group physically lives. They are maintained by
+	// version and encoded size, which a delta move ships as its base. A tip is
+	// only ever held where the group physically lives. They are maintained by
 	// TakeCheckpoint (the cut puts the tip where the group is), migrations (a
 	// full-state move drops the tip; a delta move carries it — the destination
-	// keeps the pre-copied base), Recover (the restored state is the tip) and
+	// keeps the shipped base), Recover (the restored state is the tip) and
 	// FailNode — never when a write is recorded, which may be after a move.
 	tipNode, tipVer, tipSize []int
 
@@ -221,14 +209,11 @@ type Engine struct {
 	// Period-barrier scratch, reused so the merge itself stays out of the
 	// Allocs telemetry it feeds: shardRefs flattens the live shards for the
 	// parallel stats fold, mergeAccs holds the per-fold-worker partial sums
-	// (the first is the process's accumulator; see foldLocal), ckptDeltaBuf
-	// backs PeriodStats.CkptDeltaBytes, and transferDest is finishPeriod's
-	// staged-delta destination map (built only on periods that actually
-	// migrate).
+	// (the first is the process's accumulator; see foldLocal) and ckptDeltaBuf
+	// backs PeriodStats.CkptDeltaBytes.
 	shardRefs    []shardRef
 	mergeAccs    []*mergeAcc
 	ckptDeltaBuf []int
-	transferDest map[int]int
 }
 
 // mix64 is the splitmix64 finalizer — a cheap, well-distributed integer hash
@@ -301,14 +286,11 @@ type periodRun struct {
 	// next period's migrations, even if ApplyPlan re-targets groupNode
 	// while the period is in flight.
 	alloc []int
-	// staged lists the migrations this period executes; transfers carries
-	// the same moves with their transfer mode (full vs checkpoint-assisted
-	// delta). Moves deferred behind an incomplete pre-copy appear in
-	// neither (they re-surface in the staged diff at the next boundary).
+	// staged lists the migrations this period executes at its boundary;
+	// transfers carries the same moves with their transfer mode (full vs
+	// checkpoint-assisted delta).
 	staged              []core.Move
 	transfers           []stagedTransfer
-	deferred            int
-	precopyBytes        int64
 	expectedCompletions int
 	synthetic           []bool
 	srcBatches          int64
@@ -399,26 +381,14 @@ func (e *Engine) beginPeriod() *periodRun {
 		done:       make(chan struct{}),
 	}
 	e.ckptErrs = nil
-	// Decide the transfer mode of every staged move: direct full-state
-	// migration, checkpoint-assisted delta, or deferred behind an
-	// in-flight pre-copy (this also ships the boundary's pre-copy chunks).
-	pr.transfers = e.planTransfers(pr, staged)
-	pr.staged = make([]core.Move, 0, len(pr.transfers))
-	for _, tr := range pr.transfers {
-		pr.staged = append(pr.staged, tr.mv)
-	}
-	executed := make(map[int]bool, len(pr.staged))
-	for _, mv := range pr.staged {
-		executed[mv.Group] = true
-	}
-	for _, mv := range staged {
-		// Both executed and deferred moves keep their group off the hot-move
-		// path (a deferred group's pre-copy destination is already fixed).
+	// Every staged move runs now, as a direct full-state migration or a
+	// checkpoint-assisted delta (transferOf), and keeps its group off the
+	// hot-move path for the period.
+	pr.staged = staged
+	pr.transfers = make([]stagedTransfer, len(staged))
+	for i, mv := range staged {
+		pr.transfers[i] = e.transferOf(mv)
 		pr.stagedGids[mv.Group] = true
-		if !executed[mv.Group] {
-			// Deferred: this period still runs the group on its old host.
-			pr.alloc[mv.Group] = mv.From
-		}
 	}
 	if k := int64(e.cfg.SubPeriods); k >= 2 {
 		pr.subObserver = subObserver
@@ -561,8 +531,8 @@ func (e *Engine) arm(pr *periodRun, transfers []stagedTransfer, resume bool) {
 		return
 	}
 
-	// Issue the migrations (full-state, or delta against the pre-copied
-	// checkpoint version for checkpoint-assisted transfers) to the shard
+	// Issue the migrations (full-state, or delta against the tip's checkpoint
+	// version for checkpoint-assisted transfers) to the shard
 	// owning each group on its old host. deliver routes to remote sources;
 	// the destination (remote or not) was armed above, so its shard awaits
 	// the state before flushing.
@@ -609,25 +579,8 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 	}()
 	completions, migs := 0, 0
 	migratedBytes, deltaBytes := 0, 0
+	var baseBytes int64
 	var boundary []core.Move // the open segment boundary's moves
-	// Delta transfers carry the checkpoint tip to their destination (the
-	// pre-copied base the destination adopted IS the tip); anything else
-	// that migrates invalidates its group's tip residency. Most periods move
-	// nothing, so the map is built (reusing the engine's scratch) only when
-	// transfers exist — lookups on the nil map below are legal and miss.
-	var transferDest map[int]int
-	if len(pr.transfers) > 0 {
-		if e.transferDest == nil {
-			e.transferDest = make(map[int]int, len(pr.transfers))
-		}
-		clear(e.transferDest)
-		transferDest = e.transferDest
-		for _, tr := range pr.transfers {
-			if tr.deltaBase >= 0 {
-				transferDest[tr.mv.Group] = tr.mv.To
-			}
-		}
-	}
 	peers := e.workerPeers()
 	for completions < pr.expectedCompletions || migs < len(pr.staged)+pr.hotMoves || gen != nil {
 		// A worker death mid-period means expected completions can never
@@ -647,11 +600,16 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 				migratedBytes += ev.bytes
 				if ev.delta {
 					deltaBytes += ev.bytes
-					if dest, ok := transferDest[ev.gid]; ok {
-						e.tipNode[ev.gid] = dest
-					}
-				} else if ev.gid >= 0 && e.tipNode != nil {
+				}
+				// A delta move carries its group's tip: the destination, where
+				// this period installs the group (a hot move ships whole), keeps
+				// the shipped base. Any other move leaves none.
+				if ev.gid >= 0 && e.tipNode != nil {
 					e.tipNode[ev.gid] = -1
+					if ev.delta {
+						e.tipNode[ev.gid] = pr.alloc[ev.gid]
+						baseBytes += int64(e.tipSize[ev.gid])
+					}
 				}
 			case evError:
 				pr.errs = append(pr.errs, ev.err)
@@ -690,13 +648,11 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 		NodeUnits:  make([]float64, len(e.nodes)),
 		Migrations: len(pr.staged) + pr.hotMoves,
 		HotMoves:   pr.hotMoves,
-		// For checkpoint-assisted transfers, migratedBytes already counts
-		// only the delta — the pre-copied base moved in the background and
-		// never pauses processing.
+		// For checkpoint-assisted transfers, migratedBytes counts only the
+		// delta — the base is the checkpoint fault tolerance already took.
 		MigrationLatency:   float64(migratedBytes) * migrSecondsPerByte,
 		MigratedDeltaBytes: int64(deltaBytes),
-		PrecopyBytes:       pr.precopyBytes,
-		DeferredMoves:      pr.deferred,
+		PrecopyBytes:       baseBytes,
 		BatchesCrossNode:   pr.srcBatches,
 		SrcBytesCrossNode:  pr.srcBytes,
 	}

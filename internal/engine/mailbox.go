@@ -39,44 +39,26 @@ type barrierMsg struct {
 
 // stateMsg installs migrated state for (op, kg); part of direct state
 // migration. encoded may be empty (group had no state yet). When delta is
-// set, encoded is a statestore.Delta against the checkpoint version baseVer
-// that was pre-copied to the receiver (checkpoint-assisted migration); the
-// receiver reconstructs the state by applying it to its pre-copied base.
+// set (checkpoint-assisted migration, see transfer.go), base is the encoding
+// of the source's checkpoint tip at version baseVer and encoded a
+// statestore.Delta against it; the receiver reconstructs the state by
+// applying the delta to the decoded base, which it keeps as the group's tip.
+// base is immutable: in process it is the source tip's own bytes.
 type stateMsg struct {
 	op, kg  int
 	encoded []byte
 	delta   bool
 	baseVer int
+	base    []byte
 }
 
 // migrateOutMsg asks a node to ship (op, kg)'s state to dest (direct state
 // migration, step "serialize and send"). deltaBase >= 0 switches to
-// checkpoint-assisted transfer: the destination holds the pre-copied
-// checkpoint at that version, so the node ships only the delta of its live
-// state against it.
+// checkpoint-assisted transfer: the node ships its tip at that version with
+// the delta of its live state against it.
 type migrateOutMsg struct {
 	op, kg, dest int
 	deltaBase    int
-}
-
-// precopyMsg carries one background chunk of a checkpointed state toward a
-// planned migration's destination (checkpoint-assisted migration; see
-// precopy.go). It is pure background traffic: it takes no part in the
-// barrier protocol and the receiver only accumulates bytes. With discard
-// set, the session was abandoned (plan changed) and the receiver drops any
-// buffered bytes for the group instead. With forward set it goes to the
-// group's source instead, which holds the tip: the source sends on to the
-// group's shard on node dest the chunk [off, off+n) of its tip's encoding at
-// version (or the discard), behind whatever it sent there before.
-type precopyMsg struct {
-	op, kg  int
-	version int
-	total   int
-	off     int
-	chunk   []byte
-	discard bool
-	forward bool
-	dest, n int
 }
 
 // stopMsg terminates the node goroutine.
@@ -86,7 +68,6 @@ func (dataBatchMsg) isMessage()  {}
 func (barrierMsg) isMessage()    {}
 func (stateMsg) isMessage()      {}
 func (migrateOutMsg) isMessage() {}
-func (precopyMsg) isMessage()    {}
 func (stopMsg) isMessage()       {}
 
 // mailbox is an unbounded batch-oriented MPSC queue. Unboundedness removes

@@ -33,14 +33,14 @@ func buildGrowTopology(build, trickle, buildPeriods, kgs int) *Topology {
 }
 
 // TestCheckpointAssistedMigration is the integrative-migration headline: a
-// large-state move with a warm checkpoint pre-copies the checkpoint across
-// multiple period boundaries (the move deferring meanwhile) and then
-// synchronously transfers only the delta accumulated since the checkpoint —
-// with exact tuple counts and a latency model charged for the delta alone.
+// large-state move with a warm checkpoint runs at the next period boundary,
+// ships the checkpoint as its base and synchronously transfers only the delta
+// accumulated since — with exact tuple counts and a latency model charged for
+// the delta alone.
 func TestCheckpointAssistedMigration(t *testing.T) {
 	const build, trickle = 2000, 50
 	topo := buildGrowTopology(build, trickle, 2, 2)
-	e, err := New(topo, Config{Nodes: 2, PrecopyChunkBytes: 12 << 10}, nil)
+	e, err := New(topo, Config{Nodes: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestCheckpointAssistedMigration(t *testing.T) {
 		return ps
 	}
 
-	// Build a large state, then checkpoint it.
+	// Build a large state, checkpoint it, then let a small delta accumulate.
 	runPeriod()
 	runPeriod()
 	cs := e.TakeCheckpoint()
@@ -72,11 +72,7 @@ func TestCheckpointAssistedMigration(t *testing.T) {
 	if !ok {
 		t.Fatal("group 0 missing from checkpoint store")
 	}
-	ckptSize := len(ckptBytes)
-	if ckptSize <= 2*e.cfg.PrecopyChunkBytes {
-		t.Fatalf("checkpoint of group 0 is %d bytes; too small to span >= 2 boundaries at chunk %d",
-			ckptSize, e.cfg.PrecopyChunkBytes)
-	}
+	runPeriod()
 	fullSize := 0
 	for _, n := range e.nodes {
 		if st := n.stateOf(0); st != nil {
@@ -87,7 +83,8 @@ func TestCheckpointAssistedMigration(t *testing.T) {
 		t.Fatal("group 0 has no live state")
 	}
 
-	// Stage the move of the big group 0 (round-robin start: node 0 -> 1).
+	// Stage the move of the big group 0 (round-robin start: node 0 -> 1). It
+	// runs at the very next boundary, with a delta-only synchronous transfer.
 	plan := e.Allocation()
 	if plan[0] != 0 {
 		t.Fatalf("group 0 starts on node %d, want 0", plan[0])
@@ -96,36 +93,12 @@ func TestCheckpointAssistedMigration(t *testing.T) {
 	if err := e.ApplyPlan(plan); err != nil {
 		t.Fatal(err)
 	}
-
-	// The pre-copy must span >= 2 period boundaries before the move
-	// executes with a delta-only synchronous transfer.
-	deferredPeriods := 0
-	var precopyTotal int64
-	var moved *PeriodStats
-	for p := 0; p < 10 && moved == nil; p++ {
-		ps := runPeriod()
-		precopyTotal += ps.PrecopyBytes
-		switch {
-		case ps.DeferredMoves > 0:
-			deferredPeriods++
-			if ps.Migrations != 0 {
-				t.Fatalf("period %d both deferred and migrated: %+v", ps.Period, ps)
-			}
-			if ps.GroupNode[0] != 0 {
-				t.Fatalf("period %d ran group 0 on node %d while deferred", ps.Period, ps.GroupNode[0])
-			}
-		case ps.Migrations > 0:
-			moved = ps
-		}
+	moved := runPeriod()
+	if moved.Migrations != 1 || moved.DeferredMoves != 0 {
+		t.Fatalf("the staged move did not run at the next boundary: %+v", moved)
 	}
-	if moved == nil {
-		t.Fatal("move never executed")
-	}
-	if deferredPeriods < 2 {
-		t.Fatalf("pre-copy spanned %d period boundaries, want >= 2", deferredPeriods)
-	}
-	if precopyTotal != int64(ckptSize) {
-		t.Fatalf("pre-copied %d bytes, checkpoint is %d", precopyTotal, ckptSize)
+	if moved.PrecopyBytes != int64(len(ckptBytes)) {
+		t.Fatalf("shipped a %d-byte base, the checkpoint is %d", moved.PrecopyBytes, len(ckptBytes))
 	}
 	if moved.GroupNode[0] != 1 {
 		t.Fatalf("executing period ran group 0 on node %d, want 1", moved.GroupNode[0])
@@ -143,7 +116,7 @@ func TestCheckpointAssistedMigration(t *testing.T) {
 	}
 
 	// Exactness: one more period, then every emitted tuple must be counted
-	// exactly once (no loss, no duplicate application across pre-copy,
+	// exactly once (no loss, no duplicate application across the base, the
 	// delta transfer and the barrier protocol).
 	runPeriod()
 	if got := totalTallied(e); got != float64(emitted) {
@@ -165,14 +138,13 @@ func TestCheckpointAssistedMigration(t *testing.T) {
 	}
 }
 
-// TestAbandonedPrecopyDiscardsDestinationBuffer: when the plan changes
-// under an in-flight pre-copy, the destination's partial buffer is dropped
-// (no unbounded accumulation across plan churn), and the planner's
-// residency signal is fresh immediately after a checkpoint.
-func TestAbandonedPrecopyDiscardsDestinationBuffer(t *testing.T) {
+// TestResidencyFreshAfterCheckpoint: the planner's residency signal is fresh
+// immediately after a checkpoint — a snapshot taken before any further period
+// prices a group at an empty delta, not at "no checkpoint".
+func TestResidencyFreshAfterCheckpoint(t *testing.T) {
 	const build, trickle = 2000, 50
 	topo := buildGrowTopology(build, trickle, 2, 2)
-	e, err := New(topo, Config{Nodes: 2, PrecopyChunkBytes: 8 << 10}, nil)
+	e, err := New(topo, Config{Nodes: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +155,6 @@ func TestAbandonedPrecopyDiscardsDestinationBuffer(t *testing.T) {
 		}
 	}
 	e.TakeCheckpoint()
-
-	// Residency signal is fresh at the checkpoint boundary: a snapshot
-	// taken right now (before any further period) prices group 0 at an
-	// empty delta, not at "no checkpoint".
 	snap, err := e.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -197,41 +165,10 @@ func TestAbandonedPrecopyDiscardsDestinationBuffer(t *testing.T) {
 	if snap.Groups[0].CkptDelta >= snap.Groups[0].StateSize/10 {
 		t.Fatalf("fresh checkpoint delta %v not small vs state %v", snap.Groups[0].CkptDelta, snap.Groups[0].StateSize)
 	}
-
-	// Start a pre-copy of group 0 toward node 1, then abandon the move.
-	plan := e.Allocation()
-	plan[0] = 1
-	if err := e.ApplyPlan(plan); err != nil {
-		t.Fatal(err)
-	}
-	ps, err := e.RunPeriod()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.DeferredMoves == 0 || ps.PrecopyBytes == 0 {
-		t.Fatalf("expected an in-flight pre-copy: %+v", ps)
-	}
-	plan[0] = 0 // retract the move
-	if err := e.ApplyPlan(plan); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.RunPeriod(); err != nil {
-		t.Fatal(err)
-	}
-	if len(e.precopy) != 0 {
-		t.Fatalf("%d pre-copy sessions survived the retracted plan", len(e.precopy))
-	}
-	// One more period so node 1 surely processed the discard message.
-	if _, err := e.RunPeriod(); err != nil {
-		t.Fatal(err)
-	}
-	if n := e.nodes[1].precopiedCount(); n != 0 {
-		t.Fatalf("destination still buffers %d abandoned pre-copies", n)
-	}
 }
 
 // TestColdMoveStillDirect: groups without a checkpoint keep the classic
-// full-state direct migration, with no pre-copy traffic.
+// full-state direct migration, with no checkpoint base shipped.
 func TestColdMoveStillDirect(t *testing.T) {
 	topo := buildGrowTopology(300, 50, 1, 2)
 	e, err := New(topo, Config{Nodes: 2}, nil)
@@ -259,13 +196,15 @@ func TestColdMoveStillDirect(t *testing.T) {
 	}
 }
 
-// TestFailureDuringPrecopy kills nodes in the middle of a multi-period
-// pre-copy and asserts the affected groups recover from their checkpoint on
-// a surviving node — and that the barrier protocol never wedges.
-func TestFailureDuringPrecopy(t *testing.T) {
+// TestFailureBeforeMove kills nodes after a move of a checkpointed group is
+// staged and before the period that would run it: the source, whose group
+// must recover from its checkpoint on a surviving node, and then the
+// destination, whose move is cancelled — and the barrier protocol never
+// wedges.
+func TestFailureBeforeMove(t *testing.T) {
 	const build, trickle = 2000, 40
 	topo := buildGrowTopology(build, trickle, 2, 3)
-	e, err := New(topo, Config{Nodes: 3, PrecopyChunkBytes: 8 << 10}, nil)
+	e, err := New(topo, Config{Nodes: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,23 +220,14 @@ func TestFailureDuringPrecopy(t *testing.T) {
 		t.Fatal("group 0 not checkpointed")
 	}
 
-	// Stage group 0 (on node 0) toward node 1 and enter pre-copy.
+	// Stage group 0 (on node 0) toward node 1, then kill the SOURCE (node 0,
+	// the group's physical host) before the move's period: the group's live
+	// state is gone; it must come back from the checkpoint on a survivor.
 	plan := e.Allocation()
 	plan[0] = 1
 	if err := e.ApplyPlan(plan); err != nil {
 		t.Fatal(err)
 	}
-	ps, err := e.RunPeriod()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.DeferredMoves == 0 {
-		t.Fatalf("expected the move to defer behind pre-copy: %+v", ps)
-	}
-
-	// Kill the pre-copy SOURCE (node 0, the group's physical host) mid
-	// pre-copy: the group's live state is gone; it must come back from the
-	// checkpoint on a survivor.
 	if err := e.FailNode(0); err != nil {
 		t.Fatal(err)
 	}
@@ -325,29 +255,21 @@ func TestFailureDuringPrecopy(t *testing.T) {
 
 	// The engine must keep completing periods — no wedged barrier.
 	before := totalTallied(e)
-	ps, err = e.RunPeriod()
-	if err != nil {
+	if _, err := e.RunPeriod(); err != nil {
 		t.Fatal(err)
 	}
 	if got := totalTallied(e); got != before+trickle {
 		t.Fatalf("post-recovery period tallied %v, want %v", got, before+trickle)
 	}
 
-	// Now stage a move toward node 2 and kill the DESTINATION mid
-	// pre-copy: the move is cancelled, the live (newer) state stays put.
+	// Now stage a move toward node 2 and kill the DESTINATION before the
+	// move's period: the move is cancelled, the live (newer) state stays put.
 	e.TakeCheckpoint()
 	plan = e.Allocation()
 	src := plan[0]
 	plan[0] = 2
 	if err := e.ApplyPlan(plan); err != nil {
 		t.Fatal(err)
-	}
-	ps, err = e.RunPeriod()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.DeferredMoves == 0 {
-		t.Fatalf("expected the second move to defer behind pre-copy: %+v", ps)
 	}
 	if err := e.FailNode(2); err != nil {
 		t.Fatal(err)

@@ -239,14 +239,49 @@ func (r *netRig) dispatchControl(fr transport.Frame) (bye bool) {
 // dispatchData is the receiving half of Engine.deliver, the same on the
 // controller and on a worker: it decodes one data-plane frame and puts its
 // message into the addressed hosted shard's mailbox. A frame that does not
-// decode fails the period through the event path.
+// decode, or names an operator or key group the topology does not have, fails
+// the period through the event path.
 func (r *netRig) dispatchData(kind byte, body []byte) {
 	gsid, msg, err := decodeMsgFrame(kind, body)
+	if err == nil {
+		if err = r.e.topo.checkMsg(msg); err != nil {
+			err = fmt.Errorf("engine: message frame kind %d: %w", kind, err)
+			if m, ok := msg.(dataBatchMsg); ok {
+				codec.PutBuf(m.encoded)
+			}
+		}
+	}
 	if err != nil {
 		r.e.emit(engEvent{kind: evError, err: err})
 		return
 	}
 	r.e.deliverLocal(gsid, msg, true)
+}
+
+// checkMsg bounds a data-plane message that crossed a wire against the
+// topology, which the shard indexes its tables with unchecked: the operator
+// of every message, and the key group of those that name one.
+func (t *Topology) checkMsg(msg message) error {
+	var op, kg int
+	switch m := msg.(type) {
+	case dataBatchMsg:
+		op = m.op
+	case barrierMsg:
+		op = m.op
+	case stateMsg:
+		op, kg = m.op, m.kg
+	case migrateOutMsg:
+		op, kg = m.op, m.kg
+	case recoverMsg:
+		op, kg = m.op, m.kg
+	}
+	if op >= len(t.ops) {
+		return fmt.Errorf("operator %d of %d", op, len(t.ops))
+	}
+	if kg >= t.ops[op].KeyGroups {
+		return fmt.Errorf("key group %d of operator %d's %d", kg, op, t.ops[op].KeyGroups)
+	}
+	return nil
 }
 
 // deliverLocal puts a message into the owning hosted shard's mailbox.

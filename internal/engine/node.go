@@ -99,12 +99,8 @@ type shard struct {
 	// (cutCheckpoint, Recover; shards quiescent) and by the shard itself (delta
 	// state adoption, recovery, departure). A checkpoint write reads the tips it
 	// cut beside the next period, while the shard may read them too: to cut a
-	// migration's delta, or to encode one for a pre-copy (forwardPrecopy).
+	// migration's delta and ship the tip's encoding beside it (onMigrateOut).
 	tips map[int]*statestore.Tip
-	// precopied accumulates checkpoint bytes background-copied toward this
-	// shard ahead of a planned migration (checkpoint-assisted transfer); the
-	// delta stateMsg at the barrier reconstructs the state from it.
-	precopied map[int]*precopyBuf
 	// potcSent tracks, per candidate key group, how much work this sender
 	// instance has routed there (PoTC balances the work each sender emits
 	// downstream using local knowledge).
@@ -199,8 +195,6 @@ func (s *shard) run() {
 				s.onState(m)
 			case migrateOutMsg:
 				s.onMigrateOut(m)
-			case precopyMsg:
-				s.onPrecopy(m)
 			case recoverMsg:
 				s.onRecover(m)
 			case pingMsg:
@@ -266,17 +260,16 @@ func (s *shard) startPeriod(m periodStartMsg) {
 // the destination node, then reports the migrated volume to the engine for
 // the latency model. What it ships is decoded once and dropped, so it is
 // written in storage order (EncodeTransfer: the same length, nothing sorted).
-// With deltaBase >= 0 (checkpoint-assisted transfer) only the delta of the
-// live state against the pre-copied checkpoint is shipped — unless the state
-// diverged so much that the delta would exceed the full encoding (or the tip
-// is gone), in which case the transfer degrades to a full-state migration.
+// With deltaBase >= 0 (checkpoint-assisted transfer) it ships the tip at that
+// version as the base and, as the synchronous part, only the delta of the live
+// state against it — unless the state diverged so much that the delta would
+// exceed the full encoding (or the tip is gone), in which case the transfer
+// degrades to a full-state migration.
 func (s *shard) onMigrateOut(m migrateOutMsg) {
 	gid := s.eng.topo.GID(m.op, m.kg)
 	destG := s.eng.gsidFor(m.dest, gid)
 	st := s.states[gid]
 	if tip := s.tips[gid]; m.deltaBase >= 0 && tip != nil && tip.Version() == m.deltaBase {
-		// The delta base is the checkpoint at version deltaBase, which is the
-		// tip this shard holds for the group.
 		d := &s.diff
 		statestore.DiffInto(d, tip.State(), st)
 		if sz := d.Size(); st == nil || sz < st.Size() {
@@ -286,12 +279,11 @@ func (s *shard) onMigrateOut(m migrateOutMsg) {
 			s.pool.Put(st)
 			s.stats.addMigUnits(float64(len(encoded)) * serCostPerByte)
 			s.flushOut(destG)
-			s.eng.deliver(destG, stateMsg{op: m.op, kg: m.kg, encoded: encoded, delta: true, baseVer: m.deltaBase})
+			s.eng.deliver(destG, stateMsg{op: m.op, kg: m.kg, encoded: encoded, delta: true, baseVer: m.deltaBase, base: tip.Encoding()})
 			s.eng.emit(engEvent{kind: evMigrated, node: s.nid, bytes: len(encoded), delta: true, gid: gid})
 			return
 		}
-		// The delta is no cheaper: fall through to a full-state transfer (the
-		// destination drops its pre-copied base).
+		// The delta is no cheaper: fall through to a full-state transfer.
 	}
 	var encoded []byte
 	if st != nil {
@@ -308,69 +300,6 @@ func (s *shard) onMigrateOut(m migrateOutMsg) {
 	s.flushOut(destG)
 	s.eng.deliver(destG, stateMsg{op: m.op, kg: m.kg, encoded: encoded})
 	s.eng.emit(engEvent{kind: evMigrated, node: s.nid, bytes: len(encoded), gid: gid})
-}
-
-// precopyBuf accumulates one group's pre-copied checkpoint bytes.
-type precopyBuf struct {
-	version int
-	total   int
-	buf     []byte
-}
-
-// onPrecopy appends one background pre-copy chunk, or — forward — sends one on
-// from the tip this shard holds as the group's source. It deliberately touches
-// no statistics: chunks may arrive while the shard is not yet armed for the
-// period (they are enqueued before periodStartMsg), when the engine still
-// owns the stats for resetting.
-func (s *shard) onPrecopy(m precopyMsg) {
-	gid := s.eng.topo.GID(m.op, m.kg)
-	if m.forward {
-		s.forwardPrecopy(gid, m)
-		return
-	}
-	if m.discard {
-		delete(s.precopied, gid)
-		return
-	}
-	if s.precopied == nil {
-		s.precopied = map[int]*precopyBuf{}
-	}
-	pb := s.precopied[gid]
-	if pb == nil || m.off == 0 {
-		pb = &precopyBuf{version: m.version, total: m.total, buf: make([]byte, 0, m.total)}
-		s.precopied[gid] = pb
-	}
-	if pb.version != m.version || pb.total != m.total || len(pb.buf) != m.off {
-		s.eng.emit(engEvent{kind: evError, node: s.nid,
-			err: fmt.Errorf("engine: node %d pre-copy chunk for group %d out of order (have %d, chunk at %d, version %d vs %d)",
-				s.nid, gid, len(pb.buf), m.off, pb.version, m.version)})
-		delete(s.precopied, gid)
-		return
-	}
-	pb.buf = append(pb.buf, m.chunk...)
-}
-
-// forwardPrecopy sends the destination the chunk [off, off+n) of the encoding
-// of the tip this shard holds — its bytes from the last base checkpoint, or
-// encoded once for the whole session — or the session's discard. It goes out
-// on this shard's FIFO toward the destination, ahead of the delta stateMsg the
-// move's migrateOutMsg makes this shard send later.
-func (s *shard) forwardPrecopy(gid int, m precopyMsg) {
-	out := precopyMsg{op: m.op, kg: m.kg, version: m.version, total: m.total, off: m.off, discard: m.discard}
-	if !m.discard {
-		tip := s.tips[gid]
-		var enc []byte
-		if tip != nil && tip.Version() == m.version {
-			enc = tip.Encoding()
-		}
-		if len(enc) != m.total || m.off+m.n > len(enc) {
-			s.eng.emit(engEvent{kind: evError, node: s.nid,
-				err: fmt.Errorf("engine: node %d has no %d-byte tip at version %d of group %d to pre-copy", s.nid, m.total, m.version, gid)})
-			return
-		}
-		out.chunk = enc[m.off : m.off+m.n]
-	}
-	s.eng.deliver(s.eng.gsidFor(m.dest, gid), out)
 }
 
 // onDataBatch decodes one frame and processes its tuples in order. Frames
@@ -455,13 +384,7 @@ func (s *shard) onState(m stateMsg) {
 	var st *State
 	if m.delta {
 		// Checkpoint-assisted transfer: reconstruct the state by applying
-		// the shipped delta to the pre-copied checkpoint base.
-		pb := s.precopied[gid]
-		if pb == nil || pb.version != m.baseVer || len(pb.buf) != pb.total {
-			s.eng.emit(engEvent{kind: evError, node: s.nid,
-				err: fmt.Errorf("engine: node %d delta state for group %d without complete pre-copied base", s.nid, gid)})
-			return
-		}
+		// the shipped delta to the shipped checkpoint base.
 		rest, err := statestore.DecodeDeltaInto(m.encoded, &s.diff)
 		if err != nil || len(rest) != 0 {
 			s.eng.emit(engEvent{kind: evError, node: s.nid,
@@ -469,21 +392,21 @@ func (s *shard) onState(m stateMsg) {
 			return
 		}
 		base := s.pool.Get()
-		if err := statestore.DecodeStateInto(pb.buf, base); err != nil {
+		if err := statestore.DecodeStateInto(m.base, base); err != nil {
 			s.pool.Put(base)
 			s.eng.emit(engEvent{kind: evError, node: s.nid,
-				err: fmt.Errorf("engine: node %d pre-copied base for group %d: %w", s.nid, gid, err)})
+				err: fmt.Errorf("engine: node %d checkpoint base for group %d: %w", s.nid, gid, err)})
 			return
 		}
 		st = s.pool.Get()
 		st.CopyFrom(base)
 		s.diff.Apply(st)
-		// The pre-copied base IS the checkpoint at baseVer and this shard now
-		// holds the group: it keeps the base, and its bytes, as the group's tip
-		// (the controller records tipNode = this node for the same reason).
-		s.tips[gid] = statestore.NewTip(m.baseVer, base, pb.buf)
-		// Only the delta is synchronous work; the base was deserialization
-		// paid in the background.
+		// The base IS the checkpoint at baseVer and this shard now holds the
+		// group: it keeps the base, and its bytes, as the group's tip (the
+		// controller records tipNode = this node for the same reason).
+		s.tips[gid] = statestore.NewTip(m.baseVer, base, m.base)
+		// Only the delta is synchronous work in the cost model; the base is
+		// the checkpoint fault tolerance already paid for.
 		s.stats.addMigUnits(float64(len(m.encoded)) * deserCostPerByte)
 	} else {
 		st = s.pool.Get()
@@ -497,7 +420,6 @@ func (s *shard) onState(m stateMsg) {
 		}
 		delete(s.tips, gid) // a full move arrives tipless
 	}
-	delete(s.precopied, gid)
 	if old := s.states[gid]; old != nil && old != st {
 		s.pool.Put(old)
 	}
@@ -613,7 +535,6 @@ func (s *shard) onRecover(m recoverMsg) {
 	} else {
 		delete(s.tips, gid)
 	}
-	delete(s.precopied, gid)
 	delete(s.pending, gid)
 	if s.awaitIn[gid] {
 		s.awaitIn[gid] = false

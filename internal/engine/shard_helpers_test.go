@@ -27,12 +27,3 @@ func (n *node) stateOf(gid int) *State {
 	}
 	return nil
 }
-
-// precopiedCount sums buffered pre-copy sessions across the node's shards.
-func (n *node) precopiedCount() int {
-	c := 0
-	for _, sh := range n.shards {
-		c += len(sh.precopied)
-	}
-	return c
-}

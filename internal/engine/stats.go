@@ -208,16 +208,16 @@ type PeriodStats struct {
 	HotMoves int
 	// MigratedDeltaBytes is the synchronously-transferred volume of this
 	// period's checkpoint-assisted migrations: only the delta since the
-	// pre-copied checkpoint. It is the part of the migrated volume above
-	// that the delta-transfer path kept small (full-state migrations
-	// contribute to MigrationLatency's byte count but not here).
+	// checkpoint they ship as their base. It is the part of the migrated
+	// volume above that the delta-transfer path kept small (full-state
+	// migrations contribute to MigrationLatency's byte count but not here).
 	MigratedDeltaBytes int64
-	// PrecopyBytes is the checkpoint volume background-copied toward
-	// migration destinations at this period's start (bounded per group by
-	// Config.PrecopyChunkBytes; never charged to MigrationLatency).
+	// PrecopyBytes is the checkpoint volume those migrations shipped as their
+	// base: the tip sizes of the groups that moved by delta (never charged to
+	// MigrationLatency).
 	PrecopyBytes int64
-	// DeferredMoves counts staged migrations that did not execute this
-	// period because their checkpoint pre-copy is still in flight.
+	// DeferredMoves is always 0: every staged move runs at the boundary that
+	// stages it. It stays for readers that still print it.
 	DeferredMoves int
 	// CkptDeltaBytes is, per global key-group id, the encoded delta between
 	// the group's live state at period end and its last checkpoint (-1 for
@@ -362,15 +362,10 @@ type liveGroup struct {
 // result is valid until the next call.
 func (e *Engine) localGroups() []liveGroup {
 	groups := e.liveGroups[:0]
-	for i, n := range e.nodes {
-		if n == nil || e.removed[i] {
-			continue
-		}
-		for _, sh := range n.shards {
-			for gid, st := range sh.states {
-				if st != nil {
-					groups = append(groups, liveGroup{gid: gid, node: i, sh: sh, st: st, tip: sh.tips[gid], delta: -1})
-				}
+	for sh := range e.localShards {
+		for gid, st := range sh.states {
+			if st != nil {
+				groups = append(groups, liveGroup{gid: gid, node: sh.nid, sh: sh, st: st, tip: sh.tips[gid], delta: -1})
 			}
 		}
 	}
@@ -395,13 +390,8 @@ func (e *Engine) localGroups() []liveGroup {
 // schedule.
 func (e *Engine) foldLocal(version int, commAdd func(from, to int, rate float64)) (*mergeAcc, []liveGroup) {
 	refs := e.shardRefs[:0]
-	for i, n := range e.nodes {
-		if n == nil || e.removed[i] {
-			continue
-		}
-		for _, sh := range n.shards {
-			refs = append(refs, shardRef{node: i, sh: sh})
-		}
+	for sh := range e.localShards {
+		refs = append(refs, shardRef{node: sh.nid, sh: sh})
 	}
 	e.shardRefs = refs
 	w := barrierWorkers(len(refs))

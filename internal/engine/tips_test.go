@@ -116,7 +116,7 @@ func tipLayouts(t *testing.T, topo func() *Topology, cfg Config) map[string]func
 // workers' sit side by side.
 func TestTipLivesWithTheGroup(t *testing.T) {
 	const kgs = 6
-	cfg := Config{Nodes: 3, SubPeriods: 2, PrecopyChunkBytes: -1}
+	cfg := Config{Nodes: 3, SubPeriods: 2}
 	topo := func() *Topology { return buildGrowTopology(600, 60, 2, kgs) }
 	layouts := tipLayouts(t, topo, cfg)
 	for name, build := range layouts {
@@ -235,7 +235,7 @@ func (l tipLayout) forgetSizings(t *testing.T) {
 // (which installs states and tips between the barrier and the cut), in one
 // process and across workers.
 func TestCutTakesTheBarriersSizing(t *testing.T) {
-	cfg := Config{Nodes: 3, PrecopyChunkBytes: -1}
+	cfg := Config{Nodes: 3}
 	topo := func() *Topology { return buildGrowTopology(600, 60, 2, 9) }
 	for name, build := range tipLayouts(t, topo, cfg) {
 		t.Run(name, func(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 
 // Control-frame schema: the wire form of every message the engine exchanges
 // between processes. Data-plane messages (data batches, barriers, state
-// transfers, pre-copy chunks, recoveries) map 1:1 onto the mailbox message
+// transfers, migrate-outs, recoveries) map 1:1 onto the mailbox message
 // types of mailbox.go — a remote deliver encodes the message here, the
 // receiving process's dispatch loop decodes it and puts the identical
 // message into the owning shard's mailbox, so shard code cannot tell local
@@ -32,7 +32,7 @@ const (
 	frBarrier
 	frState
 	frMigrateOut
-	frPrecopy
+	_ // retired: a pre-copy chunk; the other kinds keep their bytes
 	frRecover
 	frArm
 	frEvent
@@ -103,6 +103,7 @@ func (m *stateMsg) wire(w *codec.Wire) {
 	w.Bool(&m.delta)
 	w.Signed(&m.baseVer, maxWireSeq)
 	w.Blob(&m.encoded, maxWireBlob)
+	w.Blob(&m.base, maxWireBlob)
 }
 
 func (m *migrateOutMsg) wire(w *codec.Wire) {
@@ -110,19 +111,6 @@ func (m *migrateOutMsg) wire(w *codec.Wire) {
 	w.Int(&m.kg, maxWireGroups)
 	w.Int(&m.dest, maxWireNodes)
 	w.Signed(&m.deltaBase, maxWireSeq)
-}
-
-func (m *precopyMsg) wire(w *codec.Wire) {
-	w.Int(&m.op, maxWireNodes)
-	w.Int(&m.kg, maxWireGroups)
-	w.Int(&m.version, maxWireSeq)
-	w.Int(&m.total, maxWireBlob)
-	w.Int(&m.off, maxWireBlob)
-	w.Bool(&m.discard)
-	w.Bool(&m.forward)
-	w.Int(&m.dest, maxWireNodes)
-	w.Int(&m.n, maxWireBlob)
-	w.Blob(&m.chunk, maxWireBlob)
 }
 
 func (m *recoverMsg) wire(w *codec.Wire) {
@@ -152,9 +140,6 @@ func encodeMsgFrame(gsid int, msg message) []byte {
 		m.wire(&w)
 	case migrateOutMsg:
 		w.B[0] = frMigrateOut
-		m.wire(&w)
-	case precopyMsg:
-		w.B[0] = frPrecopy
 		m.wire(&w)
 	case recoverMsg:
 		w.B[0] = frRecover
@@ -189,10 +174,6 @@ func decodeMsgFrame(kind byte, body []byte) (gsid int, msg message, err error) {
 		msg = m
 	case frMigrateOut:
 		var m migrateOutMsg
-		m.wire(&w)
-		msg = m
-	case frPrecopy:
-		var m precopyMsg
 		m.wire(&w)
 		msg = m
 	case frRecover:

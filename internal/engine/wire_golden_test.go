@@ -44,6 +44,11 @@ func goldenCkptEntries() []ckptEntryWire {
 // lost a 00 fold flag after each directive, "ckpt summary" a 00 fold length
 // after each entry, and "ckpt payloads" an empty fold blob (00) after each
 // payload.
+//
+// At wire version 4 the pre-copy frame went (its kind byte 05 stays unused,
+// so every other frame keeps its own) and "state" was re-recorded: it gained
+// the checkpoint base, an empty blob (00) after the encoded state, and "state
+// base" pins a delta transfer that carries one.
 func TestControlSchemaGolden(t *testing.T) {
 	body := func(m wireMsg) []byte {
 		w := codec.Wire{}
@@ -59,9 +64,9 @@ func TestControlSchemaGolden(t *testing.T) {
 	}{
 		{"data", true, encodeMsgFrame(5, dataBatchMsg{op: 1, period: 2, count: 3, encoded: []byte{0xF2, 0x01, 0x00}}), "010501020303f20100"},
 		{"barrier", true, encodeMsgFrame(3, barrierMsg{op: 1, period: 2, more: true}), "0203010201"},
-		{"state", true, encodeMsgFrame(3, stateMsg{op: 1, kg: 2, encoded: []byte("st"), delta: true, baseVer: 4}), "030301020105027374"},
+		{"state", true, encodeMsgFrame(3, stateMsg{op: 1, kg: 2, encoded: []byte("st"), delta: true, baseVer: 4}), "03030102010502737400"},
+		{"state base", true, encodeMsgFrame(3, stateMsg{op: 1, kg: 2, encoded: []byte("dl"), delta: true, baseVer: 4, base: []byte("tip")}), "03030102010502646c03746970"},
 		{"migrateOut", true, encodeMsgFrame(3, migrateOutMsg{op: 1, kg: 2, dest: 0, deltaBase: -1}), "040301020000"},
-		{"precopy", true, encodeMsgFrame(3, precopyMsg{op: 1, kg: 2, version: 3, total: 10, off: 4, chunk: []byte("chunk"), forward: true, dest: 2, n: 6}), "05030102030a0400010206056368756e6b"},
 		{"recover", true, encodeMsgFrame(3, recoverMsg{op: 1, kg: 2, encoded: []byte("enc"), tipVer: 7}), "060301020803656e63"},
 		{"arm", true, encode(frArm, &armFrame{period: 3, resume: true, numNodes: 2, alloc: []int{0, 1, 0}, barrierNeed: []int{2, 2}, awaitIn: []int{1}}), "07030102030001000202020101"},
 		{"event", true, encode(frEvent, &engEvent{kind: evError, node: 1, op: 2, bytes: 3, delta: true, gid: 4, err: errors.New("boom")}), "0803010203010504626f6f6d"},

@@ -374,3 +374,81 @@ func TestForgedEventFailsThePeriod(t *testing.T) {
 		t.Fatalf("RunPeriod = %v, want the forged event of peer 1 failing the period", err)
 	}
 }
+
+// forgedFrames is a controller's endpoint that, once armed, corrupts what it
+// sends worker peer 1 at the next arm: arm, when set, rewrites the arm frame,
+// and extra, when set, follows it as a data-plane frame of its own.
+type forgedFrames struct {
+	transport.Endpoint
+	armed atomic.Bool
+	arm   func(*armFrame)
+	extra []byte
+}
+
+func (f *forgedFrames) Send(peer int, data []byte) error {
+	var a armFrame
+	if peer != 1 || data[0] != frArm || decode(data[1:], &a) != nil || !f.armed.CompareAndSwap(true, false) {
+		return f.Endpoint.Send(peer, data)
+	}
+	if f.arm != nil {
+		f.arm(&a)
+		data = encode(frArm, &a)
+	}
+	if err := f.Endpoint.Send(peer, data); err != nil || f.extra == nil {
+		return err
+	}
+	return f.Endpoint.Send(peer, f.extra)
+}
+
+// TestForgedFrameFailsThePeriod: a frame that names more of the topology than
+// there is — an arm frame whose allocation falls short of the groups and that
+// awaits a group past it, a state transfer, a recovery or a data batch for an
+// operator or key group the topology does not have — fails the period with an
+// error naming the frame, instead of panicking the worker's serve loop or one
+// of its shards.
+func TestForgedFrameFailsThePeriod(t *testing.T) {
+	topo := func() *Topology { return wordCountTopology([]string{"a", "b", "c"}, 30, 4, newCollector()) }
+	batch := func() []byte {
+		var ob outbox
+		ob.stage(0, &Tuple{Key: "a", TS: 1})
+		m, _ := ob.take(2)
+		return encodeMsgFrame(1, dataBatchMsg{op: 9, period: 2, count: 1, encoded: m.encoded})
+	}
+	for _, c := range []struct {
+		name  string
+		arm   func(*armFrame)
+		extra []byte
+		want  string
+	}{
+		{"arm", func(a *armFrame) { a.alloc, a.awaitIn = []int{0}, []int{3} }, nil, "arm frame allocates 1 groups of 5"},
+		{"state", nil, encodeMsgFrame(1, stateMsg{op: 9}), "message frame kind 3: operator 9 of 2"},
+		{"recover", nil, encodeMsgFrame(1, recoverMsg{op: 0, kg: 4, tipVer: -1}), "message frame kind 6: key group 4 of operator 0's 4"},
+		{"data", nil, batch(), "message frame kind 1: operator 9 of 2"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eps := transport.NewMemCluster(1)
+			w, err := NewWorker(topo(), Config{Nodes: 2}, nil, eps[1], []int{0, 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := make(chan error, 1)
+			go func() { served <- w.ServeWorker() }()
+			forged := &forgedFrames{Endpoint: eps[0], arm: c.arm, extra: c.extra}
+			e, err := NewDistributed(topo(), Config{Nodes: 2}, nil, forged, []int{0, 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				e.Close()
+				<-served
+			}()
+			if _, err := e.RunPeriod(); err != nil {
+				t.Fatal(err)
+			}
+			forged.armed.Store(true)
+			if _, err := e.RunPeriod(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("RunPeriod = %v, want the forged frame failing the period with %q", err, c.want)
+			}
+		})
+	}
+}

@@ -109,8 +109,16 @@ func (e *Engine) dispatchWorker(fr transport.Frame) bool {
 // segment of the one that is running. The worker rebuilds the identical router
 // table from the shipped allocation; shards then ack through the event path
 // exactly as the controller's own do, so the controller's arm phase counts one
-// evAck (or one error) per shard regardless of where the shard runs.
+// evAck (or one error) per shard regardless of where the shard runs. A frame
+// that does not fit the topology arms nothing: every hosted shard's answer is
+// the error instead, which fails the period.
 func (e *Engine) handleArm(a armFrame) {
+	if err := e.checkArm(a); err != nil {
+		for sh := range e.localShards {
+			e.emit(engEvent{kind: evError, node: sh.nid, err: err})
+		}
+		return
+	}
 	e.period = a.period
 	awaitIn := map[int][]int{}
 	for _, gid := range a.awaitIn {
@@ -125,6 +133,27 @@ func (e *Engine) handleArm(a armFrame) {
 	for _, err := range errs {
 		e.emit(engEvent{kind: evError, err: err})
 	}
+}
+
+// checkArm bounds an arm frame against the topology and the node table before
+// anything indexes with it: one node below numNodes per group, numNodes the
+// slots this process knows, one barrier count per operator and only groups of
+// the topology awaited.
+func (e *Engine) checkArm(a armFrame) error {
+	ng, nops := e.topo.NumGroups(), len(e.topo.ops)
+	switch {
+	case a.numNodes != len(e.nodes):
+		return fmt.Errorf("engine: arm frame for %d nodes, the node table has %d", a.numNodes, len(e.nodes))
+	case len(a.alloc) != ng:
+		return fmt.Errorf("engine: arm frame allocates %d groups of %d", len(a.alloc), ng)
+	case len(a.barrierNeed) != nops:
+		return fmt.Errorf("engine: arm frame counts barriers for %d operators of %d", len(a.barrierNeed), nops)
+	case slices.ContainsFunc(a.alloc, func(n int) bool { return n >= a.numNodes }):
+		return fmt.Errorf("engine: arm frame puts a group on a node past its %d", a.numNodes)
+	case slices.ContainsFunc(a.awaitIn, func(gid int) bool { return gid >= ng }):
+		return fmt.Errorf("engine: arm frame awaits a group past the topology's %d", ng)
+	}
+	return nil
 }
 
 // armLocal arms every alive hosted shard with m plus its own entry of awaitIn
@@ -142,20 +171,15 @@ func (e *Engine) handleArm(a armFrame) {
 // can arrive, and an aborted period wrote no statistics after its shards went
 // idle.
 func (e *Engine) armLocal(m periodStartMsg, awaitIn map[int][]int, resume bool) (armed int, errs []error) {
-	for i, n := range e.nodes {
-		if n == nil || e.removed[i] {
-			continue
+	for sh := range e.localShards {
+		if !resume {
+			sh.stats.reset()
 		}
-		for _, sh := range n.shards {
-			if !resume {
-				sh.stats.reset()
-			}
-			m.awaitIn = awaitIn[sh.gsid]
-			if sh.mb.put(m) {
-				armed++
-			} else {
-				errs = append(errs, fmt.Errorf("engine: node %d shard %d failed during arm phase (mailbox closed)", i, sh.sid))
-			}
+		m.awaitIn = awaitIn[sh.gsid]
+		if sh.mb.put(m) {
+			armed++
+		} else {
+			errs = append(errs, fmt.Errorf("engine: node %d shard %d failed during arm phase (mailbox closed)", sh.nid, sh.sid))
 		}
 	}
 	return armed, errs
@@ -216,19 +240,26 @@ func (e *Engine) reply(peer, id int, body wireMsg) {
 	_ = e.rig.ep.Send(peer, encode(frReply, &replyFrame{id: id, body: body}))
 }
 
-// pingLocalShards waits until every local alive shard has drained its
-// mailbox backlog up to the ping.
-func (e *Engine) pingLocalShards() {
-	var shards []*shard
+// localShards yields the shards of every alive node this process hosts.
+func (e *Engine) localShards(yield func(*shard) bool) {
 	for i, n := range e.nodes {
 		if n == nil || e.removed[i] {
 			continue
 		}
-		shards = append(shards, n.shards...)
+		for _, sh := range n.shards {
+			if !yield(sh) {
+				return
+			}
+		}
 	}
-	ch := make(chan struct{}, len(shards))
+}
+
+// pingLocalShards waits until every local alive shard has drained its
+// mailbox backlog up to the ping.
+func (e *Engine) pingLocalShards() {
+	ch := make(chan struct{}, len(e.nodes)*e.spn)
 	sent := 0
-	for _, sh := range shards {
+	for sh := range e.localShards {
 		if sh.mb.put(pingMsg{ch: ch}) {
 			sent++
 		}
@@ -344,13 +375,8 @@ func (e *Engine) cutCheckpoint(version int, dirs []ckptDirective) {
 // (atomic reads; no ping — quiesceToward polls mid-period).
 func (e *Engine) localProgressMilli() int64 {
 	total := int64(0)
-	for i, n := range e.nodes {
-		if n == nil || e.removed[i] {
-			continue
-		}
-		for _, sh := range n.shards {
-			total += sh.stats.nodeUnits.Load()
-		}
+	for sh := range e.localShards {
+		total += sh.stats.nodeUnits.Load()
 	}
 	return total
 }
@@ -362,14 +388,9 @@ func (e *Engine) localProgressMilli() int64 {
 // so the sum over alive shards is the period-so-far total without any
 // hot-path lock.
 func (e *Engine) localSubMilli(milli []int64) {
-	for i, n := range e.nodes {
-		if n == nil || e.removed[i] {
-			continue
-		}
-		for _, sh := range n.shards {
-			for gid := range milli {
-				milli[gid] += sh.stats.subMilli[gid].Load()
-			}
+	for sh := range e.localShards {
+		for gid := range milli {
+			milli[gid] += sh.stats.subMilli[gid].Load()
 		}
 	}
 }

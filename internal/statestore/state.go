@@ -4,7 +4,7 @@
 // share. The store keeps, per key group, one full encoded snapshot (the
 // base) plus a chain of encoded deltas — an incremental checkpoint costs
 // only the delta since the previous one, and a planned migration of a
-// checkpointed group can pre-copy the (large) checkpoint in the background
+// checkpointed group can ship the (large) checkpoint its source already holds
 // and synchronously transfer only the delta accumulated since. All encoding
 // goes through internal/codec and every decode path is hardened against
 // malformed input (truncated deltas, out-of-range gids, duplicate entries).

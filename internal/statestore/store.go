@@ -366,7 +366,7 @@ func (s *Store) Materialize(gid int) (*State, int, bool) {
 }
 
 // EncodedState returns gid's checkpointed state fully encoded (the bytes a
-// pre-copy ships) plus its version; the slice is immutable. A chain is folded
+// recovery ships) plus its version; the slice is immutable. A chain is folded
 // as a side effect, so repeated reads stay cheap and a state that travels
 // whole leaves one base behind.
 func (s *Store) EncodedState(gid int) ([]byte, int, bool) {

@@ -21,7 +21,7 @@ import (
 // transport in Send order — per-link FIFO survives arbitrary delay
 // schedules. Delay reorders traffic *across* links (exactly the hazard a
 // real network has), never within one. The engine's barrier, migration and
-// pre-copy protocols claim to tolerate precisely that; the chaos tests hold
+// checkpoint protocols claim to tolerate precisely that; the chaos tests hold
 // them to it.
 type Chaos struct {
 	inner Endpoint
