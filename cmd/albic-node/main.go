@@ -11,8 +11,8 @@
 //
 // A worker contributes nothing but capacity: which node slots it hosts is the
 // controller's decision (shipped in the spec), and every reconfiguration —
-// periods, migrations, checkpoint pre-copies, scale-out — is driven over the
-// wire.
+// periods, segment boundaries, migrations, checkpoints, scale-out — is
+// driven over the wire.
 package main
 
 import (

@@ -28,8 +28,9 @@ const (
 	// other value is rejected during the handshake. v3: the checkpoint
 	// messages lost the fold (its directive flag, summary length and blob).
 	// v4: a state transfer carries its checkpoint base, and the pre-copy
-	// frame is gone.
-	WireVersion = 4
+	// frame is gone. v5: the progress poll request is gone; a sub-period
+	// reply is always a dense per-group reading.
+	WireVersion = 5
 
 	// handshake hardening bounds: no legitimate message approaches these.
 	maxHandshakeAddr  = 1 << 10

@@ -20,10 +20,11 @@
 //
 // One layer extends the loop beyond the paper, and the engine decides
 // whether it runs: an engine built with engine.Config.SubPeriods >= 2
-// reports mid-period statistics at sub-interval boundaries, a trigger
-// (imbalance ratio + EWMA deviation, with cooldown) detects transient skew,
-// and a restricted hot-move plan (core.GreedyHotMover, at most two key
-// groups) applies immediately without waiting for the period barrier. An
+// drains its pipeline at every sub-interval boundary and reports the
+// period-so-far statistics there, a trigger (imbalance ratio + EWMA
+// deviation, with cooldown) detects transient skew, and a restricted
+// hot-move plan (core.GreedyHotMover, at most two key groups) applies at
+// that boundary without waiting for the period barrier. An
 // engine with fewer sub-periods fires no boundary and the loop is the
 // paper's. The planner runs under the Run context alone: a solve still in
 // flight when the run ends is cancelled and its outcome discarded.
@@ -124,11 +125,11 @@ type Options struct {
 	// cadence: every that-many periods it takes an incremental checkpoint
 	// of all key-group state (engine.TakeCheckpoint). Besides fault
 	// tolerance, a warm checkpoint is what arms checkpoint-assisted
-	// migration — the engine pre-copies checkpoints of planned moves across
-	// period boundaries (multi-period transfer scheduling happens inside
-	// the engine, so lockstep and pipelined modes behave identically) and
-	// the planner prices checkpointed groups at delta cost. Requires an
-	// engine implementing CheckpointEngine.
+	// migration — a planned move of a checkpointed group ships the group's
+	// checkpoint as its base beside the delta, in one message at the
+	// boundary that runs it, so lockstep and pipelined modes behave
+	// identically — and the planner prices checkpointed groups at delta
+	// cost. Requires an engine implementing CheckpointEngine.
 	CheckpointEvery int
 
 	// OnPeriod, when non-nil, observes every period boundary (after any
@@ -253,9 +254,9 @@ type run struct {
 	res      chan plannerResult
 	planning bool
 
-	// Reactive state, touched only on the engine's generation goroutine
-	// (the sub-period observer); the engine guarantees the observer never
-	// overlaps the period-boundary observe hook. lastHot remembers the
+	// Reactive state, touched only by the sub-period observer, which the
+	// engine runs on the control goroutine that also runs the
+	// period-boundary observe hook, so the two never overlap. lastHot remembers the
 	// previous firing's moves so a firing the engine rejected wholesale
 	// (stale From, staged group, non-host destination) re-arms the trigger
 	// instead of wasting its cooldown.
@@ -303,10 +304,11 @@ func (c *Controller) Run(ctx context.Context, periods int) (*Metrics, error) {
 }
 
 // onSubPeriod is the reactive path, invoked by the engine at every
-// sub-interval boundary on its generation goroutine: normalize the partial
-// loads, consult the trigger, and — when it fires — plan a restricted
-// hot-move batch on the mid-period snapshot. The returned moves are applied
-// by the engine immediately, without waiting for the period barrier.
+// sub-interval boundary on its control goroutine, with the pipeline drained:
+// normalize the partial loads, consult the trigger, and — when it fires —
+// plan a restricted hot-move batch on the period-so-far snapshot. The
+// returned moves are applied by the engine at that boundary, without waiting
+// for the period barrier.
 func (r *run) onSubPeriod(snap *core.Snapshot, period, sub int) []core.Move {
 	// If the previous firing's moves were all rejected by the engine (the
 	// snapshot they were planned on went stale between boundaries), none of
@@ -326,7 +328,7 @@ func (r *run) onSubPeriod(snap *core.Snapshot, period, sub int) []core.Move {
 		r.lastHot = nil
 	}
 	loads := snap.NodeLoads()
-	// SubSnapshot loads accumulate from the period start; divide by the
+	// Sub-snapshot loads accumulate from the period start; divide by the
 	// boundary index so the trigger's EWMA sees comparable per-interval
 	// rates at every boundary.
 	for i := range loads {

@@ -3,6 +3,7 @@ package controller
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -130,6 +131,12 @@ func TestReactiveMovesHotGroupWithinSubPeriod(t *testing.T) {
 
 	lockstep := run(false)
 	reactive := run(true)
+	// Every boundary reads exact counters at a drained segment: a second run
+	// asks for the same hot moves and measures the same distances.
+	if again := run(true); !reflect.DeepEqual(again.asked, reactive.asked) || !reflect.DeepEqual(again.dist, reactive.dist) {
+		t.Fatalf("reactive run does not reproduce: hot moves asked\n%s\nthen\n%s\nper-period distance %v then %v",
+			strings.Join(reactive.asked, "\n"), strings.Join(again.asked, "\n"), reactive.dist, again.dist)
+	}
 
 	if lockstep.m.HotMoves != 0 {
 		t.Fatalf("lockstep run recorded %d hot moves", lockstep.m.HotMoves)
@@ -278,7 +285,7 @@ func TestTriggerFiresOnTransientSkewOnly(t *testing.T) {
 }
 
 // BenchmarkTrigger measures the per-boundary cost of the trigger policy
-// (it runs on the data path's generation goroutine).
+// (it runs at every sub-period boundary, with the whole period stalled).
 func BenchmarkTrigger(b *testing.B) {
 	tr := &trigger{}
 	loads := make([]float64, 64)

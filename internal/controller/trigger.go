@@ -30,7 +30,7 @@ const (
 // still fires.
 //
 // A trigger is not safe for concurrent use; the controller drives it from the
-// engine's generation goroutine only.
+// engine's sub-period observer only.
 type trigger struct {
 	ewma   []float64
 	seeded bool

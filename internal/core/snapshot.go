@@ -33,9 +33,9 @@ type GroupStat struct {
 	StateSize float64
 	// HasCkpt reports that the group's state is resident in the engine's
 	// incremental checkpoint store, making it eligible for checkpoint-
-	// assisted migration: the checkpoint pre-copies to the destination in
-	// the background, and only the delta since the checkpoint transfers
-	// synchronously. CkptDelta is that delta's encoded size, so the
+	// assisted migration: the move ships the checkpoint as its base beside
+	// the delta since the checkpoint, and only the delta counts as
+	// synchronous work. CkptDelta is that delta's encoded size, so the
 	// migration cost drops to Alpha·min(StateSize, CkptDelta) — the cost
 	// model through which the planners naturally prefer moving checkpoint-
 	// resident groups under a tight MaxMigrCost budget.

@@ -86,8 +86,8 @@ func (l *lateChaos) Send(peer int, data []byte) error {
 // not hold it either. Worker 2's endpoint gets a one-shot drop (chaos
 // DropAfter) armed when the period's first observer runs, and one run per
 // k = 1, 2, ... kills it k frames later, which walks the death through the
-// whole boundary — how many frames it sent before depends on how often
-// quiesceToward polled it.
+// rest of the boundary — the resume arm's acks, the moved state — and into
+// the next segment's wave and sub-snapshot.
 func TestWorkerDeathAtSegmentBoundary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("one cluster per kill point; skipping in -short")

@@ -21,7 +21,8 @@ import (
 
 // periodSummary is the comparable digest of one period's statistics. Every
 // field is copied out of the PeriodStats so summaries from different engines
-// never alias.
+// never alias. SubLoads holds the per-group loads of every sub-snapshot the
+// period's boundaries handed the observer, in boundary order.
 type periodSummary struct {
 	Period             int
 	GroupUnits         []float64
@@ -42,6 +43,7 @@ type periodSummary struct {
 	PrecopyBytes       int64
 	DeferredMoves      int
 	CkptDeltaBytes     []int
+	SubLoads           [][]float64
 }
 
 func summarize(ps *engine.PeriodStats) periodSummary {
@@ -91,12 +93,18 @@ func driveAdaptiveScript(t *testing.T, e *engine.Engine) ([]periodSummary, []eng
 	t.Helper()
 	var periods []periodSummary
 	var ckpts []engine.CheckpointStats
+	var subLoads [][]float64 // the running period's sub-snapshots
 
 	// Sub-period hot moves: at period 4's first sub-boundary, rotate two
 	// groups one node forward. Disjoint from the staged groups below. The
 	// gids land in sumdelay (rj2's stateful operator: extract holds gids
 	// 0..11, sumdelay 12..23) so the moves carry real state.
 	e.SetSubObserver(func(snap *core.Snapshot, period, sub int) []core.Move {
+		loads := make([]float64, len(snap.Groups))
+		for g, gs := range snap.Groups {
+			loads[g] = gs.Load
+		}
+		subLoads = append(subLoads, loads)
 		if period != 4 || sub != 1 {
 			return nil
 		}
@@ -117,7 +125,9 @@ func driveAdaptiveScript(t *testing.T, e *engine.Engine) ([]periodSummary, []eng
 		if got, want := ps.BytesCrossNodeIn, ps.BytesCrossNode+ps.SrcBytesCrossNode; got != want {
 			t.Fatalf("period %d: BytesCrossNodeIn = %d, want BytesCrossNode+SrcBytesCrossNode = %d", ps.Period, got, want)
 		}
-		periods = append(periods, summarize(ps))
+		s := summarize(ps)
+		s.SubLoads, subLoads = subLoads, nil
+		periods = append(periods, s)
 	}
 
 	run() // 1

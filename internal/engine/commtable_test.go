@@ -134,7 +134,7 @@ func TestShardedCommMergeMatchesMapAtScale(t *testing.T) {
 
 	stats := make([]*nodeStats, shards)
 	for i := range stats {
-		stats[i] = newNodeStats(numGroups, false) // 1500 groups: sparse
+		stats[i] = newNodeStats(numGroups) // 1500 groups: sparse
 	}
 	ref := map[core.Pair]float64{}
 

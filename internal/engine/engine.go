@@ -42,11 +42,11 @@ type Config struct {
 	// homogeneous; nodes added later via AddNodes get weight 1.
 	CapacityWeights []float64
 	// SubPeriods splits each statistics period into this many sub-intervals
-	// for reactive reconfiguration (see subperiod.go): the engine maintains
-	// mid-period load counters (SubSnapshot) and invokes the sub-period
-	// observer at every sub-interval boundary, where restricted hot moves
-	// may apply without waiting for the period barrier. Values < 2 disable
-	// the reactive layer (and its per-tuple atomic counter cost) entirely.
+	// for reactive reconfiguration (see subperiod.go): every sub-interval
+	// boundary drains the pipeline and hands the sub-period observer the
+	// period-so-far statistics, and restricted hot moves may apply there
+	// without waiting for the period barrier. Values < 2 disable the
+	// reactive layer entirely; the data path costs the same either way.
 	SubPeriods int
 	// ShardsPerNode splits every node's execution into this many
 	// hash-partitioned worker shards, each with its own mailbox-drain
@@ -131,12 +131,9 @@ type Engine struct {
 	// subObserver is the sub-period boundary hook (guarded by mu; captured
 	// once per period into the periodRun).
 	subObserver SubObserver
-	// lastSrcTuples / lastTotalMilli are the previous period's source-tuple
-	// volume and total burned cost (milli-units); the current period's
-	// sub-interval boundaries and their processing-progress targets are
-	// calibrated from them.
-	lastSrcTuples  int64
-	lastTotalMilli int64
+	// lastSrcTuples is the previous period's source-tuple volume; the current
+	// period's sub-interval boundaries are calibrated from it.
+	lastSrcTuples int64
 
 	// ckpt is the incremental checkpoint store (nil until the first
 	// TakeCheckpoint): the log of what the tip-holding shards of every process
@@ -307,8 +304,8 @@ type periodRun struct {
 	// fields; whoever writes them does so while every generator is parked or
 	// has joined — genCoord's single-threaded boundary region, the control
 	// goroutine between a boundary's hand-over on segment and its answer on
-	// resume — and finishPeriod reads them only after synchronizing on the
-	// generation result.
+	// resume — and the control goroutine reads them only there or after
+	// synchronizing on the generation result.
 	subObserver SubObserver
 	subIdx      int   // sub-intervals completed (1-based once running)
 	subPerSub   int64 // source tuples per sub-interval (0: no boundaries)
@@ -317,13 +314,13 @@ type periodRun struct {
 	hotMoved    map[int]bool // gids already hot-moved this period
 	hotMoves    int
 	// segment is where the generator running a sub-period boundary hands the
-	// boundary's validated moves to the control goroutine, once its non-final
-	// barrier wave is out; it then waits on resume, which delivers one value
-	// when the next segment is armed. done is closed when finishPeriod returns:
+	// boundary to the control goroutine, once its non-final barrier wave is
+	// out; it then waits on resume, which delivers one value when the next
+	// segment is armed. done is closed when finishPeriod returns:
 	// a generator waits on neither channel once the period is over, opens no
 	// further boundary and drops what its sources still emit (over, flushGen),
 	// so it ends soon after a period that failed.
-	segment chan []core.Move
+	segment chan struct{}
 	resume  chan struct{}
 	done    chan struct{}
 }
@@ -376,7 +373,7 @@ func (e *Engine) beginPeriod() *periodRun {
 		stagedGids: map[int]bool{},
 		hotMoved:   map[int]bool{},
 		errs:       e.ckptErrs,
-		segment:    make(chan []core.Move, 1),
+		segment:    make(chan struct{}, 1),
 		resume:     make(chan struct{}, 1),
 		done:       make(chan struct{}),
 	}
@@ -412,7 +409,7 @@ func (e *Engine) beginPeriod() *periodRun {
 
 // arm installs pr.alloc on every shard and starts the moves that lead to it:
 // the one migration protocol, run at the period boundary by beginPeriod and at
-// a segment boundary inside the period by openSegment (resume: the period's
+// a segment boundary inside the period by closeSegment (resume: the period's
 // statistics keep accumulating). In both places the pipeline is drained —
 // every shard completed the barrier wave before — so the new router table,
 // the barrier counts that follow from its host sets and the in-bound moves
@@ -542,31 +539,12 @@ func (e *Engine) arm(pr *periodRun, transfers []stagedTransfer, resume bool) {
 	}
 }
 
-// openSegment is the control goroutine's half of a sub-period boundary that
-// returned moves (applyHotMoves is the generator's): the segment's barrier
-// wave is through and every state shipped so far has landed, so the moves are
-// a staged migration like any other — they enter the allocation and the next
-// segment is armed with them. Hot moves ship full state.
-func (e *Engine) openSegment(pr *periodRun, moves []core.Move) {
-	transfers := make([]stagedTransfer, len(moves))
-	e.mu.Lock()
-	for i, mv := range moves {
-		e.groupNode[mv.Group] = mv.To // target tracks the new physical home
-		pr.alloc[mv.Group] = mv.To    // so baseAlloc reflects it at period end
-		pr.hotMoved[mv.Group] = true
-		transfers[i] = stagedTransfer{mv: mv, deltaBase: -1}
-	}
-	e.mu.Unlock()
-	pr.hotMoves += len(moves)
-	e.arm(pr, transfers, true)
-}
-
 // finishPeriod waits for all operator instances to flush and all migrations
 // to be reported, then merges statistics (nodes quiescent again). gen delivers
 // the result of the period's source generation, which runs beside this loop: a
 // generation failure aborts the wait. The loop is the one reader of e.events,
 // so it also runs the control half of every segment boundary the generators
-// open (openSegment), between the completions of one barrier wave and the
+// open (closeSegment), between the completions of one barrier wave and the
 // data of the next.
 func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, error) {
 	// No generator outlives its period: once done is closed, one parked at a
@@ -580,7 +558,7 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 	completions, migs := 0, 0
 	migratedBytes, deltaBytes := 0, 0
 	var baseBytes int64
-	var boundary []core.Move // the open segment boundary's moves
+	boundary := false // a generator handed over a segment boundary
 	peers := e.workerPeers()
 	for completions < pr.expectedCompletions || migs < len(pr.staged)+pr.hotMoves || gen != nil {
 		// A worker death mid-period means expected completions can never
@@ -614,7 +592,8 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 			case evError:
 				pr.errs = append(pr.errs, ev.err)
 			}
-		case boundary = <-pr.segment:
+		case <-pr.segment:
+			boundary = true
 		case err := <-gen:
 			gen = nil
 			if err != nil {
@@ -623,16 +602,15 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 		case <-death:
 			continue // lost decides whether it was one of this period's peers
 		}
-		if boundary != nil && completions == pr.expectedCompletions && migs == len(pr.staged)+pr.hotMoves {
+		if boundary && completions == pr.expectedCompletions && migs == len(pr.staged)+pr.hotMoves {
 			// The segment is closed: its non-final wave passed every shard, so
 			// nothing sent before it is still in flight, and every state
 			// shipped so far was reported. Arm the next one and let the
 			// generators go on.
-			e.openSegment(pr, boundary)
-			if pr.armFailed {
-				return nil, fmt.Errorf("engine: period %d arm failed at a segment boundary: %w", pr.period, errors.Join(pr.errs...))
+			if err := e.closeSegment(pr); err != nil {
+				return nil, err
 			}
-			completions, boundary = 0, nil
+			completions, boundary = 0, false
 			pr.resume <- struct{}{}
 		}
 	}
@@ -689,15 +667,12 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 	ps.TuplesIn, ps.TuplesOut = acc.tuplesIn, acc.tuplesOut
 	ps.BytesCrossNode, ps.BytesCrossNodeIn = acc.bytesOut, acc.bytesIn
 	ps.BatchesCrossNode += acc.batchesOut
-	totalMilli := int64(0)
 	for i, m := range acc.nodeMilli {
 		ps.NodeUnits[i] = float64(m) / 1000
-		totalMilli += m
 	}
 	for gid, m := range acc.groupMilli {
 		ps.GroupUnits[gid] = float64(m) / 1000
 	}
-	e.lastTotalMilli = totalMilli
 	ps.Comm = e.commBuilder.Build()
 	// deltas now holds, per group, the encoded delta between its live state and
 	// the tip its shard holds — the synchronous cost a checkpoint-assisted move

@@ -113,11 +113,11 @@ func runSrc(name string, f func()) (err error) {
 // becomes the boundary initiator, every other live generator parks at its
 // next between-tuples safe point, and the initiator — provably alone — runs
 // the ordinary sub-period boundary machinery (flush all generator outboxes,
-// quiesce, snapshot, observer, hot moves) before releasing the others. All
-// cross-generator state (outboxes, pr.rt, pr.subIdx) is only touched in
-// that single-threaded region; the park/release mutex edges publish it. A
-// lone generator wins every flag and waits for nobody: its boundaries fire
-// inline between two of its tuples.
+// close the segment, wait until the next one is armed) before releasing the
+// others. All cross-generator state (outboxes, pr.rt, pr.subIdx) is only
+// touched in that single-threaded region; the park/release mutex edges
+// publish it. A lone generator wins every flag and waits for nobody: its
+// boundaries fire inline between two of its tuples.
 type genCoord struct {
 	e        *Engine
 	pr       *periodRun
@@ -250,13 +250,11 @@ func (e *Engine) generate(pr *periodRun) error {
 		pr.srcEmitted += gs.emitted
 	}
 	flushAll()
-	// Sub-period boundaries that emission did not reach (generation always
-	// outpaces processing; with low volume it finishes before the first
-	// emission threshold): fire them now, before any barrier is sent —
-	// each waits for the data path to catch up to its share of the period,
-	// so hot moves still happen at meaningful mid-period safe points. All
-	// generators have joined — this goroutine is the only one touching the
-	// period now.
+	// Sub-period boundaries that emission did not reach (with low volume
+	// generation finishes before the first emission threshold): fire them
+	// now, before the final wave is sent, so the observer still sees every
+	// boundary of the period. All generators have joined — this goroutine is
+	// the only one touching the period now.
 	for pr.subPerSub > 0 && pr.subIdx < e.cfg.SubPeriods-1 {
 		pr.subIdx++
 		e.subBoundary(pr, flushAll)

@@ -160,7 +160,7 @@ func newShard(nid, sid int, eng *Engine) *shard {
 		tips:     map[int]*statestore.Tip{},
 		potcSent: make([]float64, numGroups),
 		emitters: make([]Emit, numGroups),
-		stats:    newNodeStats(numGroups, eng.cfg.SubPeriods >= 2),
+		stats:    newNodeStats(numGroups),
 
 		barrierGot: make([]int, nops),
 		flushed:    make([]bool, nops),

@@ -23,10 +23,10 @@ const denseCommGroupLimit = 362
 // goroutine during a period and read by the engine between periods (the
 // completion channel provides the happens-before edge); the engine merges
 // the shards of a node at the period barrier, so the hot path takes no
-// locks. Two things are read while the shard runs and are atomic for it:
-// nodeUnits (heterogeneous PoTC's nodeLoadEstimate reads it from other
-// shards' routers, quiesceToward's progress poll from a generator, here and
-// through rqProgress) and subMilli, which SubSnapshot reads mid-period.
+// locks. One thing is read while the shard runs and is atomic for it:
+// nodeUnits, which heterogeneous PoTC's nodeLoadEstimate reads from other
+// shards' routers. A sub-period boundary reads groupMilli like the barrier
+// does, once the pipeline is drained (subSnapshot, rqSub).
 type nodeStats struct {
 	// groupMilli[gid] = cost milli-units attributed to that key group this
 	// period (processing + serialization + deserialization). Dense per-gid
@@ -65,26 +65,21 @@ type nodeStats struct {
 	// shard has reported its last completion, so nothing publishes after that.
 	unitsMilli int64
 	nodeUnits  atomic.Int64
-	// subMilli, when non-nil, is this shard's per-gid milli-unit matrix
-	// behind Engine.SubSnapshot: every addUnits also lands here so partial
-	// per-group loads are readable mid-period from any goroutine
-	// (SubSnapshot sums the shards). nil unless the engine runs with
-	// Config.SubPeriods >= 2 — the extra atomic add per tuple is only paid
-	// when reactive reconfiguration is on.
-	subMilli []atomic.Int64
+	// The shards' statistics are allocated one after another, and each shard
+	// writes unitsMilli for every tuple while its neighbours read the slice
+	// headers at the front of theirs: a cache line of padding keeps the two
+	// off one line.
+	_ [64]byte
 }
 
 // newNodeStats builds one shard's statistics, choosing the communication
 // accumulator by the group count (see denseCommGroupLimit).
-func newNodeStats(numGroups int, subPeriods bool) *nodeStats {
+func newNodeStats(numGroups int) *nodeStats {
 	s := &nodeStats{
 		groupMilli:     make([]int64, numGroups),
 		groupTuplesIn:  make([]int64, numGroups),
 		groupTuplesOut: make([]int64, numGroups),
 		numGroups:      numGroups,
-	}
-	if subPeriods {
-		s.subMilli = make([]atomic.Int64, numGroups)
 	}
 	s.initComm(numGroups <= denseCommGroupLimit)
 	return s
@@ -128,14 +123,11 @@ func (s *nodeStats) addUnits(gid int, units float64) {
 	m := int64(units * 1000)
 	s.groupMilli[gid] += m
 	s.unitsMilli += m
-	if s.subMilli != nil {
-		s.subMilli[gid].Add(m)
-	}
 }
 
 // addMigUnits charges state (de)serialization to the node, not to a group.
-// It is paid once per moved state, so it publishes at once: a progress poll
-// counts a move as soon as it is paid.
+// It is paid once per moved state, so it publishes at once: a node's load
+// estimate counts a move as soon as it is paid.
 func (s *nodeStats) addMigUnits(units float64) {
 	m := int64(units * 1000)
 	s.migMilli += m
@@ -160,9 +152,6 @@ func (s *nodeStats) reset() {
 	s.migMilli = 0
 	s.unitsMilli = 0
 	s.nodeUnits.Store(0)
-	for i := range s.subMilli {
-		s.subMilli[i].Store(0)
-	}
 }
 
 // PeriodStats is the merged, engine-level view of one period.

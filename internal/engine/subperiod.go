@@ -3,31 +3,28 @@
 // unanswered until the next barrier. When Config.SubPeriods = K >= 2, the
 // engine splits each period's source generation into K sub-intervals
 // (measured in tuples, calibrated from the previous period's volume) and
-// exposes two extra surfaces:
+// invokes a sub-period observer (SetSubObserver) at every sub-interval
+// boundary with a snapshot of the period so far; the moves it returns are
+// applied at once as "hot moves" — migrations that execute in the middle of
+// the running period without waiting for the period barrier.
 //
-//   - SubSnapshot(): a mid-period statistics snapshot built from
-//     incrementally maintained atomic per-group / per-node counters,
-//     callable from any goroutine at any time, and
-//   - a sub-period observer (SetSubObserver) invoked at every sub-interval
-//     boundary on the generation goroutine; the moves it returns are
-//     applied immediately as "hot moves" — migrations that execute in the
-//     middle of the running period without waiting for the period barrier.
-//
-// A hot move is a staged move at a segment boundary: there is one migration
-// protocol (Engine.arm), and a period is one or more segments of it. The
-// boundary's generator — every other one is parked — flushes the source
-// outboxes and sends a barrier wave that is not final: shards propagate it and
-// report completion exactly as at period end, but flush no operator. When the
-// control goroutine has counted the wave's completions the pipeline is
-// drained, so it applies the moves to the allocation and arms the next segment
-// the way beginPeriod arms a period (new router table, barrier counts, the
-// destinations' awaitIn, acknowledged by every shard; statistics keep
-// accumulating), asks the old hosts to ship and releases the generators. No
-// tuple is ever in flight across a move, so no tuple is forwarded and a key's
-// tuples reach its operator in the order they were sent, moved or not. The
-// price is one pipeline drain per boundary that moves something, at a point
-// where generation is parked and quiesceToward has already waited for
-// processing to catch up.
+// Every boundary closes a segment of the period, and a hot move is a staged
+// move at a segment boundary: there is one migration protocol (Engine.arm),
+// and a period is one or more segments of it. The boundary's generator —
+// every other one is parked — flushes the source outboxes and sends a barrier
+// wave that is not final: shards propagate it and report completion exactly
+// as at period end, but flush no operator. When the control goroutine has
+// counted the wave's completions and every state shipped so far, the pipeline
+// is drained: every tuple emitted before the boundary has been processed
+// everywhere and no counter moves, so the snapshot it builds is exact and the
+// same in every layout. It calls the observer, applies the moves to the
+// allocation and arms the next segment the way beginPeriod arms a period (new
+// router table, barrier counts, the destinations' awaitIn, acknowledged by
+// every shard; statistics keep accumulating), asks the old hosts to ship and
+// releases the generators. No tuple is ever in flight across a move, so no
+// tuple is forwarded and a key's tuples reach its operator in the order they
+// were sent, moved or not. The price is one pipeline drain and one arm per
+// boundary, moves or not.
 //
 // Hot moves are restricted: the destination must already host the group's
 // operator this period, the group must not be part of a staged
@@ -36,22 +33,21 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
 	"slices"
-	"time"
 
 	"repro/internal/codec"
 	"repro/internal/core"
 )
 
-// SubObserver is the sub-period boundary hook: it receives a mid-period
-// snapshot (SubSnapshot), the 1-based period and the 1-based sub-interval
-// index just completed, and returns the hot moves to apply now (nil for
-// none). It runs on a source-generation goroutine between tuples — with
-// parallel generation (Config.GenWorkers > 1) on the boundary-initiating
-// generator while every other generator is parked at a safe point — so keep
-// it cheap, it stalls input generation while it runs.
+// SubObserver is the sub-period boundary hook: it receives the snapshot of
+// the period so far (loads only, see subSnapshot), the 1-based period and the
+// 1-based sub-interval index just completed, and returns the hot moves to
+// apply now (nil for none). It runs on the period's control goroutine — the
+// goroutine that called RunPeriod or Run — with the pipeline drained and
+// every generator parked, so it stalls the whole period while it runs: keep
+// it cheap.
 type SubObserver func(snap *core.Snapshot, period, sub int) []core.Move
 
 // SetSubObserver installs the sub-period boundary hook. It takes effect at
@@ -63,22 +59,18 @@ func (e *Engine) SetSubObserver(fn SubObserver) {
 	e.mu.Unlock()
 }
 
-// SubSnapshot builds a statistics snapshot from the live mid-period
-// counters: per-group loads accumulated so far this period (atomic reads),
-// the current effective allocation (including hot moves already applied)
-// and the previous period's state sizes. It is safe to call from any
-// goroutine while a period is in flight. The snapshot carries no
-// communication matrix (Out is nil) — the reactive planners only need
-// loads. Loads are partial-period measurements: absolute percentages are
-// lower than a full period's, but the ratios the trigger policy and the
-// hot mover consume are unaffected.
-func (e *Engine) SubSnapshot() (*core.Snapshot, error) {
-	if e.cfg.SubPeriods < 2 {
-		return nil, fmt.Errorf("engine: sub-period statistics disabled (Config.SubPeriods < 2)")
-	}
-	// The period-so-far total per group: the hosted shards' counters, read
-	// under the lock that orders this against node-table changes, plus the
-	// worker peers' sparse mid-period readings.
+// subSnapshot builds the statistics snapshot a sub-period boundary hands the
+// observer, at the drained point where finishPeriod closes a segment (or
+// between periods): per-group loads accumulated so far this period — the
+// hosted shards' groupMilli, which no shard writes while the pipeline is
+// drained, plus every worker peer's (rqSub) — the current allocation
+// (including hot moves already applied) and the previous period's state
+// sizes. It carries no communication matrix (Out and Comm are nil): the
+// reactive planners only need loads. Loads are partial-period measurements: absolute
+// percentages are lower than a full period's, but the ratios the trigger
+// policy and the hot mover consume are unaffected. A worker that does not
+// answer fails the boundary, and with it the period.
+func (e *Engine) subSnapshot() (*core.Snapshot, error) {
 	milli := make([]int64, e.topo.NumGroups())
 	e.mu.Lock()
 	groupNode := append([]int(nil), e.groupNode...)
@@ -100,7 +92,7 @@ func (e *Engine) SubSnapshot() (*core.Snapshot, error) {
 	}
 	capacity := e.capacity
 	numNodes := len(e.nodes)
-	e.localSubMilli(milli)
+	e.localGroupMilli(milli)
 	peers := e.workerPeers()
 	e.mu.Unlock()
 
@@ -114,13 +106,13 @@ func (e *Engine) SubSnapshot() (*core.Snapshot, error) {
 	bodies, errs := e.rig.requestAll(peers, func(int) reqFrame { return reqFrame{kind: rqSub} })
 	for k, body := range bodies {
 		if errs[k] != nil {
-			continue // a dead worker contributes nothing mid-period
+			return nil, fmt.Errorf("engine: sub-period statistics from peer %d: %w", peers[k], errs[k])
 		}
 		vals := make(subReply, len(milli))
-		derr := decode(body, vals)
+		err := decode(body, vals)
 		codec.PutBuf(body)
-		if derr != nil {
-			continue
+		if err != nil {
+			return nil, fmt.Errorf("engine: sub-period statistics from peer %d: %w", peers[k], err)
 		}
 		for gid, m := range vals {
 			milli[gid] += m
@@ -143,7 +135,7 @@ func (e *Engine) SubSnapshot() (*core.Snapshot, error) {
 }
 
 // opStats builds the per-operator metadata shared by Snapshot and
-// SubSnapshot.
+// subSnapshot.
 func (e *Engine) opStats() []core.OpStat {
 	ops := make([]core.OpStat, len(e.topo.ops))
 	for op := range e.topo.ops {
@@ -156,91 +148,71 @@ func (e *Engine) opStats() []core.OpStat {
 	return ops
 }
 
-// subBoundary runs one sub-interval boundary on the (sole active) generation
-// goroutine: let the data path catch up to this boundary's share of the
-// period, build the sub-snapshot, consult the observer, apply the returned
-// moves. With parallel generation the caller is the boundary initiator and
-// every other generator is parked (see genCoord), so single-generator
-// reasoning applies throughout. flushSrc ships every staged source outbox —
-// of every generator — first, so everything the sources routed so far can be
-// processed before the counters are read.
+// subBoundary is the generator's half of a sub-interval boundary, run by the
+// sole active generator (with parallel generation the boundary initiator,
+// every other generator parked; see genCoord): flushSrc ships every staged
+// source outbox — of every generator — and a non-final barrier wave goes out
+// behind them, closing the segment. The boundary then belongs to the control
+// goroutine (finishPeriod, closeSegment); this generator waits until the next
+// segment is armed.
 func (e *Engine) subBoundary(pr *periodRun, flushSrc func()) {
 	if pr.subObserver == nil || pr.over() {
 		return // a period that has failed opens no further boundary
 	}
 	flushSrc()
-	// Generation is not rate-limited in this engine: sources can emit a
-	// whole period's batch long before the workers processed it, which
-	// would make mid-period counters meaningless at emission-time
-	// boundaries. Wait until the cluster has burned roughly subIdx/K of
-	// the previous period's total cost units — the processing-progress
-	// definition of "sub-period" — with stall detection so a genuine
-	// volume drop cannot hang the period.
-	if total := e.lastTotalMilli; total > 0 {
-		target := total * int64(pr.subIdx) / int64(e.cfg.SubPeriods)
-		e.quiesceToward(target)
-	}
-	snap, err := e.SubSnapshot()
-	if err != nil {
+	e.emitSourceBarriers(pr, false)
+	// done means the period failed while the boundary was open: the error is
+	// finishPeriod's to return, and nobody reads segment or answers on resume
+	// any more.
+	select {
+	case pr.segment <- struct{}{}:
+	case <-pr.done:
 		return
+	}
+	select {
+	case <-pr.resume:
+	case <-pr.done:
+	}
+}
+
+// closeSegment is the control goroutine's half of a sub-interval boundary,
+// run once the segment's non-final wave has passed every shard and every
+// state shipped so far was reported: nothing is in flight and no counter
+// moves. It builds the sub-snapshot, consults the observer, applies the moves
+// that pass safeHotMoves to the allocation and arms the next segment with
+// them — also when none passes, because only arming resets the shards'
+// barrier counts for the next wave. Hot moves ship full state.
+func (e *Engine) closeSegment(pr *periodRun) error {
+	snap, err := e.subSnapshot()
+	if err != nil {
+		return err
 	}
 	moves := pr.subObserver(snap, pr.period, pr.subIdx)
-	if len(moves) == 0 {
-		return
-	}
-	e.applyHotMoves(pr, moves)
-}
-
-// quiesceToward blocks until the cluster's burned cost units this period
-// reach target milli-units, or until progress stalls (everything deliverable
-// has been processed — e.g. the input rate dropped, or tuples sit in
-// senders' outboxes below the flush threshold). Runs on the boundary's sole
-// active generation goroutine only.
-func (e *Engine) quiesceToward(target int64) {
-	prev, stalls := int64(-1), 0
-	for {
-		cur := e.localProgressMilli()
-		bodies, errs := e.rig.requestAll(e.workerPeers(), func(int) reqFrame { return reqFrame{kind: rqProgress} })
-		for k, body := range bodies {
-			if errs[k] != nil {
-				continue // dead worker: counts as no progress; stalls exit
-			}
-			var m progressReply
-			derr := decode(body, &m)
-			codec.PutBuf(body)
-			if derr == nil {
-				cur += m.milli
-			}
-		}
-		if cur >= target {
-			return
-		}
-		if cur == prev {
-			stalls++
-			if stalls >= 40 {
-				return
-			}
-			time.Sleep(100 * time.Microsecond)
-		} else {
-			stalls = 0
-			runtime.Gosched()
-		}
-		prev = cur
-	}
-}
-
-// applyHotMoves validates a batch of hot moves and executes it at a segment
-// boundary. Invalid or unsafe moves are silently skipped (the decision was
-// made on a snapshot that may have gone stale): a move must target an alive,
-// non-draining node that already hosts the group's operator this period,
-// must name the group's current physical host as From, and the group must
-// be untouched by this period's staged migrations and earlier hot moves.
-// What is left closes the segment: behind the source outboxes subBoundary
-// flushed, a non-final barrier wave goes out, the control goroutine takes the
-// moves (finishPeriod, openSegment) and this generator waits until the next
-// segment is armed.
-func (e *Engine) applyHotMoves(pr *periodRun, moves []core.Move) {
 	e.mu.Lock()
+	moves = e.safeHotMoves(pr, moves)
+	transfers := make([]stagedTransfer, len(moves))
+	for i, mv := range moves {
+		e.groupNode[mv.Group] = mv.To // target tracks the new physical home
+		pr.alloc[mv.Group] = mv.To    // so baseAlloc reflects it at period end
+		pr.hotMoved[mv.Group] = true
+		transfers[i] = stagedTransfer{mv: mv, deltaBase: -1}
+	}
+	e.mu.Unlock()
+	pr.hotMoves += len(moves)
+	e.arm(pr, transfers, true)
+	if pr.armFailed {
+		return fmt.Errorf("engine: period %d arm failed at a segment boundary: %w", pr.period, errors.Join(pr.errs...))
+	}
+	return nil
+}
+
+// safeHotMoves keeps the moves that are valid and safe to run at this
+// boundary; the rest are silently skipped (the observer may return a decision
+// that no longer applies): a move must target an alive, non-draining node
+// that already hosts the group's operator this period, must name the group's
+// current physical host as From, and the group must be untouched by this
+// period's staged migrations and earlier hot moves. e.mu must be held.
+func (e *Engine) safeHotMoves(pr *periodRun, moves []core.Move) []core.Move {
 	var batch []core.Move
 	for _, mv := range moves {
 		gid := mv.Group
@@ -266,21 +238,5 @@ func (e *Engine) applyHotMoves(pr *periodRun, moves []core.Move) {
 		}
 		batch = append(batch, core.Move{Group: gid, From: from, To: to})
 	}
-	e.mu.Unlock()
-	if len(batch) == 0 {
-		return
-	}
-	e.emitSourceBarriers(pr, false)
-	// done means the period failed while the boundary was open: the error is
-	// finishPeriod's to return, and nobody reads segment or answers on resume
-	// any more.
-	select {
-	case pr.segment <- batch:
-	case <-pr.done:
-		return
-	}
-	select {
-	case <-pr.resume:
-	case <-pr.done:
-	}
+	return batch
 }

@@ -126,11 +126,11 @@ func TestHotMoveRestrictionsSkipUnsafeMoves(t *testing.T) {
 }
 
 // TestConcurrentSnapshotSubSnapshotApplyPlan is the race/property test of
-// the reactive surfaces: Snapshot, SubSnapshot, Allocation and ApplyPlan
-// hammered from multiple goroutines against a running engine.Run must never
-// observe a torn allocation (ApplyPlan writes whole plans; readers must see
-// one of them, never a mix) and must preserve the per-sender FIFO invariant
-// (exact per-word totals at the sink). Run under -race.
+// the reactive surfaces: Snapshot, Allocation and ApplyPlan hammered from
+// multiple goroutines against a running engine.Run must never observe a torn
+// allocation (ApplyPlan writes whole plans; readers must see one of them,
+// never a mix) and must preserve the per-sender FIFO invariant (exact
+// per-word totals at the sink). Run under -race.
 func TestConcurrentSnapshotSubSnapshotApplyPlan(t *testing.T) {
 	words := []string{"v", "w", "x", "y", "z"}
 	const perPeriod, periods, kgs = 500, 10, 8
@@ -205,7 +205,7 @@ func TestConcurrentSnapshotSubSnapshotApplyPlan(t *testing.T) {
 		}()
 	}
 
-	// Snapshot / SubSnapshot readers: structural validity under load.
+	// Snapshot readers: structural validity under load.
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
@@ -219,21 +219,6 @@ func TestConcurrentSnapshotSubSnapshotApplyPlan(t *testing.T) {
 				if snap, err := e.Snapshot(); err == nil {
 					if err := snap.Validate(); err != nil {
 						report(fmt.Errorf("Snapshot invalid: %v", err))
-						return
-					}
-				}
-				sub, err := e.SubSnapshot()
-				if err != nil {
-					report(fmt.Errorf("SubSnapshot: %v", err))
-					return
-				}
-				if err := sub.Validate(); err != nil {
-					report(fmt.Errorf("SubSnapshot invalid: %v", err))
-					return
-				}
-				for g := 1; g < len(sub.Groups); g++ {
-					if sub.Groups[g].Node != sub.Groups[0].Node {
-						report(fmt.Errorf("torn sub-snapshot allocation"))
 						return
 					}
 				}
@@ -260,8 +245,9 @@ func TestConcurrentSnapshotSubSnapshotApplyPlan(t *testing.T) {
 	}
 }
 
-// BenchmarkSubSnapshot measures the mid-period snapshot build (the reactive
-// trigger's read path).
+// BenchmarkSubSnapshot measures the sub-period snapshot build (the reactive
+// trigger's read path), between periods, where the shards are as quiescent as
+// at a segment boundary.
 func BenchmarkSubSnapshot(b *testing.B) {
 	col := newCollector()
 	tp := wordCountTopology([]string{"a", "b", "c", "d"}, 2000, 64, col)
@@ -276,7 +262,7 @@ func BenchmarkSubSnapshot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.SubSnapshot(); err != nil {
+		if _, err := e.subSnapshot(); err != nil {
 			b.Fatal(err)
 		}
 	}

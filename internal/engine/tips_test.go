@@ -25,7 +25,7 @@ type tipLayout struct {
 func (l tipLayout) quiesce(t *testing.T) {
 	t.Helper()
 	for _, w := range l.procs[1:] {
-		if _, err := l.ctrl.rig.request(w.self, reqFrame{kind: rqProgress}); err != nil {
+		if _, err := l.ctrl.rig.request(w.self, reqFrame{kind: rqSub}); err != nil {
 			t.Fatal(err)
 		}
 		w.pingLocalShards()

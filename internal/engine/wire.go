@@ -45,7 +45,7 @@ const (
 const (
 	rqStats byte = iota + 1
 	rqCkpt
-	rqProgress
+	_ // retired: a progress poll; the other kinds keep their bytes
 	rqSub
 	rqProvision
 	rqTerminate
@@ -277,7 +277,7 @@ func (q *reqFrame) wire(w *codec.Wire) {
 		}
 	case rqTerminate, rqFail:
 		w.Int(&q.node, maxWireNodes)
-	case rqProgress, rqSub, rqCkptWrite:
+	case rqSub, rqCkptWrite:
 	case rqProvision:
 		n := w.Count(len(q.provIDs), maxWireNodes)
 		for i := 0; i < n && w.Err == nil; i++ {
@@ -464,14 +464,8 @@ func (p ckptPayloads) wire(w *codec.Wire) {
 	}
 }
 
-// progressReply answers rqProgress: the hosted shards' burned milli-units
-// this period.
-type progressReply struct{ milli int64 }
-
-func (r *progressReply) wire(w *codec.Wire) { w.Add(&r.milli) }
-
-// subReply answers rqSub with a dense per-group mid-period reading (nil when
-// sub-periods are disabled), which a reader adds into a slice of its own.
+// subReply answers rqSub with the hosted shards' dense per-group reading at a
+// segment boundary, which a reader adds into a slice of its own.
 type subReply []int64
 
 func (s subReply) wire(w *codec.Wire) { milli(w, s) }

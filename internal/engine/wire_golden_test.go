@@ -72,7 +72,6 @@ func TestControlSchemaGolden(t *testing.T) {
 		{"event", true, encode(frEvent, &engEvent{kind: evError, node: 1, op: 2, bytes: 3, delta: true, gid: 4, err: errors.New("boom")}), "0803010203010504626f6f6d"},
 		{"req stats", true, encode(frReq, &reqFrame{id: 7, kind: rqStats, version: 5}), "09070105"},
 		{"req ckpt", true, encode(frReq, &reqFrame{id: 9, kind: rqCkpt, version: 4, dirs: []ckptDirective{{gid: 1, bound: -1}, {gid: 5, bound: 300}}}), "0909020402010005ad02"},
-		{"req progress", true, encode(frReq, &reqFrame{id: 11, kind: rqProgress}), "090b03"},
 		{"req sub", true, encode(frReq, &reqFrame{id: 12, kind: rqSub}), "090c04"},
 		{"req provision", true, encode(frReq, &reqFrame{id: 8, kind: rqProvision, provIDs: []int{3, 4}, provOwner: []int{1, 2}, provW: []float64{1.5, 2}}), "090805020301000000000000f83f04020000000000000040"},
 		{"req terminate", true, encode(frReq, &reqFrame{id: 13, kind: rqTerminate, node: 2}), "090d0602"},
@@ -83,7 +82,6 @@ func TestControlSchemaGolden(t *testing.T) {
 		{"stats reply", false, body(goldenStats()), "020105030701000c0a09645a0402011e00032806000103010302"},
 		{"ckpt summary", false, body((*ckptSummary)(&entries)), "03010202050505010401030309020700000009"},
 		{"ckpt payloads", false, body(ckptPayloads(entries)), "03020573746174650403646c740700"},
-		{"progress reply", false, body(&progressReply{12345}), "b960"},
 		{"sub reply", false, body(subReply{0, 7, 0, 300}), "02010703ac02"},
 		{"ok reply", false, body(&okReply{}), "00"},
 		{"error reply", false, body(&okReply{errors.New("nope")}), "046e6f7065"},

@@ -14,15 +14,15 @@ import (
 // the slots this process owns (the rest are nil) and no control loop of its
 // own. ServeWorker drains the transport endpoint: data-plane frames become
 // mailbox messages for hosted shards, frArm arms them for a period, and frReq
-// serves the controller's stats/checkpoint/progress/provision/terminate/fail
+// serves the controller's stats/checkpoint/sub-period/provision/terminate/fail
 // requests. Shards report their events (acks, completions, migrations,
 // errors) back to the controller through Engine.emit, which encodes them as
 // frEvent frames — shard code cannot tell which process it runs in.
 //
-// armLocal, localProgressMilli, localSubMilli, provisionLocal, terminateLocal
-// and failLocal act on the nodes this process hosts and nothing else: the
-// controller's methods call them for its own nodes and then ask each worker
-// peer to do the same, and the handlers below are those requests arriving.
+// armLocal, localGroupMilli, provisionLocal, terminateLocal and failLocal act
+// on the nodes this process hosts and nothing else: the controller's methods
+// call them for its own nodes and then ask each worker peer to do the same,
+// and the handlers below are those requests arriving.
 // The three that write the node table expect the caller to hold e.mu wherever
 // another goroutine may read it — the controller's methods do, a worker's
 // serve loop is the table's only user. The barrier fold and the checkpoint are
@@ -158,8 +158,7 @@ func (e *Engine) checkArm(a armFrame) error {
 
 // armLocal arms every alive hosted shard with m plus its own entry of awaitIn
 // (global shard id -> gids arriving by stateMsg), after resetting its period
-// statistics — including the mid-period sub-interval counters — unless the
-// period resumes with its next segment. It returns how many shards were armed,
+// statistics unless the period resumes with its next segment. It returns how many shards were armed,
 // each of which acks through the event path, and one error per shard whose
 // mailbox is already closed: a crash the control plane has not absorbed yet,
 // which can never ack.
@@ -214,14 +213,12 @@ func (e *Engine) handleRequest(peer int, q reqFrame) {
 			return
 		}
 		body = &okReply{fmt.Errorf("engine: no checkpoint write to answer")}
-	case rqProgress:
-		body = &progressReply{e.localProgressMilli()}
 	case rqSub:
-		var milli []int64
-		if e.cfg.SubPeriods >= 2 { // the counters exist
-			milli = make([]int64, e.topo.NumGroups())
-			e.localSubMilli(milli)
-		}
+		// Asked at a drained segment boundary: the ping is the happens-before
+		// edge to the shards' last writes.
+		e.pingLocalShards()
+		milli := make([]int64, e.topo.NumGroups())
+		e.localGroupMilli(milli)
 		body = subReply(milli)
 	case rqProvision:
 		body = &okReply{e.provisionLocal(q.provIDs, q.provOwner, q.provW)}
@@ -371,26 +368,15 @@ func (e *Engine) cutCheckpoint(version int, dirs []ckptDirective) {
 	})
 }
 
-// localProgressMilli sums the hosted shards' burned milli-units this period
-// (atomic reads; no ping — quiesceToward polls mid-period).
-func (e *Engine) localProgressMilli() int64 {
-	total := int64(0)
+// localGroupMilli adds the hosted shards' per-group milli-units this period
+// into milli. A group's burned milli-units live in the counters of whichever
+// shard(s) processed it this period — after a hot move both the old and the
+// new host contributed — so the sum over alive shards is the period-so-far
+// total. The shards must be quiescent: it reads their plain counters.
+func (e *Engine) localGroupMilli(milli []int64) {
 	for sh := range e.localShards {
-		total += sh.stats.nodeUnits.Load()
-	}
-	return total
-}
-
-// localSubMilli adds the hosted shards' per-group mid-period counters into
-// milli (atomic reads, mid-period safe; Config.SubPeriods >= 2). A group's
-// burned milli-units live in the counters of whichever shard(s) processed it
-// this period — after a hot move both the old and the new host contributed —
-// so the sum over alive shards is the period-so-far total without any
-// hot-path lock.
-func (e *Engine) localSubMilli(milli []int64) {
-	for sh := range e.localShards {
-		for gid := range milli {
-			milli[gid] += sh.stats.subMilli[gid].Load()
+		for gid, m := range sh.stats.groupMilli {
+			milli[gid] += m
 		}
 	}
 }

@@ -27,7 +27,8 @@
 // One migration protocol. A reconfiguration executes where the pipeline is
 // drained: at the period barrier or, for a reactive mid-period move, at a
 // segment boundary inside the period — a barrier wave that flushes no
-// operator. Either way every shard is armed with the new routing before an
+// operator, which every sub-period boundary sends and whose statistics the
+// reactive decision reads. Either way every shard is armed with the new routing before an
 // old host ships state, so no tuple is in flight across a move and a key's
 // tuples are never lost, duplicated or reordered (internal/engine/subperiod.go).
 //
@@ -35,10 +36,10 @@
 // a versioned, per-group incremental store (full snapshot + delta chains)
 // shared by checkpoint-based fault tolerance and state migration. The
 // controller checkpoints on a cadence; a planned move of a checkpointed
-// group pre-copies the checkpoint to the destination in the background —
-// across multiple period boundaries for large states — and synchronously
-// transfers only the delta accumulated since, which is also how the
-// planners price such moves (mc_k = α·min(|σ_k|, |Δ_k|)).
+// group ships the checkpoint as the base of one state message, beside the
+// delta accumulated since, at the boundary that runs the move. Only the delta
+// is synchronous work, which is also how the planners price such moves
+// (mc_k = α·min(|σ_k|, |Δ_k|)).
 //
 // This file re-exports the public API from the internal packages; see
 // examples/ for runnable programs and cmd/albic-bench for the experiment
