@@ -230,34 +230,30 @@ func BenchmarkGraphPartition(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineThroughputSharded sweeps GOMAXPROCS and the generator
-// count over the sharded data path (Real Job 1, 8 nodes, 4 worker shards per
-// node): the engine's multicore scaling profile, and the only measurement of
-// ShardsPerNode × GenWorkers — bench/ runs both at zero. gen=1 generates on
-// the engine goroutine alone — its curve flattens once source generation
-// saturates one core; gen=4 partitions each period's batch across four
-// generators. The proc count is encoded in the sub-benchmark name (procs=N)
-// and set explicitly inside, because the testing package's own -N name
-// suffix reflects only the host's setting.
+// BenchmarkEngineThroughputSharded sweeps GOMAXPROCS over the sharded data
+// path (Real Job 1, 8 nodes, 4 worker shards per node): the engine's
+// multicore scaling profile, and the only measurement of ShardsPerNode —
+// bench/ runs it at zero. Sources generate on one goroutine, so the curve
+// flattens once generation saturates one core. The proc count is encoded in
+// the sub-benchmark name (procs=N) and set explicitly inside, because the
+// testing package's own -N name suffix reflects only the host's setting.
 func BenchmarkEngineThroughputSharded(b *testing.B) {
 	const perPeriod = 20000
-	for _, gen := range []int{1, 4} {
-		for _, procs := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("shards=4/gen=%d/procs=%d", gen, procs), func(b *testing.B) {
-				benchShardedThroughput(b, procs, gen, perPeriod)
-			})
-		}
+	for _, procs := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("shards=4/procs=%d", procs), func(b *testing.B) {
+			benchShardedThroughput(b, procs, perPeriod)
+		})
 	}
 }
 
-func benchShardedThroughput(b *testing.B, procs, gen, perPeriod int) {
+func benchShardedThroughput(b *testing.B, procs, perPeriod int) {
 	prev := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(prev)
 	topo, err := workload.RealJob1(workload.JobConfig{KeyGroups: 32, Rate: perPeriod, Seed: 5})
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := engine.New(topo, engine.Config{Nodes: 8, ShardsPerNode: 4, GenWorkers: gen}, nil)
+	e, err := engine.New(topo, engine.Config{Nodes: 8, ShardsPerNode: 4}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -65,7 +65,6 @@ func main() {
 	ckptEvery := flag.Int("ckpt-every", 0, "incremental checkpoint every N periods (0 = off); arms checkpoint-assisted delta migration")
 	migrCost := flag.Float64("migr-cost", 0, "max migration cost per adaptation, in state bytes at alpha=1 (0 = unlimited)")
 	shards := flag.Int("shards", 1, "worker shards per node (parallel operator execution; needs GOMAXPROCS > 1 to pay off)")
-	genWorkers := flag.Int("gen-workers", 1, "source generators (partitionable sources split each period's batch; 1 = the engine goroutine alone)")
 	incremental := flag.Bool("incremental", false, "dirty-region incremental planning: only groups with material load/placement changes (plus their comm neighborhoods) are re-solved each period (albic and milp only)")
 	listen := flag.String("listen", "", "run distributed: listen on this address and wait for -workers albic-node processes to join (empty = single-process)")
 	workers := flag.Int("workers", 2, "worker processes to wait for with -listen")
@@ -140,7 +139,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	ecfg := repro.EngineConfig{Nodes: *nodes, SubPeriods: *subperiods, ShardsPerNode: *shards, GenWorkers: *genWorkers}
+	ecfg := repro.EngineConfig{Nodes: *nodes, SubPeriods: *subperiods, ShardsPerNode: *shards}
 	var e *repro.Engine
 	if *listen != "" {
 		fmt.Printf("listening on %s for %d workers...\n", *listen, *workers)

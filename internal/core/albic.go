@@ -44,22 +44,17 @@ type ALBIC struct {
 	Seed int64
 
 	// Incremental enables dirty-region planning: only the groups whose load
-	// changed by more than DirtyLoadDelta since the previous invocation —
-	// plus groups on kill-marked nodes, groups whose host changed, and the
-	// communication out-neighborhoods of all of those — are candidate
-	// movers; everything else is frozen in place as fixed background load.
+	// changed by more than DefaultDirtyLoadDelta since the previous
+	// invocation — plus groups on kill-marked nodes, groups whose host
+	// changed, and the communication out-neighborhoods of all of those — are
+	// candidate movers (at most DefaultDirtyTopK of them by load delta,
+	// forced movers always included); everything else is frozen in place as
+	// fixed background load.
 	// The planner falls back to a full solve on the first invocation, after
 	// topology or cluster-size changes, and whenever the dirty region covers
 	// every group — in which case the plan is identical to the
 	// non-incremental one (same code path, same random stream).
 	Incremental bool
-	// DirtyLoadDelta is the relative load change marking a group dirty
-	// (default DefaultDirtyLoadDelta).
-	DirtyLoadDelta float64
-	// DirtyTopK caps the dirty-region size; beyond it only the top-K groups
-	// by load delta are kept (forced movers always stay). 0 means
-	// DefaultDirtyTopK, negative uncapped.
-	DirtyTopK int
 
 	round   int64
 	tracker dirtyTracker
@@ -104,7 +99,7 @@ func (a *ALBIC) Plan(ctx context.Context, s *Snapshot) (*Plan, error) {
 
 	var dirty []bool
 	if a.Incremental {
-		dirty = a.tracker.region(s, s.OutCSR(), a.DirtyLoadDelta, a.DirtyTopK)
+		dirty = a.tracker.region(s, s.OutCSR(), DefaultDirtyLoadDelta, DefaultDirtyTopK)
 		a.tracker.observe(s)
 	}
 	colPairs, toBeCol := a.scorePairs(s, sf, dirty)

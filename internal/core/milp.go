@@ -26,10 +26,6 @@ type MILPBalancer struct {
 	// load. Falls back to a full solve on the first invocation, on topology
 	// changes, and when the region covers every group.
 	Incremental bool
-	// DirtyLoadDelta and DirtyTopK tune the region; zero values use
-	// DefaultDirtyLoadDelta and DefaultDirtyTopK.
-	DirtyLoadDelta float64
-	DirtyTopK      int
 
 	tracker dirtyTracker
 }
@@ -47,7 +43,7 @@ func (b *MILPBalancer) Plan(ctx context.Context, s *Snapshot) (*Plan, error) {
 	}
 	var dirty []bool
 	if b.Incremental {
-		dirty = b.tracker.region(s, s.OutCSR(), b.DirtyLoadDelta, b.DirtyTopK)
+		dirty = b.tracker.region(s, s.OutCSR(), DefaultDirtyLoadDelta, DefaultDirtyTopK)
 		b.tracker.observe(s)
 	}
 	p := s.DirtyProblem(dirty)

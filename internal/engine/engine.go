@@ -57,16 +57,6 @@ type Config struct {
 	// traffic). 0 or 1 keeps the single-goroutine node of earlier versions;
 	// values above 256 are capped.
 	ShardsPerNode int
-	// GenWorkers partitions each source's per-period emission across this
-	// many generators (see gen.go): generator 0 is the period's generation
-	// goroutine, the others are goroutines it spawns for the period. Each
-	// generator is a distinct sender with its own per-(dest, op) outbox set,
-	// scratch buffer and byte/batch counters, so the per-sender FIFO invariant
-	// holds per generator; sub-period boundaries are safe-point rendezvous
-	// across the generators. Sources opt in via Topology.AddSourceParts — a
-	// source without a split hook runs whole on generator 0. 0 means 1; values
-	// above 64 are capped.
-	GenWorkers int
 }
 
 func (c *Config) defaults() {
@@ -78,12 +68,6 @@ func (c *Config) defaults() {
 	}
 	if c.ShardsPerNode > 256 {
 		c.ShardsPerNode = 256
-	}
-	if c.GenWorkers <= 0 {
-		c.GenWorkers = 1
-	}
-	if c.GenWorkers > 64 {
-		c.GenWorkers = 64
 	}
 }
 
@@ -197,12 +181,9 @@ type Engine struct {
 	prevAllocBytes uint64
 	allocSampled   bool
 
-	// genStates holds each generator worker's reusable emission scratch
-	// (outbox set, encode buffer, counters) so steady-state generation is
-	// allocation-flat; see gen.go. Grown on first use, reused every period.
-	// genJoin is where generate waits for the period's generators.
-	genStates []*genState
-	genJoin   sync.WaitGroup
+	// gen is the generator's reusable emission scratch (outbox set,
+	// counters), so steady-state generation is allocation-flat; see gen.go.
+	gen genState
 	// Period-barrier scratch, reused so the merge itself stays out of the
 	// Allocs telemetry it feeds: shardRefs flattens the live shards for the
 	// parallel stats fold, mergeAccs holds the per-fold-worker partial sums
@@ -290,8 +271,6 @@ type periodRun struct {
 	transfers           []stagedTransfer
 	expectedCompletions int
 	synthetic           []bool
-	srcBatches          int64
-	srcBytes            int64 // wire bytes the sources staged (per-record sum)
 	errs                []error
 	// armFailed marks an arm phase that lost a shard (closed mailbox or an
 	// error event instead of an ack): the period is aborted before any data
@@ -300,26 +279,23 @@ type periodRun struct {
 	// recover via the checkpoint path) rather than run further periods.
 	armFailed bool
 
-	// Reactive sub-period state (see subperiod.go). Generators read these
-	// fields; whoever writes them does so while every generator is parked or
-	// has joined — genCoord's single-threaded boundary region, the control
-	// goroutine between a boundary's hand-over on segment and its answer on
-	// resume — and the control goroutine reads them only there or after
-	// synchronizing on the generation result.
+	// Reactive sub-period state (see subperiod.go). The generation goroutine
+	// reads these fields and advances subIdx; the control goroutine touches
+	// them only between a boundary's hand-over on segment and its answer on
+	// resume, or after synchronizing on the generation result.
 	subObserver SubObserver
-	subIdx      int   // sub-intervals completed (1-based once running)
-	subPerSub   int64 // source tuples per sub-interval (0: no boundaries)
-	srcEmitted  int64
+	subIdx      int          // sub-intervals completed (1-based once running)
+	subPerSub   int64        // source tuples per sub-interval (0: no boundaries)
 	stagedGids  map[int]bool // gids in a staged period-boundary migration
 	hotMoved    map[int]bool // gids already hot-moved this period
 	hotMoves    int
-	// segment is where the generator running a sub-period boundary hands the
-	// boundary to the control goroutine, once its non-final barrier wave is
-	// out; it then waits on resume, which delivers one value when the next
-	// segment is armed. done is closed when finishPeriod returns:
-	// a generator waits on neither channel once the period is over, opens no
-	// further boundary and drops what its sources still emit (over, flushGen),
-	// so it ends soon after a period that failed.
+	// segment is where the generator hands a sub-period boundary to the
+	// control goroutine, once its non-final barrier wave is out; it then waits
+	// on resume, which delivers one value when the next segment is armed. done
+	// is closed when finishPeriod returns: the generator waits on neither
+	// channel once the period is over, opens no further boundary and drops
+	// what its sources still emit (over, flushGen), so it ends soon after a
+	// period that failed.
 	segment chan struct{}
 	resume  chan struct{}
 	done    chan struct{}
@@ -543,12 +519,12 @@ func (e *Engine) arm(pr *periodRun, transfers []stagedTransfer, resume bool) {
 // to be reported, then merges statistics (nodes quiescent again). gen delivers
 // the result of the period's source generation, which runs beside this loop: a
 // generation failure aborts the wait. The loop is the one reader of e.events,
-// so it also runs the control half of every segment boundary the generators
-// open (closeSegment), between the completions of one barrier wave and the
+// so it also runs the control half of every segment boundary the generator
+// opens (closeSegment), between the completions of one barrier wave and the
 // data of the next.
 func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, error) {
-	// No generator outlives its period: once done is closed, one parked at a
-	// segment boundary gives up and every one stops emitting at its next frame.
+	// The generator does not outlive its period: once done is closed, it gives
+	// up a segment boundary it waits at and stops emitting at its next frame.
 	defer func() {
 		close(pr.done)
 		if gen != nil {
@@ -558,7 +534,7 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 	completions, migs := 0, 0
 	migratedBytes, deltaBytes := 0, 0
 	var baseBytes int64
-	boundary := false // a generator handed over a segment boundary
+	boundary := false // the generator handed over a segment boundary
 	peers := e.workerPeers()
 	for completions < pr.expectedCompletions || migs < len(pr.staged)+pr.hotMoves || gen != nil {
 		// A worker death mid-period means expected completions can never
@@ -606,7 +582,7 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 			// The segment is closed: its non-final wave passed every shard, so
 			// nothing sent before it is still in flight, and every state
 			// shipped so far was reported. Arm the next one and let the
-			// generators go on.
+			// generator go on.
 			if err := e.closeSegment(pr); err != nil {
 				return nil, err
 			}
@@ -631,10 +607,10 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 		MigrationLatency:   float64(migratedBytes) * migrSecondsPerByte,
 		MigratedDeltaBytes: int64(deltaBytes),
 		PrecopyBytes:       baseBytes,
-		BatchesCrossNode:   pr.srcBatches,
-		SrcBytesCrossNode:  pr.srcBytes,
+		BatchesCrossNode:   e.gen.batches,
+		SrcBytesCrossNode:  e.gen.bytes,
 	}
-	e.lastSrcTuples = pr.srcEmitted
+	e.lastSrcTuples = e.gen.emitted
 	// Merge statistics: this process's barrier fold plus every worker's (the
 	// workers are quiescent — their shards' completions all arrived above — and
 	// the request pings their shards for the happens-before edge). Loads

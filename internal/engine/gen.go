@@ -2,62 +2,51 @@ package engine
 
 import (
 	"fmt"
-	"slices"
-	"sync"
-	"sync/atomic"
 )
 
-// Source generation. The engine produces each period's input batch on
-// Config.GenWorkers generators: generator 0 is the period's generation
-// goroutine itself (RunPeriod starts it beside the control goroutine), every
-// further one a goroutine spawned from it, so one worker — the default —
-// shares nothing. Each generator is a distinct
-// sender with its own per-(dest, op) outbox set and byte/batch/tuple
-// counters, so the per-sender FIFO invariant the shards rely
-// on holds per generator; the emitted tuple multiset is identical for any
-// worker count because partitionable sources split deterministically (see
-// PartSourceFunc). End-of-period source barriers are emitted only after every
-// generator has joined and every generator outbox has flushed, so barrier
-// counting is unchanged: one barrier per source edge per receiving shard.
+// Source generation. The engine produces each period's input batch on the one
+// generation goroutine RunPeriod starts beside the control goroutine: it runs
+// the sources one after another through a single per-(dest, op) outbox set,
+// so the sources are one sender and the per-sender FIFO invariant the shards
+// rely on holds for every key. In a period that armed sub-period boundaries,
+// the boundary fires inline, right after the tuple whose emission count
+// reaches it. End-of-period source barriers go out after the last outbox has
+// flushed: one barrier per source edge per receiving shard.
 
-// genState is one generator worker's reusable emission scratch, hoisted onto
-// the Engine so steady-state generation allocates nothing (visible in
+// genState is the generator's reusable emission scratch, hoisted onto the
+// Engine so steady-state generation allocates nothing (visible in
 // PeriodStats.Allocs). Outboxes are reusable across periods by construction:
 // take() detaches the frame and begin() lazily starts a fresh one with a
-// dictionary reset, so a reused outbox produces byte-identical frames.
+// dictionary reset, so a reused outbox produces byte-identical frames. The
+// counters are the period's; finishPeriod reads them once generation has
+// returned.
 type genState struct {
 	outs    []*outbox // indexed by global shard id
 	bytes   int64     // wire bytes staged this period (per-record sum)
 	batches int64     // frames shipped this period
 	emitted int64     // source tuples emitted this period
-	err     error     // what stopped this generator this period, if anything
 	stopped bool      // the period failed: drop what the sources still emit
 }
 
-// genStateFor returns worker w's generation scratch, grown to the current
-// node-table width and with its per-period counters reset. Existing outboxes
-// are kept — their dictionaries reset lazily on first use each period.
-func (e *Engine) genStateFor(w int) *genState {
-	for len(e.genStates) <= w {
-		e.genStates = append(e.genStates, &genState{})
-	}
-	gs := e.genStates[w]
-	want := len(e.nodes) * e.spn
-	if cap(gs.outs) < want {
-		outs := make([]*outbox, want)
+// reset grows the outbox set to the current node-table width and zeroes the
+// period's counters. Existing outboxes are kept — their dictionaries reset
+// lazily on first use each period.
+func (gs *genState) reset(width int) {
+	if cap(gs.outs) < width {
+		outs := make([]*outbox, width)
 		copy(outs, gs.outs)
 		gs.outs = outs
 	} else {
-		gs.outs = gs.outs[:want]
+		gs.outs = gs.outs[:width]
 	}
-	gs.bytes, gs.batches, gs.emitted, gs.err, gs.stopped = 0, 0, 0, nil, false
-	return gs
+	gs.bytes, gs.batches, gs.emitted, gs.stopped = 0, 0, 0, false
 }
 
-// flushGen ships one generator outbox's staged frame, if any. A frame is also
-// how often a generator looks at whether its period is still running: a
+// flushGen ships one source outbox's staged frame, if any. A frame is also
+// how often the generator looks at whether its period is still running: a
 // source cannot be interrupted, so after a failure its tuples are dropped.
-func (e *Engine) flushGen(pr *periodRun, gs *genState, destG int) {
+func (e *Engine) flushGen(pr *periodRun, destG int) {
+	gs := &e.gen
 	ob := gs.outs[destG]
 	if ob == nil {
 		return
@@ -69,9 +58,17 @@ func (e *Engine) flushGen(pr *periodRun, gs *genState, destG int) {
 	}
 }
 
+// flushSrc ships every staged source outbox.
+func (e *Engine) flushSrc(pr *periodRun) {
+	for destG := range e.gen.outs {
+		e.flushGen(pr, destG)
+	}
+}
+
 // stageSrc routes one source tuple to every downstream operator of source si
-// through the generator's own outbox set.
-func (e *Engine) stageSrc(pr *periodRun, gs *genState, si int, t *Tuple) {
+// through the generator's outbox set.
+func (e *Engine) stageSrc(pr *periodRun, si int, t *Tuple) {
+	gs := &e.gen
 	for _, op := range e.topo.srcEdges[si] {
 		kg := pr.rt.keyGroup(op, t.Key)
 		gid := e.topo.GID(op, kg)
@@ -82,12 +79,12 @@ func (e *Engine) stageSrc(pr *periodRun, gs *genState, si int, t *Tuple) {
 			gs.outs[destG] = ob
 		}
 		if ob.count > 0 && ob.op != op {
-			e.flushGen(pr, gs, destG)
+			e.flushGen(pr, destG)
 		}
 		ob.op = op
 		gs.bytes += int64(ob.stage(kg, t))
 		if ob.full() {
-			e.flushGen(pr, gs, destG)
+			e.flushGen(pr, destG)
 		}
 	}
 	if t.pooled {
@@ -107,162 +104,41 @@ func runSrc(name string, f func()) (err error) {
 	return nil
 }
 
-// genCoord coordinates the generators' sub-period safe points in a period
-// that armed boundaries. The emitted-tuple count is a shared atomic; when it
-// crosses the next boundary threshold, one generator wins the stop flag and
-// becomes the boundary initiator, every other live generator parks at its
-// next between-tuples safe point, and the initiator — provably alone — runs
-// the ordinary sub-period boundary machinery (flush all generator outboxes,
-// close the segment, wait until the next one is armed) before releasing the
-// others. All cross-generator state (outboxes, pr.rt, pr.subIdx) is only
-// touched in that single-threaded region; the park/release mutex edges
-// publish it. A lone generator wins every flag and waits for nobody: its
-// boundaries fire inline between two of its tuples.
-type genCoord struct {
-	e        *Engine
-	pr       *periodRun
-	flushAll func()
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	parked int // generators waiting at the safe point
-	active int // generators not yet finished
-
-	stop    atomic.Bool  // boundary in progress: park at next safe point
-	emitted atomic.Int64 // total tuples emitted across generators
-	subNext atomic.Int64 // emission count of the next boundary (0: none left)
-	nextVal int64        // subNext's value, owned by the boundary initiator
-}
-
-// newGenCoord returns the period's safe-point coordinator, nil when the
-// period armed no sub-period boundary: generators then count what they emit
-// locally and share nothing per tuple.
-func newGenCoord(e *Engine, pr *periodRun, flushAll func(), workers int) *genCoord {
-	if pr.subPerSub == 0 {
-		return nil
-	}
-	gc := &genCoord{e: e, pr: pr, flushAll: flushAll, active: workers, nextVal: pr.subPerSub}
-	gc.cond = sync.NewCond(&gc.mu)
-	gc.subNext.Store(pr.subPerSub)
-	return gc
-}
-
-// safePoint is where a generator stands between two tuples: nothing is
-// half-staged and no barrier has been sent.
-func (gc *genCoord) safePoint() {
-	n := gc.emitted.Add(1)
-	if gc.stop.Load() {
-		gc.park()
-	} else if next := gc.subNext.Load(); next > 0 && n >= next {
-		gc.boundary()
-	}
-}
-
-// park blocks the calling generator at its safe point until the boundary
-// initiator releases the rendezvous.
-func (gc *genCoord) park() {
-	gc.mu.Lock()
-	gc.parked++
-	gc.cond.Broadcast()
-	for gc.stop.Load() {
-		gc.cond.Wait()
-	}
-	gc.parked--
-	gc.mu.Unlock()
-}
-
-// leave retires a finished (or failed) generator from the rendezvous set so
-// a boundary initiator never waits for it.
-func (gc *genCoord) leave() {
-	gc.mu.Lock()
-	gc.active--
-	gc.cond.Broadcast()
-	gc.mu.Unlock()
-}
-
-// boundary fires when the shared emission count crosses the next sub-period
-// threshold. The winner of the stop flag waits for every other live
-// generator to park, runs the due boundaries single-threaded, publishes the
-// next threshold and releases; losers just park.
-func (gc *genCoord) boundary() {
-	if !gc.stop.CompareAndSwap(false, true) {
-		gc.park()
-		return
-	}
-	gc.mu.Lock()
-	for gc.parked < gc.active-1 {
-		gc.cond.Wait()
-	}
-	gc.mu.Unlock()
-	// Single-threaded region: every other live generator is parked (their
-	// parked++ under mu happens-before our read of the count), so flushing
-	// their outboxes and swapping the period's router table is safe.
-	pr, e := gc.pr, gc.e
-	for pr.subIdx < e.cfg.SubPeriods-1 && gc.emitted.Load() >= gc.nextVal {
-		pr.subIdx++
-		gc.nextVal += pr.subPerSub
-		e.subBoundary(pr, gc.flushAll)
-	}
-	if pr.subIdx < e.cfg.SubPeriods-1 {
-		gc.subNext.Store(gc.nextVal)
-	} else {
-		gc.subNext.Store(0)
-	}
-	gc.mu.Lock()
-	gc.stop.Store(false)
-	gc.cond.Broadcast()
-	gc.mu.Unlock()
-}
-
-// generate runs the topology's sources for the period. Partitionable sources
-// run one part per generator; sources without a split hook run whole on
-// generator 0, interleaved with the parts — the emitted multiset is the same
-// either way, and with no partitionable source there is nothing to split, so
-// generator 0 works alone. The source barriers ship only after every
-// generator has joined and flushed.
+// generate runs the topology's sources for the period, one after another. A
+// period that armed boundaries fires boundary i right after its i·subPerSub-th
+// emitted tuple, between two tuples, where nothing is half-staged; the
+// boundaries emission did not reach fire once the sources are done. The
+// source barriers ship last.
 func (e *Engine) generate(pr *periodRun) error {
-	parts := 1
-	if e.cfg.GenWorkers > 1 && slices.ContainsFunc(e.topo.sources, func(s *Source) bool { return s.GenPart != nil }) {
-		parts = e.cfg.GenWorkers
-	}
-	for w := 0; w < parts; w++ {
-		e.genStateFor(w)
-	}
-	gens := e.genStates[:parts]
-	flushAll := func() {
-		for _, gs := range gens {
-			for destG := range gs.outs {
-				e.flushGen(pr, gs, destG)
+	gs := &e.gen
+	gs.reset(len(e.nodes) * e.spn)
+	last := e.cfg.SubPeriods - 1 // index of the period's last sub-interval boundary
+	next := pr.subPerSub         // emission count of the next boundary (0: none armed)
+	for si, src := range e.topo.sources {
+		emit := func(t *Tuple) {
+			if gs.stopped {
+				return
+			}
+			e.stageSrc(pr, si, t)
+			gs.emitted++
+			if gs.emitted == next && pr.subIdx < last {
+				pr.subIdx++
+				next += pr.subPerSub
+				e.subBoundary(pr)
 			}
 		}
-	}
-	gc := newGenCoord(e, pr, flushAll, parts)
-	e.genJoin.Add(parts)
-	for w := 1; w < parts; w++ {
-		go e.runGenerator(pr, gc, w, parts)
-	}
-	e.runGenerator(pr, gc, 0, parts)
-	e.genJoin.Wait()
-	for _, gs := range gens {
-		if gs.err != nil {
-			return gs.err
+		if err := runSrc(src.Name, func() { src.Gen(pr.period, emit) }); err != nil {
+			return err
 		}
-		pr.srcEmitted += gs.emitted
 	}
-	flushAll()
+	e.flushSrc(pr)
 	// Sub-period boundaries that emission did not reach (with low volume
 	// generation finishes before the first emission threshold): fire them
 	// now, before the final wave is sent, so the observer still sees every
-	// boundary of the period. All generators have joined — this goroutine is
-	// the only one touching the period now.
-	for pr.subPerSub > 0 && pr.subIdx < e.cfg.SubPeriods-1 {
+	// boundary of the period.
+	for pr.subPerSub > 0 && pr.subIdx < last {
 		pr.subIdx++
-		e.subBoundary(pr, flushAll)
-	}
-	// Frames are counted as they ship, so only now is the count complete.
-	for _, gs := range gens {
-		pr.srcBytes += gs.bytes
-		pr.srcBatches += gs.batches
+		e.subBoundary(pr)
 	}
 	if !pr.over() { // a failed period ends without a wave; finishPeriod has its error
 		e.emitSourceBarriers(pr, true)
@@ -270,44 +146,11 @@ func (e *Engine) generate(pr *periodRun) error {
 	return nil
 }
 
-// runGenerator is generator w of parts: it emits its share of every source
-// through its own outbox set, counting tuples locally — only a period with
-// armed boundaries (gc non-nil) pays for the shared count and the safe-point
-// check. What stopped it early is left in its genState.
-func (e *Engine) runGenerator(pr *periodRun, gc *genCoord, w, parts int) {
-	defer e.genJoin.Done()
-	if gc != nil {
-		defer gc.leave()
-	}
-	gs := e.genStates[w]
-	for si, src := range e.topo.sources {
-		emit := func(t *Tuple) {
-			if gs.stopped {
-				return
-			}
-			e.stageSrc(pr, gs, si, t)
-			gs.emitted++
-			if gc != nil {
-				gc.safePoint()
-			}
-		}
-		switch {
-		case parts > 1 && src.GenPart != nil:
-			gs.err = runSrc(src.Name, func() { src.GenPart(pr.period, w, parts, emit) })
-		case w == 0:
-			gs.err = runSrc(src.Name, func() { src.Gen(pr.period, emit) })
-		}
-		if gs.err != nil {
-			return
-		}
-	}
-}
-
 // emitSourceBarriers ships the sources' barrier wave — the end-of-period one
 // (final) or the one that closes a segment at a sub-period boundary — then
 // the synthetic barriers for input-less ops: one per shard of every hosting
-// node (each shard collects the full complement). Every generator outbox
-// flushed before this: barrier counting is independent of GenWorkers.
+// node (each shard collects the full complement). Every source outbox has
+// flushed before this.
 func (e *Engine) emitSourceBarriers(pr *periodRun, final bool) {
 	for si := range e.topo.sources {
 		for _, op := range e.topo.srcEdges[si] {

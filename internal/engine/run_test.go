@@ -3,8 +3,11 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // twoChoiceTopology: a pass-through stage feeding a two-choice aggregation,
@@ -175,30 +178,54 @@ func TestRunObserveError(t *testing.T) {
 }
 
 // TestRunSourcePanicSurfaces: a panicking source aborts the continuous
-// driver with an error instead of hanging the barrier protocol.
+// driver with an error instead of hanging the barrier protocol — also when it
+// panics in the middle of a period that has fired sub-period boundaries,
+// where the boundaries before the panic reach the observer and no later one
+// opens.
 func TestRunSourcePanicSurfaces(t *testing.T) {
-	tp := NewTopology()
-	tp.AddSource("src", func(period int, emit Emit) {
-		if period == 2 {
-			panic("source exploded mid-run")
-		}
-		for i := 0; i < 20; i++ {
-			emit(&Tuple{Key: fmt.Sprintf("k%d", i), TS: int64(i)})
-		}
-	})
-	tp.AddOperator(&Operator{
-		Name: "op", KeyGroups: 2,
-		Proc: func(tu *Tuple, st *State, emit Emit) {},
-	})
-	tp.Connect("src", "op")
-	e, err := New(tp, Config{Nodes: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	err = e.Run(context.Background(), 5, nil)
-	if err == nil || !contains(err.Error(), "source exploded") {
-		t.Fatalf("Run = %v, want the source panic", err)
+	for _, in := range []struct {
+		name       string
+		subPeriods int
+		perPeriod  int      // tuples per period
+		panicAt    int      // period 2 panics instead of emitting this tuple
+		fired      []string // period.sub of every boundary the observer sees
+	}{
+		{"lockstep", 0, 20, 0, nil},
+		{"subperiods=4", 4, 100, 60, []string{"2.1", "2.2"}},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			tp := NewTopology()
+			tp.AddSource("src", func(period int, emit Emit) {
+				for i := 0; i < in.perPeriod; i++ {
+					if period == 2 && i == in.panicAt {
+						panic("source exploded mid-run")
+					}
+					emit(&Tuple{Key: fmt.Sprintf("k%d", i), TS: int64(i)})
+				}
+			})
+			tp.AddOperator(&Operator{
+				Name: "op", KeyGroups: 2,
+				Proc: func(tu *Tuple, st *State, emit Emit) {},
+			})
+			tp.Connect("src", "op")
+			e, err := New(tp, Config{Nodes: 2, SubPeriods: in.subPeriods}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			var fired []string
+			e.SetSubObserver(func(_ *core.Snapshot, period, sub int) []core.Move {
+				fired = append(fired, fmt.Sprintf("%d.%d", period, sub))
+				return nil
+			})
+			err = e.Run(context.Background(), 5, nil)
+			if err == nil || !contains(err.Error(), "source exploded") {
+				t.Fatalf("Run = %v, want the source panic", err)
+			}
+			if !slices.Equal(fired, in.fired) {
+				t.Fatalf("observer saw boundaries %v, want %v", fired, in.fired)
+			}
+		})
 	}
 }
 

@@ -167,16 +167,15 @@ func TestShardedExactnessUnderMoves(t *testing.T) {
 // TestShardingInvariantToCostModel: the modeled costs — wire bytes,
 // serialization units, communication matrix — must be identical whatever
 // ShardsPerNode is, because intra-node shard hops are free in the model.
-// Two inputs: a quiet period, and a period with a mid-period move, which must
-// also cost the same whatever GenWorkers is — a move happens with nothing in
-// flight, so no tuple is forwarded and which shard or generator had staged
-// what when the boundary fired leaves no trace in the statistics.
+// Two inputs: a quiet period, and a period with a mid-period move — a move
+// happens with nothing in flight, so no tuple is forwarded and which shard
+// had staged what when the boundary fired leaves no trace in the statistics.
 //
 // The byte-for-byte half uses jobs whose cross-shard-boundary tuples carry
 // no Proc-path named fields; TestShardingDictionaryShiftBounded pins the one
 // quantity that legitimately moves with S when tuples do carry named fields.
 func TestShardingInvariantToCostModel(t *testing.T) {
-	quiet := func(spn, gen int) *PeriodStats {
+	quiet := func(spn int) *PeriodStats {
 		col := newCollector()
 		tp := wordCountTopology([]string{"a", "b", "c", "d", "e"}, 2000, 12, col)
 		e, err := New(tp, Config{Nodes: 3, ShardsPerNode: spn}, nil)
@@ -196,17 +195,17 @@ func TestShardingInvariantToCostModel(t *testing.T) {
 	}
 	// src → A → B, no named fields anywhere. Period 2 emits less than half of
 	// period 1's volume, so its one sub-period boundary fires after the
-	// generators joined, whatever their number: every tuple is out, most of
+	// sources are done: every tuple is out, most of
 	// A's output still sits in outboxes below the flush threshold, and a B
 	// group moves one node over.
-	hotMove := func(spn, gen int) *PeriodStats {
+	hotMove := func(spn int) *PeriodStats {
 		tp := NewTopology()
-		tp.AddSourceParts("src", func(period, part, parts int, emit Emit) {
+		tp.AddSource("src", func(period int, emit Emit) {
 			n := 4000
 			if period == 2 {
 				n = 1500
 			}
-			for i := part; i < n; i += parts {
+			for i := 0; i < n; i++ {
 				emit(NewTuple(fmt.Sprintf("key%02d", i%48), int64(period*4000+i)))
 			}
 		})
@@ -218,7 +217,7 @@ func TestShardingInvariantToCostModel(t *testing.T) {
 		}})
 		tp.Connect("src", "A")
 		tp.Connect("A", "B")
-		e, err := New(tp, Config{Nodes: 3, ShardsPerNode: spn, GenWorkers: gen, SubPeriods: 2}, nil)
+		e, err := New(tp, Config{Nodes: 3, ShardsPerNode: spn, SubPeriods: 2}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,54 +236,51 @@ func TestShardingInvariantToCostModel(t *testing.T) {
 			last = ps
 		}
 		if last.HotMoves != 1 {
-			t.Fatalf("spn=%d gen=%d: period 2 executed %d hot moves, want 1", spn, gen, last.HotMoves)
+			t.Fatalf("spn=%d: period 2 executed %d hot moves, want 1", spn, last.HotMoves)
 		}
 		return last
 	}
 	for _, in := range []struct {
 		name string
-		run  func(spn, gen int) *PeriodStats
-		gens []int
+		run  func(spn int) *PeriodStats
 	}{
-		{"quiet", quiet, []int{1}},
-		{"hot move", hotMove, []int{1, 3}},
+		{"quiet", quiet},
+		{"hot move", hotMove},
 	} {
-		base := in.run(1, 1)
+		base := in.run(1)
 		for _, spn := range []int{1, 4} {
-			for _, gen := range in.gens {
-				got := in.run(spn, gen)
-				cfg := fmt.Sprintf("%s, spn=%d gen=%d vs spn=1 gen=1", in.name, spn, gen)
-				if base.BytesCrossNode != got.BytesCrossNode ||
-					base.BytesCrossNodeIn != got.BytesCrossNodeIn ||
-					base.SrcBytesCrossNode != got.SrcBytesCrossNode {
-					t.Errorf("%s: wire bytes (%d,%d,%d), want (%d,%d,%d)", cfg,
-						got.BytesCrossNode, got.BytesCrossNodeIn, got.SrcBytesCrossNode,
-						base.BytesCrossNode, base.BytesCrossNodeIn, base.SrcBytesCrossNode)
+			got := in.run(spn)
+			cfg := fmt.Sprintf("%s, spn=%d vs spn=1", in.name, spn)
+			if base.BytesCrossNode != got.BytesCrossNode ||
+				base.BytesCrossNodeIn != got.BytesCrossNodeIn ||
+				base.SrcBytesCrossNode != got.SrcBytesCrossNode {
+				t.Errorf("%s: wire bytes (%d,%d,%d), want (%d,%d,%d)", cfg,
+					got.BytesCrossNode, got.BytesCrossNodeIn, got.SrcBytesCrossNode,
+					base.BytesCrossNode, base.BytesCrossNodeIn, base.SrcBytesCrossNode)
+			}
+			if base.TuplesIn != got.TuplesIn || base.TuplesOut != got.TuplesOut {
+				t.Errorf("%s: tuple counts (%v,%v), want (%v,%v)", cfg,
+					got.TuplesIn, got.TuplesOut, base.TuplesIn, base.TuplesOut)
+			}
+			if !slices.Equal(base.NodeUnits, got.NodeUnits) || !slices.Equal(base.GroupUnits, got.GroupUnits) {
+				t.Errorf("%s: units differ:\n node  %v\n want  %v\n group %v\n want  %v", cfg,
+					got.NodeUnits, base.NodeUnits, got.GroupUnits, base.GroupUnits)
+			}
+			if base.Migrations != got.Migrations || base.MigrationLatency != got.MigrationLatency ||
+				!slices.Equal(base.GroupNode, got.GroupNode) {
+				t.Errorf("%s: migrations (%d, %v s, %v), want (%d, %v s, %v)", cfg,
+					got.Migrations, got.MigrationLatency, got.GroupNode,
+					base.Migrations, base.MigrationLatency, base.GroupNode)
+			}
+			baseComm, gotComm := base.Comm.ToMap(), got.Comm.ToMap()
+			for p, v := range baseComm {
+				if gotComm[p] != v {
+					t.Errorf("%s: comm[%v] = %v, want %v", cfg, p, gotComm[p], v)
 				}
-				if base.TuplesIn != got.TuplesIn || base.TuplesOut != got.TuplesOut {
-					t.Errorf("%s: tuple counts (%v,%v), want (%v,%v)", cfg,
-						got.TuplesIn, got.TuplesOut, base.TuplesIn, base.TuplesOut)
-				}
-				if !slices.Equal(base.NodeUnits, got.NodeUnits) || !slices.Equal(base.GroupUnits, got.GroupUnits) {
-					t.Errorf("%s: units differ:\n node  %v\n want  %v\n group %v\n want  %v", cfg,
-						got.NodeUnits, base.NodeUnits, got.GroupUnits, base.GroupUnits)
-				}
-				if base.Migrations != got.Migrations || base.MigrationLatency != got.MigrationLatency ||
-					!slices.Equal(base.GroupNode, got.GroupNode) {
-					t.Errorf("%s: migrations (%d, %v s, %v), want (%d, %v s, %v)", cfg,
-						got.Migrations, got.MigrationLatency, got.GroupNode,
-						base.Migrations, base.MigrationLatency, base.GroupNode)
-				}
-				baseComm, gotComm := base.Comm.ToMap(), got.Comm.ToMap()
-				for p, v := range baseComm {
-					if gotComm[p] != v {
-						t.Errorf("%s: comm[%v] = %v, want %v", cfg, p, gotComm[p], v)
-					}
-				}
-				for p, v := range gotComm {
-					if _, ok := baseComm[p]; !ok && v != 0 {
-						t.Errorf("%s: comm[%v] = %v, absent in the base run", cfg, p, v)
-					}
+			}
+			for p, v := range gotComm {
+				if _, ok := baseComm[p]; !ok && v != 0 {
+					t.Errorf("%s: comm[%v] = %v, absent in the base run", cfg, p, v)
 				}
 			}
 		}

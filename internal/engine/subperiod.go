@@ -10,21 +10,21 @@
 //
 // Every boundary closes a segment of the period, and a hot move is a staged
 // move at a segment boundary: there is one migration protocol (Engine.arm),
-// and a period is one or more segments of it. The boundary's generator —
-// every other one is parked — flushes the source outboxes and sends a barrier
-// wave that is not final: shards propagate it and report completion exactly
-// as at period end, but flush no operator. When the control goroutine has
-// counted the wave's completions and every state shipped so far, the pipeline
-// is drained: every tuple emitted before the boundary has been processed
-// everywhere and no counter moves, so the snapshot it builds is exact and the
-// same in every layout. It calls the observer, applies the moves to the
-// allocation and arms the next segment the way beginPeriod arms a period (new
-// router table, barrier counts, the destinations' awaitIn, acknowledged by
-// every shard; statistics keep accumulating), asks the old hosts to ship and
-// releases the generators. No tuple is ever in flight across a move, so no
-// tuple is forwarded and a key's tuples reach its operator in the order they
-// were sent, moved or not. The price is one pipeline drain and one arm per
-// boundary, moves or not.
+// and a period is one or more segments of it. The generator stops between two
+// tuples, flushes the source outboxes and sends a barrier wave that is not
+// final: shards propagate it and report completion exactly as at period end,
+// but flush no operator. When the control goroutine has counted the wave's
+// completions and every state shipped so far, the pipeline is drained: every
+// tuple emitted before the boundary has been processed everywhere and no
+// counter moves, so the snapshot it builds is exact and the same in every
+// layout. It calls the observer, applies the moves to the allocation and arms
+// the next segment the way beginPeriod arms a period (new router table,
+// barrier counts, the destinations' awaitIn, acknowledged by every shard;
+// statistics keep accumulating), asks the old hosts to ship and releases the
+// generator. No tuple is ever in flight across a move, so no tuple is
+// forwarded and a key's tuples reach its operator in the order they were sent,
+// moved or not. The price is one pipeline drain and one arm per boundary,
+// moves or not.
 //
 // Hot moves are restricted: the destination must already host the group's
 // operator this period, the group must not be part of a staged
@@ -46,7 +46,7 @@ import (
 // 1-based sub-interval index just completed, and returns the hot moves to
 // apply now (nil for none). It runs on the period's control goroutine — the
 // goroutine that called RunPeriod or Run — with the pipeline drained and
-// every generator parked, so it stalls the whole period while it runs: keep
+// the generator waiting, so it stalls the whole period while it runs: keep
 // it cheap.
 type SubObserver func(snap *core.Snapshot, period, sub int) []core.Move
 
@@ -148,18 +148,16 @@ func (e *Engine) opStats() []core.OpStat {
 	return ops
 }
 
-// subBoundary is the generator's half of a sub-interval boundary, run by the
-// sole active generator (with parallel generation the boundary initiator,
-// every other generator parked; see genCoord): flushSrc ships every staged
-// source outbox — of every generator — and a non-final barrier wave goes out
-// behind them, closing the segment. The boundary then belongs to the control
-// goroutine (finishPeriod, closeSegment); this generator waits until the next
-// segment is armed.
-func (e *Engine) subBoundary(pr *periodRun, flushSrc func()) {
+// subBoundary is the generator's half of a sub-interval boundary, run on the
+// generation goroutine between two tuples: every staged source outbox ships
+// and a non-final barrier wave goes out behind them, closing the segment. The
+// boundary then belongs to the control goroutine (finishPeriod,
+// closeSegment); the generator waits until the next segment is armed.
+func (e *Engine) subBoundary(pr *periodRun) {
 	if pr.subObserver == nil || pr.over() {
 		return // a period that has failed opens no further boundary
 	}
-	flushSrc()
+	e.flushSrc(pr)
 	e.emitSourceBarriers(pr, false)
 	// done means the period failed while the boundary was open: the error is
 	// finishPeriod's to return, and nobody reads segment or answers on resume

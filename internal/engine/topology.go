@@ -48,25 +48,21 @@ type Operator struct {
 // SourceFunc generates the input batch for one period.
 type SourceFunc func(period int, emit Emit)
 
-// PartSourceFunc generates one generator worker's share — part `part` of
-// `parts` — of the input batch for one period. Implementations must derive
-// the share from (period, part, parts) deterministically such that the union
-// over all parts of one period equals the parts=1 batch as a multiset, for
-// any parts ≥ 1: the engine runs the parts on concurrent generator
-// goroutines (Config.GenWorkers) and the emitted tuple multiset must not
-// depend on the worker count. Workload generators achieve this by replaying
-// their per-period splitmix64 stream in every part and emitting only every
-// parts-th tuple.
+// PartSourceFunc generates part `part` of `parts` of the input batch for one
+// period. Implementations must derive the share from (period, part, parts)
+// deterministically such that the union over all parts of one period equals
+// the parts=1 batch as a multiset, for any parts ≥ 1. The engine runs one
+// generator: registered through AddSource, a PartSourceFunc runs as part 0 of
+// 1, which is the whole batch. The split exists so the benchmark can measure
+// what generating in parts costs: workload generators replay their
+// per-period splitmix64 stream in every part and emit only every parts-th
+// tuple.
 type PartSourceFunc func(period, part, parts int, emit Emit)
 
 // Source is an input operator running on the (external) input node.
 type Source struct {
 	Name string
 	Gen  SourceFunc
-	// GenPart, when non-nil, declares the source partitionable across
-	// generator workers (see AddSourceParts). Gen is what a lone generator
-	// runs and must emit the identical batch.
-	GenPart PartSourceFunc
 }
 
 // KeyBy extracts the partitioning key an edge should use (Storm's "fields
@@ -115,23 +111,6 @@ func (t *Topology) AddSource(name string, gen SourceFunc) *Topology {
 	t.srcIdx[name] = len(t.sources)
 	t.sources = append(t.sources, &Source{Name: name, Gen: gen})
 	t.srcEdges = append(t.srcEdges, nil)
-	return t
-}
-
-// AddSourceParts registers an input source that can split its per-period
-// batch across generator workers (Config.GenWorkers). A lone generator runs
-// gen(period, 0, 1, emit) — part 0 of 1 IS the whole batch — so a
-// partitionable source then behaves identically to an AddSource one.
-func (t *Topology) AddSourceParts(name string, gen PartSourceFunc) *Topology {
-	if gen == nil {
-		t.errs = append(t.errs, fmt.Errorf("engine: source %q has nil generator", name))
-		return t
-	}
-	before := len(t.sources)
-	t.AddSource(name, func(period int, emit Emit) { gen(period, 0, 1, emit) })
-	if len(t.sources) > before {
-		t.sources[before].GenPart = gen
-	}
 	return t
 }
 

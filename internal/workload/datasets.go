@@ -19,37 +19,28 @@ import (
 	"repro/internal/engine"
 )
 
-// nameTable lazily memoizes formatted identifier strings so the generators
-// do not re-format (and re-allocate) the same id for every tuple; with
-// Zipf-skewed ids the hot head of the table is hit almost every time.
+// nameTable holds formatted identifier strings so the generators do not
+// re-format (and re-allocate) the same id for every tuple. Every entry is
+// formatted up front, so a table is read-only once built and a source may run
+// from any goroutine.
 type nameTable struct {
 	format string
 	names  []string
 }
 
 func newNameTable(format string, n int) *nameTable {
-	return &nameTable{format: format, names: make([]string, n)}
+	t := &nameTable{format: format, names: make([]string, n)}
+	for i := range t.names {
+		t.names[i] = fmt.Sprintf(format, i)
+	}
+	return t
 }
 
 func (t *nameTable) name(i int) string {
 	if i < 0 || i >= len(t.names) {
 		return fmt.Sprintf(t.format, i)
 	}
-	if t.names[i] == "" {
-		t.names[i] = fmt.Sprintf(t.format, i)
-	}
 	return t.names[i]
-}
-
-// fill formats every entry up front. The partitionable generators run the
-// same table from several generator goroutines at once, so the lazy
-// memoizing write in name() must never fire concurrently.
-func (t *nameTable) fill() {
-	for i := range t.names {
-		if t.names[i] == "" {
-			t.names[i] = fmt.Sprintf(t.format, i)
-		}
-	}
 }
 
 // WikipediaConfig tunes the Wikipedia edit-history simulator.
@@ -82,8 +73,8 @@ type WikipediaConfig struct {
 // exact per-tuple draw order (the Zipf sampler's rejection loop consumes a
 // variable number of draws, so the draws cannot be skipped) and emits only
 // every parts-th tuple: the union over parts is bit-identical to the
-// parts=1 batch for any parts, which is what makes the engine's parallel
-// generation reproducible.
+// parts=1 batch for any parts. The engine runs one generator (Wikipedia);
+// the split is what the benchmark's generation probe measures the cost of.
 func WikipediaParts(cfg WikipediaConfig) engine.PartSourceFunc {
 	if cfg.Articles <= 0 {
 		cfg.Articles = 20000
@@ -103,9 +94,6 @@ func WikipediaParts(cfg WikipediaConfig) engine.PartSourceFunc {
 	articles := newNameTable("article-%06d", cfg.Articles)
 	editors := newNameTable("editor-%04d", 5000)
 	geos := newNameTable("dk-%02d", 100)
-	articles.fill()
-	editors.fill()
-	geos.fill()
 	return func(period, part, parts int, emit engine.Emit) {
 		// Per-period RNG: each period's batch is bit-reproducible from
 		// (Seed, period) alone, independent of generation order.
@@ -174,8 +162,6 @@ func AirlineParts(cfg AirlineConfig) engine.PartSourceFunc {
 	}
 	planes := newNameTable("N%05d", cfg.Planes)
 	airports := newNameTable("A%02d", cfg.Airports)
-	planes.fill()
-	airports.fill()
 	routes := make([]string, cfg.Airports*cfg.Airports)
 	for o := 0; o < cfg.Airports; o++ {
 		for d := 0; d < cfg.Airports; d++ {
@@ -248,8 +234,6 @@ func WeatherParts(cfg WeatherConfig) engine.PartSourceFunc {
 	}
 	stations := newNameTable("ST%04d", cfg.Stations)
 	airports := newNameTable("A%02d", cfg.Airports)
-	stations.fill()
-	airports.fill()
 	return func(period, part, parts int, emit engine.Emit) {
 		rng := periodRNG(cfg.Seed, 0x33cc, period)
 		for i := 0; i < cfg.Rate; i++ {

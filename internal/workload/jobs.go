@@ -148,7 +148,7 @@ func RealJob1(cfg JobConfig) (*engine.Topology, error) {
 		rate = 4000
 	}
 	t := engine.NewTopology()
-	t.AddSourceParts("wiki", WikipediaParts(WikipediaConfig{
+	t.AddSource("wiki", Wikipedia(WikipediaConfig{
 		BaseRate: int(float64(rate) * cfg.RateScale),
 		Seed:     cfg.Seed,
 	}))
@@ -258,7 +258,7 @@ func RealJob4(cfg JobConfig) (*engine.Topology, error) {
 	addRouteDelay(t, cfg)
 
 	weatherRate := cfg.Rate / 4
-	t.AddSourceParts("weather", WeatherParts(WeatherConfig{Rate: weatherRate, Seed: cfg.Seed + 9}))
+	t.AddSource("weather", Weather(WeatherConfig{Rate: weatherRate, Seed: cfg.Seed + 9}))
 
 	// RainScore: percentage of precipitation against the historical max.
 	t.AddOperator(&engine.Operator{
@@ -349,7 +349,7 @@ func addAirlineSourceAndExtract(t *engine.Topology, cfg JobConfig) {
 	if rate <= 0 {
 		rate = 4000
 	}
-	t.AddSourceParts("flights", AirlineParts(AirlineConfig{
+	t.AddSource("flights", Airline(AirlineConfig{
 		Rate:      rate,
 		RateScale: cfg.RateScale,
 		Seed:      cfg.Seed,

@@ -28,10 +28,10 @@ func collectParts(t *testing.T, gen engine.PartSourceFunc, period, parts int) ma
 
 // TestPartsUnionMatchesSequential: for every partitionable dataset
 // generator, the union of the parts must be bit-identical to the
-// sequential (parts=1) batch for any split — the reproducibility contract
-// the engine's parallel source generation (Config.GenWorkers) relies on.
-// The generators replay the full per-period RNG stream in each part and
-// filter, so this holds even for draws with rejection loops (Zipf).
+// sequential (parts=1) batch for any split — the contract the benchmark's
+// generation probe relies on when it measures what generating in parts
+// costs. The generators replay the full per-period RNG stream in each part
+// and filter, so this holds even for draws with rejection loops (Zipf).
 func TestPartsUnionMatchesSequential(t *testing.T) {
 	gens := map[string]engine.PartSourceFunc{
 		"wikipedia": WikipediaParts(WikipediaConfig{Seed: 7}),

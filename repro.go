@@ -66,11 +66,6 @@ type (
 	Source = engine.Source
 	// SourceFunc is the generator signature.
 	SourceFunc = engine.SourceFunc
-	// PartSourceFunc is the partitionable generator signature: part `part`
-	// of `parts` of one period's batch, run on parallel generator goroutines
-	// when the engine is configured with EngineConfig.GenWorkers > 1
-	// (register via Topology.AddSourceParts).
-	PartSourceFunc = engine.PartSourceFunc
 	// Tuple is the data unit ⟨key, value, ts⟩ — what sources build, operators
 	// receive, and both emit. A Proc's input is lent for the call (see
 	// engine.ProcFunc): read it or emit it, Clone what you keep.
@@ -232,18 +227,8 @@ func RealJob4(cfg JobConfig) (*Topology, error) { return workload.RealJob4(cfg) 
 // WikipediaSource returns the Wikipedia edit-history simulator.
 func WikipediaSource(cfg WikipediaConfig) SourceFunc { return workload.Wikipedia(cfg) }
 
-// WikipediaPartsSource returns the partitionable Wikipedia simulator for
-// parallel generation (EngineConfig.GenWorkers).
-func WikipediaPartsSource(cfg WikipediaConfig) PartSourceFunc { return workload.WikipediaParts(cfg) }
-
 // AirlineSource returns the airline on-time simulator.
 func AirlineSource(cfg AirlineConfig) SourceFunc { return workload.Airline(cfg) }
 
-// AirlinePartsSource returns the partitionable airline simulator.
-func AirlinePartsSource(cfg AirlineConfig) PartSourceFunc { return workload.AirlineParts(cfg) }
-
 // WeatherSource returns the GSOD weather simulator.
 func WeatherSource(cfg WeatherConfig) SourceFunc { return workload.Weather(cfg) }
-
-// WeatherPartsSource returns the partitionable GSOD weather simulator.
-func WeatherPartsSource(cfg WeatherConfig) PartSourceFunc { return workload.WeatherParts(cfg) }
