@@ -129,9 +129,9 @@ func main() {
 	case "milp":
 		bal = &core.MILPBalancer{TimeLimit: 25 * time.Millisecond, Seed: *seed, Incremental: *incremental}
 	case "flux":
-		bal = core.AdaptBalancer(baseline.Flux{})
+		bal = baseline.Flux{}
 	case "cola":
-		bal = core.AdaptBalancer(&baseline.COLA{Seed: *seed})
+		bal = &baseline.COLA{Seed: *seed}
 	case "potc", "none":
 		bal = core.NoopBalancer{}
 	default:

@@ -72,7 +72,7 @@ func run(balancer repro.Balancer, budget int) []float64 {
 
 func main() {
 	milp := run(&repro.MILPBalancer{TimeLimit: 25 * time.Millisecond}, 13)
-	flux := run(repro.AdaptBalancer(repro.Flux{}), 13)
+	flux := run(repro.Flux{}, 13)
 
 	fmt.Println("Real Job 1 — load distance per period (maxMigrations = 13)")
 	fmt.Println("period      MILP      Flux")

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -15,8 +16,9 @@ func twoOpSnapshot(n, g int) *core.Snapshot {
 			{Name: "up", Downstream: []int{1}},
 			{Name: "down"},
 		},
-		Out: map[core.Pair]float64{},
 	}
+	var comm core.CommBuilder
+	comm.Reset(2 * g)
 	for i := 0; i < g; i++ {
 		s.Ops[0].Groups = append(s.Ops[0].Groups, i)
 		s.Groups = append(s.Groups, core.GroupStat{Op: 0, Node: i % n, Load: 5})
@@ -24,8 +26,9 @@ func twoOpSnapshot(n, g int) *core.Snapshot {
 	for i := 0; i < g; i++ {
 		s.Ops[1].Groups = append(s.Ops[1].Groups, g+i)
 		s.Groups = append(s.Groups, core.GroupStat{Op: 1, Node: (i + 1) % n, Load: 5})
-		s.Out[core.Pair{i, g + i}] = 10
+		comm.Add(i, g+i, 10)
 	}
+	s.Comm = comm.Build()
 	return s
 }
 
@@ -39,7 +42,7 @@ func TestFluxReducesLoadDistance(t *testing.T) {
 	}
 	s.MaxMigrations = 6
 	before := s.LoadDistance()
-	plan, err := (Flux{}).Plan(s)
+	plan, err := (Flux{}).Plan(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +62,7 @@ func TestFluxRespectsBudgetAndKill(t *testing.T) {
 	s := twoOpSnapshot(4, 16)
 	s.MaxMigrations = 2
 	s.Kill = []bool{false, false, false, true}
-	plan, err := (Flux{}).Plan(s)
+	plan, err := (Flux{}).Plan(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,17 +76,24 @@ func TestFluxRespectsBudgetAndKill(t *testing.T) {
 	}
 }
 
+// TestFluxNoMovesWhenBalanced also plans the snapshot without its traffic
+// (Comm nil, a sub-period snapshot's shape).
 func TestFluxNoMovesWhenBalanced(t *testing.T) {
-	s := twoOpSnapshot(4, 16) // perfectly uniform loads
-	s.MaxMigrations = 10
-	plan, err := (Flux{}).Plan(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A group move of load 5 cannot reduce a 0 imbalance; "suitable"
-	// filtering must prevent churn.
-	if len(plan.Moves) != 0 {
-		t.Fatalf("flux churned %d moves on a balanced cluster", len(plan.Moves))
+	for _, withComm := range []bool{true, false} {
+		s := twoOpSnapshot(4, 16) // perfectly uniform loads
+		if !withComm {
+			s.Comm = nil
+		}
+		s.MaxMigrations = 10
+		plan, err := (Flux{}).Plan(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A group move of load 5 cannot reduce a 0 imbalance; "suitable"
+		// filtering must prevent churn.
+		if len(plan.Moves) != 0 {
+			t.Fatalf("comm=%v: flux churned %d moves on a balanced cluster", withComm, len(plan.Moves))
+		}
 	}
 }
 
@@ -93,7 +103,7 @@ func TestCOLACollocatesImmediately(t *testing.T) {
 		t.Fatalf("initial collocation = %v", cf)
 	}
 	c := &COLA{Seed: 1}
-	plan, err := c.Plan(s)
+	plan, err := c.Plan(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +128,7 @@ func TestCOLAMigratesHeavily(t *testing.T) {
 	// share of the key groups even when the system is already balanced.
 	s := twoOpSnapshot(10, 100)
 	c := &COLA{Seed: 2}
-	plan, err := c.Plan(s)
+	plan, err := c.Plan(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,16 +138,23 @@ func TestCOLAMigratesHeavily(t *testing.T) {
 	}
 }
 
+// TestCOLAAvoidsKillNodes also plans the snapshot without its traffic (Comm
+// nil, a sub-period snapshot's shape).
 func TestCOLAAvoidsKillNodes(t *testing.T) {
-	s := twoOpSnapshot(4, 16)
-	s.Kill = []bool{false, true, false, false}
-	plan, err := (&COLA{Seed: 3}).Plan(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, n := range plan.GroupNode {
-		if n == 1 {
-			t.Fatalf("group %d placed on kill-marked node", k)
+	for _, withComm := range []bool{true, false} {
+		s := twoOpSnapshot(4, 16)
+		if !withComm {
+			s.Comm = nil
+		}
+		s.Kill = []bool{false, true, false, false}
+		plan, err := (&COLA{Seed: 3}).Plan(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, n := range plan.GroupNode {
+			if n == 1 {
+				t.Fatalf("comm=%v: group %d placed on kill-marked node", withComm, k)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"sort"
 
 	"repro/internal/core"
@@ -32,8 +33,8 @@ type COLA struct {
 // Name implements core.Balancer.
 func (c *COLA) Name() string { return "cola" }
 
-// Plan implements core.Balancer.
-func (c *COLA) Plan(s *core.Snapshot) (*core.Plan, error) {
+// Plan implements core.Balancer. It runs to completion and ignores ctx.
+func (c *COLA) Plan(_ context.Context, s *core.Snapshot) (*core.Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -60,7 +61,7 @@ func (c *COLA) Plan(s *core.Snapshot) (*core.Plan, error) {
 	for i, gs := range s.Groups {
 		g.SetVertexWeight(i, gs.Load)
 	}
-	s.ForEachComm(func(gi, gj int, rate float64) {
+	s.Comm.ForEach(func(gi, gj int, rate float64) {
 		if rate > 0 {
 			g.AddEdge(gi, gj, rate)
 		}

@@ -10,6 +10,7 @@
 package baseline
 
 import (
+	"context"
 	"sort"
 
 	"repro/internal/core"
@@ -24,8 +25,8 @@ type Flux struct{}
 // Name implements core.Balancer.
 func (Flux) Name() string { return "flux" }
 
-// Plan implements core.Balancer.
-func (Flux) Plan(s *core.Snapshot) (*core.Plan, error) {
+// Plan implements core.Balancer. It runs to completion and ignores ctx.
+func (Flux) Plan(_ context.Context, s *core.Snapshot) (*core.Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}

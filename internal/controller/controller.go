@@ -57,39 +57,21 @@ type Engine interface {
 	CalibrateCapacity(targetAvgPercent float64)
 	// AddNodes provisions new worker nodes (scale-out).
 	AddNodes(count int) []int
+	// AddNodesWeighted provisions one node per entry with that capacity
+	// weight (heterogeneous scale-out, core.ScaleDecision.AddWeights).
+	AddNodesWeighted(weights []float64) ([]int, error)
 	// MarkForRemoval flags nodes for draining (scale-in).
 	MarkForRemoval(ids []int)
 	// TerminateNode shuts down a drained node; errors while it still
 	// holds key groups.
 	TerminateNode(id int) error
-}
-
-// WeightedScaleEngine is the additional data-plane surface heterogeneous
-// scale-out (core.ScaleDecision.AddWeights) requires. *engine.Engine
-// implements it; against an engine that does not, weighted decisions fall
-// back to unit-capacity AddNodes.
-type WeightedScaleEngine interface {
-	// AddNodesWeighted provisions one node per entry with that capacity
-	// weight (see engine.Engine.AddNodesWeighted).
-	AddNodesWeighted(weights []float64) ([]int, error)
-}
-
-// SubPeriodEngine is the additional data-plane surface reactive
-// (sub-period) mode rides on. *engine.Engine implements it, and Run installs
-// the reactive observer on every engine that does; only one built with
-// engine.Config.SubPeriods >= 2 ever calls it, so the engine's
-// configuration alone switches reactive mode on.
-type SubPeriodEngine interface {
 	// SetSubObserver installs the sub-period boundary hook (see
-	// engine.SubObserver).
+	// engine.SubObserver). Run installs the reactive observer on every
+	// engine; only one built with engine.Config.SubPeriods >= 2 ever calls
+	// it, so the engine's configuration alone switches reactive mode on.
 	SetSubObserver(engine.SubObserver)
-}
-
-// CheckpointEngine is the additional data-plane surface checkpoint cadence
-// (Options.CheckpointEvery) requires. *engine.Engine implements it.
-type CheckpointEngine interface {
 	// TakeCheckpoint incrementally checkpoints every key group's state
-	// between periods.
+	// between periods (Options.CheckpointEvery).
 	TakeCheckpoint() engine.CheckpointStats
 }
 
@@ -129,7 +111,7 @@ type Options struct {
 	// checkpoint as its base beside the delta, in one message at the
 	// boundary that runs it, so lockstep and pipelined modes behave
 	// identically — and the planner prices checkpointed groups at delta
-	// cost. Requires an engine implementing CheckpointEngine.
+	// cost.
 	CheckpointEvery int
 
 	// OnPeriod, when non-nil, observes every period boundary (after any
@@ -269,15 +251,8 @@ type run struct {
 // series.
 func (c *Controller) Run(ctx context.Context, periods int) (*Metrics, error) {
 	r := &run{c: c, ctx: ctx, m: &Metrics{}, terminated: map[int]bool{}}
-	if c.opt.CheckpointEvery > 0 {
-		if _, ok := c.eng.(CheckpointEngine); !ok {
-			return r.m, fmt.Errorf("controller: CheckpointEvery requires an engine with checkpoint support")
-		}
-	}
-	if se, ok := c.eng.(SubPeriodEngine); ok {
-		se.SetSubObserver(r.onSubPeriod)
-		defer se.SetSubObserver(nil)
-	}
+	c.eng.SetSubObserver(r.onSubPeriod)
+	defer c.eng.SetSubObserver(nil)
 	if c.fw != nil {
 		pctx, cancel := context.WithCancel(ctx)
 		r.req = make(chan *core.Snapshot, 1)
@@ -371,7 +346,7 @@ func (r *run) observe(ps *engine.PeriodStats) error {
 	// operational, not a metric). A warm checkpoint is what arms
 	// checkpoint-assisted migration for the moves planned below.
 	if c.opt.CheckpointEvery > 0 && ps.Period%c.opt.CheckpointEvery == 0 {
-		cs := c.eng.(CheckpointEngine).TakeCheckpoint()
+		cs := c.eng.TakeCheckpoint()
 		r.m.Checkpoints++
 		r.m.CkptBytes += int64(cs.NewBytes)
 		rep.Checkpoint = &cs
@@ -516,9 +491,8 @@ func (r *run) applyOutcome(pr plannerResult, rep *PeriodReport) error {
 		}
 	}
 	if out.Scale.AddNodes > 0 {
-		we, _ := r.c.eng.(WeightedScaleEngine)
-		if len(out.Scale.AddWeights) > 0 && we != nil {
-			ids, err := we.AddNodesWeighted(out.Scale.AddWeights)
+		if len(out.Scale.AddWeights) > 0 {
+			ids, err := r.c.eng.AddNodesWeighted(out.Scale.AddWeights)
 			if err != nil {
 				return fmt.Errorf("controller: weighted scale-out: %w", err)
 			}

@@ -95,7 +95,7 @@ func TestLockstepMatchesManualLoop(t *testing.T) {
 		}
 		defer e.Close()
 		ctrl := New(e, Options{
-			Balancer:      core.AdaptBalancer(baseline.Flux{}),
+			Balancer:      baseline.Flux{},
 			Warmup:        warmup,
 			MaxMigrations: budget,
 		})
@@ -159,7 +159,7 @@ func TestLockstepMatchesManualLoop(t *testing.T) {
 					snap.Groups[k].Load = smooth[k]
 				}
 			}
-			plan, err := bal.Plan(snap)
+			plan, err := bal.Plan(context.Background(), snap)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -99,7 +99,7 @@ func (a *ALBIC) Plan(ctx context.Context, s *Snapshot) (*Plan, error) {
 
 	var dirty []bool
 	if a.Incremental {
-		dirty = a.tracker.region(s, s.OutCSR(), DefaultDirtyLoadDelta, DefaultDirtyTopK)
+		dirty = a.tracker.region(s, DefaultDirtyLoadDelta, DefaultDirtyTopK)
 		a.tracker.observe(s)
 	}
 	colPairs, toBeCol := a.scorePairs(s, sf, dirty)
@@ -135,7 +135,7 @@ func (a *ALBIC) Plan(ctx context.Context, s *Snapshot) (*Plan, error) {
 // With a non-nil dirty mask only pairs with both endpoints dirty are
 // emitted; frozen groups cannot move, so scoring them is wasted work.
 func (a *ALBIC) scorePairs(s *Snapshot, sf float64, dirty []bool) (colPairs, toBeCol []scored) {
-	csr := s.OutCSR()
+	csr := s.Comm
 	isDown := make([]bool, len(s.Ops))
 	for oi := range s.Ops {
 		op := &s.Ops[oi]
@@ -371,7 +371,7 @@ func (a *ALBIC) buildPartitions(s *Snapshot, colPairs []scored, maxPL float64, r
 		} else if s.MaxMigrCost > 0 && maxPL <= 0 {
 			useMC = true
 		}
-		csr := s.OutCSR()
+		csr := s.Comm
 		g := graphpart.NewGraph(len(set))
 		for i, gi := range set {
 			if useMC {

@@ -7,7 +7,7 @@ import (
 )
 
 // synthSnapshot builds a two-op chained topology over nGroups key groups on
-// `nodes` nodes with reproducible random loads and a sparse random comm map —
+// `nodes` nodes with reproducible random loads and sparse random comm —
 // small enough for the exact branch-and-bound solver, so plan comparisons are
 // deterministic (no wall-clock anytime phase).
 func synthSnapshot(nGroups, nodes int, seed int64) *Snapshot {
@@ -19,7 +19,6 @@ func synthSnapshot(nGroups, nodes int, seed int64) *Snapshot {
 			{Name: "up", Downstream: []int{1}},
 			{Name: "down"},
 		},
-		Out:           map[Pair]float64{},
 		MaxMigrations: nGroups,
 	}
 	for i := 0; i < nGroups; i++ {
@@ -34,11 +33,14 @@ func synthSnapshot(nGroups, nodes int, seed int64) *Snapshot {
 			StateSize: 10,
 		})
 	}
+	var comm CommBuilder
+	comm.Reset(nGroups)
 	for i := 0; i < half; i++ {
 		for e := 0; e < 3; e++ {
-			s.Out[Pair{i, half + rng.Intn(half)}] += float64(1 + rng.Intn(40))
+			comm.Add(i, half+rng.Intn(half), float64(1+rng.Intn(40)))
 		}
 	}
+	s.Comm = comm.Build()
 	return s
 }
 
@@ -176,7 +178,7 @@ func TestIncrementalFrozenGroupsNeverMove(t *testing.T) {
 
 	// The dirty region is the hot group plus its CSR out-neighborhood.
 	allowed := map[int]bool{hot: true}
-	cols, _ := s.OutCSR().Row(hot)
+	cols, _ := s.Comm.Row(hot)
 	for _, gj := range cols {
 		allowed[int(gj)] = true
 	}
@@ -199,24 +201,23 @@ func TestIncrementalFrozenGroupsNeverMove(t *testing.T) {
 // delta while never dropping forced movers.
 func TestDirtyTrackerRegion(t *testing.T) {
 	s := synthSnapshot(12, 3, 55)
-	csr := s.OutCSR()
 	var tr dirtyTracker
 
-	if got := tr.region(s, csr, 0, 0); got != nil {
+	if got := tr.region(s, 0, 0); got != nil {
 		t.Fatalf("first call must be nil (full solve), got %v", got)
 	}
 	tr.observe(s)
 
 	// Cluster resize invalidates the baseline.
 	s.NumNodes = 4
-	if got := tr.region(s, csr, 0, 0); got != nil {
+	if got := tr.region(s, 0, 0); got != nil {
 		t.Fatal("cluster resize must force a full solve")
 	}
 	s.NumNodes = 3
 
 	// Kill-marked node: its groups are dirty regardless of load deltas.
 	s.Kill = []bool{false, true, false}
-	region := tr.region(s, csr, 0, 0)
+	region := tr.region(s, 0, 0)
 	if region == nil {
 		t.Fatal("kill-marked subset must not force a full solve here")
 	}
@@ -236,7 +237,7 @@ func TestDirtyTrackerRegion(t *testing.T) {
 		s2.Groups[k].Load *= 1.5 // past the 10% threshold
 	}
 	s2.Groups[0].Load = s.Groups[0].Load * 10
-	region = tr.region(s2, s2.OutCSR(), 0.1, 1)
+	region = tr.region(s2, 0.1, 1)
 	if region == nil {
 		t.Fatal("partial region expected")
 	}

@@ -7,8 +7,24 @@ import (
 	"time"
 )
 
+// edge is one communication entry of a test snapshot: rate = out(from, to).
+type edge struct {
+	from, to int
+	rate     float64
+}
+
+// commOf builds the communication matrix over rows groups from edges.
+func commOf(rows int, edges []edge) *CommCSR {
+	var b CommBuilder
+	b.Reset(rows)
+	for _, e := range edges {
+		b.Add(e.from, e.to, e.rate)
+	}
+	return b.Build()
+}
+
 // pairSnapshot builds two chained ops with explicit communication entries.
-func pairSnapshot(nodes int, rates map[Pair]float64, groupNode []int, loads []float64) *Snapshot {
+func pairSnapshot(nodes int, rates []edge, groupNode []int, loads []float64) *Snapshot {
 	g := len(groupNode)
 	half := g / 2
 	s := &Snapshot{
@@ -17,7 +33,7 @@ func pairSnapshot(nodes int, rates map[Pair]float64, groupNode []int, loads []fl
 			{Name: "up", Downstream: []int{1}},
 			{Name: "down"},
 		},
-		Out:           rates,
+		Comm:          commOf(g, rates),
 		MaxMigrations: 10,
 	}
 	for i := 0; i < g; i++ {
@@ -38,9 +54,9 @@ func pairSnapshot(nodes int, rates map[Pair]float64, groupNode []int, loads []fl
 func TestALBICScorePairsThreshold(t *testing.T) {
 	// 4 upstream, 4 downstream groups. Group 0 sends everything to group 4
 	// (far above avg); group 1 spreads evenly (below avg*sF).
-	rates := map[Pair]float64{
-		{0, 4}: 40,
-		{1, 4}: 2.5, {1, 5}: 2.5, {1, 6}: 2.5, {1, 7}: 2.5,
+	rates := []edge{
+		{0, 4, 40},
+		{1, 4, 2.5}, {1, 5, 2.5}, {1, 6, 2.5}, {1, 7, 2.5},
 	}
 	s := pairSnapshot(2, rates, []int{0, 0, 0, 0, 0, 1, 1, 1}, nil)
 	a := &ALBIC{}
@@ -60,7 +76,7 @@ func TestALBICScorePairsThreshold(t *testing.T) {
 }
 
 func TestALBICScoreSeparatedPairGoesToToBeCol(t *testing.T) {
-	rates := map[Pair]float64{{0, 4}: 40}
+	rates := []edge{{0, 4, 40}}
 	s := pairSnapshot(2, rates, []int{0, 0, 0, 0, 1, 1, 1, 1}, nil)
 	a := &ALBIC{}
 	col, toBe := a.scorePairs(s, 1.5, nil)
@@ -75,7 +91,7 @@ func TestALBICScoreSeparatedPairGoesToToBeCol(t *testing.T) {
 func TestALBICBuildPartitionsMergesChains(t *testing.T) {
 	// Pairs (0,4) and (4, ... ) share group 4 via another upstream group 1:
 	// sets {0,4} and {1,4} must merge into one partition {0,1,4}.
-	rates := map[Pair]float64{{0, 4}: 40, {1, 4}: 40}
+	rates := []edge{{0, 4, 40}, {1, 4, 40}}
 	s := pairSnapshot(2, rates, []int{0, 0, 0, 0, 0, 1, 1, 1}, nil)
 	a := &ALBIC{}
 	col, _ := a.scorePairs(s, 1.5, nil)
@@ -89,14 +105,14 @@ func TestALBICBuildPartitionsMergesChains(t *testing.T) {
 func TestALBICBuildPartitionsSplitsOversized(t *testing.T) {
 	// A collocated clique whose total load (60) far exceeds maxPL=25 must
 	// be split; no resulting partition may exceed maxPL by much.
-	rates := map[Pair]float64{}
+	var rates []edge
 	groupNode := make([]int, 8)
 	loads := make([]float64, 8)
 	for i := 0; i < 4; i++ {
-		rates[Pair{i, 4 + i}] = 50
+		rates = append(rates, edge{i, 4 + i, 50})
 		// chain them so the union becomes one set
 		if i > 0 {
-			rates[Pair{i - 1, 4 + i}] = 49
+			rates = append(rates, edge{i - 1, 4 + i, 49})
 		}
 		groupNode[i], groupNode[4+i] = 0, 0
 		loads[i], loads[4+i] = 8, 7
@@ -121,7 +137,7 @@ func TestALBICBuildPartitionsSplitsOversized(t *testing.T) {
 }
 
 func TestALBICBuildPartitionsMaxPLZeroDegenerates(t *testing.T) {
-	rates := map[Pair]float64{{0, 4}: 40}
+	rates := []edge{{0, 4, 40}}
 	s := pairSnapshot(2, rates, []int{0, 0, 0, 0, 0, 1, 1, 1}, nil)
 	a := &ALBIC{}
 	col, _ := a.scorePairs(s, 1.5, nil)
@@ -135,7 +151,7 @@ func TestALBICBuildPartitionsMaxPLZeroDegenerates(t *testing.T) {
 func TestALBICPinTargetsLessLoadedNode(t *testing.T) {
 	// Pair (0,4) split across nodes 0 (heavy) and 1 (light): case 1 pins
 	// both to node 1.
-	rates := map[Pair]float64{{0, 4}: 40}
+	rates := []edge{{0, 4, 40}}
 	loads := []float64{30, 30, 30, 30, 5, 5, 5, 5}
 	s := pairSnapshot(2, rates, []int{0, 0, 0, 0, 1, 1, 1, 1}, loads)
 	a := &ALBIC{Seed: 4}
@@ -149,7 +165,7 @@ func TestALBICPinTargetsLessLoadedNode(t *testing.T) {
 }
 
 func TestALBICNeverPinsToKillNode(t *testing.T) {
-	rates := map[Pair]float64{{0, 4}: 40}
+	rates := []edge{{0, 4, 40}}
 	s := pairSnapshot(3, rates, []int{0, 0, 0, 0, 1, 1, 1, 1}, nil)
 	s.Kill = []bool{false, true, false} // group 4's node is marked
 	a := &ALBIC{Seed: 5, TimeLimit: 10 * time.Millisecond}
@@ -177,7 +193,7 @@ func TestALBICRetryLowersMaxPL(t *testing.T) {
 	// Construct a case where keeping the two heavy collocated sets whole
 	// cannot satisfy maxLD: two sets of 2x20 load on two nodes, budget
 	// enough. ALBIC must split them (retry) to reach a balanced solution.
-	rates := map[Pair]float64{{0, 2}: 50, {1, 3}: 50}
+	rates := []edge{{0, 2, 50}, {1, 3, 50}}
 	s := &Snapshot{
 		NumNodes: 4,
 		Ops: []OpStat{
@@ -190,7 +206,7 @@ func TestALBICRetryLowersMaxPL(t *testing.T) {
 			{Op: 1, Node: 0, Load: 20, StateSize: 10},
 			{Op: 1, Node: 1, Load: 20, StateSize: 10},
 		},
-		Out:           rates,
+		Comm:          commOf(4, rates),
 		MaxMigrations: 4,
 	}
 	// Mean = 80/4 = 20; keeping 40-load partitions whole leaves two nodes

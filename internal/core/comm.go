@@ -3,24 +3,24 @@ package core
 import "sort"
 
 // CommCSR is an immutable compressed-sparse-row view of the inter-key-group
-// communication rates observed over one statistics period. Row gi holds the
-// out-edges of group gi, sorted by destination group, with per-row totals and
-// maxima precomputed so the planner can read a group's output volume in O(1)
-// and skip rows that cannot clear a scoring threshold without scanning them.
+// communication rates observed over one statistics period, the only form in
+// which a Snapshot carries them. Row gi holds the out-edges of group gi,
+// sorted by destination group, with per-row maxima precomputed so the planner
+// can skip rows that cannot clear a scoring threshold without scanning them.
+// A CommBuilder makes one, from the engine's barrier merge or from a
+// synthetic workload alike.
 //
 // Values are sums of per-tuple unit increments (or whatever unit the producer
 // used), so representation changes never change the numbers: dense, hashed and
 // CSR accounting agree byte for byte as long as every edge is counted once.
 //
-// A CommCSR is never mutated after Build/CommFromMap returns; snapshots share
-// one across clones instead of deep-copying an edge map every period.
+// A CommCSR is never mutated after Build returns; snapshots share one across
+// clones. A nil CommCSR reads as a matrix without edges.
 type CommCSR struct {
 	rowStart []int32 // len = rows+1; row gi occupies [rowStart[gi], rowStart[gi+1])
 	cols     []int32
 	rates    []float64
-	rowTotal []float64 // Σ rates of the row (the group's total output volume)
 	rowMax   []float64 // max rate in the row (0 for an empty row)
-	total    float64   // Σ all rates
 }
 
 // Rows returns the number of key groups the CSR was built for.
@@ -37,22 +37,6 @@ func (c *CommCSR) Edges() int {
 		return 0
 	}
 	return len(c.cols)
-}
-
-// Total returns the sum of all stored rates.
-func (c *CommCSR) Total() float64 {
-	if c == nil {
-		return 0
-	}
-	return c.total
-}
-
-// RowTotal returns the total output volume of group gi in O(1).
-func (c *CommCSR) RowTotal(gi int) float64 {
-	if c == nil || gi < 0 || gi >= c.Rows() {
-		return 0
-	}
-	return c.rowTotal[gi]
 }
 
 // RowMax returns the largest single-edge rate leaving group gi in O(1).
@@ -105,27 +89,6 @@ func (c *CommCSR) ForEach(fn func(gi, gj int, rate float64)) {
 	}
 }
 
-// ToMap materializes the CSR as the legacy edge map (tests and tools that
-// compare representations use this; the hot paths never do).
-func (c *CommCSR) ToMap() map[Pair]float64 {
-	if c == nil {
-		return nil
-	}
-	m := make(map[Pair]float64, c.Edges())
-	c.ForEach(func(gi, gj int, rate float64) { m[Pair{gi, gj}] = rate })
-	return m
-}
-
-// CommFromMap builds a CSR over rows key groups from a legacy edge map.
-func CommFromMap(rows int, m map[Pair]float64) *CommCSR {
-	var b CommBuilder
-	b.Reset(rows)
-	for p, v := range m {
-		b.Add(p[0], p[1], v)
-	}
-	return b.Build()
-}
-
 // CommBuilder accumulates (from, to, rate) triples — duplicates allowed, they
 // sum — and converts them into a CommCSR with one counting-sort pass. It is
 // reusable: Reset keeps the backing arrays, so the per-period barrier merge
@@ -146,8 +109,9 @@ func (b *CommBuilder) Reset(rows int) {
 	b.rates = b.rates[:0]
 }
 
-// Add records rate for the edge from→to. Out-of-range groups are dropped
-// (they cannot occur on the engine path; synthetic callers get map behavior).
+// Add records rate for the edge from→to. Out-of-range groups are dropped; the
+// engine never hands one over, since it bounds every edge of a worker's stats
+// reply by the topology.
 func (b *CommBuilder) Add(from, to int, rate float64) {
 	if from < 0 || from >= b.rows || to < 0 || to >= b.rows {
 		return
@@ -221,20 +185,16 @@ func (b *CommBuilder) Build() *CommCSR {
 		rowStart: rowStart,
 		cols:     cols,
 		rates:    rates,
-		rowTotal: make([]float64, rows),
 		rowMax:   make([]float64, rows),
 	}
 	for gi := 0; gi < rows; gi++ {
-		var tot, max float64
+		var max float64
 		for e := rowStart[gi]; e < rowStart[gi+1]; e++ {
-			tot += rates[e]
 			if rates[e] > max {
 				max = rates[e]
 			}
 		}
-		csr.rowTotal[gi] = tot
 		csr.rowMax[gi] = max
-		csr.total += tot
 	}
 	return csr
 }

@@ -18,7 +18,6 @@ func chainSnapshot(n, g int, oneToOne bool) *Snapshot {
 			{Name: "up", Downstream: []int{1}},
 			{Name: "down"},
 		},
-		Out:           map[Pair]float64{},
 		MaxMigrations: 10,
 	}
 	for i := 0; i < g; i++ {
@@ -30,15 +29,18 @@ func chainSnapshot(n, g int, oneToOne bool) *Snapshot {
 		// Offset placement so One-To-One pairs start separated.
 		s.Groups = append(s.Groups, GroupStat{Op: 1, Node: (i + 1) % n, Load: 4, StateSize: 100})
 	}
+	var comm CommBuilder
+	comm.Reset(2 * g)
 	for i := 0; i < g; i++ {
 		if oneToOne {
-			s.Out[Pair{i, g + i}] = 10
+			comm.Add(i, g+i, 10)
 		} else {
 			for j := 0; j < g; j++ {
-				s.Out[Pair{i, g + j}] = 10.0 / float64(g)
+				comm.Add(i, g+j, 10.0/float64(g))
 			}
 		}
 	}
+	s.Comm = comm.Build()
 	return s
 }
 
@@ -57,6 +59,15 @@ func TestSnapshotValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("want error for op mismatch")
 	}
+	bad = s.Clone()
+	bad.Comm = chainSnapshot(4, 4, true).Comm // 8 rows for 16 groups
+	if err := bad.Validate(); err == nil {
+		t.Fatal("want error for a comm matrix of the wrong size")
+	}
+	bad.Comm = nil // no traffic observed, as in a sub-period snapshot
+	if err := bad.Validate(); err != nil {
+		t.Fatalf("nil comm: %v", err)
+	}
 }
 
 func TestSnapshotCloneIsDeep(t *testing.T) {
@@ -72,17 +83,12 @@ func TestSnapshotCloneIsDeep(t *testing.T) {
 		s.Ops[0].Groups[0] == 77 {
 		t.Fatal("Clone must be deep")
 	}
-	// Comm rates are shared as an immutable CSR instead of deep-copied: the
-	// clone sees the identical rates (and its legacy Out map is nil, so no
-	// mutable aliasing can exist).
-	if c.Out != nil {
-		t.Fatal("clone must not alias the legacy Out map")
-	}
-	if c.OutCSR() != s.OutCSR() {
+	// Comm rates are shared as an immutable CSR instead of deep-copied.
+	if c.Comm != s.Comm {
 		t.Fatal("clone must share the immutable comm CSR")
 	}
-	if got := c.Rate(0, 4); got != s.Out[Pair{0, 4}] {
-		t.Fatalf("clone rate(0,4) = %v, want %v", got, s.Out[Pair{0, 4}])
+	if got := c.Comm.Rate(0, 4); got != 10 {
+		t.Fatalf("clone rate(0,4) = %v, want 10", got)
 	}
 }
 
@@ -220,10 +226,10 @@ func TestALBICPartitionsSplitUnderMaxPL(t *testing.T) {
 			{Op: 1, Node: 0, Load: 20, StateSize: 10},
 			{Op: 1, Node: 1, Load: 20, StateSize: 10},
 		},
-		Out: map[Pair]float64{
-			{0, 2}: 50, // collocated heavy pair on node 0
-			{1, 3}: 50, // collocated heavy pair on node 1
-		},
+		Comm: commOf(4, []edge{
+			{0, 2, 50}, // collocated heavy pair on node 0
+			{1, 3, 50}, // collocated heavy pair on node 1
+		}),
 		MaxMigrations: 4,
 	}
 	a := &ALBIC{TimeLimit: 15 * time.Millisecond, Seed: 3}

@@ -57,7 +57,7 @@ func (t *dirtyTracker) observe(s *Snapshot) {
 // The nil return is load-bearing for correctness testing: callers treat it
 // as "take the exact full code path", so a region covering all groups yields
 // a plan identical to non-incremental planning.
-func (t *dirtyTracker) region(s *Snapshot, csr *CommCSR, loadDelta float64, topK int) []bool {
+func (t *dirtyTracker) region(s *Snapshot, loadDelta float64, topK int) []bool {
 	n := len(s.Groups)
 	if len(t.lastLoads) != n || t.lastNum != s.NumNodes {
 		return nil // first call or shape change: full solve
@@ -113,7 +113,7 @@ func (t *dirtyTracker) region(s *Snapshot, csr *CommCSR, loadDelta float64, topK
 	// Expand one hop along the communication graph: a seed's correspondents
 	// are the groups whose collocation the seed's change can disturb.
 	for _, k := range seeds {
-		cols, _ := csr.Row(k)
+		cols, _ := s.Comm.Row(k)
 		for _, gj := range cols {
 			mark(int(gj), prio[k]*0.5)
 		}

@@ -61,7 +61,7 @@ func (s *Snapshot) CollocationFactor() float64 {
 // CollocationOf computes the collocation factor for an arbitrary allocation.
 func CollocationOf(s *Snapshot, groupNode []int) float64 {
 	total, intra := 0.0, 0.0
-	s.ForEachComm(func(gi, gj int, rate float64) {
+	s.Comm.ForEach(func(gi, gj int, rate float64) {
 		if rate <= 0 {
 			return
 		}

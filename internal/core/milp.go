@@ -43,7 +43,7 @@ func (b *MILPBalancer) Plan(ctx context.Context, s *Snapshot) (*Plan, error) {
 	}
 	var dirty []bool
 	if b.Incremental {
-		dirty = b.tracker.region(s, s.OutCSR(), DefaultDirtyLoadDelta, DefaultDirtyTopK)
+		dirty = b.tracker.region(s, DefaultDirtyLoadDelta, DefaultDirtyTopK)
 		b.tracker.observe(s)
 	}
 	p := s.DirtyProblem(dirty)

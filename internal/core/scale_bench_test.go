@@ -35,7 +35,6 @@ func BenchmarkPlanScaling(b *testing.B) {
 					// Seed the baseline directly instead of paying a full
 					// warm-up solve: the measurement is the steady-state
 					// period, where the tracker already has an observation.
-					s.OutCSR()
 					a.tracker.observe(s)
 				}
 				orig := make([]float64, len(s.Groups))

@@ -16,9 +16,6 @@ import (
 	"repro/internal/assign"
 )
 
-// Pair identifies an ordered key-group pair (communication edge).
-type Pair [2]int
-
 // GroupStat describes one key group at the end of a statistics period.
 type GroupStat struct {
 	// Op is the operator this group belongs to.
@@ -68,18 +65,10 @@ type Snapshot struct {
 
 	Groups []GroupStat
 	Ops    []OpStat
-	// Out holds the observed communication rate between key-group pairs
-	// (tuples or bytes per SPL; any consistent unit works). It is the
-	// construction-friendly input form: synthetic snapshots and tests fill
-	// it directly. Consumers go through OutCSR/Rate/ForEachComm, which build
-	// the canonical CSR from it once, lazily. Do not mutate Out after the
-	// first planner call on the snapshot.
-	Out map[Pair]float64
-	// Comm is the canonical sorted-CSR form of the communication rates. The
-	// engine publishes snapshots with Comm set directly (Out stays nil);
-	// when only Out is set, OutCSR builds and caches Comm on first use.
-	// A CommCSR is immutable, so Clone shares it in O(1) instead of
-	// deep-copying an edge map every period.
+	// Comm holds the observed communication rate out(gi, gj) between
+	// key-group pairs (tuples or bytes per SPL; any consistent unit works),
+	// with one row per group. nil means no traffic was observed, as in a
+	// sub-period snapshot. A CommCSR is immutable, so Clone shares it.
 	Comm *CommCSR
 
 	// MaxMigrCost bounds migration cost per adaptation (paper constraint 2);
@@ -96,6 +85,9 @@ type Snapshot struct {
 func (s *Snapshot) Validate() error {
 	if s.NumNodes <= 0 {
 		return fmt.Errorf("core: snapshot has %d nodes", s.NumNodes)
+	}
+	if s.Comm != nil && s.Comm.Rows() != len(s.Groups) {
+		return fmt.Errorf("core: comm matrix has %d rows for %d groups", s.Comm.Rows(), len(s.Groups))
 	}
 	for k, g := range s.Groups {
 		if g.Node < 0 || g.Node >= s.NumNodes {
@@ -212,30 +204,8 @@ func (s *Snapshot) capacity(i int) float64 {
 
 func (s *Snapshot) killed(i int) bool { return s.Kill != nil && s.Kill[i] }
 
-// OutCSR returns the snapshot's communication rates in canonical CSR form,
-// building it from the legacy Out map on first use. Not safe for concurrent
-// first use; the controller materializes it before handing a snapshot to the
-// pipelined planner, and synthetic callers are single-goroutine.
-func (s *Snapshot) OutCSR() *CommCSR {
-	if s.Comm == nil {
-		s.Comm = CommFromMap(len(s.Groups), s.Out)
-	}
-	return s.Comm
-}
-
-// Rate returns the observed communication rate for the edge gi→gj.
-func (s *Snapshot) Rate(gi, gj int) float64 { return s.OutCSR().Rate(gi, gj) }
-
-// ForEachComm calls fn for every observed key-group edge in row-major order.
-func (s *Snapshot) ForEachComm(fn func(gi, gj int, rate float64)) {
-	s.OutCSR().ForEach(fn)
-}
-
 // Clone copies the snapshot's mutable state (plans must not mutate the
-// caller's view). The communication rates are materialized as the immutable
-// CSR and shared — O(rows) once, O(1) per subsequent clone — instead of
-// deep-copying an edge map every period; the clone's legacy Out map is nil
-// so no mutable aliasing can occur.
+// caller's view). The immutable communication matrix is shared.
 func (s *Snapshot) Clone() *Snapshot {
 	c := *s
 	c.Capacity = cloneFloats(s.Capacity)
@@ -249,8 +219,6 @@ func (s *Snapshot) Clone() *Snapshot {
 			Downstream: append([]int(nil), op.Downstream...),
 		}
 	}
-	c.Comm = s.OutCSR()
-	c.Out = nil
 	return &c
 }
 
@@ -305,26 +273,4 @@ func PlanFromAssignment(s *Snapshot, groupNode []int, eval *assign.Eval) *Plan {
 type Balancer interface {
 	Name() string
 	Plan(ctx context.Context, s *Snapshot) (*Plan, error)
-}
-
-// SimpleBalancer is the pre-context balancer shape: a pure function of the
-// snapshot with no cancellation surface. Baseline policies (Flux, COLA) and
-// third-party balancers written against the old interface implement this.
-type SimpleBalancer interface {
-	Name() string
-	Plan(s *Snapshot) (*Plan, error)
-}
-
-// AdaptBalancer lifts a SimpleBalancer into the context-aware Balancer
-// interface. The context is ignored: adapted balancers are assumed cheap
-// enough that cancellation mid-plan is not worth plumbing (Flux and COLA
-// plan in microseconds at paper scale).
-func AdaptBalancer(b SimpleBalancer) Balancer { return simpleAdapter{b} }
-
-type simpleAdapter struct{ inner SimpleBalancer }
-
-func (a simpleAdapter) Name() string { return a.inner.Name() }
-
-func (a simpleAdapter) Plan(_ context.Context, s *Snapshot) (*Plan, error) {
-	return a.inner.Plan(s)
 }

@@ -28,7 +28,7 @@ type periodSummary struct {
 	GroupUnits         []float64
 	GroupNode          []int
 	StateBytes         []int
-	Comm               map[core.Pair]float64
+	Comm               map[[2]int]float64
 	NodeUnits          []float64
 	TuplesIn           int64
 	TuplesOut          int64
@@ -68,7 +68,8 @@ func summarize(ps *engine.PeriodStats) periodSummary {
 		CkptDeltaBytes:     append([]int(nil), ps.CkptDeltaBytes...),
 	}
 	if ps.Comm != nil {
-		s.Comm = ps.Comm.ToMap()
+		s.Comm = map[[2]int]float64{}
+		ps.Comm.ForEach(func(from, to int, rate float64) { s.Comm[[2]int{from, to}] = rate })
 	}
 	return s
 }

@@ -273,7 +273,7 @@ func TestHeterogeneousBalancingEndToEnd(t *testing.T) {
 		}
 		snap.MaxMigrations = 4
 		// Inline MILP plan via the assign layer to avoid an import cycle:
-		// core is imported by engine already (for core.Pair), so use the
+		// core is imported by engine already (for core.Snapshot), so use the
 		// snapshot's Problem directly.
 		prob := snap.Problem()
 		sol, err := solveForTest(prob)

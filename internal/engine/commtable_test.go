@@ -9,6 +9,13 @@ import (
 	"repro/internal/core"
 )
 
+// commEdges reads a communication matrix back as an edge map.
+func commEdges(c *core.CommCSR) map[[2]int]float64 {
+	m := map[[2]int]float64{}
+	c.ForEach(func(from, to int, rate float64) { m[[2]int{from, to}] = rate })
+	return m
+}
+
 // commStats builds a shard's statistics with the named communication
 // accumulator whatever the group count — newNodeStats picks by size — so the
 // two can be compared and benchmarked on one stream.
@@ -33,13 +40,13 @@ func TestDenseAndSparseCommAgree(t *testing.T) {
 			dense.addComm(from, to)
 			sparse.addComm(from, to)
 		}
-		edges := func(s *nodeStats) map[core.Pair]float64 {
-			m := map[core.Pair]float64{}
+		edges := func(s *nodeStats) map[[2]int]float64 {
+			m := map[[2]int]float64{}
 			s.forEachComm(func(from, to int, rate float64) {
-				if _, dup := m[core.Pair{from, to}]; dup {
+				if _, dup := m[[2]int{from, to}]; dup {
 					t.Fatalf("%d groups: pair (%d,%d) visited twice", numGroups, from, to)
 				}
-				m[core.Pair{from, to}] = rate
+				m[[2]int{from, to}] = rate
 			})
 			return m
 		}
@@ -70,7 +77,7 @@ func TestCommTableMatchesMapAtScale(t *testing.T) {
 
 	var tab commTable
 	tab.init(0) // start at the minimum so growth paths are exercised
-	ref := map[core.Pair]float64{}
+	ref := map[[2]int]float64{}
 
 	for i := 0; i < 200_000; i++ {
 		// Zipf-ish skew: a few hot pairs plus a long uniform tail, mirroring
@@ -82,15 +89,15 @@ func TestCommTableMatchesMapAtScale(t *testing.T) {
 			from, to = rng.Intn(numGroups), rng.Intn(numGroups)
 		}
 		tab.add(from, to)
-		ref[core.Pair{from, to}]++
+		ref[[2]int{from, to}]++
 	}
 
-	got := map[core.Pair]float64{}
+	got := map[[2]int]float64{}
 	tab.forEach(func(from, to int, rate float64) {
-		if _, dup := got[core.Pair{from, to}]; dup {
+		if _, dup := got[[2]int{from, to}]; dup {
 			t.Fatalf("pair (%d,%d) visited twice", from, to)
 		}
-		got[core.Pair{from, to}] = rate
+		got[[2]int{from, to}] = rate
 	})
 	if len(got) != len(ref) {
 		t.Fatalf("table has %d pairs, map has %d", len(got), len(ref))
@@ -136,12 +143,12 @@ func TestShardedCommMergeMatchesMapAtScale(t *testing.T) {
 	for i := range stats {
 		stats[i] = newNodeStats(numGroups) // 1500 groups: sparse
 	}
-	ref := map[core.Pair]float64{}
+	ref := map[[2]int]float64{}
 
 	for i := 0; i < 120_000; i++ {
 		from, to := rng.Intn(numGroups), rng.Intn(numGroups)
 		stats[rng.Intn(shards)].addComm(from, to)
-		ref[core.Pair{from, to}]++
+		ref[[2]int{from, to}]++
 	}
 
 	var b core.CommBuilder
@@ -151,7 +158,7 @@ func TestShardedCommMergeMatchesMapAtScale(t *testing.T) {
 	}
 	csr := b.Build()
 
-	got := csr.ToMap()
+	got := commEdges(csr)
 	if len(got) != len(ref) {
 		t.Fatalf("CSR has %d edges, map has %d", len(got), len(ref))
 	}
@@ -203,12 +210,12 @@ func TestCommSelectionMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := map[core.Pair]float64{}
+			want := map[[2]int]float64{}
 			for _, w := range words {
 				h := codec.Hash(w)
-				want[core.Pair{tp.GID(0, int(h%uint64(tc.kgs))), tp.GID(1, int(h%uint64(tc.kgs-3)))}]++
+				want[[2]int{tp.GID(0, int(h%uint64(tc.kgs))), tp.GID(1, int(h%uint64(tc.kgs-3)))}]++
 			}
-			got := ps.Comm.ToMap()
+			got := commEdges(ps.Comm)
 			if len(got) != len(want) {
 				t.Fatalf("comm has %d edges, want %d", len(got), len(want))
 			}

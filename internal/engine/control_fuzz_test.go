@@ -43,7 +43,7 @@ func (s *statsForm) written() *statsReply {
 	edges := codec.Wire{}
 	s.comm.Build().ForEach(func(from, to int, rate float64) {
 		c := int64(rate)
-		commEdge(&edges, &from, &to, &c)
+		commEdge(&edges, &from, &to, &c, maxWireGroups)
 	})
 	out.edges = edges.B
 	return out

@@ -203,11 +203,11 @@ func TestStatsAndSnapshot(t *testing.T) {
 	if totalLoad <= 0 {
 		t.Fatal("no load recorded")
 	}
-	if snap.OutCSR().Edges() == 0 {
+	if snap.Comm.Edges() == 0 {
 		t.Fatal("no communication matrix recorded")
 	}
 	// Communication must only be between count (op0) and sink (op1) groups.
-	for pair := range snap.OutCSR().ToMap() {
+	for pair := range commEdges(snap.Comm) {
 		fromOp, _ := tp.OpOf(pair[0])
 		toOp, _ := tp.OpOf(pair[1])
 		if fromOp != 0 || toOp != 1 {

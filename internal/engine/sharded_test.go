@@ -272,7 +272,7 @@ func TestShardingInvariantToCostModel(t *testing.T) {
 					got.Migrations, got.MigrationLatency, got.GroupNode,
 					base.Migrations, base.MigrationLatency, base.GroupNode)
 			}
-			baseComm, gotComm := base.Comm.ToMap(), got.Comm.ToMap()
+			baseComm, gotComm := commEdges(base.Comm), commEdges(got.Comm)
 			for p, v := range baseComm {
 				if gotComm[p] != v {
 					t.Errorf("%s: comm[%v] = %v, want %v", cfg, p, gotComm[p], v)
@@ -342,7 +342,7 @@ func TestShardingDictionaryShiftBounded(t *testing.T) {
 				ps.BytesCrossNodeIn, ps.BytesCrossNode, ps.SrcBytesCrossNode)
 		}
 	}
-	baseComm, shardedComm := base.Comm.ToMap(), sharded.Comm.ToMap()
+	baseComm, shardedComm := commEdges(base.Comm), commEdges(sharded.Comm)
 	for p, v := range baseComm {
 		if shardedComm[p] != v {
 			t.Errorf("comm[%v] = %v under spn=4, want %v", p, shardedComm[p], v)

@@ -164,8 +164,7 @@ type PeriodStats struct {
 	StateBytes []int
 	// Comm is the out(gi, gj) matrix (tuples this period), merged from the
 	// shards' dense/sparse accumulators into one immutable CSR at the period
-	// barrier. Snapshots share it without copying; ToMap() materializes the
-	// legacy map form for comparisons.
+	// barrier. Snapshots share it without copying.
 	Comm *core.CommCSR
 	// NodeUnits per engine node id (includes removed slots as 0).
 	NodeUnits []float64

@@ -65,7 +65,7 @@ func (e *Engine) SetSubObserver(fn SubObserver) {
 // hosted shards' groupMilli, which no shard writes while the pipeline is
 // drained, plus every worker peer's (rqSub) — the current allocation
 // (including hot moves already applied) and the previous period's state
-// sizes. It carries no communication matrix (Out and Comm are nil): the
+// sizes. It carries no communication matrix (Comm is nil): the
 // reactive planners only need loads. Loads are partial-period measurements: absolute
 // percentages are lower than a full period's, but the ratios the trigger
 // policy and the hot mover consume are unaffected. A worker that does not

@@ -346,8 +346,9 @@ func milli(w *codec.Wire, m []int64) {
 // order-independent — the property the in-memory vs TCP equivalence tests pin
 // down to the last bit. A reader adds everything to the controller's own fold
 // (mergeAcc.addReply): sums into acc, the per-group readings into stateBytes
-// and ckptDelta (indexed by gid, which their length bounds), triples into
-// comm.
+// and ckptDelta, triples into comm. The topology bounds every group id a
+// reader takes, of a reading and of a triple alike: it is less than
+// len(stateBytes).
 type statsReply struct {
 	acc                   *mergeAcc
 	groups                []liveGroup
@@ -383,16 +384,17 @@ func (s *statsReply) wire(w *codec.Wire) {
 	for w.Reading && len(w.B) > 0 && w.Err == nil {
 		var from, to int
 		var c int64
-		if commEdge(w, &from, &to, &c); w.Err == nil {
+		if commEdge(w, &from, &to, &c, len(s.stateBytes)-1); w.Err == nil {
 			s.comm.Add(from, to, float64(c))
 		}
 	}
 }
 
-// commEdge carries one communication triple of a stats reply.
-func commEdge(w *codec.Wire, from, to *int, n *int64) {
-	w.Int(from, maxWireGroups)
-	w.Int(to, maxWireGroups)
+// commEdge carries one communication triple of a stats reply; a reader takes
+// group ids of at most maxGID.
+func commEdge(w *codec.Wire, from, to *int, n *int64, maxGID int) {
+	w.Int(from, maxGID)
+	w.Int(to, maxGID)
 	w.Add(n)
 }
 

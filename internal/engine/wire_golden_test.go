@@ -17,7 +17,7 @@ func goldenStats() *statsReply {
 	edges := codec.Wire{}
 	for _, e := range [][3]int{{0, 1, 3}, {1, 3, 2}} {
 		n := int64(e[2])
-		commEdge(&edges, &e[0], &e[1], &n)
+		commEdge(&edges, &e[0], &e[1], &n, maxWireGroups)
 	}
 	return &statsReply{
 		acc:    &mergeAcc{groupMilli: []int64{0, 5, 0, 7}, nodeMilli: []int64{12, 0}, tuplesIn: 10, tuplesOut: 9, bytesOut: 100, bytesIn: 90, batchesOut: 4},

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/core"
 	"repro/internal/transport"
 )
 
@@ -372,6 +373,32 @@ func TestForgedEventFailsThePeriod(t *testing.T) {
 	forged.armed.Store(true)
 	if _, err := e.RunPeriod(); err == nil || !strings.Contains(err.Error(), "event from peer 1") || !strings.Contains(err.Error(), "group 1000") {
 		t.Fatalf("RunPeriod = %v, want the forged event of peer 1 failing the period", err)
+	}
+}
+
+// TestStatsReplyBoundsCommEdges: a worker's stats reply whose communication
+// triple names a group the topology does not have fails to decode — which
+// fails the period with an error naming the peer — as a per-group reading of
+// such a group does, instead of the controller dropping the triple and
+// folding the rest of the reply.
+func TestStatsReplyBoundsCommEdges(t *testing.T) {
+	const groups, nodes = 8, 2
+	edges := codec.Wire{}
+	for _, e := range [][2]int{{3, groups + 5}, {1, 2}} {
+		n := int64(1)
+		commEdge(&edges, &e[0], &e[1], &n, maxWireGroups)
+	}
+	sent := &statsReply{acc: &mergeAcc{}, edges: edges.B}
+	sent.acc.reset(groups, nodes)
+	body := codec.Wire{}
+	sent.wire(&body)
+
+	var fold mergeAcc
+	fold.reset(groups, nodes)
+	var comm core.CommBuilder
+	comm.Reset(groups)
+	if err := fold.addReply(body.B, &comm, make([]int, groups), make([]int, groups)); err == nil {
+		t.Fatalf("a reply with edge (3, %d) of a %d-group topology decoded; %d of its 2 edges kept", groups+5, groups, comm.Len())
 	}
 }
 

@@ -192,7 +192,7 @@ func (e *Engine) handleRequest(peer int, q reqFrame) {
 		edges := codec.Wire{B: codec.GetBuf()}
 		acc, groups := e.foldLocal(q.version, func(from, to int, n float64) {
 			c := int64(n)
-			commEdge(&edges, &from, &to, &c)
+			commEdge(&edges, &from, &to, &c, maxWireGroups)
 		})
 		e.reply(peer, q.id, &statsReply{acc: acc, groups: groups, edges: edges.B})
 		codec.PutBuf(edges.B)

@@ -213,14 +213,13 @@ func maxInt(a, b int) int {
 }
 
 // synthSnapshot wraps synthetic loads in a core.Snapshot with ops assigned
-// round-robin over the groups (groups/ops per operator) and an optional
-// communication pattern.
+// round-robin over the groups (groups/ops per operator), without
+// communication; callers that want a pattern set Comm.
 func synthSnapshot(spec clusterSpec, loads []float64, cur []int) *core.Snapshot {
 	s := &core.Snapshot{
 		NumNodes: spec.nodes,
 		Groups:   make([]core.GroupStat, spec.groups),
 		Ops:      make([]core.OpStat, spec.ops),
-		Out:      map[core.Pair]float64{},
 	}
 	perOp := spec.groups / spec.ops
 	for k := range s.Groups {

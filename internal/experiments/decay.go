@@ -50,7 +50,7 @@ func Decay(opt Opts) *Result {
 		if err != nil {
 			panic(err)
 		}
-		boot, err := (&baseline.COLA{Seed: opt.Seed}).Plan(snap)
+		boot, err := (&baseline.COLA{Seed: opt.Seed}).Plan(context.Background(), snap)
 		if err != nil {
 			panic(err)
 		}
@@ -77,7 +77,7 @@ func Decay(opt Opts) *Result {
 
 	albic := runMaint(newALBIC(opt.Seed))
 	milp := runMaint(&core.MILPBalancer{TimeLimit: 25 * time.Millisecond, Seed: opt.Seed})
-	flux := runMaint(core.AdaptBalancer(baseline.Flux{}))
+	flux := runMaint(baseline.Flux{})
 	return &Result{
 		Name:  "decay",
 		Title: "Collocation decay after a COLA bootstrap (Real Job 2, Section 5.4 remark)",

@@ -42,13 +42,16 @@ func collocationWorkload(spec clusterSpec, maxCol float64, rng *rand.Rand) *core
 	// collocation at maxCol% of the key groups.
 	oneToOne := int(float64(perOp) * maxCol / 100)
 	const rate = 10.0
+	var comm core.CommBuilder
+	comm.Reset(spec.groups)
 	for c := 0; c < chains; c++ {
 		upBase := (2 * c) * perOp
 		downBase := (2*c + 1) * perOp
 		for j := 0; j < oneToOne; j++ {
-			s.Out[core.Pair{upBase + j, downBase + j}] = rate
+			comm.Add(upBase+j, downBase+j, rate)
 		}
 	}
+	s.Comm = comm.Build()
 	return s
 }
 
@@ -129,7 +132,7 @@ func Fig10(opt Opts) *Result {
 		d, c := colRun(spec, maxCol, newALBIC(opt.Seed), rounds, opt.Seed+int64(maxCol))
 		albicDist.X, albicDist.Y = xs, append(albicDist.Y, d)
 		albicCol.X, albicCol.Y = xs, append(albicCol.Y, c)
-		d, c = colRun(spec, maxCol, core.AdaptBalancer(&baseline.COLA{Seed: opt.Seed}), rounds, opt.Seed+int64(maxCol))
+		d, c = colRun(spec, maxCol, &baseline.COLA{Seed: opt.Seed}, rounds, opt.Seed+int64(maxCol))
 		colaDist.X, colaDist.Y = xs, append(colaDist.Y, d)
 		colaCol.X, colaCol.Y = xs, append(colaCol.Y, c)
 	}
@@ -161,7 +164,7 @@ func Fig11(opt Opts) *Result {
 		d, c := colRun(spec, 50, newALBIC(opt.Seed), rounds, opt.Seed+int64(i))
 		albicDist.X, albicDist.Y = xs, append(albicDist.Y, d)
 		albicCol.X, albicCol.Y = xs, append(albicCol.Y, c)
-		d, c = colRun(spec, 50, core.AdaptBalancer(&baseline.COLA{Seed: opt.Seed}), rounds, opt.Seed+int64(i))
+		d, c = colRun(spec, 50, &baseline.COLA{Seed: opt.Seed}, rounds, opt.Seed+int64(i))
 		colaDist.X, colaDist.Y = xs, append(colaDist.Y, d)
 		colaCol.X, colaCol.Y = xs, append(colaCol.Y, c)
 	}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -83,7 +85,7 @@ func fourPanels(name, title string, albic, cola *runMetrics) *Result {
 // index and migrations per period.
 func Fig12(opt Opts) *Result {
 	albic := airlineRun(opt, workload.RealJob2, newALBIC(opt.Seed), 10, 1, 0)
-	cola := airlineRun(opt, workload.RealJob2, core.AdaptBalancer(&baseline.COLA{Seed: opt.Seed}), 0, 1, 0)
+	cola := airlineRun(opt, workload.RealJob2, &baseline.COLA{Seed: opt.Seed}, 0, 1, 0)
 	return fourPanels("fig12", "Real Job 2: ALBIC vs COLA", albic, cola)
 }
 
@@ -93,7 +95,7 @@ func Fig12(opt Opts) *Result {
 // system.
 func Fig13(opt Opts) *Result {
 	albic := airlineRun(opt, workload.RealJob3, newALBIC(opt.Seed), 10, 1, 0)
-	cola := airlineRun(opt, workload.RealJob3, core.AdaptBalancer(&baseline.COLA{Seed: opt.Seed}), 0, 0.5, 0)
+	cola := airlineRun(opt, workload.RealJob3, &baseline.COLA{Seed: opt.Seed}, 0, 0.5, 0)
 	res := fourPanels("fig13", "Real Job 3: ALBIC vs COLA", albic, cola)
 	res.Notes = "COLA input rate halved (as in the paper)"
 	return res
@@ -134,7 +136,7 @@ func Fig14(opt Opts) *Result {
 	colaCol := 0.0
 	const trials = 3
 	for i := 0; i < trials; i++ {
-		plan, err := (&baseline.COLA{Seed: opt.Seed + int64(i)}).Plan(snap)
+		plan, err := (&baseline.COLA{Seed: opt.Seed + int64(i)}).Plan(context.Background(), snap)
 		if err != nil {
 			panic(err)
 		}

@@ -51,7 +51,7 @@ func solverQuality(name string, spec clusterSpec, opt Opts) *Result {
 			snap := synthSnapshot(spec, loads, cur)
 			snap.MaxMigrations = maxMig
 
-			plan, err := (baseline.Flux{}).Plan(snap)
+			plan, err := (baseline.Flux{}).Plan(context.Background(), snap)
 			if err != nil {
 				panic(err)
 			}

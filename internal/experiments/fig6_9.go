@@ -44,7 +44,7 @@ func runJob1(opt Opts, bal core.Balancer, maxMig int, twoChoice bool) *runMetric
 func Fig6(opt Opts) *Result {
 	_, _, _, maxMig := job1Scale(opt)
 	milp := runJob1(opt, &core.MILPBalancer{TimeLimit: 30 * time.Millisecond, Seed: opt.Seed}, maxMig, false)
-	flux := runJob1(opt, core.AdaptBalancer(baseline.Flux{}), maxMig, false)
+	flux := runJob1(opt, baseline.Flux{}, maxMig, false)
 	potc := runJob1(opt, core.NoopBalancer{}, 0, true)
 	return &Result{
 		Name:  "fig6",
@@ -66,7 +66,7 @@ func Fig6(opt Opts) *Result {
 func Fig7(opt Opts) *Result {
 	_, _, _, maxMig := job1Scale(opt)
 	milp := runJob1(opt, &core.MILPBalancer{TimeLimit: 30 * time.Millisecond, Seed: opt.Seed}, maxMig, false)
-	flux := runJob1(opt, core.AdaptBalancer(baseline.Flux{}), maxMig, false)
+	flux := runJob1(opt, baseline.Flux{}, maxMig, false)
 	return &Result{
 		Name:  "fig7",
 		Title: "Real Job 1: state migrations per period",

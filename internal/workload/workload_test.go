@@ -12,6 +12,13 @@ import (
 	"repro/internal/engine"
 )
 
+// commEdges reads a communication matrix back as an edge set.
+func commEdges(c *core.CommCSR) map[[2]int]bool {
+	m := map[[2]int]bool{}
+	c.ForEach(func(from, to int, _ float64) { m[[2]int{from, to}] = true })
+	return m
+}
+
 func countTuples(gen engine.SourceFunc, period int) (n int, keys map[string]int) {
 	keys = map[string]int{}
 	gen(period, func(t *engine.Tuple) {
@@ -143,7 +150,7 @@ func TestRealJob1Runs(t *testing.T) {
 	}
 	// Full partitioning: geohash groups talk to many topk groups.
 	fanout := map[int]map[int]bool{}
-	for pair := range snap.OutCSR().ToMap() {
+	for pair := range commEdges(snap.Comm) {
 		fromOp := snap.Groups[pair[0]].Op
 		toOp := snap.Groups[pair[1]].Op
 		if fromOp == 0 && toOp == 1 {
@@ -172,7 +179,7 @@ func TestRealJob2OneToOnePattern(t *testing.T) {
 	snap := runJob(t, topo, 4, 3)
 	// Every extract group must send to exactly one sumdelay group: its own
 	// index (identical key and key-group count).
-	for pair := range snap.OutCSR().ToMap() {
+	for pair := range commEdges(snap.Comm) {
 		fromOp := snap.Groups[pair[0]].Op
 		toOp := snap.Groups[pair[1]].Op
 		if fromOp == 0 && toOp == 1 {
@@ -199,7 +206,7 @@ func TestRealJob3RouteStreamNotOneToOne(t *testing.T) {
 		}
 	}
 	fanout := map[int]map[int]bool{}
-	for pair := range snap.OutCSR().ToMap() {
+	for pair := range commEdges(snap.Comm) {
 		if snap.Groups[pair[0]].Op == 0 && snap.Groups[pair[1]].Op == routeOp {
 			if fanout[pair[0]] == nil {
 				fanout[pair[0]] = map[int]bool{}
@@ -235,7 +242,7 @@ func TestRealJob4Runs(t *testing.T) {
 	}
 	// The courier pipeline must actually carry data.
 	seen := false
-	for pair := range snap.OutCSR().ToMap() {
+	for pair := range commEdges(snap.Comm) {
 		if snap.Ops[snap.Groups[pair[1]].Op].Name == "courier" {
 			seen = true
 		}

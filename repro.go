@@ -98,11 +98,9 @@ type (
 	// Plan is a target key-group allocation.
 	Plan = core.Plan
 	// Balancer computes plans from snapshots; Plan takes a context so the
-	// controller can abort a solve still in flight when its run ends.
+	// controller can abort a solve still in flight when its run ends. Every
+	// planner here implements it, the baselines too (they ignore ctx).
 	Balancer = core.Balancer
-	// SimpleBalancer is the pre-context balancer shape (Flux, COLA, and
-	// third-party balancers); lift it with AdaptBalancer.
-	SimpleBalancer = core.SimpleBalancer
 	// MILPBalancer solves the integrated load-balancing MILP each period.
 	MILPBalancer = core.MILPBalancer
 	// GreedyHotMover is the restricted planner behind reactive sub-period
@@ -153,10 +151,6 @@ type (
 func NewController(e ControllerEngine, opt ControllerOptions) *Controller {
 	return controller.New(e, opt)
 }
-
-// AdaptBalancer lifts a pre-context SimpleBalancer into the Balancer
-// interface (the context is ignored).
-func AdaptBalancer(b SimpleBalancer) Balancer { return core.AdaptBalancer(b) }
 
 // Baselines (internal/baseline).
 type (

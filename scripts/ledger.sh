@@ -3,9 +3,9 @@
 # (all lines, and code — lines that are neither blank nor a // comment), the
 # field counts of engine.Config and controller.Options, albic-run's flag
 # count, the number of exported types, functions and methods of
-# internal/engine and internal/controller, and the frame and request kinds of
-# the engine's wire schema. bench/ is its own module and is left out. Run from
-# anywhere:
+# internal/engine, internal/controller, internal/core and internal/lp, and the
+# frame and request kinds of the engine's wire schema. bench/ is its own
+# module and is left out. Run from anywhere:
 #   bash scripts/ledger.sh [repo-root]
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
@@ -58,7 +58,7 @@ echo
 echo "engine.Config fields:      $(fields_of internal/engine/engine.go Config)"
 echo "controller.Options fields: $(fields_of internal/controller/controller.go Options)"
 echo "albic-run flags:           $(grep -cE '\bflag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Var|Func)\(' cmd/albic-run/main.go)"
-for d in internal/engine internal/controller; do
+for d in internal/engine internal/controller internal/core internal/lp; do
   read -r t f m < <(exported_of "$d")
   echo "$d exported: $((t + f + m)) ($t types, $f funcs, $m methods)"
 done
