@@ -3,9 +3,13 @@
 // control plane (internal/controller), printing per-period metrics.
 //
 // By default planning is pipelined: while period N+1's data flows, the
-// controller plans on period N's snapshot in a separate goroutine and the
-// moves are staged for period N+2, so a slow planner never stops the data
-// path. -pipelined=false restores the paper's lockstep loop.
+// controller plans on period N's snapshot in a separate goroutine, applies
+// the outcome at boundary N+1 — waiting there if the solve is still running —
+// and the moves run in period N+2. A planner faster than a period never stops
+// the data path, and every period gets its plan at a fixed lag, so a run
+// whose solves converge within their time limit prints the same output
+// (plan_ms aside) every time. -pipelined=false restores the paper's lockstep
+// loop.
 //
 // With -subperiods K (K >= 2) the engine additionally splits every period
 // into K sub-intervals, which switches reactive mode on: at every

@@ -65,8 +65,8 @@ func main() {
 	// 3. Hand the engine to the controller: each period it processes a
 	// batch, snapshots statistics, plans with the MILP under a budget of 4
 	// migrations and applies the plan. (Set Pipelined: true to overlap
-	// planning with the next period's data instead of running in lockstep —
-	// see examples/scaling.)
+	// planning with the next period's data instead of running in lockstep;
+	// each plan then applies one boundary later — see examples/scaling.)
 	fmt.Println("period  loadDistance%  migrations")
 	ctrl := repro.NewController(e, repro.ControllerOptions{
 		Balancer:      &repro.MILPBalancer{TimeLimit: 20 * time.Millisecond},

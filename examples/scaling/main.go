@@ -2,7 +2,8 @@
 // later lull — scale-out under pressure, then scale-in with the MILP
 // draining the marked nodes (Lemma 2) before the controller terminates
 // them. Planning runs pipelined: the planner works on the previous
-// period's snapshot while the next period's data flows.
+// period's snapshot while the next period's data flows, and its outcome
+// applies at the next boundary.
 package main
 
 import (
@@ -67,8 +68,8 @@ func main() {
 	fmt.Println("period  nodes  avgLoad%  maxLoad%  action")
 	draining := map[int]bool{} // kill-marked or terminated
 	// The MILP budget is kept proportionate to this demo's millisecond
-	// periods: in pipelined mode a plan spanning many periods would react
-	// to the surge only after it passed.
+	// periods: in pipelined mode the next boundary waits for a plan that
+	// outlasts its period, so a larger budget would stall the data path.
 	ctrl := repro.NewController(e, repro.ControllerOptions{
 		Balancer: &repro.MILPBalancer{TimeLimit: 2 * time.Millisecond},
 		Scaler: &repro.UtilizationScaler{

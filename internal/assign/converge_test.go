@@ -1,9 +1,11 @@
 package assign
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -100,5 +102,23 @@ func TestConvergedSolveIsDeterministic(t *testing.T) {
 			}
 			runtime.GOMAXPROCS(prev)
 		}
+	}
+}
+
+// TestExpiredDeadlineReturnsStart: the budget is a ceiling for every pass,
+// not only for the repacking one. A solve whose deadline passed before it
+// began returns its starting assignment, although all items sit on one node
+// of four and a single greedy move would improve on that.
+func TestExpiredDeadlineReturnsStart(t *testing.T) {
+	loads := []float64{40, 30, 20, 20, 10, 10, 5, 5}
+	start := make([]int, len(loads))
+	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel()
+	sol, err := SolveCtx(ctx, simpleProblem(4, loads, start), Options{TimeLimit: convergeLimit, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(sol.ItemNode, start) {
+		t.Fatalf("expired solve returned %v, want its starting assignment %v", sol.ItemNode, start)
 	}
 }

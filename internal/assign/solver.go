@@ -17,7 +17,8 @@ type Options struct {
 	// Figures 2-4): a ceiling, not a sleep. The improvement loop returns as
 	// soon as it has converged (see lnsPatience), so a solve that finds its
 	// answer early costs what the answer cost; only a search that is still
-	// improving runs into the limit. Default DefaultTimeLimit.
+	// improving runs into the limit, and every pass stops there at its next
+	// step. Default DefaultTimeLimit.
 	TimeLimit time.Duration
 	// Seed drives the deterministic randomized improvement phase.
 	Seed int64
@@ -61,11 +62,13 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 
 // SolveCtx is Solve with cancellation: the effective budget is the earlier
 // of TimeLimit and ctx's deadline — callers that make several solves share
-// one budget by giving them one deadline — and cancelling ctx aborts the
-// anytime improvement loop at the next improvement-round boundary, returning
-// the best feasible solution found so far. SolveCtx never returns ctx.Err()
-// once a feasible starting assignment exists — a cancelled solve degrades
-// to a cheaper solve, it does not fail.
+// one budget by giving them one deadline. The budget is a ceiling: every
+// pass (greedy, swap, lookahead, repacking) checks it before each step, and
+// a solve past its deadline or with ctx cancelled returns the best feasible
+// solution found so far — the starting assignment, if it expired before the
+// first step. SolveCtx never returns ctx.Err() once a feasible starting
+// assignment exists — a cancelled solve degrades to a cheaper solve, it does
+// not fail.
 func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -81,6 +84,7 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
 		deadline = d
 	}
 	s := newSearch(p, opt.Seed)
+	s.ctx, s.deadline = ctx, deadline
 	if err := s.init(); err != nil {
 		return nil, err
 	}
@@ -89,7 +93,7 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
 		s.swapPass()
 	}
 	if !opt.DisableBatch {
-		for ctx.Err() == nil && s.batchPass() {
+		for !s.expired() && s.batchPass() {
 			s.greedyMoves()
 			if !opt.DisableSwaps {
 				s.swapPass()
@@ -97,7 +101,7 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
 		}
 	}
 	if !opt.DisableLNS {
-		s.lns(ctx, deadline)
+		s.lns()
 	}
 	e := p.Evaluate(s.assign)
 	if !p.WithinBudget(e) {
@@ -122,6 +126,11 @@ type search struct {
 	mean   float64
 	alive  []int
 	capA   float64 // total capacity of alive nodes
+
+	// The solve's budget: every pass stops at a step boundary once ctx is
+	// cancelled or the deadline has passed (expired).
+	ctx      context.Context
+	deadline time.Time
 
 	donorBuf, recvBuf []int // results of donors / receivers
 	itemsA, itemsB    []int // results of itemsOn (two live at once in swapPass)
@@ -467,11 +476,17 @@ func (s *search) bestMove(topK int, below float64) (idx, to int, obj float64) {
 	return idx, to, obj
 }
 
+// expired reports whether the solve's budget is spent: ctx cancelled or the
+// deadline passed.
+func (s *search) expired() bool {
+	return s.ctx.Err() != nil || time.Now().After(s.deadline)
+}
+
 // greedyMoves repeatedly applies the single best objective-improving move
 // from a donor node to a receiver node, within budget.
 func (s *search) greedyMoves() {
 	maxIter := 4*len(s.p.Items) + 64
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < maxIter && !s.expired(); iter++ {
 		idx, to, _ := s.bestMove(8, s.objective()-objEps)
 		if idx == -1 {
 			return
@@ -484,7 +499,7 @@ func (s *search) greedyMoves() {
 // alive nodes when that improves the objective within budget.
 func (s *search) swapPass() {
 	maxIter := len(s.p.Items) + 32
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < maxIter && !s.expired(); iter++ {
 		// Most over-utilized alive node and the three least utilized.
 		var over int
 		overDev := -math.Inf(1)
@@ -578,7 +593,7 @@ func (s *search) batchPass() bool {
 			maxSteps = r + 4
 		}
 	}
-	for step := 0; step < maxSteps; step++ {
+	for step := 0; step < maxSteps && !s.expired(); step++ {
 		// Locally best move (allowed to be non-improving).
 		idx, to, stepObj := s.bestMove(6, math.Inf(1))
 		if idx == -1 {
@@ -604,8 +619,8 @@ func (s *search) batchPass() bool {
 // if the objective improves. It stops when the search has converged —
 // lnsPatience·|alive| rounds in a row kept nothing — and, failing that, at
 // the deadline or ctx cancellation.
-func (s *search) lns(ctx context.Context, deadline time.Time) {
-	if len(s.alive) < 2 {
+func (s *search) lns() {
+	if len(s.alive) < 2 || s.expired() {
 		return
 	}
 	// Items heaviest first, ties in item order: every round packs its pool in
@@ -619,7 +634,7 @@ func (s *search) lns(ctx context.Context, deadline time.Time) {
 	})
 	patience := lnsPatience * len(s.alive)
 	for round, stalled := 0, 0; stalled < patience; round++ {
-		if ctx.Err() != nil || time.Now().After(deadline) {
+		if s.expired() {
 			return
 		}
 		if s.repack(round) {

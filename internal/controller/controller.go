@@ -4,19 +4,19 @@
 // capacity calibration, the migration budget, balancer invocation through
 // core.Framework, and horizontal scaling (AddNodes / drain / terminate).
 //
-// Planning has one path: at a period boundary the snapshot goes to a planner
-// goroutine, and a completed outcome is applied at a boundary. The two modes
-// differ only in which boundary. Lockstep awaits the outcome at the boundary
-// that handed the snapshot over — the paper's loop: run a period, snapshot,
-// plan, apply, with the engine quiescent while the planner (5-60 ms MILP
-// budgets, longer at paper scale) runs. Pipelined lets period N+1's sources
-// and operators run meanwhile and applies the outcome at the following
-// boundary (the engine's staged-migration diff defers the moves' execution
-// to period N+2). A slow planner then adds no latency to the data path; if
-// planning takes longer than a period, intermediate snapshots are dropped —
-// with smoothing enabled (SmoothAlpha < 1) their loads are still folded into
-// the EWMA the next planner input carries, while at SmoothAlpha 1 the
-// planner simply plans on the latest raw snapshot.
+// Planning has one path: at every period boundary the snapshot goes to a
+// planner goroutine, and its outcome is applied at a boundary a fixed number
+// of periods later. The two modes differ only in that lag. Lockstep awaits
+// the outcome at the boundary that handed the snapshot over (lag 0) — the
+// paper's loop: run a period, snapshot, plan, apply, with the engine
+// quiescent while the planner (5-60 ms MILP budgets, longer at paper scale)
+// runs. Pipelined lets period N+1's sources and operators run meanwhile and
+// applies period N's outcome at boundary N+1 (lag 1; the engine's
+// staged-migration diff defers the moves' execution to period N+2). A planner
+// faster than a period then adds no latency to the data path; a slower one
+// holds boundary N+1 until it is done. Either way every snapshot is planned
+// on and every outcome lands at the boundary its lag names, so which period
+// gets which plan does not depend on the scheduler.
 //
 // One layer extends the loop beyond the paper, and the engine decides
 // whether it runs: an engine built with engine.Config.SubPeriods >= 2
@@ -100,7 +100,8 @@ type Options struct {
 	// 0 means the default 0.5; 1 plans on raw loads.
 	SmoothAlpha float64
 	// Pipelined overlaps planning with the next period's data flow instead
-	// of stopping the data path while the balancer runs.
+	// of stopping the data path while the balancer runs: period N's outcome
+	// applies at boundary N+1, which waits for a solve still running.
 	Pipelined bool
 
 	// CheckpointEvery, when > 0, makes the controller own the checkpoint
@@ -143,8 +144,9 @@ type PeriodReport struct {
 	LoadDistance float64
 	Collocation  float64
 	AverageLoad  float64
-	// Outcome is the adaptation outcome applied at this boundary (nil if
-	// none: planner still busy, or planning disabled).
+	// Outcome is the adaptation outcome applied at this boundary: this
+	// period's in lockstep, the previous period's when pipelined. nil when
+	// planning is disabled and at a pipelined run's first boundary.
 	Outcome *core.Outcome
 	// PlanLatency is the solver time spent producing Outcome, in both modes.
 	PlanLatency time.Duration
@@ -166,9 +168,9 @@ type Metrics struct {
 	LoadIndex    []float64 // avg load relative to the first recorded period
 	Migrations   []float64
 	CumLatencyM  []float64 // cumulative migration latency, minutes
-	// PlansApplied counts adaptation outcomes applied over the whole run
-	// (in pipelined mode this is less than the period count whenever the
-	// planner spans periods).
+	// PlansApplied counts adaptation outcomes applied over the whole run:
+	// one per period in lockstep, one fewer when pipelined (the last
+	// period's outcome would apply at a boundary the run does not reach).
 	PlansApplied int
 	// HotMoves counts the reactive sub-period migrations executed over the
 	// run (also folded into each period's Migrations series).
@@ -229,12 +231,11 @@ type run struct {
 	// terminated) once.
 	terminated map[int]bool
 
-	// Planning state: req carries at most one in-flight snapshot to the
-	// planner goroutine, res its outcome. Lockstep is never planning across
-	// a boundary.
-	req      chan *core.Snapshot
-	res      chan plannerResult
-	planning bool
+	// Planning state: req carries one snapshot per period to the planner
+	// goroutine, res its outcome. At most one is in flight, and only a
+	// pipelined run has one across a boundary.
+	req chan *core.Snapshot
+	res chan plannerResult
 
 	// Reactive state, touched only by the sub-period observer, which the
 	// engine runs on the control goroutine that also runs the
@@ -258,6 +259,7 @@ func (c *Controller) Run(ctx context.Context, periods int) (*Metrics, error) {
 		r.req = make(chan *core.Snapshot, 1)
 		r.res = make(chan plannerResult, 1)
 		go func() {
+			defer close(r.res)
 			for snap := range r.req {
 				t0 := time.Now()
 				out, err := c.fw.Step(pctx, snap)
@@ -265,10 +267,9 @@ func (c *Controller) Run(ctx context.Context, periods int) (*Metrics, error) {
 			}
 		}()
 		defer func() {
-			cancel() // the run is over; abort a solve in flight and drain it
+			cancel() // the run is over; abort a solve in flight
 			close(r.req)
-			if r.planning {
-				<-r.res
+			for range r.res { // drain its outcome until the planner has ended
 			}
 		}()
 	}
@@ -324,9 +325,9 @@ func (r *run) onSubPeriod(snap *core.Snapshot, period, sub int) []core.Move {
 }
 
 // observe is the period-boundary hook: it calibrates once after the first
-// period, snapshots, records metrics, applies an outcome the planner
-// goroutine completed meanwhile, smooths planner inputs and hands the
-// snapshot to the planner — awaiting its outcome right here in lockstep.
+// period, snapshots, records metrics, applies the previous boundary's
+// outcome when pipelined, smooths planner inputs and hands the snapshot to
+// the planner — awaiting its outcome right here in lockstep.
 func (r *run) observe(ps *engine.PeriodStats) error {
 	c := r.c
 	p := r.p
@@ -381,40 +382,30 @@ func (r *run) observe(ps *engine.PeriodStats) error {
 		r.m.CumLatencyM = append(r.m.CumLatencyM, r.cumLat/60)
 	}
 
-	// Apply a completed asynchronous outcome only after the snapshot above,
-	// so the recorded metrics describe the allocation the period actually
-	// ran under; the snapshot handed to the planner is then patched to the
-	// staged target so the planner never re-proposes the same moves.
-	if r.planning {
-		select {
-		case pr := <-r.res:
+	if c.fw != nil {
+		if c.opt.Pipelined && p > 0 {
+			// The previous boundary's outcome, awaited here. It is applied only
+			// after the snapshot above, so the recorded metrics describe the
+			// allocation the period actually ran under; the snapshot handed to
+			// the planner is then patched to the staged target so the planner
+			// never re-proposes the same moves.
+			pr := <-r.res
 			if err := r.applyOutcome(pr, &rep); err != nil {
 				return err
 			}
 			if err := patchSnapshot(snap, pr.out); err != nil {
 				return err
 			}
-		default:
-			// Planner still busy on an older snapshot: this period's
-			// snapshot is dropped (its loads survive in the EWMA).
 		}
-	}
-
-	if c.fw != nil {
-		snap.Period = r.p
 		snap.MaxMigrations = c.opt.MaxMigrations
 		snap.MaxMigrCost = c.opt.MaxMigrCost
 		snap.Alpha = c.opt.Alpha
 		r.smoothLoads(snap)
-		if !r.planning {
-			// Hand the freshest snapshot to the planner; pipelined, it plans
-			// while the next period's data flows.
-			r.req <- snap
-			r.planning = true
-		}
+		r.req <- snap
 		if !c.opt.Pipelined {
-			// Lockstep is the same hand-off awaited at the boundary that made
-			// it. Nothing plans on this snapshot again, so it needs no patch.
+			// Lockstep awaits the outcome at the boundary that handed the
+			// snapshot over. Nothing plans on this snapshot again, so it needs
+			// no patch.
 			if err := r.applyOutcome(<-r.res, &rep); err != nil {
 				return err
 			}
@@ -472,8 +463,10 @@ func patchSnapshot(snap *core.Snapshot, out *core.Outcome) error {
 // the plan's node indices resolve, mark nodes for draining, and stage the
 // allocation plan for the next period boundary.
 func (r *run) applyOutcome(pr plannerResult, rep *PeriodReport) error {
-	r.planning = false
 	if pr.err != nil {
+		if err := r.ctx.Err(); err != nil {
+			return err // the run ended while this boundary awaited its plan
+		}
 		return fmt.Errorf("controller: period %d plan: %w", rep.Period, pr.err)
 	}
 	out := pr.out

@@ -2,7 +2,6 @@ package controller
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -194,8 +193,9 @@ func TestLockstepMatchesManualLoop(t *testing.T) {
 // announces every Plan it is asked for and holds it until the test lets it go.
 type gatedBalancer struct {
 	inner   core.Balancer
-	entered chan struct{} // a token per Plan entered (dropped when nobody listens)
-	release chan struct{} // a token lets one held Plan return; closed, the gate is open
+	entered chan struct{}             // a token per Plan entered (dropped when nobody listens)
+	release chan struct{}             // a token lets one held Plan return; closed, the gate is open
+	last    atomic.Pointer[core.Plan] // what the last released Plan returned
 }
 
 func newGatedBalancer() *gatedBalancer {
@@ -218,42 +218,56 @@ func (g *gatedBalancer) Plan(ctx context.Context, snap *core.Snapshot) (*core.Pl
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	return g.inner.Plan(ctx, snap)
+	plan, err := g.inner.Plan(ctx, snap)
+	g.last.Store(plan)
+	return plan, err
+}
+
+// slowPlanEngine lets the gated balancer's held plan go only when the next
+// boundary takes its snapshot: every plan outlasts a whole period of data.
+type slowPlanEngine struct {
+	*engine.Engine
+	bal *gatedBalancer
+	// held says the previous boundary handed a snapshot over. The test sets
+	// it, so a controller that skips a hand-off fails its checks instead of
+	// waiting here for a plan nobody asked for.
+	held bool
+}
+
+func (e *slowPlanEngine) Snapshot() (*core.Snapshot, error) {
+	if e.held {
+		e.bal.release <- struct{}{}
+	}
+	return e.Engine.Snapshot()
 }
 
 // TestPipelinedPlanningOverlapsDataPath is the tentpole regression test,
-// stated without a clock: while a Plan is held, a pipelined controller keeps
-// delivering period boundaries — the planner's latency is not added to the
-// data path — and applies no plan; a lockstep controller delivers the
-// boundary that asked for the plan only once the plan is released.
+// stated without a clock. Lockstep delivers the boundary that asked for a
+// plan only once the plan is released. Pipelined hands off at a fixed lag of
+// one: period k's plan is held until period k+1 has run in full, boundary
+// k+1 waits for it and carries exactly that outcome, and every boundary
+// after the first carries one.
 func TestPipelinedPlanningOverlapsDataPath(t *testing.T) {
-	start := func(t *testing.T, pipelined bool, periods int, onPeriod func(PeriodReport)) (*gatedBalancer, context.CancelFunc, <-chan *Metrics) {
+	newEngine := func(t *testing.T) *engine.Engine {
 		topo := testTopology(2000, 8, nil)
 		e, err := engine.New(topo, engine.Config{Nodes: 2}, skewedInitial(topo))
 		if err != nil {
 			t.Fatal(err)
 		}
-		bal := newGatedBalancer()
-		ctrl := New(e, Options{Balancer: bal, MaxMigrations: 2, Pipelined: pipelined, OnPeriod: onPeriod})
-		ctx, cancel := context.WithCancel(context.Background())
-		done, finished := make(chan *Metrics, 1), make(chan struct{})
-		go func() {
-			defer close(finished)
-			defer e.Close()
-			m, err := ctrl.Run(ctx, periods)
-			if err != nil && !errors.Is(err, context.Canceled) {
-				t.Error(err)
-			}
-			done <- m
-		}()
-		t.Cleanup(func() { cancel(); <-finished }) // a held plan ends with its context
-		return bal, cancel, done
+		t.Cleanup(func() { e.Close() })
+		return e
 	}
 
 	t.Run("lockstep", func(t *testing.T) {
 		const periods = 4
 		var delivered atomic.Int64
-		bal, _, done := start(t, false, periods, func(PeriodReport) { delivered.Add(1) })
+		bal := newGatedBalancer()
+		ctrl := New(newEngine(t), Options{Balancer: bal, MaxMigrations: 2, OnPeriod: func(PeriodReport) { delivered.Add(1) }})
+		ctx, cancel := context.WithCancel(context.Background())
+		finished := make(chan struct{})
+		var err error
+		go func() { defer close(finished); _, err = ctrl.Run(ctx, periods) }()
+		defer func() { cancel(); <-finished }() // a held plan ends with its context
 		for k := int64(1); k <= periods; k++ {
 			<-bal.entered // period k ended and its plan is held
 			if got := delivered.Load(); got != k-1 {
@@ -261,52 +275,64 @@ func TestPipelinedPlanningOverlapsDataPath(t *testing.T) {
 			}
 			bal.release <- struct{}{}
 		}
-		if <-done; delivered.Load() != periods {
+		if <-finished; err != nil {
+			t.Fatal(err)
+		}
+		if delivered.Load() != periods {
 			t.Fatalf("%d boundaries delivered over %d periods", delivered.Load(), periods)
 		}
 	})
 
 	t.Run("pipelined", func(t *testing.T) {
-		// Room for the boundaries that pass while the test goroutine is between
-		// two receives; the send below drops rather than blocks the run.
-		reports := make(chan PeriodReport, 1024)
-		bal, cancel, done := start(t, true, 0, func(r PeriodReport) {
-			select {
-			case reports <- r:
-			default: // the test stopped listening; the run is being cancelled
+		const periods = 6
+		bal := newGatedBalancer()
+		e := &slowPlanEngine{Engine: newEngine(t), bal: bal}
+		ctrl := New(e, Options{Balancer: bal, MaxMigrations: 2, Pipelined: true, OnPeriod: func(r PeriodReport) {
+			e.held = r.Period == 1 || r.Outcome != nil // a boundary that applied no outcome handed nothing over
+			switch {
+			case r.Period == 1 && r.Outcome != nil:
+				t.Errorf("boundary 1 applied an outcome; the first is due at boundary 2")
+			case r.Period > 1 && r.Outcome == nil:
+				t.Errorf("boundary %d applied no outcome while period %d's plan was in flight", r.Period, r.Period-1)
+			case r.Period > 1 && r.Outcome.Plan != bal.last.Load():
+				t.Errorf("boundary %d applied a plan other than period %d's", r.Period, r.Period-1)
 			}
-		})
-		<-bal.entered // a plan is held from here on
-	drain:
-		for {
-			select {
-			case <-reports: // delivered before the plan was entered
-			default:
-				break drain
-			}
+		}})
+		m, err := ctrl.Run(context.Background(), periods)
+		if err != nil {
+			t.Fatal(err)
 		}
-		held := 0
-		for held < 5 {
-			if r := <-reports; r.Outcome != nil {
-				t.Fatalf("period %d applied an outcome while the only plan asked for is held", r.Period)
-			}
-			held++
-		}
-		close(bal.release)
-		for r := range reports {
-			if r.Outcome != nil {
-				break // the released plan came back and was applied
-			}
-		}
-		cancel()
-		m := <-done
-		if m.PlansApplied < 1 {
-			t.Fatal("pipelined run applied no plans")
-		}
-		if ran := len(m.LoadDistance); m.PlansApplied > ran-held {
-			t.Fatalf("pipelined run applied %d plans over %d periods of which %d passed under one held plan", m.PlansApplied, ran, held)
+		if m.PlansApplied != periods-1 {
+			t.Fatalf("%d plans applied over %d periods, want %d: one per boundary after the first", m.PlansApplied, periods, periods-1)
 		}
 	})
+}
+
+// TestCancelWhileAwaitingPlan: a run cancelled while a boundary awaits its
+// plan returns ctx.Err() itself, as it does between periods, in both modes.
+func TestCancelWhileAwaitingPlan(t *testing.T) {
+	for _, mode := range []struct {
+		name      string
+		pipelined bool
+	}{{"lockstep", false}, {"pipelined", true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			topo := testTopology(400, 8, nil)
+			e, err := engine.New(topo, engine.Config{Nodes: 2}, skewedInitial(topo))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			bal := newGatedBalancer()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			// The first plan is never released: lockstep awaits it at boundary
+			// 1, pipelined at boundary 2.
+			go func() { <-bal.entered; cancel() }()
+			if _, err := New(e, Options{Balancer: bal, Pipelined: mode.pipelined}).Run(ctx, 0); err != context.Canceled {
+				t.Fatalf("Run = %v, want context.Canceled", err)
+			}
+		})
+	}
 }
 
 // TestElasticityThroughController exercises scale-out and scale-in
@@ -317,15 +343,7 @@ func TestElasticityThroughController(t *testing.T) {
 	for _, mode := range []struct {
 		name      string
 		pipelined bool
-		periods   int
-	}{
-		{"lockstep", false, 16},
-		// Pipelined, the planner overlaps the data path and snapshots taken
-		// while it is busy are dropped, so how many periods the scripted
-		// scenario takes is up to the scheduler: run until it has played out
-		// (0 = until cancelled, bounded below) instead of guessing a count.
-		{"pipelined", true, 0},
-	} {
+	}{{"lockstep", false}, {"pipelined", true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			const perPeriod = 400
 			col := &counter{}
@@ -352,22 +370,16 @@ func TestElasticityThroughController(t *testing.T) {
 			terminated := map[int]bool{}
 			var marked bool
 			prevOnKilled := map[int]bool{}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			periods := 0
+			const periods = 16
 			ctrl := New(e, Options{
 				Balancer:      &core.MILPBalancer{TimeLimit: 5 * time.Millisecond, Seed: 2},
 				Scaler:        &core.ManualScaler{Script: script},
 				MaxMigrations: 6,
 				Pipelined:     mode.pipelined,
 				OnPeriod: func(r PeriodReport) {
-					periods++
 					added = append(added, r.Added...)
 					for _, id := range r.Terminated {
 						terminated[id] = true
-					}
-					if mode.periods == 0 && (terminated[3] && terminated[4] || periods == 5000) {
-						cancel()
 					}
 					if r.Outcome != nil && len(r.Outcome.Scale.MarkForRemoval) > 0 {
 						marked = true
@@ -390,7 +402,7 @@ func TestElasticityThroughController(t *testing.T) {
 					prevOnKilled = now
 				},
 			})
-			if _, err := ctrl.Run(ctx, mode.periods); err != nil && (mode.periods > 0 || err != context.Canceled) {
+			if _, err := ctrl.Run(context.Background(), periods); err != nil {
 				t.Fatal(err)
 			}
 

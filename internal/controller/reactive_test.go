@@ -212,11 +212,11 @@ func (b *stubbornBalancer) counts() (cancelled, completed int) {
 // TestRunEndAbortsInFlightSolve: a pipelined solve still running when the
 // last period ends is aborted through the run's context — Run returns far
 // below the balancer's nominal solve time, the one solve handed over is
-// cancelled, and its plan is never applied (the later snapshots were dropped
-// while it ran).
+// cancelled, and its plan is never applied (it was due at a boundary the run
+// does not reach). One period: every later boundary would wait for the solve.
 func TestRunEndAbortsInFlightSolve(t *testing.T) {
 	const (
-		periods = 4
+		periods = 1
 		delay   = 30 * time.Second // nominal solve time; the test must not wait for it
 	)
 	topo := testTopology(800, 8, nil)

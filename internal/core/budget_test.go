@@ -7,50 +7,21 @@ import (
 	"time"
 )
 
-// TestManualScalerIndexedByPeriod: the script is played by period, with
-// catch-up, so a planner that is invoked less often than once per period (a
-// pipelined controller dropping snapshots) loses no scripted decision and
-// keeps their order; invoked every period it returns exactly Script[period-1].
+// TestManualScalerIndexedByPeriod: the controller plans once per period in
+// either mode, so the script is played one entry per call — the call for
+// period p returns Script[p-1] — and decides nothing past its end.
 func TestManualScalerIndexedByPeriod(t *testing.T) {
-	add := ScaleDecision{AddNodes: 2}
-	mark := ScaleDecision{MarkForRemoval: []int{3, 4}}
-	script := func() []ScaleDecision {
-		s := make([]ScaleDecision, 8)
-		s[2], s[5] = add, mark
-		return s
-	}
-	decide := func(m *ManualScaler, period int) ScaleDecision {
-		return m.Decide(&Snapshot{Period: period}, nil)
-	}
-
-	lockstep := &ManualScaler{Script: script()}
+	script := make([]ScaleDecision, 8)
+	script[2] = ScaleDecision{AddNodes: 2}
+	script[5] = ScaleDecision{MarkForRemoval: []int{3, 4}}
+	m := &ManualScaler{Script: script}
 	for period := 1; period <= 10; period++ {
 		want := ScaleDecision{}
-		if period <= 8 {
-			want = script()[period-1]
+		if period <= len(script) {
+			want = script[period-1]
 		}
-		if got := decide(lockstep, period); !reflect.DeepEqual(got, want) {
-			t.Fatalf("lockstep period %d: got %+v, want %+v", period, got, want)
-		}
-	}
-
-	// Invoked at periods 1, 7, 8, 20: the add that was due at 3 comes out at
-	// 7, the mark that was due at 6 right after it, then nothing.
-	skipping := &ManualScaler{Script: script()}
-	for _, c := range []struct {
-		period int
-		want   ScaleDecision
-	}{{1, ScaleDecision{}}, {7, add}, {8, mark}, {20, ScaleDecision{}}} {
-		if got := decide(skipping, c.period); !reflect.DeepEqual(got, c.want) {
-			t.Fatalf("skipping period %d: got %+v, want %+v", c.period, got, c.want)
-		}
-	}
-
-	// Snapshots that carry no period count one period per call.
-	counting := &ManualScaler{Script: script()}
-	for call := 1; call <= 8; call++ {
-		if got := decide(counting, 0); !reflect.DeepEqual(got, script()[call-1]) {
-			t.Fatalf("call %d without a period: got %+v, want %+v", call, got, script()[call-1])
+		if got := m.Decide(&Snapshot{}, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("period %d: got %+v, want %+v", period, got, want)
 		}
 	}
 }

@@ -130,34 +130,20 @@ func (u *UtilizationScaler) Decide(s *Snapshot, plan *Plan) ScaleDecision {
 	}
 }
 
-// ManualScaler replays a scripted sequence of decisions: Script[i] is the
-// decision for adaptation period i+1 (used by the Figure 5 experiment, which
-// marks ten nodes for removal at a fixed period). The script is indexed by
-// the period the snapshot carries, not by invocation, so a pipelined
-// controller that skips snapshots while its planner is busy skips no
-// decision: each call returns the earliest non-empty entry that is due and
-// has not been returned yet. Called once per period (lockstep) that is
-// exactly one entry per call, in order. Snapshots without a period (0) count
-// one period per call.
+// ManualScaler replays a scripted sequence of decisions: its i-th call
+// returns Script[i-1], and past the script's end it decides nothing. The
+// controller plans exactly once per period in either mode, so Script[i] is
+// the decision on period i+1's snapshot.
 type ManualScaler struct {
 	Script []ScaleDecision
-	next   int // first script entry not yet returned or passed over as empty
 	calls  int
 }
 
 // Decide implements Scaler.
 func (m *ManualScaler) Decide(s *Snapshot, plan *Plan) ScaleDecision {
 	m.calls++
-	elapsed := s.Period
-	if elapsed <= 0 {
-		elapsed = m.calls
+	if m.calls > len(m.Script) {
+		return ScaleDecision{}
 	}
-	for m.next < len(m.Script) && m.next < elapsed {
-		d := m.Script[m.next]
-		m.next++
-		if !d.IsZero() {
-			return d
-		}
-	}
-	return ScaleDecision{}
+	return m.Script[m.calls-1]
 }

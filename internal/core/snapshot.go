@@ -51,12 +51,6 @@ type OpStat struct {
 
 // Snapshot is the controller's view of the system over the last SPL.
 type Snapshot struct {
-	// Period is the number of adaptation periods that had elapsed when the
-	// snapshot was taken, counted from 1 by whoever drives the loop (the
-	// controller sets it). 0 means the producer does not count periods;
-	// period-scripted consumers (ManualScaler) then count invocations.
-	Period int
-
 	NumNodes int
 	// Capacity holds per-node capacity weights; nil means homogeneous.
 	Capacity []float64

@@ -123,13 +123,14 @@ type (
 // point for running a job under the integrative adaptation loop. The
 // controller owns snapshotting, EWMA smoothing, calibration, the migration
 // budget, planning and elasticity; in pipelined mode the planner overlaps
-// the next period's data flow instead of stopping the data path. An engine
-// built with EngineConfig.SubPeriods >= 2 switches reactive mode on: it
-// reports mid-period statistics at sub-interval boundaries, the controller's
-// fixed trigger policy detects transient skew, and restricted hot moves (at
-// most two key groups per firing) apply without waiting for the period
-// barrier — as staged moves at a segment boundary inside the period, by the
-// one migration protocol.
+// the next period's data flow instead of stopping the data path, and period
+// N's outcome applies at boundary N+1, which waits for a solve still
+// running. An engine built with EngineConfig.SubPeriods >= 2 switches
+// reactive mode on: it reports mid-period statistics at sub-interval
+// boundaries, the controller's fixed trigger policy detects transient skew,
+// and restricted hot moves (at most two key groups per firing) apply without
+// waiting for the period barrier — as staged moves at a segment boundary
+// inside the period, by the one migration protocol.
 type (
 	// Controller drives one engine through the adaptation loop.
 	Controller = controller.Controller
