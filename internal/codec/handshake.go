@@ -29,8 +29,11 @@ const (
 	// messages lost the fold (its directive flag, summary length and blob).
 	// v4: a state transfer carries its checkpoint base, and the pre-copy
 	// frame is gone. v5: the progress poll request is gone; a sub-period
-	// reply is always a dense per-group reading.
-	WireVersion = 5
+	// reply is always a dense per-group reading. v6: the source shard decides
+	// how a move ships (a migrate-out says only whether it must go whole), a
+	// migration event carries the size of the tip it shipped instead of its
+	// group, and a checkpoint summary entry lost its node and tip size.
+	WireVersion = 6
 
 	// handshake hardening bounds: no legitimate message approaches these.
 	maxHandshakeAddr  = 1 << 10

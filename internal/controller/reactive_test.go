@@ -173,71 +173,52 @@ func TestReactiveMovesHotGroupWithinSubPeriod(t *testing.T) {
 }
 
 // stubbornBalancer models a paper-scale solver (tens of seconds of CPLEX
-// time): Plan blocks until its context is cancelled, or — if left alone for
-// `delay` — returns a poison plan that stacks every group on node 0. The
-// cancellation machinery must abort it promptly and never apply the poison.
+// time) that never finishes on its own: Plan blocks until its context is
+// cancelled. The cancellation machinery must abort it; a solve it fails to
+// abort hangs the test.
 type stubbornBalancer struct {
-	delay time.Duration
-
 	mu        sync.Mutex
 	cancelled int
-	completed int
 }
 
 func (b *stubbornBalancer) Name() string { return "stubborn" }
 
 func (b *stubbornBalancer) Plan(ctx context.Context, s *core.Snapshot) (*core.Plan, error) {
-	timer := time.NewTimer(b.delay)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		b.mu.Lock()
-		b.cancelled++
-		b.mu.Unlock()
-		return nil, ctx.Err()
-	case <-timer.C:
-		b.mu.Lock()
-		b.completed++
-		b.mu.Unlock()
-		return core.PlanFromAssignment(s, make([]int, len(s.Groups)), nil), nil
-	}
+	<-ctx.Done()
+	b.mu.Lock()
+	b.cancelled++
+	b.mu.Unlock()
+	return nil, ctx.Err()
 }
 
-func (b *stubbornBalancer) counts() (cancelled, completed int) {
+func (b *stubbornBalancer) cancellations() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.cancelled, b.completed
+	return b.cancelled
 }
 
 // TestRunEndAbortsInFlightSolve: a pipelined solve still running when the
-// last period ends is aborted through the run's context — Run returns far
-// below the balancer's nominal solve time, the one solve handed over is
-// cancelled, and its plan is never applied (it was due at a boundary the run
-// does not reach). One period: every later boundary would wait for the solve.
+// last period ends is aborted through the run's context — the one solve
+// handed over is cancelled, and no plan is applied (it was due at a boundary
+// the run does not reach). One period: every later boundary would wait for
+// the solve. The balancer never returns on its own, so a run that does not
+// cancel it never ends: no clock decides the test.
 func TestRunEndAbortsInFlightSolve(t *testing.T) {
-	const (
-		periods = 1
-		delay   = 30 * time.Second // nominal solve time; the test must not wait for it
-	)
+	const periods = 1
 	topo := testTopology(800, 8, nil)
 	e, err := engine.New(topo, engine.Config{Nodes: 2}, skewedInitial(topo))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	bal := &stubbornBalancer{delay: delay}
+	bal := &stubbornBalancer{}
 	ctrl := New(e, Options{Balancer: bal, Pipelined: true})
-	t0 := time.Now()
 	m, err := ctrl.Run(context.Background(), periods)
-	elapsed := time.Since(t0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed >= delay/2 {
-		t.Fatalf("run took %v; the solve in flight was not aborted at run end (balancer nominally needs %v)", elapsed, delay)
-	}
-	if cancelled, completed := bal.counts(); cancelled != 1 || completed != 0 {
-		t.Fatalf("%d solves cancelled and %d completed, want 1 and 0", cancelled, completed)
+	if cancelled := bal.cancellations(); cancelled != 1 {
+		t.Fatalf("%d solves cancelled, want 1", cancelled)
 	}
 	if m.PlansApplied != 0 {
 		t.Fatalf("%d plans applied, want 0", m.PlansApplied)

@@ -107,8 +107,9 @@ type rxDecoder struct {
 // it yields the key group, the decoded tuple and the record's wire length. The
 // tuple is rx's reusable record, and its key and string values alias the
 // frame: valid until fn returns — fn must Clone what it keeps. Records decode
-// allocation-free.
-func decodeBatch(encoded []byte, rx *rxDecoder, fn func(kg int, t *Tuple, wire int)) error {
+// allocation-free. A record of a key group at or past kgs, which the frame's
+// operator does not have, fails the frame: the frame may have crossed a wire.
+func decodeBatch(encoded []byte, rx *rxDecoder, kgs int, fn func(kg int, t *Tuple, wire int)) error {
 	_, payload, err := codec.FrameVersion(encoded)
 	if err != nil {
 		return fmt.Errorf("engine: data frame: %w", err)
@@ -118,6 +119,9 @@ func decodeBatch(encoded []byte, rx *rxDecoder, fn func(kg int, t *Tuple, wire i
 		kg, rest, err := codec.ReadUvarint(item)
 		if err != nil {
 			return fmt.Errorf("engine: batch record kg: %w", err)
+		}
+		if kg >= uint64(kgs) {
+			return fmt.Errorf("engine: batch record for key group %d of the operator's %d", kg, kgs)
 		}
 		if err := rx.rec.decodeV2(rest, &rx.dict); err != nil {
 			return err

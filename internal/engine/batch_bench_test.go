@@ -7,12 +7,15 @@ import (
 	"repro/internal/codec"
 )
 
+// benchKGs is how many key groups the records of benchFrame spread over.
+const benchKGs = 32
+
 // benchFrame stages n realistic records (the Wikipedia job's geohash→topk
 // edge shape) into one v2 outbox frame and returns it.
 func benchFrame(n int) []byte {
 	var ob outbox
 	for i := 0; i < n; i++ {
-		ob.stage(i%32, (&Tuple{Key: fmt.Sprintf("article-%06d", i%997), TS: int64(i)}).
+		ob.stage(i%benchKGs, (&Tuple{Key: fmt.Sprintf("article-%06d", i%997), TS: int64(i)}).
 			WithStr("editor", fmt.Sprintf("editor-%04d", i%53)).
 			WithStr("geo", fmt.Sprintf("dk-%02d", i%17)).
 			WithNum("bytes", float64(100+i)))
@@ -28,13 +31,13 @@ func BenchmarkReceivePathV2(b *testing.B) {
 	frame := benchFrame(256)
 	var rx rxDecoder
 	// Warm the field-name cache so the measurement is steady state.
-	_ = decodeBatch(frame, &rx, func(int, *Tuple, int) {})
+	_ = decodeBatch(frame, &rx, benchKGs, func(int, *Tuple, int) {})
 	b.ReportAllocs()
 	b.ResetTimer()
 	sum := 0.0
 	for i := 0; i < b.N; i++ {
 		n := 0
-		err := decodeBatch(frame, &rx, func(kg int, v *Tuple, wire int) {
+		err := decodeBatch(frame, &rx, benchKGs, func(kg int, v *Tuple, wire int) {
 			if v.Key != "" && v.Str("geo") != "" {
 				n++
 			}
@@ -90,7 +93,7 @@ func BenchmarkHop(b *testing.B) {
 	)
 	rx.rec.home = &tp
 	hop := func() {
-		err := decodeBatch(frame, &rx, func(kg int, v *Tuple, wire int) {
+		err := decodeBatch(frame, &rx, benchKGs, func(kg int, v *Tuple, wire int) {
 			st.Add("edits", 1)
 			out := v.NewTuple(v.Str("geo"), v.TS).
 				WithStr("article", v.Key).

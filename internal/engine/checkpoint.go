@@ -27,14 +27,16 @@ import (
 // the store when it joins the write (joinCheckpoint), which is where the
 // store is read and nowhere else: TakeCheckpoint, Recover, CheckpointStore,
 // RestoreCheckpointStore and Close. Nothing on the data path reads the store —
-// a delta move ships the source's tip (see transfer.go) — so nothing there
+// a delta move ships the source's tip (shard.onMigrateOut) — so nothing there
 // waits for a write.
 //
-// The same checkpoint backs checkpoint-assisted migration (see transfer.go):
-// because it is the shared base, moving a checkpointed key group ships the
-// checkpoint the source's tip holds and, as the synchronous part, only the
-// delta the source cuts against it — fault tolerance and reconfiguration
-// integrate through one mechanism instead of two disjoint subsystems.
+// The same checkpoint backs checkpoint-assisted migration: because it is the
+// shared base, moving a checkpointed key group ships the checkpoint the
+// source's tip holds and, as the synchronous part, only the delta the source
+// cuts against it — fault tolerance and reconfiguration integrate through one
+// mechanism instead of two disjoint subsystems. The shard that holds the tip
+// decides alone which way a group travels; the controller keeps no record of
+// where tips are.
 //
 // Recovery is at-most-once with respect to the tuples processed after the
 // checkpoint (the sources here are synthetic and cannot be replayed); what
@@ -175,17 +177,15 @@ type ckptTally struct {
 // admitCkptEntry checks one entry of a cut — a worker's crossed a wire: a
 // known group, named once, that the store can take the step for — and tallies
 // it: NewBytes counts the cut's size, the store's growth what recording the
-// payload will add. The controller's
-// record of the group's tip is set here, at the cut: where it lives, its
-// version and its size.
+// payload will add.
 func (e *Engine) admitCkptEntry(en ckptEntryWire, t *ckptTally) error {
 	if t.seen == nil {
 		t.seen = make([]bool, e.topo.NumGroups())
 	}
 	tracked := en.gid < len(t.seen) && e.ckpt.Has(en.gid)
 	switch {
-	case en.gid >= len(t.seen) || en.node >= len(e.nodes):
-		return fmt.Errorf("engine: checkpoint entry for unknown group %d on node %d", en.gid, en.node)
+	case en.gid >= len(t.seen):
+		return fmt.Errorf("engine: checkpoint entry for unknown group %d", en.gid)
 	case t.seen[en.gid]:
 		return fmt.Errorf("engine: duplicate checkpoint entry for group %d", en.gid)
 	case !tracked && en.step != statestore.StepBase:
@@ -202,7 +202,6 @@ func (e *Engine) admitCkptEntry(en ckptEntryWire, t *ckptTally) error {
 	case statestore.StepDelta:
 		t.grow += en.size
 	}
-	e.setTip(en.gid, en.node, e.period, en.tipSize)
 	t.fresh = append(t.fresh, en.gid)
 	return nil
 }
@@ -297,14 +296,6 @@ func (e *Engine) FailNode(id int) error {
 		return err
 	}
 	e.askHost(id, rqFail)
-	// Any checkpoint tip resident on the failed node is lost with it.
-	if e.tipNode != nil {
-		for gid, n := range e.tipNode {
-			if n == id {
-				e.tipNode[gid] = -1
-			}
-		}
-	}
 	return nil
 }
 
@@ -318,6 +309,10 @@ func (e *Engine) FailNode(id int) error {
 //     (least-loaded round-robin over `onto`, or all alive nodes when onto
 //     is nil) from its last checkpoint, or empty if it was never
 //     checkpointed.
+//
+// Every restored group is installed by its new shard (recoverMsg), wherever
+// it runs; Recover returns once this process's shards have installed theirs,
+// and a worker installs its own before anything it is asked next.
 //
 // Returns the number of groups restored from checkpoint (or empty).
 func (e *Engine) Recover(onto []int) (int, error) {
@@ -360,33 +355,21 @@ func (e *Engine) Recover(onto []int) (int, error) {
 				enc, tipVer = b, ver
 			}
 		}
-		if e.hostsNode(dest) {
-			st := NewState()
-			sh := e.shardFor(dest, gid)
-			delete(sh.tips, gid)
-			if tipVer >= 0 {
-				st, _, _ = e.ckpt.Materialize(gid)
-				sh.tips[gid] = statestore.NewTip(tipVer, st.Clone(), enc)
-			}
-			sh.states[gid] = st
-		} else {
-			op, kg := e.topo.OpOf(gid)
-			e.deliver(e.gsidFor(dest, gid), recoverMsg{op: op, kg: kg, encoded: enc, tipVer: tipVer})
-		}
+		op, kg := e.topo.OpOf(gid)
+		e.deliver(e.gsidFor(dest, gid), recoverMsg{op: op, kg: kg, encoded: enc, tipVer: tipVer})
 		// The restored state is the checkpoint tip (when one existed) and it
 		// now lives on dest: its delta against the tip is empty, whatever the
 		// last barrier read where the group lived then. The tip is a new one,
 		// so no cut takes that reading either (statestore.Tip.Measure).
+		delta := -1
 		if tipVer >= 0 {
-			e.setTip(gid, dest, tipVer, len(enc))
-			e.setCkptDelta(emptyDeltaBytes, gid)
-		} else if e.tipNode != nil {
-			e.tipNode[gid] = -1
-			e.setCkptDelta(-1, gid)
+			delta = emptyDeltaBytes
 		}
+		e.setCkptDelta(delta, gid)
 		e.groupNode[gid] = dest
 		e.baseAlloc[gid] = dest
 		recovered++
 	}
+	e.pingLocalShards()
 	return recovered, nil
 }

@@ -334,11 +334,11 @@ func TestAbsorbRejectsCorruptCheckpointEntries(t *testing.T) {
 	good := statestore.NewState()
 	good.Add("total", 99)
 	entries := []ckptEntryWire{
-		{node: 0, gid: tracked, step: statestore.StepBase, payload: good.Encode(nil)},
-		{node: 0, gid: tracked, step: statestore.StepBase, payload: good.Encode(nil)}, // named twice
-		{node: 0, gid: 5, step: statestore.StepBase, payload: []byte{0xff, 0xff}},     // undecodable state
-		{node: 0, gid: 4, step: statestore.StepDelta, payload: []byte{0x01}},          // undecodable delta
-		{node: 0, gid: 6, step: statestore.StepBase, payload: good.Encode(nil)},       // not in the topology
+		{gid: tracked, step: statestore.StepBase, payload: good.Encode(nil)},
+		{gid: tracked, step: statestore.StepBase, payload: good.Encode(nil)}, // named twice
+		{gid: 5, step: statestore.StepBase, payload: []byte{0xff, 0xff}},     // undecodable state
+		{gid: 4, step: statestore.StepDelta, payload: []byte{0x01}},          // undecodable delta
+		{gid: 6, step: statestore.StepBase, payload: good.Encode(nil)},       // not in the topology
 	}
 	var tally ckptTally
 	var d statestore.Delta

@@ -130,11 +130,11 @@ func FuzzControlFrame(f *testing.F) {
 	f.Add(owned(encodeMsgFrame(3, barrierMsg{op: 1, period: 2})))
 	f.Add(owned(encodeMsgFrame(3, barrierMsg{op: 1, period: 2, more: true}))) // closes a segment, not the period
 	f.Add(owned(encodeMsgFrame(3, stateMsg{op: 1, kg: 2, encoded: []byte("st"), delta: true, baseVer: 4})))
-	f.Add(owned(encodeMsgFrame(3, migrateOutMsg{op: 1, kg: 2, dest: 0, deltaBase: -1})))
+	f.Add(owned(encodeMsgFrame(3, migrateOutMsg{op: 1, kg: 2, dest: 0})))
 	f.Add(owned(encodeMsgFrame(3, recoverMsg{op: 1, kg: 2, encoded: []byte("enc"), tipVer: 7})))
 	f.Add(owned(encode(frArm, &armFrame{period: 3, numNodes: 2, alloc: []int{0, 1, 0}, barrierNeed: []int{2, 2}, awaitIn: []int{1}})))
 	f.Add(owned(encode(frArm, &armFrame{period: 3, resume: true, numNodes: 2, alloc: []int{0, 0, 0}, barrierNeed: []int{2, 2}, awaitIn: []int{1}}))) // the next segment of a running period
-	f.Add(owned(encode(frEvent, &engEvent{kind: evMigrated, node: 1, op: 2, bytes: 3, delta: true, gid: 4})))
+	f.Add(owned(encode(frEvent, &engEvent{kind: evMigrated, node: 1, op: 2, bytes: 3, delta: true, base: 4})))
 	f.Add(owned(encode(frReq, &reqFrame{id: 7, kind: rqStats})))
 	f.Add(owned(encode(frReq, &reqFrame{id: 8, kind: rqProvision, provIDs: []int{3}, provOwner: []int{1}, provW: []float64{1.5}})))
 	f.Add(owned(encode(frReply, &replyFrame{id: 7, body: &okReply{}})))
@@ -161,9 +161,9 @@ func FuzzControlFrame(f *testing.F) {
 	f.Add(owned(encode(frReq, &reqFrame{id: 9, kind: rqCkpt, version: 4, dirs: []ckptDirective{{gid: 5, bound: 3}, {gid: 1, bound: 3}}}))) // out of order
 	f.Add(owned(encode(frReq, &reqFrame{id: 10, kind: rqCkptWrite})))
 	entries := []ckptEntryWire{
-		{node: 1, gid: 2, step: statestore.StepBase, cut: 5, size: 5, tipSize: 5, payload: []byte("state")},
-		{node: 1, gid: 4, step: statestore.StepDelta, cut: 3, size: 3, tipSize: 9, payload: []byte("dlt")},
-		{node: 2, gid: 7, step: statestore.StepNone, tipSize: 9},
+		{gid: 2, step: statestore.StepBase, cut: 5, size: 5, payload: []byte("state")},
+		{gid: 4, step: statestore.StepDelta, cut: 3, size: 3, payload: []byte("dlt")},
+		{gid: 7, step: statestore.StepNone},
 	}
 	ckpt := owned(encode(frReply, &replyFrame{id: 9, body: &ckptForm{entries}}))
 	f.Add(ckpt)

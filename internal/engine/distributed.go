@@ -205,19 +205,6 @@ func (e *Engine) emit(ev engEvent) {
 	e.events <- ev
 }
 
-// setTip records that node's shard holds gid's checkpoint tip, at version
-// and of size bytes encoded.
-func (e *Engine) setTip(gid, node, version, size int) {
-	if e.tipNode == nil {
-		ng := e.topo.NumGroups()
-		e.tipNode, e.tipVer, e.tipSize = make([]int, ng), make([]int, ng), make([]int, ng)
-		for g := range e.tipNode {
-			e.tipNode[g] = -1
-		}
-	}
-	e.tipNode[gid], e.tipVer[gid], e.tipSize[gid] = node, version, size
-}
-
 // remoteWrite is one worker's share of a checkpoint write on the controller:
 // the entries of its cut's summary and which of them TakeCheckpoint admitted,
 // which fetchCkptWrite fills with the payloads once they arrive, keeping the

@@ -144,17 +144,6 @@ type Engine struct {
 	peerOf []int
 	rig    *netRig
 
-	// tipNode is the controller's record of which node's shard holds each key
-	// group's checkpoint tip (-1 = none; nil until the first checkpoint is
-	// cut) — in this process or another — and tipVer and tipSize are the tip's
-	// version and encoded size, which a delta move ships as its base. A tip is
-	// only ever held where the group physically lives. They are maintained by
-	// TakeCheckpoint (the cut puts the tip where the group is), migrations (a
-	// full-state move drops the tip; a delta move carries it — the destination
-	// keeps the shipped base), Recover (the restored state is the tip) and
-	// FailNode — never when a write is recorded, which may be after a move.
-	tipNode, tipVer, tipSize []int
-
 	// Checkpoint scratch, reused across barriers and cadences: liveGroups is
 	// the gid-ordered list of locally hosted states that the delta sizing and
 	// cutCheckpoint fan out over, and freshScratch the gids checkpointed this
@@ -215,11 +204,6 @@ func (e *Engine) shardAt(gsid int) *shard {
 	return e.nodes[gsid/e.spn].shards[gsid%e.spn]
 }
 
-// shardFor returns the shard owning gid on nodeID.
-func (e *Engine) shardFor(nodeID, gid int) *shard {
-	return e.nodes[nodeID].shards[e.shardIdx[gid]]
-}
-
 // NumNodes returns the engine's node-slot count (including removed slots).
 func (e *Engine) NumNodes() int { return len(e.nodes) }
 
@@ -264,11 +248,8 @@ type periodRun struct {
 	// next period's migrations, even if ApplyPlan re-targets groupNode
 	// while the period is in flight.
 	alloc []int
-	// staged lists the migrations this period executes at its boundary;
-	// transfers carries the same moves with their transfer mode (full vs
-	// checkpoint-assisted delta).
+	// staged lists the migrations this period executes at its boundary.
 	staged              []core.Move
-	transfers           []stagedTransfer
 	expectedCompletions int
 	synthetic           []bool
 	errs                []error
@@ -355,12 +336,10 @@ func (e *Engine) beginPeriod() *periodRun {
 	}
 	e.ckptErrs = nil
 	// Every staged move runs now, as a direct full-state migration or a
-	// checkpoint-assisted delta (transferOf), and keeps its group off the
-	// hot-move path for the period.
+	// checkpoint-assisted delta (the source decides, onMigrateOut), and keeps
+	// its group off the hot-move path for the period.
 	pr.staged = staged
-	pr.transfers = make([]stagedTransfer, len(staged))
-	for i, mv := range staged {
-		pr.transfers[i] = e.transferOf(mv)
+	for _, mv := range staged {
 		pr.stagedGids[mv.Group] = true
 	}
 	if k := int64(e.cfg.SubPeriods); k >= 2 {
@@ -379,7 +358,7 @@ func (e *Engine) beginPeriod() *periodRun {
 			pr.subPerSub = per
 		}
 	}
-	e.arm(pr, pr.transfers, false)
+	e.arm(pr, staged, false)
 	return pr
 }
 
@@ -391,8 +370,9 @@ func (e *Engine) beginPeriod() *periodRun {
 // the barrier counts that follow from its host sets and the in-bound moves
 // each destination shard must await take effect between two tuples of every
 // key. Only when every shard has acknowledged them are the old hosts asked to
-// ship (migrateOutMsg), and only when arm returns does generation go on.
-func (e *Engine) arm(pr *periodRun, transfers []stagedTransfer, resume bool) {
+// ship (migrateOutMsg), and only when arm returns does generation go on. A
+// move at a segment boundary is a hot move, which ships its state whole.
+func (e *Engine) arm(pr *periodRun, moves []core.Move, resume bool) {
 	pr.rt = newRouterTable(e.topo, pr.alloc, len(e.nodes))
 
 	// Expected barrier count per (shard, op): one per source feeding the op
@@ -421,9 +401,9 @@ func (e *Engine) arm(pr *periodRun, transfers []stagedTransfer, resume bool) {
 	}
 
 	awaitIn := map[int][]int{} // global shard id -> gids arriving by stateMsg
-	for _, tr := range transfers {
-		g := e.gsidFor(tr.mv.To, tr.mv.Group)
-		awaitIn[g] = append(awaitIn[g], tr.mv.Group)
+	for _, mv := range moves {
+		g := e.gsidFor(mv.To, mv.Group)
+		awaitIn[g] = append(awaitIn[g], mv.Group)
 	}
 
 	// Arm every shard of every alive node, collect acks: the hosted ones
@@ -449,9 +429,9 @@ func (e *Engine) arm(pr *periodRun, transfers []stagedTransfer, resume bool) {
 			}
 			remoteNodes++
 		}
-		for _, tr := range transfers {
-			if e.peerFor(tr.mv.To) == peer {
-				peerGids = append(peerGids, tr.mv.Group)
+		for _, mv := range moves {
+			if e.peerFor(mv.To) == peer {
+				peerGids = append(peerGids, mv.Group)
 			}
 		}
 		err := e.rig.ep.Send(peer, encode(frArm, &armFrame{
@@ -504,14 +484,13 @@ func (e *Engine) arm(pr *periodRun, transfers []stagedTransfer, resume bool) {
 		return
 	}
 
-	// Issue the migrations (full-state, or delta against the tip's checkpoint
-	// version for checkpoint-assisted transfers) to the shard
-	// owning each group on its old host. deliver routes to remote sources;
-	// the destination (remote or not) was armed above, so its shard awaits
-	// the state before flushing.
-	for _, tr := range transfers {
-		op, kg := e.topo.OpOf(tr.mv.Group)
-		e.deliver(e.gsidFor(tr.mv.From, tr.mv.Group), migrateOutMsg{op: op, kg: kg, dest: tr.mv.To, deltaBase: tr.deltaBase})
+	// Issue the migrations to the shard owning each group on its old host,
+	// which decides whether the group travels whole or by delta against its
+	// tip. deliver routes to remote sources; the destination (remote or not)
+	// was armed above, so its shard awaits the state before flushing.
+	for _, mv := range moves {
+		op, kg := e.topo.OpOf(mv.Group)
+		e.deliver(e.gsidFor(mv.From, mv.Group), migrateOutMsg{op: op, kg: kg, dest: mv.To, whole: resume})
 	}
 }
 
@@ -554,16 +533,7 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 				migratedBytes += ev.bytes
 				if ev.delta {
 					deltaBytes += ev.bytes
-				}
-				// A delta move carries its group's tip: the destination, where
-				// this period installs the group (a hot move ships whole), keeps
-				// the shipped base. Any other move leaves none.
-				if ev.gid >= 0 && e.tipNode != nil {
-					e.tipNode[ev.gid] = -1
-					if ev.delta {
-						e.tipNode[ev.gid] = pr.alloc[ev.gid]
-						baseBytes += int64(e.tipSize[ev.gid])
-					}
+					baseBytes += int64(ev.base)
 				}
 			case evError:
 				pr.errs = append(pr.errs, ev.err)
@@ -653,18 +623,11 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 	// deltas now holds, per group, the encoded delta between its live state and
 	// the tip its shard holds — the synchronous cost a checkpoint-assisted move
 	// of the group would pay right now, the residency signal the planner's cost
-	// model consumes (see core.GroupStat). A reading counts only where the
-	// controller's record agrees that the tip is where the group lives
-	// (Engine.tipNode), whichever process took it: a group that moved
-	// full-state since its checkpoint reports -1 (and migrates full) until the
-	// next checkpoint gives it a tip again. Before the first checkpoint is cut
-	// there is no reading at all.
-	if e.tipNode != nil {
-		for gid := range deltas {
-			if e.tipNode[gid] != pr.alloc[gid] {
-				deltas[gid] = -1
-			}
-		}
+	// model consumes (see core.GroupStat). A tip only ever lives with its
+	// group, so a group that moved full-state since its checkpoint reports -1
+	// (and migrates full) until the next checkpoint gives it a tip again.
+	// Before the engine has a store there is no reading at all.
+	if e.ckpt != nil {
 		ps.CkptDeltaBytes = deltas
 	}
 	// Allocation telemetry: the delta of the runtime's cumulative allocation

@@ -67,7 +67,7 @@ func FuzzReceivePath(f *testing.F) {
 			read *Tuple
 		}
 		var recs []rec
-		err := decodeBatch(frame, &rx, func(kg int, v *Tuple, wire int) {
+		err := decodeBatch(frame, &rx, maxWireGroups, func(kg int, v *Tuple, wire int) {
 			if frame[0] != codec.FrameV2 {
 				t.Fatalf("decoded a record out of a frame headed 0x%02x", frame[0])
 			}
@@ -110,7 +110,7 @@ func FuzzReceivePath(f *testing.F) {
 		}
 		var rx2 rxDecoder
 		i := 0
-		if err := decodeBatch(m.encoded, &rx2, func(kg int, v *Tuple, wire int) {
+		if err := decodeBatch(m.encoded, &rx2, maxWireGroups, func(kg int, v *Tuple, wire int) {
 			if i >= len(recs) {
 				t.Fatalf("re-encode grew the batch (%d records staged)", len(recs))
 			}

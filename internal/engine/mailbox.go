@@ -39,11 +39,15 @@ type barrierMsg struct {
 
 // stateMsg installs migrated state for (op, kg); part of direct state
 // migration. encoded may be empty (group had no state yet). When delta is
-// set (checkpoint-assisted migration, see transfer.go), base is the encoding
-// of the source's checkpoint tip at version baseVer and encoded a
-// statestore.Delta against it; the receiver reconstructs the state by
-// applying the delta to the decoded base, which it keeps as the group's tip.
-// base is immutable: in process it is the source tip's own bytes.
+// set (checkpoint-assisted migration: the source's rule is onMigrateOut's),
+// base is the encoding of the source's checkpoint tip at version baseVer and
+// encoded a statestore.Delta against it; the receiver reconstructs the state
+// by applying the delta to the decoded base, which it keeps as the group's
+// tip. The base is the checkpoint fault tolerance already took, so only the
+// delta is synchronous work (MigratedDeltaBytes, charged to MigrationLatency;
+// PrecopyBytes counts the base), and no store is read for it: a checkpoint
+// write still running never holds up a move. base is immutable: in process
+// it is the source tip's own bytes.
 type stateMsg struct {
 	op, kg  int
 	encoded []byte
@@ -53,12 +57,12 @@ type stateMsg struct {
 }
 
 // migrateOutMsg asks a node to ship (op, kg)'s state to dest (direct state
-// migration, step "serialize and send"). deltaBase >= 0 switches to
-// checkpoint-assisted transfer: the node ships its tip at that version with
-// the delta of its live state against it.
+// migration, step "serialize and send"). The node decides whether a delta
+// against its checkpoint tip goes instead (onMigrateOut), unless whole says
+// the move is a hot one, which always ships the state.
 type migrateOutMsg struct {
 	op, kg, dest int
-	deltaBase    int
+	whole        bool
 }
 
 // stopMsg terminates the node goroutine.

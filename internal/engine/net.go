@@ -205,8 +205,8 @@ func (r *netRig) serve(dispatch func(transport.Frame) (bye bool)) error {
 
 // dispatchControl handles one inbound frame on the controller (which is
 // never told to shut down: bye is always false). An event that does not
-// decode, or names a group the topology does not have, arrives as an error
-// naming its peer: it fails the period instead of the controller.
+// decode arrives as an error naming its peer: it fails the period instead of
+// the controller.
 func (r *netRig) dispatchControl(fr transport.Frame) (bye bool) {
 	data := fr.Data
 	if len(data) == 0 {
@@ -217,11 +217,7 @@ func (r *netRig) dispatchControl(fr transport.Frame) (bye bool) {
 	switch kind {
 	case frEvent:
 		var ev engEvent
-		err := decode(body, &ev)
-		if ng := r.e.topo.NumGroups(); err == nil && ev.gid >= ng {
-			err = fmt.Errorf("engine: event for group %d of %d", ev.gid, ng)
-		}
-		if err != nil {
+		if err := decode(body, &ev); err != nil {
 			ev = engEvent{kind: evError, err: fmt.Errorf("engine: event from peer %d: %w", fr.Peer, err)}
 		}
 		r.e.events <- ev

@@ -32,13 +32,11 @@ type engEvent struct {
 	op    int
 	bytes int
 	// delta marks an evMigrated whose bytes are a checkpoint-assisted
-	// delta transfer (not a full state).
+	// delta transfer (not a full state), and base is the size of the tip it
+	// shipped beside them.
 	delta bool
-	// gid is the migrated key group of an evMigrated (the controller tracks
-	// where each group's checkpoint tip physically lives); meaningless (0)
-	// for other kinds.
-	gid int
-	err error
+	base  int
+	err   error
 }
 
 // node is one worker node: a pool of shard goroutines that partition the
@@ -96,10 +94,11 @@ type shard struct {
 	// last checkpoint, which delta checkpoints, the barrier's delta sizing and
 	// delta migrations are cut against — in every process, the one decoded copy
 	// there is. Written by the process's control goroutine between periods
-	// (cutCheckpoint, Recover; shards quiescent) and by the shard itself (delta
-	// state adoption, recovery, departure). A checkpoint write reads the tips it
-	// cut beside the next period, while the shard may read them too: to cut a
-	// migration's delta and ship the tip's encoding beside it (onMigrateOut).
+	// (cutCheckpoint, and failLocal, which drops them; shards quiescent) and by
+	// the shard itself (delta state adoption, recovery, departure). A
+	// checkpoint write reads the tips it cut beside the next period, while the
+	// shard may read them too: to decide how a migration ships, cut its delta
+	// and ship the tip's encoding beside it (onMigrateOut).
 	tips map[int]*statestore.Tip
 	// potcSent tracks, per candidate key group, how much work this sender
 	// instance has routed there (PoTC balances the work each sender emits
@@ -260,30 +259,39 @@ func (s *shard) startPeriod(m periodStartMsg) {
 // the destination node, then reports the migrated volume to the engine for
 // the latency model. What it ships is decoded once and dropped, so it is
 // written in storage order (EncodeTransfer: the same length, nothing sorted).
-// With deltaBase >= 0 (checkpoint-assisted transfer) it ships the tip at that
-// version as the base and, as the synchronous part, only the delta of the live
-// state against it — unless the state diverged so much that the delta would
-// exceed the full encoding (or the tip is gone), in which case the transfer
-// degrades to a full-state migration.
+//
+// This shard holds the group's checkpoint tip, if it has one, and decides
+// alone how the group travels. A move that is not a hot move (m.whole) ships
+// by delta when the last barrier measured the delta against the tip smaller
+// than the state (statestore.Tip.Pending; a tip cut or adopted since has an
+// empty delta): one stateMsg carrying the tip's encoding as the base and, as
+// the synchronous part, the delta of the live state against it — unless the
+// delta turns out no smaller after all, and then the state goes whole. A
+// whole move strands the tip; a delta move carries it to the destination.
 func (s *shard) onMigrateOut(m migrateOutMsg) {
 	gid := s.eng.topo.GID(m.op, m.kg)
 	destG := s.eng.gsidFor(m.dest, gid)
 	st := s.states[gid]
-	if tip := s.tips[gid]; m.deltaBase >= 0 && tip != nil && tip.Version() == m.deltaBase {
+	tip := s.tips[gid]
+	delete(s.tips, gid)
+	// Flush buffered data for the destination first so every message this
+	// sender ever enqueues there stays in send order (uniform FIFO, not
+	// strictly needed by the awaitIn protocol but what the documented
+	// invariant promises).
+	s.flushOut(destG)
+	if tip != nil && !m.whole && tip.Pending() < st.Size() {
 		d := &s.diff
 		statestore.DiffInto(d, tip.State(), st)
-		if sz := d.Size(); st == nil || sz < st.Size() {
+		if sz := d.Size(); sz < st.Size() {
 			encoded := d.EncodeTransfer(make([]byte, 0, sz))
 			s.states[gid] = nil
-			delete(s.tips, gid) // the tip travels with the group
 			s.pool.Put(st)
 			s.stats.addMigUnits(float64(len(encoded)) * serCostPerByte)
-			s.flushOut(destG)
-			s.eng.deliver(destG, stateMsg{op: m.op, kg: m.kg, encoded: encoded, delta: true, baseVer: m.deltaBase, base: tip.Encoding()})
-			s.eng.emit(engEvent{kind: evMigrated, node: s.nid, bytes: len(encoded), delta: true, gid: gid})
+			base := tip.Encoding()
+			s.eng.deliver(destG, stateMsg{op: m.op, kg: m.kg, encoded: encoded, delta: true, baseVer: tip.Version(), base: base})
+			s.eng.emit(engEvent{kind: evMigrated, node: s.nid, bytes: len(encoded), delta: true, base: len(base)})
 			return
 		}
-		// The delta is no cheaper: fall through to a full-state transfer.
 	}
 	var encoded []byte
 	if st != nil {
@@ -291,15 +299,9 @@ func (s *shard) onMigrateOut(m migrateOutMsg) {
 		s.states[gid] = nil
 		s.pool.Put(st)
 	}
-	delete(s.tips, gid) // a full move strands the tip; the controller forgets it
 	s.stats.addMigUnits(float64(len(encoded)) * serCostPerByte)
-	// Flush buffered data for the destination first so every message this
-	// sender ever enqueues there stays in send order (uniform FIFO, not
-	// strictly needed by the awaitIn protocol but what the documented
-	// invariant promises).
-	s.flushOut(destG)
 	s.eng.deliver(destG, stateMsg{op: m.op, kg: m.kg, encoded: encoded})
-	s.eng.emit(engEvent{kind: evMigrated, node: s.nid, bytes: len(encoded), gid: gid})
+	s.eng.emit(engEvent{kind: evMigrated, node: s.nid, bytes: len(encoded)})
 }
 
 // onDataBatch decodes one frame and processes its tuples in order. Frames
@@ -311,7 +313,7 @@ func (s *shard) onMigrateOut(m migrateOutMsg) {
 // so the frame goes back to the codec pool only after the whole batch.
 func (s *shard) onDataBatch(m dataBatchMsg) {
 	s.contain("process", func() {
-		err := decodeBatch(m.encoded, &s.rx, func(kg int, t *Tuple, wire int) {
+		err := decodeBatch(m.encoded, &s.rx, s.eng.topo.ops[m.op].KeyGroups, func(kg int, t *Tuple, wire int) {
 			gid := s.eng.topo.GID(m.op, kg)
 			if !m.local {
 				s.stats.bytesIn += int64(wire)
@@ -402,8 +404,7 @@ func (s *shard) onState(m stateMsg) {
 		st.CopyFrom(base)
 		s.diff.Apply(st)
 		// The base IS the checkpoint at baseVer and this shard now holds the
-		// group: it keeps the base, and its bytes, as the group's tip (the
-		// controller records tipNode = this node for the same reason).
+		// group: it keeps the base, and its bytes, as the group's tip.
 		s.tips[gid] = statestore.NewTip(m.baseVer, base, m.base)
 		// Only the delta is synchronous work in the cost model; the base is
 		// the checkpoint fault tolerance already paid for.

@@ -54,13 +54,13 @@ func turnoverTopology(kgs int) *Topology {
 }
 
 // TestUselessPrecopyIsNotShipped: a checkpointed group whose delta against its
-// tip is no smaller than its state moves whole — the source decides that — so
-// the controller, which read the same two numbers at the barrier, pre-copies
-// nothing for it. Per period, PrecopyBytes is exactly the checkpoints of the
-// groups that then moved by delta (they are the ones whose tip travelled), and
-// what the moves cost and where the tips end up are the constants recorded
-// before the controller looked, in the zero-worker layout and on a cluster of
-// two workers.
+// tip is no smaller than its state moves whole — the source decides that, off
+// the delta the barrier measured — so nothing is pre-copied for it. Per
+// period, PrecopyBytes is exactly the checkpoints of the groups that then
+// moved by delta (they are the ones whose tip travelled), and what the moves
+// cost and where the tips end up (read off the shards of every process) are
+// the constants recorded before the controller looked, in the zero-worker
+// layout and on a cluster of two workers.
 func TestUselessPrecopyIsNotShipped(t *testing.T) {
 	const kgs, nodes = 4, 4
 	type want struct {
@@ -68,32 +68,34 @@ func TestUselessPrecopyIsNotShipped(t *testing.T) {
 		migratedDeltaBytes int64
 		movedBytes         int // MigrationLatency / migrSecondsPerByte
 		deferred           int
-		tipNode            string // where each group's tip is after the period
+		tipAt              string // where each group's tip is after the period
 	}
 	// Recorded at the parent commit (PR 24), which pre-copied 25,968 B in period
 	// 5 and 28,328 B in period 9 to use 19,076 B and 21,436 B of it.
 	wants := map[int]want{
-		5: {migrations: 8, migratedDeltaBytes: 1288, movedBytes: 8180, tipNode: "[-1 -1 -1 -1 1 2 3 0]"},
-		7: {migrations: 8, migratedDeltaBytes: 56, movedBytes: 56, tipNode: "[2 3 0 1 2 3 0 1]"},
-		9: {migrations: 8, migratedDeltaBytes: 1288, movedBytes: 8180, tipNode: "[-1 -1 -1 -1 3 0 1 2]"},
+		5: {migrations: 8, migratedDeltaBytes: 1288, movedBytes: 8180, tipAt: "[-1 -1 -1 -1 1 2 3 0]"},
+		7: {migrations: 8, migratedDeltaBytes: 56, movedBytes: 56, tipAt: "[2 3 0 1 2 3 0 1]"},
+		9: {migrations: 8, migratedDeltaBytes: 1288, movedBytes: 8180, tipAt: "[-1 -1 -1 -1 3 0 1 2]"},
 	}
-	layouts := map[string]func() (*Engine, func()){
-		"zero-worker": func() (*Engine, func()) {
+	layouts := map[string]func() tipLayout{
+		"zero-worker": func() tipLayout {
 			e, err := New(turnoverTopology(kgs), Config{Nodes: nodes}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return e, func() { e.Close() }
+			return tipLayout{ctrl: e, procs: []*Engine{e}, stop: func() { e.Close() }}
 		},
-		"two workers": func() (*Engine, func()) {
+		"two workers": func() tipLayout {
 			eps := transport.NewMemCluster(2)
 			peerOf := []int{1, 2, 1, 2}
+			l := tipLayout{procs: make([]*Engine, 3)}
 			var wg sync.WaitGroup
 			for i := 1; i <= 2; i++ {
 				w, err := NewWorker(turnoverTopology(kgs), Config{Nodes: nodes}, nil, eps[i], peerOf)
 				if err != nil {
 					t.Fatal(err)
 				}
+				l.procs[i] = w
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -104,13 +106,16 @@ func TestUselessPrecopyIsNotShipped(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return e, func() { e.Close(); wg.Wait() }
+			l.ctrl, l.procs[0] = e, e
+			l.stop = func() { e.Close(); wg.Wait() }
+			return l
 		},
 	}
 	for name, build := range layouts {
 		t.Run(name, func(t *testing.T) {
-			e, stop := build()
-			defer stop()
+			l := build()
+			defer l.stop()
+			e := l.ctrl
 			rotate := func() {
 				t.Helper()
 				plan := e.Allocation()
@@ -140,17 +145,18 @@ func TestUselessPrecopyIsNotShipped(t *testing.T) {
 					t.Fatal(err)
 				}
 				w := wants[p]
+				tipAt := l.tipHolders(t)
 				byDelta, precopy := 0, int64(0)
 				for gid, node := range ps.GroupNode {
-					if w.migrations > 0 && e.tipNode[gid] == node {
+					if w.migrations > 0 && tipAt[gid] == node {
 						byDelta++
 						enc, _, _ := e.CheckpointStore().EncodedState(gid)
 						precopy += int64(len(enc))
 					}
 				}
-				got := want{ps.Migrations, ps.MigratedDeltaBytes, int(ps.MigrationLatency/migrSecondsPerByte + 0.5), ps.DeferredMoves, fmt.Sprint(e.tipNode)}
+				got := want{ps.Migrations, ps.MigratedDeltaBytes, int(ps.MigrationLatency/migrSecondsPerByte + 0.5), ps.DeferredMoves, fmt.Sprint(tipAt)}
 				if w.migrations == 0 {
-					got.tipNode = ""
+					got.tipAt = ""
 				}
 				if got != w {
 					t.Errorf("period %d: moves %+v, want %+v", p, got, w)

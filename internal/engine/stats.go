@@ -338,7 +338,7 @@ func fanOut(workers, n int, fn func(worker, i int)) {
 // state, its checkpoint tip (nil without one) and, once foldLocal has sized
 // them, |σ| and the encoded delta between the two (-1 without a tip).
 type liveGroup struct {
-	gid, node   int
+	gid         int
 	sh          *shard
 	st          *State
 	tip         *statestore.Tip
@@ -353,7 +353,7 @@ func (e *Engine) localGroups() []liveGroup {
 	for sh := range e.localShards {
 		for gid, st := range sh.states {
 			if st != nil {
-				groups = append(groups, liveGroup{gid: gid, node: sh.nid, sh: sh, st: st, tip: sh.tips[gid], delta: -1})
+				groups = append(groups, liveGroup{gid: gid, sh: sh, st: st, tip: sh.tips[gid], delta: -1})
 			}
 		}
 	}

@@ -188,16 +188,14 @@ func (e *Engine) closeSegment(pr *periodRun) error {
 	moves := pr.subObserver(snap, pr.period, pr.subIdx)
 	e.mu.Lock()
 	moves = e.safeHotMoves(pr, moves)
-	transfers := make([]stagedTransfer, len(moves))
-	for i, mv := range moves {
+	for _, mv := range moves {
 		e.groupNode[mv.Group] = mv.To // target tracks the new physical home
 		pr.alloc[mv.Group] = mv.To    // so baseAlloc reflects it at period end
 		pr.hotMoved[mv.Group] = true
-		transfers[i] = stagedTransfer{mv: mv, deltaBase: -1}
 	}
 	e.mu.Unlock()
 	pr.hotMoves += len(moves)
-	e.arm(pr, transfers, true)
+	e.arm(pr, moves, true)
 	if pr.armFailed {
 		return fmt.Errorf("engine: period %d arm failed at a segment boundary: %w", pr.period, errors.Join(pr.errs...))
 	}

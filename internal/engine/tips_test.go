@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
@@ -32,39 +33,81 @@ func (l tipLayout) quiesce(t *testing.T) {
 	}
 }
 
-// checkTips is the invariant this engine keeps in every layout: the
-// checkpoint tip of a key group lives on the shard that holds the group's
-// live state and nowhere else, exactly when the controller's tipNode says so,
-// and it is the state the store materializes, at the store's version.
-func (l tipLayout) checkTips(t *testing.T, step string) {
+// tipHolders reads where every key group's checkpoint tip is from the shards of
+// every process: the node whose shard holds it, -1 for none. A tip held twice
+// fails the test.
+func (l tipLayout) tipHolders(t *testing.T) []int {
 	t.Helper()
 	l.quiesce(t)
-	e := l.ctrl
-	for gid, phys := range e.baseAlloc {
-		resident := e.tipNode != nil && e.tipNode[gid] == phys
-		for _, p := range l.procs {
-			for i, n := range p.nodes {
-				if n == nil {
-					continue
-				}
-				for _, sh := range n.shards {
-					tip := sh.tips[gid]
-					holder := resident && i == phys && sh == p.shardFor(i, gid)
-					switch {
-					case tip != nil && !holder:
-						t.Errorf("%s: group %d (on node %d, tipNode %v) has a tip on node %d of peer %d", step, gid, phys, e.tipNode, i, p.self)
-					case tip == nil && holder:
-						t.Errorf("%s: group %d has no tip on node %d where tipNode puts it", step, gid, phys)
-					case holder:
-						want, ver, ok := e.CheckpointStore().Materialize(gid)
-						if !ok || tip.Version() != ver || ver != e.CheckpointStore().Version(gid) {
-							t.Errorf("%s: group %d tip at version %d, store at %d (ok=%v)", step, gid, tip.Version(), ver, ok)
-						} else if !statestore.Diff(want, tip.State()).Empty() || !statestore.Diff(tip.State(), want).Empty() {
-							t.Errorf("%s: group %d tip differs from the store's state", step, gid)
-						}
+	at := make([]int, l.ctrl.topo.NumGroups())
+	for gid := range at {
+		at[gid] = -1
+	}
+	for _, p := range l.procs {
+		for i, n := range p.nodes {
+			if n == nil || p.removed[i] {
+				continue
+			}
+			for _, sh := range n.shards {
+				for gid := range sh.tips {
+					if at[gid] >= 0 {
+						t.Fatalf("group %d has a tip on node %d and on node %d", gid, at[gid], i)
 					}
+					at[gid] = i
 				}
 			}
+		}
+	}
+	return at
+}
+
+// checkTips is the invariant this engine keeps in every layout: the
+// checkpoint tip of a key group lives on the shard that holds the group's
+// live state and nowhere else, and it is the state the store materializes, at
+// the store's version. It returns where the tips are (tipHolders).
+func (l tipLayout) checkTips(t *testing.T, step string) []int {
+	t.Helper()
+	at := l.tipHolders(t)
+	e := l.ctrl
+	for gid, node := range at {
+		if node < 0 {
+			continue
+		}
+		if phys := e.baseAlloc[gid]; node != phys {
+			t.Errorf("%s: group %d lives on node %d but has its tip on node %d", step, gid, phys, node)
+			continue
+		}
+		var tip *statestore.Tip
+		for _, p := range l.procs {
+			if n := p.nodes[node]; n != nil {
+				tip = p.shardAt(p.gsidFor(node, gid)).tips[gid]
+			}
+		}
+		if tip == nil {
+			t.Errorf("%s: group %d has its tip on node %d, but not on the shard that holds the group", step, gid, node)
+			continue
+		}
+		want, ver, ok := e.CheckpointStore().Materialize(gid)
+		if !ok || tip.Version() != ver || ver != e.CheckpointStore().Version(gid) {
+			t.Errorf("%s: group %d tip at version %d, store at %d (ok=%v)", step, gid, tip.Version(), ver, ok)
+		} else if !statestore.Diff(want, tip.State()).Empty() || !statestore.Diff(tip.State(), want).Empty() {
+			t.Errorf("%s: group %d tip differs from the store's state", step, gid)
+		}
+	}
+	return at
+}
+
+// tipsWithTheGroups fails unless every group has its tip where it lives,
+// except the groups in without, which must have no tip at all.
+func tipsWithTheGroups(t *testing.T, step string, e *Engine, at []int, without ...int) {
+	t.Helper()
+	for gid, node := range at {
+		if slices.Contains(without, gid) {
+			if node != -1 {
+				t.Errorf("%s: group %d should have no tip, but has one on node %d", step, gid, node)
+			}
+		} else if node != e.baseAlloc[gid] {
+			t.Errorf("%s: group %d lives on node %d, its tip is on %d", step, gid, e.baseAlloc[gid], node)
 		}
 	}
 }
@@ -153,9 +196,11 @@ func TestTipLivesWithTheGroup(t *testing.T) {
 
 			run()
 			run()
-			l.checkTips(t, "before any checkpoint")
+			if at := l.checkTips(t, "before any checkpoint"); slices.ContainsFunc(at, func(n int) bool { return n >= 0 }) {
+				t.Fatalf("tips %v before any checkpoint", at)
+			}
 			e.TakeCheckpoint()
-			l.checkTips(t, "first checkpoint")
+			tipsWithTheGroups(t, "first checkpoint", e, l.checkTips(t, "first checkpoint"))
 
 			// Checkpoint-assisted moves around the ring: hosted → remote, remote →
 			// remote and remote → hosted in the mixed layout.
@@ -163,26 +208,24 @@ func TestTipLivesWithTheGroup(t *testing.T) {
 			if ps := run(); ps.Migrations != 3 || ps.MigratedDeltaBytes == 0 {
 				t.Fatalf("period 3: %d migrations, %d delta bytes, want three delta moves", ps.Migrations, ps.MigratedDeltaBytes)
 			}
-			l.checkTips(t, "delta moves")
+			tipsWithTheGroups(t, "delta moves", e, l.checkTips(t, "delta moves"))
 
 			if ps := run(); ps.HotMoves != 1 {
 				t.Fatalf("period 4: %d hot moves, want 1", ps.HotMoves)
 			}
-			l.checkTips(t, "hot move")
-			if e.tipNode[3] != -1 {
-				t.Fatalf("hot-moved group 3 still has tipNode %d", e.tipNode[3])
-			}
+			// The hot-moved group 3 loses its tip; every other group keeps its own.
+			tipsWithTheGroups(t, "hot move", e, l.checkTips(t, "hot move"), 3)
 
 			// Group 3 has no tip now, so its next staged move ships full state.
 			stage(map[int]int{3: (e.Allocation()[3] + 1) % 3})
 			if ps := run(); ps.Migrations != 1 || ps.MigratedDeltaBytes != 0 || ps.PrecopyBytes != 0 {
 				t.Fatalf("period 5: %+v, want one full-state move", ps)
 			}
-			l.checkTips(t, "full move")
+			tipsWithTheGroups(t, "full move", e, l.checkTips(t, "full move"), 3)
 			e.TakeCheckpoint()
-			l.checkTips(t, "second checkpoint")
+			tipsWithTheGroups(t, "second checkpoint", e, l.checkTips(t, "second checkpoint"))
 			run()
-			l.checkTips(t, "a period after the checkpoint")
+			tipsWithTheGroups(t, "a period after the checkpoint", e, l.checkTips(t, "a period after the checkpoint"))
 
 			// Node 1 crashes; its groups come back on node 0 (a hosted shard in
 			// both layouts) and node 2 (a worker's in the mixed one).
@@ -192,16 +235,11 @@ func TestTipLivesWithTheGroup(t *testing.T) {
 			if n, err := e.Recover(nil); err != nil || n == 0 {
 				t.Fatalf("recover: %d groups, %v", n, err)
 			}
-			l.checkTips(t, "failure and recovery")
+			tipsWithTheGroups(t, "failure and recovery", e, l.checkTips(t, "failure and recovery"))
 			run()
-			l.checkTips(t, "a period after recovery")
+			tipsWithTheGroups(t, "a period after recovery", e, l.checkTips(t, "a period after recovery"))
 			e.TakeCheckpoint()
-			l.checkTips(t, "third checkpoint")
-			for gid, n := range e.tipNode {
-				if n != e.baseAlloc[gid] {
-					t.Fatalf("after a checkpoint group %d lives on node %d but its tip on %d", gid, e.baseAlloc[gid], n)
-				}
-			}
+			tipsWithTheGroups(t, "third checkpoint", e, l.checkTips(t, "third checkpoint"))
 		})
 	}
 }

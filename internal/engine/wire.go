@@ -110,7 +110,7 @@ func (m *migrateOutMsg) wire(w *codec.Wire) {
 	w.Int(&m.op, maxWireNodes)
 	w.Int(&m.kg, maxWireGroups)
 	w.Int(&m.dest, maxWireNodes)
-	w.Signed(&m.deltaBase, maxWireSeq)
+	w.Bool(&m.whole)
 }
 
 func (m *recoverMsg) wire(w *codec.Wire) {
@@ -221,7 +221,7 @@ func (ev *engEvent) wire(w *codec.Wire) {
 	w.Int(&ev.op, maxWireNodes)
 	w.Int(&ev.bytes, maxWireBlob)
 	w.Bool(&ev.delta)
-	w.Signed(&ev.gid, maxWireGroups)
+	w.Int(&ev.base, maxWireBlob)
 	errText(w, &ev.err)
 }
 
@@ -411,36 +411,34 @@ type ckptDirective struct{ gid, bound int }
 
 // ckptEntryWire is one key group's step of one checkpoint, as the process
 // holding the group's tip took it (Engine.cutCheckpoint): cut is what Tip.Cut
-// returned (what CheckpointStats.NewBytes counts), size the exact length of
+// returned (what CheckpointStats.NewBytes counts) and size the exact length of
 // the payload the write encodes (cut, or the tip's size where the chain's
-// bound turned a delta into a base) and tipSize the tip's after the cut. tip
-// and d are the cut's and never cross a wire: the tip it brought up to date
-// and the group's delta (StepDelta), which the write encodes from.
+// bound turned a delta into a base). tip and d are the cut's and never cross
+// a wire: the tip it brought up to date and the group's delta (StepDelta),
+// which the write encodes from.
 type ckptEntryWire struct {
-	node, gid          int
-	step               statestore.Step
-	cut, size, tipSize int
-	payload            []byte
-	tip                *statestore.Tip
-	d                  *statestore.Delta
+	gid       int
+	step      statestore.Step
+	cut, size int
+	payload   []byte
+	tip       *statestore.Tip
+	d         *statestore.Delta
 }
 
-// ckptSummary answers rqCkpt with a worker's cut: node, gid, step and sizes of
-// every entry.
+// ckptSummary answers rqCkpt with a worker's cut: gid, step and sizes of every
+// entry.
 type ckptSummary []ckptEntryWire
 
 func (s *ckptSummary) wire(w *codec.Wire) {
 	n := w.Count(len(*s), maxWireGroups)
 	for i := 0; i < n && w.Err == nil; i++ {
 		e := codec.Elem(w, s, i)
-		w.Int(&e.node, maxWireNodes)
 		w.Int(&e.gid, maxWireGroups)
 		step := int(e.step)
 		w.Int(&step, int(statestore.StepBase))
 		e.step = statestore.Step(step)
 		w.Int(&e.cut, maxWireBlob)
 		w.Int(&e.size, maxWireBlob)
-		w.Int(&e.tipSize, maxWireBlob)
 	}
 }
 

@@ -28,9 +28,9 @@ func goldenStats() *statsReply {
 
 func goldenCkptEntries() []ckptEntryWire {
 	return []ckptEntryWire{
-		{node: 1, gid: 2, step: statestore.StepBase, cut: 5, size: 5, tipSize: 5, payload: []byte("state")},
-		{node: 1, gid: 4, step: statestore.StepDelta, cut: 3, size: 3, tipSize: 9, payload: []byte("dlt")},
-		{node: 2, gid: 7, step: statestore.StepNone, tipSize: 9},
+		{gid: 2, step: statestore.StepBase, cut: 5, size: 5, payload: []byte("state")},
+		{gid: 4, step: statestore.StepDelta, cut: 3, size: 3, payload: []byte("dlt")},
+		{gid: 7, step: statestore.StepNone},
 	}
 }
 
@@ -49,6 +49,13 @@ func goldenCkptEntries() []ckptEntryWire {
 // so every other frame keeps its own) and "state" was re-recorded: it gained
 // the checkpoint base, an empty blob (00) after the encoded state, and "state
 // base" pins a delta transfer that carries one.
+//
+// At wire version 6 the controller stopped keeping a record of the tips, and
+// two vectors were re-recorded: "event" carries the size of the tip a delta
+// move shipped (04) where it named the moved group (05, a shifted 4), and
+// "ckpt summary" lost each entry's node and tip size. "migrateOut" kept its
+// bytes: its last field says whether the move ships whole, and false encodes
+// as the 00 that a delta base of -1 was.
 func TestControlSchemaGolden(t *testing.T) {
 	body := func(m wireMsg) []byte {
 		w := codec.Wire{}
@@ -66,10 +73,10 @@ func TestControlSchemaGolden(t *testing.T) {
 		{"barrier", true, encodeMsgFrame(3, barrierMsg{op: 1, period: 2, more: true}), "0203010201"},
 		{"state", true, encodeMsgFrame(3, stateMsg{op: 1, kg: 2, encoded: []byte("st"), delta: true, baseVer: 4}), "03030102010502737400"},
 		{"state base", true, encodeMsgFrame(3, stateMsg{op: 1, kg: 2, encoded: []byte("dl"), delta: true, baseVer: 4, base: []byte("tip")}), "03030102010502646c03746970"},
-		{"migrateOut", true, encodeMsgFrame(3, migrateOutMsg{op: 1, kg: 2, dest: 0, deltaBase: -1}), "040301020000"},
+		{"migrateOut", true, encodeMsgFrame(3, migrateOutMsg{op: 1, kg: 2, dest: 0}), "040301020000"},
 		{"recover", true, encodeMsgFrame(3, recoverMsg{op: 1, kg: 2, encoded: []byte("enc"), tipVer: 7}), "060301020803656e63"},
 		{"arm", true, encode(frArm, &armFrame{period: 3, resume: true, numNodes: 2, alloc: []int{0, 1, 0}, barrierNeed: []int{2, 2}, awaitIn: []int{1}}), "07030102030001000202020101"},
-		{"event", true, encode(frEvent, &engEvent{kind: evError, node: 1, op: 2, bytes: 3, delta: true, gid: 4, err: errors.New("boom")}), "0803010203010504626f6f6d"},
+		{"event", true, encode(frEvent, &engEvent{kind: evError, node: 1, op: 2, bytes: 3, delta: true, base: 4, err: errors.New("boom")}), "0803010203010404626f6f6d"},
 		{"req stats", true, encode(frReq, &reqFrame{id: 7, kind: rqStats, version: 5}), "09070105"},
 		{"req ckpt", true, encode(frReq, &reqFrame{id: 9, kind: rqCkpt, version: 4, dirs: []ckptDirective{{gid: 1, bound: -1}, {gid: 5, bound: 300}}}), "0909020402010005ad02"},
 		{"req sub", true, encode(frReq, &reqFrame{id: 12, kind: rqSub}), "090c04"},
@@ -80,7 +87,7 @@ func TestControlSchemaGolden(t *testing.T) {
 		{"reply", true, encode(frReply, &replyFrame{id: 7, body: &okReply{}}), "0a0700"},
 		{"bye", true, encodeByeFrame(), "0b"},
 		{"stats reply", false, body(goldenStats()), "020105030701000c0a09645a0402011e00032806000103010302"},
-		{"ckpt summary", false, body((*ckptSummary)(&entries)), "03010202050505010401030309020700000009"},
+		{"ckpt summary", false, body((*ckptSummary)(&entries)), "03020205050401030307000000"},
 		{"ckpt payloads", false, body(ckptPayloads(entries)), "03020573746174650403646c740700"},
 		{"sub reply", false, body(subReply{0, 7, 0, 300}), "02010703ac02"},
 		{"ok reply", false, body(&okReply{}), "00"},

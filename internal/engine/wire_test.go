@@ -66,7 +66,7 @@ func TestGoldenV2Frame(t *testing.T) {
 	// Decode the pinned bytes and check the tuples.
 	var rx rxDecoder
 	n := 0
-	err := decodeBatch(want, &rx, func(kg int, v *Tuple, wire int) {
+	err := decodeBatch(want, &rx, maxWireGroups, func(kg int, v *Tuple, wire int) {
 		n++
 		if kg != 3 || v.Key != "k1" || v.TS != 7 || v.Str("geo") != "dk" || v.Num("b") != 2 {
 			t.Fatalf("record %d decoded wrong: kg=%d key=%q", n, kg, v.Key)
@@ -102,7 +102,7 @@ func retiredV1Frame() []byte {
 // mid-period: the shard must report it (evError → the period fails) and must
 // not decode a single record out of it.
 func TestRetiredV1FrameFailsThePeriod(t *testing.T) {
-	if err := decodeBatch(retiredV1Frame(), &rxDecoder{}, func(int, *Tuple, int) {
+	if err := decodeBatch(retiredV1Frame(), &rxDecoder{}, maxWireGroups, func(int, *Tuple, int) {
 		t.Fatal("decoded a record out of a 0xF1 frame")
 	}); err == nil || !strings.Contains(err.Error(), "unknown frame version byte 0xf1") {
 		t.Fatalf("decodeBatch(0xF1 frame) = %v, want the unknown-version error", err)
@@ -146,7 +146,7 @@ func TestDecodeZeroAllocSteadyState(t *testing.T) {
 	var rx rxDecoder
 	run := func() {
 		sum := 0.0
-		if err := decodeBatch(frame, &rx, func(kg int, v *Tuple, wire int) {
+		if err := decodeBatch(frame, &rx, maxWireGroups, func(kg int, v *Tuple, wire int) {
 			if v.Key == "" || v.Str("geo") == "" {
 				t.Fatal("bad tuple")
 			}
@@ -177,7 +177,7 @@ func TestCloneOutlivesFrame(t *testing.T) {
 	var rx rxDecoder
 	var kept *Tuple
 	var keptStr string
-	if err := decodeBatch(msg.encoded, &rx, func(kg int, v *Tuple, wire int) {
+	if err := decodeBatch(msg.encoded, &rx, maxWireGroups, func(kg int, v *Tuple, wire int) {
 		kept = v.Clone()
 		keptStr = v.Str("s")
 	}); err != nil {
@@ -325,33 +325,31 @@ func TestUndecodableRequestIsAnswered(t *testing.T) {
 	<-served
 }
 
-// forgedMigration is a worker's endpoint that, once armed, sends the
-// controller an evMigrated event for a group the topology does not have,
-// ahead of the first completion event it carries — so the forgery arrives
-// inside the period's barrier wait.
-type forgedMigration struct {
+// forgedEvent is a worker's endpoint that, once armed, sends the controller
+// an event that does not decode (an evMigrated cut short after its byte
+// count), ahead of the first completion event it carries — so the forgery
+// arrives inside the period's barrier wait.
+type forgedEvent struct {
 	transport.Endpoint
 	armed, sent atomic.Bool
 }
 
-func (f *forgedMigration) Send(peer int, data []byte) error {
+func (f *forgedEvent) Send(peer int, data []byte) error {
 	var ev engEvent
 	if f.armed.Load() && data[0] == frEvent && decode(data[1:], &ev) == nil && ev.kind == evCompletion && f.sent.CompareAndSwap(false, true) {
-		if err := f.Endpoint.Send(peer, encode(frEvent, &engEvent{kind: evMigrated, gid: 1000})); err != nil {
+		if err := f.Endpoint.Send(peer, []byte{frEvent, evMigrated, 1, 0, 3}); err != nil {
 			return err
 		}
 	}
 	return f.Endpoint.Send(peer, data)
 }
 
-// TestForgedEventFailsThePeriod: an event naming a group out of the
-// topology's range — once a checkpoint gave the controller a tip record to
-// index with it — fails the period with an error naming the peer, instead of
-// panicking the controller.
+// TestForgedEventFailsThePeriod: an event from a worker that does not decode
+// fails the period with an error naming the peer, instead of the controller.
 func TestForgedEventFailsThePeriod(t *testing.T) {
 	eps := transport.NewMemCluster(1)
 	topo := func() *Topology { return wordCountTopology([]string{"a", "b", "c"}, 30, 4, newCollector()) }
-	forged := &forgedMigration{Endpoint: eps[1]}
+	forged := &forgedEvent{Endpoint: eps[1]}
 	w, err := NewWorker(topo(), Config{Nodes: 2}, nil, forged, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -369,9 +367,8 @@ func TestForgedEventFailsThePeriod(t *testing.T) {
 	if _, err := e.RunPeriod(); err != nil {
 		t.Fatal(err)
 	}
-	e.TakeCheckpoint()
 	forged.armed.Store(true)
-	if _, err := e.RunPeriod(); err == nil || !strings.Contains(err.Error(), "event from peer 1") || !strings.Contains(err.Error(), "group 1000") {
+	if _, err := e.RunPeriod(); err == nil || !strings.Contains(err.Error(), "event from peer 1") {
 		t.Fatalf("RunPeriod = %v, want the forged event of peer 1 failing the period", err)
 	}
 }
@@ -430,16 +427,16 @@ func (f *forgedFrames) Send(peer int, data []byte) error {
 // TestForgedFrameFailsThePeriod: a frame that names more of the topology than
 // there is — an arm frame whose allocation falls short of the groups and that
 // awaits a group past it, a state transfer, a recovery or a data batch for an
-// operator or key group the topology does not have — fails the period with an
-// error naming the frame, instead of panicking the worker's serve loop or one
-// of its shards.
+// operator or key group the topology does not have, or a data batch whose
+// record does — fails the period with an error naming the frame or the
+// record, instead of panicking the worker's serve loop or one of its shards.
 func TestForgedFrameFailsThePeriod(t *testing.T) {
 	topo := func() *Topology { return wordCountTopology([]string{"a", "b", "c"}, 30, 4, newCollector()) }
-	batch := func() []byte {
+	batch := func(op, kg int) []byte {
 		var ob outbox
-		ob.stage(0, &Tuple{Key: "a", TS: 1})
+		ob.stage(kg, &Tuple{Key: "a", TS: 1})
 		m, _ := ob.take(2)
-		return encodeMsgFrame(1, dataBatchMsg{op: 9, period: 2, count: 1, encoded: m.encoded})
+		return encodeMsgFrame(1, dataBatchMsg{op: op, period: 2, count: 1, encoded: m.encoded})
 	}
 	for _, c := range []struct {
 		name  string
@@ -450,7 +447,8 @@ func TestForgedFrameFailsThePeriod(t *testing.T) {
 		{"arm", func(a *armFrame) { a.alloc, a.awaitIn = []int{0}, []int{3} }, nil, "arm frame allocates 1 groups of 5"},
 		{"state", nil, encodeMsgFrame(1, stateMsg{op: 9}), "message frame kind 3: operator 9 of 2"},
 		{"recover", nil, encodeMsgFrame(1, recoverMsg{op: 0, kg: 4, tipVer: -1}), "message frame kind 6: key group 4 of operator 0's 4"},
-		{"data", nil, batch(), "message frame kind 1: operator 9 of 2"},
+		{"data", nil, batch(9, 0), "message frame kind 1: operator 9 of 2"},
+		{"record", nil, batch(1, 50), "batch record for key group 50 of the operator's 1"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			eps := transport.NewMemCluster(1)

@@ -43,8 +43,8 @@ type pingMsg struct{ ch chan struct{} }
 
 func (pingMsg) isMessage() {}
 
-// recoverMsg installs a recovered state on a worker shard (controller-side
-// Engine.Recover targeting a remote node). tipVer >= 0 marks encoded as the
+// recoverMsg installs a recovered state on a shard (Engine.Recover, for a
+// hosted node and a remote one alike). tipVer >= 0 marks encoded as the
 // group's checkpoint at that version: the shard keeps a copy as its tip.
 type recoverMsg struct {
 	op, kg  int
@@ -359,12 +359,11 @@ func (e *Engine) cutCheckpoint(version int, dirs []ckptDirective) {
 	fanOut(barrierWorkers(len(groups)), len(groups), func(_, i int) {
 		g, d := groups[i], &w.deltas[i]
 		step, cut := g.tip.Cut(d, version, g.st)
-		size, tipSize := cut, g.tip.State().Size()
+		size := cut
 		if step == statestore.StepDelta && cut > w.dirs[i].bound {
-			step, size = statestore.StepBase, tipSize
+			step, size = statestore.StepBase, g.tip.State().Size()
 		}
-		w.entries[i] = ckptEntryWire{node: g.node, gid: g.gid, step: step, cut: cut, size: size,
-			tipSize: tipSize, tip: g.tip, d: d}
+		w.entries[i] = ckptEntryWire{gid: g.gid, step: step, cut: cut, size: size, tip: g.tip, d: d}
 	})
 }
 

@@ -145,6 +145,15 @@ func (t *Tip) Measure(version int, cur *State) int {
 	return t.measured
 }
 
+// Pending returns the delta size the last Measure took, or an empty delta's
+// when the tip was cut or adopted since: it then is the state it came from.
+func (t *Tip) Pending() int {
+	if t.measuredAt == 0 {
+		return emptyDeltaSize
+	}
+	return t.measured
+}
+
 // Advance brings the tip up to cur at version, in place, and returns what to
 // Record for it. This is the checkpoint write rule, the only one: a state that
 // equals the tip writes nothing; one that changed little writes the delta; and
