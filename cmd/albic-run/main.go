@@ -50,7 +50,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/distrib"
-	"repro/internal/engine"
 	"repro/internal/workload"
 )
 
@@ -109,13 +108,7 @@ func main() {
 		cfg.TwoChoice = true
 	}
 
-	builders := map[string]func(workload.JobConfig) (*engine.Topology, error){
-		"rj1": workload.RealJob1,
-		"rj2": workload.RealJob2,
-		"rj3": workload.RealJob3,
-		"rj4": workload.RealJob4,
-	}
-	build, ok := builders[*job]
+	build, ok := distrib.Jobs[*job]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "albic-run: unknown job %q\n", *job)
 		os.Exit(2)

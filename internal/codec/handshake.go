@@ -32,8 +32,10 @@ const (
 	// reply is always a dense per-group reading. v6: the source shard decides
 	// how a move ships (a migrate-out says only whether it must go whole), a
 	// migration event carries the size of the tip it shipped instead of its
-	// group, and a checkpoint summary entry lost its node and tip size.
-	WireVersion = 6
+	// group, and a checkpoint summary entry lost its node and tip size. v7: a
+	// segment boundary reads the cluster with the stats request; the
+	// sub-period request and its reply are gone.
+	WireVersion = 7
 
 	// handshake hardening bounds: no legitimate message approaches these.
 	maxHandshakeAddr  = 1 << 10

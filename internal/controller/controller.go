@@ -37,6 +37,7 @@ package controller
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -55,11 +56,9 @@ type Engine interface {
 	ApplyPlan(groupNode []int) error
 	// CalibrateCapacity rescales the load-percentage unit conversion.
 	CalibrateCapacity(targetAvgPercent float64)
-	// AddNodes provisions new worker nodes (scale-out).
-	AddNodes(count int) []int
-	// AddNodesWeighted provisions one node per entry with that capacity
-	// weight (heterogeneous scale-out, core.ScaleDecision.AddWeights).
-	AddNodesWeighted(weights []float64) ([]int, error)
+	// AddNodes provisions one new worker node per entry, with that capacity
+	// weight (scale-out; core.ScaleDecision.AddWeights, or unit weights).
+	AddNodes(weights []float64) ([]int, error)
 	// MarkForRemoval flags nodes for draining (scale-in).
 	MarkForRemoval(ids []int)
 	// TerminateNode shuts down a drained node; errors while it still
@@ -484,15 +483,15 @@ func (r *run) applyOutcome(pr plannerResult, rep *PeriodReport) error {
 		}
 	}
 	if out.Scale.AddNodes > 0 {
-		if len(out.Scale.AddWeights) > 0 {
-			ids, err := r.c.eng.AddNodesWeighted(out.Scale.AddWeights)
-			if err != nil {
-				return fmt.Errorf("controller: weighted scale-out: %w", err)
-			}
-			rep.Added = ids
-		} else {
-			rep.Added = r.c.eng.AddNodes(out.Scale.AddNodes)
+		weights := out.Scale.AddWeights
+		if len(weights) == 0 {
+			weights = slices.Repeat([]float64{1}, out.Scale.AddNodes)
 		}
+		ids, err := r.c.eng.AddNodes(weights)
+		if err != nil {
+			return fmt.Errorf("controller: scale-out: %w", err)
+		}
+		rep.Added = ids
 	}
 	if len(out.Scale.MarkForRemoval) > 0 {
 		r.c.eng.MarkForRemoval(out.Scale.MarkForRemoval)

@@ -21,8 +21,8 @@ import (
 
 // periodSummary is the comparable digest of one period's statistics. Every
 // field is copied out of the PeriodStats so summaries from different engines
-// never alias. SubLoads holds the per-group loads of every sub-snapshot the
-// period's boundaries handed the observer, in boundary order.
+// never alias. Subs holds every sub-snapshot the period's boundaries handed
+// the observer, in boundary order.
 type periodSummary struct {
 	Period             int
 	GroupUnits         []float64
@@ -43,7 +43,25 @@ type periodSummary struct {
 	PrecopyBytes       int64
 	DeferredMoves      int
 	CkptDeltaBytes     []int
-	SubLoads           [][]float64
+	Subs               []subSummary
+}
+
+// subSummary is the comparable digest of one sub-snapshot: per-group loads
+// and state sizes, and the communication edges of the period so far.
+type subSummary struct {
+	Loads     []float64
+	StateSize []float64
+	Comm      map[[2]int]float64
+}
+
+// commEdges copies a communication matrix out as a map, nil for none.
+func commEdges(c *core.CommCSR) map[[2]int]float64 {
+	if c == nil {
+		return nil
+	}
+	m := map[[2]int]float64{}
+	c.ForEach(func(from, to int, rate float64) { m[[2]int{from, to}] = rate })
+	return m
 }
 
 func summarize(ps *engine.PeriodStats) periodSummary {
@@ -66,10 +84,7 @@ func summarize(ps *engine.PeriodStats) periodSummary {
 		PrecopyBytes:       ps.PrecopyBytes,
 		DeferredMoves:      ps.DeferredMoves,
 		CkptDeltaBytes:     append([]int(nil), ps.CkptDeltaBytes...),
-	}
-	if ps.Comm != nil {
-		s.Comm = map[[2]int]float64{}
-		ps.Comm.ForEach(func(from, to int, rate float64) { s.Comm[[2]int{from, to}] = rate })
+		Comm:               commEdges(ps.Comm),
 	}
 	return s
 }
@@ -94,18 +109,22 @@ func driveAdaptiveScript(t *testing.T, e *engine.Engine) ([]periodSummary, []eng
 	t.Helper()
 	var periods []periodSummary
 	var ckpts []engine.CheckpointStats
-	var subLoads [][]float64 // the running period's sub-snapshots
+	var subs []subSummary // the running period's sub-snapshots
 
 	// Sub-period hot moves: at period 4's first sub-boundary, rotate two
 	// groups one node forward. Disjoint from the staged groups below. The
 	// gids land in sumdelay (rj2's stateful operator: extract holds gids
 	// 0..11, sumdelay 12..23) so the moves carry real state.
 	e.SetSubObserver(func(snap *core.Snapshot, period, sub int) []core.Move {
-		loads := make([]float64, len(snap.Groups))
-		for g, gs := range snap.Groups {
-			loads[g] = gs.Load
+		digest := subSummary{
+			Loads:     make([]float64, len(snap.Groups)),
+			StateSize: make([]float64, len(snap.Groups)),
+			Comm:      commEdges(snap.Comm),
 		}
-		subLoads = append(subLoads, loads)
+		for g, gs := range snap.Groups {
+			digest.Loads[g], digest.StateSize[g] = gs.Load, gs.StateSize
+		}
+		subs = append(subs, digest)
 		if period != 4 || sub != 1 {
 			return nil
 		}
@@ -127,7 +146,7 @@ func driveAdaptiveScript(t *testing.T, e *engine.Engine) ([]periodSummary, []eng
 			t.Fatalf("period %d: BytesCrossNodeIn = %d, want BytesCrossNode+SrcBytesCrossNode = %d", ps.Period, got, want)
 		}
 		s := summarize(ps)
-		s.SubLoads, subLoads = subLoads, nil
+		s.Subs, subs = subs, nil
 		periods = append(periods, s)
 	}
 
@@ -150,7 +169,7 @@ func driveAdaptiveScript(t *testing.T, e *engine.Engine) ([]periodSummary, []eng
 	ckpts = append(ckpts, e.TakeCheckpoint())
 
 	// Weighted scale-out, then drain two groups onto the new node.
-	ids, err := e.AddNodesWeighted([]float64{1.5})
+	ids, err := e.AddNodes([]float64{1.5})
 	if err != nil {
 		t.Fatalf("scale-out: %v", err)
 	}

@@ -93,7 +93,7 @@ func decodeControlFrame(data []byte) (again [][]byte) {
 		if w.Int(&id, maxWireSeq); w.Err != nil {
 			return nil
 		}
-		for _, m := range []wireMsg{newStatsForm(), make(subReply, 8), &okReply{}, &ckptForm{}} {
+		for _, m := range []wireMsg{newStatsForm(), &okReply{}, &ckptForm{}} {
 			if decode(w.B, m) != nil {
 				continue
 			}
@@ -172,11 +172,11 @@ func FuzzControlFrame(f *testing.F) {
 	f.Add(lying)
 	f.Add(ckpt[:len(ckpt)-2])
 	// Every other request kind, and every other reply body.
-	for _, q := range []reqFrame{{id: 12, kind: rqSub}, {id: 13, kind: rqTerminate, node: 2}, {id: 14, kind: rqFail, node: 3}} {
+	for _, q := range []reqFrame{{id: 13, kind: rqTerminate, node: 2}, {id: 14, kind: rqFail, node: 3}} {
 		f.Add(owned(encode(frReq, &q)))
 	}
 	stats := goldenStats()
-	for _, body := range []wireMsg{stats, subReply{0, 7, 0, 300}, &okReply{errors.New("nope")}} {
+	for _, body := range []wireMsg{stats, &okReply{errors.New("nope")}} {
 		f.Add(owned(encode(frReply, &replyFrame{id: 7, body: body})))
 	}
 

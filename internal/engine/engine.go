@@ -39,7 +39,7 @@ type Config struct {
 	// CapacityWeights makes the cluster heterogeneous (Section 4.3.1,
 	// "Extending to Heterogeneous Nodes"): node i is 100% loaded at
 	// CapacityWeights[i] times the cost units of a weight-1 node. nil means
-	// homogeneous; nodes added later via AddNodes get weight 1.
+	// homogeneous; nodes added later via AddNodes get the weights it is given.
 	CapacityWeights []float64
 	// SubPeriods splits each statistics period into this many sub-intervals
 	// for reactive reconfiguration (see subperiod.go): every sub-interval
@@ -173,11 +173,11 @@ type Engine struct {
 	// gen is the generator's reusable emission scratch (outbox set,
 	// counters), so steady-state generation is allocation-flat; see gen.go.
 	gen genState
-	// Period-barrier scratch, reused so the merge itself stays out of the
-	// Allocs telemetry it feeds: shardRefs flattens the live shards for the
-	// parallel stats fold, mergeAccs holds the per-fold-worker partial sums
-	// (the first is the process's accumulator; see foldLocal) and ckptDeltaBuf
-	// backs PeriodStats.CkptDeltaBytes.
+	// Scratch of the cluster read (readStats), reused so the merge itself
+	// stays out of the Allocs telemetry it feeds: shardRefs flattens the live
+	// shards for the parallel stats fold, mergeAccs holds the per-fold-worker
+	// partial sums (the first is the process's accumulator; see foldLocal)
+	// and ckptDeltaBuf backs PeriodStats.CkptDeltaBytes.
 	shardRefs    []shardRef
 	mergeAccs    []*mergeAcc
 	ckptDeltaBuf []int
@@ -564,33 +564,70 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 		return nil, errors.Join(pr.errs...)
 	}
 
-	ps := &PeriodStats{
-		Period:     pr.period,
-		GroupUnits: make([]float64, e.topo.NumGroups()),
-		GroupNode:  append([]int(nil), pr.alloc...),
-		StateBytes: make([]int, e.topo.NumGroups()),
-		NodeUnits:  make([]float64, len(e.nodes)),
-		Migrations: len(pr.staged) + pr.hotMoves,
-		HotMoves:   pr.hotMoves,
-		// For checkpoint-assisted transfers, migratedBytes counts only the
-		// delta — the base is the checkpoint fault tolerance already took.
-		MigrationLatency:   float64(migratedBytes) * migrSecondsPerByte,
-		MigratedDeltaBytes: int64(deltaBytes),
-		PrecopyBytes:       baseBytes,
-		BatchesCrossNode:   e.gen.batches,
-		SrcBytesCrossNode:  e.gen.bytes,
+	ps, err := e.readStats(pr)
+	if err != nil {
+		return nil, err
 	}
+	ps.Migrations = len(pr.staged) + pr.hotMoves
+	ps.HotMoves = pr.hotMoves
+	// For checkpoint-assisted transfers, migratedBytes counts only the delta —
+	// the base is the checkpoint fault tolerance already took.
+	ps.MigrationLatency = float64(migratedBytes) * migrSecondsPerByte
+	ps.MigratedDeltaBytes = int64(deltaBytes)
+	ps.PrecopyBytes = baseBytes
 	e.lastSrcTuples = e.gen.emitted
-	// Merge statistics: this process's barrier fold plus every worker's (the
-	// workers are quiescent — their shards' completions all arrived above — and
-	// the request pings their shards for the happens-before edge). Loads
-	// accumulate as integer milli-units and convert to float units exactly once
-	// per group/node — float addition order would otherwise make the merged
-	// statistics depend on which process measured which shard, and the
-	// in-memory vs TCP equivalence guarantee is exact equality. The
-	// communication merge is exact for the same reason: unit counts, summed by
-	// the builder regardless of arrival order.
+	// Allocation telemetry: the delta of the runtime's cumulative allocation
+	// counters since the previous period barrier. The first period reports 0
+	// (no previous barrier to diff against).
+	if e.allocSamples[0].Name == "" {
+		e.allocSamples[0].Name = "/gc/heap/allocs:objects"
+		e.allocSamples[1].Name = "/gc/heap/allocs:bytes"
+	}
+	metrics.Read(e.allocSamples[:])
+	objs := e.allocSamples[0].Value.Uint64()
+	bytes := e.allocSamples[1].Value.Uint64()
+	if e.allocSampled {
+		ps.Allocs = objs - e.prevAllocObjs
+		ps.AllocBytes = bytes - e.prevAllocBytes
+	}
+	e.prevAllocObjs, e.prevAllocBytes = objs, bytes
+	e.allocSampled = true
+	// The period installed pr.alloc, not necessarily the current target:
+	// a plan staged mid-period diffs against what is physically in place.
+	e.mu.Lock()
+	e.baseAlloc = append(e.baseAlloc[:0], pr.alloc...)
+	e.last = ps
+	if ps.CkptDeltaBytes != nil {
+		e.ckptDeltas = append(e.ckptDeltas[:0], ps.CkptDeltaBytes...)
+	}
+	e.mu.Unlock()
+	return ps, nil
+}
+
+// readStats reads the cluster at a drained point — the period barrier and
+// every segment boundary — into a PeriodStats of the period so far: this
+// process's barrier fold plus every worker's (the workers are quiescent —
+// their shards' completions all arrived — and the request pings their shards
+// for the happens-before edge). Loads accumulate as integer milli-units and
+// convert to float units exactly once per group/node — float addition order
+// would otherwise make the merged statistics depend on which process measured
+// which shard, and the in-memory vs TCP equivalence guarantee is exact
+// equality. The communication merge is exact for the same reason: unit
+// counts, summed by the builder regardless of arrival order. It commits
+// nothing to the engine, since it runs up to K−1 more times per period:
+// finishPeriod fills in the migrations and keeps the result. (The tips it
+// sizes keep the last reading, so a checkpoint cut takes the barrier's.)
+func (e *Engine) readStats(pr *periodRun) (*PeriodStats, error) {
 	ng := e.topo.NumGroups()
+	ps := &PeriodStats{
+		Period:            pr.period,
+		GroupUnits:        make([]float64, ng),
+		GroupNode:         append([]int(nil), pr.alloc...),
+		StateBytes:        make([]int, ng),
+		NodeUnits:         make([]float64, len(e.nodes)),
+		BatchesCrossNode:  e.gen.batches,
+		SrcBytesCrossNode: e.gen.bytes,
+	}
 	e.ckptDeltaBuf = slices.Grow(e.ckptDeltaBuf[:0], ng)[:ng]
 	deltas := e.ckptDeltaBuf
 	for gid := range deltas {
@@ -601,6 +638,7 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 	for _, g := range groups {
 		ps.StateBytes[g.gid], deltas[g.gid] = g.size, g.delta
 	}
+	peers := e.workerPeers()
 	bodies, rerrs := e.rig.requestAll(peers, func(int) reqFrame { return reqFrame{kind: rqStats, version: pr.period} })
 	for k, peer := range peers {
 		if rerrs[k] != nil {
@@ -630,31 +668,6 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 	if e.ckpt != nil {
 		ps.CkptDeltaBytes = deltas
 	}
-	// Allocation telemetry: the delta of the runtime's cumulative allocation
-	// counters since the previous period barrier. The first period reports 0
-	// (no previous barrier to diff against).
-	if e.allocSamples[0].Name == "" {
-		e.allocSamples[0].Name = "/gc/heap/allocs:objects"
-		e.allocSamples[1].Name = "/gc/heap/allocs:bytes"
-	}
-	metrics.Read(e.allocSamples[:])
-	objs := e.allocSamples[0].Value.Uint64()
-	bytes := e.allocSamples[1].Value.Uint64()
-	if e.allocSampled {
-		ps.Allocs = objs - e.prevAllocObjs
-		ps.AllocBytes = bytes - e.prevAllocBytes
-	}
-	e.prevAllocObjs, e.prevAllocBytes = objs, bytes
-	e.allocSampled = true
-	// The period installed pr.alloc, not necessarily the current target:
-	// a plan staged mid-period diffs against what is physically in place.
-	e.mu.Lock()
-	e.baseAlloc = append(e.baseAlloc[:0], pr.alloc...)
-	e.last = ps
-	if ps.CkptDeltaBytes != nil {
-		e.ckptDeltas = append(e.ckptDeltas[:0], ps.CkptDeltaBytes...)
-	}
-	e.mu.Unlock()
 	return ps, nil
 }
 
@@ -721,30 +734,14 @@ func (e *Engine) ApplyPlan(groupNode []int) error {
 	return nil
 }
 
-// AddNodes provisions count new worker nodes of unit capacity and returns
-// their ids. Must be called between periods (the controller applies scaling
-// decisions at period boundaries: worker goroutines index the node table
-// unlocked while a period is in flight). The mutex only orders it against
-// concurrent ApplyPlan / Allocation / Snapshot callers.
-func (e *Engine) AddNodes(count int) []int {
-	if count <= 0 {
-		return nil
-	}
-	w := make([]float64, count)
-	for i := range w {
-		w[i] = 1
-	}
-	ids, _ := e.AddNodesWeighted(w) // unit weights never fail validation
-	return ids
-}
-
-// AddNodesWeighted provisions one new worker node per entry of weights, with
-// that entry as its relative capacity weight (1 = the baseline node; see
-// Config.CapacityWeights), and returns their ids. Weights must be positive —
-// this mirrors New's validation, which scale-out previously bypassed by
-// hardcoding weight 1 for every added node. Same call-site constraints as
-// AddNodes.
-func (e *Engine) AddNodesWeighted(weights []float64) ([]int, error) {
+// AddNodes provisions one new worker node per entry of weights, with that
+// entry as its relative capacity weight (1 = the baseline node; see
+// Config.CapacityWeights), and returns their ids. Weights must be positive,
+// as New requires. Must be called between periods (the controller applies
+// scaling decisions at period boundaries: worker goroutines index the node
+// table unlocked while a period is in flight). The mutex only orders it
+// against concurrent ApplyPlan / Allocation / Snapshot callers.
+func (e *Engine) AddNodes(weights []float64) ([]int, error) {
 	for i, w := range weights {
 		if w <= 0 {
 			return nil, fmt.Errorf("engine: added node weight %d is %v, want > 0", i, w)
@@ -876,12 +873,28 @@ func (e *Engine) Snapshot() (*core.Snapshot, error) {
 	if e.last == nil {
 		return nil, fmt.Errorf("engine: no completed period")
 	}
+	return e.snapshotOf(e.last, e.ckptDeltas), nil
+}
+
+// snapshotOf builds the planner's view of ps — a period's statistics or, at a
+// segment boundary, the period's so far — over the current target allocation
+// and node table. ckptDeltas (nil for none) is the residency signal: a group
+// with a reading >= 0 has a checkpoint tip that far behind its state. e.mu
+// must be held.
+func (e *Engine) snapshotOf(ps *PeriodStats, ckptDeltas []int) *core.Snapshot {
 	s := &core.Snapshot{
 		NumNodes: len(e.nodes),
 		Kill:     make([]bool, len(e.nodes)),
 		Groups:   make([]core.GroupStat, e.topo.NumGroups()),
-		Ops:      e.opStats(),
-		Comm:     e.last.Comm,
+		Ops:      make([]core.OpStat, len(e.topo.ops)),
+		Comm:     ps.Comm,
+	}
+	for op := range e.topo.ops {
+		s.Ops[op].Name = e.topo.ops[op].Name
+		s.Ops[op].Downstream = e.topo.Downstream(op)
+		for kg := 0; kg < e.topo.ops[op].KeyGroups; kg++ {
+			s.Ops[op].Groups = append(s.Ops[op].Groups, e.topo.GID(op, kg))
+		}
 	}
 	hetero := false
 	for i := range e.nodes {
@@ -898,17 +911,17 @@ func (e *Engine) Snapshot() (*core.Snapshot, error) {
 		s.Groups[gid] = core.GroupStat{
 			Op:        op,
 			Node:      e.groupNode[gid],
-			Load:      e.loadPercent(e.last.GroupUnits[gid]),
-			StateSize: float64(e.last.StateBytes[gid]),
+			Load:      e.loadPercent(ps.GroupUnits[gid]),
+			StateSize: float64(ps.StateBytes[gid]),
 		}
-		if e.ckptDeltas != nil {
-			if d := e.ckptDeltas[gid]; d >= 0 {
+		if ckptDeltas != nil {
+			if d := ckptDeltas[gid]; d >= 0 {
 				s.Groups[gid].HasCkpt = true
 				s.Groups[gid].CkptDelta = float64(d)
 			}
 		}
 	}
-	return s, nil
+	return s
 }
 
 // CalibrateCapacity rescales the capacity unit so that the average load of

@@ -402,9 +402,9 @@ func TestScaleOutAndIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Scale out: add a node, move some groups there.
-	ids := e.AddNodes(1)
-	if len(ids) != 1 || ids[0] != 2 {
-		t.Fatalf("AddNodes = %v", ids)
+	ids, err := e.AddNodes([]float64{1})
+	if err != nil || len(ids) != 1 || ids[0] != 2 {
+		t.Fatalf("AddNodes = %v, %v", ids, err)
 	}
 	alloc := e.Allocation()
 	alloc[0], alloc[1] = 2, 2

@@ -442,10 +442,9 @@ func TestSubPeriodBoundariesFireOnLowVolume(t *testing.T) {
 	}
 }
 
-// TestAddNodesWeighted: scale-out with explicit capacity weights must
-// validate them and make the new capacity visible to the planner's
-// snapshot; AddNodes keeps provisioning unit-weight nodes.
-func TestAddNodesWeighted(t *testing.T) {
+// TestAddNodesTakesWeights: scale-out must validate the capacity weights it
+// is given and make the new capacity visible to the planner's snapshot.
+func TestAddNodesTakesWeights(t *testing.T) {
 	col := newCollector()
 	tp := wordCountTopology([]string{"a", "b"}, 200, 4, col)
 	e, err := New(tp, Config{Nodes: 2}, nil)
@@ -454,25 +453,22 @@ func TestAddNodesWeighted(t *testing.T) {
 	}
 	defer e.Close()
 
-	if _, err := e.AddNodesWeighted([]float64{2, 0}); err == nil {
-		t.Fatal("AddNodesWeighted accepted a zero weight")
+	if _, err := e.AddNodes([]float64{2, 0}); err == nil {
+		t.Fatal("AddNodes accepted a zero weight")
 	}
-	if _, err := e.AddNodesWeighted([]float64{-1}); err == nil {
-		t.Fatal("AddNodesWeighted accepted a negative weight")
+	if _, err := e.AddNodes([]float64{-1}); err == nil {
+		t.Fatal("AddNodes accepted a negative weight")
 	}
 	if e.NumNodes() != 2 {
 		t.Fatalf("failed validation still provisioned nodes: %d", e.NumNodes())
 	}
 
-	ids, err := e.AddNodesWeighted([]float64{2.5})
+	ids, err := e.AddNodes([]float64{2.5, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 1 || ids[0] != 2 {
-		t.Fatalf("AddNodesWeighted ids = %v, want [2]", ids)
-	}
-	if got := e.AddNodes(1); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("AddNodes ids = %v, want [3]", got)
+	if len(ids) != 2 || ids[0] != 2 || ids[1] != 3 {
+		t.Fatalf("AddNodes ids = %v, want [2 3]", ids)
 	}
 	if _, err := e.RunPeriod(); err != nil {
 		t.Fatal(err)

@@ -25,8 +25,8 @@ const denseCommGroupLimit = 362
 // the shards of a node at the period barrier, so the hot path takes no
 // locks. One thing is read while the shard runs and is atomic for it:
 // nodeUnits, which heterogeneous PoTC's nodeLoadEstimate reads from other
-// shards' routers. A sub-period boundary reads groupMilli like the barrier
-// does, once the pipeline is drained (subSnapshot, rqSub).
+// shards' routers. A segment boundary reads everything the way the barrier
+// does, once the pipeline is drained (readStats).
 type nodeStats struct {
 	// groupMilli[gid] = cost milli-units attributed to that key group this
 	// period (processing + serialization + deserialization). Dense per-gid
@@ -211,8 +211,9 @@ type PeriodStats struct {
 	// the group's live state at period end and its last checkpoint (-1 for
 	// groups without a checkpoint; nil when the engine has never
 	// checkpointed). It feeds the planner's delta-cost model. The slice is
-	// the engine's barrier scratch: valid until the next period's barrier,
-	// copy it to keep it longer.
+	// the engine's read scratch: valid until the engine next reads the
+	// cluster (the next segment boundary or period barrier), copy it to keep
+	// it longer.
 	CkptDeltaBytes []int
 	// Allocs / AllocBytes are the heap allocations (objects / bytes) this
 	// process performed between the previous period barrier and this one,
@@ -368,7 +369,7 @@ func (e *Engine) localGroups() []liveGroup {
 // reply encoder), and sizes every hosted group that has a checkpoint tip
 // against it — the synchronous cost a checkpoint-assisted move of the group
 // would pay right now, which a checkpoint cut at the same barrier (version)
-// takes as it is (statestore.Tip.Measure). finishPeriod runs it for the
+// takes as it is (statestore.Tip.Measure). readStats runs it for the
 // controller's own nodes and adds what each worker's rqStats handler made of
 // the same call. Shards are quiescent here. The shard fold fans across the
 // barrier pool when there are enough shards and cores to matter, the sizing

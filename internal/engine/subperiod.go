@@ -16,8 +16,9 @@
 // but flush no operator. When the control goroutine has counted the wave's
 // completions and every state shipped so far, the pipeline is drained: every
 // tuple emitted before the boundary has been processed everywhere and no
-// counter moves, so the snapshot it builds is exact and the same in every
-// layout. It calls the observer, applies the moves to the allocation and arms
+// counter moves, so the statistics it reads there — with the period barrier's
+// read, readStats — are exact and the same in every layout. It calls the
+// observer, applies the moves to the allocation and arms
 // the next segment the way beginPeriod arms a period (new router table,
 // barrier counts, the destinations' awaitIn, acknowledged by every shard;
 // statistics keep accumulating), asks the old hosts to ship and releases the
@@ -37,17 +38,23 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/codec"
 	"repro/internal/core"
 )
 
 // SubObserver is the sub-period boundary hook: it receives the snapshot of
-// the period so far (loads only, see subSnapshot), the 1-based period and the
-// 1-based sub-interval index just completed, and returns the hot moves to
-// apply now (nil for none). It runs on the period's control goroutine — the
-// goroutine that called RunPeriod or Run — with the pipeline drained and
-// the generator waiting, so it stalls the whole period while it runs: keep
-// it cheap.
+// the period so far, the 1-based period and the 1-based sub-interval index
+// just completed, and returns the hot moves to apply now (nil for none). The
+// snapshot is read the way the period barrier reads one (Engine.readStats):
+// loads and communication accumulated since the period began,
+// the current state sizes, and the current allocation, hot moves already
+// applied included; it carries no checkpoint residency (HasCkpt is false).
+// Loads are partial-period measurements: absolute percentages are lower than
+// a full period's, but the ratios the trigger policy and the hot mover
+// consume are unaffected. The read costs a boundary what it costs the
+// barrier: the communication merge and the sizing of every state. The
+// observer runs on the period's control goroutine — the goroutine that called
+// RunPeriod or Run — with the pipeline drained and the generator waiting, so
+// it stalls the whole period while it runs: keep it cheap.
 type SubObserver func(snap *core.Snapshot, period, sub int) []core.Move
 
 // SetSubObserver installs the sub-period boundary hook. It takes effect at
@@ -57,95 +64,6 @@ func (e *Engine) SetSubObserver(fn SubObserver) {
 	e.mu.Lock()
 	e.subObserver = fn
 	e.mu.Unlock()
-}
-
-// subSnapshot builds the statistics snapshot a sub-period boundary hands the
-// observer, at the drained point where finishPeriod closes a segment (or
-// between periods): per-group loads accumulated so far this period — the
-// hosted shards' groupMilli, which no shard writes while the pipeline is
-// drained, plus every worker peer's (rqSub) — the current allocation
-// (including hot moves already applied) and the previous period's state
-// sizes. It carries no communication matrix (Comm is nil): the
-// reactive planners only need loads. Loads are partial-period measurements: absolute
-// percentages are lower than a full period's, but the ratios the trigger
-// policy and the hot mover consume are unaffected. A worker that does not
-// answer fails the boundary, and with it the period.
-func (e *Engine) subSnapshot() (*core.Snapshot, error) {
-	milli := make([]int64, e.topo.NumGroups())
-	e.mu.Lock()
-	groupNode := append([]int(nil), e.groupNode...)
-	kill := make([]bool, len(e.nodes))
-	hetero := false
-	for i := range e.nodes {
-		kill[i] = e.killed[i] || e.removed[i]
-		if e.weights[i] != 1 {
-			hetero = true
-		}
-	}
-	var capw []float64
-	if hetero {
-		capw = append([]float64(nil), e.weights...)
-	}
-	var stateBytes []int
-	if e.last != nil {
-		stateBytes = e.last.StateBytes
-	}
-	capacity := e.capacity
-	numNodes := len(e.nodes)
-	e.localGroupMilli(milli)
-	peers := e.workerPeers()
-	e.mu.Unlock()
-
-	s := &core.Snapshot{
-		NumNodes: numNodes,
-		Kill:     kill,
-		Capacity: capw,
-		Groups:   make([]core.GroupStat, e.topo.NumGroups()),
-		Ops:      e.opStats(),
-	}
-	bodies, errs := e.rig.requestAll(peers, func(int) reqFrame { return reqFrame{kind: rqSub} })
-	for k, body := range bodies {
-		if errs[k] != nil {
-			return nil, fmt.Errorf("engine: sub-period statistics from peer %d: %w", peers[k], errs[k])
-		}
-		vals := make(subReply, len(milli))
-		err := decode(body, vals)
-		codec.PutBuf(body)
-		if err != nil {
-			return nil, fmt.Errorf("engine: sub-period statistics from peer %d: %w", peers[k], err)
-		}
-		for gid, m := range vals {
-			milli[gid] += m
-		}
-	}
-	for gid := range s.Groups {
-		op, _ := e.topo.OpOf(gid)
-		st := 0.0
-		if stateBytes != nil {
-			st = float64(stateBytes[gid])
-		}
-		s.Groups[gid] = core.GroupStat{
-			Op:        op,
-			Node:      groupNode[gid],
-			Load:      100 * float64(milli[gid]) / 1000 / capacity,
-			StateSize: st,
-		}
-	}
-	return s, nil
-}
-
-// opStats builds the per-operator metadata shared by Snapshot and
-// subSnapshot.
-func (e *Engine) opStats() []core.OpStat {
-	ops := make([]core.OpStat, len(e.topo.ops))
-	for op := range e.topo.ops {
-		ops[op].Name = e.topo.ops[op].Name
-		ops[op].Downstream = e.topo.Downstream(op)
-		for kg := 0; kg < e.topo.ops[op].KeyGroups; kg++ {
-			ops[op].Groups = append(ops[op].Groups, e.topo.GID(op, kg))
-		}
-	}
-	return ops
 }
 
 // subBoundary is the generator's half of a sub-interval boundary, run on the
@@ -176,15 +94,20 @@ func (e *Engine) subBoundary(pr *periodRun) {
 // closeSegment is the control goroutine's half of a sub-interval boundary,
 // run once the segment's non-final wave has passed every shard and every
 // state shipped so far was reported: nothing is in flight and no counter
-// moves. It builds the sub-snapshot, consults the observer, applies the moves
-// that pass safeHotMoves to the allocation and arms the next segment with
-// them — also when none passes, because only arming resets the shards'
-// barrier counts for the next wave. Hot moves ship full state.
+// moves. It reads the cluster as the period barrier does, consults the
+// observer, applies the moves that pass safeHotMoves to the allocation and
+// arms the next segment with them — also when none passes, because only
+// arming resets the shards' barrier counts for the next wave. A worker that
+// does not answer fails the boundary, and with it the period. Hot moves ship
+// full state.
 func (e *Engine) closeSegment(pr *periodRun) error {
-	snap, err := e.subSnapshot()
+	ps, err := e.readStats(pr)
 	if err != nil {
 		return err
 	}
+	e.mu.Lock()
+	snap := e.snapshotOf(ps, nil)
+	e.mu.Unlock()
 	moves := pr.subObserver(snap, pr.period, pr.subIdx)
 	e.mu.Lock()
 	moves = e.safeHotMoves(pr, moves)

@@ -245,9 +245,10 @@ func TestConcurrentSnapshotSubSnapshotApplyPlan(t *testing.T) {
 	}
 }
 
-// BenchmarkSubSnapshot measures the sub-period snapshot build (the reactive
-// trigger's read path), between periods, where the shards are as quiescent as
-// at a segment boundary.
+// BenchmarkSubSnapshot measures the read a segment boundary hands the
+// observer — readStats, the period barrier's read, then the snapshot built
+// from it — between periods, where the shards are as quiescent as at a
+// segment boundary.
 func BenchmarkSubSnapshot(b *testing.B) {
 	col := newCollector()
 	tp := wordCountTopology([]string{"a", "b", "c", "d"}, 2000, 64, col)
@@ -256,14 +257,20 @@ func BenchmarkSubSnapshot(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer e.Close()
-	if _, err := e.RunPeriod(); err != nil {
+	ps, err := e.RunPeriod()
+	if err != nil {
 		b.Fatal(err)
 	}
+	pr := &periodRun{period: ps.Period, alloc: ps.GroupNode}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.subSnapshot(); err != nil {
+		sub, err := e.readStats(pr)
+		if err != nil {
 			b.Fatal(err)
 		}
+		e.mu.Lock()
+		e.snapshotOf(sub, nil)
+		e.mu.Unlock()
 	}
 }

@@ -22,11 +22,12 @@ type tipLayout struct {
 
 // quiesce makes everything the controller has sent so far visible in the
 // workers' shards: a round trip per worker drains its link up to here (frames
-// are dispatched in order), then a ping drains each shard's mailbox.
+// are dispatched in order), then a ping drains each shard's mailbox. The round
+// trip is a provision of no nodes, a request that changes nothing.
 func (l tipLayout) quiesce(t *testing.T) {
 	t.Helper()
 	for _, w := range l.procs[1:] {
-		if _, err := l.ctrl.rig.request(w.self, reqFrame{kind: rqSub}); err != nil {
+		if _, err := l.ctrl.rig.request(w.self, reqFrame{kind: rqProvision}); err != nil {
 			t.Fatal(err)
 		}
 		w.pingLocalShards()

@@ -46,7 +46,7 @@ const (
 	rqStats byte = iota + 1
 	rqCkpt
 	_ // retired: a progress poll; the other kinds keep their bytes
-	rqSub
+	_ // retired: a segment boundary's load poll (it sends rqStats now)
 	rqProvision
 	rqTerminate
 	rqFail
@@ -277,7 +277,7 @@ func (q *reqFrame) wire(w *codec.Wire) {
 		}
 	case rqTerminate, rqFail:
 		w.Int(&q.node, maxWireNodes)
-	case rqSub, rqCkptWrite:
+	case rqCkptWrite:
 	case rqProvision:
 		n := w.Count(len(q.provIDs), maxWireNodes)
 		for i := 0; i < n && w.Err == nil; i++ {
@@ -463,12 +463,6 @@ func (p ckptPayloads) wire(w *codec.Wire) {
 		}
 	}
 }
-
-// subReply answers rqSub with the hosted shards' dense per-group reading at a
-// segment boundary, which a reader adds into a slice of its own.
-type subReply []int64
-
-func (s subReply) wire(w *codec.Wire) { milli(w, s) }
 
 // okReply answers the requests that only succeed or fail.
 type okReply struct{ err error }

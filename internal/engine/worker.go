@@ -14,21 +14,22 @@ import (
 // the slots this process owns (the rest are nil) and no control loop of its
 // own. ServeWorker drains the transport endpoint: data-plane frames become
 // mailbox messages for hosted shards, frArm arms them for a period, and frReq
-// serves the controller's stats/checkpoint/sub-period/provision/terminate/fail
-// requests. Shards report their events (acks, completions, migrations,
-// errors) back to the controller through Engine.emit, which encodes them as
-// frEvent frames — shard code cannot tell which process it runs in.
+// serves the controller's stats/checkpoint/provision/terminate/fail requests.
+// Shards report their events (acks, completions, migrations, errors) back to
+// the controller through Engine.emit, which encodes them as frEvent frames —
+// shard code cannot tell which process it runs in.
 //
-// armLocal, localGroupMilli, provisionLocal, terminateLocal and failLocal act
-// on the nodes this process hosts and nothing else: the controller's methods
-// call them for its own nodes and then ask each worker peer to do the same,
-// and the handlers below are those requests arriving.
+// armLocal, provisionLocal, terminateLocal and failLocal act on the nodes this
+// process hosts and nothing else: the controller's methods call them for its
+// own nodes and then ask each worker peer to do the same, and the handlers
+// below are those requests arriving.
 // The three that write the node table expect the caller to hold e.mu wherever
 // another goroutine may read it — the controller's methods do, a worker's
 // serve loop is the table's only user. The barrier fold and the checkpoint are
-// the same functions on either side — foldLocal (stats.go) behind finishPeriod
-// and rqStats, cutCheckpoint and ckptWrite.run (below) behind TakeCheckpoint
-// and rqCkpt: every shard holds the checkpoint tips of the groups it hosts, and
+// the same functions on either side — foldLocal (stats.go) behind readStats
+// (at the period barrier and at every segment boundary) and rqStats,
+// cutCheckpoint and ckptWrite.run (below) behind TakeCheckpoint and rqCkpt:
+// every shard holds the checkpoint tips of the groups it hosts, and
 // the controller's store records what the tip-holders wrote. A worker answers
 // rqCkpt as soon as its cut is taken, with a summary of it, and runs the write
 // beside the next period on a goroutine of its own, which answers the
@@ -213,13 +214,6 @@ func (e *Engine) handleRequest(peer int, q reqFrame) {
 			return
 		}
 		body = &okReply{fmt.Errorf("engine: no checkpoint write to answer")}
-	case rqSub:
-		// Asked at a drained segment boundary: the ping is the happens-before
-		// edge to the shards' last writes.
-		e.pingLocalShards()
-		milli := make([]int64, e.topo.NumGroups())
-		e.localGroupMilli(milli)
-		body = subReply(milli)
 	case rqProvision:
 		body = &okReply{e.provisionLocal(q.provIDs, q.provOwner, q.provW)}
 	case rqTerminate:
@@ -365,19 +359,6 @@ func (e *Engine) cutCheckpoint(version int, dirs []ckptDirective) {
 		}
 		w.entries[i] = ckptEntryWire{gid: g.gid, step: step, cut: cut, size: size, tip: g.tip, d: d}
 	})
-}
-
-// localGroupMilli adds the hosted shards' per-group milli-units this period
-// into milli. A group's burned milli-units live in the counters of whichever
-// shard(s) processed it this period — after a hot move both the old and the
-// new host contributed — so the sum over alive shards is the period-so-far
-// total. The shards must be quiescent: it reads their plain counters.
-func (e *Engine) localGroupMilli(milli []int64) {
-	for sh := range e.localShards {
-		for gid, m := range sh.stats.groupMilli {
-			milli[gid] += m
-		}
-	}
 }
 
 // provisionLocal extends the node table with newly provisioned slots,
