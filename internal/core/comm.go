@@ -1,6 +1,6 @@
 package core
 
-import "sort"
+import "slices"
 
 // CommCSR is an immutable compressed-sparse-row view of the inter-key-group
 // communication rates observed over one statistics period, the only form in
@@ -11,8 +11,9 @@ import "sort"
 // synthetic workload alike.
 //
 // Values are sums of per-tuple unit increments (or whatever unit the producer
-// used), so representation changes never change the numbers: dense, hashed and
-// CSR accounting agree byte for byte as long as every edge is counted once.
+// used), so the order edges arrive in never changes the numbers: the engine's
+// per-shard counting tables and the CSR they merge into agree byte for byte as
+// long as every edge is counted once.
 //
 // A CommCSR is never mutated after Build returns; snapshots share one across
 // clones. A nil CommCSR reads as a matrix without edges.
@@ -90,23 +91,27 @@ func (c *CommCSR) ForEach(fn func(gi, gj int, rate float64)) {
 }
 
 // CommBuilder accumulates (from, to, rate) triples — duplicates allowed, they
-// sum — and converts them into a CommCSR with one counting-sort pass. It is
-// reusable: Reset keeps the backing arrays, so the per-period barrier merge
-// allocates only for the CSR it publishes, not for the staging.
+// sum — and converts them into a CommCSR: a counting sort by row, then a sort
+// of each row by destination that merges duplicates and takes the row maximum
+// in one pass. It is reusable: Reset keeps the staging and the sort scratch,
+// so a warm builder's Build allocates only the CSR it returns.
 type CommBuilder struct {
-	rows  int
-	from  []int32
-	to    []int32
-	rates []float64
-	count []int32 // scratch: per-row edge counts, then placement cursors
+	rows   int
+	edges  []stagedEdge
+	sorted []stagedEdge // scratch: edges placed by row
+	count  []int32      // scratch: per-row edge counts, then placement cursors
+}
+
+// stagedEdge is one triple handed to Add.
+type stagedEdge struct {
+	from, to int32
+	rate     float64
 }
 
 // Reset prepares the builder for a new accumulation over rows key groups.
 func (b *CommBuilder) Reset(rows int) {
 	b.rows = rows
-	b.from = b.from[:0]
-	b.to = b.to[:0]
-	b.rates = b.rates[:0]
+	b.edges = b.edges[:0]
 }
 
 // Add records rate for the edge from→to. Out-of-range groups are dropped; the
@@ -116,28 +121,22 @@ func (b *CommBuilder) Add(from, to int, rate float64) {
 	if from < 0 || from >= b.rows || to < 0 || to >= b.rows {
 		return
 	}
-	b.from = append(b.from, int32(from))
-	b.to = append(b.to, int32(to))
-	b.rates = append(b.rates, rate)
+	b.edges = append(b.edges, stagedEdge{int32(from), int32(to), rate})
 }
 
 // Len returns the number of staged (possibly duplicate) edges.
-func (b *CommBuilder) Len() int { return len(b.from) }
+func (b *CommBuilder) Len() int { return len(b.edges) }
 
 // Build sorts the staged edges into rows, merges duplicate (from,to) pairs by
-// summation, and returns the immutable CSR. The builder may be Reset and
-// reused afterwards.
+// summation, and returns the immutable CSR: five allocations, the CSR and its
+// four arrays. The builder may be Reset and reused afterwards.
 func (b *CommBuilder) Build() *CommCSR {
 	rows := b.rows
-	if cap(b.count) < rows+1 {
-		b.count = make([]int32, rows+1)
-	}
-	count := b.count[:rows+1]
-	for i := range count {
-		count[i] = 0
-	}
-	for _, f := range b.from {
-		count[f]++
+	b.count = slices.Grow(b.count[:0], rows+1)[:rows+1]
+	count := b.count
+	clear(count)
+	for _, e := range b.edges {
+		count[e.from]++
 	}
 	rowStart := make([]int32, rows+1)
 	var sum int32
@@ -147,66 +146,34 @@ func (b *CommBuilder) Build() *CommCSR {
 		count[i] = rowStart[i] // becomes the placement cursor
 	}
 	rowStart[rows] = sum
-
-	cols := make([]int32, len(b.to))
-	rates := make([]float64, len(b.rates))
-	for i, f := range b.from {
-		p := count[f]
-		cols[p] = b.to[i]
-		rates[p] = b.rates[i]
-		count[f] = p + 1
+	b.sorted = slices.Grow(b.sorted[:0], len(b.edges))[:len(b.edges)]
+	sorted := b.sorted
+	for _, e := range b.edges {
+		sorted[count[e.from]] = e
+		count[e.from]++
 	}
 
-	// Sort each row by destination and merge duplicates in place. w is the
-	// global write cursor; rows only shrink, so it never overtakes the read
-	// side.
+	// Sort each row by destination, then write it out with duplicates summed.
+	// w is the write cursor; rows only shrink, so rowStart[gi] may be
+	// overwritten once row gi has been read.
+	cols := make([]int32, len(sorted))
+	rates := make([]float64, len(sorted))
+	rowMax := make([]float64, rows)
 	var w int32
 	for gi := 0; gi < rows; gi++ {
-		lo, hi := rowStart[gi], rowStart[gi+1]
-		seg := rowSeg{cols[lo:hi], rates[lo:hi]}
-		sort.Sort(seg)
+		row := sorted[rowStart[gi]:rowStart[gi+1]]
+		slices.SortFunc(row, func(x, y stagedEdge) int { return int(x.to) - int(y.to) })
 		rowStart[gi] = w
-		for e := lo; e < hi; {
-			c, r := cols[e], rates[e]
-			e++
-			for e < hi && cols[e] == c {
-				r += rates[e]
-				e++
+		for e := 0; e < len(row); {
+			c, r := row[e].to, row[e].rate
+			for e++; e < len(row) && row[e].to == c; e++ {
+				r += row[e].rate
 			}
 			cols[w], rates[w] = c, r
+			rowMax[gi] = max(rowMax[gi], r)
 			w++
 		}
 	}
 	rowStart[rows] = w
-	cols = cols[:w]
-	rates = rates[:w]
-
-	csr := &CommCSR{
-		rowStart: rowStart,
-		cols:     cols,
-		rates:    rates,
-		rowMax:   make([]float64, rows),
-	}
-	for gi := 0; gi < rows; gi++ {
-		var max float64
-		for e := rowStart[gi]; e < rowStart[gi+1]; e++ {
-			if rates[e] > max {
-				max = rates[e]
-			}
-		}
-		csr.rowMax[gi] = max
-	}
-	return csr
-}
-
-type rowSeg struct {
-	cols  []int32
-	rates []float64
-}
-
-func (s rowSeg) Len() int           { return len(s.cols) }
-func (s rowSeg) Less(i, j int) bool { return s.cols[i] < s.cols[j] }
-func (s rowSeg) Swap(i, j int) {
-	s.cols[i], s.cols[j] = s.cols[j], s.cols[i]
-	s.rates[i], s.rates[j] = s.rates[j], s.rates[i]
+	return &CommCSR{rowStart: rowStart, cols: cols[:w], rates: rates[:w], rowMax: rowMax}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -62,11 +63,13 @@ func TestCommCSRExactAtScale(t *testing.T) {
 }
 
 // TestCommBuilderMergesDuplicates: staged duplicate edges (several shards
-// counting the same pair) must sum exactly, and Reset must allow reuse.
+// counting the same pair) must sum exactly, and Reset must allow reuse — also
+// after a larger build has left longer sort scratch behind. A warm builder's
+// Build allocates only the CSR it returns.
 func TestCommBuilderMergesDuplicates(t *testing.T) {
 	var b CommBuilder
-	for round := 0; round < 2; round++ {
-		b.Reset(8)
+	for round, rows := range []int{8, 64, 8} {
+		b.Reset(rows)
 		// Three "shards" each reporting overlapping edges.
 		for shard := 0; shard < 3; shard++ {
 			b.Add(1, 2, 10)
@@ -74,18 +77,31 @@ func TestCommBuilderMergesDuplicates(t *testing.T) {
 			b.Add(7, 0, 5)
 		}
 		b.Add(1, 3, 1)
+		for g := 8; g < rows; g++ { // one edge from every row past the eighth
+			b.Add(g, rows-1, 2)
+		}
 		csr := b.Build()
+		if got := csr.Rows(); got != rows {
+			t.Fatalf("round %d: rows = %d, want %d", round, got, rows)
+		}
 		if got := csr.Rate(1, 2); got != 30 {
 			t.Fatalf("round %d: rate(1,2) = %v, want 30", round, got)
 		}
 		if got := csr.Rate(2, 1); got != 6 {
 			t.Fatalf("round %d: rate(2,1) = %v, want 6", round, got)
 		}
-		if got := csr.Edges(); got != 4 {
-			t.Fatalf("round %d: edges = %d, want 4", round, got)
+		if got, want := csr.Edges(), 4+rows-8; got != want {
+			t.Fatalf("round %d: edges = %d, want %d", round, got, want)
 		}
 		if got := csr.RowMax(1); got != 30 {
 			t.Fatalf("round %d: rowMax(1) = %v, want 30", round, got)
+		}
+		if got := csr.RowMax(rows - 1); rows > 8 && got != 2 {
+			t.Fatalf("round %d: rowMax(%d) = %v, want 2", round, rows-1, got)
+		}
+		// The CSR struct, rowStart, cols, rates and rowMax.
+		if n := testing.AllocsPerRun(10, func() { b.Build() }); n != 5 {
+			t.Fatalf("round %d: warm Build made %v allocations, want 5", round, n)
 		}
 	}
 }
@@ -104,5 +120,32 @@ func TestCommCSRNilAndEmpty(t *testing.T) {
 	empty := b.Build()
 	if empty.Rows() != 4 || empty.Edges() != 0 || empty.Rate(2, 1) != 0 || empty.RowMax(0) != 0 {
 		t.Fatal("empty CSR must read as zero")
+	}
+}
+
+// BenchmarkCommBuild measures the merge a cluster read makes: stage one
+// period's edges from every shard (pairs repeat across shards and sum), then
+// build the CSR, at the paper-scale group count and at planner-scaling sizes.
+func BenchmarkCommBuild(b *testing.B) {
+	for _, tc := range []struct{ rows, edges int }{{128, 4_000}, {2_000, 60_000}, {16_384, 400_000}} {
+		b.Run(fmt.Sprintf("rows=%d/edges=%d", tc.rows, tc.edges), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			staged := make([][2]int, tc.edges)
+			for i := range staged {
+				staged[i] = [2]int{rng.Intn(tc.rows), rng.Intn(tc.rows)}
+			}
+			var cb CommBuilder
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cb.Reset(tc.rows)
+				for _, e := range staged {
+					cb.Add(e[0], e[1], 1)
+				}
+				if csr := cb.Build(); csr.Rows() != tc.rows {
+					b.Fatalf("rows = %d, want %d", csr.Rows(), tc.rows)
+				}
+			}
+		})
 	}
 }

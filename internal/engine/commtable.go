@@ -1,13 +1,12 @@
 package engine
 
-// commTable is the sparse per-shard communication accumulator: an
+// commTable is a shard's communication accumulator, at every group count: an
 // open-addressed hash table from the packed (from, to) key-group pair to its
 // tuple count. The per-tuple hot path (add) is one splitmix hash, a short
-// linear probe over a power-of-two bucket array and a float add — no
-// per-tuple allocation and no map-runtime overhead, which is what keeps
-// sparse accounting within ~2× of the dense flat-matrix path at 1k–16k
-// groups. reset keeps the grown capacity, so steady-state periods allocate
-// nothing at all.
+// linear probe over a power-of-two bucket array and a float add, with no
+// per-tuple allocation and no map-runtime overhead. A read (forEach) walks a
+// bucket array sized by the edges the period touched, not by gid²; reset
+// keeps the grown capacity, so steady-state periods allocate nothing at all.
 type commTable struct {
 	keys []uint64  // packed key + 1; 0 marks an empty slot
 	vals []float64 // tuple counts (unit increments: exact up to 2^53)

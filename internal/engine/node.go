@@ -608,7 +608,7 @@ func (s *shard) routeTo(e edge, fromGID int, t *Tuple) {
 	}
 	dest := rt.nodeOf(e.op, kg)
 	toGID := s.eng.topo.GID(e.op, kg)
-	s.stats.addComm(fromGID, toGID)
+	s.stats.comm.add(fromGID, toGID)
 	if dest == s.nid && int(s.eng.shardIdx[toGID]) == s.sid {
 		// Shard-local edge: no serialization, t is processed synchronously.
 		if s.awaitIn[toGID] {

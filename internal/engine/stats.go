@@ -10,15 +10,6 @@ import (
 	"repro/internal/statestore"
 )
 
-// denseCommGroupLimit is the cut-over between the two communication
-// accumulators: topologies with at most this many key groups accumulate
-// out(gi, gj) in a flat gid×gid []float64 (one add + one index per tuple on
-// the hot path; 362 groups ≈ 1 MB of matrix per shard), larger ones in the
-// sparse open-addressed commTable, whose size follows the edges actually
-// seen. Each wins on its side: the matrix is faster per tuple while it fits
-// in cache, and grows quadratically where the table does not.
-const denseCommGroupLimit = 362
-
 // nodeStats is one shard's statistics: written only by its owning shard
 // goroutine during a period and read by the engine between periods (the
 // completion channel provides the happens-before edge); the engine merges
@@ -39,13 +30,10 @@ type nodeStats struct {
 	// groupTuplesIn / Out count tuples per key group.
 	groupTuplesIn  []int64
 	groupTuplesOut []int64
-	// Communication matrix: tuples sent from key group `from` to key group
-	// `to`. Exactly one of the two representations is active — commDense
-	// (flat, indexed from*numGroups+to) for small topologies, commSparse
-	// (open-addressed counting table, see commtable.go) otherwise.
-	commSparse *commTable
-	commDense  []float64
-	numGroups  int
+	// comm is the communication matrix: tuples sent from key group `from` to
+	// key group `to`, in an open-addressed counting table (commtable.go) that
+	// holds only the edges this period touched.
+	comm commTable
 	// bytesOut / bytesIn count serialized bytes crossing node boundaries.
 	bytesOut, bytesIn int64
 	// batchesOut counts cross-node frames shipped (each amortizing one
@@ -72,51 +60,15 @@ type nodeStats struct {
 	_ [64]byte
 }
 
-// newNodeStats builds one shard's statistics, choosing the communication
-// accumulator by the group count (see denseCommGroupLimit).
+// newNodeStats builds one shard's statistics.
 func newNodeStats(numGroups int) *nodeStats {
 	s := &nodeStats{
 		groupMilli:     make([]int64, numGroups),
 		groupTuplesIn:  make([]int64, numGroups),
 		groupTuplesOut: make([]int64, numGroups),
-		numGroups:      numGroups,
 	}
-	s.initComm(numGroups <= denseCommGroupLimit)
+	s.comm.init(commTableMinBuckets)
 	return s
-}
-
-// initComm allocates the communication accumulator: the dense matrix or the
-// sparse table.
-func (s *nodeStats) initComm(dense bool) {
-	if dense {
-		s.commDense = make([]float64, s.numGroups*s.numGroups)
-		return
-	}
-	s.commSparse = &commTable{}
-	s.commSparse.init(commTableMinBuckets)
-}
-
-// addComm records one tuple flowing from key group `from` to `to`.
-func (s *nodeStats) addComm(from, to int) {
-	if s.commDense != nil {
-		s.commDense[from*s.numGroups+to]++
-		return
-	}
-	s.commSparse.add(from, to)
-}
-
-// forEachComm visits every non-zero communication edge recorded this period.
-func (s *nodeStats) forEachComm(fn func(from, to int, rate float64)) {
-	if s.commDense != nil {
-		ng := s.numGroups
-		for i, v := range s.commDense {
-			if v != 0 {
-				fn(i/ng, i%ng, v)
-			}
-		}
-		return
-	}
-	s.commSparse.forEach(fn)
 }
 
 func (s *nodeStats) addUnits(gid int, units float64) {
@@ -142,11 +94,7 @@ func (s *nodeStats) reset() {
 	clear(s.groupMilli)
 	clear(s.groupTuplesIn)
 	clear(s.groupTuplesOut)
-	if s.commDense != nil {
-		clear(s.commDense)
-	} else {
-		s.commSparse.reset()
-	}
+	s.comm.reset()
 	s.bytesOut, s.bytesIn = 0, 0
 	s.batchesOut = 0
 	s.migMilli = 0
@@ -163,8 +111,8 @@ type PeriodStats struct {
 	// StateBytes is |σ_k| measured at period end.
 	StateBytes []int
 	// Comm is the out(gi, gj) matrix (tuples this period), merged from the
-	// shards' dense/sparse accumulators into one immutable CSR at the period
-	// barrier. Snapshots share it without copying.
+	// shards' counting tables into one immutable CSR at the period barrier.
+	// Snapshots share it without copying.
 	Comm *core.CommCSR
 	// NodeUnits per engine node id (includes removed slots as 0).
 	NodeUnits []float64
@@ -282,7 +230,7 @@ func (a *mergeAcc) fold(r shardRef, commAdd func(from, to int, rate float64)) {
 	for _, c := range sh.stats.groupTuplesOut {
 		a.tuplesOut += c
 	}
-	sh.stats.forEachComm(commAdd)
+	sh.stats.comm.forEach(commAdd)
 	a.bytesOut += sh.stats.bytesOut
 	a.bytesIn += sh.stats.bytesIn
 	a.batchesOut += sh.stats.batchesOut
@@ -394,9 +342,9 @@ func (e *Engine) foldLocal(version int, commAdd func(from, to int, rate float64)
 	for k := 0; k < w; k++ {
 		e.mergeAccs[k].reset(ng, len(e.nodes))
 	}
-	// The comm fold's dominant cost is scanning each shard's accumulator for
-	// non-zero edges; that scan stays parallel and only the per-edge add
-	// serializes on the mutex.
+	// Each shard's counting table is walked in parallel (its bucket array
+	// follows the edges the period touched); only the per-edge add serializes
+	// on the mutex.
 	add := commAdd
 	if w > 1 {
 		var commMu sync.Mutex
