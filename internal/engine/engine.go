@@ -145,9 +145,9 @@ type Engine struct {
 	rig    *netRig
 
 	// Checkpoint scratch, reused across barriers and cadences: liveGroups is
-	// the gid-ordered list of locally hosted states that the delta sizing and
-	// cutCheckpoint fan out over, and freshScratch the gids checkpointed this
-	// cadence.
+	// the list of locally hosted states, in shard order, that the delta sizing
+	// and cutCheckpoint fan out over, and freshScratch the gids checkpointed
+	// this cadence.
 	liveGroups   []liveGroup
 	freshScratch []int
 	// write is the last checkpoint's write, which runs beside the next period
@@ -174,12 +174,10 @@ type Engine struct {
 	// counters), so steady-state generation is allocation-flat; see gen.go.
 	gen genState
 	// Scratch of the cluster read (readStats), reused so the merge itself
-	// stays out of the Allocs telemetry it feeds: shardRefs flattens the live
-	// shards for the parallel stats fold, mergeAccs holds the per-fold-worker
-	// partial sums (the first is the process's accumulator; see foldLocal)
-	// and ckptDeltaBuf backs PeriodStats.CkptDeltaBytes.
-	shardRefs    []shardRef
-	mergeAccs    []*mergeAcc
+	// stays out of the Allocs telemetry it feeds: acc is the process's
+	// accumulator, which foldLocal reads every hosted shard into, and
+	// ckptDeltaBuf backs PeriodStats.CkptDeltaBytes.
+	acc          mergeAcc
 	ckptDeltaBuf []int
 }
 
@@ -892,8 +890,9 @@ func (e *Engine) snapshotOf(ps *PeriodStats, ckptDeltas []int) *core.Snapshot {
 	for op := range e.topo.ops {
 		s.Ops[op].Name = e.topo.ops[op].Name
 		s.Ops[op].Downstream = e.topo.Downstream(op)
-		for kg := 0; kg < e.topo.ops[op].KeyGroups; kg++ {
-			s.Ops[op].Groups = append(s.Ops[op].Groups, e.topo.GID(op, kg))
+		s.Ops[op].Groups = make([]int, e.topo.ops[op].KeyGroups)
+		for kg := range s.Ops[op].Groups {
+			s.Ops[op].Groups[kg] = e.topo.GID(op, kg)
 		}
 	}
 	hetero := false

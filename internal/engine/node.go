@@ -343,7 +343,7 @@ func (s *shard) process(op, kg, gid int, t *Tuple) {
 		st = s.pool.Get()
 		s.states[gid] = st
 	}
-	s.stats.groupTuplesIn[gid]++
+	s.stats.tuplesIn++
 	s.stats.addUnits(gid, o.Cost)
 	outer := s.cur
 	s.cur = o
@@ -552,7 +552,7 @@ func (s *shard) emitFrom(op, fromGID int) Emit {
 		return e
 	}
 	e := func(t *Tuple) {
-		s.stats.groupTuplesOut[fromGID]++
+		s.stats.tuplesOut++
 		for _, e := range s.eng.topo.opEdges[op] {
 			s.routeTo(e, fromGID, t)
 		}

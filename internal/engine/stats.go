@@ -2,7 +2,6 @@ package engine
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -27,9 +26,8 @@ type nodeStats struct {
 	// and integer addition is order-independent where float addition is not —
 	// the in-memory and TCP runs must produce bit-identical PeriodStats.
 	groupMilli []int64
-	// groupTuplesIn / Out count tuples per key group.
-	groupTuplesIn  []int64
-	groupTuplesOut []int64
+	// tuplesIn / tuplesOut count the tuples this shard processed and emitted.
+	tuplesIn, tuplesOut int64
 	// comm is the communication matrix: tuples sent from key group `from` to
 	// key group `to`, in an open-addressed counting table (commtable.go) that
 	// holds only the edges this period touched.
@@ -39,34 +37,30 @@ type nodeStats struct {
 	// batchesOut counts cross-node frames shipped (each amortizing one
 	// allocation and one mailbox lock over its tuples).
 	batchesOut int64
-	// migMilli is the CPU spent serializing/deserializing migrated state, in
-	// milli-units. It counts toward node load (the paper's load-index
-	// measurements include migration overhead — COLA's weakness) but not
-	// toward any key group's gLoad, so planning inputs stay steady-state.
-	migMilli int64
-	// unitsMilli is Σ groupMilli + migMilli, kept by the owning shard for
-	// every tuple; nodeUnits is its published copy for concurrent readers. The
-	// shard publishes after every data frame, with every state it serializes
-	// or adopts, after a replay and before it reports a barrier wave complete:
-	// a reader is at most one frame behind a running shard and exact on a
-	// parked one. Like the rest, unitsMilli is the engine's again once the
-	// shard has reported its last completion, so nothing publishes after that.
+	// unitsMilli is the shard's whole cost this period in milli-units: Σ
+	// groupMilli plus the CPU spent serializing/deserializing migrated state,
+	// which counts toward node load (the paper's load-index measurements
+	// include migration overhead — COLA's weakness) but not toward any key
+	// group's gLoad, so planning inputs stay steady-state. The owning shard
+	// keeps it for every tuple; nodeUnits is its published copy for
+	// concurrent readers. The shard publishes after every data frame, with
+	// every state it serializes or adopts, after a replay and before it
+	// reports a barrier wave complete: a reader is at most one frame behind a
+	// running shard and exact on a parked one. Like the rest, unitsMilli is
+	// the engine's again once the shard has reported its last completion, so
+	// nothing publishes after that.
 	unitsMilli int64
 	nodeUnits  atomic.Int64
 	// The shards' statistics are allocated one after another, and each shard
-	// writes unitsMilli for every tuple while its neighbours read the slice
-	// headers at the front of theirs: a cache line of padding keeps the two
+	// writes unitsMilli for every tuple while its neighbour works on the
+	// fields at the front of its own: a cache line of padding keeps the two
 	// off one line.
 	_ [64]byte
 }
 
 // newNodeStats builds one shard's statistics.
 func newNodeStats(numGroups int) *nodeStats {
-	s := &nodeStats{
-		groupMilli:     make([]int64, numGroups),
-		groupTuplesIn:  make([]int64, numGroups),
-		groupTuplesOut: make([]int64, numGroups),
-	}
+	s := &nodeStats{groupMilli: make([]int64, numGroups)}
 	s.comm.init(commTableMinBuckets)
 	return s
 }
@@ -81,9 +75,7 @@ func (s *nodeStats) addUnits(gid int, units float64) {
 // It is paid once per moved state, so it publishes at once: a node's load
 // estimate counts a move as soon as it is paid.
 func (s *nodeStats) addMigUnits(units float64) {
-	m := int64(units * 1000)
-	s.migMilli += m
-	s.unitsMilli += m
+	s.unitsMilli += int64(units * 1000)
 	s.publishUnits()
 }
 
@@ -92,12 +84,10 @@ func (s *nodeStats) publishUnits() { s.nodeUnits.Store(s.unitsMilli) }
 
 func (s *nodeStats) reset() {
 	clear(s.groupMilli)
-	clear(s.groupTuplesIn)
-	clear(s.groupTuplesOut)
+	s.tuplesIn, s.tuplesOut = 0, 0
 	s.comm.reset()
 	s.bytesOut, s.bytesIn = 0, 0
 	s.batchesOut = 0
-	s.migMilli = 0
 	s.unitsMilli = 0
 	s.nodeUnits.Store(0)
 }
@@ -178,19 +168,10 @@ func (e *Engine) loadPercent(units float64) float64 {
 	return 100 * units / e.capacity
 }
 
-// shardRef names one live shard for the period-barrier merge.
-type shardRef struct {
-	node int
-	sh   *shard
-}
-
 // mergeAcc holds one process's period statistics at the barrier: the fold of
 // its hosted shards, to which the controller adds each worker's (addReply).
-// While the fold runs on several workers each folds into an accumulator of its
-// own, because groupMilli is NOT shard-disjoint (a hot-moved group burns cost
-// on two shards in one period); the partials then add up in worker order.
-// Integer milli-units keep the result independent of split, schedule and of
-// which process measured which shard — the exact in-memory-vs-TCP equality.
+// Integer milli-units keep the result independent of fold order and of which
+// process measured which shard — the exact in-memory-vs-TCP equality.
 type mergeAcc struct {
 	groupMilli []int64
 	nodeMilli  []int64
@@ -216,38 +197,20 @@ func (a *mergeAcc) reset(numGroups, numNodes int) {
 	a.bytesOut, a.bytesIn, a.batchesOut = 0, 0, 0
 }
 
-// fold accumulates one quiescent shard.
-func (a *mergeAcc) fold(r shardRef, commAdd func(from, to int, rate float64)) {
-	sh := r.sh
-	a.nodeMilli[r.node] += sh.stats.migMilli
-	for gid, m := range sh.stats.groupMilli {
-		a.groupMilli[gid] += m
-		a.nodeMilli[r.node] += m
-	}
-	for _, c := range sh.stats.groupTuplesIn {
-		a.tuplesIn += c
-	}
-	for _, c := range sh.stats.groupTuplesOut {
-		a.tuplesOut += c
-	}
-	sh.stats.comm.forEach(commAdd)
-	a.bytesOut += sh.stats.bytesOut
-	a.bytesIn += sh.stats.bytesIn
-	a.batchesOut += sh.stats.batchesOut
-}
-
-func (a *mergeAcc) add(b *mergeAcc) {
-	for gid, m := range b.groupMilli {
+// fold accumulates one quiescent shard. groupMilli is not shard-disjoint: a
+// hot-moved group burns cost on two shards in one period.
+func (a *mergeAcc) fold(sh *shard, commAdd func(from, to int, rate float64)) {
+	st := sh.stats
+	for gid, m := range st.groupMilli {
 		a.groupMilli[gid] += m
 	}
-	for i, m := range b.nodeMilli {
-		a.nodeMilli[i] += m
-	}
-	a.tuplesIn += b.tuplesIn
-	a.tuplesOut += b.tuplesOut
-	a.bytesOut += b.bytesOut
-	a.bytesIn += b.bytesIn
-	a.batchesOut += b.batchesOut
+	a.nodeMilli[sh.nid] += st.unitsMilli
+	st.comm.forEach(commAdd)
+	a.tuplesIn += st.tuplesIn
+	a.tuplesOut += st.tuplesOut
+	a.bytesOut += st.bytesOut
+	a.bytesIn += st.bytesIn
+	a.batchesOut += st.batchesOut
 }
 
 // barrierWorkers is the width of the pool the period barrier spreads n
@@ -294,9 +257,9 @@ type liveGroup struct {
 	size, delta int
 }
 
-// localGroups lists every key group hosted by a live node of this process,
-// in ascending gid (a group lives on exactly one shard at the barrier). The
-// result is valid until the next call.
+// localGroups lists every key group hosted by a live node of this process, in
+// shard order (a group lives on exactly one shard at the barrier). The result
+// is valid until the next call.
 func (e *Engine) localGroups() []liveGroup {
 	groups := e.liveGroups[:0]
 	for sh := range e.localShards {
@@ -306,7 +269,6 @@ func (e *Engine) localGroups() []liveGroup {
 			}
 		}
 	}
-	slices.SortFunc(groups, func(a, b liveGroup) int { return a.gid - b.gid })
 	e.liveGroups = groups
 	return groups
 }
@@ -319,47 +281,16 @@ func (e *Engine) localGroups() []liveGroup {
 // would pay right now, which a checkpoint cut at the same barrier (version)
 // takes as it is (statestore.Tip.Measure). readStats runs it for the
 // controller's own nodes and adds what each worker's rqStats handler made of
-// the same call. Shards are quiescent here. The shard fold fans across the
-// barrier pool when there are enough shards and cores to matter, the sizing
-// always (a group's state, tip and slot are its own); all sums are integer
-// milli-units and the edges are unit counts summed by the builder, so the
-// result is bit-identical to the serial fold whatever the worker count or
-// schedule.
+// the same call. Shards are quiescent here, and each is read once, on the
+// calling goroutine; the sizing fans across the barrier pool (a group's
+// state, tip and slot are its own). All sums are integer milli-units and the
+// edges are unit counts summed by the builder, so the result does not depend
+// on the order the shards are read in, nor on the pool's width or schedule.
 func (e *Engine) foldLocal(version int, commAdd func(from, to int, rate float64)) (*mergeAcc, []liveGroup) {
-	refs := e.shardRefs[:0]
+	acc := &e.acc
+	acc.reset(e.topo.NumGroups(), len(e.nodes))
 	for sh := range e.localShards {
-		refs = append(refs, shardRef{node: sh.nid, sh: sh})
-	}
-	e.shardRefs = refs
-	w := barrierWorkers(len(refs))
-	if len(refs) < 4 {
-		w = 1
-	}
-	for len(e.mergeAccs) < w {
-		e.mergeAccs = append(e.mergeAccs, &mergeAcc{})
-	}
-	ng := e.topo.NumGroups()
-	for k := 0; k < w; k++ {
-		e.mergeAccs[k].reset(ng, len(e.nodes))
-	}
-	// Each shard's counting table is walked in parallel (its bucket array
-	// follows the edges the period touched); only the per-edge add serializes
-	// on the mutex.
-	add := commAdd
-	if w > 1 {
-		var commMu sync.Mutex
-		add = func(from, to int, rate float64) {
-			commMu.Lock()
-			commAdd(from, to, rate)
-			commMu.Unlock()
-		}
-	}
-	fanOut(w, len(refs), func(k, r int) {
-		e.mergeAccs[k].fold(refs[r], add)
-	})
-	acc := e.mergeAccs[0]
-	for k := 1; k < w; k++ {
-		acc.add(e.mergeAccs[k])
+		acc.fold(sh, commAdd)
 	}
 	groups := e.localGroups()
 	fanOut(barrierWorkers(len(groups)), len(groups), func(_, i int) {

@@ -248,29 +248,42 @@ func TestConcurrentSnapshotSubSnapshotApplyPlan(t *testing.T) {
 // BenchmarkSubSnapshot measures the read a segment boundary hands the
 // observer — readStats, the period barrier's read, then the snapshot built
 // from it — between periods, where the shards are as quiescent as at a
-// segment boundary.
+// segment boundary. It reads a small cluster (8 nodes, 64 key groups per
+// operator) and one at the scale the planner is built for (16 nodes, 8,192
+// key groups per operator, with enough distinct words to populate them).
 func BenchmarkSubSnapshot(b *testing.B) {
-	col := newCollector()
-	tp := wordCountTopology([]string{"a", "b", "c", "d"}, 2000, 64, col)
-	e, err := New(tp, Config{Nodes: 8, SubPeriods: 4}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
-	ps, err := e.RunPeriod()
-	if err != nil {
-		b.Fatal(err)
-	}
-	pr := &periodRun{period: ps.Period, alloc: ps.GroupNode}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sub, err := e.readStats(pr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.mu.Lock()
-		e.snapshotOf(sub, nil)
-		e.mu.Unlock()
+	for _, c := range []struct{ nodes, keyGroups, words int }{
+		{nodes: 8, keyGroups: 64, words: 4},
+		{nodes: 16, keyGroups: 8192, words: 1 << 15},
+	} {
+		b.Run(fmt.Sprintf("nodes=%d,kg=%d", c.nodes, c.keyGroups), func(b *testing.B) {
+			words := make([]string, c.words)
+			for i := range words {
+				words[i] = fmt.Sprintf("w%d", i)
+			}
+			col := newCollector()
+			tp := wordCountTopology(words, max(2000, c.words), c.keyGroups, col)
+			e, err := New(tp, Config{Nodes: c.nodes, SubPeriods: 4}, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			ps, err := e.RunPeriod()
+			if err != nil {
+				b.Fatal(err)
+			}
+			pr := &periodRun{period: ps.Period, alloc: ps.GroupNode}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sub, err := e.readStats(pr)
+				if err != nil {
+					b.Fatal(err)
+				}
+				e.mu.Lock()
+				e.snapshotOf(sub, nil)
+				e.mu.Unlock()
+			}
+		})
 	}
 }

@@ -339,8 +339,8 @@ func milli(w *codec.Wire, m []int64) {
 }
 
 // statsReply answers rqStats with a worker's barrier fold (Engine.foldLocal):
-// the accumulator, each hosted group's state size and tip delta in ascending
-// gid, and to the end of the body the communication triples (from, to, count)
+// the accumulator, each hosted group's state size and tip delta in shard
+// order, and to the end of the body the communication triples (from, to, count)
 // the fold handed out — which a writer has encoded into edges by then. All
 // load values are integer milli-units, making the controller's sum exact and
 // order-independent — the property the in-memory vs TCP equivalence tests pin

@@ -261,7 +261,7 @@ func (e *Engine) pingLocalShards() {
 }
 
 // ckptWrite is the second half of a checkpoint: the encodes its cut left to
-// do, one entry per hosted group in ascending gid, which every process runs
+// do, one entry per hosted group in shard order, which every process runs
 // beside the next period. The controller records them, and what each worker's
 // write sent it, when it joins them (Engine.joinCheckpoint); a worker's write
 // answers the controller's rqCkptWrite from its own goroutine. Reused from
@@ -321,12 +321,12 @@ func (e *Engine) startWorkerWrite() {
 // the same in every process: each hosted group's tip is brought up to its
 // live state (statestore.Tip.Cut: nothing, the delta, or a fresh base — always
 // a base for a group without a tip, which gets one), and one entry per group,
-// in ascending gid, says what its write will encode. dirs, ascending too, is
-// what the controller's store says about the groups' chains: a delta past a
-// group's bound is written as a base (a group without a directive has bound
-// -1). The cuts spread over
-// the barrier pool; handing first-timers their tips, which writes the shards'
-// tip maps, is serial. Shards must be quiescent and the last write joined.
+// in shard order, says what its write will encode. dirs, in ascending gid (the
+// store's order), is what the controller's store says about the groups'
+// chains: a delta past a group's bound is written as a base (a group without a
+// directive has bound -1). The cuts spread over the barrier pool; handing
+// first-timers their tips, which writes the shards' tip maps, is serial.
+// Shards must be quiescent and the last write joined.
 func (e *Engine) cutCheckpoint(version int, dirs []ckptDirective) {
 	groups := e.localGroups()
 	w := &e.write
@@ -337,12 +337,9 @@ func (e *Engine) cutCheckpoint(version int, dirs []ckptDirective) {
 			g.tip = &statestore.Tip{}
 			g.sh.tips[g.gid] = g.tip
 		}
-		for len(dirs) > 0 && dirs[0].gid < g.gid {
-			dirs = dirs[1:]
-		}
 		w.dirs[i] = ckptDirective{gid: g.gid, bound: -1}
-		if len(dirs) > 0 && dirs[0].gid == g.gid {
-			w.dirs[i] = dirs[0]
+		if k, ok := slices.BinarySearchFunc(dirs, g.gid, func(d ckptDirective, gid int) int { return d.gid - gid }); ok {
+			w.dirs[i] = dirs[k]
 		}
 	}
 	w.version = version
