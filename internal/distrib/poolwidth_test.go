@@ -9,11 +9,10 @@ import (
 	"repro/internal/engine"
 )
 
-// TestBarrierPoolWidthInvariance: the period barrier sizes checkpoint deltas
-// and TakeCheckpoint diffs, encodes and advances tips on a pool as wide as
-// GOMAXPROCS — in the engine process and, distributed, in the workers and in
-// the controller's absorption of their replies. Whatever the width, the
-// per-period statistics (CkptDeltaBytes among them), the checkpoint
+// TestBarrierPoolWidthInvariance: TakeCheckpoint cuts and writes tips on a
+// pool as wide as GOMAXPROCS — in the engine process and, distributed, in the
+// workers and in the controller's absorption of their replies. Whatever the
+// width, the per-period statistics (CkptDeltaBytes among them), the checkpoint
 // statistics and the encoded checkpoint store are those of width 1. Under
 // -race this is also the check that the pool's workers share nothing.
 func TestBarrierPoolWidthInvariance(t *testing.T) {

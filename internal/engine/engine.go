@@ -636,14 +636,17 @@ func (e *Engine) readStats(pr *periodRun) (*PeriodStats, error) {
 	for _, g := range groups {
 		ps.StateBytes[g.gid], deltas[g.gid] = g.size, g.delta
 	}
-	peers := e.workerPeers()
-	bodies, rerrs := e.rig.requestAll(peers, func(int) reqFrame { return reqFrame{kind: rqStats, version: pr.period} })
-	for k, peer := range peers {
-		if rerrs[k] != nil {
-			return nil, fmt.Errorf("engine: stats from peer %d: %w", peer, rerrs[k])
-		}
-		if err := acc.addReply(bodies[k], &e.commBuilder, ps.StateBytes, deltas); err != nil {
-			return nil, fmt.Errorf("engine: stats reply from peer %d: %w", peer, err)
+	// The request is built only where there are workers: a process alone
+	// allocates nothing for them.
+	if peers := e.workerPeers(); len(peers) > 0 {
+		bodies, rerrs := e.rig.requestAll(peers, func(int) reqFrame { return reqFrame{kind: rqStats, version: pr.period} })
+		for k, peer := range peers {
+			if rerrs[k] != nil {
+				return nil, fmt.Errorf("engine: stats from peer %d: %w", peer, rerrs[k])
+			}
+			if err := acc.addReply(bodies[k], &e.commBuilder, ps.StateBytes, deltas); err != nil {
+				return nil, fmt.Errorf("engine: stats reply from peer %d: %w", peer, err)
+			}
 		}
 	}
 	ps.TuplesIn, ps.TuplesOut = acc.tuplesIn, acc.tuplesOut

@@ -131,8 +131,11 @@ func (r *netRig) request(peer int, q reqFrame) ([]byte, error) {
 // requestAll issues a request to every one of peers at once — q(k) to
 // peers[k] — and waits for all of them: bodies[k] and errs[k] are peers[k]'s
 // reply. Only the round-trip latency runs in parallel; callers fold the
-// replies in peer order.
+// replies in peer order. Without peers it allocates nothing.
 func (r *netRig) requestAll(peers []int, q func(k int) reqFrame) ([][]byte, []error) {
+	if len(peers) == 0 {
+		return nil, nil
+	}
 	bodies, errs := make([][]byte, len(peers)), make([]error, len(peers))
 	var wg sync.WaitGroup
 	for k, peer := range peers {

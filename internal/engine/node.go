@@ -281,7 +281,7 @@ func (s *shard) onMigrateOut(m migrateOutMsg) {
 	s.flushOut(destG)
 	if tip != nil && !m.whole && tip.Pending() < st.Size() {
 		d := &s.diff
-		statestore.DiffInto(d, tip.State(), st)
+		tip.DiffInto(d, st)
 		if sz := d.Size(); sz < st.Size() {
 			encoded := d.EncodeTransfer(make([]byte, 0, sz))
 			s.states[gid] = nil
@@ -402,10 +402,13 @@ func (s *shard) onState(m stateMsg) {
 		}
 		st = s.pool.Get()
 		st.CopyFrom(base)
-		s.diff.Apply(st)
 		// The base IS the checkpoint at baseVer and this shard now holds the
-		// group: it keeps the base, and its bytes, as the group's tip.
-		s.tips[gid] = statestore.NewTip(m.baseVer, base, m.base)
+		// group: it keeps the base, and its bytes, as the group's tip, which
+		// tracks the state from the copy on (the delta is its first change).
+		tip := statestore.NewTip(m.baseVer, base, m.base)
+		tip.Track(st)
+		s.diff.Apply(st)
+		s.tips[gid] = tip
 		// Only the delta is synchronous work in the cost model; the base is
 		// the checkpoint fault tolerance already paid for.
 		s.stats.addMigUnits(float64(len(m.encoded)) * deserCostPerByte)
@@ -532,7 +535,9 @@ func (s *shard) onRecover(m recoverMsg) {
 	s.states[gid] = st
 	if m.tipVer >= 0 {
 		// The restored state IS the checkpoint: a copy of it is the tip.
-		s.tips[gid] = statestore.NewTip(m.tipVer, st.Clone(), m.encoded)
+		tip := statestore.NewTip(m.tipVer, st.Clone(), m.encoded)
+		tip.Track(st)
+		s.tips[gid] = tip
 	} else {
 		delete(s.tips, gid)
 	}

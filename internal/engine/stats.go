@@ -213,8 +213,8 @@ func (a *mergeAcc) fold(sh *shard, commAdd func(from, to int, rate float64)) {
 	a.batchesOut += st.batchesOut
 }
 
-// barrierWorkers is the width of the pool the period barrier spreads n
-// independent pieces of work over: one worker per core, never more than
+// barrierWorkers is the width of the pool a checkpoint's cut and write spread
+// n independent pieces of work over: one worker per core, never more than
 // there are pieces.
 func barrierWorkers(n int) int {
 	return max(1, min(runtime.GOMAXPROCS(0), n))
@@ -282,10 +282,11 @@ func (e *Engine) localGroups() []liveGroup {
 // takes as it is (statestore.Tip.Measure). readStats runs it for the
 // controller's own nodes and adds what each worker's rqStats handler made of
 // the same call. Shards are quiescent here, and each is read once, on the
-// calling goroutine; the sizing fans across the barrier pool (a group's
-// state, tip and slot are its own). All sums are integer milli-units and the
-// edges are unit counts summed by the builder, so the result does not depend
-// on the order the shards are read in, nor on the pool's width or schedule.
+// calling goroutine, and so is every group: a tip reads only the cells its
+// state took since the last reading, which costs less than handing the groups
+// to a pool. All sums are integer milli-units and the edges are unit counts
+// that commAdd sums, so the result does not depend on the order the shards
+// are read in.
 func (e *Engine) foldLocal(version int, commAdd func(from, to int, rate float64)) (*mergeAcc, []liveGroup) {
 	acc := &e.acc
 	acc.reset(e.topo.NumGroups(), len(e.nodes))
@@ -293,12 +294,12 @@ func (e *Engine) foldLocal(version int, commAdd func(from, to int, rate float64)
 		acc.fold(sh, commAdd)
 	}
 	groups := e.localGroups()
-	fanOut(barrierWorkers(len(groups)), len(groups), func(_, i int) {
+	for i := range groups {
 		g := &groups[i]
 		g.size = g.st.Size()
 		if g.tip != nil {
 			g.delta = g.tip.Measure(version, g.st)
 		}
-	})
+	}
 	return acc, groups
 }

@@ -98,6 +98,31 @@ func (l tipLayout) checkTips(t *testing.T, step string) []int {
 	return at
 }
 
+// checkSizings holds each delta the barrier of ps measured (Tip.Measure,
+// which reads only the cells a state took since its tip) to a walk of every
+// cell of the group's live state against its tip, in every process.
+func (l tipLayout) checkSizings(t *testing.T, ps *PeriodStats) {
+	t.Helper()
+	if ps.CkptDeltaBytes == nil {
+		return // no checkpoint yet: nothing was measured
+	}
+	l.quiesce(t)
+	for _, p := range l.procs {
+		for i, n := range p.nodes {
+			if n == nil || p.removed[i] {
+				continue
+			}
+			for _, sh := range n.shards {
+				for gid, tip := range sh.tips {
+					if want := statestore.DiffSize(tip.State(), sh.states[gid]); ps.CkptDeltaBytes[gid] != want {
+						t.Errorf("period %d: group %d measured a %d-byte delta against its tip, the walk of every cell %d", ps.Period, gid, ps.CkptDeltaBytes[gid], want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // tipsWithTheGroups fails unless every group has its tip where it lives,
 // except the groups in without, which must have no tip at all.
 func tipsWithTheGroups(t *testing.T, step string, e *Engine, at []int, without ...int) {
@@ -157,7 +182,8 @@ func tipLayouts(t *testing.T, topo func() *Topology, cfg Config) map[string]func
 // hot move, a full move and a failure with recovery, and checks after every
 // step that each group's tip is where the group is — on an engine that hosts
 // everything and on a mixed cluster where the controller's shards and two
-// workers' sit side by side.
+// workers' sit side by side — and after every period that the barrier sized
+// each tipped group's delta as a walk of every cell does.
 func TestTipLivesWithTheGroup(t *testing.T) {
 	const kgs = 6
 	cfg := Config{Nodes: 3, SubPeriods: 2}
@@ -174,6 +200,7 @@ func TestTipLivesWithTheGroup(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				l.checkSizings(t, ps)
 				return ps
 			}
 			stage := func(moves map[int]int) {
@@ -337,6 +364,46 @@ func TestCutTakesTheBarriersSizing(t *testing.T) {
 			if !bytes.Equal(gotStore, wantStore) {
 				t.Error("the stores differ")
 			}
+		})
+	}
+}
+
+// TestAdoptedTipTracksTheDeltaSince: a group that moves by delta a period
+// after its checkpoint arrives as its base with the delta since applied, and
+// the destination's tip must count those cells as changed too: the barrier
+// after the move, and the one after that, size every tipped group as a walk
+// of every cell does, in one process and across workers.
+func TestAdoptedTipTracksTheDeltaSince(t *testing.T) {
+	topo := func() *Topology { return buildGrowTopology(600, 60, 2, 6) }
+	for name, build := range tipLayouts(t, topo, Config{Nodes: 3}) {
+		t.Run(name, func(t *testing.T) {
+			l := build()
+			defer l.stop()
+			e := l.ctrl
+			run := func() *PeriodStats {
+				t.Helper()
+				ps, err := e.RunPeriod()
+				if err != nil {
+					t.Fatal(err)
+				}
+				l.checkSizings(t, ps)
+				return ps
+			}
+			run()
+			run()
+			e.TakeCheckpoint()
+			run() // the cells the moves carry as their delta
+			plan := e.Allocation()
+			for gid := range plan {
+				plan[gid] = (plan[gid] + 1) % 3
+			}
+			if err := e.ApplyPlan(plan); err != nil {
+				t.Fatal(err)
+			}
+			if ps := run(); ps.Migrations != len(plan) || ps.MigratedDeltaBytes == 0 || ps.PrecopyBytes == 0 {
+				t.Fatalf("period %d: %d migrations, %d delta and %d base bytes, want every group moved by delta", ps.Period, ps.Migrations, ps.MigratedDeltaBytes, ps.PrecopyBytes)
+			}
+			run()
 		})
 	}
 }

@@ -172,7 +172,7 @@ func BenchmarkStateCodec(b *testing.B) {
 }
 
 // BenchmarkTable measures the table operations the data path, the barrier and
-// the checkpoint write are made of, per cell, at the two shapes the benchmark
+// the checkpoint write are made of, per cell of the table, at the two shapes the benchmark
 // jobs give a table: rj1's window bucket (≈600 cells under 14-byte article
 // keys) and rj3's byYear (≈300 cells under 11-byte plane|year keys). One
 // iteration is one pass over the table; once the tables have their size none
@@ -251,6 +251,21 @@ func BenchmarkTable(b *testing.B) {
 		}
 		run("diffsize", live.Table("w").Len(), func() {
 			if DiffSize(tip, live) <= emptyDeltaSize {
+				b.Fatal("empty delta")
+			}
+		})
+		// The same sizing by a tip that tracks the live table (Tip.Measure):
+		// each pass writes one cell in a hundred, none added or removed, and
+		// reads; the reading visits only the cells written since the last.
+		tracked, tracker, d := NewState(), &Tip{}, &Delta{}
+		tracked.Table("w").copyFrom(tab)
+		tracker.Cut(d, 0, tracked)
+		tt := tracked.Table("w")
+		run("diffsize-tracked", tt.Len(), func() {
+			for i := 0; i < len(in); i += 100 {
+				tt.Add(in[i], 1)
+			}
+			if tracker.Measure(0, tracked) <= emptyDeltaSize {
 				b.Fatal("empty delta")
 			}
 		})

@@ -23,6 +23,9 @@ type strEntry struct {
 type tabSetEntry struct {
 	name  string
 	cells []numEntry
+	// applied: Tip.Cut wrote the cells into the tip as it found them, and
+	// leaves the entry to the rest of the delta's application.
+	applied bool
 }
 
 type tabDelEntry struct {
@@ -69,7 +72,7 @@ func (d *Delta) Reset() {
 	d.strDel = d.strDel[:0]
 	for i := range d.tabSet {
 		e := &d.tabSet[i]
-		e.name = ""
+		e.name, e.applied = "", false
 		for j := range e.cells {
 			e.cells[j] = numEntry{}
 		}
@@ -102,7 +105,7 @@ func (d *Delta) growTabSet(name string) *tabSetEntry {
 		d.tabSet = append(d.tabSet, tabSetEntry{})
 	}
 	e := &d.tabSet[len(d.tabSet)-1]
-	e.name = name
+	e.name, e.applied = name, false
 	e.cells = e.cells[:0]
 	return e
 }
@@ -143,7 +146,14 @@ func sameNum(a, b float64) bool { return math.Float64bits(a) == math.Float64bits
 // DiffInto computes new − old into d (d is Reset first). With a reused d
 // this is the zero-alloc form Diff and the store's checkpoint path build
 // on. Neither state is mutated; nil states are treated as empty.
-func DiffInto(d *Delta, old, new *State) {
+func DiffInto(d *Delta, old, new *State) { diffInto(d, old, new, 0, false) }
+
+// diffInto is DiffInto for an old state that is a checkpoint tip marked as tok
+// (0: none): a table of new that tracks it yields the cells written since the
+// mark that differ (changesInto), and with cut those cells are written into
+// old as they are found and their entry is flagged applied. Everything else
+// is walked whole and left to Apply.
+func diffInto(d *Delta, old, new *State, tok uint64, cut bool) {
 	d.Reset()
 	if old == nil {
 		old = &emptyState
@@ -166,6 +176,15 @@ func DiffInto(d *Delta, old, new *State) {
 		if k&kTab != 0 {
 			nt := new.tabs[sym]
 			ot := old.LookupTable(name)
+			if nt.tracks(tok, ot) {
+				// ot has every cell it had at the mark, and no other.
+				se := d.growTabSet(name)
+				if se.cells, se.applied = nt.changesInto(se.cells, ot, cut), cut; len(se.cells) == 0 {
+					se.name = ""
+					d.tabSet = d.tabSet[:len(d.tabSet)-1]
+				}
+				continue
+			}
 			var se *tabSetEntry
 			kept := 0 // cells of ot that nt still has
 			for i, ck := range nt.keys {
@@ -217,7 +236,11 @@ func DiffInto(d *Delta, old, new *State) {
 // Apply mutates st so that Apply(Diff(old, new)) on a clone of old produces
 // a state equal to new. It writes into st's existing storage — applying a
 // steady-state delta to a warm state allocates nothing.
-func (d *Delta) Apply(st *State) {
+func (d *Delta) Apply(st *State) { d.apply(st, false) }
+
+// apply is Apply, skipping the table entries flagged applied when cut is set:
+// the rest of a Tip.Cut.
+func (d *Delta) apply(st *State, cut bool) {
 	// A delta's strings are immutable (a decoded payload's, or shared with the
 	// state Diff read them from): st shares them in turn.
 	for _, e := range d.numSet {
@@ -237,6 +260,9 @@ func (d *Delta) Apply(st *State) {
 	}
 	for i := range d.tabSet {
 		e := &d.tabSet[i]
+		if cut && e.applied {
+			continue
+		}
 		t := st.table(st.intern(e.name, false))
 		t.ensure()
 		for _, c := range e.cells {
@@ -299,10 +325,17 @@ const emptyDeltaSize = 7
 // scratch, no sorting, one lookup per cell of new. Removed cells are not
 // searched for: a table's keys are distinct, so what old has and new lacks
 // is old's cells minus those a lookup from new found, in count and in key
-// bytes alike. It is the per-period residency signal's cost (the engine
-// calls it for every checkpointed group at every period boundary) and what
-// the checkpoint write rule decides on (Advance).
-func DiffSize(old, new *State) int {
+// bytes alike. It is the per-period residency signal (the engine sizes every
+// checkpointed group at every period boundary, through Tip.Measure) and what
+// the checkpoint write rule decides on (Advance); a tip sizes a state it
+// tracks without walking it.
+func DiffSize(old, new *State) int { return diffSize(old, new, 0) }
+
+// diffSize is DiffSize for an old state that is a checkpoint tip marked as tok
+// (0: none): a table of new that tracks it is sized by its running count of
+// changed cells, brought up to date from the cells written since the last
+// sizing (Table.changed); the rest is walked whole.
+func diffSize(old, new *State, tok uint64) int {
 	if old == nil {
 		old = &emptyState
 	}
@@ -332,15 +365,21 @@ func DiffSize(old, new *State) int {
 			ot := old.LookupTable(name)
 			setN, setB := 0, 0
 			keptN, keptB := 0, 0 // cells of ot that nt still has, and their key bytes
-			for i, ck := range nt.keys {
-				ov, ok := ot.lookup(ck, nt.hashes[i])
-				if ok {
-					keptN++
-					keptB += codec.SizeString(ck)
-				}
-				if !ok || !sameNum(ov, nt.vals[i]) {
-					setN++
-					setB += codec.SizeString(ck) + 8
+			if nt.tracks(tok, ot) {
+				// ot has every cell it had at the mark, and no other.
+				setN, setB = nt.changed(ot)
+				keptN, keptB = ot.Len(), ot.encBytes-8*ot.Len()
+			} else {
+				for i, ck := range nt.keys {
+					ov, ok := ot.lookup(ck, nt.hashes[i])
+					if ok {
+						keptN++
+						keptB += codec.SizeString(ck)
+					}
+					if !ok || !sameNum(ov, nt.vals[i]) {
+						setN++
+						setB += codec.SizeString(ck) + 8
+					}
 				}
 			}
 			if setN > 0 || ot == nil {

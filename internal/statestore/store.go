@@ -101,6 +101,10 @@ type Tip struct {
 	// measuredAt is 1 + the version whose Cut may take measured as
 	// DiffSize(st, cur) (0: none); see Measure.
 	measuredAt, measured int
+	// tok is the mark of the live state the tip was last found equal to (0:
+	// none): the tables of that state that carry it record what changes in
+	// them, and the tip's readers of that state read only that (track.go).
+	tok uint64
 }
 
 // NewTip adopts st as the tip at version: a state that arrived whole from the
@@ -139,11 +143,17 @@ func (t *Tip) Encoding() []byte {
 // Measure returns DiffSize(t.State(), cur) and keeps it for a Cut at version,
 // which then takes it instead of sizing the delta again: the caller vouches
 // that cur does not change in between. Any change of the tip (a Cut, a new
-// Tip) forgets the reading.
+// Tip) forgets the reading. Of a state the tip tracks, it reads only the cells
+// written since the last reading.
 func (t *Tip) Measure(version int, cur *State) int {
-	t.measured, t.measuredAt = DiffSize(t.st, cur), version+1
+	t.measured, t.measuredAt = diffSize(t.st, cur, t.tok), version+1
 	return t.measured
 }
+
+// DiffInto computes cur − t.State() into d, as DiffInto(d, t.State(), cur)
+// does, reading of a state the tip tracks only the cells written since the
+// mark. It reads the tip and cur and changes neither.
+func (t *Tip) DiffInto(d *Delta, cur *State) { diffInto(d, t.st, cur, t.tok, false) }
 
 // Pending returns the delta size the last Measure took, or an empty delta's
 // when the tip was cut or adopted since: it then is the state it came from.
@@ -178,7 +188,7 @@ func (t *Tip) Advance(d *Delta, version int, cur *State) (Step, []byte) {
 // tip up to cur at version — a copy of cur for a base; for a delta, the delta
 // into d and applied to the tip — and returns the step and the exact length of
 // what Write will encode for it. It sizes the delta unless Measure did at
-// version.
+// version. cur equals the tip afterwards, and the tip tracks it (Track).
 func (t *Tip) Cut(d *Delta, version int, cur *State) (Step, int) {
 	measured := t.measuredAt == version+1
 	t.ver, t.measuredAt = version, 0
@@ -187,20 +197,25 @@ func (t *Tip) Cut(d *Delta, version int, cur *State) (Step, int) {
 		t.st = NewState()
 	} else {
 		if size = t.measured; !measured {
-			size = DiffSize(t.st, cur)
+			size = diffSize(t.st, cur, t.tok)
 		}
 		if size == emptyDeltaSize {
+			t.Track(cur)
 			return StepNone, 0
 		}
 	}
 	t.enc.Store(nil)
+	step := StepDelta
 	if size >= cur.Size() {
+		step, size = StepBase, cur.Size()
 		t.st.CopyFrom(cur)
-		return StepBase, cur.Size()
+	} else {
+		// The cells of tracked tables go into the tip as they are found.
+		diffInto(d, t.st, cur, t.tok, true)
+		d.apply(t.st, true)
 	}
-	DiffInto(d, t.st, cur)
-	d.Apply(t.st)
-	return StepDelta, size
+	t.Track(cur)
+	return step, size
 }
 
 // Write is the other half: it appends to buf what Cut decided — nothing for

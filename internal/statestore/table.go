@@ -51,6 +51,10 @@ type Table struct {
 	// size-changing mutation so the State's cached Size() stays honest.
 	// Scratch and standalone tables have no owner.
 	owner *State
+	// changes records which entries were written while the table tracks a
+	// checkpoint tip (track.go); a write to a table that does not costs one
+	// comparison.
+	changes
 }
 
 // tableSeed keys hashKey for the life of the process.
@@ -153,6 +157,9 @@ func (t *Table) insertAt(slot uint32, k string, h uint32, v float64) {
 	t.slots[slot] = h&^t.mask | uint32(len(t.keys))
 	t.encBytes += codec.SizeString(k) + 8
 	t.dirtyOwner()
+	if t.tok != 0 {
+		t.inserted()
+	}
 	// Grow at 3/4 load so probe chains stay short.
 	if 4*len(t.keys) >= 3*len(t.slots) {
 		t.grow()
@@ -210,6 +217,7 @@ func (t *Table) Set(k string, v float64) {
 	h := hashKey(k)
 	if slot, ei := t.probe(k, h); ei >= 0 {
 		t.vals[ei] = v
+		t.wrote(ei)
 	} else {
 		t.insertAt(slot, t.own(k), h, v)
 	}
@@ -220,6 +228,7 @@ func (t *Table) set(k string, v float64) {
 	h := hashKey(k)
 	if slot, ei := t.probe(k, h); ei >= 0 {
 		t.vals[ei] = v
+		t.wrote(ei)
 	} else {
 		t.insertAt(slot, k, h, v)
 	}
@@ -233,6 +242,7 @@ func (t *Table) Add(k string, dv float64) float64 {
 	slot, ei := t.probe(k, h)
 	if ei >= 0 {
 		t.vals[ei] += dv
+		t.wrote(ei)
 		return t.vals[ei]
 	}
 	t.insertAt(slot, t.own(k), h, dv)
@@ -263,6 +273,7 @@ func (t *Table) AddTable(src *Table) {
 		h := src.hashes[i]
 		if slot, ei := t.probe(k, h); ei >= 0 {
 			t.vals[ei] += src.vals[i]
+			t.wrote(ei)
 		} else {
 			t.insertAt(slot, k, h, src.vals[i])
 		}
@@ -271,7 +282,8 @@ func (t *Table) AddTable(src *Table) {
 
 // Delete removes the cell, reporting whether it existed. The dense entry is
 // swap-removed and the probe chain backward-shifted: no tombstones, no
-// degradation under churn.
+// degradation under churn. A table that tracked a checkpoint tip stops: its
+// readers walk it whole until the next mark.
 func (t *Table) Delete(k string) bool {
 	if t == nil || t.slots == nil {
 		return false
@@ -280,6 +292,7 @@ func (t *Table) Delete(k string) bool {
 	if ei < 0 {
 		return false
 	}
+	t.tok = 0
 	last := int32(len(t.keys)) - 1
 	if ei != last {
 		// The last entry takes the place of the removed one: its slot is the
@@ -315,9 +328,14 @@ func (t *Table) Delete(k string) bool {
 	return true
 }
 
-// Clear removes every cell but keeps all backing arrays for reuse.
+// Clear removes every cell but keeps all backing arrays for reuse. A table
+// that tracked a checkpoint tip stops, as after Delete.
 func (t *Table) Clear() {
-	if t == nil || len(t.keys) == 0 {
+	if t == nil {
+		return
+	}
+	t.tok = 0
+	if len(t.keys) == 0 {
 		return
 	}
 	for i := range t.keys {
