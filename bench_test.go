@@ -275,10 +275,12 @@ func benchShardedThroughput(b *testing.B, procs, perPeriod int) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation benchmarks: contribution of each anytime-solver phase (DESIGN.md
-// design choices). The scenario is the hard one: five equally-overloaded
-// nodes plus ten kill-marked nodes to drain, where single-move greedy search
-// plateaus and the batch lookahead is what matches the exact MILP behaviour.
+// Ablation benchmarks: contribution of each anytime-solver phase (the
+// ablation switches of assign.Options; EXPERIMENTS.md, "The CPLEX-budget
+// scaling note", says what the solver's budget means). The scenario is the
+// hard one: five equally-overloaded nodes plus ten kill-marked nodes to
+// drain, where single-move greedy search plateaus and the batch lookahead is
+// what matches the exact MILP behaviour.
 
 func ablationProblem() *assign.Problem {
 	// Five equally-overloaded nodes over a perfectly uniform background: a

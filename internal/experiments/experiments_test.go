@@ -6,7 +6,7 @@ import (
 )
 
 // The experiment tests assert the qualitative shapes the paper reports
-// (see DESIGN.md, "Expected shapes"), not absolute numbers.
+// (EXPERIMENTS.md: its introduction and "Figure index"), not absolute numbers.
 
 func mean(v []float64) float64 {
 	if len(v) == 0 {

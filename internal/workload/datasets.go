@@ -8,13 +8,12 @@
 // respective experiments depend on: key distributions (Zipf article
 // popularity, plane/route identities), input-rate fluctuation, and the
 // partitioning attributes that create or prevent collocation opportunities.
-// The substitutions are catalogued in DESIGN.md.
+// EXPERIMENTS.md, "Scale substitutions", catalogues the substitutions.
 package workload
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/engine"
 )
@@ -69,6 +68,12 @@ type WikipediaConfig struct {
 // values covering Denmark"; the generator assigns each edit a uniform cell
 // from a fixed 100-cell grid.
 //
+// Articles come from newZipfSampler and the other fields from intn
+// (sampler.go): tables that return math/rand's Zipf and Intn values from
+// the same words, so the stream is the one rand.NewZipf and rng.Intn give
+// (TestGeneratorStreamsPinned), with the article draw at about a third of
+// math/rand's cost (BenchmarkSamplers).
+//
 // Every part replays the source's full per-period splitmix64 stream in the
 // exact per-tuple draw order (the Zipf sampler's rejection loop consumes a
 // variable number of draws, so the draws cannot be skipped) and emits only
@@ -94,11 +99,12 @@ func WikipediaParts(cfg WikipediaConfig) engine.PartSourceFunc {
 	articles := newNameTable("article-%06d", cfg.Articles)
 	editors := newNameTable("editor-%04d", 5000)
 	geos := newNameTable("dk-%02d", 100)
+	editorDraw, geoDraw, changedDraw := newIntn(5000), newIntn(100), newIntn(2000)
 	return func(period, part, parts int, emit engine.Emit) {
 		// Per-period RNG: each period's batch is bit-reproducible from
 		// (Seed, period) alone, independent of generation order.
 		rng := periodRNG(cfg.Seed, 0x11aa, period)
-		zipf := rand.NewZipf(rng, cfg.ZipfS, cfg.ZipfV, uint64(cfg.Articles-1))
+		zipf := newZipfSampler(rng, cfg.ZipfS, cfg.ZipfV, uint64(cfg.Articles-1))
 		drift := 1 + cfg.Fluctuation*math.Sin(float64(period)/7)
 		noise := 1 + cfg.Fluctuation*0.4*(rng.Float64()*2-1)
 		n := int(float64(cfg.BaseRate) * drift * noise)
@@ -106,9 +112,9 @@ func WikipediaParts(cfg WikipediaConfig) engine.PartSourceFunc {
 			// All draws happen before the part filter, in the serial path's
 			// per-tuple order, so the stream position never depends on parts.
 			article := int(zipf.Uint64())
-			editor := rng.Intn(5000)
-			geo := rng.Intn(100)
-			changed := 10 + rng.Intn(2000)
+			editor := editorDraw.draw(rng)
+			geo := geoDraw.draw(rng)
+			changed := 10 + changedDraw.draw(rng)
 			if i%parts != part {
 				continue
 			}
@@ -168,21 +174,22 @@ func AirlineParts(cfg AirlineConfig) engine.PartSourceFunc {
 			routes[o*cfg.Airports+d] = airports.name(o) + "-" + airports.name(d)
 		}
 	}
+	airportDraw, tailDraw := newIntn(cfg.Airports), newIntn(10)
 	return func(period, part, parts int, emit engine.Emit) {
 		rng := periodRNG(cfg.Seed, 0x22bb, period)
 		// Plane popularity is mildly skewed (fleet workhorses fly more, but
 		// no tail number exceeds a fraction of a percent of all flights).
-		zipf := rand.NewZipf(rng, 1.1, 30, uint64(cfg.Planes-1))
+		zipf := newZipfSampler(rng, 1.1, 30, uint64(cfg.Planes-1))
 		n := int(float64(cfg.Rate) * cfg.RateScale)
 		for i := 0; i < n; i++ {
 			plane := int(zipf.Uint64())
-			o, d := rng.Intn(cfg.Airports), rng.Intn(cfg.Airports)
+			o, d := airportDraw.draw(rng), airportDraw.draw(rng)
 			if o == d {
 				d = (d + 1) % cfg.Airports
 			}
 			// Delay distribution: most flights near-on-time, a long tail.
 			delay := rng.ExpFloat64() * 12
-			if rng.Intn(10) == 0 {
+			if tailDraw.draw(rng) == 0 {
 				delay += rng.ExpFloat64() * 45
 			}
 			if i%parts != part {
@@ -234,12 +241,13 @@ func WeatherParts(cfg WeatherConfig) engine.PartSourceFunc {
 	}
 	stations := newNameTable("ST%04d", cfg.Stations)
 	airports := newNameTable("A%02d", cfg.Airports)
+	stationDraw, rainDraw := newIntn(cfg.Stations), newIntn(3)
 	return func(period, part, parts int, emit engine.Emit) {
 		rng := periodRNG(cfg.Seed, 0x33cc, period)
 		for i := 0; i < cfg.Rate; i++ {
-			st := rng.Intn(cfg.Stations)
+			st := stationDraw.draw(rng)
 			precip := 0.0
-			if rng.Intn(3) == 0 { // rainy day
+			if rainDraw.draw(rng) == 0 { // rainy day
 				precip = rng.ExpFloat64() * 8
 			}
 			histMax := 60 + rng.Float64()*40
