@@ -275,14 +275,12 @@ func benchShardedThroughput(b *testing.B, procs, perPeriod int) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation benchmarks: contribution of each anytime-solver phase (the
-// ablation switches of assign.Options; EXPERIMENTS.md, "The CPLEX-budget
-// scaling note", says what the solver's budget means). The scenario is the
-// hard one: five equally-overloaded nodes plus ten kill-marked nodes to
-// drain, where single-move greedy search plateaus and the batch lookahead is
-// what matches the exact MILP behaviour.
+// The default anytime solver on its hard case, a plateau for single-move
+// greedy search that the batch lookahead gets off (EXPERIMENTS.md, "The
+// CPLEX-budget scaling note", says what the solver's budget means). final_d
+// is the load distance a 10 ms solve ends at.
 
-func ablationProblem() *assign.Problem {
+func solverPlateauProblem() *assign.Problem {
 	// Five equally-overloaded nodes over a perfectly uniform background: a
 	// plateau where no SINGLE move improves the objective (shaving one peak
 	// leaves the others defining d; every receiver ties on the under side),
@@ -307,40 +305,19 @@ func ablationProblem() *assign.Problem {
 	}
 }
 
-func benchAblation(b *testing.B, opt assign.Options) {
+func BenchmarkSolverPlateau(b *testing.B) {
 	b.ReportAllocs()
 	var sumD float64
 	for i := 0; i < b.N; i++ {
-		p := ablationProblem()
-		opt.Seed = int64(i)
-		opt.TimeLimit = 10 * time.Millisecond
-		sol, err := assign.Solve(p, opt)
+		sol, err := assign.Solve(solverPlateauProblem(), assign.Options{
+			Seed: int64(i), TimeLimit: 10 * time.Millisecond,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		sumD += sol.Eval.D
 	}
 	b.ReportMetric(sumD/float64(b.N), "final_d")
-}
-
-func BenchmarkAblationFullSolver(b *testing.B) {
-	benchAblation(b, assign.Options{})
-}
-
-func BenchmarkAblationNoSwaps(b *testing.B) {
-	benchAblation(b, assign.Options{DisableSwaps: true})
-}
-
-func BenchmarkAblationNoBatch(b *testing.B) {
-	benchAblation(b, assign.Options{DisableBatch: true})
-}
-
-func BenchmarkAblationNoLNS(b *testing.B) {
-	benchAblation(b, assign.Options{DisableLNS: true})
-}
-
-func BenchmarkAblationGreedyOnly(b *testing.B) {
-	benchAblation(b, assign.Options{DisableSwaps: true, DisableBatch: true, DisableLNS: true})
 }
 
 // BenchmarkDecayExtension runs the Section 5.4 closing-remark experiment

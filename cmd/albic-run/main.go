@@ -18,7 +18,8 @@
 // key groups) apply without waiting for the period barrier. A flag that
 // would be ignored is an error, exit status 2: -subperiods 1 or below,
 // -workers without -listen and -incremental with a balancer that does not
-// plan (anything but albic and milp).
+// plan (anything but albic and milp). So is a size the run would replace:
+// -nodes below 1, a negative -groups or -rate.
 //
 // With -ckpt-every N the controller checkpoints all key-group state
 // incrementally every N periods, which arms checkpoint-assisted migration: a
@@ -66,12 +67,25 @@ func main() {
 	smooth := flag.Float64("smooth", 1, "EWMA factor for planner inputs, in (0,1]; 1 = plan on raw loads")
 	subperiods := flag.Int("subperiods", 0, "sub-intervals per period; 2 or more turns on reactive hot moves (0 = off)")
 	ckptEvery := flag.Int("ckpt-every", 0, "incremental checkpoint every N periods (0 = off); arms checkpoint-assisted delta migration")
-	migrCost := flag.Float64("migr-cost", 0, "max migration cost per adaptation, in state bytes at alpha=1 (0 = unlimited)")
+	migrCost := flag.Float64("migr-cost", 0, "max migration cost per adaptation, in state bytes a move ships synchronously (0 = unlimited)")
 	shards := flag.Int("shards", 1, "worker shards per node (parallel operator execution; needs GOMAXPROCS > 1 to pay off)")
 	incremental := flag.Bool("incremental", false, "dirty-region incremental planning: only groups with material load/placement changes (plus their comm neighborhoods) are re-solved each period (albic and milp only)")
 	listen := flag.String("listen", "", "run distributed: listen on this address and wait for -workers albic-node processes to join (empty = single-process)")
 	workers := flag.Int("workers", 2, "worker processes to wait for with -listen")
 	flag.Parse()
+	// A size the run would not use is an error, not a silent substitution.
+	if *nodes < 1 {
+		fmt.Fprintf(os.Stderr, "albic-run: -nodes %d: need at least 1 node\n", *nodes)
+		os.Exit(2)
+	}
+	if *groups < 0 {
+		fmt.Fprintf(os.Stderr, "albic-run: -groups %d is negative; use 0 for 5 per node\n", *groups)
+		os.Exit(2)
+	}
+	if *rate < 0 {
+		fmt.Fprintf(os.Stderr, "albic-run: -rate %d is negative; use 0 for the job default\n", *rate)
+		os.Exit(2)
+	}
 	if *smooth <= 0 || *smooth > 1 {
 		fmt.Fprintf(os.Stderr, "albic-run: -smooth %g out of range (0,1]\n", *smooth)
 		os.Exit(2)
@@ -159,15 +173,10 @@ func main() {
 		*job, *balancerName, *nodes, *budget, cfg.Rate, *pipelined, reactive)
 	fmt.Printf("%7s %10s %12s %10s %11s %9s %12s %10s\n",
 		"period", "loadDist%", "collocation%", "avgLoad%", "migrations", "hotMoves", "migLatency_s", "plan_ms")
-	alpha := 0.0
-	if *migrCost > 0 {
-		alpha = 1 // price moves in state bytes; checkpointed groups cost only their delta
-	}
 	ctrl := repro.NewController(e, repro.ControllerOptions{
 		Balancer:        bal,
 		MaxMigrations:   *budget,
 		MaxMigrCost:     *migrCost,
-		Alpha:           alpha,
 		SmoothAlpha:     *smooth,
 		Pipelined:       *pipelined,
 		CheckpointEvery: *ckptEvery,

@@ -171,7 +171,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		p := randomProblem(rng, 2+rng.Intn(2), 4+rng.Intn(3)) // <= 3 nodes, <= 6 items
 		_, bfEval := bruteForce(p)
-		sol, err := Solve(p, Options{Exact: true, ExactTimeLimit: 20 * time.Second})
+		sol, err := Solve(p, Options{Exact: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

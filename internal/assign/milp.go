@@ -180,20 +180,19 @@ func ones(n int) []float64 {
 	return v
 }
 
+// exactTimeLimit bounds an exact solve.
+const exactTimeLimit = 30 * time.Second
+
 // solveExact solves the problem with the branch-and-bound MILP solver and
 // converts the result back to an assignment. ctx cancellation stops the
 // search like the time limit does: the best incumbent found so far is
 // returned if one exists.
-func solveExact(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
+func solveExact(ctx context.Context, p *Problem) (*Solution, error) {
 	m, x, err := BuildMILP(p)
 	if err != nil {
 		return nil, err
 	}
-	tl := opt.ExactTimeLimit
-	if tl <= 0 {
-		tl = 30 * time.Second
-	}
-	sol := lp.SolveMILP(m, lp.MILPOptions{TimeLimit: tl, Cancel: ctx.Done()})
+	sol := lp.SolveMILP(m, lp.MILPOptions{TimeLimit: exactTimeLimit, Cancel: ctx.Done()})
 	switch sol.Status {
 	case lp.Optimal, lp.TimeLimit:
 		if sol.X == nil {

@@ -22,16 +22,9 @@ type Options struct {
 	TimeLimit time.Duration
 	// Seed drives the deterministic randomized improvement phase.
 	Seed int64
-	// Exact forces the branch-and-bound MILP solver (small problems only).
+	// Exact forces the branch-and-bound MILP solver (small problems only),
+	// bounded by exactTimeLimit.
 	Exact bool
-	// ExactTimeLimit bounds the exact solve; default 30s.
-	ExactTimeLimit time.Duration
-
-	// Ablation switches (benchmarks only): disable individual improvement
-	// phases to measure their contribution. All false in production use.
-	DisableSwaps bool // pair exchanges between extreme nodes
-	DisableBatch bool // Lin-Kernighan lookahead (joint drains/multi-peak fixes)
-	DisableLNS   bool // large-neighbourhood repacking under the time budget
 }
 
 // DefaultTimeLimit is the anytime budget of a solve whose Options leave
@@ -74,7 +67,7 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
 		return nil, err
 	}
 	if opt.Exact {
-		return solveExact(ctx, p, opt)
+		return solveExact(ctx, p)
 	}
 	if opt.TimeLimit <= 0 {
 		opt.TimeLimit = DefaultTimeLimit
@@ -88,21 +81,16 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
 	if err := s.init(); err != nil {
 		return nil, err
 	}
+	// Single moves, pair exchanges between extreme nodes, then the
+	// Lin-Kernighan lookahead (joint drains, multi-peak fixes) until it stops
+	// paying, and large-neighbourhood repacking under the time budget.
 	s.greedyMoves()
-	if !opt.DisableSwaps {
+	s.swapPass()
+	for !s.expired() && s.batchPass() {
+		s.greedyMoves()
 		s.swapPass()
 	}
-	if !opt.DisableBatch {
-		for !s.expired() && s.batchPass() {
-			s.greedyMoves()
-			if !opt.DisableSwaps {
-				s.swapPass()
-			}
-		}
-	}
-	if !opt.DisableLNS {
-		s.lns()
-	}
+	s.lns()
 	e := p.Evaluate(s.assign)
 	if !p.WithinBudget(e) {
 		// Can only happen through pins; init would have caught it.

@@ -19,16 +19,19 @@ import (
 // mapped onto nodes with a greedy maximum-overlap matching so the migration
 // count reported is the best case for COLA.
 type COLA struct {
-	// Imbalance is the allowed partition imbalance ratio (default 1.05).
-	Imbalance float64
-	// Seeds is how many randomized partitionings to try, keeping the best
-	// by (load distance, edge cut). Default 3.
-	Seeds int
 	// Seed is the base random seed.
 	Seed int64
 
 	round int64
 }
+
+const (
+	// colaImbalance is the allowed partition imbalance ratio.
+	colaImbalance = 1.05
+	// colaSeeds is how many randomized partitionings a plan tries, keeping
+	// the best by (load distance, edge cut).
+	colaSeeds = 3
+)
 
 // Name implements core.Balancer.
 func (c *COLA) Name() string { return "cola" }
@@ -37,14 +40,6 @@ func (c *COLA) Name() string { return "cola" }
 func (c *COLA) Plan(_ context.Context, s *core.Snapshot) (*core.Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
-	}
-	imbalance := c.Imbalance
-	if imbalance <= 1 {
-		imbalance = 1.05
-	}
-	seeds := c.Seeds
-	if seeds <= 0 {
-		seeds = 3
 	}
 	c.round++
 
@@ -69,8 +64,8 @@ func (c *COLA) Plan(_ context.Context, s *core.Snapshot) (*core.Plan, error) {
 
 	var bestAssign []int
 	bestDist, bestCut := 0.0, 0.0
-	for trial := 0; trial < seeds; trial++ {
-		part, err := graphpart.Partition(g, k, imbalance, c.Seed+c.round*31+int64(trial))
+	for trial := 0; trial < colaSeeds; trial++ {
+		part, err := graphpart.Partition(g, k, colaImbalance, c.Seed+c.round*31+int64(trial))
 		if err != nil {
 			return nil, err
 		}

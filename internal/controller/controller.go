@@ -90,10 +90,10 @@ type Options struct {
 	// negative disables calibration.
 	TargetAvgLoad float64
 	// MaxMigrations / MaxMigrCost bound migrations per adaptation
-	// (<= 0: unrestricted); Alpha converts state size to migration cost.
+	// (<= 0: unrestricted); MaxMigrCost counts the bytes the moves ship
+	// synchronously (core.Snapshot.MaxMigrCost).
 	MaxMigrations int
 	MaxMigrCost   float64
-	Alpha         float64
 	// SmoothAlpha is the EWMA factor applied to per-group loads before
 	// planning (the controller's SPL averaging): input = α·new + (1-α)·old.
 	// 0 means the default 0.5; 1 plans on raw loads.
@@ -313,7 +313,7 @@ func (r *run) onSubPeriod(snap *core.Snapshot, period, sub int) []core.Move {
 		return nil
 	}
 	snap.MaxMigrations = hotMoveBudget
-	hot := core.GreedyHotMover{TopK: hotMoveBudget}
+	hot := core.GreedyHotMover{}
 	plan, err := hot.Plan(r.ctx, snap)
 	if err != nil || plan == nil || len(plan.Moves) == 0 {
 		r.trigger.Rearm()
@@ -398,7 +398,6 @@ func (r *run) observe(ps *engine.PeriodStats) error {
 		}
 		snap.MaxMigrations = c.opt.MaxMigrations
 		snap.MaxMigrCost = c.opt.MaxMigrCost
-		snap.Alpha = c.opt.Alpha
 		r.smoothLoads(snap)
 		r.req <- snap
 		if !c.opt.Pipelined {

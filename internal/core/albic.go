@@ -25,12 +25,6 @@ import (
 type ALBIC struct {
 	// MaxLD is the maximum acceptable load distance (default 10).
 	MaxLD float64
-	// MaxPL is the initial maximum partition load (default 25).
-	MaxPL float64
-	// StepPL is the decrease applied on each recalculation (default 5).
-	StepPL float64
-	// SF is the score factor: pairs must exceed avg(gi)·SF (default 1.5).
-	SF float64
 	// TimeLimit is the budget of one solve of the underlying MILP solver: a
 	// ceiling, not a duration. A solve that converges returns early, and the
 	// retry-without-pin of a solve whose pin busts the migration budget runs
@@ -63,21 +57,21 @@ type ALBIC struct {
 // Name implements Balancer.
 func (a *ALBIC) Name() string { return "albic" }
 
-func (a *ALBIC) defaults() (maxLD, maxPL, stepPL, sf float64) {
-	maxLD, maxPL, stepPL, sf = a.MaxLD, a.MaxPL, a.StepPL, a.SF
-	if maxLD <= 0 {
-		maxLD = 10
+// The paper's ALBIC parameters: the initial maximum partition load maxPL,
+// the decrease stepPL applied on each recalculation, and the score factor
+// sF — a pair scores when its rate exceeds avg(gi)·sF.
+const (
+	albicMaxPL  = 25
+	albicStepPL = 5
+	albicSF     = 1.5
+)
+
+// maxLD is the user's load-distance bound: MaxLD, or the paper's 10.
+func (a *ALBIC) maxLD() float64 {
+	if a.MaxLD <= 0 {
+		return 10
 	}
-	if maxPL <= 0 {
-		maxPL = 25
-	}
-	if stepPL <= 0 {
-		stepPL = 5
-	}
-	if sf <= 0 {
-		sf = 1.5
-	}
-	return
+	return a.MaxLD
 }
 
 // scored is one key-group pair that communicates above threshold.
@@ -93,7 +87,7 @@ func (a *ALBIC) Plan(ctx context.Context, s *Snapshot) (*Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	maxLD, maxPL, stepPL, sf := a.defaults()
+	maxLD, maxPL := a.maxLD(), float64(albicMaxPL)
 	a.round++
 	rng := rand.New(rand.NewSource(a.Seed + a.round*1_000_003))
 
@@ -102,7 +96,7 @@ func (a *ALBIC) Plan(ctx context.Context, s *Snapshot) (*Plan, error) {
 		dirty = a.tracker.region(s, DefaultDirtyLoadDelta, DefaultDirtyTopK)
 		a.tracker.observe(s)
 	}
-	colPairs, toBeCol := a.scorePairs(s, sf, dirty)
+	colPairs, toBeCol := a.scorePairs(s, dirty)
 
 	var best *Plan
 	for {
@@ -120,7 +114,7 @@ func (a *ALBIC) Plan(ctx context.Context, s *Snapshot) (*Plan, error) {
 			return best, nil
 		}
 		// Load distance too high: use smaller (more) partitions (step 4).
-		maxPL -= stepPL
+		maxPL -= albicStepPL
 		if maxPL < 0 {
 			maxPL = 0
 		}
@@ -131,10 +125,10 @@ func (a *ALBIC) Plan(ctx context.Context, s *Snapshot) (*Plan, error) {
 // already collocated and those that are not yet. The scan is sparse: per
 // group it walks only the CSR row of observed edges (each rate read once —
 // the average and the threshold test share the scan), and the precomputed
-// row maximum skips the emission pass for rows that cannot clear avg·sf.
+// row maximum skips the emission pass for rows that cannot clear avg·sF.
 // With a non-nil dirty mask only pairs with both endpoints dirty are
 // emitted; frozen groups cannot move, so scoring them is wasted work.
-func (a *ALBIC) scorePairs(s *Snapshot, sf float64, dirty []bool) (colPairs, toBeCol []scored) {
+func (a *ALBIC) scorePairs(s *Snapshot, dirty []bool) (colPairs, toBeCol []scored) {
 	csr := s.Comm
 	isDown := make([]bool, len(s.Ops))
 	for oi := range s.Ops {
@@ -164,7 +158,7 @@ func (a *ALBIC) scorePairs(s *Snapshot, sf float64, dirty []bool) (colPairs, toB
 				// avg(gk) is the group's output volume averaged over its
 				// downstream groups, including the unobserved (zero-rate)
 				// ones — same denominator as the dense enumeration used.
-				threshold := output / float64(downGroups) * sf
+				threshold := output / float64(downGroups) * albicSF
 				if csr.RowMax(gk) <= threshold {
 					continue
 				}

@@ -60,7 +60,7 @@ func TestALBICScorePairsThreshold(t *testing.T) {
 	}
 	s := pairSnapshot(2, rates, []int{0, 0, 0, 0, 0, 1, 1, 1}, nil)
 	a := &ALBIC{}
-	col, toBe := a.scorePairs(s, 1.5, nil)
+	col, toBe := a.scorePairs(s, nil)
 	// (0,4) is collocated (both node 0) and far above threshold.
 	if len(col) != 1 || col[0].gi != 0 || col[0].gj != 4 {
 		t.Fatalf("colPairs = %+v, want exactly (0,4)", col)
@@ -79,7 +79,7 @@ func TestALBICScoreSeparatedPairGoesToToBeCol(t *testing.T) {
 	rates := []edge{{0, 4, 40}}
 	s := pairSnapshot(2, rates, []int{0, 0, 0, 0, 1, 1, 1, 1}, nil)
 	a := &ALBIC{}
-	col, toBe := a.scorePairs(s, 1.5, nil)
+	col, toBe := a.scorePairs(s, nil)
 	if len(col) != 0 {
 		t.Fatalf("colPairs = %+v, want none (0 and 4 are on different nodes)", col)
 	}
@@ -94,7 +94,7 @@ func TestALBICBuildPartitionsMergesChains(t *testing.T) {
 	rates := []edge{{0, 4, 40}, {1, 4, 40}}
 	s := pairSnapshot(2, rates, []int{0, 0, 0, 0, 0, 1, 1, 1}, nil)
 	a := &ALBIC{}
-	col, _ := a.scorePairs(s, 1.5, nil)
+	col, _ := a.scorePairs(s, nil)
 	rng := rand.New(rand.NewSource(1))
 	parts := a.buildPartitions(s, col, 25, rng)
 	if len(parts) != 1 || len(parts[0]) != 3 {
@@ -119,7 +119,7 @@ func TestALBICBuildPartitionsSplitsOversized(t *testing.T) {
 	}
 	s := pairSnapshot(2, rates, groupNode, loads)
 	a := &ALBIC{}
-	col, _ := a.scorePairs(s, 1.5, nil)
+	col, _ := a.scorePairs(s, nil)
 	rng := rand.New(rand.NewSource(2))
 	parts := a.buildPartitions(s, col, 25, rng)
 	if len(parts) < 2 {
@@ -140,7 +140,7 @@ func TestALBICBuildPartitionsMaxPLZeroDegenerates(t *testing.T) {
 	rates := []edge{{0, 4, 40}}
 	s := pairSnapshot(2, rates, []int{0, 0, 0, 0, 0, 1, 1, 1}, nil)
 	a := &ALBIC{}
-	col, _ := a.scorePairs(s, 1.5, nil)
+	col, _ := a.scorePairs(s, nil)
 	rng := rand.New(rand.NewSource(3))
 	parts := a.buildPartitions(s, col, 0, rng)
 	if len(parts) != 0 {
@@ -181,8 +181,7 @@ func TestALBICNeverPinsToKillNode(t *testing.T) {
 }
 
 func TestALBICDefaults(t *testing.T) {
-	a := &ALBIC{}
-	maxLD, maxPL, stepPL, sf := a.defaults()
+	maxLD, maxPL, stepPL, sf := (&ALBIC{}).maxLD(), albicMaxPL, albicStepPL, albicSF
 	if maxLD != 10 || maxPL != 25 || stepPL != 5 || sf != 1.5 {
 		t.Fatalf("defaults = %v %v %v %v, want the paper's 10/25/5/1.5",
 			maxLD, maxPL, stepPL, sf)

@@ -22,7 +22,6 @@ func ckptSnapshot() *Snapshot {
 			{Op: 0, Node: 1, Load: 10, StateSize: 100},
 			{Op: 0, Node: 1, Load: 10, StateSize: 100},
 		},
-		Alpha:       1,
 		MaxMigrCost: 500,
 	}
 }
@@ -45,11 +44,6 @@ func TestMigCostUsesCheckpointDelta(t *testing.T) {
 	s.Groups[0].CkptDelta = 50000
 	if got := s.Problem().Items[0].MigCost; got != 10000 {
 		t.Fatalf("oversized delta priced at %v, want capped 10000", got)
-	}
-	// Without Alpha the cost model is count-based and residency is moot.
-	s.Alpha = 0
-	if got := s.Problem().Items[0].MigCost; got != 1 {
-		t.Fatalf("count-based cost = %v, want 1", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"testing"
 	"time"
 )
@@ -377,7 +376,6 @@ func TestUtilizationScalerScaleInGuard(t *testing.T) {
 
 func TestSnapshotProblemRoundTrip(t *testing.T) {
 	s := chainSnapshot(3, 6, true)
-	s.Alpha = 0.01
 	p := s.Problem()
 	if len(p.Items) != len(s.Groups) {
 		t.Fatalf("items = %d, want %d", len(p.Items), len(s.Groups))
@@ -386,7 +384,7 @@ func TestSnapshotProblemRoundTrip(t *testing.T) {
 		if it.Cur != s.Groups[k].Node {
 			t.Fatalf("item %d cur mismatch", k)
 		}
-		if math.Abs(it.MigCost-0.01*s.Groups[k].StateSize) > 1e-12 {
+		if it.MigCost != s.Groups[k].StateSize {
 			t.Fatalf("item %d migcost = %v", k, it.MigCost)
 		}
 	}

@@ -9,26 +9,28 @@ import (
 // reconfiguration path. Where the MILP and ALBIC optimize the whole
 // allocation under a full migration budget, the hot mover only relieves the
 // currently hottest nodes: it repeatedly takes the most over-utilized node,
-// picks its heaviest movable key groups (up to TopK per invocation) and
-// reassigns each to the least-utilized alive node already hosting the
-// group's operator (the engine's mid-period restriction — host sets never
-// change inside a period) — provided the move shrinks the donor/receiver
-// spread. It plans in microseconds on partial mid-period statistics, which
-// is what lets a sub-period trigger fire it between tuples without
-// stalling the data path.
+// picks its heaviest movable key groups and reassigns each to the
+// least-utilized alive node already hosting the group's operator (the
+// engine's mid-period restriction — host sets never change inside a period)
+// — provided the move shrinks the donor/receiver spread by at least
+// hotMinGain of it. It plans in microseconds on partial mid-period
+// statistics, which is what lets a sub-period trigger fire it between
+// tuples without stalling the data path.
 //
-// The snapshot's MaxMigrations caps the total moves per invocation (<= 0
-// falls back to TopK). Kill-marked nodes are valid donors but never
-// receivers; migration cost is ignored (hot moves are meant for small,
-// hot-headed groups — callers bound damage with the move budget instead).
-type GreedyHotMover struct {
-	// TopK bounds the number of moves per invocation (default 3).
-	TopK int
-	// MinGain is the minimum relative spread reduction a single move must
-	// achieve to be worth a mid-period migration (default 0.02, i.e. 2% of
-	// the donor-receiver utilization spread).
-	MinGain float64
-}
+// The snapshot's MaxMigrations caps the moves per invocation (<= 0 means
+// hotMoveCap). Kill-marked nodes are valid donors but never receivers;
+// migration cost is ignored (hot moves are meant for small, hot-headed
+// groups — callers bound damage with the move cap instead).
+type GreedyHotMover struct{}
+
+const (
+	// hotMoveCap caps the moves of a snapshot without MaxMigrations.
+	hotMoveCap = 3
+	// hotMinGain is the minimum relative spread reduction a single move must
+	// achieve to be worth a mid-period migration: 2% of the donor-receiver
+	// utilization spread.
+	hotMinGain = 0.02
+)
 
 // Name implements Balancer.
 func (g *GreedyHotMover) Name() string { return "greedy-hotmover" }
@@ -39,17 +41,9 @@ func (g *GreedyHotMover) Plan(ctx context.Context, s *Snapshot) (*Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	topK := g.TopK
-	if topK <= 0 {
-		topK = 3
-	}
 	budget := s.MaxMigrations
-	if budget <= 0 || budget > topK {
-		budget = topK
-	}
-	minGain := g.MinGain
-	if minGain <= 0 {
-		minGain = 0.02
+	if budget <= 0 {
+		budget = hotMoveCap
 	}
 
 	groupNode := make([]int, len(s.Groups))
@@ -145,7 +139,7 @@ func (g *GreedyHotMover) Plan(ctx context.Context, s *Snapshot) (*Plan, error) {
 			if newSpread < 0 {
 				newSpread = -newSpread
 			}
-			if spread-newSpread >= minGain*spread {
+			if spread-newSpread >= hotMinGain*spread {
 				bestIdx, bestTo = idx, receiver
 				break // heaviest-first order: first fit is the best fit
 			}

@@ -40,43 +40,53 @@ func spreadOf(s *Snapshot, groupNode []int) float64 {
 }
 
 // TestGreedyHotMoverRelievesHotNode: the hot mover must shrink the
-// node-load spread, move at most the budgeted number of groups, and leave
-// everything else in place.
+// node-load spread, move at most the snapshot's MaxMigrations groups (3
+// when it is unset), and leave everything else in place.
 func TestGreedyHotMoverRelievesHotNode(t *testing.T) {
-	s := hotSnapshot(4, 16, 60)
-	// Groups 0,1,2 are heavy; 0 sits on node 0 together with 4,8,12.
-	cur := make([]int, len(s.Groups))
-	for k, g := range s.Groups {
-		cur[k] = g.Node
-	}
-	before := spreadOf(s, cur)
-
-	s.MaxMigrations = 2
-	hm := &GreedyHotMover{TopK: 3}
-	plan, err := hm.Plan(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Moves) == 0 {
-		t.Fatal("hot mover proposed no moves on a skewed snapshot")
-	}
-	if len(plan.Moves) > 2 {
-		t.Fatalf("hot mover exceeded the migration budget: %d moves", len(plan.Moves))
-	}
-	after := spreadOf(s, plan.GroupNode)
-	if after >= before {
-		t.Fatalf("spread did not improve: %.1f -> %.1f", before, after)
-	}
-	moved := map[int]bool{}
-	for _, mv := range plan.Moves {
-		moved[mv.Group] = true
-		if mv.From != s.Groups[mv.Group].Node {
-			t.Fatalf("move %v has wrong From", mv)
+	for _, c := range []struct {
+		nodes, groups    int
+		hotLoad          float64
+		maxMigs, maxMove int
+	}{
+		// Groups 0,1,2 are heavy; 0 sits on node 0 together with 4,8,12.
+		{4, 16, 60, 2, 2},
+		{4, 16, 60, 1, 1},
+		// Uncapped, this snapshot takes four moves.
+		{2, 16, 100, 0, 3},
+	} {
+		s := hotSnapshot(c.nodes, c.groups, c.hotLoad)
+		cur := make([]int, len(s.Groups))
+		for k, g := range s.Groups {
+			cur[k] = g.Node
 		}
-	}
-	for k, n := range plan.GroupNode {
-		if !moved[k] && n != s.Groups[k].Node {
-			t.Fatalf("group %d relocated without appearing in Moves", k)
+		before := spreadOf(s, cur)
+
+		s.MaxMigrations = c.maxMigs
+		plan, err := (&GreedyHotMover{}).Plan(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Moves) == 0 {
+			t.Fatalf("%+v: hot mover proposed no moves on a skewed snapshot", c)
+		}
+		if len(plan.Moves) > c.maxMove {
+			t.Fatalf("%+v: hot mover exceeded its cap: %d moves", c, len(plan.Moves))
+		}
+		after := spreadOf(s, plan.GroupNode)
+		if after >= before {
+			t.Fatalf("%+v: spread did not improve: %.1f -> %.1f", c, before, after)
+		}
+		moved := map[int]bool{}
+		for _, mv := range plan.Moves {
+			moved[mv.Group] = true
+			if mv.From != s.Groups[mv.Group].Node {
+				t.Fatalf("%+v: move %v has wrong From", c, mv)
+			}
+		}
+		for k, n := range plan.GroupNode {
+			if !moved[k] && n != s.Groups[k].Node {
+				t.Fatalf("%+v: group %d relocated without appearing in Moves", c, k)
+			}
 		}
 	}
 }
@@ -86,7 +96,7 @@ func TestGreedyHotMoverRelievesHotNode(t *testing.T) {
 func TestGreedyHotMoverNeverTargetsKilledNodes(t *testing.T) {
 	s := hotSnapshot(4, 16, 60)
 	s.Kill = []bool{false, true, true, false}
-	hm := &GreedyHotMover{TopK: 4}
+	hm := &GreedyHotMover{}
 	plan, err := hm.Plan(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +133,7 @@ func TestGreedyHotMoverRespectsOperatorHosts(t *testing.T) {
 		add(1, 2, 5) // near-idle, but never a legal op-0 destination
 		add(1, 3, 5)
 	}
-	plan, err := (&GreedyHotMover{TopK: 3}).Plan(context.Background(), s)
+	plan, err := (&GreedyHotMover{}).Plan(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,14 +22,15 @@ type UtilizationScaler struct {
 	// LowWater triggers scale-in when the plan's predicted average
 	// utilization falls below it (default 45).
 	LowWater float64
-	// MinNodes and MaxNodes clamp the cluster size (defaults 1 and no cap).
-	MinNodes, MaxNodes int
+	// MinNodes is the smallest cluster size a decision may leave (default
+	// 1); the size has no upper cap.
+	MinNodes int
 	// MaxStep caps how many nodes a single decision may add or mark
 	// (default 4); gradual scaling keeps migration budgets meaningful.
 	MaxStep int
 }
 
-func (u *UtilizationScaler) params() (target, high, low float64, minN, maxN, step int) {
+func (u *UtilizationScaler) params() (target, high, low float64, minN, step int) {
 	target, high, low = u.TargetUtil, u.HighWater, u.LowWater
 	if target <= 0 {
 		target = 70
@@ -40,12 +41,9 @@ func (u *UtilizationScaler) params() (target, high, low float64, minN, maxN, ste
 	if low <= 0 {
 		low = 45
 	}
-	minN, maxN, step = u.MinNodes, u.MaxNodes, u.MaxStep
+	minN, step = u.MinNodes, u.MaxStep
 	if minN <= 0 {
 		minN = 1
-	}
-	if maxN <= 0 {
-		maxN = math.MaxInt32
 	}
 	if step <= 0 {
 		step = 4
@@ -55,7 +53,7 @@ func (u *UtilizationScaler) params() (target, high, low float64, minN, maxN, ste
 
 // Decide implements Scaler.
 func (u *UtilizationScaler) Decide(s *Snapshot, plan *Plan) ScaleDecision {
-	target, high, low, minN, maxN, step := u.params()
+	target, high, low, minN, step := u.params()
 
 	// Post-plan utilization per node.
 	utils := make([]float64, s.NumNodes)
@@ -90,9 +88,6 @@ func (u *UtilizationScaler) Decide(s *Snapshot, plan *Plan) ScaleDecision {
 	needed := int(math.Ceil(total / target))
 	if needed < minN {
 		needed = minN
-	}
-	if needed > maxN {
-		needed = maxN
 	}
 
 	switch {

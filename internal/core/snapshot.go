@@ -25,16 +25,16 @@ type GroupStat struct {
 	// Load is gLoad_k: the group's average load over the last SPL, in
 	// percentage points of a unit-capacity node.
 	Load float64
-	// StateSize is |σ_k|, the serialized size of the group's state. The
-	// migration cost of a group without a checkpoint is Alpha·StateSize.
+	// StateSize is |σ_k|, the serialized size of the group's state: the
+	// migration cost of a group without a checkpoint.
 	StateSize float64
 	// HasCkpt reports that the group's state is resident in the engine's
 	// incremental checkpoint store, making it eligible for checkpoint-
 	// assisted migration: the move ships the checkpoint as its base beside
 	// the delta since the checkpoint, and only the delta counts as
 	// synchronous work. CkptDelta is that delta's encoded size, so the
-	// migration cost drops to Alpha·min(StateSize, CkptDelta) — the cost
-	// model through which the planners naturally prefer moving checkpoint-
+	// migration cost drops to min(StateSize, CkptDelta) — the cost model
+	// through which the planners naturally prefer moving checkpoint-
 	// resident groups under a tight MaxMigrCost budget.
 	HasCkpt   bool
 	CkptDelta float64
@@ -65,14 +65,13 @@ type Snapshot struct {
 	// sub-period snapshot. A CommCSR is immutable, so Clone shares it.
 	Comm *CommCSR
 
-	// MaxMigrCost bounds migration cost per adaptation (paper constraint 2);
-	// MaxMigrations is the count-based variant used when comparing against
-	// Flux. <= 0 disables the respective bound.
+	// MaxMigrCost bounds migration cost per adaptation (paper constraint 2)
+	// in the bytes the moves ship synchronously: a group's mc_k is its state
+	// size, or its checkpoint delta when that is smaller (the paper's
+	// mc_k = α·|σ_k| at α = 1). MaxMigrations is the count-based variant
+	// used when comparing against Flux. <= 0 disables the respective bound.
 	MaxMigrCost   float64
 	MaxMigrations int
-	// Alpha converts state size to migration cost (mc_k = Alpha·|σ_k|).
-	// Zero means cost 1 per group.
-	Alpha float64
 }
 
 // Validate reports structural problems.
@@ -109,19 +108,16 @@ func (s *Snapshot) Validate() error {
 	return nil
 }
 
-// migCost returns the migration cost of group k: Alpha times the volume a
-// move of k transfers synchronously — the full state, or only the delta
-// since the last checkpoint when one is resident (checkpoint-assisted
-// migration, never more than the full state).
+// migCost returns the migration cost of group k: the bytes a move of k
+// transfers synchronously — the full state, or only the delta since the last
+// checkpoint when one is resident (checkpoint-assisted migration, never more
+// than the full state).
 func (s *Snapshot) migCost(k int) float64 {
-	if s.Alpha <= 0 {
-		return 1
+	g := &s.Groups[k]
+	if g.HasCkpt && g.CkptDelta < g.StateSize {
+		return g.CkptDelta
 	}
-	size := s.Groups[k].StateSize
-	if g := &s.Groups[k]; g.HasCkpt && g.CkptDelta < size {
-		size = g.CkptDelta
-	}
-	return s.Alpha * size
+	return g.StateSize
 }
 
 // Problem builds the assign.Problem treating every key group as its own

@@ -867,7 +867,7 @@ func (e *Engine) Close() {
 
 // Snapshot converts the last period's statistics into the controller's
 // core.Snapshot. The caller sets migration budgets (MaxMigrCost /
-// MaxMigrations / Alpha) before planning.
+// MaxMigrations) before planning.
 func (e *Engine) Snapshot() (*core.Snapshot, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -10,17 +10,20 @@ import (
 type MILPOptions struct {
 	// TimeLimit bounds the wall-clock solve time. Zero means no limit.
 	TimeLimit time.Duration
-	// MaxNodes bounds the number of branch-and-bound nodes. Zero means a
-	// generous default.
-	MaxNodes int
-	// GapTol stops the search when the relative gap between the incumbent
-	// and the best bound is below this value. Default 1e-9.
-	GapTol float64
 	// Cancel, when non-nil, aborts the search as soon as the channel is
 	// closed (a context.Done() channel); the search stops exactly like a
 	// time-limit hit, returning the best incumbent found so far.
 	Cancel <-chan struct{}
 }
+
+const (
+	// maxBBNodes bounds the number of branch-and-bound nodes a solve
+	// explores.
+	maxBBNodes = 200_000
+	// gapTol stops the search when the relative gap between the incumbent
+	// and the best bound is below it.
+	gapTol = 1e-9
+)
 
 type bbNode struct {
 	lo, hi []float64
@@ -47,12 +50,6 @@ func (q *nodeQueue) Pop() interface{} {
 // simplex relaxation. When the time or node limit is hit it returns the best
 // incumbent found (Status TimeLimit) or Infeasible if none exists.
 func SolveMILP(m *Model, opt MILPOptions) *Solution {
-	if opt.GapTol <= 0 {
-		opt.GapTol = 1e-9
-	}
-	if opt.MaxNodes <= 0 {
-		opt.MaxNodes = 200_000
-	}
 	var deadline time.Time
 	if opt.TimeLimit > 0 {
 		deadline = time.Now().Add(opt.TimeLimit)
@@ -146,7 +143,7 @@ func SolveMILP(m *Model, opt MILPOptions) *Solution {
 		}
 	}
 	for queue.Len() > 0 {
-		if nodes >= opt.MaxNodes {
+		if nodes >= maxBBNodes {
 			timedOut = true
 			break
 		}
@@ -159,7 +156,7 @@ func SolveMILP(m *Model, opt MILPOptions) *Solution {
 			break
 		}
 		node := heap.Pop(queue).(*bbNode)
-		if node.bound >= incumbentObj-gapAbs(incumbentObj, opt.GapTol) {
+		if node.bound >= incumbentObj-gapAbs(incumbentObj, gapTol) {
 			continue // pruned by bound
 		}
 		nodes++
@@ -167,7 +164,7 @@ func SolveMILP(m *Model, opt MILPOptions) *Solution {
 		if sol.Status != Optimal {
 			continue
 		}
-		if sol.Obj >= incumbentObj-gapAbs(incumbentObj, opt.GapTol) {
+		if sol.Obj >= incumbentObj-gapAbs(incumbentObj, gapTol) {
 			continue
 		}
 		j := fracVar(sol.X)
@@ -201,7 +198,7 @@ func SolveMILP(m *Model, opt MILPOptions) *Solution {
 	}
 	gap := relGap(incumbentObj, bestBound)
 	st := Optimal
-	if timedOut && gap > opt.GapTol {
+	if timedOut && gap > gapTol {
 		st = TimeLimit
 	}
 	return &Solution{Status: st, X: incumbent, Obj: incumbentObj, Gap: gap}

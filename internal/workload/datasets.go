@@ -44,22 +44,26 @@ func (t *nameTable) name(i int) string {
 
 // WikipediaConfig tunes the Wikipedia edit-history simulator.
 type WikipediaConfig struct {
-	// Articles is the size of the article universe (default 20000).
-	Articles int
 	// BaseRate is the average edits per period (default 4000).
 	BaseRate int
-	// Fluctuation is the relative amplitude of the rate's slow sine drift
-	// plus noise (default 0.25).
-	Fluctuation float64
-	// ZipfS is the skew of article popularity (default 1.1).
-	ZipfS float64
-	// ZipfV is the Zipf offset; larger flattens the head (default 10, which
-	// puts the hottest article near 2% of the edits — a realistic share for
-	// an edit-history window).
-	ZipfV float64
 	// Seed makes the stream reproducible.
 	Seed int64
 }
+
+// The shape of the Wikipedia stream.
+const (
+	// wikiArticles is the size of the article universe.
+	wikiArticles = 20000
+	// wikiFluctuation is the relative amplitude of the rate's slow sine
+	// drift plus noise.
+	wikiFluctuation = 0.25
+	// wikiZipfS is the skew of article popularity, and wikiZipfV the Zipf
+	// offset (larger flattens the head): together they put the hottest
+	// article near 2% of the edits — a realistic share for an edit-history
+	// window.
+	wikiZipfS = 1.1
+	wikiZipfV = 10
+)
 
 // WikipediaParts returns a partitionable source generating edit tuples:
 // key = article id, fields: editor, bytes changed, geohash cell.
@@ -81,22 +85,10 @@ type WikipediaConfig struct {
 // parts=1 batch for any parts. The engine runs one generator (Wikipedia);
 // the split is what the benchmark's generation probe measures the cost of.
 func WikipediaParts(cfg WikipediaConfig) engine.PartSourceFunc {
-	if cfg.Articles <= 0 {
-		cfg.Articles = 20000
-	}
 	if cfg.BaseRate <= 0 {
 		cfg.BaseRate = 4000
 	}
-	if cfg.Fluctuation <= 0 {
-		cfg.Fluctuation = 0.25
-	}
-	if cfg.ZipfS <= 1 {
-		cfg.ZipfS = 1.1
-	}
-	if cfg.ZipfV <= 0 {
-		cfg.ZipfV = 10
-	}
-	articles := newNameTable("article-%06d", cfg.Articles)
+	articles := newNameTable("article-%06d", wikiArticles)
 	editors := newNameTable("editor-%04d", 5000)
 	geos := newNameTable("dk-%02d", 100)
 	editorDraw, geoDraw, changedDraw := newIntn(5000), newIntn(100), newIntn(2000)
@@ -104,9 +96,9 @@ func WikipediaParts(cfg WikipediaConfig) engine.PartSourceFunc {
 		// Per-period RNG: each period's batch is bit-reproducible from
 		// (Seed, period) alone, independent of generation order.
 		rng := periodRNG(cfg.Seed, 0x11aa, period)
-		zipf := newZipfSampler(rng, cfg.ZipfS, cfg.ZipfV, uint64(cfg.Articles-1))
-		drift := 1 + cfg.Fluctuation*math.Sin(float64(period)/7)
-		noise := 1 + cfg.Fluctuation*0.4*(rng.Float64()*2-1)
+		zipf := newZipfSampler(rng, wikiZipfS, wikiZipfV, wikiArticles-1)
+		drift := 1 + wikiFluctuation*math.Sin(float64(period)/7)
+		noise := 1 + wikiFluctuation*0.4*(rng.Float64()*2-1)
 		n := int(float64(cfg.BaseRate) * drift * noise)
 		for i := 0; i < n; i++ {
 			// All draws happen before the part filter, in the serial path's
@@ -136,11 +128,6 @@ func Wikipedia(cfg WikipediaConfig) engine.SourceFunc {
 
 // AirlineConfig tunes the Airline On-Time simulator.
 type AirlineConfig struct {
-	// Planes is the tail-number universe (default 2000).
-	Planes int
-	// Airports is the airport universe; routes are ordered pairs
-	// (default 60).
-	Airports int
 	// Rate is flights per period (default 4000).
 	Rate int
 	// RateScale multiplies Rate (the paper halves COLA's input in Real
@@ -150,42 +137,47 @@ type AirlineConfig struct {
 	Seed int64
 }
 
+const (
+	// numPlanes is the Airline stream's tail-number universe.
+	numPlanes = 2000
+	// numAirports is the airport universe the Airline and Weather streams
+	// share: routes are ordered pairs of airports, and each airport has one
+	// weather station.
+	numAirports = 60
+	// numStations is the Weather stream's station universe.
+	numStations = 500
+)
+
 // AirlineParts returns a partitionable source generating flight records:
 // key = tail number, fields: route, origin, destination, departure delay
 // minutes, year. See WikipediaParts for the replay-and-filter split model.
 func AirlineParts(cfg AirlineConfig) engine.PartSourceFunc {
-	if cfg.Planes <= 0 {
-		cfg.Planes = 2000
-	}
-	if cfg.Airports <= 0 {
-		cfg.Airports = 60
-	}
 	if cfg.Rate <= 0 {
 		cfg.Rate = 4000
 	}
 	if cfg.RateScale <= 0 {
 		cfg.RateScale = 1
 	}
-	planes := newNameTable("N%05d", cfg.Planes)
-	airports := newNameTable("A%02d", cfg.Airports)
-	routes := make([]string, cfg.Airports*cfg.Airports)
-	for o := 0; o < cfg.Airports; o++ {
-		for d := 0; d < cfg.Airports; d++ {
-			routes[o*cfg.Airports+d] = airports.name(o) + "-" + airports.name(d)
+	planes := newNameTable("N%05d", numPlanes)
+	airports := newNameTable("A%02d", numAirports)
+	routes := make([]string, numAirports*numAirports)
+	for o := 0; o < numAirports; o++ {
+		for d := 0; d < numAirports; d++ {
+			routes[o*numAirports+d] = airports.name(o) + "-" + airports.name(d)
 		}
 	}
-	airportDraw, tailDraw := newIntn(cfg.Airports), newIntn(10)
+	airportDraw, tailDraw := newIntn(numAirports), newIntn(10)
 	return func(period, part, parts int, emit engine.Emit) {
 		rng := periodRNG(cfg.Seed, 0x22bb, period)
 		// Plane popularity is mildly skewed (fleet workhorses fly more, but
 		// no tail number exceeds a fraction of a percent of all flights).
-		zipf := newZipfSampler(rng, 1.1, 30, uint64(cfg.Planes-1))
+		zipf := newZipfSampler(rng, 1.1, 30, numPlanes-1)
 		n := int(float64(cfg.Rate) * cfg.RateScale)
 		for i := 0; i < n; i++ {
 			plane := int(zipf.Uint64())
 			o, d := airportDraw.draw(rng), airportDraw.draw(rng)
 			if o == d {
-				d = (d + 1) % cfg.Airports
+				d = (d + 1) % numAirports
 			}
 			// Delay distribution: most flights near-on-time, a long tail.
 			delay := rng.ExpFloat64() * 12
@@ -196,7 +188,7 @@ func AirlineParts(cfg AirlineConfig) engine.PartSourceFunc {
 				continue
 			}
 			t := engine.NewTuple(planes.name(plane), int64(period*1_000_000+i))
-			t.WithStr("route", routes[o*cfg.Airports+d])
+			t.WithStr("route", routes[o*numAirports+d])
 			t.WithStr("origin", airports.name(o))
 			t.WithStr("dest", airports.name(d))
 			t.WithNum("delay", math.Round(delay))
@@ -214,11 +206,6 @@ func Airline(cfg AirlineConfig) engine.SourceFunc {
 
 // WeatherConfig tunes the GSOD weather simulator.
 type WeatherConfig struct {
-	// Stations is the weather-station universe (default 500).
-	Stations int
-	// Airports links stations to routes (each airport has one station;
-	// default 60, matching AirlineConfig).
-	Airports int
 	// Rate is observations per period (default 1000).
 	Rate int
 	// Seed makes the stream reproducible.
@@ -230,18 +217,12 @@ type WeatherConfig struct {
 // historical precipitation (for the rainscore of Real Job 4). See
 // WikipediaParts for the replay-and-filter split model.
 func WeatherParts(cfg WeatherConfig) engine.PartSourceFunc {
-	if cfg.Stations <= 0 {
-		cfg.Stations = 500
-	}
-	if cfg.Airports <= 0 {
-		cfg.Airports = 60
-	}
 	if cfg.Rate <= 0 {
 		cfg.Rate = 1000
 	}
-	stations := newNameTable("ST%04d", cfg.Stations)
-	airports := newNameTable("A%02d", cfg.Airports)
-	stationDraw, rainDraw := newIntn(cfg.Stations), newIntn(3)
+	stations := newNameTable("ST%04d", numStations)
+	airports := newNameTable("A%02d", numAirports)
+	stationDraw, rainDraw := newIntn(numStations), newIntn(3)
 	return func(period, part, parts int, emit engine.Emit) {
 		rng := periodRNG(cfg.Seed, 0x33cc, period)
 		for i := 0; i < cfg.Rate; i++ {
@@ -255,7 +236,7 @@ func WeatherParts(cfg WeatherConfig) engine.PartSourceFunc {
 				continue
 			}
 			t := engine.NewTuple(stations.name(st), int64(period*1_000_000+i))
-			t.WithStr("airport", airports.name(st%cfg.Airports))
+			t.WithStr("airport", airports.name(st%numAirports))
 			t.WithNum("precip", precip)
 			t.WithNum("histMax", histMax)
 			emit(t)

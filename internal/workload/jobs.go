@@ -15,8 +15,6 @@ type JobConfig struct {
 	// WindowPeriods is the rolling window length in statistics periods
 	// (default 6, standing in for the paper's 1-minute windows).
 	WindowPeriods int
-	// TopK is the result size of the TopK operators (default 10).
-	TopK int
 	// Rate is the input tuples per period (defaults per dataset).
 	Rate int
 	// RateScale multiplies Rate.
@@ -28,15 +26,15 @@ type JobConfig struct {
 	TwoChoice bool
 }
 
+// topK is the result size of RealJob1's TopK operators.
+const topK = 10
+
 func (c *JobConfig) defaults() {
 	if c.KeyGroups <= 0 {
 		c.KeyGroups = 100
 	}
 	if c.WindowPeriods <= 0 {
 		c.WindowPeriods = 6
-	}
-	if c.TopK <= 0 {
-		c.TopK = 10
 	}
 	if c.RateScale <= 0 {
 		c.RateScale = 1
@@ -168,7 +166,7 @@ func RealJob1(cfg JobConfig) (*engine.Topology, error) {
 	})
 
 	// Operator 2: TopK updated articles per GeoHash cell over a window.
-	window, topk := cfg.WindowPeriods, cfg.TopK
+	window := cfg.WindowPeriods
 	t.AddOperator(&engine.Operator{
 		Name:      "topk",
 		KeyGroups: cfg.KeyGroups,
@@ -179,7 +177,7 @@ func RealJob1(cfg JobConfig) (*engine.Topology, error) {
 		},
 		Flush: func(kg int, st *engine.State, emit engine.Emit) {
 			p := int(st.Num("period"))
-			for _, top := range topKOf(windowTotals(st, p, window), topk) {
+			for _, top := range topKOf(windowTotals(st, p, window), topK) {
 				emit(engine.NewTuple(top.key, int64(p)).
 					WithNum("count", top.total))
 			}
@@ -205,7 +203,7 @@ func RealJob1(cfg JobConfig) (*engine.Topology, error) {
 		Flush: func(kg int, st *engine.State, emit engine.Emit) {
 			p := int(st.Num("period"))
 			totals := windowTotals(st, p, window)
-			_ = topKOf(totals, topk) // final selection; job is a sink here
+			_ = topKOf(totals, topK) // final selection; job is a sink here
 			st.Add("period", 1)
 		},
 	})

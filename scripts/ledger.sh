@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The size ledger the simplicity PRs quote: non-test Go lines per package
 # (all lines, and code — lines that are neither blank nor a // comment), the
-# field counts of engine.Config and controller.Options, albic-run's flag
+# field counts of engine.Config and controller.Options, the exported fields of
+# the planner, baseline and workload option structs, albic-run's flag
 # count, the number of exported types, functions and methods of
 # internal/engine, internal/controller, internal/core and internal/lp, and the
 # frame and request kinds of the engine's wire schema. bench/ is its own
@@ -18,12 +19,17 @@ lines_of() {
     awk '{ n++ } !/^[[:space:]]*($|\/\/)/ { c++ } END { printf "%d %d\n", n, c }'
 }
 
-# fields_of file type -> exported fields of `type <type> struct`.
+# fields_of file type -> exported fields of `type <type> struct` (each name of
+# a `A, B int` line counts).
 fields_of() {
   awk -v t="$2" '
     $0 ~ "^type " t " struct {" { in_s = 1; next }
     in_s && /^}/ { exit }
-    in_s && /^\t[A-Z][A-Za-z0-9_]*[ ,]/ { n++ }
+    in_s && /^\t[A-Z][A-Za-z0-9_]*[ ,]/ {
+      n++
+      rest = substr($0, 2)
+      while (match(rest, /^[A-Za-z0-9_]+, */)) { n++; rest = substr(rest, RLENGTH + 1) }
+    }
     END { print n + 0 }' "$1"
 }
 
@@ -57,6 +63,19 @@ printf '%-28s %8d %8d\n' 'engine + controller' "$n" "$c"
 echo
 echo "engine.Config fields:      $(fields_of internal/engine/engine.go Config)"
 echo "controller.Options fields: $(fields_of internal/controller/controller.go Options)"
+# The settable values of the planners, the baselines and the workload: every
+# exported field of these structs is an option (a Snapshot's are what a
+# controller sets before planning).
+opts=0
+for ft in internal/core/albic.go:ALBIC internal/core/hotmover.go:GreedyHotMover \
+  internal/core/scaling.go:UtilizationScaler internal/core/snapshot.go:Snapshot \
+  internal/controller/controller.go:Options internal/baseline/cola.go:COLA \
+  internal/lp/milp.go:MILPOptions internal/assign/solver.go:Options \
+  internal/workload/datasets.go:WikipediaConfig internal/workload/datasets.go:AirlineConfig \
+  internal/workload/datasets.go:WeatherConfig internal/workload/jobs.go:JobConfig; do
+  opts=$((opts + $(fields_of "${ft%%:*}" "${ft##*:}")))
+done
+echo "option-struct fields:      $opts (12 structs)"
 echo "albic-run flags:           $(grep -cE '\bflag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Var|Func)\(' cmd/albic-run/main.go)"
 for d in internal/engine internal/controller internal/core internal/lp; do
   read -r t f m < <(exported_of "$d")
