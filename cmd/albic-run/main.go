@@ -18,8 +18,9 @@
 // key groups) apply without waiting for the period barrier. A flag that
 // would be ignored is an error, exit status 2: -subperiods 1 or below,
 // -workers without -listen and -incremental with a balancer that does not
-// plan (anything but albic and milp). So is a size the run would replace:
-// -nodes below 1, a negative -groups or -rate.
+// plan (anything but albic and milp). So is a size the run would replace or
+// never reach: -nodes, -periods or -shards below 1, a negative -groups,
+// -rate, -budget or -ckpt-every.
 //
 // With -ckpt-every N the controller checkpoints all key-group state
 // incrementally every N periods, which arms checkpoint-assisted migration: a
@@ -74,17 +75,23 @@ func main() {
 	workers := flag.Int("workers", 2, "worker processes to wait for with -listen")
 	flag.Parse()
 	// A size the run would not use is an error, not a silent substitution.
-	if *nodes < 1 {
-		fmt.Fprintf(os.Stderr, "albic-run: -nodes %d: need at least 1 node\n", *nodes)
-		os.Exit(2)
-	}
-	if *groups < 0 {
-		fmt.Fprintf(os.Stderr, "albic-run: -groups %d is negative; use 0 for 5 per node\n", *groups)
-		os.Exit(2)
-	}
-	if *rate < 0 {
-		fmt.Fprintf(os.Stderr, "albic-run: -rate %d is negative; use 0 for the job default\n", *rate)
-		os.Exit(2)
+	for _, c := range []struct {
+		name   string
+		v, min int
+		use    string
+	}{
+		{"nodes", *nodes, 1, "need at least 1 node"},
+		{"periods", *periods, 1, "need at least 1 period"},
+		{"shards", *shards, 1, "need at least 1 shard per node"},
+		{"groups", *groups, 0, "use 0 for 5 per node"},
+		{"rate", *rate, 0, "use 0 for the job default"},
+		{"budget", *budget, 0, "use 0 for unlimited"},
+		{"ckpt-every", *ckptEvery, 0, "use 0 for no checkpoints"},
+	} {
+		if c.v < c.min {
+			fmt.Fprintf(os.Stderr, "albic-run: -%s %d is below %d; %s\n", c.name, c.v, c.min, c.use)
+			os.Exit(2)
+		}
 	}
 	if *smooth <= 0 || *smooth > 1 {
 		fmt.Fprintf(os.Stderr, "albic-run: -smooth %g out of range (0,1]\n", *smooth)

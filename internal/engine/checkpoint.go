@@ -27,8 +27,8 @@ import (
 // the store when it joins the write (joinCheckpoint), which is where the
 // store is read and nowhere else: TakeCheckpoint, Recover, CheckpointStore,
 // RestoreCheckpointStore and Close. Nothing on the data path reads the store —
-// a delta move ships the source's tip (shard.onMigrateOut) — so nothing there
-// waits for a write.
+// a delta move hands over the source's tip (shard.onMigrateOut) — so nothing
+// there waits for a write.
 //
 // The same checkpoint backs checkpoint-assisted migration: because it is the
 // shared base, moving a checkpointed key group ships the checkpoint the

@@ -1,6 +1,10 @@
 package engine
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/statestore"
+)
 
 // message is anything deliverable to a node's mailbox.
 type message interface{ isMessage() }
@@ -37,19 +41,29 @@ type barrierMsg struct {
 	more   bool
 }
 
-// stateMsg installs migrated state for (op, kg); part of direct state
-// migration. encoded may be empty (group had no state yet). When delta is
-// set (checkpoint-assisted migration: the source's rule is onMigrateOut's),
-// base is the encoding of the source's checkpoint tip at version baseVer and
-// encoded a statestore.Delta against it; the receiver reconstructs the state
-// by applying the delta to the decoded base, which it keeps as the group's
-// tip. The base is the checkpoint fault tolerance already took, so only the
-// delta is synchronous work (MigratedDeltaBytes, charged to MigrationLatency;
-// PrecopyBytes counts the base), and no store is read for it: a checkpoint
-// write still running never holds up a move. base is immutable: in process
-// it is the source tip's own bytes.
+// stateMsg hands (op, kg)'s state over to the shard that now hosts it; part
+// of direct state migration. st is the source's live state (nil: the group
+// had none yet) and, for a delta move (the source's rule is onMigrateOut's),
+// tip is the source's checkpoint tip, which travels with it. size is what
+// the cost model charges the move synchronously: |σ|, or for a delta move
+// |Δ| of st against tip (MigratedDeltaBytes, charged to MigrationLatency;
+// PrecopyBytes counts the tip, the checkpoint fault tolerance already took).
+//
+// Inside one process the destination adopts st and tip as they are: nothing
+// is encoded, decoded or copied, and the source keeps neither. Only a message
+// that crosses a process has bytes, its wire form: flatten fills it in where
+// encodeMsgFrame sends the message (encoded is st in storage order, or d, the
+// delta, with the tip's encoding as base at baseVer) and unflatten rebuilds
+// st and tip from it where the receiving process dispatches it (decode,
+// CopyFrom, Apply). d is the source shard's scratch: flatten reads it inside
+// Engine.deliver, and nothing reads it after.
 type stateMsg struct {
-	op, kg  int
+	op, kg int
+	st     *State
+	tip    *statestore.Tip
+	d      *statestore.Delta
+	size   int
+
 	encoded []byte
 	delta   bool
 	baseVer int

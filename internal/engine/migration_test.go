@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/statestore"
 )
 
 // buildGrowTopology emits `build` unique-cell tuples per period while
@@ -135,6 +137,98 @@ func TestCheckpointAssistedMigration(t *testing.T) {
 	}
 	if st := e.nodes[1].stateOf(0); st == nil || st.Table("seen").Len() == 0 {
 		t.Fatal("group 0 state not resident on destination node 1")
+	}
+}
+
+// TestInProcessMoveHandsOver moves a group whole and another by delta between
+// the shards of two nodes of one process: the destination adopts the very
+// State the source held, and after the delta move the source's Tip at its
+// version, whose change records still let the barrier size the next delta
+// exactly. The source keeps nothing: its pool does not grow, and a state it
+// creates afterwards is another one.
+func TestInProcessMoveHandsOver(t *testing.T) {
+	topo := buildGrowTopology(400, 20, 2, 2)
+	e, err := New(topo, Config{Nodes: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	run := func() *PeriodStats {
+		t.Helper()
+		ps, err := e.RunPeriod()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ps
+	}
+	move := func(gid, to int) {
+		t.Helper()
+		plan := e.Allocation()
+		plan[gid] = to
+		if err := e.ApplyPlan(plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// handOver runs the period that moves gid from node `from` to node `to`
+	// and checks what each shard holds afterwards.
+	handOver := func(gid, from, to int) (*PeriodStats, *State) {
+		t.Helper()
+		src, dst := e.shardAt(e.gsidFor(from, gid)), e.shardAt(e.gsidFor(to, gid))
+		st, free := src.states[gid], src.pool.Len()
+		if st == nil {
+			t.Fatalf("group %d has no state on node %d", gid, from)
+		}
+		move(gid, to)
+		ps := run()
+		if ps.Migrations != 1 {
+			t.Fatalf("group %d: %d migrations, want 1", gid, ps.Migrations)
+		}
+		if dst.states[gid] != st || src.states[gid] != nil {
+			t.Fatalf("group %d: the destination holds %p, the source held %p (and holds %p)", gid, dst.states[gid], st, src.states[gid])
+		}
+		if src.pool.Len() > free {
+			t.Fatalf("group %d: the source's pool grew from %d to %d states", gid, free, src.pool.Len())
+		}
+		if got := src.pool.Get(); got == st {
+			t.Fatalf("group %d: the source's next new state is the one it handed over", gid)
+		}
+		return ps, st
+	}
+
+	run() // group 0 on node 0, group 1 on node 1 (round robin)
+	whole, _ := handOver(1, 1, 0)
+	if whole.MigratedDeltaBytes != 0 || whole.MigrationLatency == 0 {
+		t.Fatalf("a group without a tip moved by delta: %+v", whole)
+	}
+	if e.shardAt(e.gsidFor(0, 1)).tips[1] != nil {
+		t.Fatal("a whole move arrived with a tip")
+	}
+
+	run()
+	e.TakeCheckpoint()
+	run()
+	tip := e.shardAt(e.gsidFor(0, 0)).tips[0]
+	if tip == nil {
+		t.Fatal("group 0 has no tip after the checkpoint")
+	}
+	ver := tip.Version()
+	delta, st := handOver(0, 0, 1)
+	if delta.MigratedDeltaBytes == 0 {
+		t.Fatalf("group 0 did not move by delta: %+v", delta)
+	}
+	dst := e.shardAt(e.gsidFor(1, 0))
+	if dst.tips[0] != tip || tip.Version() != ver {
+		t.Fatalf("group 0 arrived with tip %p at version %d, the source's was %p at %d", dst.tips[0], dst.tips[0].Version(), tip, ver)
+	}
+	// The state took more cells after the move: the barrier read them from
+	// the change records the move kept, and must find what a walk of every
+	// cell finds.
+	ps := run()
+	if want := statestore.DiffSize(tip.State(), st); ps.CkptDeltaBytes[0] != want {
+		t.Fatalf("the barrier after the move measured a %d-byte delta, the walk of every cell %d", ps.CkptDeltaBytes[0], want)
+	}
+	if got, want := totalTallied(e), float64(2*400+4*20); got != want {
+		t.Fatalf("tallied %v tuples, emitted %v", got, want)
 	}
 }
 

@@ -237,17 +237,23 @@ func (r *netRig) dispatchControl(fr transport.Frame) (bye bool) {
 
 // dispatchData is the receiving half of Engine.deliver, the same on the
 // controller and on a worker: it decodes one data-plane frame and puts its
-// message into the addressed hosted shard's mailbox. A frame that does not
-// decode, or names an operator or key group the topology does not have, fails
-// the period through the event path.
+// message into the addressed hosted shard's mailbox, a state transfer with
+// the state and tip its bytes rebuild (stateMsg.unflatten). A frame that does
+// not decode, or names an operator or key group the topology does not have,
+// fails the period through the event path.
 func (r *netRig) dispatchData(kind byte, body []byte) {
 	gsid, msg, err := decodeMsgFrame(kind, body)
 	if err == nil {
 		if err = r.e.topo.checkMsg(msg); err != nil {
-			err = fmt.Errorf("engine: message frame kind %d: %w", kind, err)
 			if m, ok := msg.(dataBatchMsg); ok {
 				codec.PutBuf(m.encoded)
 			}
+		} else if m, ok := msg.(stateMsg); ok {
+			err = m.unflatten()
+			msg = m
+		}
+		if err != nil {
+			err = fmt.Errorf("engine: message frame kind %d: %w", kind, err)
 		}
 	}
 	if err != nil {

@@ -32,8 +32,8 @@ type engEvent struct {
 	op    int
 	bytes int
 	// delta marks an evMigrated whose bytes are a checkpoint-assisted
-	// delta transfer (not a full state), and base is the size of the tip it
-	// shipped beside them.
+	// delta transfer (not a full state), and base is the size of the tip
+	// that travelled with them.
 	delta bool
 	base  int
 	err   error
@@ -95,10 +95,13 @@ type shard struct {
 	// delta migrations are cut against — in every process, the one decoded copy
 	// there is. Written by the process's control goroutine between periods
 	// (cutCheckpoint, and failLocal, which drops them; shards quiescent) and by
-	// the shard itself (delta state adoption, recovery, departure). A
-	// checkpoint write reads the tips it cut beside the next period, while the
-	// shard may read them too: to decide how a migration ships, cut its delta
-	// and ship the tip's encoding beside it (onMigrateOut).
+	// the shard itself (a tip handed over with its state, recovery,
+	// departure). A checkpoint write reads the tips it cut beside the next
+	// period, while the shard may read them too: to decide how a migration
+	// goes and cut its delta (onMigrateOut), and to encode a tip that leaves
+	// the process (stateMsg.flatten). A tip handed over inside the process is
+	// the same object, so the write may still be reading it on its new shard;
+	// its next Cut comes after the write is joined, as every Cut does.
 	tips map[int]*statestore.Tip
 	// potcSent tracks, per candidate key group, how much work this sender
 	// instance has routed there (PoTC balances the work each sender emits
@@ -113,10 +116,11 @@ type shard struct {
 	// tp recycles pooled emit tuples ((*Tuple).NewTuple) shard-locally: plain
 	// slice ops on the owning goroutine, no sync.Pool traffic on the emit path.
 	tp tupleFreeList
-	// pool recycles State arenas shard-locally: a migrated-out group's state
-	// (symbol table, tables, backing arrays) is reused by the next group
-	// created or received here. diff is the shard's reusable Delta scratch
-	// for delta migrations (encode) and delta adoption (decode).
+	// pool recycles State arenas shard-locally: a state that an arrival or a
+	// recovery displaced (symbol table, tables, backing arrays) is reused by
+	// the next group created here. A migrated-out group's state is never put
+	// here: it belongs to the destination. diff is the shard's reusable Delta
+	// scratch for a delta move's delta.
 	pool statestore.Pool
 	diff statestore.Delta
 
@@ -255,53 +259,48 @@ func (s *shard) startPeriod(m periodStartMsg) {
 	s.eng.emit(engEvent{kind: evAck, node: s.nid})
 }
 
-// onMigrateOut serializes and ships (op, kg)'s state to the owning shard of
-// the destination node, then reports the migrated volume to the engine for
-// the latency model. What it ships is decoded once and dropped, so it is
-// written in storage order (EncodeTransfer: the same length, nothing sorted).
+// onMigrateOut hands (op, kg)'s state over to the owning shard of the
+// destination node and reports the migrated volume to the engine for the
+// latency model. The shard keeps nothing of it: not the state, which must not
+// go back into its pool, nor the tip. Only a move to another process encodes
+// anything (stateMsg.flatten, inside Engine.deliver); the cost model charges
+// the same sizes either way, each the length of the encoding it stands for.
 //
 // This shard holds the group's checkpoint tip, if it has one, and decides
-// alone how the group travels. A move that is not a hot move (m.whole) ships
+// alone how the group travels. A move that is not a hot move (m.whole) goes
 // by delta when the last barrier measured the delta against the tip smaller
 // than the state (statestore.Tip.Pending; a tip cut or adopted since has an
-// empty delta): one stateMsg carrying the tip's encoding as the base and, as
-// the synchronous part, the delta of the live state against it — unless the
-// delta turns out no smaller after all, and then the state goes whole. A
-// whole move strands the tip; a delta move carries it to the destination.
+// empty delta): the tip travels with the state, and the move is charged the
+// delta of the state against it — unless the delta turns out no smaller after
+// all, and then the state goes whole. A whole move strands the tip.
 func (s *shard) onMigrateOut(m migrateOutMsg) {
 	gid := s.eng.topo.GID(m.op, m.kg)
 	destG := s.eng.gsidFor(m.dest, gid)
-	st := s.states[gid]
+	msg := stateMsg{op: m.op, kg: m.kg, st: s.states[gid]}
 	tip := s.tips[gid]
+	s.states[gid] = nil
 	delete(s.tips, gid)
+	if msg.st != nil {
+		msg.size = msg.st.Size()
+	}
+	if tip != nil && !m.whole && tip.Pending() < msg.size {
+		tip.DiffInto(&s.diff, msg.st)
+		if sz := s.diff.Size(); sz < msg.size {
+			msg.tip, msg.d, msg.size = tip, &s.diff, sz
+		}
+	}
 	// Flush buffered data for the destination first so every message this
 	// sender ever enqueues there stays in send order (uniform FIFO, not
 	// strictly needed by the awaitIn protocol but what the documented
 	// invariant promises).
 	s.flushOut(destG)
-	if tip != nil && !m.whole && tip.Pending() < st.Size() {
-		d := &s.diff
-		tip.DiffInto(d, st)
-		if sz := d.Size(); sz < st.Size() {
-			encoded := d.EncodeTransfer(make([]byte, 0, sz))
-			s.states[gid] = nil
-			s.pool.Put(st)
-			s.stats.addMigUnits(float64(len(encoded)) * serCostPerByte)
-			base := tip.Encoding()
-			s.eng.deliver(destG, stateMsg{op: m.op, kg: m.kg, encoded: encoded, delta: true, baseVer: tip.Version(), base: base})
-			s.eng.emit(engEvent{kind: evMigrated, node: s.nid, bytes: len(encoded), delta: true, base: len(base)})
-			return
-		}
+	s.stats.addMigUnits(float64(msg.size) * serCostPerByte)
+	s.eng.deliver(destG, msg)
+	ev := engEvent{kind: evMigrated, node: s.nid, bytes: msg.size}
+	if msg.tip != nil {
+		ev.delta, ev.base = true, tip.State().Size()
 	}
-	var encoded []byte
-	if st != nil {
-		encoded = st.EncodeTransfer(make([]byte, 0, st.Size()))
-		s.states[gid] = nil
-		s.pool.Put(st)
-	}
-	s.stats.addMigUnits(float64(len(encoded)) * serCostPerByte)
-	s.eng.deliver(destG, stateMsg{op: m.op, kg: m.kg, encoded: encoded})
-	s.eng.emit(engEvent{kind: evMigrated, node: s.nid, bytes: len(encoded)})
+	s.eng.emit(ev)
 }
 
 // onDataBatch decodes one frame and processes its tuples in order. Frames
@@ -381,49 +380,22 @@ func (s *shard) onBarrier(m barrierMsg) {
 	s.maybeFlush(m.op)
 }
 
+// onState installs a handed-over state and keeps the tip that came with it
+// (a whole move arrives tipless). Only the size the source charged is
+// synchronous work in the cost model; a delta move's tip is the checkpoint
+// fault tolerance already paid for.
 func (s *shard) onState(m stateMsg) {
 	gid := s.eng.topo.GID(m.op, m.kg)
-	var st *State
-	if m.delta {
-		// Checkpoint-assisted transfer: reconstruct the state by applying
-		// the shipped delta to the shipped checkpoint base.
-		rest, err := statestore.DecodeDeltaInto(m.encoded, &s.diff)
-		if err != nil || len(rest) != 0 {
-			s.eng.emit(engEvent{kind: evError, node: s.nid,
-				err: fmt.Errorf("engine: node %d state delta for group %d: %v (%d trailing)", s.nid, gid, err, len(rest))})
-			return
-		}
-		base := s.pool.Get()
-		if err := statestore.DecodeStateInto(m.base, base); err != nil {
-			s.pool.Put(base)
-			s.eng.emit(engEvent{kind: evError, node: s.nid,
-				err: fmt.Errorf("engine: node %d checkpoint base for group %d: %w", s.nid, gid, err)})
-			return
-		}
+	st := m.st
+	if st == nil {
 		st = s.pool.Get()
-		st.CopyFrom(base)
-		// The base IS the checkpoint at baseVer and this shard now holds the
-		// group: it keeps the base, and its bytes, as the group's tip, which
-		// tracks the state from the copy on (the delta is its first change).
-		tip := statestore.NewTip(m.baseVer, base, m.base)
-		tip.Track(st)
-		s.diff.Apply(st)
-		s.tips[gid] = tip
-		// Only the delta is synchronous work in the cost model; the base is
-		// the checkpoint fault tolerance already paid for.
-		s.stats.addMigUnits(float64(len(m.encoded)) * deserCostPerByte)
-	} else {
-		st = s.pool.Get()
-		if len(m.encoded) > 0 {
-			if err := statestore.DecodeStateInto(m.encoded, st); err != nil {
-				s.pool.Put(st)
-				s.eng.emit(engEvent{kind: evError, node: s.nid, err: err})
-				return
-			}
-			s.stats.addMigUnits(float64(len(m.encoded)) * deserCostPerByte)
-		}
-		delete(s.tips, gid) // a full move arrives tipless
 	}
+	if m.tip != nil {
+		s.tips[gid] = m.tip
+	} else {
+		delete(s.tips, gid)
+	}
+	s.stats.addMigUnits(float64(m.size) * deserCostPerByte)
 	if old := s.states[gid]; old != nil && old != st {
 		s.pool.Put(old)
 	}

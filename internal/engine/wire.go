@@ -97,6 +97,8 @@ func (m *barrierMsg) wire(w *codec.Wire) {
 	w.Bool(&m.more)
 }
 
+// wire carries a state transfer's wire form (stateMsg's flatten and
+// unflatten convert it to and from the state and tip it hands over).
 func (m *stateMsg) wire(w *codec.Wire) {
 	w.Int(&m.op, maxWireNodes)
 	w.Int(&m.kg, maxWireGroups)
@@ -104,6 +106,53 @@ func (m *stateMsg) wire(w *codec.Wire) {
 	w.Signed(&m.baseVer, maxWireSeq)
 	w.Blob(&m.encoded, maxWireBlob)
 	w.Blob(&m.base, maxWireBlob)
+}
+
+// flatten fills in m's wire form from what it hands over: the state in
+// storage order (EncodeTransfer: the receiver decodes it once and drops it),
+// or for a delta move the delta, and the tip's encoding as the base. A
+// message without a state has nothing to fill in.
+func (m *stateMsg) flatten() {
+	switch {
+	case m.st == nil:
+	case m.tip == nil:
+		m.encoded = m.st.EncodeTransfer(make([]byte, 0, m.size))
+	default:
+		m.encoded = m.d.EncodeTransfer(make([]byte, 0, m.size))
+		m.delta, m.baseVer, m.base = true, m.tip.Version(), m.tip.Encoding()
+	}
+}
+
+// unflatten rebuilds, from the wire form a transfer arrived in, the state and
+// tip its source handed over: the state decoded, or for a delta move the
+// base decoded as the tip (its bytes kept as the tip's encoding) and a copy
+// of it that the tip tracks, with the delta applied. The size charged is the
+// bytes that carried the state or the delta.
+func (m *stateMsg) unflatten() error {
+	m.size = len(m.encoded)
+	if !m.delta {
+		if len(m.encoded) > 0 {
+			m.st = statestore.NewState()
+			if err := statestore.DecodeStateInto(m.encoded, m.st); err != nil {
+				return fmt.Errorf("state for group %d of operator %d: %w", m.kg, m.op, err)
+			}
+		}
+		return nil
+	}
+	var d statestore.Delta
+	if rest, err := statestore.DecodeDeltaInto(m.encoded, &d); err != nil || len(rest) != 0 {
+		return fmt.Errorf("state delta for group %d of operator %d: %v (%d trailing)", m.kg, m.op, err, len(rest))
+	}
+	base := statestore.NewState()
+	if err := statestore.DecodeStateInto(m.base, base); err != nil {
+		return fmt.Errorf("checkpoint base for group %d of operator %d: %w", m.kg, m.op, err)
+	}
+	m.st = statestore.NewState()
+	m.st.CopyFrom(base)
+	m.tip = statestore.NewTip(m.baseVer, base, m.base)
+	m.tip.Track(m.st)
+	d.Apply(m.st)
+	return nil
 }
 
 func (m *migrateOutMsg) wire(w *codec.Wire) {
@@ -137,6 +186,7 @@ func encodeMsgFrame(gsid int, msg message) []byte {
 		m.wire(&w)
 	case stateMsg:
 		w.B[0] = frState
+		m.flatten()
 		m.wire(&w)
 	case migrateOutMsg:
 		w.B[0] = frMigrateOut

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/statestore"
 	"repro/internal/transport"
 )
 
@@ -424,12 +425,13 @@ func (f *forgedFrames) Send(peer int, data []byte) error {
 	return f.Endpoint.Send(peer, f.extra)
 }
 
-// TestForgedFrameFailsThePeriod: a frame that names more of the topology than
-// there is — an arm frame whose allocation falls short of the groups and that
-// awaits a group past it, a state transfer, a recovery or a data batch for an
-// operator or key group the topology does not have, or a data batch whose
-// record does — fails the period with an error naming the frame or the
-// record, instead of panicking the worker's serve loop or one of its shards.
+// TestForgedFrameFailsThePeriod: a forged frame — an arm frame whose
+// allocation falls short of the groups and that awaits a group past it, a
+// state transfer, a recovery or a data batch for an operator or key group the
+// topology does not have, a state transfer whose state, delta or base does not
+// decode, or a data batch whose record names a key group the operator does
+// not have — fails the period with an error naming the frame or the record,
+// instead of panicking the worker's serve loop or one of its shards.
 func TestForgedFrameFailsThePeriod(t *testing.T) {
 	topo := func() *Topology { return wordCountTopology([]string{"a", "b", "c"}, 30, 4, newCollector()) }
 	batch := func(op, kg int) []byte {
@@ -446,6 +448,9 @@ func TestForgedFrameFailsThePeriod(t *testing.T) {
 	}{
 		{"arm", func(a *armFrame) { a.alloc, a.awaitIn = []int{0}, []int{3} }, nil, "arm frame allocates 1 groups of 5"},
 		{"state", nil, encodeMsgFrame(1, stateMsg{op: 9}), "message frame kind 3: operator 9 of 2"},
+		{"state bytes", nil, encodeMsgFrame(1, stateMsg{kg: 1, encoded: []byte{9}}), "message frame kind 3: state for group 1 of operator 0"},
+		{"state delta", nil, encodeMsgFrame(1, stateMsg{kg: 1, encoded: []byte{9}, delta: true}), "message frame kind 3: state delta for group 1 of operator 0"},
+		{"state base", nil, encodeMsgFrame(1, stateMsg{kg: 1, encoded: new(statestore.Delta).EncodeTransfer(nil), delta: true, base: []byte{9}}), "message frame kind 3: checkpoint base for group 1 of operator 0"},
 		{"recover", nil, encodeMsgFrame(1, recoverMsg{op: 0, kg: 4, tipVer: -1}), "message frame kind 6: key group 4 of operator 0's 4"},
 		{"data", nil, batch(9, 0), "message frame kind 1: operator 9 of 2"},
 		{"record", nil, batch(1, 50), "batch record for key group 50 of the operator's 1"},

@@ -36,10 +36,11 @@
 // a versioned, per-group incremental store (full snapshot + delta chains)
 // shared by checkpoint-based fault tolerance and state migration. The
 // controller checkpoints on a cadence; a planned move of a checkpointed
-// group ships the checkpoint as the base of one state message, beside the
-// delta accumulated since, at the boundary that runs the move. Only the delta
-// is synchronous work, which is also how the planners price such moves
-// (mc_k = α·min(|σ_k|, |Δ_k|)).
+// group hands the checkpoint over with the state in one state message (the
+// checkpoint as the base and the delta accumulated since, when the move
+// crosses a process), at the boundary that runs the move. Only the delta is
+// synchronous work, which is also how the planners price such moves: mc_k =
+// min(|σ_k|, |Δ_k|) bytes.
 //
 // This file re-exports the public API from the internal packages; see
 // examples/ for runnable programs and cmd/albic-bench for the experiment
