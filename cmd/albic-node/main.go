@@ -11,8 +11,7 @@
 //
 // A worker contributes nothing but capacity: which node slots it hosts is the
 // controller's decision (shipped in the spec), and every reconfiguration —
-// periods, segment boundaries, migrations, checkpoints, scale-out — is
-// driven over the wire.
+// periods, migrations, checkpoints, scale-out — is driven over the wire.
 package main
 
 import (

@@ -11,14 +11,9 @@
 // (plan_ms aside) every time. -pipelined=false restores the paper's lockstep
 // loop.
 //
-// With -subperiods K (K >= 2) the engine additionally splits every period
-// into K sub-intervals, which switches reactive mode on: at every
-// sub-interval boundary a trigger (imbalance ratio + EWMA deviation, with
-// cooldown) may fire a greedy hot mover whose restricted moves (at most two
-// key groups) apply without waiting for the period barrier. A flag that
-// would be ignored is an error, exit status 2: -subperiods 1 or below,
-// -workers without -listen and -incremental with a balancer that does not
-// plan (anything but albic and milp). So is a size the run would replace or
+// A flag that would be ignored is an error, exit status 2: -workers without
+// -listen and -incremental with a balancer that does not plan (anything but
+// albic and milp). So is a size the run would replace or
 // never reach: -nodes, -periods or -shards below 1, a negative -groups,
 // -rate, -budget or -ckpt-every.
 //
@@ -37,7 +32,6 @@
 //	albic-run -job rj1 -balancer milp -pipelined=false
 //	albic-run -job rj1 -balancer potc       # two-choice routing, no migration
 //	albic-run -job rj3 -balancer cola
-//	albic-run -job rj2 -subperiods 4        # reactive hot moves
 //	albic-run -job rj2 -nodes 50 -groups 2000 -incremental   # 16k-group scale
 package main
 
@@ -66,7 +60,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	pipelined := flag.Bool("pipelined", true, "overlap planning with the next period's data flow")
 	smooth := flag.Float64("smooth", 1, "EWMA factor for planner inputs, in (0,1]; 1 = plan on raw loads")
-	subperiods := flag.Int("subperiods", 0, "sub-intervals per period; 2 or more turns on reactive hot moves (0 = off)")
 	ckptEvery := flag.Int("ckpt-every", 0, "incremental checkpoint every N periods (0 = off); arms checkpoint-assisted delta migration")
 	migrCost := flag.Float64("migr-cost", 0, "max migration cost per adaptation, in state bytes a move ships synchronously (0 = unlimited)")
 	shards := flag.Int("shards", 1, "worker shards per node (parallel operator execution; needs GOMAXPROCS > 1 to pay off)")
@@ -97,11 +90,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "albic-run: -smooth %g out of range (0,1]\n", *smooth)
 		os.Exit(2)
 	}
-	if *subperiods == 1 || *subperiods < 0 {
-		fmt.Fprintf(os.Stderr, "albic-run: -subperiods %d would split no period; use 0 (off) or >= 2\n", *subperiods)
-		os.Exit(2)
-	}
-	reactive := *subperiods >= 2
 	// A flag that only acts beside another one is an error when set without
 	// it, not a silent no-op.
 	unmet := map[string]string{}
@@ -157,7 +145,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	ecfg := repro.EngineConfig{Nodes: *nodes, SubPeriods: *subperiods, ShardsPerNode: *shards}
+	ecfg := repro.EngineConfig{Nodes: *nodes, ShardsPerNode: *shards}
 	var e *repro.Engine
 	if *listen != "" {
 		fmt.Printf("listening on %s for %d workers...\n", *listen, *workers)
@@ -176,10 +164,10 @@ func main() {
 	}
 	defer e.Close()
 
-	fmt.Printf("job=%s balancer=%s nodes=%d budget=%d rate=%d pipelined=%v reactive=%v\n",
-		*job, *balancerName, *nodes, *budget, cfg.Rate, *pipelined, reactive)
-	fmt.Printf("%7s %10s %12s %10s %11s %9s %12s %10s\n",
-		"period", "loadDist%", "collocation%", "avgLoad%", "migrations", "hotMoves", "migLatency_s", "plan_ms")
+	fmt.Printf("job=%s balancer=%s nodes=%d budget=%d rate=%d pipelined=%v\n",
+		*job, *balancerName, *nodes, *budget, cfg.Rate, *pipelined)
+	fmt.Printf("%7s %10s %12s %10s %11s %12s %10s\n",
+		"period", "loadDist%", "collocation%", "avgLoad%", "migrations", "migLatency_s", "plan_ms")
 	ctrl := repro.NewController(e, repro.ControllerOptions{
 		Balancer:        bal,
 		MaxMigrations:   *budget,
@@ -192,18 +180,15 @@ func main() {
 			if r.Outcome != nil {
 				planMS = fmt.Sprintf("%.1f", float64(r.PlanLatency.Microseconds())/1000)
 			}
-			fmt.Printf("%7d %10.2f %12.1f %10.1f %11d %9d %12.2f %10s\n",
+			fmt.Printf("%7d %10.2f %12.1f %10.1f %11d %12.2f %10s\n",
 				r.Period, r.LoadDistance, r.Collocation, r.AverageLoad,
-				r.Stats.Migrations, r.Stats.HotMoves, r.Stats.MigrationLatency, planMS)
+				r.Stats.Migrations, r.Stats.MigrationLatency, planMS)
 		},
 	})
 	m, err := ctrl.Run(context.Background(), *periods)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "albic-run: %v\n", err)
 		os.Exit(1)
-	}
-	if reactive {
-		fmt.Printf("plans applied=%d, hot moves=%d\n", m.PlansApplied, m.HotMoves)
 	}
 	if *ckptEvery > 0 {
 		fmt.Printf("checkpoints=%d (appended %d B), precopy=%d B, sync deltas=%d B\n",

@@ -34,8 +34,10 @@ const (
 	// migration event carries the size of the tip it shipped instead of its
 	// group, and a checkpoint summary entry lost its node and tip size. v7: a
 	// segment boundary reads the cluster with the stats request; the
-	// sub-period request and its reply are gone.
-	WireVersion = 7
+	// sub-period request and its reply are gone. v8: segments are gone: a
+	// barrier always ends the period, a migrate-out never says whole and an
+	// arm frame never resumes a period.
+	WireVersion = 8
 
 	// handshake hardening bounds: no legitimate message approaches these.
 	maxHandshakeAddr  = 1 << 10

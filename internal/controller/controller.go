@@ -16,18 +16,9 @@
 // faster than a period then adds no latency to the data path; a slower one
 // holds boundary N+1 until it is done. Either way every snapshot is planned
 // on and every outcome lands at the boundary its lag names, so which period
-// gets which plan does not depend on the scheduler.
-//
-// One layer extends the loop beyond the paper, and the engine decides
-// whether it runs: an engine built with engine.Config.SubPeriods >= 2
-// drains its pipeline at every sub-interval boundary and reports the
-// period-so-far statistics there, a trigger (imbalance ratio + EWMA
-// deviation, with cooldown) detects transient skew, and a restricted
-// hot-move plan (core.GreedyHotMover, at most two key groups) applies at
-// that boundary without waiting for the period barrier. An
-// engine with fewer sub-periods fires no boundary and the loop is the
-// paper's. The planner runs under the Run context alone: a solve still in
-// flight when the run ends is cancelled and its outcome discarded.
+// gets which plan does not depend on the scheduler. The planner runs under
+// the Run context alone: a solve still in flight when the run ends is
+// cancelled and its outcome discarded.
 //
 // cmd/albic-run, the examples and internal/experiments all drive their
 // engines through this package; it is the only implementation of the
@@ -64,11 +55,6 @@ type Engine interface {
 	// TerminateNode shuts down a drained node; errors while it still
 	// holds key groups.
 	TerminateNode(id int) error
-	// SetSubObserver installs the sub-period boundary hook (see
-	// engine.SubObserver). Run installs the reactive observer on every
-	// engine; only one built with engine.Config.SubPeriods >= 2 ever calls
-	// it, so the engine's configuration alone switches reactive mode on.
-	SetSubObserver(engine.SubObserver)
 	// TakeCheckpoint incrementally checkpoints every key group's state
 	// between periods (Options.CheckpointEvery).
 	TakeCheckpoint() engine.CheckpointStats
@@ -171,9 +157,6 @@ type Metrics struct {
 	// one per period in lockstep, one fewer when pipelined (the last
 	// period's outcome would apply at a boundary the run does not reach).
 	PlansApplied int
-	// HotMoves counts the reactive sub-period migrations executed over the
-	// run (also folded into each period's Migrations series).
-	HotMoves int
 	// Checkpoints counts the incremental checkpoints taken
 	// (Options.CheckpointEvery); CkptBytes is the total volume they
 	// appended to the store (full snapshots first, deltas after).
@@ -235,15 +218,6 @@ type run struct {
 	// pipelined run has one across a boundary.
 	req chan *core.Snapshot
 	res chan plannerResult
-
-	// Reactive state, touched only by the sub-period observer, which the
-	// engine runs on the control goroutine that also runs the
-	// period-boundary observe hook, so the two never overlap. lastHot remembers the
-	// previous firing's moves so a firing the engine rejected wholesale
-	// (stale From, staged group, non-host destination) re-arms the trigger
-	// instead of wasting its cooldown.
-	trigger trigger
-	lastHot []core.Move
 }
 
 // Run executes the adaptation loop for the given number of periods
@@ -251,8 +225,6 @@ type run struct {
 // series.
 func (c *Controller) Run(ctx context.Context, periods int) (*Metrics, error) {
 	r := &run{c: c, ctx: ctx, m: &Metrics{}, terminated: map[int]bool{}}
-	c.eng.SetSubObserver(r.onSubPeriod)
-	defer c.eng.SetSubObserver(nil)
 	if c.fw != nil {
 		pctx, cancel := context.WithCancel(ctx)
 		r.req = make(chan *core.Snapshot, 1)
@@ -278,51 +250,6 @@ func (c *Controller) Run(ctx context.Context, periods int) (*Metrics, error) {
 	return r.m, nil
 }
 
-// onSubPeriod is the reactive path, invoked by the engine at every
-// sub-interval boundary on its control goroutine, with the pipeline drained:
-// normalize the partial loads, consult the trigger, and — when it fires —
-// plan a restricted hot-move batch on the period-so-far snapshot. The
-// returned moves are applied by the engine at that boundary, without waiting
-// for the period barrier.
-func (r *run) onSubPeriod(snap *core.Snapshot, period, sub int) []core.Move {
-	// If the previous firing's moves were all rejected by the engine (the
-	// snapshot they were planned on went stale between boundaries), none of
-	// them shows up in the current allocation: re-arm the trigger so the
-	// cooldown is not spent on a no-op.
-	if r.lastHot != nil {
-		applied := false
-		for _, mv := range r.lastHot {
-			if mv.Group < len(snap.Groups) && snap.Groups[mv.Group].Node == mv.To {
-				applied = true
-				break
-			}
-		}
-		if !applied {
-			r.trigger.Rearm()
-		}
-		r.lastHot = nil
-	}
-	loads := snap.NodeLoads()
-	// Sub-snapshot loads accumulate from the period start; divide by the
-	// boundary index so the trigger's EWMA sees comparable per-interval
-	// rates at every boundary.
-	for i := range loads {
-		loads[i] /= float64(sub)
-	}
-	if !r.trigger.Observe(loads, snap.Kill) {
-		return nil
-	}
-	snap.MaxMigrations = hotMoveBudget
-	hot := core.GreedyHotMover{}
-	plan, err := hot.Plan(r.ctx, snap)
-	if err != nil || plan == nil || len(plan.Moves) == 0 {
-		r.trigger.Rearm()
-		return nil
-	}
-	r.lastHot = plan.Moves
-	return plan.Moves
-}
-
 // observe is the period-boundary hook: it calibrates once after the first
 // period, snapshots, records metrics, applies the previous boundary's
 // outcome when pipelined, smooths planner inputs and hands the snapshot to
@@ -336,9 +263,8 @@ func (r *run) observe(ps *engine.PeriodStats) error {
 	if p == 0 && c.opt.TargetAvgLoad > 0 {
 		c.eng.CalibrateCapacity(c.opt.TargetAvgLoad)
 	}
-	// Counted before any early return: hot moves and state-transfer volume
-	// during an unobserved warm-up period still happened.
-	r.m.HotMoves += ps.HotMoves
+	// Counted before any early return: state-transfer volume during an
+	// unobserved warm-up period still happened.
 	r.m.PrecopyBytes += ps.PrecopyBytes
 	r.m.MigratedDeltaBytes += ps.MigratedDeltaBytes
 

@@ -543,3 +543,56 @@ func TestControllerContextCancel(t *testing.T) {
 		t.Fatalf("observed %d periods before cancel, want >= 3", n)
 	}
 }
+
+// stubbornBalancer models a paper-scale solver (tens of seconds of CPLEX
+// time) that never finishes on its own: Plan blocks until its context is
+// cancelled. The cancellation machinery must abort it; a solve it fails to
+// abort hangs the test.
+type stubbornBalancer struct {
+	mu        sync.Mutex
+	cancelled int
+}
+
+func (b *stubbornBalancer) Name() string { return "stubborn" }
+
+func (b *stubbornBalancer) Plan(ctx context.Context, s *core.Snapshot) (*core.Plan, error) {
+	<-ctx.Done()
+	b.mu.Lock()
+	b.cancelled++
+	b.mu.Unlock()
+	return nil, ctx.Err()
+}
+
+func (b *stubbornBalancer) cancellations() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.cancelled
+}
+
+// TestRunEndAbortsInFlightSolve: a pipelined solve still running when the
+// last period ends is aborted through the run's context — the one solve
+// handed over is cancelled, and no plan is applied (it was due at a boundary
+// the run does not reach). One period: every later boundary would wait for
+// the solve. The balancer never returns on its own, so a run that does not
+// cancel it never ends: no clock decides the test.
+func TestRunEndAbortsInFlightSolve(t *testing.T) {
+	const periods = 1
+	topo := testTopology(800, 8, nil)
+	e, err := engine.New(topo, engine.Config{Nodes: 2}, skewedInitial(topo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	bal := &stubbornBalancer{}
+	ctrl := New(e, Options{Balancer: bal, Pipelined: true})
+	m, err := ctrl.Run(context.Background(), periods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cancelled := bal.cancellations(); cancelled != 1 {
+		t.Fatalf("%d solves cancelled, want 1", cancelled)
+	}
+	if m.PlansApplied != 0 {
+		t.Fatalf("%d plans applied, want 0", m.PlansApplied)
+	}
+}

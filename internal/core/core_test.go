@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -387,5 +388,47 @@ func TestSnapshotProblemRoundTrip(t *testing.T) {
 		if it.MigCost != s.Groups[k].StateSize {
 			t.Fatalf("item %d migcost = %v", k, it.MigCost)
 		}
+	}
+}
+
+// TestMILPBalancerHonorsContext: the solve stops at ctx, not only at its
+// TimeLimit. A context cancelled before Plan leaves the starting assignment —
+// a valid plan with no moves (the anytime solver degrades, it does not fail) —
+// while the same snapshot under a live context, with the TimeLimit a ceiling
+// only, has moves to make: the empty plan is the context's doing. No clock
+// decides the test.
+func TestMILPBalancerHonorsContext(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	s := &Snapshot{NumNodes: 12, Ops: []OpStat{{Name: "op"}}}
+	for k := 0; k < 600; k++ {
+		s.Groups = append(s.Groups, GroupStat{Op: 0, Node: rng.Intn(12), Load: rng.Float64() * 5})
+		s.Ops[0].Groups = append(s.Ops[0].Groups, k)
+	}
+	b := &MILPBalancer{TimeLimit: 30 * time.Second, Seed: 1}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	plan, err := b.Plan(ctx, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.GroupNode) != len(s.Groups) {
+		t.Fatalf("plan has %d groups, want %d", len(plan.GroupNode), len(s.Groups))
+	}
+	for k, n := range plan.GroupNode {
+		if n != s.Groups[k].Node {
+			t.Fatalf("cancelled solve sends group %d from node %d to %d", k, s.Groups[k].Node, n)
+		}
+	}
+	if len(plan.Moves) != 0 {
+		t.Fatalf("cancelled solve made %d moves", len(plan.Moves))
+	}
+
+	live, err := b.Plan(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(live.Moves) == 0 {
+		t.Fatal("a live solve made no moves: the snapshot gives a cancelled one nothing to skip")
 	}
 }

@@ -6,14 +6,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/transport"
 )
 
 // Chaos property: arbitrary per-link delay, jitter and bounded stalls must
 // not change a single statistic. The engine's protocols only assume
 // per-link FIFO — which the chaos wrapper preserves — so the full adaptive
-// script (delta and full moves, hot moves, scale-out, checkpoints) under a
+// script (whole and delta moves, scale-out, checkpoints) under a
 // hostile delay schedule must be indistinguishable from the clean run:
 // identical per-period tuple counts per group, identical wire-byte
 // accounting, identical checkpoints.
@@ -76,24 +75,20 @@ func (l *lateChaos) Send(peer int, data []byte) error {
 	return l.Endpoint.Send(peer, data)
 }
 
-// TestWorkerDeathAtSegmentBoundary: a worker that dies while a segment
-// boundary is open — its shards owe the controller the completions of the
-// non-final barrier wave, the acks of the resume arm or the moved state —
-// must fail the period with an error: neither the generator parked at the
-// boundary nor the control goroutine counting the wave may wait for it
-// forever, and the boundaries the generator still has ahead of it in the
-// failed period (three per period here, each with a move to hand over) must
-// not hold it either. Worker 2's endpoint gets a one-shot drop (chaos
-// DropAfter) armed when the period's first observer runs, and one run per
-// k = 1, 2, ... kills it k frames later, which walks the death through the
-// rest of the boundary — the resume arm's acks, the moved state — and into
-// the next segment's wave and sub-snapshot.
-func TestWorkerDeathAtSegmentBoundary(t *testing.T) {
+// TestWorkerDeathDuringStagedMoves: a worker that dies in a period with
+// staged moves — its shards owe the controller the acks of the arm, the moved
+// state and its events, or the completions of the barrier wave — must fail
+// the period with an error: neither the arm phase nor the control goroutine
+// counting the wave may wait for it forever, and the generator must end with
+// the failed period. Worker 2's endpoint gets a one-shot drop (chaos
+// DropAfter) armed right before period 3, and one run per k = 1, 2, ... kills
+// it k frames later, which walks the death through the period — the arm's
+// acks, the moved state — and into the barrier wave.
+func TestWorkerDeathDuringStagedMoves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("one cluster per kill point; skipping in -short")
 	}
 	spec := equivSpec()
-	spec.Engine.SubPeriods = 4
 	for k := 1; k <= 10; k++ {
 		var victim *lateChaos
 		e, stop, err := StartMem(spec, 2, func(peer int, ep transport.Endpoint) transport.Endpoint {
@@ -106,39 +101,39 @@ func TestWorkerDeathAtSegmentBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Every boundary of period 3 moves one more group of sumdelay (gids
-		// 12..23) one node forward; the first is group 13, from node 1
-		// (worker 2) to node 2 (worker 1).
-		e.SetSubObserver(func(snap *core.Snapshot, period, sub int) []core.Move {
-			if period != 3 {
-				return nil
+		for p := 1; p <= 2; p++ {
+			if _, err := e.RunPeriod(); err != nil {
+				t.Fatalf("period %d: %v", p, err)
 			}
-			if sub == 1 {
-				victim.arm(transport.ChaosOptions{DropAfter: k})
+		}
+		// Period 3 moves every group of sumdelay (gids 12..23) that node 1
+		// (worker 2) holds — 13, 16, 19 and 22 — to node 2 (worker 1): each
+		// is a moved state and an event that worker 2 sends.
+		alloc := e.Allocation()
+		for g := 13; g <= 22; g += 3 {
+			if alloc[g] != 1 {
+				t.Fatalf("group %d on node %d, want 1", g, alloc[g])
 			}
-			g := 12 + sub
-			from := snap.Groups[g].Node
-			return []core.Move{{Group: g, From: from, To: (from + 1) % 3}}
-		})
+			alloc[g] = 2
+		}
+		if err := e.ApplyPlan(alloc); err != nil {
+			t.Fatal(err)
+		}
+		victim.arm(transport.ChaosOptions{DropAfter: k})
 		done := make(chan error, 1)
 		go func() {
-			for p := 1; p <= 3; p++ {
-				if _, err := e.RunPeriod(); err != nil {
-					done <- err
-					return
-				}
-			}
-			done <- nil
+			_, err := e.RunPeriod()
+			done <- err
 		}()
 		select {
 		case err := <-done:
-			// One boundary's completions and acks plus the period's stats
+			// The period's acks, moved states, data, completions and stats
 			// reply are more than ten frames: the period cannot have ended.
 			if err == nil {
-				t.Errorf("kill %d frames into the boundary: period 3 succeeded on a dead worker", k)
+				t.Errorf("kill %d frames into period 3: it succeeded on a dead worker", k)
 			}
 		case <-time.After(30 * time.Second):
-			t.Fatalf("kill %d frames into the boundary: RunPeriod wedged", k)
+			t.Fatalf("kill %d frames into period 3: RunPeriod wedged", k)
 		}
 		stop()
 	}

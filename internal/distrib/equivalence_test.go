@@ -11,9 +11,9 @@ import (
 	"repro/internal/workload"
 )
 
-// The equivalence harness: one scripted adaptive run — periods, a staged
-// checkpoint-assisted migration that ships its base with its delta, sub-period
-// hot moves, weighted scale-out, checkpoints — executed over (a) the
+// The equivalence harness: one scripted adaptive run — periods, staged moves
+// that ship whole, a staged checkpoint-assisted migration that ships its base
+// with its delta, weighted scale-out, checkpoints — executed over (a) the
 // zero-worker layout (engine.New), (b) an in-memory transport cluster, (c) the
 // same cluster with one node hosted by the controller itself and (d) a real
 // TCP-loopback cluster. All four must produce bit-identical per-period
@@ -21,8 +21,7 @@ import (
 
 // periodSummary is the comparable digest of one period's statistics. Every
 // field is copied out of the PeriodStats so summaries from different engines
-// never alias. Subs holds every sub-snapshot the period's boundaries handed
-// the observer, in boundary order.
+// never alias.
 type periodSummary struct {
 	Period             int
 	GroupUnits         []float64
@@ -38,20 +37,10 @@ type periodSummary struct {
 	BatchesCrossNode   int64
 	Migrations         int
 	MigrationLatency   float64
-	HotMoves           int
 	MigratedDeltaBytes int64
 	PrecopyBytes       int64
 	DeferredMoves      int
 	CkptDeltaBytes     []int
-	Subs               []subSummary
-}
-
-// subSummary is the comparable digest of one sub-snapshot: per-group loads
-// and state sizes, and the communication edges of the period so far.
-type subSummary struct {
-	Loads     []float64
-	StateSize []float64
-	Comm      map[[2]int]float64
 }
 
 // commEdges copies a communication matrix out as a map, nil for none.
@@ -79,7 +68,6 @@ func summarize(ps *engine.PeriodStats) periodSummary {
 		BatchesCrossNode:   ps.BatchesCrossNode,
 		Migrations:         ps.Migrations,
 		MigrationLatency:   ps.MigrationLatency,
-		HotMoves:           ps.HotMoves,
 		MigratedDeltaBytes: ps.MigratedDeltaBytes,
 		PrecopyBytes:       ps.PrecopyBytes,
 		DeferredMoves:      ps.DeferredMoves,
@@ -95,7 +83,7 @@ func equivSpec() JobSpec {
 	return JobSpec{
 		Job:       "rj2",
 		Workload:  workload.JobConfig{KeyGroups: 12, Rate: 400, Seed: 7},
-		Engine:    engine.Config{Nodes: 3, SubPeriods: 2},
+		Engine:    engine.Config{Nodes: 3},
 		NodePeers: DefaultPeers(3, 2),
 	}
 }
@@ -109,32 +97,6 @@ func driveAdaptiveScript(t *testing.T, e *engine.Engine) ([]periodSummary, []eng
 	t.Helper()
 	var periods []periodSummary
 	var ckpts []engine.CheckpointStats
-	var subs []subSummary // the running period's sub-snapshots
-
-	// Sub-period hot moves: at period 4's first sub-boundary, rotate two
-	// groups one node forward. Disjoint from the staged groups below. The
-	// gids land in sumdelay (rj2's stateful operator: extract holds gids
-	// 0..11, sumdelay 12..23) so the moves carry real state.
-	e.SetSubObserver(func(snap *core.Snapshot, period, sub int) []core.Move {
-		digest := subSummary{
-			Loads:     make([]float64, len(snap.Groups)),
-			StateSize: make([]float64, len(snap.Groups)),
-			Comm:      commEdges(snap.Comm),
-		}
-		for g, gs := range snap.Groups {
-			digest.Loads[g], digest.StateSize[g] = gs.Load, gs.StateSize
-		}
-		subs = append(subs, digest)
-		if period != 4 || sub != 1 {
-			return nil
-		}
-		var mv []core.Move
-		for _, g := range []int{14, 17} {
-			from := snap.Groups[g].Node
-			mv = append(mv, core.Move{Group: g, From: from, To: (from + 1) % 3})
-		}
-		return mv
-	})
 
 	run := func() {
 		t.Helper()
@@ -145,26 +107,36 @@ func driveAdaptiveScript(t *testing.T, e *engine.Engine) ([]periodSummary, []eng
 		if got, want := ps.BytesCrossNodeIn, ps.BytesCrossNode+ps.SrcBytesCrossNode; got != want {
 			t.Fatalf("period %d: BytesCrossNodeIn = %d, want BytesCrossNode+SrcBytesCrossNode = %d", ps.Period, got, want)
 		}
-		s := summarize(ps)
-		s.Subs, subs = subs, nil
-		periods = append(periods, s)
+		periods = append(periods, summarize(ps))
 	}
 
 	run() // 1
-	run() // 2
+	// Staged whole moves: no group has a checkpoint tip yet, so two groups
+	// rotated one node forward ship their state whole. Disjoint from the
+	// delta moves below. The gids land in sumdelay (rj2's stateful operator:
+	// extract holds gids 0..11, sumdelay 12..23) so the moves carry real
+	// state.
+	alloc := append([]int(nil), e.Allocation()...)
+	for _, g := range []int{14, 17} {
+		alloc[g] = (alloc[g] + 1) % 3
+	}
+	if err := e.ApplyPlan(alloc); err != nil {
+		t.Fatalf("plan 0: %v", err)
+	}
+	run() // 2: the staged moves ship whole
 	ckpts = append(ckpts, e.TakeCheckpoint())
 
 	// Staged checkpoint-assisted migration: two sumdelay groups move at the
 	// next boundary, each shipping its ~1 kB checkpoint as the base of its
 	// delta.
-	alloc := append([]int(nil), e.Allocation()...)
+	alloc = append([]int(nil), e.Allocation()...)
 	alloc[12] = (alloc[12] + 1) % 3
 	alloc[13] = (alloc[13] + 2) % 3
 	if err := e.ApplyPlan(alloc); err != nil {
 		t.Fatalf("plan 1: %v", err)
 	}
 	run() // 3: the staged moves execute with delta transfers
-	run() // 4: hot moves fire mid-period
+	run() // 4
 	run() // 5
 	ckpts = append(ckpts, e.TakeCheckpoint())
 
@@ -258,18 +230,21 @@ func TestDistributedEquivalence(t *testing.T) {
 	spec := equivSpec()
 	classic, classicCkpts := runClassic(t, spec)
 
-	// Sanity: the script actually exercised every path it claims to.
-	var migr, hot int
+	// Sanity: the script actually exercised every path it claims to. A
+	// period whose moves shipped no checkpoint base moved every group whole.
+	var migr, whole int
 	var precopy, delta int64
 	for _, p := range classic {
 		migr += p.Migrations
-		hot += p.HotMoves
+		if p.PrecopyBytes == 0 {
+			whole += p.Migrations
+		}
 		precopy += p.PrecopyBytes
 		delta += p.MigratedDeltaBytes
 	}
-	if migr == 0 || hot == 0 || precopy == 0 || delta == 0 {
-		t.Fatalf("script did not exercise all paths: migrations=%d hot=%d precopyB=%d deltaB=%d",
-			migr, hot, precopy, delta)
+	if migr == 0 || whole == 0 || precopy == 0 || delta == 0 {
+		t.Fatalf("script did not exercise all paths: migrations=%d whole=%d precopyB=%d deltaB=%d",
+			migr, whole, precopy, delta)
 	}
 
 	mem, memCkpts := runMem(t, spec, nil)
@@ -279,7 +254,7 @@ func TestDistributedEquivalence(t *testing.T) {
 	}
 
 	// A mixed layout: the controller hosts node 0 beside two workers, so the
-	// script's staged delta move, hot moves, checkpoints and scale-out each
+	// script's staged whole and delta moves, checkpoints and scale-out each
 	// cross a hosted↔remote boundary inside one engine — mailbox puts and
 	// frames, tips on the controller's shards and on the workers' side by side.
 	mixedSpec := spec

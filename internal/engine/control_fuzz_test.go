@@ -128,12 +128,12 @@ func FuzzControlFrame(f *testing.F) {
 		f.Add(owned(encodeMsgFrame(5, m)))
 	}
 	f.Add(owned(encodeMsgFrame(3, barrierMsg{op: 1, period: 2})))
-	f.Add(owned(encodeMsgFrame(3, barrierMsg{op: 1, period: 2, more: true}))) // closes a segment, not the period
+	f.Add(append(owned(encodeMsgFrame(3, barrierMsg{op: 1, period: 2})), 1)) // a v7 barrier: its segment flag trails
 	f.Add(owned(encodeMsgFrame(3, stateMsg{op: 1, kg: 2, encoded: []byte("st"), delta: true, baseVer: 4})))
 	f.Add(owned(encodeMsgFrame(3, migrateOutMsg{op: 1, kg: 2, dest: 0})))
 	f.Add(owned(encodeMsgFrame(3, recoverMsg{op: 1, kg: 2, encoded: []byte("enc"), tipVer: 7})))
 	f.Add(owned(encode(frArm, &armFrame{period: 3, numNodes: 2, alloc: []int{0, 1, 0}, barrierNeed: []int{2, 2}, awaitIn: []int{1}})))
-	f.Add(owned(encode(frArm, &armFrame{period: 3, resume: true, numNodes: 2, alloc: []int{0, 0, 0}, barrierNeed: []int{2, 2}, awaitIn: []int{1}}))) // the next segment of a running period
+	f.Add([]byte{frArm, 3, 1, 2, 3, 0, 0, 0, 2, 2, 2, 1, 1}) // a v7 arm frame: its resume flag after the period
 	f.Add(owned(encode(frEvent, &engEvent{kind: evMigrated, node: 1, op: 2, bytes: 3, delta: true, base: 4})))
 	f.Add(owned(encode(frReq, &reqFrame{id: 7, kind: rqStats})))
 	f.Add(owned(encode(frReq, &reqFrame{id: 8, kind: rqProvision, provIDs: []int{3}, provOwner: []int{1}, provW: []float64{1.5}})))

@@ -41,13 +41,6 @@ type Config struct {
 	// CapacityWeights[i] times the cost units of a weight-1 node. nil means
 	// homogeneous; nodes added later via AddNodes get the weights it is given.
 	CapacityWeights []float64
-	// SubPeriods splits each statistics period into this many sub-intervals
-	// for reactive reconfiguration (see subperiod.go): every sub-interval
-	// boundary drains the pipeline and hands the sub-period observer the
-	// period-so-far statistics, and restricted hot moves may apply there
-	// without waiting for the period barrier. Values < 2 disable the
-	// reactive layer entirely; the data path costs the same either way.
-	SubPeriods int
 	// ShardsPerNode splits every node's execution into this many
 	// hash-partitioned worker shards, each with its own mailbox-drain
 	// goroutine, outbox set and statistics (see node.go) — cores within a
@@ -98,8 +91,7 @@ type Engine struct {
 	// mu guards the allocation state (groupNode, baseAlloc) so that
 	// ApplyPlan may be invoked while a period is in flight: an asynchronous
 	// controller can stage a plan the moment its planner finishes, and the
-	// staged diff is picked up at the next period boundary. Hot moves
-	// (sub-period migrations) update groupNode under the same lock.
+	// staged diff is picked up at the next period boundary.
 	mu        sync.Mutex
 	groupNode []int // authoritative target allocation (gid -> node)
 	baseAlloc []int // allocation physically in place (last period's end)
@@ -112,12 +104,6 @@ type Engine struct {
 	// coordination. Both are immutable after New.
 	spn      int
 	shardIdx []uint8
-	// subObserver is the sub-period boundary hook (guarded by mu; captured
-	// once per period into the periodRun).
-	subObserver SubObserver
-	// lastSrcTuples is the previous period's source-tuple volume; the current
-	// period's sub-interval boundaries are calibrated from it.
-	lastSrcTuples int64
 
 	// ckpt is the incremental checkpoint store (nil until the first
 	// TakeCheckpoint): the log of what the tip-holding shards of every process
@@ -242,9 +228,8 @@ type periodRun struct {
 	period int
 	rt     *routerTable
 	// alloc is the allocation this period physically installs (the router
-	// table's view, updated in place by hot moves) — the diff base for the
-	// next period's migrations, even if ApplyPlan re-targets groupNode
-	// while the period is in flight.
+	// table's view) — the diff base for the next period's migrations, even
+	// if ApplyPlan re-targets groupNode while the period is in flight.
 	alloc []int
 	// staged lists the migrations this period executes at its boundary.
 	staged              []core.Move
@@ -257,27 +242,10 @@ type periodRun struct {
 	// may be armed inconsistently afterwards — callers must Close (or
 	// recover via the checkpoint path) rather than run further periods.
 	armFailed bool
-
-	// Reactive sub-period state (see subperiod.go). The generation goroutine
-	// reads these fields and advances subIdx; the control goroutine touches
-	// them only between a boundary's hand-over on segment and its answer on
-	// resume, or after synchronizing on the generation result.
-	subObserver SubObserver
-	subIdx      int          // sub-intervals completed (1-based once running)
-	subPerSub   int64        // source tuples per sub-interval (0: no boundaries)
-	stagedGids  map[int]bool // gids in a staged period-boundary migration
-	hotMoved    map[int]bool // gids already hot-moved this period
-	hotMoves    int
-	// segment is where the generator hands a sub-period boundary to the
-	// control goroutine, once its non-final barrier wave is out; it then waits
-	// on resume, which delivers one value when the next segment is armed. done
-	// is closed when finishPeriod returns: the generator waits on neither
-	// channel once the period is over, opens no further boundary and drops
-	// what its sources still emit (over, flushGen), so it ends soon after a
-	// period that failed.
-	segment chan struct{}
-	resume  chan struct{}
-	done    chan struct{}
+	// done is closed when finishPeriod returns: the generator then drops what
+	// its sources still emit (over, flushGen) and sends no barrier wave, so
+	// it ends soon after a period that failed.
+	done chan struct{}
 }
 
 // over reports whether the period's control goroutine has returned; before
@@ -319,58 +287,31 @@ func (e *Engine) beginPeriod() *periodRun {
 			staged = append(staged, core.Move{Group: gid, From: from, To: to})
 		}
 	}
-	subObserver := e.subObserver
 	e.mu.Unlock()
 
+	// Every staged move runs now, as a direct full-state migration or a
+	// checkpoint-assisted delta (the source decides, onMigrateOut).
 	pr := &periodRun{
-		period:     e.period,
-		alloc:      alloc,
-		stagedGids: map[int]bool{},
-		hotMoved:   map[int]bool{},
-		errs:       e.ckptErrs,
-		segment:    make(chan struct{}, 1),
-		resume:     make(chan struct{}, 1),
-		done:       make(chan struct{}),
+		period: e.period,
+		alloc:  alloc,
+		staged: staged,
+		errs:   e.ckptErrs,
+		done:   make(chan struct{}),
 	}
 	e.ckptErrs = nil
-	// Every staged move runs now, as a direct full-state migration or a
-	// checkpoint-assisted delta (the source decides, onMigrateOut), and keeps
-	// its group off the hot-move path for the period.
-	pr.staged = staged
-	for _, mv := range staged {
-		pr.stagedGids[mv.Group] = true
-	}
-	if k := int64(e.cfg.SubPeriods); k >= 2 {
-		pr.subObserver = subObserver
-		// Sub-interval boundaries are calibrated from the previous period's
-		// source volume; the first period (and any zero-volume period) runs
-		// without boundaries. A quiet-but-nonzero period still arms at least
-		// one boundary per sub-interval — flooring to zero here would
-		// silently disable reactive triggers for the next period even though
-		// its volume may spike.
-		per := e.lastSrcTuples / k
-		if per == 0 && e.lastSrcTuples > 0 {
-			per = 1
-		}
-		if per > 0 {
-			pr.subPerSub = per
-		}
-	}
-	e.arm(pr, staged, false)
+	e.arm(pr)
 	return pr
 }
 
-// arm installs pr.alloc on every shard and starts the moves that lead to it:
-// the one migration protocol, run at the period boundary by beginPeriod and at
-// a segment boundary inside the period by closeSegment (resume: the period's
-// statistics keep accumulating). In both places the pipeline is drained —
-// every shard completed the barrier wave before — so the new router table,
-// the barrier counts that follow from its host sets and the in-bound moves
-// each destination shard must await take effect between two tuples of every
-// key. Only when every shard has acknowledged them are the old hosts asked to
-// ship (migrateOutMsg), and only when arm returns does generation go on. A
-// move at a segment boundary is a hot move, which ships its state whole.
-func (e *Engine) arm(pr *periodRun, moves []core.Move, resume bool) {
+// arm installs pr.alloc on every shard and starts the staged moves that lead
+// to it: the one migration protocol, run at the period boundary by
+// beginPeriod. The pipeline is drained there — every shard completed the
+// previous period's barrier wave — so the new router table, the barrier
+// counts that follow from its host sets and the in-bound moves each
+// destination shard must await take effect between two tuples of every key.
+// Only when every shard has acknowledged them are the old hosts asked to ship
+// (migrateOutMsg), and only when arm returns does generation begin.
+func (e *Engine) arm(pr *periodRun) {
 	pr.rt = newRouterTable(e.topo, pr.alloc, len(e.nodes))
 
 	// Expected barrier count per (shard, op): one per source feeding the op
@@ -399,14 +340,13 @@ func (e *Engine) arm(pr *periodRun, moves []core.Move, resume bool) {
 	}
 
 	awaitIn := map[int][]int{} // global shard id -> gids arriving by stateMsg
-	for _, mv := range moves {
+	for _, mv := range pr.staged {
 		g := e.gsidFor(mv.To, mv.Group)
 		awaitIn[g] = append(awaitIn[g], mv.Group)
 	}
 
 	// Arm every shard of every alive node, collect acks: the hosted ones
-	// through armLocal (which also resets their period statistics unless the
-	// period resumes), every worker peer's through one arm frame (the worker
+	// through armLocal (which also resets their period statistics), every worker peer's through one arm frame (the worker
 	// rebuilds the identical periodStartMsg and runs the same armLocal; its
 	// shards ack through the event path). A shard that cannot be armed — closed
 	// mailbox, unreachable peer — can never ack, and neither can one that
@@ -414,7 +354,7 @@ func (e *Engine) arm(pr *periodRun, moves []core.Move, resume bool) {
 	// the control goroutine cannot wedge, and so does a peer death during the
 	// wait. Either case aborts the period (armFailed) and surfaces from
 	// RunPeriod/Run.
-	active, errs := e.armLocal(periodStartMsg{period: pr.period, router: pr.rt, barrierNeed: senders}, awaitIn, resume)
+	active, errs := e.armLocal(periodStartMsg{period: pr.period, router: pr.rt, barrierNeed: senders}, awaitIn)
 	pr.errs = append(pr.errs, errs...)
 	pr.armFailed = len(errs) > 0
 	peers := e.workerPeers()
@@ -427,14 +367,13 @@ func (e *Engine) arm(pr *periodRun, moves []core.Move, resume bool) {
 			}
 			remoteNodes++
 		}
-		for _, mv := range moves {
+		for _, mv := range pr.staged {
 			if e.peerFor(mv.To) == peer {
 				peerGids = append(peerGids, mv.Group)
 			}
 		}
 		err := e.rig.ep.Send(peer, encode(frArm, &armFrame{
 			period:      pr.period,
-			resume:      resume,
 			numNodes:    len(e.nodes),
 			alloc:       pr.alloc,
 			barrierNeed: senders,
@@ -486,22 +425,19 @@ func (e *Engine) arm(pr *periodRun, moves []core.Move, resume bool) {
 	// which decides whether the group travels whole or by delta against its
 	// tip. deliver routes to remote sources; the destination (remote or not)
 	// was armed above, so its shard awaits the state before flushing.
-	for _, mv := range moves {
+	for _, mv := range pr.staged {
 		op, kg := e.topo.OpOf(mv.Group)
-		e.deliver(e.gsidFor(mv.From, mv.Group), migrateOutMsg{op: op, kg: kg, dest: mv.To, whole: resume})
+		e.deliver(e.gsidFor(mv.From, mv.Group), migrateOutMsg{op: op, kg: kg, dest: mv.To})
 	}
 }
 
 // finishPeriod waits for all operator instances to flush and all migrations
 // to be reported, then merges statistics (nodes quiescent again). gen delivers
 // the result of the period's source generation, which runs beside this loop: a
-// generation failure aborts the wait. The loop is the one reader of e.events,
-// so it also runs the control half of every segment boundary the generator
-// opens (closeSegment), between the completions of one barrier wave and the
-// data of the next.
+// generation failure aborts the wait.
 func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, error) {
-	// The generator does not outlive its period: once done is closed, it gives
-	// up a segment boundary it waits at and stops emitting at its next frame.
+	// The generator does not outlive its period: once done is closed, it
+	// stops emitting at its next frame.
 	defer func() {
 		close(pr.done)
 		if gen != nil {
@@ -511,9 +447,8 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 	completions, migs := 0, 0
 	migratedBytes, deltaBytes := 0, 0
 	var baseBytes int64
-	boundary := false // the generator handed over a segment boundary
 	peers := e.workerPeers()
-	for completions < pr.expectedCompletions || migs < len(pr.staged)+pr.hotMoves || gen != nil {
+	for completions < pr.expectedCompletions || migs < len(pr.staged) || gen != nil {
 		// A worker death mid-period means expected completions can never
 		// arrive; abort the period instead of wedging the barrier wait. The
 		// caller recovers via FailNode + Recover.
@@ -536,8 +471,6 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 			case evError:
 				pr.errs = append(pr.errs, ev.err)
 			}
-		case <-pr.segment:
-			boundary = true
 		case err := <-gen:
 			gen = nil
 			if err != nil {
@@ -545,17 +478,6 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 			}
 		case <-death:
 			continue // lost decides whether it was one of this period's peers
-		}
-		if boundary && completions == pr.expectedCompletions && migs == len(pr.staged)+pr.hotMoves {
-			// The segment is closed: its non-final wave passed every shard, so
-			// nothing sent before it is still in flight, and every state
-			// shipped so far was reported. Arm the next one and let the
-			// generator go on.
-			if err := e.closeSegment(pr); err != nil {
-				return nil, err
-			}
-			completions, boundary = 0, false
-			pr.resume <- struct{}{}
 		}
 	}
 	if len(pr.errs) > 0 {
@@ -566,14 +488,12 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 	if err != nil {
 		return nil, err
 	}
-	ps.Migrations = len(pr.staged) + pr.hotMoves
-	ps.HotMoves = pr.hotMoves
+	ps.Migrations = len(pr.staged)
 	// For checkpoint-assisted transfers, migratedBytes counts only the delta —
 	// the base is the checkpoint fault tolerance already took.
 	ps.MigrationLatency = float64(migratedBytes) * migrSecondsPerByte
 	ps.MigratedDeltaBytes = int64(deltaBytes)
 	ps.PrecopyBytes = baseBytes
-	e.lastSrcTuples = e.gen.emitted
 	// Allocation telemetry: the delta of the runtime's cumulative allocation
 	// counters since the previous period barrier. The first period reports 0
 	// (no previous barrier to diff against).
@@ -602,8 +522,8 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 	return ps, nil
 }
 
-// readStats reads the cluster at a drained point — the period barrier and
-// every segment boundary — into a PeriodStats of the period so far: this
+// readStats reads the cluster at the period barrier, a drained point, into a
+// PeriodStats of the period: this
 // process's barrier fold plus every worker's (the workers are quiescent —
 // their shards' completions all arrived — and the request pings their shards
 // for the happens-before edge). Loads accumulate as integer milli-units and
@@ -612,9 +532,9 @@ func (e *Engine) finishPeriod(pr *periodRun, gen <-chan error) (*PeriodStats, er
 // which shard, and the in-memory vs TCP equivalence guarantee is exact
 // equality. The communication merge is exact for the same reason: unit
 // counts, summed by the builder regardless of arrival order. It commits
-// nothing to the engine, since it runs up to K−1 more times per period:
-// finishPeriod fills in the migrations and keeps the result. (The tips it
-// sizes keep the last reading, so a checkpoint cut takes the barrier's.)
+// nothing to the engine: finishPeriod fills in the migrations and keeps the
+// result. (The tips it sizes keep the reading, so a checkpoint cut takes the
+// barrier's.)
 func (e *Engine) readStats(pr *periodRun) (*PeriodStats, error) {
 	ng := e.topo.NumGroups()
 	ps := &PeriodStats{
@@ -675,9 +595,9 @@ func (e *Engine) readStats(pr *periodRun) (*PeriodStats, error) {
 // RunPeriod executes one statistics period: staged migrations are applied via
 // direct state migration concurrently with the new period's data flow, sources
 // generate their batch on a goroutine of their own — the calling goroutine is
-// the period's control goroutine, free to coordinate segment boundaries —
-// every operator processes and flushes, and the merged statistics are
-// returned.
+// the period's control goroutine, which counts the barrier wave's completions
+// and the moves — every operator processes and flushes, and the merged
+// statistics are returned.
 func (e *Engine) RunPeriod() (*PeriodStats, error) {
 	pr := e.beginPeriod()
 	if pr.armFailed {
@@ -874,15 +794,14 @@ func (e *Engine) Snapshot() (*core.Snapshot, error) {
 	if e.last == nil {
 		return nil, fmt.Errorf("engine: no completed period")
 	}
-	return e.snapshotOf(e.last, e.ckptDeltas), nil
+	return e.snapshotOf(e.last), nil
 }
 
-// snapshotOf builds the planner's view of ps — a period's statistics or, at a
-// segment boundary, the period's so far — over the current target allocation
-// and node table. ckptDeltas (nil for none) is the residency signal: a group
-// with a reading >= 0 has a checkpoint tip that far behind its state. e.mu
-// must be held.
-func (e *Engine) snapshotOf(ps *PeriodStats, ckptDeltas []int) *core.Snapshot {
+// snapshotOf builds the planner's view of a period's statistics ps over the
+// current target allocation and node table. e.ckptDeltas (nil for none) is
+// the residency signal: a group with a reading >= 0 has a checkpoint tip that
+// far behind its state. e.mu must be held.
+func (e *Engine) snapshotOf(ps *PeriodStats) *core.Snapshot {
 	s := &core.Snapshot{
 		NumNodes: len(e.nodes),
 		Kill:     make([]bool, len(e.nodes)),
@@ -916,8 +835,8 @@ func (e *Engine) snapshotOf(ps *PeriodStats, ckptDeltas []int) *core.Snapshot {
 			Load:      e.loadPercent(ps.GroupUnits[gid]),
 			StateSize: float64(ps.StateBytes[gid]),
 		}
-		if ckptDeltas != nil {
-			if d := ckptDeltas[gid]; d >= 0 {
+		if e.ckptDeltas != nil {
+			if d := e.ckptDeltas[gid]; d >= 0 {
 				s.Groups[gid].HasCkpt = true
 				s.Groups[gid].CkptDelta = float64(d)
 			}

@@ -8,10 +8,8 @@ import (
 // generation goroutine RunPeriod starts beside the control goroutine: it runs
 // the sources one after another through a single per-(dest, op) outbox set,
 // so the sources are one sender and the per-sender FIFO invariant the shards
-// rely on holds for every key. In a period that armed sub-period boundaries,
-// the boundary fires inline, right after the tuple whose emission count
-// reaches it. End-of-period source barriers go out after the last outbox has
-// flushed: one barrier per source edge per receiving shard.
+// rely on holds for every key. End-of-period source barriers go out after the
+// last outbox has flushed: one barrier per source edge per receiving shard.
 
 // genState is the generator's reusable emission scratch, hoisted onto the
 // Engine so steady-state generation allocates nothing (visible in
@@ -24,7 +22,6 @@ type genState struct {
 	outs    []*outbox // indexed by global shard id
 	bytes   int64     // wire bytes staged this period (per-record sum)
 	batches int64     // frames shipped this period
-	emitted int64     // source tuples emitted this period
 	stopped bool      // the period failed: drop what the sources still emit
 }
 
@@ -39,7 +36,7 @@ func (gs *genState) reset(width int) {
 	} else {
 		gs.outs = gs.outs[:width]
 	}
-	gs.bytes, gs.batches, gs.emitted, gs.stopped = 0, 0, 0, false
+	gs.bytes, gs.batches, gs.stopped = 0, 0, false
 }
 
 // flushGen ships one source outbox's staged frame, if any. A frame is also
@@ -104,70 +101,50 @@ func runSrc(name string, f func()) (err error) {
 	return nil
 }
 
-// generate runs the topology's sources for the period, one after another. A
-// period that armed boundaries fires boundary i right after its i·subPerSub-th
-// emitted tuple, between two tuples, where nothing is half-staged; the
-// boundaries emission did not reach fire once the sources are done. The
-// source barriers ship last.
+// generate runs the topology's sources for the period, one after another.
+// The source barriers ship last.
 func (e *Engine) generate(pr *periodRun) error {
 	gs := &e.gen
 	gs.reset(len(e.nodes) * e.spn)
-	last := e.cfg.SubPeriods - 1 // index of the period's last sub-interval boundary
-	next := pr.subPerSub         // emission count of the next boundary (0: none armed)
 	for si, src := range e.topo.sources {
 		emit := func(t *Tuple) {
 			if gs.stopped {
 				return
 			}
 			e.stageSrc(pr, si, t)
-			gs.emitted++
-			if gs.emitted == next && pr.subIdx < last {
-				pr.subIdx++
-				next += pr.subPerSub
-				e.subBoundary(pr)
-			}
 		}
 		if err := runSrc(src.Name, func() { src.Gen(pr.period, emit) }); err != nil {
 			return err
 		}
 	}
 	e.flushSrc(pr)
-	// Sub-period boundaries that emission did not reach (with low volume
-	// generation finishes before the first emission threshold): fire them
-	// now, before the final wave is sent, so the observer still sees every
-	// boundary of the period.
-	for pr.subPerSub > 0 && pr.subIdx < last {
-		pr.subIdx++
-		e.subBoundary(pr)
-	}
 	if !pr.over() { // a failed period ends without a wave; finishPeriod has its error
-		e.emitSourceBarriers(pr, true)
+		e.emitSourceBarriers(pr)
 	}
 	return nil
 }
 
-// emitSourceBarriers ships the sources' barrier wave — the end-of-period one
-// (final) or the one that closes a segment at a sub-period boundary — then
-// the synthetic barriers for input-less ops: one per shard of every hosting
-// node (each shard collects the full complement). Every source outbox has
-// flushed before this.
-func (e *Engine) emitSourceBarriers(pr *periodRun, final bool) {
+// emitSourceBarriers ships the sources' end-of-period barrier wave, then the
+// synthetic barriers for input-less ops: one per shard of every hosting node
+// (each shard collects the full complement). Every source outbox has flushed
+// before this.
+func (e *Engine) emitSourceBarriers(pr *periodRun) {
 	for si := range e.topo.sources {
 		for _, op := range e.topo.srcEdges[si] {
-			e.barrierWave(pr, op, final)
+			e.barrierWave(pr, op)
 		}
 	}
 	for op, syn := range pr.synthetic {
 		if syn {
-			e.barrierWave(pr, op, final)
+			e.barrierWave(pr, op)
 		}
 	}
 }
 
-func (e *Engine) barrierWave(pr *periodRun, op int, final bool) {
+func (e *Engine) barrierWave(pr *periodRun, op int) {
 	for _, host := range pr.rt.hosts[op] {
 		for i := 0; i < e.spn; i++ {
-			e.deliver(host*e.spn+i, barrierMsg{op: op, period: pr.period, more: !final})
+			e.deliver(host*e.spn+i, barrierMsg{op: op, period: pr.period})
 		}
 	}
 }

@@ -2,8 +2,7 @@ package engine
 
 // Property test for source generation under reconfiguration: the one
 // generator's tuple multiset must arrive exactly — under sharding, staged
-// migrations, mid-period hot moves and a scale-in — and in per-key FIFO
-// order.
+// migrations and a scale-in — and in per-key FIFO order.
 
 import (
 	"fmt"
@@ -13,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/codec"
-	"repro/internal/core"
 )
 
 // partCountTopology builds src → A → B where src emits perPeriod tuples
@@ -74,11 +72,11 @@ func (w *fifoWatcher) observe(k string, s float64) {
 }
 
 // TestParallelGenExactnessUnderMoves: for every shard count, a run with
-// staged migrations, mid-period hot moves and a drained-and-terminated node
-// must deliver exact per-key totals, exact TuplesIn / TuplesOut, the
-// cross-node byte-accounting identity, and per-key FIFO for every key, moved
-// or not. Run under -race this also exercises the inline sub-period
-// boundaries of the generation goroutine against the control goroutine.
+// staged migrations in every period from the third on and a
+// drained-and-terminated node must deliver exact per-key totals, exact
+// TuplesIn / TuplesOut, the cross-node byte-accounting identity, and per-key
+// FIFO for every key, moved or not. Run under -race this also exercises the
+// generation goroutine against the control goroutine.
 func TestParallelGenExactnessUnderMoves(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -99,30 +97,13 @@ func testParallelGenExactness(t *testing.T, spn int) {
 		nodes     = 4
 	)
 	tp, watcher := partCountTopology(keys, perPeriod, kgsA, kgsB)
-	e, err := New(tp, Config{Nodes: nodes, ShardsPerNode: spn, SubPeriods: 4}, nil)
+	e, err := New(tp, Config{Nodes: nodes, ShardsPerNode: spn}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 
-	e.SetSubObserver(func(snap *core.Snapshot, period, sub int) []core.Move {
-		if period < 4 || sub != 2 {
-			return nil
-		}
-		// One hot move per eligible period, rotating B groups among the
-		// three surviving nodes (node 3 is draining, so it is never a
-		// target). These fire mid-period, while the generator waits at a
-		// sub-period boundary.
-		gid := e.topo.GID(1, (period*5)%kgsB)
-		from := snap.Groups[gid].Node
-		to := (from + 1) % 3
-		if to == from {
-			to = (to + 1) % 3
-		}
-		return []core.Move{{Group: gid, From: from, To: to}}
-	})
-
-	totalHot := 0
+	bMoves := 0
 	for p := 1; p <= periods; p++ {
 		if p == 3 {
 			// Scale-in plus staged rotation at one boundary: node 3 drains
@@ -148,11 +129,24 @@ func testParallelGenExactness(t *testing.T, spn int) {
 				t.Fatalf("terminate after drain: %v", err)
 			}
 		}
+		if p >= 4 {
+			// One staged move per period, rotating B groups among the three
+			// surviving nodes (node 3 is gone, so it is never a target).
+			alloc := e.Allocation()
+			gid := e.topo.GID(1, (p*5)%kgsB)
+			alloc[gid] = (alloc[gid] + 1) % 3
+			if err := e.ApplyPlan(alloc); err != nil {
+				t.Fatal(err)
+			}
+			bMoves++
+		}
 		ps, err := e.RunPeriod()
 		if err != nil {
 			t.Fatalf("period %d: %v", p, err)
 		}
-		totalHot += ps.HotMoves
+		if p >= 4 && ps.Migrations != 1 {
+			t.Fatalf("period %d: %d migrations, want the one staged B move", p, ps.Migrations)
+		}
 		if ps.BytesCrossNodeIn != ps.BytesCrossNode+ps.SrcBytesCrossNode {
 			t.Fatalf("period %d: BytesCrossNodeIn = %d, want BytesCrossNode %d + SrcBytesCrossNode %d",
 				p, ps.BytesCrossNodeIn, ps.BytesCrossNode, ps.SrcBytesCrossNode)
@@ -164,8 +158,8 @@ func testParallelGenExactness(t *testing.T, spn int) {
 			t.Fatalf("period %d: TuplesOut = %v, want %d", p, ps.TuplesOut, perPeriod)
 		}
 	}
-	if totalHot == 0 {
-		t.Fatal("no hot moves executed; the sub-period boundary path went untested")
+	if bMoves == 0 {
+		t.Fatal("no B group moved; the migration path went untested")
 	}
 
 	// Exact per-key totals, reconstructed from the resident shard states.

@@ -31,14 +31,11 @@ type dataBatchMsg struct {
 }
 
 // barrierMsg signals that sender instance (an upstream operator on one node,
-// or a source) has emitted everything it will toward operator op before the
-// next arm: everything for `period`, or — more set — everything for the
-// segment of it that a sub-period boundary is closing. A shard treats both
-// alike, except that a wave with more to come flushes no operator.
+// or a source) has emitted everything it will toward operator op for
+// `period`.
 type barrierMsg struct {
 	op     int
 	period int
-	more   bool
 }
 
 // stateMsg hands (op, kg)'s state over to the shard that now hosts it; part
@@ -72,11 +69,9 @@ type stateMsg struct {
 
 // migrateOutMsg asks a node to ship (op, kg)'s state to dest (direct state
 // migration, step "serialize and send"). The node decides whether a delta
-// against its checkpoint tip goes instead (onMigrateOut), unless whole says
-// the move is a hot one, which always ships the state.
+// against its checkpoint tip goes instead (onMigrateOut).
 type migrateOutMsg struct {
 	op, kg, dest int
-	whole        bool
 }
 
 // stopMsg terminates the node goroutine.

@@ -144,8 +144,7 @@ func TestCheckpointAssistedMigration(t *testing.T) {
 // the shards of two nodes of one process: the destination adopts the very
 // State the source held, and after the delta move the source's Tip at its
 // version, whose change records still let the barrier size the next delta
-// exactly. The source keeps nothing: its pool does not grow, and a state it
-// creates afterwards is another one.
+// exactly. The source keeps nothing.
 func TestInProcessMoveHandsOver(t *testing.T) {
 	topo := buildGrowTopology(400, 20, 2, 2)
 	e, err := New(topo, Config{Nodes: 2}, nil)
@@ -174,7 +173,7 @@ func TestInProcessMoveHandsOver(t *testing.T) {
 	handOver := func(gid, from, to int) (*PeriodStats, *State) {
 		t.Helper()
 		src, dst := e.shardAt(e.gsidFor(from, gid)), e.shardAt(e.gsidFor(to, gid))
-		st, free := src.states[gid], src.pool.Len()
+		st := src.states[gid]
 		if st == nil {
 			t.Fatalf("group %d has no state on node %d", gid, from)
 		}
@@ -185,12 +184,6 @@ func TestInProcessMoveHandsOver(t *testing.T) {
 		}
 		if dst.states[gid] != st || src.states[gid] != nil {
 			t.Fatalf("group %d: the destination holds %p, the source held %p (and holds %p)", gid, dst.states[gid], st, src.states[gid])
-		}
-		if src.pool.Len() > free {
-			t.Fatalf("group %d: the source's pool grew from %d to %d states", gid, free, src.pool.Len())
-		}
-		if got := src.pool.Get(); got == st {
-			t.Fatalf("group %d: the source's next new state is the one it handed over", gid)
 		}
 		return ps, st
 	}

@@ -116,12 +116,7 @@ type shard struct {
 	// tp recycles pooled emit tuples ((*Tuple).NewTuple) shard-locally: plain
 	// slice ops on the owning goroutine, no sync.Pool traffic on the emit path.
 	tp tupleFreeList
-	// pool recycles State arenas shard-locally: a state that an arrival or a
-	// recovery displaced (symbol table, tables, backing arrays) is reused by
-	// the next group created here. A migrated-out group's state is never put
-	// here: it belongs to the destination. diff is the shard's reusable Delta
-	// scratch for a delta move's delta.
-	pool statestore.Pool
+	// diff is the shard's reusable Delta scratch for a delta move's delta.
 	diff statestore.Delta
 
 	period      int
@@ -130,10 +125,6 @@ type shard struct {
 	barrierGot  []int
 	flushed     []bool
 	awaitByOp   []int // per op: outstanding in-bound migrations
-
-	// more is what the current barrier wave's messages say: the wave closes a
-	// segment of the period, not the period, so no operator flushes.
-	more bool
 
 	stats *nodeStats
 	// outs[gsid] batches this shard's deliveries to other shards (see
@@ -261,18 +252,18 @@ func (s *shard) startPeriod(m periodStartMsg) {
 
 // onMigrateOut hands (op, kg)'s state over to the owning shard of the
 // destination node and reports the migrated volume to the engine for the
-// latency model. The shard keeps nothing of it: not the state, which must not
-// go back into its pool, nor the tip. Only a move to another process encodes
+// latency model. The shard keeps nothing of it: not the state, which belongs
+// to the destination now, nor the tip. Only a move to another process encodes
 // anything (stateMsg.flatten, inside Engine.deliver); the cost model charges
 // the same sizes either way, each the length of the encoding it stands for.
 //
 // This shard holds the group's checkpoint tip, if it has one, and decides
-// alone how the group travels. A move that is not a hot move (m.whole) goes
-// by delta when the last barrier measured the delta against the tip smaller
-// than the state (statestore.Tip.Pending; a tip cut or adopted since has an
-// empty delta): the tip travels with the state, and the move is charged the
-// delta of the state against it — unless the delta turns out no smaller after
-// all, and then the state goes whole. A whole move strands the tip.
+// alone how the group travels. A move goes by delta when the last barrier
+// measured the delta against the tip smaller than the state
+// (statestore.Tip.Pending; a tip cut or adopted since has an empty delta):
+// the tip travels with the state, and the move is charged the delta of the
+// state against it — unless the delta turns out no smaller after all, and
+// then the state goes whole. A whole move strands the tip.
 func (s *shard) onMigrateOut(m migrateOutMsg) {
 	gid := s.eng.topo.GID(m.op, m.kg)
 	destG := s.eng.gsidFor(m.dest, gid)
@@ -283,7 +274,7 @@ func (s *shard) onMigrateOut(m migrateOutMsg) {
 	if msg.st != nil {
 		msg.size = msg.st.Size()
 	}
-	if tip != nil && !m.whole && tip.Pending() < msg.size {
+	if tip != nil && tip.Pending() < msg.size {
 		tip.DiffInto(&s.diff, msg.st)
 		if sz := s.diff.Size(); sz < msg.size {
 			msg.tip, msg.d, msg.size = tip, &s.diff, sz
@@ -339,7 +330,7 @@ func (s *shard) process(op, kg, gid int, t *Tuple) {
 	o := s.eng.topo.ops[op]
 	st := s.states[gid]
 	if st == nil {
-		st = s.pool.Get()
+		st = statestore.NewState()
 		s.states[gid] = st
 	}
 	s.stats.tuplesIn++
@@ -375,7 +366,6 @@ func (s *shard) onBarrier(m barrierMsg) {
 			err: fmt.Errorf("engine: node %d got barrier for period %d during %d", s.nid, m.period, s.period)})
 		return
 	}
-	s.more = m.more
 	s.barrierGot[m.op]++
 	s.maybeFlush(m.op)
 }
@@ -388,7 +378,7 @@ func (s *shard) onState(m stateMsg) {
 	gid := s.eng.topo.GID(m.op, m.kg)
 	st := m.st
 	if st == nil {
-		st = s.pool.Get()
+		st = statestore.NewState()
 	}
 	if m.tip != nil {
 		s.tips[gid] = m.tip
@@ -396,9 +386,6 @@ func (s *shard) onState(m stateMsg) {
 		delete(s.tips, gid)
 	}
 	s.stats.addMigUnits(float64(m.size) * deserCostPerByte)
-	if old := s.states[gid]; old != nil && old != st {
-		s.pool.Put(old)
-	}
 	s.states[gid] = st
 	if s.awaitIn[gid] {
 		s.awaitIn[gid] = false
@@ -420,24 +407,23 @@ func (s *shard) onState(m stateMsg) {
 
 // maybeFlush closes operator op's barrier wave on this shard once all
 // upstream barriers arrived and all in-bound migrations for its local groups
-// completed: the shard's key groups of op are flushed — unless the wave only
-// closes a segment of the period — and the wave goes on downstream. Every
-// shard of a hosting node participates in the barrier/flush protocol — barrier
-// counts scale with ShardsPerNode on both ends — even when the hash assigned
-// it no key groups of op.
+// completed: the shard's key groups of op are flushed and the wave goes on
+// downstream. Every shard of a hosting node participates in the barrier/flush
+// protocol — barrier counts scale with ShardsPerNode on both ends — even when
+// the hash assigned it no key groups of op.
 func (s *shard) maybeFlush(op int) {
 	if s.barrierNeed == nil || s.flushed[op] {
 		return
 	}
 	kgs := s.router.localKGs[s.nid][op]
 	if len(kgs) == 0 {
-		return // node not a host of op (host sets change only when a segment is armed)
+		return // node not a host of op (host sets change only when a period is armed)
 	}
 	if s.barrierGot[op] < s.barrierNeed[op] || s.awaitByOp[op] > 0 {
 		return
 	}
 	o := s.eng.topo.ops[op]
-	if o.Flush != nil && !s.more {
+	if o.Flush != nil {
 		for _, kg := range kgs {
 			gid := s.eng.topo.GID(op, kg)
 			if int(s.eng.shardIdx[gid]) != s.sid {
@@ -445,7 +431,7 @@ func (s *shard) maybeFlush(op int) {
 			}
 			st := s.states[gid]
 			if st == nil {
-				st = s.pool.Get()
+				st = statestore.NewState()
 				s.states[gid] = st
 			}
 			s.contain("flush", func() {
@@ -456,7 +442,7 @@ func (s *shard) maybeFlush(op int) {
 		}
 	}
 	s.flushed[op] = true
-	// Propagate barriers downstream: this instance is done for the segment.
+	// Propagate barriers downstream: this instance is done for the period.
 	// Ship every buffered data batch first — a barrier must never overtake
 	// data this sender staged before it (per-sender FIFO invariant). Every
 	// shard of every downstream host expects one barrier from this shard.
@@ -476,7 +462,7 @@ func (s *shard) maybeFlush(op int) {
 }
 
 func (s *shard) sendBarrier(destG, op int) {
-	msg := barrierMsg{op: op, period: s.period, more: s.more}
+	msg := barrierMsg{op: op, period: s.period}
 	if destG == s.gsid {
 		// Self-delivery through the mailbox keeps FIFO with prior sends.
 		s.mb.put(msg)
@@ -492,17 +478,13 @@ func (s *shard) sendBarrier(destG, op int) {
 // reassigned.
 func (s *shard) onRecover(m recoverMsg) {
 	gid := s.eng.topo.GID(m.op, m.kg)
-	st := s.pool.Get()
+	st := statestore.NewState()
 	if len(m.encoded) > 0 {
 		if err := statestore.DecodeStateInto(m.encoded, st); err != nil {
-			s.pool.Put(st)
 			s.eng.emit(engEvent{kind: evError, node: s.nid,
 				err: fmt.Errorf("engine: node %d recovered state for group %d: %w", s.nid, gid, err)})
 			return
 		}
-	}
-	if old := s.states[gid]; old != nil && old != st {
-		s.pool.Put(old)
 	}
 	s.states[gid] = st
 	if m.tipVer >= 0 {

@@ -10,13 +10,12 @@ import (
 	"time"
 
 	"repro/internal/codec"
-	"repro/internal/core"
 )
 
 // TestShardedExactnessUnderMoves is the multicore property test of the
 // sharded data path: with ShardsPerNode >= 2 and GOMAXPROCS > 1, a two-stage
-// pipeline under both staged (period-boundary) and hot (sub-period)
-// migrations must deliver every tuple exactly once, keep the wire-byte
+// pipeline under staged migrations of both operators' groups must deliver
+// every tuple exactly once, keep the wire-byte
 // identity BytesCrossNodeIn == BytesCrossNode + SrcBytesCrossNode every
 // period (intra-node cross-shard frames count nothing), and deliver every
 // key's tuples in order — the paper's guarantee holds for a key whose groups
@@ -35,9 +34,9 @@ func TestShardedExactnessUnderMoves(t *testing.T) {
 	)
 
 	// FIFO watcher at B: every key must stay monotone, whether its A- and
-	// B-groups moved or not — a move, staged or hot, happens at a segment
-	// boundary with nothing in flight. Inversions are recorded on the shard
-	// goroutines and reported at the end.
+	// B-groups moved or not — a move happens at a period boundary with
+	// nothing in flight. Inversions are recorded on the shard goroutines and
+	// reported at the end.
 	var fifoMu sync.Mutex
 	lastSeq := map[string]float64{}
 	inverted := map[string]bool{}
@@ -77,24 +76,13 @@ func TestShardedExactnessUnderMoves(t *testing.T) {
 	tp.Connect("src", "A")
 	tp.Connect("A", "B")
 
-	e, err := New(tp, Config{Nodes: nodes, ShardsPerNode: 4, SubPeriods: 4}, nil)
+	e, err := New(tp, Config{Nodes: nodes, ShardsPerNode: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 
-	e.SetSubObserver(func(snap *core.Snapshot, period, sub int) []core.Move {
-		if period < 4 || sub != 2 {
-			return nil
-		}
-		// One hot move per eligible period: rotate a different B group to the
-		// next node (all nodes host B's 24 groups, so any target is a host).
-		gid := e.topo.GID(1, (period*5)%kgsB)
-		from := snap.Groups[gid].Node
-		return []core.Move{{Group: gid, From: from, To: (from + 1) % nodes}}
-	})
-
-	totalHot := 0
+	bMoves := 0
 	for p := 1; p <= periods; p++ {
 		if p == 3 {
 			// Staged rotation: every third A group migrates one node over at
@@ -108,11 +96,24 @@ func TestShardedExactnessUnderMoves(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if p >= 4 {
+			// One staged move per period: rotate a different B group to the
+			// next node.
+			alloc := e.Allocation()
+			gid := e.topo.GID(1, (p*5)%kgsB)
+			alloc[gid] = (alloc[gid] + 1) % nodes
+			if err := e.ApplyPlan(alloc); err != nil {
+				t.Fatal(err)
+			}
+			bMoves++
+		}
 		ps, err := e.RunPeriod()
 		if err != nil {
 			t.Fatalf("period %d: %v", p, err)
 		}
-		totalHot += ps.HotMoves
+		if p >= 4 && ps.Migrations != 1 {
+			t.Fatalf("period %d: %d migrations, want the one staged B move", p, ps.Migrations)
+		}
 		if ps.BytesCrossNodeIn != ps.BytesCrossNode+ps.SrcBytesCrossNode {
 			t.Fatalf("period %d: BytesCrossNodeIn = %d, want BytesCrossNode %d + SrcBytesCrossNode %d (local shard frames leaked into wire accounting)",
 				p, ps.BytesCrossNodeIn, ps.BytesCrossNode, ps.SrcBytesCrossNode)
@@ -124,8 +125,8 @@ func TestShardedExactnessUnderMoves(t *testing.T) {
 			t.Fatalf("period %d: TuplesOut = %v, want %d", p, ps.TuplesOut, perPeriod)
 		}
 	}
-	if totalHot == 0 {
-		t.Fatal("no hot moves executed; the sharded hot-move path went untested")
+	if bMoves == 0 {
+		t.Fatal("no B group moved; the sharded migration path went untested")
 	}
 
 	// Exact per-key totals, reconstructed from the resident shard states.
@@ -167,9 +168,10 @@ func TestShardedExactnessUnderMoves(t *testing.T) {
 // TestShardingInvariantToCostModel: the modeled costs — wire bytes,
 // serialization units, communication matrix — must be identical whatever
 // ShardsPerNode is, because intra-node shard hops are free in the model.
-// Two inputs: a quiet period, and a period with a mid-period move — a move
-// happens with nothing in flight, so no tuple is forwarded and which shard
-// had staged what when the boundary fired leaves no trace in the statistics.
+// Two inputs: a quiet period, and a low-volume period that begins with a
+// staged move — a move happens with nothing in flight, so no tuple is
+// forwarded and which shard had staged what when the period was armed leaves
+// no trace in the statistics.
 //
 // The byte-for-byte half uses jobs whose cross-shard-boundary tuples carry
 // no Proc-path named fields; TestShardingDictionaryShiftBounded pins the one
@@ -194,11 +196,10 @@ func TestShardingInvariantToCostModel(t *testing.T) {
 		return last
 	}
 	// src → A → B, no named fields anywhere. Period 2 emits less than half of
-	// period 1's volume, so its one sub-period boundary fires after the
-	// sources are done: every tuple is out, most of
-	// A's output still sits in outboxes below the flush threshold, and a B
-	// group moves one node over.
-	hotMove := func(spn int) *PeriodStats {
+	// period 1's volume, most of A's output sits in outboxes below the flush
+	// threshold until the barrier wave, and a B group moves one node over at
+	// its start.
+	stagedMove := func(spn int) *PeriodStats {
 		tp := NewTopology()
 		tp.AddSource("src", func(period int, emit Emit) {
 			n := 4000
@@ -217,26 +218,29 @@ func TestShardingInvariantToCostModel(t *testing.T) {
 		}})
 		tp.Connect("src", "A")
 		tp.Connect("A", "B")
-		e, err := New(tp, Config{Nodes: 3, ShardsPerNode: spn, SubPeriods: 2}, nil)
+		e, err := New(tp, Config{Nodes: 3, ShardsPerNode: spn}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		e.SetSubObserver(func(snap *core.Snapshot, period, sub int) []core.Move {
-			gid := e.topo.GID(1, 5)
-			from := snap.Groups[gid].Node
-			return []core.Move{{Group: gid, From: from, To: (from + 1) % 3}}
-		})
 		var last *PeriodStats
 		for p := 0; p < 2; p++ {
+			if p == 1 {
+				alloc := e.Allocation()
+				gid := e.topo.GID(1, 5)
+				alloc[gid] = (alloc[gid] + 1) % 3
+				if err := e.ApplyPlan(alloc); err != nil {
+					t.Fatal(err)
+				}
+			}
 			ps, err := e.RunPeriod()
 			if err != nil {
 				t.Fatal(err)
 			}
 			last = ps
 		}
-		if last.HotMoves != 1 {
-			t.Fatalf("spn=%d: period 2 executed %d hot moves, want 1", spn, last.HotMoves)
+		if last.Migrations != 1 {
+			t.Fatalf("spn=%d: period 2 executed %d migrations, want 1", spn, last.Migrations)
 		}
 		return last
 	}
@@ -245,7 +249,7 @@ func TestShardingInvariantToCostModel(t *testing.T) {
 		run  func(spn int) *PeriodStats
 	}{
 		{"quiet", quiet},
-		{"hot move", hotMove},
+		{"staged move", stagedMove},
 	} {
 		base := in.run(1)
 		for _, spn := range []int{1, 4} {
@@ -394,51 +398,6 @@ func TestArmFailureSurfacesErrorInsteadOfWedging(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("RunPeriod wedged on a dead node (arm-phase ack loop never exited)")
-	}
-}
-
-// TestSubPeriodBoundariesFireOnLowVolume: a period whose previous volume is
-// smaller than SubPeriods must still fire its boundaries — the old
-// tuples-per-sub calibration floored to zero and silently disabled every
-// reactive trigger for the period.
-func TestSubPeriodBoundariesFireOnLowVolume(t *testing.T) {
-	tp := NewTopology()
-	tp.AddSource("src", func(period int, emit Emit) {
-		emit(&Tuple{Key: "x", TS: 1})
-		emit(&Tuple{Key: "y", TS: 2})
-	})
-	tp.AddOperator(&Operator{
-		Name:      "op",
-		KeyGroups: 2,
-		Proc:      func(tu *Tuple, st *State, emit Emit) { st.Add("n", 1) },
-	})
-	tp.Connect("src", "op")
-
-	const k = 4
-	e, err := New(tp, Config{Nodes: 2, SubPeriods: k}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	fired := map[int]int{}
-	e.SetSubObserver(func(snap *core.Snapshot, period, sub int) []core.Move {
-		fired[period]++
-		return nil
-	})
-	for p := 1; p <= 2; p++ {
-		if _, err := e.RunPeriod(); err != nil {
-			t.Fatalf("period %d: %v", p, err)
-		}
-	}
-	// Period 1 has no previous volume to calibrate from: no boundaries.
-	if fired[1] != 0 {
-		t.Fatalf("period 1 fired %d boundaries with no calibration volume", fired[1])
-	}
-	// Period 2 calibrates from 2 tuples < K: the clamp arms one tuple per
-	// sub-interval and the post-generation sweep fires the rest — all K-1.
-	if fired[2] != k-1 {
-		t.Fatalf("period 2 fired %d sub-period boundaries, want %d (volume below SubPeriods must not disable them)", fired[2], k-1)
 	}
 }
 

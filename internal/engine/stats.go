@@ -15,8 +15,7 @@ import (
 // the shards of a node at the period barrier, so the hot path takes no
 // locks. One thing is read while the shard runs and is atomic for it:
 // nodeUnits, which heterogeneous PoTC's nodeLoadEstimate reads from other
-// shards' routers. A segment boundary reads everything the way the barrier
-// does, once the pipeline is drained (readStats).
+// shards' routers.
 type nodeStats struct {
 	// groupMilli[gid] = cost milli-units attributed to that key group this
 	// period (processing + serialization + deserialization). Dense per-gid
@@ -126,12 +125,8 @@ type PeriodStats struct {
 	BatchesCrossNode int64
 	// Migrations performed when entering this period, and their modeled
 	// latency (seconds of paused processing, Σ over migrated groups).
-	// Migrations includes HotMoves.
 	Migrations       int
 	MigrationLatency float64
-	// HotMoves counts the reactive sub-period migrations executed inside
-	// this period (they did not wait for the period barrier).
-	HotMoves int
 	// MigratedDeltaBytes is the synchronously-transferred volume of this
 	// period's checkpoint-assisted migrations: only the delta since the
 	// checkpoint they ship as their base. It is the part of the migrated
@@ -150,7 +145,7 @@ type PeriodStats struct {
 	// groups without a checkpoint; nil when the engine has never
 	// checkpointed). It feeds the planner's delta-cost model. The slice is
 	// the engine's read scratch: valid until the engine next reads the
-	// cluster (the next segment boundary or period barrier), copy it to keep
+	// cluster (the next period barrier), copy it to keep
 	// it longer.
 	CkptDeltaBytes []int
 	// Allocs / AllocBytes are the heap allocations (objects / bytes) this
@@ -197,8 +192,7 @@ func (a *mergeAcc) reset(numGroups, numNodes int) {
 	a.bytesOut, a.bytesIn, a.batchesOut = 0, 0, 0
 }
 
-// fold accumulates one quiescent shard. groupMilli is not shard-disjoint: a
-// hot-moved group burns cost on two shards in one period.
+// fold accumulates one quiescent shard.
 func (a *mergeAcc) fold(sh *shard, commAdd func(from, to int, rate float64)) {
 	st := sh.stats
 	for gid, m := range st.groupMilli {

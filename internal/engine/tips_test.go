@@ -2,11 +2,12 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/codec"
 	"repro/internal/statestore"
 	"repro/internal/transport"
 )
@@ -178,16 +179,48 @@ func tipLayouts(t *testing.T, topo func() *Topology, cfg Config) map[string]func
 	}
 }
 
+// windowedGrowTopology is buildGrowTopology's job, except that the source
+// opens period window with one tuple that empties key group kg's table, as a
+// window boundary does: every cell the group's tip holds is gone from its
+// state, so the delta since the tip outweighs the state.
+func windowedGrowTopology(build, trickle, buildPeriods, kgs, kg, window int) *Topology {
+	clearKey := ""
+	for i := 0; clearKey == ""; i++ {
+		if k := fmt.Sprintf("clear%d", i); int(codec.Hash(k)%uint64(kgs)) == kg {
+			clearKey = k
+		}
+	}
+	tp := buildGrowTopology(build, trickle, buildPeriods, kgs)
+	src, grow := tp.sources[0], tp.ops[0]
+	gen, proc := src.Gen, grow.Proc
+	src.Gen = func(period int, emit Emit) {
+		if period == window {
+			emit(&Tuple{Key: clearKey, TS: int64(period * 100000)})
+		}
+		gen(period, emit)
+	}
+	grow.Proc = func(tu *Tuple, st *State, emit Emit) {
+		if tu.Key == clearKey {
+			st.Table("seen").Clear()
+			return
+		}
+		proc(tu, st, emit)
+	}
+	return tp
+}
+
 // TestTipLivesWithTheGroup drives checkpoints, a checkpoint-assisted move, a
-// hot move, a full move and a failure with recovery, and checks after every
-// step that each group's tip is where the group is — on an engine that hosts
-// everything and on a mixed cluster where the controller's shards and two
-// workers' sit side by side — and after every period that the barrier sized
-// each tipped group's delta as a walk of every cell does.
+// move that ships whole, a full move of a tipless group and a failure with
+// recovery, and checks after every step that each group's tip is where the
+// group is — on an engine that hosts everything and on a mixed cluster where
+// the controller's shards and two workers' sit side by side — and after every
+// period that the barrier sized each tipped group's delta as a walk of every
+// cell does.
 func TestTipLivesWithTheGroup(t *testing.T) {
 	const kgs = 6
-	cfg := Config{Nodes: 3, SubPeriods: 2}
-	topo := func() *Topology { return buildGrowTopology(600, 60, 2, kgs) }
+	cfg := Config{Nodes: 3}
+	// Group 3's table empties at the start of period 4.
+	topo := func() *Topology { return windowedGrowTopology(600, 60, 2, kgs, 3, 4) }
 	layouts := tipLayouts(t, topo, cfg)
 	for name, build := range layouts {
 		t.Run(name, func(t *testing.T) {
@@ -213,15 +246,6 @@ func TestTipLivesWithTheGroup(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// Group 3 hot-moves one node forward in the middle of period 4.
-			e.SetSubObserver(func(snap *core.Snapshot, period, sub int) []core.Move {
-				if period != 4 || sub != 1 {
-					return nil
-				}
-				from := snap.Groups[3].Node
-				return []core.Move{{Group: 3, From: from, To: (from + 1) % 3}}
-			})
-
 			run()
 			run()
 			if at := l.checkTips(t, "before any checkpoint"); slices.ContainsFunc(at, func(n int) bool { return n >= 0 }) {
@@ -238,16 +262,20 @@ func TestTipLivesWithTheGroup(t *testing.T) {
 			}
 			tipsWithTheGroups(t, "delta moves", e, l.checkTips(t, "delta moves"))
 
-			if ps := run(); ps.HotMoves != 1 {
-				t.Fatalf("period 4: %d hot moves, want 1", ps.HotMoves)
+			// Period 4 empties group 3's table, so the barrier measures its
+			// delta since the tip above its state: its move ships whole, and a
+			// whole move strands the tip. Every other group keeps its own.
+			run()
+			stage(map[int]int{3: (e.Allocation()[3] + 1) % 3})
+			if ps := run(); ps.Migrations != 1 || ps.MigratedDeltaBytes != 0 || ps.PrecopyBytes != 0 {
+				t.Fatalf("period 5: %+v, want one whole move", ps)
 			}
-			// The hot-moved group 3 loses its tip; every other group keeps its own.
-			tipsWithTheGroups(t, "hot move", e, l.checkTips(t, "hot move"), 3)
+			tipsWithTheGroups(t, "whole move", e, l.checkTips(t, "whole move"), 3)
 
 			// Group 3 has no tip now, so its next staged move ships full state.
 			stage(map[int]int{3: (e.Allocation()[3] + 1) % 3})
 			if ps := run(); ps.Migrations != 1 || ps.MigratedDeltaBytes != 0 || ps.PrecopyBytes != 0 {
-				t.Fatalf("period 5: %+v, want one full-state move", ps)
+				t.Fatalf("period 6: %+v, want one full-state move", ps)
 			}
 			tipsWithTheGroups(t, "full move", e, l.checkTips(t, "full move"), 3)
 			e.TakeCheckpoint()

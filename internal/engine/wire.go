@@ -46,7 +46,7 @@ const (
 	rqStats byte = iota + 1
 	rqCkpt
 	_ // retired: a progress poll; the other kinds keep their bytes
-	_ // retired: a segment boundary's load poll (it sends rqStats now)
+	_ // retired: a segment boundary's load poll (segments are gone)
 	rqProvision
 	rqTerminate
 	rqFail
@@ -94,7 +94,6 @@ func (m *dataBatchMsg) wire(w *codec.Wire) {
 func (m *barrierMsg) wire(w *codec.Wire) {
 	w.Int(&m.op, maxWireNodes)
 	w.Int(&m.period, maxWireSeq)
-	w.Bool(&m.more)
 }
 
 // wire carries a state transfer's wire form (stateMsg's flatten and
@@ -159,7 +158,6 @@ func (m *migrateOutMsg) wire(w *codec.Wire) {
 	w.Int(&m.op, maxWireNodes)
 	w.Int(&m.kg, maxWireGroups)
 	w.Int(&m.dest, maxWireNodes)
-	w.Bool(&m.whole)
 }
 
 func (m *recoverMsg) wire(w *codec.Wire) {
@@ -241,13 +239,11 @@ func decodeMsgFrame(kind byte, body []byte) (gsid int, msg message, err error) {
 
 // --- arm -----------------------------------------------------------------
 
-// armFrame arms one worker for a period, or — resume — for the next segment
-// of the running one: the installed allocation (the worker rebuilds the
-// identical router table), barrier requirements and the key groups arriving
-// by state transfer onto this worker's nodes.
+// armFrame arms one worker for a period: the installed allocation (the
+// worker rebuilds the identical router table), barrier requirements and the
+// key groups arriving by state transfer onto this worker's nodes.
 type armFrame struct {
 	period      int
-	resume      bool
 	numNodes    int
 	alloc       []int
 	barrierNeed []int
@@ -256,7 +252,6 @@ type armFrame struct {
 
 func (a *armFrame) wire(w *codec.Wire) {
 	w.Int(&a.period, maxWireSeq)
-	w.Bool(&a.resume)
 	w.Int(&a.numNodes, maxWireNodes)
 	w.Ints(&a.alloc, maxWireGroups, maxWireNodes)
 	w.Ints(&a.barrierNeed, maxWireNodes, maxWireGroups)

@@ -27,7 +27,7 @@ import (
 // another goroutine may read it — the controller's methods do, a worker's
 // serve loop is the table's only user. The barrier fold and the checkpoint are
 // the same functions on either side — foldLocal (stats.go) behind readStats
-// (at the period barrier and at every segment boundary) and rqStats,
+// (at the period barrier) and rqStats,
 // cutCheckpoint and ckptWrite.run (below) behind TakeCheckpoint and rqCkpt:
 // every shard holds the checkpoint tips of the groups it hosts, and
 // the controller's store records what the tip-holders wrote. A worker answers
@@ -106,13 +106,13 @@ func (e *Engine) dispatchWorker(fr transport.Frame) bool {
 	return false
 }
 
-// handleArm arms this process's hosted shards for one period, or for the next
-// segment of the one that is running. The worker rebuilds the identical router
-// table from the shipped allocation; shards then ack through the event path
-// exactly as the controller's own do, so the controller's arm phase counts one
-// evAck (or one error) per shard regardless of where the shard runs. A frame
-// that does not fit the topology arms nothing: every hosted shard's answer is
-// the error instead, which fails the period.
+// handleArm arms this process's hosted shards for one period. The worker
+// rebuilds the identical router table from the shipped allocation; shards then
+// ack through the event path exactly as the controller's own do, so the
+// controller's arm phase counts one evAck (or one error) per shard regardless
+// of where the shard runs. A frame that does not fit the topology arms
+// nothing: every hosted shard's answer is the error instead, which fails the
+// period.
 func (e *Engine) handleArm(a armFrame) {
 	if err := e.checkArm(a); err != nil {
 		for sh := range e.localShards {
@@ -130,7 +130,7 @@ func (e *Engine) handleArm(a armFrame) {
 		period:      a.period,
 		router:      newRouterTable(e.topo, a.alloc, a.numNodes),
 		barrierNeed: a.barrierNeed,
-	}, awaitIn, a.resume)
+	}, awaitIn)
 	for _, err := range errs {
 		e.emit(engEvent{kind: evError, err: err})
 	}
@@ -159,10 +159,10 @@ func (e *Engine) checkArm(a armFrame) error {
 
 // armLocal arms every alive hosted shard with m plus its own entry of awaitIn
 // (global shard id -> gids arriving by stateMsg), after resetting its period
-// statistics unless the period resumes with its next segment. It returns how many shards were armed,
-// each of which acks through the event path, and one error per shard whose
-// mailbox is already closed: a crash the control plane has not absorbed yet,
-// which can never ack.
+// statistics. It returns how many shards were armed, each of which acks
+// through the event path, and one error per shard whose mailbox is already
+// closed: a crash the control plane has not absorbed yet, which can never
+// ack.
 //
 // Resetting here is sound: shards are quiescent between periods. On the
 // controller the previous period's completion events order their last writes
@@ -170,11 +170,9 @@ func (e *Engine) checkArm(a armFrame) error {
 // pinged every hosted shard (shard → channel → dispatch edge) before this arm
 // can arrive, and an aborted period wrote no statistics after its shards went
 // idle.
-func (e *Engine) armLocal(m periodStartMsg, awaitIn map[int][]int, resume bool) (armed int, errs []error) {
+func (e *Engine) armLocal(m periodStartMsg, awaitIn map[int][]int) (armed int, errs []error) {
 	for sh := range e.localShards {
-		if !resume {
-			sh.stats.reset()
-		}
+		sh.stats.reset()
 		m.awaitIn = awaitIn[sh.gsid]
 		if sh.mb.put(m) {
 			armed++

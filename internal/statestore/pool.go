@@ -1,10 +1,9 @@
 package statestore
 
-// Pool recycles States within one goroutine (an engine shard owns one): a
-// migrated-out or wiped group's state goes back to the pool with all its
-// arenas — symbol table, per-symbol arrays, table backing storage — intact,
-// and the next group created on the shard reuses them. Not goroutine-safe
-// by design; shards never share states.
+// Pool recycles States within one goroutine: a wiped state goes back to the
+// pool with all its arenas — symbol table, per-symbol arrays, table backing
+// storage — intact, and the next state taken from it reuses them. Not
+// goroutine-safe by design.
 type Pool struct {
 	free []*State
 	// cap bounds the number of retained states (0 = unbounded).

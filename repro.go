@@ -8,9 +8,10 @@
 // integrative reconfiguration stack — the MILP key-group allocator, the
 // ALBIC collocation-aware balancer (Algorithm 2) and the adaptation
 // framework (Algorithm 1) — plus the comparison baselines (Flux, PoTC,
-// COLA) and every substrate they need (a simplex/branch-and-bound MILP
-// solver standing in for CPLEX and a multilevel graph partitioner standing
-// in for METIS).
+// COLA) and every substrate they need (an anytime local search — greedy
+// moves, swaps, batch moves and large-neighbourhood repacking — standing in
+// for CPLEX, held by the tests to an exact simplex/branch-and-bound oracle,
+// and a multilevel graph partitioner standing in for METIS).
 //
 // Engine data path. The engine moves tuples through batch-oriented,
 // lock-light machinery: every sender (worker node or the source-running
@@ -24,13 +25,11 @@
 // overtake the data it covers, which is what the period/migration barrier
 // protocol relies on (see internal/engine/mailbox.go and batch.go).
 //
-// One migration protocol. A reconfiguration executes where the pipeline is
-// drained: at the period barrier or, for a reactive mid-period move, at a
-// segment boundary inside the period — a barrier wave that flushes no
-// operator, which every sub-period boundary sends and whose statistics the
-// reactive decision reads. Either way every shard is armed with the new routing before an
-// old host ships state, so no tuple is in flight across a move and a key's
-// tuples are never lost, duplicated or reordered (internal/engine/subperiod.go).
+// One migration protocol. A reconfiguration executes at the period barrier,
+// where the pipeline is drained: every shard is armed with the new routing
+// before an old host ships state, so no tuple is in flight across a move and
+// a key's tuples are never lost, duplicated or reordered (Engine.arm in
+// internal/engine/engine.go).
 //
 // Integrative state handling. Key-group state lives in internal/statestore:
 // a versioned, per-group incremental store (full snapshot + delta chains)
@@ -104,9 +103,6 @@ type (
 	Balancer = core.Balancer
 	// MILPBalancer solves the integrated load-balancing MILP each period.
 	MILPBalancer = core.MILPBalancer
-	// GreedyHotMover is the restricted planner behind reactive sub-period
-	// moves: shed the hottest groups of the hottest node, nothing more.
-	GreedyHotMover = core.GreedyHotMover
 	// ALBIC is Algorithm 2: autonomic load balancing with integrated
 	// collocation.
 	ALBIC = core.ALBIC
@@ -126,12 +122,7 @@ type (
 // budget, planning and elasticity; in pipelined mode the planner overlaps
 // the next period's data flow instead of stopping the data path, and period
 // N's outcome applies at boundary N+1, which waits for a solve still
-// running. An engine built with EngineConfig.SubPeriods >= 2 switches
-// reactive mode on: it reports mid-period statistics at sub-interval
-// boundaries, the controller's fixed trigger policy detects transient skew,
-// and restricted hot moves (at most two key groups per firing) apply without
-// waiting for the period barrier — as staged moves at a segment boundary
-// inside the period, by the one migration protocol.
+// running.
 type (
 	// Controller drives one engine through the adaptation loop.
 	Controller = controller.Controller
@@ -145,8 +136,6 @@ type (
 	// ControllerEngine is the data-plane surface the controller drives
 	// (implemented by *Engine).
 	ControllerEngine = controller.Engine
-	// SubObserver is the engine's sub-period boundary hook.
-	SubObserver = engine.SubObserver
 )
 
 // NewController builds the adaptation loop around an engine.

@@ -67,7 +67,7 @@ echo "controller.Options fields: $(fields_of internal/controller/controller.go O
 # exported field of these structs is an option (a Snapshot's are what a
 # controller sets before planning).
 opts=0
-for ft in internal/core/albic.go:ALBIC internal/core/hotmover.go:GreedyHotMover \
+for ft in internal/core/albic.go:ALBIC \
   internal/core/scaling.go:UtilizationScaler internal/core/snapshot.go:Snapshot \
   internal/controller/controller.go:Options internal/baseline/cola.go:COLA \
   internal/lp/milp.go:MILPOptions internal/assign/solver.go:Options \
@@ -75,7 +75,7 @@ for ft in internal/core/albic.go:ALBIC internal/core/hotmover.go:GreedyHotMover 
   internal/workload/datasets.go:WeatherConfig internal/workload/jobs.go:JobConfig; do
   opts=$((opts + $(fields_of "${ft%%:*}" "${ft##*:}")))
 done
-echo "option-struct fields:      $opts (12 structs)"
+echo "option-struct fields:      $opts (11 structs)"
 echo "albic-run flags:           $(grep -cE '\bflag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Var|Func)\(' cmd/albic-run/main.go)"
 for d in internal/engine internal/controller internal/core internal/lp; do
   read -r t f m < <(exported_of "$d")
