@@ -20,7 +20,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/graphpart"
-	"repro/internal/lp"
 	"repro/internal/workload"
 )
 
@@ -140,51 +139,6 @@ func BenchmarkFig14RealJob4(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Substrate micro-benchmarks.
-
-// BenchmarkSimplexLP solves a dense 40x40 LP.
-func BenchmarkSimplexLP(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := lp.NewModel()
-	const n = 40
-	for j := 0; j < n; j++ {
-		m.AddVar("", 0, 10, rng.Float64()*2-1)
-	}
-	for i := 0; i < n; i++ {
-		vars := make([]int, n)
-		coefs := make([]float64, n)
-		for j := 0; j < n; j++ {
-			vars[j], coefs[j] = j, rng.Float64()
-		}
-		m.AddCons("", vars, coefs, lp.LE, 5+rng.Float64()*10)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if sol := lp.SolveLP(m); sol.Status != lp.Optimal {
-			b.Fatal(sol.Status)
-		}
-	}
-}
-
-// BenchmarkMILPKnapsack solves a 24-item binary knapsack exactly.
-func BenchmarkMILPKnapsack(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	m := lp.NewModel()
-	var vars []int
-	var wts []float64
-	for j := 0; j < 24; j++ {
-		vars = append(vars, m.AddBinVar("", -(1+rng.Float64()*9)))
-		wts = append(wts, 1+rng.Float64()*9)
-	}
-	m.AddCons("w", vars, wts, lp.LE, 30)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if sol := lp.SolveMILP(m, lp.MILPOptions{}); sol.Status != lp.Optimal {
-			b.Fatal(sol.Status)
-		}
-	}
-}
 
 // BenchmarkAssignSolve60x1200 rebalances the paper's largest cluster under
 // a 20ms anytime budget.

@@ -39,6 +39,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -76,6 +77,7 @@ func main() {
 		{"nodes", *nodes, 1, "need at least 1 node"},
 		{"periods", *periods, 1, "need at least 1 period"},
 		{"shards", *shards, 1, "need at least 1 shard per node"},
+		{"workers", *workers, 1, "need at least 1 worker process"},
 		{"groups", *groups, 0, "use 0 for 5 per node"},
 		{"rate", *rate, 0, "use 0 for the job default"},
 		{"budget", *budget, 0, "use 0 for unlimited"},
@@ -86,8 +88,13 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if *smooth <= 0 || *smooth > 1 {
+	// Written so that NaN, which fails every comparison, fails them too.
+	if !(*smooth > 0 && *smooth <= 1) {
 		fmt.Fprintf(os.Stderr, "albic-run: -smooth %g out of range (0,1]\n", *smooth)
+		os.Exit(2)
+	}
+	if !(*migrCost >= 0 && *migrCost < math.Inf(1)) {
+		fmt.Fprintf(os.Stderr, "albic-run: -migr-cost %g out of range [0,+Inf); use 0 for unlimited\n", *migrCost)
 		os.Exit(2)
 	}
 	// A flag that only acts beside another one is an error when set without

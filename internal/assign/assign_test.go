@@ -171,11 +171,11 @@ func TestExactMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		p := randomProblem(rng, 2+rng.Intn(2), 4+rng.Intn(3)) // <= 3 nodes, <= 6 items
 		_, bfEval := bruteForce(p)
-		sol, err := Solve(p, Options{Exact: true})
+		sol, optimal, err := solveExact(p)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if !sol.Exact {
+		if !optimal {
 			t.Fatalf("trial %d: exact solve not proven optimal", trial)
 		}
 		if math.Abs(sol.Eval.Obj-bfEval.Obj) > 1e-6*(1+math.Abs(bfEval.Obj)) {
@@ -282,8 +282,8 @@ func TestPinsHonored(t *testing.T) {
 	if sol.ItemNode[2] != 0 {
 		t.Fatalf("pin ignored: item 2 on node %d", sol.ItemNode[2])
 	}
-	// Exact path must honor pins too.
-	sol, err = Solve(p, Options{Exact: true})
+	// The exact oracle must honor pins too.
+	sol, _, err = solveExact(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestPinsOverBudgetError(t *testing.T) {
 	if _, err := Solve(p, Options{TimeLimit: 5 * time.Millisecond}); err == nil {
 		t.Fatal("want error for pins over budget")
 	}
-	if _, err := Solve(p, Options{Exact: true}); err == nil {
+	if _, _, err := solveExact(p); err == nil {
 		t.Fatal("want error for pins over budget (exact)")
 	}
 }

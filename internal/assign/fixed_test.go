@@ -46,8 +46,8 @@ func TestFixedEquivalentToPinnedItems(t *testing.T) {
 	}
 }
 
-// TestSolversSeeBackgroundLoad: both solvers must steer movable items away
-// from nodes carrying heavy frozen background load.
+// TestSolversSeeBackgroundLoad: the solver and the exact oracle must steer
+// movable items away from nodes carrying heavy frozen background load.
 func TestSolversSeeBackgroundLoad(t *testing.T) {
 	mk := func() *Problem {
 		return &Problem{
@@ -59,14 +59,19 @@ func TestSolversSeeBackgroundLoad(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		name string
-		opt  Options
+		name  string
+		solve func(*Problem) (*Solution, error)
 	}{
-		{"anytime", Options{TimeLimit: 20 * time.Millisecond, Seed: 1}},
-		{"exact", Options{Exact: true}},
+		{"anytime", func(p *Problem) (*Solution, error) {
+			return Solve(p, Options{TimeLimit: 20 * time.Millisecond, Seed: 1})
+		}},
+		{"exact", func(p *Problem) (*Solution, error) {
+			sol, _, err := solveExact(p)
+			return sol, err
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sol, err := Solve(mk(), tc.opt)
+			sol, err := tc.solve(mk())
 			if err != nil {
 				t.Fatal(err)
 			}

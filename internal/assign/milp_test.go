@@ -1,7 +1,6 @@
 package assign
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
@@ -9,8 +8,13 @@ import (
 	"repro/internal/lp"
 )
 
-// BuildMILP constructs the paper's Mixed-Integer Linear Program (Table 2 /
-// Section 4.3.1) for the problem:
+// This file is the tests' exact oracle: the paper's MILP handed to the
+// branch-and-bound solver of internal/lp, the role CPLEX plays in the paper.
+// Production plans with the anytime solver alone (solver.go); the tests hold
+// it to this oracle's proven optimum on small instances.
+
+// buildMILP constructs the paper's Mixed-Integer Linear Program (Table 2 /
+// Section 4.3.1) for a validated problem:
 //
 //	min  W1·d − W2·(du+dl) + W3·Σ_{i∈B} load_i
 //	s.t. (1) Σ_i x_{i,t} = 1                          for every item t
@@ -21,10 +25,7 @@ import (
 //
 // Pinned items are folded in as constants. The returned index maps item t to
 // the column of x_{i,t} for node i (-1 for pinned items).
-func BuildMILP(p *Problem) (*lp.Model, [][]int, error) {
-	if err := p.Validate(); err != nil {
-		return nil, nil, err
-	}
+func buildMILP(p *Problem) (*lp.Model, [][]int, error) {
 	m := lp.NewModel()
 	mean := p.Mean()
 
@@ -180,26 +181,27 @@ func ones(n int) []float64 {
 	return v
 }
 
-// exactTimeLimit bounds an exact solve.
-const exactTimeLimit = 30 * time.Second
-
 // solveExact solves the problem with the branch-and-bound MILP solver and
-// converts the result back to an assignment. ctx cancellation stops the
-// search like the time limit does: the best incumbent found so far is
-// returned if one exists.
-func solveExact(ctx context.Context, p *Problem) (*Solution, error) {
-	m, x, err := BuildMILP(p)
-	if err != nil {
-		return nil, err
+// converts the result back to an assignment. optimal reports whether the
+// search proved it optimal; a search that hits its 30 s bound returns the
+// best incumbent it found.
+func solveExact(p *Problem) (sol *Solution, optimal bool, err error) {
+	const timeLimit = 30 * time.Second
+	if err := p.Validate(); err != nil {
+		return nil, false, err
 	}
-	sol := lp.SolveMILP(m, lp.MILPOptions{TimeLimit: exactTimeLimit, Cancel: ctx.Done()})
-	switch sol.Status {
+	m, x, err := buildMILP(p)
+	if err != nil {
+		return nil, false, err
+	}
+	ms := lp.SolveMILP(m, lp.MILPOptions{TimeLimit: timeLimit})
+	switch ms.Status {
 	case lp.Optimal, lp.TimeLimit:
-		if sol.X == nil {
-			return nil, fmt.Errorf("assign: exact solve found no incumbent (status %v)", sol.Status)
+		if ms.X == nil {
+			return nil, false, fmt.Errorf("assign: exact solve found no incumbent (status %v)", ms.Status)
 		}
 	default:
-		return nil, fmt.Errorf("assign: exact solve failed: %v", sol.Status)
+		return nil, false, fmt.Errorf("assign: exact solve failed: %v", ms.Status)
 	}
 	itemNode := make([]int, len(p.Items))
 	for t := range p.Items {
@@ -210,19 +212,19 @@ func solveExact(ctx context.Context, p *Problem) (*Solution, error) {
 		}
 		bestI, bestV := -1, -1.0
 		for i := 0; i < p.NumNodes; i++ {
-			if v := sol.Value(x[t][i]); v > bestV {
+			if v := ms.Value(x[t][i]); v > bestV {
 				bestV, bestI = v, i
 			}
 		}
 		if bestV < 0.5 || math.IsNaN(bestV) {
-			return nil, fmt.Errorf("assign: item %d has no selected node in MILP solution", t)
+			return nil, false, fmt.Errorf("assign: item %d has no selected node in MILP solution", t)
 		}
 		itemNode[t] = bestI
 	}
 	e := p.Evaluate(itemNode)
 	if !p.WithinBudget(e) {
-		return nil, fmt.Errorf("assign: exact solution violates budget (cost %.3f, migrations %d)",
+		return nil, false, fmt.Errorf("assign: exact solution violates budget (cost %.3f, migrations %d)",
 			e.MigrCost, e.Migrations)
 	}
-	return &Solution{ItemNode: itemNode, Eval: e, Exact: sol.Status == lp.Optimal}, nil
+	return &Solution{ItemNode: itemNode, Eval: e}, ms.Status == lp.Optimal, nil
 }

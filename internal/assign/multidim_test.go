@@ -65,7 +65,7 @@ func TestMultiDimSolverRespectsLimits(t *testing.T) {
 
 func TestMultiDimExactRespectsLimits(t *testing.T) {
 	p := multiDimProblem()
-	sol, err := Solve(p, Options{Exact: true})
+	sol, _, err := solveExact(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,11 @@
 // Package assign models the paper's integrated key-group reallocation
-// problem (Section 4.3.1) and provides two solvers for it:
-//
-//   - an exact branch-and-bound MILP solve (via internal/lp), playing the
-//     role of CPLEX on small instances, and
-//   - an anytime solver (greedy drain/repair + steepest local search +
-//     large-neighbourhood repacking) that scales to the paper's largest
-//     experiments (60 nodes x 1200 key groups) under a wall-clock budget.
+// problem (Section 4.3.1) and solves it with one solver, in CPLEX's place: an
+// anytime local search (greedy drain/repair, pair swaps, batch moves and
+// large-neighbourhood repacking) that scales to the paper's largest
+// experiments (60 nodes x 1200 key groups) under a wall-clock budget and
+// uses no LP. The package's tests build the same problem as the paper's MILP
+// and solve it exactly with internal/lp's branch-and-bound, the oracle the
+// anytime solver is held to on small instances.
 //
 // The objective is the paper's lexicographic MILP objective: minimize the
 // load distance d, then maximize du+dl (tighten both bounds), then drain
@@ -317,9 +317,6 @@ type Solution struct {
 	// ItemNode maps each item index to its assigned node.
 	ItemNode []int
 	Eval     *Eval
-	// Exact reports whether the solution came from the exact MILP solver
-	// with proven optimality.
-	Exact bool
 }
 
 // GroupAssignment expands the per-item assignment into a per-key-group

@@ -137,7 +137,7 @@ func TestPropertyExactNeverWorseThanAnytime(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 12; trial++ {
 		p := randomProblem(rng, 2+rng.Intn(2), 4+rng.Intn(3))
-		exact, err := Solve(p, Options{Exact: true})
+		exact, _, err := solveExact(p)
 		if err != nil {
 			t.Fatal(err)
 		}

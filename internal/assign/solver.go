@@ -22,9 +22,6 @@ type Options struct {
 	TimeLimit time.Duration
 	// Seed drives the deterministic randomized improvement phase.
 	Seed int64
-	// Exact forces the branch-and-bound MILP solver (small problems only),
-	// bounded by exactTimeLimit.
-	Exact bool
 }
 
 // DefaultTimeLimit is the anytime budget of a solve whose Options leave
@@ -65,9 +62,6 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	if opt.Exact {
-		return solveExact(ctx, p)
 	}
 	if opt.TimeLimit <= 0 {
 		opt.TimeLimit = DefaultTimeLimit

@@ -32,8 +32,6 @@ type ALBIC struct {
 	// partition-relaxation step is a solve of its own. Zero means
 	// assign.DefaultTimeLimit.
 	TimeLimit time.Duration
-	// Exact uses the branch-and-bound MILP (small instances only).
-	Exact bool
 	// Seed drives tie-breaking; it is advanced on every invocation.
 	Seed int64
 
@@ -250,17 +248,14 @@ func (a *ALBIC) solveOnce(ctx context.Context, s *Snapshot, colPairs, toBeCol []
 		MaxMigrCost:   s.MaxMigrCost,
 		MaxMigrations: s.MaxMigrations,
 	}
-	opt := assign.Options{TimeLimit: a.TimeLimit, Exact: a.Exact, Seed: a.Seed + a.round}
+	opt := assign.Options{TimeLimit: a.TimeLimit, Seed: a.Seed + a.round}
 	if opt.TimeLimit <= 0 {
 		opt.TimeLimit = assign.DefaultTimeLimit
 	}
 	// One deadline for the solve and its retry: SolveCtx's budget is the
 	// earlier of TimeLimit and the context's deadline.
-	if !a.Exact {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.TimeLimit)
-		defer cancel()
-	}
+	ctx, cancel := context.WithTimeout(ctx, opt.TimeLimit)
+	defer cancel()
 	sol, err := assign.SolveCtx(ctx, problem, opt)
 	if err != nil && pinned {
 		// The new pin may exceed the migration budget; retry without it.

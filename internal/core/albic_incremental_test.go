@@ -4,12 +4,19 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+	"time"
 )
+
+// converged is the solve budget of the tests that compare plans: a ceiling
+// far above what a solve of synthSnapshot's size needs, so every solve ends
+// on convergence, not on the clock, and its plan is a function of snapshot
+// and seed.
+const converged = time.Minute
 
 // synthSnapshot builds a two-op chained topology over nGroups key groups on
 // `nodes` nodes with reproducible random loads and sparse random comm —
-// small enough for the exact branch-and-bound solver, so plan comparisons are
-// deterministic (no wall-clock anytime phase).
+// small enough that the anytime solver converges long before its budget, so
+// plan comparisons are deterministic.
 func synthSnapshot(nGroups, nodes int, seed int64) *Snapshot {
 	rng := rand.New(rand.NewSource(seed))
 	half := nGroups / 2
@@ -68,8 +75,8 @@ func samePlan(t *testing.T, step string, full, inc *Plan) {
 // load shifted past the dirty threshold.
 func TestIncrementalALBICFullCoverageIdentity(t *testing.T) {
 	ctx := context.Background()
-	full := &ALBIC{Seed: 11, Exact: true}
-	inc := &ALBIC{Seed: 11, Exact: true, Incremental: true}
+	full := &ALBIC{Seed: 11, TimeLimit: converged}
+	inc := &ALBIC{Seed: 11, TimeLimit: converged, Incremental: true}
 
 	// Step 1: first invocation — the tracker has no baseline, region is nil.
 	s1 := synthSnapshot(10, 3, 21)
@@ -105,8 +112,8 @@ func TestIncrementalALBICFullCoverageIdentity(t *testing.T) {
 // through Snapshot.DirtyProblem.
 func TestIncrementalMILPFullCoverageIdentity(t *testing.T) {
 	ctx := context.Background()
-	full := &MILPBalancer{Seed: 3, Exact: true}
-	inc := &MILPBalancer{Seed: 3, Exact: true, Incremental: true}
+	full := &MILPBalancer{Seed: 3, TimeLimit: converged}
+	inc := &MILPBalancer{Seed: 3, TimeLimit: converged, Incremental: true}
 
 	s1 := synthSnapshot(10, 3, 22)
 	pFull, err := full.Plan(ctx, s1)
@@ -139,7 +146,7 @@ func TestIncrementalMILPFullCoverageIdentity(t *testing.T) {
 // incremental plan is a no-op — the scale win at 16k groups.
 func TestIncrementalSteadyStateFreezesEverything(t *testing.T) {
 	ctx := context.Background()
-	inc := &ALBIC{Seed: 9, Exact: true, Incremental: true}
+	inc := &ALBIC{Seed: 9, TimeLimit: converged, Incremental: true}
 	s := synthSnapshot(12, 3, 33)
 	if _, err := inc.Plan(ctx, s); err != nil {
 		t.Fatal(err)
@@ -165,7 +172,7 @@ func TestIncrementalSteadyStateFreezesEverything(t *testing.T) {
 // with the dirty ones.
 func TestIncrementalFrozenGroupsNeverMove(t *testing.T) {
 	ctx := context.Background()
-	inc := &ALBIC{Seed: 5, Exact: true, Incremental: true}
+	inc := &ALBIC{Seed: 5, TimeLimit: converged, Incremental: true}
 	s := synthSnapshot(12, 3, 44)
 	if _, err := inc.Plan(ctx, s); err != nil {
 		t.Fatal(err)

@@ -50,27 +50,25 @@ func TestMigCostUsesCheckpointDelta(t *testing.T) {
 // TestPlannerPrefersCheckpointResidentMoves: under a tight MaxMigrCost
 // budget the MILP and ALBIC move the checkpoint-resident heavy group — the
 // cold twin is unaffordable — and the plan stays within budget. The snapshot
-// carries no communication (Comm nil), a sub-period snapshot's shape.
+// carries no communication (Comm nil).
 func TestPlannerPrefersCheckpointResidentMoves(t *testing.T) {
-	for _, exact := range []bool{true, false} {
-		for _, b := range []Balancer{
-			&MILPBalancer{TimeLimit: 50 * time.Millisecond, Exact: exact},
-			&ALBIC{TimeLimit: 50 * time.Millisecond, Exact: exact, Seed: 1},
-		} {
-			s := ckptSnapshot()
-			plan, err := b.Plan(context.Background(), s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if plan.GroupNode[0] != 1 {
-				t.Errorf("%s exact=%v: checkpoint-resident group stayed on node %d, want moved to 1", b.Name(), exact, plan.GroupNode[0])
-			}
-			if plan.GroupNode[1] != 0 {
-				t.Errorf("%s exact=%v: cold group moved to node %d despite unaffordable cost", b.Name(), exact, plan.GroupNode[1])
-			}
-			if plan.Eval != nil && plan.Eval.MigrCost > s.MaxMigrCost {
-				t.Errorf("%s exact=%v: plan cost %v exceeds budget %v", b.Name(), exact, plan.Eval.MigrCost, s.MaxMigrCost)
-			}
+	for _, b := range []Balancer{
+		&MILPBalancer{TimeLimit: 50 * time.Millisecond},
+		&ALBIC{TimeLimit: 50 * time.Millisecond, Seed: 1},
+	} {
+		s := ckptSnapshot()
+		plan, err := b.Plan(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.GroupNode[0] != 1 {
+			t.Errorf("%s: checkpoint-resident group stayed on node %d, want moved to 1", b.Name(), plan.GroupNode[0])
+		}
+		if plan.GroupNode[1] != 0 {
+			t.Errorf("%s: cold group moved to node %d despite unaffordable cost", b.Name(), plan.GroupNode[1])
+		}
+		if plan.Eval != nil && plan.Eval.MigrCost > s.MaxMigrCost {
+			t.Errorf("%s: plan cost %v exceeds budget %v", b.Name(), plan.Eval.MigrCost, s.MaxMigrCost)
 		}
 	}
 }

@@ -15,8 +15,6 @@ type MILPBalancer struct {
 	// TimeLimit is the solver budget per invocation (the paper's CPLEX
 	// solve-time knob). Default 50ms.
 	TimeLimit time.Duration
-	// Exact switches to the branch-and-bound solver (small instances only).
-	Exact bool
 	// Seed drives the anytime solver's randomized phase.
 	Seed int64
 
@@ -49,7 +47,6 @@ func (b *MILPBalancer) Plan(ctx context.Context, s *Snapshot) (*Plan, error) {
 	p := s.DirtyProblem(dirty)
 	sol, err := assign.SolveCtx(ctx, p, assign.Options{
 		TimeLimit: b.TimeLimit,
-		Exact:     b.Exact,
 		Seed:      b.Seed,
 	})
 	if err != nil {

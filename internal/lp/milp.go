@@ -10,10 +10,6 @@ import (
 type MILPOptions struct {
 	// TimeLimit bounds the wall-clock solve time. Zero means no limit.
 	TimeLimit time.Duration
-	// Cancel, when non-nil, aborts the search as soon as the channel is
-	// closed (a context.Done() channel); the search stops exactly like a
-	// time-limit hit, returning the best incumbent found so far.
-	Cancel <-chan struct{}
 }
 
 const (
@@ -130,28 +126,12 @@ func SolveMILP(m *Model, opt MILPOptions) *Solution {
 	heap.Init(queue)
 	nodes := 0
 	timedOut := false
-
-	cancelled := func() bool {
-		if opt.Cancel == nil {
-			return false
-		}
-		select {
-		case <-opt.Cancel:
-			return true
-		default:
-			return false
-		}
-	}
 	for queue.Len() > 0 {
 		if nodes >= maxBBNodes {
 			timedOut = true
 			break
 		}
 		if !deadline.IsZero() && nodes%16 == 0 && time.Now().After(deadline) {
-			timedOut = true
-			break
-		}
-		if cancelled() {
 			timedOut = true
 			break
 		}

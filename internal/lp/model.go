@@ -2,12 +2,11 @@
 // two-phase primal simplex solver and a branch-and-bound mixed-integer
 // solver on top of it.
 //
-// It plays the role IBM CPLEX plays in the paper: an exact solver for the
-// integrated load-balancing MILP (Section 4.3.1). It is intended for small
-// and medium models (up to a few thousand variables); the large instances
-// used in the experiments are handled by the anytime solver in
-// internal/assign, which is cross-checked against this package on small
-// instances.
+// It is the exact oracle for the integrated load-balancing MILP (Section
+// 4.3.1) that the paper solves with IBM CPLEX: only internal/assign's tests
+// import it, to hold the anytime solver that plans every run to the proven
+// optimum on small instances. It is intended for small and medium models (up
+// to a few thousand variables).
 package lp
 
 import (

@@ -108,14 +108,13 @@ func checkAgainstRef(t *testing.T, st *State, r *refState, ctx string) {
 
 // TestStateDifferentialVsMapModel drives the arena-backed State and the
 // map-backed reference model through the same randomized op sequences —
-// including deletions, table churn, resets, pool recycling, decode-into
+// including deletions, table churn, resets, Reset recycling, decode-into
 // round trips, and enough distinct names to overflow the initial symbol
 // table — asserting semantic equality and byte-identical encodes throughout.
 func TestStateDifferentialVsMapModel(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		pool := NewPool(0)
-		st := pool.Get()
+		st := NewState()
 		r := newRef()
 		prev := NewState()
 		prevRefEnc := r.encode()
@@ -171,11 +170,10 @@ func TestStateDifferentialVsMapModel(t *testing.T) {
 				}
 			case 11:
 				if rng.Intn(10) == 0 {
-					// Recycle through the pool and decode back into the
-					// recycled arena (the migration-adoption path).
+					// Recycle by Reset and decode back into the recycled
+					// arena (the migration-adoption path).
 					enc := st.Encode(nil)
-					pool.Put(st)
-					st = pool.Get()
+					st.Reset()
 					if err := DecodeStateInto(enc, st); err != nil {
 						t.Fatalf("seed %d op %d: decode-into: %v", seed, op, err)
 					}

@@ -84,15 +84,14 @@ func stateShapes(st *State) [][]byte {
 }
 
 // TestStateTwoOrdersOneDecoder: over random live states with churn — inserts,
-// deletes, dropped tables, arenas recycled through a Pool — the transfer-order
+// deletes, dropped tables, arenas recycled by Reset — the transfer-order
 // bytes are Size() long and decode to a state whose canonical bytes are the
 // source's, and so do the orders no encoder writes: keys descending, a key
 // twice, a table twice.
 func TestStateTwoOrdersOneDecoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	pool := NewPool(0)
+	st, got := NewState(), NewState()
 	for i := 0; i < 300; i++ {
-		st, got := pool.Get(), pool.Get()
 		st.Merge(randState(rng, 1+rng.Intn(40)))
 		for r := rng.Intn(4); r > 0; r-- {
 			mutate(rng, st)
@@ -114,8 +113,10 @@ func TestStateTwoOrdersOneDecoder(t *testing.T) {
 				t.Fatalf("iter %d: %s order: decoded Size()=%d, want %d", i, names[k], got.Size(), st.Size())
 			}
 		}
-		pool.Put(st)
-		pool.Put(got)
+		// Recycle both arenas, each into the other's role.
+		st.Reset()
+		got.Reset()
+		st, got = got, st
 	}
 }
 

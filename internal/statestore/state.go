@@ -15,7 +15,7 @@
 // and each kind stores its values in dense per-symbol arrays gated by
 // presence bits. Cells live in open-addressed Tables (see table.go). Every
 // structure clears by truncation and keeps its backing arrays, so a State
-// recycled across periods, migrations, or a Pool reaches a steady state
+// recycled across periods or migrations (Reset) reaches a steady state
 // where operator mutation, Diff, Apply, and Encode allocate nothing.
 package statestore
 
@@ -334,8 +334,7 @@ func (s *State) Empty() bool {
 }
 
 // Reset clears the state for reuse: every field is dropped but the symbol
-// table, per-symbol arrays, and table backing storage are all kept. A Pool
-// recycles states through here.
+// table, per-symbol arrays, and table backing storage are all kept.
 func (s *State) Reset() {
 	for sym := range s.kind {
 		if s.kind[sym]&kTab != 0 {

@@ -88,14 +88,13 @@ func checkStateTables(t *testing.T, st *State, ctx string) {
 // TestTableInvariantsUnderChurn drives a few tables of one State through every
 // way an entry's stored hash is written or moved — insert, Add, Set, Delete's
 // swap and backward shift, Clear, ClearTable and re-creation, copyFrom into a
-// smaller, larger and dirty table, AddTable, reserve + decode, pool recycling,
+// smaller, larger and dirty table, AddTable, reserve + decode, Reset recycling,
 // insertion from a buffer that is overwritten right after —
 // checks the invariants after every step, and the contents against a map model.
 func TestTableInvariantsUnderChurn(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		pool := NewPool(0)
-		st, other := pool.Get(), NewState()
+		st, other := NewState(), NewState()
 		var keyBuf []byte
 		model := map[string]map[string]float64{}
 		tabOf := func(name string) map[string]float64 {
@@ -172,12 +171,11 @@ func TestTableInvariantsUnderChurn(t *testing.T) {
 					st.CopyFrom(other)
 				}
 			case 13:
-				// Pool recycling and decode into the recycled arena: reserve
+				// Reset recycling and decode into the recycled arena: reserve
 				// sizes the table, then every cell is inserted with its hash.
 				if rng.Intn(4) == 0 {
 					enc := st.EncodeTransfer(nil)
-					pool.Put(st)
-					st = pool.Get()
+					st.Reset()
 					checkStateTables(t, st, fmt.Sprintf("seed %d op %d recycled", seed, op))
 					if err := DecodeStateInto(enc, st); err != nil {
 						t.Fatalf("seed %d op %d: %v", seed, op, err)

@@ -18,7 +18,7 @@ import (
 // where a holder adopts a tip beside a copy of it (Tip.Track). Each mark draws
 // a fresh number, which the tip and every table of the state keep (tok). A
 // reader trusts a table's record only while the two numbers match. A state
-// recycled through a Pool, a state another tip cut since, and a table created
+// recycled by Reset, a state another tip cut since, and a table created
 // after the mark fail that test, and so does a table that lost a cell since
 // the mark (Delete, Clear, ClearTable): its record no longer says which of the
 // tip's cells are gone. Such a table is walked whole, as before. A reader

@@ -33,7 +33,7 @@ var trackedOps = func() []int {
 // ends the history), the way a shard drives them: table writes on existing and
 // new keys, writes back to the tip's value, deletions, clears and re-created
 // tables, scalar and register writes, cuts of every step, delta adoption,
-// recovery, recycling through a Pool and a second tip that cuts the same
+// recovery, recycling by Reset and a second tip that cuts the same
 // state. At every reading it holds each tracked reader to the whole walk's
 // answer, byte for byte: Tip.Measure to DiffSize, Tip.DiffInto to DiffInto in
 // both encodings, and Tip.Cut to a cut made with DiffSize, DiffInto and Apply
@@ -42,8 +42,21 @@ var trackedOps = func() []int {
 // readings found a table that tracks the tip.
 func trackedHistory(t *testing.T, next func(n int) (int, bool)) (map[Step]int, int) {
 	t.Helper()
-	pool := NewPool(0)
-	live, tip, other := pool.Get(), &Tip{}, &Tip{}
+	live, tip, other := NewState(), &Tip{}, &Tip{}
+	// spare is the state the history dropped last, Reset: the next state the
+	// history needs is that one, so recycled arenas meet stale marks.
+	var spare *State
+	recycled := func() *State {
+		if st := spare; st != nil {
+			spare = nil
+			return st
+		}
+		return NewState()
+	}
+	drop := func(st *State) {
+		st.Reset()
+		spare = st
+	}
 	var d, rd Delta
 	steps, tracked := map[Step]int{}, 0
 	ver := 0
@@ -160,7 +173,7 @@ func trackedHistory(t *testing.T, next func(n int) (int, bool)) (map[Step]int, i
 			}
 			tip.DiffInto(&d, live)
 			enc, delta := tip.Encoding(), d.EncodeTransfer(nil)
-			base, st := pool.Get(), pool.Get()
+			base, st := recycled(), recycled()
 			if err := DecodeStateInto(enc, base); err != nil {
 				t.Fatalf("%s: %v", ctx, err)
 			}
@@ -174,24 +187,23 @@ func trackedHistory(t *testing.T, next func(n int) (int, bool)) (map[Step]int, i
 			if !statesEqual(st, live) {
 				t.Fatalf("%s: the adopted state differs from the one that moved", ctx)
 			}
-			pool.Put(live)
+			drop(live)
 			live, tip = st, adopted
 		case 17: // recovery from the tip's bytes
 			if tip.State() == nil {
 				continue
 			}
 			enc := tip.Encoding()
-			st := pool.Get()
+			st := recycled()
 			if err := DecodeStateInto(enc, st); err != nil {
 				t.Fatalf("%s: %v", ctx, err)
 			}
-			pool.Put(live)
+			drop(live)
 			live, tip = st, NewTip(tip.Version(), st.Clone(), enc)
 			tip.Track(live)
 		case 18: // a whole move: the state arrives recycled and without a tip
 			enc := live.EncodeTransfer(nil)
-			pool.Put(live)
-			live = pool.Get()
+			live.Reset()
 			if err := DecodeStateInto(enc, live); err != nil {
 				t.Fatalf("%s: %v", ctx, err)
 			}

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # The size ledger the simplicity PRs quote: non-test Go lines per package
 # (all lines, and code — lines that are neither blank nor a // comment), the
-# field counts of engine.Config and controller.Options, the exported fields of
+# same over the production packages (those the binaries and examples import:
+# `go list -deps ./cmd/... ./examples/...`; code only tests reach is in the
+# repo total but not here), the field counts of engine.Config and controller.Options, the exported fields of
 # the planner, baseline and workload option structs, albic-run's flag
 # count, the number of exported types, functions and methods of
 # internal/engine, internal/controller, internal/core and internal/lp, and the
@@ -58,6 +60,9 @@ for d in . $(find cmd examples internal -type d | sort); do
   total=$((total + n)) total_code=$((total_code + c))
 done
 printf '%-28s %8d %8d\n' 'total (outside bench/)' "$total" "$total_code"
+mapfile -t prod < <(go list -deps -f '{{if .Module}}{{if .Module.Main}}{{.Dir}}{{end}}{{end}}' ./cmd/... ./examples/...)
+read -r n c < <(lines_of "${prod[@]}")
+printf '%-28s %8d %8d\n' "production (${#prod[@]} packages)" "$n" "$c"
 read -r n c < <(lines_of internal/engine internal/controller)
 printf '%-28s %8d %8d\n' 'engine + controller' "$n" "$c"
 echo
