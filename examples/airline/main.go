@@ -38,36 +38,23 @@ func main() {
 	}
 	defer e.Close()
 
-	albic := &repro.ALBIC{TimeLimit: 25 * time.Millisecond, Seed: 7}
 	baseLoad := 0.0
 	fmt.Println("period  collocation%  loadIndex%  loadDistance%  migrations")
-	for period := 1; period <= 30; period++ {
-		stats, err := e.RunPeriod()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if period == 1 {
-			e.CalibrateCapacity(60)
-		}
-		snap, err := e.Snapshot()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if baseLoad == 0 {
-			baseLoad = snap.AverageLoad()
-		}
-		fmt.Printf("%6d  %12.1f  %10.1f  %13.2f  %10d\n",
-			period, snap.CollocationFactor(),
-			100*snap.AverageLoad()/baseLoad, snap.LoadDistance(), stats.Migrations)
-
-		snap.MaxMigrations = 10 // the paper's ALBIC budget
-		plan, err := albic.Plan(context.Background(), snap)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := e.ApplyPlan(plan.GroupNode); err != nil {
-			log.Fatal(err)
-		}
+	c := repro.NewController(e, repro.ControllerOptions{
+		Balancer:      &repro.ALBIC{TimeLimit: 25 * time.Millisecond, Seed: 7},
+		MaxMigrations: 10, // the paper's ALBIC budget
+		SmoothAlpha:   1,  // plan on each period's raw loads
+		OnPeriod: func(r repro.PeriodReport) {
+			if baseLoad == 0 {
+				baseLoad = r.AverageLoad
+			}
+			fmt.Printf("%6d  %12.1f  %10.1f  %13.2f  %10d\n",
+				r.Period, r.Collocation, 100*r.AverageLoad/baseLoad,
+				r.LoadDistance, r.Stats.Migrations)
+		},
+	})
+	if _, err := c.Run(context.Background(), 30); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Println("\nALBIC pins one beneficial pair per period and keeps collocated")
 	fmt.Println("pairs together as migration units; as collocation approaches 100%,")

@@ -32,42 +32,15 @@ func run(balancer repro.Balancer, budget int) []float64 {
 	defer e.Close()
 
 	// The controller smooths planner inputs across periods (the paper's
-	// SPL averaging); the reported numbers stay raw measurements.
-	var smooth []float64
-	var dist []float64
-	for period := 1; period <= 30; period++ {
-		if _, err := e.RunPeriod(); err != nil {
-			log.Fatal(err)
-		}
-		if period == 1 {
-			e.CalibrateCapacity(60)
-		}
-		snap, err := e.Snapshot()
-		if err != nil {
-			log.Fatal(err)
-		}
-		dist = append(dist, snap.LoadDistance())
-		if smooth == nil {
-			smooth = make([]float64, len(snap.Groups))
-			for k := range snap.Groups {
-				smooth[k] = snap.Groups[k].Load
-			}
-		} else {
-			for k := range snap.Groups {
-				smooth[k] = 0.5*snap.Groups[k].Load + 0.5*smooth[k]
-				snap.Groups[k].Load = smooth[k]
-			}
-		}
-		snap.MaxMigrations = budget
-		plan, err := balancer.Plan(context.Background(), snap)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := e.ApplyPlan(plan.GroupNode); err != nil {
-			log.Fatal(err)
-		}
+	// SPL averaging, α = 0.5); the reported numbers stay raw measurements.
+	m, err := repro.NewController(e, repro.ControllerOptions{
+		Balancer:      balancer,
+		MaxMigrations: budget,
+	}).Run(context.Background(), 30)
+	if err != nil {
+		log.Fatal(err)
 	}
-	return dist
+	return m.LoadDistance
 }
 
 func main() {

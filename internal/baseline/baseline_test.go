@@ -77,7 +77,7 @@ func TestFluxRespectsBudgetAndKill(t *testing.T) {
 }
 
 // TestFluxNoMovesWhenBalanced also plans the snapshot without its traffic
-// (Comm nil, a sub-period snapshot's shape).
+// (Comm nil: no traffic observed).
 func TestFluxNoMovesWhenBalanced(t *testing.T) {
 	for _, withComm := range []bool{true, false} {
 		s := twoOpSnapshot(4, 16) // perfectly uniform loads
@@ -139,7 +139,7 @@ func TestCOLAMigratesHeavily(t *testing.T) {
 }
 
 // TestCOLAAvoidsKillNodes also plans the snapshot without its traffic (Comm
-// nil, a sub-period snapshot's shape).
+// nil: no traffic observed).
 func TestCOLAAvoidsKillNodes(t *testing.T) {
 	for _, withComm := range []bool{true, false} {
 		s := twoOpSnapshot(4, 16)

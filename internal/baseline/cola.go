@@ -54,7 +54,7 @@ func (c *COLA) Plan(_ context.Context, s *core.Snapshot) (*core.Plan, error) {
 	// Communication graph over key groups.
 	g := graphpart.NewGraph(len(s.Groups))
 	for i, gs := range s.Groups {
-		g.SetVertexWeight(i, gs.Load)
+		g.SetWeight(i, gs.Load)
 	}
 	s.Comm.ForEach(func(gi, gj int, rate float64) {
 		if rate > 0 {

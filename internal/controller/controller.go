@@ -20,9 +20,10 @@
 // the Run context alone: a solve still in flight when the run ends is
 // cancelled and its outcome discarded.
 //
-// cmd/albic-run, the examples and internal/experiments all drive their
-// engines through this package; it is the only implementation of the
-// adaptation loop in the repository.
+// cmd/albic-run, internal/experiments and every example but
+// examples/faulttolerance run their adaptation loops through this package;
+// faulttolerance drives its engine itself, because it crashes a node between
+// a period and its checkpoint.
 package controller
 
 import (

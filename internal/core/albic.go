@@ -364,9 +364,9 @@ func (a *ALBIC) buildPartitions(s *Snapshot, colPairs []scored, maxPL float64, r
 		g := graphpart.NewGraph(len(set))
 		for i, gi := range set {
 			if useMC {
-				g.SetVertexWeight(i, s.migCost(gi))
+				g.SetWeight(i, s.migCost(gi))
 			} else {
-				g.SetVertexWeight(i, s.Groups[gi].Load)
+				g.SetWeight(i, s.Groups[gi].Load)
 			}
 			for j := i + 1; j < len(set); j++ {
 				gj := set[j]

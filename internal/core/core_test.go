@@ -64,7 +64,7 @@ func TestSnapshotValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("want error for a comm matrix of the wrong size")
 	}
-	bad.Comm = nil // no traffic observed, as in a sub-period snapshot
+	bad.Comm = nil // no traffic observed
 	if err := bad.Validate(); err != nil {
 		t.Fatalf("nil comm: %v", err)
 	}

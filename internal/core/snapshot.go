@@ -61,8 +61,8 @@ type Snapshot struct {
 	Ops    []OpStat
 	// Comm holds the observed communication rate out(gi, gj) between
 	// key-group pairs (tuples or bytes per SPL; any consistent unit works),
-	// with one row per group. nil means no traffic was observed, as in a
-	// sub-period snapshot. A CommCSR is immutable, so Clone shares it.
+	// with one row per group. nil means no traffic was observed. A CommCSR is
+	// immutable, so Clone shares it.
 	Comm *CommCSR
 
 	// MaxMigrCost bounds migration cost per adaptation (paper constraint 2)

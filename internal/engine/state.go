@@ -6,9 +6,9 @@ import "repro/internal/statestore"
 // store that checkpointing and migration share); the engine re-exports the
 // state type so operators and the public API are unaffected by the move.
 
-// State is the computation state σ_k of one key group: scalar counters,
-// string registers, and named tables. It is what direct state migration
-// serializes and ships, and what the checkpoint store versions.
+// State is the computation state σ_k of one key group: scalar counters and
+// named tables. It is what direct state migration serializes and ships, and
+// what the checkpoint store versions.
 type State = statestore.State
 
 // Table is one named table of a State: an open-addressed hash from cell key

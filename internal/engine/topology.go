@@ -18,8 +18,8 @@ type Emit func(t *Tuple)
 //     returns; the engine recycles t and the frame behind it after that.
 //   - Read t or emit it as is; do not retain or mutate it. Clone what you
 //     keep: the copy owns its strings.
-//   - State and Table copy what they keep: a key, a field name or a SetStr
-//     value read from t may be stored in st as is.
+//   - State and Table copy what they keep: a key or a field name read from t
+//     may be stored in st as is.
 //   - Emit has consumed a tuple when it returns: one built from t's strings
 //     (t.NewTuple(t.Str("geo"), …), drawn from the shard's free list) may be
 //     emitted as is.

@@ -44,7 +44,7 @@ type numField struct {
 
 // Tuple is the engine's data unit: ⟨key, value, ts⟩ with the value split
 // into string and numeric fields (both opaque to the engine, per the
-// paper's data model). Access fields with Str/Num/HasStr/HasNum and build
+// paper's data model). Access fields with Str/Num/HasNum and build
 // tuples with WithStr/WithNum.
 type Tuple struct {
 	// Key partitions the downstream operator's input.
@@ -237,16 +237,6 @@ func (t *Tuple) Num(name string) float64 {
 		}
 	}
 	return 0
-}
-
-// HasStr reports whether the string field is present.
-func (t *Tuple) HasStr(name string) bool {
-	for i := range t.strs {
-		if t.strs[i].K == name {
-			return true
-		}
-	}
-	return false
 }
 
 // HasNum reports whether the numeric field is present.

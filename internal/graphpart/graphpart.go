@@ -32,11 +32,8 @@ func NewGraph(n int) *Graph {
 // Len returns the number of vertices.
 func (g *Graph) Len() int { return len(g.vw) }
 
-// SetVertexWeight sets the weight of vertex v.
-func (g *Graph) SetVertexWeight(v int, w float64) { g.vw[v] = w }
-
-// VertexWeight returns the weight of vertex v.
-func (g *Graph) VertexWeight(v int) float64 { return g.vw[v] }
+// SetWeight sets the weight of vertex v.
+func (g *Graph) SetWeight(v int, w float64) { g.vw[v] = w }
 
 // AddEdge adds w to the undirected edge weight between u and v. Self loops
 // are ignored.
@@ -62,8 +59,8 @@ func (g *Graph) EdgeWeight(u, v int) float64 {
 	return g.adj[u][v]
 }
 
-// TotalVertexWeight returns the sum of vertex weights.
-func (g *Graph) TotalVertexWeight() float64 {
+// totalWeight returns the sum of vertex weights.
+func (g *Graph) totalWeight() float64 {
 	t := 0.0
 	for _, w := range g.vw {
 		t += w
@@ -264,7 +261,7 @@ func initialBisect(g *Graph, frac float64, rng *rand.Rand) []int {
 	if n == 0 {
 		return side
 	}
-	target := g.TotalVertexWeight() * frac
+	target := g.totalWeight() * frac
 	start := rng.Intn(n)
 	gain := make([]float64, n)
 	inRegion := make([]bool, n)
@@ -305,7 +302,7 @@ func initialBisect(g *Graph, frac float64, rng *rand.Rand) []int {
 // vertex across the cut subject to balance, keep the best prefix.
 func fmRefine(g *Graph, side []int, frac, imbalance float64, rng *rand.Rand) {
 	n := g.Len()
-	total := g.TotalVertexWeight()
+	total := g.totalWeight()
 	target0 := total * frac
 	target1 := total - target0
 	maxW0 := target0 * imbalance

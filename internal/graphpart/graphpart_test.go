@@ -62,7 +62,7 @@ func TestPartitionKWayBalance(t *testing.T) {
 	for _, k := range []int{2, 3, 4, 8} {
 		g := NewGraph(200)
 		for i := 0; i < 200; i++ {
-			g.SetVertexWeight(i, 1+rng.Float64()*3)
+			g.SetWeight(i, 1+rng.Float64()*3)
 		}
 		for e := 0; e < 600; e++ {
 			g.AddEdge(rng.Intn(200), rng.Intn(200), 1+rng.Float64())
@@ -72,7 +72,7 @@ func TestPartitionKWayBalance(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := PartWeights(g, part, k)
-		ideal := g.TotalVertexWeight() / float64(k)
+		ideal := g.totalWeight() / float64(k)
 		for p, pw := range w {
 			if pw > ideal*1.45 {
 				t.Errorf("k=%d part %d weight %.1f > 1.45x ideal %.1f (weights %v)", k, p, pw, ideal, w)

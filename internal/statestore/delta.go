@@ -7,14 +7,10 @@ import (
 	"repro/internal/codec"
 )
 
-// numEntry / strEntry are one key/value pair of a delta section.
+// numEntry is one key/value pair of a delta section.
 type numEntry struct {
 	k string
 	v float64
-}
-
-type strEntry struct {
-	k, v string
 }
 
 // tabSetEntry is one table's changed cells; tabDelEntry one table's removed
@@ -37,7 +33,7 @@ type tabDelEntry struct {
 // Delta produced by Diff(old, new) to (a clone of) old yields a state equal
 // to new, field for field. Values are absolute (the new value, not an
 // increment), so floating-point application is exact; deletions are
-// represented explicitly, which plain Merge-style combination cannot
+// represented explicitly, which summing one state into another cannot
 // express. Deltas are what the incremental store chains and what
 // checkpoint-assisted migration ships synchronously.
 //
@@ -48,8 +44,6 @@ type tabDelEntry struct {
 type Delta struct {
 	numSet     []numEntry
 	numDel     []string
-	strSet     []strEntry
-	strDel     []string
 	tabSet     []tabSetEntry
 	tabCellDel []tabDelEntry
 	tabDel     []string
@@ -64,12 +58,6 @@ func (d *Delta) Reset() {
 	d.numSet = d.numSet[:0]
 	clearStrings(d.numDel)
 	d.numDel = d.numDel[:0]
-	for i := range d.strSet {
-		d.strSet[i] = strEntry{}
-	}
-	d.strSet = d.strSet[:0]
-	clearStrings(d.strDel)
-	d.strDel = d.strDel[:0]
 	for i := range d.tabSet {
 		e := &d.tabSet[i]
 		e.name, e.applied = "", false
@@ -125,7 +113,6 @@ func (d *Delta) growTabCellDel(name string) *tabDelEntry {
 // Empty reports whether the delta changes nothing.
 func (d *Delta) Empty() bool {
 	return len(d.numSet) == 0 && len(d.numDel) == 0 &&
-		len(d.strSet) == 0 && len(d.strDel) == 0 &&
 		len(d.tabSet) == 0 && len(d.tabCellDel) == 0 && len(d.tabDel) == 0
 }
 
@@ -166,11 +153,6 @@ func diffInto(d *Delta, old, new *State, tok uint64, cut bool) {
 		if k&kNum != 0 {
 			if ov, ok := old.LookupNum(name); !ok || !sameNum(ov, new.numVal[sym]) {
 				d.numSet = append(d.numSet, numEntry{name, new.numVal[sym]})
-			}
-		}
-		if k&kStr != 0 {
-			if ov, ok := old.LookupStr(name); !ok || ov != new.strVal[sym] {
-				d.strSet = append(d.strSet, strEntry{name, new.strVal[sym]})
 			}
 		}
 		if k&kTab != 0 {
@@ -222,11 +204,6 @@ func diffInto(d *Delta, old, new *State, tok uint64, cut bool) {
 				d.numDel = append(d.numDel, name)
 			}
 		}
-		if k&kStr != 0 {
-			if _, ok := new.LookupStr(name); !ok {
-				d.strDel = append(d.strDel, name)
-			}
-		}
 		if k&kTab != 0 && new.LookupTable(name) == nil {
 			d.tabDel = append(d.tabDel, name)
 		}
@@ -248,12 +225,6 @@ func (d *Delta) apply(st *State, cut bool) {
 	}
 	for _, k := range d.numDel {
 		st.DelNum(k)
-	}
-	for _, e := range d.strSet {
-		st.setStr(st.intern(e.k, false), e.v)
-	}
-	for _, k := range d.strDel {
-		st.DelStr(k)
 	}
 	for _, name := range d.tabDel {
 		st.ClearTable(name)
@@ -300,11 +271,7 @@ func sizeNumEntries(v []numEntry) int {
 // Size() == len(Encode(nil)) always.
 func (d *Delta) Size() int {
 	n := sizeNumEntries(d.numSet) + sizeStringSlice(d.numDel)
-	n += codec.SizeUvarint(uint64(len(d.strSet)))
-	for _, e := range d.strSet {
-		n += codec.SizeString(e.k) + codec.SizeString(e.v)
-	}
-	n += sizeStringSlice(d.strDel)
+	n += 2 * codec.SizeUvarint(0) // retired: string registers set and deleted
 	n += codec.SizeUvarint(uint64(len(d.tabSet)))
 	for i := range d.tabSet {
 		n += codec.SizeString(d.tabSet[i].name) + sizeNumEntries(d.tabSet[i].cells)
@@ -318,7 +285,8 @@ func (d *Delta) Size() int {
 }
 
 // emptyDeltaSize is the encoded size of a delta that changes nothing (seven
-// zero counts); DiffSize returns it exactly when the states are equal.
+// zero counts, two of them the retired sections'); DiffSize returns it exactly
+// when the states are equal.
 const emptyDeltaSize = 7
 
 // DiffSize returns Diff(old, new).Size() without building the delta — no
@@ -343,7 +311,6 @@ func diffSize(old, new *State, tok uint64) int {
 		new = &emptyState
 	}
 	numSetN, numSetB := 0, 0
-	strSetN, strSetB := 0, 0
 	tabSetN, tabSetB := 0, 0
 	cellDelN, cellDelB := 0, 0
 	for sym, k := range new.kind {
@@ -352,12 +319,6 @@ func diffSize(old, new *State, tok uint64) int {
 			if ov, ok := old.LookupNum(name); !ok || !sameNum(ov, new.numVal[sym]) {
 				numSetN++
 				numSetB += codec.SizeString(name) + 8
-			}
-		}
-		if k&kStr != 0 {
-			if ov, ok := old.LookupStr(name); !ok || ov != new.strVal[sym] {
-				strSetN++
-				strSetB += codec.SizeString(name) + codec.SizeString(new.strVal[sym])
 			}
 		}
 		if k&kTab != 0 {
@@ -397,7 +358,6 @@ func diffSize(old, new *State, tok uint64) int {
 		}
 	}
 	numDelN, numDelB := 0, 0
-	strDelN, strDelB := 0, 0
 	tabDelN, tabDelB := 0, 0
 	for sym, k := range old.kind {
 		name := old.names[sym]
@@ -407,12 +367,6 @@ func diffSize(old, new *State, tok uint64) int {
 				numDelB += codec.SizeString(name)
 			}
 		}
-		if k&kStr != 0 {
-			if _, ok := new.LookupStr(name); !ok {
-				strDelN++
-				strDelB += codec.SizeString(name)
-			}
-		}
 		if k&kTab != 0 && new.LookupTable(name) == nil {
 			tabDelN++
 			tabDelB += codec.SizeString(name)
@@ -420,8 +374,7 @@ func diffSize(old, new *State, tok uint64) int {
 	}
 	return codec.SizeUvarint(uint64(numSetN)) + numSetB +
 		codec.SizeUvarint(uint64(numDelN)) + numDelB +
-		codec.SizeUvarint(uint64(strSetN)) + strSetB +
-		codec.SizeUvarint(uint64(strDelN)) + strDelB +
+		2*codec.SizeUvarint(0) + // retired: string registers set and deleted
 		codec.SizeUvarint(uint64(tabSetN)) + tabSetB +
 		codec.SizeUvarint(uint64(cellDelN)) + cellDelB +
 		codec.SizeUvarint(uint64(tabDelN)) + tabDelB
@@ -463,7 +416,9 @@ func readStringSlice(dst []string, b []byte) ([]string, []byte, error) {
 // Encode serializes the delta (appended to buf) in its canonical form: it
 // reorders the receiver, sorting every section in place by key, so equal
 // deltas have equal bytes — the form of everything the checkpoint log stores.
-// Section order: NumSet, NumDel, StrSet, StrDel, TabSet, TabCellDel, TabDel.
+// Section order: NumSet, NumDel, two retired sections (string registers set
+// and deleted: always 0, their counts keep their bytes), TabSet, TabCellDel,
+// TabDel.
 func (d *Delta) Encode(buf []byte) []byte { return d.encode(buf, true) }
 
 // EncodeTransfer serializes the delta as DiffInto left it: the same format
@@ -482,7 +437,6 @@ func (d *Delta) encode(buf []byte, sorted bool) []byte {
 	if sorted {
 		canon = o
 		sortByKey(o, d.numSet, func(e numEntry) string { return e.k })
-		sortByKey(o, d.strSet, func(e strEntry) string { return e.k })
 		sortByKey(o, d.tabSet, func(e tabSetEntry) string { return e.name })
 	}
 	// The decoder rejects a table named twice among the cell deletions by
@@ -494,12 +448,8 @@ func (d *Delta) encode(buf []byte, sorted bool) []byte {
 		buf = codec.AppendFloat64(buf, e.v)
 	}
 	buf = appendStringSlice(buf, d.numDel, canon)
-	buf = codec.AppendUvarint(buf, uint64(len(d.strSet)))
-	for _, e := range d.strSet {
-		buf = codec.AppendString(buf, e.k)
-		buf = codec.AppendString(buf, e.v)
-	}
-	buf = appendStringSlice(buf, d.strDel, canon)
+	buf = codec.AppendUvarint(buf, 0) // retired: string registers set
+	buf = codec.AppendUvarint(buf, 0) // retired: string registers deleted
 	buf = codec.AppendUvarint(buf, uint64(len(d.tabSet)))
 	for i := range d.tabSet {
 		e := &d.tabSet[i]
@@ -560,24 +510,11 @@ func DecodeDeltaInto(b []byte, d *Delta) ([]byte, error) {
 	if d.numDel, b, err = readStringSlice(d.numDel, b); err != nil {
 		return nil, fmt.Errorf("statestore: delta numdel: %w", err)
 	}
-	if n, b, err = codec.ReadUvarint(b); err != nil {
-		return nil, fmt.Errorf("statestore: delta strset: %w", err)
+	if b, err = readRetired(b, "delta strset"); err != nil {
+		return nil, err
 	}
-	if n > uint64(len(b)) {
-		return nil, fmt.Errorf("statestore: delta claims %d strset entries in %d bytes", n, len(b))
-	}
-	for i := uint64(0); i < n; i++ {
-		var k, v string
-		if k, b, err = codec.ReadString(b); err != nil {
-			return nil, fmt.Errorf("statestore: delta strset: %w", err)
-		}
-		if v, b, err = codec.ReadString(b); err != nil {
-			return nil, fmt.Errorf("statestore: delta strset: %w", err)
-		}
-		d.strSet = append(d.strSet, strEntry{k, v})
-	}
-	if d.strDel, b, err = readStringSlice(d.strDel, b); err != nil {
-		return nil, fmt.Errorf("statestore: delta strdel: %w", err)
+	if b, err = readRetired(b, "delta strdel"); err != nil {
+		return nil, err
 	}
 	if n, b, err = codec.ReadUvarint(b); err != nil {
 		return nil, fmt.Errorf("statestore: delta tabset: %w", err)

@@ -17,12 +17,11 @@ import (
 // representation change.
 type refState struct {
 	nums map[string]float64
-	strs map[string]string
 	tabs map[string]map[string]float64
 }
 
 func newRef() *refState {
-	return &refState{nums: map[string]float64{}, strs: map[string]string{}, tabs: map[string]map[string]float64{}}
+	return &refState{nums: map[string]float64{}, tabs: map[string]map[string]float64{}}
 }
 
 func (r *refState) table(name string) map[string]float64 {
@@ -44,18 +43,15 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // encode replicates the historical map-backed State.Encode byte for byte:
-// float map, string map, nested float map, each with sorted keys.
+// float map, the retired string map (always empty), nested float map, each
+// with sorted keys.
 func (r *refState) encode() []byte {
 	b := codec.AppendUvarint(nil, uint64(len(r.nums)))
 	for _, k := range sortedKeys(r.nums) {
 		b = codec.AppendString(b, k)
 		b = codec.AppendFloat64(b, r.nums[k])
 	}
-	b = codec.AppendUvarint(b, uint64(len(r.strs)))
-	for _, k := range sortedKeys(r.strs) {
-		b = codec.AppendString(b, k)
-		b = codec.AppendString(b, r.strs[k])
-	}
+	b = codec.AppendUvarint(b, 0) // retired: string registers
 	b = codec.AppendUvarint(b, uint64(len(r.tabs)))
 	for _, name := range sortedKeys(r.tabs) {
 		b = codec.AppendString(b, name)
@@ -72,18 +68,13 @@ func (r *refState) encode() []byte {
 // checkAgainstRef asserts st and r agree semantically and byte for byte.
 func checkAgainstRef(t *testing.T, st *State, r *refState, ctx string) {
 	t.Helper()
-	if st.NumCount() != len(r.nums) || st.StrCount() != len(r.strs) || st.TableCount() != len(r.tabs) {
-		t.Fatalf("%s: counts (%d,%d,%d) vs ref (%d,%d,%d)", ctx,
-			st.NumCount(), st.StrCount(), st.TableCount(), len(r.nums), len(r.strs), len(r.tabs))
+	if st.NumCount() != len(r.nums) || st.TableCount() != len(r.tabs) {
+		t.Fatalf("%s: counts (%d,%d) vs ref (%d,%d)", ctx,
+			st.NumCount(), st.TableCount(), len(r.nums), len(r.tabs))
 	}
 	for k, v := range r.nums {
 		if got, ok := st.LookupNum(k); !ok || got != v {
 			t.Fatalf("%s: num %q = %v (ok=%v), want %v", ctx, k, got, ok, v)
-		}
-	}
-	for k, v := range r.strs {
-		if got, ok := st.LookupStr(k); !ok || got != v {
-			t.Fatalf("%s: str %q = %q (ok=%v), want %q", ctx, k, got, ok, v)
 		}
 	}
 	for name, rt := range r.tabs {
@@ -124,7 +115,7 @@ func TestStateDifferentialVsMapModel(t *testing.T) {
 			// table grows mid-sequence.
 			name := fmt.Sprintf("f%02d", rng.Intn(40))
 			cell := fmt.Sprintf("c%02d", rng.Intn(30))
-			switch rng.Intn(12) {
+			switch rng.Intn(10) {
 			case 0:
 				v := rng.Float64() * 100
 				st.Add(name, v)
@@ -137,38 +128,31 @@ func TestStateDifferentialVsMapModel(t *testing.T) {
 				st.DelNum(name)
 				delete(r.nums, name)
 			case 3:
-				v := fmt.Sprintf("v%d", rng.Intn(50))
-				st.SetStr(name, v)
-				r.strs[name] = v
-			case 4:
-				st.DelStr(name)
-				delete(r.strs, name)
-			case 5:
 				v := rng.Float64()
 				st.Table(name).Set(cell, v)
 				r.table(name)[cell] = v
-			case 6:
+			case 4:
 				v := rng.Float64()
 				st.Table(name).Add(cell, v)
 				r.table(name)[cell] += v
-			case 7:
+			case 5:
 				if tab := st.LookupTable(name); tab != nil {
 					tab.Delete(cell)
 					delete(r.tabs[name], cell)
 				}
-			case 8:
+			case 6:
 				st.ClearTable(name)
 				delete(r.tabs, name)
-			case 9:
+			case 7:
 				// Bare Table() creates an empty table that IS encoded.
 				st.Table(name)
 				r.table(name)
-			case 10:
+			case 8:
 				if rng.Intn(20) == 0 {
 					st.Reset()
 					r = newRef()
 				}
-			case 11:
+			case 9:
 				if rng.Intn(10) == 0 {
 					// Recycle by Reset and decode back into the recycled
 					// arena (the migration-adoption path).
@@ -200,35 +184,22 @@ func TestStateDifferentialVsMapModel(t *testing.T) {
 	}
 }
 
-// TestStateCloneAndMergeMatchModel covers the remaining bulk operations
-// against the model: Clone, CopyFrom into a dirty state, and Merge.
-func TestStateCloneAndMergeMatchModel(t *testing.T) {
+// TestStateCloneMatchesModel covers the remaining bulk operations against
+// the model: Clone, and CopyFrom into a dirty state.
+func TestStateCloneMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	st := randState(rng, 15)
-	clone := st.Clone()
-	if !bytes.Equal(clone.Encode(nil), st.Encode(nil)) {
-		t.Fatal("clone encodes differently")
-	}
+	want := newRef()
+	st.RangeNums(func(k string, v float64) bool { want.nums[k] = v; return true })
+	st.RangeTables(func(name string, tab *Table) bool {
+		cells := want.table(name) // an empty table is part of the state too
+		for ck, v := range tab.All() {
+			cells[ck] = v
+		}
+		return true
+	})
+	checkAgainstRef(t, st.Clone(), want, "clone")
 	dirty := randState(rng, 15)
 	dirty.CopyFrom(st)
-	if !bytes.Equal(dirty.Encode(nil), st.Encode(nil)) {
-		t.Fatal("CopyFrom into a dirty state encodes differently")
-	}
-	// Merge sums counters and cells; validate against a map fold.
-	a, b := randState(rng, 10), randState(rng, 10)
-	want := newRef()
-	for _, s := range []*State{a, b} {
-		s.RangeNums(func(k string, v float64) bool { want.nums[k] += v; return true })
-		s.RangeStrs(func(k, v string) bool { want.strs[k] = v; return true })
-		s.RangeTables(func(name string, tab *Table) bool {
-			for ck, v := range tab.All() {
-				want.table(name)[ck] += v
-			}
-			return true
-		})
-	}
-	a.Merge(b)
-	if !bytes.Equal(a.Encode(nil), want.encode()) {
-		t.Fatal("Merge diverges from map fold")
-	}
+	checkAgainstRef(t, dirty, want, "CopyFrom into a dirty state")
 }

@@ -22,13 +22,11 @@ func FuzzStoreDecode(f *testing.F) {
 	s := New()
 	a := NewState()
 	a.Add("total", 41)
-	a.SetStr("reg", "x")
 	a.Table("t").Set("cell", 1)
 	s.Checkpoint(0, 1, a)
 	b := a.Clone()
 	b.Add("total", 1)
 	b.Table("t").Set("cell2", 2)
-	b.DelStr("reg")
 	s.Checkpoint(0, 2, b)
 	s.Checkpoint(4, 2, b)
 	f.Add(s.Encode(nil), 5)
@@ -153,11 +151,11 @@ func FuzzStoreDecode(f *testing.F) {
 func FuzzDeltaDecode(f *testing.F) {
 	a := NewState()
 	a.Add("n", 1)
-	a.SetStr("s", "v")
+	a.Add("gone", 1)
 	a.Table("t").Set("c", 2)
 	b := a.Clone()
 	b.Add("n", 1)
-	b.DelStr("s")
+	b.DelNum("gone")
 	b.ClearTable("t")
 	b.Table("u").Set("d", 3)
 	f.Add(Diff(a, b).Encode(nil))
@@ -166,11 +164,12 @@ func FuzzDeltaDecode(f *testing.F) {
 	f.Add((&Delta{}).Encode(nil))
 	f.Add([]byte{0xFF, 0x7F})
 	f.Add([]byte{})
+	f.Add(retiredStrSetDelta)
+	f.Add(retiredStrDelDelta)
 	// Deletion-heavy delta: diff from a wide state down to almost nothing.
 	wide := NewState()
 	for i := 0; i < 48; i++ {
 		wide.Add(fmt.Sprintf("metric-%02d", i), float64(i))
-		wide.SetStr(fmt.Sprintf("label-%02d", i), "x")
 		wide.Table(fmt.Sprintf("tab-%02d", i%7)).Set(fmt.Sprintf("cell-%02d", i), float64(i))
 	}
 	f.Add(Diff(wide, a).Encode(nil))
@@ -216,7 +215,6 @@ func FuzzCheckState(f *testing.F) {
 	wide := NewState()
 	for i := 0; i < 20; i++ {
 		wide.Add(fmt.Sprintf("metric-%02d", i), float64(i))
-		wide.SetStr(fmt.Sprintf("reg-%02d", i%3), "v")
 		wide.Table(fmt.Sprintf("tab-%02d", i%4)).Set(fmt.Sprintf("cell-%02d", i), float64(i))
 	}
 	for _, b := range append(stateShapes(wide), wide.Encode(nil), NewState().Encode(nil)) {
@@ -226,6 +224,7 @@ func FuzzCheckState(f *testing.F) {
 	}
 	f.Add([]byte{0x05, 0x00})
 	f.Add([]byte{0x00, 0x00, 0x01, 0x01, 't', 0x7f})
+	f.Add(retiredRegisterState)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var st State
 		if derr, cerr := DecodeStateInto(b, &st), CheckState(b); (derr == nil) != (cerr == nil) {

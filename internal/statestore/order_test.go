@@ -31,8 +31,8 @@ func canonTables(st *State) []rawTable {
 	return ts
 }
 
-// rawState writes st's counters and registers canonically and then the given
-// tables as they stand — payloads no encoder writes and the decoder must read.
+// rawState writes st's counters canonically and then the given tables as they
+// stand — payloads no encoder writes and the decoder must read.
 func rawState(st *State, tables []rawTable) []byte {
 	scalars := st.Clone()
 	for _, rt := range canonTables(st) {
@@ -92,7 +92,7 @@ func TestStateTwoOrdersOneDecoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	st, got := NewState(), NewState()
 	for i := 0; i < 300; i++ {
-		st.Merge(randState(rng, 1+rng.Intn(40)))
+		fill(rng, st, 1+rng.Intn(40))
 		for r := rng.Intn(4); r > 0; r-- {
 			mutate(rng, st)
 		}

@@ -10,13 +10,13 @@
 // malformed input (truncated deltas, out-of-range gids, duplicate entries).
 //
 // Since the allocation endgame, nothing here is backed by Go maps. Field
-// names (counter, register, and table names) are interned into a per-State
-// symbol table — an append-only name arena plus an open-addressed index —
-// and each kind stores its values in dense per-symbol arrays gated by
-// presence bits. Cells live in open-addressed Tables (see table.go). Every
-// structure clears by truncation and keeps its backing arrays, so a State
-// recycled across periods or migrations (Reset) reaches a steady state
-// where operator mutation, Diff, Apply, and Encode allocate nothing.
+// names (counter and table names) are interned into a per-State symbol table
+// — an append-only name arena plus an open-addressed index — and each kind
+// stores its values in dense per-symbol arrays gated by presence bits. Cells
+// live in open-addressed Tables (see table.go). Every structure clears by
+// truncation and keeps its backing arrays, so a State recycled across periods
+// or migrations (Reset) reaches a steady state where operator mutation, Diff,
+// Apply, and Encode allocate nothing.
 package statestore
 
 import (
@@ -29,7 +29,6 @@ import (
 // Presence bits in State.kind, one per interned symbol.
 const (
 	kNum uint8 = 1 << iota
-	kStr
 	kTab
 )
 
@@ -38,9 +37,9 @@ const (
 	symHints    = 16
 )
 
-// State is the computation state σ_k of one key group: scalar counters,
-// string registers, and named tables (e.g. per-key aggregates or window
-// contents). It is what checkpointing and state migration serialize.
+// State is the computation state σ_k of one key group: scalar counters and
+// named tables (e.g. per-key aggregates or window contents). It is what
+// checkpointing and state migration serialize.
 type State struct {
 	// The symbol table: names is the append-only arena (symbol = index),
 	// symSlots the open-addressed name → symbol+1 index.
@@ -53,18 +52,17 @@ type State struct {
 	// deleting a field clears its bit and leaves the slot for reuse.
 	kind   []uint8
 	numVal []float64
-	strVal []string
 	tabs   []*Table // lazily created, retained across ClearTable/Reset
 
-	numN, strN, tabN int
+	numN, tabN int
 
 	// scratchTab backs Scratch(): transient per-flush workspace, never
-	// serialized, diffed, merged, or cloned.
+	// serialized, diffed or cloned.
 	scratchTab *Table
 
 	// sizeCache memoizes Size(). 0 means dirty — an empty state encodes to
 	// three count bytes, so no valid size is ever 0. Every size-changing
-	// mutation (field create/delete, string set, table cell churn via the
+	// mutation (field create/delete, table cell churn via the
 	// Table owner hook) resets it; value-only numeric updates don't, since
 	// floats are fixed-width on the wire.
 	sizeCache int
@@ -95,7 +93,6 @@ func (s *State) intern(name string, own bool) int32 {
 	s.names = append(s.names, name)
 	s.kind = append(s.kind, 0)
 	s.numVal = append(s.numVal, 0)
-	s.strVal = append(s.strVal, "")
 	s.tabs = append(s.tabs, nil)
 	if 4*len(s.names) >= 3*len(s.symSlots) {
 		s.symSlots = make([]int32, 2*len(s.symSlots))
@@ -199,51 +196,6 @@ func (s *State) DelNum(name string) {
 	}
 }
 
-// SetStr sets a string register to a copy of v (none if it holds v already).
-func (s *State) SetStr(name, v string) {
-	sym := s.intern(name, true)
-	if s.kind[sym]&kStr != 0 && s.strVal[sym] == v {
-		return
-	}
-	s.setStr(sym, strings.Clone(v))
-}
-
-// setStr is SetStr for a value that is immutable and free to share.
-func (s *State) setStr(sym int32, v string) {
-	if s.kind[sym]&kStr == 0 {
-		s.kind[sym] |= kStr
-		s.strN++
-	}
-	s.strVal[sym] = v
-	s.sizeCache = 0 // string values are variable-width on the wire
-}
-
-// Str returns a string register ("" if absent).
-func (s *State) Str(name string) string {
-	if sym := s.sym(name); sym >= 0 && s.kind[sym]&kStr != 0 {
-		return s.strVal[sym]
-	}
-	return ""
-}
-
-// LookupStr returns a string register and whether it exists.
-func (s *State) LookupStr(name string) (string, bool) {
-	if sym := s.sym(name); sym >= 0 && s.kind[sym]&kStr != 0 {
-		return s.strVal[sym], true
-	}
-	return "", false
-}
-
-// DelStr removes a string register.
-func (s *State) DelStr(name string) {
-	if sym := s.sym(name); sym >= 0 && s.kind[sym]&kStr != 0 {
-		s.kind[sym] &^= kStr
-		s.strVal[sym] = ""
-		s.strN--
-		s.sizeCache = 0
-	}
-}
-
 // Table returns the named table, creating it (empty) if needed. A created
 // table is part of the state even while empty — it serializes as a name
 // with zero cells — until ClearTable drops it.
@@ -283,7 +235,7 @@ func (s *State) ClearTable(name string) {
 // Scratch returns an empty per-State scratch table for transient
 // computation (e.g. folding window buckets before emitting). The same table
 // is reused — and cleared — by every call, and it is never serialized,
-// diffed, merged, or cloned with the state.
+// diffed or cloned with the state.
 func (s *State) Scratch() *Table {
 	if s.scratchTab == nil {
 		s.scratchTab = &Table{}
@@ -292,10 +244,8 @@ func (s *State) Scratch() *Table {
 	return s.scratchTab
 }
 
-// NumCount / StrCount / TableCount return the number of live fields of each
-// kind.
+// NumCount / TableCount return the number of live fields of each kind.
 func (s *State) NumCount() int   { return s.numN }
-func (s *State) StrCount() int   { return s.strN }
 func (s *State) TableCount() int { return s.tabN }
 
 // RangeNums calls fn for every counter until fn returns false (unspecified
@@ -303,16 +253,6 @@ func (s *State) TableCount() int { return s.tabN }
 func (s *State) RangeNums(fn func(name string, v float64) bool) {
 	for sym, k := range s.kind {
 		if k&kNum != 0 && !fn(s.names[sym], s.numVal[sym]) {
-			return
-		}
-	}
-}
-
-// RangeStrs calls fn for every string register until fn returns false
-// (unspecified order).
-func (s *State) RangeStrs(fn func(name, v string) bool) {
-	for sym, k := range s.kind {
-		if k&kStr != 0 && !fn(s.names[sym], s.strVal[sym]) {
 			return
 		}
 	}
@@ -330,7 +270,7 @@ func (s *State) RangeTables(fn func(name string, t *Table) bool) {
 
 // Empty reports whether the state holds no data.
 func (s *State) Empty() bool {
-	return s.numN == 0 && s.strN == 0 && s.tabN == 0
+	return s.numN == 0 && s.tabN == 0
 }
 
 // Reset clears the state for reuse: every field is dropped but the symbol
@@ -342,33 +282,11 @@ func (s *State) Reset() {
 		}
 		s.kind[sym] = 0
 		s.numVal[sym] = 0
-		s.strVal[sym] = ""
 	}
-	s.numN, s.strN, s.tabN = 0, 0, 0
+	s.numN, s.tabN = 0, 0
 	s.sizeCache = 0
 	if s.scratchTab != nil {
 		s.scratchTab.Clear()
-	}
-}
-
-// Merge folds src into s: numeric counters and table cells are summed,
-// string registers are taken from src when present. This is the default
-// combine function for partially-aggregated state (PoTC merge step).
-func (s *State) Merge(src *State) {
-	for sym, k := range src.kind {
-		if k == 0 {
-			continue
-		}
-		to := s.intern(src.names[sym], false)
-		if k&kNum != 0 {
-			s.addNum(to, src.numVal[sym])
-		}
-		if k&kStr != 0 {
-			s.setStr(to, src.strVal[sym])
-		}
-		if k&kTab != 0 {
-			s.table(to).AddTable(src.tabs[sym])
-		}
 	}
 }
 
@@ -382,9 +300,6 @@ func (s *State) CopyFrom(src *State) {
 		to := s.intern(src.names[sym], false)
 		if k&kNum != 0 {
 			s.setNum(to, src.numVal[sym])
-		}
-		if k&kStr != 0 {
-			s.setStr(to, src.strVal[sym])
 		}
 		if k&kTab != 0 {
 			s.table(to).copyFrom(src.tabs[sym])
@@ -416,9 +331,10 @@ func (s *State) liveSyms(bit uint8, sorted bool, o *keyOrder) []int32 {
 }
 
 // Encode serializes the state (appended to buf) in its canonical form, keys
-// sorted per section: a float map of counters, a string map of registers, a
-// nested float map of tables. Equal states have equal canonical bytes, so this
-// is the form of everything that is stored or compared (the checkpoint log).
+// sorted per section: a float map of counters, the count of a retired section
+// (string registers: always 0, it keeps its byte), a nested float map of
+// tables. Equal states have equal canonical bytes, so this is the form of
+// everything that is stored or compared (the checkpoint log).
 func (s *State) Encode(buf []byte) []byte { return s.encode(buf, true) }
 
 // EncodeTransfer serializes the state in storage order: the same format and
@@ -440,11 +356,7 @@ func (s *State) encode(buf []byte, sorted bool) []byte {
 		buf = codec.AppendString(buf, s.names[sym])
 		buf = codec.AppendFloat64(buf, s.numVal[sym])
 	}
-	buf = codec.AppendUvarint(buf, uint64(s.strN))
-	for _, sym := range s.liveSyms(kStr, sorted, o) {
-		buf = codec.AppendString(buf, s.names[sym])
-		buf = codec.AppendString(buf, s.strVal[sym])
-	}
+	buf = codec.AppendUvarint(buf, 0) // retired: string registers
 	buf = codec.AppendUvarint(buf, uint64(s.tabN))
 	for _, sym := range s.liveSyms(kTab, sorted, o) {
 		buf = codec.AppendString(buf, s.names[sym])
@@ -463,14 +375,11 @@ func (s *State) Size() int {
 		return s.sizeCache
 	}
 	n := codec.SizeUvarint(uint64(s.numN)) +
-		codec.SizeUvarint(uint64(s.strN)) +
+		codec.SizeUvarint(0) + // retired: string registers
 		codec.SizeUvarint(uint64(s.tabN))
 	for sym, k := range s.kind {
 		if k&kNum != 0 {
 			n += codec.SizeString(s.names[sym]) + 8
-		}
-		if k&kStr != 0 {
-			n += codec.SizeString(s.names[sym]) + codec.SizeString(s.strVal[sym])
 		}
 		if k&kTab != 0 {
 			n += codec.SizeString(s.names[sym]) + s.tabs[sym].encodedSize()
@@ -487,6 +396,20 @@ func DecodeState(b []byte) (*State, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// readRetired reads the count of a retired section — string registers, in a
+// state and twice in a delta — which no encoder writes other than 0: the count
+// keeps its byte, and anything else is malformed.
+func readRetired(b []byte, section string) ([]byte, error) {
+	n, b, err := codec.ReadUvarint(b)
+	if err != nil {
+		return nil, fmt.Errorf("statestore: decode %s: %w", section, err)
+	}
+	if n != 0 {
+		return nil, fmt.Errorf("statestore: %s claims %d entries in a retired section", section, n)
+	}
+	return b, nil
 }
 
 // cutString reads a length-prefixed string from b as a substring of str, a
@@ -550,23 +473,8 @@ func decodeState(b []byte, s *State) error {
 			s.setNum(s.intern(k, false), v)
 		}
 	}
-	if n, b, err = codec.ReadUvarint(b); err != nil {
-		return fmt.Errorf("statestore: decode state strs: %w", err)
-	}
-	if n > uint64(len(b)) {
-		return fmt.Errorf("statestore: state claims %d registers in %d bytes", n, len(b))
-	}
-	for i := uint64(0); i < n; i++ {
-		var k, v string
-		if k, b, err = readName(b); err != nil {
-			return fmt.Errorf("statestore: decode state strs: %w", err)
-		}
-		if v, b, err = readName(b); err != nil {
-			return fmt.Errorf("statestore: decode state strs: %w", err)
-		}
-		if s != nil {
-			s.setStr(s.intern(k, false), v)
-		}
+	if b, err = readRetired(b, "state registers"); err != nil {
+		return err
 	}
 	if n, b, err = codec.ReadUvarint(b); err != nil {
 		return fmt.Errorf("statestore: decode state tables: %w", err)

@@ -1,6 +1,7 @@
 package statestore
 
 import (
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,11 +10,14 @@ import (
 
 func randState(rng *rand.Rand, scale int) *State {
 	st := NewState()
+	fill(rng, st, scale)
+	return st
+}
+
+// fill adds random counters and table cells to st.
+func fill(rng *rand.Rand, st *State, scale int) {
 	for i := 0; i < rng.Intn(scale+1); i++ {
 		st.Add(fmt.Sprintf("n%d", rng.Intn(scale)), rng.Float64()*100)
-	}
-	for i := 0; i < rng.Intn(scale+1); i++ {
-		st.SetStr(fmt.Sprintf("s%d", rng.Intn(scale)), fmt.Sprintf("v%d", rng.Intn(1000)))
 	}
 	for i := 0; i < rng.Intn(4); i++ {
 		t := st.Table(fmt.Sprintf("t%d", rng.Intn(3)))
@@ -21,7 +25,6 @@ func randState(rng *rand.Rand, scale int) *State {
 			t.Set(fmt.Sprintf("c%d", rng.Intn(scale)), rng.Float64())
 		}
 	}
-	return st
 }
 
 // mutate applies random edits including deletions — the delta must express
@@ -39,15 +42,6 @@ func mutate(rng *rand.Rand, st *State) {
 		}
 	}
 	st.Add(fmt.Sprintf("n-new%d", rng.Intn(100)), 1)
-	var strKeys []string
-	st.RangeStrs(func(k, _ string) bool { strKeys = append(strKeys, k); return true })
-	for _, k := range strKeys {
-		if rng.Intn(3) == 0 {
-			st.DelStr(k)
-		} else if rng.Intn(2) == 0 {
-			st.SetStr(k, st.Str(k)+"x")
-		}
-	}
 	var tabNames []string
 	st.RangeTables(func(name string, _ *Table) bool { tabNames = append(tabNames, name); return true })
 	for _, name := range tabNames {
@@ -267,5 +261,69 @@ func TestStoreDecodeHardening(t *testing.T) {
 	two = append(two, body...)
 	if _, err := Decode(two, 0); err == nil {
 		t.Error("duplicate gid must fail")
+	}
+}
+
+// Payloads whose retired sections are not empty, as builds that still had
+// string registers wrote them: a state holding register s = "v", and deltas
+// setting it and deleting it. Every decoder rejects them.
+var (
+	retiredRegisterState = []byte{0x00, 0x01, 0x01, 's', 0x01, 'v', 0x00}
+	retiredStrSetDelta   = []byte{0x00, 0x00, 0x01, 0x01, 's', 0x01, 'v', 0x00, 0x00, 0x00, 0x00}
+	retiredStrDelDelta   = []byte{0x00, 0x00, 0x00, 0x01, 0x01, 's', 0x00, 0x00, 0x00}
+)
+
+// TestEncodingsKeepTheirBytes pins the canonical bytes of a state and of a
+// delta, recorded before string registers were retired: the retired sections
+// keep their zero counts (the state's byte after its counters, the
+// delta's two bytes after its counter deletions), so |σ_k|, |Δ_k| and every
+// stored checkpoint are what they were. A payload whose retired count is not
+// zero fails to decode.
+func TestEncodingsKeepTheirBytes(t *testing.T) {
+	st := NewState()
+	st.Add("count", 3)
+	st.SetNum("avg", 1.5)
+	st.Table("win").Set("b", 2)
+	st.Table("win").Set("a", -1)
+	st.Table("top").Set("k", 0.25)
+	const wantState = "0203617667000000000000f83f05636f756e740000000000000840" + // counters
+		"00" + // retired: string registers
+		"0203746f7001016b000000000000d03f0377696e020161000000000000f0bf01620000000000000040" // tables
+	if got := hex.EncodeToString(st.Encode(nil)); got != wantState {
+		t.Fatalf("state bytes\n got %s\nwant %s", got, wantState)
+	}
+
+	old := NewState()
+	old.Add("n1", 1)
+	old.Add("n2", 2)
+	old.Table("t1").Set("a", 1)
+	old.Table("t1").Set("b", 2)
+	old.Table("t2").Set("x", 3)
+	cur := old.Clone()
+	cur.Add("n1", 1)
+	cur.DelNum("n2")
+	cur.Table("t1").Set("a", 5)
+	cur.Table("t1").Delete("b")
+	cur.ClearTable("t2")
+	const wantDelta = "01026e310000000000000040" + // NumSet
+		"01026e32" + // NumDel
+		"0000" + // retired: string registers set, deleted
+		"010274310101610000000000001440" + // TabSet
+		"01027431010162" + // TabCellDel
+		"01027432" // TabDel
+	if got := hex.EncodeToString(Diff(old, cur).Encode(nil)); got != wantDelta {
+		t.Fatalf("delta bytes\n got %s\nwant %s", got, wantDelta)
+	}
+
+	if err := CheckState(retiredRegisterState); err == nil {
+		t.Error("CheckState accepted a state with a string register")
+	}
+	if err := DecodeStateInto(retiredRegisterState, NewState()); err == nil {
+		t.Error("DecodeStateInto accepted a state with a string register")
+	}
+	for name, b := range map[string][]byte{"strset": retiredStrSetDelta, "strdel": retiredStrDelDelta} {
+		if _, err := DecodeDeltaInto(b, &Delta{}); err == nil {
+			t.Errorf("DecodeDeltaInto accepted a delta with a %s entry", name)
+		}
 	}
 }

@@ -349,19 +349,6 @@ func (t *Table) Clear() {
 	t.dirtyOwner()
 }
 
-// Range calls fn for every cell until fn returns false. Iteration order is
-// unspecified. fn must not mutate the table. Safe on a nil table.
-func (t *Table) Range(fn func(k string, v float64) bool) {
-	if t == nil {
-		return
-	}
-	for i, k := range t.keys {
-		if !fn(k, t.vals[i]) {
-			return
-		}
-	}
-}
-
 // All returns a range-over-func iterator over the cells (unspecified
 // order). Safe on a nil table.
 func (t *Table) All() func(yield func(string, float64) bool) {

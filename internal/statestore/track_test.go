@@ -32,7 +32,7 @@ var trackedOps = func() []int {
 // a history of operations read from next (next(n) is in [0, n), and ok false
 // ends the history), the way a shard drives them: table writes on existing and
 // new keys, writes back to the tip's value, deletions, clears and re-created
-// tables, scalar and register writes, cuts of every step, delta adoption,
+// tables, counter writes, cuts of every step, delta adoption,
 // recovery, recycling by Reset and a second tip that cuts the same
 // state. At every reading it holds each tracked reader to the whole walk's
 // answer, byte for byte: Tip.Measure to DiffSize, Tip.DiffInto to DiffInto in
@@ -130,7 +130,7 @@ func trackedHistory(t *testing.T, next func(n int) (int, bool)) (map[Step]int, i
 		case 8:
 			live.Add(fmt.Sprintf("n%d", pick(3)), inc())
 		case 9:
-			live.SetStr(fmt.Sprintf("s%d", pick(3)), cell())
+			live.SetNum(fmt.Sprintf("n%d", pick(3)), value())
 		case 10:
 			live.DelNum(fmt.Sprintf("n%d", pick(3)))
 		case 11, 12: // a barrier's reading
