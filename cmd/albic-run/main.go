@@ -14,8 +14,8 @@
 // A flag that would be ignored is an error, exit status 2: -workers without
 // -listen and -incremental with a balancer that does not plan (anything but
 // albic and milp). So is a size the run would replace or
-// never reach: -nodes, -periods or -shards below 1, a negative -groups,
-// -rate, -budget or -ckpt-every.
+// never reach: -nodes, -periods or -shards below 1, -shards above 256, a
+// negative -groups, -rate, -budget or -ckpt-every.
 //
 // With -ckpt-every N the controller checkpoints all key-group state
 // incrementally every N periods, which arms checkpoint-assisted migration: a
@@ -87,6 +87,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "albic-run: -%s %d is below %d; %s\n", c.name, c.v, c.min, c.use)
 			os.Exit(2)
 		}
+	}
+	// A shard index is a byte: the engine refuses more than 256 per node.
+	if *shards > 256 {
+		fmt.Fprintf(os.Stderr, "albic-run: -shards %d is above 256, the most a node has\n", *shards)
+		os.Exit(2)
 	}
 	// Written so that NaN, which fails every comparison, fails them too.
 	if !(*smooth > 0 && *smooth <= 1) {

@@ -63,7 +63,7 @@ func buildMILP(p *Problem) (*lp.Model, [][]int, error) {
 	pinCost, pinMigs := 0.0, 0
 	for t := range p.Items {
 		it := &p.Items[t]
-		if it.Pin >= 0 && it.Cur != -1 && it.Pin != it.Cur {
+		if it.Pin >= 0 && it.Pin != it.Cur {
 			pinCost += it.MigCost
 			pinMigs += it.GroupCount()
 		}
@@ -73,7 +73,7 @@ func buildMILP(p *Problem) (*lp.Model, [][]int, error) {
 		var coefs []float64
 		for t := range p.Items {
 			it := &p.Items[t]
-			if x[t] == nil || it.Cur == -1 {
+			if x[t] == nil {
 				continue
 			}
 			for i := 0; i < p.NumNodes; i++ {
@@ -95,7 +95,7 @@ func buildMILP(p *Problem) (*lp.Model, [][]int, error) {
 		var coefs []float64
 		for t := range p.Items {
 			it := &p.Items[t]
-			if x[t] == nil || it.Cur == -1 {
+			if x[t] == nil {
 				continue
 			}
 			for i := 0; i < p.NumNodes; i++ {
@@ -110,41 +110,6 @@ func buildMILP(p *Problem) (*lp.Model, [][]int, error) {
 		}
 		if len(vars) > 0 {
 			m.AddCons("migcount", vars, coefs, lp.LE, float64(p.MaxMigrations-pinMigs))
-		}
-	}
-
-	// Multi-dimensional extension: per-node caps on each secondary resource.
-	if len(p.AuxLimit) > 0 {
-		pinnedAux := make([][]float64, len(p.AuxLimit))
-		for r := range pinnedAux {
-			pinnedAux[r] = make([]float64, p.NumNodes)
-		}
-		for t := range p.Items {
-			it := &p.Items[t]
-			if it.Pin >= 0 {
-				for r, a := range it.Aux {
-					pinnedAux[r][it.Pin] += a
-				}
-			}
-		}
-		for r := range p.AuxLimit {
-			for i := 0; i < p.NumNodes; i++ {
-				var vars []int
-				var coefs []float64
-				for t := range p.Items {
-					it := &p.Items[t]
-					if x[t] == nil || r >= len(it.Aux) || it.Aux[r] == 0 {
-						continue
-					}
-					vars = append(vars, x[t][i])
-					coefs = append(coefs, it.Aux[r])
-				}
-				if len(vars) == 0 {
-					continue
-				}
-				rhs := p.capacity(i)*p.AuxLimit[r] - pinnedAux[r][i]
-				m.AddCons(fmt.Sprintf("aux_%d_%d", r, i), vars, coefs, lp.LE, rhs)
-			}
 		}
 	}
 

@@ -7,9 +7,12 @@
 // and solve it exactly with internal/lp's branch-and-bound, the oracle the
 // anytime solver is held to on small instances.
 //
-// The objective is the paper's lexicographic MILP objective: minimize the
-// load distance d, then maximize du+dl (tighten both bounds), then drain
-// nodes marked for removal (the paper's secondary sum over B).
+// The problem is the one the engine poses each period: every item sits on a
+// node now, and only its load is balanced, under a migration budget, with
+// pins and nodes marked for removal. The objective is the paper's
+// lexicographic MILP objective: minimize the load distance d, then maximize
+// du+dl (tighten both bounds), then drain nodes marked for removal (the
+// paper's secondary sum over B).
 package assign
 
 import (
@@ -30,17 +33,11 @@ type Item struct {
 	// MigCost is the cost of migrating the item (the paper's mc_k = α·|σ_k|,
 	// summed over Groups). Charged only when the item changes node.
 	MigCost float64
-	// Cur is the node currently holding the item, or -1 for a new item that
-	// may be placed anywhere for free.
+	// Cur is the node currently holding the item.
 	Cur int
 	// Pin forces the item onto a specific node (ALBIC collocation
 	// constraints). -1 means unpinned.
 	Pin int
-	// Aux holds the item's usage of non-bottleneck resources (Section
-	// 4.3.1, "Extending to Multi-Dimensional Load"), one entry per resource
-	// declared in Problem.AuxLimit, in percentage points of a unit node.
-	// nil when the problem is one-dimensional.
-	Aux []float64
 }
 
 // GroupCount returns the number of key groups in the item (at least 1).
@@ -75,12 +72,6 @@ type Problem struct {
 	// (the Flux-comparable variant used in Section 5.2). <= 0 means
 	// unlimited.
 	MaxMigrations int
-	// AuxLimit declares the secondary resources and their per-node caps
-	// (scaled by node capacity): the usage of resource r on node i must
-	// stay below AuxLimit[r]·capacity(i). The balancing objective still
-	// optimizes the bottleneck resource (Item.Load); these are pure
-	// constraints, per the paper's multi-dimensional extension.
-	AuxLimit []float64
 }
 
 // Validate reports structural problems.
@@ -114,28 +105,14 @@ func (p *Problem) Validate() error {
 	if alive == 0 {
 		return fmt.Errorf("assign: all %d nodes are marked for removal", p.NumNodes)
 	}
-	for r, lim := range p.AuxLimit {
-		if lim <= 0 || math.IsNaN(lim) {
-			return fmt.Errorf("assign: aux resource %d has limit %g", r, lim)
-		}
-	}
 	for idx, it := range p.Items {
 		if it.Load < 0 || math.IsNaN(it.Load) {
 			return fmt.Errorf("assign: item %d load %g", idx, it.Load)
 		}
-		if len(it.Aux) > len(p.AuxLimit) {
-			return fmt.Errorf("assign: item %d declares %d aux resources, problem has %d",
-				idx, len(it.Aux), len(p.AuxLimit))
-		}
-		for r, a := range it.Aux {
-			if a < 0 || math.IsNaN(a) {
-				return fmt.Errorf("assign: item %d aux[%d] = %g", idx, r, a)
-			}
-		}
 		if it.MigCost < 0 || math.IsNaN(it.MigCost) {
 			return fmt.Errorf("assign: item %d migcost %g", idx, it.MigCost)
 		}
-		if it.Cur < -1 || it.Cur >= p.NumNodes {
+		if it.Cur < 0 || it.Cur >= p.NumNodes {
 			return fmt.Errorf("assign: item %d cur node %d out of range", idx, it.Cur)
 		}
 		if it.Pin < -1 || it.Pin >= p.NumNodes {
@@ -156,13 +133,6 @@ func (p *Problem) capacity(i int) float64 {
 }
 
 func (p *Problem) killed(i int) bool { return p.Kill != nil && p.Kill[i] }
-
-func (p *Problem) fixed(i int) float64 {
-	if p.Fixed == nil {
-		return 0
-	}
-	return p.Fixed[i]
-}
 
 // AliveNodes returns the indices of nodes not marked for removal (the set A).
 func (p *Problem) AliveNodes() []int {
@@ -229,11 +199,6 @@ type Eval struct {
 	// MigrCost and Migrations are the plan's cost relative to Cur.
 	MigrCost   float64
 	Migrations int
-	// AuxUtil[r][i] is the utilization of secondary resource r on node i;
-	// AuxViolation totals the excess above the declared limits (both zero
-	// for one-dimensional problems).
-	AuxUtil      [][]float64
-	AuxViolation float64
 	// Obj is W1·D − W2·(Du+Dl) + W3·KillLoad.
 	Obj float64
 }
@@ -250,29 +215,12 @@ func (p *Problem) Evaluate(assignment []int) *Eval {
 	for i, f := range p.Fixed {
 		e.Util[i] = f
 	}
-	if len(p.AuxLimit) > 0 {
-		e.AuxUtil = make([][]float64, len(p.AuxLimit))
-		for r := range e.AuxUtil {
-			e.AuxUtil[r] = make([]float64, p.NumNodes)
-		}
-	}
 	for idx, node := range assignment {
 		it := &p.Items[idx]
 		e.Util[node] += it.Load
-		for r, a := range it.Aux {
-			e.AuxUtil[r][node] += a
-		}
-		if it.Cur != -1 && it.Cur != node {
+		if it.Cur != node {
 			e.MigrCost += it.MigCost
 			e.Migrations += it.GroupCount()
-		}
-	}
-	for r := range e.AuxUtil {
-		for i := 0; i < p.NumNodes; i++ {
-			e.AuxUtil[r][i] /= p.capacity(i)
-			if over := e.AuxUtil[r][i] - p.AuxLimit[r]; over > 1e-9 {
-				e.AuxViolation += over
-			}
 		}
 	}
 	e.MaxOver, e.MaxUnder = math.Inf(-1), math.Inf(-1)
@@ -319,21 +267,9 @@ type Solution struct {
 	Eval     *Eval
 }
 
-// GroupAssignment expands the per-item assignment into a per-key-group
-// assignment, using the maximum group id present in the problem.
-func (s *Solution) GroupAssignment(p *Problem) map[int]int {
-	out := make(map[int]int)
-	for idx, node := range s.ItemNode {
-		for _, g := range p.Items[idx].Groups {
-			out[g] = node
-		}
-	}
-	return out
-}
-
 // SingleGroupItems builds the common case where every key group is its own
-// migration unit. loads[k] is gLoad_k, migCost[k] its migration cost, cur[k]
-// its current node (-1 for new).
+// migration unit. loads[k] is gLoad_k, migCost[k] its migration cost (1 when
+// migCost is nil), cur[k] its current node.
 func SingleGroupItems(loads, migCost []float64, cur []int) []Item {
 	items := make([]Item, len(loads))
 	for k := range loads {
@@ -341,11 +277,7 @@ func SingleGroupItems(loads, migCost []float64, cur []int) []Item {
 		if migCost != nil {
 			mc = migCost[k]
 		}
-		c := -1
-		if cur != nil {
-			c = cur[k]
-		}
-		items[k] = Item{Groups: []int{k}, Load: loads[k], MigCost: mc, Cur: c, Pin: -1}
+		items[k] = Item{Groups: []int{k}, Load: loads[k], MigCost: mc, Cur: cur[k], Pin: -1}
 	}
 	return items
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"time"
 )
 
@@ -101,10 +100,9 @@ type search struct {
 	p      *Problem
 	rng    *rand.Rand
 	assign []int
-	util   []float64   // per-node utilization
-	aux    [][]float64 // per-resource per-node utilization (may be nil)
-	cost   float64     // current migration cost vs Cur
-	migs   int         // current migrated key-group count vs Cur
+	util   []float64 // per-node utilization
+	cost   float64   // current migration cost vs Cur
+	migs   int       // current migrated key-group count vs Cur
 	mean   float64
 	alive  []int
 	capA   float64 // total capacity of alive nodes
@@ -142,8 +140,8 @@ func newSearch(p *Problem, seed int64) *search {
 	return s
 }
 
-// init builds the starting assignment: current placement, new items placed
-// greedily, pins applied. Returns an error if the pins alone bust the budget.
+// init builds the starting assignment: every item where it is, pins applied.
+// Returns an error if the pins alone bust the budget.
 func (s *search) init() error {
 	p := s.p
 	s.assign = make([]int, len(p.Items))
@@ -151,39 +149,13 @@ func (s *search) init() error {
 	for i, f := range p.Fixed {
 		s.util[i] = f / p.capacity(i)
 	}
-	if len(p.AuxLimit) > 0 {
-		s.aux = make([][]float64, len(p.AuxLimit))
-		for r := range s.aux {
-			s.aux[r] = make([]float64, p.NumNodes)
-		}
-	}
-
-	// Place existing items, leaving new ones for a second pass.
-	var newItems []int
 	for idx := range p.Items {
 		it := &p.Items[idx]
-		switch {
-		case it.Pin >= 0:
+		if it.Pin >= 0 {
 			s.place(idx, it.Pin)
-		case it.Cur >= 0:
+		} else {
 			s.place(idx, it.Cur)
-		default:
-			newItems = append(newItems, idx)
 		}
-	}
-	// New items: heaviest first onto the least-utilized alive node.
-	sort.Slice(newItems, func(a, b int) bool {
-		return p.Items[newItems[a]].Load > p.Items[newItems[b]].Load
-	})
-	for _, idx := range newItems {
-		best, bestU := -1, math.Inf(1)
-		for _, n := range s.alive {
-			u := (s.util[n]*p.capacity(n) + p.Items[idx].Load) / p.capacity(n)
-			if u < bestU {
-				bestU, best = u, n
-			}
-		}
-		s.place(idx, best)
 	}
 	if p.MaxMigrCost > 0 && s.cost > p.MaxMigrCost+1e-9 {
 		return fmt.Errorf("assign: pinned items require migration cost %.3f > budget %.3f",
@@ -202,10 +174,7 @@ func (s *search) place(idx, n int) {
 	it := &s.p.Items[idx]
 	s.assign[idx] = n
 	s.util[n] += it.Load / s.p.capacity(n)
-	for r, a := range it.Aux {
-		s.aux[r][n] += a / s.p.capacity(n)
-	}
-	if it.Cur != -1 && it.Cur != n {
+	if it.Cur != n {
 		s.cost += it.MigCost
 		s.migs += it.GroupCount()
 	}
@@ -216,66 +185,17 @@ func (s *search) unplace(idx int) {
 	it := &s.p.Items[idx]
 	n := s.assign[idx]
 	s.util[n] -= it.Load / s.p.capacity(n)
-	for r, a := range it.Aux {
-		s.aux[r][n] -= a / s.p.capacity(n)
-	}
-	if it.Cur != -1 && it.Cur != n {
+	if it.Cur != n {
 		s.cost -= it.MigCost
 		s.migs -= it.GroupCount()
 	}
 	s.assign[idx] = -1
 }
 
-// auxOK reports whether moving item idx onto node `to` keeps every
-// secondary resource within its per-node limit (the paper's
-// multi-dimensional load constraints). Pre-existing violations elsewhere
-// are tolerated; the solver just never creates or worsens one.
-func (s *search) auxOK(idx, to int) bool {
-	it := &s.p.Items[idx]
-	for r, a := range it.Aux {
-		if a <= 0 {
-			continue
-		}
-		if s.aux[r][to]+a/s.p.capacity(to) > s.p.AuxLimit[r]+1e-9 {
-			return false
-		}
-	}
-	return true
-}
-
-// swapAuxOK checks the aux limits for exchanging items a (to node nb) and b
-// (to node na), accounting for both departures.
-func (s *search) swapAuxOK(a, b, na, nb int) bool {
-	ia, ib := &s.p.Items[a], &s.p.Items[b]
-	for r := range s.p.AuxLimit {
-		var aa, ab float64
-		if r < len(ia.Aux) {
-			aa = ia.Aux[r]
-		}
-		if r < len(ib.Aux) {
-			ab = ib.Aux[r]
-		}
-		if aa == 0 && ab == 0 {
-			continue
-		}
-		// Node nb receives a, loses b; node na receives b, loses a.
-		if s.aux[r][nb]+(aa-ab)/s.p.capacity(nb) > s.p.AuxLimit[r]+1e-9 {
-			return false
-		}
-		if s.aux[r][na]+(ab-aa)/s.p.capacity(na) > s.p.AuxLimit[r]+1e-9 {
-			return false
-		}
-	}
-	return true
-}
-
 // moveDelta returns the change in migration cost and count if item idx moved
 // from its current assignment to node `to`.
 func (s *search) moveDelta(idx, to int) (dcost float64, dmigs int) {
 	it := &s.p.Items[idx]
-	if it.Cur == -1 {
-		return 0, 0
-	}
 	from := s.assign[idx]
 	if from != it.Cur {
 		dcost -= it.MigCost
@@ -350,10 +270,6 @@ func (s *search) apply(idx, to int) {
 	dcost, dmigs := s.moveDelta(idx, to)
 	s.util[from] -= it.Load / s.p.capacity(from)
 	s.util[to] += it.Load / s.p.capacity(to)
-	for r, a := range it.Aux {
-		s.aux[r][from] -= a / s.p.capacity(from)
-		s.aux[r][to] += a / s.p.capacity(to)
-	}
 	s.assign[idx] = to
 	s.cost += dcost
 	s.migs += dmigs
@@ -446,7 +362,7 @@ func (s *search) bestMove(topK int, below float64) (idx, to int, obj float64) {
 					continue
 				}
 				dcost, dmigs := s.moveDelta(cand, r)
-				if !s.budgetOK(dcost, dmigs) || !s.auxOK(cand, r) {
+				if !s.budgetOK(dcost, dmigs) {
 					continue
 				}
 				if o := s.moveObjective(cand, donor, r); o < obj {
@@ -504,7 +420,7 @@ func (s *search) swapPass() {
 					lb := s.p.Items[b].Load
 					dca, dma := s.moveDelta(a, under)
 					dcb, dmb := s.moveDelta(b, over)
-					if !s.budgetOK(dca+dcb, dma+dmb) || !s.swapAuxOK(a, b, over, under) {
+					if !s.budgetOK(dca+dcb, dma+dmb) {
 						continue
 					}
 					obj := s.objectiveWith(
@@ -529,7 +445,6 @@ func (s *search) swapPass() {
 type snapshot struct {
 	assign []int
 	util   []float64
-	aux    [][]float64
 	cost   float64
 	migs   int
 }
@@ -538,12 +453,6 @@ type snapshot struct {
 func (s *search) save(sn *snapshot) {
 	sn.assign = append(sn.assign[:0], s.assign...)
 	sn.util = append(sn.util[:0], s.util...)
-	if sn.aux == nil && s.aux != nil {
-		sn.aux = make([][]float64, len(s.aux))
-	}
-	for r, row := range s.aux {
-		sn.aux[r] = append(sn.aux[r][:0], row...)
-	}
 	sn.cost = s.cost
 	sn.migs = s.migs
 }
@@ -551,9 +460,6 @@ func (s *search) save(sn *snapshot) {
 func (s *search) restore(sn *snapshot) {
 	copy(s.assign, sn.assign)
 	copy(s.util, sn.util)
-	for r := range sn.aux {
-		copy(s.aux[r], sn.aux[r])
-	}
 	s.cost = sn.cost
 	s.migs = sn.migs
 }
@@ -703,10 +609,10 @@ func (s *search) repack(round int) bool {
 				continue
 			}
 			dcost, dmigs := 0.0, 0
-			if it.Cur != -1 && n != it.Cur {
+			if n != it.Cur {
 				dcost, dmigs = it.MigCost, it.GroupCount()
 			}
-			if !s.budgetOK(dcost, dmigs) || !s.auxOK(idx, n) {
+			if !s.budgetOK(dcost, dmigs) {
 				continue
 			}
 			u := s.util[n] + it.Load/p.capacity(n)

@@ -122,9 +122,6 @@ type PeriodReport struct {
 	Period int
 	// Stats is the period's merged engine statistics.
 	Stats *engine.PeriodStats
-	// HasSnapshot reports whether the metric fields below are valid (the
-	// controller skips snapshot building during an unobserved warm-up).
-	HasSnapshot bool
 	// LoadDistance / Collocation / AverageLoad are the paper's metrics
 	// computed from this period's snapshot.
 	LoadDistance float64
@@ -290,7 +287,6 @@ func (r *run) observe(ps *engine.PeriodStats) error {
 		return err
 	}
 	dist, col, avg := snap.LoadDistance(), snap.CollocationFactor(), snap.AverageLoad()
-	rep.HasSnapshot = true
 	rep.LoadDistance, rep.Collocation, rep.AverageLoad = dist, col, avg
 	if recording {
 		if r.baseAvg == 0 && avg > 0 {

@@ -252,6 +252,9 @@ func TestHeterogeneousCapacity(t *testing.T) {
 	if _, err := New(tp, Config{Nodes: 2, CapacityWeights: []float64{1, 0}}, nil); err == nil {
 		t.Fatal("want error for non-positive weight")
 	}
+	if _, err := New(tp, Config{Nodes: 2, ShardsPerNode: 257}, nil); err == nil {
+		t.Fatal("want error for more than 256 shards per node")
+	}
 }
 
 // TestHeterogeneousBalancingEndToEnd drives the MILP over a weighted

@@ -86,6 +86,9 @@ func newEngine(topo *Topology, cfg Config, initial []int, ep transport.Endpoint,
 	if len(peerOf) != cfg.Nodes {
 		return nil, fmt.Errorf("engine: %d node-peer entries for %d nodes", len(peerOf), cfg.Nodes)
 	}
+	if cfg.ShardsPerNode > 256 {
+		return nil, fmt.Errorf("engine: %d shards per node, at most 256", cfg.ShardsPerNode)
+	}
 	for i := range e.weights {
 		e.weights[i] = 1
 		e.invWeights[i] = 1

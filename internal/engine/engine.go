@@ -48,7 +48,7 @@ type Config struct {
 	// GOMAXPROCS while planning, host sets and the cost model stay strictly
 	// node-level (intra-node shard-to-shard frames are modeled as free local
 	// traffic). 0 or 1 keeps the single-goroutine node of earlier versions;
-	// values above 256 are capped.
+	// a value above 256 is an error (a shard index is a byte).
 	ShardsPerNode int
 }
 
@@ -58,9 +58,6 @@ func (c *Config) defaults() {
 	}
 	if c.ShardsPerNode <= 0 {
 		c.ShardsPerNode = 1
-	}
-	if c.ShardsPerNode > 256 {
-		c.ShardsPerNode = 256
 	}
 }
 

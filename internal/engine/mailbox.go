@@ -83,12 +83,11 @@ func (stateMsg) isMessage()      {}
 func (migrateOutMsg) isMessage() {}
 func (stopMsg) isMessage()       {}
 
-// mailbox is an unbounded batch-oriented MPSC queue. Unboundedness removes
-// any possibility of cross-node backpressure deadlock. Producers append one
-// message (put) or a whole slice (putBatch) under a single lock acquisition;
-// the consumer takes ownership of the entire queued backlog per wakeup
-// (drain) instead of locking once per message, and hands its spent buffer
-// back so the producer side reuses it for the next backlog.
+// mailbox is an unbounded MPSC queue. Unboundedness removes any possibility
+// of cross-node backpressure deadlock. Producers append one message per lock
+// acquisition (put); the consumer takes ownership of the entire queued
+// backlog per wakeup (drain) instead of locking once per message, and hands
+// its spent buffer back so the producer side reuses it for the next backlog.
 //
 // FIFO invariant: messages from one sender goroutine are delivered in send
 // order, because each sender enqueues from a single goroutine and every
@@ -122,26 +121,6 @@ func (m *mailbox) put(msg message) bool {
 		m.nonEmp.Signal()
 	}
 	m.q = append(m.q, msg)
-	m.mu.Unlock()
-	return true
-}
-
-// putBatch enqueues a slice of messages under one lock acquisition,
-// preserving slice order. Puts after close are dropped (reported like put).
-// The slice is copied; the caller may reuse it.
-func (m *mailbox) putBatch(msgs []message) bool {
-	if len(msgs) == 0 {
-		return true
-	}
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return false
-	}
-	if len(m.q) == 0 {
-		m.nonEmp.Signal()
-	}
-	m.q = append(m.q, msgs...)
 	m.mu.Unlock()
 	return true
 }

@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// BenchmarkMailbox isolates the MPSC queue: 4 senders blast messages at one
-// draining receiver. The batched variant stages 64 messages per putBatch —
-// one lock acquisition per 64 sends — while the unbatched variant pays one
-// lock per message; both drain whole backlogs per wakeup.
-func benchmarkMailbox(b *testing.B, batchSize int) {
+// BenchmarkMailbox isolates the MPSC queue: 4 senders put messages one at a
+// time, as the engine does, at one receiver that drains whole backlogs per
+// wakeup.
+func BenchmarkMailbox(b *testing.B) {
 	const senders = 4
 	mb := newMailbox()
 	var wg sync.WaitGroup
@@ -20,21 +19,9 @@ func benchmarkMailbox(b *testing.B, batchSize int) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			if batchSize <= 1 {
-				for i := 0; i < per; i++ {
-					mb.put(testMsg{sender: s, seq: i})
-				}
-				return
-			}
-			batch := make([]message, 0, batchSize)
 			for i := 0; i < per; i++ {
-				batch = append(batch, testMsg{sender: s, seq: i})
-				if len(batch) == batchSize {
-					mb.putBatch(batch)
-					batch = batch[:0]
-				}
+				mb.put(testMsg{sender: s, seq: i})
 			}
-			mb.putBatch(batch)
 		}(s)
 	}
 	go func() {
@@ -59,6 +46,3 @@ func benchmarkMailbox(b *testing.B, batchSize int) {
 		b.Fatalf("received %d of %d", count, senders*per)
 	}
 }
-
-func BenchmarkMailbox(b *testing.B)          { benchmarkMailbox(b, 64) }
-func BenchmarkMailboxUnbatched(b *testing.B) { benchmarkMailbox(b, 1) }

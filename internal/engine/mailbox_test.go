@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -14,9 +15,9 @@ type testMsg struct {
 
 func (testMsg) isMessage() {}
 
-// TestMailboxStress hammers one mailbox with many senders mixing put and
-// putBatch while the consumer drains, and checks that everything sent
-// before close is delivered in per-sender FIFO order. Run with -race.
+// TestMailboxStress hammers one mailbox with many senders while the consumer
+// drains, and checks that everything sent before close is delivered in
+// per-sender FIFO order. Run with -race.
 func TestMailboxStress(t *testing.T) {
 	const senders = 8
 	const perSender = 5000
@@ -27,24 +28,9 @@ func TestMailboxStress(t *testing.T) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			var batch []message
 			for i := 0; i < perSender; i++ {
-				if i%7 == 3 {
-					// Mix single puts with batched puts. Like the engine's
-					// sendBarrier, local buffering must flush before a
-					// direct put or the sender itself reorders.
-					mb.putBatch(batch)
-					batch = batch[:0]
-					mb.put(testMsg{sender: s, seq: i})
-					continue
-				}
-				batch = append(batch, testMsg{sender: s, seq: i})
-				if len(batch) >= 64 {
-					mb.putBatch(batch)
-					batch = batch[:0]
-				}
+				mb.put(testMsg{sender: s, seq: i})
 			}
-			mb.putBatch(batch)
 		}(s)
 	}
 
@@ -96,14 +82,6 @@ func TestMailboxStressInterleavedClose(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < perSender; i++ {
-				if i%5 == 0 {
-					mb.putBatch([]message{
-						testMsg{sender: s, seq: i},
-						testMsg{sender: s, seq: i + 1},
-					})
-					i++
-					continue
-				}
 				mb.put(testMsg{sender: s, seq: i})
 			}
 		}(s)
@@ -138,11 +116,15 @@ func TestMailboxStressInterleavedClose(t *testing.T) {
 // are still drained after close, later puts are dropped.
 func TestMailboxCloseDropsLatePuts(t *testing.T) {
 	mb := newMailbox()
-	mb.put(testMsg{seq: 1})
-	mb.putBatch([]message{testMsg{seq: 2}, testMsg{seq: 3}})
+	for seq := 1; seq <= 3; seq++ {
+		if !mb.put(testMsg{seq: seq}) {
+			t.Fatalf("put %d before close reported the mailbox closed", seq)
+		}
+	}
 	mb.close()
-	mb.put(testMsg{seq: 4})
-	mb.putBatch([]message{testMsg{seq: 5}})
+	if mb.put(testMsg{seq: 4}) {
+		t.Fatal("put after close reported delivery")
+	}
 
 	got, ok := mb.drain(nil)
 	if !ok || len(got) != 3 {
@@ -159,7 +141,7 @@ func TestMailboxCloseDropsLatePuts(t *testing.T) {
 }
 
 // TestMailboxPerSenderFIFOProperty is a randomized property test: two
-// senders interleave batches of random sizes; the consumer must observe
+// senders interleave bursts of varying sizes; the consumer must observe
 // each sender's sequence strictly in order regardless of interleaving.
 func TestMailboxPerSenderFIFOProperty(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
@@ -172,17 +154,17 @@ func TestMailboxPerSenderFIFOProperty(t *testing.T) {
 				defer wg.Done()
 				i := 0
 				for i < per {
-					// Batch size varies deterministically per position.
+					// A burst of a size that varies deterministically per
+					// position, then a yield so the senders interleave.
 					n := 1 + (i*7+s*13+trial)%17
 					if i+n > per {
 						n = per - i
 					}
-					batch := make([]message, 0, n)
 					for j := 0; j < n; j++ {
-						batch = append(batch, testMsg{sender: s, seq: i + j})
+						mb.put(testMsg{sender: s, seq: i + j})
 					}
-					mb.putBatch(batch)
 					i += n
+					runtime.Gosched()
 				}
 			}(s)
 		}

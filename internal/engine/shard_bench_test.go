@@ -6,12 +6,12 @@ import (
 )
 
 // BenchmarkShardedMailbox measures the sharded receive fabric: 4 senders
-// hash-spray batched messages across 4 shard mailboxes, each drained by its
+// hash-spray messages across 4 shard mailboxes, each drained by its
 // own goroutine — the multi-queue counterpart of BenchmarkMailbox's single
 // MPSC queue. With one mailbox per shard, senders contend only when they
 // collide on a shard, and drains run in parallel.
 func BenchmarkShardedMailbox(b *testing.B) {
-	const senders, shards, batchSize = 4, 4, 64
+	const senders, shards = 4, 4
 	mbs := make([]*mailbox, shards)
 	for i := range mbs {
 		mbs[i] = newMailbox()
@@ -24,20 +24,9 @@ func BenchmarkShardedMailbox(b *testing.B) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			batches := make([][]message, shards)
-			for i := range batches {
-				batches[i] = make([]message, 0, batchSize)
-			}
 			for i := 0; i < per; i++ {
 				sh := int(mix64(uint64(s*per+i)) % uint64(shards))
-				batches[sh] = append(batches[sh], testMsg{sender: s, seq: i})
-				if len(batches[sh]) == batchSize {
-					mbs[sh].putBatch(batches[sh])
-					batches[sh] = batches[sh][:0]
-				}
-			}
-			for sh := range batches {
-				mbs[sh].putBatch(batches[sh])
+				mbs[sh].put(testMsg{sender: s, seq: i})
 			}
 		}(s)
 	}

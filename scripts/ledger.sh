@@ -7,8 +7,11 @@
 # the planner, baseline and workload option structs, albic-run's flag
 # count, the number of exported types, functions and methods of
 # internal/engine, internal/controller, internal/core and internal/lp, and the
-# frame and request kinds of the engine's wire schema. bench/ is its own
-# module and is left out. Run from anywhere:
+# frame and request kinds of the engine's wire schema, and the non-test
+# functions and methods under internal/ that no binary links (tests' oracles
+# and fakes, and code only tests reach). bench/ is its own module: its lines
+# are left out, but its binary is one of those the last count links. Run from
+# anywhere:
 #   bash scripts/ledger.sh [repo-root]
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
@@ -89,3 +92,34 @@ done
 # The kinds are the lines of wire.go's two iota blocks that name one constant.
 echo "frame kinds:               $(grep -cE '^[[:blank:]]fr[A-Z][A-Za-z]*( byte = iota \+ 1)?$' internal/engine/wire.go)"
 echo "request kinds:             $(grep -cE '^[[:blank:]]rq[A-Z][A-Za-z]*( byte = iota \+ 1)?$' internal/engine/wire.go)"
+
+# unlinked: build every binary (cmd/..., examples/..., bench) without
+# inlining, so each function a binary calls keeps its symbol, and list the
+# functions and methods declared in internal/ that none of them contains.
+# Both sides are normalised to pkg.Name and pkg.Type.Method: type parameters,
+# the pointer of a receiver and method-value suffixes are dropped; init
+# functions are left out.
+bins=$(mktemp -d)
+trap 'rm -rf "$bins"' EXIT
+go build -gcflags=all=-l -o "$bins/" ./cmd/... ./examples/...
+go -C bench build -gcflags=all=-l -o "$bins/bench" .
+for b in "$bins"/*; do go tool nm "$b"; done |
+  awk '$2 == "T" || $2 == "t" { print $3 }' | grep '^repro/internal/' |
+  sed -E ':a; s/\[[^][]*\]//; ta; s/\(\*([A-Za-z0-9_]+)\)/\1/; s/-fm$//' |
+  sort -u >"$bins/linked"
+find internal -name '*.go' ! -name '*_test.go' -print0 | xargs -0 awk '
+  /^func / {
+    pkg = FILENAME; sub(/\/[^\/]*$/, "", pkg)
+    s = substr($0, 6); recv = ""
+    if (s ~ /^\(/) {
+      r = substr(s, 2, index(s, ")") - 2); s = substr(s, index(s, ")") + 2)
+      sub(/\[.*\]/, "", r); n = split(r, part, " "); r = part[n]; sub(/^\*/, "", r)
+      recv = r "."
+    }
+    match(s, /^[A-Za-z0-9_]+/); name = substr(s, 1, RLENGTH)
+    if (recv != "" || name != "init") print "repro/" pkg "." recv name
+  }' | sort -u >"$bins/declared"
+comm -23 "$bins/declared" "$bins/linked" >"$bins/unlinked"
+echo
+echo "unlinked internal funcs:   $(wc -l <"$bins/unlinked")"
+sed 's/^repro\//  /' "$bins/unlinked"
