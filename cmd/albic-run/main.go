@@ -12,10 +12,11 @@
 // loop.
 //
 // A flag that would be ignored is an error, exit status 2: -workers without
-// -listen and -incremental with a balancer that does not plan (anything but
-// albic and milp). So is a size the run would replace or
-// never reach: -nodes, -periods or -shards below 1, -shards above 256, a
-// negative -groups, -rate, -budget or -ckpt-every.
+// -listen; -incremental or -migr-cost with a balancer that does not plan
+// (anything but albic and milp); -budget with cola, potc or none (only the
+// planners and Flux bound their moves by count). So is a size the run would
+// replace or never reach: -nodes, -periods or -shards below 1, -shards above
+// 256, a negative -groups, -rate, -budget or -ckpt-every.
 //
 // With -ckpt-every N the controller checkpoints all key-group state
 // incrementally every N periods, which arms checkpoint-assisted migration: a
@@ -108,8 +109,13 @@ func main() {
 	if *listen == "" {
 		unmet["workers"] = "-listen"
 	}
-	if *incremental && *balancerName != "albic" && *balancerName != "milp" {
+	planner := *balancerName == "albic" || *balancerName == "milp"
+	if !planner {
 		unmet["incremental"] = "-balancer albic or milp"
+		unmet["migr-cost"] = "-balancer albic or milp"
+	}
+	if !planner && *balancerName != "flux" {
+		unmet["budget"] = "-balancer albic, milp or flux"
 	}
 	flag.Visit(func(f *flag.Flag) {
 		if need, ok := unmet[f.Name]; ok {

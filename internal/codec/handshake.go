@@ -36,8 +36,9 @@ const (
 	// segment boundary reads the cluster with the stats request; the
 	// sub-period request and its reply are gone. v8: segments are gone: a
 	// barrier always ends the period, a migrate-out never says whole and an
-	// arm frame never resumes a period.
-	WireVersion = 8
+	// arm frame never resumes a period. v9: a provision carries no weight; an
+	// added node has weight 1.
+	WireVersion = 9
 
 	// handshake hardening bounds: no legitimate message approaches these.
 	maxHandshakeAddr  = 1 << 10

@@ -29,7 +29,6 @@ package controller
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -48,9 +47,9 @@ type Engine interface {
 	ApplyPlan(groupNode []int) error
 	// CalibrateCapacity rescales the load-percentage unit conversion.
 	CalibrateCapacity(targetAvgPercent float64)
-	// AddNodes provisions one new worker node per entry, with that capacity
-	// weight (scale-out; core.ScaleDecision.AddWeights, or unit weights).
-	AddNodes(weights []float64) ([]int, error)
+	// AddNodes provisions n new worker nodes of capacity weight 1
+	// (scale-out, core.ScaleDecision.AddNodes) and returns their ids.
+	AddNodes(n int) ([]int, error)
 	// MarkForRemoval flags nodes for draining (scale-in).
 	MarkForRemoval(ids []int)
 	// TerminateNode shuts down a drained node; errors while it still
@@ -360,11 +359,10 @@ func (r *run) smoothLoads(snap *core.Snapshot) {
 
 // patchSnapshot folds an outcome just applied at this boundary into the
 // snapshot about to be handed to the planner: the scaled cluster exactly as
-// Framework.Step re-planned over it (added nodes with their capacity
-// weights, fresh kill marks) and the staged allocation target. Group loads
-// stay the raw measurements. The scaling decision is applied only to a
-// snapshot of the cluster it was taken on, one that does not count the
-// added nodes yet.
+// Framework.Step re-planned over it (added nodes of weight 1, fresh kill
+// marks) and the staged allocation target. Group loads stay the raw
+// measurements. The scaling decision is applied only to a snapshot of the
+// cluster it was taken on, one that does not count the added nodes yet.
 func patchSnapshot(snap *core.Snapshot, out *core.Outcome) error {
 	if snap.NumNodes+out.Scale.AddNodes == out.NumNodes {
 		if err := out.Scale.Apply(snap); err != nil {
@@ -405,11 +403,7 @@ func (r *run) applyOutcome(pr plannerResult, rep *PeriodReport) error {
 		}
 	}
 	if out.Scale.AddNodes > 0 {
-		weights := out.Scale.AddWeights
-		if len(weights) == 0 {
-			weights = slices.Repeat([]float64{1}, out.Scale.AddNodes)
-		}
-		ids, err := r.c.eng.AddNodes(weights)
+		ids, err := r.c.eng.AddNodes(out.Scale.AddNodes)
 		if err != nil {
 			return fmt.Errorf("controller: scale-out: %w", err)
 		}

@@ -359,11 +359,8 @@ func TestElasticityThroughController(t *testing.T) {
 
 			// Scripted elasticity: grow by two nodes at the third adaptation,
 			// mark them for removal at the sixth.
-			// The first added node has double capacity: scale-out is
-			// heterogeneous, and the engine must record the weight (the old
-			// AddNodes path silently hardcoded weight 1 for every new node).
 			script := make([]core.ScaleDecision, 6)
-			script[2] = core.ScaleDecision{AddNodes: 2, AddWeights: []float64{2, 1}}
+			script[2] = core.ScaleDecision{AddNodes: 2}
 			script[5] = core.ScaleDecision{MarkForRemoval: []int{3, 4}}
 
 			var added []int
@@ -415,15 +412,14 @@ func TestElasticityThroughController(t *testing.T) {
 			if got, want := col.get(), int64(periods*perPeriod); got != want {
 				t.Fatalf("sink received %d tuples, want %d (tuple loss across scaling)", got, want)
 			}
-			// The weighted add must be visible to the planner: node 3 was
-			// provisioned at weight 2, so the snapshot carries a capacity
-			// vector with exactly that entry.
+			// Added nodes have weight 1: the cluster the planner sees has five
+			// node slots and stays homogeneous.
 			snap, err := e.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if snap.Capacity == nil || snap.Capacity[3] != 2 {
-				t.Fatalf("snapshot capacity = %v, want weight 2 at node 3 (weighted scale-out lost)", snap.Capacity)
+			if snap.NumNodes != 5 || snap.Capacity != nil {
+				t.Fatalf("snapshot has %d nodes, capacity %v; want 5 nodes and no capacity vector", snap.NumNodes, snap.Capacity)
 			}
 		})
 	}
@@ -444,16 +440,16 @@ func (b *lastSnapBalancer) Plan(_ context.Context, s *core.Snapshot) (*core.Plan
 	return core.PlanFromAssignment(s, groupNode, nil), nil
 }
 
-// TestPatchSnapshotScalesOutLikeStep: after a weighted scale-out is applied,
-// the snapshot the pipelined controller hands to its planner describes the
-// cluster Framework.Step re-planned over — the added nodes carry their
-// weights, also when the cluster was homogeneous before.
+// TestPatchSnapshotScalesOutLikeStep: after a scale-out is applied, the
+// snapshot the pipelined controller hands to its planner describes the
+// cluster Framework.Step re-planned over — the added nodes have weight 1, so
+// a homogeneous cluster stays so and a heterogeneous one gains 1s.
 func TestPatchSnapshotScalesOutLikeStep(t *testing.T) {
 	for _, tc := range []struct {
 		capacity, want []float64
 	}{
-		{nil, []float64{1, 1, 2, 1}},
-		{[]float64{1, 3}, []float64{1, 3, 2, 1}},
+		{nil, nil},
+		{[]float64{1, 3}, []float64{1, 3, 1, 1}},
 	} {
 		snap := &core.Snapshot{
 			NumNodes: 2,
@@ -463,7 +459,7 @@ func TestPatchSnapshotScalesOutLikeStep(t *testing.T) {
 		}
 		bal := &lastSnapBalancer{}
 		fw := &core.Framework{Balancer: bal, Scaler: &core.ManualScaler{
-			Script: []core.ScaleDecision{{AddNodes: 2, AddWeights: []float64{2, 1}}},
+			Script: []core.ScaleDecision{{AddNodes: 2}},
 		}}
 		out, err := fw.Step(context.Background(), snap.Clone())
 		if err != nil {

@@ -8,12 +8,8 @@ import (
 // ScaleDecision is the horizontal-scaling action for one adaptation period.
 type ScaleDecision struct {
 	// AddNodes requests this many new nodes (appended after the current
-	// ones, with unit capacity unless AddWeights overrides).
+	// ones, with unit capacity: weights are fixed when the cluster forms).
 	AddNodes int
-	// AddWeights optionally sets the capacity weight of each added node
-	// (1 = the baseline node). When non-empty it must hold exactly AddNodes
-	// positive entries; empty means unit capacity for all added nodes.
-	AddWeights []float64
 	// MarkForRemoval lists alive nodes to mark for removal; the balancer
 	// will drain them over the following periods (Lemma 2) and the
 	// framework terminates them once empty.
@@ -24,22 +20,10 @@ type ScaleDecision struct {
 func (d ScaleDecision) IsZero() bool { return d.AddNodes == 0 && len(d.MarkForRemoval) == 0 }
 
 // Apply turns s into the cluster the decision leaves behind, the one the
-// integrative re-plan runs on: the added nodes are appended alive, each with
-// its AddWeights entry as capacity (1 without one), and the marked nodes are
-// kill-marked. A weighted add turns a homogeneous snapshot heterogeneous, so
-// a nil Capacity is then materialized. A malformed decision is an error and
-// leaves s unchanged.
+// integrative re-plan runs on: the added nodes are appended alive with
+// capacity 1 (a Capacity vector gets a 1 for each), and the marked nodes are
+// kill-marked. A malformed decision is an error and leaves s unchanged.
 func (d ScaleDecision) Apply(s *Snapshot) error {
-	if len(d.AddWeights) > 0 && len(d.AddWeights) != d.AddNodes {
-		return fmt.Errorf("core: scaler added %d nodes with %d weights", d.AddNodes, len(d.AddWeights))
-	}
-	hetero := false
-	for _, w := range d.AddWeights {
-		if w <= 0 {
-			return fmt.Errorf("core: scaler added node with weight %v, want > 0", w)
-		}
-		hetero = hetero || w != 1
-	}
 	for _, n := range d.MarkForRemoval {
 		if n < 0 || n >= s.NumNodes {
 			return fmt.Errorf("core: scaler marked invalid node %d", n)
@@ -48,19 +32,9 @@ func (d ScaleDecision) Apply(s *Snapshot) error {
 	if d.IsZero() {
 		return nil
 	}
-	if s.Capacity == nil && hetero {
-		s.Capacity = make([]float64, s.NumNodes)
-		for i := range s.Capacity {
-			s.Capacity[i] = 1
-		}
-	}
 	if s.Capacity != nil {
-		for i := 0; i < d.AddNodes; i++ {
-			w := 1.0
-			if len(d.AddWeights) > 0 {
-				w = d.AddWeights[i]
-			}
-			s.Capacity = append(s.Capacity, w)
+		for range d.AddNodes {
+			s.Capacity = append(s.Capacity, 1)
 		}
 	}
 	if s.Kill == nil {

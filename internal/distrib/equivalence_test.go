@@ -140,8 +140,8 @@ func driveAdaptiveScript(t *testing.T, e *engine.Engine) ([]periodSummary, []eng
 	run() // 5
 	ckpts = append(ckpts, e.TakeCheckpoint())
 
-	// Weighted scale-out, then drain two groups onto the new node.
-	ids, err := e.AddNodes([]float64{1.5})
+	// Scale-out, then drain two groups onto the new node.
+	ids, err := e.AddNodes(1)
 	if err != nil {
 		t.Fatalf("scale-out: %v", err)
 	}

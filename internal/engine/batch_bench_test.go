@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/statestore"
 )
 
 // benchKGs is how many key groups the records of benchFrame spread over.
@@ -89,7 +90,7 @@ func BenchmarkHop(b *testing.B) {
 		rx rxDecoder
 		tp tupleFreeList
 		ob outbox
-		st = NewState()
+		st = statestore.NewState()
 	)
 	rx.rec.home = &tp
 	hop := func() {

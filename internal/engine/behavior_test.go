@@ -114,7 +114,7 @@ func TestConnectByKeying(t *testing.T) {
 	for _, n := range e.nodes {
 		for gid, st := range n.allStates() {
 			op, kg := e.topo.OpOf(gid)
-			if e.topo.OpName(op) != "byroute" {
+			if e.topo.ops[op].Name != "byroute" {
 				continue
 			}
 			for route := range st.Table("routes").All() {
@@ -172,7 +172,7 @@ func TestTwoChoiceAggregationCorrect(t *testing.T) {
 		total := 0.0
 		for _, n := range e.nodes {
 			for gid, st := range n.allStates() {
-				if op, _ := e.topo.OpOf(gid); e.topo.OpName(op) == "agg" {
+				if op, _ := e.topo.OpOf(gid); e.topo.ops[op].Name == "agg" {
 					total += st.Num("total")
 				}
 			}

@@ -303,7 +303,7 @@ func TestCheckpointOfChurningStateWritesFreshBases(t *testing.T) {
 			}
 			for gid, st := range n.allStates() {
 				tip, ver, ok := store.Materialize(gid)
-				if !ok || ver != e.Period() || store.ChainLen(gid) != 0 {
+				if !ok || ver != e.period || store.ChainLen(gid) != 0 {
 					t.Fatalf("cadence %d group %d: ok=%v version=%d chain=%d", cadence, gid, ok, ver, store.ChainLen(gid))
 				}
 				if !statestore.Diff(tip, st).Empty() || !statestore.Diff(st, tip).Empty() {
@@ -355,7 +355,7 @@ func TestAbsorbRejectsCorruptCheckpointEntries(t *testing.T) {
 		}
 		sound = append(sound, en)
 	}
-	e.recordCkptEntries(e.Period(), sound)
+	e.recordCkptEntries(e.period, sound)
 	err = errors.Join(errs...)
 	if err == nil {
 		t.Fatal("corrupt entries absorbed without an error")

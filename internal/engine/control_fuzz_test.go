@@ -136,7 +136,8 @@ func FuzzControlFrame(f *testing.F) {
 	f.Add([]byte{frArm, 3, 1, 2, 3, 0, 0, 0, 2, 2, 2, 1, 1}) // a v7 arm frame: its resume flag after the period
 	f.Add(owned(encode(frEvent, &engEvent{kind: evMigrated, node: 1, op: 2, bytes: 3, delta: true, base: 4})))
 	f.Add(owned(encode(frReq, &reqFrame{id: 7, kind: rqStats})))
-	f.Add(owned(encode(frReq, &reqFrame{id: 8, kind: rqProvision, provIDs: []int{3}, provOwner: []int{1}, provW: []float64{1.5}})))
+	f.Add(owned(encode(frReq, &reqFrame{id: 8, kind: rqProvision, provIDs: []int{3}, provOwner: []int{1}})))
+	f.Add([]byte{frReq, 8, rqProvision, 1, 3, 1, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f}) // a v8 provision: a weight after the owner
 	f.Add(owned(encode(frReply, &replyFrame{id: 7, body: &okReply{}})))
 	f.Add(owned(encodeByeFrame()))
 	// Malformed shapes: empty, unknown kind, truncations, absurd counts.

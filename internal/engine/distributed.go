@@ -103,9 +103,6 @@ func newEngine(topo *Topology, cfg Config, initial []int, ep transport.Endpoint,
 			}
 			e.weights[i] = w
 			e.invWeights[i] = 1 / w
-			if w != 1 {
-				e.hetero = true
-			}
 		}
 	}
 	if initial != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime/metrics"
 	"slices"
 	"sync"
@@ -39,7 +38,7 @@ type Config struct {
 	// CapacityWeights makes the cluster heterogeneous (Section 4.3.1,
 	// "Extending to Heterogeneous Nodes"): node i is 100% loaded at
 	// CapacityWeights[i] times the cost units of a weight-1 node. nil means
-	// homogeneous; nodes added later via AddNodes get the weights it is given.
+	// homogeneous; nodes added later via AddNodes have weight 1.
 	CapacityWeights []float64
 	// ShardsPerNode splits every node's execution into this many
 	// hash-partitioned worker shards, each with its own mailbox-drain
@@ -78,9 +77,6 @@ type Engine struct {
 	capacity float64
 	// invWeights caches 1/weights for the per-tuple PoTC routing hot path.
 	invWeights []float64
-	// hetero is true when any capacity weight differs from 1; the
-	// homogeneous PoTC fast path skips the normalization entirely.
-	hetero bool
 	// commBuilder is the reusable staging area for the period-barrier merge
 	// of the shards' communication accumulators into a core.CommCSR.
 	commBuilder core.CommBuilder
@@ -185,38 +181,11 @@ func (e *Engine) shardAt(gsid int) *shard {
 	return e.nodes[gsid/e.spn].shards[gsid%e.spn]
 }
 
-// NumNodes returns the engine's node-slot count (including removed slots).
-func (e *Engine) NumNodes() int { return len(e.nodes) }
-
 // Allocation returns a copy of the current target key-group allocation.
 func (e *Engine) Allocation() []int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return append([]int(nil), e.groupNode...)
-}
-
-// Period returns the number of completed periods.
-func (e *Engine) Period() int { return e.period }
-
-// nodeLoadEstimate returns the node's running load this period relative to
-// its capacity weight (for PoTC two-choice routing on heterogeneous
-// clusters: a node with twice the weight at the same raw cost units is only
-// half as loaded). Removed nodes report +inf.
-func (e *Engine) nodeLoadEstimate(id int) float64 {
-	if e.removed[id] {
-		return math.Inf(1)
-	}
-	if e.nodes[id] == nil {
-		// Remote node: its live counters are not visible here. Reporting 0
-		// biases PoTC ties toward remote hosts; the homogeneous fast path
-		// (every equivalence-tested configuration) never reads this.
-		return 0
-	}
-	total := int64(0)
-	for _, sh := range e.nodes[id].shards {
-		total += sh.stats.nodeUnits.Load()
-	}
-	return float64(total) / 1000 * e.invWeights[id]
 }
 
 // periodRun carries one period's coordination state across the
@@ -652,19 +621,14 @@ func (e *Engine) ApplyPlan(groupNode []int) error {
 	return nil
 }
 
-// AddNodes provisions one new worker node per entry of weights, with that
-// entry as its relative capacity weight (1 = the baseline node; see
-// Config.CapacityWeights), and returns their ids. Weights must be positive,
-// as New requires. Must be called between periods (the controller applies
-// scaling decisions at period boundaries: worker goroutines index the node
-// table unlocked while a period is in flight). The mutex only orders it
-// against concurrent ApplyPlan / Allocation / Snapshot callers.
-func (e *Engine) AddNodes(weights []float64) ([]int, error) {
-	for i, w := range weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("engine: added node weight %d is %v, want > 0", i, w)
-		}
-	}
+// AddNodes provisions n new worker nodes and returns their ids. An added node
+// has capacity weight 1, the baseline node's: weights are fixed when the
+// cluster forms (Config.CapacityWeights). Must be called between periods
+// (the controller applies scaling decisions at period boundaries: worker
+// goroutines index the node table unlocked while a period is in flight). The
+// mutex only orders it against concurrent ApplyPlan / Allocation / Snapshot
+// callers.
+func (e *Engine) AddNodes(n int) ([]int, error) {
 	// Each new slot lands on the alive worker peer currently hosting the
 	// fewest nodes (ties to the lowest peer id) — on this process when there
 	// is none, the one decision here that looks at the layout. The provision
@@ -678,8 +642,8 @@ func (e *Engine) AddNodes(weights []float64) ([]int, error) {
 			hosted[e.peerFor(i)]++
 		}
 	}
-	q := reqFrame{kind: rqProvision, provW: weights}
-	for k := range weights {
+	q := reqFrame{kind: rqProvision}
+	for k := range n {
 		best := e.self
 		for j, p := range peers {
 			if j == 0 || hosted[p] < hosted[best] {
@@ -691,7 +655,7 @@ func (e *Engine) AddNodes(weights []float64) ([]int, error) {
 		q.provOwner = append(q.provOwner, best)
 	}
 	e.mu.Lock()
-	err := e.provisionLocal(q.provIDs, q.provOwner, weights)
+	err := e.provisionLocal(q.provIDs, q.provOwner)
 	e.mu.Unlock()
 	if err != nil {
 		return nil, err

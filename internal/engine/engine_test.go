@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/statestore"
 )
 
 // collector gathers sink outputs thread-safely (sinks run on node
@@ -402,7 +404,7 @@ func TestScaleOutAndIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Scale out: add a node, move some groups there.
-	ids, err := e.AddNodes([]float64{1})
+	ids, err := e.AddNodes(1)
 	if err != nil || len(ids) != 1 || ids[0] != 2 {
 		t.Fatalf("AddNodes = %v, %v", ids, err)
 	}
@@ -525,11 +527,11 @@ func TestRunsAreDeterministicInAggregate(t *testing.T) {
 }
 
 func TestStateRoundTrip(t *testing.T) {
-	s := NewState()
+	s := statestore.NewState()
 	s.Add("count", 7)
 	s.Table("win").Set("a", 2)
 	b := s.Encode(nil)
-	got, err := DecodeState(b)
+	got, err := statestore.DecodeState(b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,7 +173,7 @@ func testParallelGenExactness(t *testing.T, spn int) {
 		for gid, st := range n.allStates() {
 			op, _ := e.topo.OpOf(gid)
 			dst := gotA
-			if e.topo.OpName(op) == "B" {
+			if e.topo.ops[op].Name == "B" {
 				dst = gotB
 			}
 			for k, v := range st.Table("seen").All() {

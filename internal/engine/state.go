@@ -14,9 +14,3 @@ type State = statestore.State
 // Table is one named table of a State: an open-addressed hash from cell key
 // to float64 (see statestore.Table).
 type Table = statestore.Table
-
-// NewState returns an empty state.
-func NewState() *State { return statestore.NewState() }
-
-// DecodeState reads a state written by State.Encode.
-func DecodeState(b []byte) (*State, error) { return statestore.DecodeState(b) }

@@ -13,9 +13,8 @@ import (
 // goroutine during a period and read by the engine between periods (the
 // completion channel provides the happens-before edge); the engine merges
 // the shards of a node at the period barrier, so the hot path takes no
-// locks. One thing is read while the shard runs and is atomic for it:
-// nodeUnits, which heterogeneous PoTC's nodeLoadEstimate reads from other
-// shards' routers.
+// locks. Nothing is read while the shard runs: a PoTC sender decides from
+// its own counters (shard.potcSent), not from another shard's statistics.
 type nodeStats struct {
 	// groupMilli[gid] = cost milli-units attributed to that key group this
 	// period (processing + serialization + deserialization). Dense per-gid
@@ -40,16 +39,8 @@ type nodeStats struct {
 	// groupMilli plus the CPU spent serializing/deserializing migrated state,
 	// which counts toward node load (the paper's load-index measurements
 	// include migration overhead — COLA's weakness) but not toward any key
-	// group's gLoad, so planning inputs stay steady-state. The owning shard
-	// keeps it for every tuple; nodeUnits is its published copy for
-	// concurrent readers. The shard publishes after every data frame, with
-	// every state it serializes or adopts, after a replay and before it
-	// reports a barrier wave complete: a reader is at most one frame behind a
-	// running shard and exact on a parked one. Like the rest, unitsMilli is
-	// the engine's again once the shard has reported its last completion, so
-	// nothing publishes after that.
+	// group's gLoad, so planning inputs stay steady-state.
 	unitsMilli int64
-	nodeUnits  atomic.Int64
 	// The shards' statistics are allocated one after another, and each shard
 	// writes unitsMilli for every tuple while its neighbour works on the
 	// fields at the front of its own: a cache line of padding keeps the two
@@ -71,15 +62,7 @@ func (s *nodeStats) addUnits(gid int, units float64) {
 }
 
 // addMigUnits charges state (de)serialization to the node, not to a group.
-// It is paid once per moved state, so it publishes at once: a node's load
-// estimate counts a move as soon as it is paid.
-func (s *nodeStats) addMigUnits(units float64) {
-	s.unitsMilli += int64(units * 1000)
-	s.publishUnits()
-}
-
-// publishUnits makes the units burned so far visible to concurrent readers.
-func (s *nodeStats) publishUnits() { s.nodeUnits.Store(s.unitsMilli) }
+func (s *nodeStats) addMigUnits(units float64) { s.unitsMilli += int64(units * 1000) }
 
 func (s *nodeStats) reset() {
 	clear(s.groupMilli)
@@ -88,7 +71,6 @@ func (s *nodeStats) reset() {
 	s.bytesOut, s.bytesIn = 0, 0
 	s.batchesOut = 0
 	s.unitsMilli = 0
-	s.nodeUnits.Store(0)
 }
 
 // PeriodStats is the merged, engine-level view of one period.

@@ -244,9 +244,6 @@ func (t *Topology) NumGroups() int { return t.numGroups }
 // NumOps returns the number of operators.
 func (t *Topology) NumOps() int { return len(t.ops) }
 
-// OpName returns the name of operator i.
-func (t *Topology) OpName(i int) string { return t.ops[i].Name }
-
 // OpKeyGroups returns the key-group count of operator i.
 func (t *Topology) OpKeyGroups(i int) int { return t.ops[i].KeyGroups }
 

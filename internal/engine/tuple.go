@@ -287,9 +287,6 @@ func (t *Tuple) WithNum(name string, v float64) *Tuple {
 	return t
 }
 
-// NumFields returns the number of payload fields (both kinds).
-func (t *Tuple) NumFields() int { return len(t.strs) + len(t.nums) }
-
 // EncodeV2 serializes the tuple as a wire record (appended to buf): key,
 // timestamp, then counts followed by name-sorted pairs, every field name
 // written as a reference into d, the frame's incremental name dictionary (see

@@ -39,7 +39,7 @@ func testProcForwardsItsInput(t *testing.T, spn int) {
 	check := func(op string) ProcFunc {
 		return func(tu *Tuple, st *State, emit Emit) {
 			src := tu.Str("src")
-			ok := src != "" && tu.Key == fkey[src] && tu.Num("seq") == float64(tu.TS) && tu.NumFields() == 2
+			ok := src != "" && tu.Key == fkey[src] && tu.Num("seq") == float64(tu.TS) && len(tu.strs)+len(tu.nums) == 2
 			mu.Lock()
 			defer mu.Unlock()
 			if !ok {
@@ -175,7 +175,7 @@ func TestPooledTupleReturnsToItsPool(t *testing.T) {
 		if onList[tu] || tu.home != nil {
 			t.Fatal("a global-pool tuple ended up on a shard free list")
 		}
-		if tu.pooled || tu.Key != "" || tu.NumFields() != 0 {
+		if tu.pooled || tu.Key != "" || len(tu.strs)+len(tu.nums) != 0 {
 			t.Fatalf("a flushed tuple was not recycled: key %q pooled %v", tu.Key, tu.pooled)
 		}
 	}

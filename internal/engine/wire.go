@@ -300,7 +300,6 @@ type reqFrame struct {
 	// rqProvision: new node slots (parallel slices) and their owning peer.
 	provIDs   []int
 	provOwner []int
-	provW     []float64
 }
 
 func (q *reqFrame) wire(w *codec.Wire) {
@@ -328,18 +327,9 @@ func (q *reqFrame) wire(w *codec.Wire) {
 		for i := 0; i < n && w.Err == nil; i++ {
 			w.Int(codec.Elem(w, &q.provIDs, i), maxWireNodes)
 			w.Int(codec.Elem(w, &q.provOwner, i), maxWireNodes)
-			weight(w, codec.Elem(w, &q.provW, i))
 		}
 	default:
 		w.Fail(fmt.Errorf("engine: unknown request kind %d", q.kind))
-	}
-}
-
-// weight carries a capacity weight, which a reader takes only when positive.
-func weight(w *codec.Wire, v *float64) {
-	w.Float64(v)
-	if w.Reading && w.Err == nil && !(*v > 0) {
-		w.Fail(fmt.Errorf("engine: wire provision weight %v", *v))
 	}
 }
 

@@ -65,6 +65,9 @@ func goldenCkptEntries() []ckptEntryWire {
 // vectors, re-recorded shorter by that byte and nothing else: "barrier" lost
 // its trailing more flag (01), "migrateOut" its trailing whole flag (00), and
 // "arm" its resume flag (01) after the period.
+//
+// At wire version 9 an added node has weight 1, and "req provision" was
+// re-recorded without each slot's eight-byte weight (1.5 and 2 as float64).
 func TestControlSchemaGolden(t *testing.T) {
 	body := func(m wireMsg) []byte {
 		w := codec.Wire{}
@@ -88,7 +91,7 @@ func TestControlSchemaGolden(t *testing.T) {
 		{"event", true, encode(frEvent, &engEvent{kind: evError, node: 1, op: 2, bytes: 3, delta: true, base: 4, err: errors.New("boom")}), "0803010203010404626f6f6d"},
 		{"req stats", true, encode(frReq, &reqFrame{id: 7, kind: rqStats, version: 5}), "09070105"},
 		{"req ckpt", true, encode(frReq, &reqFrame{id: 9, kind: rqCkpt, version: 4, dirs: []ckptDirective{{gid: 1, bound: -1}, {gid: 5, bound: 300}}}), "0909020402010005ad02"},
-		{"req provision", true, encode(frReq, &reqFrame{id: 8, kind: rqProvision, provIDs: []int{3, 4}, provOwner: []int{1, 2}, provW: []float64{1.5, 2}}), "090805020301000000000000f83f04020000000000000040"},
+		{"req provision", true, encode(frReq, &reqFrame{id: 8, kind: rqProvision, provIDs: []int{3, 4}, provOwner: []int{1, 2}}), "0908050203010402"},
 		{"req terminate", true, encode(frReq, &reqFrame{id: 13, kind: rqTerminate, node: 2}), "090d0602"},
 		{"req fail", true, encode(frReq, &reqFrame{id: 14, kind: rqFail, node: 3}), "090e0703"},
 		{"req ckpt write", true, encode(frReq, &reqFrame{id: 10, kind: rqCkptWrite}), "090a08"},

@@ -151,7 +151,7 @@ func TestDecodeZeroAllocSteadyState(t *testing.T) {
 			if v.Key == "" || v.Str("geo") == "" {
 				t.Fatal("bad tuple")
 			}
-			sum += v.Num("bytes") + float64(v.TS) + float64(v.NumFields())
+			sum += v.Num("bytes") + float64(v.TS) + float64(len(v.strs)+len(v.nums))
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -213,7 +213,7 @@ func (e *Engine) handleRequest(peer int, q reqFrame) {
 		}
 		body = &okReply{fmt.Errorf("engine: no checkpoint write to answer")}
 	case rqProvision:
-		body = &okReply{e.provisionLocal(q.provIDs, q.provOwner, q.provW)}
+		body = &okReply{e.provisionLocal(q.provIDs, q.provOwner)}
 	case rqTerminate:
 		body = &okReply{e.terminateLocal(q.node)}
 	case rqFail:
@@ -356,13 +356,13 @@ func (e *Engine) cutCheckpoint(version int, dirs []ckptDirective) {
 	})
 }
 
-// provisionLocal extends the node table with newly provisioned slots,
-// starting live nodes for the ones this process owns and nil placeholders
-// for the rest. Slot ids must be contiguous with the current table — the
-// controller broadcasts provisions in order and awaits each reply, so a gap
-// means the cluster desynchronized.
-func (e *Engine) provisionLocal(ids, owners []int, weights []float64) error {
-	if len(ids) != len(owners) || len(ids) != len(weights) {
+// provisionLocal extends the node table with newly provisioned slots of
+// weight 1, starting live nodes for the ones this process owns and nil
+// placeholders for the rest. Slot ids must be contiguous with the current
+// table — the controller broadcasts provisions in order and awaits each
+// reply, so a gap means the cluster desynchronized.
+func (e *Engine) provisionLocal(ids, owners []int) error {
+	if len(ids) != len(owners) {
 		return fmt.Errorf("engine: provision arity mismatch")
 	}
 	for k, id := range ids {
@@ -378,12 +378,9 @@ func (e *Engine) provisionLocal(ids, owners []int, weights []float64) error {
 		}
 		e.removed = append(e.removed, false)
 		e.killed = append(e.killed, false)
-		e.weights = append(e.weights, weights[k])
-		e.invWeights = append(e.invWeights, 1/weights[k])
+		e.weights = append(e.weights, 1)
+		e.invWeights = append(e.invWeights, 1)
 		e.peerOf = append(e.peerOf, owners[k])
-		if weights[k] != 1 {
-			e.hetero = true
-		}
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/statestore"
 )
 
 // commEdges reads a communication matrix back as an edge set.
@@ -259,7 +260,7 @@ func TestRealJob4Runs(t *testing.T) {
 func TestTopKOfMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{0, 1, 7, 200} {
-		totals := engine.NewState().Table("totals")
+		totals := statestore.NewState().Table("totals")
 		var all []ranked
 		for i := 0; i < n; i++ {
 			c := ranked{fmt.Sprintf("article-%06d", rng.Intn(1_000_000)), float64(rng.Intn(5))}
