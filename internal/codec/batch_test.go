@@ -7,6 +7,14 @@ import (
 	"testing/quick"
 )
 
+// batchOf frames items after dst, one AppendBatchItem each.
+func batchOf(dst []byte, items ...[]byte) []byte {
+	for _, it := range items {
+		dst = AppendBatchItem(dst, it)
+	}
+	return dst
+}
+
 func collectBatch(t *testing.T, frame []byte) [][]byte {
 	t.Helper()
 	var items [][]byte
@@ -20,7 +28,7 @@ func collectBatch(t *testing.T, frame []byte) [][]byte {
 }
 
 func TestBatchRoundTripEmpty(t *testing.T) {
-	frame := EncodeBatch(nil)
+	frame := batchOf(nil)
 	if len(frame) != 0 {
 		t.Fatalf("empty batch encoded to %d bytes", len(frame))
 	}
@@ -28,7 +36,7 @@ func TestBatchRoundTripEmpty(t *testing.T) {
 		t.Fatalf("empty batch decoded to %d items", len(got))
 	}
 	// An empty item inside a batch is also valid and distinct from no item.
-	frame = EncodeBatch(nil, []byte{})
+	frame = batchOf(nil, []byte{})
 	got := collectBatch(t, frame)
 	if len(got) != 1 || len(got[0]) != 0 {
 		t.Fatalf("batch of one empty item decoded to %v", got)
@@ -37,7 +45,7 @@ func TestBatchRoundTripEmpty(t *testing.T) {
 
 func TestBatchRoundTripSingle(t *testing.T) {
 	item := []byte("one tuple worth of bytes")
-	frame := EncodeBatch(GetBuf(), item)
+	frame := batchOf(GetBuf(), item)
 	got := collectBatch(t, frame)
 	if len(got) != 1 || !bytes.Equal(got[0], item) {
 		t.Fatalf("single round trip: %q", got)
@@ -50,16 +58,7 @@ func TestBatchRoundTripMany(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		items = append(items, []byte(fmt.Sprintf("item-%d-%s", i, string(make([]byte, i%37)))))
 	}
-	// Incremental construction (AppendBatchItem) must equal one-shot
-	// construction (EncodeBatch).
-	inc := GetBuf()
-	for _, it := range items {
-		inc = AppendBatchItem(inc, it)
-	}
-	oneShot := EncodeBatch(nil, items...)
-	if !bytes.Equal(inc, oneShot) {
-		t.Fatal("AppendBatchItem and EncodeBatch disagree")
-	}
+	inc := batchOf(GetBuf(), items...)
 	got := collectBatch(t, inc)
 	if len(got) != len(items) {
 		t.Fatalf("decoded %d items, want %d", len(got), len(items))
@@ -78,7 +77,7 @@ func TestBatchPooledBufferReuseNoAliasing(t *testing.T) {
 	// reuse the same backing array: the copies must be unaffected. This is
 	// the contract the engine relies on (the receiver copies what it keeps
 	// out of the frame before it calls PutBuf).
-	first := EncodeBatch(GetBuf(), []byte("alpha"), []byte("beta"))
+	first := batchOf(GetBuf(), []byte("alpha"), []byte("beta"))
 	copies := collectBatch(t, first)
 	var aliases [][]byte
 	if err := DecodeBatch(first, func(item []byte) error {
@@ -89,7 +88,7 @@ func TestBatchPooledBufferReuseNoAliasing(t *testing.T) {
 	}
 	PutBuf(first)
 
-	second := EncodeBatch(GetBuf(), []byte("XXXXX"), []byte("YYYY"))
+	second := batchOf(GetBuf(), []byte("XXXXX"), []byte("YYYY"))
 	_ = second
 	if string(copies[0]) != "alpha" || string(copies[1]) != "beta" {
 		t.Fatalf("copied items corrupted by pooled-buffer reuse: %q %q", copies[0], copies[1])
@@ -103,7 +102,7 @@ func TestBatchPooledBufferReuseNoAliasing(t *testing.T) {
 }
 
 func TestBatchDecodeTruncated(t *testing.T) {
-	frame := EncodeBatch(nil, []byte("hello"), []byte("world"))
+	frame := batchOf(nil, []byte("hello"), []byte("world"))
 	// Truncating mid-item must error; truncating exactly at the item
 	// boundary yields a shorter valid batch.
 	boundary := len(frame) / 2 // frame is two symmetric 6-byte items
@@ -123,7 +122,7 @@ func TestBatchDecodeTruncated(t *testing.T) {
 
 func TestBatchRoundTripProperty(t *testing.T) {
 	f := func(items [][]byte) bool {
-		frame := EncodeBatch(nil, items...)
+		frame := batchOf(nil, items...)
 		var got [][]byte
 		if err := DecodeBatch(frame, func(item []byte) error {
 			got = append(got, append([]byte(nil), item...))

@@ -4,7 +4,7 @@
 // serialized sizes — and therefore the paper's migration-cost model
 // mc_k = α·|σ_k| — reproducible across runs.
 //
-// The batch framing (EncodeBatch / AppendBatchItem / DecodeBatch) packs many
+// The batch framing (AppendBatchItem / DecodeBatch) packs many
 // encoded items into one length-prefixed frame so cross-node deliveries
 // amortize framing and allocation over N items instead of paying per item;
 // GetBuf/PutBuf recycle frame buffers through a sync.Pool.
@@ -80,17 +80,8 @@ func AppendBatchItem(dst, item []byte) []byte {
 	return append(dst, item...)
 }
 
-// EncodeBatch frames items into dst in one call (equivalent to folding
-// AppendBatchItem over items).
-func EncodeBatch(dst []byte, items ...[]byte) []byte {
-	for _, it := range items {
-		dst = AppendBatchItem(dst, it)
-	}
-	return dst
-}
-
-// DecodeBatch iterates the items of a frame built by AppendBatchItem /
-// EncodeBatch, calling fn with each item in order. The item slice aliases b:
+// DecodeBatch iterates the items of a frame built by AppendBatchItem,
+// calling fn with each item in order. The item slice aliases b:
 // callers that outlive the frame buffer (e.g. before PutBuf) must copy what
 // they keep. Decoding stops at the first error.
 func DecodeBatch(b []byte, fn func(item []byte) error) error {

@@ -15,15 +15,15 @@ import (
 func FuzzBatchCodec(f *testing.F) {
 	// Well-formed frames.
 	f.Add([]byte{})
-	f.Add(EncodeBatch(nil, []byte{}))                                   // one empty item
-	f.Add(EncodeBatch(nil, []byte("hello"), []byte("world")))           // two items
-	f.Add(EncodeBatch(nil, []byte{}, []byte{}, []byte{}))               // empty items only
-	f.Add(EncodeBatch(nil, bytes.Repeat([]byte{0xab}, 300)))            // 2-byte length prefix
-	f.Add(EncodeBatch(nil, bytes.Repeat([]byte{0x00}, 127)))            // max 1-byte prefix
-	f.Add(EncodeBatch(nil, bytes.Repeat([]byte{0x7f}, 128)))            // min 2-byte prefix
+	f.Add(batchOf(nil, []byte{}))                                       // one empty item
+	f.Add(batchOf(nil, []byte("hello"), []byte("world")))               // two items
+	f.Add(batchOf(nil, []byte{}, []byte{}, []byte{}))                   // empty items only
+	f.Add(batchOf(nil, bytes.Repeat([]byte{0xab}, 300)))                // 2-byte length prefix
+	f.Add(batchOf(nil, bytes.Repeat([]byte{0x00}, 127)))                // max 1-byte prefix
+	f.Add(batchOf(nil, bytes.Repeat([]byte{0x7f}, 128)))                // min 2-byte prefix
 	f.Add(AppendBatchItem(AppendBatchItem(nil, []byte("a")), []byte{})) // trailing empty item
 	// Malformed frames (decoder must error, not panic).
-	half := EncodeBatch(nil, []byte("hello"), []byte("world"))
+	half := batchOf(nil, []byte("hello"), []byte("world"))
 	f.Add(half[:len(half)/2])                                                 // boundary truncation
 	f.Add(half[:len(half)/2+2])                                               // mid-item truncation
 	f.Add(append(AppendUvarint(nil, 1000), 'x'))                              // overlong length prefix
@@ -103,7 +103,7 @@ func FuzzBatchCodec(f *testing.F) {
 		}
 		// Canonically encoded frames are a fixpoint: decode(re) == items and
 		// encode(decode(re)) == re.
-		re2 := EncodeBatch(nil, again...)
+		re2 := batchOf(nil, again...)
 		if !bytes.Equal(re, re2) {
 			t.Fatalf("canonical re-encode not a fixpoint (%d vs %d bytes)", len(re), len(re2))
 		}

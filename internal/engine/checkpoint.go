@@ -15,6 +15,8 @@ import (
 // groups it hosts against the tips its shards hold, and the controller's
 // incremental statestore.Store records what they wrote; when a worker fails,
 // the lost groups are re-created on surviving nodes from the last checkpoint.
+// The store is a log in the controller's memory: migration ships the bases it
+// holds and Recover restores from it, and nothing here writes it anywhere else.
 //
 // A checkpoint is two steps, the same in every process. The cut runs at the
 // barrier, shards quiescent: it decides each group's step and brings the tip
@@ -25,8 +27,8 @@ import (
 // payloads as the reply to the controller's rqCkptWrite once they are written.
 // The controller checks what arrives off the barrier and records everything in
 // the store when it joins the write (joinCheckpoint), which is where the
-// store is read and nowhere else: TakeCheckpoint, Recover, CheckpointStore,
-// RestoreCheckpointStore and Close. Nothing on the data path reads the store —
+// store is read and nowhere else: TakeCheckpoint, Recover, CheckpointStore
+// and Close. Nothing on the data path reads the store —
 // a delta move hands over the source's tip (shard.onMigrateOut) — so nothing
 // there waits for a write.
 //
@@ -54,8 +56,8 @@ type CheckpointStats struct {
 	// its own size, deltas for the rest. This — not the total state size — is
 	// the incremental cost of the checkpoint.
 	NewBytes int
-	// TotalBytes is the store's durable footprint after the checkpoint
-	// (bases plus delta chains, bounded by compaction).
+	// TotalBytes is the store's footprint after the checkpoint (bases plus
+	// delta chains, bounded by compaction).
 	TotalBytes int
 }
 
@@ -68,8 +70,8 @@ type CheckpointStats struct {
 // the layout nor on the schedule. It returns after the cut, every write
 // running beside whatever comes next; the stats are exact all the same, since
 // the cut knows every payload's length. The store has the
-// bytes at the next join: this call's next, Recover, CheckpointStore,
-// RestoreCheckpointStore or Close, whichever comes first. Must be called
+// bytes at the next join: this call's next, Recover, CheckpointStore or
+// Close, whichever comes first. Must be called
 // between periods (the engine is quiescent then; the completion events of
 // RunPeriod establish the necessary happens-before edge, exactly as for
 // statistics merging).
@@ -266,24 +268,13 @@ func (e *Engine) recordCkptEntries(version int, entries []ckptEntryWire) {
 }
 
 // CheckpointStore exposes the engine's checkpoint store (nil until the
-// first TakeCheckpoint), e.g. to Encode it for durable storage, with the last
-// checkpoint in it: a write still running is joined first, so a store held
-// across a later TakeCheckpoint shows that checkpoint only once this is
-// called again. Like TakeCheckpoint, it must only be used between periods.
+// first TakeCheckpoint), to read, with the last checkpoint in it: a write
+// still running is joined first, so a store held across a later
+// TakeCheckpoint shows that checkpoint only once this is called again. Like
+// TakeCheckpoint, it must only be used between periods.
 func (e *Engine) CheckpointStore() *statestore.Store {
 	e.joinCheckpoint()
 	return e.ckpt
-}
-
-// RestoreCheckpointStore installs a store decoded from durable storage
-// (statestore.Decode) as the engine's checkpoint base, replacing any existing
-// one. A checkpoint write still running goes to the store it was cut for,
-// never to s. The shards' tips go on writing to s, so it must be the log they
-// have been writing — this engine's store, round-tripped — or be installed
-// before the engine's first TakeCheckpoint. Must be called between periods.
-func (e *Engine) RestoreCheckpointStore(s *statestore.Store) {
-	e.joinCheckpoint()
-	e.ckpt = s
 }
 
 // FailNode simulates a worker crash between periods: the goroutine stops
@@ -306,9 +297,12 @@ func (e *Engine) FailNode(id int) error {
 //     staged and its destination crashed before the move's period): the
 //     staged move is cancelled — the live, newer state stays where it is;
 //   - its physical host died: the group is re-created on a surviving node
-//     (least-loaded round-robin over `onto`, or all alive nodes when onto
-//     is nil) from its last checkpoint, or empty if it was never
-//     checkpointed.
+//     (least-loaded round-robin over `onto`, or all alive nodes that are not
+//     draining when onto is nil) from its last checkpoint, or empty if it
+//     was never checkpointed.
+//
+// A node marked for removal never gains a group: the default set skips it,
+// and an onto that names it is refused.
 //
 // Every restored group is installed by its new shard (recoverMsg), wherever
 // it runs; Recover returns once this process's shards have installed theirs,
@@ -319,7 +313,7 @@ func (e *Engine) Recover(onto []int) (int, error) {
 	e.joinCheckpoint()
 	if onto == nil {
 		for i := range e.nodes {
-			if !e.removed[i] {
+			if !e.removed[i] && !e.killed[i] {
 				onto = append(onto, i)
 			}
 		}
@@ -330,6 +324,9 @@ func (e *Engine) Recover(onto []int) (int, error) {
 	for _, n := range onto {
 		if n < 0 || n >= len(e.nodes) || e.removed[n] {
 			return 0, fmt.Errorf("engine: recovery target %d not alive", n)
+		}
+		if e.killed[n] {
+			return 0, fmt.Errorf("engine: recovery target %d is draining", n)
 		}
 	}
 	// Cancel staged moves whose destination died while the source survives.

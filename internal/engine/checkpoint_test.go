@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/statestore"
 )
 
@@ -64,6 +65,26 @@ func growingTopology(perPeriod, kgs int) *Topology {
 	return tp
 }
 
+// storePrint reads what a checkpoint store holds, for two runs to compare: its
+// groups, its byte total and, per group, the version, the bytes its chain
+// holds and the state — replayed by Materialize, which folds nothing, and
+// canonically encoded.
+func storePrint(s *statestore.Store) []byte {
+	b := codec.AppendUvarint(nil, uint64(s.Bytes()))
+	for _, gid := range s.Groups() {
+		st, ver, ok := s.Materialize(gid)
+		var enc []byte
+		if ok {
+			enc = st.Encode(nil)
+		}
+		b = codec.AppendUvarint(b, uint64(gid))
+		b = codec.AppendInt64(b, int64(ver))
+		b = codec.AppendUvarint(b, uint64(s.Footprint(gid)))
+		b = append(codec.AppendUvarint(b, uint64(len(enc))), enc...)
+	}
+	return b
+}
+
 func TestIncrementalCheckpointAndRoundTrip(t *testing.T) {
 	e, err := New(growingTopology(100, 6), Config{Nodes: 3}, nil)
 	if err != nil {
@@ -99,33 +120,21 @@ func TestIncrementalCheckpointAndRoundTrip(t *testing.T) {
 		t.Fatalf("no-change checkpoint appended %d bytes", cs3.NewBytes)
 	}
 
-	// Durable round trip through the store encoding.
-	enc := e.CheckpointStore().Encode(nil)
-	got, err := statestore.Decode(enc, e.topo.NumGroups())
-	if err != nil {
-		t.Fatal(err)
+	// Every live state round-trips through the store: base and deltas replay
+	// to it, at the last checkpoint's version.
+	store := e.CheckpointStore()
+	if store.Len() != e.topo.NumGroups() {
+		t.Fatalf("the store holds %d groups, want %d", store.Len(), e.topo.NumGroups())
 	}
-	if got.Len() != e.CheckpointStore().Len() {
-		t.Fatalf("round trip lost groups: %d vs %d", got.Len(), e.CheckpointStore().Len())
-	}
-	for _, gid := range e.CheckpointStore().Groups() {
-		want, wver, _ := e.CheckpointStore().Materialize(gid)
-		have, hver, ok := got.Materialize(gid)
-		if !ok || wver != hver {
-			t.Fatalf("group %d version mismatch after round trip (%d vs %d, ok=%v)", gid, wver, hver, ok)
+	for _, gid := range store.Groups() {
+		want := e.nodes[e.Allocation()[gid]].stateOf(gid)
+		have, ver, ok := store.Materialize(gid)
+		if !ok || ver != 3 {
+			t.Fatalf("group %d: materialized at version %d (ok=%v), want 3", gid, ver, ok)
 		}
-		if !statestore.Diff(want, have).Empty() {
-			t.Fatalf("group %d state differs after round trip", gid)
+		if !statestore.Diff(want, have).Empty() || !statestore.Diff(have, want).Empty() {
+			t.Fatalf("group %d: the store replays to a state other than the live one", gid)
 		}
-	}
-	if _, err := statestore.Decode(enc[:len(enc)/2], e.topo.NumGroups()); err == nil {
-		t.Fatal("truncated store must fail to decode")
-	}
-
-	// Restoring the decoded store keeps recovery working.
-	e.RestoreCheckpointStore(got)
-	if e.CheckpointStore() != got {
-		t.Fatal("restore did not install the store")
 	}
 }
 
@@ -244,6 +253,52 @@ func TestRecoverErrors(t *testing.T) {
 	}
 	if _, err := e.Recover(nil); err == nil {
 		t.Fatal("no survivors must error")
+	}
+}
+
+// TestRecoverSkipsDrainingNodes: a node marked for removal gains no group from
+// a recovery — the default targets skip it, an explicit one is refused, and a
+// cluster left with only draining nodes has none to recover onto.
+func TestRecoverSkipsDrainingNodes(t *testing.T) {
+	e, err := New(tallyTopology(60, 6), Config{Nodes: 3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if _, err := e.RunPeriod(); err != nil {
+		t.Fatal(err)
+	}
+	e.TakeCheckpoint()
+	before := e.Allocation()
+	lost := 0
+	for _, n := range before {
+		if n == 0 {
+			lost++
+		}
+	}
+	if lost == 0 {
+		t.Fatal("node 0 holds no group")
+	}
+	e.MarkForRemoval([]int{2})
+	if err := e.FailNode(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Recover([]int{1, 2}); err == nil {
+		t.Fatal("recovering onto a draining node must error")
+	}
+	if n, err := e.Recover(nil); err != nil || n != lost {
+		t.Fatalf("recovered %d groups (%v), want %d", n, err, lost)
+	}
+	for gid, n := range e.Allocation() {
+		if before[gid] == 0 && n != 1 || before[gid] != 0 && n != before[gid] {
+			t.Fatalf("group %d went from node %d to node %d; lost groups belong on node 1", gid, before[gid], n)
+		}
+	}
+	if err := e.FailNode(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Recover(nil); err == nil {
+		t.Fatal("with only a draining node left, recovery must error")
 	}
 }
 

@@ -92,7 +92,7 @@ func TestMoveRightAfterCheckpointShipsItsDelta(t *testing.T) {
 						}
 						got = append(got, moved{ps.Migrations, ps.DeferredMoves, ps.MigratedDeltaBytes, ps.PrecopyBytes, ps.MigrationLatency})
 					}
-					return got, stats, e.CheckpointStore().Encode(nil)
+					return got, stats, storePrint(e.CheckpointStore())
 				}
 				want, wantStats, wantStore := script(true)
 				got, gotStats, gotStore := script(false)
@@ -158,41 +158,6 @@ func TestRecoverRightAfterCheckpoint(t *testing.T) {
 		}
 		if got == nil || !statestore.Diff(got, want).Empty() || !statestore.Diff(want, got).Empty() {
 			t.Errorf("group %d came back on node %d other than it was at the checkpoint", gid, node)
-		}
-	}
-}
-
-// TestRestoreStoreWithWriteInFlight: the entries of a checkpoint whose write
-// is still running go to the store they were cut for, never to a store
-// installed meanwhile.
-func TestRestoreStoreWithWriteInFlight(t *testing.T) {
-	e, err := New(buildGrowTopology(900, 60, 2, 9), Config{Nodes: 3}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	for p := 1; p <= 3; p++ {
-		if p == 3 {
-			e.TakeCheckpoint()
-		}
-		if _, err := e.RunPeriod(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cutFor := e.CheckpointStore()
-	replacement, err := statestore.Decode(cutFor.Encode(nil), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := replacement.Encode(nil)
-	e.TakeCheckpoint() // at version 3, not joined yet
-	e.RestoreCheckpointStore(replacement)
-	if e.CheckpointStore() != replacement || !bytes.Equal(replacement.Encode(nil), before) {
-		t.Fatal("the replacement store took entries it was not cut for")
-	}
-	for _, gid := range cutFor.Groups() {
-		if v := cutFor.Version(gid); v != 3 {
-			t.Fatalf("group %d: the store the checkpoint was cut for is at version %d, want 3", gid, v)
 		}
 	}
 }

@@ -176,11 +176,6 @@ func (e *Engine) gsidFor(nodeID, gid int) int {
 	return nodeID*e.spn + int(e.shardIdx[gid])
 }
 
-// shardAt resolves a global shard id.
-func (e *Engine) shardAt(gsid int) *shard {
-	return e.nodes[gsid/e.spn].shards[gsid%e.spn]
-}
-
 // Allocation returns a copy of the current target key-group allocation.
 func (e *Engine) Allocation() []int {
 	e.mu.Lock()

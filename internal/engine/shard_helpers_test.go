@@ -4,6 +4,11 @@ package engine
 // a node held one states map; now each shard owns a slice of it. These merge
 // the shards back into the pre-sharding view tests were written against.
 
+// shardAt resolves a global shard id.
+func (e *Engine) shardAt(gsid int) *shard {
+	return e.nodes[gsid/e.spn].shards[gsid%e.spn]
+}
+
 // allStates merges every shard's resident states into one map.
 func (n *node) allStates() map[int]*State {
 	out := map[int]*State{}

@@ -380,7 +380,7 @@ func TestCutTakesTheBarriersSizing(t *testing.T) {
 				ckpt() // after Recover, at the same barrier
 				run()
 				ckpt()
-				return stats, e.CheckpointStore().Encode(nil)
+				return stats, storePrint(e.CheckpointStore())
 			}
 			want, wantStore := script(true)
 			got, gotStore := script(false)

@@ -5,9 +5,11 @@
 // base) plus a chain of encoded deltas — an incremental checkpoint costs
 // only the delta since the previous one, and a planned migration of a
 // checkpointed group can ship the (large) checkpoint its source already holds
-// and synchronously transfer only the delta accumulated since. All encoding
-// goes through internal/codec and every decode path is hardened against
-// malformed input (truncated deltas, out-of-range gids, duplicate entries).
+// and synchronously transfer only the delta accumulated since. The store lives
+// in the controller's memory; it has no serialized form of its own. All
+// encoding goes through internal/codec and every decode path is hardened
+// against malformed input (truncated payloads, lying lengths, retired
+// sections).
 //
 // Since the allocation endgame, nothing here is backed by Go maps. Field
 // names (counter and table names) are interned into a per-State symbol table

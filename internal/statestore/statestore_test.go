@@ -175,93 +175,6 @@ func TestStoreIncrementalChain(t *testing.T) {
 	if dsz := DiffSize(tip, live); !ok || dsz != Diff(cur, live).Size() {
 		t.Fatalf("DiffSize against the tip = %d ok=%v", dsz, ok)
 	}
-
-	s.Delete(5)
-	if s.Has(5) || s.Len() != 0 || s.Bytes() != 0 {
-		t.Fatalf("delete left %d groups, %d bytes", s.Len(), s.Bytes())
-	}
-}
-
-func TestStoreEncodeDecodeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	s := New()
-	states := map[int]*State{}
-	for gid := 0; gid < 10; gid += 2 {
-		states[gid] = randState(rng, 10)
-		s.Checkpoint(gid, 1, states[gid])
-	}
-	for v := 2; v <= 5; v++ {
-		for gid, st := range states {
-			st = st.Clone()
-			mutate(rng, st)
-			states[gid] = st
-			s.Checkpoint(gid, v, st)
-		}
-	}
-	enc := s.Encode(nil)
-	got, err := Decode(enc, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != s.Len() || got.Bytes() != s.Bytes() {
-		t.Fatalf("round trip: %d groups %d bytes, want %d / %d", got.Len(), got.Bytes(), s.Len(), s.Bytes())
-	}
-	for gid, want := range states {
-		have, ver, ok := got.Materialize(gid)
-		if !ok || ver != 5 {
-			t.Fatalf("gid %d: ver=%d ok=%v", gid, ver, ok)
-		}
-		if !statesEqual(have, want) {
-			t.Fatalf("gid %d diverged after round trip", gid)
-		}
-	}
-}
-
-func TestStoreDecodeHardening(t *testing.T) {
-	s := New()
-	st := NewState()
-	st.Add("a", 1)
-	st.Table("t").Set("x", 2)
-	s.Checkpoint(3, 1, st)
-	st2 := st.Clone()
-	st2.Add("a", 1)
-	s.Checkpoint(3, 2, st2)
-	valid := s.Encode(nil)
-
-	cases := map[string][]byte{
-		"empty":       {},
-		"bad magic":   {0x00, 0x01},
-		"magic only":  {storeMagic},
-		"truncated":   valid[:len(valid)-3],
-		"trailing":    append(append([]byte(nil), valid...), 0xFF),
-		"count lies":  {storeMagic, 0xFF, 0xFF, 0x01},
-		"huge base":   {storeMagic, 0x01, 0x00, 0x01, 0x01, 0xFF, 0xFF, 0x7F},
-		"ver < base":  {storeMagic, 0x01, 0x00, 0x05, 0x01, 0x00, 0x00},
-		"delta count": {storeMagic, 0x01, 0x00, 0x01, 0x02, 0x03, 0x00, 0x00, 0x00, 0xFF, 0x7F},
-	}
-	for name, b := range cases {
-		if _, err := Decode(b, 0); err == nil {
-			t.Errorf("%s: decode must fail", name)
-		}
-	}
-	// Out-of-range gid (store holds gid 3, bound is 3).
-	if _, err := Decode(valid, 3); err == nil {
-		t.Error("out-of-range gid must fail")
-	}
-	if _, err := Decode(valid, 4); err != nil {
-		t.Errorf("in-range decode failed: %v", err)
-	}
-
-	// Duplicate gids: splice the same group entry twice.
-	dup := New()
-	dup.Checkpoint(0, 1, st)
-	one := dup.Encode(nil)
-	body := one[2:] // magic + count=1
-	two := append([]byte{storeMagic, 0x02}, body...)
-	two = append(two, body...)
-	if _, err := Decode(two, 0); err == nil {
-		t.Error("duplicate gid must fail")
-	}
 }
 
 // Payloads whose retired sections are not empty, as builds that still had

@@ -4,12 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync/atomic"
-
-	"repro/internal/codec"
 )
-
-// storeMagic versions the durable store encoding.
-const storeMagic = 0xC5
 
 // Compaction bounds: Record folds a chain into a fresh base once it grows past
 // defaultMaxChain links or defaultCompactFactor times the base size.
@@ -18,28 +13,28 @@ const (
 	defaultCompactFactor = 0.5
 )
 
-// entry is one key group's incremental chain: a full encoded snapshot at
-// baseVer plus encoded deltas leading to version. tip is set only while the
+// entry is one key group's incremental chain: a full encoded snapshot plus
+// encoded deltas leading to version. tip is set only while the
 // store itself holds the group's tip (Checkpoint); written through Record, a
 // store is a log and keeps no decoded state.
 type entry struct {
-	baseVer, version int
-	base             []byte
-	deltas           [][]byte
-	deltaBytes       int
-	tip              *Tip
+	version    int
+	base       []byte
+	deltas     [][]byte
+	deltaBytes int
+	tip        *Tip
 }
 
-// Store is a versioned, per-group log of incremental checkpoints. The decoded
+// Store is a versioned, per-group, in-memory log of incremental checkpoints:
+// the base a migration ships and the state recovery restores. The decoded
 // state at a group's last checkpoint — its Tip, which the next delta is cut
 // against — lives with whoever holds the group's live state: that party calls
 // Tip.Advance (or its halves, Cut and Write) and hands what it wrote to
 // Record; a holder that writes a base where Record would fold (FoldBound)
 // spares the store a replay. Recovery reads states back by replaying base and
 // deltas (Materialize, EncodedState), and so does a fold Record makes without
-// a tip; Encode/Decode round-trip the whole store for durability; Checkpoint
-// is both halves in one call, the store holding the tips itself. Not
-// goroutine-safe: the engine uses it only between periods.
+// a tip; Checkpoint is both halves in one call, the store holding the tips
+// itself. Not goroutine-safe: the engine uses it only between periods.
 type Store struct {
 	groups map[int]*entry
 	gids   []int // the keys of groups, ascending
@@ -57,7 +52,7 @@ func New() *Store { return &Store{groups: map[int]*entry{}} }
 func (s *Store) Len() int { return len(s.groups) }
 
 // Bytes returns the total stored volume (bases plus delta chains) — the
-// durable footprint the incremental design keeps close to one full snapshot.
+// footprint the incremental design keeps close to one full snapshot.
 func (s *Store) Bytes() int { return s.bytes }
 
 // Has reports whether gid has a checkpointed state.
@@ -72,7 +67,7 @@ func (s *Store) Version(gid int) int {
 }
 
 // Groups returns the checkpointed gids in ascending order. The slice is the
-// store's own: read it, and do not hold it across a Checkpoint, Record or Delete.
+// store's own: read it, and do not hold it across a Checkpoint or Record.
 func (s *Store) Groups() []int { return s.gids }
 
 // Step says how Tip.Advance brought a checkpoint tip up to date.
@@ -311,7 +306,7 @@ func (s *Store) Footprint(gid int) int {
 // setBase makes base, a state encoded at e.version, the whole of e's chain.
 func (s *Store) setBase(e *entry, base []byte) {
 	s.bytes += len(base) - len(e.base) - e.deltaBytes
-	e.base, e.baseVer = base, e.version
+	e.base = base
 	e.deltas, e.deltaBytes = nil, 0
 }
 
@@ -332,7 +327,7 @@ func (s *Store) fold(e *entry, tip *Tip) bool {
 // first time, then nothing, the delta since the previous checkpoint, or a
 // fresh base — and the store records it as Record does. It returns the bytes
 // appended, never more than the state's size. A group last written through
-// Record, or decoded, has its tip replayed first. A nil st is the empty state.
+// Record has its tip replayed first. A nil st is the empty state.
 func (s *Store) Checkpoint(gid, version int, st *State) int {
 	if st == nil {
 		st = &emptyState
@@ -349,7 +344,7 @@ func (s *Store) Checkpoint(gid, version int, st *State) int {
 
 // replay returns the tip of e's chain: the one the store holds, or else the
 // base decoded and the deltas applied — the zero Tip when a recorded payload
-// does not decode (Decode and the engine check before they record).
+// does not decode (the engine checks before it records).
 func (e *entry) replay(d *Delta) *Tip {
 	if e.tip != nil {
 		return e.tip
@@ -399,126 +394,4 @@ func (s *Store) EncodedState(gid int) ([]byte, int, bool) {
 		return nil, -1, false
 	}
 	return e.base, e.version, true
-}
-
-// Delete drops gid's chain.
-func (s *Store) Delete(gid int) {
-	e := s.groups[gid]
-	if e == nil {
-		return
-	}
-	s.bytes -= len(e.base) + e.deltaBytes
-	delete(s.groups, gid)
-	i, _ := slices.BinarySearch(s.gids, gid)
-	s.gids = slices.Delete(s.gids, i, i+1)
-}
-
-// Encode serializes the whole store (appended to buf) for durable storage.
-func (s *Store) Encode(buf []byte) []byte {
-	buf = append(buf, storeMagic)
-	buf = codec.AppendUvarint(buf, uint64(len(s.groups)))
-	for _, gid := range s.gids {
-		e := s.groups[gid]
-		buf = codec.AppendUvarint(buf, uint64(gid))
-		buf = codec.AppendUvarint(buf, uint64(e.baseVer))
-		buf = codec.AppendUvarint(buf, uint64(e.version))
-		buf = codec.AppendUvarint(buf, uint64(len(e.base)))
-		buf = append(buf, e.base...)
-		buf = codec.AppendUvarint(buf, uint64(len(e.deltas)))
-		for _, d := range e.deltas {
-			buf = codec.AppendUvarint(buf, uint64(len(d)))
-			buf = append(buf, d...)
-		}
-	}
-	return buf
-}
-
-// Decode reads a store written by Encode. maxGID, when positive, bounds
-// acceptable group ids (the engine passes its topology's group count); any
-// structural problem — truncation, duplicate or out-of-order gids,
-// out-of-range gids, undecodable bases or deltas, version inversions —
-// fails the decode rather than producing a partial store.
-func Decode(b []byte, maxGID int) (*Store, error) {
-	if len(b) == 0 || b[0] != storeMagic {
-		return nil, fmt.Errorf("statestore: bad store magic")
-	}
-	b = b[1:]
-	n, b, err := codec.ReadUvarint(b)
-	if err != nil {
-		return nil, fmt.Errorf("statestore: store group count: %w", err)
-	}
-	if n > uint64(len(b)) {
-		return nil, fmt.Errorf("statestore: store claims %d groups in %d bytes", n, len(b))
-	}
-	s := New()
-	var st State // validation scratch: every base and delta must decode
-	prevGID := -1
-	for i := uint64(0); i < n; i++ {
-		var gid, baseVer, version, baseLen uint64
-		if gid, b, err = codec.ReadUvarint(b); err != nil {
-			return nil, fmt.Errorf("statestore: store gid: %w", err)
-		}
-		if int(gid) <= prevGID {
-			return nil, fmt.Errorf("statestore: duplicate or out-of-order gid %d", gid)
-		}
-		if maxGID > 0 && gid >= uint64(maxGID) {
-			return nil, fmt.Errorf("statestore: gid %d out of range (max %d)", gid, maxGID)
-		}
-		prevGID = int(gid)
-		if baseVer, b, err = codec.ReadUvarint(b); err != nil {
-			return nil, fmt.Errorf("statestore: gid %d base version: %w", gid, err)
-		}
-		if version, b, err = codec.ReadUvarint(b); err != nil {
-			return nil, fmt.Errorf("statestore: gid %d version: %w", gid, err)
-		}
-		if version < baseVer {
-			return nil, fmt.Errorf("statestore: gid %d version %d below base %d", gid, version, baseVer)
-		}
-		if baseLen, b, err = codec.ReadUvarint(b); err != nil {
-			return nil, fmt.Errorf("statestore: gid %d base length: %w", gid, err)
-		}
-		if uint64(len(b)) < baseLen {
-			return nil, fmt.Errorf("statestore: gid %d base truncated (%d of %d bytes)", gid, len(b), baseLen)
-		}
-		base := append([]byte(nil), b[:baseLen]...)
-		b = b[baseLen:]
-		if err := DecodeStateInto(base, &st); err != nil {
-			return nil, fmt.Errorf("statestore: gid %d base: %w", gid, err)
-		}
-		var nd uint64
-		if nd, b, err = codec.ReadUvarint(b); err != nil {
-			return nil, fmt.Errorf("statestore: gid %d delta count: %w", gid, err)
-		}
-		if nd > uint64(len(b)) {
-			return nil, fmt.Errorf("statestore: gid %d claims %d deltas in %d bytes", gid, nd, len(b))
-		}
-		e := &entry{baseVer: int(baseVer), version: int(version), base: base}
-		for j := uint64(0); j < nd; j++ {
-			var dl uint64
-			if dl, b, err = codec.ReadUvarint(b); err != nil {
-				return nil, fmt.Errorf("statestore: gid %d delta %d length: %w", gid, j, err)
-			}
-			if uint64(len(b)) < dl {
-				return nil, fmt.Errorf("statestore: gid %d delta %d truncated (%d of %d bytes)", gid, j, len(b), dl)
-			}
-			enc := append([]byte(nil), b[:dl]...)
-			b = b[dl:]
-			rest, err := DecodeDeltaInto(enc, &s.scratch)
-			if err != nil {
-				return nil, fmt.Errorf("statestore: gid %d delta %d: %w", gid, j, err)
-			}
-			if len(rest) != 0 {
-				return nil, fmt.Errorf("statestore: gid %d delta %d has %d trailing bytes", gid, j, len(rest))
-			}
-			e.deltas = append(e.deltas, enc)
-			e.deltaBytes += len(enc)
-		}
-		s.groups[int(gid)] = e
-		s.gids = append(s.gids, int(gid)) // ascending: checked above
-		s.bytes += len(base) + e.deltaBytes
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("statestore: %d trailing bytes after store", len(b))
-	}
-	return s, nil
 }
