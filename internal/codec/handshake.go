@@ -37,7 +37,10 @@ const (
 	// sub-period request and its reply are gone. v8: segments are gone: a
 	// barrier always ends the period, a migrate-out never says whole and an
 	// arm frame never resumes a period. v9: a provision carries no weight; an
-	// added node has weight 1.
+	// added node has weight 1. Retiring a state's string registers and a
+	// delta's string registers and counter deletions bumped nothing: no job's
+	// operators ever filled those sections, their counts keep their bytes,
+	// always 0, and a decoder rejects any other count.
 	WireVersion = 9
 
 	// handshake hardening bounds: no legitimate message approaches these.

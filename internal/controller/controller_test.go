@@ -335,6 +335,22 @@ func TestCancelWhileAwaitingPlan(t *testing.T) {
 	}
 }
 
+// scriptScaler replays a scripted sequence of decisions, one per call: the
+// controller plans once per period in either mode, so script[i] is the
+// decision on period i+1's snapshot. Past the script's end it decides nothing.
+type scriptScaler struct {
+	script []core.ScaleDecision
+	calls  int
+}
+
+func (m *scriptScaler) Decide(*core.Snapshot, *core.Plan) core.ScaleDecision {
+	m.calls++
+	if m.calls > len(m.script) {
+		return core.ScaleDecision{}
+	}
+	return m.script[m.calls-1]
+}
+
 // TestElasticityThroughController exercises scale-out and scale-in
 // mid-run: nodes are added under the controller, later marked for removal,
 // drained by the balancer and terminated — without tuple loss, and without
@@ -370,7 +386,7 @@ func TestElasticityThroughController(t *testing.T) {
 			const periods = 16
 			ctrl := New(e, Options{
 				Balancer:      &core.MILPBalancer{TimeLimit: 5 * time.Millisecond, Seed: 2},
-				Scaler:        &core.ManualScaler{Script: script},
+				Scaler:        &scriptScaler{script: script},
 				MaxMigrations: 6,
 				Pipelined:     mode.pipelined,
 				OnPeriod: func(r PeriodReport) {
@@ -458,8 +474,8 @@ func TestPatchSnapshotScalesOutLikeStep(t *testing.T) {
 			Ops:      []core.OpStat{{Name: "op", Groups: []int{0, 1}}},
 		}
 		bal := &lastSnapBalancer{}
-		fw := &core.Framework{Balancer: bal, Scaler: &core.ManualScaler{
-			Script: []core.ScaleDecision{{AddNodes: 2}},
+		fw := &core.Framework{Balancer: bal, Scaler: &scriptScaler{
+			script: []core.ScaleDecision{{AddNodes: 2}},
 		}}
 		out, err := fw.Step(context.Background(), snap.Clone())
 		if err != nil {

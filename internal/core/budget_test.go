@@ -7,6 +7,24 @@ import (
 	"time"
 )
 
+// manualScaler replays a scripted sequence of decisions: its i-th call
+// returns Script[i-1], and past the script's end it decides nothing. The
+// controller plans exactly once per period in either mode, so Script[i] is
+// the decision on period i+1's snapshot.
+type manualScaler struct {
+	Script []ScaleDecision
+	calls  int
+}
+
+// Decide implements Scaler.
+func (m *manualScaler) Decide(s *Snapshot, plan *Plan) ScaleDecision {
+	m.calls++
+	if m.calls > len(m.Script) {
+		return ScaleDecision{}
+	}
+	return m.Script[m.calls-1]
+}
+
 // TestManualScalerIndexedByPeriod: the controller plans once per period in
 // either mode, so the script is played one entry per call — the call for
 // period p returns Script[p-1] — and decides nothing past its end.
@@ -14,7 +32,7 @@ func TestManualScalerIndexedByPeriod(t *testing.T) {
 	script := make([]ScaleDecision, 8)
 	script[2] = ScaleDecision{AddNodes: 2}
 	script[5] = ScaleDecision{MarkForRemoval: []int{3, 4}}
-	m := &ManualScaler{Script: script}
+	m := &manualScaler{Script: script}
 	for period := 1; period <= 10; period++ {
 		want := ScaleDecision{}
 		if period <= len(script) {

@@ -32,14 +32,6 @@ func (c *CommCSR) Rows() int {
 	return len(c.rowStart) - 1
 }
 
-// Edges returns the number of distinct (from,to) pairs with a stored rate.
-func (c *CommCSR) Edges() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.cols)
-}
-
 // RowMax returns the largest single-edge rate leaving group gi in O(1).
 func (c *CommCSR) RowMax(gi int) float64 {
 	if c == nil || gi < 0 || gi >= c.Rows() {

@@ -269,7 +269,7 @@ func TestFrameworkIntegratedScaleIn(t *testing.T) {
 	s.MaxMigrations = 4
 	f := &Framework{
 		Balancer: &MILPBalancer{TimeLimit: 20 * time.Millisecond},
-		Scaler:   &ManualScaler{Script: []ScaleDecision{{MarkForRemoval: []int{2}}}},
+		Scaler:   &manualScaler{Script: []ScaleDecision{{MarkForRemoval: []int{2}}}},
 	}
 	out, err := f.Step(context.Background(), s)
 	if err != nil {

@@ -124,21 +124,3 @@ func (u *UtilizationScaler) Decide(s *Snapshot, plan *Plan) ScaleDecision {
 		return ScaleDecision{}
 	}
 }
-
-// ManualScaler replays a scripted sequence of decisions: its i-th call
-// returns Script[i-1], and past the script's end it decides nothing. The
-// controller plans exactly once per period in either mode, so Script[i] is
-// the decision on period i+1's snapshot.
-type ManualScaler struct {
-	Script []ScaleDecision
-	calls  int
-}
-
-// Decide implements Scaler.
-func (m *ManualScaler) Decide(s *Snapshot, plan *Plan) ScaleDecision {
-	m.calls++
-	if m.calls > len(m.Script) {
-		return ScaleDecision{}
-	}
-	return m.Script[m.calls-1]
-}

@@ -91,7 +91,7 @@ func TestWorkerDeathDuringStagedMoves(t *testing.T) {
 	spec := equivSpec()
 	for k := 1; k <= 10; k++ {
 		var victim *lateChaos
-		e, stop, err := StartMem(spec, 2, func(peer int, ep transport.Endpoint) transport.Endpoint {
+		e, stop, err := startMem(spec, 2, func(peer int, ep transport.Endpoint) transport.Endpoint {
 			if peer != 2 {
 				return ep
 			}

@@ -29,7 +29,7 @@ func (t truncatingEndpoint) Send(peer int, data []byte) error {
 // like a corrupt entry inside a reply does.
 func TestCorruptCheckpointReplyFailsThePeriod(t *testing.T) {
 	var armed atomic.Bool
-	e, stop, err := StartMem(equivSpec(), 2, func(peer int, ep transport.Endpoint) transport.Endpoint {
+	e, stop, err := startMem(equivSpec(), 2, func(peer int, ep transport.Endpoint) transport.Endpoint {
 		if peer != 1 {
 			return ep
 		}

@@ -175,7 +175,7 @@ func runClassic(t *testing.T, spec JobSpec) ([]periodSummary, []engine.Checkpoin
 
 func runMem(t *testing.T, spec JobSpec, wrap func(peer int, ep transport.Endpoint) transport.Endpoint) ([]periodSummary, []engine.CheckpointStats) {
 	t.Helper()
-	e, stop, err := StartMem(spec, 2, wrap)
+	e, stop, err := startMem(spec, 2, wrap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,12 +88,20 @@ func init() { Jobs["folds"] = foldJob }
 // foldRun is what one layout made of the fold script: every checkpoint's
 // stats, what the store holds at the end (storePrint), and — read through the
 // store between checkpoints — each group's fold bound before checkpoint 2 and
-// its chain length after every checkpoint.
+// whether its chain holds deltas after every checkpoint.
 type foldRun struct {
 	stats  []engine.CheckpointStats
 	store  []byte
 	bound2 []int
-	chains [][]int
+	chains [][]bool
+}
+
+// chained reports whether gid's chain holds deltas beside its base. The store
+// does not count them, but its fold bound tells: a base alone has the bound of
+// its footprint as one base, and a delta (never under 7 bytes) lowers the
+// bound or takes it to -1.
+func chained(s *statestore.Store, gid int) bool {
+	return s.FoldBound(gid) != statestore.FoldBound(s.Footprint(gid), 0, 0)
 }
 
 // driveFolds checkpoints after every period for 14 periods, and rotates every
@@ -121,9 +129,9 @@ func driveFolds(t *testing.T, e *engine.Engine, kgs int) foldRun {
 			}
 		}
 		r.stats = append(r.stats, e.TakeCheckpoint())
-		chain := make([]int, kgs)
+		chain := make([]bool, kgs)
 		for gid := range chain {
-			chain[gid] = e.CheckpointStore().ChainLen(gid)
+			chain[gid] = chained(e.CheckpointStore(), gid)
 		}
 		r.chains = append(r.chains, chain)
 	}
@@ -159,12 +167,14 @@ func TestLayoutsAgreeAcrossFolds(t *testing.T) {
 
 	// The script does what it says, seen through the store.
 	for gid := 0; gid < kgs; gid++ {
-		if got := classic.stats[1].NewBytes / kgs; classic.bound2[gid] != got || classic.chains[1][gid] != 1 {
-			t.Fatalf("group %d: checkpoint 2 cut %d B against a bound of %d and left a chain of %d, want a delta of exactly the bound, recorded", gid, got, classic.bound2[gid], classic.chains[1][gid])
+		// Checkpoint 1 wrote the base, so a chain with deltas after checkpoint 2
+		// holds exactly its one.
+		if got := classic.stats[1].NewBytes / kgs; classic.bound2[gid] != got || !classic.chains[1][gid] {
+			t.Fatalf("group %d: checkpoint 2 cut %d B against a bound of %d and left a chain with deltas: %v, want a delta of exactly the bound, recorded", gid, got, classic.bound2[gid], classic.chains[1][gid])
 		}
 		folds := 0
 		for i := 1; i < len(classic.chains); i++ {
-			if classic.chains[i-1][gid] > 0 && classic.chains[i][gid] == 0 {
+			if classic.chains[i-1][gid] && !classic.chains[i][gid] {
 				folds++
 			}
 		}
@@ -175,7 +185,7 @@ func TestLayoutsAgreeAcrossFolds(t *testing.T) {
 
 	layouts := map[string]func() foldRun{
 		"mem": func() foldRun {
-			e, stop, err := StartMem(spec, 2, nil)
+			e, stop, err := startMem(spec, 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +195,7 @@ func TestLayoutsAgreeAcrossFolds(t *testing.T) {
 		"mixed": func() foldRun {
 			mixed := spec
 			mixed.NodePeers = []int{0, 1, 2}
-			e, stop, err := StartMem(mixed, 2, nil)
+			e, stop, err := startMem(mixed, 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,7 +232,7 @@ func TestLayoutsAgreeAcrossFolds(t *testing.T) {
 			t.Errorf("%s: checkpoints %+v, one process took %+v", name, got.stats, classic.stats)
 		}
 		if !reflect.DeepEqual(got.chains, classic.chains) {
-			t.Errorf("%s: chain lengths %v, one process's %v", name, got.chains, classic.chains)
+			t.Errorf("%s: chains with deltas %v, one process's %v", name, got.chains, classic.chains)
 		}
 		if !bytes.Equal(got.store, classic.store) {
 			t.Errorf("%s: the store differs from one process's", name)

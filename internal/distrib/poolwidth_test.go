@@ -37,7 +37,7 @@ func TestBarrierPoolWidthInvariance(t *testing.T) {
 			return result{periods, ckpts, storePrint(e.CheckpointStore())}
 		},
 		"mem": func() result {
-			e, stop, err := StartMem(spec, 2, nil)
+			e, stop, err := startMem(spec, 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

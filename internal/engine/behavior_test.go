@@ -37,7 +37,7 @@ func TestOutOfOrderProcessing(t *testing.T) {
 		},
 		Flush: func(kg int, st *State, emit Emit) {
 			emit((&Tuple{Key: "out"}).WithNum("sum", st.Num("sum")))
-			st.SetNum("sum", 0)
+			st.Add("sum", -st.Num("sum"))
 		},
 	})
 	tp.AddOperator(&Operator{

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -132,7 +133,7 @@ func TestIncrementalCheckpointAndRoundTrip(t *testing.T) {
 		if !ok || ver != 3 {
 			t.Fatalf("group %d: materialized at version %d (ok=%v), want 3", gid, ver, ok)
 		}
-		if !statestore.Diff(want, have).Empty() || !statestore.Diff(have, want).Empty() {
+		if !sameState(want, have) {
 			t.Fatalf("group %d: the store replays to a state other than the live one", gid)
 		}
 	}
@@ -302,6 +303,10 @@ func TestRecoverSkipsDrainingNodes(t *testing.T) {
 	}
 }
 
+// sameState reports whether a and b hold the same counters and tables: equal
+// states have equal canonical encodings.
+func sameState(a, b *State) bool { return bytes.Equal(a.Encode(nil), b.Encode(nil)) }
+
 // windowTopology keeps one table per key group that holds only the current
 // period's cells: between two checkpoints the whole state is replaced.
 func windowTopology(perPeriod, kgs int) *Topology {
@@ -316,7 +321,7 @@ func windowTopology(perPeriod, kgs int) *Topology {
 		KeyGroups: kgs,
 		Proc: func(tu *Tuple, st *State, emit Emit) {
 			if p := float64(tu.TS / 1000); st.Num("period") != p {
-				st.SetNum("period", p)
+				st.Add("period", p-st.Num("period"))
 				st.ClearTable("win")
 			}
 			st.Table("win").Set(fmt.Sprintf("p%d-t%d", tu.TS/1000, tu.TS), 1)
@@ -358,10 +363,11 @@ func TestCheckpointOfChurningStateWritesFreshBases(t *testing.T) {
 			}
 			for gid, st := range n.allStates() {
 				tip, ver, ok := store.Materialize(gid)
-				if !ok || ver != e.period || store.ChainLen(gid) != 0 {
-					t.Fatalf("cadence %d group %d: ok=%v version=%d chain=%d", cadence, gid, ok, ver, store.ChainLen(gid))
+				// A chain that is one base has the live state's size.
+				if !ok || ver != e.period || store.Footprint(gid) != st.Size() {
+					t.Fatalf("cadence %d group %d: ok=%v version=%d chain %d B, live state %d B", cadence, gid, ok, ver, store.Footprint(gid), st.Size())
 				}
-				if !statestore.Diff(tip, st).Empty() || !statestore.Diff(st, tip).Empty() {
+				if !sameState(tip, st) {
 					t.Fatalf("cadence %d group %d: store tip differs from the live state", cadence, gid)
 				}
 			}

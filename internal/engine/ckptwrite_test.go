@@ -156,7 +156,7 @@ func TestRecoverRightAfterCheckpoint(t *testing.T) {
 		if v := e.CheckpointStore().Version(gid); v != 3 {
 			t.Errorf("group %d: store at version %d, want 3", gid, v)
 		}
-		if got == nil || !statestore.Diff(got, want).Empty() || !statestore.Diff(want, got).Empty() {
+		if got == nil || !sameState(got, want) {
 			t.Errorf("group %d came back on node %d other than it was at the checkpoint", gid, node)
 		}
 	}

@@ -25,7 +25,7 @@ func turnoverTopology(kgs int) *Topology {
 		KeyGroups: kgs,
 		Proc: func(tu *Tuple, st *State, emit Emit) {
 			if p := float64(tu.TS / 1000); st.Num("period") != p {
-				st.SetNum("period", p)
+				st.Add("period", p-st.Num("period"))
 				st.ClearTable("win")
 			}
 			st.Table("win").Set(fmt.Sprintf("p%d-t%d", tu.TS/1000, tu.TS), 1)

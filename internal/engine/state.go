@@ -8,7 +8,9 @@ import "repro/internal/statestore"
 
 // State is the computation state σ_k of one key group: scalar counters and
 // named tables. It is what direct state migration serializes and ships, and
-// what the checkpoint store versions.
+// what the checkpoint store versions. An operator adds to counters and writes
+// and clears tables; a counter is never deleted, and ClearTable is the only
+// removal (see statestore.State).
 type State = statestore.State
 
 // Table is one named table of a State: an open-addressed hash from cell key

@@ -92,7 +92,7 @@ func (l tipLayout) checkTips(t *testing.T, step string) []int {
 		want, ver, ok := e.CheckpointStore().Materialize(gid)
 		if !ok || tip.Version() != ver || ver != e.CheckpointStore().Version(gid) {
 			t.Errorf("%s: group %d tip at version %d, store at %d (ok=%v)", step, gid, tip.Version(), ver, ok)
-		} else if !statestore.Diff(want, tip.State()).Empty() || !statestore.Diff(tip.State(), want).Empty() {
+		} else if !sameState(want, tip.State()) {
 			t.Errorf("%s: group %d tip differs from the store's state", step, gid)
 		}
 	}
@@ -201,7 +201,7 @@ func windowedGrowTopology(build, trickle, buildPeriods, kgs, kg, window int) *To
 	}
 	grow.Proc = func(tu *Tuple, st *State, emit Emit) {
 		if tu.Key == clearKey {
-			st.Table("seen").Clear()
+			st.ClearTable("seen")
 			return
 		}
 		proc(tu, st, emit)

@@ -51,14 +51,6 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 	g.adj[v][u] += w
 }
 
-// EdgeWeight returns the weight between u and v (0 if absent).
-func (g *Graph) EdgeWeight(u, v int) float64 {
-	if g.adj[u] == nil {
-		return 0
-	}
-	return g.adj[u][v]
-}
-
 // totalWeight returns the sum of vertex weights.
 func (g *Graph) totalWeight() float64 {
 	t := 0.0
@@ -92,15 +84,6 @@ func EdgeCut(g *Graph, part []int) float64 {
 		}
 	}
 	return cut
-}
-
-// PartWeights returns the vertex-weight sum of each of the k parts.
-func PartWeights(g *Graph, part []int, k int) []float64 {
-	w := make([]float64, k)
-	for v, p := range part {
-		w[p] += g.vw[v]
-	}
-	return w
 }
 
 // Partition splits the graph into k parts of near-equal vertex weight while

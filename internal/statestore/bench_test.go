@@ -61,7 +61,7 @@ func BenchmarkStateStoreMaterialize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		got, _, ok := s.Materialize(0)
-		if !ok || got.Empty() {
+		if !ok || got.numN+got.tabN == 0 {
 			b.Fatal("materialize failed")
 		}
 	}
@@ -78,7 +78,7 @@ func BenchmarkStateStoreDiff(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := Diff(base, live)
-		if d.Empty() {
+		if deltaEmpty(d) {
 			b.Fatal("empty diff")
 		}
 	}
@@ -219,14 +219,14 @@ func BenchmarkTable(b *testing.B) {
 		})
 		recycled := filled(in)
 		run("add-insert-after-clear", len(in), func() {
-			recycled.Clear()
+			recycled.clear()
 			for _, k := range in {
 				recycled.Add(k, 1)
 			}
 		})
 		run("lookup-miss", len(out), func() {
 			for _, k := range out {
-				if tab.Has(k) {
+				if _, ok := tab.Lookup(k); ok {
 					b.Fatal("absent key found")
 				}
 			}
@@ -235,7 +235,7 @@ func BenchmarkTable(b *testing.B) {
 		// half hits, half inserts.
 		first, second, totals := filled(in), filled(keys[shape.cells/2:shape.cells/2+shape.cells]), &Table{}
 		run("addtable", 2*shape.cells, func() {
-			totals.Clear()
+			totals.clear()
 			totals.AddTable(first)
 			totals.AddTable(second)
 		})
@@ -246,7 +246,7 @@ func BenchmarkTable(b *testing.B) {
 		live.Table("w").copyFrom(tab)
 		for i := 0; i < shape.cells; i += 100 {
 			live.Table("w").Add(in[i], 1)
-			live.Table("w").Delete(in[i+1])
+			live.Table("w").delete(in[i+1])
 			live.Table("w").Add(out[i], 1)
 		}
 		run("diffsize", live.Table("w").Len(), func() {

@@ -58,8 +58,8 @@ func TestCheckpointFreshBaseWhenStateChurns(t *testing.T) {
 		if appended != live.Size() {
 			t.Fatalf("v%d: appended %d bytes, want a fresh base of |σ| = %d", v, appended, live.Size())
 		}
-		if s.ChainLen(7) != 0 {
-			t.Fatalf("v%d: chain length %d after a fresh base, want 0", v, s.ChainLen(7))
+		if chainLen(s, 7) != 0 {
+			t.Fatalf("v%d: chain length %d after a fresh base, want 0", v, chainLen(s, 7))
 		}
 		if s.Bytes() != live.Size() || before != windowState(v-1, 300).Size() {
 			t.Fatalf("v%d: store holds %d bytes (was %d), want one base of %d", v, s.Bytes(), before, live.Size())
@@ -87,14 +87,14 @@ func TestCheckpointDeltaWhenFewCellsChange(t *testing.T) {
 		for c := 0; c < 5; c++ {
 			tab.Add(fmt.Sprintf("w1-key-%04d", (v*7+c)%2000), 1)
 		}
-		tab.Delete(fmt.Sprintf("w1-key-%04d", 1999-v))
+		tab.delete(fmt.Sprintf("w1-key-%04d", 1999-v))
 		live.Add("seen", 5)
 		want := Diff(mustMaterialize(t, s, 3), live).Size()
 		appended := s.Checkpoint(3, v, live)
 		if appended != want || appended*50 > live.Size() {
 			t.Fatalf("v%d: appended %d bytes, want the %d-byte delta (state is %d)", v, appended, want, live.Size())
 		}
-		if cl := s.ChainLen(3); cl > defaultMaxChain {
+		if cl := chainLen(s, 3); cl > defaultMaxChain {
 			t.Fatalf("v%d: chain length %d exceeds %d", v, cl, defaultMaxChain)
 		}
 		if !statesEqual(mustMaterialize(t, s, 3), live) {
@@ -119,7 +119,7 @@ func TestRecordFoldsWhereverTheTipIs(t *testing.T) {
 	for v := 1; v <= 40; v++ {
 		live.Table("win").Add(fmt.Sprintf("w1-key-%04d", (v*7)%400), 1)
 		live.Add("seen", 1)
-		before := replayed.ChainLen(1)
+		before := chainLen(replayed, 1)
 		step, enc := tip.Advance(&scratch, v, live)
 		if v > 1 && (step != StepDelta || len(enc)*20 > live.Size()) {
 			t.Fatalf("v%d: the holder wrote step %d, %d bytes of a %d-byte state; want the delta", v, step, len(enc), live.Size())
@@ -133,7 +133,7 @@ func TestRecordFoldsWhereverTheTipIs(t *testing.T) {
 		if err := replayed.Record(1, v, step, enc, nil); err != nil {
 			t.Fatal(err)
 		}
-		if cl := replayed.ChainLen(1); cl > defaultMaxChain {
+		if cl := chainLen(replayed, 1); cl > defaultMaxChain {
 			t.Fatalf("v%d: chain length %d exceeds %d", v, cl, defaultMaxChain)
 		} else if cl <= before && v > 1 {
 			folds++
@@ -184,7 +184,7 @@ func TestCheckpointNeverWritesMoreThanState(t *testing.T) {
 		var scratch Delta
 		for v := 1; v <= 12; v++ {
 			if rng.Intn(4) == 0 {
-				live = randState(rng, 25) // replaced wholesale
+				live = keepCounters(live, randState(rng, 25)) // replaced wholesale
 			} else {
 				mutate(rng, live)
 			}
@@ -193,8 +193,8 @@ func TestCheckpointNeverWritesMoreThanState(t *testing.T) {
 			if appended > live.Size() || appended != len(enc) {
 				t.Fatalf("trial %d v%d: appended %d bytes, mirror step %d wrote %d, |σ| = %d", trial, v, appended, step, len(enc), live.Size())
 			}
-			if step == StepBase && s.ChainLen(1) != 0 {
-				t.Fatalf("trial %d v%d: mirror wrote a fresh base but the store's chain is %d long", trial, v, s.ChainLen(1))
+			if step == StepBase && chainLen(s, 1) != 0 {
+				t.Fatalf("trial %d v%d: mirror wrote a fresh base but the store's chain is %d long", trial, v, chainLen(s, 1))
 			}
 			if tip := mustMaterialize(t, s, 1); !statesEqual(tip, live) || !bytes.Equal(tip.Encode(nil), mirror.State().Encode(nil)) {
 				t.Fatalf("trial %d v%d: store tip, tip mirror and live state disagree", trial, v)
@@ -209,11 +209,11 @@ func TestCheckpointNeverWritesMoreThanState(t *testing.T) {
 // flip of zero is a change, and the tip encodes exactly as the state does.
 func TestCheckpointOfNaNAndNegativeZeroIsStable(t *testing.T) {
 	live := NewState()
-	live.SetNum("nan", math.NaN())
-	live.SetNum("zero", math.Copysign(0, -1))
+	live.Add("nan", math.NaN())
+	live.Add("zero", math.Copysign(0, -1))
 	live.Table("t").Set("nan", math.NaN())
 	live.Table("t").Set("zero", math.Copysign(0, -1))
-	if d := Diff(live, live.Clone()); !d.Empty() || DiffSize(live, live.Clone()) != emptyDeltaSize {
+	if d := Diff(live, live.Clone()); !deltaEmpty(d) || DiffSize(live, live.Clone()) != emptyDeltaSize {
 		t.Fatalf("a state with a NaN differs from its own clone: delta of %d bytes", d.Size())
 	}
 	var tip Tip
@@ -224,7 +224,7 @@ func TestCheckpointOfNaNAndNegativeZeroIsStable(t *testing.T) {
 	if step, enc := tip.Advance(&scratch, 2, live); step != StepNone || enc != nil {
 		t.Fatalf("second checkpoint of the same state took step %d (%d bytes), want StepNone", step, len(enc))
 	}
-	live.SetNum("zero", 0)
+	live.Add("zero", 0) // −0 + 0 is +0
 	live.Table("t").Set("zero", 0)
 	if step, _ := tip.Advance(&scratch, 3, live); step == StepNone {
 		t.Fatal("−0 → +0 went unnoticed: the tip no longer encodes as the state does")
@@ -245,8 +245,8 @@ func TestDiffSizeCountsRemovedCellsArithmetically(t *testing.T) {
 		if got := DiffSize(old, new); got != d.Size() || got != len(d.Encode(nil)) {
 			t.Fatalf("%s: DiffSize = %d, Delta.Size = %d, encoded = %d", name, got, d.Size(), len(d.Encode(nil)))
 		}
-		if (DiffSize(old, new) == emptyDeltaSize) != d.Empty() {
-			t.Fatalf("%s: DiffSize says empty = %v, delta says %v", name, DiffSize(old, new) == emptyDeltaSize, d.Empty())
+		if (DiffSize(old, new) == emptyDeltaSize) != deltaEmpty(d) {
+			t.Fatalf("%s: DiffSize says empty = %v, delta says %v", name, DiffSize(old, new) == emptyDeltaSize, deltaEmpty(d))
 		}
 	}
 	for trial := 0; trial < 200; trial++ {
@@ -254,13 +254,15 @@ func TestDiffSizeCountsRemovedCellsArithmetically(t *testing.T) {
 		b := a.Clone()
 		mutate(rng, b)
 		check("mutated", a, b)
-		check("reverse", b, a)
+		check("reverse", b, keepCounters(b, a.Clone()))
 		check("same", a, a.Clone())
 	}
 	check("disjoint windows", windowState(1, 50), windowState(2, 50))
-	check("to empty", windowState(1, 50), NewState())
+	counterOnly := NewState()
+	counterOnly.Add("seen", 50)
+	check("to no tables", windowState(1, 50), counterOnly)
 	emptied := windowState(1, 50)
-	emptied.Table("win").Clear()
+	emptied.Table("win").clear()
 	check("cells gone, table stays", windowState(1, 50), emptied)
 }
 
@@ -418,7 +420,7 @@ func TestCutThenWriteIsAdvance(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0: // unchanged since the last cut, unless it changed after
 			case 1:
-				live = randState(rng, 20) // replaced wholesale
+				live = keepCounters(live, randState(rng, 20)) // replaced wholesale
 			default:
 				mutate(rng, live)
 			}

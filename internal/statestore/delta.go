@@ -32,9 +32,10 @@ type tabDelEntry struct {
 // Delta is the exact semantic difference between two States: applying a
 // Delta produced by Diff(old, new) to (a clone of) old yields a state equal
 // to new, field for field. Values are absolute (the new value, not an
-// increment), so floating-point application is exact; deletions are
-// represented explicitly, which summing one state into another cannot
-// express. Deltas are what the incremental store chains and what
+// increment), so floating-point application is exact; dropped tables and
+// removed cells are listed explicitly, which summing one state into another
+// cannot express. Counters are never deleted (see State): their section is
+// retired. Deltas are what the incremental store chains and what
 // checkpoint-assisted migration ships synchronously.
 //
 // A Delta is flat storage, not maps: each section is a dense slice that
@@ -43,7 +44,6 @@ type tabDelEntry struct {
 // value is an empty delta.
 type Delta struct {
 	numSet     []numEntry
-	numDel     []string
 	tabSet     []tabSetEntry
 	tabCellDel []tabDelEntry
 	tabDel     []string
@@ -52,36 +52,24 @@ type Delta struct {
 // Reset empties the delta for reuse, keeping every backing slice (including
 // the per-table inner slices).
 func (d *Delta) Reset() {
-	for i := range d.numSet {
-		d.numSet[i] = numEntry{}
-	}
+	clear(d.numSet)
 	d.numSet = d.numSet[:0]
-	clearStrings(d.numDel)
-	d.numDel = d.numDel[:0]
 	for i := range d.tabSet {
 		e := &d.tabSet[i]
 		e.name, e.applied = "", false
-		for j := range e.cells {
-			e.cells[j] = numEntry{}
-		}
+		clear(e.cells)
 		e.cells = e.cells[:0]
 	}
 	d.tabSet = d.tabSet[:0]
 	for i := range d.tabCellDel {
 		e := &d.tabCellDel[i]
 		e.name = ""
-		clearStrings(e.keys)
+		clear(e.keys)
 		e.keys = e.keys[:0]
 	}
 	d.tabCellDel = d.tabCellDel[:0]
-	clearStrings(d.tabDel)
+	clear(d.tabDel)
 	d.tabDel = d.tabDel[:0]
-}
-
-func clearStrings(s []string) {
-	for i := range s {
-		s[i] = ""
-	}
 }
 
 // growTabSet appends a tabSet entry for name, reusing a retained inner
@@ -110,14 +98,10 @@ func (d *Delta) growTabCellDel(name string) *tabDelEntry {
 	return e
 }
 
-// Empty reports whether the delta changes nothing.
-func (d *Delta) Empty() bool {
-	return len(d.numSet) == 0 && len(d.numDel) == 0 &&
-		len(d.tabSet) == 0 && len(d.tabCellDel) == 0 && len(d.tabDel) == 0
-}
-
 // Diff computes new − old. Neither argument is mutated; nil arguments are
-// treated as empty states.
+// treated as empty states. new must hold every counter old holds: a delta
+// cannot delete one. Every tip and live state the engine pairs does, since only
+// Reset and the decoders, which reset first, ever drop a counter.
 func Diff(old, new *State) *Delta {
 	d := &Delta{}
 	DiffInto(d, old, new)
@@ -132,7 +116,8 @@ func sameNum(a, b float64) bool { return math.Float64bits(a) == math.Float64bits
 
 // DiffInto computes new − old into d (d is Reset first). With a reused d
 // this is the zero-alloc form Diff and the store's checkpoint path build
-// on. Neither state is mutated; nil states are treated as empty.
+// on. Neither state is mutated; nil states are treated as empty, and new holds
+// every counter old holds, as for Diff.
 func DiffInto(d *Delta, old, new *State) { diffInto(d, old, new, 0, false) }
 
 // diffInto is DiffInto for an old state that is a checkpoint tip marked as tok
@@ -198,13 +183,7 @@ func diffInto(d *Delta, old, new *State, tok uint64, cut bool) {
 		}
 	}
 	for sym, k := range old.kind {
-		name := old.names[sym]
-		if k&kNum != 0 {
-			if _, ok := new.LookupNum(name); !ok {
-				d.numDel = append(d.numDel, name)
-			}
-		}
-		if k&kTab != 0 && new.LookupTable(name) == nil {
+		if name := old.names[sym]; k&kTab != 0 && new.LookupTable(name) == nil {
 			d.tabDel = append(d.tabDel, name)
 		}
 	}
@@ -222,9 +201,6 @@ func (d *Delta) apply(st *State, cut bool) {
 	// state Diff read them from): st shares them in turn.
 	for _, e := range d.numSet {
 		st.setNum(st.intern(e.k, false), e.v)
-	}
-	for _, k := range d.numDel {
-		st.DelNum(k)
 	}
 	for _, name := range d.tabDel {
 		st.ClearTable(name)
@@ -244,7 +220,7 @@ func (d *Delta) apply(st *State, cut bool) {
 		e := &d.tabCellDel[i]
 		if t := st.LookupTable(e.name); t != nil {
 			for _, k := range e.keys {
-				t.Delete(k)
+				t.delete(k)
 			}
 		}
 	}
@@ -270,8 +246,8 @@ func sizeNumEntries(v []numEntry) int {
 // Size returns the encoded length of the delta without building bytes:
 // Size() == len(Encode(nil)) always.
 func (d *Delta) Size() int {
-	n := sizeNumEntries(d.numSet) + sizeStringSlice(d.numDel)
-	n += 2 * codec.SizeUvarint(0) // retired: string registers set and deleted
+	n := sizeNumEntries(d.numSet)
+	n += 3 * codec.SizeUvarint(0) // retired: counters deleted, string registers set and deleted
 	n += codec.SizeUvarint(uint64(len(d.tabSet)))
 	for i := range d.tabSet {
 		n += codec.SizeString(d.tabSet[i].name) + sizeNumEntries(d.tabSet[i].cells)
@@ -285,8 +261,8 @@ func (d *Delta) Size() int {
 }
 
 // emptyDeltaSize is the encoded size of a delta that changes nothing (seven
-// zero counts, two of them the retired sections'); DiffSize returns it exactly
-// when the states are equal.
+// zero counts, three of them the retired sections'); DiffSize returns it
+// exactly when the states are equal.
 const emptyDeltaSize = 7
 
 // DiffSize returns Diff(old, new).Size() without building the delta — no
@@ -357,24 +333,15 @@ func diffSize(old, new *State, tok uint64) int {
 			}
 		}
 	}
-	numDelN, numDelB := 0, 0
 	tabDelN, tabDelB := 0, 0
 	for sym, k := range old.kind {
-		name := old.names[sym]
-		if k&kNum != 0 {
-			if _, ok := new.LookupNum(name); !ok {
-				numDelN++
-				numDelB += codec.SizeString(name)
-			}
-		}
-		if k&kTab != 0 && new.LookupTable(name) == nil {
+		if name := old.names[sym]; k&kTab != 0 && new.LookupTable(name) == nil {
 			tabDelN++
 			tabDelB += codec.SizeString(name)
 		}
 	}
 	return codec.SizeUvarint(uint64(numSetN)) + numSetB +
-		codec.SizeUvarint(uint64(numDelN)) + numDelB +
-		2*codec.SizeUvarint(0) + // retired: string registers set and deleted
+		3*codec.SizeUvarint(0) + // retired: counters deleted, string registers set and deleted
 		codec.SizeUvarint(uint64(tabSetN)) + tabSetB +
 		codec.SizeUvarint(uint64(cellDelN)) + cellDelB +
 		codec.SizeUvarint(uint64(tabDelN)) + tabDelB
@@ -416,9 +383,9 @@ func readStringSlice(dst []string, b []byte) ([]string, []byte, error) {
 // Encode serializes the delta (appended to buf) in its canonical form: it
 // reorders the receiver, sorting every section in place by key, so equal
 // deltas have equal bytes — the form of everything the checkpoint log stores.
-// Section order: NumSet, NumDel, two retired sections (string registers set
-// and deleted: always 0, their counts keep their bytes), TabSet, TabCellDel,
-// TabDel.
+// Section order: NumSet, three retired sections (counters deleted, string
+// registers set and deleted: always 0, their counts keep their bytes), TabSet,
+// TabCellDel, TabDel.
 func (d *Delta) Encode(buf []byte) []byte { return d.encode(buf, true) }
 
 // EncodeTransfer serializes the delta as DiffInto left it: the same format
@@ -447,7 +414,7 @@ func (d *Delta) encode(buf []byte, sorted bool) []byte {
 		buf = codec.AppendString(buf, e.k)
 		buf = codec.AppendFloat64(buf, e.v)
 	}
-	buf = appendStringSlice(buf, d.numDel, canon)
+	buf = codec.AppendUvarint(buf, 0) // retired: counters deleted
 	buf = codec.AppendUvarint(buf, 0) // retired: string registers set
 	buf = codec.AppendUvarint(buf, 0) // retired: string registers deleted
 	buf = codec.AppendUvarint(buf, uint64(len(d.tabSet)))
@@ -473,20 +440,10 @@ func (d *Delta) encode(buf []byte, sorted bool) []byte {
 	return buf
 }
 
-// DecodeDelta reads a delta written by Encode and returns the remaining
-// bytes. All count and length fields are validated against the remaining
-// input before allocation.
-func DecodeDelta(b []byte) (*Delta, []byte, error) {
-	d := &Delta{}
-	rest, err := DecodeDeltaInto(b, d)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d, rest, nil
-}
-
-// DecodeDeltaInto decodes into an existing delta (Reset first), reusing its
-// storage, and returns the remaining bytes.
+// DecodeDeltaInto decodes a delta written by Encode or EncodeTransfer into an
+// existing delta (Reset first), reusing its storage, and returns the remaining
+// bytes. All count and length fields are validated against the remaining input
+// before allocation.
 func DecodeDeltaInto(b []byte, d *Delta) ([]byte, error) {
 	d.Reset()
 	n, b, err := codec.ReadUvarint(b)
@@ -507,8 +464,8 @@ func DecodeDeltaInto(b []byte, d *Delta) ([]byte, error) {
 		}
 		d.numSet = append(d.numSet, numEntry{k, v})
 	}
-	if d.numDel, b, err = readStringSlice(d.numDel, b); err != nil {
-		return nil, fmt.Errorf("statestore: delta numdel: %w", err)
+	if b, err = readRetired(b, "delta numdel"); err != nil {
+		return nil, err
 	}
 	if b, err = readRetired(b, "delta strset"); err != nil {
 		return nil, err

@@ -68,9 +68,9 @@ func (r *refState) encode() []byte {
 // checkAgainstRef asserts st and r agree semantically and byte for byte.
 func checkAgainstRef(t *testing.T, st *State, r *refState, ctx string) {
 	t.Helper()
-	if st.NumCount() != len(r.nums) || st.TableCount() != len(r.tabs) {
+	if st.numN != len(r.nums) || st.tabN != len(r.tabs) {
 		t.Fatalf("%s: counts (%d,%d) vs ref (%d,%d)", ctx,
-			st.NumCount(), st.TableCount(), len(r.nums), len(r.tabs))
+			st.numN, st.tabN, len(r.nums), len(r.tabs))
 	}
 	for k, v := range r.nums {
 		if got, ok := st.LookupNum(k); !ok || got != v {
@@ -99,7 +99,7 @@ func checkAgainstRef(t *testing.T, st *State, r *refState, ctx string) {
 
 // TestStateDifferentialVsMapModel drives the arena-backed State and the
 // map-backed reference model through the same randomized op sequences —
-// including deletions, table churn, resets, Reset recycling, decode-into
+// including cell deletions, table churn, resets, Reset recycling, decode-into
 // round trips, and enough distinct names to overflow the initial symbol
 // table — asserting semantic equality and byte-identical encodes throughout.
 func TestStateDifferentialVsMapModel(t *testing.T) {
@@ -122,11 +122,10 @@ func TestStateDifferentialVsMapModel(t *testing.T) {
 				r.nums[name] += v
 			case 1:
 				v := rng.Float64() * 100
-				st.SetNum(name, v)
+				st.setNum(st.intern(name, true), v)
 				r.nums[name] = v
 			case 2:
-				st.DelNum(name)
-				delete(r.nums, name)
+				// Was counter deletion: a counter is never deleted.
 			case 3:
 				v := rng.Float64()
 				st.Table(name).Set(cell, v)
@@ -137,7 +136,7 @@ func TestStateDifferentialVsMapModel(t *testing.T) {
 				r.table(name)[cell] += v
 			case 5:
 				if tab := st.LookupTable(name); tab != nil {
-					tab.Delete(cell)
+					tab.delete(cell)
 					delete(r.tabs[name], cell)
 				}
 			case 6:
@@ -149,7 +148,10 @@ func TestStateDifferentialVsMapModel(t *testing.T) {
 				r.table(name)
 			case 8:
 				if rng.Intn(20) == 0 {
+					// A state that starts over is diffed from the empty state:
+					// no delta drops its counters.
 					st.Reset()
+					prev.Reset()
 					r = newRef()
 				}
 			case 9:
@@ -190,14 +192,17 @@ func TestStateCloneMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	st := randState(rng, 15)
 	want := newRef()
-	st.RangeNums(func(k string, v float64) bool { want.nums[k] = v; return true })
-	st.RangeTables(func(name string, tab *Table) bool {
-		cells := want.table(name) // an empty table is part of the state too
-		for ck, v := range tab.All() {
-			cells[ck] = v
+	for sym, k := range st.kind {
+		if k&kNum != 0 {
+			want.nums[st.names[sym]] = st.numVal[sym]
 		}
-		return true
-	})
+		if k&kTab != 0 {
+			cells := want.table(st.names[sym]) // an empty table is part of the state too
+			for ck, v := range st.tabs[sym].All() {
+				cells[ck] = v
+			}
+		}
+	}
 	checkAgainstRef(t, st.Clone(), want, "clone")
 	dirty := randState(rng, 15)
 	dirty.CopyFrom(st)

@@ -7,8 +7,7 @@ import (
 
 // wideStates is the deletion-heavy history the fuzz corpora start from: a
 // state with more names than the symbol index first holds, the same with most
-// counters erased and most tables cleared, and that with one cell written
-// back.
+// tables cleared, and that with one cell written back.
 func wideStates() (wide, culled, regrown *State) {
 	wide = NewState()
 	for i := 0; i < 48; i++ {
@@ -16,9 +15,6 @@ func wideStates() (wide, culled, regrown *State) {
 		wide.Table(fmt.Sprintf("tab-%02d", i%7)).Set(fmt.Sprintf("cell-%02d", i), float64(i))
 	}
 	culled = wide.Clone()
-	for i := 0; i < 40; i++ {
-		culled.DelNum(fmt.Sprintf("metric-%02d", i))
-	}
 	for i := 0; i < 6; i++ {
 		culled.ClearTable(fmt.Sprintf("tab-%02d", i))
 	}
@@ -41,11 +37,9 @@ func freshBaseStates() (base, touched *State) {
 func FuzzDeltaDecode(f *testing.F) {
 	a := NewState()
 	a.Add("n", 1)
-	a.Add("gone", 1)
 	a.Table("t").Set("c", 2)
 	b := a.Clone()
 	b.Add("n", 1)
-	b.DelNum("gone")
 	b.ClearTable("t")
 	b.Table("u").Set("d", 3)
 	f.Add(Diff(a, b).Encode(nil))
@@ -54,12 +48,13 @@ func FuzzDeltaDecode(f *testing.F) {
 	f.Add((&Delta{}).Encode(nil))
 	f.Add([]byte{0xFF, 0x7F})
 	f.Add([]byte{})
+	f.Add(retiredNumDelDelta)
 	f.Add(retiredStrSetDelta)
 	f.Add(retiredStrDelDelta)
-	// Deletion-heavy deltas: from a wide state down to almost nothing, and a
+	// Deletion-heavy deltas: from a wide state down to its counters, and a
 	// chain that erases most of it and then writes one cell back.
 	wide, culled, regrown := wideStates()
-	f.Add(Diff(wide, a).Encode(nil))
+	f.Add(Diff(wide, keepCounters(wide, NewState())).Encode(nil))
 	f.Add(Diff(wide, culled).Encode(nil))
 	f.Add(Diff(culled, regrown).Encode(nil))
 	base, touched := freshBaseStates()
@@ -71,30 +66,31 @@ func FuzzDeltaDecode(f *testing.F) {
 	f.Add(Diff(nil, bare).Encode(nil))
 	// The orders no encoder writes: storage order, cells descending, a cell
 	// set twice, a table's cells set twice.
-	f.Add(Diff(a, wide).EncodeTransfer(nil))
-	for _, shape := range deltaShapes(Diff(a, wide)) {
+	aToWide := keepCounters(a, wide.Clone())
+	f.Add(Diff(a, aToWide).EncodeTransfer(nil))
+	for _, shape := range deltaShapes(Diff(a, aToWide)) {
 		f.Add(shape)
 	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		d, rest, err := DecodeDelta(raw)
-		if err != nil {
+		d := &Delta{}
+		if _, err := DecodeDeltaInto(raw, d); err != nil {
 			return
 		}
-		_ = rest
 		if got := d.Size(); got != len(d.Encode(nil)) {
 			t.Fatalf("Size()=%d, len(Encode)=%d", got, len(d.Encode(nil)))
 		}
 		st := NewState()
 		d.Apply(st)
 		enc := d.Encode(nil)
-		d2, rest2, err := DecodeDelta(enc)
+		d2 := &Delta{}
+		rest2, err := DecodeDeltaInto(enc, d2)
 		if err != nil || len(rest2) != 0 {
 			t.Fatalf("re-encoded delta failed to decode: %v (%d trailing)", err, len(rest2))
 		}
 		st2 := NewState()
 		d2.Apply(st2)
-		if !Diff(st, st2).Empty() || !Diff(st2, st).Empty() {
+		if !statesEqual(st, st2) {
 			t.Fatal("delta effect changed across encode/decode")
 		}
 	})

@@ -200,14 +200,14 @@ func TestDeltaDecodeRejectsCellDelTableTwice(t *testing.T) {
 		old.Table(name).Set("y", 1)
 	}
 	cur := old.Clone()
-	cur.Table("b").Delete("x")
-	cur.Table("a").Delete("x")
+	cur.Table("b").delete("x")
+	cur.Table("a").delete("x")
 	d := Diff(old, cur)
-	if _, _, err := DecodeDelta(d.EncodeTransfer(nil)); err != nil {
+	if _, err := DecodeDeltaInto(d.EncodeTransfer(nil), &Delta{}); err != nil {
 		t.Fatalf("transfer order with two cell-del tables: %v", err)
 	}
 	d.tabCellDel = append(d.tabCellDel, d.tabCellDel[0])
-	if _, _, err := DecodeDelta(d.EncodeTransfer(nil)); err == nil {
+	if _, err := DecodeDeltaInto(d.EncodeTransfer(nil), &Delta{}); err == nil {
 		t.Fatal("a table named twice among the cell deletions decoded")
 	}
 }

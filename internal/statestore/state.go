@@ -41,7 +41,9 @@ const (
 
 // State is the computation state σ_k of one key group: scalar counters and
 // named tables (e.g. per-key aggregates or window contents). It is what
-// checkpointing and state migration serialize.
+// checkpointing and state migration serialize. Counters are never deleted:
+// only Reset (and the decoders, which reset first) drops one, and ClearTable
+// is the only removal an operator has.
 type State struct {
 	// The symbol table: names is the append-only arena (symbol = index),
 	// symSlots the open-addressed name → symbol+1 index.
@@ -51,7 +53,7 @@ type State struct {
 	hint     [symHints]uint8 // symbol + 1 last resolved per (length + last byte), see sym
 
 	// Per-symbol storage, all kept len(names) long. kind gates presence —
-	// deleting a field clears its bit and leaves the slot for reuse.
+	// dropping a table clears its bit and leaves the slot for reuse.
 	kind   []uint8
 	numVal []float64
 	tabs   []*Table // lazily created, retained across ClearTable/Reset
@@ -64,7 +66,7 @@ type State struct {
 
 	// sizeCache memoizes Size(). 0 means dirty — an empty state encodes to
 	// three count bytes, so no valid size is ever 0. Every size-changing
-	// mutation (field create/delete, table cell churn via the
+	// mutation (field create, table drop, table cell churn via the
 	// Table owner hook) resets it; value-only numeric updates don't, since
 	// floats are fixed-width on the wire.
 	sizeCache int
@@ -149,9 +151,8 @@ func (s *State) sym(name string) int32 {
 }
 
 // Add increments counter name by v and returns the new value.
-func (s *State) Add(name string, v float64) float64 { return s.addNum(s.intern(name, true), v) }
-
-func (s *State) addNum(sym int32, v float64) float64 {
+func (s *State) Add(name string, v float64) float64 {
+	sym := s.intern(name, true)
 	if s.kind[sym]&kNum == 0 {
 		s.setNum(sym, v)
 	} else {
@@ -159,9 +160,6 @@ func (s *State) addNum(sym int32, v float64) float64 {
 	}
 	return s.numVal[sym]
 }
-
-// SetNum sets counter name to v (absolute).
-func (s *State) SetNum(name string, v float64) { s.setNum(s.intern(name, true), v) }
 
 func (s *State) setNum(sym int32, v float64) {
 	if s.kind[sym]&kNum == 0 {
@@ -186,16 +184,6 @@ func (s *State) LookupNum(name string) (float64, bool) {
 		return s.numVal[sym], true
 	}
 	return 0, false
-}
-
-// DelNum removes counter name.
-func (s *State) DelNum(name string) {
-	if sym := s.sym(name); sym >= 0 && s.kind[sym]&kNum != 0 {
-		s.kind[sym] &^= kNum
-		s.numVal[sym] = 0
-		s.numN--
-		s.sizeCache = 0
-	}
 }
 
 // Table returns the named table, creating it (empty) if needed. A created
@@ -228,7 +216,7 @@ func (s *State) LookupTable(name string) *Table {
 func (s *State) ClearTable(name string) {
 	if sym := s.sym(name); sym >= 0 && s.kind[sym]&kTab != 0 {
 		s.kind[sym] &^= kTab
-		s.tabs[sym].Clear()
+		s.tabs[sym].clear()
 		s.tabN--
 		s.sizeCache = 0
 	}
@@ -242,37 +230,8 @@ func (s *State) Scratch() *Table {
 	if s.scratchTab == nil {
 		s.scratchTab = &Table{}
 	}
-	s.scratchTab.Clear()
+	s.scratchTab.clear()
 	return s.scratchTab
-}
-
-// NumCount / TableCount return the number of live fields of each kind.
-func (s *State) NumCount() int   { return s.numN }
-func (s *State) TableCount() int { return s.tabN }
-
-// RangeNums calls fn for every counter until fn returns false (unspecified
-// order).
-func (s *State) RangeNums(fn func(name string, v float64) bool) {
-	for sym, k := range s.kind {
-		if k&kNum != 0 && !fn(s.names[sym], s.numVal[sym]) {
-			return
-		}
-	}
-}
-
-// RangeTables calls fn for every table until fn returns false (unspecified
-// order). fn must not create or drop tables.
-func (s *State) RangeTables(fn func(name string, t *Table) bool) {
-	for sym, k := range s.kind {
-		if k&kTab != 0 && !fn(s.names[sym], s.tabs[sym]) {
-			return
-		}
-	}
-}
-
-// Empty reports whether the state holds no data.
-func (s *State) Empty() bool {
-	return s.numN == 0 && s.tabN == 0
 }
 
 // Reset clears the state for reuse: every field is dropped but the symbol
@@ -280,7 +239,7 @@ func (s *State) Empty() bool {
 func (s *State) Reset() {
 	for sym := range s.kind {
 		if s.kind[sym]&kTab != 0 {
-			s.tabs[sym].Clear()
+			s.tabs[sym].clear()
 		}
 		s.kind[sym] = 0
 		s.numVal[sym] = 0
@@ -288,7 +247,7 @@ func (s *State) Reset() {
 	s.numN, s.tabN = 0, 0
 	s.sizeCache = 0
 	if s.scratchTab != nil {
-		s.scratchTab.Clear()
+		s.scratchTab.clear()
 	}
 }
 
@@ -400,9 +359,10 @@ func DecodeState(b []byte) (*State, error) {
 	return s, nil
 }
 
-// readRetired reads the count of a retired section — string registers, in a
-// state and twice in a delta — which no encoder writes other than 0: the count
-// keeps its byte, and anything else is malformed.
+// readRetired reads the count of a retired section — string registers in a
+// state; counter deletions and string registers set and deleted in a delta —
+// which no encoder writes other than 0: the count keeps its byte, and anything
+// else is malformed.
 func readRetired(b []byte, section string) ([]byte, error) {
 	n, b, err := codec.ReadUvarint(b)
 	if err != nil {
@@ -500,7 +460,7 @@ func decodeState(b []byte, s *State) error {
 			t = s.table(s.intern(name, false))
 			// A duplicate table name replaces the earlier one, matching the
 			// map-decode semantics of previous versions.
-			t.Clear()
+			t.clear()
 		}
 		var count uint64
 		if count, b, err = codec.ReadUvarint(b); err != nil {

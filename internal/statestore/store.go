@@ -84,7 +84,9 @@ const (
 
 // Tip is one key group's decoded state at its last checkpoint. It lives beside
 // the group's live state (an engine shard, or a Store used through
-// Checkpoint). The zero Tip is a group that has not been checkpointed yet.
+// Checkpoint). The zero Tip is a group that has not been checkpointed yet. A
+// state its methods read must hold every counter the tip holds, as Diff's new
+// does: the live state the tip was cut from always does.
 type Tip struct {
 	ver int
 	st  *State
@@ -359,15 +361,6 @@ func (e *entry) replay(d *Delta) *Tip {
 		return &Tip{}
 	}
 	return &Tip{ver: e.version, st: st}
-}
-
-// ChainLen returns the number of deltas stacked on gid's base (0 if the
-// group is absent or freshly compacted).
-func (s *Store) ChainLen(gid int) int {
-	if e := s.groups[gid]; e != nil {
-		return len(e.deltas)
-	}
-	return 0
 }
 
 // Materialize returns a copy of gid's checkpointed state and its version,

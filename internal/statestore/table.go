@@ -29,7 +29,7 @@ import (
 // after — a frame of the receive path, a stack buffer. The copies go to chunks
 // that are never rewritten, which makes a stored key an ordinary immutable
 // string: All hands it out, AddTable, CopyFrom, Diff and the decoders share it.
-// A chunk lives while any key in it is referenced; Delete and Clear give nothing
+// A chunk lives while any key in it is referenced; delete and clear give nothing
 // back, so a delete-heavy table that is never cleared holds one per survivor.
 type Table struct {
 	keys   []string
@@ -205,12 +205,6 @@ func (t *Table) lookup(k string, h uint32) (float64, bool) {
 	return 0, false
 }
 
-// Has reports whether the cell exists. Safe on a nil table.
-func (t *Table) Has(k string) bool {
-	_, ok := t.Lookup(k)
-	return ok
-}
-
 // Set stores v under k (a copy of k, if the cell is new).
 func (t *Table) Set(k string, v float64) {
 	t.ensure()
@@ -280,11 +274,12 @@ func (t *Table) AddTable(src *Table) {
 	}
 }
 
-// Delete removes the cell, reporting whether it existed. The dense entry is
+// delete removes the cell, reporting whether it existed. The dense entry is
 // swap-removed and the probe chain backward-shifted: no tombstones, no
 // degradation under churn. A table that tracked a checkpoint tip stops: its
-// readers walk it whole until the next mark.
-func (t *Table) Delete(k string) bool {
+// readers walk it whole until the next mark. Only a delta's application
+// removes a single cell: an operator's one removal is State.ClearTable.
+func (t *Table) delete(k string) bool {
 	if t == nil || t.slots == nil {
 		return false
 	}
@@ -328,9 +323,9 @@ func (t *Table) Delete(k string) bool {
 	return true
 }
 
-// Clear removes every cell but keeps all backing arrays for reuse. A table
-// that tracked a checkpoint tip stops, as after Delete.
-func (t *Table) Clear() {
+// clear removes every cell but keeps all backing arrays for reuse. A table
+// that tracked a checkpoint tip stops, as after delete.
+func (t *Table) clear() {
 	if t == nil {
 		return
 	}
@@ -396,7 +391,7 @@ func (t *Table) encodedSize() int {
 // copyFrom makes t a copy of src — the same cells in the same order, sharing
 // its keys — reusing t's backing arrays.
 func (t *Table) copyFrom(src *Table) {
-	t.Clear()
+	t.clear()
 	if src == nil || len(src.keys) == 0 {
 		return
 	}

@@ -86,8 +86,8 @@ func checkStateTables(t *testing.T, st *State, ctx string) {
 }
 
 // TestTableInvariantsUnderChurn drives a few tables of one State through every
-// way an entry's stored hash is written or moved — insert, Add, Set, Delete's
-// swap and backward shift, Clear, ClearTable and re-creation, copyFrom into a
+// way an entry's stored hash is written or moved — insert, Add, Set, delete's
+// swap and backward shift, clear, ClearTable and re-creation, copyFrom into a
 // smaller, larger and dirty table, AddTable, reserve + decode, Reset recycling,
 // insertion from a buffer that is overwritten right after —
 // checks the invariants after every step, and the contents against a map model.
@@ -125,14 +125,14 @@ func TestTableInvariantsUnderChurn(t *testing.T) {
 			case 5, 6, 7:
 				if tab := st.LookupTable(name); tab != nil {
 					_, had := model[name][cell]
-					if tab.Delete(cell) != had {
-						t.Fatalf("seed %d op %d: Delete(%q) disagrees with the model (%v)", seed, op, cell, had)
+					if tab.delete(cell) != had {
+						t.Fatalf("seed %d op %d: delete(%q) disagrees with the model (%v)", seed, op, cell, had)
 					}
 					delete(model[name], cell)
 				}
 			case 8:
 				if rng.Intn(8) == 0 {
-					st.Table(name).Clear()
+					st.Table(name).clear()
 					model[name] = map[string]float64{}
 				}
 			case 9:
@@ -184,8 +184,8 @@ func TestTableInvariantsUnderChurn(t *testing.T) {
 			}
 			ctx := fmt.Sprintf("seed %d op %d", seed, op)
 			checkStateTables(t, st, ctx)
-			if st.TableCount() != len(model) {
-				t.Fatalf("%s: %d tables, model has %d", ctx, st.TableCount(), len(model))
+			if st.tabN != len(model) {
+				t.Fatalf("%s: %d tables, model has %d", ctx, st.tabN, len(model))
 			}
 			for name, want := range model {
 				tab := st.LookupTable(name)
@@ -273,7 +273,7 @@ func TestTableOwnsItsKeys(t *testing.T) {
 	sum.AddTable(src)
 	cp.CopyFrom(&fed)
 	if allocs := testing.AllocsPerRun(10, func() {
-		sum.Clear()
+		sum.clear()
 		sum.AddTable(src)
 		sum.AddTable(src)
 		cp.CopyFrom(&fed)
@@ -416,7 +416,7 @@ func TestAddTableMatchesMapModel(t *testing.T) {
 }
 
 // TestDiffRoundTripAfterChurn: Diff, DiffSize and Apply probe one table with
-// the hashes another one stores. The states here went through deletes, Clear,
+// the hashes another one stores. The states here went through deletes, clear,
 // ClearTable and copies first, so those hashes were moved by swap-remove and
 // written by every path there is: Apply(Diff(a, b)) on a must encode as b, and
 // DiffSize must be the length of the encoded delta, in both directions.
@@ -432,10 +432,10 @@ func TestDiffRoundTripAfterChurn(t *testing.T) {
 			case 4:
 				tab.Set(cell, float64(rng.Intn(5)))
 			case 5, 6, 7:
-				tab.Delete(cell)
+				tab.delete(cell)
 			case 8:
 				if rng.Intn(40) == 0 {
-					tab.Clear()
+					tab.clear()
 				}
 			case 9:
 				if rng.Intn(40) == 0 {
@@ -454,7 +454,7 @@ func TestDiffRoundTripAfterChurn(t *testing.T) {
 			for i := 0; i < 60; i++ {
 				tab := b.Table(fmt.Sprintf("w%d", rng.Intn(3)))
 				if cell := fmt.Sprintf("article-%06d", rng.Intn(250)); rng.Intn(3) == 0 {
-					tab.Delete(cell)
+					tab.delete(cell)
 				} else {
 					tab.Add(cell, 1)
 				}

@@ -20,17 +20,17 @@ import (
 // reader trusts a table's record only while the two numbers match. A state
 // recycled by Reset, a state another tip cut since, and a table created
 // after the mark fail that test, and so does a table that lost a cell since
-// the mark (Delete, Clear, ClearTable): its record no longer says which of the
-// tip's cells are gone. Such a table is walked whole, as before. A reader
-// returns exactly what the whole walk returns, byte for byte; only its cost
-// changes.
+// the mark (ClearTable, or a delta's cell deletion applied to it): its record
+// no longer says which of the tip's cells are gone. Such a table is walked
+// whole, as before. A reader returns exactly what the whole walk returns, byte
+// for byte; only its cost changes.
 
 // tipMarks numbers marks across the process, so no two are alike.
 var tipMarks atomic.Uint64
 
 // changes is a table's record of what was written since its mark, one bit
 // per entry. Entry indexes are stable in between: inserts append, and the one
-// operation that moves an entry (Delete) ends the record.
+// operation that moves an entry (delete) ends the record.
 type changes struct {
 	// tok is the mark the record runs from (0: the table records nothing).
 	tok uint64

@@ -264,7 +264,7 @@ func TestTopKOfMatchesFullSort(t *testing.T) {
 		var all []ranked
 		for i := 0; i < n; i++ {
 			c := ranked{fmt.Sprintf("article-%06d", rng.Intn(1_000_000)), float64(rng.Intn(5))}
-			if !totals.Has(c.key) {
+			if _, ok := totals.Lookup(c.key); !ok {
 				totals.Set(c.key, c.total)
 				all = append(all, c)
 			}

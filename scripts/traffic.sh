@@ -9,9 +9,10 @@
 #
 # The runs: the five examples and albic-bench (every figure, reduced scale);
 # albic-run for rj1-rj4 under each of the six balancers; CI's rj2 run with
-# checkpoints, lockstep and pipelined, in one process and over 1 controller +
-# 2 albic-node processes on TCP loopback; an -incremental -shards 2 run; and
-# the benchmark's four workloads with -quick, with and without -trace.
+# checkpoints, lockstep and pipelined, and its rj1 Flux run with checkpoints
+# (deltas that delete cells), each in one process and over 1 controller + 2
+# albic-node processes on TCP loopback; an -incremental -shards 2 run; and the
+# benchmark's four workloads with -quick, with and without -trace.
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
 work=$(mktemp -d)
@@ -40,6 +41,8 @@ ci=("${small[@]}" -job rj2 -budget 4 -ckpt-every 3)
 quiet "$bin/albic-run" "${ci[@]}" -pipelined=false
 quiet "$bin/albic-run" "${ci[@]}"
 quiet "$bin/albic-run" "${ci[@]}" -incremental -shards 2
+rj1=(-nodes 6 -groups 24 -periods 24 -rate 1200 -seed 7 -job rj1 -balancer flux -ckpt-every 3)
+quiet "$bin/albic-run" "${rj1[@]}"
 
 # tcp port args...: the run as 1 controller + 2 workers on loopback.
 tcp() {
@@ -59,6 +62,7 @@ tcp() {
 }
 tcp 7076 "${ci[@]}" -pipelined=false
 tcp 7077 "${ci[@]}"
+tcp 7079 "${rj1[@]}"
 
 for w in steady-rj1 reconfig-rj1 adaptive-rj3 adaptive-rj3-tcp; do
   for tr in 0 1; do
