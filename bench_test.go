@@ -140,6 +140,16 @@ func BenchmarkFig14RealJob4(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Substrate micro-benchmarks.
 
+// singleGroupItems makes every key group its own item of migration cost 1:
+// loads[k] is its load, cur[k] its node.
+func singleGroupItems(loads []float64, cur []int) []assign.Item {
+	items := make([]assign.Item, len(loads))
+	for k := range loads {
+		items[k] = assign.Item{Load: loads[k], MigCost: 1, Cur: cur[k], Pin: -1}
+	}
+	return items
+}
+
 // BenchmarkAssignSolve60x1200 rebalances the paper's largest cluster under
 // a 20ms anytime budget.
 func BenchmarkAssignSolve60x1200(b *testing.B) {
@@ -155,7 +165,7 @@ func BenchmarkAssignSolve60x1200(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := &assign.Problem{
 			NumNodes:      60,
-			Items:         assign.SingleGroupItems(loads, nil, curs),
+			Items:         singleGroupItems(loads, curs),
 			MaxMigrations: 20,
 		}
 		sol, err := assign.Solve(p, assign.Options{TimeLimit: 20 * time.Millisecond, Seed: int64(i)})
@@ -254,7 +264,7 @@ func solverPlateauProblem() *assign.Problem {
 	}
 	return &assign.Problem{
 		NumNodes:      nodes,
-		Items:         assign.SingleGroupItems(loads, nil, curs),
+		Items:         singleGroupItems(loads, curs),
 		MaxMigrations: 20,
 	}
 }

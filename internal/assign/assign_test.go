@@ -7,10 +7,24 @@ import (
 	"time"
 )
 
+// singleGroupItems makes every key group its own item: loads[k] is its load,
+// migCost[k] its migration cost (1 when migCost is nil), cur[k] its node.
+func singleGroupItems(loads, migCost []float64, cur []int) []Item {
+	items := make([]Item, len(loads))
+	for k := range loads {
+		mc := 1.0
+		if migCost != nil {
+			mc = migCost[k]
+		}
+		items[k] = Item{Load: loads[k], MigCost: mc, Cur: cur[k], Pin: -1}
+	}
+	return items
+}
+
 func simpleProblem(nodes int, loads []float64, cur []int) *Problem {
 	return &Problem{
 		NumNodes: nodes,
-		Items:    SingleGroupItems(loads, nil, cur),
+		Items:    singleGroupItems(loads, nil, cur),
 	}
 }
 
@@ -49,7 +63,7 @@ func TestEvaluateHeterogeneous(t *testing.T) {
 	p := &Problem{
 		NumNodes: 2,
 		Capacity: []float64{1, 2},
-		Items:    SingleGroupItems([]float64{30, 60}, nil, []int{0, 1}),
+		Items:    singleGroupItems([]float64{30, 60}, nil, []int{0, 1}),
 	}
 	e := p.Evaluate([]int{0, 1})
 	if e.Util[0] != 30 || e.Util[1] != 30 {
@@ -154,7 +168,7 @@ func randomProblem(rng *rand.Rand, nodes, items int) *Problem {
 		loads[k] = math.Round(rng.Float64()*30) + 1
 		curs[k] = rng.Intn(nodes)
 	}
-	p.Items = SingleGroupItems(loads, nil, curs)
+	p.Items = singleGroupItems(loads, nil, curs)
 	if rng.Intn(2) == 0 {
 		p.MaxMigrations = 1 + rng.Intn(items)
 	} else {
@@ -248,7 +262,7 @@ func TestKillNodesDrain(t *testing.T) {
 	p := &Problem{
 		NumNodes:      6,
 		Kill:          []bool{false, false, false, false, true, true},
-		Items:         SingleGroupItems(loads, nil, curs),
+		Items:         singleGroupItems(loads, nil, curs),
 		MaxMigrations: 5,
 	}
 	for round := 0; round < 20; round++ {
@@ -273,7 +287,7 @@ func TestPinsHonored(t *testing.T) {
 	loads := []float64{10, 10, 10, 10}
 	p := &Problem{
 		NumNodes: 2,
-		Items:    SingleGroupItems(loads, nil, []int{0, 0, 1, 1}),
+		Items:    singleGroupItems(loads, nil, []int{0, 0, 1, 1}),
 	}
 	p.Items[2].Pin = 0 // force item 2 onto node 0
 	sol, err := Solve(p, Options{TimeLimit: 10 * time.Millisecond})
@@ -297,7 +311,7 @@ func TestPinsOverBudgetError(t *testing.T) {
 	loads := []float64{10, 10}
 	p := &Problem{
 		NumNodes:      2,
-		Items:         SingleGroupItems(loads, []float64{5, 5}, []int{0, 1}),
+		Items:         singleGroupItems(loads, []float64{5, 5}, []int{0, 1}),
 		MaxMigrCost:   1,
 		MaxMigrations: 0,
 	}
@@ -358,7 +372,7 @@ func TestAnytimeLargeInstanceImproves(t *testing.T) {
 		loads[k*nodes] = 12
 		curs[k*nodes] = 0
 	}
-	p := &Problem{NumNodes: nodes, Items: SingleGroupItems(loads, nil, curs), MaxMigrations: 20}
+	p := &Problem{NumNodes: nodes, Items: singleGroupItems(loads, nil, curs), MaxMigrations: 20}
 	before := p.Evaluate(curs)
 	sol, err := Solve(p, Options{TimeLimit: 150 * time.Millisecond, Seed: 1})
 	if err != nil {

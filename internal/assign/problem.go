@@ -24,8 +24,9 @@ import (
 // collocated key groups that ALBIC requires to move together. All groups of
 // an item are currently on the same node.
 type Item struct {
-	// Groups are the key-group ids contained in this item (for reporting;
-	// the solver itself treats the item as atomic).
+	// Groups are the key-group ids of an item of several groups, and nil
+	// for a single group. The solver treats the item as atomic and reads
+	// only GroupCount, which counts nil as 1.
 	Groups []int
 	// Load is the item's total load contribution, in percentage points of a
 	// unit-capacity node (the paper's gLoad, summed over Groups).
@@ -265,19 +266,4 @@ type Solution struct {
 	// ItemNode maps each item index to its assigned node.
 	ItemNode []int
 	Eval     *Eval
-}
-
-// SingleGroupItems builds the common case where every key group is its own
-// migration unit. loads[k] is gLoad_k, migCost[k] its migration cost (1 when
-// migCost is nil), cur[k] its current node.
-func SingleGroupItems(loads, migCost []float64, cur []int) []Item {
-	items := make([]Item, len(loads))
-	for k := range loads {
-		mc := 1.0
-		if migCost != nil {
-			mc = migCost[k]
-		}
-		items[k] = Item{Groups: []int{k}, Load: loads[k], MigCost: mc, Cur: cur[k], Pin: -1}
-	}
-	return items
 }

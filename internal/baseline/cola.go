@@ -45,7 +45,7 @@ func (c *COLA) Plan(_ context.Context, s *core.Snapshot) (*core.Plan, error) {
 
 	var alive []int
 	for i := 0; i < s.NumNodes; i++ {
-		if !killedNode(s, i) {
+		if !s.Killed(i) {
 			alive = append(alive, i)
 		}
 	}
@@ -70,7 +70,7 @@ func (c *COLA) Plan(_ context.Context, s *core.Snapshot) (*core.Plan, error) {
 			return nil, err
 		}
 		assignment := mapPartsToNodes(s, part, alive)
-		dist := loadDistanceOf(s, assignment)
+		dist := core.Evaluate(s, assignment).LoadDistance
 		cut := graphpart.EdgeCut(g, part)
 		if bestAssign == nil || dist < bestDist-1e-9 ||
 			(dist < bestDist+1e-9 && cut < bestCut) {
@@ -134,35 +134,4 @@ func mapPartsToNodes(s *core.Snapshot, part []int, alive []int) []int {
 		assignment[gid] = partNode[p]
 	}
 	return assignment
-}
-
-func loadDistanceOf(s *core.Snapshot, assignment []int) float64 {
-	utils := make([]float64, s.NumNodes)
-	total := 0.0
-	for gid, n := range assignment {
-		utils[n] += s.Groups[gid].Load
-		total += s.Groups[gid].Load
-	}
-	capA := 0.0
-	for i := 0; i < s.NumNodes; i++ {
-		utils[i] /= capOf(s, i)
-		if !killedNode(s, i) {
-			capA += capOf(s, i)
-		}
-	}
-	mean := total / capA
-	dist := 0.0
-	for i := 0; i < s.NumNodes; i++ {
-		if killedNode(s, i) {
-			continue
-		}
-		d := utils[i] - mean
-		if d < 0 {
-			d = -d
-		}
-		if d > dist {
-			dist = d
-		}
-	}
-	return dist
 }

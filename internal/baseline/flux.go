@@ -36,7 +36,7 @@ func (Flux) Plan(_ context.Context, s *core.Snapshot) (*core.Plan, error) {
 	for k, g := range s.Groups {
 		assign[k] = g.Node
 		groupsOn[g.Node] = append(groupsOn[g.Node], k)
-		utils[g.Node] += g.Load / capOf(s, g.Node)
+		utils[g.Node] += g.Load / s.Cap(g.Node)
 	}
 	budget := s.MaxMigrations
 	if budget <= 0 {
@@ -50,7 +50,7 @@ func (Flux) Plan(_ context.Context, s *core.Snapshot) (*core.Plan, error) {
 		progressed := false
 		for i, j := 0, len(order)-1; i < j && moved < budget; i, j = i+1, j-1 {
 			donor, receiver := order[i], order[j]
-			if killedNode(s, receiver) {
+			if s.Killed(receiver) {
 				// Never move load onto a node marked for removal.
 				j++ // keep receiver index; advance donor only
 				continue
@@ -64,7 +64,7 @@ func (Flux) Plan(_ context.Context, s *core.Snapshot) (*core.Plan, error) {
 			best, bestLoad := -1, 0.0
 			for _, k := range groupsOn[donor] {
 				l := s.Groups[k].Load
-				if l/capOf(s, donor) < diff && l > bestLoad {
+				if l/s.Cap(donor) < diff && l > bestLoad {
 					bestLoad, best = l, k
 				}
 			}
@@ -72,8 +72,8 @@ func (Flux) Plan(_ context.Context, s *core.Snapshot) (*core.Plan, error) {
 				continue
 			}
 			// Apply the move.
-			utils[donor] -= s.Groups[best].Load / capOf(s, donor)
-			utils[receiver] += s.Groups[best].Load / capOf(s, receiver)
+			utils[donor] -= s.Groups[best].Load / s.Cap(donor)
+			utils[receiver] += s.Groups[best].Load / s.Cap(receiver)
 			groupsOn[donor] = removeInt(groupsOn[donor], best)
 			groupsOn[receiver] = append(groupsOn[receiver], best)
 			assign[best] = receiver
@@ -96,7 +96,7 @@ func nodesByLoadDesc(s *core.Snapshot, utils []float64) []int {
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		na, nb := order[a], order[b]
-		ka, kb := killedNode(s, na), killedNode(s, nb)
+		ka, kb := s.Killed(na), s.Killed(nb)
 		if ka != kb {
 			return ka // kill-marked nodes are the most urgent donors
 		}
@@ -104,15 +104,6 @@ func nodesByLoadDesc(s *core.Snapshot, utils []float64) []int {
 	})
 	return order
 }
-
-func capOf(s *core.Snapshot, i int) float64 {
-	if s.Capacity == nil {
-		return 1
-	}
-	return s.Capacity[i]
-}
-
-func killedNode(s *core.Snapshot, i int) bool { return s.Kill != nil && s.Kill[i] }
 
 func removeInt(xs []int, v int) []int {
 	for i, x := range xs {

@@ -184,70 +184,15 @@ func (a *ALBIC) scorePairs(s *Snapshot, dirty []bool) (colPairs, toBeCol []score
 	return colPairs, toBeCol
 }
 
-// solveOnce implements steps 2-4 for a given maxPL. With a non-nil dirty
-// mask, only dirty groups become solver items; the frozen remainder enters
-// the problem as per-node fixed background load, so the solve scales with
-// the dirty region.
+// solveOnce implements steps 2-4 for a given maxPL on the problem s.problem
+// poses: the partitions are items, and with a non-nil dirty mask the frozen
+// groups are fixed background load.
 func (a *ALBIC) solveOnce(ctx context.Context, s *Snapshot, colPairs, toBeCol []scored, maxPL float64, rng *rand.Rand, dirty []bool) (*Plan, error) {
-	partitions := a.buildPartitions(s, colPairs, maxPL, rng)
-
-	// Map group -> partition index (-1 if standalone).
-	partOf := make([]int, len(s.Groups))
-	for k := range partOf {
-		partOf[k] = -1
-	}
-	for pi, part := range partitions {
-		for _, g := range part {
-			partOf[g] = pi
-		}
-	}
-
-	// Build items: one per partition, one per remaining movable group.
-	var items []assign.Item
-	itemOf := make([]int, len(s.Groups))
-	for k := range itemOf {
-		itemOf[k] = -1
-	}
-	for _, part := range partitions {
-		it := assign.Item{Cur: s.Groups[part[0]].Node, Pin: -1}
-		for _, g := range part {
-			it.Groups = append(it.Groups, g)
-			it.Load += s.Groups[g].Load
-			it.MigCost += s.migCost(g)
-			itemOf[g] = len(items)
-		}
-		items = append(items, it)
-	}
-	var fixed []float64
-	if dirty != nil {
-		fixed = make([]float64, s.NumNodes)
-	}
-	for k, g := range s.Groups {
-		if partOf[k] != -1 {
-			continue
-		}
-		if dirty != nil && !dirty[k] {
-			fixed[g.Node] += g.Load
-			continue
-		}
-		itemOf[k] = len(items)
-		items = append(items, assign.Item{
-			Groups: []int{k}, Load: g.Load, MigCost: a.migCostOf(s, k), Cur: g.Node, Pin: -1,
-		})
-	}
+	problem, itemOf := s.problem(a.buildPartitions(s, colPairs, maxPL, rng), dirty)
 
 	// Step 3: improve collocation by pinning one new beneficial pair.
-	pinned := a.pinBestPair(s, toBeCol, items, itemOf, rng)
+	pinned := a.pinBestPair(s, toBeCol, problem.Items, itemOf, rng)
 
-	problem := &assign.Problem{
-		NumNodes:      s.NumNodes,
-		Capacity:      cloneFloats(s.Capacity),
-		Kill:          cloneBools(s.Kill),
-		Items:         items,
-		Fixed:         fixed,
-		MaxMigrCost:   s.MaxMigrCost,
-		MaxMigrations: s.MaxMigrations,
-	}
 	opt := assign.Options{TimeLimit: a.TimeLimit, Seed: a.Seed + a.round}
 	if opt.TimeLimit <= 0 {
 		opt.TimeLimit = assign.DefaultTimeLimit
@@ -259,25 +204,16 @@ func (a *ALBIC) solveOnce(ctx context.Context, s *Snapshot, colPairs, toBeCol []
 	sol, err := assign.SolveCtx(ctx, problem, opt)
 	if err != nil && pinned {
 		// The new pin may exceed the migration budget; retry without it.
-		for i := range items {
-			items[i].Pin = -1
+		for i := range problem.Items {
+			problem.Items[i].Pin = -1
 		}
 		sol, err = assign.SolveCtx(ctx, problem, opt)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("albic: %w", err)
 	}
-	// Frozen groups keep their current node; solver items overwrite theirs.
-	groupNode := currentAssignment(s)
-	for idx, node := range sol.ItemNode {
-		for _, g := range problem.Items[idx].Groups {
-			groupNode[g] = node
-		}
-	}
-	return PlanFromAssignment(s, groupNode, sol.Eval), nil
+	return s.planOf(itemOf, sol), nil
 }
-
-func (a *ALBIC) migCostOf(s *Snapshot, k int) float64 { return s.migCost(k) }
 
 // buildPartitions implements step 2: merge collocated pairs into sets and
 // split any set violating the migration-cost or partition-load constraints
@@ -429,7 +365,7 @@ func (a *ALBIC) pinBestPair(s *Snapshot, toBeCol []scored, items []assign.Item, 
 		return false // already in the same migration unit
 	}
 	n1, n2 := s.Groups[gi].Node, s.Groups[gj].Node
-	loads := s.NodeLoads()
+	util := Evaluate(s, currentAssignment(s)).Util
 
 	// Pick the target node per the paper's three cases.
 	inPartI := len(items[itI].Groups) > 1
@@ -442,18 +378,18 @@ func (a *ALBIC) pinBestPair(s *Snapshot, toBeCol []scored, items []assign.Item, 
 		target = n2
 	default: // cases 1 and 3: the less-loaded of the two nodes
 		target = n1
-		if loads[n2] < loads[n1] {
+		if util[n2] < util[n1] {
 			target = n2
 		}
 	}
-	if s.killed(target) {
+	if s.Killed(target) {
 		// Never pin onto a node marked for removal; use the other node.
 		if target == n1 {
 			target = n2
 		} else {
 			target = n1
 		}
-		if s.killed(target) {
+		if s.Killed(target) {
 			return false
 		}
 	}

@@ -109,7 +109,7 @@ func TestIncrementalALBICFullCoverageIdentity(t *testing.T) {
 
 // TestIncrementalMILPFullCoverageIdentity: the same property for the pure
 // MILP balancer, which shares the dirty tracker but routes frozen load
-// through Snapshot.DirtyProblem.
+// through the snapshot's problem builder as fixed background load.
 func TestIncrementalMILPFullCoverageIdentity(t *testing.T) {
 	ctx := context.Background()
 	full := &MILPBalancer{Seed: 3, TimeLimit: converged}

@@ -93,19 +93,71 @@ func TestSnapshotCloneIsDeep(t *testing.T) {
 }
 
 func TestLoadDistanceAndAverage(t *testing.T) {
-	s := &Snapshot{
-		NumNodes: 2,
-		Ops:      []OpStat{{Name: "o", Groups: []int{0, 1}}},
-		Groups: []GroupStat{
-			{Op: 0, Node: 0, Load: 60},
-			{Op: 0, Node: 1, Load: 40},
+	for _, tc := range []struct {
+		name          string
+		s             *Snapshot
+		dist, average float64
+	}{
+		{
+			// Utilizations 60 and 40, mean 50.
+			name: "homogeneous",
+			s: &Snapshot{
+				NumNodes: 2,
+				Ops:      []OpStat{{Name: "o", Groups: []int{0, 1}}},
+				Groups: []GroupStat{
+					{Op: 0, Node: 0, Load: 60},
+					{Op: 0, Node: 1, Load: 40},
+				},
+			},
+			dist: 10, average: 50,
 		},
+		{
+			// Capacities 1, 2, 0.5; node 2 is marked for removal but still
+			// holds load 6. Utilizations: 54/1 = 54, (40+20)/2 = 30 and
+			// 6/0.5 = 12. The mean counts every node's load over the alive
+			// capacity: (54+60+6)/(1+2) = 40 (not 114/3 = 38). The distance
+			// is taken over the alive nodes only: max(|54−40|, |30−40|) = 14
+			// (node 2's |12−40| = 28 does not count). The average is over the
+			// alive utilizations: (54+30)/2 = 42.
+			name: "heterogeneous with a kill-marked node",
+			s: &Snapshot{
+				NumNodes: 3,
+				Capacity: []float64{1, 2, 0.5},
+				Kill:     []bool{false, false, true},
+				Ops:      []OpStat{{Name: "o", Groups: []int{0, 1, 2, 3}}},
+				Groups: []GroupStat{
+					{Op: 0, Node: 0, Load: 54},
+					{Op: 0, Node: 1, Load: 40},
+					{Op: 0, Node: 1, Load: 20},
+					{Op: 0, Node: 2, Load: 6},
+				},
+			},
+			dist: 14, average: 42,
+		},
+	} {
+		if d := tc.s.LoadDistance(); d != tc.dist {
+			t.Errorf("%s: load distance = %v, want %v", tc.name, d, tc.dist)
+		}
+		if a := tc.s.AverageLoad(); a != tc.average {
+			t.Errorf("%s: avg = %v, want %v", tc.name, a, tc.average)
+		}
 	}
-	if d := s.LoadDistance(); d != 10 {
-		t.Fatalf("load distance = %v, want 10", d)
+}
+
+// TestValuationAllocsDoNotGrowWithGroups: building the problem and valuing an
+// allocation cost a fixed number of allocations, none per key group.
+func TestValuationAllocsDoNotGrowWithGroups(t *testing.T) {
+	allocs := func(groupsPerOp int) (evaluate, problem float64) {
+		s := chainSnapshot(4, groupsPerOp, true)
+		cur := currentAssignment(s)
+		evaluate = testing.AllocsPerRun(20, func() { Evaluate(s, cur) })
+		problem = testing.AllocsPerRun(20, func() { s.Problem() })
+		return evaluate, problem
 	}
-	if a := s.AverageLoad(); a != 50 {
-		t.Fatalf("avg = %v, want 50", a)
+	e40, p40 := allocs(20)
+	e400, p400 := allocs(200)
+	if e40 != e400 || p40 != p400 {
+		t.Fatalf("allocations grow with the groups: Evaluate %v at 40, %v at 400; Problem %v at 40, %v at 400", e40, e400, p40, p400)
 	}
 }
 

@@ -96,7 +96,7 @@ func (t *dirtyTracker) region(s *Snapshot, loadDelta float64, topK int) []bool {
 	for k, g := range s.Groups {
 		d := math.Abs(g.Load - t.lastLoads[k])
 		switch {
-		case s.killed(g.Node) || g.Node != t.lastNodes[k]:
+		case s.Killed(g.Node) || g.Node != t.lastNodes[k]:
 			mark(k, math.Inf(1))
 			seeds = append(seeds, k)
 		case d > loadDelta*t.lastLoads[k]:

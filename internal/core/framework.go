@@ -97,7 +97,7 @@ func (f *Framework) Step(ctx context.Context, s *Snapshot) (*Outcome, error) {
 		occupied[g.Node] = true
 	}
 	for i := 0; i < s.NumNodes; i++ {
-		if s.killed(i) && !occupied[i] {
+		if s.Killed(i) && !occupied[i] {
 			out.Terminate = append(out.Terminate, i)
 		}
 	}

@@ -1,48 +1,22 @@
 package core
 
-import "math"
-
-// LoadDistance returns the paper's load-imbalance metric: the largest
-// absolute difference between any alive node's utilization and the mean, in
-// percentage points. Nodes marked for removal are excluded from the max but
-// their load still counts toward the mean (divided by |A|), matching the
-// MILP's mean definition.
+// LoadDistance returns the paper's load-imbalance metric under the current
+// allocation, in percentage points: the solver's valuation of it
+// (Evaluate's LoadDistance), the largest |util − mean| over the nodes not
+// marked for removal, where the mean counts the load of every node.
 func (s *Snapshot) LoadDistance() float64 {
-	utils := s.NodeLoads()
-	capA, total := 0.0, 0.0
-	for i := 0; i < s.NumNodes; i++ {
-		total += utils[i] * s.capacity(i)
-		if !s.killed(i) {
-			capA += s.capacity(i)
-		}
-	}
-	if capA == 0 {
-		return 0
-	}
-	mean := total / capA
-	dist := 0.0
-	for i := 0; i < s.NumNodes; i++ {
-		if s.killed(i) {
-			continue
-		}
-		if d := math.Abs(utils[i] - mean); d > dist {
-			dist = d
-		}
-	}
-	return dist
+	return Evaluate(s, currentAssignment(s)).LoadDistance
 }
 
 // AverageLoad returns the mean utilization over alive nodes (for the load
 // index metric).
 func (s *Snapshot) AverageLoad() float64 {
-	utils := s.NodeLoads()
 	n, sum := 0, 0.0
-	for i := 0; i < s.NumNodes; i++ {
-		if s.killed(i) {
-			continue
+	for i, u := range Evaluate(s, currentAssignment(s)).Util {
+		if !s.Killed(i) {
+			sum += u
+			n++
 		}
-		sum += utils[i]
-		n++
 	}
 	if n == 0 {
 		return 0

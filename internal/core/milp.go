@@ -44,7 +44,7 @@ func (b *MILPBalancer) Plan(ctx context.Context, s *Snapshot) (*Plan, error) {
 		dirty = b.tracker.region(s, DefaultDirtyLoadDelta, DefaultDirtyTopK)
 		b.tracker.observe(s)
 	}
-	p := s.DirtyProblem(dirty)
+	p, itemOf := s.problem(nil, dirty)
 	sol, err := assign.SolveCtx(ctx, p, assign.Options{
 		TimeLimit: b.TimeLimit,
 		Seed:      b.Seed,
@@ -52,14 +52,7 @@ func (b *MILPBalancer) Plan(ctx context.Context, s *Snapshot) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Frozen groups keep their current node; solver items overwrite theirs.
-	groupNode := currentAssignment(s)
-	for idx, node := range sol.ItemNode {
-		for _, g := range p.Items[idx].Groups {
-			groupNode[g] = node
-		}
-	}
-	return PlanFromAssignment(s, groupNode, sol.Eval), nil
+	return s.planOf(itemOf, sol), nil
 }
 
 // NoopBalancer keeps the current allocation (used for PoTC runs, where
@@ -71,9 +64,5 @@ func (NoopBalancer) Name() string { return "noop" }
 
 // Plan implements Balancer.
 func (NoopBalancer) Plan(_ context.Context, s *Snapshot) (*Plan, error) {
-	groupNode := make([]int, len(s.Groups))
-	for k, g := range s.Groups {
-		groupNode[k] = g.Node
-	}
-	return PlanFromAssignment(s, groupNode, nil), nil
+	return PlanFromAssignment(s, currentAssignment(s), nil), nil
 }

@@ -56,32 +56,22 @@ func (u *UtilizationScaler) Decide(s *Snapshot, plan *Plan) ScaleDecision {
 	target, high, low, minN, step := u.params()
 
 	// Post-plan utilization per node.
-	utils := make([]float64, s.NumNodes)
-	for k, node := range plan.GroupNode {
-		utils[node] += s.Groups[k].Load
-	}
+	e := Evaluate(s, plan.GroupNode)
 	total := 0.0
-	var alive []int
-	for i := 0; i < s.NumNodes; i++ {
-		utils[i] /= s.capacity(i)
-		total += utils[i] * s.capacity(i)
-		if !s.killed(i) {
-			alive = append(alive, i)
-		}
+	for _, g := range s.Groups {
+		total += g.Load
 	}
-	capA := 0.0
-	for _, i := range alive {
-		capA += s.capacity(i)
+	var alive []int
+	capA, maxAfter := 0.0, 0.0
+	for i := 0; i < s.NumNodes; i++ {
+		if !s.Killed(i) {
+			alive = append(alive, i)
+			capA += s.Cap(i)
+			maxAfter = max(maxAfter, e.Util[i])
+		}
 	}
 	if capA == 0 {
 		return ScaleDecision{}
-	}
-	meanAfter := total / capA
-	maxAfter := 0.0
-	for _, i := range alive {
-		if utils[i] > maxAfter {
-			maxAfter = utils[i]
-		}
 	}
 
 	// needed: unit-capacity node count so the average lands at TargetUtil.
@@ -98,7 +88,7 @@ func (u *UtilizationScaler) Decide(s *Snapshot, plan *Plan) ScaleDecision {
 			add = step
 		}
 		return ScaleDecision{AddNodes: add}
-	case meanAfter < low && needed < len(alive):
+	case e.Mean < low && needed < len(alive):
 		// Underutilized: mark the least-loaded alive nodes for removal, but
 		// never so many that the survivors could not absorb the load.
 		remove := len(alive) - needed
@@ -110,9 +100,9 @@ func (u *UtilizationScaler) Decide(s *Snapshot, plan *Plan) ScaleDecision {
 		for remove > 0 {
 			capLeft := capA
 			sorted := append([]int(nil), alive...)
-			sort.Slice(sorted, func(a, b int) bool { return utils[sorted[a]] < utils[sorted[b]] })
+			sort.Slice(sorted, func(a, b int) bool { return e.Util[sorted[a]] < e.Util[sorted[b]] })
 			for i := 0; i < remove; i++ {
-				capLeft -= s.capacity(sorted[i])
+				capLeft -= s.Cap(sorted[i])
 			}
 			if capLeft > 0 && total/capLeft <= high {
 				return ScaleDecision{MarkForRemoval: sorted[:remove]}

@@ -120,46 +120,58 @@ func (s *Snapshot) migCost(k int) float64 {
 	return g.StateSize
 }
 
-// Problem builds the assign.Problem treating every key group as its own
-// migration unit (the pure MILP of Section 4.3.1).
+// Problem builds the assign.Problem that treats every key group as its own
+// migration unit (the pure MILP of Section 4.3.1): item k is group k.
 func (s *Snapshot) Problem() *assign.Problem {
-	loads := make([]float64, len(s.Groups))
-	costs := make([]float64, len(s.Groups))
-	curs := make([]int, len(s.Groups))
-	for k, g := range s.Groups {
-		loads[k] = g.Load
-		costs[k] = s.migCost(k)
-		curs[k] = g.Node
-	}
-	return &assign.Problem{
-		NumNodes:      s.NumNodes,
-		Capacity:      cloneFloats(s.Capacity),
-		Kill:          cloneBools(s.Kill),
-		Items:         assign.SingleGroupItems(loads, costs, curs),
-		MaxMigrCost:   s.MaxMigrCost,
-		MaxMigrations: s.MaxMigrations,
-	}
+	p, _ := s.problem(nil, nil)
+	return p
 }
 
-// DirtyProblem builds the assign.Problem restricted to the dirty groups:
-// only they become migration-unit items, while every frozen group
-// contributes its load to the per-node fixed background vector. The solver's
-// work then scales with the dirty region, not the topology. A nil mask
-// yields Problem() — the full solve.
-func (s *Snapshot) DirtyProblem(dirty []bool) *assign.Problem {
-	if dirty == nil {
-		return s.Problem()
+// problem builds the solver problem every planner poses. Each part, a set of
+// groups on one node that must move together, is one item, in order; every
+// other group is an item of its own, unless dirty is given and leaves it out:
+// such a frozen group keeps its node and adds its load to the problem's Fixed
+// background, so the solver's work scales with the dirty region. itemOf maps
+// each group to its item, or to -1 when it is frozen. A single-group item
+// carries no Groups slice, so the problem costs no allocation per group.
+func (s *Snapshot) problem(parts [][]int, dirty []bool) (p *assign.Problem, itemOf []int) {
+	itemOf = make([]int, len(s.Groups))
+	for k := range itemOf {
+		itemOf[k] = -1
 	}
-	fixed := make([]float64, s.NumNodes)
-	var items []assign.Item
-	for k, g := range s.Groups {
-		if !dirty[k] {
-			fixed[g.Node] += g.Load
-			continue
+	for pi, part := range parts {
+		for _, g := range part {
+			itemOf[g] = pi
 		}
-		items = append(items, assign.Item{
-			Groups: []int{k}, Load: g.Load, MigCost: s.migCost(k), Cur: g.Node, Pin: -1,
-		})
+	}
+	size := len(parts)
+	for k := range s.Groups {
+		if itemOf[k] < 0 && (dirty == nil || dirty[k]) {
+			size++
+		}
+	}
+	items := make([]assign.Item, len(parts), size)
+	for pi, part := range parts {
+		it := &items[pi]
+		it.Groups, it.Cur, it.Pin = part, s.Groups[part[0]].Node, -1
+		for _, g := range part {
+			it.Load += s.Groups[g].Load
+			it.MigCost += s.migCost(g)
+		}
+	}
+	var fixed []float64
+	if dirty != nil {
+		fixed = make([]float64, s.NumNodes)
+	}
+	for k, g := range s.Groups {
+		switch {
+		case itemOf[k] >= 0:
+		case dirty != nil && !dirty[k]:
+			fixed[g.Node] += g.Load
+		default:
+			itemOf[k] = len(items)
+			items = append(items, assign.Item{Load: g.Load, MigCost: s.migCost(k), Cur: g.Node, Pin: -1})
+		}
 	}
 	return &assign.Problem{
 		NumNodes:      s.NumNodes,
@@ -169,30 +181,39 @@ func (s *Snapshot) DirtyProblem(dirty []bool) *assign.Problem {
 		Fixed:         fixed,
 		MaxMigrCost:   s.MaxMigrCost,
 		MaxMigrations: s.MaxMigrations,
-	}
+	}, itemOf
 }
 
-// NodeLoads returns per-node load sums under the snapshot's current
-// allocation (utilization, i.e. divided by capacity).
-func (s *Snapshot) NodeLoads() []float64 {
-	loads := make([]float64, s.NumNodes)
-	for _, g := range s.Groups {
-		loads[g.Node] += g.Load
+// planOf maps a solution of the problem that built itemOf back to a plan:
+// each group goes where its item went, and a frozen group stays where it is.
+func (s *Snapshot) planOf(itemOf []int, sol *assign.Solution) *Plan {
+	groupNode := currentAssignment(s)
+	for k, it := range itemOf {
+		if it >= 0 {
+			groupNode[k] = sol.ItemNode[it]
+		}
 	}
-	for i := range loads {
-		loads[i] /= s.capacity(i)
-	}
-	return loads
+	return PlanFromAssignment(s, groupNode, sol.Eval)
 }
 
-func (s *Snapshot) capacity(i int) float64 {
+// Evaluate values an allocation of the snapshot's groups (group -> node) as
+// the solver does: it is s.Problem().Evaluate(groupNode). Its Mean is the
+// paper's: the load of every group over the capacity of the nodes not marked
+// for removal; its LoadDistance is the largest |util − mean| over those nodes.
+func Evaluate(s *Snapshot, groupNode []int) *assign.Eval {
+	return s.Problem().Evaluate(groupNode)
+}
+
+// Cap returns node i's capacity weight (1 when the snapshot is homogeneous).
+func (s *Snapshot) Cap(i int) float64 {
 	if s.Capacity == nil {
 		return 1
 	}
 	return s.Capacity[i]
 }
 
-func (s *Snapshot) killed(i int) bool { return s.Kill != nil && s.Kill[i] }
+// Killed reports whether node i is marked for removal.
+func (s *Snapshot) Killed(i int) bool { return s.Kill != nil && s.Kill[i] }
 
 // Clone copies the snapshot's mutable state (plans must not mutate the
 // caller's view). The immutable communication matrix is shared.

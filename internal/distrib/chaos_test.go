@@ -25,17 +25,17 @@ func TestChaosDelayEquivalence(t *testing.T) {
 
 	for _, tc := range []struct {
 		name string
-		opt  func(peer int) transport.ChaosOptions
+		opt  func(peer int) chaosOptions
 	}{
-		{"delay-jitter", func(peer int) transport.ChaosOptions {
-			return transport.ChaosOptions{
+		{"delay-jitter", func(peer int) chaosOptions {
+			return chaosOptions{
 				Seed:   int64(100 + peer),
 				Delay:  200 * time.Microsecond,
 				Jitter: 800 * time.Microsecond,
 			}
 		}},
-		{"stalls", func(peer int) transport.ChaosOptions {
-			return transport.ChaosOptions{
+		{"stalls", func(peer int) chaosOptions {
+			return chaosOptions{
 				Seed:       int64(200 + peer),
 				Jitter:     100 * time.Microsecond,
 				StallEvery: 50,
@@ -45,7 +45,7 @@ func TestChaosDelayEquivalence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			chaotic, chaoticCkpts := runMem(t, spec, func(peer int, ep transport.Endpoint) transport.Endpoint {
-				return transport.WithChaos(ep, tc.opt(peer))
+				return withChaos(ep, tc.opt(peer))
 			})
 			comparePeriods(t, tc.name, chaotic, clean)
 			if !reflect.DeepEqual(chaoticCkpts, cleanCkpts) {
@@ -56,16 +56,16 @@ func TestChaosDelayEquivalence(t *testing.T) {
 }
 
 // lateChaos is an endpoint that turns chaotic on demand: once arm has been
-// called, every further frame goes through a Chaos wrapper with the given
+// called, every further frame goes through a chaos wrapper with the given
 // options (frames sent before are already in the transport, so per-link FIFO
 // holds across the switch).
 type lateChaos struct {
 	transport.Endpoint
-	chaos atomic.Pointer[transport.Chaos]
+	chaos atomic.Pointer[chaosEndpoint]
 }
 
-func (l *lateChaos) arm(opt transport.ChaosOptions) {
-	l.chaos.Store(transport.WithChaos(l.Endpoint, opt))
+func (l *lateChaos) arm(opt chaosOptions) {
+	l.chaos.Store(withChaos(l.Endpoint, opt))
 }
 
 func (l *lateChaos) Send(peer int, data []byte) error {
@@ -119,7 +119,7 @@ func TestWorkerDeathDuringStagedMoves(t *testing.T) {
 		if err := e.ApplyPlan(alloc); err != nil {
 			t.Fatal(err)
 		}
-		victim.arm(transport.ChaosOptions{DropAfter: k})
+		victim.arm(chaosOptions{DropAfter: k})
 		done := make(chan error, 1)
 		go func() {
 			_, err := e.RunPeriod()

@@ -130,7 +130,7 @@ func TestWorkerDeathWithWriteInFlight(t *testing.T) {
 	lost := groupsOn(e, 1) // DefaultPeers(3, 2): node 1 is worker 2's
 	prev := snapshotStore(t, e, lost)
 	run()
-	victim.arm(transport.ChaosOptions{StallEvery: 2, StallFor: stall})
+	victim.arm(chaosOptions{StallEvery: 2, StallFor: stall})
 	e.TakeCheckpoint()
 	victim.Endpoint.Close()
 

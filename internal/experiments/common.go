@@ -177,7 +177,7 @@ func synthLoads(spec clusterSpec, varies float64, meanNodeLoad float64, rng *ran
 	// Shift 20% of the nodes: half get -varies/2, half +varies/2 (in
 	// percentage points of node load), applied by scaling the loads of the
 	// node's key groups.
-	shifted := rng.Perm(spec.nodes)[:maxInt(2, spec.nodes/5)]
+	shifted := rng.Perm(spec.nodes)[:max(2, spec.nodes/5)]
 	for i, node := range shifted {
 		delta := varies / 2
 		if i%2 == 0 {
@@ -205,13 +205,6 @@ func synthLoads(spec clusterSpec, varies float64, meanNodeLoad float64, rng *ran
 	return loads, cur
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // synthSnapshot wraps synthetic loads in a core.Snapshot with ops assigned
 // round-robin over the groups (groups/ops per operator), without
 // communication; callers that want a pattern set Comm.
@@ -236,14 +229,4 @@ func synthSnapshot(spec clusterSpec, loads []float64, cur []int) *core.Snapshot 
 		s.Ops[op].Downstream = []int{op + 1}
 	}
 	return s
-}
-
-// loadDistanceAfter applies a plan to a copy of the loads and returns the
-// resulting load distance.
-func loadDistanceAfter(s *core.Snapshot, plan *core.Plan) float64 {
-	c := s.Clone()
-	for k, node := range plan.GroupNode {
-		c.Groups[k].Node = node
-	}
-	return c.LoadDistance()
 }

@@ -8,11 +8,6 @@ import (
 	"repro/internal/engine"
 )
 
-// runMetrics is the per-period series an engine experiment records — the
-// controller's recorded metrics, re-exported under the historical name the
-// figure runners use.
-type runMetrics = controller.Metrics
-
 // runSpec describes one adaptive engine run.
 type runSpec struct {
 	topo     *engine.Topology
@@ -33,7 +28,7 @@ type runSpec struct {
 // balancer plans under the migration budget, and the plan is applied
 // (migrations execute at the next period's start, concurrent with its
 // data).
-func runAdaptive(spec runSpec) (*runMetrics, error) {
+func runAdaptive(spec runSpec) (*controller.Metrics, error) {
 	e, err := engine.New(spec.topo, engine.Config{Nodes: spec.nodes}, spec.initial)
 	if err != nil {
 		return nil, err

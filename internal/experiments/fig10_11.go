@@ -65,7 +65,7 @@ func scaledCollocation(s *core.Snapshot, spec clusterSpec, maxCol float64) float
 // jitterLoads adjusts 20% of the nodes' loads by a random factor in
 // [-2%, +2%] (Section 5.3).
 func jitterLoads(s *core.Snapshot, rng *rand.Rand) {
-	shifted := rng.Perm(s.NumNodes)[:maxInt(1, s.NumNodes/5)]
+	shifted := rng.Perm(s.NumNodes)[:max(1, s.NumNodes/5)]
 	for _, node := range shifted {
 		factor := 1 + (rng.Float64()*0.04 - 0.02)
 		for k := range s.Groups {

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/baseline"
+	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/workload"
@@ -42,7 +43,7 @@ func minCollocationAllocation(topo *engine.Topology, nodes int) []int {
 // replaces the default period count when positive (Figure 14 runs longer:
 // its collocation converges more slowly with five communicating operators).
 func airlineRun(opt Opts, build func(workload.JobConfig) (*engine.Topology, error),
-	bal core.Balancer, maxMig int, rateScale float64, periodsOverride int) *runMetrics {
+	bal core.Balancer, maxMig int, rateScale float64, periodsOverride int) *controller.Metrics {
 	nodes, periods, cfg := airlineScale(opt)
 	if periodsOverride > 0 {
 		periods = periodsOverride
@@ -63,7 +64,7 @@ func airlineRun(opt Opts, build func(workload.JobConfig) (*engine.Topology, erro
 	return m
 }
 
-func fourPanels(name, title string, albic, cola *runMetrics) *Result {
+func fourPanels(name, title string, albic, cola *controller.Metrics) *Result {
 	return &Result{
 		Name:  name,
 		Title: title,

@@ -56,7 +56,7 @@ func solverQuality(name string, spec clusterSpec, opt Opts) *Result {
 				panic(err)
 			}
 			flux.X = append(flux.X, varies)
-			flux.Y = append(flux.Y, loadDistanceAfter(snap, plan))
+			flux.Y = append(flux.Y, core.Evaluate(snap, plan.GroupNode).LoadDistance)
 
 			for i, budget := range budgets {
 				b := &core.MILPBalancer{TimeLimit: budget, Seed: opt.Seed + int64(i)}
@@ -65,7 +65,7 @@ func solverQuality(name string, spec clusterSpec, opt Opts) *Result {
 					panic(err)
 				}
 				milp[i].X = append(milp[i].X, varies)
-				milp[i].Y = append(milp[i].Y, loadDistanceAfter(snap, plan))
+				milp[i].Y = append(milp[i].Y, core.Evaluate(snap, plan.GroupNode).LoadDistance)
 			}
 		}
 		panel.Series = append(panel.Series, flux)

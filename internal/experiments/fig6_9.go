@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/baseline"
+	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/workload"
 )
@@ -22,7 +23,7 @@ func job1Scale(opt Opts) (cfg workload.JobConfig, nodes, periods, maxMig int) {
 }
 
 // runJob1 runs Real Job 1 under a balancer (nil budget = unrestricted).
-func runJob1(opt Opts, bal core.Balancer, maxMig int, twoChoice bool) *runMetrics {
+func runJob1(opt Opts, bal core.Balancer, maxMig int, twoChoice bool) *controller.Metrics {
 	cfg, nodes, periods, _ := job1Scale(opt)
 	cfg.TwoChoice = twoChoice
 	topo, err := workload.RealJob1(cfg)

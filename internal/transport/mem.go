@@ -11,7 +11,7 @@ import (
 // which nothing is ever sent — and with more endpoints the full
 // multi-process protocol (controller + workers as separate engine instances)
 // runs deterministically inside one test process; it is what the chaos
-// wrapper usually wraps.
+// wrapper of internal/distrib's tests wraps.
 //
 // Unboundedness mirrors the engine's mailboxes: no cross-peer backpressure
 // deadlock is possible, which matters because endpoint consumers (the

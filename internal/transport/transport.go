@@ -2,11 +2,11 @@
 // processes of a cluster. It is the seam that makes the engine's "nodes"
 // real: the same v2 codec frames that always crossed node boundaries
 // in-process now cross an Endpoint, whose implementations are an in-memory
-// network (the default — every in-process test runs on it unchanged), a
-// length-prefixed TCP transport with node discovery and handshake, and a
-// chaos wrapper that injects per-link delay, stalls and one-shot drops
-// without ever violating the one invariant the engine's barrier protocol
-// needs: per-link FIFO.
+// network (the default — every in-process test runs on it unchanged) and a
+// length-prefixed TCP transport with node discovery and handshake. Both keep
+// the one invariant the engine's barrier protocol needs: per-link FIFO.
+// internal/distrib's tests wrap an Endpoint in a chaos wrapper that injects
+// per-link delay, stalls and one-shot drops without violating it.
 package transport
 
 import "fmt"

@@ -270,56 +270,6 @@ func TestTCPRejectsWireVersionMismatch(t *testing.T) {
 	defer goodEP.Close()
 }
 
-func TestChaosFIFOUnderDelay(t *testing.T) {
-	eps := NewMemCluster(2)
-	chaotic := WithChaos(eps[1], ChaosOptions{
-		Seed:       42,
-		Delay:      50 * time.Microsecond,
-		Jitter:     300 * time.Microsecond,
-		StallEvery: 37,
-		StallFor:   2 * time.Millisecond,
-	})
-	defer eps[0].Close()
-	defer eps[2].Close()
-	defer chaotic.Close()
-
-	const n = 300
-	go func() {
-		for seq := 0; seq < n; seq++ {
-			chaotic.Send(0, frame(1, seq)) //nolint:errcheck
-			chaotic.Send(2, frame(1, seq)) //nolint:errcheck
-		}
-	}()
-	expectFIFO(t, eps[0], n)
-	expectFIFO(t, eps[2], n)
-}
-
-func TestChaosDropAfterKillsEndpoint(t *testing.T) {
-	eps := NewMemCluster(1)
-	chaotic := WithChaos(eps[1], ChaosOptions{DropAfter: 10})
-	defer eps[0].Close()
-
-	for seq := 0; ; seq++ {
-		if err := chaotic.Send(0, frame(1, seq)); err != nil {
-			if seq < 10 {
-				t.Fatalf("endpoint died after %d frames, DropAfter is 10", seq)
-			}
-			break
-		}
-		if seq > 1000 {
-			t.Fatal("DropAfter never fired")
-		}
-	}
-	select {
-	case p := <-eps[0].Down():
-		if p != 1 {
-			t.Fatalf("down peer = %d, want 1", p)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("controller never observed the dropped endpoint")
-	}
-}
-
 func BenchmarkTransportSend(b *testing.B) {
 	payload := make([]byte, 1024)
 	run := func(b *testing.B, src, dst Endpoint) {

@@ -6,8 +6,9 @@
 # repo total but not here), the field counts of engine.Config and controller.Options, the exported fields of
 # the planner, baseline and workload option structs, albic-run's flag
 # count, the number of exported types, functions and methods of
-# internal/engine, internal/controller, internal/core, internal/lp and
-# internal/statestore, the frame and request kinds of the engine's wire
+# internal/engine, internal/controller, internal/core, internal/lp,
+# internal/statestore, internal/assign and internal/baseline, the frame and
+# request kinds of the engine's wire
 # schema, and the non-test
 # functions and methods under internal/ that no binary links (tests' oracles
 # and fakes, and code only tests reach). bench/ is its own module: its lines
@@ -86,7 +87,7 @@ for ft in internal/core/albic.go:ALBIC \
 done
 echo "option-struct fields:      $opts (11 structs)"
 echo "albic-run flags:           $(grep -cE '\bflag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Var|Func)\(' cmd/albic-run/main.go)"
-for d in internal/engine internal/controller internal/core internal/lp internal/statestore; do
+for d in internal/engine internal/controller internal/core internal/lp internal/statestore internal/assign internal/baseline; do
   read -r t f m < <(exported_of "$d")
   echo "$d exported: $((t + f + m)) ($t types, $f funcs, $m methods)"
 done
