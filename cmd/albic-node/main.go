@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/distrib"
@@ -27,8 +28,8 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "address this worker accepts peer connections on")
 	weight := flag.Float64("weight", 1, "capacity weight announced in the handshake (1 = baseline node)")
 	flag.Parse()
-	if *weight <= 0 {
-		fmt.Fprintf(os.Stderr, "albic-node: -weight %g, want > 0\n", *weight)
+	if !(*weight > 0) || math.IsInf(*weight, 1) {
+		fmt.Fprintf(os.Stderr, "albic-node: -weight %g, want finite and > 0\n", *weight)
 		os.Exit(2)
 	}
 	if err := distrib.RunWorker(*controller, *listen, *weight); err != nil {

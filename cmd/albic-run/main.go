@@ -6,10 +6,12 @@
 // controller plans on period N's snapshot in a separate goroutine, applies
 // the outcome at boundary N+1 — waiting there if the solve is still running —
 // and the moves run in period N+2. A planner faster than a period never stops
-// the data path, and every period gets its plan at a fixed lag, so a run
-// whose solves converge within their time limit prints the same output
-// (plan_ms aside) every time. -pipelined=false restores the paper's lockstep
-// loop.
+// the data path, and every outcome lands at the boundary its lag names. The
+// output (plan_ms aside) is not yet the same on every run: a snapshot's group
+// loads depend on how records share frames, which the scheduler decides
+// (pipelined Flux on rj2 varies with GOMAXPROCS, lockstep COLA on rj1 from
+// run to run), and ALBIC and MILP stop at a wall-clock deadline.
+// -pipelined=false restores the paper's lockstep loop.
 //
 // A flag that would be ignored is an error, exit status 2: -workers without
 // -listen; -incremental or -migr-cost with a balancer that does not plan

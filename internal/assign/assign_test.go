@@ -108,6 +108,57 @@ func TestEvaluateKillNodes(t *testing.T) {
 	}
 }
 
+// TestEvaluateWorkedByHand checks every field of one valuation against the
+// paper's Table 2 (the MILP in Evaluate's comment) worked by hand, on a
+// heterogeneous cluster with a kill-marked node, background load, a
+// two-group item and a pin:
+//
+//	mean  = (10 fixed + 20+30+10+20) / (cap 1 + cap 2; node 2 is in B) = 90/3 = 30
+//	util  = node 0 (10+20+20)/1 = 50, node 1 30/2 = 15, node 2 10/1 = 10
+//	maxOver  = max(50, 15, 10) − 30 = 20 (all nodes)
+//	maxUnder = 30 − min(50, 15) = 15     (alive nodes only: (4) skips B)
+//	d = max(20, 15, 0) = 20, du = d − maxOver = 0, dl = d − maxUnder = 5
+//	loadDistance = max(|50−30|, |15−30|) = 20 (alive nodes)
+//	Σ_{i∈B} load_i = 10 (node 2)
+//	moved: item 0 (2 groups, cost 2) and item 3 (1 group, cost 3):
+//	migrations 3, cost 5
+//	obj = W1·20 − W2·(0+5) + W3·10 = 20,000,000 − 5 + 1,000 = 20,000,995
+func TestEvaluateWorkedByHand(t *testing.T) {
+	p := &Problem{
+		NumNodes: 3,
+		Capacity: []float64{1, 2, 1},
+		Kill:     []bool{false, false, true},
+		Fixed:    []float64{10, 0, 0},
+		Items: []Item{
+			{Groups: []int{0, 1}, Load: 20, MigCost: 2, Cur: 1, Pin: -1},
+			{Groups: []int{2}, Load: 30, MigCost: 1, Cur: 1, Pin: -1},
+			{Groups: []int{3}, Load: 10, MigCost: 1, Cur: 2, Pin: -1},
+			{Groups: []int{4}, Load: 20, MigCost: 3, Cur: 1, Pin: 0},
+		},
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	e := p.Evaluate([]int{0, 1, 2, 0})
+	if e.Util[0] != 50 || e.Util[1] != 15 || e.Util[2] != 10 {
+		t.Fatalf("util = %v, want [50 15 10]", e.Util)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"Mean", e.Mean, 30}, {"MaxOver", e.MaxOver, 20}, {"MaxUnder", e.MaxUnder, 15},
+		{"D", e.D, 20}, {"Du", e.Du, 0}, {"Dl", e.Dl, 5},
+		{"LoadDistance", e.LoadDistance, 20}, {"KillLoad", e.KillLoad, 10},
+		{"MigrCost", e.MigrCost, 5}, {"Migrations", float64(e.Migrations), 3},
+		{"Obj", e.Obj, 20000995},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+}
+
 func TestValidateRejects(t *testing.T) {
 	cases := []*Problem{
 		{NumNodes: 0},
@@ -127,8 +178,10 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-// bruteForce finds the assignment minimizing Evaluate().Obj subject to the
-// budget, by exhaustive enumeration.
+// bruteForce is the tests' exact oracle: it finds the assignment minimizing
+// Evaluate().Obj subject to the budget, by exhaustive enumeration (pinned
+// items stay on their pins). bestEval is nil when no assignment is within
+// the budget.
 func bruteForce(p *Problem) (best []int, bestEval *Eval) {
 	n := len(p.Items)
 	cur := make([]int, n)
@@ -181,25 +234,6 @@ func randomProblem(rng *rand.Rand, nodes, items int) *Problem {
 	return p
 }
 
-func TestExactMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 25; trial++ {
-		p := randomProblem(rng, 2+rng.Intn(2), 4+rng.Intn(3)) // <= 3 nodes, <= 6 items
-		_, bfEval := bruteForce(p)
-		sol, optimal, err := solveExact(p)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !optimal {
-			t.Fatalf("trial %d: exact solve not proven optimal", trial)
-		}
-		if math.Abs(sol.Eval.Obj-bfEval.Obj) > 1e-6*(1+math.Abs(bfEval.Obj)) {
-			t.Fatalf("trial %d: exact obj %v != brute force %v (d %v vs %v)",
-				trial, sol.Eval.Obj, bfEval.Obj, sol.Eval.D, bfEval.D)
-		}
-	}
-}
-
 func TestAnytimeCloseToExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	var worst float64
@@ -209,6 +243,10 @@ func TestAnytimeCloseToExact(t *testing.T) {
 		sol, err := Solve(p, Options{TimeLimit: 60 * time.Millisecond, Seed: int64(trial)})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
+		}
+		// The optimum bounds every feasible plan's objective from below.
+		if sol.Eval.Obj < bfEval.Obj-1e-6 {
+			t.Fatalf("trial %d: anytime obj %v below the optimum %v", trial, sol.Eval.Obj, bfEval.Obj)
 		}
 		gap := sol.Eval.D - bfEval.D
 		if gap > worst {
@@ -298,12 +336,12 @@ func TestPinsHonored(t *testing.T) {
 		t.Fatalf("pin ignored: item 2 on node %d", sol.ItemNode[2])
 	}
 	// The exact oracle must honor pins too.
-	sol, _, err = solveExact(p)
-	if err != nil {
-		t.Fatal(err)
+	best, _ := bruteForce(p)
+	if best == nil {
+		t.Fatal("exact: no assignment within budget")
 	}
-	if sol.ItemNode[2] != 0 {
-		t.Fatalf("exact pin ignored: item 2 on node %d", sol.ItemNode[2])
+	if best[2] != 0 {
+		t.Fatalf("exact pin ignored: item 2 on node %d", best[2])
 	}
 }
 
@@ -319,8 +357,8 @@ func TestPinsOverBudgetError(t *testing.T) {
 	if _, err := Solve(p, Options{TimeLimit: 5 * time.Millisecond}); err == nil {
 		t.Fatal("want error for pins over budget")
 	}
-	if _, _, err := solveExact(p); err == nil {
-		t.Fatal("want error for pins over budget (exact)")
+	if _, e := bruteForce(p); e != nil {
+		t.Fatalf("exact: found an in-budget assignment (cost %v) despite the pin", e.MigrCost)
 	}
 }
 

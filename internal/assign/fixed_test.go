@@ -66,8 +66,8 @@ func TestSolversSeeBackgroundLoad(t *testing.T) {
 			return Solve(p, Options{TimeLimit: 20 * time.Millisecond, Seed: 1})
 		}},
 		{"exact", func(p *Problem) (*Solution, error) {
-			sol, _, err := solveExact(p)
-			return sol, err
+			best, e := bruteForce(p)
+			return &Solution{ItemNode: best, Eval: e}, nil
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

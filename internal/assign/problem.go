@@ -3,9 +3,8 @@
 // anytime local search (greedy drain/repair, pair swaps, batch moves and
 // large-neighbourhood repacking) that scales to the paper's largest
 // experiments (60 nodes x 1200 key groups) under a wall-clock budget and
-// uses no LP. The package's tests build the same problem as the paper's MILP
-// and solve it exactly with internal/lp's branch-and-bound, the oracle the
-// anytime solver is held to on small instances.
+// uses no LP. The package's tests hold it to the exact optimum on small
+// instances, found by enumerating every assignment.
 //
 // The problem is the one the engine poses each period: every item sits on a
 // node now, and only its load is balanced, under a migration budget, with
@@ -206,11 +205,25 @@ type Eval struct {
 
 // Evaluate computes the objective of assignment (item index -> node).
 //
-// The derivation of D, Du and Dl mirrors the MILP exactly: for a fixed
-// assignment the MILP's optimal auxiliary variables are
+// The paper's Mixed-Integer Linear Program (Table 2, Section 4.3.1), over
+// binaries x_{i,t} (item t on node i) and the auxiliary d, du, dl ≥ 0, is
+//
+//	min  W1·d − W2·(du+dl) + W3·Σ_{i∈B} load_i
+//	s.t. (1) Σ_i x_{i,t} = 1                          for every item t
+//	     (2) Σ_{i≠cur(t)} x_{i,t}·mc_t ≤ maxMigrCost  (and/or count variant)
+//	     (3) Σ_t x_{i,t}·load_t ≤ cap_i·(mean + d − du)          ∀ i
+//	     (4) Σ_t x_{i,t}·load_t ≥ cap_i·(mean − d + dl)          ∀ i ∉ B
+//	     (5) d ≤ mean
+//
+// with pinned items and Fixed load as constants on their nodes. Evaluate
+// values one assignment, that is one choice of the x_{i,t}, and WithinBudget
+// is constraint (2). The derivation of D, Du and Dl mirrors the MILP
+// exactly: for a fixed assignment the MILP's optimal auxiliary variables are
 // d = max(maxOver, maxUnder, 0), du = d − maxOver, dl = d − maxUnder, where
 // maxOver ranges over all nodes and maxUnder over alive nodes only
-// (constraint 4 is disabled for kill-marked nodes).
+// (constraint 4 is disabled for kill-marked nodes). Evaluate does not apply
+// (5): an assignment that puts a node above twice the mean, which the MILP
+// excludes, gets D > Mean here.
 func (p *Problem) Evaluate(assignment []int) *Eval {
 	e := &Eval{Util: make([]float64, p.NumNodes), Mean: p.Mean()}
 	for i, f := range p.Fixed {

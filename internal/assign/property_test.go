@@ -130,23 +130,3 @@ func TestPropertyEvaluateConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestPropertyExactNeverWorseThanAnytime: on tiny instances, the exact
-// solver's objective is a lower bound for the anytime solver's.
-func TestPropertyExactNeverWorseThanAnytime(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 12; trial++ {
-		p := randomProblem(rng, 2+rng.Intn(2), 4+rng.Intn(3))
-		exact, _, err := solveExact(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		any, err := Solve(p, Options{TimeLimit: 20 * time.Millisecond, Seed: int64(trial)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if exact.Eval.Obj > any.Eval.Obj+1e-6 {
-			t.Fatalf("trial %d: exact obj %v worse than anytime %v", trial, exact.Eval.Obj, any.Eval.Obj)
-		}
-	}
-}

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"fmt"
+	"math"
 )
 
 // Cluster handshake messages (see internal/transport): a worker process
@@ -85,8 +86,8 @@ type Hello struct {
 func (h *Hello) wire(w *Wire) {
 	header(w, &h.Wire, "hello")
 	w.Float64(&h.Weight)
-	if w.Reading && w.Err == nil && !(h.Weight > 0) {
-		w.Fail(fmt.Errorf("codec: hello capacity weight %v, want > 0", h.Weight))
+	if w.Reading && w.Err == nil && (!(h.Weight > 0) || math.IsInf(h.Weight, 1)) {
+		w.Fail(fmt.Errorf("codec: hello capacity weight %v, want finite and > 0", h.Weight))
 	}
 	w.String(&h.Addr, maxHandshakeAddr)
 }

@@ -12,7 +12,7 @@ import (
 //
 //  1. no decoder panics, whatever the input;
 //  2. a successful decode yields a validated message (version negotiated,
-//     weight positive, ids and lengths within the hardening bounds);
+//     weight finite and positive, ids and lengths within the hardening bounds);
 //  3. decode∘encode is the identity on decoded messages (re-encoding what
 //     was decoded and decoding again reproduces it — the codec never
 //     launders an invalid message into a valid one).
@@ -34,13 +34,14 @@ func FuzzHandshake(f *testing.F) {
 	f.Add(bad[:len(bad)-1])                                                                // truncated addr
 	f.Add(AppendString(append(hdr(), AppendFloat64(nil, math.NaN())...), "x"))             // NaN weight
 	f.Add(AppendString(append(hdr(), AppendFloat64(nil, -1)...), "x"))                     // negative weight
+	f.Add(AppendString(append(hdr(), AppendFloat64(nil, math.Inf(1))...), "x"))            // +Inf weight
 	f.Add(append(append(hdr(), 0x01), AppendUvarint(nil, 1<<20)...))                       // dir count over bound
 	f.Add(append(hdr(), AppendUvarint(nil, uint64(maxHandshakePeers)+1)...))               // self id over bound
 	f.Add(AppendString(append(hdr(), AppendFloat64(nil, 1)...), string(make([]byte, 64)))) // long addr
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if h, err := DecodeHello(data); err == nil {
-			if h.Wire != WireVersion || !(h.Weight > 0) || len(h.Addr) > 1<<10 {
+			if h.Wire != WireVersion || !(h.Weight > 0) || math.IsInf(h.Weight, 1) || len(h.Addr) > 1<<10 {
 				t.Fatalf("DecodeHello accepted invalid %+v", h)
 			}
 			h2, err := DecodeHello(AppendHello(nil, h))

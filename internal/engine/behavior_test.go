@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 )
@@ -249,8 +250,10 @@ func TestHeterogeneousCapacity(t *testing.T) {
 	if _, err := New(tp, Config{Nodes: 2, CapacityWeights: []float64{1}}, nil); err == nil {
 		t.Fatal("want error for weight count mismatch")
 	}
-	if _, err := New(tp, Config{Nodes: 2, CapacityWeights: []float64{1, 0}}, nil); err == nil {
-		t.Fatal("want error for non-positive weight")
+	for _, w := range [][]float64{{1, 0}, {1, math.NaN()}, {1, math.Inf(1)}} {
+		if _, err := New(tp, Config{Nodes: 2, CapacityWeights: w}, nil); err == nil {
+			t.Fatalf("want error for capacity weights %v", w)
+		}
 	}
 	if _, err := New(tp, Config{Nodes: 2, ShardsPerNode: 257}, nil); err == nil {
 		t.Fatal("want error for more than 256 shards per node")

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/codec"
@@ -98,7 +99,7 @@ func newEngine(topo *Topology, cfg Config, initial []int, ep transport.Endpoint,
 			return nil, fmt.Errorf("engine: %d capacity weights for %d nodes", len(cfg.CapacityWeights), cfg.Nodes)
 		}
 		for i, w := range cfg.CapacityWeights {
-			if w <= 0 {
+			if !(w > 0) || math.IsInf(w, 1) {
 				return nil, fmt.Errorf("engine: node %d capacity weight %g", i, w)
 			}
 			e.weights[i] = w

@@ -115,7 +115,7 @@ func (l tipLayout) checkSizings(t *testing.T, ps *PeriodStats) {
 			}
 			for _, sh := range n.shards {
 				for gid, tip := range sh.tips {
-					if want := statestore.DiffSize(tip.State(), sh.states[gid]); ps.CkptDeltaBytes[gid] != want {
+					if want := statestore.NewTip(0, tip.State(), nil).Measure(0, sh.states[gid]); ps.CkptDeltaBytes[gid] != want {
 						t.Errorf("period %d: group %d measured a %d-byte delta against its tip, the walk of every cell %d", ps.Period, gid, ps.CkptDeltaBytes[gid], want)
 					}
 				}
@@ -323,7 +323,7 @@ func (l tipLayout) forgetSizings(t *testing.T) {
 
 // TestCutTakesTheBarriersSizing: a cut takes the delta size the barrier
 // measured against each tip instead of sizing it again, and is the cut a
-// fresh DiffSize makes — in every CheckpointStats field and in the store's
+// fresh whole-walk sizing makes — in every CheckpointStats field and in the store's
 // bytes — at each place where the reading could have gone stale: a second
 // checkpoint at one barrier, after delta moves, after FailNode, after Recover
 // (which installs states and tips between the barrier and the cut), in one

@@ -77,7 +77,7 @@ func BenchmarkStateStoreDiff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := Diff(base, live)
+		d := wholeDiff(base, live)
 		if deltaEmpty(d) {
 			b.Fatal("empty diff")
 		}
@@ -154,7 +154,7 @@ func BenchmarkStateCodec(b *testing.B) {
 	for c := 0; c < 1500; c++ {
 		next.Table("w0").Add(randKey(1<<20+c), 1)
 	}
-	diff := Diff(st, next)
+	diff := wholeDiff(st, next)
 	var d Delta
 	resetDelta := func() {
 		d.Reset()
@@ -250,7 +250,7 @@ func BenchmarkTable(b *testing.B) {
 			live.Table("w").Add(out[i], 1)
 		}
 		run("diffsize", live.Table("w").Len(), func() {
-			if DiffSize(tip, live) <= emptyDeltaSize {
+			if wholeDiffSize(tip, live) <= emptyDeltaSize {
 				b.Fatal("empty delta")
 			}
 		})

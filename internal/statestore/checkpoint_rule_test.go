@@ -50,7 +50,7 @@ func TestCheckpointFreshBaseWhenStateChurns(t *testing.T) {
 	s.Checkpoint(7, 1, windowState(1, 300))
 	for v := 2; v <= 6; v++ {
 		live := windowState(v, 300)
-		if d := DiffSize(windowState(v-1, 300), live); d < live.Size() {
+		if d := wholeDiffSize(windowState(v-1, 300), live); d < live.Size() {
 			t.Fatalf("v%d: test premise broken: delta %d < state %d", v, d, live.Size())
 		}
 		before := s.Bytes()
@@ -89,7 +89,7 @@ func TestCheckpointDeltaWhenFewCellsChange(t *testing.T) {
 		}
 		tab.delete(fmt.Sprintf("w1-key-%04d", 1999-v))
 		live.Add("seen", 5)
-		want := Diff(mustMaterialize(t, s, 3), live).Size()
+		want := wholeDiff(mustMaterialize(t, s, 3), live).Size()
 		appended := s.Checkpoint(3, v, live)
 		if appended != want || appended*50 > live.Size() {
 			t.Fatalf("v%d: appended %d bytes, want the %d-byte delta (state is %d)", v, appended, want, live.Size())
@@ -213,7 +213,7 @@ func TestCheckpointOfNaNAndNegativeZeroIsStable(t *testing.T) {
 	live.Add("zero", math.Copysign(0, -1))
 	live.Table("t").Set("nan", math.NaN())
 	live.Table("t").Set("zero", math.Copysign(0, -1))
-	if d := Diff(live, live.Clone()); !deltaEmpty(d) || DiffSize(live, live.Clone()) != emptyDeltaSize {
+	if d := wholeDiff(live, live.Clone()); !deltaEmpty(d) || wholeDiffSize(live, live.Clone()) != emptyDeltaSize {
 		t.Fatalf("a state with a NaN differs from its own clone: delta of %d bytes", d.Size())
 	}
 	var tip Tip
@@ -234,19 +234,20 @@ func TestCheckpointOfNaNAndNegativeZeroIsStable(t *testing.T) {
 	}
 }
 
-// TestDiffSizeCountsRemovedCellsArithmetically pins DiffSize to the size of
-// the delta DiffInto builds, on the shapes where removed cells are counted
-// rather than searched for: partial overlap, no overlap, shrink to empty.
+// TestDiffSizeCountsRemovedCellsArithmetically pins wholeDiffSize to the size
+// of the delta wholeDiffInto builds, on the shapes where removed cells are
+// counted rather than searched for: partial overlap, no overlap, shrink to
+// empty.
 func TestDiffSizeCountsRemovedCellsArithmetically(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	check := func(name string, old, new *State) {
 		t.Helper()
-		d := Diff(old, new)
-		if got := DiffSize(old, new); got != d.Size() || got != len(d.Encode(nil)) {
-			t.Fatalf("%s: DiffSize = %d, Delta.Size = %d, encoded = %d", name, got, d.Size(), len(d.Encode(nil)))
+		d := wholeDiff(old, new)
+		if got := wholeDiffSize(old, new); got != d.Size() || got != len(d.Encode(nil)) {
+			t.Fatalf("%s: wholeDiffSize = %d, Delta.Size = %d, encoded = %d", name, got, d.Size(), len(d.Encode(nil)))
 		}
-		if (DiffSize(old, new) == emptyDeltaSize) != deltaEmpty(d) {
-			t.Fatalf("%s: DiffSize says empty = %v, delta says %v", name, DiffSize(old, new) == emptyDeltaSize, deltaEmpty(d))
+		if (wholeDiffSize(old, new) == emptyDeltaSize) != deltaEmpty(d) {
+			t.Fatalf("%s: wholeDiffSize says empty = %v, delta says %v", name, wholeDiffSize(old, new) == emptyDeltaSize, deltaEmpty(d))
 		}
 	}
 	for trial := 0; trial < 200; trial++ {
@@ -378,7 +379,7 @@ func advanceInOnePiece(t *Tip, d *Delta, version int, cur *State) (Step, []byte)
 	size := cur.Size()
 	if t.st == nil {
 		t.st = NewState()
-	} else if size = DiffSize(t.st, cur); size == emptyDeltaSize {
+	} else if size = wholeDiffSize(t.st, cur); size == emptyDeltaSize {
 		return StepNone, nil
 	}
 	if size >= cur.Size() {
@@ -386,7 +387,7 @@ func advanceInOnePiece(t *Tip, d *Delta, version int, cur *State) (Step, []byte)
 		t.st.CopyFrom(cur)
 		return StepBase, enc
 	}
-	DiffInto(d, t.st, cur)
+	wholeDiffInto(d, t.st, cur)
 	enc := d.Encode(make([]byte, 0, size))
 	d.Apply(t.st)
 	return StepDelta, enc

@@ -30,7 +30,7 @@ type tabDelEntry struct {
 }
 
 // Delta is the exact semantic difference between two States: applying a
-// Delta produced by Diff(old, new) to (a clone of) old yields a state equal
+// Delta of new against old to (a clone of) old yields a state equal
 // to new, field for field. Values are absolute (the new value, not an
 // increment), so floating-point application is exact; dropped tables and
 // removed cells are listed explicitly, which summing one state into another
@@ -40,7 +40,7 @@ type tabDelEntry struct {
 //
 // A Delta is flat storage, not maps: each section is a dense slice that
 // Reset truncates in place, so one Delta reused across checkpoint cadences
-// (DiffInto) computes, encodes, and applies without allocating. The zero
+// (Tip.DiffInto) computes, encodes, and applies without allocating. The zero
 // value is an empty delta.
 type Delta struct {
 	numSet     []numEntry
@@ -98,33 +98,24 @@ func (d *Delta) growTabCellDel(name string) *tabDelEntry {
 	return e
 }
 
-// Diff computes new − old. Neither argument is mutated; nil arguments are
-// treated as empty states. new must hold every counter old holds: a delta
-// cannot delete one. Every tip and live state the engine pairs does, since only
-// Reset and the decoders, which reset first, ever drop a counter.
-func Diff(old, new *State) *Delta {
-	d := &Delta{}
-	DiffInto(d, old, new)
-	return d
-}
-
 var emptyState State
 
 // sameNum compares cells as their encodings: a NaN equals itself (by == the
 // group would write a delta forever) and −0 differs from +0 (as their bytes do).
 func sameNum(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// DiffInto computes new − old into d (d is Reset first). With a reused d
-// this is the zero-alloc form Diff and the store's checkpoint path build
-// on. Neither state is mutated; nil states are treated as empty, and new holds
-// every counter old holds, as for Diff.
-func DiffInto(d *Delta, old, new *State) { diffInto(d, old, new, 0, false) }
-
-// diffInto is DiffInto for an old state that is a checkpoint tip marked as tok
-// (0: none): a table of new that tracks it yields the cells written since the
-// mark that differ (changesInto), and with cut those cells are written into
-// old as they are found and their entry is flagged applied. Everything else
-// is walked whole and left to Apply.
+// diffInto computes new − old into d (d is Reset first); with a reused d it
+// allocates nothing. nil states are treated as empty. new must hold every
+// counter old holds: a delta cannot delete one. Every tip and live state the
+// engine pairs does, since only Reset and the decoders, which reset first,
+// ever drop a counter.
+//
+// old is a checkpoint tip marked as tok (0: none, and then every table is
+// walked whole): a table of new that tracks it yields the cells written since
+// the mark that differ (changesInto), and with cut those cells are written
+// into old as they are found and their entry is flagged applied. Everything
+// else is walked whole and left to Apply. Without cut neither state is
+// mutated.
 func diffInto(d *Delta, old, new *State, tok uint64, cut bool) {
 	d.Reset()
 	if old == nil {
@@ -189,8 +180,8 @@ func diffInto(d *Delta, old, new *State, tok uint64, cut bool) {
 	}
 }
 
-// Apply mutates st so that Apply(Diff(old, new)) on a clone of old produces
-// a state equal to new. It writes into st's existing storage — applying a
+// Apply mutates st so that the delta of new against old, applied to a clone
+// of old, produces a state equal to new. It writes into st's existing storage — applying a
 // steady-state delta to a warm state allocates nothing.
 func (d *Delta) Apply(st *State) { d.apply(st, false) }
 
@@ -198,7 +189,7 @@ func (d *Delta) Apply(st *State) { d.apply(st, false) }
 // the rest of a Tip.Cut.
 func (d *Delta) apply(st *State, cut bool) {
 	// A delta's strings are immutable (a decoded payload's, or shared with the
-	// state Diff read them from): st shares them in turn.
+	// state diffInto read them from): st shares them in turn.
 	for _, e := range d.numSet {
 		st.setNum(st.intern(e.k, false), e.v)
 	}
@@ -261,23 +252,22 @@ func (d *Delta) Size() int {
 }
 
 // emptyDeltaSize is the encoded size of a delta that changes nothing (seven
-// zero counts, three of them the retired sections'); DiffSize returns it
+// zero counts, three of them the retired sections'); diffSize returns it
 // exactly when the states are equal.
 const emptyDeltaSize = 7
 
-// DiffSize returns Diff(old, new).Size() without building the delta — no
-// scratch, no sorting, one lookup per cell of new. Removed cells are not
-// searched for: a table's keys are distinct, so what old has and new lacks
-// is old's cells minus those a lookup from new found, in count and in key
-// bytes alike. It is the per-period residency signal (the engine sizes every
-// checkpointed group at every period boundary, through Tip.Measure) and what
-// the checkpoint write rule decides on (Advance); a tip sizes a state it
-// tracks without walking it.
-func DiffSize(old, new *State) int { return diffSize(old, new, 0) }
-
-// diffSize is DiffSize for an old state that is a checkpoint tip marked as tok
-// (0: none): a table of new that tracks it is sized by its running count of
-// changed cells, brought up to date from the cells written since the last
+// diffSize returns the Size of the delta diffInto would build from old to
+// new, without building it — no scratch, no sorting, one lookup per cell of
+// new. Removed cells are not searched for: a table's keys are distinct, so
+// what old has and new lacks is old's cells minus those a lookup from new
+// found, in count and in key bytes alike. It is the per-period residency
+// signal (the engine sizes every checkpointed group at every period
+// boundary, through Tip.Measure) and what the checkpoint write rule decides
+// on (Tip.Cut).
+//
+// old is a checkpoint tip marked as tok (0: none, and then every table is
+// walked whole): a table of new that tracks it is sized by its running count
+// of changed cells, brought up to date from the cells written since the last
 // sizing (Table.changed); the rest is walked whole.
 func diffSize(old, new *State, tok uint64) int {
 	if old == nil {
@@ -321,7 +311,7 @@ func diffSize(old, new *State, tok uint64) int {
 			}
 			if setN > 0 || ot == nil {
 				// A table new to `new` ships even with zero changed cells
-				// (see DiffInto) — its entry is the name plus a zero count.
+				// (see diffInto) — its entry is the name plus a zero count.
 				tabSetN++
 				tabSetB += codec.SizeString(name) + codec.SizeUvarint(uint64(setN)) + setB
 			}
@@ -388,7 +378,7 @@ func readStringSlice(dst []string, b []byte) ([]string, []byte, error) {
 // TabCellDel, TabDel.
 func (d *Delta) Encode(buf []byte) []byte { return d.encode(buf, true) }
 
-// EncodeTransfer serializes the delta as DiffInto left it: the same format
+// EncodeTransfer serializes the delta as diffInto left it: the same format
 // and length as Encode without sorting the entries, for bytes that are decoded
 // once and dropped (a delta travelling shard to shard). DecodeDeltaInto reads
 // both.

@@ -167,16 +167,16 @@ func TestStateDifferentialVsMapModel(t *testing.T) {
 			}
 			if op%97 == 0 {
 				checkAgainstRef(t, st, r, fmt.Sprintf("seed %d op %d", seed, op))
-				// Differential Diff/Apply: applying the delta since prev to
+				// Differential wholeDiff/Apply: applying the delta since prev to
 				// prev (in place, into its existing storage) must land
 				// exactly on st — byte for byte.
-				DiffInto(&d, prev, st)
-				if got := d.Size(); got != DiffSize(prev, st) {
-					t.Fatalf("seed %d op %d: Delta.Size=%d, DiffSize=%d", seed, op, got, DiffSize(prev, st))
+				wholeDiffInto(&d, prev, st)
+				if got := d.Size(); got != wholeDiffSize(prev, st) {
+					t.Fatalf("seed %d op %d: Delta.Size=%d, wholeDiffSize=%d", seed, op, got, wholeDiffSize(prev, st))
 				}
 				d.Apply(prev)
 				if !bytes.Equal(prev.Encode(nil), st.Encode(nil)) {
-					t.Fatalf("seed %d op %d: Apply(Diff(prev,st)) did not reproduce st", seed, op)
+					t.Fatalf("seed %d op %d: Apply(wholeDiff(prev,st)) did not reproduce st", seed, op)
 				}
 				_ = prevRefEnc
 				prevRefEnc = r.encode()

@@ -42,9 +42,9 @@ func FuzzDeltaDecode(f *testing.F) {
 	b.Add("n", 1)
 	b.ClearTable("t")
 	b.Table("u").Set("d", 3)
-	f.Add(Diff(a, b).Encode(nil))
-	f.Add(Diff(b, a).Encode(nil))
-	f.Add(Diff(nil, a).Encode(nil))
+	f.Add(wholeDiff(a, b).Encode(nil))
+	f.Add(wholeDiff(b, a).Encode(nil))
+	f.Add(wholeDiff(nil, a).Encode(nil))
 	f.Add((&Delta{}).Encode(nil))
 	f.Add([]byte{0xFF, 0x7F})
 	f.Add([]byte{})
@@ -54,21 +54,21 @@ func FuzzDeltaDecode(f *testing.F) {
 	// Deletion-heavy deltas: from a wide state down to its counters, and a
 	// chain that erases most of it and then writes one cell back.
 	wide, culled, regrown := wideStates()
-	f.Add(Diff(wide, keepCounters(wide, NewState())).Encode(nil))
-	f.Add(Diff(wide, culled).Encode(nil))
-	f.Add(Diff(culled, regrown).Encode(nil))
+	f.Add(wholeDiff(wide, keepCounters(wide, NewState())).Encode(nil))
+	f.Add(wholeDiff(wide, culled).Encode(nil))
+	f.Add(wholeDiff(culled, regrown).Encode(nil))
 	base, touched := freshBaseStates()
-	f.Add(Diff(base, touched).Encode(nil))
-	// Empty-table creation: the zero-cell table entry DiffInto ships when a
+	f.Add(wholeDiff(base, touched).Encode(nil))
+	// Empty-table creation: the zero-cell table entry wholeDiffInto ships when a
 	// table exists in `new` with no cells yet.
 	bare := NewState()
 	bare.Table("empty")
-	f.Add(Diff(nil, bare).Encode(nil))
+	f.Add(wholeDiff(nil, bare).Encode(nil))
 	// The orders no encoder writes: storage order, cells descending, a cell
 	// set twice, a table's cells set twice.
 	aToWide := keepCounters(a, wide.Clone())
-	f.Add(Diff(a, aToWide).EncodeTransfer(nil))
-	for _, shape := range deltaShapes(Diff(a, aToWide)) {
+	f.Add(wholeDiff(a, aToWide).EncodeTransfer(nil))
+	for _, shape := range deltaShapes(wholeDiff(a, aToWide)) {
 		f.Add(shape)
 	}
 

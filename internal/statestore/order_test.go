@@ -121,8 +121,9 @@ func TestStateTwoOrdersOneDecoder(t *testing.T) {
 }
 
 // TestDeltaTwoOrdersOneDecoder is the same for Delta: transfer-order bytes —
-// the delta as DiffInto left it — are Size() long and decode to a delta with
-// the source's canonical bytes, and the orders no encoder writes apply alike.
+// the delta as wholeDiffInto left it — are Size() long and decode to a delta
+// with the source's canonical bytes, and the orders no encoder writes apply
+// alike.
 func TestDeltaTwoOrdersOneDecoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	var d, d2 Delta
@@ -132,7 +133,7 @@ func TestDeltaTwoOrdersOneDecoder(t *testing.T) {
 		for r := 1 + rng.Intn(3); r > 0; r-- {
 			mutate(rng, cur)
 		}
-		DiffInto(&d, old, cur)
+		wholeDiffInto(&d, old, cur)
 		transfer := d.EncodeTransfer(nil)
 		if len(transfer) != d.Size() {
 			t.Fatalf("iter %d: Size()=%d, transfer %d B", i, d.Size(), len(transfer))
@@ -202,7 +203,7 @@ func TestDeltaDecodeRejectsCellDelTableTwice(t *testing.T) {
 	cur := old.Clone()
 	cur.Table("b").delete("x")
 	cur.Table("a").delete("x")
-	d := Diff(old, cur)
+	d := wholeDiff(old, cur)
 	if _, err := DecodeDeltaInto(d.EncodeTransfer(nil), &Delta{}); err != nil {
 		t.Fatalf("transfer order with two cell-del tables: %v", err)
 	}

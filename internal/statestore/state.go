@@ -17,8 +17,8 @@
 // stores its values in dense per-symbol arrays gated by presence bits. Cells
 // live in open-addressed Tables (see table.go). Every structure clears by
 // truncation and keeps its backing arrays, so a State recycled across periods
-// or migrations (Reset) reaches a steady state where operator mutation, Diff,
-// Apply, and Encode allocate nothing.
+// or migrations (Reset) reaches a steady state where operator mutation, a
+// diff, Apply, and Encode allocate nothing.
 package statestore
 
 import (

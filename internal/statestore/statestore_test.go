@@ -10,6 +10,20 @@ import (
 	"testing"
 )
 
+// The delta readers walked whole: old is no checkpoint tip (mark 0), so every
+// table of new is read cell by cell. They are the reference the tip's tracked
+// readers (Tip.Measure, Tip.DiffInto, Tip.Cut) are held to. new must hold
+// every counter old holds, as for every pair the engine diffs.
+func wholeDiff(old, new *State) *Delta {
+	d := &Delta{}
+	diffInto(d, old, new, 0, false)
+	return d
+}
+
+func wholeDiffInto(d *Delta, old, new *State) { diffInto(d, old, new, 0, false) }
+
+func wholeDiffSize(old, new *State) int { return diffSize(old, new, 0) }
+
 func randState(rng *rand.Rand, scale int) *State {
 	st := NewState()
 	fill(rng, st, scale)
@@ -43,7 +57,7 @@ func fieldNames(st *State, bit uint8) []string {
 
 // keepCounters returns next after giving it, at 0, every counter of prev it
 // lacks: a state replaced wholesale keeps its counters, as every state the
-// engine checkpoints does (Diff's precondition).
+// engine checkpoints does (wholeDiff's precondition).
 func keepCounters(prev, next *State) *State {
 	for _, k := range fieldNames(prev, kNum) {
 		next.Add(k, 0)
@@ -107,11 +121,11 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 		old := randState(rng, 12)
 		new := old.Clone()
 		mutate(rng, new)
-		d := Diff(old, new)
+		d := wholeDiff(old, new)
 		got := old.Clone()
 		d.Apply(got)
 		if !statesEqual(got, new) {
-			t.Fatalf("iter %d: Apply(Diff(old,new)) != new\nold=%+v\nnew=%+v\ngot=%+v", i, old, new, got)
+			t.Fatalf("iter %d: Apply(wholeDiff(old,new)) != new\nold=%+v\nnew=%+v\ngot=%+v", i, old, new, got)
 		}
 		// Encode/Decode round trip preserves the delta, and both size
 		// computations match the encoding exactly.
@@ -119,8 +133,8 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 		if len(enc) != d.Size() {
 			t.Fatalf("iter %d: Size()=%d, len(Encode)=%d", i, d.Size(), len(enc))
 		}
-		if got := DiffSize(old, new); got != len(enc) {
-			t.Fatalf("iter %d: DiffSize=%d, len(Encode)=%d", i, got, len(enc))
+		if got := wholeDiffSize(old, new); got != len(enc) {
+			t.Fatalf("iter %d: wholeDiffSize=%d, len(Encode)=%d", i, got, len(enc))
 		}
 		d2 := &Delta{}
 		rest, err := DecodeDeltaInto(enc, d2)
@@ -141,7 +155,7 @@ func TestDiffExactWithSpecialFloats(t *testing.T) {
 	new := NewState()
 	new.Add("x", math.NaN())
 	new.Add("inf", math.Inf(1))
-	d := Diff(old, new)
+	d := wholeDiff(old, new)
 	enc := d.Encode(nil)
 	d2 := &Delta{}
 	if _, err := DecodeDeltaInto(enc, d2); err != nil {
@@ -201,13 +215,13 @@ func TestStoreIncrementalChain(t *testing.T) {
 		t.Fatal("EncodedState must compact the chain")
 	}
 
-	// DiffSize against the tip reflects the synchronous transfer cost of a
+	// wholeDiffSize against the tip reflects the synchronous transfer cost of a
 	// live state.
 	live := cur.Clone()
 	live.Add("extra", 1)
 	tip, _, ok := s.Materialize(5)
-	if dsz := DiffSize(tip, live); !ok || dsz != Diff(cur, live).Size() {
-		t.Fatalf("DiffSize against the tip = %d ok=%v", dsz, ok)
+	if dsz := wholeDiffSize(tip, live); !ok || dsz != wholeDiff(cur, live).Size() {
+		t.Fatalf("wholeDiffSize against the tip = %d ok=%v", dsz, ok)
 	}
 }
 
@@ -273,7 +287,7 @@ func TestEncodingsKeepTheirBytes(t *testing.T) {
 		"010274310101610000000000001440" + // TabSet
 		"01027431010162" + // TabCellDel
 		"01027432" // TabDel
-	if got := hex.EncodeToString(Diff(old, cur).Encode(nil)); got != wantDelta {
+	if got := hex.EncodeToString(wholeDiff(old, cur).Encode(nil)); got != wantDelta {
 		t.Fatalf("delta bytes\n got %s\nwant %s", got, wantDelta)
 	}
 

@@ -76,7 +76,7 @@ type Step uint8
 const (
 	// StepNone: the state equals the tip; nothing was written.
 	StepNone Step = iota
-	// StepDelta: the bytes are the encoded Diff(tip, cur), applied to the tip.
+	// StepDelta: the bytes are the encoded delta cur − tip, applied to the tip.
 	StepDelta
 	// StepBase: the bytes are cur encoded whole, copied into the tip.
 	StepBase
@@ -85,8 +85,8 @@ const (
 // Tip is one key group's decoded state at its last checkpoint. It lives beside
 // the group's live state (an engine shard, or a Store used through
 // Checkpoint). The zero Tip is a group that has not been checkpointed yet. A
-// state its methods read must hold every counter the tip holds, as Diff's new
-// does: the live state the tip was cut from always does.
+// state its methods read must hold every counter the tip holds, as a delta's
+// new state does (diffInto): the live state the tip was cut from always does.
 type Tip struct {
 	ver int
 	st  *State
@@ -96,7 +96,7 @@ type Tip struct {
 	// the Write that caches it.
 	enc atomic.Pointer[[]byte]
 	// measuredAt is 1 + the version whose Cut may take measured as
-	// DiffSize(st, cur) (0: none); see Measure.
+	// the size of cur − st (0: none); see Measure.
 	measuredAt, measured int
 	// tok is the mark of the live state the tip was last found equal to (0:
 	// none): the tables of that state that carry it record what changes in
@@ -137,19 +137,20 @@ func (t *Tip) Encoding() []byte {
 	return enc
 }
 
-// Measure returns DiffSize(t.State(), cur) and keeps it for a Cut at version,
-// which then takes it instead of sizing the delta again: the caller vouches
-// that cur does not change in between. Any change of the tip (a Cut, a new
-// Tip) forgets the reading. Of a state the tip tracks, it reads only the cells
-// written since the last reading.
+// Measure returns the encoded size of the delta cur − t.State(), without
+// building it, and keeps it for a Cut at version, which then takes it instead
+// of sizing the delta again: the caller vouches that cur does not change in
+// between. Any change of the tip (a Cut, a new Tip) forgets the reading. Of a
+// state the tip tracks, it reads only the cells written since the last
+// reading; of any other, every cell.
 func (t *Tip) Measure(version int, cur *State) int {
 	t.measured, t.measuredAt = diffSize(t.st, cur, t.tok), version+1
 	return t.measured
 }
 
-// DiffInto computes cur − t.State() into d, as DiffInto(d, t.State(), cur)
-// does, reading of a state the tip tracks only the cells written since the
-// mark. It reads the tip and cur and changes neither.
+// DiffInto computes cur − t.State() into d (d is Reset first), reading of a
+// state the tip tracks only the cells written since the mark and of any other
+// every cell. It reads the tip and cur and changes neither.
 func (t *Tip) DiffInto(d *Delta, cur *State) { diffInto(d, t.st, cur, t.tok, false) }
 
 // Pending returns the delta size the last Measure took, or an empty delta's

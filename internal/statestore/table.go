@@ -14,7 +14,7 @@ import (
 // power-of-two slot array maps key hashes to entry indexes by linear probing.
 // A key is hashed once, when it enters the table: the hash stays beside the
 // entry, so growing, deleting, copying and every walk from one table into
-// another (AddTable, DiffSize, DiffInto) reuse it. Deletion is tombstone-free —
+// another (AddTable, diffSize, diffInto) reuse it. Deletion is tombstone-free —
 // the dense entry is swap-removed and the probe chain repaired by backward
 // shifting — so long delete-heavy lifetimes never degrade probes. Clear keeps
 // every backing array: a per-period window flush allocates nothing, a refill
@@ -28,7 +28,7 @@ import (
 // (a hit copies nothing), so the caller's may alias a buffer it reuses right
 // after — a frame of the receive path, a stack buffer. The copies go to chunks
 // that are never rewritten, which makes a stored key an ordinary immutable
-// string: All hands it out, AddTable, CopyFrom, Diff and the decoders share it.
+// string: All hands it out, AddTable, CopyFrom, diffInto and the decoders share it.
 // A chunk lives while any key in it is referenced; delete and clear give nothing
 // back, so a delete-heavy table that is never cleared holds one per survivor.
 type Table struct {

@@ -415,11 +415,12 @@ func TestAddTableMatchesMapModel(t *testing.T) {
 	}
 }
 
-// TestDiffRoundTripAfterChurn: Diff, DiffSize and Apply probe one table with
-// the hashes another one stores. The states here went through deletes, clear,
-// ClearTable and copies first, so those hashes were moved by swap-remove and
-// written by every path there is: Apply(Diff(a, b)) on a must encode as b, and
-// DiffSize must be the length of the encoded delta, in both directions.
+// TestDiffRoundTripAfterChurn: wholeDiff, wholeDiffSize and Apply probe one
+// table with the hashes another one stores. The states here went through
+// deletes, clear, ClearTable and copies first, so those hashes were moved by
+// swap-remove and written by every path there is: wholeDiff(a, b) applied to
+// a must encode as b, and wholeDiffSize must be the length of the encoded
+// delta, in both directions.
 func TestDiffRoundTripAfterChurn(t *testing.T) {
 	churned := func(rng *rand.Rand) *State {
 		st := NewState()
@@ -462,19 +463,19 @@ func TestDiffRoundTripAfterChurn(t *testing.T) {
 		}
 		for _, dir := range [][2]*State{{a, b}, {b, a}} {
 			from, to := dir[0], dir[1]
-			d := Diff(from, to)
+			d := wholeDiff(from, to)
 			enc := d.Encode(nil)
-			if got := DiffSize(from, to); got != len(enc) || d.Size() != len(enc) {
-				t.Fatalf("seed %d: DiffSize %d, Delta.Size %d, encoded %d bytes", seed, got, d.Size(), len(enc))
+			if got := wholeDiffSize(from, to); got != len(enc) || d.Size() != len(enc) {
+				t.Fatalf("seed %d: wholeDiffSize %d, Delta.Size %d, encoded %d bytes", seed, got, d.Size(), len(enc))
 			}
 			onto := from.Clone()
 			d.Apply(onto)
 			checkStateTables(t, onto, fmt.Sprintf("seed %d applied", seed))
 			if !bytes.Equal(onto.Encode(nil), to.Encode(nil)) {
-				t.Fatalf("seed %d: Apply(Diff(a, b)) on a does not encode as b", seed)
+				t.Fatalf("seed %d: Apply(wholeDiff(a, b)) on a does not encode as b", seed)
 			}
-			if DiffSize(onto, to) != emptyDeltaSize {
-				t.Fatalf("seed %d: states equal after Apply, DiffSize %d", seed, DiffSize(onto, to))
+			if wholeDiffSize(onto, to) != emptyDeltaSize {
+				t.Fatalf("seed %d: states equal after Apply, wholeDiffSize %d", seed, wholeDiffSize(onto, to))
 			}
 		}
 	}

@@ -130,7 +130,7 @@ func (t *Table) changed(ot *Table) (n, b int) {
 }
 
 // changesInto appends to cells those of t that differ from ot, the tip's
-// table, in t's storage order: the cells DiffInto's walk of t finds, read from
+// table, in t's storage order: the cells a whole walk of t finds, read from
 // the entries written since the mark. With apply it also writes each into ot,
 // at the entry's own index where ot's order still matches t's.
 func (t *Table) changesInto(cells []numEntry, ot *Table, apply bool) []numEntry {

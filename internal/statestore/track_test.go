@@ -9,7 +9,7 @@ import (
 )
 
 // trackedValues are the cell values a history writes: ordinary ones, both
-// zeros and two NaN payloads, which DiffSize tells apart by their bits.
+// zeros and two NaN payloads, which wholeDiffSize tells apart by their bits.
 var trackedValues = []float64{
 	0, math.Copysign(0, -1), 1, 2.5, -7,
 	math.NaN(), math.Float64frombits(0x7ff8000000000001), math.Inf(1),
@@ -35,10 +35,10 @@ var trackedOps = func() []int {
 // re-created tables, counter writes, cuts of every step, delta adoption,
 // recovery, recycling by Reset and a second tip that cuts the same
 // state. At every reading it holds each tracked reader to the whole walk's
-// answer, byte for byte: Tip.Measure to DiffSize, Tip.DiffInto to DiffInto in
-// both encodings, and Tip.Cut to a cut made with DiffSize, DiffInto and Apply
-// on a copy of the tip (step, length, written bytes and the tip it leaves, in
-// storage order). It returns how often each step was cut, and how many of the
+// answer, byte for byte: Tip.Measure to wholeDiffSize, Tip.DiffInto to
+// wholeDiffInto in both encodings, and Tip.Cut to a cut made with
+// wholeDiffSize, wholeDiffInto and Apply on a copy of the tip (step, length,
+// written bytes and the tip it leaves, in storage order). It returns how often each step was cut, and how many of the
 // readings found a table that tracks the tip.
 func trackedHistory(t *testing.T, next func(n int) (int, bool)) (map[Step]int, int) {
 	t.Helper()
@@ -133,17 +133,17 @@ func trackedHistory(t *testing.T, next func(n int) (int, bool)) (map[Step]int, i
 		case 10: // was counter deletion: a counter is never deleted
 			pick(3) // the draw it made, so that the rest of a history stays as it was
 		case 11, 12: // a barrier's reading
-			if got, want := tip.Measure(ver, live), DiffSize(tip.State(), live); got != want {
+			if got, want := tip.Measure(ver, live), wholeDiffSize(tip.State(), live); got != want {
 				t.Fatalf("%s: Measure = %d, the whole walk sizes %d", ctx, got, want)
 			}
 		case 13: // a delta move's synchronous part
 			tip.DiffInto(&d, live)
-			DiffInto(&rd, tip.State(), live)
+			wholeDiffInto(&rd, tip.State(), live)
 			if got, want := d.EncodeTransfer(nil), rd.EncodeTransfer(nil); !bytes.Equal(got, want) {
-				t.Fatalf("%s: DiffInto transfer bytes\n got %x\nwant %x", ctx, got, want)
+				t.Fatalf("%s: wholeDiffInto transfer bytes\n got %x\nwant %x", ctx, got, want)
 			}
 			if got, want := d.Encode(nil), rd.Encode(nil); !bytes.Equal(got, want) {
-				t.Fatalf("%s: DiffInto canonical bytes\n got %x\nwant %x", ctx, got, want)
+				t.Fatalf("%s: wholeDiffInto canonical bytes\n got %x\nwant %x", ctx, got, want)
 			}
 		case 14, 15: // a checkpoint, taking the reading of the same barrier or not
 			ver++
@@ -202,7 +202,7 @@ func trackedHistory(t *testing.T, next func(n int) (int, bool)) (map[Step]int, i
 			tip.Track(live)
 			// The other tip may hold counters written after tip's checkpoint,
 			// which the recovered state does not: it starts over, as every tip
-			// of a replaced state does (Diff's precondition).
+			// of a replaced state does (wholeDiff's precondition).
 			other = &Tip{}
 		case 18: // a whole move: the state arrives recycled and without a tip
 			enc := live.EncodeTransfer(nil)
@@ -225,14 +225,14 @@ func wholeWalkCut(ref *Tip, d *Delta, cur *State) (Step, []byte) {
 	size := cur.Size()
 	if ref.st == nil {
 		ref.st = NewState()
-	} else if size = DiffSize(ref.st, cur); size == emptyDeltaSize {
+	} else if size = wholeDiffSize(ref.st, cur); size == emptyDeltaSize {
 		return StepNone, nil
 	}
 	if size >= cur.Size() {
 		ref.st.CopyFrom(cur)
 		return StepBase, ref.Write(StepBase, d, nil)
 	}
-	DiffInto(d, ref.st, cur)
+	wholeDiffInto(d, ref.st, cur)
 	d.Apply(ref.st)
 	return StepDelta, ref.Write(StepDelta, d, nil)
 }
@@ -309,7 +309,7 @@ func TestTrackedSizingFollowsWritesBack(t *testing.T) {
 	tip.Cut(&d, 1, live)
 	for i, v := range []float64{5, 1, 7, 7, 1, math.Copysign(0, -1)} {
 		live.Table("t").Set("a", v)
-		if got, want := tip.Measure(1, live), DiffSize(tip.State(), live); got != want {
+		if got, want := tip.Measure(1, live), wholeDiffSize(tip.State(), live); got != want {
 			t.Fatalf("reading %d (a = %v): Measure = %d, the whole walk sizes %d", i, v, got, want)
 		}
 	}

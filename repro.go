@@ -10,9 +10,9 @@
 // framework (Algorithm 1) — plus the comparison baselines (Flux, PoTC,
 // COLA) and every substrate they need (an anytime local search — greedy
 // moves, swaps, batch moves and large-neighbourhood repacking — standing in
-// for CPLEX as the one solver, held by the tests to an exact
-// simplex/branch-and-bound oracle that no program links, and a multilevel
-// graph partitioner standing in for METIS).
+// for CPLEX as the one solver, held by the tests to the exact optimum of
+// small instances found by enumeration, and a multilevel graph partitioner
+// standing in for METIS).
 //
 // Engine data path. The engine moves tuples through batch-oriented,
 // lock-light machinery: every sender (worker node or the source-running

@@ -3,16 +3,15 @@
 # (all lines, and code — lines that are neither blank nor a // comment), the
 # same over the production packages (those the binaries and examples import:
 # `go list -deps ./cmd/... ./examples/...`; code only tests reach is in the
-# repo total but not here), the field counts of engine.Config and controller.Options, the exported fields of
-# the planner, baseline and workload option structs, albic-run's flag
-# count, the number of exported types, functions and methods of
-# internal/engine, internal/controller, internal/core, internal/lp,
-# internal/statestore, internal/assign and internal/baseline, the frame and
-# request kinds of the engine's wire
-# schema, and the non-test
-# functions and methods under internal/ that no binary links (tests' oracles
-# and fakes, and code only tests reach). bench/ is its own module: its lines
-# are left out, but its binary is one of those the last count links. Run from
+# repo total but not here), the field counts of engine.Config and
+# controller.Options, the exported fields of the planner, baseline and
+# workload option structs, albic-run's flag count, the number of exported
+# types, functions and methods of internal/engine, internal/controller,
+# internal/core, internal/statestore, internal/assign and internal/baseline,
+# the frame and request kinds of the engine's wire schema, and the non-test
+# functions and methods under internal/ that no binary links (CI holds that
+# list to scripts/unlinked.txt). bench/ is its own module: its lines are left
+# out, but its binary is one of those the last count links. Run from
 # anywhere:
 #   bash scripts/ledger.sh [repo-root]
 set -euo pipefail
@@ -80,14 +79,14 @@ opts=0
 for ft in internal/core/albic.go:ALBIC \
   internal/core/scaling.go:UtilizationScaler internal/core/snapshot.go:Snapshot \
   internal/controller/controller.go:Options internal/baseline/cola.go:COLA \
-  internal/lp/milp.go:MILPOptions internal/assign/solver.go:Options \
+  internal/assign/solver.go:Options \
   internal/workload/datasets.go:WikipediaConfig internal/workload/datasets.go:AirlineConfig \
   internal/workload/datasets.go:WeatherConfig internal/workload/jobs.go:JobConfig; do
   opts=$((opts + $(fields_of "${ft%%:*}" "${ft##*:}")))
 done
-echo "option-struct fields:      $opts (11 structs)"
+echo "option-struct fields:      $opts (10 structs)"
 echo "albic-run flags:           $(grep -cE '\bflag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Var|Func)\(' cmd/albic-run/main.go)"
-for d in internal/engine internal/controller internal/core internal/lp internal/statestore internal/assign internal/baseline; do
+for d in internal/engine internal/controller internal/core internal/statestore internal/assign internal/baseline; do
   read -r t f m < <(exported_of "$d")
   echo "$d exported: $((t + f + m)) ($t types, $f funcs, $m methods)"
 done

@@ -2,9 +2,8 @@
 # What the programs run: builds every binary of cmd/ and examples/, and the
 # benchmark's, with coverage of all of repro/..., drives them through the
 # invocations below and prints every non-test function under internal/ that
-# no run executed — code only tests reach, or no one. internal/lp is left
-# out: it is the tests' exact oracle and no binary links it. Informational,
-# not a gate; about two minutes on 2 vCPUs. Run from anywhere:
+# no run executed — code only tests reach, or no one. Informational, not a
+# gate; about two minutes on 2 vCPUs. Run from anywhere:
 #   bash scripts/traffic.sh [repo-root]
 #
 # The runs: the five examples and albic-bench (every figure, reduced scale);
@@ -71,11 +70,11 @@ for w in steady-rj1 reconfig-rj1 adaptive-rj3 adaptive-rj3-tcp; do
 done
 
 # go tool cover resolves every package of the profile in this module, which
-# repro/bench is not: its blocks go before it reads them, with internal/lp's.
+# repro/bench is not: its blocks go before it reads them.
 go tool covdata textfmt -i="$work/cov" -o "$work/all.txt"
-grep -vE '^repro/(bench|internal/lp)/' "$work/all.txt" >"$work/prog.txt"
+grep -v '^repro/bench/' "$work/all.txt" >"$work/prog.txt"
 go tool cover -func="$work/prog.txt" >"$work/func.txt"
 awk '$1 ~ /^repro\/internal\// && $NF == "0.0%" { sub(/^repro\//, "", $1); print "  " $1 " " $2 }' "$work/func.txt" >"$work/never"
-echo "statements run (cmd, examples, internal but lp): $(awk '$1 == "total:" { print $NF }' "$work/func.txt")"
+echo "statements run (cmd, examples, internal): $(awk '$1 == "total:" { print $NF }' "$work/func.txt")"
 echo "internal funcs never run:  $(wc -l <"$work/never")"
 cat "$work/never"
