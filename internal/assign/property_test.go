@@ -130,3 +130,23 @@ func TestPropertyEvaluateConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPropertyExactNeverWorseThanAnytime: on tiny instances, the exact
+// optimum (bruteForce) is a lower bound for the anytime solver's objective.
+func TestPropertyExactNeverWorseThanAnytime(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 12; trial++ {
+		p := randomProblem(rng, 2+rng.Intn(2), 4+rng.Intn(3))
+		_, exact := bruteForce(p)
+		if exact == nil {
+			t.Fatalf("trial %d: exact: no assignment within budget", trial)
+		}
+		sol, err := Solve(p, Options{TimeLimit: 20 * time.Millisecond, Seed: int64(trial)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exact.Obj > sol.Eval.Obj+1e-6 {
+			t.Fatalf("trial %d: exact obj %v worse than anytime %v", trial, exact.Obj, sol.Eval.Obj)
+		}
+	}
+}
