@@ -10,8 +10,14 @@
 // output (plan_ms aside) is not yet the same on every run: a snapshot's group
 // loads depend on how records share frames, which the scheduler decides
 // (pipelined Flux on rj2 varies with GOMAXPROCS, lockstep COLA on rj1 from
-// run to run), and ALBIC and MILP stop at a wall-clock deadline.
-// -pipelined=false restores the paper's lockstep loop.
+// run to run), and ALBIC and MILP stop at a wall-clock deadline. The runs
+// that do hold still are pinned: TestPinnedRuns (pins_test.go) diffs each
+// against its table in testdata/, in one process at GOMAXPROCS 1, 2 and 4
+// and over TCP. -pipelined=false restores the paper's lockstep loop.
+//
+// With -listen the run is the controller of a cluster: it binds the address
+// (port 0 picks a free one), prints "listening on <address> for N
+// workers..." and waits for -workers albic-node processes to join it.
 //
 // A flag that would be ignored is an error, exit status 2: -workers without
 // -listen; -incremental or -migr-cost with a balancer that does not plan
@@ -50,6 +56,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/distrib"
+	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -63,7 +70,6 @@ func main() {
 	rate := flag.Int("rate", 0, "input tuples per period (0 = job default)")
 	seed := flag.Int64("seed", 1, "random seed")
 	pipelined := flag.Bool("pipelined", true, "overlap planning with the next period's data flow")
-	smooth := flag.Float64("smooth", 1, "EWMA factor for planner inputs, in (0,1]; 1 = plan on raw loads")
 	ckptEvery := flag.Int("ckpt-every", 0, "incremental checkpoint every N periods (0 = off); arms checkpoint-assisted delta migration")
 	migrCost := flag.Float64("migr-cost", 0, "max migration cost per adaptation, in state bytes a move ships synchronously (0 = unlimited)")
 	shards := flag.Int("shards", 1, "worker shards per node (parallel operator execution; needs GOMAXPROCS > 1 to pay off)")
@@ -96,11 +102,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "albic-run: -shards %d is above 256, the most a node has\n", *shards)
 		os.Exit(2)
 	}
-	// Written so that NaN, which fails every comparison, fails them too.
-	if !(*smooth > 0 && *smooth <= 1) {
-		fmt.Fprintf(os.Stderr, "albic-run: -smooth %g out of range (0,1]\n", *smooth)
-		os.Exit(2)
-	}
+	// Written so that NaN, which fails every comparison, fails it too.
 	if !(*migrCost >= 0 && *migrCost < math.Inf(1)) {
 		fmt.Fprintf(os.Stderr, "albic-run: -migr-cost %g out of range [0,+Inf); use 0 for unlimited\n", *migrCost)
 		os.Exit(2)
@@ -168,13 +170,17 @@ func main() {
 	ecfg := repro.EngineConfig{Nodes: *nodes, ShardsPerNode: *shards}
 	var e *repro.Engine
 	if *listen != "" {
-		fmt.Printf("listening on %s for %d workers...\n", *listen, *workers)
-		e, err = distrib.StartTCP(*listen, *workers, distrib.JobSpec{
-			Job:       *job,
-			Workload:  cfg,
-			Engine:    ecfg,
-			NodePeers: distrib.DefaultPeers(*nodes, *workers),
-		})
+		var host *transport.ClusterHost
+		if host, err = transport.ListenCluster(*listen); err == nil {
+			// Bound before it is printed: a worker may dial the address at once.
+			fmt.Printf("listening on %s for %d workers...\n", host.Addr(), *workers)
+			e, err = distrib.StartHost(host, *workers, distrib.JobSpec{
+				Job:       *job,
+				Workload:  cfg,
+				Engine:    ecfg,
+				NodePeers: distrib.DefaultPeers(*nodes, *workers),
+			})
+		}
 	} else {
 		e, err = repro.NewEngine(topo, ecfg, nil)
 	}
@@ -192,7 +198,7 @@ func main() {
 		Balancer:        bal,
 		MaxMigrations:   *budget,
 		MaxMigrCost:     *migrCost,
-		SmoothAlpha:     *smooth,
+		SmoothAlpha:     1, // plan on raw loads
 		Pipelined:       *pipelined,
 		CheckpointEvery: *ckptEvery,
 		OnPeriod: func(r repro.PeriodReport) {

@@ -91,22 +91,13 @@ func DefaultPeers(nodes, workers int) []int {
 	return peers
 }
 
-// StartTCP runs the controller side of a TCP cluster: it listens on addr,
-// waits for `workers` albic-node processes to join, derives capacity weights
-// from their handshakes, ships everyone the spec, and returns the controller
-// engine once the full mesh is up. The returned engine drives periods exactly
-// like a single-process one (internal/controller needs no changes).
-func StartTCP(addr string, workers int, spec JobSpec) (*engine.Engine, error) {
-	host, err := transport.ListenCluster(addr)
-	if err != nil {
-		return nil, err
-	}
-	return StartHost(host, workers, spec)
-}
-
-// StartHost is StartTCP on an already-listening host (transport.
-// ListenCluster) — the caller has read host.Addr() and can point workers at
-// it before this call blocks waiting for them to join.
+// StartHost runs the controller side of a TCP cluster on an already-listening
+// host (transport.ListenCluster), whose Addr the caller can hand its workers
+// before this call blocks: it waits for `workers` albic-node processes to
+// join, derives capacity weights from their handshakes, ships everyone the
+// spec, and returns the controller engine once the full mesh is up. The
+// returned engine drives periods exactly like a single-process one
+// (internal/controller needs no changes).
 func StartHost(host *transport.ClusterHost, workers int, spec JobSpec) (*engine.Engine, error) {
 	if err := spec.Validate(workers); err != nil {
 		return nil, err

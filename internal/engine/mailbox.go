@@ -74,14 +74,10 @@ type migrateOutMsg struct {
 	op, kg, dest int
 }
 
-// stopMsg terminates the node goroutine.
-type stopMsg struct{}
-
 func (dataBatchMsg) isMessage()  {}
 func (barrierMsg) isMessage()    {}
 func (stateMsg) isMessage()      {}
 func (migrateOutMsg) isMessage() {}
-func (stopMsg) isMessage()       {}
 
 // mailbox is an unbounded MPSC queue. Unboundedness removes any possibility
 // of cross-node backpressure deadlock. Producers append one message per lock

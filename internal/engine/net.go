@@ -161,13 +161,16 @@ func (r *netRig) handleReply(peer int, body []byte) {
 	if rd.Int(&id, maxWireSeq); rd.Err != nil {
 		return
 	}
+	// A reply from any other peer than the one asked is dropped and the
+	// request stays pending: the real reply, or the peer's death, ends it.
 	r.mu.Lock()
 	p, ok := r.pending[id]
+	ok = ok && p.peer == peer
 	if ok {
 		delete(r.pending, id)
 	}
 	r.mu.Unlock()
-	if ok && p.peer == peer {
+	if ok {
 		p.ch <- append([]byte(nil), rd.B...)
 	}
 }

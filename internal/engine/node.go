@@ -177,8 +177,6 @@ func (s *shard) run() {
 		for i, msg := range batch {
 			batch[i] = nil // release the reference for the recycled buffer
 			switch m := msg.(type) {
-			case stopMsg:
-				return
 			case periodStartMsg:
 				s.startPeriod(m)
 			case dataBatchMsg:

@@ -168,9 +168,9 @@ func (m *recoverMsg) wire(w *codec.Wire) {
 }
 
 // encodeMsgFrame encodes one mailbox message for remote shard gsid into a
-// pooled buffer: kind, gsid, the message. Messages that never cross processes
-// (periodStartMsg — the arm frame replaces it — and stopMsg) are a
-// programming error here. Both directions switch on the concrete type, so a
+// pooled buffer: kind, gsid, the message. A message that never crosses
+// processes (periodStartMsg — the arm frame replaces it) is a programming
+// error here. Both directions switch on the concrete type, so a
 // data-plane message never escapes through an interface call.
 func encodeMsgFrame(gsid int, msg message) []byte {
 	w := codec.Wire{B: append(codec.GetBuf(), 0)}

@@ -43,25 +43,21 @@ quiet "$bin/albic-run" "${ci[@]}" -incremental -shards 2
 rj1=(-nodes 6 -groups 24 -periods 24 -rate 1200 -seed 7 -job rj1 -balancer flux -ckpt-every 3)
 quiet "$bin/albic-run" "${rj1[@]}"
 
-# tcp port args...: the run as 1 controller + 2 workers on loopback.
+# tcp args...: the run as 1 controller + 2 workers on loopback. The
+# controller binds a free port and prints it first ("listening on <addr> ..."),
+# before it waits for the workers.
 tcp() {
-  local port=$1
-  shift
-  "$bin/albic-run" -listen "127.0.0.1:$port" -workers 2 "$@" >/dev/null &
-  local ctrl=$! up=0
-  for _ in $(seq 50); do
-    if (exec 3<>"/dev/tcp/127.0.0.1/$port") 2>/dev/null; then up=1; break; fi
-    sleep 0.2
-  done
-  [ "$up" = 1 ] || { echo "traffic.sh: controller never listened on 127.0.0.1:$port" >&2; exit 1; }
-  "$bin/albic-node" -controller "127.0.0.1:$port" &
-  "$bin/albic-node" -controller "127.0.0.1:$port" &
-  wait "$ctrl"
-  wait
+  "$bin/albic-run" -listen 127.0.0.1:0 -workers 2 "$@" | {
+    read -r _ _ addr _
+    "$bin/albic-node" -controller "$addr" &
+    "$bin/albic-node" -controller "$addr" &
+    cat >/dev/null
+    wait
+  }
 }
-tcp 7076 "${ci[@]}" -pipelined=false
-tcp 7077 "${ci[@]}"
-tcp 7079 "${rj1[@]}"
+tcp "${ci[@]}" -pipelined=false
+tcp "${ci[@]}"
+tcp "${rj1[@]}"
 
 for w in steady-rj1 reconfig-rj1 adaptive-rj3 adaptive-rj3-tcp; do
   for tr in 0 1; do
