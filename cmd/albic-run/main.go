@@ -6,13 +6,13 @@
 // controller plans on period N's snapshot in a separate goroutine, applies
 // the outcome at boundary N+1 — waiting there if the solve is still running —
 // and the moves run in period N+2. A planner faster than a period never stops
-// the data path, and every outcome lands at the boundary its lag names. The
-// output (plan_ms aside) is not yet the same on every run: a snapshot's group
-// loads depend on how records share frames, which the scheduler decides
-// (pipelined Flux on rj2 varies with GOMAXPROCS, lockstep COLA on rj1 from
-// run to run), and ALBIC and MILP stop at a wall-clock deadline. The runs
-// that do hold still are pinned: TestPinnedRuns (pins_test.go) diffs each
-// against its table in testdata/, in one process at GOMAXPROCS 1, 2 and 4
+// the data path, and every outcome lands at the boundary its lag names. With
+// a clock-free balancer (flux, cola, potc, none) the output, plan_ms aside, is
+// the same on every run, core count and layout, in either mode: a record
+// costs the same whichever records share its frame. ALBIC and MILP stop at a
+// wall-clock deadline, so their output holds still only while every solve
+// converges before it. TestPinnedRuns (pins_test.go) diffs the pinned runs
+// against their tables in testdata/, in one process at GOMAXPROCS 1, 2 and 4
 // and over TCP. -pipelined=false restores the paper's lockstep loop.
 //
 // With -listen the run is the controller of a cluster: it binds the address

@@ -49,8 +49,12 @@ var pinned = []struct{ name, args string }{
 	{"flux-rj1-ckpt-pipelined", small + "-job rj1 -balancer flux -periods 24 -ckpt-every 3"},
 	{"potc-rj1-pipelined", small + "-job rj1 -balancer potc -periods 12"},
 	{"flux-rj1", small + "-job rj1 -balancer flux -periods 24 -pipelined=false"},
+	{"flux-rj2-pipelined", small + "-job rj2 -balancer flux -periods 24"},
 	{"flux-rj2", small + "-job rj2 -balancer flux -periods 24 -pipelined=false"},
+	{"flux-rj3", small + "-job rj3 -balancer flux -periods 24 -pipelined=false"},
+	{"cola-rj1", small + "-job rj1 -balancer cola -periods 24 -pipelined=false"},
 	{"cola-rj2", small + "-job rj2 -balancer cola -periods 24 -pipelined=false"},
+	{"cola-rj3", small + "-job rj3 -balancer cola -periods 24 -pipelined=false"},
 	{"potc-rj2", small + "-job rj2 -balancer potc -periods 24 -pipelined=false"},
 	{"potc-rj3", small + "-job rj3 -balancer potc -periods 24 -pipelined=false"},
 	{"none-rj1", small + "-job rj1 -balancer none -periods 24 -pipelined=false"},

@@ -21,12 +21,16 @@ import "fmt"
 //	X & 1 == 1  →  definition: X>>1 name bytes follow; the name is appended
 //	               to the dictionary and gets the next id (0, 1, 2, ...)
 //
-// Both sides therefore build the same id ↔ name table in lockstep, the
-// dictionary costs nothing when unused, and a record's encoded length is
-// identical on the sender (Dict.AppendRef return position) and the receiver
-// (item length) — which keeps the engine's wire-byte cost accounting exact.
-// The dictionary resets at every frame boundary, so frames stay
-// self-contained (any frame decodes alone, in order).
+// Both sides therefore build the same id ↔ name table in lockstep, and the
+// dictionary costs nothing when unused. The dictionary resets at every frame
+// boundary, so frames stay self-contained (any frame decodes alone, in order).
+//
+// A record's encoded length depends on its frame: the record that defines a
+// name is longer than one that refers back to it. Both halves count what each
+// reference took beyond one byte (Dict.TakeExtra, DictTable.TakeExtra), so a
+// record's length less that count — its length with every name one byte long
+// — is a function of the record alone, and the same on sender and receiver.
+// The engine's byte counters and serialization costs use that length.
 //
 // FrameV2 is the version byte; FrameVersion rejects every other leading byte.
 const FrameV2 byte = 0xF2
@@ -64,6 +68,9 @@ type Dict struct {
 	// idx accelerates lookups once the name set outgrows a linear scan
 	// (payloads almost never do; it stays nil on the hot path).
 	idx map[string]int
+	// extra counts the bytes the references written since the last TakeExtra
+	// took beyond one each.
+	extra int
 }
 
 // dictScanMax is the dictionary size up to which encoder lookups linear-scan
@@ -73,9 +80,18 @@ const dictScanMax = 16
 // Reset clears the dictionary for a new frame. The backing table is reused.
 func (d *Dict) Reset() {
 	d.names = d.names[:0]
+	d.extra = 0
 	if d.idx != nil {
 		clear(d.idx)
 	}
+}
+
+// TakeExtra returns the bytes the references appended since the last call
+// took beyond one each, and starts counting again.
+func (d *Dict) TakeExtra() int {
+	n := d.extra
+	d.extra = 0
+	return n
 }
 
 // Len returns the number of names defined so far in this frame.
@@ -87,12 +103,12 @@ func (d *Dict) Len() int { return len(d.names) }
 func (d *Dict) AppendRef(dst []byte, name string) []byte {
 	if d.idx != nil {
 		if id, ok := d.idx[name]; ok {
-			return AppendUvarint(dst, uint64(id)<<1)
+			return d.backRef(dst, id)
 		}
 	} else {
 		for id, n := range d.names {
 			if n == name {
-				return AppendUvarint(dst, uint64(id)<<1)
+				return d.backRef(dst, id)
 			}
 		}
 	}
@@ -111,8 +127,19 @@ func (d *Dict) AppendRef(dst []byte, name string) []byte {
 			}
 		}
 	}
-	dst = AppendUvarint(dst, uint64(len(name))<<1|1)
+	x := uint64(len(name))<<1 | 1
+	d.extra += SizeUvarint(x) + len(name) - 1
+	dst = AppendUvarint(dst, x)
 	return append(dst, name...)
+}
+
+// backRef appends a back-reference to entry id, one byte below id 64.
+func (d *Dict) backRef(dst []byte, id int) []byte {
+	x := uint64(id) << 1
+	if id >= 0x40 {
+		d.extra += SizeUvarint(x) - 1
+	}
+	return AppendUvarint(dst, x)
 }
 
 // DictTable is the decoder half: it accumulates the names a frame defines
@@ -125,10 +152,22 @@ type DictTable struct {
 	// definition rarely allocates and never aliases the frame.
 	known [8]string
 	next  int
+	// extra mirrors Dict.extra: the bytes the references read since the last
+	// TakeExtra took beyond one each.
+	extra int
 }
 
 // Reset clears the table for a new frame, reusing the backing slice.
-func (t *DictTable) Reset() { t.names = t.names[:0] }
+func (t *DictTable) Reset() { t.names, t.extra = t.names[:0], 0 }
+
+// TakeExtra returns the bytes the references read since the last call took
+// beyond one each, and starts counting again: on a record, the count
+// Dict.TakeExtra gave its sender.
+func (t *DictTable) TakeExtra() int {
+	n := t.extra
+	t.extra = 0
+	return n
+}
 
 // Len returns the number of names defined so far in this frame.
 func (t *DictTable) Len() int { return len(t.names) }
@@ -150,7 +189,7 @@ func (t *DictTable) name(b []byte) string {
 // resolves its name bytes to a string of its own (allocating only for a name
 // that is not among the last few seen) and appends it to the table.
 func (t *DictTable) ReadRef(b []byte) (string, []byte, error) {
-	x, b, err := ReadUvarint(b)
+	x, rest, err := ReadUvarint(b)
 	if err != nil {
 		return "", nil, fmt.Errorf("codec: name ref: %w", err)
 	}
@@ -159,17 +198,19 @@ func (t *DictTable) ReadRef(b []byte) (string, []byte, error) {
 		if id >= uint64(len(t.names)) {
 			return "", nil, fmt.Errorf("codec: name id %d out of range (dictionary has %d entries)", id, len(t.names))
 		}
-		return t.names[id], b, nil
+		t.extra += len(b) - len(rest) - 1
+		return t.names[id], rest, nil
 	}
 	n := x >> 1
-	if uint64(len(b)) < n {
-		return "", nil, fmt.Errorf("codec: short name definition (%d of %d bytes)", len(b), n)
+	if uint64(len(rest)) < n {
+		return "", nil, fmt.Errorf("codec: short name definition (%d of %d bytes)", len(rest), n)
 	}
-	name := t.name(b[:n])
+	name := t.name(rest[:n])
 	// Past the cap, definitions resolve but are not registered — the exact
 	// mirror of Dict.AppendRef, keeping both tables in lockstep and bounded.
 	if len(t.names) < maxDictEntries {
 		t.names = append(t.names, name)
 	}
-	return name, b[n:], nil
+	t.extra += len(b) - len(rest) + int(n) - 1
+	return name, rest[n:], nil
 }

@@ -109,6 +109,29 @@ func TestDictMapPromotion(t *testing.T) {
 	}
 }
 
+// TestDictCountsEveryNameAsOneByte: what a reference took beyond one byte —
+// a definition's length and name, a back-reference to an id past 63 — is what
+// TakeExtra reports, on both sides, so every reference counts as one byte.
+func TestDictCountsEveryNameAsOneByte(t *testing.T) {
+	var d Dict
+	var tbl DictTable
+	for pass := range 2 { // definitions, then back-references up to id 99
+		for i := range 100 {
+			name := fmt.Sprintf("field-%d", i)
+			ref := d.AppendRef(nil, name)
+			if n := len(ref) - d.TakeExtra(); n != 1 {
+				t.Fatalf("pass %d, %s: encoder counts %d bytes", pass, name, n)
+			}
+			if _, _, err := tbl.ReadRef(ref); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(ref) - tbl.TakeExtra(); n != 1 {
+				t.Fatalf("pass %d, %s: decoder counts %d bytes", pass, name, n)
+			}
+		}
+	}
+}
+
 // TestDictCapLockstep drives the dictionary past maxDictEntries and checks
 // encoder and decoder stay in lockstep: past-cap names are still carried
 // (as repeated inline definitions) and resolve correctly, registered names

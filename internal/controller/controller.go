@@ -15,11 +15,12 @@
 // staged-migration diff defers the moves' execution to period N+2). A planner
 // faster than a period then adds no latency to the data path; a slower one
 // holds boundary N+1 until it is done. Either way every snapshot is planned
-// on and every outcome lands at the boundary its lag names. The plans
-// themselves can still depend on the scheduler: a snapshot's group loads
-// depend on how records share frames (pipelined Flux on rj2 varies with
-// GOMAXPROCS, lockstep COLA on rj1 from run to run), and ALBIC and MILP stop
-// at a wall-clock deadline. The planner runs under the Run context alone: a
+// on and every outcome lands at the boundary its lag names. A snapshot is a
+// function of the input and the plans so far — a record costs the same
+// whichever records share its frame — so a clock-free balancer (Flux, COLA,
+// PoTC, none) plans the same in either mode on every run, core count and
+// layout. ALBIC and MILP still stop at a wall-clock deadline, and a solve cut
+// by it depends on the machine. The planner runs under the Run context alone: a
 // solve still in flight when the run ends is cancelled and its outcome
 // discarded.
 //

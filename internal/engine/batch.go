@@ -19,9 +19,10 @@ import (
 // Frames are wire-format v2 (see codec/frame.go): a leading version byte,
 // then length-prefixed records whose field names are dictionary-encoded. The
 // sender builds the per-frame name dictionary incrementally as it stages, so
-// a frame carries each field name once; record lengths — stage's return
-// value — are measured on the exact staged bytes, so sender-side wire-byte
-// accounting equals what the receiver measures per decoded record.
+// a frame carries each field name once. What a record costs — stage's return
+// value, decodeBatch's wire length — is its length with every name one byte
+// long: the same on sender and receiver, and the same whichever records share
+// its frame.
 const (
 	// flushBatchBytes / flushBatchTuples bound how much data a sender may
 	// buffer per destination before shipping, so batching adds bounded
@@ -55,8 +56,9 @@ func (o *outbox) begin() {
 }
 
 // stage appends one (kg, tuple) record to the outbox frame and returns the
-// record's encoded length in bytes — the cost-model "wire bytes" of the
-// tuple, excluding the frame's version byte and per-item length prefix, so
+// record's cost-model "wire bytes": its encoded length, excluding the frame's
+// version byte and per-item length prefix, with every field name counted as
+// one byte (a definition's name bytes depend on the frame, not the tuple), so
 // sender-side accounting matches what the receiver measures per decoded
 // record. The record is encoded where it will travel, behind one byte kept
 // for its length prefix; only a record of 128 bytes or more is moved, to make
@@ -76,7 +78,7 @@ func (o *outbox) stage(kg int, t *Tuple) int {
 	}
 	o.buf = b
 	o.count++
-	return n
+	return n - o.dict.TakeExtra()
 }
 
 // full reports whether the outbox reached a flush threshold.
@@ -104,7 +106,8 @@ type rxDecoder struct {
 }
 
 // decodeBatch iterates the records of a dataBatchMsg frame: for each record
-// it yields the key group, the decoded tuple and the record's wire length. The
+// it yields the key group, the decoded tuple and the record's wire length as
+// stage counted it (every field name one byte). The
 // tuple is rx's reusable record, and its key and string values alias the
 // frame: valid until fn returns — fn must Clone what it keeps. Records decode
 // allocation-free. A record of a key group at or past kgs, which the frame's
@@ -126,7 +129,7 @@ func decodeBatch(encoded []byte, rx *rxDecoder, kgs int, fn func(kg int, t *Tupl
 		if err := rx.rec.decodeV2(rest, &rx.dict); err != nil {
 			return err
 		}
-		fn(int(kg), &rx.rec, len(item))
+		fn(int(kg), &rx.rec, len(item)-rx.dict.TakeExtra())
 		return nil
 	})
 }

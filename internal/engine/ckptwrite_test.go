@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,28 +14,36 @@ import (
 	"repro/internal/transport"
 )
 
-// memCluster builds the controller of a three-node cluster whose nodes 1 and
-// 2 run on two worker engines over a mem network (workers = 2), or all on the
-// controller (workers = 0). stop closes the controller and waits for the
-// workers.
-func memCluster(t *testing.T, topo func() *Topology, cfg Config, workers int) (*Engine, func()) {
+// cluster is an engine and every process of its cluster, the controller
+// first, so a test can look into remote shards too.
+type cluster struct {
+	ctrl  *Engine
+	procs []*Engine
+	stop  func()
+}
+
+// memCluster builds a cluster of cfg.Nodes nodes over a mem network in which
+// peerOf[i] names the process that hosts node i: 0 the controller, 1, 2, ...
+// a worker engine each. A nil peerOf hosts every node on the controller
+// (New). stop closes the controller and waits for the workers.
+func memCluster(t *testing.T, topo func() *Topology, cfg Config, peerOf []int) cluster {
 	t.Helper()
-	cfg.Nodes = 3
-	if workers == 0 {
+	if peerOf == nil {
 		e, err := New(topo(), cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e, e.Close
+		return cluster{ctrl: e, procs: []*Engine{e}, stop: e.Close}
 	}
-	eps := transport.NewMemCluster(workers)
-	peerOf := []int{0, 1, 2}
+	eps := transport.NewMemCluster(slices.Max(peerOf))
+	c := cluster{procs: make([]*Engine, len(eps))}
 	var wg sync.WaitGroup
-	for i := 1; i <= workers; i++ {
+	for i := 1; i < len(eps); i++ {
 		w, err := NewWorker(topo(), cfg, nil, eps[i], peerOf)
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.procs[i] = w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -45,7 +54,9 @@ func memCluster(t *testing.T, topo func() *Topology, cfg Config, workers int) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, func() { e.Close(); wg.Wait() }
+	c.ctrl, c.procs[0] = e, e
+	c.stop = func() { e.Close(); wg.Wait() }
+	return c
 }
 
 // TestMoveRightAfterCheckpointShipsItsDelta: a checkpoint-assisted move staged
@@ -61,15 +72,20 @@ func TestMoveRightAfterCheckpointShipsItsDelta(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		for _, workers := range []int{0, 2} {
 			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				cfg := Config{ShardsPerNode: shards}
+				cfg := Config{Nodes: 3, ShardsPerNode: shards}
+				var peerOf []int
+				if workers > 0 {
+					peerOf = []int{0, 1, 2}
+				}
 				type moved struct {
 					migrations, deferred int
 					delta, precopy       int64
 					latency              float64
 				}
 				script := func(joinAtOnce bool) ([]moved, []CheckpointStats, []byte) {
-					e, stop := memCluster(t, topo, cfg, workers)
-					defer stop()
+					c := memCluster(t, topo, cfg, peerOf)
+					defer c.stop()
+					e := c.ctrl
 					var got []moved
 					var stats []CheckpointStats
 					for p := 1; p <= 7; p++ {

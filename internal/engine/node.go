@@ -368,22 +368,20 @@ func (s *shard) onBarrier(m barrierMsg) {
 }
 
 // onState installs a handed-over state and keeps the tip that came with it
-// (a whole move arrives tipless). Only the size the source charged is
-// synchronous work in the cost model; a delta move's tip is the checkpoint
+// (a whole move arrives tipless). A group that had no state arrives without
+// one, as if it had stayed: process creates it with the first tuple, so where
+// the group ran does not show in StateBytes. Only the size the source charged
+// is synchronous work in the cost model; a delta move's tip is the checkpoint
 // fault tolerance already paid for.
 func (s *shard) onState(m stateMsg) {
 	gid := s.eng.topo.GID(m.op, m.kg)
-	st := m.st
-	if st == nil {
-		st = statestore.NewState()
-	}
 	if m.tip != nil {
 		s.tips[gid] = m.tip
 	} else {
 		delete(s.tips, gid)
 	}
 	s.stats.addMigUnits(float64(m.size) * deserCostPerByte)
-	s.states[gid] = st
+	s.states[gid] = m.st
 	if s.awaitIn[gid] {
 		s.awaitIn[gid] = false
 		s.awaitByOp[m.op]--

@@ -2,10 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 	"testing"
-
-	"repro/internal/transport"
 )
 
 // turnoverTopology runs two operators side by side: "window" keeps one table
@@ -77,39 +74,10 @@ func TestUselessPrecopyIsNotShipped(t *testing.T) {
 		7: {migrations: 8, migratedDeltaBytes: 56, movedBytes: 56, tipAt: "[2 3 0 1 2 3 0 1]"},
 		9: {migrations: 8, migratedDeltaBytes: 1288, movedBytes: 8180, tipAt: "[-1 -1 -1 -1 3 0 1 2]"},
 	}
-	layouts := map[string]func() tipLayout{
-		"zero-worker": func() tipLayout {
-			e, err := New(turnoverTopology(kgs), Config{Nodes: nodes}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tipLayout{ctrl: e, procs: []*Engine{e}, stop: func() { e.Close() }}
-		},
-		"two workers": func() tipLayout {
-			eps := transport.NewMemCluster(2)
-			peerOf := []int{1, 2, 1, 2}
-			l := tipLayout{procs: make([]*Engine, 3)}
-			var wg sync.WaitGroup
-			for i := 1; i <= 2; i++ {
-				w, err := NewWorker(turnoverTopology(kgs), Config{Nodes: nodes}, nil, eps[i], peerOf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				l.procs[i] = w
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					w.ServeWorker() //nolint:errcheck // ends on the controller's bye
-				}()
-			}
-			e, err := NewDistributed(turnoverTopology(kgs), Config{Nodes: nodes}, nil, eps[0], peerOf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			l.ctrl, l.procs[0] = e, e
-			l.stop = func() { e.Close(); wg.Wait() }
-			return l
-		},
+	topo := func() *Topology { return turnoverTopology(kgs) }
+	layouts := map[string]func() cluster{
+		"zero-worker": func() cluster { return memCluster(t, topo, Config{Nodes: nodes}, nil) },
+		"two workers": func() cluster { return memCluster(t, topo, Config{Nodes: nodes}, []int{1, 2, 1, 2}) },
 	}
 	for name, build := range layouts {
 		t.Run(name, func(t *testing.T) {

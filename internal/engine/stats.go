@@ -30,7 +30,8 @@ type nodeStats struct {
 	// key group `to`, in an open-addressed counting table (commtable.go) that
 	// holds only the edges this period touched.
 	comm commTable
-	// bytesOut / bytesIn count serialized bytes crossing node boundaries.
+	// bytesOut / bytesIn count serialized bytes crossing node boundaries,
+	// every field name as one byte (PeriodStats.BytesCrossNode).
 	bytesOut, bytesIn int64
 	// batchesOut counts cross-node frames shipped (each amortizing one
 	// allocation and one mailbox lock over its tuples).
@@ -90,14 +91,19 @@ type PeriodStats struct {
 	// TuplesIn / TuplesOut totals.
 	TuplesIn, TuplesOut int64
 	// BytesCrossNode is the serialized volume worker nodes sent to other
-	// nodes (sum of per-record wire lengths measured at stage time).
+	// nodes: the sum of their records' wire lengths at stage time, each field
+	// name counted as one byte. A frame defines each name once, in the first
+	// record that carries it, so the bytes a frame really takes are this sum
+	// plus those definitions; the count leaves them out because they depend
+	// on which records share a frame, which the scheduler decides, not the
+	// input.
 	BytesCrossNode int64
-	// SrcBytesCrossNode is the wire volume the sources staged toward worker
-	// nodes (measured identically, at stage time).
+	// SrcBytesCrossNode is the volume the sources staged toward worker nodes,
+	// counted the same way.
 	SrcBytesCrossNode int64
-	// BytesCrossNodeIn is the receiver-measured wire volume (sum of decoded
-	// record lengths). Under wire format v2 the per-record length is byte-
-	// identical on both sides, so BytesCrossNodeIn always equals
+	// BytesCrossNodeIn is the receiver-measured volume: the sum of decoded
+	// record lengths, each name again counted as one byte. A record counts
+	// the same on both sides, so BytesCrossNodeIn always equals
 	// BytesCrossNode + SrcBytesCrossNode — the invariant that keeps the
 	// out(gi,gj) serialization cost model exact; tests assert it.
 	BytesCrossNodeIn int64

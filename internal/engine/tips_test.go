@@ -4,28 +4,17 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/codec"
 	"repro/internal/statestore"
-	"repro/internal/transport"
 )
-
-// tipLayout is one deployment of the tip-invariant script: the controller and
-// every process of the cluster (the controller first), so the test can look
-// into remote shards too.
-type tipLayout struct {
-	ctrl  *Engine
-	procs []*Engine
-	stop  func()
-}
 
 // quiesce makes everything the controller has sent so far visible in the
 // workers' shards: a round trip per worker drains its link up to here (frames
 // are dispatched in order), then a ping drains each shard's mailbox. The round
 // trip is a provision of no nodes, a request that changes nothing.
-func (l tipLayout) quiesce(t *testing.T) {
+func (l cluster) quiesce(t *testing.T) {
 	t.Helper()
 	for _, w := range l.procs[1:] {
 		if _, err := l.ctrl.rig.request(w.self, reqFrame{kind: rqProvision}); err != nil {
@@ -38,7 +27,7 @@ func (l tipLayout) quiesce(t *testing.T) {
 // tipHolders reads where every key group's checkpoint tip is from the shards of
 // every process: the node whose shard holds it, -1 for none. A tip held twice
 // fails the test.
-func (l tipLayout) tipHolders(t *testing.T) []int {
+func (l cluster) tipHolders(t *testing.T) []int {
 	t.Helper()
 	l.quiesce(t)
 	at := make([]int, l.ctrl.topo.NumGroups())
@@ -67,7 +56,7 @@ func (l tipLayout) tipHolders(t *testing.T) []int {
 // checkpoint tip of a key group lives on the shard that holds the group's
 // live state and nowhere else, and it is the state the store materializes, at
 // the store's version. It returns where the tips are (tipHolders).
-func (l tipLayout) checkTips(t *testing.T, step string) []int {
+func (l cluster) checkTips(t *testing.T, step string) []int {
 	t.Helper()
 	at := l.tipHolders(t)
 	e := l.ctrl
@@ -102,7 +91,7 @@ func (l tipLayout) checkTips(t *testing.T, step string) []int {
 // checkSizings holds each delta the barrier of ps measured (Tip.Measure,
 // which reads only the cells a state took since its tip) to a walk of every
 // cell of the group's live state against its tip, in every process.
-func (l tipLayout) checkSizings(t *testing.T, ps *PeriodStats) {
+func (l cluster) checkSizings(t *testing.T, ps *PeriodStats) {
 	t.Helper()
 	if ps.CkptDeltaBytes == nil {
 		return // no checkpoint yet: nothing was measured
@@ -139,43 +128,13 @@ func tipsWithTheGroups(t *testing.T, step string, e *Engine, at []int, without .
 	}
 }
 
-// tipLayouts builds the two deployments the tip tests run in: an engine that
+// clusters builds the two deployments the tip tests run in: an engine that
 // hosts everything, and a mixed cluster where the controller's shards (node 0)
 // and two workers' (nodes 1 and 2) sit side by side.
-func tipLayouts(t *testing.T, topo func() *Topology, cfg Config) map[string]func() tipLayout {
-	return map[string]func() tipLayout{
-		"in-process": func() tipLayout {
-			e, err := New(topo(), cfg, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tipLayout{ctrl: e, procs: []*Engine{e}, stop: func() { e.Close() }}
-		},
-		"mixed": func() tipLayout {
-			eps := transport.NewMemCluster(2)
-			peerOf := []int{0, 1, 2}
-			l := tipLayout{procs: make([]*Engine, 3)}
-			var wg sync.WaitGroup
-			for i := 1; i <= 2; i++ {
-				w, err := NewWorker(topo(), cfg, nil, eps[i], peerOf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				l.procs[i] = w
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					w.ServeWorker() //nolint:errcheck // ends on the controller's bye
-				}()
-			}
-			e, err := NewDistributed(topo(), cfg, nil, eps[0], peerOf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			l.ctrl, l.procs[0] = e, e
-			l.stop = func() { e.Close(); wg.Wait() }
-			return l
-		},
+func clusters(t *testing.T, topo func() *Topology, cfg Config) map[string]func() cluster {
+	return map[string]func() cluster{
+		"in-process": func() cluster { return memCluster(t, topo, cfg, nil) },
+		"mixed":      func() cluster { return memCluster(t, topo, cfg, []int{0, 1, 2}) },
 	}
 }
 
@@ -221,7 +180,7 @@ func TestTipLivesWithTheGroup(t *testing.T) {
 	cfg := Config{Nodes: 3}
 	// Group 3's table empties at the start of period 4.
 	topo := func() *Topology { return windowedGrowTopology(600, 60, 2, kgs, 3, 4) }
-	layouts := tipLayouts(t, topo, cfg)
+	layouts := clusters(t, topo, cfg)
 	for name, build := range layouts {
 		t.Run(name, func(t *testing.T) {
 			l := build()
@@ -303,7 +262,7 @@ func TestTipLivesWithTheGroup(t *testing.T) {
 // forgetSizings replaces every tip of every process by a copy that has not
 // been measured (statestore.Tip.Measure), so the next cut sizes each delta
 // afresh. The last write is joined first: nothing uses the old tips then.
-func (l tipLayout) forgetSizings(t *testing.T) {
+func (l cluster) forgetSizings(t *testing.T) {
 	t.Helper()
 	l.ctrl.CheckpointStore()
 	l.quiesce(t)
@@ -331,7 +290,7 @@ func (l tipLayout) forgetSizings(t *testing.T) {
 func TestCutTakesTheBarriersSizing(t *testing.T) {
 	cfg := Config{Nodes: 3}
 	topo := func() *Topology { return buildGrowTopology(600, 60, 2, 9) }
-	for name, build := range tipLayouts(t, topo, cfg) {
+	for name, build := range clusters(t, topo, cfg) {
 		t.Run(name, func(t *testing.T) {
 			script := func(fresh bool) ([]CheckpointStats, []byte) {
 				l := build()
@@ -403,7 +362,7 @@ func TestCutTakesTheBarriersSizing(t *testing.T) {
 // of every cell does, in one process and across workers.
 func TestAdoptedTipTracksTheDeltaSince(t *testing.T) {
 	topo := func() *Topology { return buildGrowTopology(600, 60, 2, 6) }
-	for name, build := range tipLayouts(t, topo, Config{Nodes: 3}) {
+	for name, build := range clusters(t, topo, Config{Nodes: 3}) {
 		t.Run(name, func(t *testing.T) {
 			l := build()
 			defer l.stop()
