@@ -187,6 +187,38 @@ func TestTwoChoiceAggregationCorrect(t *testing.T) {
 	}
 }
 
+// TestMigrationDuringActivePeriodBuffers: a group migrated while its
+// new-period tuples are already flowing must buffer and replay them (direct
+// state migration's destination buffering).
+func TestMigrationDuringActivePeriodBuffers(t *testing.T) {
+	tp := tallyTopology(400, 4)
+	e, err := New(tp, Config{Nodes: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if _, err := e.RunPeriod(); err != nil {
+		t.Fatal(err)
+	}
+	// Move ALL groups every period for 5 periods: every period's data for
+	// the moved groups races their state transfer.
+	for p := 0; p < 5; p++ {
+		alloc := e.Allocation()
+		for g := range alloc {
+			alloc[g] = 1 - alloc[g]
+		}
+		if err := e.ApplyPlan(alloc); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.RunPeriod(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := totalTallied(e); got != 2400 {
+		t.Fatalf("total = %v, want 2400 (400 x 6 periods, nothing lost in-flight)", got)
+	}
+}
+
 // TestHeterogeneousCapacity: with capacity weights [1, 3], a balanced
 // allocation puts ~3x the cost units on the big node; the snapshot exposes
 // the weights so the MILP layer can do exactly that.

@@ -316,6 +316,82 @@ func TestCollocationEliminatesSerialization(t *testing.T) {
 	}
 }
 
+func TestMigrationPreservesState(t *testing.T) {
+	// Count per word with NO flush clearing (running totals kept in state),
+	// migrate the groups mid-run, and verify totals survive.
+	col := newCollector()
+	tp := NewTopology()
+	tp.AddSource("src", func(period int, emit Emit) {
+		for i := 0; i < 50; i++ {
+			emit(&Tuple{Key: fmt.Sprintf("k%d", i%10), TS: int64(i)})
+		}
+	})
+	tp.AddOperator(&Operator{
+		Name:      "tally",
+		KeyGroups: 4,
+		Proc: func(tu *Tuple, st *State, emit Emit) {
+			st.Add("total", 1)
+		},
+		Flush: func(kg int, st *State, emit Emit) {
+			emit((&Tuple{Key: fmt.Sprintf("kg%d", kg)}).WithNum("total", st.Num("total")))
+		},
+	})
+	tp.AddOperator(&Operator{
+		Name:      "sink",
+		KeyGroups: 2,
+		Proc: func(tu *Tuple, st *State, emit Emit) {
+			col.mu.Lock()
+			col.nums[strings.Clone(tu.Key)] = tu.Num("total") // latest running total per kg
+			col.mu.Unlock()
+		},
+	})
+	tp.Connect("src", "tally")
+	tp.Connect("tally", "sink")
+	e, err := New(tp, Config{Nodes: 3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	if _, err := e.RunPeriod(); err != nil {
+		t.Fatal(err)
+	}
+	// Move every tally group to node 0 (forces state migration for most).
+	alloc := e.Allocation()
+	moves := 0
+	for kg := 0; kg < 4; kg++ {
+		gid := e.topo.GID(0, kg)
+		if alloc[gid] != 0 {
+			alloc[gid] = 0
+			moves++
+		}
+	}
+	if err := e.ApplyPlan(alloc); err != nil {
+		t.Fatal(err)
+	}
+	ps, err := e.RunPeriod()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps.Migrations != moves {
+		t.Fatalf("migrations = %d, want %d", ps.Migrations, moves)
+	}
+	if ps.MigrationLatency <= 0 {
+		t.Fatal("migration latency not modeled")
+	}
+	// After 2 periods, running totals must sum to 100 across the 4 groups
+	// (50 tuples per period, none lost during migration).
+	total := 0.0
+	col.mu.Lock()
+	for _, v := range col.nums {
+		total += v
+	}
+	col.mu.Unlock()
+	if total != 100 {
+		t.Fatalf("running totals sum to %v after migration, want 100", total)
+	}
+}
+
 func TestScaleOutAndIn(t *testing.T) {
 	col := newCollector()
 	tp := wordCountTopology([]string{"a", "b", "c", "d"}, 100, 6, col)
@@ -417,6 +493,36 @@ func TestTwoChoiceRoutingSpreadsHotKey(t *testing.T) {
 	}
 	if loaded != 2 {
 		t.Fatalf("hot key landed on %d agg groups, want exactly 2 (two choices)", loaded)
+	}
+}
+
+func TestRunsAreDeterministicInAggregate(t *testing.T) {
+	run := func() (int64, float64) {
+		col := newCollector()
+		tp := wordCountTopology([]string{"x", "y", "z"}, 150, 6, col)
+		e, err := New(tp, Config{Nodes: 3}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		var tin int64
+		var units float64
+		for p := 0; p < 3; p++ {
+			ps, err := e.RunPeriod()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tin += ps.TuplesIn
+			for _, u := range ps.GroupUnits {
+				units += u
+			}
+		}
+		return tin, units
+	}
+	t1, u1 := run()
+	t2, u2 := run()
+	if t1 != t2 || u1 != u2 {
+		t.Fatalf("nondeterministic aggregates: (%d,%v) vs (%d,%v)", t1, u1, t2, u2)
 	}
 }
 
