@@ -38,11 +38,13 @@ const (
 	// sub-period request and its reply are gone. v8: segments are gone: a
 	// barrier always ends the period, a migrate-out never says whole and an
 	// arm frame never resumes a period. v9: a provision carries no weight; an
-	// added node has weight 1. Retiring a state's string registers and a
+	// added node has weight 1. v10: a checkpoint request carries only the
+	// version (the chain bounds it sent per group are gone), and a state
+	// transfer carries the shape of its tip's chain. Retiring a state's string registers and a
 	// delta's string registers and counter deletions bumped nothing: no job's
 	// operators ever filled those sections, their counts keep their bytes,
 	// always 0, and a decoder rejects any other count.
-	WireVersion = 9
+	WireVersion = 10
 
 	// handshake hardening bounds: no legitimate message approaches these.
 	maxHandshakeAddr  = 1 << 10

@@ -21,10 +21,8 @@ import (
 //     oversized sets with balanced graph partitioning (migration units),
 //  3. optimistically pins one new beneficial pair to a shared node, and
 //  4. solves the MILP with those constraints, relaxing the partition size
-//     (maxPL −= stepPL) until the user's load-distance bound maxLD holds.
+//     (maxPL −= stepPL) until the load-distance bound maxLD holds.
 type ALBIC struct {
-	// MaxLD is the maximum acceptable load distance (default 10).
-	MaxLD float64
 	// TimeLimit is the budget of one solve of the underlying MILP solver: a
 	// ceiling, not a duration. A solve that converges returns early, and the
 	// retry-without-pin of a solve whose pin busts the migration budget runs
@@ -55,22 +53,16 @@ type ALBIC struct {
 // Name implements Balancer.
 func (a *ALBIC) Name() string { return "albic" }
 
-// The paper's ALBIC parameters: the initial maximum partition load maxPL,
-// the decrease stepPL applied on each recalculation, and the score factor
-// sF — a pair scores when its rate exceeds avg(gi)·sF.
+// The paper's ALBIC parameters: the maximum acceptable load distance maxLD,
+// the initial maximum partition load maxPL, the decrease stepPL applied on
+// each recalculation, and the score factor sF — a pair scores when its rate
+// exceeds avg(gi)·sF.
 const (
+	albicMaxLD  = 10
 	albicMaxPL  = 25
 	albicStepPL = 5
 	albicSF     = 1.5
 )
-
-// maxLD is the user's load-distance bound: MaxLD, or the paper's 10.
-func (a *ALBIC) maxLD() float64 {
-	if a.MaxLD <= 0 {
-		return 10
-	}
-	return a.MaxLD
-}
 
 // scored is one key-group pair that communicates above threshold.
 type scored struct {
@@ -85,7 +77,7 @@ func (a *ALBIC) Plan(ctx context.Context, s *Snapshot) (*Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	maxLD, maxPL := a.maxLD(), float64(albicMaxPL)
+	maxPL := float64(albicMaxPL)
 	a.round++
 	rng := rand.New(rand.NewSource(a.Seed + a.round*1_000_003))
 
@@ -105,7 +97,7 @@ func (a *ALBIC) Plan(ctx context.Context, s *Snapshot) (*Plan, error) {
 		if best == nil || plan.Eval.LoadDistance < best.Eval.LoadDistance {
 			best = plan
 		}
-		if plan.Eval.LoadDistance <= maxLD || maxPL <= 0 {
+		if plan.Eval.LoadDistance <= albicMaxLD || maxPL <= 0 {
 			return best, nil
 		}
 		if ctx.Err() != nil {

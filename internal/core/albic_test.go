@@ -181,7 +181,7 @@ func TestALBICNeverPinsToKillNode(t *testing.T) {
 }
 
 func TestALBICDefaults(t *testing.T) {
-	maxLD, maxPL, stepPL, sf := (&ALBIC{}).maxLD(), albicMaxPL, albicStepPL, albicSF
+	maxLD, maxPL, stepPL, sf := albicMaxLD, albicMaxPL, albicStepPL, albicSF
 	if maxLD != 10 || maxPL != 25 || stepPL != 5 || sf != 1.5 {
 		t.Fatalf("defaults = %v %v %v %v, want the paper's 10/25/5/1.5",
 			maxLD, maxPL, stepPL, sf)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -13,7 +14,8 @@ import (
 // a >10% load change, so the incremental planner sees a partial dirty region
 // each period — the steady-state regime the dirty-region mode is built for —
 // while the full planner re-solves everything. The MILP time budget is
-// pinned low (1ms) and MaxLD effectively disabled so the measurement is the
+// pinned low (1ms) and each invocation is one solve — Plan's steps at the
+// initial maxPL, without its relaxation loop — so the measurement is the
 // scaling machinery (scoring, partitioning, problem construction, solver
 // passes), not the configurable anytime budget.
 func BenchmarkPlanScaling(b *testing.B) {
@@ -27,10 +29,10 @@ func BenchmarkPlanScaling(b *testing.B) {
 				a := &ALBIC{
 					Seed:        7,
 					TimeLimit:   time.Millisecond,
-					MaxLD:       1e9, // one solve per invocation
 					Incremental: mode == "incremental",
 				}
 				ctx := context.Background()
+				rng := rand.New(rand.NewSource(a.Seed))
 				if a.Incremental {
 					// Seed the baseline directly instead of paying a full
 					// warm-up solve: the measurement is the steady-state
@@ -55,7 +57,13 @@ func BenchmarkPlanScaling(b *testing.B) {
 							s.Groups[k].Load = orig[k]
 						}
 					}
-					if _, err := a.Plan(ctx, s); err != nil {
+					var dirty []bool
+					if a.Incremental {
+						dirty = a.tracker.region(s, DefaultDirtyLoadDelta, DefaultDirtyTopK)
+						a.tracker.observe(s)
+					}
+					colPairs, toBeCol := a.scorePairs(s, dirty)
+					if _, err := a.solveOnce(ctx, s, colPairs, toBeCol, albicMaxPL, rng, dirty); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -53,10 +53,11 @@ func foldKeys(period, kgs, n, size int) []string {
 // foldJob is a job whose checkpoint chains are known to the byte: one
 // operator keeps every key it sees in a table, and every key group gets the
 // same cells each period. Period 1's ten 8-byte keys make a 179-byte base;
-// period 2's one 67-byte key is a delta of 89 bytes, exactly the chain's fold
-// bound, which Record takes without folding; from period 3 on one 8-byte key
-// a period is a 30-byte delta, the first of which folds the chain (its bound
-// is 0 then) and later ones fold it again each time it passes half its base.
+// period 2's one 67-byte key is a delta of 89 bytes, exactly the chain's
+// bound, which the chain takes; from period 3 on one 8-byte key a period is a
+// 30-byte delta, the first of which the chain does not take (its bound is 0
+// then), so the tip is written whole, and later ones re-base it again each
+// time the deltas would pass half its base.
 func foldJob(cfg workload.JobConfig) (*engine.Topology, error) {
 	kgs := cfg.KeyGroups
 	tp := engine.NewTopology()
@@ -87,7 +88,7 @@ func init() { Jobs["folds"] = foldJob }
 
 // foldRun is what one layout made of the fold script: every checkpoint's
 // stats, what the store holds at the end (storePrint), and — read through the
-// store between checkpoints — each group's fold bound before checkpoint 2 and
+// store between checkpoints — each group's chain bound before checkpoint 2 and
 // whether its chain holds deltas after every checkpoint.
 type foldRun struct {
 	stats  []engine.CheckpointStats
@@ -97,16 +98,18 @@ type foldRun struct {
 }
 
 // chained reports whether gid's chain holds deltas beside its base. The store
-// does not count them, but its fold bound tells: a base alone has the bound of
-// its footprint as one base, and a delta (never under 7 bytes) lowers the
-// bound or takes it to -1.
+// does not count them, but its footprint tells: a base alone is the encoding
+// of the state it holds, and each delta of this job costs more than the cells
+// it adds to the state (it repeats the table's name and counts), so a chain
+// with deltas holds more bytes than the state it replays to.
 func chained(s *statestore.Store, gid int) bool {
-	return s.FoldBound(gid) != statestore.FoldBound(s.Footprint(gid), 0, 0)
+	enc, _, _ := s.EncodedState(gid)
+	return s.Footprint(gid) > len(enc)
 }
 
 // driveFolds checkpoints after every period for 14 periods, and rotates every
-// group one node forward before period 7, so the moves pre-copy tips whose
-// chains the next checkpoint folds into those tips.
+// group one node forward before period 7, so the moves ship tips, and with
+// them their chains' shapes, that the next checkpoints cut against.
 func driveFolds(t *testing.T, e *engine.Engine, kgs int) foldRun {
 	t.Helper()
 	var r foldRun
@@ -124,8 +127,10 @@ func driveFolds(t *testing.T, e *engine.Engine, kgs int) foldRun {
 			t.Fatalf("period %d: %v", p, err)
 		}
 		if p == 2 {
+			// Checkpoint 1 left each chain a lone base, whose bound is half
+			// of it (statestore's Chain.takes).
 			for gid := 0; gid < kgs; gid++ {
-				r.bound2 = append(r.bound2, e.CheckpointStore().FoldBound(gid))
+				r.bound2 = append(r.bound2, e.CheckpointStore().Footprint(gid)/2)
 			}
 		}
 		r.stats = append(r.stats, e.TakeCheckpoint())
@@ -139,13 +144,13 @@ func driveFolds(t *testing.T, e *engine.Engine, kgs int) foldRun {
 	return r
 }
 
-// TestLayoutsAgreeAcrossFolds: whoever holds a tip writes the base its chain
-// folds into — at the bound a delta is still recorded, one byte past it the
-// chain folds — and a chain a pre-copy read whole is folded into the bytes the
-// tip-holder sends along. Every layout (one process, a mem cluster, a mixed
-// one, TCP) takes the same checkpoints with the same stats and leaves the same
-// store, through a delta of exactly the bound and at least two folds of
-// every group's chain.
+// TestLayoutsAgreeAcrossFolds: whoever holds a tip writes it whole where its
+// chain does not take the delta — at the bound a delta is still recorded, one
+// byte past it the chain is re-based — and a tip that moved to another
+// process knows its chain as well as one that stayed. Every layout (one
+// process, a mem cluster, a mixed one, TCP) takes the same checkpoints with
+// the same stats and leaves the same store, through a delta of exactly the
+// bound and at least two re-bases of every group's chain.
 func TestLayoutsAgreeAcrossFolds(t *testing.T) {
 	const kgs = 6
 	spec := JobSpec{

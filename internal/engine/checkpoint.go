@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/statestore"
@@ -21,8 +20,12 @@ import (
 // A checkpoint is two steps, the same in every process. The cut runs at the
 // barrier, shards quiescent: it decides each group's step and brings the tip
 // up to the live state, which is all that needs the state to hold still, and
-// it is all a checkpoint costs the period. The write encodes what the cut
-// decided from the tips and deltas alone, so it runs beside the next period:
+// it is all a checkpoint costs the period. The tip decides alone: it knows
+// the shape of its chain in the store and writes itself whole where the chain
+// takes no more deltas (statestore.Tip.Cut), so the controller sends a worker
+// nothing but the version, and a delta move to another process ships the
+// shape with the tip. The write encodes what the cut decided from the tips
+// and deltas alone, so it runs beside the next period:
 // the controller's on a goroutine of its own, a worker's too, which sends the
 // payloads as the reply to the controller's rqCkptWrite once they are written.
 // The controller checks what arrives off the barrier and records everything in
@@ -53,18 +56,20 @@ type CheckpointStats struct {
 	Groups int
 	// NewBytes is the volume this checkpoint appended to the store: full
 	// snapshots for first-time groups and for groups whose state churned past
-	// its own size, deltas for the rest. This — not the total state size — is
-	// the incremental cost of the checkpoint.
+	// its own size, deltas for the rest (also where a chain took no more
+	// deltas and the tip went in whole instead). This — not the total state
+	// size — is the incremental cost of the checkpoint.
 	NewBytes int
 	// TotalBytes is the store's footprint after the checkpoint (bases plus
-	// delta chains, bounded by compaction).
+	// delta chains, bounded by the chain bound).
 	TotalBytes int
 }
 
 // TakeCheckpoint incrementally checkpoints every key group's state into the
 // engine's store: each process cuts the tips of the groups it hosts
 // (cutCheckpoint — a full snapshot for a group without a tip, then nothing,
-// the delta since the previous checkpoint, or a fresh base; statestore's
+// the delta since the previous checkpoint, or a fresh base where the delta is
+// no smaller than the state or its chain does not take it; statestore's
 // Tip.Cut) and the store records the bytes their writes encode, each on its
 // group's own chain — so what the store holds and reports depends neither on
 // the layout nor on the schedule. It returns after the cut, every write
@@ -82,8 +87,7 @@ func (e *Engine) TakeCheckpoint() CheckpointStats {
 	}
 	t := ckptTally{cs: CheckpointStats{Period: e.period}, fresh: e.freshScratch[:0]}
 	peers := e.workerPeers()
-	local, remote := e.ckptDirectives(peers)
-	e.cutCheckpoint(e.period, local)
+	e.cutCheckpoint(e.period)
 	kept := e.write.entries[:0]
 	for _, en := range e.write.entries {
 		if err := e.admitCkptEntry(en, &t); err != nil {
@@ -102,7 +106,7 @@ func (e *Engine) TakeCheckpoint() CheckpointStats {
 	// cut is asked for its write's payloads, which arrive whenever they are
 	// written.
 	bodies, rerrs := e.rig.requestAll(peers, func(k int) reqFrame {
-		return reqFrame{kind: rqCkpt, version: e.period, dirs: remote[k]}
+		return reqFrame{kind: rqCkpt, version: e.period}
 	})
 	for k, peer := range peers {
 		if rerrs[k] != nil {
@@ -146,25 +150,6 @@ func (e *Engine) TakeCheckpoint() CheckpointStats {
 	return t.cs
 }
 
-// ckptDirectives says, per tracked group, what the store makes of its next
-// checkpoint (ckptDirective), split by where the group lives: local for this
-// process's nodes, remote[k] for peers[k]'s. Both lists ascend by gid.
-func (e *Engine) ckptDirectives(peers []int) (local []ckptDirective, remote [][]ckptDirective) {
-	remote = make([][]ckptDirective, len(peers))
-	for _, gid := range e.ckpt.Groups() {
-		d := ckptDirective{gid: gid, bound: e.ckpt.FoldBound(gid)}
-		p := e.peerFor(e.baseAlloc[gid])
-		if p == e.self {
-			local = append(local, d)
-			continue
-		}
-		if k, ok := slices.BinarySearch(peers, p); ok {
-			remote[k] = append(remote[k], d)
-		}
-	}
-	return local, remote
-}
-
 // ckptTally is what a checkpoint's entries add up to as TakeCheckpoint admits
 // them: the stats, the store's growth once the write is joined (grow bytes,
 // added groups), the groups checkpointed (fresh) and, dense per gid, which of
@@ -177,28 +162,29 @@ type ckptTally struct {
 }
 
 // admitCkptEntry checks one entry of a cut — a worker's crossed a wire: a
-// known group, named once, that the store can take the step for — and tallies
+// known group, named once, whose step the store takes (statestore's
+// Store.Check: no delta onto no chain or past its chain's bound) — and tallies
 // it: NewBytes counts the cut's size, the store's growth what recording the
 // payload will add.
 func (e *Engine) admitCkptEntry(en ckptEntryWire, t *ckptTally) error {
 	if t.seen == nil {
 		t.seen = make([]bool, e.topo.NumGroups())
 	}
-	tracked := en.gid < len(t.seen) && e.ckpt.Has(en.gid)
 	switch {
 	case en.gid >= len(t.seen):
 		return fmt.Errorf("engine: checkpoint entry for unknown group %d", en.gid)
 	case t.seen[en.gid]:
 		return fmt.Errorf("engine: duplicate checkpoint entry for group %d", en.gid)
-	case !tracked && en.step != statestore.StepBase:
-		return fmt.Errorf("engine: checkpoint step %d for group %d, which the store does not track", en.step, en.gid)
+	}
+	if err := e.ckpt.Check(en.gid, en.step, en.size); err != nil {
+		return fmt.Errorf("engine: checkpoint entry for group %d: %w", en.gid, err)
 	}
 	t.seen[en.gid] = true
 	t.cs.NewBytes += en.cut
 	switch en.step {
 	case statestore.StepBase:
 		t.grow += en.size - e.ckpt.Footprint(en.gid)
-		if !tracked {
+		if e.ckpt.Version(en.gid) < 0 {
 			t.added++
 		}
 	case statestore.StepDelta:
@@ -263,7 +249,7 @@ func (e *Engine) joinCheckpoint() {
 // the store, as they are.
 func (e *Engine) recordCkptEntries(version int, entries []ckptEntryWire) {
 	for _, en := range entries {
-		e.ckpt.Record(en.gid, version, en.step, en.payload, nil) //nolint:errcheck // admitted at the cut
+		e.ckpt.Record(en.gid, version, en.step, en.payload) //nolint:errcheck // admitted at the cut
 	}
 }
 
@@ -349,7 +335,10 @@ func (e *Engine) Recover(onto []int) (int, error) {
 		tipVer := -1
 		if e.ckpt != nil {
 			if b, ver, ok := e.ckpt.EncodedState(gid); ok {
+				// The restored state is the chain's one base from now on, as
+				// its new tip knows (recoverMsg).
 				enc, tipVer = b, ver
+				e.ckpt.Record(gid, ver, statestore.StepBase, b) //nolint:errcheck // a base is always taken
 			}
 		}
 		op, kg := e.topo.OpOf(gid)

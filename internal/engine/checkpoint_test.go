@@ -377,8 +377,8 @@ func TestCheckpointOfChurningStateWritesFreshBases(t *testing.T) {
 
 // TestAbsorbRejectsCorruptCheckpointEntries: entries of a worker's reply
 // that cannot be what a worker sent — undecodable payloads, a delta for a
-// group the store does not track, a group named twice or unknown to the
-// topology — are reported and skipped, whether the summary (admitCkptEntry)
+// group the store does not track or past its chain's bound, a group named
+// twice or unknown to the topology — are reported and skipped, whether the summary (admitCkptEntry)
 // or the payload (checkCkptPayload) gives them away, and the sound entries
 // beside them are still recorded.
 func TestAbsorbRejectsCorruptCheckpointEntries(t *testing.T) {
@@ -399,6 +399,7 @@ func TestAbsorbRejectsCorruptCheckpointEntries(t *testing.T) {
 		{gid: tracked, step: statestore.StepBase, payload: good.Encode(nil)}, // named twice
 		{gid: 5, step: statestore.StepBase, payload: []byte{0xff, 0xff}},     // undecodable state
 		{gid: 4, step: statestore.StepDelta, payload: []byte{0x01}},          // undecodable delta
+		{gid: 3, step: statestore.StepDelta, size: 1 << 20},                  // past its chain's bound
 		{gid: 6, step: statestore.StepBase, payload: good.Encode(nil)},       // not in the topology
 	}
 	var tally ckptTally
@@ -421,7 +422,7 @@ func TestAbsorbRejectsCorruptCheckpointEntries(t *testing.T) {
 	if err == nil {
 		t.Fatal("corrupt entries absorbed without an error")
 	}
-	for _, want := range []string{"duplicate checkpoint entry for group", "checkpoint state for group 5", "group 4", "unknown group 6"} {
+	for _, want := range []string{"duplicate checkpoint entry for group", "checkpoint state for group 5", "group 4", "past group 3's chain bound", "unknown group 6"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}

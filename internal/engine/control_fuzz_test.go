@@ -149,17 +149,18 @@ func FuzzControlFrame(f *testing.F) {
 	f.Add(append([]byte{frArm}, codec.AppendUvarint(codec.AppendUvarint(nil, 1), 1<<30)...))
 	// A checkpoint and the move it assists: a delta transfer carrying its base
 	// (whole, cut short inside the base, and with a base longer than any
-	// frame), a whole state that carries one anyway, the cut with its
-	// directives, the write's request, and the two replies back to back —
+	// frame), a whole state that carries one anyway, the cut (and a v9 cut,
+	// whose per-group bounds trail the version), the write's request, and the
+	// two replies back to back —
 	// whole, lying about their count, and cut short.
-	moved := owned(encodeMsgFrame(3, stateMsg{op: 1, kg: 2, encoded: []byte("dl"), delta: true, baseVer: 4, base: []byte("tip")}))
+	moved := owned(encodeMsgFrame(3, stateMsg{op: 1, kg: 2, encoded: []byte("dl"), delta: true, baseVer: 4, chain: statestore.Chain{Base: 300, Deltas: 2, DeltaBytes: 40}, base: []byte("tip")}))
 	f.Add(moved)
 	f.Add(moved[:len(moved)-2])
 	noBase := owned(encodeMsgFrame(3, stateMsg{op: 1, kg: 2, encoded: []byte("dl"), delta: true, baseVer: 4}))
 	f.Add(codec.AppendUvarint(noBase[:len(noBase)-1], 1<<40))
 	f.Add(owned(encodeMsgFrame(3, stateMsg{op: 1, kg: 2, encoded: []byte("st"), base: []byte("tip")})))
-	f.Add(owned(encode(frReq, &reqFrame{id: 9, kind: rqCkpt, version: 4, dirs: []ckptDirective{{gid: 1, bound: -1}, {gid: 5, bound: 300}}})))
-	f.Add(owned(encode(frReq, &reqFrame{id: 9, kind: rqCkpt, version: 4, dirs: []ckptDirective{{gid: 5, bound: 3}, {gid: 1, bound: 3}}}))) // out of order
+	f.Add(owned(encode(frReq, &reqFrame{id: 9, kind: rqCkpt, version: 4})))
+	f.Add(append(owned(encode(frReq, &reqFrame{id: 9, kind: rqCkpt, version: 4})), 2, 1, 0, 5, 0xad, 2))
 	f.Add(owned(encode(frReq, &reqFrame{id: 10, kind: rqCkptWrite})))
 	entries := []ckptEntryWire{
 		{gid: 2, step: statestore.StepBase, cut: 5, size: 5, payload: []byte("state")},

@@ -15,6 +15,7 @@ package engine
 //	go test ./internal/engine -run TestExplore -explore.seed 17 -v
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -320,6 +321,16 @@ func (v periodView) diff(w periodView) []string {
 	return out
 }
 
+// exploreResult is what one run reports for the comparison between
+// configurations: every period's statistics, every checkpoint's stats and, at
+// the end, what the checkpoint store holds (storePrint; nil without a
+// checkpoint).
+type exploreResult struct {
+	views []periodView
+	ckpts []CheckpointStats
+	store []byte
+}
+
 // run executes s in one configuration, the one-node reference when ref is nil
 // (no moves and no scale-in: its one node holds everything), and checks what
 // holds within a run: after every period the byte-accounting identity, the
@@ -328,7 +339,7 @@ func (v periodView) diff(w periodView) []string {
 // shard holding its group's state and, against ref, the tuple counts and the
 // state sizes; at the end exact per-key totals at A, B and the sink, and B's
 // per-key seq order.
-func (s *schedule) run(t *testing.T, cfg exploreConfig, ref []periodView) []periodView {
+func (s *schedule) run(t *testing.T, cfg exploreConfig, ref []periodView) exploreResult {
 	t.Helper()
 	r := &exploreRun{sink: map[string]float64{}, lastSeq: map[string]float64{}}
 	nodes := s.nodes
@@ -339,12 +350,12 @@ func (s *schedule) run(t *testing.T, cfg exploreConfig, ref []periodView) []peri
 	defer c.stop()
 	e := c.ctrl
 	gone := make([]bool, nodes)
-	var views []periodView
+	var res exploreResult
 	last, lastBytes := e.Allocation(), make([]int, e.topo.NumGroups())
 	for i, st := range s.steps {
 		p := i + 1
 		if st.ckpt {
-			e.TakeCheckpoint()
+			res.ckpts = append(res.ckpts, e.TakeCheckpoint())
 		}
 		if ref != nil {
 			if st.terminate >= 0 {
@@ -368,7 +379,7 @@ func (s *schedule) run(t *testing.T, cfg exploreConfig, ref []periodView) []peri
 			t.Fatalf("period %d: %v", p, err)
 		}
 		v := viewOf(ps)
-		views = append(views, v)
+		res.views = append(res.views, v)
 		if ps.BytesCrossNodeIn != ps.BytesCrossNode+ps.SrcBytesCrossNode {
 			t.Fatalf("period %d: BytesCrossNodeIn %d, want BytesCrossNode %d + SrcBytesCrossNode %d",
 				p, ps.BytesCrossNodeIn, ps.BytesCrossNode, ps.SrcBytesCrossNode)
@@ -405,6 +416,9 @@ func (s *schedule) run(t *testing.T, cfg exploreConfig, ref []periodView) []peri
 		}
 	}
 
+	if store := e.CheckpointStore(); store != nil {
+		res.store = storePrint(store)
+	}
 	c.quiesce(t)
 	got := map[string]map[string]float64{"A": {}, "B": {}}
 	var counted, sunk float64
@@ -449,13 +463,16 @@ func (s *schedule) run(t *testing.T, cfg exploreConfig, ref []periodView) []peri
 	if len(r.inverted) > 0 {
 		t.Errorf("B saw %d tuples out of order: %v", len(r.inverted), r.inverted)
 	}
-	return views
+	return res
 }
 
 // TestExplore runs -explore.seeds drawn schedules (or the one -explore.seed
 // names), two at a time. Each runs on the one-node reference and on its two
-// configurations, whose every period's statistics must be equal. Over 20 seeds
-// or more, some periods must move groups by delta and some only whole.
+// configurations, whose every period's statistics, every checkpoint's stats
+// and final checkpoint store must be equal: a tip that moved to another
+// process cuts against the chain the store holds as one that stayed does.
+// Over 20 seeds or more, some periods must move groups by delta and some only
+// whole.
 func TestExplore(t *testing.T) {
 	seeds := *exploreSeeds
 	if testing.Short() {
@@ -480,16 +497,22 @@ func TestExplore(t *testing.T) {
 					t.Logf("%s\nrerun: go test ./internal/engine -run TestExplore -explore.seed %d -v", s, seed)
 				}
 			}()
-			ref := s.run(t, exploreConfig{spn: 1, layout: "new"}, nil)
-			var views [2][]periodView
+			ref := s.run(t, exploreConfig{spn: 1, layout: "new"}, nil).views
+			var res [2]exploreResult
 			for i, cfg := range s.cfgs {
-				t.Run(cfg.String(), func(t *testing.T) { views[i] = s.run(t, cfg, ref) })
+				t.Run(cfg.String(), func(t *testing.T) { res[i] = s.run(t, cfg, ref) })
 			}
 			if t.Failed() {
 				return
 			}
-			for p, v := range views[0] {
-				if d := v.diff(views[1][p]); d != nil {
+			if !slices.Equal(res[0].ckpts, res[1].ckpts) {
+				t.Fatalf("%s took checkpoints %+v, %s %+v", s.cfgs[0], res[0].ckpts, s.cfgs[1], res[1].ckpts)
+			}
+			if !bytes.Equal(res[0].store, res[1].store) {
+				t.Fatalf("%s and %s leave different checkpoint stores", s.cfgs[0], s.cfgs[1])
+			}
+			for p, v := range res[0].views {
+				if d := v.diff(res[1].views[p]); d != nil {
 					t.Fatalf("period %d: %s and %s differ in %s", p+1, s.cfgs[0], s.cfgs[1], strings.Join(d, "; "))
 				}
 				if v.ps.PrecopyBytes > 0 {

@@ -50,9 +50,9 @@ type barrierMsg struct {
 // is encoded, decoded or copied, and the source keeps neither. Only a message
 // that crosses a process has bytes, its wire form: flatten fills it in where
 // encodeMsgFrame sends the message (encoded is st in storage order, or d, the
-// delta, with the tip's encoding as base at baseVer) and unflatten rebuilds
-// st and tip from it where the receiving process dispatches it (decode,
-// CopyFrom, Apply). d is the source shard's scratch: flatten reads it inside
+// delta, with the tip's encoding as base at baseVer and the shape of the
+// tip's chain in the store as chain) and unflatten rebuilds st and tip from
+// it where the receiving process dispatches it (decode, CopyFrom, Apply). d is the source shard's scratch: flatten reads it inside
 // Engine.deliver, and nothing reads it after.
 type stateMsg struct {
 	op, kg int
@@ -64,6 +64,7 @@ type stateMsg struct {
 	encoded []byte
 	delta   bool
 	baseVer int
+	chain   statestore.Chain
 	base    []byte
 }
 

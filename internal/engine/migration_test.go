@@ -217,7 +217,7 @@ func TestInProcessMoveHandsOver(t *testing.T) {
 	// the change records the move kept, and must find what a walk of every
 	// cell finds.
 	ps := run()
-	if want := statestore.NewTip(0, tip.State(), nil).Measure(0, st); ps.CkptDeltaBytes[0] != want {
+	if want := statestore.NewTip(0, tip.State(), nil, statestore.Chain{}).Measure(0, st); ps.CkptDeltaBytes[0] != want {
 		t.Fatalf("the barrier after the move measured a %d-byte delta, the walk of every cell %d", ps.CkptDeltaBytes[0], want)
 	}
 	if got, want := totalTallied(e), float64(2*400+4*20); got != want {

@@ -479,8 +479,9 @@ func (s *shard) onRecover(m recoverMsg) {
 	}
 	s.states[gid] = st
 	if m.tipVer >= 0 {
-		// The restored state IS the checkpoint: a copy of it is the tip.
-		tip := statestore.NewTip(m.tipVer, st.Clone(), m.encoded)
+		// The restored state IS the checkpoint, which Recover made its chain's
+		// one base: a copy of it is the tip.
+		tip := statestore.NewTip(m.tipVer, st.Clone(), m.encoded, statestore.Chain{Base: len(m.encoded)})
 		tip.Track(st)
 		s.tips[gid] = tip
 	} else {

@@ -104,7 +104,7 @@ func (l cluster) checkSizings(t *testing.T, ps *PeriodStats) {
 			}
 			for _, sh := range n.shards {
 				for gid, tip := range sh.tips {
-					if want := statestore.NewTip(0, tip.State(), nil).Measure(0, sh.states[gid]); ps.CkptDeltaBytes[gid] != want {
+					if want := statestore.NewTip(0, tip.State(), nil, statestore.Chain{}).Measure(0, sh.states[gid]); ps.CkptDeltaBytes[gid] != want {
 						t.Errorf("period %d: group %d measured a %d-byte delta against its tip, the walk of every cell %d", ps.Period, gid, ps.CkptDeltaBytes[gid], want)
 					}
 				}
@@ -273,7 +273,7 @@ func (l cluster) forgetSizings(t *testing.T) {
 			}
 			for _, sh := range n.shards {
 				for gid, tip := range sh.tips {
-					sh.tips[gid] = statestore.NewTip(tip.Version(), tip.State(), nil)
+					sh.tips[gid] = statestore.NewTip(tip.Version(), tip.State(), nil, tip.Chain())
 				}
 			}
 		}

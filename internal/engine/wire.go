@@ -103,14 +103,17 @@ func (m *stateMsg) wire(w *codec.Wire) {
 	w.Int(&m.kg, maxWireGroups)
 	w.Bool(&m.delta)
 	w.Signed(&m.baseVer, maxWireSeq)
+	w.Int(&m.chain.Base, maxWireBlob)
+	w.Int(&m.chain.Deltas, maxWireSeq)
+	w.Int(&m.chain.DeltaBytes, maxWireBlob)
 	w.Blob(&m.encoded, maxWireBlob)
 	w.Blob(&m.base, maxWireBlob)
 }
 
 // flatten fills in m's wire form from what it hands over: the state in
 // storage order (EncodeTransfer: the receiver decodes it once and drops it),
-// or for a delta move the delta, and the tip's encoding as the base. A
-// message without a state has nothing to fill in.
+// or for a delta move the delta, and the tip's encoding as the base beside
+// the shape of its chain. A message without a state has nothing to fill in.
 func (m *stateMsg) flatten() {
 	switch {
 	case m.st == nil:
@@ -118,15 +121,15 @@ func (m *stateMsg) flatten() {
 		m.encoded = m.st.EncodeTransfer(make([]byte, 0, m.size))
 	default:
 		m.encoded = m.d.EncodeTransfer(make([]byte, 0, m.size))
-		m.delta, m.baseVer, m.base = true, m.tip.Version(), m.tip.Encoding()
+		m.delta, m.baseVer, m.chain, m.base = true, m.tip.Version(), m.tip.Chain(), m.tip.Encoding()
 	}
 }
 
 // unflatten rebuilds, from the wire form a transfer arrived in, the state and
 // tip its source handed over: the state decoded, or for a delta move the
-// base decoded as the tip (its bytes kept as the tip's encoding) and a copy
-// of it that the tip tracks, with the delta applied. The size charged is the
-// bytes that carried the state or the delta.
+// base decoded as the tip (its bytes kept as the tip's encoding, its chain's
+// shape as it arrived) and a copy of it that the tip tracks, with the delta
+// applied. The size charged is the bytes that carried the state or the delta.
 func (m *stateMsg) unflatten() error {
 	m.size = len(m.encoded)
 	if !m.delta {
@@ -148,7 +151,7 @@ func (m *stateMsg) unflatten() error {
 	}
 	m.st = statestore.NewState()
 	m.st.CopyFrom(base)
-	m.tip = statestore.NewTip(m.baseVer, base, m.base)
+	m.tip = statestore.NewTip(m.baseVer, base, m.base, m.chain)
 	m.tip.Track(m.st)
 	d.Apply(m.st)
 	return nil
@@ -293,10 +296,6 @@ type reqFrame struct {
 	version int // rqStats / rqCkpt: the period being measured/checkpointed
 	node    int // rqTerminate / rqFail
 
-	// rqCkpt: what the store says about the peer's tracked groups, ascending
-	// gid.
-	dirs []ckptDirective
-
 	// rqProvision: new node slots (parallel slices) and their owning peer.
 	provIDs   []int
 	provOwner []int
@@ -306,19 +305,8 @@ func (q *reqFrame) wire(w *codec.Wire) {
 	w.Int(&q.id, maxWireSeq)
 	w.Byte(&q.kind)
 	switch q.kind {
-	case rqStats:
+	case rqStats, rqCkpt:
 		w.Int(&q.version, maxWireSeq)
-	case rqCkpt:
-		w.Int(&q.version, maxWireSeq)
-		n := w.Count(len(q.dirs), maxWireGroups)
-		for i := 0; i < n && w.Err == nil; i++ {
-			d := codec.Elem(w, &q.dirs, i)
-			w.Int(&d.gid, maxWireGroups)
-			w.Signed(&d.bound, maxWireBlob)
-			if w.Err == nil && i > 0 && d.gid <= q.dirs[i-1].gid {
-				w.Fail(fmt.Errorf("engine: wire ckpt directive for group %d out of order", d.gid))
-			}
-		}
 	case rqTerminate, rqFail:
 		w.Int(&q.node, maxWireNodes)
 	case rqCkptWrite:
@@ -438,17 +426,11 @@ func (a *mergeAcc) addReply(body []byte, comm *core.CommBuilder, stateBytes, ckp
 	return decode(body, &statsReply{acc: a, stateBytes: stateBytes, ckptDelta: ckptDelta, comm: comm})
 }
 
-// ckptDirective is what the controller's store says about one group's next
-// checkpoint (rqCkpt): bound is the largest delta its chain takes without
-// folding (statestore.Store.FoldBound); a larger one is written as a base. A
-// group without a directive has bound -1.
-type ckptDirective struct{ gid, bound int }
-
 // ckptEntryWire is one key group's step of one checkpoint, as the process
 // holding the group's tip took it (Engine.cutCheckpoint): cut is what Tip.Cut
-// returned (what CheckpointStats.NewBytes counts) and size the exact length of
-// the payload the write encodes (cut, or the tip's size where the chain's
-// bound turned a delta into a base). tip and d are the cut's and never cross
+// reported as cut (what CheckpointStats.NewBytes counts) and size the exact
+// length of the payload the write encodes (cut, or the tip's size where the
+// tip's chain did not take the delta). tip and d are the cut's and never cross
 // a wire: the tip it brought up to date and the group's delta (StepDelta),
 // which the write encodes from.
 type ckptEntryWire struct {

@@ -68,6 +68,13 @@ func goldenCkptEntries() []ckptEntryWire {
 //
 // At wire version 9 an added node has weight 1, and "req provision" was
 // re-recorded without each slot's eight-byte weight (1.5 and 2 as float64).
+//
+// At wire version 10 the controller stopped sending chain bounds, and a delta
+// move ships its tip's chain shape. Three vectors were re-recorded: "req ckpt"
+// lost its two directives (a count 02, then gid and bound for each: 01 00 and
+// 05 ad02), and "state" and "state base" gained the shape — base length,
+// delta count, delta bytes — after the base version: 00 00 00 for "state",
+// and ac02 02 28 (300, 2, 40) for "state base", whose shape is not zero.
 func TestControlSchemaGolden(t *testing.T) {
 	body := func(m wireMsg) []byte {
 		w := codec.Wire{}
@@ -83,14 +90,14 @@ func TestControlSchemaGolden(t *testing.T) {
 	}{
 		{"data", true, encodeMsgFrame(5, dataBatchMsg{op: 1, period: 2, count: 3, encoded: []byte{0xF2, 0x01, 0x00}}), "010501020303f20100"},
 		{"barrier", true, encodeMsgFrame(3, barrierMsg{op: 1, period: 2}), "02030102"},
-		{"state", true, encodeMsgFrame(3, stateMsg{op: 1, kg: 2, encoded: []byte("st"), delta: true, baseVer: 4}), "03030102010502737400"},
-		{"state base", true, encodeMsgFrame(3, stateMsg{op: 1, kg: 2, encoded: []byte("dl"), delta: true, baseVer: 4, base: []byte("tip")}), "03030102010502646c03746970"},
+		{"state", true, encodeMsgFrame(3, stateMsg{op: 1, kg: 2, encoded: []byte("st"), delta: true, baseVer: 4}), "03030102010500000002737400"},
+		{"state base", true, encodeMsgFrame(3, stateMsg{op: 1, kg: 2, encoded: []byte("dl"), delta: true, baseVer: 4, chain: statestore.Chain{Base: 300, Deltas: 2, DeltaBytes: 40}, base: []byte("tip")}), "030301020105ac02022802646c03746970"},
 		{"migrateOut", true, encodeMsgFrame(3, migrateOutMsg{op: 1, kg: 2, dest: 0}), "0403010200"},
 		{"recover", true, encodeMsgFrame(3, recoverMsg{op: 1, kg: 2, encoded: []byte("enc"), tipVer: 7}), "060301020803656e63"},
 		{"arm", true, encode(frArm, &armFrame{period: 3, numNodes: 2, alloc: []int{0, 1, 0}, barrierNeed: []int{2, 2}, awaitIn: []int{1}}), "070302030001000202020101"},
 		{"event", true, encode(frEvent, &engEvent{kind: evError, node: 1, op: 2, bytes: 3, delta: true, base: 4, err: errors.New("boom")}), "0803010203010404626f6f6d"},
 		{"req stats", true, encode(frReq, &reqFrame{id: 7, kind: rqStats, version: 5}), "09070105"},
-		{"req ckpt", true, encode(frReq, &reqFrame{id: 9, kind: rqCkpt, version: 4, dirs: []ckptDirective{{gid: 1, bound: -1}, {gid: 5, bound: 300}}}), "0909020402010005ad02"},
+		{"req ckpt", true, encode(frReq, &reqFrame{id: 9, kind: rqCkpt, version: 4}), "09090204"},
 		{"req provision", true, encode(frReq, &reqFrame{id: 8, kind: rqProvision, provIDs: []int{3, 4}, provOwner: []int{1, 2}}), "0908050203010402"},
 		{"req terminate", true, encode(frReq, &reqFrame{id: 13, kind: rqTerminate, node: 2}), "090d0602"},
 		{"req fail", true, encode(frReq, &reqFrame{id: 14, kind: rqFail, node: 3}), "090e0703"},

@@ -29,12 +29,14 @@ import (
 // the same functions on either side — foldLocal (stats.go) behind readStats
 // (at the period barrier) and rqStats,
 // cutCheckpoint and ckptWrite.run (below) behind TakeCheckpoint and rqCkpt:
-// every shard holds the checkpoint tips of the groups it hosts, and
-// the controller's store records what the tip-holders wrote. A worker answers
-// rqCkpt as soon as its cut is taken, with a summary of it, and runs the write
-// beside the next period on a goroutine of its own, which answers the
-// controller's rqCkptWrite with the payloads once they are written — the
-// dispatch loop only hands it the request, and never waits for an encode.
+// every shard holds the checkpoint tips of the groups it hosts, each of which
+// knows its chain's shape and so what to write, and the controller's store
+// records what the tip-holders wrote; rqCkpt carries only the version. A
+// worker answers rqCkpt as soon as its cut is taken, with a summary of it,
+// and runs the write beside the next period on a goroutine of its own, which
+// answers the controller's rqCkptWrite with the payloads once they are
+// written — the dispatch loop only hands it the request, and never waits for
+// an encode.
 
 // pingMsg flushes a shard's mailbox: the shard replies on ch once every
 // message enqueued before the ping has been processed. The worker dispatch
@@ -201,7 +203,7 @@ func (e *Engine) handleRequest(peer int, q reqFrame) {
 		// period and answers the rqCkptWrite that follows.
 		e.joinCheckpoint()
 		e.pingLocalShards()
-		e.cutCheckpoint(q.version, q.dirs)
+		e.cutCheckpoint(q.version)
 		e.reply(peer, q.id, (*ckptSummary)(&e.write.entries))
 		e.startWorkerWrite()
 		return
@@ -268,7 +270,6 @@ type ckptWrite struct {
 	version int
 	entries []ckptEntryWire
 	deltas  []statestore.Delta // entries[i].d is &deltas[i]
-	dirs    []ckptDirective    // the cut's, per entry
 	// done is closed once every payload is written (and, on a worker, sent);
 	// nil when no write is pending.
 	done chan struct{}
@@ -317,27 +318,19 @@ func (e *Engine) startWorkerWrite() {
 
 // cutCheckpoint takes the first half of a checkpoint at version into e.write,
 // the same in every process: each hosted group's tip is brought up to its
-// live state (statestore.Tip.Cut: nothing, the delta, or a fresh base — always
-// a base for a group without a tip, which gets one), and one entry per group,
-// in shard order, says what its write will encode. dirs, in ascending gid (the
-// store's order), is what the controller's store says about the groups'
-// chains: a delta past a group's bound is written as a base (a group without a
-// directive has bound -1). The cuts spread over the barrier pool; handing
+// live state (statestore.Tip.Cut: nothing, the delta, or a fresh base — a
+// base for a group without a tip, which gets one, and for a delta the tip's
+// chain does not take), and one entry per group, in shard order, says what
+// its write will encode. The cuts spread over the barrier pool; handing
 // first-timers their tips, which writes the shards' tip maps, is serial.
 // Shards must be quiescent and the last write joined.
-func (e *Engine) cutCheckpoint(version int, dirs []ckptDirective) {
+func (e *Engine) cutCheckpoint(version int) {
 	groups := e.localGroups()
 	w := &e.write
-	w.dirs = slices.Grow(w.dirs[:0], len(groups))[:len(groups)]
 	for i := range groups {
-		g := &groups[i]
-		if g.tip == nil {
+		if g := &groups[i]; g.tip == nil {
 			g.tip = &statestore.Tip{}
 			g.sh.tips[g.gid] = g.tip
-		}
-		w.dirs[i] = ckptDirective{gid: g.gid, bound: -1}
-		if k, ok := slices.BinarySearchFunc(dirs, g.gid, func(d ckptDirective, gid int) int { return d.gid - gid }); ok {
-			w.dirs[i] = dirs[k]
 		}
 	}
 	w.version = version
@@ -347,11 +340,7 @@ func (e *Engine) cutCheckpoint(version int, dirs []ckptDirective) {
 	w.entries = slices.Grow(w.entries[:0], len(groups))[:len(groups)]
 	fanOut(barrierWorkers(len(groups)), len(groups), func(_, i int) {
 		g, d := groups[i], &w.deltas[i]
-		step, cut := g.tip.Cut(d, version, g.st)
-		size := cut
-		if step == statestore.StepDelta && cut > w.dirs[i].bound {
-			step, size = statestore.StepBase, g.tip.State().Size()
-		}
+		step, cut, size := g.tip.Cut(d, version, g.st)
 		w.entries[i] = ckptEntryWire{gid: g.gid, step: step, cut: cut, size: size, tip: g.tip, d: d}
 	})
 }

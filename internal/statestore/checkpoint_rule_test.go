@@ -103,61 +103,68 @@ func TestCheckpointDeltaWhenFewCellsChange(t *testing.T) {
 	}
 }
 
-// TestRecordFoldsWhereverTheTipIs: a checkpoint costs its writer the delta
-// whoever folds the chain. One history is written three ways — Checkpoint (the
-// store holds the tip), Record with the holder's tip at hand, Record without —
-// and at every cadence the three stores hold the same bytes, the writer was
-// handed the delta and never a base, and the chain stayed within its bound. An
-// EncodedState in between folds the log under the holder, whose next delta
-// must still land on it, and leaves a store its own tip.
+// TestRecordFoldsWhereverTheTipIs: a checkpoint's step is decided where the
+// tip is, and the store only logs it. One history is written two ways —
+// Checkpoint (the store holds the tip) and Record of what a holder's own tip
+// cut and wrote — and at every cadence the two stores hold the same bytes,
+// both report the cut, the holder's tip knows the store's chain shape, and
+// where that chain does not take the delta the holder wrote its tip whole and
+// Record would have refused the delta. An EncodedState in between changes no
+// chain and leaves a store its own tip.
 func TestRecordFoldsWhereverTheTipIs(t *testing.T) {
-	own, withTip, replayed := New(), New(), New()
+	own, logged := New(), New()
 	live := windowState(1, 400)
 	var tip Tip
 	var scratch Delta
-	folds := 0
+	rebases := 0
 	for v := 1; v <= 40; v++ {
 		live.Table("win").Add(fmt.Sprintf("w1-key-%04d", (v*7)%400), 1)
 		live.Add("seen", 1)
-		before := chainLen(replayed, 1)
-		step, enc := tip.Advance(&scratch, v, live)
-		if v > 1 && (step != StepDelta || len(enc)*20 > live.Size()) {
-			t.Fatalf("v%d: the holder wrote step %d, %d bytes of a %d-byte state; want the delta", v, step, len(enc), live.Size())
+		step, cut, enc := tip.advance(&scratch, v, live)
+		if v > 1 && (step == StepNone || cut*20 > live.Size()) {
+			t.Fatalf("v%d: the holder cut step %d of %d bytes from a %d-byte state; want a delta", v, step, cut, live.Size())
 		}
-		if appended := own.Checkpoint(1, v, live); appended != len(enc) {
-			t.Fatalf("v%d: Checkpoint appended %d bytes, the holder wrote %d", v, appended, len(enc))
+		if v > 1 && step == StepBase {
+			if logged.Check(1, StepDelta, cut) == nil || len(enc) != live.Size() {
+				t.Fatalf("v%d: the holder wrote %d bytes whole where the store takes its %d-byte delta", v, len(enc), cut)
+			}
+			rebases++
 		}
-		if err := withTip.Record(1, v, step, enc, &tip); err != nil {
+		if appended := own.Checkpoint(1, v, live); appended != cut {
+			t.Fatalf("v%d: Checkpoint reports %d bytes, the holder cut %d", v, appended, cut)
+		}
+		if err := logged.Record(1, v, step, enc); err != nil {
 			t.Fatal(err)
 		}
-		if err := replayed.Record(1, v, step, enc, nil); err != nil {
-			t.Fatal(err)
+		if got, want := tip.Chain(), logged.groups[1].chain(); got != want {
+			t.Fatalf("v%d: the tip says its chain is %+v, the store holds %+v", v, got, want)
 		}
-		if cl := chainLen(replayed, 1); cl > defaultMaxChain {
+		if cl := chainLen(logged, 1); cl > defaultMaxChain {
 			t.Fatalf("v%d: chain length %d exceeds %d", v, cl, defaultMaxChain)
-		} else if cl <= before && v > 1 {
-			folds++
 		}
 		if v%11 == 0 {
-			for _, s := range []*Store{own, withTip, replayed} {
+			for _, s := range []*Store{own, logged} {
+				before := chainsOf(s)
 				if b, ver, ok := s.EncodedState(1); !ok || ver != v || !bytes.Equal(b, live.Encode(nil)) {
 					t.Fatalf("v%d: EncodedState is not the live state's encoding (ver %d, ok %v)", v, ver, ok)
 				}
+				if !bytes.Equal(chainsOf(s), before) {
+					t.Fatalf("v%d: EncodedState changed the chain", v)
+				}
 			}
 			if own.groups[1].tip == nil {
-				t.Fatalf("v%d: folding its own chain cost the store its tip", v)
+				t.Fatalf("v%d: reading its own chain cost the store its tip", v)
 			}
 		}
-		want := chainsOf(own)
-		if !bytes.Equal(chainsOf(withTip), want) || !bytes.Equal(chainsOf(replayed), want) {
-			t.Fatalf("v%d: the stores differ by who folded", v)
+		if !bytes.Equal(chainsOf(logged), chainsOf(own)) {
+			t.Fatalf("v%d: the stores differ by who holds the tip", v)
 		}
-		if !statesEqual(mustMaterialize(t, replayed, 1), live) {
+		if !statesEqual(mustMaterialize(t, logged, 1), live) {
 			t.Fatalf("v%d: replayed state diverged", v)
 		}
 	}
-	if folds < 3 {
-		t.Fatalf("the history folded %d times; the test wants several", folds)
+	if rebases < 3 {
+		t.Fatalf("the history re-based its chain %d times; the test wants several", rebases)
 	}
 }
 
@@ -173,14 +180,14 @@ func mustMaterialize(t *testing.T, s *Store, gid int) *State {
 // TestCheckpointNeverWritesMoreThanState is the write rule as a property over
 // random edit histories: every checkpoint after the first appends no more
 // than |σ|, the tip always equals the live state, and the step taken is the
-// one Advance takes on equal inputs (what a worker's tip mirror does).
+// one advance takes on equal inputs (what a worker's tip mirror does).
 func TestCheckpointNeverWritesMoreThanState(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 40; trial++ {
 		s := New()
 		live := randState(rng, 25)
 		s.Checkpoint(1, 0, live)
-		mirror := NewTip(0, live.Clone(), nil)
+		mirror := NewTip(0, live.Clone(), nil, Chain{Base: live.Size()})
 		var scratch Delta
 		for v := 1; v <= 12; v++ {
 			if rng.Intn(4) == 0 {
@@ -188,13 +195,13 @@ func TestCheckpointNeverWritesMoreThanState(t *testing.T) {
 			} else {
 				mutate(rng, live)
 			}
-			step, enc := mirror.Advance(&scratch, v, live)
+			step, cut, enc := mirror.advance(&scratch, v, live)
 			appended := s.Checkpoint(1, v, live)
-			if appended > live.Size() || appended != len(enc) {
-				t.Fatalf("trial %d v%d: appended %d bytes, mirror step %d wrote %d, |σ| = %d", trial, v, appended, step, len(enc), live.Size())
+			if appended > live.Size() || len(enc) > live.Size() || appended != cut {
+				t.Fatalf("trial %d v%d: appended %d bytes, mirror step %d cut %d and wrote %d, |σ| = %d", trial, v, appended, step, cut, len(enc), live.Size())
 			}
-			if step == StepBase && chainLen(s, 1) != 0 {
-				t.Fatalf("trial %d v%d: mirror wrote a fresh base but the store's chain is %d long", trial, v, chainLen(s, 1))
+			if (step == StepBase) != (chainLen(s, 1) == 0) || mirror.Chain() != s.groups[1].chain() {
+				t.Fatalf("trial %d v%d: mirror took step %d with chain %+v, the store's chain is %+v", trial, v, step, mirror.Chain(), s.groups[1].chain())
 			}
 			if tip := mustMaterialize(t, s, 1); !statesEqual(tip, live) || !bytes.Equal(tip.Encode(nil), mirror.State().Encode(nil)) {
 				t.Fatalf("trial %d v%d: store tip, tip mirror and live state disagree", trial, v)
@@ -218,15 +225,15 @@ func TestCheckpointOfNaNAndNegativeZeroIsStable(t *testing.T) {
 	}
 	var tip Tip
 	var scratch Delta
-	if step, _ := tip.Advance(&scratch, 1, live); step != StepBase {
+	if step, _, _ := tip.advance(&scratch, 1, live); step != StepBase {
 		t.Fatalf("first checkpoint took step %d, want a base", step)
 	}
-	if step, enc := tip.Advance(&scratch, 2, live); step != StepNone || enc != nil {
+	if step, _, enc := tip.advance(&scratch, 2, live); step != StepNone || enc != nil {
 		t.Fatalf("second checkpoint of the same state took step %d (%d bytes), want StepNone", step, len(enc))
 	}
 	live.Add("zero", 0) // −0 + 0 is +0
 	live.Table("t").Set("zero", 0)
-	if step, _ := tip.Advance(&scratch, 3, live); step == StepNone {
+	if step, _, _ := tip.advance(&scratch, 3, live); step == StepNone {
 		t.Fatal("−0 → +0 went unnoticed: the tip no longer encodes as the state does")
 	}
 	if !bytes.Equal(tip.State().Encode(nil), live.Encode(nil)) {
@@ -268,10 +275,10 @@ func TestDiffSizeCountsRemovedCellsArithmetically(t *testing.T) {
 }
 
 // TestAdvanceRecordScheduleIndependent: the per-group half of a checkpoint —
-// advancing the group's tip — may run on any number of goroutines in any
+// advancing the group's tip, which decides its step — may run on any number of goroutines in any
 // order; with the steps recorded in ascending gid the store — its chains and
-// byte total after every cadence, every appended count — is the one the serial
-// Checkpoint loop produces. Run under -race this is also the check that concurrent Advance
+// byte total after every cadence, every cut — is the one the serial
+// Checkpoint loop produces. Run under -race this is also the check that concurrent advance
 // calls on distinct tips share nothing.
 func TestAdvanceRecordScheduleIndependent(t *testing.T) {
 	const groups, cadences = 48, 6
@@ -303,6 +310,7 @@ func TestAdvanceRecordScheduleIndependent(t *testing.T) {
 		tips := make([]Tip, groups)
 		for c, states := range history {
 			steps := make([]Step, groups)
+			cuts := make([]int, groups)
 			payloads := make([][]byte, groups)
 			var wg sync.WaitGroup
 			for w := 0; w < width; w++ {
@@ -311,16 +319,16 @@ func TestAdvanceRecordScheduleIndependent(t *testing.T) {
 					defer wg.Done()
 					// Strided and descending: nothing like record order.
 					for g := groups - 1 - w; g >= 0; g -= width {
-						steps[g], payloads[g] = tips[g].Advance(&scratch[w], c, states[g])
+						steps[g], cuts[g], payloads[g] = tips[g].advance(&scratch[w], c, states[g])
 					}
 				}(w)
 			}
 			wg.Wait()
 			for g := range steps {
-				if err := s.Record(g, c, steps[g], payloads[g], nil); err != nil {
+				if err := s.Record(g, c, steps[g], payloads[g]); err != nil {
 					t.Fatal(err)
 				}
-				appended = append(appended, len(payloads[g]))
+				appended = append(appended, cuts[g])
 			}
 			chains = append(chains, chainsOf(s))
 		}
@@ -372,8 +380,9 @@ func TestGroupsStaysSorted(t *testing.T) {
 	}
 }
 
-// advanceInOnePiece is Advance as it was before it was split into Cut and
-// Write: the reference the split must reproduce byte for byte.
+// advanceInOnePiece is advance as it was before it was split into Cut and
+// Write, with the chain bound: the reference the split must reproduce byte
+// for byte.
 func advanceInOnePiece(t *Tip, d *Delta, version int, cur *State) (Step, []byte) {
 	t.ver = version
 	size := cur.Size()
@@ -382,23 +391,26 @@ func advanceInOnePiece(t *Tip, d *Delta, version int, cur *State) (Step, []byte)
 	} else if size = wholeDiffSize(t.st, cur); size == emptyDeltaSize {
 		return StepNone, nil
 	}
-	if size >= cur.Size() {
+	if size >= cur.Size() || !t.chain.takes(size) {
 		enc := cur.Encode(make([]byte, 0, cur.Size()))
 		t.st.CopyFrom(cur)
+		t.chain = Chain{Base: len(enc)}
 		return StepBase, enc
 	}
 	wholeDiffInto(d, t.st, cur)
 	enc := d.Encode(make([]byte, 0, size))
 	d.Apply(t.st)
+	t.chain.Deltas++
+	t.chain.DeltaBytes += size
 	return StepDelta, enc
 }
 
 // TestCutThenWriteIsAdvance: the write rule in two halves — Cut while the
 // state holds still, Write after it has changed again — writes byte for byte
-// what Advance in one piece wrote, says how long that is, and leaves the same
+// what advance in one piece wrote, says how long that is, and leaves the same
 // tip, over random histories of scalars, registers and tables with deleted
 // cells, from a zero tip, from a NewTip base and from a tip that has taken
-// deltas, through all three steps. Advance itself is the two halves in a row.
+// deltas, through all three steps. advance itself is the two halves in a row.
 func TestCutThenWriteIsAdvance(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	steps := map[Step]int{}
@@ -408,13 +420,14 @@ func TestCutThenWriteIsAdvance(t *testing.T) {
 		var d, wd, rd Delta
 		switch trial % 3 {
 		case 1: // a base that arrived whole
-			split, whole, ref = NewTip(0, live.Clone(), nil), NewTip(0, live.Clone(), nil), NewTip(0, live.Clone(), nil)
+			chain := Chain{Base: live.Size()}
+			split, whole, ref = NewTip(0, live.Clone(), nil, chain), NewTip(0, live.Clone(), nil, chain), NewTip(0, live.Clone(), nil, chain)
 		case 2: // a tip that has taken deltas
 			for v := -3; v < 0; v++ {
 				mutate(rng, live)
 				advanceInOnePiece(ref, &rd, v, live)
-				split.Advance(&d, v, live)
-				whole.Advance(&wd, v, live)
+				split.advance(&d, v, live)
+				whole.advance(&wd, v, live)
 			}
 		}
 		for v := 1; v <= 12; v++ {
@@ -426,7 +439,7 @@ func TestCutThenWriteIsAdvance(t *testing.T) {
 				mutate(rng, live)
 			}
 			wantStep, want := advanceInOnePiece(ref, &rd, v, live)
-			step, n := split.Cut(&d, v, live)
+			step, _, n := split.Cut(&d, v, live)
 			cut := live.Clone()
 			if rng.Intn(2) == 0 {
 				mutate(rng, live) // the next period, before the write
@@ -435,11 +448,11 @@ func TestCutThenWriteIsAdvance(t *testing.T) {
 			if step != wantStep || !bytes.Equal(got, want) || len(got) != n {
 				t.Fatalf("trial %d v%d: cut %d and wrote %d bytes (said %d), want step %d and %d bytes", trial, v, step, len(got), n, wantStep, len(want))
 			}
-			if split.Version() != v || !statesEqual(split.State(), ref.State()) || !statesEqual(split.State(), cut) {
+			if split.Version() != v || split.Chain() != ref.chain || !statesEqual(split.State(), ref.State()) || !statesEqual(split.State(), cut) {
 				t.Fatalf("trial %d v%d: the tip is not the state as cut", trial, v)
 			}
-			if step, enc := whole.Advance(&wd, v, cut); step != wantStep || !bytes.Equal(enc, want) || (step == StepNone) != (enc == nil) {
-				t.Fatalf("trial %d v%d: Advance took step %d and wrote %d bytes, want step %d and %d bytes", trial, v, step, len(enc), wantStep, len(want))
+			if step, _, enc := whole.advance(&wd, v, cut); step != wantStep || !bytes.Equal(enc, want) || (step == StepNone) != (enc == nil) {
+				t.Fatalf("trial %d v%d: advance took step %d and wrote %d bytes, want step %d and %d bytes", trial, v, step, len(enc), wantStep, len(want))
 			}
 			steps[step]++
 		}
@@ -451,40 +464,54 @@ func TestCutThenWriteIsAdvance(t *testing.T) {
 	}
 }
 
-// TestFoldBoundIsWhereRecordFolds: FoldBound, the integer form of the
-// compaction bounds a tip-holder writes a base by, agrees with the rule Record
-// folds by (entry.folds) at the boundary — the bound itself does not fold, one
-// byte more does — for every chain shape around the bounds: bases of even and
-// odd length, chains just under, at and past half the base, and the chain
-// length cap. Through Store.FoldBound too, and -1 (everything folds) exactly
-// where even an empty payload would.
+// TestFoldBoundIsWhereRecordFolds: the chain bound (Chain.takes) is where a
+// tip's Cut writes the tip whole instead of its delta, and where Record starts
+// refusing that delta — at the bound the delta is taken, one byte past it not
+// — for every chain shape around the bound: bases of even and odd length,
+// chains just under, at and past half the base, and the chain length cap. The
+// cut still reports the delta, and the tip's chain after the cut is the
+// store's after it records what the cut wrote. A base is always taken; a
+// group without a chain takes nothing else.
 func TestFoldBoundIsWhereRecordFolds(t *testing.T) {
-	for base := 0; base <= 64; base++ {
-		for deltas := 0; deltas <= defaultMaxChain+1; deltas++ {
-			for deltaBytes := 0; deltaBytes <= base/2+3; deltaBytes++ {
-				e := &entry{base: make([]byte, base), deltas: make([][]byte, deltas), deltaBytes: deltaBytes}
-				b := FoldBound(base, deltas, deltaBytes)
-				if b < -1 {
-					t.Fatalf("base %d, %d deltas of %d B: bound %d below -1", base, deltas, deltaBytes, b)
+	old := windowState(1, 40)
+	cur := old.Clone()
+	cur.Table("win").Set("w1-key-0003", -1)
+	n := wholeDiffSize(old, cur)
+	var d Delta
+	for deltas := 0; deltas <= defaultMaxChain+1; deltas++ {
+		for _, deltaBytes := range []int{0, 1, n, 2*n + 1} {
+			bound := 2 * (deltaBytes + n) // the smallest base that takes it
+			for base := bound - 2; base <= bound+2; base++ {
+				chain := Chain{base, deltas, deltaBytes}
+				takes := deltas < defaultMaxChain && base >= bound
+				tip := NewTip(0, old.Clone(), nil, chain)
+				step, cut, size := tip.Cut(&d, 1, cur)
+				wantStep, wantSize, wantChain := StepDelta, n, Chain{base, deltas + 1, deltaBytes + n}
+				if !takes {
+					wantStep, wantSize, wantChain = StepBase, cur.Size(), Chain{Base: cur.Size()}
 				}
-				if b >= 0 && e.folds(b) {
-					t.Fatalf("base %d, %d deltas of %d B: a delta of the bound %d folds", base, deltas, deltaBytes, b)
+				if step != wantStep || cut != n || size != wantSize || tip.Chain() != wantChain {
+					t.Fatalf("chain %+v, a %d-byte delta: cut step %d, cut %d, size %d, chain %+v; want step %d, %d, %d, %+v",
+						chain, n, step, cut, size, tip.Chain(), wantStep, n, wantSize, wantChain)
 				}
-				if !e.folds(b + 1) {
-					t.Fatalf("base %d, %d deltas of %d B: a delta of %d, one past the bound, does not fold", base, deltas, deltaBytes, b+1)
+				s := New()
+				s.groups[7] = &entry{base: make([]byte, base), deltas: make([][]byte, deltas), deltaBytes: deltaBytes}
+				s.gids = []int{7}
+				if err := s.Check(7, StepDelta, n); (err == nil) != takes {
+					t.Fatalf("chain %+v: Check of a %d-byte delta says %v, the bound says takes = %v", chain, n, err, takes)
 				}
-				if (b == -1) != e.folds(0) {
-					t.Fatalf("base %d, %d deltas of %d B: bound %d, but an empty payload folds: %v", base, deltas, deltaBytes, b, e.folds(0))
+				payload := tip.Write(step, &d, nil)
+				if err := s.Record(7, 1, step, payload); err != nil || len(payload) != size || s.groups[7].chain() != tip.Chain() {
+					t.Fatalf("chain %+v: recording the %d-byte payload: %v; the store's chain is %+v, the tip's %+v", chain, len(payload), err, s.groups[7].chain(), tip.Chain())
 				}
 			}
 		}
 	}
 	s := New()
-	s.Checkpoint(3, 1, windowState(1, 40))
-	if got, want := s.FoldBound(3), FoldBound(s.Footprint(3), 0, 0); got != want || got < 0 {
-		t.Fatalf("Store.FoldBound of a fresh base: %d, want %d", got, want)
+	if s.Check(4, StepDelta, 0) == nil || s.Check(4, StepNone, 0) == nil || s.Check(4, StepBase, 10) != nil {
+		t.Fatal("a group without a chain must take a base and nothing else")
 	}
-	if s.FoldBound(4) != -1 {
-		t.Fatalf("Store.FoldBound of an untracked group: %d, want -1", s.FoldBound(4))
+	if err := s.Record(4, 1, StepDelta, []byte{1}); err == nil || s.Len() != 0 {
+		t.Fatalf("Record took a delta for a group without a chain (%v)", err)
 	}
 }

@@ -6,12 +6,18 @@ import (
 	"sync/atomic"
 )
 
-// Compaction bounds: Record folds a chain into a fresh base once it grows past
-// defaultMaxChain links or defaultCompactFactor times the base size.
-const (
-	defaultMaxChain      = 8
-	defaultCompactFactor = 0.5
-)
+// defaultMaxChain is the most deltas a chain holds (Chain.takes).
+const defaultMaxChain = 8
+
+// Chain is the shape of a key group's chain in the store: its base's length
+// and the count and total length of the deltas on it. A tip carries it.
+type Chain struct{ Base, Deltas, DeltaBytes int }
+
+// takes reports whether c takes one more delta of n bytes — the chain bound,
+// stated here alone: fewer than defaultMaxChain deltas, together at most half
+// the base. Tip.Cut writes the tip whole instead of a delta it refuses, and
+// Record refuses such a delta.
+func (c Chain) takes(n int) bool { return c.Deltas < defaultMaxChain && 2*(c.DeltaBytes+n) <= c.Base }
 
 // entry is one key group's incremental chain: a full encoded snapshot plus
 // encoded deltas leading to version. tip is set only while the
@@ -25,16 +31,18 @@ type entry struct {
 	tip        *Tip
 }
 
+// chain returns e's shape.
+func (e *entry) chain() Chain { return Chain{len(e.base), len(e.deltas), e.deltaBytes} }
+
 // Store is a versioned, per-group, in-memory log of incremental checkpoints:
 // the base a migration ships and the state recovery restores. The decoded
 // state at a group's last checkpoint — its Tip, which the next delta is cut
-// against — lives with whoever holds the group's live state: that party calls
-// Tip.Advance (or its halves, Cut and Write) and hands what it wrote to
-// Record; a holder that writes a base where Record would fold (FoldBound)
-// spares the store a replay. Recovery reads states back by replaying base and
-// deltas (Materialize, EncodedState), and so does a fold Record makes without
-// a tip; Checkpoint is both halves in one call, the store holding the tips
-// itself. Not goroutine-safe: the engine uses it only between periods.
+// against, and which knows its chain's shape — lives with whoever holds the
+// group's live state: that party cuts and writes it (Tip.Cut, Tip.Write) and
+// hands what it wrote to Record. Recovery reads states back by replaying base
+// and deltas (Materialize, EncodedState); Checkpoint is cut, write and Record
+// in one call, the store holding the tips itself. Not goroutine-safe: the
+// engine uses it only between periods.
 type Store struct {
 	groups map[int]*entry
 	gids   []int // the keys of groups, ascending
@@ -55,9 +63,6 @@ func (s *Store) Len() int { return len(s.groups) }
 // footprint the incremental design keeps close to one full snapshot.
 func (s *Store) Bytes() int { return s.bytes }
 
-// Has reports whether gid has a checkpointed state.
-func (s *Store) Has(gid int) bool { return s.groups[gid] != nil }
-
 // Version returns the version of gid's latest checkpoint (-1 if none).
 func (s *Store) Version(gid int) int {
 	if e := s.groups[gid]; e != nil {
@@ -70,7 +75,7 @@ func (s *Store) Version(gid int) int {
 // store's own: read it, and do not hold it across a Checkpoint or Record.
 func (s *Store) Groups() []int { return s.gids }
 
-// Step says how Tip.Advance brought a checkpoint tip up to date.
+// Step says how Tip.Cut brought a checkpoint tip up to date.
 type Step uint8
 
 const (
@@ -78,18 +83,23 @@ const (
 	StepNone Step = iota
 	// StepDelta: the bytes are the encoded delta cur − tip, applied to the tip.
 	StepDelta
-	// StepBase: the bytes are cur encoded whole, copied into the tip.
+	// StepBase: the bytes are cur encoded whole, which the tip now equals:
+	// a first checkpoint, a state whose delta is no smaller than itself, or a
+	// delta its chain does not take. The chain restarts from them.
 	StepBase
 )
 
 // Tip is one key group's decoded state at its last checkpoint. It lives beside
 // the group's live state (an engine shard, or a Store used through
-// Checkpoint). The zero Tip is a group that has not been checkpointed yet. A
-// state its methods read must hold every counter the tip holds, as a delta's
-// new state does (diffInto): the live state the tip was cut from always does.
+// Checkpoint), and it knows the shape of the chain its checkpoints built in
+// the store (Chain), which it hands on with itself. The zero Tip is a group
+// that has not been checkpointed yet. A state its methods read must hold every
+// counter the tip holds, as a delta's new state does (diffInto): the live
+// state the tip was cut from always does.
 type Tip struct {
-	ver int
-	st  *State
+	ver   int
+	st    *State
+	chain Chain
 	// enc is st's canonical encoding once someone produced it (Write of a
 	// base, Encoding, or the bytes st was decoded from), nil until then; a
 	// Cut that changes st drops it. Atomic because Encoding may run beside
@@ -104,11 +114,12 @@ type Tip struct {
 	tok uint64
 }
 
-// NewTip adopts st as the tip at version: a state that arrived whole from the
-// store (a pre-copied base, a recovered state). enc, when not nil, is the
-// canonical encoding st was decoded from; the tip keeps it as its Encoding.
-func NewTip(version int, st *State, enc []byte) *Tip {
-	t := &Tip{ver: version, st: st}
+// NewTip adopts st, whose chain in the store has shape chain, as the tip at
+// version: a state that arrived whole (a moved tip; a recovered state, whose
+// chain is one base). enc, when not nil, is the canonical encoding st was
+// decoded from; the tip keeps it as its Encoding.
+func NewTip(version int, st *State, enc []byte, chain Chain) *Tip {
+	t := &Tip{ver: version, st: st, chain: chain}
 	if enc != nil {
 		t.enc.Store(&enc)
 	}
@@ -120,6 +131,10 @@ func (t *Tip) Version() int { return t.ver }
 
 // State returns the tip's state (nil for the zero Tip), read-only.
 func (t *Tip) State() *State { return t.st }
+
+// Chain returns the shape of the tip's chain once what its last Cut decided is
+// recorded.
+func (t *Tip) Chain() Chain { return t.chain }
 
 // Encoding returns the tip's state canonically encoded — the bytes a Write of
 // a base returns — encoding it only if no one has yet since the tip last
@@ -162,33 +177,34 @@ func (t *Tip) Pending() int {
 	return t.measured
 }
 
-// Advance brings the tip up to cur at version, in place, and returns what to
-// Record for it. This is the checkpoint write rule, the only one: a state that
-// equals the tip writes nothing; one that changed little writes the delta; and
-// a fresh base — cur, copied into the tip and encoded once — is written for a
-// group's first checkpoint and for a state whose delta would be at least as
-// large as the state itself (windowed state churns fully between cadences).
-// So a checkpoint never writes more than |σ|, and the choice depends only on
-// tip and cur, never on where the tip lives. d is scratch.
-//
-// Advance is Cut followed by Write, which a caller may also run apart: Cut
-// while cur holds still, Write later, beside whatever changes cur next.
-func (t *Tip) Advance(d *Delta, version int, cur *State) (Step, []byte) {
-	step, n := t.Cut(d, version, cur)
+// advance is Cut followed by Write, which the engine runs apart: it returns
+// the step, the cut and what to Record. d is scratch.
+func (t *Tip) advance(d *Delta, version int, cur *State) (Step, int, []byte) {
+	step, cut, n := t.Cut(d, version, cur)
 	var buf []byte
 	if step != StepNone {
 		buf = make([]byte, 0, n)
 	}
-	return step, t.Write(step, d, buf)
+	return step, cut, t.Write(step, d, buf)
 }
 
-// Cut is the half of Advance that reads cur: it takes the step and brings the
-// tip up to cur at version — a copy of cur for a base; for a delta, the delta
-// into d and applied to the tip — and returns the step and the exact length of
-// what Write will encode for it. It sizes the delta unless Measure did at
-// version. cur equals the tip afterwards, and the tip tracks it (Track).
-func (t *Tip) Cut(d *Delta, version int, cur *State) (Step, int) {
-	measured := t.measuredAt == version+1
+// Cut is the checkpoint write rule, the only one, and the half of a
+// checkpoint that reads cur: it takes the step and brings the tip up to cur at
+// version, a copy of cur or the delta (into d) applied. A state that equals
+// the tip writes nothing; one that changed little writes the delta, if the
+// tip's chain takes it (Chain.takes), else the tip whole; a group's first
+// checkpoint and a state whose delta would be at least as large as itself
+// (windowed state churns fully between cadences) write cur whole. So a
+// checkpoint never writes more than |σ|, and the choice depends only on the
+// tip and cur, never on where the tip lives.
+//
+// Cut returns the step, the cut — the delta's size, also where the chain did
+// not take it, else the base's — and n, the exact length of what Write will
+// encode; the tip's chain is the store's once that is recorded. It sizes the
+// delta unless Measure did at version. cur equals the tip afterwards, and the
+// tip tracks it (Track).
+func (t *Tip) Cut(d *Delta, version int, cur *State) (step Step, cut, n int) {
+	measured := t.measuredAt != 0 && t.measuredAt == version+1
 	t.ver, t.measuredAt = version, 0
 	size := cur.Size() // a zero tip writes a base
 	if t.st == nil {
@@ -199,13 +215,13 @@ func (t *Tip) Cut(d *Delta, version int, cur *State) (Step, int) {
 		}
 		if size == emptyDeltaSize {
 			t.Track(cur)
-			return StepNone, 0
+			return StepNone, 0, 0
 		}
 	}
 	t.enc.Store(nil)
-	step := StepDelta
-	if size >= cur.Size() {
-		step, size = StepBase, cur.Size()
+	whole := size >= cur.Size()
+	if whole {
+		size = cur.Size()
 		t.st.CopyFrom(cur)
 	} else {
 		// The cells of tracked tables go into the tip as they are found.
@@ -213,7 +229,13 @@ func (t *Tip) Cut(d *Delta, version int, cur *State) (Step, int) {
 		d.apply(t.st, true)
 	}
 	t.Track(cur)
-	return step, size
+	if !whole && t.chain.takes(size) {
+		t.chain.Deltas++
+		t.chain.DeltaBytes += size
+		return StepDelta, size, size
+	}
+	t.chain = Chain{Base: t.st.Size()}
+	return StepBase, size, t.chain.Base
 }
 
 // Write is the other half: it appends to buf what Cut decided — nothing for
@@ -236,19 +258,16 @@ func (t *Tip) Write(step Step, d *Delta, buf []byte) []byte {
 }
 
 // Record appends what gid's tip-holder wrote at version: nothing (the version
-// alone advances), a delta on the chain, or a fresh base that replaces it. The
-// store keeps payload and does not look inside — the caller vouches that it is
-// what Tip.Advance returned, or that it decodes — until a delta takes the
-// chain past the compaction bounds and it is folded: what a checkpoint costs
-// its writer, and a wire, stays the delta. tip, when the caller has the
-// advanced tip at hand, is what a fold encodes; without it (nil) the chain is
-// replayed. The store does not keep tip. Without a base, only a base.
-func (s *Store) Record(gid, version int, step Step, payload []byte, tip *Tip) error {
+// alone advances), a delta on the chain, or a fresh base that replaces it —
+// unless Check refuses it. It is the only thing that changes a chain. The
+// store keeps payload and does not look inside: the caller vouches that it is
+// what Tip.Write encoded, or that it decodes.
+func (s *Store) Record(gid, version int, step Step, payload []byte) error {
+	if err := s.Check(gid, step, len(payload)); err != nil {
+		return err
+	}
 	e := s.groups[gid]
 	if e == nil {
-		if step != StepBase {
-			return fmt.Errorf("statestore: delta checkpoint for untracked group %d", gid)
-		}
 		e = &entry{}
 		s.groups[gid] = e
 		i, _ := slices.BinarySearch(s.gids, gid)
@@ -259,43 +278,27 @@ func (s *Store) Record(gid, version int, step Step, payload []byte, tip *Tip) er
 	case StepBase:
 		s.setBase(e, payload)
 	case StepDelta:
-		fold := e.folds(len(payload))
 		e.deltas = append(e.deltas, payload)
 		e.deltaBytes += len(payload)
 		s.bytes += len(payload)
-		if fold {
-			s.fold(e, tip)
-		}
 	}
 	return nil
 }
 
-// folds reports whether a delta of n more bytes takes e's chain past the
-// compaction bounds.
-func (e *entry) folds(n int) bool {
-	return len(e.deltas) >= defaultMaxChain || float64(e.deltaBytes+n) > defaultCompactFactor*float64(len(e.base))
-}
-
-// FoldBound returns the largest delta that Record appends to gid's chain
-// without folding it, -1 when any delta folds it and for an untracked group. A
-// writer that holds the group's tip writes the base the chain would fold into
-// — the tip, written as a base — for a larger delta, so the store replays
-// nothing.
-func (s *Store) FoldBound(gid int) int {
-	if e := s.groups[gid]; e != nil {
-		return FoldBound(len(e.base), len(e.deltas), e.deltaBytes)
+// Check returns the error Record returns for gid's step of n bytes: none for
+// a base; for anything else from a group without a chain, and for a delta its
+// chain does not take (Chain.takes).
+func (s *Store) Check(gid int, step Step, n int) error {
+	e := s.groups[gid]
+	switch {
+	case step == StepBase:
+		return nil
+	case e == nil:
+		return fmt.Errorf("statestore: step %d for untracked group %d", step, gid)
+	case step == StepDelta && !e.chain().takes(n):
+		return fmt.Errorf("statestore: a %d-byte delta is past group %d's chain bound (%+v)", n, gid, e.chain())
 	}
-	return -1
-}
-
-// FoldBound is Store.FoldBound of a chain of a baseLen-byte base and deltas
-// deltas of deltaBytes bytes in all — FoldBound(n, 0, 0) that of a chain just
-// folded into an n-byte base: the compaction bounds in integers.
-func FoldBound(baseLen, deltas, deltaBytes int) int {
-	if deltas >= defaultMaxChain || baseLen < 2*deltaBytes {
-		return -1
-	}
-	return (baseLen - 2*deltaBytes) / 2 // defaultCompactFactor = ½
+	return nil
 }
 
 // Footprint returns the bytes gid's chain holds (0 for an untracked group).
@@ -313,24 +316,10 @@ func (s *Store) setBase(e *entry, base []byte) {
 	e.deltas, e.deltaBytes = nil, 0
 }
 
-// fold replaces e's chain by the one base it amounts to — tip, encoded; nil
-// replays it — and leaves a chain that does not replay as it is.
-func (s *Store) fold(e *entry, tip *Tip) bool {
-	if tip == nil {
-		tip = e.replay(&s.scratch)
-	}
-	if tip.st != nil {
-		s.setBase(e, tip.st.Encode(make([]byte, 0, tip.st.Size())))
-	}
-	return tip.st != nil
-}
-
 // Checkpoint records st as gid's state at version with the store holding the
-// group's tip itself: Tip.Advance decides what to write — a full snapshot the
-// first time, then nothing, the delta since the previous checkpoint, or a
-// fresh base — and the store records it as Record does. It returns the bytes
-// appended, never more than the state's size. A group last written through
-// Record has its tip replayed first. A nil st is the empty state.
+// group's tip itself: Tip.Cut decides what to write and Record records it. It
+// returns the cut (never more than the state's size). A group last written
+// through Record has its tip replayed first. A nil st is the empty state.
 func (s *Store) Checkpoint(gid, version int, st *State) int {
 	if st == nil {
 		st = &emptyState
@@ -339,15 +328,15 @@ func (s *Store) Checkpoint(gid, version int, st *State) int {
 	if e := s.groups[gid]; e != nil {
 		tip = e.replay(&s.scratch)
 	}
-	step, enc := tip.Advance(&s.scratch, version, st)
-	s.Record(gid, version, step, enc, tip) //nolint:errcheck // a zero tip writes a base
+	step, cut, enc := tip.advance(&s.scratch, version, st)
+	s.Record(gid, version, step, enc) //nolint:errcheck // the tip's chain is the store's
 	s.groups[gid].tip = tip
-	return len(enc)
+	return cut
 }
 
 // replay returns the tip of e's chain: the one the store holds, or else the
-// base decoded and the deltas applied — the zero Tip when a recorded payload
-// does not decode (the engine checks before it records).
+// base decoded and the deltas applied, with e's shape — the zero Tip when a
+// recorded payload does not decode (the engine checks before it records).
 func (e *entry) replay(d *Delta) *Tip {
 	if e.tip != nil {
 		return e.tip
@@ -361,7 +350,7 @@ func (e *entry) replay(d *Delta) *Tip {
 	if err != nil {
 		return &Tip{}
 	}
-	return &Tip{ver: e.version, st: st}
+	return &Tip{ver: e.version, st: st, chain: e.chain()}
 }
 
 // Materialize returns a copy of gid's checkpointed state and its version,
@@ -379,13 +368,18 @@ func (s *Store) Materialize(gid int) (*State, int, bool) {
 }
 
 // EncodedState returns gid's checkpointed state fully encoded (the bytes a
-// recovery ships) plus its version; the slice is immutable. A chain is folded
-// as a side effect, so repeated reads stay cheap and a state that travels
-// whole leaves one base behind.
+// recovery ships) plus its version; the slice is immutable. It changes no
+// chain: one with deltas is replayed, unless the store holds its tip.
 func (s *Store) EncodedState(gid int) ([]byte, int, bool) {
 	e := s.groups[gid]
-	if e == nil || len(e.deltas) > 0 && !s.fold(e, nil) {
+	if e == nil {
 		return nil, -1, false
 	}
-	return e.base, e.version, true
+	if len(e.deltas) == 0 {
+		return e.base, e.version, true
+	}
+	if tip := e.replay(&s.scratch); tip.st != nil {
+		return tip.Encoding(), e.version, true
+	}
+	return nil, -1, false
 }

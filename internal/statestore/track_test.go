@@ -150,14 +150,12 @@ func trackedHistory(t *testing.T, next func(n int) (int, bool)) (map[Step]int, i
 			if kind == 15 {
 				tip.Measure(ver, live)
 			}
-			var ref *Tip
+			ref := &Tip{chain: tip.Chain()}
 			if tip.State() != nil {
-				ref = &Tip{st: tip.State().Clone()}
-			} else {
-				ref = &Tip{}
+				ref.st = tip.State().Clone()
 			}
 			wantStep, want := wholeWalkCut(ref, &rd, live)
-			step, n := tip.Cut(&d, ver, live)
+			step, _, n := tip.Cut(&d, ver, live)
 			got := tip.Write(step, &d, nil)
 			if step != wantStep || n != len(got) || !bytes.Equal(got, want) {
 				t.Fatalf("%s: cut step %d, %d bytes (said %d); the whole walk: step %d, %d bytes", ctx, step, len(got), n, wantStep, len(want))
@@ -180,7 +178,7 @@ func trackedHistory(t *testing.T, next func(n int) (int, bool)) (map[Step]int, i
 				t.Fatalf("%s: %v", ctx, err)
 			}
 			st.CopyFrom(base)
-			adopted := NewTip(tip.Version(), base, enc)
+			adopted := NewTip(tip.Version(), base, enc, tip.Chain())
 			adopted.Track(st)
 			rd.Apply(st)
 			if !statesEqual(st, live) {
@@ -198,7 +196,7 @@ func trackedHistory(t *testing.T, next func(n int) (int, bool)) (map[Step]int, i
 				t.Fatalf("%s: %v", ctx, err)
 			}
 			drop(live)
-			live, tip = st, NewTip(tip.Version(), st.Clone(), enc)
+			live, tip = st, NewTip(tip.Version(), st.Clone(), enc, Chain{Base: len(enc)})
 			tip.Track(live)
 			// The other tip may hold counters written after tip's checkpoint,
 			// which the recovered state does not: it starts over, as every tip
@@ -220,7 +218,8 @@ func trackedHistory(t *testing.T, next func(n int) (int, bool)) (map[Step]int, i
 
 // wholeWalkCut is Tip.Cut followed by Tip.Write as they were before tables
 // tracked their changes: the delta sized and cut by walking every cell, then
-// applied to the tip.
+// applied to the tip, and written whole where the tip's chain does not take
+// it.
 func wholeWalkCut(ref *Tip, d *Delta, cur *State) (Step, []byte) {
 	size := cur.Size()
 	if ref.st == nil {
@@ -234,6 +233,9 @@ func wholeWalkCut(ref *Tip, d *Delta, cur *State) (Step, []byte) {
 	}
 	wholeDiffInto(d, ref.st, cur)
 	d.Apply(ref.st)
+	if !ref.chain.takes(size) {
+		return StepBase, ref.Write(StepBase, d, nil)
+	}
 	return StepDelta, ref.Write(StepDelta, d, nil)
 }
 

@@ -1,61 +1,45 @@
 package transport
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
-// MemNetwork is the in-memory transport: a full mesh of unbounded per-link
-// queues between in-process endpoints. engine.New attaches its single-process
-// engine to a network of one endpoint — a controller with no peers, over
-// which nothing is ever sent — and with more endpoints the full
-// multi-process protocol (controller + workers as separate engine instances)
-// runs deterministically inside one test process; it is what the chaos
-// wrapper of internal/distrib's tests wraps.
+// NewMemCluster builds the in-memory transport: a controller (peer 0) plus
+// worker endpoints 1..workers, a full mesh of unbounded per-link queues
+// between in-process endpoints. engine.New attaches its single-process engine
+// to a cluster of one endpoint — a controller with no peers, over which
+// nothing is ever sent — and with more endpoints the full multi-process
+// protocol (controller + workers as separate engine instances) runs
+// deterministically inside one test process; it is what the chaos wrapper of
+// internal/distrib's tests wraps.
 //
 // Unboundedness mirrors the engine's mailboxes: no cross-peer backpressure
 // deadlock is possible, which matters because endpoint consumers (the
 // engines' dispatch loops) also send.
-type MemNetwork struct {
-	mu  sync.Mutex
-	eps map[int]*memEndpoint
-}
-
-// NewMemNetwork builds an empty in-memory cluster.
-func NewMemNetwork() *MemNetwork { return &MemNetwork{eps: map[int]*memEndpoint{}} }
-
-// NewMemCluster builds a controller (peer 0) plus workers endpoints 1..n.
 func NewMemCluster(workers int) []Endpoint {
-	net := NewMemNetwork()
+	net := &memNet{eps: map[int]*memEndpoint{}}
 	eps := make([]Endpoint, workers+1)
-	for i := range eps {
-		eps[i] = net.Endpoint(i)
+	for id := range eps {
+		ep := &memEndpoint{
+			net:  net,
+			id:   id,
+			recv: make(chan Frame, 1024),
+			down: make(chan int, 64),
+		}
+		ep.nonEmp = sync.NewCond(&ep.mu)
+		net.eps[id] = ep
+		eps[id] = ep
+		go ep.pump()
 	}
 	return eps
 }
 
-// Endpoint attaches peer id to the network (panics on duplicate ids —
-// construction is test/driver code).
-func (n *MemNetwork) Endpoint(id int) Endpoint {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.eps[id] != nil {
-		panic(fmt.Sprintf("transport: duplicate mem endpoint %d", id))
-	}
-	ep := &memEndpoint{
-		net:  n,
-		id:   id,
-		recv: make(chan Frame, 1024),
-		down: make(chan int, 64),
-	}
-	ep.nonEmp = sync.NewCond(&ep.mu)
-	go ep.pump()
-	n.eps[id] = ep
-	return ep
+// memNet is the endpoints of one mem cluster that are still attached.
+type memNet struct {
+	mu  sync.Mutex
+	eps map[int]*memEndpoint
 }
 
 type memEndpoint struct {
-	net *MemNetwork
+	net *memNet
 	id  int
 
 	// Inbound queue: senders append under mu (each sender's appends are

@@ -7,7 +7,8 @@
 # controller.Options, the exported fields of the planner, baseline and
 # workload option structs, albic-run's flag count, the number of exported
 # types, functions and methods of internal/engine, internal/controller,
-# internal/core, internal/statestore, internal/assign and internal/baseline,
+# internal/core, internal/statestore, internal/transport, internal/assign and
+# internal/baseline,
 # the frame and request kinds of the engine's wire schema, and the non-test
 # functions and methods under internal/ that no binary links (CI holds that
 # list to scripts/unlinked.txt). bench/ is its own module: its lines are left
@@ -76,7 +77,7 @@ echo "controller.Options fields: $(fields_of internal/controller/controller.go O
 # exported field of these structs is an option (a Snapshot's are what a
 # controller sets before planning).
 opts=0
-for ft in internal/core/albic.go:ALBIC \
+for ft in internal/core/albic.go:ALBIC internal/core/milp.go:MILPBalancer \
   internal/core/scaling.go:UtilizationScaler internal/core/snapshot.go:Snapshot \
   internal/controller/controller.go:Options internal/baseline/cola.go:COLA \
   internal/assign/solver.go:Options \
@@ -84,9 +85,9 @@ for ft in internal/core/albic.go:ALBIC \
   internal/workload/datasets.go:WeatherConfig internal/workload/jobs.go:JobConfig; do
   opts=$((opts + $(fields_of "${ft%%:*}" "${ft##*:}")))
 done
-echo "option-struct fields:      $opts (10 structs)"
+echo "option-struct fields:      $opts (11 structs)"
 echo "albic-run flags:           $(grep -cE '\bflag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Var|Func)\(' cmd/albic-run/main.go)"
-for d in internal/engine internal/controller internal/core internal/statestore internal/assign internal/baseline; do
+for d in internal/engine internal/controller internal/core internal/statestore internal/transport internal/assign internal/baseline; do
   read -r t f m < <(exported_of "$d")
   echo "$d exported: $((t + f + m)) ($t types, $f funcs, $m methods)"
 done
